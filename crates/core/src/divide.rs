@@ -15,12 +15,12 @@
 
 use crate::engine::RknnTEngine;
 use crate::filter::build_filter_set;
-use crate::prune::prune_transitions_scratch;
-use crate::query::{PhaseTimings, QueryStats, RknntQuery, RknntResult, Semantics};
+use crate::prune::{prune_into_scratch, CandidateEndpoint};
+use crate::query::{QueryStats, RknntQuery, RknntResult};
 use crate::scratch::QueryScratch;
-use crate::verify::qualifies;
-use rknnt_geo::{point_route_distance_sq, Point};
-use rknnt_index::{EndpointKind, NList, RouteStore, TransitionStore};
+use crate::verify::verify_candidates;
+use rknnt_geo::Point;
+use rknnt_index::{NList, RouteStore, TransitionStore};
 use std::time::Instant;
 
 /// The divide & conquer RkNNT engine.
@@ -64,87 +64,58 @@ impl RknnTEngine for DivideConquerEngine<'_> {
     }
 
     fn execute_scratch(&self, query: &RknntQuery, scratch: &mut QueryScratch) -> RknntResult {
-        let mut result = RknntResult::default();
         if query.is_degenerate() {
-            return result;
+            return RknntResult::default();
         }
-        let QueryScratch {
-            marks,
-            node_stack,
-            candidates,
-            per_transition,
-            union,
-        } = scratch;
 
         // Per-query-point filter + prune passes; union of surviving endpoints.
         let filter_started = Instant::now();
-        union.clear();
+        scratch.union.clear();
         let mut stats = QueryStats::default();
         for q in &query.route {
             let sub_query: Vec<Point> = vec![*q];
             let filter_outcome = build_filter_set(self.routes, &sub_query, query.k);
-            let pruned_nodes = prune_transitions_scratch(
+            scratch.clear_candidates();
+            let pruned_nodes = prune_into_scratch(
                 self.transitions,
                 &filter_outcome.filter_set,
                 query.k,
                 self.use_voronoi,
-                marks,
-                node_stack,
-                candidates,
+                scratch,
+                |id| id,
             );
-            stats.filter_points += filter_outcome.filter_set.num_points();
-            stats.filter_routes += filter_outcome.filter_set.num_routes();
-            stats.refine_nodes += filter_outcome.refine_nodes.len();
-            stats.pruned_tr_nodes += pruned_nodes;
-            for cand in candidates.iter() {
-                union.insert((cand.transition, cand.kind), cand.point);
+            stats.record_filter(&filter_outcome, pruned_nodes);
+            for cand in scratch.candidates.iter() {
+                scratch
+                    .union
+                    .insert((cand.transition, cand.kind), cand.point);
             }
         }
-        stats.candidate_endpoints = union.len();
+        // The same endpoint can survive several passes: the union map
+        // deduplicates, and its entries become the one candidate buffer the
+        // shared verify half reads.
+        scratch.candidates.clear();
+        scratch
+            .candidates
+            .extend(
+                scratch
+                    .union
+                    .iter()
+                    .map(|((transition, kind), point)| CandidateEndpoint {
+                        transition: *transition,
+                        kind: *kind,
+                        point: *point,
+                    }),
+            );
         let filtering = filter_started.elapsed();
 
         // Single verification pass over the union, against the full query.
-        let verify_started = Instant::now();
-        per_transition.clear();
-        for ((transition, kind), point) in union.iter() {
-            let threshold_sq = point_route_distance_sq(point, &query.route);
-            let ok = qualifies(
-                self.routes,
-                &self.nlist,
-                point,
-                threshold_sq,
-                query.k,
-                marks,
-                node_stack,
-            );
-            if ok {
-                stats.verified_endpoints += 1;
-            }
-            let entry = per_transition.entry(*transition).or_insert((false, false));
-            match kind {
-                EndpointKind::Origin => entry.0 |= ok,
-                EndpointKind::Destination => entry.1 |= ok,
-            }
-        }
-        result.transitions.reserve_exact(per_transition.len());
-        for (id, (origin_ok, dest_ok)) in per_transition.iter() {
-            let include = match query.semantics {
-                Semantics::Exists => *origin_ok || *dest_ok,
-                Semantics::ForAll => *origin_ok && *dest_ok,
-            };
-            if include {
-                result.transitions.push(*id);
-            }
-        }
-        result.transitions.sort_unstable();
-        let verification = verify_started.elapsed();
-
-        stats.result_transitions = result.transitions.len();
+        let mut result = verify_candidates(self.routes, &self.nlist, query, scratch);
+        result.timings.filtering = filtering;
+        stats.candidate_endpoints = result.stats.candidate_endpoints;
+        stats.verified_endpoints = result.stats.verified_endpoints;
+        stats.result_transitions = result.stats.result_transitions;
         result.stats = stats;
-        result.timings = PhaseTimings {
-            filtering,
-            verification,
-        };
         result
     }
 }
@@ -154,6 +125,7 @@ mod tests {
     use super::*;
     use crate::brute::BruteForceEngine;
     use crate::filter_refine::FilterRefineEngine;
+    use crate::query::Semantics;
     use rknnt_rtree::RTreeConfig;
 
     fn p(x: f64, y: f64) -> Point {

@@ -3,12 +3,11 @@
 
 use crate::engine::RknnTEngine;
 use crate::filter::{build_filter_set, FilterOutcome};
-use crate::prune::prune_transitions_scratch;
-use crate::query::{PhaseTimings, QueryStats, RknntQuery, RknntResult, Semantics};
+use crate::prune::prune_into_scratch;
+use crate::query::{RknntQuery, RknntResult};
 use crate::scratch::QueryScratch;
-use crate::verify::qualifies;
-use rknnt_geo::point_route_distance_sq;
-use rknnt_index::{EndpointKind, NList, RouteStore, TransitionStore};
+use crate::verify::verify_candidates;
+use rknnt_index::{NList, RouteStore, TransitionStore};
 use std::time::Instant;
 
 /// The three-step processing framework of Algorithm 1:
@@ -109,83 +108,26 @@ impl<'a> FilterRefineEngine<'a> {
         filter_outcome: &FilterOutcome,
         scratch: &mut QueryScratch,
     ) -> RknntResult {
-        let mut result = RknntResult::default();
         if query.is_degenerate() {
-            return result;
+            return RknntResult::default();
         }
-        let QueryScratch {
-            marks,
-            node_stack,
-            candidates,
-            per_transition,
-            ..
-        } = scratch;
-
         // Phase 2: transition pruning against the supplied filter set.
         let prune_started = Instant::now();
-        let pruned_nodes = prune_transitions_scratch(
+        scratch.clear_candidates();
+        let pruned_nodes = prune_into_scratch(
             self.transitions,
             &filter_outcome.filter_set,
             query.k,
             self.use_voronoi,
-            marks,
-            node_stack,
-            candidates,
+            scratch,
+            |id| id,
         );
         let filtering = prune_started.elapsed();
 
         // Phase 3: exact verification of the surviving endpoints.
-        let verify_started = Instant::now();
-        per_transition.clear();
-        let mut verified_endpoints = 0usize;
-        for cand in candidates.iter() {
-            let threshold_sq = point_route_distance_sq(&cand.point, &query.route);
-            let ok = qualifies(
-                self.routes,
-                &self.nlist,
-                &cand.point,
-                threshold_sq,
-                query.k,
-                marks,
-                node_stack,
-            );
-            if ok {
-                verified_endpoints += 1;
-            }
-            let entry = per_transition
-                .entry(cand.transition)
-                .or_insert((false, false));
-            match cand.kind {
-                EndpointKind::Origin => entry.0 |= ok,
-                EndpointKind::Destination => entry.1 |= ok,
-            }
-        }
-        result.transitions.reserve_exact(per_transition.len());
-        for (id, (origin_ok, dest_ok)) in per_transition.iter() {
-            let include = match query.semantics {
-                Semantics::Exists => *origin_ok || *dest_ok,
-                Semantics::ForAll => *origin_ok && *dest_ok,
-            };
-            if include {
-                result.transitions.push(*id);
-            }
-        }
-        result.transitions.sort_unstable();
-        let verification = verify_started.elapsed();
-
-        result.timings = PhaseTimings {
-            filtering,
-            verification,
-        };
-        result.stats = QueryStats {
-            filter_points: filter_outcome.filter_set.num_points(),
-            filter_routes: filter_outcome.filter_set.num_routes(),
-            refine_nodes: filter_outcome.refine_nodes.len(),
-            pruned_tr_nodes: pruned_nodes,
-            candidate_endpoints: candidates.len(),
-            verified_endpoints,
-            result_transitions: result.transitions.len(),
-        };
+        let mut result = verify_candidates(self.routes, &self.nlist, query, scratch);
+        result.timings.filtering = filtering;
+        result.stats.record_filter(filter_outcome, pruned_nodes);
         result
     }
 }
@@ -322,6 +264,7 @@ impl RknnTEngine for VoronoiEngine<'_> {
 mod tests {
     use super::*;
     use crate::brute::BruteForceEngine;
+    use crate::query::Semantics;
     use rknnt_geo::Point;
     use rknnt_rtree::RTreeConfig;
 

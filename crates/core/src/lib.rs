@@ -40,7 +40,7 @@ pub use filter::{build_filter_set, FilterOutcome, FilterSet};
 pub use filter_refine::{FilterRefineEngine, VoronoiEngine};
 pub use footprint::{FilterFootprint, FilterWitness};
 pub use kind::EngineKind;
-pub use prune::{prune_transitions, CandidateEndpoint, PruneOutcome};
+pub use prune::{prune_into_scratch, prune_transitions, CandidateEndpoint, PruneOutcome};
 pub use query::{PhaseTimings, QueryStats, RknntQuery, RknntResult, Semantics};
 pub use scratch::{QueryScratch, RouteMarks};
-pub use verify::{count_closer_routes, count_closer_routes_sq};
+pub use verify::{count_closer_routes, count_closer_routes_sq, verify_candidates};

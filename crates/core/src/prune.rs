@@ -5,10 +5,9 @@
 //! wholesale; surviving endpoints become candidates for exact verification.
 
 use crate::filter::FilterSet;
-use crate::scratch::RouteMarks;
+use crate::scratch::QueryScratch;
 use rknnt_geo::Point;
 use rknnt_index::{EndpointKind, TransitionId, TransitionStore};
-use rknnt_rtree::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// A transition endpoint that survived pruning and awaits verification.
@@ -45,40 +44,49 @@ pub fn prune_transitions(
     k: usize,
     use_voronoi: bool,
 ) -> PruneOutcome {
-    let mut candidates = Vec::new();
-    let pruned_nodes = prune_transitions_scratch(
+    let mut scratch = QueryScratch::new();
+    let pruned_nodes = prune_into_scratch(
         transitions,
         filter_set,
         k,
         use_voronoi,
-        &mut RouteMarks::default(),
-        &mut Vec::new(),
-        &mut candidates,
+        &mut scratch,
+        |id| id,
     );
     PruneOutcome {
-        candidates,
+        candidates: std::mem::take(&mut scratch.candidates),
         pruned_nodes,
     }
 }
 
-/// Scratch-based implementation of [`prune_transitions`]: the `IsFiltered`
-/// distinct-route counts run on the caller's mark table, the TR-tree is
-/// walked over the caller's [`NodeId`] stack, and the surviving candidates
-/// land in the caller's buffer (cleared on entry, capacity kept across
-/// calls). Returns the number of TR-tree nodes pruned wholesale.
+/// The prune half of the Filter–Refine pipeline on a caller-provided
+/// [`QueryScratch`]: walks one [`TransitionStore`]'s TR-tree against a fixed
+/// filter set and **appends** the surviving endpoints to the scratch's
+/// candidate buffer, passing each transition id through `to_global` on the
+/// way in. Returns the number of TR-tree nodes pruned wholesale.
 ///
-/// Traversal order — and therefore the candidate order — is exactly that of
-/// the allocating wrapper.
-pub(crate) fn prune_transitions_scratch(
+/// Appending (the caller starts a query with
+/// [`QueryScratch::clear_candidates`]) is what lets a router call this once
+/// per consulted shard — `to_global` translating shard-local ids — and then
+/// run [`crate::verify_candidates`] once over the union; a single-store
+/// engine passes the identity. The `IsFiltered` distinct-route counts run on
+/// the scratch's mark table and the walk on its node-id stack, so a warmed
+/// scratch makes the traversal allocation-free. Traversal order — and
+/// therefore the candidate order — is exactly that of [`prune_transitions`].
+pub fn prune_into_scratch(
     transitions: &TransitionStore,
     filter_set: &FilterSet,
     k: usize,
     use_voronoi: bool,
-    marks: &mut RouteMarks,
-    stack: &mut Vec<NodeId>,
-    candidates: &mut Vec<CandidateEndpoint>,
+    scratch: &mut QueryScratch,
+    to_global: impl Fn(TransitionId) -> TransitionId,
 ) -> usize {
-    candidates.clear();
+    let QueryScratch {
+        marks,
+        node_stack: stack,
+        candidates,
+        ..
+    } = scratch;
     let tree = transitions.rtree();
     let Some(root) = tree.root() else {
         return 0;
@@ -100,7 +108,7 @@ pub(crate) fn prune_transitions_scratch(
                     continue;
                 }
                 candidates.push(CandidateEndpoint {
-                    transition: entry.data.transition,
+                    transition: to_global(entry.data.transition),
                     kind: entry.data.kind,
                     point: entry.point,
                 });

@@ -1,5 +1,6 @@
 //! Query description, result and statistics types.
 
+use crate::filter::FilterOutcome;
 use rknnt_geo::Point;
 use rknnt_index::TransitionId;
 use serde::{Deserialize, Serialize};
@@ -118,6 +119,18 @@ pub struct QueryStats {
     pub verified_endpoints: usize,
     /// Transitions in the final result (|S_result|).
     pub result_transitions: usize,
+}
+
+impl QueryStats {
+    /// Adds the counters of one filter + prune pass: the filter set's size,
+    /// the RR-tree nodes its construction set aside and the TR-tree nodes
+    /// the pruning walk(s) against it skipped wholesale.
+    pub fn record_filter(&mut self, outcome: &FilterOutcome, pruned_tr_nodes: usize) {
+        self.filter_points += outcome.filter_set.num_points();
+        self.filter_routes += outcome.filter_set.num_routes();
+        self.refine_nodes += outcome.refine_nodes.len();
+        self.pruned_tr_nodes += pruned_tr_nodes;
+    }
 }
 
 /// Result of an RkNNT query.

@@ -151,6 +151,19 @@ impl QueryScratch {
         Self::default()
     }
 
+    /// Empties the candidate buffer (capacity kept): the start of a query's
+    /// prune phase, before the first [`crate::prune_into_scratch`] call
+    /// appends to it.
+    pub fn clear_candidates(&mut self) {
+        self.candidates.clear();
+    }
+
+    /// The candidate endpoints appended since the last
+    /// [`QueryScratch::clear_candidates`].
+    pub fn candidates(&self) -> &[CandidateEndpoint] {
+        &self.candidates
+    }
+
     /// Scratch-based twin of [`crate::count_closer_routes_sq`]: identical
     /// result (count capped at `limit`, same early-exit behaviour), but the
     /// distinct-route set and traversal stack live in `self` so repeated

@@ -13,11 +13,13 @@
 //! listed for that node in the NList are accounted for at once without
 //! descending further.
 
-use crate::scratch::RouteMarks;
-use rknnt_geo::Point;
-use rknnt_index::{NList, RouteId, RouteStore};
+use crate::query::{RknntQuery, RknntResult, Semantics};
+use crate::scratch::{QueryScratch, RouteMarks};
+use rknnt_geo::{point_route_distance_sq, Point};
+use rknnt_index::{EndpointKind, NList, RouteId, RouteStore};
 use rknnt_rtree::NodeId;
 use std::collections::HashSet;
+use std::time::Instant;
 
 /// Counts distinct routes whose distance to `t` is strictly below
 /// `threshold`, stopping early once `limit` distinct routes have been found
@@ -191,6 +193,78 @@ pub(crate) fn qualifies(
     stack: &mut Vec<NodeId>,
 ) -> bool {
     count_closer_routes_sq_scratch(routes, nlist, t, dist_sq_to_query, k, marks, stack) < k
+}
+
+/// The verify half of the Filter–Refine pipeline (`RefineCandidates`): checks
+/// every endpoint in the scratch's candidate buffer against the full query,
+/// groups the verdicts per transition and combines them under the query's
+/// ∃/∀ semantics into a sorted result.
+///
+/// An endpoint qualifies iff fewer than `k` distinct routes are strictly
+/// closer to it than the query is. The candidate buffer is whatever
+/// [`crate::prune_into_scratch`] calls have appended since the last
+/// [`QueryScratch::clear_candidates`]; `routes` / `nlist` must be the full
+/// route set the answer is defined over (for a sharded caller: the
+/// planner-wide store, not a shard's slice). The returned result carries the
+/// transitions, the verification time and the candidate / verified / result
+/// counts — the caller adds its own filter-phase time and counters. After
+/// the scratch is warmed the per-candidate path performs zero heap
+/// allocations.
+pub fn verify_candidates(
+    routes: &RouteStore,
+    nlist: &NList,
+    query: &RknntQuery,
+    scratch: &mut QueryScratch,
+) -> RknntResult {
+    let QueryScratch {
+        marks,
+        node_stack,
+        candidates,
+        per_transition,
+        ..
+    } = scratch;
+    let started = Instant::now();
+    let mut result = RknntResult::default();
+    per_transition.clear();
+    let mut verified_endpoints = 0usize;
+    for cand in candidates.iter() {
+        let threshold_sq = point_route_distance_sq(&cand.point, &query.route);
+        let ok = qualifies(
+            routes,
+            nlist,
+            &cand.point,
+            threshold_sq,
+            query.k,
+            marks,
+            node_stack,
+        );
+        if ok {
+            verified_endpoints += 1;
+        }
+        let entry = per_transition
+            .entry(cand.transition)
+            .or_insert((false, false));
+        match cand.kind {
+            EndpointKind::Origin => entry.0 |= ok,
+            EndpointKind::Destination => entry.1 |= ok,
+        }
+    }
+    result.transitions.reserve_exact(per_transition.len());
+    for (id, (origin_ok, dest_ok)) in per_transition.iter() {
+        let include = match query.semantics {
+            Semantics::Exists => *origin_ok || *dest_ok,
+            Semantics::ForAll => *origin_ok && *dest_ok,
+        };
+        if include {
+            result.transitions.push(*id);
+        }
+    }
+    result.transitions.sort_unstable();
+    result.timings.verification = started.elapsed();
+    result.stats.candidate_endpoints = candidates.len();
+    result.stats.verified_endpoints = verified_endpoints;
+    result.stats.result_transitions = result.transitions.len();
+    result
 }
 
 #[cfg(test)]

@@ -67,8 +67,8 @@ use rknnt_obs::{
     TraceContext, TraceCursor, TraceId,
 };
 use rknnt_service::{
-    BatchStats, QueryService, ShardedService, StoreUpdate, SubscriptionDelta, SubscriptionId,
-    UpdateStats,
+    BatchStats, QueryService, ShardedService, StorageError, StoreUpdate, SubscriptionDelta,
+    SubscriptionId, UpdateStats,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
@@ -129,14 +129,22 @@ impl Backend {
         }
     }
 
-    fn apply_updates_traced(
+    fn try_apply_updates(
         &mut self,
         updates: Vec<StoreUpdate>,
         trace: Option<&TraceCursor>,
-    ) -> UpdateStats {
+    ) -> Result<UpdateStats, StorageError> {
         match self {
-            Backend::Single(s) => s.apply_updates_traced(updates, trace),
-            Backend::Sharded(s) => s.apply_updates_traced(updates, trace),
+            Backend::Single(s) => s.try_apply_updates(updates, trace),
+            Backend::Sharded(s) => s.try_apply_updates(updates, trace),
+        }
+    }
+
+    /// Arms the storage-level (`storage.wal.*`) failpoint sites.
+    fn set_storage_failpoints(&mut self, failpoints: Arc<Failpoints>) {
+        match self {
+            Backend::Single(s) => s.set_storage_failpoints(failpoints),
+            Backend::Sharded(s) => s.set_storage_failpoints(failpoints),
         }
     }
 
@@ -487,7 +495,10 @@ pub struct Server {
 impl Server {
     /// Binds a loopback listener on an ephemeral port and starts serving
     /// `backend`.
-    pub fn start(backend: Backend, config: ServerConfig) -> io::Result<Server> {
+    pub fn start(mut backend: Backend, config: ServerConfig) -> io::Result<Server> {
+        if let Some(failpoints) = &config.failpoints {
+            backend.set_storage_failpoints(Arc::clone(failpoints));
+        }
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         // Introspection handles must be captured *before* the backend moves
@@ -1235,23 +1246,38 @@ fn handle_control(
             let _ = conn.send(&Message::UnsubscribeOk { id, existed });
         }
         Message::ApplyUpdates { id, updates, .. } => {
-            // Counts records *received*, mirroring the WAL watermark (which
-            // appends every record before applying, rejected ones included).
-            *applied_records += updates.len() as u64;
+            let records = updates.len() as u64;
             let cursor = trace.as_mut().map(RequestTrace::start_execute);
-            let stats = backend.apply_updates_traced(updates, cursor.as_ref());
+            let outcome = backend.try_apply_updates(updates, cursor.as_ref());
             // Finish the trace *before* the reply leaves: a client that has
             // its answer can immediately introspect and find the promoted
             // trace.
             if let Some(rt) = trace.take() {
                 rt.finish(shared);
             }
-            let _ = conn.send(&Message::UpdatesOk {
-                id,
-                applied: stats.applied as u64,
-                rejected: stats.rejected as u64,
-            });
-            push_deltas(shared, subs, stats.deltas);
+            match outcome {
+                Ok(stats) => {
+                    // Counts records *received*, mirroring the WAL watermark
+                    // (which appends every record before applying, rejected
+                    // ones included).
+                    *applied_records += records;
+                    let _ = conn.send(&Message::UpdatesOk {
+                        id,
+                        applied: stats.applied as u64,
+                        rejected: stats.rejected as u64,
+                    });
+                    push_deltas(shared, subs, stats.deltas);
+                }
+                // The WAL append failed and rolled back: nothing applied,
+                // nothing counted, no deltas. The request gets a typed
+                // error and the server keeps serving.
+                Err(error) => {
+                    let _ = conn.send(&Message::Error {
+                        id,
+                        message: format!("update batch not applied: {error}"),
+                    });
+                }
+            }
         }
         Message::Ping { id } => {
             let _ = conn.send(&Message::Pong { id });

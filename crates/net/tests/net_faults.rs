@@ -15,7 +15,8 @@ use rknnt_net::{
     Backend, Client, ClientConfig, ClientError, Reply, Server, ServerConfig, CLIENT_WRITE_SITE,
     SERVER_EXECUTOR_SITE, SERVER_READ_SITE, SERVER_WRITE_SITE,
 };
-use rknnt_service::{EnginePolicy, QueryService, ServiceConfig};
+use rknnt_service::{EnginePolicy, QueryService, ServiceConfig, StoreUpdate};
+use rknnt_storage::{StorageConfig, WAL_WRITE_SITE};
 use std::time::Duration;
 
 fn p(x: f64, y: f64) -> Point {
@@ -288,4 +289,88 @@ fn blocking_reads_time_out_typed_on_a_stalled_server() {
     );
     drop(client);
     drop(server.stop());
+}
+
+/// A failed WAL append is the *request's* failure, not the server's: the
+/// append rolls back, the request gets a typed error with nothing applied,
+/// and the executor keeps serving — the next query, and a retry of the very
+/// same update batch, both succeed and match an in-process twin.
+#[test]
+fn failed_wal_append_is_a_typed_error_and_the_server_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("rknnt-netfaults-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut durable = service();
+    durable
+        .attach_storage(&dir, StorageConfig::default())
+        .expect("attach storage");
+    let mut twin = service();
+    let fp = FaultPlan::new(0x3A1)
+        .fail(WAL_WRITE_SITE, 1, "injected WAL write failure")
+        .arm();
+    let server = Server::start(
+        Backend::Single(durable),
+        ServerConfig::default().with_failpoints(fp.clone()),
+    )
+    .unwrap();
+    let mut client = bounded_client(&server, ClientConfig::default());
+    let standing = query(2, Semantics::Exists);
+    let initial = client.subscribe(&standing).unwrap().answered().unwrap();
+    let twin_sub = twin.subscribe(standing.clone());
+    assert_eq!(
+        initial.transitions,
+        twin.subscription_result(twin_sub).unwrap()
+    );
+
+    let updates = vec![
+        StoreUpdate::InsertTransition {
+            origin: p(20.0, 80.0),
+            destination: p(480.0, 90.0),
+        },
+        StoreUpdate::ExpireTransition(rknnt_index::TransitionId(3)),
+    ];
+    match client.apply_updates(updates.clone()) {
+        Err(ClientError::Server { message, .. }) => assert!(
+            message.contains("injected WAL write failure"),
+            "the error must name the cause, got {message:?}"
+        ),
+        other => panic!("a rolled-back append must be a typed error, got {other:?}"),
+    }
+    assert_eq!(fp.injected(), 1, "the fault must actually fire");
+    assert!(
+        !server.is_dead(),
+        "one failed append must not kill the server"
+    );
+    assert_eq!(server.deltas_pushed(), 0, "nothing applied, nothing pushed");
+    let health = client.health().unwrap().answered().unwrap();
+    assert_eq!(
+        health.watermark, 0,
+        "a rolled-back batch must not advance the watermark"
+    );
+
+    // Nothing was applied: answers still match the untouched twin.
+    for q in [query(1, Semantics::Exists), query(2, Semantics::ForAll)] {
+        let over_wire = client.query(&q).unwrap().answered().unwrap();
+        assert_eq!(over_wire, twin.execute(&q).transitions);
+    }
+
+    // The retry commits, and from here server and twin move in lock-step.
+    let counts = client
+        .apply_updates(updates.clone())
+        .unwrap()
+        .answered()
+        .unwrap();
+    let expected = twin.apply_updates(updates);
+    assert_eq!(
+        (counts.applied, counts.rejected),
+        (expected.applied as u64, expected.rejected as u64)
+    );
+    for q in [query(1, Semantics::Exists), query(2, Semantics::ForAll)] {
+        let over_wire = client.query(&q).unwrap().answered().unwrap();
+        assert_eq!(over_wire, twin.execute(&q).transitions);
+    }
+    let health = client.health().unwrap().answered().unwrap();
+    assert_eq!(health.watermark, 2, "exactly the retried batch is durable");
+    drop(client);
+    drop(server.stop());
+    let _ = std::fs::remove_dir_all(&dir);
 }

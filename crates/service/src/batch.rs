@@ -1,15 +1,16 @@
 //! Batch formation and per-group execution: spatial grouping, shared-filter
 //! reuse, duplicate coalescing and the [`BatchStats`] counters.
 
+use crate::frontend::Backing;
 use crate::metrics::ServiceMetrics;
 use crate::policy::EnginePolicy;
 use rknnt_core::{
-    EngineKind, FilterFootprint, FilterOutcome, FilterRefineEngine, QueryScratch, RknnTEngine,
-    RknntQuery, RknntResult, Semantics,
+    build_filter_set, EngineKind, FilterFootprint, FilterOutcome, RknntQuery, RknntResult,
+    Semantics,
 };
 use rknnt_geo::Point;
-use rknnt_index::{RouteStore, TransitionStore};
 use rknnt_obs::TraceCursor;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -134,73 +135,47 @@ pub(crate) fn form_groups<'q>(
 /// query identity.
 type RouteBits = Vec<(u64, u64)>;
 
-/// Engines a worker lazily constructs, one per [`EngineKind`] it encounters.
-///
-/// Filter–Refine and Voronoi get the concrete engine type so the worker can
-/// split filter construction from execution; the other kinds go through the
-/// trait object built by [`EngineKind::build`].
-pub(crate) enum PreparedEngine<'a> {
-    Shared(FilterRefineEngine<'a>),
-    Plain(Box<dyn RknnTEngine + 'a>),
-}
-
-impl<'a> PreparedEngine<'a> {
-    pub(crate) fn prepare(
-        kind: EngineKind,
-        routes: &'a RouteStore,
-        transitions: &'a TransitionStore,
-    ) -> Self {
-        match kind {
-            EngineKind::FilterRefine => {
-                PreparedEngine::Shared(FilterRefineEngine::new(routes, transitions))
-            }
-            EngineKind::Voronoi => {
-                PreparedEngine::Shared(FilterRefineEngine::with_voronoi(routes, transitions))
-            }
-            other => PreparedEngine::Plain(other.build(routes, transitions)),
-        }
-    }
-}
-
 /// One executed query leaving a group: its batch index, its result, and the
 /// filter footprint the engine reported (shared per `(route, k)`; `None`
-/// for degenerate queries and for engines that build no filter set).
+/// for degenerate queries and for executions that ran without a filter).
 pub(crate) type GroupOutput = (usize, RknntResult, Option<Arc<FilterFootprint>>);
 
-/// Executes one group, appending [`GroupOutput`]s to `out`.
+/// Executes one group on one worker, appending [`GroupOutput`]s to `out`.
 ///
-/// Results are byte-identical to running `engine.execute` per query: the
-/// shared filter outcome is exactly what `execute` would build for the same
-/// `(route, k)`, coalesced duplicates clone a result computed by the
-/// identical pipeline, and the worker-owned `scratch` only recycles buffers
-/// — the engines' scratch paths are property-tested byte-identical to their
-/// allocating twins.
+/// Results are byte-identical to running the policy-chosen engine per
+/// query: the shared filter outcome is exactly what the engine would build
+/// for the same `(route, k)` (all engines agree on result transitions, so a
+/// backing may route every kind through the filter pipeline), coalesced
+/// duplicates clone a result computed by the identical pipeline, and the
+/// worker-owned scratch only recycles buffers — the engines' scratch paths
+/// are property-tested byte-identical to their allocating twins.
 ///
 /// Work counters go straight to the registry cells in `metrics` (the caller
 /// diffs them into [`BatchStats`]); each *fresh* execution also feeds the
 /// engine-reported filtering/verification split into the stage histograms
 /// (coalesced clones are skipped so no sample is counted twice).
-pub(crate) fn run_group<'q>(
-    engine: &PreparedEngine<'_>,
-    group: &Group<'q>,
-    scratch: &mut QueryScratch,
+pub(crate) fn run_group<'s, B: Backing>(
+    backing: &'s B,
+    worker: &mut B::Worker<'s>,
+    group: &Group<'_>,
     out: &mut Vec<GroupOutput>,
     metrics: &ServiceMetrics,
     trace: Option<&TraceCursor>,
 ) {
     // Trace plumbing: one "group" span per group; fresh filter
-    // constructions get a "filter_build" child each. All spans land in the
+    // constructions get a "filter_build" child each (and a sharded backing
+    // adds its per-shard spans next to them). All spans land in the
     // request's bounded slab — a huge batch overflows into the dropped
     // counter, never an allocation.
-    let group_span = trace.map(|t| (t.clone(), t.begin("group")));
-    let group_trace = group_span.as_ref().map(|(t, span)| t.at(*span));
+    let group_span = trace.map(|t| t.begin("group"));
+    let group_trace = trace.zip(group_span).map(|(t, span)| t.at(span));
     let mut filter_builds = 0u64;
     // (route, k, semantics) -> position in `out` of the first identical
     // query's result, for exact-duplicate coalescing.
     let mut seen: HashMap<(RouteBits, usize, Semantics), usize> = HashMap::new();
-    // (route, k) -> shared filter outcome and its footprint (Filter–Refine /
-    // Voronoi only). One construction also serves as the invalidation
-    // footprint for every query sharing the pair.
+    // (route, k) -> shared filter outcome and its footprint (the filter set
+    // is semantics-independent). One construction also serves as the
+    // invalidation footprint for every query sharing the pair.
     let mut filters: HashMap<(RouteBits, usize), (FilterOutcome, Arc<FilterFootprint>)> =
         HashMap::new();
 
@@ -214,42 +189,44 @@ pub(crate) fn run_group<'q>(
             metrics.duplicates_coalesced.inc();
             continue;
         }
-        let (result, footprint) = match engine {
-            PreparedEngine::Shared(fr) => {
-                if job.query.is_degenerate() {
-                    (fr.execute(job.query), None)
-                } else {
-                    let filter_key = (bits, job.query.k);
-                    let (outcome, footprint) = match filters.entry(filter_key) {
-                        std::collections::hash_map::Entry::Occupied(entry) => {
-                            metrics.filters_saved.inc();
-                            entry.into_mut()
-                        }
-                        std::collections::hash_map::Entry::Vacant(entry) => {
-                            metrics.filter_constructions.inc();
-                            filter_builds += 1;
-                            let span = group_trace.as_ref().map(|t| t.begin("filter_build"));
-                            let outcome = fr.build_filter(job.query);
-                            if let (Some(t), Some(span)) = (group_trace.as_ref(), span) {
-                                t.end_with(span, &[("k", job.query.k as u64)]);
-                            }
-                            let footprint = Arc::new(fr.footprint_for(job.query, &outcome));
-                            entry.insert((outcome, footprint))
-                        }
-                    };
-                    (
-                        fr.execute_with_filter_scratch(job.query, outcome, scratch),
-                        Some(footprint.clone()),
-                    )
+        let (result, footprint) = if job.query.is_degenerate() {
+            (RknntResult::default(), None)
+        } else {
+            let shared = B::shares_filter(group.kind).then(|| &*match filters
+                .entry((bits, job.query.k))
+            {
+                Entry::Occupied(entry) => {
+                    metrics.filters_saved.inc();
+                    entry.into_mut()
                 }
-            }
-            PreparedEngine::Plain(engine) => (engine.execute_scratch(job.query, scratch), None),
+                Entry::Vacant(entry) => {
+                    metrics.filter_constructions.inc();
+                    filter_builds += 1;
+                    let span = group_trace.as_ref().map(|t| t.begin("filter_build"));
+                    let outcome = build_filter_set(backing.routes(), &job.query.route, job.query.k);
+                    if let (Some(t), Some(span)) = (group_trace.as_ref(), span) {
+                        t.end_with(span, &[("k", job.query.k as u64)]);
+                    }
+                    let footprint =
+                        Arc::new(FilterFootprint::from_outcome(&job.query.route, &outcome));
+                    entry.insert((outcome, footprint))
+                }
+            });
+            let result = backing.execute(
+                worker,
+                group.kind,
+                job.query,
+                shared.map(|(outcome, _)| outcome),
+                metrics,
+                group_trace.as_ref(),
+            );
+            (result, shared.map(|(_, footprint)| footprint.clone()))
         };
         metrics.record_engine_timings(&result.timings);
         seen.insert(full_key, out.len());
         out.push((job.index, result, footprint));
     }
-    if let Some((t, span)) = group_span {
+    if let (Some(t), Some(span)) = (trace, group_span) {
         t.end_with(
             span,
             &[

@@ -1,0 +1,863 @@
+//! The serving frontend, written once: [`Service<B>`] owns the result cache,
+//! the generation counter, the subscription registry, the (router-level)
+//! storage handle and the metric catalog, and runs the only copy of the
+//! batch pipeline, the worker pool, the update skeleton and the subscription
+//! surface. What it serves *from* is a [`Backing`]: one flat pair of stores
+//! ([`crate::QueryService`]) or a set of spatial shards behind a planner
+//! replica ([`crate::ShardedService`]).
+
+use crate::batch::{form_groups, run_group, BatchStats, Group, GroupOutput};
+use crate::cache::{route_bits, CacheKey, CacheStats, ResultCache};
+use crate::metrics::ServiceMetrics;
+use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
+use crate::region::EntryRegion;
+use crate::service::{ServiceConfig, StoreUpdate, UpdateStats};
+use rknnt_core::{EngineKind, FilterFootprint, FilterOutcome, RknntQuery, RknntResult};
+use rknnt_geo::{Point, Rect};
+use rknnt_index::{RouteId, RouteStore, TransitionId};
+use rknnt_obs::{EventKind, FlightRecorder, MetricsSnapshot, Span, TraceCursor};
+use rknnt_storage::{Failpoints, Storage, StorageError, StorageStats};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// Work budget per cached entry for the route-removal survival scan; when
+/// the shared budget (`per-entry × entries`) is exhausted mid-call the
+/// removal falls back to a full cache drop.
+const ROUTE_REMOVAL_BUDGET_PER_ENTRY: usize = 4_096;
+
+/// What a [`Service`] serves from — exactly the parts of serving that differ
+/// between one flat pair of stores and a set of shards. Everything else
+/// (cache, grouping, coalescing, filter sharing, worker pool, WAL append,
+/// eviction, subscription upkeep, stats) is the frontend's and exists once.
+///
+/// Sealed: the trait lives in a private module, so only this crate's two
+/// backings implement it.
+pub trait Backing: Sync {
+    /// State one worker thread owns for the duration of a batch (engines or
+    /// an `NList`, plus a `QueryScratch`); never shared between workers.
+    type Worker<'a>
+    where
+        Self: 'a;
+
+    /// The complete route set answers are defined over. Filters are built
+    /// and invalidation certificates evaluated against it; global route ids
+    /// are its slot indexes.
+    fn routes(&self) -> &RouteStore;
+
+    /// Endpoints of a live transition by (global) id; `None` for unknown or
+    /// removed ids.
+    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)>;
+
+    /// Fresh per-worker state.
+    fn worker(&self) -> Self::Worker<'_>;
+
+    /// Whether fresh queries of this engine kind execute against a filter
+    /// the frontend builds once per distinct `(route, k)` of a group and
+    /// hands to [`Backing::execute`]. Kinds that do not are executed
+    /// without one and get their footprint from the frontend's fallback.
+    fn shares_filter(kind: EngineKind) -> bool;
+
+    /// Executes one fresh, non-degenerate query. `filter` is the shared
+    /// outcome for the query's `(route, k)` iff
+    /// [`Backing::shares_filter`]`(kind)`. The returned transition set must
+    /// be byte-identical to sequential single-engine execution over the
+    /// whole data set.
+    fn execute<'a>(
+        &'a self,
+        worker: &mut Self::Worker<'a>,
+        kind: EngineKind,
+        query: &RknntQuery,
+        filter: Option<&FilterOutcome>,
+        metrics: &ServiceMetrics,
+        trace: Option<&TraceCursor>,
+    ) -> RknntResult;
+
+    /// Inserts a transition; the (global) id it consumed, or `None` when the
+    /// stores reject it (no id consumed).
+    fn insert_transition(&mut self, origin: Point, destination: Point) -> Option<TransitionId>;
+
+    /// Removes a live transition; `false` for an unknown or dead id.
+    fn expire_transition(&mut self, id: TransitionId) -> bool;
+
+    /// Inserts a route; the (global) id it consumed, or `None` when rejected.
+    fn insert_route(&mut self, points: Vec<Point>) -> Option<RouteId>;
+
+    /// Removes a live route and returns the points it had; `None` for an
+    /// unknown or dead id.
+    fn remove_route(&mut self, id: RouteId) -> Option<Vec<Point>>;
+
+    /// Whether a result recorded with `region` provably survives removing
+    /// the route `removed` (see [`EntryRegion::survives_route_remove`]),
+    /// drawing on the caller's shared work `budget`. Evaluated against the
+    /// post-removal stores; `false` is always sound.
+    fn survives_route_remove(
+        &self,
+        region: &EntryRegion,
+        result: &[TransitionId],
+        removed: RouteId,
+        removed_points: &[Point],
+        budget: &mut usize,
+    ) -> bool;
+}
+
+/// A concurrent batch RkNNT query service over a (sealed) backing — use it
+/// through its two instantiations, [`crate::QueryService`] and
+/// [`crate::ShardedService`].
+///
+/// Queries execute against a consistent snapshot because store mutation
+/// requires `&mut self`, which the borrow checker serialises against every
+/// in-flight `&self` batch. Incremental updates go through
+/// [`Service::apply_updates`], which mutates the stores in place and evicts
+/// only the cached results an update could affect (see [`crate::region`]).
+pub struct Service<B: Backing> {
+    pub(crate) backing: B,
+    /// Workers, policy, cache sizing and grouping cell of the pipeline.
+    pub(crate) config: ServiceConfig,
+    pub(crate) cache: Mutex<ResultCache>,
+    pub(crate) generation: AtomicU64,
+    pub(crate) monitor: SubscriptionRegistry,
+    /// The WAL + snapshot directory updates are logged to before they
+    /// apply (the *router's* directory for a sharded backing).
+    pub(crate) storage: Option<Storage>,
+    pub(crate) metrics: ServiceMetrics,
+}
+
+/// A fresh result cache sized by `config`, counting into `metrics`.
+pub(crate) fn new_cache(config: &ServiceConfig, metrics: &ServiceMetrics) -> Mutex<ResultCache> {
+    Mutex::new(ResultCache::with_counters(
+        config.cache_capacity,
+        config.cache_seed,
+        metrics.cache.clone(),
+    ))
+}
+
+impl<B: Backing> Service<B> {
+    /// Assembles a service over `backing` with an empty cache, no
+    /// subscriptions and no storage.
+    pub(crate) fn from_parts(backing: B, config: ServiceConfig, metrics: ServiceMetrics) -> Self {
+        Service {
+            backing,
+            config,
+            cache: new_cache(&config, &metrics),
+            generation: AtomicU64::new(0),
+            monitor: SubscriptionRegistry::default(),
+            storage: None,
+            metrics,
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Accessors.
+    // ------------------------------------------------------------------
+
+    /// Read access to the complete route store (for a sharded service: the
+    /// planner replica, whose slot indexes are the global route ids).
+    pub fn routes(&self) -> &RouteStore {
+        self.backing.routes()
+    }
+
+    /// The store generation: starts at 0 and increments on every wholesale
+    /// store change and every [`Service::invalidate_all`].
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    /// Result-cache counter snapshot.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.lock().expect("cache lock").stats()
+    }
+
+    /// Number of results currently cached.
+    pub fn cache_len(&self) -> usize {
+        self.cache.lock().expect("cache lock").len()
+    }
+
+    /// The service's metric catalog: registry access, per-stage latency
+    /// histograms, the flight recorder and the enable switch.
+    pub fn metrics(&self) -> &ServiceMetrics {
+        &self.metrics
+    }
+
+    /// A point-in-time copy of every registered metric; diff two snapshots
+    /// to isolate an interval.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
+    }
+
+    /// Shared handle to the flight recorder of recent pipeline events (for
+    /// [`rknnt_obs::DumpOnPanic`] and on-demand dumps).
+    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
+        self.metrics.recorder().clone()
+    }
+
+    /// Whether a storage directory is attached.
+    pub fn has_storage(&self) -> bool {
+        self.storage.is_some()
+    }
+
+    /// Storage counters, when storage is attached (a sharded service
+    /// reports its router directory; per-shard counters are on each shard).
+    pub fn storage_stats(&self) -> Option<StorageStats> {
+        self.storage.as_ref().map(Storage::stats)
+    }
+
+    /// Arms deterministic fault injection on the attached storage's WAL
+    /// paths (`storage.wal.*` sites); a no-op without storage. An injected
+    /// append failure surfaces through [`Service::try_apply_updates`].
+    pub fn set_storage_failpoints(&mut self, failpoints: Arc<Failpoints>) {
+        if let Some(storage) = &mut self.storage {
+            storage.set_failpoints(failpoints);
+        }
+    }
+
+    /// Drops every cached result and bumps the generation. Safe to call
+    /// while other threads are executing batches: they may re-insert
+    /// results computed against the *current* stores (stores cannot have
+    /// changed — that requires `&mut self`), so nothing stale can appear.
+    pub fn invalidate_all(&self) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        self.cache.lock().expect("cache lock").invalidate_all();
+    }
+
+    // ------------------------------------------------------------------
+    // Query path.
+    // ------------------------------------------------------------------
+
+    /// Answers one query (through the cache; see
+    /// [`Service::execute_batch`] for the batched path).
+    pub fn execute(&self, query: &RknntQuery) -> RknntResult {
+        let (mut results, _) = self.execute_batch(std::slice::from_ref(query));
+        results.pop().expect("one query in, one result out")
+    }
+
+    /// Executes a batch of queries and returns one result per query, in
+    /// input order, plus the batch counters.
+    ///
+    /// Pipeline: cache lookup → policy + spatial grouping of the misses →
+    /// group execution across up to `workers` scoped threads (groups are
+    /// dealt round-robin; workers own their engines and scratch, share
+    /// filter constructions within a group and coalesce exact duplicates) →
+    /// deterministic merge + cache insertion.
+    ///
+    /// The returned transition sets are byte-identical to executing every
+    /// query sequentially with the policy-chosen engine's
+    /// [`rknnt_core::RknnTEngine::execute`] over the whole data set:
+    /// grouping, sharing and sharding only decide *where* and *how often*
+    /// work runs, never *what* it computes.
+    pub fn execute_batch(&self, queries: &[RknntQuery]) -> (Vec<RknntResult>, BatchStats) {
+        self.execute_batch_traced(queries, None)
+    }
+
+    /// [`Service::execute_batch`] with request tracing: when `trace` is
+    /// present, a `batch` span is opened under the cursor's parent and each
+    /// pipeline phase lands as a closed child span (`cache_lookup`,
+    /// `grouping`, `execution`, `finalize`) carrying the batch counters as
+    /// attributes; below `execution` come one `worker` span per worker, one
+    /// `group` span per group with a `filter_build` child per fresh filter
+    /// construction, and — on a sharded backing — one `shard` span per
+    /// shard a routed query considered.
+    ///
+    /// Tracing never changes what is computed: results are byte-identical
+    /// to the untraced call (asserted by the `trace_overhead` experiment),
+    /// and the per-phase span durations are the *same* measurements the
+    /// returned [`BatchStats::timings`] report.
+    pub fn execute_batch_traced(
+        &self,
+        queries: &[RknntQuery],
+        trace: Option<&TraceCursor>,
+    ) -> (Vec<RknntResult>, BatchStats) {
+        let mut stats = BatchStats {
+            queries: queries.len(),
+            ..BatchStats::default()
+        };
+        let mut slots: Vec<Option<RknntResult>> = vec![None; queries.len()];
+        if queries.is_empty() {
+            return (Vec::new(), stats);
+        }
+        let batch_span = trace.map(|t| t.begin("batch"));
+        let bt = trace.zip(batch_span).map(|(t, s)| t.at(s));
+        let generation_at_start = self.generation();
+        self.metrics.batches.inc();
+        self.metrics.queries.add(queries.len() as u64);
+        // Counter baseline this batch's stats are diffed from. Concurrent
+        // batches each see the union of what happened during their own
+        // window (the registry totals stay exact); single-batch callers see
+        // exactly their own counts.
+        let base = self.metrics.batch_view();
+
+        // Phase 1: cache lookup.
+        let span = Span::enter(&self.metrics.stage_lookup);
+        let caching = self.config.cache_capacity > 0;
+        let mut keys: Vec<Option<CacheKey>> = Vec::with_capacity(queries.len());
+        let mut miss_indexes: Vec<usize> = Vec::new();
+        if caching {
+            let mut cache = self.cache.lock().expect("cache lock");
+            for (i, query) in queries.iter().enumerate() {
+                let key = CacheKey::of(query);
+                match cache.get(&key) {
+                    Some(result) => slots[i] = Some(result),
+                    None => miss_indexes.push(i),
+                }
+                keys.push(Some(key));
+            }
+        } else {
+            keys.resize_with(queries.len(), || None);
+            miss_indexes.extend(0..queries.len());
+        }
+        stats.timings.lookup = span.finish();
+        stats.cache_hits = (self.metrics.cache.hits.get() - base.cache_hits) as usize;
+        if let Some(bt) = &bt {
+            bt.record(
+                "cache_lookup",
+                stats.timings.lookup.as_nanos() as u64,
+                &[
+                    ("queries", queries.len() as u64),
+                    ("cache_hits", stats.cache_hits as u64),
+                ],
+            );
+        }
+        self.metrics.record_event(EventKind::BatchAdmitted {
+            queries: u32::try_from(queries.len()).unwrap_or(u32::MAX),
+            cache_hits: u32::try_from(stats.cache_hits).unwrap_or(u32::MAX),
+        });
+
+        // Phase 2: policy + spatial grouping of the misses.
+        let span = Span::enter(&self.metrics.stage_grouping);
+        let groups = form_groups(
+            queries,
+            &miss_indexes,
+            self.config.policy,
+            self.config.group_cell,
+        );
+        stats.groups = groups.len();
+        self.metrics.groups.add(groups.len() as u64);
+        stats.timings.grouping = span.finish();
+        if let Some(bt) = &bt {
+            bt.record(
+                "grouping",
+                stats.timings.grouping.as_nanos() as u64,
+                &[("groups", groups.len() as u64)],
+            );
+        }
+
+        // Phase 3: execution over the worker pool.
+        let span = Span::enter(&self.metrics.stage_execution);
+        let exec_span = bt.as_ref().map(|t| t.begin("execution"));
+        let et = bt.as_ref().zip(exec_span).map(|(t, s)| t.at(s));
+        let (mut computed, workers_used) = self.run_groups(&groups, et.as_ref());
+        stats.workers_used = workers_used;
+        stats.timings.execution = span.finish();
+        if let (Some(bt), Some(exec_span)) = (&bt, exec_span) {
+            bt.end_with(exec_span, &[("workers", workers_used as u64)]);
+        }
+
+        // Phase 4: merge into input order and feed the cache.
+        let span = Span::enter(&self.metrics.stage_finalize);
+        if caching {
+            self.fill_footprint_fallbacks(queries, &mut computed);
+            let mut cache = self.cache.lock().expect("cache lock");
+            // Only insert when no invalidation raced the batch: the stores
+            // cannot have changed (that needs `&mut self`), but whoever
+            // called invalidate_all expects a cold cache and re-populating
+            // it behind their back would be surprising.
+            let fresh = self.generation() == generation_at_start;
+            for (index, result, footprint) in computed {
+                if fresh {
+                    if let Some(key) = keys[index].take() {
+                        let region = self.region_of(&queries[index], &result, footprint);
+                        cache.insert(key, result.clone(), region);
+                    }
+                }
+                slots[index] = Some(result);
+            }
+        } else {
+            for (index, result, _) in computed {
+                slots[index] = Some(result);
+            }
+        }
+        let results: Vec<RknntResult> = slots
+            .into_iter()
+            .map(|slot| slot.expect("every query produced a result"))
+            .collect();
+        stats.timings.finalize = span.finish();
+        let view = self.metrics.batch_view();
+        stats.filter_constructions =
+            (view.filter_constructions - base.filter_constructions) as usize;
+        stats.filters_saved = (view.filters_saved - base.filters_saved) as usize;
+        stats.duplicates_coalesced =
+            (view.duplicates_coalesced - base.duplicates_coalesced) as usize;
+        if let Some(bt) = &bt {
+            bt.record(
+                "finalize",
+                stats.timings.finalize.as_nanos() as u64,
+                &[("filter_constructions", stats.filter_constructions as u64)],
+            );
+        }
+        if let (Some(t), Some(batch_span)) = (trace, batch_span) {
+            t.end_with(
+                batch_span,
+                &[
+                    ("queries", queries.len() as u64),
+                    ("cache_hits", stats.cache_hits as u64),
+                    ("groups", stats.groups as u64),
+                ],
+            );
+        }
+        (results, stats)
+    }
+
+    /// The invalidation region of a freshly computed result: the filter
+    /// footprint plus the MBR of the result's endpoints, both against the
+    /// current stores (which cannot change under `&self`).
+    fn region_of(
+        &self,
+        query: &RknntQuery,
+        result: &RknntResult,
+        footprint: Option<Arc<FilterFootprint>>,
+    ) -> EntryRegion {
+        EntryRegion::record_with(query, result, footprint, |id| self.backing.endpoints(id))
+    }
+
+    /// Executes pre-formed groups over the worker pool, returning the
+    /// outputs and the worker count used. Groups are dealt round-robin to
+    /// one scoped thread per worker and joined in worker order (determinism
+    /// does not depend on it — results carry their batch index — but a
+    /// stable merge order is nice to have); a single worker runs in-line
+    /// with no thread spawn. Work counters go straight to the registry
+    /// cells (they are atomic, so workers increment them directly).
+    fn run_groups(
+        &self,
+        groups: &[Group<'_>],
+        trace: Option<&TraceCursor>,
+    ) -> (Vec<GroupOutput>, usize) {
+        if groups.is_empty() {
+            return (Vec::new(), 0);
+        }
+        let workers = self.config.workers.max(1).min(groups.len());
+        // Each worker owns its state (engines, scratch — see
+        // `rknnt_core::scratch` for the ownership rules) and reuses it
+        // across every query it runs, under its own "worker" span. The
+        // trace slab is behind a mutex, so concurrent span pushes interleave
+        // safely (order within the slab is scheduling-dependent, parenthood
+        // is not).
+        let run_worker = |w: usize| -> Vec<GroupOutput> {
+            let assigned: Vec<&Group> = groups.iter().skip(w).step_by(workers).collect();
+            let span = trace.map(|t| t.begin("worker"));
+            let child = trace.zip(span).map(|(t, s)| t.at(s));
+            let mut state = self.backing.worker();
+            let mut out = Vec::new();
+            for group in &assigned {
+                run_group(
+                    &self.backing,
+                    &mut state,
+                    group,
+                    &mut out,
+                    &self.metrics,
+                    child.as_ref(),
+                );
+            }
+            if let (Some(t), Some(span)) = (trace, span) {
+                t.end_with(
+                    span,
+                    &[("worker", w as u64), ("groups", assigned.len() as u64)],
+                );
+            }
+            out
+        };
+        let computed = if workers == 1 {
+            run_worker(0)
+        } else {
+            let run_worker = &run_worker;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| scope.spawn(move || run_worker(w)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("service worker panicked"))
+                    .collect()
+            })
+        };
+        (computed, workers)
+    }
+
+    /// Footprint fallback for executions that ran without a shared filter
+    /// (BruteForce / DivideConquer on flat stores): run the filter
+    /// construction here, once per distinct `(route, k)`, so their results
+    /// are region-taggable too instead of evicting (or dirtying a
+    /// subscription) on every update. Pure reads against the stores.
+    fn fill_footprint_fallbacks(&self, queries: &[RknntQuery], computed: &mut [GroupOutput]) {
+        type FootprintByQuery = HashMap<(Vec<(u64, u64)>, usize), Arc<FilterFootprint>>;
+        let mut fallback: FootprintByQuery = HashMap::new();
+        for (index, _, footprint) in computed.iter_mut() {
+            let query = &queries[*index];
+            if footprint.is_none() && !query.is_degenerate() {
+                let key = (route_bits(&query.route), query.k);
+                let entry = fallback.entry(key).or_insert_with(|| {
+                    Arc::new(FilterFootprint::compute(
+                        self.backing.routes(),
+                        &query.route,
+                        query.k,
+                    ))
+                });
+                *footprint = Some(entry.clone());
+            }
+        }
+    }
+
+    /// Executes queries through grouping + the worker pool, bypassing the
+    /// result cache in both directions, and returns each result with its
+    /// filter footprint. Used for subscription (re-)execution: dirty
+    /// standing queries still share filter constructions within the batch,
+    /// but never pollute the LRU.
+    fn execute_uncached(
+        &self,
+        queries: &[RknntQuery],
+    ) -> Vec<(RknntResult, Option<Arc<FilterFootprint>>)> {
+        let miss_indexes: Vec<usize> = (0..queries.len()).collect();
+        let groups = form_groups(
+            queries,
+            &miss_indexes,
+            self.config.policy,
+            self.config.group_cell,
+        );
+        let (mut computed, _) = self.run_groups(&groups, None);
+        self.fill_footprint_fallbacks(queries, &mut computed);
+        let mut slots: Vec<Option<(RknntResult, Option<Arc<FilterFootprint>>)>> =
+            (0..queries.len()).map(|_| None).collect();
+        for (index, result, footprint) in computed {
+            slots[index] = Some((result, footprint));
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every query produced a result"))
+            .collect()
+    }
+
+    // ------------------------------------------------------------------
+    // Subscriptions.
+    // ------------------------------------------------------------------
+
+    /// Registers a standing query. The result is computed immediately (and
+    /// readable via [`Service::subscription_result`]); from then on every
+    /// [`Service::apply_updates`] call keeps it current and reports changes
+    /// as [`SubscriptionDelta`]s. Ids, results and delta streams are
+    /// byte-identical across backings over the same data.
+    pub fn subscribe(&mut self, query: RknntQuery) -> SubscriptionId {
+        let (result, footprint) = self
+            .execute_uncached(std::slice::from_ref(&query))
+            .pop()
+            .expect("one query in, one result out");
+        let region = self.region_of(&query, &result, footprint);
+        self.monitor.insert(query, result.transitions, region)
+    }
+
+    /// Drops a subscription. Returns `false` for an unknown or already
+    /// dropped id. Buffered deltas for the subscription are kept until
+    /// drained.
+    pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
+        self.monitor.remove(id)
+    }
+
+    /// Number of live subscriptions.
+    pub fn subscriptions(&self) -> usize {
+        self.monitor.len()
+    }
+
+    /// Ids of all live subscriptions, ascending.
+    pub fn subscription_ids(&self) -> Vec<SubscriptionId> {
+        self.monitor.ids()
+    }
+
+    /// The standing query behind a subscription.
+    pub fn subscription_query(&self, id: SubscriptionId) -> Option<&RknntQuery> {
+        self.monitor.get(id).map(|sub| &sub.query)
+    }
+
+    /// The subscription's current result: the qualifying (global)
+    /// transition ids, sorted ascending — always byte-identical to
+    /// executing the standing query against the current stores.
+    pub fn subscription_result(&self, id: SubscriptionId) -> Option<&[TransitionId]> {
+        self.monitor.get(id).map(|sub| sub.result.as_slice())
+    }
+
+    /// Drains subscription deltas buffered outside
+    /// [`Service::apply_updates`] (wholesale store swaps with live
+    /// subscriptions). `apply_updates` drains this buffer into its own
+    /// [`UpdateStats::deltas`] automatically.
+    pub fn take_subscription_deltas(&mut self) -> Vec<SubscriptionDelta> {
+        self.monitor.take_pending()
+    }
+
+    /// Re-executes every dirty subscription through the grouped batch
+    /// machinery (shared filter constructions, worker pool) against the
+    /// current stores, installing results and emitting deltas.
+    pub(crate) fn reexecute_dirty_subscriptions(&mut self, deltas: &mut Vec<SubscriptionDelta>) {
+        let dirty = self.monitor.dirty_ids();
+        if dirty.is_empty() {
+            return;
+        }
+        let queries: Vec<RknntQuery> = dirty
+            .iter()
+            .map(|id| self.monitor.query_of(*id).clone())
+            .collect();
+        let outputs = self.execute_uncached(&queries);
+        for (id, (query, (result, footprint))) in dirty.into_iter().zip(queries.iter().zip(outputs))
+        {
+            let region = self.region_of(query, &result, footprint);
+            self.monitor
+                .finish_reexecution(id, result.transitions, region, &self.metrics, deltas);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Update path.
+    // ------------------------------------------------------------------
+
+    /// Applies incremental store updates in order, evicting **only** the
+    /// cached results each update could change.
+    ///
+    /// Every cached entry carries the [`EntryRegion`] recorded when it was
+    /// computed: the filter footprint its filter step touched (query-route
+    /// MBR expanded by the filter radius actually used, plus the pruning
+    /// witnesses) and the MBR of its result endpoints. An update evicts an
+    /// entry only when its dirty region reaches the entry's recorded region
+    /// (see [`crate::region`] for the per-update rules and their soundness
+    /// arguments); route removals plan a targeted eviction under a work
+    /// budget and fall back to a full cache drop when it runs out.
+    ///
+    /// This path does **not** bump the generation: `&mut self` already
+    /// serialises it against in-flight batches, and retained entries remain
+    /// byte-identical to what a freshly built service over the post-update
+    /// stores would answer — asserted by the churn determinism suite in
+    /// `tests/service_churn.rs`.
+    ///
+    /// Live subscriptions are classified against every applied update —
+    /// *unaffected* (skipped), *certified stable* (kept, region updated) or
+    /// *dirty* — and the dirty ones are re-executed together through the
+    /// grouped batch path at the end of the call; the returned
+    /// [`UpdateStats::deltas`] describe every subscription result change
+    /// (see [`crate::monitor`]).
+    ///
+    /// With storage attached the batch is appended to the write-ahead log —
+    /// one frame per update, one fsync per call — *before* anything
+    /// applies, so a crash at any point replays to exactly a batch
+    /// boundary. A WAL I/O failure panics here (durability must not be
+    /// silently dropped); use [`Service::try_apply_updates`] to handle it
+    /// instead.
+    ///
+    /// # Panics
+    /// Panics when storage is attached and the WAL append fails.
+    pub fn apply_updates(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
+        self.try_apply_updates(updates, None)
+            .expect("WAL append failed (use try_apply_updates to handle storage errors)")
+    }
+
+    /// Fallible form of [`Service::apply_updates`], with optional request
+    /// tracing: returns the WAL append error instead of panicking, and when
+    /// `trace` is present the append (the update path's dominant latency
+    /// source) gets a `wal_append` span carrying the frame count and
+    /// payload bytes.
+    ///
+    /// When it errors, the stores are untouched and the WAL rolls the
+    /// failed batch's bytes back (a retry with the same or different
+    /// updates is safe); if even the rollback fails, the log poisons itself
+    /// and every further logged update errors rather than risk corrupting
+    /// the stream. On a sharded backing this is the *router's* append;
+    /// shard-local double-logging rides the forwarded per-shard updates and
+    /// still panics on failure.
+    pub fn try_apply_updates(
+        &mut self,
+        updates: Vec<StoreUpdate>,
+        trace: Option<&TraceCursor>,
+    ) -> Result<UpdateStats, StorageError> {
+        // Read the counter baseline *before* the WAL append so the frames
+        // and bytes the storage instruments record land in this call's diff.
+        let base = self.metrics.update_view();
+        if let Some(storage) = &mut self.storage {
+            let (records, bytes) = crate::durable::wal_records(&updates);
+            let span = trace.map(|t| t.begin("wal_append"));
+            storage.append(&records)?;
+            if let (Some(t), Some(span)) = (trace, span) {
+                t.end_with(span, &[("frames", records.len() as u64), ("bytes", bytes)]);
+            }
+        }
+        Ok(self.apply_logged(updates, base))
+    }
+
+    /// The update path proper for updates that are already durable: WAL
+    /// replay during `open` must not re-append what it replays.
+    pub(crate) fn replay(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
+        let base = self.metrics.update_view();
+        self.apply_logged(updates, base)
+    }
+
+    /// Applies the updates and builds the [`UpdateStats`] by diffing the
+    /// registry counters against `base` — updates hold `&mut self`, so the
+    /// window is exclusive and the diff exact.
+    fn apply_logged(
+        &mut self,
+        updates: Vec<StoreUpdate>,
+        base: crate::metrics::UpdateCounterView,
+    ) -> UpdateStats {
+        let mut stats = UpdateStats {
+            // Deliver deltas buffered by wholesale swaps first so replaying
+            // `deltas` in order stays correct across both update paths.
+            deltas: self.monitor.take_pending(),
+            ..UpdateStats::default()
+        };
+        for update in updates {
+            // Mutate the stores, then hand the store-facing view of what
+            // happened to eviction and classification — both always run
+            // against post-update stores. A store-boundary rejection
+            // consumes no id and touches nothing.
+            match update {
+                StoreUpdate::InsertTransition {
+                    origin,
+                    destination,
+                } => match self.backing.insert_transition(origin, destination) {
+                    Some(id) => {
+                        stats.inserted_transitions.push(id);
+                        self.applied(
+                            &UpdateEffect::TransitionInsert {
+                                origin: &origin,
+                                destination: &destination,
+                            },
+                            &mut stats.deltas,
+                        );
+                    }
+                    None => self.metrics.update_rejected.inc(),
+                },
+                StoreUpdate::ExpireTransition(id) => {
+                    if self.backing.expire_transition(id) {
+                        self.applied(&UpdateEffect::TransitionRemove { id }, &mut stats.deltas);
+                    } else {
+                        self.metrics.update_rejected.inc();
+                    }
+                }
+                StoreUpdate::InsertRoute(points) => {
+                    let mbr = Rect::from_points(&points).unwrap_or_else(Rect::empty);
+                    match self.backing.insert_route(points) {
+                        Some(id) => {
+                            stats.inserted_routes.push(id);
+                            self.applied(
+                                &UpdateEffect::RouteInsert { mbr: &mbr },
+                                &mut stats.deltas,
+                            );
+                        }
+                        None => self.metrics.update_rejected.inc(),
+                    }
+                }
+                StoreUpdate::RemoveRoute(id) => match self.backing.remove_route(id) {
+                    Some(points) => self.applied(
+                        &UpdateEffect::RouteRemove {
+                            id,
+                            points: &points,
+                        },
+                        &mut stats.deltas,
+                    ),
+                    None => self.metrics.update_rejected.inc(),
+                },
+            }
+        }
+        self.reexecute_dirty_subscriptions(&mut stats.deltas);
+        stats.retained_entries = self.cache.get_mut().expect("cache lock").len();
+        let view = self.metrics.update_view();
+        stats.applied = (view.applied - base.applied) as usize;
+        stats.rejected = (view.rejected - base.rejected) as usize;
+        stats.evicted_entries = (view.evicted_entries - base.evicted_entries) as usize;
+        stats.full_drops = (view.full_drops - base.full_drops) as usize;
+        stats.targeted_route_removals =
+            (view.targeted_route_removals - base.targeted_route_removals) as usize;
+        stats.subs_unaffected = (view.subs_unaffected - base.subs_unaffected) as usize;
+        stats.subs_stable = (view.subs_stable - base.subs_stable) as usize;
+        stats.subs_dirty = (view.subs_dirty - base.subs_dirty) as usize;
+        stats.subs_reexecuted = (view.subs_reexecuted - base.subs_reexecuted) as usize;
+        stats.wal_appends = (view.wal_appends - base.wal_appends) as usize;
+        stats.wal_bytes = view.wal_bytes - base.wal_bytes;
+        stats
+    }
+
+    /// Bookkeeping for one update the stores accepted: count it, evict the
+    /// cached results it could change, classify every live subscription.
+    fn applied(&mut self, effect: &UpdateEffect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
+        self.metrics.update_applied.inc();
+        let routes = self.backing.routes();
+        let cache = self.cache.get_mut().expect("cache lock");
+        match *effect {
+            UpdateEffect::TransitionInsert {
+                origin,
+                destination,
+            } => {
+                cache.evict_where(|_, _, region| {
+                    !region.survives_transition_insert(routes, origin, destination)
+                });
+            }
+            UpdateEffect::TransitionRemove { id } => {
+                cache.evict_where(|_, value, region| {
+                    !region.survives_transition_remove(&value.transitions, id)
+                });
+            }
+            UpdateEffect::RouteInsert { mbr } => {
+                cache.evict_where(|_, _, region| !region.survives_route_insert(mbr));
+            }
+            UpdateEffect::RouteRemove { id, points } => {
+                evict_for_route_removal(cache, &self.backing, &self.metrics, id, points)
+            }
+        }
+        self.monitor
+            .classify_update(effect, &self.backing, &self.metrics, deltas);
+    }
+}
+
+/// Cache maintenance for a removed route: plan a targeted eviction (every
+/// entry re-certified with the removed route excluded, under a shared work
+/// budget) and fall back to the full drop only when the budget runs out
+/// before every entry is classified.
+fn evict_for_route_removal<B: Backing>(
+    cache: &mut ResultCache,
+    backing: &B,
+    metrics: &ServiceMetrics,
+    id: RouteId,
+    removed_points: &[Point],
+) {
+    if cache.is_empty() {
+        metrics.targeted_route_removals.inc();
+        return;
+    }
+    let mut budget = ROUTE_REMOVAL_BUDGET_PER_ENTRY.saturating_mul(cache.len());
+    let mut victims: Vec<CacheKey> = Vec::new();
+    let mut exhausted = false;
+    for (key, value, region) in cache.entries() {
+        if budget == 0 {
+            exhausted = true;
+            break;
+        }
+        if !backing.survives_route_remove(
+            region,
+            &value.transitions,
+            id,
+            removed_points,
+            &mut budget,
+        ) {
+            victims.push(key.clone());
+        }
+    }
+    if exhausted {
+        metrics.full_drops.inc();
+        metrics.record_event(EventKind::CacheEvicted {
+            entries: u32::try_from(cache.len()).unwrap_or(u32::MAX),
+            full_drop: true,
+        });
+        cache.invalidate_all();
+    } else {
+        metrics.targeted_route_removals.inc();
+        metrics.record_event(EventKind::CacheEvicted {
+            entries: u32::try_from(victims.len()).unwrap_or(u32::MAX),
+            full_drop: false,
+        });
+        let victims: HashSet<&CacheKey> = victims.iter().collect();
+        cache.evict_where(|key, _, _| victims.contains(key));
+    }
+}

@@ -5,14 +5,29 @@
 //! deployment serving passenger-demand estimation for a live bus network
 //! sees *streams* of queries with heavy spatial and exact repetition, plus a
 //! store that mutates as transitions arrive and expire. This crate adds the
-//! three mechanisms that workload needs, with a hard invariant — every
-//! answer is byte-identical to sequential single-query execution:
+//! mechanisms that workload needs, with a hard invariant — every answer is
+//! byte-identical to sequential single-query execution.
 //!
-//! * **[`QueryService`]** — owns the [`rknnt_index::RouteStore`] /
-//!   [`rknnt_index::TransitionStore`] pair behind an [`EnginePolicy`]
-//!   (fixed engine, or a per-query heuristic on `k` and route length) and
-//!   executes batches across a scoped worker pool
-//!   ([`QueryService::execute_batch`]).
+//! The frontend is written once, as [`Service<B>`](Service): it owns the
+//! result cache, the subscription registry, the storage handle and the
+//! metric catalog, and runs the only copy of the batch pipeline, the worker
+//! pool, the update path and the subscription surface. What differs between
+//! deployments is the *backing* it serves from, and there are two:
+//!
+//! * **[`QueryService`]** — one [`rknnt_index::RouteStore`] /
+//!   [`rknnt_index::TransitionStore`] pair, queried by the engines an
+//!   [`EnginePolicy`] picks (fixed engine, or a per-query heuristic on `k`
+//!   and route length).
+//! * **[`ShardedService`]** — the transitions split across Z-order spatial
+//!   shards behind a planner replica of the routes; each fresh query prunes
+//!   only the shards its filter cannot rule out and verifies the merged
+//!   candidates once ([`sharded`]). Answers, subscription results and delta
+//!   streams are byte-identical to the flat service's.
+//!
+//! Everything below is the shared frontend, available on both:
+//!
+//! * **Batch execution** — [`Service::execute_batch`] runs a batch across a
+//!   scoped worker pool.
 //! * **Shared-filter batching** — batch queries are grouped by engine,
 //!   spatial cell and `k`; within a group, queries with the same
 //!   `(route, k)` share one filter-set construction and exact duplicates
@@ -20,16 +35,18 @@
 //!   constructions saved and wall-clock per phase.
 //! * **Result caching** — a seeded-hash LRU cache keyed on
 //!   `(route, k, semantics)` with an explicit
-//!   [`QueryService::invalidate_all`] / generation-bump hook wired into
+//!   [`Service::invalidate_all`] / generation-bump hook wired into
 //!   [`QueryService::update_stores`], so dynamic-update workloads keep
 //!   serving correct results.
-//! * **Incremental updates** — [`QueryService::apply_updates`] mutates the
-//!   owned stores in place ([`StoreUpdate`]: transitions arrive and expire,
-//!   routes appear and are withdrawn) and evicts only the cached results an
+//! * **Incremental updates** — the two update entry points,
+//!   [`Service::apply_updates`] (panics on a WAL failure) and
+//!   [`Service::try_apply_updates`] (returns it; optionally traced), mutate
+//!   the stores in place ([`StoreUpdate`]: transitions arrive and expire,
+//!   routes appear and are withdrawn) and evict only the cached results an
 //!   update could change: each entry records the region its filter step
 //!   touched plus its result-endpoint MBR ([`region`]), so churn keeps the
 //!   cache warm instead of dropping it wholesale.
-//! * **Continuous queries** — [`QueryService::subscribe`] registers a
+//! * **Continuous queries** — [`Service::subscribe`] registers a
 //!   standing query whose result the service keeps current across
 //!   `apply_updates`: each update classifies every subscription as
 //!   unaffected, certified stable or dirty (re-executed through the shared
@@ -70,6 +87,7 @@
 mod batch;
 mod cache;
 pub mod durable;
+mod frontend;
 pub mod metrics;
 pub mod monitor;
 mod policy;
@@ -79,6 +97,7 @@ pub mod sharded;
 
 pub use batch::{BatchPhaseTimings, BatchStats};
 pub use cache::{CacheCounters, CacheKey, CacheStats, ResultCache};
+pub use frontend::Service;
 pub use metrics::{RouterStats, ServiceMetrics};
 pub use monitor::{DeltaReason, SubscriptionDelta, SubscriptionId};
 pub use policy::EnginePolicy;

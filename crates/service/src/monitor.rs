@@ -32,18 +32,19 @@
 //! [`QueryService::apply_updates`]: crate::QueryService::apply_updates
 //! [`StoreUpdate`]: crate::StoreUpdate
 
+use crate::frontend::Backing;
 use crate::metrics::ServiceMetrics;
 use crate::region::EntryRegion;
 use rknnt_core::{RknntQuery, RknntResult};
 use rknnt_geo::{Point, Rect};
-use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
+use rknnt_index::{RouteId, TransitionId};
 use rknnt_obs::EventKind;
 use std::collections::BTreeMap;
 
 /// Work budget for one subscription's route-removal certificate
 /// ([`EntryRegion::survives_route_remove`]); exhausting it marks the
 /// subscription dirty, which is always sound.
-pub(crate) const SUB_REMOVAL_BUDGET: usize = 8_192;
+const SUB_REMOVAL_BUDGET: usize = 8_192;
 
 /// Opaque handle to a standing query registered with
 /// [`QueryService::subscribe`].
@@ -219,56 +220,23 @@ impl SubscriptionRegistry {
     /// applied in place and emits a delta), or dirty (queued for batch
     /// re-execution). Subscriptions already dirty are skipped outright —
     /// they will be re-executed against the final stores anyway.
-    pub(crate) fn classify_update(
+    ///
+    /// The two store-dependent steps go through the [`Backing`]: the
+    /// route-removal survival certificate (a sharded backing ANDs its
+    /// per-shard certificates) and the endpoint lookup of the post-expiry
+    /// region rebuild (resolved through its routing directory). Both are
+    /// *sound* on every backing (a `false` survival / conservative region
+    /// is always safe), which keeps sharded and unsharded delta streams
+    /// byte-identical: a spuriously dirty subscription re-executes to an
+    /// unchanged result and emits nothing.
+    pub(crate) fn classify_update<B: Backing>(
         &mut self,
         effect: &UpdateEffect<'_>,
-        routes: &RouteStore,
-        transitions: &TransitionStore,
+        backing: &B,
         metrics: &ServiceMetrics,
         deltas: &mut Vec<SubscriptionDelta>,
     ) {
-        self.classify_update_with(
-            effect,
-            routes,
-            metrics,
-            deltas,
-            |sub, removed, points| {
-                let mut budget = SUB_REMOVAL_BUDGET;
-                sub.region.survives_route_remove(
-                    routes,
-                    transitions,
-                    &sub.result,
-                    removed,
-                    points,
-                    &mut budget,
-                )
-            },
-            |sub| rebuilt_region(sub, transitions),
-        )
-    }
-
-    /// [`SubscriptionRegistry::classify_update`] with the two
-    /// store-dependent steps abstracted out: the route-removal survival
-    /// certificate and the post-expiry region rebuild. The sharded router
-    /// supplies closures that AND per-shard certificates and resolve
-    /// transition endpoints through its routing directory; the single-store
-    /// service delegates with the plain [`TransitionStore`] versions. Both
-    /// closures must be *sound* (a `false` survival / conservative region is
-    /// always safe), which keeps sharded and unsharded delta streams
-    /// byte-identical: a spuriously dirty subscription re-executes to an
-    /// unchanged result and emits nothing.
-    pub(crate) fn classify_update_with<R, B>(
-        &mut self,
-        effect: &UpdateEffect<'_>,
-        routes: &RouteStore,
-        metrics: &ServiceMetrics,
-        deltas: &mut Vec<SubscriptionDelta>,
-        mut route_remove_survives: R,
-        mut rebuild_region: B,
-    ) where
-        R: FnMut(&Subscription, RouteId, &[Point]) -> bool,
-        B: FnMut(&Subscription) -> EntryRegion,
-    {
+        let routes = backing.routes();
         let (mut unaffected, mut stable, mut dirty) = (0u64, 0u64, 0u64);
         for (id, sub) in self.subs.iter_mut() {
             if sub.dirty {
@@ -302,8 +270,7 @@ impl SubscriptionRegistry {
                             // every other transition depends only on routes,
                             // so the result loses exactly this member.
                             sub.result.remove(pos);
-                            let region = rebuild_region(&*sub);
-                            sub.region = region;
+                            sub.region = rebuilt_region(sub, backing);
                             stable += 1;
                             deltas.push(SubscriptionDelta {
                                 subscription: SubscriptionId(*id),
@@ -326,7 +293,14 @@ impl SubscriptionRegistry {
                     id: removed,
                     points,
                 } => {
-                    if route_remove_survives(&*sub, *removed, points) {
+                    let mut budget = SUB_REMOVAL_BUDGET;
+                    if backing.survives_route_remove(
+                        &sub.region,
+                        &sub.result,
+                        *removed,
+                        points,
+                        &mut budget,
+                    ) {
                         stable += 1;
                     } else {
                         sub.dirty = true;
@@ -394,17 +368,14 @@ impl SubscriptionRegistry {
 /// Rebuilds a subscription's region after in-place result maintenance,
 /// reusing its recorded footprint (transition churn never changes the
 /// filter construction, which depends only on routes).
-fn rebuilt_region(sub: &Subscription, transitions: &TransitionStore) -> EntryRegion {
+fn rebuilt_region<B: Backing>(sub: &Subscription, backing: &B) -> EntryRegion {
     let value = RknntResult {
         transitions: sub.result.clone(),
         ..RknntResult::default()
     };
-    EntryRegion::record(
-        &sub.query,
-        &value,
-        sub.region.footprint.clone(),
-        transitions,
-    )
+    EntryRegion::record_with(&sub.query, &value, sub.region.footprint.clone(), |id| {
+        backing.endpoints(id)
+    })
 }
 
 #[cfg(test)]

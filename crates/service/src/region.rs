@@ -83,22 +83,10 @@ impl EntryRegion {
     }
 
     /// Builds the region for a freshly computed result, recording the
-    /// result-endpoint MBR and its reach bound from the live stores.
-    pub fn record(
-        query: &RknntQuery,
-        result: &RknntResult,
-        footprint: Option<Arc<FilterFootprint>>,
-        transitions: &rknnt_index::TransitionStore,
-    ) -> Self {
-        Self::record_with(query, result, footprint, |id| {
-            transitions.get(id).map(|t| (t.origin, t.destination))
-        })
-    }
-
-    /// [`EntryRegion::record`] over an arbitrary transition-endpoint lookup
-    /// instead of a single [`TransitionStore`] — the sharded router records
-    /// regions for results whose transitions live across many shard-local
-    /// stores, resolving each global id through its routing directory.
+    /// result-endpoint MBR and its reach bound. Endpoints are resolved
+    /// through `lookup` rather than one [`TransitionStore`] so the same code
+    /// serves results whose transitions live across many shard-local
+    /// stores (the router resolves each global id through its directory).
     pub fn record_with<F>(
         query: &RknntQuery,
         result: &RknntResult,
@@ -305,6 +293,17 @@ mod tests {
         Point::new(x, y)
     }
 
+    fn record(
+        query: &RknntQuery,
+        result: &RknntResult,
+        footprint: Option<Arc<FilterFootprint>>,
+        transitions: &TransitionStore,
+    ) -> EntryRegion {
+        EntryRegion::record_with(query, result, footprint, |id| {
+            transitions.get(id).map(|t| (t.origin, t.destination))
+        })
+    }
+
     fn entry_with_result(result_ids: &[u32]) -> (EntryRegion, RknntResult) {
         let query = RknntQuery::exists(vec![p(0.0, 0.0), p(10.0, 0.0)], 2);
         let mut transitions = TransitionStore::default();
@@ -316,7 +315,7 @@ mod tests {
             result.transitions.push(TransitionId(*id));
         }
         result.transitions.sort_unstable();
-        let region = EntryRegion::record(&query, &result, None, &transitions);
+        let region = record(&query, &result, None, &transitions);
         (region, result)
     }
 
@@ -353,7 +352,7 @@ mod tests {
             transitions: result.to_vec(),
             ..RknntResult::default()
         };
-        EntryRegion::record(query, &value, Some(footprint), transitions)
+        record(query, &value, Some(footprint), transitions)
     }
 
     #[test]

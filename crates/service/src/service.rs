@@ -1,25 +1,20 @@
-//! The [`QueryService`]: owns the stores, executes batches across a worker
-//! pool and fronts them with the LRU result cache.
+//! The [`QueryService`]: the serving frontend over one flat pair of stores,
+//! plus the configuration, update and stats types both services share.
 
-use crate::batch::{form_groups, run_group, BatchStats, Group, PreparedEngine};
-use crate::cache::{CacheKey, CacheStats, ResultCache};
-use crate::metrics::{ServiceMetrics, UpdateCounterView};
-use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
+use crate::frontend::{Backing, Service};
+use crate::metrics::ServiceMetrics;
+use crate::monitor::SubscriptionDelta;
 use crate::policy::EnginePolicy;
 use crate::region::EntryRegion;
-use rknnt_core::{FilterFootprint, RknntQuery, RknntResult};
-use rknnt_geo::{Point, Rect};
+use rknnt_core::{
+    EngineKind, FilterOutcome, FilterRefineEngine, QueryScratch, RknnTEngine, RknntQuery,
+    RknntResult,
+};
+use rknnt_geo::Point;
 use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
-use rknnt_obs::{EventKind, FlightRecorder, MetricsSnapshot, Span, TraceCursor};
+use rknnt_obs::TraceCursor;
 use rknnt_storage::{Storage, StorageConfig, StorageError, StorageStats};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Work budget per cached entry for the route-removal survival scan; when
-/// the shared budget (`per-entry × entries`) is exhausted mid-call the
-/// removal falls back to a full cache drop.
-pub(crate) const ROUTE_REMOVAL_BUDGET_PER_ENTRY: usize = 4_096;
 
 /// Tuning knobs for a [`QueryService`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,7 +67,7 @@ impl ServiceConfig {
     }
 }
 
-/// One incremental store mutation for [`QueryService::apply_updates`] —
+/// One incremental store mutation for [`Service::apply_updates`] —
 /// the paper's dynamic workload, where "old transitions expire and new
 /// transitions arrive" and bus lines occasionally change.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,7 +87,7 @@ pub enum StoreUpdate {
     RemoveRoute(RouteId),
 }
 
-/// Counters reported by one [`QueryService::apply_updates`] call.
+/// Counters reported by one [`Service::apply_updates`] call.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdateStats {
     /// Updates applied to the stores.
@@ -146,47 +141,162 @@ pub struct UpdateStats {
     pub wal_bytes: u64,
 }
 
-/// A concurrent batch RkNNT query service over one pair of stores.
-///
-/// The service owns the [`RouteStore`] and [`TransitionStore`] — queries
-/// execute against a consistent snapshot because store mutation requires
-/// `&mut self` ([`QueryService::update_stores`] /
-/// [`QueryService::apply_updates`]), which the borrow checker serialises
-/// against every in-flight `&self` batch. Wholesale updates bump the
-/// generation counter and drop the whole result cache; incremental updates
-/// go through [`QueryService::apply_updates`], which mutates the stores in
-/// place and evicts only the cached results the update could affect (see
-/// [`crate::region`]).
-pub struct QueryService {
+/// The flat backing: one [`RouteStore`] / [`TransitionStore`] pair, queried
+/// by the policy-chosen engines.
+pub struct FlatStores {
     routes: RouteStore,
     transitions: TransitionStore,
-    config: ServiceConfig,
-    cache: Mutex<ResultCache>,
-    generation: AtomicU64,
-    monitor: SubscriptionRegistry,
-    storage: Option<Storage>,
-    metrics: ServiceMetrics,
 }
 
-impl QueryService {
+/// A concurrent batch RkNNT query service over one pair of stores — the
+/// shared [`Service`] frontend (batches, cache, updates, subscriptions)
+/// over engines built directly on the owned [`RouteStore`] and
+/// [`TransitionStore`].
+///
+/// Wholesale store changes ([`QueryService::update_stores`] /
+/// [`QueryService::replace_stores`]) bump the generation counter and drop
+/// the whole result cache; incremental updates go through
+/// [`Service::apply_updates`].
+pub type QueryService = Service<FlatStores>;
+
+/// Per-worker state on flat stores: lazily built engines plus the scratch
+/// every query of the worker reuses, so per-candidate work stops allocating
+/// once warmed.
+pub struct FlatWorker<'a> {
+    /// One engine per [`EngineKind`] the worker's groups actually use (at
+    /// most four entries, so a linear scan beats any map).
+    engines: Vec<(EngineKind, PreparedEngine<'a>)>,
+    scratch: QueryScratch,
+}
+
+/// Filter–Refine and Voronoi get the concrete engine type so execution can
+/// start from a shared filter; the other kinds go through the trait object
+/// built by [`EngineKind::build`].
+enum PreparedEngine<'a> {
+    Shared(FilterRefineEngine<'a>),
+    Plain(Box<dyn RknnTEngine + 'a>),
+}
+
+impl Backing for FlatStores {
+    type Worker<'a> = FlatWorker<'a>;
+
+    fn routes(&self) -> &RouteStore {
+        &self.routes
+    }
+
+    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
+        self.transitions.get(id).map(|t| (t.origin, t.destination))
+    }
+
+    fn worker(&self) -> FlatWorker<'_> {
+        FlatWorker {
+            engines: Vec::new(),
+            scratch: QueryScratch::new(),
+        }
+    }
+
+    fn shares_filter(kind: EngineKind) -> bool {
+        matches!(kind, EngineKind::FilterRefine | EngineKind::Voronoi)
+    }
+
+    fn execute<'a>(
+        &'a self,
+        worker: &mut FlatWorker<'a>,
+        kind: EngineKind,
+        query: &RknntQuery,
+        filter: Option<&FilterOutcome>,
+        _metrics: &ServiceMetrics,
+        _trace: Option<&TraceCursor>,
+    ) -> RknntResult {
+        let pos = match worker.engines.iter().position(|(built, _)| *built == kind) {
+            Some(pos) => pos,
+            None => {
+                let (routes, transitions) = (&self.routes, &self.transitions);
+                let engine = match kind {
+                    EngineKind::FilterRefine => {
+                        PreparedEngine::Shared(FilterRefineEngine::new(routes, transitions))
+                    }
+                    EngineKind::Voronoi => PreparedEngine::Shared(
+                        FilterRefineEngine::with_voronoi(routes, transitions),
+                    ),
+                    other => PreparedEngine::Plain(other.build(routes, transitions)),
+                };
+                worker.engines.push((kind, engine));
+                worker.engines.len() - 1
+            }
+        };
+        match (&worker.engines[pos].1, filter) {
+            (PreparedEngine::Shared(engine), Some(outcome)) => {
+                engine.execute_with_filter_scratch(query, outcome, &mut worker.scratch)
+            }
+            (PreparedEngine::Shared(engine), None) => {
+                engine.execute_scratch(query, &mut worker.scratch)
+            }
+            (PreparedEngine::Plain(engine), _) => {
+                engine.execute_scratch(query, &mut worker.scratch)
+            }
+        }
+    }
+
+    fn insert_transition(&mut self, origin: Point, destination: Point) -> Option<TransitionId> {
+        self.transitions.insert(origin, destination)
+    }
+
+    fn expire_transition(&mut self, id: TransitionId) -> bool {
+        self.transitions.remove(id)
+    }
+
+    fn insert_route(&mut self, points: Vec<Point>) -> Option<RouteId> {
+        self.routes.insert_route(points)
+    }
+
+    fn remove_route(&mut self, id: RouteId) -> Option<Vec<Point>> {
+        let points = self.routes.route_points(id).to_vec();
+        self.routes.remove_route(id).then_some(points)
+    }
+
+    fn survives_route_remove(
+        &self,
+        region: &EntryRegion,
+        result: &[TransitionId],
+        removed: RouteId,
+        removed_points: &[Point],
+        budget: &mut usize,
+    ) -> bool {
+        region.survives_route_remove(
+            &self.routes,
+            &self.transitions,
+            result,
+            removed,
+            removed_points,
+            budget,
+        )
+    }
+}
+
+/// A sharded layout under `dir` belongs to a whole fleet: a single service
+/// must neither open nor shadow it.
+fn refuse_sharded_layout(dir: &Path) -> Result<(), StorageError> {
+    match rknnt_storage::detect_shard_layout(dir) {
+        Some(layout) => Err(StorageError::ShardedLayout {
+            dir: dir.to_path_buf(),
+            shards: layout.shard_count(),
+        }),
+        None => Ok(()),
+    }
+}
+
+impl Service<FlatStores> {
     /// Creates a service over the given stores.
     pub fn new(routes: RouteStore, transitions: TransitionStore, config: ServiceConfig) -> Self {
-        let metrics = ServiceMetrics::new();
-        let cache = Mutex::new(ResultCache::with_counters(
-            config.cache_capacity,
-            config.cache_seed,
-            metrics.cache.clone(),
-        ));
-        QueryService {
-            routes,
-            transitions,
+        Service::from_parts(
+            FlatStores {
+                routes,
+                transitions,
+            },
             config,
-            cache,
-            generation: AtomicU64::new(0),
-            monitor: SubscriptionRegistry::default(),
-            storage: None,
-            metrics,
-        }
+            ServiceMetrics::new(),
+        )
     }
 
     /// Opens a durable service from a storage directory: loads the latest
@@ -205,12 +315,7 @@ impl QueryService {
         config: ServiceConfig,
         storage_config: StorageConfig,
     ) -> Result<(Self, StorageStats), StorageError> {
-        if let Some(layout) = rknnt_storage::detect_shard_layout(dir) {
-            return Err(StorageError::ShardedLayout {
-                dir: dir.to_path_buf(),
-                shards: layout.shard_count(),
-            });
-        }
+        refuse_sharded_layout(dir)?;
         let (mut storage, recovery) = Storage::open(dir, storage_config)?;
         let (routes, transitions) = recovery
             .stores
@@ -231,7 +336,7 @@ impl QueryService {
             // Replay mutates the stores exactly like the original calls did
             // (ids are dense slot indexes, and the snapshot preserved dead
             // slots) — but must not re-append to the WAL.
-            service.apply_updates_unlogged(updates);
+            service.replay(updates);
         }
         let stats = storage.stats();
         service.storage = Some(storage);
@@ -253,12 +358,7 @@ impl QueryService {
         dir: &Path,
         storage_config: StorageConfig,
     ) -> Result<StorageStats, StorageError> {
-        if let Some(layout) = rknnt_storage::detect_shard_layout(dir) {
-            return Err(StorageError::ShardedLayout {
-                dir: dir.to_path_buf(),
-                shards: layout.shard_count(),
-            });
-        }
+        refuse_sharded_layout(dir)?;
         let (mut storage, recovery) = Storage::open(dir, storage_config)?;
         if recovery.found_existing {
             return Err(StorageError::DirectoryNotEmpty {
@@ -270,7 +370,7 @@ impl QueryService {
         // written there is no durable baseline, and leaving the directory
         // attached would let the WAL grow against state recovery could
         // never reconstruct (replay onto empty stores).
-        let stats = storage.checkpoint(&self.routes, &self.transitions)?;
+        let stats = storage.checkpoint(&self.backing.routes, &self.backing.transitions)?;
         self.storage = Some(storage);
         Ok(stats)
     }
@@ -280,29 +380,7 @@ impl QueryService {
     /// ([`StorageError::NotAttached`] otherwise).
     pub fn checkpoint(&mut self) -> Result<StorageStats, StorageError> {
         let storage = self.storage.as_mut().ok_or(StorageError::NotAttached)?;
-        storage.checkpoint(&self.routes, &self.transitions)
-    }
-
-    /// Whether a storage directory is attached.
-    pub fn has_storage(&self) -> bool {
-        self.storage.is_some()
-    }
-
-    /// Storage counters, when storage is attached.
-    pub fn storage_stats(&self) -> Option<StorageStats> {
-        self.storage.as_ref().map(Storage::stats)
-    }
-
-    /// Checkpoints after a wholesale store mutation when storage is
-    /// attached. Wholesale swaps have no per-update WAL representation, so
-    /// the snapshot *is* their durability; failing to write it would
-    /// silently decouple disk from memory, hence the panic (use
-    /// [`QueryService::checkpoint`] directly for a fallible path).
-    fn checkpoint_if_attached(&mut self) {
-        if self.storage.is_some() {
-            self.checkpoint()
-                .expect("checkpoint after wholesale store mutation failed");
-        }
+        storage.checkpoint(&self.backing.routes, &self.backing.transitions)
     }
 
     /// The configuration the service was built with.
@@ -310,42 +388,9 @@ impl QueryService {
         &self.config
     }
 
-    /// Read access to the route store.
-    pub fn routes(&self) -> &RouteStore {
-        &self.routes
-    }
-
     /// Read access to the transition store.
     pub fn transitions(&self) -> &TransitionStore {
-        &self.transitions
-    }
-
-    /// The store generation: starts at 0 and increments on every
-    /// [`QueryService::update_stores`] / [`QueryService::invalidate_all`].
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
-    /// Result-cache counter snapshot.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("cache lock").stats()
-    }
-
-    /// Number of results currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().expect("cache lock").len()
-    }
-
-    /// The service's metric catalog: registry access, per-stage latency
-    /// histograms, the flight recorder and the enable switch.
-    pub fn metrics(&self) -> &ServiceMetrics {
-        &self.metrics
-    }
-
-    /// A point-in-time copy of every registered metric; diff two snapshots
-    /// to isolate an interval.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        &self.backing.transitions
     }
 
     /// The current metrics in the text exposition format.
@@ -353,35 +398,20 @@ impl QueryService {
         self.metrics.render_text()
     }
 
-    /// Shared handle to the flight recorder of recent pipeline events (for
-    /// [`rknnt_obs::DumpOnPanic`] and on-demand dumps).
-    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        self.metrics.recorder().clone()
-    }
-
     /// Turns span timing, histogram recording and flight-recorder events on
     /// or off. Counters stay live, so the exact per-call
-    /// [`BatchStats`]/[`UpdateStats`] counts keep working; the wall-clock
-    /// `timings` fields read zero while disabled.
+    /// [`crate::BatchStats`]/[`UpdateStats`] counts keep working; the
+    /// wall-clock `timings` fields read zero while disabled.
     pub fn set_metrics_enabled(&self, on: bool) {
         self.metrics.set_enabled(on);
-    }
-
-    /// Drops every cached result and bumps the generation. Safe to call
-    /// while other threads are executing batches: they may re-insert
-    /// results computed against the *current* stores (stores cannot have
-    /// changed — that requires `&mut self`), so nothing stale can appear.
-    pub fn invalidate_all(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        self.cache.lock().expect("cache lock").invalidate_all();
     }
 
     /// Mutates the stores through `f`, then invalidates the cache and bumps
     /// the generation so subsequent queries see the new data. Every live
     /// subscription is re-executed against the new stores (a wholesale
     /// mutation certifies nothing); their deltas are buffered and delivered
-    /// by the next [`QueryService::apply_updates`] call or
-    /// [`QueryService::take_subscription_deltas`].
+    /// by the next [`Service::apply_updates`] call or
+    /// [`Service::take_subscription_deltas`].
     ///
     /// Taking `&mut self` is the concurrency-correctness lever: in-flight
     /// batches hold `&self`, so an update waits for them and no batch ever
@@ -390,743 +420,38 @@ impl QueryService {
     where
         F: FnOnce(&mut RouteStore, &mut TransitionStore),
     {
-        f(&mut self.routes, &mut self.transitions);
-        self.invalidate_all();
-        self.refresh_all_subscriptions();
-        self.checkpoint_if_attached();
+        f(&mut self.backing.routes, &mut self.backing.transitions);
+        self.stores_changed();
     }
 
     /// Replaces both stores wholesale (e.g. a rebuilt index snapshot). Like
     /// [`QueryService::update_stores`], re-executes every subscription and
     /// buffers their deltas.
     pub fn replace_stores(&mut self, routes: RouteStore, transitions: TransitionStore) {
-        self.routes = routes;
-        self.transitions = transitions;
+        self.backing = FlatStores {
+            routes,
+            transitions,
+        };
+        self.stores_changed();
+    }
+
+    /// After a wholesale store mutation: cold cache, new generation, every
+    /// subscription re-executed (deltas buffered), and — with storage
+    /// attached — a checkpoint. Wholesale swaps have no per-update WAL
+    /// representation, so the snapshot *is* their durability; failing to
+    /// write it would silently decouple disk from memory, hence the panic
+    /// (use [`QueryService::checkpoint`] directly for a fallible path).
+    fn stores_changed(&mut self) {
         self.invalidate_all();
-        self.refresh_all_subscriptions();
-        self.checkpoint_if_attached();
-    }
-
-    /// Registers a standing query. The result is computed immediately (and
-    /// readable via [`QueryService::subscription_result`]); from then on
-    /// every [`QueryService::apply_updates`] call keeps it current and
-    /// reports changes as [`SubscriptionDelta`]s.
-    pub fn subscribe(&mut self, query: RknntQuery) -> SubscriptionId {
-        let (result, footprint) = self
-            .execute_uncached(std::slice::from_ref(&query))
-            .pop()
-            .expect("one query in, one result out");
-        let region = EntryRegion::record(&query, &result, footprint, &self.transitions);
-        self.monitor.insert(query, result.transitions, region)
-    }
-
-    /// Drops a subscription. Returns `false` for an unknown or already
-    /// dropped id. Buffered deltas for the subscription are kept until
-    /// drained.
-    pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        self.monitor.remove(id)
-    }
-
-    /// Number of live subscriptions.
-    pub fn subscriptions(&self) -> usize {
-        self.monitor.len()
-    }
-
-    /// Ids of all live subscriptions, ascending.
-    pub fn subscription_ids(&self) -> Vec<SubscriptionId> {
-        self.monitor.ids()
-    }
-
-    /// The standing query behind a subscription.
-    pub fn subscription_query(&self, id: SubscriptionId) -> Option<&RknntQuery> {
-        self.monitor.get(id).map(|sub| &sub.query)
-    }
-
-    /// The subscription's current result: the qualifying transition ids,
-    /// sorted ascending — always byte-identical to executing the standing
-    /// query against the current stores.
-    pub fn subscription_result(&self, id: SubscriptionId) -> Option<&[TransitionId]> {
-        self.monitor.get(id).map(|sub| sub.result.as_slice())
-    }
-
-    /// Drains subscription deltas buffered outside
-    /// [`QueryService::apply_updates`] (wholesale store swaps with live
-    /// subscriptions). `apply_updates` drains this buffer into its own
-    /// [`UpdateStats::deltas`] automatically.
-    pub fn take_subscription_deltas(&mut self) -> Vec<SubscriptionDelta> {
-        self.monitor.take_pending()
-    }
-
-    /// Marks every subscription dirty and re-executes them against the
-    /// current stores, buffering any deltas.
-    fn refresh_all_subscriptions(&mut self) {
-        if self.monitor.len() == 0 {
-            return;
+        if self.monitor.len() > 0 {
+            self.monitor.mark_all_dirty();
+            let mut deltas = Vec::new();
+            self.reexecute_dirty_subscriptions(&mut deltas);
+            self.monitor.push_pending(deltas);
         }
-        self.monitor.mark_all_dirty();
-        let mut deltas = Vec::new();
-        self.reexecute_dirty_subscriptions(&mut deltas);
-        self.monitor.push_pending(deltas);
-    }
-
-    /// Re-executes every dirty subscription through the grouped batch
-    /// machinery (shared filter constructions, worker pool) against the
-    /// current stores, installing results and emitting deltas.
-    fn reexecute_dirty_subscriptions(&mut self, deltas: &mut Vec<SubscriptionDelta>) {
-        let dirty = self.monitor.dirty_ids();
-        if dirty.is_empty() {
-            return;
+        if self.storage.is_some() {
+            self.checkpoint()
+                .expect("checkpoint after wholesale store mutation failed");
         }
-        let queries: Vec<RknntQuery> = dirty
-            .iter()
-            .map(|id| self.monitor.query_of(*id).clone())
-            .collect();
-        let outputs = self.execute_uncached(&queries);
-        for (id, (query, (result, footprint))) in dirty.into_iter().zip(queries.iter().zip(outputs))
-        {
-            let region = EntryRegion::record(query, &result, footprint, &self.transitions);
-            self.monitor
-                .finish_reexecution(id, result.transitions, region, &self.metrics, deltas);
-        }
-    }
-
-    /// Applies incremental store updates in order, evicting **only** the
-    /// cached results each update could change — the region-scoped
-    /// alternative to the wholesale [`QueryService::update_stores`] path.
-    ///
-    /// Every cached entry carries the [`EntryRegion`] recorded when it was
-    /// computed: the filter footprint its filter step touched (query-route
-    /// MBR expanded by the filter radius actually used, plus the pruning
-    /// witnesses) and the MBR of its result endpoints. An update evicts an
-    /// entry only when its dirty region reaches the entry's recorded region
-    /// (see [`crate::region`] for the per-update rules and their soundness
-    /// arguments); route removals fall back to a full cache drop, the one
-    /// update kind whose influence no bounded record can limit.
-    ///
-    /// Unlike `update_stores`, this path does **not** bump the generation:
-    /// `&mut self` already serialises it against in-flight batches, and
-    /// retained entries remain byte-identical to what a freshly built
-    /// service over the post-update stores would answer — asserted by the
-    /// churn determinism suite in `tests/service_churn.rs`.
-    ///
-    /// Live subscriptions are classified against every applied update —
-    /// *unaffected* (skipped), *certified stable* (kept, region updated) or
-    /// *dirty* — and the dirty ones are re-executed together through the
-    /// grouped batch path at the end of the call; the returned
-    /// [`UpdateStats::deltas`] describe every subscription result change
-    /// (see [`crate::monitor`]).
-    ///
-    /// With storage attached ([`QueryService::open`] /
-    /// [`QueryService::attach_storage`]) the batch is appended to the
-    /// write-ahead log — one frame per update, one fsync per call — *before*
-    /// anything applies, so a crash at any point replays to exactly a batch
-    /// boundary. A WAL I/O failure panics here (durability must not be
-    /// silently dropped); use [`QueryService::try_apply_updates`] to handle
-    /// it instead.
-    ///
-    /// # Panics
-    /// Panics when storage is attached and the WAL append fails.
-    pub fn apply_updates(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
-        self.try_apply_updates(updates)
-            .expect("WAL append failed (use try_apply_updates to handle storage errors)")
-    }
-
-    /// Fallible form of [`QueryService::apply_updates`]: returns the WAL
-    /// append error instead of panicking. When it errors, the stores are
-    /// untouched and the WAL rolls the failed batch's bytes back (a retry
-    /// with the same or different updates is safe); if even the rollback
-    /// fails, the log poisons itself and every further logged update
-    /// errors rather than risk corrupting the stream.
-    pub fn try_apply_updates(
-        &mut self,
-        updates: Vec<StoreUpdate>,
-    ) -> Result<UpdateStats, StorageError> {
-        self.try_apply_updates_traced(updates, None)
-    }
-
-    /// [`QueryService::apply_updates`] with request tracing: when `trace` is
-    /// present the WAL append (the update path's dominant latency source)
-    /// gets a `wal_append` span carrying the frame count and payload bytes.
-    ///
-    /// # Panics
-    /// Panics when storage is attached and the WAL append fails.
-    pub fn apply_updates_traced(
-        &mut self,
-        updates: Vec<StoreUpdate>,
-        trace: Option<&TraceCursor>,
-    ) -> UpdateStats {
-        self.try_apply_updates_traced(updates, trace)
-            .expect("WAL append failed (use try_apply_updates_traced to handle storage errors)")
-    }
-
-    /// Fallible form of [`QueryService::apply_updates_traced`] — the same
-    /// error contract as [`QueryService::try_apply_updates`].
-    pub fn try_apply_updates_traced(
-        &mut self,
-        updates: Vec<StoreUpdate>,
-        trace: Option<&TraceCursor>,
-    ) -> Result<UpdateStats, StorageError> {
-        // Read the counter baseline *before* the WAL append so the frames
-        // and bytes the storage instruments record land in this call's diff.
-        let base = self.metrics.update_view();
-        if let Some(storage) = &mut self.storage {
-            let (records, bytes) = crate::durable::wal_records(&updates);
-            let span = trace.map(|t| t.begin("wal_append"));
-            storage.append(&records)?;
-            if let (Some(t), Some(span)) = (trace, span) {
-                t.end_with(span, &[("frames", records.len() as u64), ("bytes", bytes)]);
-            }
-        }
-        Ok(self.apply_updates_from(updates, base))
-    }
-
-    /// The update path proper, shared by the logged entry points above and
-    /// by WAL replay during [`QueryService::open`] (which must not
-    /// re-append what it replays).
-    pub(crate) fn apply_updates_unlogged(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
-        let base = self.metrics.update_view();
-        self.apply_updates_from(updates, base)
-    }
-
-    /// Applies the updates and builds the [`UpdateStats`] by diffing the
-    /// registry counters against `base` — updates hold `&mut self`, so the
-    /// window is exclusive and the diff exact.
-    fn apply_updates_from(
-        &mut self,
-        updates: Vec<StoreUpdate>,
-        base: UpdateCounterView,
-    ) -> UpdateStats {
-        let mut stats = UpdateStats {
-            // Deliver deltas buffered by wholesale swaps first so replaying
-            // `deltas` in order stays correct across both update paths.
-            deltas: self.monitor.take_pending(),
-            ..UpdateStats::default()
-        };
-        for update in updates {
-            match update {
-                StoreUpdate::InsertTransition {
-                    origin,
-                    destination,
-                } => {
-                    let Some(id) = self.transitions.insert(origin, destination) else {
-                        self.metrics.update_rejected.inc();
-                        continue;
-                    };
-                    self.metrics.update_applied.inc();
-                    stats.inserted_transitions.push(id);
-                    let routes = &self.routes;
-                    self.cache
-                        .get_mut()
-                        .expect("cache lock")
-                        .evict_where(|_, _, region| {
-                            !region.survives_transition_insert(routes, &origin, &destination)
-                        });
-                    self.monitor.classify_update(
-                        &UpdateEffect::TransitionInsert {
-                            origin: &origin,
-                            destination: &destination,
-                        },
-                        &self.routes,
-                        &self.transitions,
-                        &self.metrics,
-                        &mut stats.deltas,
-                    );
-                }
-                StoreUpdate::ExpireTransition(id) => {
-                    if !self.transitions.remove(id) {
-                        self.metrics.update_rejected.inc();
-                        continue;
-                    }
-                    self.metrics.update_applied.inc();
-                    self.cache
-                        .get_mut()
-                        .expect("cache lock")
-                        .evict_where(|_, value, region| {
-                            !region.survives_transition_remove(&value.transitions, id)
-                        });
-                    self.monitor.classify_update(
-                        &UpdateEffect::TransitionRemove { id },
-                        &self.routes,
-                        &self.transitions,
-                        &self.metrics,
-                        &mut stats.deltas,
-                    );
-                }
-                StoreUpdate::InsertRoute(points) => {
-                    let dirty = Rect::from_points(&points).unwrap_or_else(Rect::empty);
-                    let Some(id) = self.routes.insert_route(points) else {
-                        self.metrics.update_rejected.inc();
-                        continue;
-                    };
-                    self.metrics.update_applied.inc();
-                    stats.inserted_routes.push(id);
-                    self.cache
-                        .get_mut()
-                        .expect("cache lock")
-                        .evict_where(|_, _, region| !region.survives_route_insert(&dirty));
-                    self.monitor.classify_update(
-                        &UpdateEffect::RouteInsert { mbr: &dirty },
-                        &self.routes,
-                        &self.transitions,
-                        &self.metrics,
-                        &mut stats.deltas,
-                    );
-                }
-                StoreUpdate::RemoveRoute(id) => {
-                    let removed_points: Vec<Point> = self.routes.route_points(id).to_vec();
-                    if !self.routes.remove_route(id) {
-                        self.metrics.update_rejected.inc();
-                        continue;
-                    }
-                    self.metrics.update_applied.inc();
-                    self.evict_for_route_removal(id, &removed_points);
-                    self.monitor.classify_update(
-                        &UpdateEffect::RouteRemove {
-                            id,
-                            points: &removed_points,
-                        },
-                        &self.routes,
-                        &self.transitions,
-                        &self.metrics,
-                        &mut stats.deltas,
-                    );
-                }
-            }
-        }
-        self.reexecute_dirty_subscriptions(&mut stats.deltas);
-        stats.retained_entries = self.cache.get_mut().expect("cache lock").len();
-        let view = self.metrics.update_view();
-        stats.applied = (view.applied - base.applied) as usize;
-        stats.rejected = (view.rejected - base.rejected) as usize;
-        stats.evicted_entries = (view.evicted_entries - base.evicted_entries) as usize;
-        stats.full_drops = (view.full_drops - base.full_drops) as usize;
-        stats.targeted_route_removals =
-            (view.targeted_route_removals - base.targeted_route_removals) as usize;
-        stats.subs_unaffected = (view.subs_unaffected - base.subs_unaffected) as usize;
-        stats.subs_stable = (view.subs_stable - base.subs_stable) as usize;
-        stats.subs_dirty = (view.subs_dirty - base.subs_dirty) as usize;
-        stats.subs_reexecuted = (view.subs_reexecuted - base.subs_reexecuted) as usize;
-        stats.wal_appends = (view.wal_appends - base.wal_appends) as usize;
-        stats.wal_bytes = view.wal_bytes - base.wal_bytes;
-        stats
-    }
-
-    /// Cache maintenance for a removed route: plan a targeted eviction
-    /// (every entry re-certified with the removed route excluded, under a
-    /// shared work budget) and fall back to the full drop only when the
-    /// budget runs out before every entry is classified.
-    fn evict_for_route_removal(&mut self, id: RouteId, removed_points: &[Point]) {
-        let cache = self.cache.get_mut().expect("cache lock");
-        if cache.is_empty() {
-            self.metrics.targeted_route_removals.inc();
-            return;
-        }
-        let mut budget = ROUTE_REMOVAL_BUDGET_PER_ENTRY.saturating_mul(cache.len());
-        let mut victims: Vec<CacheKey> = Vec::new();
-        let mut exhausted = false;
-        for (key, value, region) in cache.entries() {
-            if budget == 0 {
-                exhausted = true;
-                break;
-            }
-            if !region.survives_route_remove(
-                &self.routes,
-                &self.transitions,
-                &value.transitions,
-                id,
-                removed_points,
-                &mut budget,
-            ) {
-                victims.push(key.clone());
-            }
-        }
-        if exhausted {
-            self.metrics.full_drops.inc();
-            self.metrics.record_event(EventKind::CacheEvicted {
-                entries: u32::try_from(cache.len()).unwrap_or(u32::MAX),
-                full_drop: true,
-            });
-            cache.invalidate_all();
-        } else {
-            self.metrics.targeted_route_removals.inc();
-            self.metrics.record_event(EventKind::CacheEvicted {
-                entries: u32::try_from(victims.len()).unwrap_or(u32::MAX),
-                full_drop: false,
-            });
-            let victims: std::collections::HashSet<&CacheKey> = victims.iter().collect();
-            cache.evict_where(|key, _, _| victims.contains(key));
-        }
-    }
-
-    /// Answers one query (through the cache; see
-    /// [`QueryService::execute_batch`] for the batched path).
-    pub fn execute(&self, query: &RknntQuery) -> RknntResult {
-        let (mut results, _) = self.execute_batch(std::slice::from_ref(query));
-        results.pop().expect("one query in, one result out")
-    }
-
-    /// Executes a batch of queries and returns one result per query, in
-    /// input order, plus the batch counters.
-    ///
-    /// Pipeline: cache lookup → policy + spatial grouping of the misses →
-    /// group execution across up to `config.workers` scoped threads (groups
-    /// are round-robin sharded; workers build their own engines, share
-    /// filter constructions within a group and coalesce exact duplicates) →
-    /// deterministic merge + cache insertion.
-    ///
-    /// The returned transition sets are byte-identical to executing every
-    /// query sequentially with the policy-chosen engine's
-    /// [`rknnt_core::RknnTEngine::execute`]: grouping and sharding only
-    /// decide *where* and *how often* work runs, never *what* it computes.
-    pub fn execute_batch(&self, queries: &[RknntQuery]) -> (Vec<RknntResult>, BatchStats) {
-        self.execute_batch_traced(queries, None)
-    }
-
-    /// [`QueryService::execute_batch`] with request tracing: when `trace` is
-    /// present, a `batch` span is opened under the cursor's parent and each
-    /// pipeline phase lands as a closed child span (`cache_lookup`,
-    /// `grouping`, `execution`, `finalize`) carrying the batch counters as
-    /// attributes; workers and groups add their own spans below that.
-    ///
-    /// Tracing never changes what is computed: results are byte-identical
-    /// to the untraced call (asserted by the `trace_overhead` experiment),
-    /// and the per-phase span durations are the *same* measurements the
-    /// returned [`BatchStats::timings`] report.
-    pub fn execute_batch_traced(
-        &self,
-        queries: &[RknntQuery],
-        trace: Option<&TraceCursor>,
-    ) -> (Vec<RknntResult>, BatchStats) {
-        let mut stats = BatchStats {
-            queries: queries.len(),
-            ..BatchStats::default()
-        };
-        let mut slots: Vec<Option<RknntResult>> = vec![None; queries.len()];
-        if queries.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let batch_span = trace.map(|t| t.begin("batch"));
-        let bt = trace.zip(batch_span).map(|(t, s)| t.at(s));
-        let generation_at_start = self.generation();
-        self.metrics.batches.inc();
-        self.metrics.queries.add(queries.len() as u64);
-        // Counter baseline this batch's stats are diffed from. Concurrent
-        // batches each see the union of what happened during their own
-        // window (the registry totals stay exact); single-batch callers see
-        // exactly their own counts.
-        let base = self.metrics.batch_view();
-
-        // Phase 1: cache lookup.
-        let span = Span::enter(&self.metrics.stage_lookup);
-        let caching = self.config.cache_capacity > 0;
-        let mut keys: Vec<Option<CacheKey>> = Vec::with_capacity(queries.len());
-        let mut miss_indexes: Vec<usize> = Vec::new();
-        if caching {
-            let mut cache = self.cache.lock().expect("cache lock");
-            for (i, query) in queries.iter().enumerate() {
-                let key = CacheKey::of(query);
-                match cache.get(&key) {
-                    Some(result) => {
-                        slots[i] = Some(result);
-                        keys.push(Some(key));
-                    }
-                    None => {
-                        miss_indexes.push(i);
-                        keys.push(Some(key));
-                    }
-                }
-            }
-        } else {
-            keys.resize_with(queries.len(), || None);
-            miss_indexes.extend(0..queries.len());
-        }
-        stats.timings.lookup = span.finish();
-        stats.cache_hits = (self.metrics.cache.hits.get() - base.cache_hits) as usize;
-        if let Some(bt) = &bt {
-            bt.record(
-                "cache_lookup",
-                stats.timings.lookup.as_nanos() as u64,
-                &[
-                    ("queries", queries.len() as u64),
-                    ("cache_hits", stats.cache_hits as u64),
-                ],
-            );
-        }
-        self.metrics.record_event(EventKind::BatchAdmitted {
-            queries: u32::try_from(queries.len()).unwrap_or(u32::MAX),
-            cache_hits: u32::try_from(stats.cache_hits).unwrap_or(u32::MAX),
-        });
-
-        // Phase 2: policy + spatial grouping of the misses.
-        let span = Span::enter(&self.metrics.stage_grouping);
-        let groups = form_groups(
-            queries,
-            &miss_indexes,
-            self.config.policy,
-            self.config.group_cell,
-        );
-        stats.groups = groups.len();
-        self.metrics.groups.add(groups.len() as u64);
-        stats.timings.grouping = span.finish();
-        if let Some(bt) = &bt {
-            bt.record(
-                "grouping",
-                stats.timings.grouping.as_nanos() as u64,
-                &[("groups", groups.len() as u64)],
-            );
-        }
-
-        // Phase 3: execution over the worker pool.
-        let span = Span::enter(&self.metrics.stage_execution);
-        let exec_span = bt.as_ref().map(|t| t.begin("execution"));
-        let et = bt.as_ref().zip(exec_span).map(|(t, s)| t.at(s));
-        let (mut computed, workers_used) = self.run_groups(&groups, et.as_ref());
-        stats.workers_used = workers_used;
-        stats.timings.execution = span.finish();
-        if let (Some(bt), Some(exec_span)) = (&bt, exec_span) {
-            bt.end_with(exec_span, &[("workers", workers_used as u64)]);
-        }
-
-        // Phase 4: merge into input order and feed the cache.
-        let span = Span::enter(&self.metrics.stage_finalize);
-        if caching {
-            self.fill_footprint_fallbacks(queries, &mut computed);
-            let mut cache = self.cache.lock().expect("cache lock");
-            // Only insert when no invalidation raced the batch: the stores
-            // cannot have changed (that needs `&mut self`), but whoever
-            // called invalidate_all expects a cold cache and re-populating
-            // it behind their back would be surprising.
-            let fresh = self.generation() == generation_at_start;
-            for (index, result, footprint) in computed {
-                if fresh {
-                    if let Some(key) = keys[index].take() {
-                        // Record the entry's invalidation region: the filter
-                        // footprint the engine reported plus the MBR of the
-                        // result's endpoints, both against the current
-                        // stores (which cannot have changed under `&self`).
-                        let region = EntryRegion::record(
-                            &queries[index],
-                            &result,
-                            footprint,
-                            &self.transitions,
-                        );
-                        cache.insert(key, result.clone(), region);
-                    }
-                }
-                slots[index] = Some(result);
-            }
-        } else {
-            for (index, result, _) in computed {
-                slots[index] = Some(result);
-            }
-        }
-        let results: Vec<RknntResult> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every query produced a result"))
-            .collect();
-        stats.timings.finalize = span.finish();
-        let view = self.metrics.batch_view();
-        stats.filter_constructions =
-            (view.filter_constructions - base.filter_constructions) as usize;
-        stats.filters_saved = (view.filters_saved - base.filters_saved) as usize;
-        stats.duplicates_coalesced =
-            (view.duplicates_coalesced - base.duplicates_coalesced) as usize;
-        if let Some(bt) = &bt {
-            bt.record(
-                "finalize",
-                stats.timings.finalize.as_nanos() as u64,
-                &[("filter_constructions", stats.filter_constructions as u64)],
-            );
-        }
-        if let (Some(t), Some(batch_span)) = (trace, batch_span) {
-            t.end_with(
-                batch_span,
-                &[
-                    ("queries", queries.len() as u64),
-                    ("cache_hits", stats.cache_hits as u64),
-                    ("groups", stats.groups as u64),
-                ],
-            );
-        }
-        (results, stats)
-    }
-
-    /// Executes pre-formed groups over the worker pool, returning the
-    /// outputs and the worker count used. Work counters go straight to the
-    /// registry cells (they are atomic, so workers increment them directly).
-    fn run_groups(
-        &self,
-        groups: &[Group<'_>],
-        trace: Option<&TraceCursor>,
-    ) -> (Vec<crate::batch::GroupOutput>, usize) {
-        let workers = self.config.workers.max(1).min(groups.len().max(1));
-        let workers_used = if groups.is_empty() { 0 } else { workers };
-        let mut computed: Vec<crate::batch::GroupOutput> = Vec::new();
-        if workers <= 1 {
-            // In-line fast path: no thread spawn for single-worker batches.
-            // The scratch is this worker's own (see `rknnt_core::scratch` for
-            // the ownership rules) and is reused across every query of the
-            // batch, so per-candidate work stops allocating once warmed.
-            let worker_span = match (trace, groups.is_empty()) {
-                (Some(t), false) => Some((t.clone(), t.begin("worker"))),
-                _ => None,
-            };
-            let wt = worker_span.as_ref().map(|(t, s)| t.at(*s));
-            let mut engines = WorkerEngines::default();
-            let mut scratch = rknnt_core::QueryScratch::new();
-            for group in groups {
-                let engine = engines.for_kind(group, &self.routes, &self.transitions);
-                run_group(
-                    engine,
-                    group,
-                    &mut scratch,
-                    &mut computed,
-                    &self.metrics,
-                    wt.as_ref(),
-                );
-            }
-            if let Some((t, span)) = worker_span {
-                t.end_with(span, &[("worker", 0), ("groups", groups.len() as u64)]);
-            }
-        } else {
-            // Round-robin shard the groups, spawn one scoped worker per
-            // shard, and join in shard order (determinism does not depend
-            // on it — results carry their batch index — but a stable merge
-            // order is nice to have).
-            let shards: Vec<Vec<&Group>> = (0..workers)
-                .map(|w| groups.iter().skip(w).step_by(workers).collect())
-                .collect();
-            let outputs = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, shard)| {
-                        let (routes, transitions) = (&self.routes, &self.transitions);
-                        let metrics = &self.metrics;
-                        // Each worker records its own "worker" span; the
-                        // trace slab is behind a mutex, so concurrent span
-                        // pushes interleave safely (order within the slab is
-                        // scheduling-dependent, parenthood is not).
-                        let wt: Option<TraceCursor> = trace.cloned();
-                        scope.spawn(move || {
-                            let shard_groups = shard.len() as u64;
-                            let span = wt.as_ref().map(|t| t.begin("worker"));
-                            let child = wt.as_ref().zip(span).map(|(t, s)| t.at(s));
-                            let mut engines = WorkerEngines::default();
-                            // One scratch per worker thread, never shared.
-                            let mut scratch = rknnt_core::QueryScratch::new();
-                            let mut out = Vec::new();
-                            for group in shard {
-                                let engine = engines.for_kind(group, routes, transitions);
-                                run_group(
-                                    engine,
-                                    group,
-                                    &mut scratch,
-                                    &mut out,
-                                    metrics,
-                                    child.as_ref(),
-                                );
-                            }
-                            if let (Some(t), Some(span)) = (wt.as_ref(), span) {
-                                t.end_with(span, &[("worker", w as u64), ("groups", shard_groups)]);
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("service worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for out in outputs {
-                computed.extend(out);
-            }
-        }
-        (computed, workers_used)
-    }
-
-    /// Footprint fallback for engines that build no filter set (BruteForce /
-    /// DivideConquer): run the filter construction here, once per distinct
-    /// `(route, k)`, so their results are region-taggable too instead of
-    /// evicting (or dirtying a subscription) on every update. Pure reads
-    /// against the stores.
-    fn fill_footprint_fallbacks(
-        &self,
-        queries: &[RknntQuery],
-        computed: &mut [crate::batch::GroupOutput],
-    ) {
-        type FootprintByQuery =
-            std::collections::HashMap<(Vec<(u64, u64)>, usize), Arc<FilterFootprint>>;
-        let mut fallback: FootprintByQuery = std::collections::HashMap::new();
-        for (index, _, footprint) in computed.iter_mut() {
-            let query = &queries[*index];
-            if footprint.is_none() && !query.is_degenerate() {
-                let key = (crate::cache::route_bits(&query.route), query.k);
-                let entry = fallback.entry(key).or_insert_with(|| {
-                    Arc::new(FilterFootprint::compute(
-                        &self.routes,
-                        &query.route,
-                        query.k,
-                    ))
-                });
-                *footprint = Some(entry.clone());
-            }
-        }
-    }
-
-    /// Executes queries through grouping + the worker pool, bypassing the
-    /// result cache in both directions, and returns each result with its
-    /// filter footprint (engine-reported or fallback-computed). Used for
-    /// subscription (re-)execution: dirty standing queries still share
-    /// filter constructions within the batch, but never pollute the LRU.
-    fn execute_uncached(
-        &self,
-        queries: &[RknntQuery],
-    ) -> Vec<(RknntResult, Option<Arc<FilterFootprint>>)> {
-        let miss_indexes: Vec<usize> = (0..queries.len()).collect();
-        let groups = form_groups(
-            queries,
-            &miss_indexes,
-            self.config.policy,
-            self.config.group_cell,
-        );
-        let (mut computed, _) = self.run_groups(&groups, None);
-        self.fill_footprint_fallbacks(queries, &mut computed);
-        let mut slots: Vec<Option<(RknntResult, Option<Arc<FilterFootprint>>)>> =
-            (0..queries.len()).map(|_| None).collect();
-        for (index, result, footprint) in computed {
-            slots[index] = Some((result, footprint));
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every query produced a result"))
-            .collect()
-    }
-}
-
-/// Per-worker lazily-built engines, one per [`rknnt_core::EngineKind`] the
-/// worker's groups actually use (at most four entries, so a linear scan
-/// beats any map).
-#[derive(Default)]
-struct WorkerEngines<'a> {
-    built: Vec<(rknnt_core::EngineKind, PreparedEngine<'a>)>,
-}
-
-impl<'a> WorkerEngines<'a> {
-    fn for_kind(
-        &mut self,
-        group: &Group<'_>,
-        routes: &'a RouteStore,
-        transitions: &'a TransitionStore,
-    ) -> &PreparedEngine<'a> {
-        if let Some(pos) = self.built.iter().position(|(kind, _)| *kind == group.kind) {
-            return &self.built[pos].1;
-        }
-        self.built.push((
-            group.kind,
-            PreparedEngine::prepare(group.kind, routes, transitions),
-        ));
-        &self.built.last().expect("just pushed").1
     }
 }

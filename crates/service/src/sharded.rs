@@ -1,14 +1,16 @@
 //! Spatial sharding: SFC-partitioned shards behind a footprint-pruned
 //! router.
 //!
-//! [`ShardedService`] splits one city across `N` shards by Z-order cell of
-//! each item's representative point (a route's first vertex, a transition's
-//! origin — see [`rknnt_geo::CellGrid`]). Every shard owns a plain
-//! [`QueryService`] over its slice of the data; the router in front owns a
-//! **planner replica** of the full [`RouteStore`] (routes are small and
-//! queried globally; transitions are the bulk and are sharded), the global
-//! result cache, the subscription registry and the routing directory mapping
-//! every global id to `(shard, local id, live)`.
+//! [`ShardedService`] is the shared [`Service`] frontend — the same batch
+//! pipeline, cache, update skeleton and subscription registry a
+//! [`QueryService`] runs — over a [`ShardSet`] backing. The set splits one
+//! city across `N` shards by Z-order cell of each item's representative
+//! point (a route's first vertex, a transition's origin — see
+//! [`rknnt_geo::CellGrid`]). Every shard owns a plain [`QueryService`] over
+//! its slice of the data; the set also owns a **planner replica** of the
+//! full [`RouteStore`] (routes are small and queried globally; transitions
+//! are the bulk and are sharded) and the routing directory mapping every
+//! global id to `(shard, local id, live)`.
 //!
 //! The routing insight is that the filter step already produces a
 //! *shard-pruning certificate*: the same `filters_rect` test the TR-tree
@@ -34,36 +36,28 @@
 //! [`ShardedService::open`]: a replayed update whose owning shard already
 //! shows it applied only re-records the directory mapping.
 
-use crate::batch::{form_groups, BatchStats, Group, GroupOutput};
-use crate::cache::{route_bits, CacheKey, CacheStats, ResultCache};
+use crate::frontend::{new_cache, Backing, Service};
 use crate::metrics::{RouterMetrics, ServiceMetrics};
-use crate::monitor::{Subscription, SUB_REMOVAL_BUDGET};
-use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
 use crate::region::EntryRegion;
-use crate::service::{
-    QueryService, ServiceConfig, StoreUpdate, UpdateStats, ROUTE_REMOVAL_BUDGET_PER_ENTRY,
-};
+use crate::service::{QueryService, ServiceConfig, StoreUpdate};
 use rknnt_core::{
-    build_filter_set, count_closer_routes_sq, prune_transitions, CandidateEndpoint, EngineKind,
-    FilterFootprint, FilterOutcome, PhaseTimings, QueryStats, RknntQuery, RknntResult, Semantics,
+    build_filter_set, prune_into_scratch, verify_candidates, EngineKind, FilterOutcome,
+    QueryScratch, RknntQuery, RknntResult,
 };
 use rknnt_data::codec::{CodecError, Decoder, Encoder};
-use rknnt_geo::{point_route_distance_sq, CellGrid, Point, Rect};
+use rknnt_geo::{CellGrid, Point, Rect};
 use rknnt_index::{
-    partition_routes, partition_transitions, EndpointKind, IdSpace, NList, RouteId, RouteStore,
-    TransitionId, TransitionStore,
+    partition_routes, partition_transitions, IdSpace, NList, RouteId, RouteStore, TransitionId,
+    TransitionStore,
 };
-use rknnt_obs::{EventKind, FlightRecorder, MetricsSnapshot, Span, TraceCursor};
+use rknnt_obs::{EventKind, TraceCursor};
 use rknnt_rtree::RTreeConfig;
 use rknnt_storage::{
     detect_shard_layout, dir_has_storage_data, parse_shard_subdir, shard_subdir, Storage,
     StorageConfig, StorageError, StorageStats, ROUTER_SUBDIR,
 };
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Version byte of the router checkpoint's meta block.
@@ -148,14 +142,9 @@ struct RouterMeta {
     transition_dir: Vec<Slot>,
 }
 
-/// A spatially sharded [`QueryService`] fleet behind a footprint-pruned
-/// router. Construction is [`ShardedService::bulk_build`] (in memory) or
-/// [`ShardedService::open`] (from a per-shard storage layout); the query
-/// and update API mirrors [`QueryService`], and every answer — batch
-/// results, subscription results and their delta streams — is byte-identical
-/// to an unsharded service over the same data (see the module docs for the
-/// argument, `tests/service_sharded.rs` for the enforcement).
-pub struct ShardedService {
+/// The shard-set backing: the planner replica, the shards, the routing
+/// directories and the router's own metric cells.
+pub struct ShardSet {
     grid: CellGrid,
     config: ShardedConfig,
     /// Full-city route store: filter construction and endpoint verification
@@ -166,20 +155,26 @@ pub struct ShardedService {
     shards: Vec<Shard>,
     route_dir: Vec<Slot>,
     transition_dir: Vec<Slot>,
-    cache: Mutex<ResultCache>,
-    generation: AtomicU64,
-    monitor: SubscriptionRegistry,
-    /// Advisory registration: which shards each subscription's footprint
-    /// overlaps (see [`ShardedService::subscription_shards`]). *Not* used to
-    /// skip classification — transitions are routed by origin cell, so a
-    /// shard outside a footprint can still own a transition whose
-    /// destination falls inside it.
-    sub_shards: BTreeMap<u64, Vec<usize>>,
-    storage: Option<Storage>,
     storage_root: Option<PathBuf>,
     storage_config: Option<StorageConfig>,
-    metrics: ServiceMetrics,
     router: RouterMetrics,
+}
+
+/// A spatially sharded [`QueryService`] fleet behind a footprint-pruned
+/// router. Construction is [`ShardedService::bulk_build`] (in memory) or
+/// [`ShardedService::open`] (from a per-shard storage layout); the query,
+/// update and subscription API is the shared [`Service`] frontend's, and
+/// every answer — batch results, subscription results and their delta
+/// streams — is byte-identical to an unsharded service over the same data
+/// (see the module docs for the argument, `tests/service_sharded.rs` for
+/// the enforcement).
+pub type ShardedService = Service<ShardSet>;
+
+/// Per-worker state of the router: the planner's [`NList`] for global
+/// verification plus the scratch every routed query reuses.
+pub struct RouterWorker {
+    nlist: NList,
+    scratch: QueryScratch,
 }
 
 /// Translates a global sorted result into a shard's local id space, keeping
@@ -192,25 +187,272 @@ fn translate_result(space: &IdSpace, result: &[TransitionId]) -> Vec<TransitionI
         .collect()
 }
 
-/// Resolves a global transition id to its endpoints through the routing
-/// directory (`None` for vacant, dead or unknown ids).
-fn endpoints_of(dir: &[Slot], shards: &[Shard], id: TransitionId) -> Option<(Point, Point)> {
-    match dir.get(id.index())? {
-        Slot::Held {
+impl Backing for ShardSet {
+    type Worker<'a> = RouterWorker;
+
+    fn routes(&self) -> &RouteStore {
+        &self.planner
+    }
+
+    /// Resolves a global transition id through the routing directory.
+    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
+        match self.transition_dir.get(id.index())? {
+            Slot::Held {
+                shard,
+                local,
+                live: true,
+            } => self
+                .shards
+                .get(*shard as usize)?
+                .service
+                .transitions()
+                .get(TransitionId(*local))
+                .map(|t| (t.origin, t.destination)),
+            _ => None,
+        }
+    }
+
+    fn worker(&self) -> RouterWorker {
+        RouterWorker {
+            nlist: NList::build(&self.planner),
+            scratch: QueryScratch::new(),
+        }
+    }
+
+    /// Every kind routes through the filter pipeline: all engines agree on
+    /// result transitions, so byte-identity is preserved, the filter doubles
+    /// as the shard-pruning certificate, and every cached entry gets a real
+    /// footprint.
+    fn shares_filter(_kind: EngineKind) -> bool {
+        true
+    }
+
+    /// Executes one routed query: per-shard prune behind the root-MBR
+    /// skip certificate, then global verification against the planner.
+    ///
+    /// The result is byte-identical to the unsharded filter–refine
+    /// execution (and therefore to every engine): an endpoint survives
+    /// pruning iff `filters_point` accepts it — node-level `filters_rect`
+    /// tests, including the shard-root test used here, are certificates for
+    /// their whole subtree — so the union of per-shard candidates equals
+    /// the unsharded candidate set; each transition is owned by exactly one
+    /// shard, so the union has no duplicates; and verification per
+    /// candidate uses the same planner-wide closer-route count.
+    ///
+    /// Under tracing, every shard the query considered gets one `shard`
+    /// span carrying the routing decision: `pruned=1 certificate=1` when
+    /// the root-MBR certificate skipped it without dispatching, or
+    /// `pruned=0` with the local candidate count when it was consulted.
+    fn execute(
+        &self,
+        worker: &mut RouterWorker,
+        kind: EngineKind,
+        query: &RknntQuery,
+        filter: Option<&FilterOutcome>,
+        metrics: &ServiceMetrics,
+        trace: Option<&TraceCursor>,
+    ) -> RknntResult {
+        let outcome = filter.expect("the router shares a filter for every engine kind");
+        let use_voronoi = matches!(kind, EngineKind::Voronoi);
+        let RouterWorker { nlist, scratch } = worker;
+
+        let prune_started = Instant::now();
+        scratch.clear_candidates();
+        let mut pruned_nodes = 0usize;
+        let mut consulted = 0u64;
+        for (index, shard) in self.shards.iter().enumerate() {
+            // An empty shard has nothing to consult or prune.
+            let Some(root) = shard.service.transitions().rtree().root() else {
+                continue;
+            };
+            if outcome
+                .filter_set
+                .filters_rect(&root.mbr(), query.k, use_voronoi)
+            {
+                // The certificate covers the shard's whole TR-tree: no
+                // candidate can live there, skip without dispatching.
+                self.router.shards_pruned.inc();
+                pruned_nodes += 1;
+                if let Some(t) = trace {
+                    // Zero-duration marker: the decision itself is the
+                    // interesting part, not the (sub-microsecond) test.
+                    t.record(
+                        "shard",
+                        0,
+                        &[("shard", index as u64), ("pruned", 1), ("certificate", 1)],
+                    );
+                }
+                continue;
+            }
+            consulted += 1;
+            self.router.dispatches.inc();
+            self.router.shard_dispatches[index].inc();
+            let shard_span = trace.map(|t| t.begin("shard"));
+            let before = scratch.candidates().len();
+            pruned_nodes += prune_into_scratch(
+                shard.service.transitions(),
+                &outcome.filter_set,
+                query.k,
+                use_voronoi,
+                scratch,
+                |local| {
+                    let global = shard
+                        .transition_l2g
+                        .to_global(local.raw())
+                        .expect("pruned transition must be in the shard's id space");
+                    TransitionId(global)
+                },
+            );
+            let found = (scratch.candidates().len() - before) as u64;
+            if let (Some(t), Some(span)) = (trace, shard_span) {
+                t.end_with(
+                    span,
+                    &[
+                        ("shard", index as u64),
+                        ("pruned", 0),
+                        ("candidates", found),
+                    ],
+                );
+            }
+            metrics.record_event(EventKind::ShardDispatch {
+                shard: index as u32,
+                candidates: u32::try_from(found).unwrap_or(u32::MAX),
+            });
+        }
+        self.router.executions.inc();
+        self.router.fanout.record(consulted);
+        let filtering = prune_started.elapsed();
+
+        let mut result = verify_candidates(&self.planner, nlist, query, scratch);
+        result.timings.filtering = filtering;
+        result.stats.record_filter(outcome, pruned_nodes);
+        result
+    }
+
+    // Updates: each is routed to its owning shard (transition and route
+    // inserts by the representative point's grid cell; removals through the
+    // routing directory), forwarded through the shard's own update path
+    // (which double-logs it in the shard-local WAL) and recorded in the
+    // directory; the planner replica is kept in lock-step.
+
+    fn insert_transition(&mut self, origin: Point, destination: Point) -> Option<TransitionId> {
+        let owner = self.grid.shard_of_point(&origin, self.shards.len());
+        let global = self.transition_dir.len() as u32;
+        let shard = &mut self.shards[owner];
+        let forwarded = shard
+            .service
+            .apply_updates(vec![StoreUpdate::InsertTransition {
+                origin,
+                destination,
+            }]);
+        // A store-boundary rejection (non-finite endpoint) consumes no id,
+        // mirroring the unsharded service.
+        let local = forwarded.inserted_transitions.first().copied()?;
+        debug_assert_eq!(local.index(), shard.transition_l2g.len());
+        shard.transition_l2g.push(global);
+        self.transition_dir.push(Slot::Held {
+            shard: owner as u32,
+            local: local.raw(),
+            live: true,
+        });
+        Some(TransitionId(global))
+    }
+
+    fn expire_transition(&mut self, id: TransitionId) -> bool {
+        let Some(Slot::Held {
             shard,
             local,
             live: true,
-        } => shards
-            .get(*shard as usize)?
+        }) = self.transition_dir.get(id.index()).copied()
+        else {
+            return false;
+        };
+        let forwarded = self.shards[shard as usize]
             .service
-            .transitions()
-            .get(TransitionId(*local))
-            .map(|t| (t.origin, t.destination)),
-        _ => None,
+            .apply_updates(vec![StoreUpdate::ExpireTransition(TransitionId(local))]);
+        debug_assert_eq!(forwarded.applied, 1, "directory said the id was live");
+        self.transition_dir[id.index()] = Slot::Held {
+            shard,
+            local,
+            live: false,
+        };
+        true
+    }
+
+    fn insert_route(&mut self, points: Vec<Point>) -> Option<RouteId> {
+        let global = self.planner.insert_route(points.clone())?;
+        debug_assert_eq!(global.index(), self.route_dir.len());
+        let owner = self.grid.shard_of_point(&points[0], self.shards.len());
+        let shard = &mut self.shards[owner];
+        let forwarded = shard
+            .service
+            .apply_updates(vec![StoreUpdate::InsertRoute(points)]);
+        let local = forwarded
+            .inserted_routes
+            .first()
+            .copied()
+            .expect("planner-accepted route cannot be rejected by a shard");
+        debug_assert_eq!(local.index(), shard.route_l2g.len());
+        shard.route_l2g.push(global.raw());
+        self.route_dir.push(Slot::Held {
+            shard: owner as u32,
+            local: local.raw(),
+            live: true,
+        });
+        Some(global)
+    }
+
+    fn remove_route(&mut self, id: RouteId) -> Option<Vec<Point>> {
+        let removed_points: Vec<Point> = self.planner.route_points(id).to_vec();
+        if !self.planner.remove_route(id) {
+            return None;
+        }
+        let Some(Slot::Held {
+            shard,
+            local,
+            live: true,
+        }) = self.route_dir.get(id.index()).copied()
+        else {
+            panic!("planner accepted removing a route the directory does not hold");
+        };
+        let forwarded = self.shards[shard as usize]
+            .service
+            .apply_updates(vec![StoreUpdate::RemoveRoute(RouteId(local))]);
+        debug_assert_eq!(forwarded.applied, 1, "directory said the route was live");
+        self.route_dir[id.index()] = Slot::Held {
+            shard,
+            local,
+            live: false,
+        };
+        Some(removed_points)
+    }
+
+    /// ANDs the per-shard certificates, each over the shard-local slice of
+    /// the result against the shard's own TR-tree, all drawing on the one
+    /// shared budget.
+    fn survives_route_remove(
+        &self,
+        region: &EntryRegion,
+        result: &[TransitionId],
+        removed: RouteId,
+        removed_points: &[Point],
+        budget: &mut usize,
+    ) -> bool {
+        self.shards.iter().all(|shard| {
+            let local_result = translate_result(&shard.transition_l2g, result);
+            region.survives_route_remove(
+                &self.planner,
+                shard.service.transitions(),
+                &local_result,
+                removed,
+                removed_points,
+                budget,
+            )
+        })
     }
 }
 
-impl ShardedService {
+impl Service<ShardSet> {
     /// Builds a sharded service from raw data: computes the dataset MBR,
     /// lays a Z-order grid over it, partitions routes and transitions to
     /// shards by representative point (first route vertex / transition
@@ -295,965 +537,24 @@ impl ShardedService {
             .collect();
 
         let (metrics, router) = ServiceMetrics::new_with_router(shard_count);
-        let cache = Mutex::new(ResultCache::with_counters(
-            config.base.cache_capacity,
-            config.base.cache_seed,
-            metrics.cache.clone(),
-        ));
-        ShardedService {
-            grid,
-            config: ShardedConfig {
-                shards: shard_count,
-                ..config
+        Service::from_parts(
+            ShardSet {
+                grid,
+                config: ShardedConfig {
+                    shards: shard_count,
+                    ..config
+                },
+                planner,
+                shards,
+                route_dir,
+                transition_dir,
+                storage_root: None,
+                storage_config: None,
+                router,
             },
-            planner,
-            shards,
-            route_dir,
-            transition_dir,
-            cache,
-            generation: AtomicU64::new(0),
-            monitor: SubscriptionRegistry::default(),
-            sub_shards: BTreeMap::new(),
-            storage: None,
-            storage_root: None,
-            storage_config: None,
+            config.base,
             metrics,
-            router,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Query path.
-    // ------------------------------------------------------------------
-
-    /// Answers one query (through the cache; see
-    /// [`ShardedService::execute_batch`] for the batched path).
-    pub fn execute(&self, query: &RknntQuery) -> RknntResult {
-        let (mut results, _) = self.execute_batch(std::slice::from_ref(query));
-        results.pop().expect("one query in, one result out")
-    }
-
-    /// Executes a batch of queries with the same pipeline as
-    /// [`QueryService::execute_batch`] — cache lookup, policy + spatial
-    /// grouping, worker-pool execution, deterministic merge — except that
-    /// group execution routes each fresh query across the shard fleet: the
-    /// filter is built once against the planner, shards whose TR-tree root
-    /// MBR the filter covers are skipped (`router.shards_pruned`), the rest
-    /// are pruned individually and their candidates verified together
-    /// against the planner. Returned transition sets are byte-identical to
-    /// the unsharded service's.
-    pub fn execute_batch(&self, queries: &[RknntQuery]) -> (Vec<RknntResult>, BatchStats) {
-        self.execute_batch_traced(queries, None)
-    }
-
-    /// [`ShardedService::execute_batch`] with request tracing — the sharded
-    /// mirror of [`QueryService::execute_batch_traced`]. On top of the
-    /// per-phase spans, every routed query records one `shard` span per
-    /// shard it considered, carrying the routing decision as attributes:
-    /// `pruned=1 certificate=1` when the root-MBR certificate skipped the
-    /// shard without dispatching, or `pruned=0` with the local candidate
-    /// count when it was consulted.
-    pub fn execute_batch_traced(
-        &self,
-        queries: &[RknntQuery],
-        trace: Option<&TraceCursor>,
-    ) -> (Vec<RknntResult>, BatchStats) {
-        let mut stats = BatchStats {
-            queries: queries.len(),
-            ..BatchStats::default()
-        };
-        let mut slots: Vec<Option<RknntResult>> = vec![None; queries.len()];
-        if queries.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let batch_span = trace.map(|t| t.begin("batch"));
-        let bt = trace.zip(batch_span).map(|(t, s)| t.at(s));
-        let generation_at_start = self.generation();
-        self.metrics.batches.inc();
-        self.metrics.queries.add(queries.len() as u64);
-        let base = self.metrics.batch_view();
-
-        // Phase 1: cache lookup.
-        let span = Span::enter(&self.metrics.stage_lookup);
-        let caching = self.config.base.cache_capacity > 0;
-        let mut keys: Vec<Option<CacheKey>> = Vec::with_capacity(queries.len());
-        let mut miss_indexes: Vec<usize> = Vec::new();
-        if caching {
-            let mut cache = self.cache.lock().expect("cache lock");
-            for (i, query) in queries.iter().enumerate() {
-                let key = CacheKey::of(query);
-                match cache.get(&key) {
-                    Some(result) => {
-                        slots[i] = Some(result);
-                        keys.push(Some(key));
-                    }
-                    None => {
-                        miss_indexes.push(i);
-                        keys.push(Some(key));
-                    }
-                }
-            }
-        } else {
-            keys.resize_with(queries.len(), || None);
-            miss_indexes.extend(0..queries.len());
-        }
-        stats.timings.lookup = span.finish();
-        stats.cache_hits = (self.metrics.cache.hits.get() - base.cache_hits) as usize;
-        if let Some(bt) = &bt {
-            bt.record(
-                "cache_lookup",
-                stats.timings.lookup.as_nanos() as u64,
-                &[
-                    ("queries", queries.len() as u64),
-                    ("cache_hits", stats.cache_hits as u64),
-                ],
-            );
-        }
-        self.metrics.record_event(EventKind::BatchAdmitted {
-            queries: u32::try_from(queries.len()).unwrap_or(u32::MAX),
-            cache_hits: u32::try_from(stats.cache_hits).unwrap_or(u32::MAX),
-        });
-
-        // Phase 2: policy + spatial grouping of the misses.
-        let span = Span::enter(&self.metrics.stage_grouping);
-        let groups = form_groups(
-            queries,
-            &miss_indexes,
-            self.config.base.policy,
-            self.config.base.group_cell,
-        );
-        stats.groups = groups.len();
-        self.metrics.groups.add(groups.len() as u64);
-        stats.timings.grouping = span.finish();
-        if let Some(bt) = &bt {
-            bt.record(
-                "grouping",
-                stats.timings.grouping.as_nanos() as u64,
-                &[("groups", groups.len() as u64)],
-            );
-        }
-
-        // Phase 3: routed execution over the worker pool.
-        let span = Span::enter(&self.metrics.stage_execution);
-        let exec_span = bt.as_ref().map(|t| t.begin("execution"));
-        let et = bt.as_ref().zip(exec_span).map(|(t, s)| t.at(s));
-        let (computed, workers_used) = self.run_sharded_groups(&groups, et.as_ref());
-        stats.workers_used = workers_used;
-        stats.timings.execution = span.finish();
-        if let (Some(bt), Some(exec_span)) = (&bt, exec_span) {
-            bt.end_with(exec_span, &[("workers", workers_used as u64)]);
-        }
-
-        // Phase 4: merge into input order and feed the cache. Every
-        // non-degenerate result already carries its footprint (the router
-        // builds the filter for every engine kind), so no fallback pass.
-        let span = Span::enter(&self.metrics.stage_finalize);
-        if caching {
-            let mut cache = self.cache.lock().expect("cache lock");
-            let fresh = self.generation() == generation_at_start;
-            for (index, result, footprint) in computed {
-                if fresh {
-                    if let Some(key) = keys[index].take() {
-                        let region =
-                            EntryRegion::record_with(&queries[index], &result, footprint, |id| {
-                                endpoints_of(&self.transition_dir, &self.shards, id)
-                            });
-                        cache.insert(key, result.clone(), region);
-                    }
-                }
-                slots[index] = Some(result);
-            }
-        } else {
-            for (index, result, _) in computed {
-                slots[index] = Some(result);
-            }
-        }
-        let results: Vec<RknntResult> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every query produced a result"))
-            .collect();
-        stats.timings.finalize = span.finish();
-        let view = self.metrics.batch_view();
-        stats.filter_constructions =
-            (view.filter_constructions - base.filter_constructions) as usize;
-        stats.filters_saved = (view.filters_saved - base.filters_saved) as usize;
-        stats.duplicates_coalesced =
-            (view.duplicates_coalesced - base.duplicates_coalesced) as usize;
-        if let Some(bt) = &bt {
-            bt.record(
-                "finalize",
-                stats.timings.finalize.as_nanos() as u64,
-                &[("filter_constructions", stats.filter_constructions as u64)],
-            );
-        }
-        if let (Some(t), Some(batch_span)) = (trace, batch_span) {
-            t.end_with(
-                batch_span,
-                &[
-                    ("queries", queries.len() as u64),
-                    ("cache_hits", stats.cache_hits as u64),
-                    ("groups", stats.groups as u64),
-                ],
-            );
-        }
-        (results, stats)
-    }
-
-    /// Executes one routed query: per-shard prune behind the root-MBR
-    /// skip certificate, then global verification against the planner.
-    ///
-    /// The result is byte-identical to the unsharded filter–refine
-    /// execution (and therefore to every engine): an endpoint survives
-    /// pruning iff `filters_point` accepts it — node-level `filters_rect`
-    /// tests, including the shard-root test used here, are certificates for
-    /// their whole subtree — so the union of per-shard candidates equals
-    /// the unsharded candidate set; each transition is owned by exactly one
-    /// shard, so the union has no duplicates; and verification per
-    /// candidate uses the same planner-wide closer-route count.
-    fn route_query(
-        &self,
-        nlist: &NList,
-        query: &RknntQuery,
-        outcome: &FilterOutcome,
-        use_voronoi: bool,
-        trace: Option<&TraceCursor>,
-    ) -> RknntResult {
-        let mut result = RknntResult::default();
-
-        let prune_started = Instant::now();
-        let mut candidates: Vec<CandidateEndpoint> = Vec::new();
-        let mut pruned_nodes = 0usize;
-        let mut consulted = 0u64;
-        for (index, shard) in self.shards.iter().enumerate() {
-            // An empty shard has nothing to consult or prune.
-            let Some(root) = shard.service.transitions().rtree().root() else {
-                continue;
-            };
-            if outcome
-                .filter_set
-                .filters_rect(&root.mbr(), query.k, use_voronoi)
-            {
-                // The certificate covers the shard's whole TR-tree: no
-                // candidate can live there, skip without dispatching.
-                self.router.shards_pruned.inc();
-                pruned_nodes += 1;
-                if let Some(t) = trace {
-                    // Zero-duration marker: the decision itself is the
-                    // interesting part, not the (sub-microsecond) test.
-                    t.record(
-                        "shard",
-                        0,
-                        &[("shard", index as u64), ("pruned", 1), ("certificate", 1)],
-                    );
-                }
-                continue;
-            }
-            consulted += 1;
-            self.router.dispatches.inc();
-            self.router.shard_dispatches[index].inc();
-            let shard_span = trace.map(|t| t.begin("shard"));
-            let local = prune_transitions(
-                shard.service.transitions(),
-                &outcome.filter_set,
-                query.k,
-                use_voronoi,
-            );
-            if let (Some(t), Some(span)) = (trace, shard_span) {
-                t.end_with(
-                    span,
-                    &[
-                        ("shard", index as u64),
-                        ("pruned", 0),
-                        ("candidates", local.candidates.len() as u64),
-                    ],
-                );
-            }
-            self.metrics.record_event(EventKind::ShardDispatch {
-                shard: index as u32,
-                candidates: u32::try_from(local.candidates.len()).unwrap_or(u32::MAX),
-            });
-            pruned_nodes += local.pruned_nodes;
-            for cand in local.candidates {
-                let global = shard
-                    .transition_l2g
-                    .to_global(cand.transition.raw())
-                    .expect("pruned transition must be in the shard's id space");
-                candidates.push(CandidateEndpoint {
-                    transition: TransitionId(global),
-                    ..cand
-                });
-            }
-        }
-        self.router.executions.inc();
-        self.router.fanout.record(consulted);
-        let filtering = prune_started.elapsed();
-
-        let verify_started = Instant::now();
-        let mut per_transition: HashMap<TransitionId, (bool, bool)> = HashMap::new();
-        let mut verified_endpoints = 0usize;
-        for cand in &candidates {
-            let threshold_sq = point_route_distance_sq(&cand.point, &query.route);
-            let ok =
-                count_closer_routes_sq(&self.planner, nlist, &cand.point, threshold_sq, query.k)
-                    < query.k;
-            if ok {
-                verified_endpoints += 1;
-            }
-            let entry = per_transition
-                .entry(cand.transition)
-                .or_insert((false, false));
-            match cand.kind {
-                EndpointKind::Origin => entry.0 |= ok,
-                EndpointKind::Destination => entry.1 |= ok,
-            }
-        }
-        for (transition, (origin_ok, dest_ok)) in &per_transition {
-            let include = match query.semantics {
-                Semantics::Exists => *origin_ok || *dest_ok,
-                Semantics::ForAll => *origin_ok && *dest_ok,
-            };
-            if include {
-                result.transitions.push(*transition);
-            }
-        }
-        result.transitions.sort_unstable();
-        result.timings = PhaseTimings {
-            filtering,
-            verification: verify_started.elapsed(),
-        };
-        result.stats = QueryStats {
-            filter_points: outcome.filter_set.num_points(),
-            filter_routes: outcome.filter_set.num_routes(),
-            refine_nodes: outcome.refine_nodes.len(),
-            pruned_tr_nodes: pruned_nodes,
-            candidate_endpoints: candidates.len(),
-            verified_endpoints,
-            result_transitions: result.transitions.len(),
-        };
-        result
-    }
-
-    /// Executes one group through the router: same coalescing and filter
-    /// sharing as [`crate::batch::run_group`], but every fresh query routes
-    /// across the shards via [`ShardedService::route_query`]. The filter is
-    /// built for *every* engine kind (all engines agree on result
-    /// transitions, so routing through the filter pipeline preserves
-    /// byte-identity while giving every cached entry a real footprint).
-    fn run_shard_group(
-        &self,
-        nlist: &NList,
-        group: &Group<'_>,
-        out: &mut Vec<GroupOutput>,
-        trace: Option<&TraceCursor>,
-    ) {
-        // Mirrors `crate::batch::run_group`'s trace shape: a "group" span
-        // with "filter_build" children, plus the router's per-shard spans
-        // recorded by `route_query` below.
-        let group_span = trace.map(|t| (t.clone(), t.begin("group")));
-        let group_trace = group_span.as_ref().map(|(t, span)| t.at(*span));
-        let mut filter_builds = 0u64;
-        // Exact-identity keys mirroring `crate::batch::RouteBits`: coalescing
-        // keys on (route bits, k, semantics), filter sharing only on
-        // (route bits, k) since the filter set is semantics-independent.
-        type RouteBits = Vec<(u64, u64)>;
-        type SharedFilter = (FilterOutcome, Arc<FilterFootprint>);
-        let use_voronoi = matches!(group.kind, EngineKind::Voronoi);
-        let mut seen: HashMap<(RouteBits, usize, Semantics), usize> = HashMap::new();
-        let mut filters: HashMap<(RouteBits, usize), SharedFilter> = HashMap::new();
-        for job in &group.jobs {
-            let bits = route_bits(&job.query.route);
-            let full_key = (bits.clone(), job.query.k, job.query.semantics);
-            if let Some(&first) = seen.get(&full_key) {
-                let (_, result, footprint) = &out[first];
-                let cloned = (job.index, result.clone(), footprint.clone());
-                out.push(cloned);
-                self.metrics.duplicates_coalesced.inc();
-                continue;
-            }
-            let (result, footprint) = if job.query.is_degenerate() {
-                (RknntResult::default(), None)
-            } else {
-                let filter_key = (bits, job.query.k);
-                let (outcome, footprint) = match filters.entry(filter_key) {
-                    Entry::Occupied(entry) => {
-                        self.metrics.filters_saved.inc();
-                        entry.into_mut()
-                    }
-                    Entry::Vacant(entry) => {
-                        self.metrics.filter_constructions.inc();
-                        filter_builds += 1;
-                        let span = group_trace.as_ref().map(|t| t.begin("filter_build"));
-                        let outcome =
-                            build_filter_set(&self.planner, &job.query.route, job.query.k);
-                        if let (Some(t), Some(span)) = (group_trace.as_ref(), span) {
-                            t.end_with(span, &[("k", job.query.k as u64)]);
-                        }
-                        let footprint =
-                            Arc::new(FilterFootprint::from_outcome(&job.query.route, &outcome));
-                        entry.insert((outcome, footprint))
-                    }
-                };
-                (
-                    self.route_query(nlist, job.query, outcome, use_voronoi, group_trace.as_ref()),
-                    Some(footprint.clone()),
-                )
-            };
-            self.metrics.record_engine_timings(&result.timings);
-            seen.insert(full_key, out.len());
-            out.push((job.index, result, footprint));
-        }
-        if let Some((t, span)) = group_span {
-            t.end_with(
-                span,
-                &[
-                    ("jobs", group.jobs.len() as u64),
-                    ("filter_builds", filter_builds),
-                ],
-            );
-        }
-    }
-
-    /// Executes pre-formed groups over the worker pool (round-robin group
-    /// sharding, scoped threads, one planner [`NList`] per worker).
-    fn run_sharded_groups(
-        &self,
-        groups: &[Group<'_>],
-        trace: Option<&TraceCursor>,
-    ) -> (Vec<GroupOutput>, usize) {
-        let workers = self.config.base.workers.max(1).min(groups.len().max(1));
-        let workers_used = if groups.is_empty() { 0 } else { workers };
-        let mut computed: Vec<GroupOutput> = Vec::new();
-        if workers <= 1 {
-            let worker_span = match (trace, groups.is_empty()) {
-                (Some(t), false) => Some((t.clone(), t.begin("worker"))),
-                _ => None,
-            };
-            let wt = worker_span.as_ref().map(|(t, s)| t.at(*s));
-            let nlist = NList::build(&self.planner);
-            for group in groups {
-                self.run_shard_group(&nlist, group, &mut computed, wt.as_ref());
-            }
-            if let Some((t, span)) = worker_span {
-                t.end_with(span, &[("worker", 0), ("groups", groups.len() as u64)]);
-            }
-        } else {
-            let assignments: Vec<Vec<&Group>> = (0..workers)
-                .map(|w| groups.iter().skip(w).step_by(workers).collect())
-                .collect();
-            let outputs = std::thread::scope(|scope| {
-                let handles: Vec<_> = assignments
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, list)| {
-                        let wt: Option<TraceCursor> = trace.cloned();
-                        scope.spawn(move || {
-                            let shard_groups = list.len() as u64;
-                            let span = wt.as_ref().map(|t| t.begin("worker"));
-                            let child = wt.as_ref().zip(span).map(|(t, s)| t.at(s));
-                            let nlist = NList::build(&self.planner);
-                            let mut out = Vec::new();
-                            for group in list {
-                                self.run_shard_group(&nlist, group, &mut out, child.as_ref());
-                            }
-                            if let (Some(t), Some(span)) = (wt.as_ref(), span) {
-                                t.end_with(span, &[("worker", w as u64), ("groups", shard_groups)]);
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sharded worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for out in outputs {
-                computed.extend(out);
-            }
-        }
-        (computed, workers_used)
-    }
-
-    /// Executes queries through grouping + routing, bypassing the result
-    /// cache in both directions (subscription (re-)execution).
-    fn execute_uncached(
-        &self,
-        queries: &[RknntQuery],
-    ) -> Vec<(RknntResult, Option<Arc<FilterFootprint>>)> {
-        let miss_indexes: Vec<usize> = (0..queries.len()).collect();
-        let groups = form_groups(
-            queries,
-            &miss_indexes,
-            self.config.base.policy,
-            self.config.base.group_cell,
-        );
-        let (computed, _) = self.run_sharded_groups(&groups, None);
-        let mut slots: Vec<Option<(RknntResult, Option<Arc<FilterFootprint>>)>> =
-            (0..queries.len()).map(|_| None).collect();
-        for (index, result, footprint) in computed {
-            slots[index] = Some((result, footprint));
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every query produced a result"))
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Update path.
-    // ------------------------------------------------------------------
-
-    /// Applies incremental updates: each is routed to its owning shard
-    /// (transition inserts and route inserts by the representative point's
-    /// grid cell; removals through the routing directory), the planner
-    /// replica is kept in lock-step, the router's cache is region-evicted
-    /// and subscriptions are classified with per-shard certificates — the
-    /// sharded mirror of [`QueryService::apply_updates`], with identical
-    /// [`UpdateStats`] semantics and byte-identical delta streams.
-    ///
-    /// # Panics
-    /// Panics when storage is attached and a WAL append fails (router or
-    /// shard level); use [`ShardedService::try_apply_updates`] to handle
-    /// router-level append errors.
-    pub fn apply_updates(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
-        self.try_apply_updates(updates)
-            .expect("WAL append failed (use try_apply_updates to handle storage errors)")
-    }
-
-    /// Fallible form of [`ShardedService::apply_updates`]: the router's WAL
-    /// append error is returned instead of panicking (the stores are then
-    /// untouched). The router logs every update in **global** form before
-    /// anything applies; forwarding then double-logs each accepted update in
-    /// the owning shard's local WAL, and [`ShardedService::open`] reconciles
-    /// the two ledgers after a crash between the appends.
-    pub fn try_apply_updates(
-        &mut self,
-        updates: Vec<StoreUpdate>,
-    ) -> Result<UpdateStats, StorageError> {
-        self.try_apply_updates_traced(updates, None)
-    }
-
-    /// [`ShardedService::apply_updates`] with request tracing: the
-    /// router-level WAL append gets a `wal_append` span carrying frame and
-    /// byte counts (shard-local double-logging stays untraced — it rides
-    /// the forwarded per-shard `apply_updates` calls).
-    ///
-    /// # Panics
-    /// Panics when storage is attached and a WAL append fails.
-    pub fn apply_updates_traced(
-        &mut self,
-        updates: Vec<StoreUpdate>,
-        trace: Option<&TraceCursor>,
-    ) -> UpdateStats {
-        self.try_apply_updates_traced(updates, trace)
-            .expect("WAL append failed (use try_apply_updates_traced to handle storage errors)")
-    }
-
-    /// Fallible form of [`ShardedService::apply_updates_traced`] — the same
-    /// error contract as [`ShardedService::try_apply_updates`].
-    pub fn try_apply_updates_traced(
-        &mut self,
-        updates: Vec<StoreUpdate>,
-        trace: Option<&TraceCursor>,
-    ) -> Result<UpdateStats, StorageError> {
-        // Baseline before the append so router WAL frames land in the diff.
-        let base = self.metrics.update_view();
-        if let Some(storage) = &mut self.storage {
-            let (records, bytes) = crate::durable::wal_records(&updates);
-            let span = trace.map(|t| t.begin("wal_append"));
-            storage.append(&records)?;
-            if let (Some(t), Some(span)) = (trace, span) {
-                t.end_with(span, &[("frames", records.len() as u64), ("bytes", bytes)]);
-            }
-        }
-        let mut stats = UpdateStats {
-            deltas: self.monitor.take_pending(),
-            ..UpdateStats::default()
-        };
-        for update in updates {
-            match update {
-                StoreUpdate::InsertTransition {
-                    origin,
-                    destination,
-                } => {
-                    let owner = self.grid.shard_of_point(&origin, self.shards.len());
-                    let global = self.transition_dir.len() as u32;
-                    let shard = &mut self.shards[owner];
-                    let forwarded =
-                        shard
-                            .service
-                            .apply_updates(vec![StoreUpdate::InsertTransition {
-                                origin,
-                                destination,
-                            }]);
-                    let Some(local) = forwarded.inserted_transitions.first().copied() else {
-                        // Store-boundary rejection (non-finite endpoint):
-                        // no id consumed, mirroring the unsharded service.
-                        self.metrics.update_rejected.inc();
-                        continue;
-                    };
-                    debug_assert_eq!(local.index(), shard.transition_l2g.len());
-                    shard.transition_l2g.push(global);
-                    self.transition_dir.push(Slot::Held {
-                        shard: owner as u32,
-                        local: local.raw(),
-                        live: true,
-                    });
-                    self.metrics.update_applied.inc();
-                    stats.inserted_transitions.push(TransitionId(global));
-                    let planner = &self.planner;
-                    self.cache
-                        .get_mut()
-                        .expect("cache lock")
-                        .evict_where(|_, _, region| {
-                            !region.survives_transition_insert(planner, &origin, &destination)
-                        });
-                    self.classify(
-                        &UpdateEffect::TransitionInsert {
-                            origin: &origin,
-                            destination: &destination,
-                        },
-                        &mut stats.deltas,
-                    );
-                }
-                StoreUpdate::ExpireTransition(id) => {
-                    let slot = self.transition_dir.get(id.index()).copied();
-                    let Some(Slot::Held {
-                        shard,
-                        local,
-                        live: true,
-                    }) = slot
-                    else {
-                        self.metrics.update_rejected.inc();
-                        continue;
-                    };
-                    let forwarded = self.shards[shard as usize]
-                        .service
-                        .apply_updates(vec![StoreUpdate::ExpireTransition(TransitionId(local))]);
-                    debug_assert_eq!(forwarded.applied, 1, "directory said the id was live");
-                    self.transition_dir[id.index()] = Slot::Held {
-                        shard,
-                        local,
-                        live: false,
-                    };
-                    self.metrics.update_applied.inc();
-                    self.cache
-                        .get_mut()
-                        .expect("cache lock")
-                        .evict_where(|_, value, region| {
-                            !region.survives_transition_remove(&value.transitions, id)
-                        });
-                    self.classify(&UpdateEffect::TransitionRemove { id }, &mut stats.deltas);
-                }
-                StoreUpdate::InsertRoute(points) => {
-                    let dirty = Rect::from_points(&points).unwrap_or_else(Rect::empty);
-                    let Some(global) = self.planner.insert_route(points.clone()) else {
-                        self.metrics.update_rejected.inc();
-                        continue;
-                    };
-                    debug_assert_eq!(global.index(), self.route_dir.len());
-                    let owner = self.grid.shard_of_point(&points[0], self.shards.len());
-                    let shard = &mut self.shards[owner];
-                    let forwarded = shard
-                        .service
-                        .apply_updates(vec![StoreUpdate::InsertRoute(points)]);
-                    let local = forwarded
-                        .inserted_routes
-                        .first()
-                        .copied()
-                        .expect("planner-accepted route cannot be rejected by a shard");
-                    debug_assert_eq!(local.index(), shard.route_l2g.len());
-                    shard.route_l2g.push(global.raw());
-                    self.route_dir.push(Slot::Held {
-                        shard: owner as u32,
-                        local: local.raw(),
-                        live: true,
-                    });
-                    self.metrics.update_applied.inc();
-                    stats.inserted_routes.push(global);
-                    self.cache
-                        .get_mut()
-                        .expect("cache lock")
-                        .evict_where(|_, _, region| !region.survives_route_insert(&dirty));
-                    self.classify(
-                        &UpdateEffect::RouteInsert { mbr: &dirty },
-                        &mut stats.deltas,
-                    );
-                }
-                StoreUpdate::RemoveRoute(id) => {
-                    let removed_points: Vec<Point> = self.planner.route_points(id).to_vec();
-                    if !self.planner.remove_route(id) {
-                        self.metrics.update_rejected.inc();
-                        continue;
-                    }
-                    let Some(Slot::Held {
-                        shard,
-                        local,
-                        live: true,
-                    }) = self.route_dir.get(id.index()).copied()
-                    else {
-                        panic!("planner accepted removing a route the directory does not hold");
-                    };
-                    let forwarded = self.shards[shard as usize]
-                        .service
-                        .apply_updates(vec![StoreUpdate::RemoveRoute(RouteId(local))]);
-                    debug_assert_eq!(forwarded.applied, 1, "directory said the route was live");
-                    self.route_dir[id.index()] = Slot::Held {
-                        shard,
-                        local,
-                        live: false,
-                    };
-                    self.metrics.update_applied.inc();
-                    self.evict_for_route_removal(id, &removed_points);
-                    self.classify(
-                        &UpdateEffect::RouteRemove {
-                            id,
-                            points: &removed_points,
-                        },
-                        &mut stats.deltas,
-                    );
-                }
-            }
-        }
-        self.reexecute_dirty_subscriptions(&mut stats.deltas);
-        stats.retained_entries = self.cache.get_mut().expect("cache lock").len();
-        let view = self.metrics.update_view();
-        stats.applied = (view.applied - base.applied) as usize;
-        stats.rejected = (view.rejected - base.rejected) as usize;
-        stats.evicted_entries = (view.evicted_entries - base.evicted_entries) as usize;
-        stats.full_drops = (view.full_drops - base.full_drops) as usize;
-        stats.targeted_route_removals =
-            (view.targeted_route_removals - base.targeted_route_removals) as usize;
-        stats.subs_unaffected = (view.subs_unaffected - base.subs_unaffected) as usize;
-        stats.subs_stable = (view.subs_stable - base.subs_stable) as usize;
-        stats.subs_dirty = (view.subs_dirty - base.subs_dirty) as usize;
-        stats.subs_reexecuted = (view.subs_reexecuted - base.subs_reexecuted) as usize;
-        stats.wal_appends = (view.wal_appends - base.wal_appends) as usize;
-        stats.wal_bytes = view.wal_bytes - base.wal_bytes;
-        Ok(stats)
-    }
-
-    /// Classifies every live subscription against one applied update,
-    /// supplying the sharded versions of the two store-dependent steps: the
-    /// route-removal certificate ANDs the per-shard `survives_route_remove`
-    /// tests (each over the shard-local slice of the result, all drawing on
-    /// one shared budget), and region rebuilds resolve endpoints through the
-    /// routing directory.
-    fn classify(&mut self, effect: &UpdateEffect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
-        let planner = &self.planner;
-        let shards = &self.shards;
-        let dir = &self.transition_dir;
-        self.monitor.classify_update_with(
-            effect,
-            planner,
-            &self.metrics,
-            deltas,
-            |sub: &Subscription, removed: RouteId, points: &[Point]| {
-                let mut budget = SUB_REMOVAL_BUDGET;
-                shards.iter().all(|shard| {
-                    let local_result = translate_result(&shard.transition_l2g, &sub.result);
-                    sub.region.survives_route_remove(
-                        planner,
-                        shard.service.transitions(),
-                        &local_result,
-                        removed,
-                        points,
-                        &mut budget,
-                    )
-                })
-            },
-            |sub: &Subscription| {
-                let value = RknntResult {
-                    transitions: sub.result.clone(),
-                    ..RknntResult::default()
-                };
-                EntryRegion::record_with(&sub.query, &value, sub.region.footprint.clone(), |id| {
-                    endpoints_of(dir, shards, id)
-                })
-            },
-        );
-    }
-
-    /// Cache maintenance for a removed route: the sharded version of the
-    /// targeted-eviction plan, certifying each entry against every shard's
-    /// TR-tree under one shared budget, with the same full-drop fallback.
-    fn evict_for_route_removal(&mut self, id: RouteId, removed_points: &[Point]) {
-        let planner = &self.planner;
-        let shards = &self.shards;
-        let cache = self.cache.get_mut().expect("cache lock");
-        if cache.is_empty() {
-            self.metrics.targeted_route_removals.inc();
-            return;
-        }
-        let mut budget = ROUTE_REMOVAL_BUDGET_PER_ENTRY.saturating_mul(cache.len());
-        let mut victims: Vec<CacheKey> = Vec::new();
-        let mut exhausted = false;
-        for (key, value, region) in cache.entries() {
-            if budget == 0 {
-                exhausted = true;
-                break;
-            }
-            let survives = shards.iter().all(|shard| {
-                let local_result = translate_result(&shard.transition_l2g, &value.transitions);
-                region.survives_route_remove(
-                    planner,
-                    shard.service.transitions(),
-                    &local_result,
-                    id,
-                    removed_points,
-                    &mut budget,
-                )
-            });
-            if !survives {
-                victims.push(key.clone());
-            }
-        }
-        if exhausted {
-            self.metrics.full_drops.inc();
-            self.metrics.record_event(EventKind::CacheEvicted {
-                entries: u32::try_from(cache.len()).unwrap_or(u32::MAX),
-                full_drop: true,
-            });
-            cache.invalidate_all();
-        } else {
-            self.metrics.targeted_route_removals.inc();
-            self.metrics.record_event(EventKind::CacheEvicted {
-                entries: u32::try_from(victims.len()).unwrap_or(u32::MAX),
-                full_drop: false,
-            });
-            let victims: std::collections::HashSet<&CacheKey> = victims.iter().collect();
-            cache.evict_where(|key, _, _| victims.contains(key));
-        }
-    }
-
-    /// Re-executes every dirty subscription through the routed batch path,
-    /// installing results, emitting deltas and refreshing the advisory
-    /// shard registrations.
-    fn reexecute_dirty_subscriptions(&mut self, deltas: &mut Vec<SubscriptionDelta>) {
-        let dirty = self.monitor.dirty_ids();
-        if dirty.is_empty() {
-            return;
-        }
-        let queries: Vec<RknntQuery> = dirty
-            .iter()
-            .map(|id| self.monitor.query_of(*id).clone())
-            .collect();
-        let outputs = self.execute_uncached(&queries);
-        for (id, (query, (result, footprint))) in dirty.iter().zip(queries.iter().zip(outputs)) {
-            let region = EntryRegion::record_with(query, &result, footprint, |tid| {
-                endpoints_of(&self.transition_dir, &self.shards, tid)
-            });
-            self.monitor
-                .finish_reexecution(*id, result.transitions, region, &self.metrics, deltas);
-        }
-        for id in dirty {
-            self.refresh_sub_shards(id);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Subscriptions.
-    // ------------------------------------------------------------------
-
-    /// Registers a standing query (see [`QueryService::subscribe`]); the
-    /// delta stream it produces under churn is byte-identical to the
-    /// unsharded service's. The subscription is also registered against the
-    /// shards its filter footprint overlaps
-    /// ([`ShardedService::subscription_shards`]).
-    pub fn subscribe(&mut self, query: RknntQuery) -> SubscriptionId {
-        let (result, footprint) = self
-            .execute_uncached(std::slice::from_ref(&query))
-            .pop()
-            .expect("one query in, one result out");
-        let region = EntryRegion::record_with(&query, &result, footprint, |id| {
-            endpoints_of(&self.transition_dir, &self.shards, id)
-        });
-        let id = self.monitor.insert(query, result.transitions, region);
-        self.refresh_sub_shards(id.raw());
-        id
-    }
-
-    /// Drops a subscription. Returns `false` for an unknown or already
-    /// dropped id.
-    pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        self.sub_shards.remove(&id.raw());
-        self.monitor.remove(id)
-    }
-
-    /// Number of live subscriptions.
-    pub fn subscriptions(&self) -> usize {
-        self.monitor.len()
-    }
-
-    /// Ids of all live subscriptions, ascending.
-    pub fn subscription_ids(&self) -> Vec<SubscriptionId> {
-        self.monitor.ids()
-    }
-
-    /// The standing query behind a subscription.
-    pub fn subscription_query(&self, id: SubscriptionId) -> Option<&RknntQuery> {
-        self.monitor.get(id).map(|sub| &sub.query)
-    }
-
-    /// The subscription's current result in **global** transition ids,
-    /// sorted ascending — byte-identical to the unsharded service's.
-    pub fn subscription_result(&self, id: SubscriptionId) -> Option<&[TransitionId]> {
-        self.monitor.get(id).map(|sub| sub.result.as_slice())
-    }
-
-    /// The shards a subscription's filter footprint currently overlaps: a
-    /// shard is listed unless it is empty or the footprint certifies its
-    /// whole TR-tree root candidate-free. Advisory composition of the
-    /// per-shard certificates (refreshed on subscribe, re-execution and
-    /// reshard); classification itself always consults every shard, because
-    /// origin-cell routing lets a shard own transitions whose destination
-    /// endpoint lies outside its territory.
-    pub fn subscription_shards(&self, id: SubscriptionId) -> Option<&[usize]> {
-        self.sub_shards.get(&id.raw()).map(Vec::as_slice)
-    }
-
-    /// Drains subscription deltas buffered outside
-    /// [`ShardedService::apply_updates`].
-    pub fn take_subscription_deltas(&mut self) -> Vec<SubscriptionDelta> {
-        self.monitor.take_pending()
-    }
-
-    /// Recomputes the advisory shard registration of one subscription.
-    fn refresh_sub_shards(&mut self, raw: u64) {
-        let overlap = match self.monitor.get(SubscriptionId(raw)) {
-            Some(sub) => self.shard_overlap(sub),
-            None => {
-                self.sub_shards.remove(&raw);
-                return;
-            }
-        };
-        self.sub_shards.insert(raw, overlap);
-    }
-
-    /// The shards a subscription's footprint overlaps (all non-empty shards
-    /// when no footprint was recorded; none for a degenerate query).
-    fn shard_overlap(&self, sub: &Subscription) -> Vec<usize> {
-        if sub.query.is_degenerate() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for (index, shard) in self.shards.iter().enumerate() {
-            let Some(root) = shard.service.transitions().rtree().root() else {
-                continue;
-            };
-            let include = match &sub.region.footprint {
-                None => true,
-                Some(footprint) => {
-                    !footprint.covers_rect(&sub.query.route, &root.mbr(), sub.query.k, |r| {
-                        self.planner.route(r).is_some()
-                    })
-                }
-            };
-            if include {
-                out.push(index);
-            }
-        }
-        out
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1283,7 +584,7 @@ impl ShardedService {
                 dir: root.to_path_buf(),
             });
         }
-        for (index, shard) in self.shards.iter_mut().enumerate() {
+        for (index, shard) in self.backing.shards.iter_mut().enumerate() {
             shard
                 .service
                 .attach_storage(&root.join(shard_subdir(index)), storage_config)?;
@@ -1294,12 +595,15 @@ impl ShardedService {
             return Err(StorageError::DirectoryNotEmpty { dir: router_dir });
         }
         storage.set_instruments(self.metrics.storage_instruments());
-        let meta = self.encode_meta();
-        let stats =
-            storage.checkpoint_with_meta(&self.planner, &TransitionStore::default(), &meta)?;
+        let meta = self.backing.encode_meta();
+        let stats = storage.checkpoint_with_meta(
+            &self.backing.planner,
+            &TransitionStore::default(),
+            &meta,
+        )?;
         self.storage = Some(storage);
-        self.storage_root = Some(root.to_path_buf());
-        self.storage_config = Some(storage_config);
+        self.backing.storage_root = Some(root.to_path_buf());
+        self.backing.storage_config = Some(storage_config);
         Ok(stats)
     }
 
@@ -1312,23 +616,12 @@ impl ShardedService {
         if self.storage.is_none() {
             return Err(StorageError::NotAttached);
         }
-        for shard in &mut self.shards {
+        for shard in &mut self.backing.shards {
             shard.service.checkpoint()?;
         }
-        let meta = self.encode_meta();
+        let meta = self.backing.encode_meta();
         let storage = self.storage.as_mut().expect("checked above");
-        storage.checkpoint_with_meta(&self.planner, &TransitionStore::default(), &meta)
-    }
-
-    /// Whether a storage root is attached.
-    pub fn has_storage(&self) -> bool {
-        self.storage.is_some()
-    }
-
-    /// The router's storage counters, when storage is attached (per-shard
-    /// counters are on each shard's own metrics).
-    pub fn storage_stats(&self) -> Option<StorageStats> {
-        self.storage.as_ref().map(Storage::stats)
+        storage.checkpoint_with_meta(&self.backing.planner, &TransitionStore::default(), &meta)
     }
 
     /// Opens a sharded fleet from a storage root written by
@@ -1427,32 +720,25 @@ impl ShardedService {
             }
         }
         let (metrics, router) = ServiceMetrics::new_with_router(meta.shards);
-        let cache = Mutex::new(ResultCache::with_counters(
-            config.base.cache_capacity,
-            config.base.cache_seed,
-            metrics.cache.clone(),
-        ));
-        let mut service = ShardedService {
-            config: ShardedConfig {
-                shards: meta.shards,
-                grid_bits: meta.grid.bits(),
-                ..config
+        let mut service = Service::from_parts(
+            ShardSet {
+                config: ShardedConfig {
+                    shards: meta.shards,
+                    grid_bits: meta.grid.bits(),
+                    ..config
+                },
+                grid: meta.grid,
+                planner,
+                shards,
+                route_dir: meta.route_dir,
+                transition_dir: meta.transition_dir,
+                storage_root: Some(root.to_path_buf()),
+                storage_config: Some(storage_config),
+                router,
             },
-            grid: meta.grid,
-            planner,
-            shards,
-            route_dir: meta.route_dir,
-            transition_dir: meta.transition_dir,
-            cache,
-            generation: AtomicU64::new(0),
-            monitor: SubscriptionRegistry::default(),
-            sub_shards: BTreeMap::new(),
-            storage: None,
-            storage_root: Some(root.to_path_buf()),
-            storage_config: Some(storage_config),
+            config.base,
             metrics,
-            router,
-        };
+        );
         for record in &recovery.tail {
             let update =
                 StoreUpdate::from_wal_record(record).map_err(|e| StorageError::Corrupt {
@@ -1460,7 +746,7 @@ impl ShardedService {
                     offset: None,
                     detail: format!("undecodable router WAL record: {e}"),
                 })?;
-            service.replay_update(update);
+            service.backing.replay_update(update);
         }
         storage.set_instruments(service.metrics.storage_instruments());
         let stats = storage.stats();
@@ -1468,6 +754,273 @@ impl ShardedService {
         Ok((service, stats))
     }
 
+    // ------------------------------------------------------------------
+    // Reshard (split / merge).
+    // ------------------------------------------------------------------
+
+    /// Re-partitions the fleet to a new shard count and grid resolution:
+    /// shard *split* (`shards` grows) and *merge* (`shards` shrinks) are the
+    /// same operation. The global id spaces — planner slots and the routing
+    /// directory's indexes — are preserved (dead slots stay dead), so query
+    /// results, subscription results and future update semantics are
+    /// unchanged; only item *placement* moves. Live data is gathered in
+    /// global id order, a fresh grid is laid over its MBR, and each shard's
+    /// stores are bulk-built anew with dense local ids. Metrics and the
+    /// result cache are rebuilt fresh (counters restart from zero);
+    /// subscriptions are kept as-is — their results cannot change, so no
+    /// deltas are emitted.
+    ///
+    /// With storage attached, the old `shard-NNN/` and `router/` directories
+    /// are removed and the root is re-attached and checkpointed, making the
+    /// reshard itself the durable baseline (checkpoint → re-partition →
+    /// checkpoint, not WAL replay).
+    pub fn reshard(&mut self, shards: usize, grid_bits: u32) -> Result<(), StorageError> {
+        let shard_count = shards.max(1);
+        // Gather live items in global id order.
+        let mut live_transitions: Vec<(u32, Point, Point)> = Vec::new();
+        for (gid, slot) in self.backing.transition_dir.iter().enumerate() {
+            if let Slot::Held {
+                shard,
+                local,
+                live: true,
+            } = slot
+            {
+                let t = self.backing.shards[*shard as usize]
+                    .service
+                    .transitions()
+                    .get(TransitionId(*local))
+                    .expect("live directory entry must resolve in its shard");
+                live_transitions.push((gid as u32, t.origin, t.destination));
+            }
+        }
+        let mut mbr = Rect::empty();
+        for route in self.backing.planner.routes() {
+            for p in &route.points {
+                mbr.expand_to_point(p);
+            }
+        }
+        for (_, origin, destination) in &live_transitions {
+            mbr.expand_to_point(origin);
+            mbr.expand_to_point(destination);
+        }
+        if mbr.is_empty() {
+            mbr = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+        }
+        let grid = CellGrid::new(mbr, grid_bits);
+
+        // Re-place routes: fresh dense local ids, in global id order.
+        let mut route_sets: Vec<Vec<Vec<Point>>> = vec![Vec::new(); shard_count];
+        let mut route_spaces = vec![IdSpace::new(); shard_count];
+        let mut new_route_dir = vec![Slot::Vacant; self.backing.route_dir.len()];
+        for (gid, slot) in self.backing.route_dir.iter().enumerate() {
+            if let Slot::Held { live: true, .. } = slot {
+                let points = self
+                    .backing
+                    .planner
+                    .route_points(RouteId(gid as u32))
+                    .to_vec();
+                let owner = grid.shard_of_point(&points[0], shard_count);
+                let local = route_spaces[owner].len() as u32;
+                route_spaces[owner].push(gid as u32);
+                route_sets[owner].push(points);
+                new_route_dir[gid] = Slot::Held {
+                    shard: owner as u32,
+                    local,
+                    live: true,
+                };
+            }
+        }
+        // Re-place transitions the same way.
+        let mut transition_sets: Vec<Vec<(Point, Point)>> = vec![Vec::new(); shard_count];
+        let mut transition_spaces = vec![IdSpace::new(); shard_count];
+        let mut new_transition_dir = vec![Slot::Vacant; self.backing.transition_dir.len()];
+        for (gid, origin, destination) in &live_transitions {
+            let owner = grid.shard_of_point(origin, shard_count);
+            let local = transition_spaces[owner].len() as u32;
+            transition_spaces[owner].push(*gid);
+            transition_sets[owner].push((*origin, *destination));
+            new_transition_dir[*gid as usize] = Slot::Held {
+                shard: owner as u32,
+                local,
+                live: true,
+            };
+        }
+
+        let shards: Vec<Shard> = route_sets
+            .into_iter()
+            .zip(route_spaces)
+            .zip(transition_sets.into_iter().zip(transition_spaces))
+            .map(|((routes, route_l2g), (transitions, transition_l2g))| {
+                let (route_store, rejected) =
+                    RouteStore::bulk_build(self.backing.config.rtree, routes);
+                debug_assert_eq!(rejected, 0, "re-placed routes were already validated");
+                let transition_store =
+                    TransitionStore::bulk_build(self.backing.config.rtree, transitions);
+                Shard {
+                    service: QueryService::new(
+                        route_store,
+                        transition_store,
+                        self.backing.config.base,
+                    ),
+                    route_l2g,
+                    transition_l2g,
+                }
+            })
+            .collect();
+
+        // Install the new topology. Metrics and cache are rebuilt fresh —
+        // the registry's names are per-shard-count, and an empty cache is
+        // the honest state after a topology change.
+        let (metrics, router) = ServiceMetrics::new_with_router(shard_count);
+        self.backing.grid = grid;
+        self.backing.config.shards = shard_count;
+        self.backing.config.grid_bits = grid.bits();
+        self.backing.shards = shards;
+        self.backing.route_dir = new_route_dir;
+        self.backing.transition_dir = new_transition_dir;
+        self.cache = new_cache(&self.config, &metrics);
+        self.metrics = metrics;
+        self.backing.router = router;
+        self.generation.fetch_add(1, Ordering::SeqCst);
+
+        // Durable reshard: wipe the old layout and re-attach fresh (the old
+        // shard services and router handle were just dropped with the swap).
+        if let (Some(root), Some(storage_config)) = (
+            self.backing.storage_root.clone(),
+            self.backing.storage_config,
+        ) {
+            self.storage = None;
+            let entries = std::fs::read_dir(&root).map_err(|e| StorageError::Io {
+                context: "list storage root for reshard".to_string(),
+                path: root.clone(),
+                source: e,
+            })?;
+            for entry in entries {
+                let entry = entry.map_err(|e| StorageError::Io {
+                    context: "list storage root for reshard".to_string(),
+                    path: root.clone(),
+                    source: e,
+                })?;
+                let name = entry.file_name();
+                let name = name.to_string_lossy();
+                if name == ROUTER_SUBDIR || parse_shard_subdir(&name).is_some() {
+                    std::fs::remove_dir_all(entry.path()).map_err(|e| StorageError::Io {
+                        context: "remove stale shard directory".to_string(),
+                        path: entry.path(),
+                        source: e,
+                    })?;
+                }
+            }
+            self.attach_storage(&root, storage_config)?;
+        }
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Introspection.
+    // ------------------------------------------------------------------
+
+    /// The configuration the fleet currently runs with (`shards` and
+    /// `grid_bits` reflect opens and reshards).
+    pub fn config(&self) -> &ShardedConfig {
+        &self.backing.config
+    }
+
+    /// The Z-order grid items are routed by.
+    pub fn grid(&self) -> &CellGrid {
+        &self.backing.grid
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.backing.shards.len()
+    }
+
+    /// Read access to one shard's inner service.
+    pub fn shard_service(&self, index: usize) -> Option<&QueryService> {
+        self.backing.shards.get(index).map(|shard| &shard.service)
+    }
+
+    /// Router metrics plus every shard's catalog in the text exposition
+    /// format; shard lines are prefixed `shard.<i>.`.
+    pub fn metrics_text(&self) -> String {
+        let mut text = self.metrics.render_text();
+        for (index, shard) in self.backing.shards.iter().enumerate() {
+            for line in shard.service.metrics_text().lines() {
+                text.push_str(&format!("shard.{index}.{line}\n"));
+            }
+        }
+        text
+    }
+
+    /// Switches timing instrumentation on or off for the router and every
+    /// shard together.
+    pub fn set_metrics_enabled(&self, on: bool) {
+        self.metrics.set_enabled(on);
+        for shard in &self.backing.shards {
+            shard.service.set_metrics_enabled(on);
+        }
+    }
+
+    /// Point-in-time routing counters (executions, dispatches, prunes); the
+    /// mean fan-out is `dispatches / executions`.
+    pub fn router_stats(&self) -> crate::RouterStats {
+        self.backing.router.stats()
+    }
+
+    /// The shards the router would consult for this query under the given
+    /// engine kind — the shard-pruning certificate evaluated outside the
+    /// execution path, for soundness testing and capacity planning. Every
+    /// non-empty shard *not* listed is certified candidate-free for the
+    /// query.
+    pub fn planned_shards(&self, query: &RknntQuery, kind: EngineKind) -> Vec<usize> {
+        if query.is_degenerate() {
+            return Vec::new();
+        }
+        let outcome = build_filter_set(&self.backing.planner, &query.route, query.k);
+        let use_voronoi = matches!(kind, EngineKind::Voronoi);
+        let mut out = Vec::new();
+        for (index, shard) in self.backing.shards.iter().enumerate() {
+            let Some(root) = shard.service.transitions().rtree().root() else {
+                continue;
+            };
+            if !outcome
+                .filter_set
+                .filters_rect(&root.mbr(), query.k, use_voronoi)
+            {
+                out.push(index);
+            }
+        }
+        out
+    }
+
+    /// The owning shard of a live global transition id.
+    pub fn transition_owner(&self, id: TransitionId) -> Option<usize> {
+        match self.backing.transition_dir.get(id.index())? {
+            Slot::Held {
+                shard, live: true, ..
+            } => Some(*shard as usize),
+            _ => None,
+        }
+    }
+
+    /// Endpoints of a live global transition id, resolved through the
+    /// routing directory.
+    pub fn transition_endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
+        self.backing.endpoints(id)
+    }
+
+    /// Number of live transitions across the fleet.
+    pub fn num_transitions(&self) -> usize {
+        self.backing
+            .shards
+            .iter()
+            .map(|shard| shard.service.transitions().len())
+            .sum()
+    }
+}
+
+impl ShardSet {
     /// Replays one router-WAL update during [`ShardedService::open`],
     /// reconciling the global ledger with what each shard already holds:
     /// the planner and directory always advance (they come from the router
@@ -1583,310 +1136,6 @@ impl ShardedService {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Reshard (split / merge).
-    // ------------------------------------------------------------------
-
-    /// Re-partitions the fleet to a new shard count and grid resolution:
-    /// shard *split* (`shards` grows) and *merge* (`shards` shrinks) are the
-    /// same operation. The global id spaces — planner slots and the routing
-    /// directory's indexes — are preserved (dead slots stay dead), so query
-    /// results, subscription results and future update semantics are
-    /// unchanged; only item *placement* moves. Live data is gathered in
-    /// global id order, a fresh grid is laid over its MBR, and each shard's
-    /// stores are bulk-built anew with dense local ids. Metrics and the
-    /// result cache are rebuilt fresh (counters restart from zero);
-    /// subscriptions are kept as-is — their results cannot change, so no
-    /// deltas are emitted — with advisory shard registrations refreshed.
-    ///
-    /// With storage attached, the old `shard-NNN/` and `router/` directories
-    /// are removed and the root is re-attached and checkpointed, making the
-    /// reshard itself the durable baseline (checkpoint → re-partition →
-    /// checkpoint, not WAL replay).
-    pub fn reshard(&mut self, shards: usize, grid_bits: u32) -> Result<(), StorageError> {
-        let shard_count = shards.max(1);
-        // Gather live items in global id order.
-        let mut live_transitions: Vec<(u32, Point, Point)> = Vec::new();
-        for (gid, slot) in self.transition_dir.iter().enumerate() {
-            if let Slot::Held {
-                shard,
-                local,
-                live: true,
-            } = slot
-            {
-                let t = self.shards[*shard as usize]
-                    .service
-                    .transitions()
-                    .get(TransitionId(*local))
-                    .expect("live directory entry must resolve in its shard");
-                live_transitions.push((gid as u32, t.origin, t.destination));
-            }
-        }
-        let mut mbr = Rect::empty();
-        for route in self.planner.routes() {
-            for p in &route.points {
-                mbr.expand_to_point(p);
-            }
-        }
-        for (_, origin, destination) in &live_transitions {
-            mbr.expand_to_point(origin);
-            mbr.expand_to_point(destination);
-        }
-        if mbr.is_empty() {
-            mbr = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        }
-        let grid = CellGrid::new(mbr, grid_bits);
-
-        // Re-place routes: fresh dense local ids, in global id order.
-        let mut route_sets: Vec<Vec<Vec<Point>>> = vec![Vec::new(); shard_count];
-        let mut route_spaces = vec![IdSpace::new(); shard_count];
-        let mut new_route_dir = vec![Slot::Vacant; self.route_dir.len()];
-        for (gid, slot) in self.route_dir.iter().enumerate() {
-            if let Slot::Held { live: true, .. } = slot {
-                let points = self.planner.route_points(RouteId(gid as u32)).to_vec();
-                let owner = grid.shard_of_point(&points[0], shard_count);
-                let local = route_spaces[owner].len() as u32;
-                route_spaces[owner].push(gid as u32);
-                route_sets[owner].push(points);
-                new_route_dir[gid] = Slot::Held {
-                    shard: owner as u32,
-                    local,
-                    live: true,
-                };
-            }
-        }
-        // Re-place transitions the same way.
-        let mut transition_sets: Vec<Vec<(Point, Point)>> = vec![Vec::new(); shard_count];
-        let mut transition_spaces = vec![IdSpace::new(); shard_count];
-        let mut new_transition_dir = vec![Slot::Vacant; self.transition_dir.len()];
-        for (gid, origin, destination) in &live_transitions {
-            let owner = grid.shard_of_point(origin, shard_count);
-            let local = transition_spaces[owner].len() as u32;
-            transition_spaces[owner].push(*gid);
-            transition_sets[owner].push((*origin, *destination));
-            new_transition_dir[*gid as usize] = Slot::Held {
-                shard: owner as u32,
-                local,
-                live: true,
-            };
-        }
-
-        let shards: Vec<Shard> = route_sets
-            .into_iter()
-            .zip(route_spaces)
-            .zip(transition_sets.into_iter().zip(transition_spaces))
-            .map(|((routes, route_l2g), (transitions, transition_l2g))| {
-                let (route_store, rejected) = RouteStore::bulk_build(self.config.rtree, routes);
-                debug_assert_eq!(rejected, 0, "re-placed routes were already validated");
-                let transition_store = TransitionStore::bulk_build(self.config.rtree, transitions);
-                Shard {
-                    service: QueryService::new(route_store, transition_store, self.config.base),
-                    route_l2g,
-                    transition_l2g,
-                }
-            })
-            .collect();
-
-        // Install the new topology. Metrics and cache are rebuilt fresh —
-        // the registry's names are per-shard-count, and an empty cache is
-        // the honest state after a topology change.
-        let (metrics, router) = ServiceMetrics::new_with_router(shard_count);
-        self.grid = grid;
-        self.config.shards = shard_count;
-        self.config.grid_bits = grid.bits();
-        self.shards = shards;
-        self.route_dir = new_route_dir;
-        self.transition_dir = new_transition_dir;
-        self.cache = Mutex::new(ResultCache::with_counters(
-            self.config.base.cache_capacity,
-            self.config.base.cache_seed,
-            metrics.cache.clone(),
-        ));
-        self.metrics = metrics;
-        self.router = router;
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        let sub_ids: Vec<u64> = self.monitor.ids().iter().map(|id| id.raw()).collect();
-        for id in sub_ids {
-            self.refresh_sub_shards(id);
-        }
-
-        // Durable reshard: wipe the old layout and re-attach fresh (the old
-        // shard services and router handle were just dropped with the swap).
-        if let (Some(root), Some(storage_config)) = (self.storage_root.clone(), self.storage_config)
-        {
-            self.storage = None;
-            let entries = std::fs::read_dir(&root).map_err(|e| StorageError::Io {
-                context: "list storage root for reshard".to_string(),
-                path: root.clone(),
-                source: e,
-            })?;
-            for entry in entries {
-                let entry = entry.map_err(|e| StorageError::Io {
-                    context: "list storage root for reshard".to_string(),
-                    path: root.clone(),
-                    source: e,
-                })?;
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if name == ROUTER_SUBDIR || parse_shard_subdir(&name).is_some() {
-                    std::fs::remove_dir_all(entry.path()).map_err(|e| StorageError::Io {
-                        context: "remove stale shard directory".to_string(),
-                        path: entry.path(),
-                        source: e,
-                    })?;
-                }
-            }
-            self.attach_storage(&root, storage_config)?;
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Introspection.
-    // ------------------------------------------------------------------
-
-    /// The configuration the fleet currently runs with (`shards` and
-    /// `grid_bits` reflect opens and reshards).
-    pub fn config(&self) -> &ShardedConfig {
-        &self.config
-    }
-
-    /// The Z-order grid items are routed by.
-    pub fn grid(&self) -> &CellGrid {
-        &self.grid
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Read access to one shard's inner service.
-    pub fn shard_service(&self, index: usize) -> Option<&QueryService> {
-        self.shards.get(index).map(|shard| &shard.service)
-    }
-
-    /// Read access to the planner replica (the full-city route store;
-    /// global route ids are its slot indexes).
-    pub fn routes(&self) -> &RouteStore {
-        &self.planner
-    }
-
-    /// The router's store generation (bumped by
-    /// [`ShardedService::invalidate_all`] and [`ShardedService::reshard`]).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
-    /// Drops every cached result and bumps the generation.
-    pub fn invalidate_all(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        self.cache.lock().expect("cache lock").invalidate_all();
-    }
-
-    /// Result-cache counter snapshot (the router's global cache).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("cache lock").stats()
-    }
-
-    /// Number of results currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().expect("cache lock").len()
-    }
-
-    /// The router's metric catalog (`router.*`, `shard.<i>.dispatches` and
-    /// the full service catalog for the router-level pipeline).
-    pub fn metrics(&self) -> &ServiceMetrics {
-        &self.metrics
-    }
-
-    /// A point-in-time copy of the router's registered metrics.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Router metrics plus every shard's catalog in the text exposition
-    /// format; shard lines are prefixed `shard.<i>.`.
-    pub fn metrics_text(&self) -> String {
-        let mut text = self.metrics.render_text();
-        for (index, shard) in self.shards.iter().enumerate() {
-            for line in shard.service.metrics_text().lines() {
-                text.push_str(&format!("shard.{index}.{line}\n"));
-            }
-        }
-        text
-    }
-
-    /// Shared handle to the router's flight recorder.
-    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        self.metrics.recorder().clone()
-    }
-
-    /// Switches timing instrumentation on or off for the router and every
-    /// shard together.
-    pub fn set_metrics_enabled(&self, on: bool) {
-        self.metrics.set_enabled(on);
-        for shard in &self.shards {
-            shard.service.set_metrics_enabled(on);
-        }
-    }
-
-    /// Point-in-time routing counters (executions, dispatches, prunes); the
-    /// mean fan-out is `dispatches / executions`.
-    pub fn router_stats(&self) -> crate::RouterStats {
-        self.router.stats()
-    }
-
-    /// The shards the router would consult for this query under the given
-    /// engine kind — the shard-pruning certificate evaluated outside the
-    /// execution path, for soundness testing and capacity planning. Every
-    /// non-empty shard *not* listed is certified candidate-free for the
-    /// query.
-    pub fn planned_shards(&self, query: &RknntQuery, kind: EngineKind) -> Vec<usize> {
-        if query.is_degenerate() {
-            return Vec::new();
-        }
-        let outcome = build_filter_set(&self.planner, &query.route, query.k);
-        let use_voronoi = matches!(kind, EngineKind::Voronoi);
-        let mut out = Vec::new();
-        for (index, shard) in self.shards.iter().enumerate() {
-            let Some(root) = shard.service.transitions().rtree().root() else {
-                continue;
-            };
-            if !outcome
-                .filter_set
-                .filters_rect(&root.mbr(), query.k, use_voronoi)
-            {
-                out.push(index);
-            }
-        }
-        out
-    }
-
-    /// The owning shard of a live global transition id.
-    pub fn transition_owner(&self, id: TransitionId) -> Option<usize> {
-        match self.transition_dir.get(id.index())? {
-            Slot::Held {
-                shard, live: true, ..
-            } => Some(*shard as usize),
-            _ => None,
-        }
-    }
-
-    /// Endpoints of a live global transition id, resolved through the
-    /// routing directory.
-    pub fn transition_endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
-        endpoints_of(&self.transition_dir, &self.shards, id)
-    }
-
-    /// Number of live transitions across the fleet.
-    pub fn num_transitions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.service.transitions().len())
-            .sum()
-    }
-
     /// Encodes the routing state carried in the router checkpoint's meta
     /// block: grid MBR + bits, shard count and both directories.
     fn encode_meta(&self) -> Vec<u8> {
@@ -2000,20 +1249,20 @@ mod tests {
             routes,
             transitions,
         );
-        let bytes = service.encode_meta();
+        let bytes = service.backing.encode_meta();
         let meta = decode_meta(&bytes).expect("round trip");
         assert_eq!(meta.shards, 3);
-        assert_eq!(meta.route_dir, service.route_dir);
-        assert_eq!(meta.transition_dir, service.transition_dir);
-        assert_eq!(meta.grid.bits(), service.grid.bits());
-        assert_eq!(meta.grid.mbr(), service.grid.mbr());
+        assert_eq!(meta.route_dir, service.backing.route_dir);
+        assert_eq!(meta.transition_dir, service.backing.transition_dir);
+        assert_eq!(meta.grid.bits(), service.backing.grid.bits());
+        assert_eq!(meta.grid.mbr(), service.backing.grid.mbr());
     }
 
     #[test]
     fn decode_meta_rejects_damage() {
         let (routes, transitions) = grid_world();
         let service = ShardedService::bulk_build(ShardedConfig::default(), routes, transitions);
-        let bytes = service.encode_meta();
+        let bytes = service.backing.encode_meta();
         assert!(decode_meta(&[]).is_err(), "empty meta");
         let mut wrong_version = bytes.clone();
         wrong_version[0] = 99;
@@ -2034,20 +1283,21 @@ mod tests {
             routes,
             transitions,
         );
-        for (gid, slot) in service.transition_dir.iter().enumerate() {
+        for (gid, slot) in service.backing.transition_dir.iter().enumerate() {
             let Slot::Held { shard, local, live } = slot else {
                 panic!("bulk build of valid data leaves no vacant slots");
             };
             assert!(live);
-            let space = &service.shards[*shard as usize].transition_l2g;
+            let space = &service.backing.shards[*shard as usize].transition_l2g;
             assert_eq!(space.to_global(*local), Some(gid as u32));
             assert_eq!(space.to_local(gid as u32), Some(*local));
         }
         let total: usize = service
+            .backing
             .shards
             .iter()
             .map(|s| s.service.transitions().len())
             .sum();
-        assert_eq!(total, service.transition_dir.len());
+        assert_eq!(total, service.backing.transition_dir.len());
     }
 }

@@ -317,10 +317,6 @@ fn run_churn_parity(kind: EngineKind, semantics: Semantics, shards: usize, seed:
                     sharded.subscription_result(b),
                     "initial subscription result diverged ({kind} {semantics:?} N={shards})"
                 );
-                // The advisory registration must at least be consistent with
-                // the fleet: only indexes of real shards.
-                let registered = sharded.subscription_shards(b).unwrap();
-                assert!(registered.iter().all(|&i| i < shards));
                 live_subs.push(a);
             }
             workload::SubscriptionEvent::Unsubscribe(draw) => {

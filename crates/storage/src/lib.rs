@@ -42,6 +42,9 @@ pub mod snapshot;
 pub mod wal;
 
 pub use error::StorageError;
+/// The armed-failpoint handle [`Storage::set_failpoints`] takes, re-exported
+/// so callers that only forward it need no dependency on `rknnt-fault`.
+pub use rknnt_fault::Failpoints;
 pub use wal::{WalConfig, WAL_FSYNC_SITE, WAL_ROLLBACK_SITE, WAL_WRITE_SITE};
 
 use rknnt_index::{RouteStore, TransitionStore};

@@ -1,0 +1,654 @@
+//! One seeded request stream through every serving configuration.
+//!
+//! The stream — query batches with exact duplicates, shared `(route, k)`
+//! pairs and a degenerate query; update batches mixing the four
+//! [`StoreUpdate`] kinds with ones the stores must reject; subscribe and
+//! unsubscribe — runs against a [`QueryService`], a [`ShardedService`] at 1
+//! and at 4 shards, and a [`Server`] + [`Client`] pair over each of those,
+//! once per engine kind with both semantics in the stream. After every step
+//! each configuration's answers, update counts, maintained subscription
+//! results and the results rebuilt by replaying its deltas must equal what
+//! the definition says: [`BruteForceEngine`] over stores rebuilt from a
+//! plain `Vec` model that shares nothing with the serving layers.
+
+use rknnt::core::{BruteForceEngine, EngineKind, RknnTEngine, RknntQuery, Semantics};
+use rknnt::fault::splitmix64;
+use rknnt::geo::Point;
+use rknnt::index::{RouteId, RouteStore, TransitionId, TransitionStore};
+use rknnt::net::{Backend, Client, ClientConfig, Server, ServerConfig};
+use rknnt::service::{
+    EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService, StoreUpdate,
+    SubscriptionId,
+};
+use std::collections::HashMap;
+use std::time::Duration;
+
+fn p(x: f64, y: f64) -> Point {
+    Point::new(x, y)
+}
+
+// ---------------------------------------------------------------------------
+// The reference model: plain vectors, ids are slot indexes, dead slots stay.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone)]
+struct Model {
+    routes: Vec<(Vec<Point>, bool)>,
+    transitions: Vec<((Point, Point), bool)>,
+}
+
+impl Model {
+    fn initial() -> Self {
+        let mut routes = Vec::new();
+        for row in 0..6 {
+            let y = row as f64 * 120.0;
+            routes.push((
+                vec![
+                    p(0.0, y),
+                    p(400.0, y + 10.0),
+                    p(800.0, y),
+                    p(1200.0, y - 10.0),
+                ],
+                true,
+            ));
+        }
+        let mut transitions = Vec::new();
+        for i in 0..80 {
+            let x = (i % 10) as f64 * 120.0 + 15.0;
+            let y = (i / 10) as f64 * 80.0 + 25.0;
+            transitions.push(((p(x, y), p(x + 60.0, y + 30.0)), true));
+        }
+        Model {
+            routes,
+            transitions,
+        }
+    }
+
+    /// Applies one update by the store-boundary rules; `false` = rejected
+    /// (nothing changes, no id consumed).
+    fn apply(&mut self, update: &StoreUpdate) -> bool {
+        match update {
+            StoreUpdate::InsertTransition {
+                origin,
+                destination,
+            } => {
+                let valid = origin.is_finite() && destination.is_finite();
+                if valid {
+                    self.transitions.push(((*origin, *destination), true));
+                }
+                valid
+            }
+            StoreUpdate::ExpireTransition(id) => match self.transitions.get_mut(id.index()) {
+                Some((_, live)) if *live => {
+                    *live = false;
+                    true
+                }
+                _ => false,
+            },
+            StoreUpdate::InsertRoute(points) => {
+                let valid = points.len() >= 2 && points.iter().all(Point::is_finite);
+                if valid {
+                    self.routes.push((points.clone(), true));
+                }
+                valid
+            }
+            StoreUpdate::RemoveRoute(id) => match self.routes.get_mut(id.index()) {
+                Some((_, live)) if *live => {
+                    *live = false;
+                    true
+                }
+                _ => false,
+            },
+        }
+    }
+
+    /// Stores rebuilt from scratch with the model's ids: every slot is
+    /// inserted in order, then the dead ones are removed.
+    fn stores(&self) -> (RouteStore, TransitionStore) {
+        let mut routes = RouteStore::default();
+        for (points, _) in &self.routes {
+            routes
+                .insert_route(points.clone())
+                .expect("model routes are valid");
+        }
+        for (slot, (_, live)) in self.routes.iter().enumerate() {
+            if !live {
+                assert!(routes.remove_route(RouteId(slot as u32)));
+            }
+        }
+        let mut transitions = TransitionStore::default();
+        for ((origin, destination), _) in &self.transitions {
+            transitions
+                .insert(*origin, *destination)
+                .expect("model transitions are valid");
+        }
+        for (slot, (_, live)) in self.transitions.iter().enumerate() {
+            if !live {
+                assert!(transitions.remove(TransitionId(slot as u32)));
+            }
+        }
+        (routes, transitions)
+    }
+
+    fn all_routes(&self) -> Vec<Vec<Point>> {
+        self.routes
+            .iter()
+            .map(|(points, _)| points.clone())
+            .collect()
+    }
+
+    fn all_pairs(&self) -> Vec<(Point, Point)> {
+        self.transitions.iter().map(|(pair, _)| *pair).collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The stream and what the definition says each step must produce.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum Op {
+    Queries(Vec<RknntQuery>),
+    Updates(Vec<StoreUpdate>),
+    Subscribe(RknntQuery),
+    /// Drops the n-th subscription ever created (possibly already dropped).
+    Unsubscribe(usize),
+}
+
+struct Step {
+    op: Op,
+    /// `Queries`: one answer per query.
+    answers: Vec<Vec<TransitionId>>,
+    /// `Updates`: (applied, rejected).
+    counts: (u64, u64),
+    /// `Unsubscribe`: whether the subscription was still live.
+    existed: bool,
+    /// After the step: (creation ordinal, result) of every live subscription.
+    standing: Vec<(usize, Vec<TransitionId>)>,
+}
+
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        splitmix64(&mut self.0) % n
+    }
+
+    fn coord(&mut self, span: f64) -> f64 {
+        (self.below(10_000) as f64 / 10_000.0) * span
+    }
+}
+
+fn query_routes() -> Vec<Vec<Point>> {
+    vec![
+        vec![p(10.0, 75.0), p(500.0, 95.0), p(1100.0, 75.0)],
+        vec![p(610.0, 310.0)],
+        // Far from the city: a different spatial group in the same batch.
+        vec![p(6000.0, 200.0), p(6400.0, 260.0)],
+        vec![
+            p(100.0, 40.0),
+            p(420.0, 250.0),
+            p(760.0, 430.0),
+            p(1150.0, 600.0),
+        ],
+    ]
+}
+
+fn random_query(rng: &mut Rng) -> RknntQuery {
+    let routes = query_routes();
+    RknntQuery {
+        route: routes[rng.below(routes.len() as u64) as usize].clone(),
+        k: 1 + rng.below(2) as usize,
+        semantics: if rng.below(2) == 0 {
+            Semantics::Exists
+        } else {
+            Semantics::ForAll
+        },
+    }
+}
+
+fn random_update(rng: &mut Rng, model: &Model) -> StoreUpdate {
+    match rng.below(10) {
+        // Both endpoints hug vertices of a query route, so the insert lands
+        // in answers that are cached and subscribed.
+        0..=2 => {
+            let routes = query_routes();
+            let route = &routes[rng.below(routes.len() as u64) as usize];
+            let near = |rng: &mut Rng| {
+                let v = route[rng.below(route.len() as u64) as usize];
+                p(v.x + rng.coord(8.0) - 4.0, v.y + rng.coord(8.0) - 4.0)
+            };
+            StoreUpdate::InsertTransition {
+                origin: near(rng),
+                destination: near(rng),
+            }
+        }
+        // Ids a little past the end: some expiries hit dead or unknown slots.
+        3..=4 => StoreUpdate::ExpireTransition(TransitionId(
+            rng.below(model.transitions.len() as u64 + 3) as u32,
+        )),
+        5..=6 => {
+            let y = rng.coord(640.0);
+            StoreUpdate::InsertRoute(vec![p(0.0, y), p(600.0, y + 15.0), p(1200.0, y)])
+        }
+        // Route withdrawals are the hard case for every certificate, so they
+        // are frequent; some name dead or unknown routes.
+        7..=8 => StoreUpdate::RemoveRoute(RouteId(rng.below(model.routes.len() as u64 + 1) as u32)),
+        _ if rng.below(2) == 0 => StoreUpdate::InsertTransition {
+            origin: p(f64::NAN, 10.0),
+            destination: p(20.0, 20.0),
+        },
+        _ => StoreUpdate::InsertRoute(vec![p(5.0, 5.0)]),
+    }
+}
+
+/// Generates the stream and, alongside, the expected outcome of every step.
+fn script(seed: u64, steps: usize) -> Vec<Step> {
+    let mut rng = Rng(seed);
+    let mut model = Model::initial();
+    let routes = query_routes();
+    let mut ops: Vec<Op> = vec![
+        Op::Subscribe(RknntQuery::exists(routes[0].clone(), 2)),
+        Op::Subscribe(RknntQuery::for_all(routes[3].clone(), 1)),
+        Op::Subscribe(RknntQuery::exists(Vec::new(), 2)),
+        Op::Queries(vec![
+            RknntQuery::exists(routes[0].clone(), 2),
+            RknntQuery::for_all(routes[0].clone(), 2), // shares (route, k)
+            RknntQuery::exists(routes[0].clone(), 2),  // exact duplicate
+            RknntQuery::exists(routes[2].clone(), 1),  // another group
+            RknntQuery::exists(Vec::new(), 3),         // degenerate: no route
+            RknntQuery::for_all(routes[1].clone(), 0), // degenerate: k = 0
+        ]),
+        Op::Updates(vec![
+            StoreUpdate::InsertTransition {
+                origin: p(30.0, 70.0),
+                destination: p(480.0, 100.0),
+            },
+            StoreUpdate::ExpireTransition(TransitionId(4)),
+            StoreUpdate::ExpireTransition(TransitionId(4)), // already dead
+            StoreUpdate::InsertRoute(vec![p(0.0, 60.0), p(1200.0, 70.0)]),
+            StoreUpdate::RemoveRoute(RouteId(2)),
+            StoreUpdate::RemoveRoute(RouteId(99)), // unknown
+            StoreUpdate::InsertRoute(Vec::new()),  // too short
+            StoreUpdate::InsertTransition {
+                origin: p(1.0, 1.0),
+                destination: p(f64::INFINITY, 1.0),
+            },
+        ]),
+    ];
+    // Generated ops need the model state they will run against, so they are
+    // drawn one at a time below; the fixed prefix above is replayed first.
+    let mut out = Vec::new();
+    let mut standing: Vec<(usize, RknntQuery)> = Vec::new();
+    let mut next_ordinal = 0usize;
+    ops.reverse();
+    for _ in 0..steps {
+        let op = ops.pop().unwrap_or_else(|| match rng.below(10) {
+            0..=3 => {
+                let mut batch: Vec<RknntQuery> = (0..2 + rng.below(4))
+                    .map(|_| random_query(&mut rng))
+                    .collect();
+                let again = batch[rng.below(batch.len() as u64) as usize].clone();
+                batch.push(again);
+                Op::Queries(batch)
+            }
+            4..=7 => Op::Updates(
+                (0..1 + rng.below(4))
+                    .map(|_| random_update(&mut rng, &model))
+                    .collect(),
+            ),
+            8 => Op::Subscribe(random_query(&mut rng)),
+            _ => Op::Unsubscribe(rng.below(next_ordinal as u64) as usize),
+        });
+        let mut step = Step {
+            op: op.clone(),
+            answers: Vec::new(),
+            counts: (0, 0),
+            existed: false,
+            standing: Vec::new(),
+        };
+        match &op {
+            Op::Queries(_) | Op::Subscribe(_) => {}
+            Op::Updates(updates) => {
+                for update in updates {
+                    if model.apply(update) {
+                        step.counts.0 += 1;
+                    } else {
+                        step.counts.1 += 1;
+                    }
+                }
+            }
+            Op::Unsubscribe(ordinal) => {
+                let before = standing.len();
+                standing.retain(|(o, _)| o != ordinal);
+                step.existed = standing.len() < before;
+            }
+        }
+        if let Op::Subscribe(query) = &op {
+            standing.push((next_ordinal, query.clone()));
+            next_ordinal += 1;
+        }
+        let (route_store, transition_store) = model.stores();
+        let oracle = BruteForceEngine::new(&route_store, &transition_store);
+        if let Op::Queries(batch) = &op {
+            step.answers = batch
+                .iter()
+                .map(|q| oracle.execute(q).transitions)
+                .collect();
+        }
+        step.standing = standing
+            .iter()
+            .map(|(ordinal, query)| (*ordinal, oracle.execute(query).transitions))
+            .collect();
+        out.push(step);
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// The configurations under test.
+// ---------------------------------------------------------------------------
+
+/// (subscription handle, entered, left) — what a delta does to a result.
+type Delta = (u64, Vec<TransitionId>, Vec<TransitionId>);
+
+trait Target {
+    fn queries(&mut self, batch: &[RknntQuery]) -> Vec<Vec<TransitionId>>;
+    fn updates(&mut self, updates: Vec<StoreUpdate>) -> (u64, u64, Vec<Delta>);
+    fn subscribe(&mut self, query: &RknntQuery) -> (u64, Vec<TransitionId>);
+    fn unsubscribe(&mut self, handle: u64) -> bool;
+    /// The configuration's own view of a live subscription's result, where
+    /// it exposes one (in-process; a wire client only sees deltas).
+    fn maintained(&self, handle: u64) -> Option<Vec<TransitionId>>;
+}
+
+struct Local<S> {
+    service: S,
+    ids: HashMap<u64, SubscriptionId>,
+}
+
+// `QueryService` and `ShardedService` are the same frontend over a sealed
+// backing, so the impl is the same text for both.
+macro_rules! local_target {
+    ($service:ty) => {
+        impl Target for Local<$service> {
+            fn queries(&mut self, batch: &[RknntQuery]) -> Vec<Vec<TransitionId>> {
+                let (results, stats) = self.service.execute_batch(batch);
+                assert_eq!(stats.queries, batch.len());
+                results.into_iter().map(|r| r.transitions).collect()
+            }
+
+            fn updates(&mut self, updates: Vec<StoreUpdate>) -> (u64, u64, Vec<Delta>) {
+                let stats = self.service.apply_updates(updates);
+                let deltas = stats
+                    .deltas
+                    .into_iter()
+                    .map(|d| (d.subscription.raw(), d.entered, d.left))
+                    .collect();
+                (stats.applied as u64, stats.rejected as u64, deltas)
+            }
+
+            fn subscribe(&mut self, query: &RknntQuery) -> (u64, Vec<TransitionId>) {
+                let id = self.service.subscribe(query.clone());
+                self.ids.insert(id.raw(), id);
+                let initial = self.service.subscription_result(id).unwrap().to_vec();
+                (id.raw(), initial)
+            }
+
+            fn unsubscribe(&mut self, handle: u64) -> bool {
+                self.service.unsubscribe(self.ids[&handle])
+            }
+
+            fn maintained(&self, handle: u64) -> Option<Vec<TransitionId>> {
+                self.service
+                    .subscription_result(self.ids[&handle])
+                    .map(<[TransitionId]>::to_vec)
+            }
+        }
+    };
+}
+local_target!(QueryService);
+local_target!(ShardedService);
+
+struct Wire {
+    client: Client,
+    server: Option<Server>,
+}
+
+impl Wire {
+    fn over(backend: Backend) -> Self {
+        let server = Server::start(backend, ServerConfig::default()).expect("start server");
+        let client = Client::connect_with(
+            server.local_addr(),
+            ClientConfig::default().with_read_timeout(Duration::from_secs(20)),
+        )
+        .expect("connect");
+        Wire {
+            client,
+            server: Some(server),
+        }
+    }
+}
+
+impl Drop for Wire {
+    fn drop(&mut self) {
+        if let Some(server) = self.server.take() {
+            assert!(
+                server.fault().is_none(),
+                "server died: {:?}",
+                server.fault()
+            );
+            drop(server.stop());
+        }
+    }
+}
+
+impl Target for Wire {
+    fn queries(&mut self, batch: &[RknntQuery]) -> Vec<Vec<TransitionId>> {
+        // Pipelined, so the server funnels the run through one batch.
+        let ids: Vec<u64> = batch
+            .iter()
+            .map(|q| self.client.send_query(q).expect("send query"))
+            .collect();
+        let mut replies: HashMap<u64, Vec<TransitionId>> = HashMap::new();
+        for _ in batch {
+            let (id, reply) = self.client.recv_query_reply().expect("query reply");
+            replies.insert(id, reply.answered().expect("not shed"));
+        }
+        ids.iter()
+            .map(|id| replies.remove(id).expect("one reply per id"))
+            .collect()
+    }
+
+    fn updates(&mut self, updates: Vec<StoreUpdate>) -> (u64, u64, Vec<Delta>) {
+        let counts = self
+            .client
+            .apply_updates(updates)
+            .expect("apply updates")
+            .answered()
+            .expect("not shed");
+        // Deltas are pushed right after the reply; a ping round-trips
+        // through the same FIFO executor and connection, so once the pong
+        // is back every delta of this batch has been buffered.
+        self.client.ping().expect("fence ping");
+        let deltas = self
+            .client
+            .take_deltas()
+            .into_iter()
+            .map(|d| (d.subscription, d.entered, d.left))
+            .collect();
+        (counts.applied, counts.rejected, deltas)
+    }
+
+    fn subscribe(&mut self, query: &RknntQuery) -> (u64, Vec<TransitionId>) {
+        let sub = self
+            .client
+            .subscribe(query)
+            .expect("subscribe")
+            .answered()
+            .expect("not shed");
+        (sub.subscription, sub.transitions)
+    }
+
+    fn unsubscribe(&mut self, handle: u64) -> bool {
+        self.client
+            .unsubscribe(handle)
+            .expect("unsubscribe")
+            .answered()
+            .expect("not shed")
+    }
+
+    fn maintained(&self, _handle: u64) -> Option<Vec<TransitionId>> {
+        None
+    }
+}
+
+fn flat(model: &Model, base: ServiceConfig) -> QueryService {
+    let (routes, transitions) = model.stores();
+    QueryService::new(routes, transitions, base)
+}
+
+fn sharded(model: &Model, base: ServiceConfig, shards: usize) -> ShardedService {
+    ShardedService::bulk_build(
+        ShardedConfig::default().with_shards(shards).with_base(base),
+        model.all_routes(),
+        model.all_pairs(),
+    )
+}
+
+fn local<S>(service: S) -> Local<S> {
+    Local {
+        service,
+        ids: HashMap::new(),
+    }
+}
+
+/// Drives the script through one configuration, checking every step.
+fn drive(label: &str, target: &mut dyn Target, script: &[Step]) {
+    // Creation ordinal -> (handle, result rebuilt from initial + deltas).
+    let mut replayed: HashMap<usize, (u64, Vec<TransitionId>)> = HashMap::new();
+    let mut created = 0usize;
+    for (n, step) in script.iter().enumerate() {
+        let at = format!("{label}, step {n} ({:?})", step.op);
+        match &step.op {
+            Op::Queries(batch) => {
+                assert_eq!(
+                    target.queries(batch),
+                    step.answers,
+                    "answers diverged: {at}"
+                );
+            }
+            Op::Updates(updates) => {
+                let (applied, rejected, deltas) = target.updates(updates.clone());
+                assert_eq!((applied, rejected), step.counts, "update counts: {at}");
+                for (handle, entered, left) in deltas {
+                    // Deltas of since-dropped subscriptions may still drain.
+                    if let Some((_, result)) = replayed.values_mut().find(|(h, _)| *h == handle) {
+                        result.retain(|t| !left.contains(t));
+                        result.extend(entered);
+                        result.sort_unstable();
+                        result.dedup();
+                    }
+                }
+            }
+            Op::Subscribe(query) => {
+                let (handle, initial) = target.subscribe(query);
+                replayed.insert(created, (handle, initial));
+                created += 1;
+            }
+            Op::Unsubscribe(ordinal) => {
+                let existed = match replayed.remove(ordinal) {
+                    Some((handle, _)) => target.unsubscribe(handle),
+                    None => false,
+                };
+                assert_eq!(existed, step.existed, "unsubscribe outcome: {at}");
+            }
+        }
+        assert_eq!(
+            replayed.len(),
+            step.standing.len(),
+            "live subscriptions: {at}"
+        );
+        for (ordinal, expected) in &step.standing {
+            let (handle, result) = &replayed[ordinal];
+            assert_eq!(result, expected, "replayed deltas of sub {ordinal}: {at}");
+            if let Some(maintained) = target.maintained(*handle) {
+                assert_eq!(
+                    &maintained, expected,
+                    "maintained result of sub {ordinal}: {at}"
+                );
+            }
+        }
+    }
+}
+
+/// The stream must actually exercise what it claims to: answers that change
+/// under churn for queries asked before (a stale cache entry would show),
+/// standing results that change (a missed delta would show), rejected
+/// updates and unsubscribes.
+fn assert_stream_has_teeth(script: &[Step]) {
+    let mut last_answer: HashMap<String, &Vec<TransitionId>> = HashMap::new();
+    let mut last_standing: HashMap<usize, &Vec<TransitionId>> = HashMap::new();
+    let (mut answers_changed, mut standing_changed) = (0, 0);
+    for step in script {
+        if let Op::Queries(batch) = &step.op {
+            for (query, answer) in batch.iter().zip(&step.answers) {
+                if let Some(previous) = last_answer.insert(format!("{query:?}"), answer) {
+                    answers_changed += usize::from(previous != answer);
+                }
+            }
+        }
+        for (ordinal, result) in &step.standing {
+            if let Some(previous) = last_standing.insert(*ordinal, result) {
+                standing_changed += usize::from(previous != result);
+            }
+        }
+    }
+    assert!(
+        answers_changed >= 5,
+        "only {answers_changed} repeated answers changed"
+    );
+    assert!(
+        standing_changed >= 5,
+        "only {standing_changed} standing results changed"
+    );
+    assert!(script.iter().any(|s| s.counts.1 > 0), "no rejected update");
+    assert!(script.iter().any(|s| s.existed), "no effective unsubscribe");
+}
+
+#[test]
+fn one_stream_every_configuration_matches_the_brute_force_model() {
+    let script = script(0x5eed_1a7e, 72);
+    assert_stream_has_teeth(&script);
+    let model = Model::initial();
+    for kind in EngineKind::ALL {
+        let base = ServiceConfig::default()
+            .with_workers(2)
+            .with_cache_capacity(16)
+            .with_policy(EnginePolicy::Fixed(kind));
+        drive(
+            &format!("{kind} flat"),
+            &mut local(flat(&model, base)),
+            &script,
+        );
+        for shards in [1, 4] {
+            drive(
+                &format!("{kind} {shards}-shard"),
+                &mut local(sharded(&model, base, shards)),
+                &script,
+            );
+        }
+        drive(
+            &format!("{kind} flat over TCP"),
+            &mut Wire::over(Backend::Single(flat(&model, base))),
+            &script,
+        );
+        for shards in [1, 4] {
+            drive(
+                &format!("{kind} {shards}-shard over TCP"),
+                &mut Wire::over(Backend::Sharded(sharded(&model, base, shards))),
+                &script,
+            );
+        }
+    }
+}
