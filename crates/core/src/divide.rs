@@ -20,14 +20,13 @@ use crate::query::{QueryStats, RknntQuery, RknntResult};
 use crate::scratch::QueryScratch;
 use crate::verify::verify_candidates;
 use rknnt_geo::Point;
-use rknnt_index::{NList, RouteStore, TransitionStore};
+use rknnt_index::{RouteStore, TransitionStore};
 use std::time::Instant;
 
 /// The divide & conquer RkNNT engine.
 pub struct DivideConquerEngine<'a> {
     routes: &'a RouteStore,
     transitions: &'a TransitionStore,
-    nlist: NList,
     use_voronoi: bool,
 }
 
@@ -39,7 +38,6 @@ impl<'a> DivideConquerEngine<'a> {
         DivideConquerEngine {
             routes,
             transitions,
-            nlist: NList::build(routes),
             use_voronoi: false,
         }
     }
@@ -110,7 +108,7 @@ impl RknnTEngine for DivideConquerEngine<'_> {
         let filtering = filter_started.elapsed();
 
         // Single verification pass over the union, against the full query.
-        let mut result = verify_candidates(self.routes, &self.nlist, query, scratch);
+        let mut result = verify_candidates(self.routes, query, scratch);
         result.timings.filtering = filtering;
         stats.candidate_endpoints = result.stats.candidate_endpoints;
         stats.verified_endpoints = result.stats.verified_endpoints;

@@ -13,9 +13,10 @@ use crate::scratch::QueryScratch;
 /// against the brute-force oracle.
 ///
 /// Engines are `Send + Sync`: they hold only shared references into the
-/// stores plus immutable per-engine indexes (the NList), so the serving
-/// layer can execute queries against one engine from many worker threads,
-/// or build one engine per worker inside a [`std::thread::scope`].
+/// stores (the NList they verify against is the route store's own), so
+/// constructing one is O(1) and the serving layer can execute queries
+/// against one engine from many worker threads, or build one engine per
+/// worker inside a [`std::thread::scope`].
 pub trait RknnTEngine: Send + Sync {
     /// Human-readable engine name used in benchmark output
     /// ("Filter-Refine", "Voronoi", "Divide-Conquer", "BruteForce").

@@ -7,7 +7,7 @@ use crate::prune::prune_into_scratch;
 use crate::query::{RknntQuery, RknntResult};
 use crate::scratch::QueryScratch;
 use crate::verify::verify_candidates;
-use rknnt_index::{NList, RouteStore, TransitionStore};
+use rknnt_index::{RouteStore, TransitionStore};
 use std::time::Instant;
 
 /// The three-step processing framework of Algorithm 1:
@@ -15,20 +15,19 @@ use std::time::Instant;
 pub struct FilterRefineEngine<'a> {
     routes: &'a RouteStore,
     transitions: &'a TransitionStore,
-    nlist: NList,
     use_voronoi: bool,
 }
 
 impl<'a> FilterRefineEngine<'a> {
     /// Creates the basic Filter–Refine engine (no Voronoi enlargement).
     ///
-    /// The NList is built once at construction; recreate the engine after
-    /// mutating the route store so the NList stays consistent.
+    /// Construction is O(1): the engine only borrows the stores, and
+    /// verification reads the route store's resident NList
+    /// ([`RouteStore::nlist`]).
     pub fn new(routes: &'a RouteStore, transitions: &'a TransitionStore) -> Self {
         FilterRefineEngine {
             routes,
             transitions,
-            nlist: NList::build(routes),
             use_voronoi: false,
         }
     }
@@ -125,7 +124,7 @@ impl<'a> FilterRefineEngine<'a> {
         let filtering = prune_started.elapsed();
 
         // Phase 3: exact verification of the surviving endpoints.
-        let mut result = verify_candidates(self.routes, &self.nlist, query, scratch);
+        let mut result = verify_candidates(self.routes, query, scratch);
         result.timings.filtering = filtering;
         result.stats.record_filter(filter_outcome, pruned_nodes);
         result

@@ -1,9 +1,8 @@
 //! Engine selection by value: the [`EngineKind`] enum and its factory.
 //!
 //! The serving layer executes batches across worker threads, and every
-//! worker needs to construct its own engine over borrowed stores (engines
-//! hold per-engine indexes such as the NList, which are cheap relative to a
-//! batch but not sharable mid-build). [`EngineKind::build`] is the
+//! worker constructs its own engine over borrowed stores (engines own no
+//! index, so this is O(1)). [`EngineKind::build`] is the
 //! universally-quantified constructor path that makes this possible: it
 //! works for *any* borrow lifetime, so a worker inside a
 //! [`std::thread::scope`] can call it on references captured by the scope.

@@ -43,4 +43,6 @@ pub use kind::EngineKind;
 pub use prune::{prune_into_scratch, prune_transitions, CandidateEndpoint, PruneOutcome};
 pub use query::{PhaseTimings, QueryStats, RknntQuery, RknntResult, Semantics};
 pub use scratch::{QueryScratch, RouteMarks};
-pub use verify::{count_closer_routes, count_closer_routes_sq, verify_candidates};
+pub use verify::{
+    admits_transition, count_closer_routes, count_closer_routes_sq, verify_candidates,
+};

@@ -203,19 +203,19 @@ pub(crate) fn qualifies(
 /// An endpoint qualifies iff fewer than `k` distinct routes are strictly
 /// closer to it than the query is. The candidate buffer is whatever
 /// [`crate::prune_into_scratch`] calls have appended since the last
-/// [`QueryScratch::clear_candidates`]; `routes` / `nlist` must be the full
-/// route set the answer is defined over (for a sharded caller: the
-/// planner-wide store, not a shard's slice). The returned result carries the
+/// [`QueryScratch::clear_candidates`]; `routes` must be the full route set
+/// the answer is defined over (for a sharded caller: the planner-wide store,
+/// not a shard's slice). The returned result carries the
 /// transitions, the verification time and the candidate / verified / result
 /// counts — the caller adds its own filter-phase time and counters. After
 /// the scratch is warmed the per-candidate path performs zero heap
 /// allocations.
 pub fn verify_candidates(
     routes: &RouteStore,
-    nlist: &NList,
     query: &RknntQuery,
     scratch: &mut QueryScratch,
 ) -> RknntResult {
+    let nlist = routes.nlist();
     let QueryScratch {
         marks,
         node_stack,
@@ -265,6 +265,45 @@ pub fn verify_candidates(
     result.stats.verified_endpoints = verified_endpoints;
     result.stats.result_transitions = result.transitions.len();
     result
+}
+
+/// The exact admission kernel: does a transition with these two endpoints
+/// belong to `RkNNT(query_route, k)` under `semantics`, against the current
+/// `routes`?
+///
+/// By Definition 5 membership depends only on the transition's own endpoints
+/// and the route set, so between two route changes a maintained result
+/// follows transition churn exactly through this check — no re-execution.
+/// Each endpoint is judged by the same `qualifies` call
+/// [`verify_candidates`] makes (fewer than `k` distinct routes *strictly*
+/// closer than the query; a route tied with the query does not count) and
+/// the two verdicts combine under ∃/∀ as there. Degenerate queries admit
+/// nothing. After the scratch is warmed the call performs zero heap
+/// allocations.
+pub fn admits_transition(
+    routes: &RouteStore,
+    query_route: &[Point],
+    k: usize,
+    semantics: Semantics,
+    origin: &Point,
+    destination: &Point,
+    scratch: &mut QueryScratch,
+) -> bool {
+    if k == 0 || query_route.is_empty() {
+        return false;
+    }
+    let nlist = routes.nlist();
+    let QueryScratch {
+        marks, node_stack, ..
+    } = scratch;
+    let mut ok = |u: &Point| {
+        let threshold_sq = point_route_distance_sq(u, query_route);
+        qualifies(routes, nlist, u, threshold_sq, k, marks, node_stack)
+    };
+    match semantics {
+        Semantics::Exists => ok(origin) || ok(destination),
+        Semantics::ForAll => ok(origin) && ok(destination),
+    }
 }
 
 #[cfg(test)]
@@ -352,6 +391,65 @@ mod tests {
         assert!(!q(&far, d_far * d_far, 3));
         // ...but with a large enough k it does.
         assert!(q(&far, d_far * d_far, store.num_routes() + 1));
+    }
+
+    #[test]
+    fn admission_is_strict_at_ties_and_combines_like_verification() {
+        let store = parallel_routes();
+        let mut scratch = crate::QueryScratch::new();
+        let mut admits = |query: &[Point], k, semantics, o: Point, d: Point| {
+            admits_transition(&store, query, k, semantics, &o, &d, &mut scratch)
+        };
+        // The endpoint (25, 43) is at distance² 34 from the nearest stops of
+        // the y = 40 route, (20, 40) and (30, 40), and at distance² 25 + 9 =
+        // 34 from the one-vertex query (30, 46): an exact tie.
+        let query = [p(30.0, 46.0)];
+        let tied = p(25.0, 43.0);
+        let far = p(25.0, 10.0); // on a route, many routes closer
+        assert_eq!(
+            count_closer_routes_sq(&store, &NList::build(&store), &tied, 34.0, usize::MAX),
+            0,
+            "the tied route is not strictly closer"
+        );
+        assert!(admits(&query, 1, Semantics::Exists, tied, far));
+        assert!(admits(&query, 1, Semantics::Exists, far, tied));
+        assert!(!admits(&query, 1, Semantics::ForAll, tied, far));
+        assert!(admits(&query, 1, Semantics::ForAll, tied, tied));
+        assert!(!admits(&query, 1, Semantics::Exists, far, far));
+        // Nudged a hair towards the route, the route is strictly closer.
+        let nudged = p(25.0, 42.999);
+        assert!(!admits(&query, 1, Semantics::Exists, nudged, far));
+        assert!(admits(&query, 2, Semantics::Exists, nudged, far));
+        // Degenerate queries admit nothing.
+        assert!(!admits(&[], 3, Semantics::Exists, tied, tied));
+        assert!(!admits(&query, 0, Semantics::Exists, tied, tied));
+        // The kernel agrees with the engines on every transition of a store.
+        let mut transitions = rknnt_index::TransitionStore::default();
+        for i in 0..60u32 {
+            let o = p((i as f64 * 7.3) % 50.0, (i as f64 * 13.7) % 90.0);
+            let d = p(
+                (i as f64 * 3.1 + 11.0) % 50.0,
+                (i as f64 * 17.9 + 23.0) % 90.0,
+            );
+            transitions.insert(o, d).unwrap();
+        }
+        let oracle = crate::BruteForceEngine::new(&store, &transitions);
+        for semantics in [Semantics::Exists, Semantics::ForAll] {
+            for k in [1usize, 2, 4] {
+                let q = RknntQuery {
+                    route: vec![p(5.0, 44.0), p(25.0, 46.0), p(45.0, 44.0)],
+                    k,
+                    semantics,
+                };
+                let expected = crate::RknnTEngine::execute(&oracle, &q).transitions;
+                let got: Vec<_> = transitions
+                    .transitions()
+                    .filter(|t| admits(&q.route, k, semantics, t.origin, t.destination))
+                    .map(|t| t.id)
+                    .collect();
+                assert_eq!(got, expected, "k={k} {semantics:?}");
+            }
+        }
     }
 
     #[test]

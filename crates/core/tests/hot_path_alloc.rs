@@ -1,8 +1,10 @@
 //! Debug-build allocation counter for the query hot path: after warm-up,
 //! the scratch-based verification kernel must perform **zero** heap
-//! allocations per candidate, and a full `execute_with_filter_scratch`
-//! pipeline must allocate only a small per-*query* constant (the returned
-//! result vector), independent of how many candidates it verifies.
+//! allocations per candidate, so must the admission kernel per transition
+//! (including the lazily built resident NList it reads), and a full
+//! `execute_with_filter_scratch` pipeline must allocate only a small
+//! per-*query* constant (the returned result vector), independent of how
+//! many candidates it verifies.
 //!
 //! The counter is a thin wrapper around the system allocator installed only
 //! in this test binary — fully hermetic, no external crates — and the
@@ -11,7 +13,7 @@
 //! skip the counting-based asserts. Tests share one global counter, so they
 //! serialise on a mutex.
 
-use rknnt_core::{FilterRefineEngine, QueryScratch, RknntQuery};
+use rknnt_core::{admits_transition, FilterRefineEngine, QueryScratch, RknntQuery, Semantics};
 use rknnt_geo::{point_route_distance_sq, Point};
 use rknnt_index::{NList, RouteStore, TransitionStore};
 use rknnt_rtree::RTreeConfig;
@@ -114,6 +116,50 @@ fn warmed_scratch_verification_never_allocates() {
         0,
         "scratch verification allocated {delta} times across {} candidates after warm-up",
         candidates.len()
+    );
+    #[cfg(not(debug_assertions))]
+    let _ = delta;
+}
+
+#[test]
+fn warmed_admission_kernel_never_allocates() {
+    let _guard = EXCLUSIVE.lock().unwrap();
+    let (routes, transitions) = world(12, 150);
+    let query = vec![p(5.0, 37.0), p(35.0, 37.0), p(65.0, 37.0)];
+    let mut scratch = QueryScratch::new();
+    let run = |scratch: &mut QueryScratch| -> usize {
+        let mut admitted = 0;
+        for semantics in [Semantics::Exists, Semantics::ForAll] {
+            for k in [1usize, 3, 5] {
+                for t in transitions.transitions() {
+                    admitted += usize::from(admits_transition(
+                        &routes,
+                        &query,
+                        k,
+                        semantics,
+                        &t.origin,
+                        &t.destination,
+                        scratch,
+                    ));
+                }
+            }
+        }
+        admitted
+    };
+    // Warm-up: builds the store's resident NList and grows the scratch.
+    let reference = run(&mut scratch);
+    assert!(reference > 0, "the world must admit something");
+
+    let before = allocations();
+    let admitted = run(&mut scratch);
+    let delta = allocations() - before;
+    assert_eq!(admitted, reference, "warmed pass changed the verdicts");
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        delta,
+        0,
+        "the admission kernel allocated {delta} times across {} checks after warm-up",
+        6 * transitions.len()
     );
     #[cfg(not(debug_assertions))]
     let _ = delta;

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// the heap (one allocation per node, pointer chase per lookup), while the
 /// CSR pack keeps every list contiguous in one cache-friendly buffer and
 /// [`NList::routes_under`] is two offset loads and a slice.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NList {
     /// `offsets[i]..offsets[i + 1]` indexes the list of node slot `i` in
     /// `routes`. Length is `node_id_bound + 1` (empty for an empty tree).
@@ -34,9 +34,9 @@ pub struct NList {
 impl NList {
     /// Builds the NList for the current state of `store`'s RR-tree.
     ///
-    /// Rebuild after route insertions or removals; the query engines in
-    /// `rknnt-core` construct it when they are created, so constructing a new
-    /// engine after updating the store keeps everything consistent.
+    /// Readers use the store's resident copy, [`RouteStore::nlist`], which
+    /// calls this once per route-set version; a direct call is the reference
+    /// the tests and the `verify_hot_path` experiment compare against.
     pub fn build(store: &RouteStore) -> Self {
         let tree = store.rtree();
         let bound = tree.node_id_bound();

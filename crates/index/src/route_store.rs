@@ -1,11 +1,13 @@
 //! The route store: RR-tree over route points plus the PList inverted index.
 
 use crate::ids::{RouteId, StopId};
+use crate::nlist::NList;
 use crate::types::Route;
 use rknnt_geo::Point;
 use rknnt_rtree::{RTree, RTreeConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// The PList of Section 4.1.2: for every route point (stop), the list of
 /// routes that pass through it — the crossover route set `C(r)` of
@@ -63,10 +65,11 @@ fn coord_key(p: &Point) -> (u64, u64) {
 }
 
 /// The route store: owns the routes, the distinct stops, the RR-tree over
-/// stops and the PList.
+/// stops, the PList and the NList.
 ///
 /// Routes can be added and removed dynamically; the RR-tree and PList are
-/// maintained incrementally (the paper's index "supports dynamic updating").
+/// maintained incrementally (the paper's index "supports dynamic updating")
+/// and the NList is rebuilt once per route-set version, on first use.
 #[derive(Debug, Clone)]
 pub struct RouteStore {
     routes: Vec<Option<Route>>,
@@ -75,6 +78,10 @@ pub struct RouteStore {
     plist: PList,
     rtree: RTree<StopId>,
     live_routes: usize,
+    /// The NList of the current RR-tree; unset until [`RouteStore::nlist`]
+    /// is first called after construction or a route change. Derived state:
+    /// never part of [`RouteStoreState`].
+    nlist: OnceLock<NList>,
 }
 
 impl Default for RouteStore {
@@ -93,6 +100,7 @@ impl RouteStore {
             plist: PList::default(),
             rtree: RTree::new(config),
             live_routes: 0,
+            nlist: OnceLock::new(),
         }
     }
 
@@ -148,6 +156,7 @@ impl RouteStore {
         if points.len() < 2 || points.iter().any(|p| !p.is_finite()) {
             return None;
         }
+        self.nlist.take();
         let id = RouteId(self.routes.len() as u32);
         for p in &points {
             let is_new = !self.stop_lookup.contains_key(&coord_key(p));
@@ -172,6 +181,7 @@ impl RouteStore {
         let Some(route) = slot.take() else {
             return false;
         };
+        self.nlist.take();
         self.live_routes -= 1;
         // Deduplicate per-route occurrences first: a self-intersecting route
         // (figure-eight) visits the same stop twice, and the PList/RR-tree
@@ -261,6 +271,14 @@ impl RouteStore {
         &self.rtree
     }
 
+    /// The NList of the current RR-tree (Section 4.1.2: RR-tree, PList and
+    /// NList together are the route index). Built on the first call after
+    /// construction or a route insert/removal and shared by every reader
+    /// until the next one; concurrent first callers block on one build.
+    pub fn nlist(&self) -> &NList {
+        self.nlist.get_or_init(|| NList::build(self))
+    }
+
     /// Looks up the stop at exactly the given coordinates, if any.
     pub fn stop_at(&self, p: &Point) -> Option<StopId> {
         self.stop_lookup.get(&coord_key(p)).copied()
@@ -348,6 +366,7 @@ impl RouteStore {
             plist: PList { lists: plist },
             rtree: RTree::bulk_load(config, items),
             live_routes,
+            nlist: OnceLock::new(),
         })
     }
 }
@@ -529,6 +548,57 @@ mod tests {
         );
         assert_eq!(skipped, 1);
         assert_eq!(bulk.num_routes(), 1);
+    }
+
+    #[test]
+    fn resident_nlist_tracks_every_route_set_version() {
+        let check = |store: &RouteStore, at: &str| {
+            assert_eq!(store.nlist(), &NList::build(store), "{at}");
+        };
+        let mut store = RouteStore::new(RTreeConfig::new(4, 2));
+        check(&store, "empty");
+        // A pseudo-random interleaving of inserts and removals (some of dead
+        // ids, some rejected), reading the NList after every step so a stale
+        // copy cannot hide behind a later rebuild.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for step in 0..120 {
+            match next(4) {
+                0 => {
+                    let id = RouteId(next(store.route_id_bound() as u64 + 1) as u32);
+                    store.remove_route(id);
+                }
+                1 => assert!(store.insert_route(vec![p(1.0, 1.0)]).is_none()),
+                _ => {
+                    // Coarse coordinates so routes share stops.
+                    let points = (0..2 + next(4))
+                        .map(|_| p(next(12) as f64 * 10.0, next(12) as f64 * 10.0))
+                        .collect();
+                    store.insert_route(points).unwrap();
+                }
+            }
+            check(&store, &format!("step {step}"));
+            if step % 17 == 0 {
+                check(&store.clone(), "clone of a built store");
+                let rebuilt = RouteStore::from_state(store.export_state()).unwrap();
+                check(&rebuilt, "from_state");
+            }
+        }
+        // A clone taken right after a change (NList unset) builds its own.
+        store.insert_route(vec![p(500.0, 500.0), p(510.0, 500.0)]);
+        let cloned = store.clone();
+        check(&cloned, "clone of an unbuilt store");
+        check(&store, "original after its clone");
+        let (bulk, _) = RouteStore::bulk_build(
+            RTreeConfig::new(4, 2),
+            store.routes().map(|r| r.points.clone()).collect(),
+        );
+        check(&bulk, "bulk_build");
     }
 
     #[test]

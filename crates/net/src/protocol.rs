@@ -635,6 +635,7 @@ impl Message {
                 enc.u8(match reason {
                     DeltaReason::TransitionExpired => 0,
                     DeltaReason::Reexecuted => 1,
+                    DeltaReason::TransitionArrived => 2,
                 });
             }
         }
@@ -793,6 +794,7 @@ impl Message {
                 reason: match dec.u8()? {
                     0 => DeltaReason::TransitionExpired,
                     1 => DeltaReason::Reexecuted,
+                    2 => DeltaReason::TransitionArrived,
                     other => {
                         return Err(CodecError {
                             offset: dec.position().saturating_sub(1),
@@ -969,6 +971,30 @@ mod tests {
                 reason: DeltaReason::Reexecuted,
             },
         ]
+    }
+
+    #[test]
+    fn every_delta_reason_roundtrips_and_an_unknown_one_is_a_typed_error() {
+        let delta = |reason| Message::Delta {
+            subscription: 7,
+            entered: vec![TransitionId::from(9)],
+            left: vec![TransitionId::from(2)],
+            reason,
+        };
+        for (reason, tag) in [
+            (DeltaReason::TransitionExpired, 0u8),
+            (DeltaReason::Reexecuted, 1),
+            (DeltaReason::TransitionArrived, 2),
+        ] {
+            let bytes = delta(reason).encode();
+            assert_eq!(bytes.last(), Some(&tag), "{reason:?} is the final byte");
+            assert_eq!(Message::decode(&bytes).unwrap(), delta(reason));
+        }
+        let mut bytes = delta(DeltaReason::TransitionArrived).encode();
+        *bytes.last_mut().unwrap() = 3;
+        let err = Message::decode(&bytes).unwrap_err();
+        assert!(err.detail.contains("bad delta reason byte 3"), "{err:?}");
+        assert_eq!(err.offset, bytes.len() - 1);
     }
 
     #[test]

@@ -10,9 +10,17 @@
 //!
 //! Recency is tracked with an intrusive doubly-linked list over a slot
 //! arena, giving O(1) lookup, touch, insert and eviction.
+//!
+//! Entries follow transition churn instead of being evicted by it: the cache
+//! owns the [`crate::journal`] ring the update path appends arrivals and
+//! expiries to, every entry remembers the journal sequence it is current to,
+//! and a lookup replays the suffix into the entry before returning it. Only
+//! route changes (and falling off the ring) drop entries.
 
+use crate::journal::{Journal, TransitionOp, JOURNAL_CAPACITY};
 use crate::region::EntryRegion;
-use rknnt_core::{RknntQuery, RknntResult, Semantics};
+use rknnt_core::{QueryScratch, RknntQuery, RknntResult, Semantics};
+use rknnt_index::RouteStore;
 use rknnt_obs::Counter;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -95,7 +103,8 @@ pub struct CacheStats {
     /// Full invalidations (generation bumps).
     pub invalidations: u64,
     /// Entries evicted by region-scoped invalidation
-    /// ([`ResultCache::evict_where`]).
+    /// ([`ResultCache::evict_where`]) or dropped because the journal no
+    /// longer reached back to them.
     pub targeted_evictions: u64,
     /// Entries dropped by full invalidations (each invalidation adds the
     /// number of entries it cleared).
@@ -118,7 +127,7 @@ pub struct CacheCounters {
     pub evictions: Counter,
     /// Full invalidations.
     pub invalidations: Counter,
-    /// Entries dropped by `evict_where`.
+    /// Entries dropped by `evict_where` or for falling off the journal.
     pub targeted_evictions: Counter,
     /// Entries dropped by full invalidations.
     pub invalidated_entries: Counter,
@@ -128,6 +137,8 @@ struct Slot {
     key: CacheKey,
     value: RknntResult,
     region: EntryRegion,
+    /// Journal sequence `value` and `region` are current to.
+    seq: u64,
     prev: usize,
     next: usize,
 }
@@ -143,6 +154,10 @@ pub struct ResultCache {
     head: usize,
     tail: usize,
     counters: CacheCounters,
+    journal: Journal,
+    /// Scratch of the admission checks replay runs; guarded, like
+    /// everything here, by whatever guards the cache.
+    scratch: QueryScratch,
 }
 
 impl ResultCache {
@@ -162,6 +177,8 @@ impl ResultCache {
             head: NIL,
             tail: NIL,
             counters,
+            journal: Journal::with_capacity(JOURNAL_CAPACITY),
+            scratch: QueryScratch::new(),
         }
     }
 
@@ -188,9 +205,48 @@ impl ResultCache {
         }
     }
 
-    /// Looks up a query, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<RknntResult> {
-        match self.map.get(key).copied() {
+    /// Journals one transition arrival or expiry the stores accepted. O(1):
+    /// no entry is touched until it is next read.
+    pub(crate) fn record(&mut self, op: TransitionOp) {
+        self.journal.push(op);
+    }
+
+    /// Replays the journal suffix the entry in `slot` has not seen into it.
+    /// `false` when the ring no longer holds that suffix — the entry cannot
+    /// be made current and must be dropped.
+    fn catch_up(&mut self, slot: usize, routes: &RouteStore) -> bool {
+        let entry = &mut self.slots[slot];
+        let head = self.journal.head();
+        if entry.seq == head {
+            return true;
+        }
+        let Some(ops) = self.journal.since(entry.seq) else {
+            return false;
+        };
+        for op in ops {
+            entry
+                .region
+                .replay(&mut entry.value.transitions, op, routes, &mut self.scratch);
+        }
+        entry.value.stats.result_transitions = entry.value.transitions.len();
+        entry.seq = head;
+        true
+    }
+
+    /// Looks up a query, refreshing its recency on a hit. The entry is
+    /// first brought current with the transition journal against `routes`
+    /// (the current route set); one the ring no longer reaches is dropped
+    /// and the lookup is a miss.
+    pub fn get(&mut self, key: &CacheKey, routes: &RouteStore) -> Option<RknntResult> {
+        let current = match self.map.get(key).copied() {
+            Some(slot) if self.catch_up(slot, routes) => Some(slot),
+            Some(stale) => {
+                self.drop_slots(&[stale]);
+                None
+            }
+            None => None,
+        };
+        match current {
             Some(slot) => {
                 self.counters.hits.inc();
                 self.unlink(slot);
@@ -204,17 +260,45 @@ impl ResultCache {
         }
     }
 
-    /// Stores a result with its invalidation region, evicting the least
-    /// recently used entry when full.
+    /// Brings every entry current with the transition journal, dropping the
+    /// ones the ring no longer reaches — the first step of a route change,
+    /// so the route-change tests that follow see current results and no
+    /// entry's pending ops ever span two route versions.
+    ///
+    /// Called *after* the stores changed, so `routes` is the post-change
+    /// set. That is sound: replay then judges each pending arrival against
+    /// the post-change routes (exactly its post-change membership, the
+    /// certificate counting only still-live witnesses), leaving an entry
+    /// whose older members are pre-change and whose replayed ones are
+    /// post-change. The route-change test that runs next either proves the
+    /// older members' membership unchanged — after an insert no recorded
+    /// endpoint, the replayed ones included, is within reach of the new
+    /// route; after a removal every endpoint outside the result, rejected
+    /// arrivals included, is re-certified without the removed route — in
+    /// which case the entry is exactly the post-change answer, or it drops
+    /// the entry.
+    pub(crate) fn catch_up_all(&mut self, routes: &RouteStore) {
+        let slots: Vec<usize> = self.map.values().copied().collect();
+        let stale: Vec<usize> = slots
+            .into_iter()
+            .filter(|slot| !self.catch_up(*slot, routes))
+            .collect();
+        self.drop_slots(&stale);
+    }
+
+    /// Stores a result computed against the current stores with its
+    /// maintenance region, evicting the least recently used entry when full.
     pub fn insert(&mut self, key: CacheKey, value: RknntResult, region: EntryRegion) {
         if self.capacity == 0 {
             return;
         }
+        let seq = self.journal.head();
         if let Some(slot) = self.map.get(&key).copied() {
             // Same query computed twice (e.g. two concurrent batches):
             // refresh the value, region and recency.
             self.slots[slot].value = value;
             self.slots[slot].region = region;
+            self.slots[slot].seq = seq;
             self.unlink(slot);
             self.push_front(slot);
             return;
@@ -228,6 +312,7 @@ impl ResultCache {
                     key: key.clone(),
                     value,
                     region,
+                    seq,
                     prev: NIL,
                     next: NIL,
                 };
@@ -238,6 +323,7 @@ impl ResultCache {
                     key: key.clone(),
                     value,
                     region,
+                    seq,
                     prev: NIL,
                     next: NIL,
                 });
@@ -275,18 +361,25 @@ impl ResultCache {
                 evict(&s.key, &s.value, &s.region)
             })
             .collect();
-        for slot in &victims {
+        self.drop_slots(&victims);
+        victims.len()
+    }
+
+    /// Removes the given live slots, counting them as targeted evictions.
+    fn drop_slots(&mut self, victims: &[usize]) {
+        for slot in victims {
             self.unlink(*slot);
             self.map.remove(&self.slots[*slot].key);
             self.free.push(*slot);
         }
         self.counters.targeted_evictions.add(victims.len() as u64);
-        victims.len()
     }
 
-    /// Drops every entry (the generation-bump hook).
+    /// Drops every entry and forgets the journal (the generation-bump hook:
+    /// a wholesale store change is not something the journal describes).
     pub fn invalidate_all(&mut self) {
         self.counters.invalidated_entries.add(self.map.len() as u64);
+        self.journal.clear();
         self.map.clear();
         self.slots.clear();
         self.free.clear();
@@ -345,6 +438,10 @@ mod tests {
         RknntQuery::exists(vec![Point::new(x, 0.0), Point::new(x, 10.0)], k)
     }
 
+    fn routes() -> RouteStore {
+        RouteStore::default()
+    }
+
     fn region() -> EntryRegion {
         EntryRegion::conservative(&query(0.0, 1))
     }
@@ -360,9 +457,12 @@ mod tests {
     fn get_after_insert_roundtrips() {
         let mut cache = ResultCache::new(4, 7);
         let key = CacheKey::of(&query(1.0, 5));
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get(&key, &routes()).is_none());
         cache.insert(key.clone(), result(3), region());
-        assert_eq!(cache.get(&key).unwrap().transitions, vec![TransitionId(3)]);
+        assert_eq!(
+            cache.get(&key, &routes()).unwrap().transitions,
+            vec![TransitionId(3)]
+        );
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
     }
@@ -375,8 +475,8 @@ mod tests {
         forall.semantics = Semantics::ForAll;
         let k9 = query(1.0, 9);
         cache.insert(CacheKey::of(&exists), result(1), region());
-        assert!(cache.get(&CacheKey::of(&forall)).is_none());
-        assert!(cache.get(&CacheKey::of(&k9)).is_none());
+        assert!(cache.get(&CacheKey::of(&forall), &routes()).is_none());
+        assert!(cache.get(&CacheKey::of(&k9), &routes()).is_none());
     }
 
     #[test]
@@ -390,12 +490,15 @@ mod tests {
         cache.insert(a.clone(), result(1), region());
         cache.insert(b.clone(), result(2), region());
         // Touch `a` so `b` becomes the LRU entry.
-        assert!(cache.get(&a).is_some());
+        assert!(cache.get(&a, &routes()).is_some());
         cache.insert(c.clone(), result(3), region());
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&b).is_none(), "b was LRU and must be evicted");
-        assert!(cache.get(&a).is_some());
-        assert!(cache.get(&c).is_some());
+        assert!(
+            cache.get(&b, &routes()).is_none(),
+            "b was LRU and must be evicted"
+        );
+        assert!(cache.get(&a, &routes()).is_some());
+        assert!(cache.get(&c, &routes()).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -408,11 +511,15 @@ mod tests {
         assert_eq!(cache.len(), 4);
         cache.invalidate_all();
         assert!(cache.is_empty());
-        assert!(cache.get(&CacheKey::of(&query(0.0, 1))).is_none());
+        assert!(cache
+            .get(&CacheKey::of(&query(0.0, 1)), &routes())
+            .is_none());
         assert_eq!(cache.stats().invalidations, 1);
         // Reusable after invalidation.
         cache.insert(CacheKey::of(&query(9.0, 1)), result(9), region());
-        assert!(cache.get(&CacheKey::of(&query(9.0, 1))).is_some());
+        assert!(cache
+            .get(&CacheKey::of(&query(9.0, 1)), &routes())
+            .is_some());
     }
 
     #[test]
@@ -420,7 +527,7 @@ mod tests {
         let mut cache = ResultCache::new(0, 7);
         let key = CacheKey::of(&query(1.0, 1));
         cache.insert(key.clone(), result(1), region());
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get(&key, &routes()).is_none());
         assert_eq!(cache.len(), 0);
     }
 
@@ -433,8 +540,11 @@ mod tests {
         cache.insert(a.clone(), result(10), region());
         // `a` is now most recent; inserting a third key evicts `b`.
         cache.insert(CacheKey::of(&query(3.0, 1)), result(3), region());
-        assert_eq!(cache.get(&a).unwrap().transitions, vec![TransitionId(10)]);
-        assert!(cache.get(&b).is_none());
+        assert_eq!(
+            cache.get(&a, &routes()).unwrap().transitions,
+            vec![TransitionId(10)]
+        );
+        assert!(cache.get(&b, &routes()).is_none());
     }
 
     #[test]
@@ -443,7 +553,7 @@ mod tests {
         for round in 0..200u32 {
             let key = CacheKey::of(&query((round % 23) as f64, 1));
             if round % 3 == 0 {
-                let _ = cache.get(&key);
+                let _ = cache.get(&key, &routes());
             }
             cache.insert(key, result(round), region());
             assert!(cache.len() <= 8);
@@ -464,11 +574,14 @@ mod tests {
             assert_eq!(cache.len(), 1, "capacity bound after insert {i}");
             // Only the newest key is present, and a hit refreshes it.
             assert_eq!(
-                cache.get(key).unwrap().transitions,
+                cache.get(key, &routes()).unwrap().transitions,
                 vec![TransitionId(i as u32)]
             );
             for older in &keys[..i] {
-                assert!(cache.get(older).is_none(), "older key survived at cap 1");
+                assert!(
+                    cache.get(older, &routes()).is_none(),
+                    "older key survived at cap 1"
+                );
             }
         }
         let stats = cache.stats();
@@ -479,7 +592,7 @@ mod tests {
         cache.insert(keys[4].clone(), result(99), region());
         assert_eq!(cache.stats().evictions, 4);
         assert_eq!(
-            cache.get(&keys[4]).unwrap().transitions,
+            cache.get(&keys[4], &routes()).unwrap().transitions,
             vec![TransitionId(99)]
         );
         // Invalidate and refill: the arena and free list stay coherent.
@@ -487,7 +600,7 @@ mod tests {
         assert!(cache.is_empty());
         cache.insert(keys[0].clone(), result(1), region());
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(&keys[0]).is_some());
+        assert!(cache.get(&keys[0], &routes()).is_some());
     }
 
     #[test]
@@ -495,9 +608,12 @@ mod tests {
         let mut cache = ResultCache::new(0, 7);
         for i in 0..4u32 {
             let key = CacheKey::of(&query(i as f64, 1));
-            assert!(cache.get(&key).is_none());
+            assert!(cache.get(&key, &routes()).is_none());
             cache.insert(key.clone(), result(i), region());
-            assert!(cache.get(&key).is_none(), "capacity 0 must not store");
+            assert!(
+                cache.get(&key, &routes()).is_none(),
+                "capacity 0 must not store"
+            );
             assert_eq!(cache.len(), 0);
         }
         let stats = cache.stats();
@@ -524,7 +640,7 @@ mod tests {
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats().targeted_evictions, 3);
         for (i, key) in keys.iter().enumerate() {
-            assert_eq!(cache.get(key).is_some(), i % 2 == 1, "key {i}");
+            assert_eq!(cache.get(key, &routes()).is_some(), i % 2 == 1, "key {i}");
         }
         // Freed slots are reusable and the recency list still works.
         for i in 10..16u32 {

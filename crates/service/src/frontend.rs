@@ -8,6 +8,7 @@
 
 use crate::batch::{form_groups, run_group, BatchStats, Group, GroupOutput};
 use crate::cache::{route_bits, CacheKey, CacheStats, ResultCache};
+use crate::journal::TransitionOp;
 use crate::metrics::ServiceMetrics;
 use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
 use crate::region::EntryRegion;
@@ -34,8 +35,8 @@ const ROUTE_REMOVAL_BUDGET_PER_ENTRY: usize = 4_096;
 /// Sealed: the trait lives in a private module, so only this crate's two
 /// backings implement it.
 pub trait Backing: Sync {
-    /// State one worker thread owns for the duration of a batch (engines or
-    /// an `NList`, plus a `QueryScratch`); never shared between workers.
+    /// State one worker thread owns for the duration of a batch (engines
+    /// and a `QueryScratch`); never shared between workers.
     type Worker<'a>
     where
         Self: 'a;
@@ -108,8 +109,9 @@ pub trait Backing: Sync {
 /// Queries execute against a consistent snapshot because store mutation
 /// requires `&mut self`, which the borrow checker serialises against every
 /// in-flight `&self` batch. Incremental updates go through
-/// [`Service::apply_updates`], which mutates the stores in place and evicts
-/// only the cached results an update could affect (see [`crate::region`]).
+/// [`Service::apply_updates`], which mutates the stores in place; cached
+/// results follow transition churn through the journal and only a route
+/// change evicts the ones it could affect (see [`crate::region`]).
 pub struct Service<B: Backing> {
     pub(crate) backing: B,
     /// Workers, policy, cache sizing and grouping cell of the pipeline.
@@ -293,9 +295,10 @@ impl<B: Backing> Service<B> {
         let mut miss_indexes: Vec<usize> = Vec::new();
         if caching {
             let mut cache = self.cache.lock().expect("cache lock");
+            let routes = self.backing.routes();
             for (i, query) in queries.iter().enumerate() {
                 let key = CacheKey::of(query);
-                match cache.get(&key) {
+                match cache.get(&key, routes) {
                     Some(result) => slots[i] = Some(result),
                     None => miss_indexes.push(i),
                 }
@@ -407,7 +410,7 @@ impl<B: Backing> Service<B> {
         (results, stats)
     }
 
-    /// The invalidation region of a freshly computed result: the filter
+    /// The maintenance region of a freshly computed result: the filter
     /// footprint plus the MBR of the result's endpoints, both against the
     /// current stores (which cannot change under `&self`).
     fn region_of(
@@ -615,17 +618,20 @@ impl<B: Backing> Service<B> {
     // Update path.
     // ------------------------------------------------------------------
 
-    /// Applies incremental store updates in order, evicting **only** the
-    /// cached results each update could change.
+    /// Applies incremental store updates in order, keeping every cached and
+    /// standing result equal to what the post-update stores answer.
     ///
-    /// Every cached entry carries the [`EntryRegion`] recorded when it was
-    /// computed: the filter footprint its filter step touched (query-route
-    /// MBR expanded by the filter radius actually used, plus the pruning
-    /// witnesses) and the MBR of its result endpoints. An update evicts an
-    /// entry only when its dirty region reaches the entry's recorded region
-    /// (see [`crate::region`] for the per-update rules and their soundness
-    /// arguments); route removals plan a targeted eviction under a work
-    /// budget and fall back to a full cache drop when it runs out.
+    /// Every result carries the [`EntryRegion`] recorded when it was
+    /// computed: the query, the filter footprint its filter step touched
+    /// and the MBR of its result endpoints. A **transition arrival or
+    /// expiry** is only appended to the cache's journal — O(1) however many
+    /// entries are cached, nothing is evicted — and each entry replays what
+    /// it missed when it is next read. A **route insert or removal** first
+    /// brings every entry current, then evicts only the entries the change
+    /// could affect (see [`crate::region`] for the per-update rules and
+    /// their soundness arguments); route removals plan a targeted eviction
+    /// under a work budget and fall back to a full cache drop when it runs
+    /// out.
     ///
     /// This path does **not** bump the generation: `&mut self` already
     /// serialises it against in-flight batches, and retained entries remain
@@ -633,12 +639,12 @@ impl<B: Backing> Service<B> {
     /// stores would answer — asserted by the churn determinism suite in
     /// `tests/service_churn.rs`.
     ///
-    /// Live subscriptions are classified against every applied update —
-    /// *unaffected* (skipped), *certified stable* (kept, region updated) or
-    /// *dirty* — and the dirty ones are re-executed together through the
-    /// grouped batch path at the end of the call; the returned
-    /// [`UpdateStats::deltas`] describe every subscription result change
-    /// (see [`crate::monitor`]).
+    /// Live subscriptions follow every applied update eagerly: transition
+    /// ops are applied to their results in place, route changes are
+    /// certified stable or mark them *dirty*, and the dirty ones are
+    /// re-executed together through the grouped batch path at the end of the
+    /// call; the returned [`UpdateStats::deltas`] describe every
+    /// subscription result change (see [`crate::monitor`]).
     ///
     /// With storage attached the batch is appended to the write-ahead log —
     /// one frame per update, one fsync per call — *before* anything
@@ -709,9 +715,9 @@ impl<B: Backing> Service<B> {
         };
         for update in updates {
             // Mutate the stores, then hand the store-facing view of what
-            // happened to eviction and classification — both always run
-            // against post-update stores. A store-boundary rejection
-            // consumes no id and touches nothing.
+            // happened to the cache and the subscriptions — both always see
+            // post-update stores. A store-boundary rejection consumes no id
+            // and touches nothing.
             match update {
                 StoreUpdate::InsertTransition {
                     origin,
@@ -720,10 +726,11 @@ impl<B: Backing> Service<B> {
                     Some(id) => {
                         stats.inserted_transitions.push(id);
                         self.applied(
-                            &UpdateEffect::TransitionInsert {
-                                origin: &origin,
-                                destination: &destination,
-                            },
+                            &UpdateEffect::Transition(TransitionOp::Arrived {
+                                id,
+                                origin,
+                                destination,
+                            }),
                             &mut stats.deltas,
                         );
                     }
@@ -731,7 +738,10 @@ impl<B: Backing> Service<B> {
                 },
                 StoreUpdate::ExpireTransition(id) => {
                     if self.backing.expire_transition(id) {
-                        self.applied(&UpdateEffect::TransitionRemove { id }, &mut stats.deltas);
+                        self.applied(
+                            &UpdateEffect::Transition(TransitionOp::Expired(id)),
+                            &mut stats.deltas,
+                        );
                     } else {
                         self.metrics.update_rejected.inc();
                     }
@@ -779,30 +789,20 @@ impl<B: Backing> Service<B> {
         stats
     }
 
-    /// Bookkeeping for one update the stores accepted: count it, evict the
-    /// cached results it could change, classify every live subscription.
+    /// Bookkeeping for one update the stores accepted: count it, journal
+    /// it (transition ops) or evict the cached results it could change
+    /// (route changes), bring every live subscription up to date.
     fn applied(&mut self, effect: &UpdateEffect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
         self.metrics.update_applied.inc();
-        let routes = self.backing.routes();
         let cache = self.cache.get_mut().expect("cache lock");
         match *effect {
-            UpdateEffect::TransitionInsert {
-                origin,
-                destination,
-            } => {
-                cache.evict_where(|_, _, region| {
-                    !region.survives_transition_insert(routes, origin, destination)
-                });
-            }
-            UpdateEffect::TransitionRemove { id } => {
-                cache.evict_where(|_, value, region| {
-                    !region.survives_transition_remove(&value.transitions, id)
-                });
-            }
+            UpdateEffect::Transition(op) => cache.record(op),
             UpdateEffect::RouteInsert { mbr } => {
+                cache.catch_up_all(self.backing.routes());
                 cache.evict_where(|_, _, region| !region.survives_route_insert(mbr));
             }
             UpdateEffect::RouteRemove { id, points } => {
+                cache.catch_up_all(self.backing.routes());
                 evict_for_route_removal(cache, &self.backing, &self.metrics, id, points)
             }
         }

@@ -42,15 +42,17 @@
 //!   [`Service::apply_updates`] (panics on a WAL failure) and
 //!   [`Service::try_apply_updates`] (returns it; optionally traced), mutate
 //!   the stores in place ([`StoreUpdate`]: transitions arrive and expire,
-//!   routes appear and are withdrawn) and evict only the cached results an
-//!   update could change: each entry records the region its filter step
-//!   touched plus its result-endpoint MBR ([`region`]), so churn keeps the
-//!   cache warm instead of dropping it wholesale.
+//!   routes appear and are withdrawn). Results are maintained rather than
+//!   recomputed: a transition update is appended to a bounded journal and
+//!   each cached result replays what it missed when it is next read — an
+//!   exact two-endpoint admission check per arrival — so transition churn
+//!   evicts nothing; a route change evicts only the entries it could
+//!   affect, judged from the region each entry records ([`region`]).
 //! * **Continuous queries** — [`Service::subscribe`] registers a
 //!   standing query whose result the service keeps current across
-//!   `apply_updates`: each update classifies every subscription as
-//!   unaffected, certified stable or dirty (re-executed through the shared
-//!   batch path), and result changes come back as per-batch
+//!   `apply_updates`: arrivals and expiries are applied to it in place,
+//!   route changes are certified harmless or re-execute it through the
+//!   shared batch path, and result changes come back as per-batch
 //!   [`SubscriptionDelta`]s instead of forcing clients to re-poll
 //!   ([`monitor`]).
 //! * **Durability** — [`QueryService::open`] /
@@ -88,6 +90,7 @@ mod batch;
 mod cache;
 pub mod durable;
 mod frontend;
+mod journal;
 pub mod metrics;
 pub mod monitor;
 mod policy;
@@ -98,6 +101,7 @@ pub mod sharded;
 pub use batch::{BatchPhaseTimings, BatchStats};
 pub use cache::{CacheCounters, CacheKey, CacheStats, ResultCache};
 pub use frontend::Service;
+pub use journal::JOURNAL_CAPACITY;
 pub use metrics::{RouterStats, ServiceMetrics};
 pub use monitor::{DeltaReason, SubscriptionDelta, SubscriptionId};
 pub use policy::EnginePolicy;

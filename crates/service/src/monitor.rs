@@ -4,25 +4,26 @@
 //! A subscription is a registered [`RknntQuery`] whose result the service
 //! maintains as the stores churn, instead of the client re-polling. Each
 //! subscription carries the same [`EntryRegion`] evidence a cached result
-//! does, and every applied [`StoreUpdate`] classifies each live subscription
-//! three ways:
+//! does, and every applied [`StoreUpdate`] is handled per live subscription:
 //!
-//! * **Unaffected (skip)** — an exact, constant-time test shows the update
-//!   cannot touch the result: the query is degenerate, or an expired
-//!   transition is not a member. No geometry runs.
-//! * **Certified stable (keep)** — the region's `survives_*` certificate
-//!   proves the result unchanged (transition/route insert far from the
-//!   footprint, route removal outside every endpoint's dominance region), or
-//!   the change is *exactly* computable in place: expiring a member only
-//!   removes that one id (qualification of other transitions depends only on
-//!   routes), so the result and region are updated directly and a delta with
-//!   [`DeltaReason::TransitionExpired`] is emitted — no re-execution.
-//! * **Dirty (re-execute)** — nothing cheaper is sound. Dirty subscriptions
-//!   are collected for the whole update batch and re-executed together
-//!   through the same grouped batch machinery as one-shot queries, so
-//!   subscriptions sharing a `(route, k)` pair share one filter
-//!   construction; the diff against the previous result becomes a delta with
-//!   [`DeltaReason::Reexecuted`].
+//! * **Transition arrivals and expiries are applied in place**, exactly
+//!   (`EntryRegion::replay`, the same step a cached result takes when it
+//!   is next read): membership of a transition depends only on its own
+//!   endpoints and the routes, so an arrival enters iff it qualifies — a
+//!   delta with [`DeltaReason::TransitionArrived`] — and an expiry leaves iff
+//!   it was a member — [`DeltaReason::TransitionExpired`]. Neither ever
+//!   re-executes the query. Counted *unaffected* when no geometry ran (a
+//!   degenerate query, an expired non-member) and *certified stable*
+//!   otherwise.
+//! * **Route changes are certified or re-executed**: the region's
+//!   `survives_*` certificate proves the result unchanged (*certified
+//!   stable*: route insert out of reach of every result endpoint, route
+//!   removal outside every endpoint's dominance region), or the subscription
+//!   is marked **dirty**. Dirty subscriptions are collected for the whole
+//!   update batch and re-executed together through the same grouped batch
+//!   machinery as one-shot queries, so subscriptions sharing a `(route, k)`
+//!   pair share one filter construction; the diff against the previous
+//!   result becomes a delta with [`DeltaReason::Reexecuted`].
 //!
 //! Replaying a subscription's deltas, in order, over any earlier snapshot of
 //! its result always reproduces the current result — the determinism suite
@@ -33,9 +34,10 @@
 //! [`StoreUpdate`]: crate::StoreUpdate
 
 use crate::frontend::Backing;
+use crate::journal::TransitionOp;
 use crate::metrics::ServiceMetrics;
 use crate::region::EntryRegion;
-use rknnt_core::{RknntQuery, RknntResult};
+use rknnt_core::{QueryScratch, RknntQuery};
 use rknnt_geo::{Point, Rect};
 use rknnt_index::{RouteId, TransitionId};
 use rknnt_obs::EventKind;
@@ -70,11 +72,14 @@ impl std::fmt::Display for SubscriptionId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaReason {
     /// A member transition expired; the result was updated in place without
-    /// re-execution (the certified-stable path).
+    /// re-execution.
     TransitionExpired,
-    /// The subscription was dirtied by one or more updates and re-executed
-    /// through the batch path; the delta is the diff against its previous
-    /// result.
+    /// A transition arrived that qualifies; the result was updated in place
+    /// without re-execution.
+    TransitionArrived,
+    /// The subscription was dirtied by one or more route changes (or a
+    /// wholesale store swap) and re-executed through the batch path; the
+    /// delta is the diff against its previous result.
     Reexecuted,
 }
 
@@ -111,11 +116,11 @@ pub(crate) struct Subscription {
     pub(crate) query: RknntQuery,
     /// Current result, sorted ascending.
     pub(crate) result: Vec<TransitionId>,
-    /// Invalidation evidence, recorded when the result was last (re)computed
+    /// Maintenance evidence, recorded when the result was last (re)computed
     /// and kept current through in-place maintenance.
     pub(crate) region: EntryRegion,
-    /// Set when an update could have changed the result; cleared by
-    /// re-execution at the end of the update batch.
+    /// Set when a route change (or a wholesale store swap) could have
+    /// changed the result; cleared by re-execution.
     dirty: bool,
 }
 
@@ -124,13 +129,8 @@ pub(crate) struct Subscription {
 /// mutation succeeded, so classification always runs against post-update
 /// stores.
 pub(crate) enum UpdateEffect<'a> {
-    /// A transition with these endpoints was inserted.
-    TransitionInsert {
-        origin: &'a Point,
-        destination: &'a Point,
-    },
-    /// The transition `id` was removed.
-    TransitionRemove { id: TransitionId },
+    /// A transition arrived or expired.
+    Transition(TransitionOp),
     /// A route with this MBR was inserted.
     RouteInsert { mbr: &'a Rect },
     /// The route `id`, whose points were `points`, was removed.
@@ -148,6 +148,8 @@ pub(crate) struct SubscriptionRegistry {
     /// drained into the next `apply_updates` call's stats or by
     /// [`crate::QueryService::take_subscription_deltas`].
     pending: Vec<SubscriptionDelta>,
+    /// Scratch of the admission checks arrivals run.
+    scratch: QueryScratch,
 }
 
 impl SubscriptionRegistry {
@@ -215,19 +217,18 @@ impl SubscriptionRegistry {
         self.pending.extend(deltas);
     }
 
-    /// Classifies every live subscription against one applied update:
-    /// unaffected (skip), certified stable (keep; expiry of a member is
-    /// applied in place and emits a delta), or dirty (queued for batch
-    /// re-execution). Subscriptions already dirty are skipped outright —
-    /// they will be re-executed against the final stores anyway.
+    /// Brings every live subscription up to date with one applied update:
+    /// transition ops are applied in place (emitting a delta when the result
+    /// changes), route changes are certified stable or mark the subscription
+    /// dirty (queued for batch re-execution). Subscriptions already dirty
+    /// are skipped outright — they will be re-executed against the final
+    /// stores anyway.
     ///
-    /// The two store-dependent steps go through the [`Backing`]: the
+    /// The one store-dependent step goes through the [`Backing`]: the
     /// route-removal survival certificate (a sharded backing ANDs its
-    /// per-shard certificates) and the endpoint lookup of the post-expiry
-    /// region rebuild (resolved through its routing directory). Both are
-    /// *sound* on every backing (a `false` survival / conservative region
-    /// is always safe), which keeps sharded and unsharded delta streams
-    /// byte-identical: a spuriously dirty subscription re-executes to an
+    /// per-shard certificates). It is *sound* on every backing (a `false`
+    /// survival is always safe), which keeps sharded and unsharded results
+    /// identical: a spuriously dirty subscription re-executes to an
     /// unchanged result and emits nothing.
     pub(crate) fn classify_update<B: Backing>(
         &mut self,
@@ -238,6 +239,7 @@ impl SubscriptionRegistry {
     ) {
         let routes = backing.routes();
         let (mut unaffected, mut stable, mut dirty) = (0u64, 0u64, 0u64);
+        let scratch = &mut self.scratch;
         for (id, sub) in self.subs.iter_mut() {
             if sub.dirty {
                 continue;
@@ -248,37 +250,31 @@ impl SubscriptionRegistry {
                 continue;
             }
             match effect {
-                UpdateEffect::TransitionInsert {
-                    origin,
-                    destination,
-                } => {
-                    if sub
-                        .region
-                        .survives_transition_insert(routes, origin, destination)
-                    {
-                        stable += 1;
-                    } else {
-                        sub.dirty = true;
-                        dirty += 1;
+                UpdateEffect::Transition(op) => {
+                    // Exact in-place maintenance: qualification of every
+                    // other transition depends only on routes, so the result
+                    // gains or loses exactly this one id, or nothing.
+                    let changed = sub.region.replay(&mut sub.result, op, routes, scratch);
+                    match (op, changed) {
+                        // A membership test was the whole work.
+                        (TransitionOp::Expired(_), false) => unaffected += 1,
+                        _ => stable += 1,
                     }
-                }
-                UpdateEffect::TransitionRemove { id: expired } => {
-                    match sub.result.binary_search(expired) {
-                        Err(_) => unaffected += 1,
-                        Ok(pos) => {
-                            // Exact in-place maintenance: qualification of
-                            // every other transition depends only on routes,
-                            // so the result loses exactly this member.
-                            sub.result.remove(pos);
-                            sub.region = rebuilt_region(sub, backing);
-                            stable += 1;
-                            deltas.push(SubscriptionDelta {
-                                subscription: SubscriptionId(*id),
-                                entered: Vec::new(),
-                                left: vec![*expired],
-                                reason: DeltaReason::TransitionExpired,
-                            });
-                        }
+                    if changed {
+                        let (entered, left, reason) = match *op {
+                            TransitionOp::Arrived { id, .. } => {
+                                (vec![id], Vec::new(), DeltaReason::TransitionArrived)
+                            }
+                            TransitionOp::Expired(id) => {
+                                (Vec::new(), vec![id], DeltaReason::TransitionExpired)
+                            }
+                        };
+                        deltas.push(SubscriptionDelta {
+                            subscription: SubscriptionId(*id),
+                            entered,
+                            left,
+                            reason,
+                        });
                     }
                 }
                 UpdateEffect::RouteInsert { mbr } => {
@@ -363,19 +359,6 @@ impl SubscriptionRegistry {
             });
         }
     }
-}
-
-/// Rebuilds a subscription's region after in-place result maintenance,
-/// reusing its recorded footprint (transition churn never changes the
-/// filter construction, which depends only on routes).
-fn rebuilt_region<B: Backing>(sub: &Subscription, backing: &B) -> EntryRegion {
-    let value = RknntResult {
-        transitions: sub.result.clone(),
-        ..RknntResult::default()
-    };
-    EntryRegion::record_with(&sub.query, &value, sub.region.footprint.clone(), |id| {
-        backing.endpoints(id)
-    })
 }
 
 #[cfg(test)]

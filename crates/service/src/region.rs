@@ -1,28 +1,35 @@
-//! Per-entry invalidation regions for the result cache.
+//! Per-result maintenance evidence: how a cached result or a standing
+//! query's result is kept current under store churn.
 //!
-//! Every cached result carries an [`EntryRegion`]: the spatial evidence
-//! needed to decide, for each incremental store update, whether the cached
-//! answer could possibly change. The decision rules are *sound* — an entry
-//! is only retained when the update provably cannot alter its result — and
-//! lean on two facts of this workspace:
+//! Every cached result and every subscription carries an [`EntryRegion`]:
+//! the query, the [`FilterFootprint`] its filter step recorded and the MBR of
+//! its result endpoints. Two facts of this workspace make that enough:
 //!
-//! 1. All distances are the vertex distance of Definition 3, so the
-//!    [`FilterFootprint`] witness certificate exactly mirrors the strict
-//!    comparisons the verification phase performs (see
-//!    `rknnt_core::footprint`).
+//! 1. A transition's membership in a result depends only on its own two
+//!    endpoints and the route set (Definition 5). **Transition churn is
+//!    therefore applied to the result, exactly, one op at a time**
+//!    (`EntryRegion::replay`) — nothing is evicted or recomputed.
 //! 2. Route *insertion* only adds "strictly closer" witnesses, so results
 //!    can only shrink; route *removal* only removes witnesses, so results
-//!    can only grow. Transition updates touch exactly one transition.
+//!    can only grow. All distances are the vertex distance of Definition 3,
+//!    so the [`FilterFootprint`] witness certificate exactly mirrors the
+//!    strict comparisons the verification phase performs (see
+//!    `rknnt_core::footprint`). **Route churn is certified**: a result is
+//!    kept when a sound test proves it unchanged and dropped (or
+//!    re-executed) otherwise.
 //!
 //! Per update kind:
 //!
-//! * **Transition insert `(o, d)`** — the result gains the new transition
-//!   only if an endpoint qualifies. Keep the entry when the footprint
-//!   certifies the endpoints covered by ≥ k still-live routes (`∃`: both
-//!   endpoints; `∀`: either endpoint suffices, since both must qualify).
-//! * **Transition expiry** — affects exactly the entries whose result
-//!   contains the expired id (qualification of other transitions depends
-//!   only on routes). Exact membership test, no geometry needed.
+//! * **Transition arrival `(o, d)`** — the result gains the new transition
+//!   iff it qualifies. The footprint certificate is the cheap pre-test (≥ k
+//!   still-live routes certified strictly closer at the endpoints that
+//!   matter ⇒ it does not); otherwise the exact admission kernel
+//!   ([`rknnt_core::admits_transition`]) decides, and an admitted id is
+//!   inserted in place, growing the recorded result MBR and reach.
+//! * **Transition expiry** — removes exactly that id if it is a member
+//!   (qualification of other transitions depends only on routes). The
+//!   recorded MBR is left as is: a superset only makes the route-insert
+//!   test below more conservative.
 //! * **Route insert** — can only evict transitions *from* results, which
 //!   requires the new route to come strictly closer than the query to some
 //!   recorded result endpoint. Keep the entry when the route's MBR stays at
@@ -39,14 +46,21 @@
 //!   footprint with the removed route excluded. Entries that cannot be
 //!   certified within a work budget are evicted; when the budget runs out
 //!   entirely the service falls back to the full cache drop.
+//!
+//! A lazily maintained (cached) result may be brought current *after* a
+//! route change, against the post-change route set; the soundness argument
+//! is with `ResultCache::catch_up_all`.
 
-use rknnt_core::{FilterFootprint, RknntQuery, RknntResult, Semantics};
+use crate::journal::TransitionOp;
+use rknnt_core::{
+    admits_transition, FilterFootprint, QueryScratch, RknntQuery, RknntResult, Semantics,
+};
 use rknnt_geo::{point_route_distance_sq, Point, Rect};
 use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
 use std::sync::Arc;
 
-/// The invalidation evidence recorded with one cached result; see the
-/// module documentation for the retention rules.
+/// The maintenance evidence recorded with one result; see the module
+/// documentation for the rules.
 #[derive(Debug, Clone)]
 pub struct EntryRegion {
     /// The query route (vertex list) the entry answers.
@@ -57,10 +71,12 @@ pub struct EntryRegion {
     pub semantics: Semantics,
     /// Filter footprint reported by the engine, when one was built
     /// (Filter–Refine / Voronoi groups). `None` is handled conservatively:
-    /// transition inserts always evict the entry.
+    /// every arrival takes the exact admission check and route removals
+    /// never certify.
     pub footprint: Option<Arc<FilterFootprint>>,
-    /// MBR over both endpoints of every transition in the cached result
-    /// ([`Rect::empty`] for an empty result).
+    /// An MBR covering both endpoints of every transition in the result
+    /// ([`Rect::empty`] for a result that never had a member); expiries do
+    /// not shrink it.
     pub result_rect: Rect,
     /// Upper bound on the vertex distance from any point of
     /// [`EntryRegion::result_rect`] to the query route (0 for an empty
@@ -103,24 +119,82 @@ impl EntryRegion {
                 result_rect.expand_to_point(&destination);
             }
         }
-        // Upper bound on dist(p, Q) over p in result_rect: for the query
-        // vertex q minimising it, every p is within max_dist(rect, q).
-        let result_reach = if result_rect.is_empty() {
-            0.0
-        } else {
-            query
-                .route
-                .iter()
-                .map(|q| result_rect.max_dist(q))
-                .fold(f64::INFINITY, f64::min)
-        };
-        EntryRegion {
+        let mut region = EntryRegion {
             query_points: query.route.clone(),
             k: query.k,
             semantics: query.semantics,
             footprint,
             result_rect,
-            result_reach,
+            result_reach: 0.0,
+        };
+        region.update_reach();
+        region
+    }
+
+    /// Recomputes [`EntryRegion::result_reach`] for the current
+    /// [`EntryRegion::result_rect`]: for the query vertex `q` minimising it,
+    /// every point of the rectangle is within `max_dist(rect, q)`.
+    fn update_reach(&mut self) {
+        self.result_reach = if self.result_rect.is_empty() {
+            0.0
+        } else {
+            self.query_points
+                .iter()
+                .map(|q| self.result_rect.max_dist(q))
+                .fold(f64::INFINITY, f64::min)
+        };
+    }
+
+    /// Applies one journalled transition op to `result` — the sorted id list
+    /// this region describes — and reports whether the result changed.
+    ///
+    /// Exact against `routes` (see the module documentation): an arrival
+    /// enters iff it qualifies, decided by the footprint certificate when it
+    /// can rule the transition out and by the admission kernel otherwise; an
+    /// expiry leaves iff it is a member. `routes` must be the route set the
+    /// op is to be judged against — the current one.
+    pub(crate) fn replay(
+        &mut self,
+        result: &mut Vec<TransitionId>,
+        op: &TransitionOp,
+        routes: &RouteStore,
+        scratch: &mut QueryScratch,
+    ) -> bool {
+        match op {
+            TransitionOp::Arrived {
+                id,
+                origin,
+                destination,
+            } => {
+                if self.survives_transition_insert(routes, origin, destination)
+                    || !admits_transition(
+                        routes,
+                        &self.query_points,
+                        self.k,
+                        self.semantics,
+                        origin,
+                        destination,
+                        scratch,
+                    )
+                {
+                    return false;
+                }
+                let Err(pos) = result.binary_search(id) else {
+                    return false;
+                };
+                result.insert(pos, *id);
+                self.result_rect.expand_to_point(origin);
+                self.result_rect.expand_to_point(destination);
+                self.update_reach();
+                true
+            }
+            TransitionOp::Expired(id) => match result.binary_search(id) {
+                Ok(pos) => {
+                    result.remove(pos);
+                    true
+                }
+                Err(_) => false,
+            },
         }
     }
 
@@ -130,8 +204,10 @@ impl EntryRegion {
         self.k == 0 || self.query_points.is_empty()
     }
 
-    /// Whether the cached result provably survives inserting a transition
-    /// with the given endpoints.
+    /// Whether the result provably survives inserting a transition with the
+    /// given endpoints — the certificate in front of the exact admission
+    /// check: `true` proves the transition does not qualify, `false` proves
+    /// nothing.
     pub fn survives_transition_insert(
         &self,
         routes: &RouteStore,
@@ -157,12 +233,6 @@ impl EntryRegion {
             // ∀: both endpoints must qualify, so one certificate suffices.
             Semantics::ForAll => covered(origin) || covered(destination),
         }
-    }
-
-    /// Whether the cached result provably survives removing the transition
-    /// `id` — it does iff the result (a sorted id list) does not contain it.
-    pub fn survives_transition_remove(&self, result: &[TransitionId], id: TransitionId) -> bool {
-        result.binary_search(&id).is_err()
     }
 
     /// Whether the cached result provably survives inserting a route whose
@@ -320,11 +390,73 @@ mod tests {
     }
 
     #[test]
-    fn expiry_is_an_exact_membership_test() {
-        let (region, result) = entry_with_result(&[0]);
-        assert!(!region.survives_transition_remove(&result.transitions, TransitionId(0)));
-        assert!(region.survives_transition_remove(&result.transitions, TransitionId(1)));
-        assert!(region.survives_transition_remove(&result.transitions, TransitionId(999)));
+    fn replayed_expiry_removes_exactly_a_member_and_keeps_the_rect() {
+        let (mut region, result) = entry_with_result(&[0, 1]);
+        let mut ids = result.transitions;
+        let (routes, mut scratch) = (RouteStore::default(), QueryScratch::new());
+        let rect = region.result_rect;
+        let mut expire = |ids: &mut Vec<TransitionId>, id| {
+            region.replay(
+                ids,
+                &TransitionOp::Expired(TransitionId(id)),
+                &routes,
+                &mut scratch,
+            )
+        };
+        assert!(!expire(&mut ids, 999));
+        assert!(expire(&mut ids, 0));
+        assert!(!expire(&mut ids, 0), "already gone");
+        assert_eq!(ids, vec![TransitionId(1)]);
+        assert_eq!(region.result_rect, rect, "a sound superset");
+    }
+
+    #[test]
+    fn replayed_arrival_enters_iff_it_qualifies_and_grows_the_region() {
+        let (routes, transitions, query) = ladder_world();
+        let mut region = recorded_region(&routes, &transitions, &query, &[]);
+        let mut scratch = QueryScratch::new();
+        let mut ids = Vec::new();
+        let mut arrive = |ids: &mut Vec<TransitionId>, id, origin, destination| {
+            let op = TransitionOp::Arrived {
+                id: TransitionId(id),
+                origin,
+                destination,
+            };
+            let entered = region.replay(ids, &op, &routes, &mut scratch);
+            (entered, region.result_rect, region.result_reach)
+        };
+        // On a rung far from the query: two routes strictly closer, k = 2.
+        let (entered, rect, reach) = arrive(&mut ids, 7, p(30.0, 0.0), p(40.0, 70.0));
+        assert!(!entered);
+        assert!(rect.is_empty());
+        assert_eq!(reach, 0.0);
+        // Hugging the query: enters, and the region now covers it.
+        let (entered, rect, reach) = arrive(&mut ids, 9, p(34.0, 36.0), p(36.0, 34.0));
+        assert!(entered);
+        assert!(rect.contains_point(&p(34.0, 36.0)) && rect.contains_point(&p(36.0, 34.0)));
+        assert!(reach > 0.0);
+        // Ids stay sorted whatever order ops arrive in; a replayed
+        // duplicate is a no-op.
+        let (entered, ..) = arrive(&mut ids, 3, p(35.0, 35.5), p(35.5, 35.0));
+        assert!(entered);
+        assert_eq!(ids, vec![TransitionId(3), TransitionId(9)]);
+        let (entered, ..) = arrive(&mut ids, 3, p(35.0, 35.5), p(35.5, 35.0));
+        assert!(!entered);
+        // Without a footprint the kernel alone decides — same verdicts.
+        let mut bare = EntryRegion::conservative(&query);
+        let mut bare_ids = Vec::new();
+        let op = TransitionOp::Arrived {
+            id: TransitionId(9),
+            origin: p(34.0, 36.0),
+            destination: p(36.0, 34.0),
+        };
+        assert!(bare.replay(&mut bare_ids, &op, &routes, &mut scratch));
+        let op = TransitionOp::Arrived {
+            id: TransitionId(7),
+            origin: p(30.0, 0.0),
+            destination: p(40.0, 70.0),
+        };
+        assert!(!bare.replay(&mut bare_ids, &op, &routes, &mut scratch));
     }
 
     /// A ladder world for the route-removal certificate: horizontal routes

@@ -99,8 +99,11 @@ pub struct UpdateStats {
     pub inserted_transitions: Vec<TransitionId>,
     /// Ids assigned to the inserted routes, in update order.
     pub inserted_routes: Vec<RouteId>,
-    /// Cached results evicted because an update could have changed them
-    /// (region-scoped evictions plus entries lost to full drops).
+    /// Cached results dropped by this call: entries a route change could
+    /// have changed (region-scoped evictions plus entries lost to full
+    /// drops) or that had fallen off the transition journal when a route
+    /// change came to bring them current. Transition updates alone never
+    /// evict.
     pub evicted_entries: usize,
     /// Cached results still live when the call returned.
     pub retained_entries: usize,
@@ -115,12 +118,14 @@ pub struct UpdateStats {
     /// transition outside the result).
     pub subs_unaffected: usize,
     /// (update, subscription) classifications that kept the subscription
-    /// without re-execution: a `survives_*` certificate passed, or a member
-    /// expiry was applied in place (emitting its delta).
+    /// without re-execution: a route change's `survives_*` certificate
+    /// passed, or an arrival / member expiry was applied in place (emitting
+    /// its delta when the result changed).
     pub subs_stable: usize,
-    /// (update, subscription) classifications that marked the subscription
-    /// dirty. Each subscription is marked at most once per call — further
-    /// updates skip it — so this equals [`UpdateStats::subs_reexecuted`].
+    /// (route change, subscription) classifications that marked the
+    /// subscription dirty. Each subscription is marked at most once per
+    /// call — further updates skip it — so this equals
+    /// [`UpdateStats::subs_reexecuted`].
     pub subs_dirty: usize,
     /// Subscriptions re-executed through the batch path at the end of the
     /// call.

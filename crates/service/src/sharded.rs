@@ -47,7 +47,7 @@ use rknnt_core::{
 use rknnt_data::codec::{CodecError, Decoder, Encoder};
 use rknnt_geo::{CellGrid, Point, Rect};
 use rknnt_index::{
-    partition_routes, partition_transitions, IdSpace, NList, RouteId, RouteStore, TransitionId,
+    partition_routes, partition_transitions, IdSpace, RouteId, RouteStore, TransitionId,
     TransitionStore,
 };
 use rknnt_obs::{EventKind, TraceCursor};
@@ -170,13 +170,6 @@ pub struct ShardSet {
 /// the enforcement).
 pub type ShardedService = Service<ShardSet>;
 
-/// Per-worker state of the router: the planner's [`NList`] for global
-/// verification plus the scratch every routed query reuses.
-pub struct RouterWorker {
-    nlist: NList,
-    scratch: QueryScratch,
-}
-
 /// Translates a global sorted result into a shard's local id space, keeping
 /// only the transitions the shard owns. `to_local` is monotone, so the
 /// output stays sorted.
@@ -188,7 +181,8 @@ fn translate_result(space: &IdSpace, result: &[TransitionId]) -> Vec<TransitionI
 }
 
 impl Backing for ShardSet {
-    type Worker<'a> = RouterWorker;
+    /// The scratch every routed query of the worker reuses.
+    type Worker<'a> = QueryScratch;
 
     fn routes(&self) -> &RouteStore {
         &self.planner
@@ -212,11 +206,8 @@ impl Backing for ShardSet {
         }
     }
 
-    fn worker(&self) -> RouterWorker {
-        RouterWorker {
-            nlist: NList::build(&self.planner),
-            scratch: QueryScratch::new(),
-        }
+    fn worker(&self) -> QueryScratch {
+        QueryScratch::new()
     }
 
     /// Every kind routes through the filter pipeline: all engines agree on
@@ -245,7 +236,7 @@ impl Backing for ShardSet {
     /// `pruned=0` with the local candidate count when it was consulted.
     fn execute(
         &self,
-        worker: &mut RouterWorker,
+        scratch: &mut QueryScratch,
         kind: EngineKind,
         query: &RknntQuery,
         filter: Option<&FilterOutcome>,
@@ -254,7 +245,6 @@ impl Backing for ShardSet {
     ) -> RknntResult {
         let outcome = filter.expect("the router shares a filter for every engine kind");
         let use_voronoi = matches!(kind, EngineKind::Voronoi);
-        let RouterWorker { nlist, scratch } = worker;
 
         let prune_started = Instant::now();
         scratch.clear_candidates();
@@ -323,7 +313,7 @@ impl Backing for ShardSet {
         self.router.fanout.record(consulted);
         let filtering = prune_started.elapsed();
 
-        let mut result = verify_candidates(&self.planner, nlist, query, scratch);
+        let mut result = verify_candidates(&self.planner, query, scratch);
         result.timings.filtering = filtering;
         result.stats.record_filter(outcome, pruned_nodes);
         result

@@ -1,0 +1,605 @@
+//! Property test: results are *maintained*, not recomputed, and stay right.
+//!
+//! Random interleavings of reads, transition arrivals and expiries, route
+//! inserts and removals and wholesale store changes run against a
+//! [`QueryService`] and a 4-shard [`ShardedService`] with a cache smaller
+//! than the query pool. After every step every read — cache hits included,
+//! and the stream makes sure there are hits right behind the churn that
+//! should have changed them — equals a fresh [`BruteForceEngine`] answer
+//! over mirror stores, and every subscription equals both its fresh answer
+//! and the replay of its deltas.
+//!
+//! The stream carries the geometry the maintenance rules are strict about:
+//! an arrival whose endpoint is exactly equidistant from the query and from
+//! the k-th route (a tie is not "strictly closer", so it must be admitted),
+//! duplicate endpoints, an arrival that expires before anything reads it,
+//! `∀` twins of `∃` queries, and bursts sized around
+//! [`JOURNAL_CAPACITY`] so entries fall off the ring — exactly at its tail
+//! and one past it.
+
+use proptest::prelude::*;
+use rknnt_core::{BruteForceEngine, EngineKind, RknnTEngine, RknntQuery};
+use rknnt_geo::Point;
+use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
+use rknnt_service::{
+    CacheStats, DeltaReason, EnginePolicy, QueryService, ServiceConfig, ShardedConfig,
+    ShardedService, StoreUpdate, SubscriptionDelta, SubscriptionId, UpdateStats, JOURNAL_CAPACITY,
+};
+
+fn p(x: f64, y: f64) -> Point {
+    Point::new(x, y)
+}
+
+/// Eight horizontal routes at y = 0, 10, …, 70 with stops every 10 in x.
+fn ladder() -> Vec<Vec<Point>> {
+    (0..8)
+        .map(|i| {
+            (0..8)
+                .map(|j| p(j as f64 * 10.0, i as f64 * 10.0))
+                .collect()
+        })
+        .collect()
+}
+
+fn scatter() -> Vec<(Point, Point)> {
+    (0..60u32)
+        .map(|i| {
+            let i = i as f64;
+            (
+                p((i * 7.3) % 75.0, (i * 13.7) % 75.0),
+                p((i * 3.1 + 11.0) % 75.0, (i * 17.9 + 23.0) % 75.0),
+            )
+        })
+        .collect()
+}
+
+/// The endpoint (35, 33) is at distance² 34 from the y = 30 route's nearest
+/// stops and from the vertex (30, 36) of `pool()[0]`, with nothing closer:
+/// k = 1 must admit it. (35, 32) has the y = 30 route strictly closer (29)
+/// and ties the y = 40 route and the vertex (27, 37) of `pool()[2]` at 89:
+/// k = 2 must admit it.
+const TIE_K1: (f64, f64) = (35.0, 33.0);
+const TIE_K2: (f64, f64) = (35.0, 32.0);
+
+/// Five query routes, each as an `∃` query and its `∀` twin.
+fn pool() -> Vec<RknntQuery> {
+    let routes: [(Vec<Point>, usize); 5] = [
+        (vec![p(30.0, 36.0), p(72.0, 76.0)], 1),
+        (vec![p(5.0, 35.0), p(35.0, 35.0), p(65.0, 35.0)], 2),
+        (vec![p(27.0, 37.0), p(-40.0, 90.0)], 2),
+        (vec![p(12.0, 4.0), p(48.0, 6.0)], 1),
+        (vec![p(55.0, 62.0)], 3),
+    ];
+    routes
+        .into_iter()
+        .flat_map(|(route, k)| {
+            [
+                RknntQuery::exists(route.clone(), k),
+                RknntQuery::for_all(route, k),
+            ]
+        })
+        .collect()
+}
+
+/// Mirror stores the same updates are applied to; ids agree because both
+/// sides hand out dense slot indexes.
+struct Mirror {
+    routes: RouteStore,
+    transitions: TransitionStore,
+}
+
+impl Mirror {
+    fn new() -> Self {
+        let mut routes = RouteStore::default();
+        for route in ladder() {
+            routes.insert_route(route).unwrap();
+        }
+        let mut transitions = TransitionStore::default();
+        for (o, d) in scatter() {
+            transitions.insert(o, d).unwrap();
+        }
+        Mirror {
+            routes,
+            transitions,
+        }
+    }
+
+    fn apply(&mut self, update: &StoreUpdate) {
+        match update {
+            StoreUpdate::InsertTransition {
+                origin,
+                destination,
+            } => {
+                self.transitions.insert(*origin, *destination);
+            }
+            StoreUpdate::ExpireTransition(id) => {
+                self.transitions.remove(*id);
+            }
+            StoreUpdate::InsertRoute(points) => {
+                self.routes.insert_route(points.clone());
+            }
+            StoreUpdate::RemoveRoute(id) => {
+                self.routes.remove_route(*id);
+            }
+        }
+    }
+
+    fn answer(&self, query: &RknntQuery) -> Vec<TransitionId> {
+        BruteForceEngine::new(&self.routes, &self.transitions)
+            .execute(query)
+            .transitions
+    }
+}
+
+/// What the driver needs of a service; both are the same frontend, so the
+/// impls are the same text except for the wholesale change each offers.
+trait Sut {
+    fn read(&self, query: &RknntQuery) -> Vec<TransitionId>;
+    fn update(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats;
+    fn watch(&mut self, query: RknntQuery) -> SubscriptionId;
+    fn standing(&self, id: SubscriptionId) -> Vec<TransitionId>;
+    fn stats(&self) -> CacheStats;
+    fn cached(&self) -> usize;
+    /// A store change the journal does not describe; returns the deltas it
+    /// buffered.
+    fn wholesale(&mut self, mirror: &mut Mirror, draw: u64) -> Vec<SubscriptionDelta>;
+}
+
+macro_rules! sut_common {
+    () => {
+        fn read(&self, query: &RknntQuery) -> Vec<TransitionId> {
+            self.execute(query).transitions
+        }
+        fn update(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
+            self.apply_updates(updates)
+        }
+        fn watch(&mut self, query: RknntQuery) -> SubscriptionId {
+            self.subscribe(query)
+        }
+        fn standing(&self, id: SubscriptionId) -> Vec<TransitionId> {
+            self.subscription_result(id).unwrap().to_vec()
+        }
+        fn stats(&self) -> CacheStats {
+            self.cache_stats()
+        }
+        fn cached(&self) -> usize {
+            self.cache_len()
+        }
+    };
+}
+
+impl Sut for QueryService {
+    sut_common!();
+
+    /// `update_stores` slipping a transition in behind the journal's back.
+    fn wholesale(&mut self, mirror: &mut Mirror, draw: u64) -> Vec<SubscriptionDelta> {
+        let at = p((draw % 70) as f64 + 0.5, (draw / 70 % 70) as f64 + 0.5);
+        self.update_stores(|_, transitions| {
+            transitions.insert(at, at);
+        });
+        mirror.transitions.insert(at, at);
+        self.take_subscription_deltas()
+    }
+}
+
+impl Sut for ShardedService {
+    sut_common!();
+
+    /// A reshard: same data, new placement, fresh cache.
+    fn wholesale(&mut self, _mirror: &mut Mirror, draw: u64) -> Vec<SubscriptionDelta> {
+        self.reshard(2 + (draw % 3) as usize, 4).unwrap();
+        self.take_subscription_deltas()
+    }
+}
+
+const CACHE_CAPACITY: usize = 6;
+
+fn config(kind: EngineKind) -> ServiceConfig {
+    ServiceConfig::default()
+        .with_workers(2)
+        .with_cache_capacity(CACHE_CAPACITY)
+        .with_policy(EnginePolicy::Fixed(kind))
+}
+
+fn flat(kind: EngineKind) -> QueryService {
+    let mirror = Mirror::new();
+    QueryService::new(mirror.routes, mirror.transitions, config(kind))
+}
+
+fn sharded(kind: EngineKind) -> ShardedService {
+    ShardedService::bulk_build(
+        ShardedConfig::default()
+            .with_shards(4)
+            .with_base(config(kind)),
+        ladder(),
+        scatter(),
+    )
+}
+
+fn arrival(origin: Point, destination: Point) -> StoreUpdate {
+    StoreUpdate::InsertTransition {
+        origin,
+        destination,
+    }
+}
+
+/// One step of the stream: an op selector and a draw it spends freely.
+type RawStep = (u8, u64);
+
+struct Driver<'s, S: Sut> {
+    sut: &'s mut S,
+    mirror: Mirror,
+    pool: Vec<RknntQuery>,
+    /// (subscription, its query, result rebuilt from initial + deltas).
+    subs: Vec<(SubscriptionId, RknntQuery, Vec<TransitionId>)>,
+    /// Ids the stream may expire (some already dead, on purpose).
+    known: Vec<TransitionId>,
+    hits: u64,
+}
+
+impl<'s, S: Sut> Driver<'s, S> {
+    fn new(sut: &'s mut S) -> Self {
+        let mirror = Mirror::new();
+        let pool = pool();
+        let known = mirror.transitions.transition_ids();
+        let mut driver = Driver {
+            sut,
+            mirror,
+            pool,
+            subs: Vec::new(),
+            known,
+            hits: 0,
+        };
+        // Standing twins of the tie queries and one plain pair.
+        for index in [0, 1, 4, 5, 2] {
+            let query = driver.pool[index].clone();
+            let id = driver.sut.watch(query.clone());
+            let initial = driver.sut.standing(id);
+            driver.subs.push((id, query, initial));
+        }
+        driver.check_standing("after subscribing");
+        driver
+    }
+
+    fn read(&mut self, index: usize, at: &str) {
+        let query = &self.pool[index % self.pool.len()];
+        let before = self.sut.stats();
+        let got = self.sut.read(query);
+        let after = self.sut.stats();
+        let hit = after.hits > before.hits;
+        self.hits += u64::from(hit);
+        assert_eq!(
+            got,
+            self.mirror.answer(query),
+            "{} of {query:?} {at}",
+            if hit { "hit" } else { "miss" }
+        );
+        assert!(self.sut.cached() <= CACHE_CAPACITY);
+    }
+
+    fn update(&mut self, updates: Vec<StoreUpdate>, at: &str) -> UpdateStats {
+        for update in &updates {
+            self.mirror.apply(update);
+        }
+        let route_change = updates
+            .iter()
+            .any(|u| matches!(u, StoreUpdate::InsertRoute(_) | StoreUpdate::RemoveRoute(_)));
+        let cached = self.sut.cached();
+        let stats = self.sut.update(updates);
+        self.known
+            .extend(stats.inserted_transitions.iter().copied());
+        if !route_change {
+            // The whole point: transition churn neither scans nor shrinks
+            // the cache, and never re-executes a standing query.
+            assert_eq!(stats.evicted_entries, 0, "{at}");
+            assert_eq!(self.sut.cached(), cached, "{at}");
+            assert_eq!(stats.subs_dirty + stats.subs_reexecuted, 0, "{at}");
+        }
+        self.replay(&stats.deltas, !route_change);
+        self.check_standing(at);
+        stats
+    }
+
+    fn replay(&mut self, deltas: &[SubscriptionDelta], transitions_only: bool) {
+        for delta in deltas {
+            if transitions_only {
+                assert_ne!(delta.reason, DeltaReason::Reexecuted);
+                assert_eq!(delta.entered.len() + delta.left.len(), 1);
+            }
+            if let Some((_, _, result)) = self
+                .subs
+                .iter_mut()
+                .find(|(id, ..)| *id == delta.subscription)
+            {
+                delta.apply(result);
+            }
+        }
+    }
+
+    fn check_standing(&self, at: &str) {
+        for (id, query, replayed) in &self.subs {
+            let expected = self.mirror.answer(query);
+            assert_eq!(self.sut.standing(*id), expected, "maintained {id} {at}");
+            assert_eq!(replayed, &expected, "replayed deltas of {id} {at}");
+        }
+    }
+
+    /// `n` arrivals in one batch, drawn around the pool's query vertices so
+    /// some of them enter cached and standing results.
+    fn burst(&mut self, n: usize, mut draw: u64, at: &str) {
+        let mut next = |m: u64| {
+            draw = draw
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (draw >> 33) % m
+        };
+        let updates = (0..n)
+            .map(|_| {
+                let around = |v: u64| p((v % 75) as f64 + 0.25, (v / 75 % 75) as f64 + 0.75);
+                arrival(around(next(5625)), around(next(5625)))
+            })
+            .collect();
+        self.update(updates, at);
+    }
+
+    /// The fixed opening every case runs: each maintenance rule once, with a
+    /// read right behind it that must be a hit.
+    fn opening(&mut self) {
+        let tie1 = p(TIE_K1.0, TIE_K1.1);
+        let tie2 = p(TIE_K2.0, TIE_K2.1);
+        let far = p(0.0, 0.0); // on a stop: a route is strictly closer
+        for index in [0, 1, 4, 5] {
+            self.read(index, "warming");
+        }
+        let hits = self.hits;
+        // Ties, under both semantics: (tie, tie) qualifies for ∃ and ∀,
+        // (tie, far) only for ∃. Duplicate endpoints ride along.
+        let stats = self.update(
+            vec![
+                arrival(tie1, tie1),
+                arrival(tie1, far),
+                arrival(tie2, tie2),
+                arrival(far, tie2),
+            ],
+            "tie arrivals",
+        );
+        let ids = stats.inserted_transitions;
+        let exists_k1 = self.mirror.answer(&self.pool[0]);
+        let forall_k1 = self.mirror.answer(&self.pool[1]);
+        assert!(exists_k1.contains(&ids[0]) && exists_k1.contains(&ids[1]));
+        assert!(forall_k1.contains(&ids[0]) && !forall_k1.contains(&ids[1]));
+        let exists_k2 = self.mirror.answer(&self.pool[4]);
+        let forall_k2 = self.mirror.answer(&self.pool[5]);
+        assert!(exists_k2.contains(&ids[2]) && exists_k2.contains(&ids[3]));
+        assert!(forall_k2.contains(&ids[2]) && !forall_k2.contains(&ids[3]));
+        for index in [0, 1, 4, 5] {
+            self.read(index, "right behind the tie arrivals");
+        }
+        assert_eq!(self.hits, hits + 4, "all four entries followed the churn");
+        // A member expires; an arrival expires before anything reads it.
+        let stats = self.update(
+            vec![StoreUpdate::ExpireTransition(ids[0]), arrival(tie1, tie1)],
+            "member expiry",
+        );
+        let ghost = stats.inserted_transitions[0];
+        self.update(
+            vec![StoreUpdate::ExpireTransition(ghost)],
+            "arrival expired unread",
+        );
+        for index in [0, 1] {
+            self.read(index, "behind the expiries");
+        }
+        assert_eq!(self.hits, hits + 6);
+        // Falling off the ring: an entry exactly at the tail is still
+        // served, one op further it is dropped and recomputed.
+        self.read(0, "pinning entry 0 to the journal head");
+        self.burst(JOURNAL_CAPACITY, 17, "a full ring");
+        let before = self.sut.stats();
+        self.read(0, "at the ring's tail");
+        assert_eq!(self.sut.stats().hits, before.hits + 1);
+        self.burst(JOURNAL_CAPACITY + 1, 19, "one past the ring");
+        let before = self.sut.stats();
+        self.read(0, "past the ring's tail");
+        let after = self.sut.stats();
+        assert_eq!(after.hits, before.hits, "a stale entry is not a hit");
+        assert_eq!(after.misses, before.misses + 1);
+        assert_eq!(after.targeted_evictions, before.targeted_evictions + 1);
+    }
+
+    fn step(&mut self, (op, draw): RawStep, n: usize) {
+        let at = format!("at step {n} (op {op}, draw {draw})");
+        let coord = |v: u64| (v % 800) as f64 / 10.0 - 2.0;
+        match op {
+            0..=3 => {
+                for i in 0..1 + draw % 3 {
+                    self.read((draw / 7 + i * 3) as usize, &at);
+                }
+            }
+            4..=6 => {
+                // Arrivals: near a query vertex, a tie, duplicate endpoints
+                // on a stop, or anywhere.
+                let vertex = {
+                    let route = &self.pool[(draw % 10) as usize].route;
+                    route[(draw / 10) as usize % route.len()]
+                };
+                let near = p(
+                    vertex.x + (draw / 100 % 9) as f64 - 4.0,
+                    vertex.y + (draw / 900 % 9) as f64 - 4.0,
+                );
+                let anywhere = p(coord(draw / 13), coord(draw / 10_400));
+                let stop = p(
+                    (draw / 17 % 8) as f64 * 10.0,
+                    (draw / 136 % 8) as f64 * 10.0,
+                );
+                let (origin, destination) = match draw % 5 {
+                    0 => (near, anywhere),
+                    1 => (p(TIE_K1.0, TIE_K1.1), near),
+                    2 => (stop, stop),
+                    3 => (near, near),
+                    _ => (anywhere, p(TIE_K2.0, TIE_K2.1)),
+                };
+                self.update(vec![arrival(origin, destination)], &at);
+            }
+            7..=8 => {
+                // Expiries, two at a time; some of dead or unknown ids.
+                let pick = |d: u64| {
+                    let i = (d % (self.known.len() as u64 + 2)) as usize;
+                    self.known
+                        .get(i)
+                        .copied()
+                        .unwrap_or(TransitionId(1_000_000))
+                };
+                let updates = vec![
+                    StoreUpdate::ExpireTransition(pick(draw)),
+                    StoreUpdate::ExpireTransition(pick(draw / 31)),
+                ];
+                self.update(updates, &at);
+            }
+            9 => {
+                let y = coord(draw);
+                let route = vec![p(-5.0, y), p(35.0, y + 3.0), p(75.0, y)];
+                self.update(vec![StoreUpdate::InsertRoute(route)], &at);
+            }
+            10 => {
+                let bound = self.mirror.routes.route_id_bound() as u64;
+                let id = RouteId((draw % (bound + 1)) as u32);
+                // Transition churn in the same batch, on both sides of it.
+                let updates = vec![
+                    arrival(p(coord(draw / 3), coord(draw / 5)), p(34.0, 36.0)),
+                    StoreUpdate::RemoveRoute(id),
+                    arrival(p(36.0, 34.0), p(coord(draw / 7), coord(draw / 11))),
+                ];
+                self.update(updates, &at);
+            }
+            11 => {
+                let deltas = self.sut.wholesale(&mut self.mirror, draw);
+                self.replay(&deltas, false);
+                self.check_standing(&at);
+            }
+            _ => self.burst(JOURNAL_CAPACITY / 2 + (draw % 3) as usize, draw, &at),
+        }
+    }
+}
+
+fn run<S: Sut>(sut: &mut S, steps: &[RawStep]) {
+    let mut driver = Driver::new(sut);
+    driver.opening();
+    for (n, step) in steps.iter().enumerate() {
+        driver.step(*step, n);
+    }
+    // Every pool query once more, twice: the second round is all hits on
+    // whatever the cache kept.
+    for round in 0..2 {
+        for index in 0..driver.pool.len() {
+            driver.read(index, &format!("closing round {round}"));
+        }
+    }
+}
+
+fn steps() -> impl Strategy<Value = Vec<RawStep>> {
+    prop::collection::vec((0u8..13, 0u64..u64::MAX), 1..40)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn flat_results_follow_every_interleaving(steps in steps(), kind in 0usize..4) {
+        run(&mut flat(EngineKind::ALL[kind]), &steps);
+    }
+
+    #[test]
+    fn sharded_results_follow_every_interleaving(steps in steps(), kind in 0usize..4) {
+        run(&mut sharded(EngineKind::ALL[kind]), &steps);
+    }
+}
+
+/// The update path's cost does not depend on what is cached: a batch of
+/// transition updates touches no entry — none evicted, the population
+/// unchanged — and every read behind it is a hit with the right answer.
+#[test]
+fn transition_updates_never_touch_the_cache() {
+    let mut service = QueryService::new(
+        Mirror::new().routes,
+        Mirror::new().transitions,
+        config(EngineKind::FilterRefine).with_cache_capacity(64),
+    );
+    let mut mirror = Mirror::new();
+    let pool = pool();
+    for query in &pool {
+        service.execute(query);
+    }
+    assert_eq!(service.cache_len(), pool.len());
+    // Members of cached results, to expire.
+    let members: Vec<TransitionId> = pool
+        .iter()
+        .filter_map(|q| mirror.answer(q).first().copied())
+        .collect();
+    assert!(members.len() >= 4);
+    let mut updates = vec![
+        // Far from every entry, and near several.
+        arrival(p(900.0, 900.0), p(950.0, 920.0)),
+        arrival(p(34.0, 36.0), p(36.0, 34.0)),
+        arrival(p(TIE_K1.0, TIE_K1.1), p(13.0, 5.0)),
+        arrival(p(55.0, 61.0), p(56.0, 63.0)),
+    ];
+    updates.extend(members.iter().map(|id| StoreUpdate::ExpireTransition(*id)));
+    for update in &updates {
+        mirror.apply(update);
+    }
+    let before = service.cache_stats();
+    let stats = service.apply_updates(updates);
+    assert_eq!(stats.evicted_entries, 0);
+    assert_eq!(stats.retained_entries, pool.len());
+    assert_eq!(service.cache_len(), pool.len());
+    assert_eq!(service.cache_stats(), before, "no cache counter moved");
+    let mut changed = 0;
+    for (n, query) in pool.iter().enumerate() {
+        let got = service.execute(query).transitions;
+        assert_eq!(got, mirror.answer(query), "{query:?}");
+        assert_eq!(service.cache_stats().hits, before.hits + n as u64 + 1);
+        changed += usize::from(got != Mirror::new().answer(query));
+    }
+    assert!(changed >= 4, "the batch must have changed cached answers");
+    assert_eq!(service.cache_stats().misses, before.misses);
+}
+
+/// A route change first brings every entry current, so the removal test
+/// sees a journalled arrival as the member it is. Here the arrival
+/// qualifies only because k = 2 tolerates the one route that is closer to
+/// it than the query — the very route then withdrawn. Caught up, the entry
+/// holds the arrival and survives; not caught up, the removal test would
+/// find a live endpoint it cannot certify and evict the entry (still
+/// correct, but a recomputation the journal exists to avoid).
+#[test]
+fn a_route_removal_sees_pending_arrivals_as_members() {
+    let mut mirror = Mirror::new();
+    let mut service = flat(EngineKind::FilterRefine);
+    // The query's vertices box the spur in, so the spur is closer than the
+    // query only inside that box — where nothing lives but the arrival.
+    let query = RknntQuery::exists(
+        vec![p(34.0, 35.5), p(37.0, 35.5), p(37.0, 37.5), p(34.0, 37.5)],
+        2,
+    );
+    let spur = StoreUpdate::InsertRoute(vec![p(35.0, 36.5), p(36.0, 36.5)]);
+    mirror.apply(&spur);
+    let spur_id = service.apply_updates(vec![spur]).inserted_routes[0];
+    service.execute(&query);
+    assert_eq!(service.cache_len(), 1);
+
+    let arrive = arrival(p(35.4, 36.4), p(35.4, 36.4));
+    mirror.apply(&arrive);
+    let arrived = service.apply_updates(vec![arrive]).inserted_transitions[0];
+    assert!(mirror.answer(&query).contains(&arrived));
+
+    let withdraw = StoreUpdate::RemoveRoute(spur_id);
+    mirror.apply(&withdraw);
+    let stats = service.apply_updates(vec![withdraw]);
+    assert_eq!(stats.targeted_route_removals, 1);
+    assert_eq!(stats.evicted_entries, 0, "the caught-up entry survives");
+    let hits = service.cache_stats().hits;
+    let got = service.execute(&query).transitions;
+    assert_eq!(service.cache_stats().hits, hits + 1);
+    assert!(got.contains(&arrived));
+    assert_eq!(got, mirror.answer(&query));
+}

@@ -211,8 +211,8 @@ fn churned_service_matches_fresh_state_brute_force() {
 }
 
 /// A hand-built world where each update kind's retention rule is observable:
-/// far-away churn keeps the cached entry warm, nearby churn evicts it, and
-/// route removal falls back to the full drop.
+/// transition churn never evicts — the cached entry follows it, far or near
+/// — nearby route churn evicts it, and a far route removal is certified.
 #[test]
 fn region_scoped_invalidation_retains_unaffected_entries() {
     // A ladder of 8 horizontal routes; the query runs along y = 35.
@@ -262,14 +262,17 @@ fn region_scoped_invalidation_retains_unaffected_entries() {
     assert_eq!(service.execute(&query).transitions, baseline.transitions);
     assert_eq!(hits(&service), h1 + 1, "entry must survive far insert");
 
-    // 2. Near transition insert: evicts, and the recomputed answer sees it.
+    // 2. Near transition insert: nothing is evicted, and the next read is
+    //    a hit whose answer already contains the arrival.
     let stats = service.apply_updates(vec![StoreUpdate::InsertTransition {
         origin: p(34.5, 35.5),
         destination: p(35.5, 34.5),
     }]);
-    assert_eq!(stats.evicted_entries, 1, "near insert must evict");
+    assert_eq!(stats.evicted_entries, 0, "near insert must not evict");
     let new_id = stats.inserted_transitions[0];
+    let h = hits(&service);
     let after_near = service.execute(&query);
+    assert_eq!(hits(&service), h + 1, "entry must follow the near insert");
     assert!(after_near.contains(new_id));
     check_fresh(&service, "after near insert");
 
@@ -280,10 +283,13 @@ fn region_scoped_invalidation_retains_unaffected_entries() {
     assert_eq!(service.execute(&query).transitions, after_near.transitions);
     assert!(hits(&service) > h2, "entry must survive unrelated expiry");
 
-    // 4. Expiring a member of the result evicts exactly that entry.
+    // 4. Expiring a member of the result: nothing is evicted, and the next
+    //    read is a hit whose answer no longer contains it.
     let stats = service.apply_updates(vec![StoreUpdate::ExpireTransition(near)]);
-    assert_eq!(stats.evicted_entries, 1, "expiry inside the result");
+    assert_eq!(stats.evicted_entries, 0, "expiry inside the result");
+    let h = hits(&service);
     assert!(!service.execute(&query).contains(near));
+    assert_eq!(hits(&service), h + 1, "entry must follow the member expiry");
     check_fresh(&service, "after member expiry");
 
     // 5. A far-away route insert cannot shrink the result: retained.

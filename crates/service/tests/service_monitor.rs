@@ -263,17 +263,17 @@ fn classification_outcomes_and_delta_reasons() {
     assert!(stats.deltas.is_empty());
     assert_eq!(service.subscription_result(sub).unwrap(), &initial[..]);
 
-    // 2. Near transition insert: dirty -> re-executed, delta enters the id.
+    // 2. Near transition insert: admitted in place, delta enters the id.
     let stats = service.apply_updates(vec![StoreUpdate::InsertTransition {
         origin: p(34.5, 35.5),
         destination: p(35.5, 34.5),
     }]);
     let new_id = stats.inserted_transitions[0];
-    assert_eq!(stats.subs_dirty, 1);
-    assert_eq!(stats.subs_reexecuted, 1);
+    assert_eq!(stats.subs_dirty, 0);
+    assert_eq!(stats.subs_reexecuted, 0, "an arrival never re-executes");
     assert_eq!(stats.deltas.len(), 1);
     assert_eq!(stats.deltas[0].subscription, sub);
-    assert_eq!(stats.deltas[0].reason, DeltaReason::Reexecuted);
+    assert_eq!(stats.deltas[0].reason, DeltaReason::TransitionArrived);
     assert_eq!(stats.deltas[0].entered, vec![new_id]);
     assert!(stats.deltas[0].left.is_empty());
     assert!(service.subscription_result(sub).unwrap().contains(&new_id));

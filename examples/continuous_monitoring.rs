@@ -7,15 +7,16 @@
 //! change. Re-running every watched query after every update burns CPU on
 //! answers that did not change; [`QueryService::subscribe`] instead keeps
 //! each standing result current across [`QueryService::apply_updates`] —
-//! classifying each subscription per update as unaffected, certified stable
-//! or dirty, re-executing only the dirty ones — and reports what changed as
-//! [`SubscriptionDelta`]s.
+//! arriving and expiring transitions are admitted to or dropped from each
+//! result in place, and only a route change that cannot be certified
+//! harmless re-executes a query — and reports what changed as
+//! [`SubscriptionDelta`]s, each saying why.
 //!
 //! Run with `cargo run --release --example continuous_monitoring`.
 
 use rknnt::data::{workload, ChurnConfig, ChurnEvent};
 use rknnt::prelude::*;
-use rknnt::service::StoreUpdate;
+use rknnt::service::{DeltaReason, StoreUpdate};
 
 fn main() {
     let city = CityGenerator::new(CityConfig::small(47)).generate();
@@ -45,6 +46,7 @@ fn main() {
     let mut live_routes = service.routes().route_ids();
     let (mut updates_applied, mut reexecutions, mut stable, mut unaffected) = (0, 0, 0, 0);
     let mut delta_log = 0usize;
+    let (mut arrived, mut expired, mut recomputed) = (0, 0, 0);
 
     for chunk in stream.chunks(20) {
         let updates: Vec<StoreUpdate> = chunk
@@ -84,6 +86,11 @@ fn main() {
         // The dashboard consumes deltas, never re-polls.
         for delta in &stats.deltas {
             delta_log += 1;
+            match delta.reason {
+                DeltaReason::TransitionArrived => arrived += 1,
+                DeltaReason::TransitionExpired => expired += 1,
+                DeltaReason::Reexecuted => recomputed += 1,
+            }
             if delta_log <= 5 {
                 println!(
                     "delta: {} +{} / -{} transitions ({:?})",
@@ -100,10 +107,13 @@ fn main() {
     println!(
         "\n{updates_applied} updates against {} subscriptions: \
          {unaffected} unaffected, {stable} certified stable, \
-         {reexecutions} re-executed ({:.1}% of the re-run-all cost), \
-         {delta_log} deltas emitted",
+         {reexecutions} re-executed ({:.1}% of the re-run-all cost)",
         subs.len(),
         100.0 * reexecutions as f64 / classified.max(1.0),
+    );
+    println!(
+        "{delta_log} deltas emitted: {arrived} arrivals admitted in place, \
+         {expired} member expiries, {recomputed} from re-execution after a route change"
     );
 
     // The maintained results are byte-identical to fresh execution.

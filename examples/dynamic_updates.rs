@@ -3,12 +3,13 @@
 //!
 //! The example replays a sliding window over a day of synthetic passenger
 //! requests through [`QueryService::apply_updates`] — the incremental update
-//! path with region-scoped cache invalidation. Each hour arrives as ten
-//! bursts of requests with the popular-route capacity queries re-running
-//! between bursts, the interleaving a live deployment sees. The wholesale
-//! `update_stores` path would drop the whole result cache on every burst;
-//! the region-scoped path keeps the entries the burst provably cannot have
-//! changed, and the day-level cache hit-rate printed at the end is the
+//! path. Each hour arrives as ten bursts of requests with the popular-route
+//! capacity queries re-running between bursts, the interleaving a live
+//! deployment sees. The wholesale `update_stores` path would drop the whole
+//! result cache on every burst; the incremental path only journals the
+//! arrivals and expiries, and each cached answer replays what it missed when
+//! it is next read — so transition churn evicts nothing (only a route change
+//! could) and the day-level cache hit-rate printed at the end is the
 //! difference.
 //!
 //! Run with `cargo run --release --example dynamic_updates`.
@@ -32,9 +33,7 @@ fn main() {
         QueryService::new(routes, TransitionStore::default(), ServiceConfig::default());
     let mut window: VecDeque<Vec<TransitionId>> = VecDeque::new();
 
-    // Monitor a handful of popular routes between bursts. Small k keeps the
-    // uncovered region (where an arriving request could change the answer)
-    // tight, which is what lets entries ride out unrelated churn.
+    // Monitor a handful of popular routes between bursts.
     let watched: Vec<RknntQuery> = city
         .routes
         .iter()
@@ -77,7 +76,7 @@ fn main() {
         }
         println!(
             "hour {hour:>2}: {:>5} live transitions -> {:>3} would take route #0 \
-             ({:>2} entries evicted this hour, {} still warm)",
+             ({:>2} cached answers evicted this hour, {} kept current)",
             service.transitions().len(),
             capacity,
             evicted,
@@ -88,7 +87,7 @@ fn main() {
     let cache = service.cache_stats();
     println!(
         "\ncache over the whole day: {} hits / {} lookups ({:.0}% — a full-drop \
-         update path would have scored 0%), {} targeted evictions",
+         update path would have scored 0%), {} evictions (no route changed)",
         cache.hits,
         cache.hits + cache.misses,
         100.0 * cache.hits as f64 / (cache.hits + cache.misses) as f64,

@@ -10,10 +10,37 @@
 //! results and the results rebuilt by replaying its deltas must equal what
 //! the definition says: [`BruteForceEngine`] over stores rebuilt from a
 //! plain `Vec` model that shares nothing with the serving layers.
+//!
+//! The stream also carries *probes* of result maintenance: a query and its
+//! `∀` twin are asked (so they are cached), a transition-only update batch
+//! lands an arrival inside their results, one far outside, one at a point
+//! with exactly `k` routes strictly closer than the query (rejected — one
+//! fewer would qualify), and expires a member and a non-member, and the same
+//! queries are asked again right behind it — a read the cache serves by
+//! replaying the journal, not by recomputing.
+//!
+//! Mutation checks — each of these edits must make this test fail (run when
+//! the maintenance code changes):
+//!
+//! * skip arrival replay (`EntryRegion::replay`, `Arrived` arm returns
+//!   `false` at once);
+//! * skip expiry replay (same function, `Expired` arm returns `false`);
+//! * skip the replay loop in `ResultCache::catch_up` alone (subscriptions
+//!   still right, cached answers stale);
+//! * `<=` instead of `<` in the admission kernel
+//!   (`rknnt_core::admits_transition` judging an endpoint by `count <= k`).
+//!
+//! Skipping `ResultCache::catch_up_all` before a route change is *not* in
+//! the list: replaying after the change is sound (DESIGN.md, key invariant
+//! 7), so answers stay right and only evictions grow — pinned count-wise by
+//! `a_route_removal_sees_pending_arrivals_as_members` in
+//! `crates/service/tests/result_maintenance.rs`.
 
-use rknnt::core::{BruteForceEngine, EngineKind, RknnTEngine, RknntQuery, Semantics};
+use rknnt::core::{
+    BruteForceEngine, EngineKind, FilterFootprint, RknnTEngine, RknntQuery, Semantics,
+};
 use rknnt::fault::splitmix64;
-use rknnt::geo::Point;
+use rknnt::geo::{point_route_distance, Point};
 use rknnt::index::{RouteId, RouteStore, TransitionId, TransitionStore};
 use rknnt::net::{Backend, Client, ClientConfig, Server, ServerConfig};
 use rknnt::service::{
@@ -242,6 +269,66 @@ fn random_update(rng: &mut Rng, model: &Model) -> StoreUpdate {
     }
 }
 
+/// A maintenance probe against the model's current state: ask, churn
+/// transitions inside / outside / on the boundary of the answers, ask again.
+fn probe(rng: &mut Rng, model: &Model) -> [Op; 3] {
+    let routes = query_routes();
+    let route = routes[rng.below(routes.len() as u64) as usize].clone();
+    let k = 1 + rng.below(2) as usize;
+    let asked = vec![
+        RknntQuery::exists(route.clone(), k),
+        RknntQuery::for_all(route.clone(), k),
+    ];
+    let (route_store, transition_store) = model.stores();
+    let members = BruteForceEngine::new(&route_store, &transition_store)
+        .execute(&asked[0])
+        .transitions;
+    let outsider = transition_store
+        .transition_ids()
+        .into_iter()
+        .find(|id| !members.contains(id));
+    // A point with exactly k live routes strictly closer than the query — a
+    // transition there is rejected, and would be admitted with one fewer —
+    // that the filter footprint does not certify, so the verdict is the
+    // admission kernel's own.
+    let footprint = FilterFootprint::compute(&route_store, &route, k);
+    let boundary = (0..400)
+        .map(|_| p(rng.coord(1200.0), rng.coord(650.0)))
+        .find(|u| {
+            let to_query = point_route_distance(u, &route);
+            let closer = route_store
+                .routes()
+                .filter(|r| point_route_distance(u, &r.points) < to_query);
+            closer.count() == k && !footprint.covers_point(&route, u, k, |_| true)
+        });
+    let vertex = route[rng.below(route.len() as u64) as usize];
+    let inside = p(
+        vertex.x + rng.coord(4.0) - 2.0,
+        vertex.y + rng.coord(4.0) - 2.0,
+    );
+    let mut updates = vec![
+        StoreUpdate::InsertTransition {
+            origin: inside,
+            destination: p(inside.x + 1.0, inside.y - 1.0),
+        },
+        StoreUpdate::InsertTransition {
+            origin: p(3000.0 + rng.coord(50.0), 3000.0),
+            destination: p(3100.0, 2900.0 + rng.coord(50.0)),
+        },
+    ];
+    updates.extend(boundary.map(|u| StoreUpdate::InsertTransition {
+        origin: u,
+        destination: u,
+    }));
+    updates.extend(members.first().map(|id| StoreUpdate::ExpireTransition(*id)));
+    updates.extend(outsider.map(StoreUpdate::ExpireTransition));
+    [
+        Op::Queries(asked.clone()),
+        Op::Updates(updates),
+        Op::Queries(asked),
+    ]
+}
+
 /// Generates the stream and, alongside, the expected outcome of every step.
 fn script(seed: u64, steps: usize) -> Vec<Step> {
     let mut rng = Rng(seed);
@@ -283,7 +370,13 @@ fn script(seed: u64, steps: usize) -> Vec<Step> {
     let mut next_ordinal = 0usize;
     ops.reverse();
     for _ in 0..steps {
-        let op = ops.pop().unwrap_or_else(|| match rng.below(10) {
+        let op = ops.pop().unwrap_or_else(|| match rng.below(12) {
+            10..=11 => {
+                let [ask, churn, ask_again] = probe(&mut rng, &model);
+                ops.push(ask_again);
+                ops.push(churn);
+                ask
+            }
             0..=3 => {
                 let mut batch: Vec<RknntQuery> = (0..2 + rng.below(4))
                     .map(|_| random_query(&mut rng))
@@ -584,12 +677,39 @@ fn drive(label: &str, target: &mut dyn Target, script: &[Step]) {
 
 /// The stream must actually exercise what it claims to: answers that change
 /// under churn for queries asked before (a stale cache entry would show),
-/// standing results that change (a missed delta would show), rejected
-/// updates and unsubscribes.
+/// among them answers re-asked right behind a transition-only batch that
+/// gained and that lost members (a skipped replay would show), standing
+/// results that change (a missed delta would show), rejected updates and
+/// unsubscribes.
 fn assert_stream_has_teeth(script: &[Step]) {
     let mut last_answer: HashMap<String, &Vec<TransitionId>> = HashMap::new();
     let mut last_standing: HashMap<usize, &Vec<TransitionId>> = HashMap::new();
     let (mut answers_changed, mut standing_changed) = (0, 0);
+    let (mut replay_gained, mut replay_lost) = (0, 0);
+    for window in script.windows(3) {
+        let [before, churn, after] = window else {
+            unreachable!("windows(3)");
+        };
+        let transitions_only = matches!(&churn.op, Op::Updates(updates) if updates.iter().all(|u| {
+            matches!(u, StoreUpdate::InsertTransition { .. } | StoreUpdate::ExpireTransition(_))
+        }));
+        if let (Op::Queries(asked), true, Op::Queries(again)) =
+            (&before.op, transitions_only, &after.op)
+        {
+            for (i, query) in asked.iter().enumerate() {
+                let Some(j) = again.iter().position(|q| q == query) else {
+                    continue;
+                };
+                let (old, new) = (&before.answers[i], &after.answers[j]);
+                replay_gained += usize::from(new.iter().any(|t| !old.contains(t)));
+                replay_lost += usize::from(old.iter().any(|t| !new.contains(t)));
+            }
+        }
+    }
+    assert!(
+        replay_gained >= 5 && replay_lost >= 5,
+        "re-asked answers gained members {replay_gained} times, lost {replay_lost} times"
+    );
     for step in script {
         if let Op::Queries(batch) = &step.op {
             for (query, answer) in batch.iter().zip(&step.answers) {
@@ -618,7 +738,7 @@ fn assert_stream_has_teeth(script: &[Step]) {
 
 #[test]
 fn one_stream_every_configuration_matches_the_brute_force_model() {
-    let script = script(0x5eed_1a7e, 72);
+    let script = script(0x5eed_1a7e, 110);
     assert_stream_has_teeth(&script);
     let model = Model::initial();
     for kind in EngineKind::ALL {
