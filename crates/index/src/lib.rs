@@ -33,10 +33,7 @@ mod types;
 
 pub use ids::{RouteId, StopId, TransitionId};
 pub use nlist::NList;
-pub use partition::{
-    global_route, global_transition, partition_routes, partition_transitions, IdSpace,
-    RoutePartition, TransitionPartition,
-};
+pub use partition::{partition_transitions, IdSpace, Placement, TransitionPartition};
 pub use route_store::{PList, RouteStore, RouteStoreState};
 pub use transition_store::{TransitionEndpoint, TransitionStore, TransitionStoreState};
 pub use types::{EndpointKind, Route, Transition};

@@ -1,17 +1,17 @@
-//! Partition-aware bulk build: split one global dataset into per-shard
-//! stores while keeping the *global* id space authoritative.
+//! Partition-aware bulk build: split the global transition set into
+//! per-shard stores while keeping the *global* id space authoritative.
 //!
-//! The sharded service assigns every route and transition a global id in
-//! exactly the order the unsharded stores would (invalid items are skipped
-//! and consume no id, matching [`RouteStore::bulk_build`] /
-//! [`TransitionStore::bulk_build`]), then hands each item to the shard an
-//! assignment function picks. Each shard gets its own dense *local* id
-//! space — its stores are plain [`RouteStore`]s / [`TransitionStore`]s and
-//! know nothing about sharding — and an [`IdSpace`] records the local→global
-//! mapping so per-shard results can be merged back into global terms.
+//! A global transition id is a slot index in exactly the numbering the
+//! unsharded [`TransitionStore`] would assign (invalid pairs consume no id,
+//! expired transitions keep theirs). [`partition_transitions`] hands each
+//! live slot to the shard an assignment function picks. Each shard gets its
+//! own dense *local* id space — its store is a plain [`TransitionStore`]
+//! that knows nothing about sharding — an [`IdSpace`] records the
+//! local→global mapping so per-shard results can be merged back into global
+//! terms, and the directory of [`Placement`]s answers the reverse question.
+//! Routes are never partitioned: every filter and every verification is
+//! defined over the complete route set.
 
-use crate::ids::{RouteId, TransitionId};
-use crate::route_store::RouteStore;
 use crate::transition_store::TransitionStore;
 use rknnt_geo::Point;
 use rknnt_rtree::RTreeConfig;
@@ -67,87 +67,38 @@ impl IdSpace {
     }
 }
 
-/// Output of [`partition_routes`]: one store + id space per shard, plus the
-/// global owner table.
-#[derive(Debug)]
-pub struct RoutePartition {
-    /// Per-shard route stores, locally dense.
-    pub stores: Vec<RouteStore>,
-    /// Per-shard local→global id spaces.
-    pub spaces: Vec<IdSpace>,
-    /// Owner shard of each *global* route id (dense, one entry per accepted
-    /// route).
-    pub owners: Vec<u32>,
-    /// Routes rejected by store validation (no id consumed).
-    pub skipped: usize,
-}
-
-/// Splits `routes` across `shards` stores by `assign`, preserving the
-/// global id order of [`RouteStore::bulk_build`]: accepted routes get dense
-/// global ids in input order, and each shard's local ids are dense in that
-/// same order.
-pub fn partition_routes<F>(
-    config: RTreeConfig,
-    routes: Vec<Vec<Point>>,
-    shards: usize,
-    assign: F,
-) -> RoutePartition
-where
-    F: Fn(&[Point]) -> usize,
-{
-    let shards = shards.max(1);
-    let mut per_shard: Vec<Vec<Vec<Point>>> = vec![Vec::new(); shards];
-    let mut spaces = vec![IdSpace::new(); shards];
-    let mut owners = Vec::new();
-    let mut skipped = 0usize;
-    for route in routes {
-        // Mirror RouteStore::insert_route validation so ids line up with the
-        // unsharded bulk build.
-        if route.len() < 2 || route.iter().any(|p| !p.is_finite()) {
-            skipped += 1;
-            continue;
-        }
-        let shard = assign(&route).min(shards - 1);
-        let global = owners.len() as u32;
-        owners.push(shard as u32);
-        spaces[shard].push(global);
-        per_shard[shard].push(route);
-    }
-    let stores = per_shard
-        .into_iter()
-        .map(|list| {
-            let (store, rejected) = RouteStore::bulk_build(config, list);
-            debug_assert_eq!(rejected, 0, "pre-validated routes cannot be rejected");
-            store
-        })
-        .collect();
-    RoutePartition {
-        stores,
-        spaces,
-        owners,
-        skipped,
-    }
+/// Where a global transition id lives: local slot `local` of shard `shard`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// Index of the owning shard.
+    pub shard: u32,
+    /// The id's dense local slot in that shard's store.
+    pub local: u32,
 }
 
 /// Output of [`partition_transitions`]: one store + id space per shard,
-/// plus the global owner table.
+/// plus the global directory.
 #[derive(Debug)]
 pub struct TransitionPartition {
     /// Per-shard transition stores, locally dense.
     pub stores: Vec<TransitionStore>,
     /// Per-shard local→global id spaces.
     pub spaces: Vec<IdSpace>,
-    /// Owner shard of each *global* transition id.
-    pub owners: Vec<u32>,
-    /// Transition pairs rejected by store validation (no id consumed).
-    pub skipped: usize,
+    /// Placement of each *global* transition id, indexed by raw id; `None`
+    /// for a dead slot (its id stays consumed, no shard holds it).
+    pub directory: Vec<Option<Placement>>,
 }
 
-/// Splits transition `pairs` across `shards` stores by `assign`, with the
-/// same global-id discipline as [`partition_routes`].
+/// Splits the global transition `slots` across `shards` stores by `assign`.
+/// Slot `i` is global id `i`: a live slot goes to the shard `assign` picks
+/// (clamped to the last shard) and gets that shard's next dense local id, so
+/// every shard receives its transitions in global id order; a `None` slot —
+/// an expired transition — consumes its global id and is placed nowhere.
+/// Live endpoints must be finite (callers drop invalid raw pairs *before*
+/// numbering them, exactly like [`TransitionStore::bulk_build`] does).
 pub fn partition_transitions<F>(
     config: RTreeConfig,
-    pairs: Vec<(Point, Point)>,
+    slots: impl IntoIterator<Item = Option<(Point, Point)>>,
     shards: usize,
     assign: F,
 ) -> TransitionPartition
@@ -157,19 +108,22 @@ where
     let shards = shards.max(1);
     let mut per_shard: Vec<Vec<(Point, Point)>> = vec![Vec::new(); shards];
     let mut spaces = vec![IdSpace::new(); shards];
-    let mut owners = Vec::new();
-    let mut skipped = 0usize;
-    for (origin, destination) in pairs {
-        // Mirror TransitionStore::insert validation.
-        if !origin.is_finite() || !destination.is_finite() {
-            skipped += 1;
-            continue;
-        }
-        let shard = assign(&origin, &destination).min(shards - 1);
-        let global = owners.len() as u32;
-        owners.push(shard as u32);
-        spaces[shard].push(global);
-        per_shard[shard].push((origin, destination));
+    let mut directory = Vec::new();
+    for (global, slot) in slots.into_iter().enumerate() {
+        directory.push(slot.map(|(origin, destination)| {
+            assert!(
+                origin.is_finite() && destination.is_finite(),
+                "live transition slot {global} has a non-finite endpoint"
+            );
+            let shard = assign(&origin, &destination).min(shards - 1);
+            let local = spaces[shard].len() as u32;
+            spaces[shard].push(global as u32);
+            per_shard[shard].push((origin, destination));
+            Placement {
+                shard: shard as u32,
+                local,
+            }
+        }));
     }
     let stores = per_shard
         .into_iter()
@@ -178,24 +132,14 @@ where
     TransitionPartition {
         stores,
         spaces,
-        owners,
-        skipped,
+        directory,
     }
-}
-
-/// Convenience: translate a shard-local [`TransitionId`] to its global id.
-pub fn global_transition(space: &IdSpace, local: TransitionId) -> Option<TransitionId> {
-    space.to_global(local.raw()).map(TransitionId)
-}
-
-/// Convenience: translate a shard-local [`RouteId`] to its global id.
-pub fn global_route(space: &IdSpace, local: RouteId) -> Option<RouteId> {
-    space.to_global(local.raw()).map(RouteId)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::TransitionId;
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -215,59 +159,34 @@ mod tests {
     }
 
     #[test]
-    fn routes_partition_preserves_global_id_order() {
-        let config = RTreeConfig::new(8, 3);
-        let routes = vec![
-            vec![p(0.0, 0.0), p(1.0, 0.0)],   // shard 0, global 0
-            vec![p(9.0, 9.0)],                // invalid: single point
-            vec![p(10.0, 0.0), p(11.0, 0.0)], // shard 1, global 1
-            vec![p(2.0, 0.0), p(3.0, 0.0)],   // shard 0, global 2
-        ];
-        let part = partition_routes(config, routes.clone(), 2, |pts| {
-            usize::from(pts[0].x >= 5.0)
-        });
-        assert_eq!(part.skipped, 1);
-        assert_eq!(part.owners, vec![0, 1, 0]);
-        assert_eq!(part.spaces[0].as_slice(), &[0, 2]);
-        assert_eq!(part.spaces[1].as_slice(), &[1]);
-        // The per-shard stores hold exactly their slices, locally dense.
-        assert_eq!(part.stores[0].num_routes(), 2);
-        assert_eq!(part.stores[1].num_routes(), 1);
-        assert_eq!(part.stores[0].route_points(RouteId(1)), &routes[3][..]);
-        // Global ids line up with an unsharded bulk build.
-        let (global, skipped) = RouteStore::bulk_build(config, routes);
-        assert_eq!(skipped, 1);
-        for (g, owner) in part.owners.iter().enumerate() {
-            let local = part.spaces[*owner as usize].to_local(g as u32).unwrap();
-            assert_eq!(
-                part.stores[*owner as usize].route_points(RouteId(local)),
-                global.route_points(RouteId(g as u32))
-            );
-        }
-    }
-
-    #[test]
     fn transitions_partition_preserves_global_id_order() {
         let config = RTreeConfig::new(8, 3);
-        let pairs = vec![
-            (p(0.0, 0.0), p(1.0, 1.0)),
-            (p(f64::NAN, 0.0), p(1.0, 1.0)), // invalid
-            (p(10.0, 0.0), p(12.0, 1.0)),
-            (p(3.0, 0.0), p(2.0, 1.0)),
+        let slots = vec![
+            Some((p(0.0, 0.0), p(1.0, 1.0))),
+            None, // expired: id 1 stays consumed
+            Some((p(10.0, 0.0), p(12.0, 1.0))),
+            Some((p(3.0, 0.0), p(2.0, 1.0))),
         ];
-        let part = partition_transitions(config, pairs, 2, |o, _| usize::from(o.x >= 5.0));
-        assert_eq!(part.skipped, 1);
-        assert_eq!(part.owners, vec![0, 1, 0]);
+        let part = partition_transitions(config, slots, 2, |o, _| usize::from(o.x >= 5.0));
+        let at = |shard, local| Some(Placement { shard, local });
+        assert_eq!(part.directory, vec![at(0, 0), None, at(1, 0), at(0, 1)]);
+        assert_eq!(part.spaces[0].as_slice(), &[0, 3]);
+        assert_eq!(part.spaces[1].as_slice(), &[2]);
         assert_eq!(part.stores[0].len(), 2);
         assert_eq!(part.stores[1].len(), 1);
-        let g = global_transition(&part.spaces[1], TransitionId(0)).unwrap();
-        assert_eq!(g, TransitionId(1));
+        // The per-shard stores hold exactly their slices, locally dense.
+        let moved = part.stores[0].get(TransitionId(1)).unwrap();
+        assert_eq!(
+            (moved.origin, moved.destination),
+            (p(3.0, 0.0), p(2.0, 1.0))
+        );
     }
 
     #[test]
     fn assignment_out_of_range_clamps_to_last_shard() {
         let config = RTreeConfig::new(8, 3);
-        let part = partition_routes(config, vec![vec![p(0.0, 0.0), p(1.0, 0.0)]], 2, |_| 99);
-        assert_eq!(part.owners, vec![1]);
+        let slots = vec![Some((p(0.0, 0.0), p(1.0, 0.0)))];
+        let part = partition_transitions(config, slots, 2, |_, _| 99);
+        assert_eq!(part.directory[0].map(|at| at.shard), Some(1));
     }
 }

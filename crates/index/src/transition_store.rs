@@ -155,15 +155,6 @@ impl TransitionStore {
         self.live
     }
 
-    /// One past the largest raw transition id ever handed out (removed
-    /// transitions keep their slot) — the transition-side analogue of
-    /// [`crate::RouteStore::route_id_bound`]. The sharded service's recovery
-    /// reconciliation uses it to tell which WAL-tail inserts a shard already
-    /// applied before a crash.
-    pub fn transition_id_bound(&self) -> usize {
-        self.transitions.len()
-    }
-
     /// Whether the store holds no transitions.
     pub fn is_empty(&self) -> bool {
         self.live == 0

@@ -301,23 +301,23 @@ impl FleetRouter {
             mbr = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
         }
         let grid = CellGrid::new(mbr, config.grid_bits);
-        // Keep each shard's valid pair slice (in global order) before the
-        // partition consumes the input — in-memory restarts rebuild from it.
-        let mut pairs_per_shard: Vec<Vec<(Point, Point)>> = vec![Vec::new(); shard_count];
-        for (origin, destination) in &transitions {
-            if !origin.is_finite() || !destination.is_finite() {
-                continue;
-            }
-            let owner = grid
-                .shard_of_point(origin, shard_count)
-                .min(shard_count - 1);
-            pairs_per_shard[owner].push((*origin, *destination));
-        }
-        let tp = partition_transitions(config.rtree, transitions, shard_count, |origin, _| {
+        // Invalid pairs consume no global id, exactly like the unsharded
+        // bulk build; every slot handed to the partition is live.
+        let slots = transitions
+            .into_iter()
+            .filter(|(origin, destination)| origin.is_finite() && destination.is_finite())
+            .map(Some);
+        let tp = partition_transitions(config.rtree, slots, shard_count, |origin, _| {
             grid.shard_of_point(origin, shard_count)
         });
         let mut shards = Vec::with_capacity(shard_count);
         for (index, (store, space)) in tp.stores.into_iter().zip(tp.spaces).enumerate() {
+            // The shard's pair slice in global order — in-memory restarts
+            // rebuild from it.
+            let initial_pairs = store
+                .transitions()
+                .map(|t| (t.origin, t.destination))
+                .collect();
             let (route_store, _) = RouteStore::bulk_build(config.rtree, routes.clone());
             let mut service = QueryService::new(route_store, store, config.service);
             let mut storage_dir = None;
@@ -351,7 +351,7 @@ impl FleetRouter {
                 log: Vec::new(),
                 acked: 0,
                 up: true,
-                initial_pairs: std::mem::take(&mut pairs_per_shard[index]),
+                initial_pairs,
                 storage_dir,
                 subscribed_dials: 0,
             });
@@ -361,7 +361,11 @@ impl FleetRouter {
             grid,
             shards,
             routes,
-            transition_owner: tp.owners,
+            transition_owner: tp
+                .directory
+                .iter()
+                .map(|at| at.expect("every partitioned slot was live").shard)
+                .collect(),
             subs: HashMap::new(),
             next_sub: 1,
             pending_deltas: Vec::new(),

@@ -175,27 +175,14 @@ impl Backend {
         }
     }
 
-    /// Live handles to the backend's metric registries, for answering
+    /// A live handle to the backend's metric registry, for answering
     /// `Introspect { Metrics }` from the reader threads after the backend
     /// itself has moved into the executor. Registry clones share the
-    /// underlying cells, so the handles stay current. The `String` is the
-    /// exposition-line prefix (empty for the top level, `shard.<i>.` for a
-    /// sharded fleet's members, mirroring `ShardedService::metrics_text`).
-    fn introspection_registries(&self) -> Vec<(String, MetricsRegistry)> {
+    /// underlying cells, so the handle stays current.
+    fn introspection_registry(&self) -> MetricsRegistry {
         match self {
-            Backend::Single(s) => vec![(String::new(), s.metrics().registry().clone())],
-            Backend::Sharded(s) => {
-                let mut out = vec![(String::new(), s.metrics().registry().clone())];
-                for index in 0..s.shard_count() {
-                    if let Some(shard) = s.shard_service(index) {
-                        out.push((
-                            format!("shard.{index}."),
-                            shard.metrics().registry().clone(),
-                        ));
-                    }
-                }
-                out
-            }
+            Backend::Single(s) => s.metrics().registry().clone(),
+            Backend::Sharded(s) => s.metrics().registry().clone(),
         }
     }
 }
@@ -477,10 +464,9 @@ struct Shared {
     /// The backend's flight recorder, captured before the backend moved
     /// into the executor — read by introspection and slow-log capture.
     recorder: Arc<FlightRecorder>,
-    /// Live backend registry handles for reader-thread metrics
-    /// introspection (prefix, registry) — see
-    /// [`Backend::introspection_registries`].
-    registries: Vec<(String, MetricsRegistry)>,
+    /// Live backend registry handle for reader-thread metrics
+    /// introspection — see [`Backend::introspection_registry`].
+    registry: MetricsRegistry,
 }
 
 /// A running server. Dropping it (or calling [`Server::stop`]) shuts the
@@ -505,7 +491,7 @@ impl Server {
         // into the executor thread: reader threads answer `Introspect`
         // directly from these.
         let recorder = backend.flight_recorder();
-        let registries = backend.introspection_registries();
+        let registry = backend.introspection_registry();
         let slow_log = Arc::new(SlowQueryLog::new(
             config.slow_query_threshold_ns,
             config.slow_query_capacity,
@@ -525,7 +511,7 @@ impl Server {
             telemetry: Telemetry::monotonic(),
             slow_log,
             recorder,
-            registries,
+            registry,
         });
         let acceptor = std::thread::Builder::new()
             .name("rknnt-net-accept".into())
@@ -814,13 +800,7 @@ fn introspect(shared: &Shared, what: IntrospectWhat) -> IntrospectReport {
                 .lock()
                 .expect("metrics registry poisoned")
                 .render_text();
-            for (prefix, registry) in &shared.registries {
-                for line in registry.render_text().lines() {
-                    text.push_str(prefix);
-                    text.push_str(line);
-                    text.push('\n');
-                }
-            }
+            text.push_str(&shared.registry.render_text());
             IntrospectReport::Metrics { text }
         }
         IntrospectWhat::SlowQueries => IntrospectReport::SlowQueries {

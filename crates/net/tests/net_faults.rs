@@ -15,8 +15,11 @@ use rknnt_net::{
     Backend, Client, ClientConfig, ClientError, Reply, Server, ServerConfig, CLIENT_WRITE_SITE,
     SERVER_EXECUTOR_SITE, SERVER_READ_SITE, SERVER_WRITE_SITE,
 };
-use rknnt_service::{EnginePolicy, QueryService, ServiceConfig, StoreUpdate};
+use rknnt_service::{
+    EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService, StoreUpdate,
+};
 use rknnt_storage::{StorageConfig, WAL_WRITE_SITE};
+use std::path::Path;
 use std::time::Duration;
 
 fn p(x: f64, y: f64) -> Point {
@@ -294,24 +297,42 @@ fn blocking_reads_time_out_typed_on_a_stalled_server() {
 /// A failed WAL append is the *request's* failure, not the server's: the
 /// append rolls back, the request gets a typed error with nothing applied,
 /// and the executor keeps serving — the next query, and a retry of the very
-/// same update batch, both succeed and match an in-process twin.
+/// same update batch, both succeed and match an in-process twin. Holds for
+/// both backends: a sharded service logs to the same single WAL, so there is
+/// no second, shard-local append left to fail.
 #[test]
 fn failed_wal_append_is_a_typed_error_and_the_server_keeps_serving() {
-    let dir = std::env::temp_dir().join(format!("rknnt-netfaults-wal-{}", std::process::id()));
+    failed_wal_append_keeps_serving("flat", |dir| {
+        let mut durable = service();
+        durable
+            .attach_storage(dir, StorageConfig::default())
+            .expect("attach storage");
+        Backend::Single(durable)
+    });
+    failed_wal_append_keeps_serving("sharded", |dir| {
+        let (routes, pairs) = small_world();
+        let config = ShardedConfig::default()
+            .with_shards(4)
+            .with_base(*service().config());
+        let mut durable = ShardedService::bulk_build(config, routes, pairs);
+        durable
+            .attach_storage(dir, StorageConfig::default())
+            .expect("attach storage");
+        Backend::Sharded(durable)
+    });
+}
+
+fn failed_wal_append_keeps_serving(tag: &str, durable: impl FnOnce(&Path) -> Backend) {
+    let dir =
+        std::env::temp_dir().join(format!("rknnt-netfaults-wal-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut durable = service();
-    durable
-        .attach_storage(&dir, StorageConfig::default())
-        .expect("attach storage");
+    let durable = durable(&dir);
     let mut twin = service();
     let fp = FaultPlan::new(0x3A1)
         .fail(WAL_WRITE_SITE, 1, "injected WAL write failure")
         .arm();
-    let server = Server::start(
-        Backend::Single(durable),
-        ServerConfig::default().with_failpoints(fp.clone()),
-    )
-    .unwrap();
+    let server =
+        Server::start(durable, ServerConfig::default().with_failpoints(fp.clone())).unwrap();
     let mut client = bounded_client(&server, ClientConfig::default());
     let standing = query(2, Semantics::Exists);
     let initial = client.subscribe(&standing).unwrap().answered().unwrap();

@@ -1,10 +1,17 @@
 //! The serving frontend, written once: [`Service<B>`] owns the result cache,
-//! the generation counter, the subscription registry, the (router-level)
-//! storage handle and the metric catalog, and runs the only copy of the
-//! batch pipeline, the worker pool, the update skeleton and the subscription
-//! surface. What it serves *from* is a [`Backing`]: one flat pair of stores
-//! ([`crate::QueryService`]) or a set of spatial shards behind a planner
-//! replica ([`crate::ShardedService`]).
+//! the generation counter, the subscription registry, the storage handle and
+//! the metric catalog, and runs the only copy of the batch pipeline, the
+//! worker pool, the update skeleton, the subscription surface and
+//! durability (`open` / `attach_storage` / `checkpoint`). What it serves
+//! *from* is a [`Backing`]: one flat pair of stores
+//! ([`crate::QueryService`]) or the complete routes plus the transitions
+//! spread over spatial shards ([`crate::ShardedService`]).
+//!
+//! Durability is the frontend's because it is layout-blind: every update is
+//! logged in global form before any backing sees it, a checkpoint stores
+//! the global state a backing exports, and recovery hands a backing the
+//! recovered stores to lay out as its configuration says. One directory
+//! format, one WAL, whatever serves from it.
 
 use crate::batch::{form_groups, run_group, BatchStats, Group, GroupOutput};
 use crate::cache::{route_bits, CacheKey, CacheStats, ResultCache};
@@ -15,10 +22,13 @@ use crate::region::EntryRegion;
 use crate::service::{ServiceConfig, StoreUpdate, UpdateStats};
 use rknnt_core::{EngineKind, FilterFootprint, FilterOutcome, RknntQuery, RknntResult};
 use rknnt_geo::{Point, Rect};
-use rknnt_index::{RouteId, RouteStore, TransitionId};
+use rknnt_index::{
+    RouteId, RouteStore, RouteStoreState, TransitionId, TransitionStore, TransitionStoreState,
+};
 use rknnt_obs::{EventKind, FlightRecorder, MetricsSnapshot, Span, TraceCursor};
-use rknnt_storage::{Failpoints, Storage, StorageError, StorageStats};
+use rknnt_storage::{Failpoints, Storage, StorageConfig, StorageError, StorageStats};
 use std::collections::{HashMap, HashSet};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -30,11 +40,16 @@ const ROUTE_REMOVAL_BUDGET_PER_ENTRY: usize = 4_096;
 /// What a [`Service`] serves from — exactly the parts of serving that differ
 /// between one flat pair of stores and a set of shards. Everything else
 /// (cache, grouping, coalescing, filter sharing, worker pool, WAL append,
-/// eviction, subscription upkeep, stats) is the frontend's and exists once.
+/// checkpoint and recovery, eviction, subscription upkeep, stats) is the
+/// frontend's and exists once.
 ///
 /// Sealed: the trait lives in a private module, so only this crate's two
 /// backings implement it.
-pub trait Backing: Sync {
+pub trait Backing: Sync + Sized {
+    /// What building the backing takes beyond the data: the frontend's
+    /// [`ServiceConfig`] itself, or a configuration that embeds one.
+    type Config;
+
     /// State one worker thread owns for the duration of a batch (engines
     /// and a `QueryScratch`); never shared between workers.
     type Worker<'a>
@@ -88,6 +103,21 @@ pub trait Backing: Sync {
     /// unknown or dead id.
     fn remove_route(&mut self, id: RouteId) -> Option<Vec<Point>>;
 
+    /// The complete logical state in *global* form — the planner-wide route
+    /// slots and every transition slot in global id order, dead ones
+    /// included — which is what a snapshot stores whatever the backing.
+    fn export_state(&self) -> (RouteStoreState, TransitionStoreState);
+
+    /// A service over the given stores (empty, or recovered from a
+    /// snapshot in the global form [`Backing::export_state`] writes): no
+    /// cached results, no subscriptions, no storage. How the backing lays
+    /// the data out is `config`'s call alone and never changes an answer.
+    fn from_stores(
+        routes: RouteStore,
+        transitions: TransitionStore,
+        config: Self::Config,
+    ) -> Service<Self>;
+
     /// Whether a result recorded with `region` provably survives removing
     /// the route `removed` (see [`EntryRegion::survives_route_remove`]),
     /// drawing on the caller's shared work `budget`. Evaluated against the
@@ -120,7 +150,7 @@ pub struct Service<B: Backing> {
     pub(crate) generation: AtomicU64,
     pub(crate) monitor: SubscriptionRegistry,
     /// The WAL + snapshot directory updates are logged to before they
-    /// apply (the *router's* directory for a sharded backing).
+    /// apply.
     pub(crate) storage: Option<Storage>,
     pub(crate) metrics: ServiceMetrics,
 }
@@ -154,7 +184,7 @@ impl<B: Backing> Service<B> {
     // ------------------------------------------------------------------
 
     /// Read access to the complete route store (for a sharded service: the
-    /// planner replica, whose slot indexes are the global route ids).
+    /// planner, whose slot indexes are the global route ids).
     pub fn routes(&self) -> &RouteStore {
         self.backing.routes()
     }
@@ -187,6 +217,19 @@ impl<B: Backing> Service<B> {
         self.metrics.snapshot()
     }
 
+    /// The current metrics in the text exposition format.
+    pub fn metrics_text(&self) -> String {
+        self.metrics.render_text()
+    }
+
+    /// Turns span timing, histogram recording and flight-recorder events on
+    /// or off. Counters stay live, so the exact per-call
+    /// [`BatchStats`]/[`UpdateStats`] counts keep working; the wall-clock
+    /// `timings` fields read zero while disabled.
+    pub fn set_metrics_enabled(&self, on: bool) {
+        self.metrics.set_enabled(on);
+    }
+
     /// Shared handle to the flight recorder of recent pipeline events (for
     /// [`rknnt_obs::DumpOnPanic`] and on-demand dumps).
     pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
@@ -198,8 +241,7 @@ impl<B: Backing> Service<B> {
         self.storage.is_some()
     }
 
-    /// Storage counters, when storage is attached (a sharded service
-    /// reports its router directory; per-shard counters are on each shard).
+    /// Storage counters, when storage is attached.
     pub fn storage_stats(&self) -> Option<StorageStats> {
         self.storage.as_ref().map(Storage::stats)
     }
@@ -220,6 +262,94 @@ impl<B: Backing> Service<B> {
     pub fn invalidate_all(&self) {
         self.generation.fetch_add(1, Ordering::SeqCst);
         self.cache.lock().expect("cache lock").invalidate_all();
+    }
+
+    // ------------------------------------------------------------------
+    // Durability.
+    // ------------------------------------------------------------------
+
+    /// Opens a durable service from a storage directory: loads the latest
+    /// valid snapshot, replays the WAL tail through the normal update path
+    /// (so cache state and future subscriptions come up consistent for
+    /// free) and attaches the directory for further logging. An empty or
+    /// brand-new directory yields an empty service.
+    ///
+    /// The directory holds one format whatever wrote it — a snapshot of the
+    /// global state plus a WAL of global-form [`StoreUpdate`]s — so a
+    /// directory written by either service opens as the other, and `config`
+    /// is authoritative: a sharded service lays the recovered data out for
+    /// the shard count and grid it is opened with, not the ones it was
+    /// written under.
+    ///
+    /// Recovery tolerates a torn final WAL frame (a crash mid-append drops
+    /// exactly the un-committed record, reported via
+    /// [`StorageStats::torn_tail`]); every other form of damage — bad
+    /// magic, checksum mismatches, undecodable records, truncation before
+    /// the final frame — is a typed [`StorageError`].
+    pub fn open(
+        dir: &Path,
+        config: B::Config,
+        storage_config: StorageConfig,
+    ) -> Result<(Self, StorageStats), StorageError> {
+        let (mut storage, recovery) = Storage::open(dir, storage_config)?;
+        let (routes, transitions) = recovery.stores.unwrap_or_default();
+        let mut service = B::from_stores(routes, transitions, config);
+        storage.set_instruments(service.metrics.storage_instruments());
+        let mut updates = Vec::with_capacity(recovery.tail.len());
+        for record in &recovery.tail {
+            updates.push(StoreUpdate::from_wal_record(record).map_err(|e| {
+                StorageError::Corrupt {
+                    path: dir.to_path_buf(),
+                    offset: None,
+                    detail: format!("undecodable WAL record: {e}"),
+                }
+            })?);
+        }
+        if !updates.is_empty() {
+            // Replay mutates the stores exactly like the original calls did
+            // (ids are dense slot indexes, and the snapshot preserved dead
+            // slots) — but must not re-append to the WAL.
+            service.replay(updates);
+        }
+        let stats = storage.stats();
+        service.storage = Some(storage);
+        Ok((service, stats))
+    }
+
+    /// Attaches a storage directory to an in-memory service and writes the
+    /// initial checkpoint, making the current state durable. The directory
+    /// must not already hold snapshot or WAL data
+    /// ([`StorageError::DirectoryNotEmpty`]) — recover existing state with
+    /// [`Service::open`] instead.
+    pub fn attach_storage(
+        &mut self,
+        dir: &Path,
+        storage_config: StorageConfig,
+    ) -> Result<StorageStats, StorageError> {
+        let (mut storage, recovery) = Storage::open(dir, storage_config)?;
+        if recovery.found_existing {
+            return Err(StorageError::DirectoryNotEmpty {
+                dir: dir.to_path_buf(),
+            });
+        }
+        storage.set_instruments(self.metrics.storage_instruments());
+        // Checkpoint *before* attaching: if the initial snapshot cannot be
+        // written there is no durable baseline, and leaving the directory
+        // attached would let the WAL grow against state recovery could
+        // never reconstruct (replay onto empty stores).
+        let (routes, transitions) = self.backing.export_state();
+        let stats = storage.checkpoint(routes, transitions)?;
+        self.storage = Some(storage);
+        Ok(stats)
+    }
+
+    /// Writes a new snapshot covering every logged update and truncates the
+    /// now-obsolete WAL segments. Requires attached storage
+    /// ([`StorageError::NotAttached`] otherwise).
+    pub fn checkpoint(&mut self) -> Result<StorageStats, StorageError> {
+        let storage = self.storage.as_mut().ok_or(StorageError::NotAttached)?;
+        let (routes, transitions) = self.backing.export_state();
+        storage.checkpoint(routes, transitions)
     }
 
     // ------------------------------------------------------------------
@@ -670,9 +800,7 @@ impl<B: Backing> Service<B> {
     /// failed batch's bytes back (a retry with the same or different
     /// updates is safe); if even the rollback fails, the log poisons itself
     /// and every further logged update errors rather than risk corrupting
-    /// the stream. On a sharded backing this is the *router's* append;
-    /// shard-local double-logging rides the forwarded per-shard updates and
-    /// still panics on failure.
+    /// the stream.
     pub fn try_apply_updates(
         &mut self,
         updates: Vec<StoreUpdate>,

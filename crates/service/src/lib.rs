@@ -18,8 +18,9 @@
 //!   [`rknnt_index::TransitionStore`] pair, queried by the engines an
 //!   [`EnginePolicy`] picks (fixed engine, or a per-query heuristic on `k`
 //!   and route length).
-//! * **[`ShardedService`]** — the transitions split across Z-order spatial
-//!   shards behind a planner replica of the routes; each fresh query prunes
+//! * **[`ShardedService`]** — the complete routes in one planner store and
+//!   the transitions split across Z-order spatial shards (a shard is a
+//!   transition store plus an id space); each fresh query prunes
 //!   only the shards its filter cannot rule out and verifies the merged
 //!   candidates once ([`sharded`]). Answers, subscription results and delta
 //!   streams are byte-identical to the flat service's.
@@ -55,15 +56,17 @@
 //!   shared batch path, and result changes come back as per-batch
 //!   [`SubscriptionDelta`]s instead of forcing clients to re-poll
 //!   ([`monitor`]).
-//! * **Durability** — [`QueryService::open`] /
-//!   [`QueryService::attach_storage`] back the service with an
-//!   `rknnt-storage` directory: `apply_updates` appends every update to a
-//!   CRC-guarded write-ahead log before applying it ([`durable`] owns the
-//!   record codec), [`QueryService::checkpoint`] folds the log into a
-//!   checksummed snapshot, and reopening after a crash replays the WAL
-//!   tail through the normal update path — recovered answers are
-//!   byte-identical to the uninterrupted service
-//!   (`tests/service_recovery.rs`).
+//! * **Durability** — [`Service::open`] / [`Service::attach_storage`] back
+//!   either service with an `rknnt-storage` directory: `apply_updates`
+//!   appends every update, in global form, to a CRC-guarded write-ahead log
+//!   before applying it ([`durable`] owns the record codec),
+//!   [`Service::checkpoint`] folds the log into a checksummed snapshot of
+//!   the global state, and reopening after a crash replays the WAL tail
+//!   through the normal update path — recovered answers are byte-identical
+//!   to the uninterrupted service (`tests/service_recovery.rs`). The
+//!   directory does not record which service wrote it: one written by
+//!   either opens as the other, at any shard count
+//!   (`tests/service_sharded.rs`).
 //!
 //! ```
 //! use rknnt_core::RknntQuery;

@@ -251,9 +251,8 @@ impl ServiceMetrics {
 }
 
 /// Router-layer metric cells of one [`crate::ShardedService`], registered
-/// against the same registry as the router's service catalog. Each shard's
-/// inner [`crate::QueryService`] keeps its own full catalog; these cells
-/// describe the routing layer itself.
+/// against the same registry as the service catalog (a shard is a bare
+/// transition store and has no catalog of its own).
 #[derive(Debug)]
 pub(crate) struct RouterMetrics {
     /// Shards consulted per fresh (uncached, non-degenerate) execution.

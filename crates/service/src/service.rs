@@ -1,5 +1,8 @@
 //! The [`QueryService`]: the serving frontend over one flat pair of stores,
 //! plus the configuration, update and stats types both services share.
+//! Everything durable — `open`, `attach_storage`, `checkpoint` — is the
+//! frontend's ([`Service`]); what is left here is what only a flat pair of
+//! stores can offer: engines built directly on them and wholesale swaps.
 
 use crate::frontend::{Backing, Service};
 use crate::metrics::ServiceMetrics;
@@ -11,10 +14,10 @@ use rknnt_core::{
     RknntResult,
 };
 use rknnt_geo::Point;
-use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
+use rknnt_index::{
+    RouteId, RouteStore, RouteStoreState, TransitionId, TransitionStore, TransitionStoreState,
+};
 use rknnt_obs::TraceCursor;
-use rknnt_storage::{Storage, StorageConfig, StorageError, StorageStats};
-use std::path::Path;
 
 /// Tuning knobs for a [`QueryService`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,6 +186,7 @@ enum PreparedEngine<'a> {
 }
 
 impl Backing for FlatStores {
+    type Config = ServiceConfig;
     type Worker<'a> = FlatWorker<'a>;
 
     fn routes(&self) -> &RouteStore {
@@ -260,6 +264,18 @@ impl Backing for FlatStores {
         self.routes.remove_route(id).then_some(points)
     }
 
+    fn export_state(&self) -> (RouteStoreState, TransitionStoreState) {
+        (self.routes.export_state(), self.transitions.export_state())
+    }
+
+    fn from_stores(
+        routes: RouteStore,
+        transitions: TransitionStore,
+        config: ServiceConfig,
+    ) -> QueryService {
+        QueryService::new(routes, transitions, config)
+    }
+
     fn survives_route_remove(
         &self,
         region: &EntryRegion,
@@ -279,18 +295,6 @@ impl Backing for FlatStores {
     }
 }
 
-/// A sharded layout under `dir` belongs to a whole fleet: a single service
-/// must neither open nor shadow it.
-fn refuse_sharded_layout(dir: &Path) -> Result<(), StorageError> {
-    match rknnt_storage::detect_shard_layout(dir) {
-        Some(layout) => Err(StorageError::ShardedLayout {
-            dir: dir.to_path_buf(),
-            shards: layout.shard_count(),
-        }),
-        None => Ok(()),
-    }
-}
-
 impl Service<FlatStores> {
     /// Creates a service over the given stores.
     pub fn new(routes: RouteStore, transitions: TransitionStore, config: ServiceConfig) -> Self {
@@ -304,90 +308,6 @@ impl Service<FlatStores> {
         )
     }
 
-    /// Opens a durable service from a storage directory: loads the latest
-    /// valid snapshot, replays the WAL tail through the normal update path
-    /// (so cache state and future subscriptions come up consistent for
-    /// free) and attaches the directory for further logging. An empty or
-    /// brand-new directory yields an empty service.
-    ///
-    /// Recovery tolerates a torn final WAL frame (a crash mid-append drops
-    /// exactly the un-committed record, reported via
-    /// [`StorageStats::torn_tail`]); every other form of damage — bad
-    /// magic, checksum mismatches, undecodable records, truncation before
-    /// the final frame — is a typed [`StorageError`].
-    pub fn open(
-        dir: &Path,
-        config: ServiceConfig,
-        storage_config: StorageConfig,
-    ) -> Result<(Self, StorageStats), StorageError> {
-        refuse_sharded_layout(dir)?;
-        let (mut storage, recovery) = Storage::open(dir, storage_config)?;
-        let (routes, transitions) = recovery
-            .stores
-            .unwrap_or_else(|| (RouteStore::default(), TransitionStore::default()));
-        let mut service = QueryService::new(routes, transitions, config);
-        storage.set_instruments(service.metrics.storage_instruments());
-        let mut updates = Vec::with_capacity(recovery.tail.len());
-        for record in &recovery.tail {
-            updates.push(StoreUpdate::from_wal_record(record).map_err(|e| {
-                StorageError::Corrupt {
-                    path: dir.to_path_buf(),
-                    offset: None,
-                    detail: format!("undecodable WAL record: {e}"),
-                }
-            })?);
-        }
-        if !updates.is_empty() {
-            // Replay mutates the stores exactly like the original calls did
-            // (ids are dense slot indexes, and the snapshot preserved dead
-            // slots) — but must not re-append to the WAL.
-            service.replay(updates);
-        }
-        let stats = storage.stats();
-        service.storage = Some(storage);
-        Ok((service, stats))
-    }
-
-    /// Attaches a storage directory to an in-memory service and writes the
-    /// initial checkpoint, making the current state durable. The directory
-    /// must not already hold snapshot or WAL data
-    /// ([`StorageError::DirectoryNotEmpty`]) — recover existing state with
-    /// [`QueryService::open`] instead. A directory holding a *sharded*
-    /// layout (`router/`, `shard-NNN/` subdirectories) is recognised and
-    /// refused with the typed [`StorageError::ShardedLayout`]: its state
-    /// belongs to a whole fleet and must be recovered with
-    /// [`crate::ShardedService::open`], not shadowed by a single service
-    /// checkpointing into the root.
-    pub fn attach_storage(
-        &mut self,
-        dir: &Path,
-        storage_config: StorageConfig,
-    ) -> Result<StorageStats, StorageError> {
-        refuse_sharded_layout(dir)?;
-        let (mut storage, recovery) = Storage::open(dir, storage_config)?;
-        if recovery.found_existing {
-            return Err(StorageError::DirectoryNotEmpty {
-                dir: dir.to_path_buf(),
-            });
-        }
-        storage.set_instruments(self.metrics.storage_instruments());
-        // Checkpoint *before* attaching: if the initial snapshot cannot be
-        // written there is no durable baseline, and leaving the directory
-        // attached would let the WAL grow against state recovery could
-        // never reconstruct (replay onto empty stores).
-        let stats = storage.checkpoint(&self.backing.routes, &self.backing.transitions)?;
-        self.storage = Some(storage);
-        Ok(stats)
-    }
-
-    /// Writes a new snapshot covering every logged update and truncates the
-    /// now-obsolete WAL segments. Requires attached storage
-    /// ([`StorageError::NotAttached`] otherwise).
-    pub fn checkpoint(&mut self) -> Result<StorageStats, StorageError> {
-        let storage = self.storage.as_mut().ok_or(StorageError::NotAttached)?;
-        storage.checkpoint(&self.backing.routes, &self.backing.transitions)
-    }
-
     /// The configuration the service was built with.
     pub fn config(&self) -> &ServiceConfig {
         &self.config
@@ -396,19 +316,6 @@ impl Service<FlatStores> {
     /// Read access to the transition store.
     pub fn transitions(&self) -> &TransitionStore {
         &self.backing.transitions
-    }
-
-    /// The current metrics in the text exposition format.
-    pub fn metrics_text(&self) -> String {
-        self.metrics.render_text()
-    }
-
-    /// Turns span timing, histogram recording and flight-recorder events on
-    /// or off. Counters stay live, so the exact per-call
-    /// [`crate::BatchStats`]/[`UpdateStats`] counts keep working; the
-    /// wall-clock `timings` fields read zero while disabled.
-    pub fn set_metrics_enabled(&self, on: bool) {
-        self.metrics.set_enabled(on);
     }
 
     /// Mutates the stores through `f`, then invalidates the cache and bumps
@@ -445,7 +352,7 @@ impl Service<FlatStores> {
     /// attached — a checkpoint. Wholesale swaps have no per-update WAL
     /// representation, so the snapshot *is* their durability; failing to
     /// write it would silently decouple disk from memory, hence the panic
-    /// (use [`QueryService::checkpoint`] directly for a fallible path).
+    /// (use [`Service::checkpoint`] directly for a fallible path).
     fn stores_changed(&mut self) {
         self.invalidate_all();
         if self.monitor.len() > 0 {

@@ -4,8 +4,9 @@
 //! all four engines and both semantics. That covers one-shot batches, the
 //! router's shard-skip soundness (a skipped shard provably holds no
 //! candidate of the unsharded execution), subscription delta streams under
-//! churn, crash recovery from the per-shard WALs, and reshard (split /
-//! merge) keeping answers and durability intact.
+//! churn, crash recovery from the one global-form WAL, a storage directory
+//! opening as either service at any shard count, and reshard (split /
+//! merge) keeping answers intact without touching the disk.
 
 use proptest::prelude::*;
 use rknnt_core::{build_filter_set, prune_transitions, EngineKind, RknntQuery, Semantics};
@@ -17,7 +18,8 @@ use rknnt_service::{
     EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig,
     StoreUpdate, SubscriptionId,
 };
-use std::path::PathBuf;
+use rknnt_storage::{Failpoints, WAL_FSYNC_SITE};
+use std::path::{Path, PathBuf};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -29,6 +31,24 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rknnt-sharded-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Name and size of every entry of a storage root, sorted — and the check
+/// that it holds snapshot + WAL *files* only: no service keeps a
+/// subdirectory there.
+fn root_files(dir: &Path) -> Vec<(std::ffi::OsString, u64)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        assert!(
+            entry.file_type().unwrap().is_file(),
+            "storage root holds a non-file entry {:?}",
+            entry.file_name()
+        );
+        files.push((entry.file_name(), entry.metadata().unwrap().len()));
+    }
+    files.sort();
+    files
 }
 
 fn test_storage() -> StorageConfig {
@@ -162,7 +182,7 @@ fn assert_skips_sound(
         let outcome = build_filter_set(full_routes, &query.route, query.k);
         let use_voronoi = matches!(kind, EngineKind::Voronoi);
         for index in 0..sharded.shard_count() {
-            let store = sharded.shard_service(index).unwrap().transitions();
+            let store = sharded.shard_transitions(index).unwrap();
             if store.rtree().root().is_none() || planned.contains(&index) {
                 continue;
             }
@@ -466,7 +486,7 @@ fn churn_and_delta_parity_brute_force() {
 }
 
 // ---------------------------------------------------------------------------
-// Crash recovery from the per-shard WALs
+// Crash recovery from the snapshot + the one global-form WAL
 // ---------------------------------------------------------------------------
 
 /// Deterministic mixed update stream (splitmix64), including draws that the
@@ -517,27 +537,53 @@ fn make_updates(gen: &mut Gen, count: usize, transition_pool: usize) -> Vec<Stor
     updates
 }
 
+/// Two fleets hold the same *global* state — the planner and every
+/// transition slot below the id bound — whatever their placement, and in
+/// each every live id is owned by exactly one shard.
 fn assert_fleets_identical(a: &ShardedService, b: &ShardedService, label: &str) {
     assert_eq!(a.shard_count(), b.shard_count(), "{label}: shard count");
     assert_eq!(
         a.routes().export_state(),
         b.routes().export_state(),
-        "{label}: planner replica diverged"
+        "{label}: planner diverged"
     );
-    for index in 0..a.shard_count() {
-        let sa = a.shard_service(index).unwrap();
-        let sb = b.shard_service(index).unwrap();
+    assert_eq!(
+        a.transition_id_bound(),
+        b.transition_id_bound(),
+        "{label}: transition id bound diverged"
+    );
+    let mut live = 0;
+    for raw in 0..a.transition_id_bound() as u32 {
+        let id = TransitionId(raw);
+        let endpoints = a.transition_endpoints(id);
         assert_eq!(
-            sa.routes().export_state(),
-            sb.routes().export_state(),
-            "{label}: shard {index} route store diverged"
+            endpoints,
+            b.transition_endpoints(id),
+            "{label}: transition {raw} diverged"
         );
-        assert_eq!(
-            sa.transitions().export_state(),
-            sb.transitions().export_state(),
-            "{label}: shard {index} transition store diverged"
-        );
+        for fleet in [a, b] {
+            let owner = fleet.transition_owner(id);
+            assert_eq!(
+                owner.is_some(),
+                endpoints.is_some(),
+                "{label}: owner of {raw}"
+            );
+            assert!(owner.is_none_or(|shard| shard < fleet.shard_count()));
+        }
+        live += usize::from(endpoints.is_some());
     }
+    // `num_transitions` sums the shard stores: every live id resolves in its
+    // one owner, so equal counts mean no shard holds anything else.
+    assert_eq!(
+        a.num_transitions(),
+        live,
+        "{label}: directory vs shard stores"
+    );
+    assert_eq!(
+        b.num_transitions(),
+        live,
+        "{label}: directory vs shard stores"
+    );
 }
 
 fn run_sharded_recovery(kind: EngineKind, semantics: Semantics, shards: usize, seed: u64) {
@@ -585,8 +631,8 @@ fn run_sharded_recovery(kind: EngineKind, semantics: Semantics, shards: usize, s
         .map(|q| reference.subscribe(q.clone()))
         .collect();
 
-    // Phase 2 in small batches, then crash (drop): shard WALs and the
-    // router WAL both carry the tail.
+    // Phase 2 in small batches, then crash (drop): the WAL carries the
+    // tail behind the phase-1 snapshot.
     for chunk in phase2.chunks(4) {
         reference.apply_updates(chunk.to_vec());
         durable.apply_updates(chunk.to_vec());
@@ -667,73 +713,108 @@ fn sharded_recovery_is_deterministic_for_every_engine_and_semantics() {
 }
 
 // ---------------------------------------------------------------------------
-// Layout guards
+// One durable format
 // ---------------------------------------------------------------------------
 
 #[test]
-fn layout_guards_route_each_side_to_the_right_open() {
-    // A sharded layout refuses a flat attach / open, naming the recovery
-    // path; a flat layout refuses a sharded attach.
-    let (routes, pairs) = raw_world(77, 120);
-    let config = ShardedConfig::default().with_shards(3);
-    let dir = temp_dir("layout");
-    let mut fleet = ShardedService::bulk_build(config, routes.clone(), pairs.clone());
-    fleet.attach_storage(&dir, test_storage()).unwrap();
-    fleet.apply_updates(vec![StoreUpdate::InsertTransition {
-        origin: p(1.0, 2.0),
-        destination: p(3.0, 4.0),
-    }]);
-    drop(fleet);
-
-    // Flat service: both attach and open must refuse the sharded root.
+fn one_directory_opens_flat_and_sharded() {
+    // The directory holds one format whichever service wrote it: a
+    // flat-written directory opens as a sharded service at any shard count,
+    // a sharded-written one opens flat, and every reopen answers like the
+    // unsharded twin that never crashed.
+    let (routes, pairs) = raw_world(77, 300);
+    let city = CityGenerator::new(CityConfig::small(77)).generate();
     let base = ServiceConfig::default().with_workers(1);
-    let mut flat = QueryService::new(Default::default(), Default::default(), base);
-    let err = flat.attach_storage(&dir, test_storage()).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            rknnt_service::StorageError::ShardedLayout { shards: 3, .. }
-        ),
-        "got {err}"
-    );
-    let err = match QueryService::open(&dir, base, test_storage()) {
-        Err(err) => err,
-        Ok(_) => panic!("flat open must refuse a sharded layout"),
-    };
-    assert!(
-        matches!(err, rknnt_service::StorageError::ShardedLayout { .. }),
-        "got {err}"
-    );
+    let probes: Vec<RknntQuery> = workload::rknnt_queries(&city, 5, 4, 800.0, 77 ^ 0x77)
+        .into_iter()
+        .enumerate()
+        .map(|(i, route)| RknntQuery {
+            route,
+            k: 1 + i % 3,
+            semantics: if i % 2 == 0 {
+                Semantics::Exists
+            } else {
+                Semantics::ForAll
+            },
+        })
+        .collect();
+    let (route_store, transition_store) = unsharded_stores(&routes, &pairs);
+    let mut twin = QueryService::new(route_store.clone(), transition_store.clone(), base);
+    let mut gen = Gen(0x0D1F);
+    let logged = make_updates(&mut gen, 20, 300);
+    twin.apply_updates(logged.clone());
+    let (expected, _) = twin.execute_batch(&probes);
+    let expected = raw_results(&expected);
 
-    // A second fleet must refuse to attach over the live layout too.
-    let mut other = ShardedService::bulk_build(config, routes, pairs);
-    let err = other.attach_storage(&dir, test_storage()).unwrap_err();
-    assert!(
-        matches!(err, rknnt_service::StorageError::ShardedLayout { .. }),
-        "got {err}"
+    // Flat-written (snapshot + WAL tail) -> sharded at 1 and 3 shards.
+    let flat_dir = temp_dir("format-flat");
+    let mut flat = QueryService::new(route_store, transition_store, base);
+    flat.attach_storage(&flat_dir, test_storage()).unwrap();
+    flat.apply_updates(logged.clone());
+    drop(flat);
+    for shards in [1usize, 3] {
+        let config = ShardedConfig::default().with_shards(shards).with_base(base);
+        let (opened, stats) = ShardedService::open(&flat_dir, config, test_storage()).unwrap();
+        assert_eq!(opened.shard_count(), shards, "the passed config decides");
+        assert_eq!(stats.replayed_records, logged.len() as u64);
+        let (answers, _) = opened.execute_batch(&probes);
+        assert_eq!(
+            raw_results(&answers),
+            expected,
+            "flat-written directory opened at {shards} shard(s)"
+        );
+    }
+
+    // Sharded-written -> flat. Written with fsync on, so the failpoint
+    // handle (no rules: it only counts) sees the real sync points: a batch
+    // of 8 on 4 shards is one append and one fsync, eight frames.
+    let sharded_dir = temp_dir("format-sharded");
+    let config = ShardedConfig::default().with_shards(4).with_base(base);
+    let mut fleet = ShardedService::bulk_build(config, routes.clone(), pairs.clone());
+    fleet
+        .attach_storage(&sharded_dir, StorageConfig::default())
+        .unwrap();
+    let sync_points = Failpoints::none();
+    fleet.set_storage_failpoints(sync_points.clone());
+    let stats = fleet.apply_updates(logged[..8].to_vec());
+    assert_eq!(stats.wal_appends, 8);
+    assert_eq!(sync_points.hits(WAL_FSYNC_SITE), 1);
+    fleet.apply_updates(logged[8..].to_vec());
+    drop(fleet);
+    assert!(!root_files(&sharded_dir).is_empty());
+    let (opened, stats) = QueryService::open(&sharded_dir, base, test_storage()).unwrap();
+    assert_eq!(stats.replayed_records, logged.len() as u64);
+    let (answers, _) = opened.execute_batch(&probes);
+    assert_eq!(
+        raw_results(&answers),
+        expected,
+        "sharded-written directory opened flat"
     );
+    drop(opened);
+
+    // Live data is never shadowed: a second attach over either directory,
+    // from either service, is refused.
+    let mut other_fleet = ShardedService::bulk_build(config, routes, pairs);
+    let mut other_flat = QueryService::new(Default::default(), Default::default(), base);
+    for dir in [&flat_dir, &sharded_dir] {
+        let err = other_fleet.attach_storage(dir, test_storage()).unwrap_err();
+        assert!(
+            matches!(err, rknnt_service::StorageError::DirectoryNotEmpty { .. }),
+            "got {err}"
+        );
+        let err = other_flat.attach_storage(dir, test_storage()).unwrap_err();
+        assert!(
+            matches!(err, rknnt_service::StorageError::DirectoryNotEmpty { .. }),
+            "got {err}"
+        );
+    }
     assert!(matches!(
-        other.checkpoint().unwrap_err(),
+        other_fleet.checkpoint().unwrap_err(),
         rknnt_service::StorageError::NotAttached
     ));
 
-    // And the sharded open on a *flat* layout is refused the same way the
-    // flat attach on a sharded one is.
-    let flat_dir = temp_dir("layout-flat");
-    let (mut flat, _) = QueryService::open(&flat_dir, base, test_storage()).unwrap();
-    flat.apply_updates(vec![StoreUpdate::InsertTransition {
-        origin: p(0.0, 0.0),
-        destination: p(1.0, 1.0),
-    }]);
-    drop(flat);
-    let err = other.attach_storage(&flat_dir, test_storage()).unwrap_err();
-    assert!(
-        matches!(err, rknnt_service::StorageError::DirectoryNotEmpty { .. }),
-        "got {err}"
-    );
-
-    std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&flat_dir).unwrap();
+    std::fs::remove_dir_all(&sharded_dir).unwrap();
 }
 
 #[test]
@@ -809,9 +890,19 @@ fn reshard_preserves_answers_subscriptions_and_durability() {
     let expected = raw_results(&expected);
 
     // Split 2 -> 8, then merge 8 -> 3: ids, answers and the subscription
-    // survive both, and the re-partitioned fleet keeps every item findable.
+    // survive both, the re-partitioned fleet keeps every item findable, and
+    // the disk is not touched — the directory holds global state, which a
+    // reshard does not change.
     for (shards, bits) in [(8usize, 7u32), (3, 5)] {
+        let stats_before = fleet.storage_stats().unwrap();
+        let files_before = root_files(&dir);
         fleet.reshard(shards, bits).unwrap();
+        assert_eq!(
+            fleet.storage_stats().unwrap(),
+            stats_before,
+            "reshard to N={shards} wrote a snapshot or touched the WAL"
+        );
+        assert_eq!(root_files(&dir), files_before, "reshard changed a file");
         assert_eq!(fleet.shard_count(), shards);
         assert_eq!(fleet.config().grid_bits, bits);
         let (got, _) = fleet.execute_batch(&probes);
@@ -827,28 +918,69 @@ fn reshard_preserves_answers_subscriptions_and_durability() {
         );
         // Every live directory entry resolves in its new shard.
         let total: usize = (0..shards)
-            .map(|i| fleet.shard_service(i).unwrap().transitions().len())
+            .map(|i| fleet.shard_transitions(i).unwrap().len())
             .sum();
         assert_eq!(total, fleet.num_transitions());
     }
 
-    // The reshard rewrote the storage layout in place: a reopen recovers the
-    // new topology with identical contents.
+    // Keep churning after the reshards so a reopen replays a tail logged
+    // under three different topologies, then crash.
     let config_at_drop = *fleet.config();
-    // Keep churning after the reshard so the reopened fleet replays a tail
-    // written by the *new* topology.
     let tail = make_updates(&mut gen, 10, 950);
-    unsharded.apply_updates(tail.clone());
-    fleet.apply_updates(tail);
-    let (expected_after, _) = unsharded.execute_batch(&probes);
+    let a = unsharded.apply_updates(tail.clone());
+    let b = fleet.apply_updates(tail);
+    assert_eq!(
+        a.deltas, b.deltas,
+        "delta stream diverged after the reshards"
+    );
+    assert_eq!(
+        b.wal_appends, 10,
+        "the WAL kept logging across the reshards"
+    );
     drop(fleet);
+
+    // The one directory reopens at the shard count it was dropped with, at
+    // one it was never run with, and as a flat service; each answers like
+    // the unsharded twin and maintains a re-registered subscription through
+    // further churn with the same delta stream. (A macro, not a function:
+    // the two service types share no nameable trait.)
+    macro_rules! serves_like_the_twin {
+        ($label:expr, $reopened:expr) => {{
+            let mut reopened = $reopened;
+            let sub = reopened.subscribe(unsharded.subscription_query(sub_a).unwrap().clone());
+            assert_eq!(sub, sub_a, "first subscription of a fresh registry");
+            let churn = make_updates(&mut gen, 12, 960);
+            let twin = unsharded.apply_updates(churn.clone());
+            let stats = reopened.apply_updates(churn);
+            assert_eq!(stats.applied, twin.applied, "reopened {}", $label);
+            assert_eq!(stats.inserted_transitions, twin.inserted_transitions);
+            assert_eq!(
+                stats.deltas, twin.deltas,
+                "delta stream, reopened {}",
+                $label
+            );
+            assert_eq!(
+                raw_results(&reopened.execute_batch(&probes).0),
+                raw_results(&unsharded.execute_batch(&probes).0),
+                "answers, reopened {}",
+                $label
+            );
+            assert_eq!(
+                reopened.subscription_result(sub),
+                unsharded.subscription_result(sub_a),
+                "subscription result, reopened {}",
+                $label
+            );
+        }};
+    }
     let (reopened, _) = ShardedService::open(&dir, config_at_drop, test_storage()).unwrap();
     assert_eq!(reopened.shard_count(), 3);
-    let (got, _) = reopened.execute_batch(&probes);
-    assert_eq!(
-        raw_results(&got),
-        raw_results(&expected_after),
-        "reopened resharded fleet diverged"
-    );
+    serves_like_the_twin!("at 3 shards", reopened);
+    let five = config_at_drop.with_shards(5);
+    let (reopened, _) = ShardedService::open(&dir, five, test_storage()).unwrap();
+    assert_eq!(reopened.shard_count(), 5, "the passed config decides");
+    serves_like_the_twin!("at 5 shards", reopened);
+    let (reopened, _) = QueryService::open(&dir, base, test_storage()).unwrap();
+    serves_like_the_twin!("flat", reopened);
     std::fs::remove_dir_all(&dir).unwrap();
 }

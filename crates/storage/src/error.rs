@@ -49,20 +49,12 @@ pub enum StorageError {
         version: u32,
     },
     /// `attach` requires a directory with no existing snapshot or WAL data;
-    /// attaching over live state would silently shadow it.
+    /// attaching over live state would silently shadow it. Recover the
+    /// state with `open` instead — there is one directory format, so either
+    /// service opens it whichever wrote it.
     DirectoryNotEmpty {
         /// The offending directory.
         dir: PathBuf,
-    },
-    /// The directory holds a *sharded* service layout (`router/` and
-    /// `shard-NNN/` subdirectories with their own storage data). A single
-    /// service must not attach over it — recover the whole fleet with the
-    /// sharded service's `open` instead.
-    ShardedLayout {
-        /// The root directory of the layout.
-        dir: PathBuf,
-        /// Shard subdirectories found under it.
-        shards: usize,
     },
     /// A durability operation was requested on a service with no storage
     /// attached.
@@ -103,11 +95,6 @@ impl fmt::Display for StorageError {
             StorageError::DirectoryNotEmpty { dir } => write!(
                 f,
                 "storage directory {} already holds snapshot/WAL data",
-                dir.display()
-            ),
-            StorageError::ShardedLayout { dir, shards } => write!(
-                f,
-                "storage directory {} holds a sharded service layout ({shards} shard dir(s)); recover it with ShardedService::open",
                 dir.display()
             ),
             StorageError::NotAttached => write!(f, "no storage attached to this service"),

@@ -7,29 +7,33 @@
 //! record, following the classic log-plus-snapshot design:
 //!
 //! * **Snapshots** ([`snapshot`]) — one versioned, checksummed binary file
-//!   holding the complete logical state of a
-//!   [`rknnt_index::RouteStore`] + [`rknnt_index::TransitionStore`] pair,
-//!   hand-encoded through [`rknnt_data::codec`] (the workspace is hermetic:
-//!   no serde backend). Round-trips are byte-identical and `.tmp`+rename
-//!   makes writes atomic.
+//!   holding the complete logical state of a service in *global* form: the
+//!   [`rknnt_index::RouteStoreState`] and the
+//!   [`rknnt_index::TransitionStoreState`] — id-ordered slots, dead ones
+//!   included, no tree — hand-encoded through [`rknnt_data::codec`] (the
+//!   workspace is hermetic: no serde backend). Round-trips are
+//!   byte-identical and `.tmp`+rename makes writes atomic.
 //! * **Write-ahead log** ([`wal`]) — length-prefixed, CRC-guarded frames in
 //!   rotating `wal-*.log` segments. Records are opaque bytes (the service
 //!   owns the `StoreUpdate` codec); each carries a strictly increasing
 //!   sequence number. Batches commit with a single write + fdatasync.
-//! * **Recovery** ([`Storage::open`]) — loads the newest *valid* snapshot,
-//!   returns the WAL records its sequence does not cover for the service to
-//!   replay through its normal update path, tolerates a torn final frame
-//!   (a crash mid-append) and surfaces every other form of damage as a
-//!   typed [`StorageError`].
+//! * **Recovery** ([`Storage::open`]) — loads the newest *valid* snapshot
+//!   (rebuilding both R-trees from the slots), returns the WAL records its
+//!   sequence does not cover for the service to replay through its normal
+//!   update path, tolerates a torn final frame (a crash mid-append) and
+//!   surfaces every other form of damage as a typed [`StorageError`].
 //! * **Checkpoint** ([`Storage::checkpoint`]) — writes a new snapshot
 //!   covering every appended record, deletes the obsolete segments and
 //!   older snapshots, and reports [`StorageStats`].
 //!
-//! The crate is deliberately service-agnostic: it stores and recovers the
-//! *stores* plus opaque update records. `rknnt-service` layers
-//! `QueryService::open` / `attach_storage` / `checkpoint` on top, where
-//! replay can run through `apply_updates` so caches and subscriptions come
-//! up consistent for free.
+//! The crate is deliberately service-agnostic: a directory is one snapshot
+//! lineage plus one WAL — flat files, no subdirectories — and what it
+//! stores and recovers is the global state plus opaque update records,
+//! whatever the layout the owner keeps in memory. `rknnt-service` layers
+//! `Service::open` / `attach_storage` / `checkpoint` on top, once, for the
+//! flat and the sharded service alike (a directory written by either opens
+//! as the other), where replay can run through `apply_updates` so caches
+//! and subscriptions come up consistent for free.
 //!
 //! One writer per directory is assumed (the service serialises mutation
 //! through `&mut self`); there is no cross-process lock file.
@@ -47,7 +51,7 @@ pub use error::StorageError;
 pub use rknnt_fault::Failpoints;
 pub use wal::{WalConfig, WAL_FSYNC_SITE, WAL_ROLLBACK_SITE, WAL_WRITE_SITE};
 
-use rknnt_index::{RouteStore, TransitionStore};
+use rknnt_index::{RouteStore, RouteStoreState, TransitionStore, TransitionStoreState};
 use rknnt_obs::{Counter, EventKind, FlightRecorder, Gauge, Span, Stage};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -124,11 +128,6 @@ pub struct Recovery {
     pub torn_tail: bool,
     /// Whether the directory held any snapshot or WAL data at all.
     pub found_existing: bool,
-    /// Opaque metadata section of the recovered snapshot (empty when the
-    /// snapshot carried none, or no snapshot existed). The sharded service
-    /// stores its routing directory here via
-    /// [`Storage::checkpoint_with_meta`].
-    pub meta: Vec<u8>,
 }
 
 /// Telemetry cells the storage engine records into, pre-bound to the
@@ -176,95 +175,6 @@ fn is_snapshot_name(name: &str) -> bool {
     name.starts_with("snapshot-") && name.ends_with(".snap")
 }
 
-// ---------------------------------------------------------------------------
-// Sharded directory layout
-// ---------------------------------------------------------------------------
-
-/// Subdirectory of a sharded service root holding the router's own storage
-/// (planner snapshot + global-form WAL).
-pub const ROUTER_SUBDIR: &str = "router";
-
-/// Subdirectory name of shard `index` under a sharded service root.
-pub fn shard_subdir(index: usize) -> String {
-    format!("shard-{index:03}")
-}
-
-/// Parses a `shard-NNN` subdirectory name back to its shard index.
-pub fn parse_shard_subdir(name: &str) -> Option<usize> {
-    let digits = name.strip_prefix("shard-")?;
-    if digits.len() != 3 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// Whether `dir` directly contains storage data (a snapshot or WAL
-/// segment). Returns `false` for a missing or unreadable directory.
-pub fn dir_has_storage_data(dir: &Path) -> bool {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return false;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if is_snapshot_name(&name) || wal::is_segment_name(&name) {
-            return true;
-        }
-    }
-    false
-}
-
-/// The sharded subdirectory layout found under a service root, if any.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardLayout {
-    /// Whether a `router/` subdirectory with storage data exists.
-    pub router: bool,
-    /// Indices of `shard-NNN/` subdirectories with storage data, ascending.
-    pub shards: Vec<usize>,
-}
-
-impl ShardLayout {
-    /// Number of shard subdirectories found.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the shard indices are exactly `0..shard_count` (no gaps).
-    pub fn is_contiguous(&self) -> bool {
-        self.shards.iter().copied().eq(0..self.shards.len())
-    }
-}
-
-/// Detects a sharded service layout under `root`: a `router/` and/or
-/// `shard-NNN/` subdirectory that itself contains storage data. Returns
-/// `None` when no such subdirectory exists (including for a missing root).
-///
-/// `QueryService::attach_storage` consults this so pointing a *flat*
-/// service at a sharded root is refused with a recognisable error instead
-/// of silently interleaving two layouts in one directory.
-pub fn detect_shard_layout(root: &Path) -> Option<ShardLayout> {
-    let entries = fs::read_dir(root).ok()?;
-    let mut router = false;
-    let mut shards = Vec::new();
-    for entry in entries.flatten() {
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name == ROUTER_SUBDIR && dir_has_storage_data(&entry.path()) {
-            router = true;
-        } else if let Some(index) = parse_shard_subdir(&name) {
-            if dir_has_storage_data(&entry.path()) {
-                shards.push(index);
-            }
-        }
-    }
-    if !router && shards.is_empty() {
-        return None;
-    }
-    shards.sort_unstable();
-    Some(ShardLayout { router, shards })
-}
-
 impl Storage {
     /// Opens (creating if needed) a storage directory and recovers its
     /// state: the newest valid snapshot plus the WAL tail beyond it.
@@ -299,20 +209,18 @@ impl Storage {
         snapshots.reverse(); // newest first
 
         let mut stores = None;
-        let mut meta = Vec::new();
         let mut snapshot_last_seq = 0u64;
         let mut snapshot_bytes = 0u64;
         let mut newest_error: Option<StorageError> = None;
         for name in &snapshots {
             let path = dir.join(name);
-            match snapshot::read_snapshot_with_meta(&path) {
-                Ok((routes, transitions, last_seq, snapshot_meta)) => {
+            match snapshot::read_snapshot(&path) {
+                Ok((routes, transitions, last_seq)) => {
                     snapshot_bytes = fs::metadata(&path)
                         .map(|m| m.len())
                         .map_err(|e| StorageError::io("stat snapshot", &path, e))?;
                     snapshot_last_seq = last_seq;
                     stores = Some((routes, transitions));
-                    meta = snapshot_meta;
                     break;
                 }
                 Err(err) => {
@@ -378,7 +286,6 @@ impl Storage {
             torn_tail: scan.torn_tail,
             found_existing: !snapshots.is_empty() || found_wal,
             tail,
-            meta,
         };
         let storage = Storage {
             dir: dir.to_path_buf(),
@@ -433,28 +340,19 @@ impl Storage {
         }
     }
 
-    /// Writes a new snapshot of the store pair covering every appended
-    /// record, then truncates the now-obsolete WAL segments and deletes
-    /// older snapshots. Crash-safe at every step: the snapshot lands via
-    /// `.tmp`+rename, and until the old segments are gone their frames are
-    /// skipped on recovery because the snapshot's sequence covers them.
+    /// Writes a new snapshot of the given state — what the owner's stores
+    /// export, in global form — covering every appended record, then
+    /// truncates the now-obsolete WAL segments and deletes older snapshots.
+    /// Crash-safe at every step: the snapshot lands via `.tmp`+rename, and
+    /// until the old segments are gone their frames are skipped on recovery
+    /// because the snapshot's sequence covers them.
+    ///
+    /// The state is taken by value and freed as soon as it is encoded, so
+    /// the exported copy never coexists with the file image being written.
     pub fn checkpoint(
         &mut self,
-        routes: &RouteStore,
-        transitions: &TransitionStore,
-    ) -> Result<StorageStats, StorageError> {
-        self.checkpoint_with_meta(routes, transitions, &[])
-    }
-
-    /// [`Storage::checkpoint`] with an opaque metadata section stored inside
-    /// the snapshot payload (returned by [`Recovery::meta`](Recovery) on the
-    /// next open), so caller-side directory state commits atomically with
-    /// the stores it describes.
-    pub fn checkpoint_with_meta(
-        &mut self,
-        routes: &RouteStore,
-        transitions: &TransitionStore,
-        meta: &[u8],
+        routes: RouteStoreState,
+        transitions: TransitionStoreState,
     ) -> Result<StorageStats, StorageError> {
         let span = self.instruments.as_ref().map(|instruments| {
             instruments.recorder.record(EventKind::CheckpointBegin);
@@ -462,7 +360,9 @@ impl Storage {
         });
         let last_seq = self.wal.next_seq() - 1;
         let path = self.dir.join(snapshot_name(last_seq));
-        let bytes = snapshot::write_snapshot_with_meta(&path, routes, transitions, last_seq, meta)?;
+        let payload = snapshot::encode_state(&routes, &transitions);
+        drop((routes, transitions));
+        let bytes = snapshot::write_snapshot_payload(&path, &payload, last_seq)?;
         self.snapshot_last_seq = last_seq;
         self.snapshot_bytes = bytes;
         // The snapshot is durable; everything logged so far is obsolete.
@@ -562,7 +462,9 @@ mod tests {
         let (mut storage, _) = Storage::open(&dir, test_config()).unwrap();
         storage.append(&[b"a".to_vec(), b"b".to_vec()]).unwrap();
         let (routes, transitions) = small_stores();
-        let stats = storage.checkpoint(&routes, &transitions).unwrap();
+        let stats = storage
+            .checkpoint(routes.export_state(), transitions.export_state())
+            .unwrap();
         assert_eq!(stats.snapshot_last_seq, 2);
         assert_eq!(stats.segments, 0);
         assert_eq!(stats.wal_bytes, 0);
@@ -610,7 +512,9 @@ mod tests {
         let dir = temp_dir("corrupt-snap");
         let (mut storage, _) = Storage::open(&dir, test_config()).unwrap();
         let (routes, transitions) = small_stores();
-        storage.checkpoint(&routes, &transitions).unwrap();
+        storage
+            .checkpoint(routes.export_state(), transitions.export_state())
+            .unwrap();
         drop(storage);
         // Damage the single snapshot.
         let snap = fs::read_dir(&dir)
@@ -691,61 +595,6 @@ mod tests {
         let (_, recovery) = Storage::open(&dir, test_config()).unwrap();
         assert!(!recovery.torn_tail);
         assert_eq!(recovery.tail, vec![b"replacement".to_vec()]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_meta_round_trips_through_recovery() {
-        let dir = temp_dir("meta");
-        let (mut storage, _) = Storage::open(&dir, test_config()).unwrap();
-        let (routes, transitions) = small_stores();
-        storage.append(&[b"u1".to_vec()]).unwrap();
-        storage
-            .checkpoint_with_meta(&routes, &transitions, b"directory-v1")
-            .unwrap();
-        drop(storage);
-        let (_, recovery) = Storage::open(&dir, test_config()).unwrap();
-        assert_eq!(recovery.meta, b"directory-v1");
-        // A plain checkpoint clears the meta on the next recovery.
-        let (mut storage, _) = Storage::open(&dir, test_config()).unwrap();
-        storage.checkpoint(&routes, &transitions).unwrap();
-        drop(storage);
-        let (_, recovery) = Storage::open(&dir, test_config()).unwrap();
-        assert!(recovery.meta.is_empty());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn shard_layout_detection_sees_only_populated_subdirs() {
-        let dir = temp_dir("layout");
-        fs::create_dir_all(&dir).unwrap();
-        assert!(detect_shard_layout(&dir).is_none());
-        // Empty subdirectories with the right names are not yet a layout.
-        fs::create_dir_all(dir.join(ROUTER_SUBDIR)).unwrap();
-        fs::create_dir_all(dir.join(shard_subdir(0))).unwrap();
-        assert!(detect_shard_layout(&dir).is_none());
-        // A shard with actual storage data is.
-        let (routes, transitions) = small_stores();
-        let shard_dir = dir.join(shard_subdir(1));
-        let (mut storage, _) = Storage::open(&shard_dir, test_config()).unwrap();
-        storage.checkpoint(&routes, &transitions).unwrap();
-        drop(storage);
-        let layout = detect_shard_layout(&dir).expect("layout must be detected");
-        assert!(!layout.router);
-        assert_eq!(layout.shards, vec![1]);
-        assert!(!layout.is_contiguous());
-        // Populate the router and shard 0 as well: contiguous layout.
-        for sub in [dir.join(ROUTER_SUBDIR), dir.join(shard_subdir(0))] {
-            let (mut storage, _) = Storage::open(&sub, test_config()).unwrap();
-            storage.checkpoint(&routes, &transitions).unwrap();
-        }
-        let layout = detect_shard_layout(&dir).unwrap();
-        assert!(layout.router);
-        assert_eq!(layout.shards, vec![0, 1]);
-        assert!(layout.is_contiguous());
-        assert_eq!(parse_shard_subdir("shard-007"), Some(7));
-        assert_eq!(parse_shard_subdir("shard-7"), None);
-        assert_eq!(parse_shard_subdir("shards-007"), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,10 +1,14 @@
 //! The versioned, checksummed binary snapshot format.
 //!
-//! A snapshot is one file holding the complete logical state of a
-//! [`RouteStore`] + [`TransitionStore`] pair, exactly as exported by their
-//! `export_state` methods — including the `None` slots of removed
-//! routes/expired transitions (id assignment depends on slot count, and
-//! replaying the WAL tail must assign the same ids the live service did).
+//! A snapshot is one file holding the complete logical state a service
+//! answers from, in *global* form: a [`RouteStoreState`] and a
+//! [`TransitionStoreState`], exactly as the stores' `export_state` methods
+//! produce them — including the `None` slots of removed routes/expired
+//! transitions (id assignment depends on slot count, and replaying the WAL
+//! tail must assign the same ids the live service did). Only id-ordered
+//! slots are stored, never a tree, so how the writer laid the data out in
+//! memory (one store, or transitions spread over shards) leaves no trace in
+//! the file; loading rebuilds the R-trees.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -167,56 +171,30 @@ pub fn decode_transition_state(dec: &mut Decoder<'_>) -> Result<TransitionStoreS
     })
 }
 
-/// Encodes the full store pair into a standalone payload (no header).
-pub fn encode_stores(routes: &RouteStore, transitions: &TransitionStore) -> Vec<u8> {
-    encode_stores_with_meta(routes, transitions, &[])
-}
-
-/// [`encode_stores`] plus an opaque, caller-defined metadata section.
-///
-/// The section is appended *after* the transition state, length-prefixed,
-/// and only when non-empty — a payload without one decodes exactly as
-/// before, so the snapshot format version stays unchanged and old snapshots
-/// remain readable. The sharded service stores its routing directory
-/// (grid geometry + per-id owner tables) here so the router's view of the
-/// shards is crash-consistent with the planner state in the same file.
-pub fn encode_stores_with_meta(
-    routes: &RouteStore,
-    transitions: &TransitionStore,
-    meta: &[u8],
-) -> Vec<u8> {
+/// Encodes the full logical state — route state, then transition state —
+/// into a standalone payload (no header).
+pub fn encode_state(routes: &RouteStoreState, transitions: &TransitionStoreState) -> Vec<u8> {
     let mut enc = Encoder::new();
-    encode_route_state(&mut enc, &routes.export_state());
-    encode_transition_state(&mut enc, &transitions.export_state());
-    if !meta.is_empty() {
-        enc.bytes(meta);
-    }
+    encode_route_state(&mut enc, routes);
+    encode_transition_state(&mut enc, transitions);
     enc.into_bytes()
 }
 
-/// Decodes a store pair from a payload produced by [`encode_stores`],
-/// discarding any metadata section.
-pub fn decode_stores(payload: &[u8]) -> Result<(RouteStore, TransitionStore), String> {
-    decode_stores_with_meta(payload).map(|(routes, transitions, _)| (routes, transitions))
+/// [`encode_state`] of a store pair's exported state.
+pub fn encode_stores(routes: &RouteStore, transitions: &TransitionStore) -> Vec<u8> {
+    encode_state(&routes.export_state(), &transitions.export_state())
 }
 
-/// Decodes a store pair plus the optional metadata section (empty when the
-/// payload predates [`encode_stores_with_meta`] or none was written).
-pub fn decode_stores_with_meta(
-    payload: &[u8],
-) -> Result<(RouteStore, TransitionStore, Vec<u8>), String> {
+/// Decodes a store pair from a payload produced by [`encode_state`],
+/// rebuilding both R-trees from the id-ordered slots.
+pub fn decode_stores(payload: &[u8]) -> Result<(RouteStore, TransitionStore), String> {
     let mut dec = Decoder::new(payload);
     let route_state = decode_route_state(&mut dec).map_err(|e| e.to_string())?;
     let transition_state = decode_transition_state(&mut dec).map_err(|e| e.to_string())?;
-    let meta = if dec.is_exhausted() {
-        Vec::new()
-    } else {
-        dec.bytes().map_err(|e| e.to_string())?.to_vec()
-    };
     dec.expect_exhausted().map_err(|e| e.to_string())?;
     let routes = RouteStore::from_state(route_state)?;
     let transitions = TransitionStore::from_state(transition_state)?;
-    Ok((routes, transitions, meta))
+    Ok((routes, transitions))
 }
 
 // ---------------------------------------------------------------------------
@@ -232,35 +210,33 @@ pub(crate) fn sync_dir(dir: &Path) {
     }
 }
 
-/// Writes a snapshot of the store pair to `path` (atomically, via a `.tmp`
-/// sibling), recording `last_seq` as the highest WAL sequence number the
-/// state includes. Returns the snapshot size in bytes.
+/// Writes a snapshot of the store pair to `path` — see
+/// [`write_snapshot_payload`]. Returns the snapshot size in bytes.
 pub fn write_snapshot(
     path: &Path,
     routes: &RouteStore,
     transitions: &TransitionStore,
     last_seq: u64,
 ) -> Result<u64, StorageError> {
-    write_snapshot_with_meta(path, routes, transitions, last_seq, &[])
+    write_snapshot_payload(path, &encode_stores(routes, transitions), last_seq)
 }
 
-/// [`write_snapshot`] with an opaque metadata section (see
-/// [`encode_stores_with_meta`]).
-pub fn write_snapshot_with_meta(
+/// Writes an [`encode_state`] payload to `path` as a snapshot file
+/// (atomically, via a `.tmp` sibling), recording `last_seq` as the highest
+/// WAL sequence number the state includes. Returns the snapshot size in
+/// bytes.
+pub fn write_snapshot_payload(
     path: &Path,
-    routes: &RouteStore,
-    transitions: &TransitionStore,
+    payload: &[u8],
     last_seq: u64,
-    meta: &[u8],
 ) -> Result<u64, StorageError> {
-    let payload = encode_stores_with_meta(routes, transitions, meta);
     let mut file_bytes = Vec::with_capacity(SNAPSHOT_HEADER_BYTES + payload.len());
     file_bytes.extend_from_slice(&SNAPSHOT_MAGIC);
     file_bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     file_bytes.extend_from_slice(&last_seq.to_le_bytes());
     file_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file_bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    file_bytes.extend_from_slice(&payload);
+    file_bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+    file_bytes.extend_from_slice(payload);
 
     let tmp = path.with_extension("tmp");
     let mut file =
@@ -280,15 +256,6 @@ pub fn write_snapshot_with_meta(
 /// Reads and fully validates a snapshot file, returning the reconstructed
 /// stores and the `last_seq` recorded in its header.
 pub fn read_snapshot(path: &Path) -> Result<(RouteStore, TransitionStore, u64), StorageError> {
-    read_snapshot_with_meta(path)
-        .map(|(routes, transitions, last_seq, _)| (routes, transitions, last_seq))
-}
-
-/// [`read_snapshot`] returning the metadata section too (empty when the
-/// snapshot carries none).
-pub fn read_snapshot_with_meta(
-    path: &Path,
-) -> Result<(RouteStore, TransitionStore, u64, Vec<u8>), StorageError> {
     let bytes = fs::read(path).map_err(|e| StorageError::io("read snapshot", path, e))?;
     if bytes.len() < SNAPSHOT_HEADER_BYTES {
         return Err(StorageError::corrupt(
@@ -333,9 +300,9 @@ pub fn read_snapshot_with_meta(
             computed,
         });
     }
-    let (routes, transitions, meta) = decode_stores_with_meta(payload)
-        .map_err(|detail| StorageError::corrupt(path, None, detail))?;
-    Ok((routes, transitions, last_seq, meta))
+    let (routes, transitions) =
+        decode_stores(payload).map_err(|detail| StorageError::corrupt(path, None, detail))?;
+    Ok((routes, transitions, last_seq))
 }
 
 #[cfg(test)]
@@ -442,36 +409,6 @@ mod tests {
         // Truncate into the header.
         std::fs::write(&path, &pristine[..10]).unwrap();
         assert!(read_snapshot(&path).unwrap_err().is_corruption());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn meta_section_roundtrips_and_is_optional() {
-        let (routes, transitions) = churned_stores();
-        // Payload without meta decodes with an empty meta vector.
-        let bare = encode_stores(&routes, &transitions);
-        let (_, _, meta) = decode_stores_with_meta(&bare).unwrap();
-        assert!(meta.is_empty());
-        // Payload with meta round-trips byte-identically and stays readable
-        // through the meta-unaware decoder.
-        let tagged = encode_stores_with_meta(&routes, &transitions, b"router-directory");
-        let (r2, t2, meta) = decode_stores_with_meta(&tagged).unwrap();
-        assert_eq!(meta, b"router-directory");
-        assert_eq!(r2.export_state(), routes.export_state());
-        let (r3, t3) = decode_stores(&tagged).unwrap();
-        assert_eq!(r3.export_state(), r2.export_state());
-        assert_eq!(t3.export_state(), t2.export_state());
-
-        let dir = std::env::temp_dir().join(format!("rknnt-snap-meta-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot-meta.snap");
-        write_snapshot_with_meta(&path, &routes, &transitions, 9, b"owners").unwrap();
-        let (_, _, last_seq, meta) = read_snapshot_with_meta(&path).unwrap();
-        assert_eq!(last_seq, 9);
-        assert_eq!(meta, b"owners");
-        // The meta-unaware reader still accepts the file.
-        let (_, _, last_seq) = read_snapshot(&path).unwrap();
-        assert_eq!(last_seq, 9);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,7 +11,10 @@
 //! 4. *crash*: drop the service without any shutdown ceremony;
 //! 5. reopen with `QueryService::open` — snapshot + WAL replay — and verify
 //!    the recovered service answers byte-identically to an uninterrupted
-//!    in-memory twin that saw the exact same updates.
+//!    in-memory twin that saw the exact same updates;
+//! 6. reopen the same crashed directory as a 4-shard `ShardedService` — the
+//!    directory holds global state, so either service opens it — and verify
+//!    that one against the twin too.
 //!
 //! Run with `cargo run --release --example durability`. The exit code is
 //! nonzero if any recovered answer diverges, which is what lets CI use this
@@ -119,14 +122,15 @@ fn main() {
         .collect();
     let (twin_answers, _) = twin.execute_batch(&queries);
     let (recovered_answers, _) = recovered.execute_batch(&queries);
-    let mut diverged = 0usize;
-    let mut qualifying = 0usize;
-    for (a, b) in twin_answers.iter().zip(&recovered_answers) {
-        if a.transitions != b.transitions {
-            diverged += 1;
-        }
-        qualifying += a.len();
-    }
+    let count_diverged = |answers: &[rknnt::core::RknntResult]| {
+        twin_answers
+            .iter()
+            .zip(answers)
+            .filter(|(a, b)| a.transitions != b.transitions)
+            .count()
+    };
+    let mut diverged = count_diverged(&recovered_answers);
+    let qualifying: usize = twin_answers.iter().map(|a| a.len()).sum();
     println!(
         "verified {} queries ({} qualifying transitions): {} diverged",
         queries.len(),
@@ -139,10 +143,29 @@ fn main() {
         "live transition counts must match"
     );
 
+    // The same crashed directory, opened as a sharded service instead: one
+    // durable format, whichever service wrote it.
+    drop(recovered);
+    let sharded_config = ShardedConfig::default().with_shards(4).with_base(config);
+    let (resharded, stats) = ShardedService::open(&dir, sharded_config, StorageConfig::default())
+        .expect("recover as a sharded service");
+    let (sharded_answers, _) = resharded.execute_batch(&queries);
+    let sharded_diverged = count_diverged(&sharded_answers);
+    println!(
+        "reopened as {} shards: replayed {} WAL records, {} live transitions, {} diverged",
+        resharded.shard_count(),
+        stats.replayed_records,
+        resharded.num_transitions(),
+        sharded_diverged
+    );
+    assert_eq!(resharded.num_transitions(), twin.transitions().len());
+    diverged += sharded_diverged;
+    drop(resharded);
+
     let _ = std::fs::remove_dir_all(&dir);
     if diverged > 0 {
         eprintln!("FAIL: recovered answers diverged from the uninterrupted twin");
         std::process::exit(1);
     }
-    println!("OK: crash recovery is exact");
+    println!("OK: crash recovery is exact, flat and sharded");
 }

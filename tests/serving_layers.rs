@@ -3,9 +3,13 @@
 //! The stream — query batches with exact duplicates, shared `(route, k)`
 //! pairs and a degenerate query; update batches mixing the four
 //! [`StoreUpdate`] kinds with ones the stores must reject; subscribe and
-//! unsubscribe — runs against a [`QueryService`], a [`ShardedService`] at 1
-//! and at 4 shards, and a [`Server`] + [`Client`] pair over each of those,
-//! once per engine kind with both semantics in the stream. After every step
+//! unsubscribe; checkpoint and crash-and-reopen — runs against a
+//! [`QueryService`], a [`ShardedService`] at 1 and at 4 shards, a
+//! [`Server`] + [`Client`] pair over each of those, and a durable service
+//! over one storage directory that every crash reopens in the next shape of
+//! the rotation flat → 1 shard → 4 shards (the in-memory configurations
+//! have nothing to lose, so the two storage steps pass through them), once
+//! per engine kind with both semantics in the stream. After every step
 //! each configuration's answers, update counts, maintained subscription
 //! results and the results rebuilt by replaying its deltas must equal what
 //! the definition says: [`BruteForceEngine`] over stores rebuilt from a
@@ -28,7 +32,9 @@
 //! * skip the replay loop in `ResultCache::catch_up` alone (subscriptions
 //!   still right, cached answers stale);
 //! * `<=` instead of `<` in the admission kernel
-//!   (`rknnt_core::admits_transition` judging an endpoint by `count <= k`).
+//!   (`rknnt_core::admits_transition` judging an endpoint by `count <= k`);
+//! * skip WAL replay of the tail on reopen (`Service::open` never calls
+//!   `service.replay(updates)`, so only the snapshot comes back).
 //!
 //! Skipping `ResultCache::catch_up_all` before a route change is *not* in
 //! the list: replaying after the change is sound (DESIGN.md, key invariant
@@ -44,10 +50,11 @@ use rknnt::geo::{point_route_distance, Point};
 use rknnt::index::{RouteId, RouteStore, TransitionId, TransitionStore};
 use rknnt::net::{Backend, Client, ClientConfig, Server, ServerConfig};
 use rknnt::service::{
-    EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService, StoreUpdate,
-    SubscriptionId,
+    EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig,
+    StoreUpdate, SubscriptionId,
 };
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::time::Duration;
 
 fn p(x: f64, y: f64) -> Point {
@@ -180,6 +187,12 @@ enum Op {
     Subscribe(RknntQuery),
     /// Drops the n-th subscription ever created (possibly already dropped).
     Unsubscribe(usize),
+    /// Folds the write-ahead log into a snapshot, where there is storage.
+    Checkpoint,
+    /// Where there is storage: the process dies — memory, cache and
+    /// subscriptions with it — and the directory is opened again. Changes
+    /// nothing the model knows about.
+    CrashReopen,
 }
 
 struct Step {
@@ -370,7 +383,9 @@ fn script(seed: u64, steps: usize) -> Vec<Step> {
     let mut next_ordinal = 0usize;
     ops.reverse();
     for _ in 0..steps {
-        let op = ops.pop().unwrap_or_else(|| match rng.below(12) {
+        let op = ops.pop().unwrap_or_else(|| match rng.below(14) {
+            12 => Op::Checkpoint,
+            13 => Op::CrashReopen,
             10..=11 => {
                 let [ask, churn, ask_again] = probe(&mut rng, &model);
                 ops.push(ask_again);
@@ -401,7 +416,7 @@ fn script(seed: u64, steps: usize) -> Vec<Step> {
             standing: Vec::new(),
         };
         match &op {
-            Op::Queries(_) | Op::Subscribe(_) => {}
+            Op::Queries(_) | Op::Subscribe(_) | Op::Checkpoint | Op::CrashReopen => {}
             Op::Updates(updates) => {
                 for update in updates {
                     if model.apply(update) {
@@ -453,6 +468,13 @@ trait Target {
     /// The configuration's own view of a live subscription's result, where
     /// it exposes one (in-process; a wire client only sees deltas).
     fn maintained(&self, handle: u64) -> Option<Vec<TransitionId>>;
+    /// `Checkpoint`; nothing to do without storage.
+    fn checkpoint(&mut self) {}
+    /// `CrashReopen`; `true` when the configuration really lost its process
+    /// state (so its subscriptions are gone) and recovered from disk.
+    fn crash_reopen(&mut self) -> bool {
+        false
+    }
 }
 
 struct Local<S> {
@@ -496,6 +518,12 @@ macro_rules! local_target {
                 self.service
                     .subscription_result(self.ids[&handle])
                     .map(<[TransitionId]>::to_vec)
+            }
+
+            fn checkpoint(&mut self) {
+                if self.service.has_storage() {
+                    self.service.checkpoint().expect("checkpoint");
+                }
             }
         }
     };
@@ -596,6 +624,99 @@ impl Target for Wire {
     }
 }
 
+/// One storage directory served by whichever service the rotation says:
+/// written flat first, then reopened after every crash as the next of
+/// flat → 1 shard → 4 shards → flat …, each recovering what the previous
+/// shape logged and checkpointed.
+struct Durable {
+    dir: PathBuf,
+    base: ServiceConfig,
+    opens: usize,
+    /// `None` only between a crash and the reopen (one writer per directory).
+    serving: Option<Box<dyn Target>>,
+}
+
+impl Durable {
+    fn storage() -> StorageConfig {
+        StorageConfig::default().with_fsync(false)
+    }
+
+    fn over(model: &Model, base: ServiceConfig, tag: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("rknnt-serving-layers-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut service = flat(model, base);
+        service
+            .attach_storage(&dir, Self::storage())
+            .expect("attach storage");
+        Durable {
+            dir,
+            base,
+            opens: 0,
+            serving: Some(Box::new(local(service))),
+        }
+    }
+
+    fn serving(&mut self) -> &mut dyn Target {
+        self.serving.as_deref_mut().expect("serving")
+    }
+}
+
+impl Drop for Durable {
+    fn drop(&mut self) {
+        self.serving = None;
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+impl Target for Durable {
+    fn queries(&mut self, batch: &[RknntQuery]) -> Vec<Vec<TransitionId>> {
+        self.serving().queries(batch)
+    }
+
+    fn updates(&mut self, updates: Vec<StoreUpdate>) -> (u64, u64, Vec<Delta>) {
+        self.serving().updates(updates)
+    }
+
+    fn subscribe(&mut self, query: &RknntQuery) -> (u64, Vec<TransitionId>) {
+        self.serving().subscribe(query)
+    }
+
+    fn unsubscribe(&mut self, handle: u64) -> bool {
+        self.serving().unsubscribe(handle)
+    }
+
+    fn maintained(&self, handle: u64) -> Option<Vec<TransitionId>> {
+        self.serving.as_deref().expect("serving").maintained(handle)
+    }
+
+    fn checkpoint(&mut self) {
+        self.serving().checkpoint()
+    }
+
+    fn crash_reopen(&mut self) -> bool {
+        self.serving = None;
+        self.opens += 1;
+        let sharded = |shards| {
+            ShardedConfig::default()
+                .with_shards(shards)
+                .with_base(self.base)
+        };
+        self.serving = Some(match self.opens % 3 {
+            0 => {
+                let opened = QueryService::open(&self.dir, self.base, Self::storage());
+                Box::new(local(opened.expect("reopen flat").0))
+            }
+            turn => {
+                let config = sharded(if turn == 1 { 1 } else { 4 });
+                let opened = ShardedService::open(&self.dir, config, Self::storage());
+                Box::new(local(opened.expect("reopen sharded").0))
+            }
+        });
+        true
+    }
+}
+
 fn flat(model: &Model, base: ServiceConfig) -> QueryService {
     let (routes, transitions) = model.stores();
     QueryService::new(routes, transitions, base)
@@ -618,8 +739,9 @@ fn local<S>(service: S) -> Local<S> {
 
 /// Drives the script through one configuration, checking every step.
 fn drive(label: &str, target: &mut dyn Target, script: &[Step]) {
-    // Creation ordinal -> (handle, result rebuilt from initial + deltas).
-    let mut replayed: HashMap<usize, (u64, Vec<TransitionId>)> = HashMap::new();
+    // Creation ordinal -> (handle, standing query, result rebuilt from
+    // initial + deltas).
+    let mut replayed: HashMap<usize, (u64, RknntQuery, Vec<TransitionId>)> = HashMap::new();
     let mut created = 0usize;
     for (n, step) in script.iter().enumerate() {
         let at = format!("{label}, step {n} ({:?})", step.op);
@@ -636,7 +758,9 @@ fn drive(label: &str, target: &mut dyn Target, script: &[Step]) {
                 assert_eq!((applied, rejected), step.counts, "update counts: {at}");
                 for (handle, entered, left) in deltas {
                     // Deltas of since-dropped subscriptions may still drain.
-                    if let Some((_, result)) = replayed.values_mut().find(|(h, _)| *h == handle) {
+                    if let Some((_, _, result)) =
+                        replayed.values_mut().find(|(h, _, _)| *h == handle)
+                    {
                         result.retain(|t| !left.contains(t));
                         result.extend(entered);
                         result.sort_unstable();
@@ -646,15 +770,27 @@ fn drive(label: &str, target: &mut dyn Target, script: &[Step]) {
             }
             Op::Subscribe(query) => {
                 let (handle, initial) = target.subscribe(query);
-                replayed.insert(created, (handle, initial));
+                replayed.insert(created, (handle, query.clone(), initial));
                 created += 1;
             }
             Op::Unsubscribe(ordinal) => {
                 let existed = match replayed.remove(ordinal) {
-                    Some((handle, _)) => target.unsubscribe(handle),
+                    Some((handle, _, _)) => target.unsubscribe(handle),
                     None => false,
                 };
                 assert_eq!(existed, step.existed, "unsubscribe outcome: {at}");
+            }
+            Op::Checkpoint => target.checkpoint(),
+            Op::CrashReopen => {
+                if target.crash_reopen() {
+                    // Subscriptions die with the process (persisting them is
+                    // an open ROADMAP item): register the live ones again.
+                    // Their fresh results are checked against the model
+                    // below like any maintained one.
+                    for (handle, query, result) in replayed.values_mut() {
+                        (*handle, *result) = target.subscribe(query);
+                    }
+                }
             }
         }
         assert_eq!(
@@ -663,7 +799,7 @@ fn drive(label: &str, target: &mut dyn Target, script: &[Step]) {
             "live subscriptions: {at}"
         );
         for (ordinal, expected) in &step.standing {
-            let (handle, result) = &replayed[ordinal];
+            let (handle, _, result) = &replayed[ordinal];
             assert_eq!(result, expected, "replayed deltas of sub {ordinal}: {at}");
             if let Some(maintained) = target.maintained(*handle) {
                 assert_eq!(
@@ -734,6 +870,32 @@ fn assert_stream_has_teeth(script: &[Step]) {
     );
     assert!(script.iter().any(|s| s.counts.1 > 0), "no rejected update");
     assert!(script.iter().any(|s| s.existed), "no effective unsubscribe");
+    // Storage: every shape of the rotation reopens the directory at least
+    // once, some crash finds a WAL tail behind a mid-stream snapshot and
+    // some crash finds live subscriptions to lose.
+    let (mut crashes, mut tail, mut snapshots, mut tails_behind_snapshots) = (0, 0u64, 0, 0);
+    let mut crashes_with_subscriptions = 0;
+    for step in script {
+        match &step.op {
+            Op::Updates(_) => tail += step.counts.0,
+            Op::Checkpoint => {
+                snapshots += 1;
+                tail = 0;
+            }
+            Op::CrashReopen => {
+                crashes += 1;
+                tails_behind_snapshots += usize::from(snapshots > 0 && tail > 0);
+                crashes_with_subscriptions += usize::from(!step.standing.is_empty());
+            }
+            _ => {}
+        }
+    }
+    assert!(crashes >= 3, "only {crashes} crash-reopens");
+    assert!(tails_behind_snapshots >= 1, "no crash replays a tail");
+    assert!(
+        crashes_with_subscriptions >= 1,
+        "no crash loses a subscription"
+    );
 }
 
 #[test]
@@ -770,5 +932,10 @@ fn one_stream_every_configuration_matches_the_brute_force_model() {
                 &script,
             );
         }
+        drive(
+            &format!("{kind} durable, reopened flat / 1-shard / 4-shard in turn"),
+            &mut Durable::over(&model, base, &kind.to_string()),
+            &script,
+        );
     }
 }
