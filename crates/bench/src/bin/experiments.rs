@@ -1,35 +1,52 @@
 //! Experiment driver: regenerates every table and figure of the paper's
-//! evaluation on the synthetic datasets.
+//! evaluation on the synthetic datasets, and runs the CI gates.
 //!
-//! ```text
-//! experiments [--exp NAME] [--city-scale F] [--transitions N]
-//!             [--synthetic-transitions N] [--queries N] [--seed N]
-//!             [--out DIR]
-//! ```
-//!
-//! `--exp all` (the default) runs everything in paper order. Reports are
-//! printed to stdout and written to `<out>/<experiment>.txt`
-//! (default `results/`).
+//! `--exp all` (the default) runs the whole table in paper order; `--exp
+//! NAME` runs one row; `--exp gates` runs the four wall-clock experiments
+//! at their fixed CI scales (the scale flags do not apply), prints
+//! PASS/FAIL per gate, writes `<out>/gates.json`, appends a markdown table
+//! to `$GITHUB_STEP_SUMMARY` when that is set, and exits nonzero if a gate
+//! failed. Rows are printed to stdout and written to
+//! `<out>/<experiment>.jsonl` (default `results/`).
 
-use rknnt_bench::{experiments, ExperimentContext, ScaleConfig};
-use std::path::PathBuf;
+use rknnt_bench::experiments::{self, Experiment, EXPERIMENTS};
+use rknnt_bench::gate::{self, GateOutcome};
+use rknnt_bench::{ExperimentContext, Output, ScaleConfig};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
     experiment: String,
     scale: ScaleConfig,
     out_dir: PathBuf,
-    options: experiments::RunOptions,
     save_dataset: Option<PathBuf>,
     load_dataset: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    format!(
+        "usage: experiments [--exp NAME] [--city-scale F] [--transitions N] \
+         [--synthetic-transitions N] [--queries N] [--seed N] [--out DIR] [--tiny] \
+         [--save-dataset DIR] [--load-dataset DIR]\n\
+         experiments: {}, all, gates",
+        names.join(", ")
+    )
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// `Ok(None)` when `--help` was asked for.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         experiment: "all".to_string(),
         scale: ScaleConfig::default(),
         out_dir: PathBuf::from("results"),
-        options: experiments::RunOptions::default(),
         save_dataset: None,
         load_dataset: None,
     };
@@ -41,132 +58,146 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--exp" => args.experiment = value("--exp")?,
-            "--city-scale" => {
-                args.scale.city_scale = value("--city-scale")?
-                    .parse()
-                    .map_err(|e| format!("--city-scale: {e}"))?
-            }
-            "--transitions" => {
-                args.scale.transitions = value("--transitions")?
-                    .parse()
-                    .map_err(|e| format!("--transitions: {e}"))?
-            }
+            "--city-scale" => args.scale.city_scale = number(&flag, value(&flag)?)?,
+            "--transitions" => args.scale.transitions = number(&flag, value(&flag)?)?,
             "--synthetic-transitions" => {
-                args.scale.synthetic_transitions = value("--synthetic-transitions")?
-                    .parse()
-                    .map_err(|e| format!("--synthetic-transitions: {e}"))?
+                args.scale.synthetic_transitions = number(&flag, value(&flag)?)?
             }
-            "--queries" => {
-                args.scale.queries_per_point = value("--queries")?
-                    .parse()
-                    .map_err(|e| format!("--queries: {e}"))?
-            }
-            "--seed" => {
-                args.scale.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--queries" => args.scale.queries_per_point = number(&flag, value(&flag)?)?,
+            "--seed" => args.scale.seed = number(&flag, value(&flag)?)?,
             "--out" => args.out_dir = PathBuf::from(value("--out")?),
             "--save-dataset" => args.save_dataset = Some(PathBuf::from(value("--save-dataset")?)),
             "--load-dataset" => args.load_dataset = Some(PathBuf::from(value("--load-dataset")?)),
             "--tiny" => args.scale = ScaleConfig::tiny(),
-            "--dataset" => {
-                args.options.service_dataset = value("--dataset")?
-                    .parse()
-                    .map_err(|e| format!("--dataset: {e}"))?
-            }
-            "--semantics" => {
-                args.options.semantics = value("--semantics")?
-                    .parse()
-                    .map_err(|e| format!("--semantics: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: experiments [--exp NAME] [--city-scale F] [--transitions N] \
-                     [--synthetic-transitions N] [--queries N] [--seed N] [--out DIR] [--tiny] \
-                     [--dataset small|la|nyc|nyc-synthetic] [--semantics exists|forall] \
-                     [--save-dataset DIR] [--load-dataset DIR]\n\
-                     experiments: {}",
-                    experiments::experiment_names().join(", ")
-                ))
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other}; try --help")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
+}
+
+/// Prints one finished experiment — heading, rows, gate verdicts — and
+/// writes its `.jsonl` file.
+fn emit(experiment: &Experiment, output: &Output, out_dir: &Path) -> Result<(), String> {
+    println!("\n=== {} · {} ===", experiment.name, experiment.title);
+    for record in &output.records {
+        println!("{record}");
+    }
+    for outcome in &output.gates {
+        println!("{outcome}");
+    }
+    output
+        .write_jsonl(out_dir)
+        .map_err(|e| format!("cannot write {}'s rows: {e}", experiment.name))
+}
+
+/// Appends markdown to `$GITHUB_STEP_SUMMARY` when running under Actions;
+/// a no-op anywhere else.
+fn append_step_summary(markdown: &str) {
+    let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else {
+        return;
+    };
+    if path.is_empty() {
+        return;
+    }
+    let result = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut f| std::io::Write::write_all(&mut f, markdown.as_bytes()));
+    if let Err(e) = result {
+        eprintln!("warning: cannot append to {path}: {e}");
+    }
+}
+
+/// `--exp gates`: the four gated experiments, then the verdict in all
+/// three renderings. A failure to write an artifact is loud on stderr but
+/// never masks the verdict itself.
+fn run_gates(out_dir: &Path) -> ExitCode {
+    let mut outcomes: Vec<GateOutcome> = Vec::new();
+    experiments::run_gates(|experiment, output| {
+        if let Err(message) = emit(experiment, &output, out_dir) {
+            eprintln!("warning: {message}");
+        }
+        outcomes.extend(output.gates);
+    });
+    let path = out_dir.join("gates.json");
+    if let Err(e) = std::fs::write(&path, gate::render_json(&outcomes)) {
+        eprintln!("warning: cannot write {}: {e}", path.display());
+    }
+    append_step_summary(&gate::render_markdown(&outcomes));
+    let failed: Vec<&GateOutcome> = outcomes.iter().filter(|o| !o.passed()).collect();
+    if failed.is_empty() {
+        println!("\nbench gates passed ({} checks)", outcomes.len());
+        ExitCode::SUCCESS
+    } else {
+        for outcome in failed {
+            eprintln!("{outcome}");
+        }
+        eprintln!("bench gates FAILED: a same-run wall-clock ratio regressed");
+        ExitCode::FAILURE
+    }
+}
+
+fn fail(message: &str) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
         }
+        Err(message) => return fail(&message),
+    };
+    // Resolve the name before anything is created or generated; `None` is
+    // the gate run, which brings its own scales.
+    let selected: Option<Vec<&Experiment>> = match args.experiment.as_str() {
+        "gates" => None,
+        "all" => Some(EXPERIMENTS.iter().collect()),
+        name => match experiments::find(name) {
+            Some(experiment) => Some(vec![experiment]),
+            None => return fail(&format!("unknown experiment {name:?}\n{}", usage())),
+        },
+    };
+    if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
+        return fail(&format!("cannot create {}: {e}", args.out_dir.display()));
+    }
+    let Some(selected) = selected else {
+        return run_gates(&args.out_dir);
     };
 
     let ctx = match &args.load_dataset {
-        Some(dir) => {
-            println!("Loading datasets from {}...", dir.display());
-            match ExperimentContext::load(dir, args.scale) {
-                Ok(ctx) => ctx,
-                Err(message) => {
-                    eprintln!("cannot load datasets: {message}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => {
-            println!(
-                "Building datasets (city scale {}, {} transitions, seed {})...",
-                args.scale.city_scale, args.scale.transitions, args.scale.seed
-            );
-            ExperimentContext::build(args.scale)
-        }
+        Some(dir) => match ExperimentContext::load(dir, args.scale) {
+            Ok(ctx) => ctx,
+            Err(message) => return fail(&format!("cannot load datasets: {message}")),
+        },
+        None => ExperimentContext::new(args.scale),
     };
-    println!("{}", ctx.la.summary());
-    println!("{}", ctx.nyc.summary());
     if let Some(dir) = &args.save_dataset {
         if let Err(message) = ctx.save(dir) {
-            eprintln!("cannot save datasets: {message}");
-            return ExitCode::FAILURE;
+            return fail(&format!("cannot save datasets: {message}"));
         }
         println!("Saved datasets to {}", dir.display());
     }
-
-    let Some(reports) = experiments::run(&ctx, &args.experiment, &args.options) else {
-        eprintln!(
-            "unknown experiment {:?}; valid names: {}",
-            args.experiment,
-            experiments::experiment_names().join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-
-    if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
-        eprintln!("cannot create {}: {e}", args.out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    for report in &reports {
-        let file = args.out_dir.join(format!(
-            "{}.txt",
-            report
-                .title()
-                .split_whitespace()
-                .take(2)
-                .collect::<Vec<_>>()
-                .join("_")
-                .replace(['&', '—'], "")
-                .to_lowercase()
-        ));
-        if let Err(e) = std::fs::write(&file, report.to_text()) {
-            eprintln!("cannot write {}: {e}", file.display());
-            return ExitCode::FAILURE;
+    println!(
+        "Scale: city {}, {} transitions, {} queries per point, seed {}",
+        args.scale.city_scale,
+        args.scale.transitions,
+        args.scale.queries_per_point,
+        args.scale.seed
+    );
+    for experiment in &selected {
+        if let Err(message) = emit(experiment, &experiment.run(&ctx), &args.out_dir) {
+            return fail(&message);
         }
     }
     println!(
-        "\nWrote {} report(s) to {}",
-        reports.len(),
+        "\nWrote {} file(s) to {}",
+        selected.len(),
         args.out_dir.display()
     );
     ExitCode::SUCCESS

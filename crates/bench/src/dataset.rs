@@ -5,6 +5,7 @@ use rknnt_data::{CityConfig, CityGenerator, TransitionConfig, TransitionGenerato
 use rknnt_graph::RouteGraph;
 use rknnt_index::{RouteStore, TransitionStore};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Magic bytes opening a saved-dataset file.
 const DATASET_MAGIC: [u8; 8] = *b"RKNTDSET";
@@ -14,11 +15,11 @@ const DATASET_VERSION: u32 = 1;
 const DATASET_HEADER_BYTES: usize = 8 + 4 + 8 + 4;
 
 /// Which of the paper's datasets to emulate (plus the small synthetic city
-/// used by the examples and the service-throughput experiment).
+/// used by the examples and the serving experiments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
     /// The small synthetic city of `CityConfig::small` (tests, examples,
-    /// service throughput).
+    /// the serving experiments).
     Small,
     /// The LA bus network + LA-Transit check-ins.
     LaLike,
@@ -261,33 +262,46 @@ impl Dataset {
     }
 }
 
-/// The two (or three) datasets an experiment sweep needs, plus the default
-/// query parameters of Table 4 (scaled to the synthetic city size).
+/// The LA-like and NYC-like datasets the paper's sweeps run on — each built
+/// the first time an experiment asks for it, so an experiment that uses
+/// neither (the serving experiments run on [`DatasetKind::Small`]) never
+/// pays for them — plus the default query parameters of Table 4 (scaled to
+/// the synthetic city size).
 pub struct ExperimentContext {
-    /// LA-like dataset.
-    pub la: Dataset,
-    /// NYC-like dataset.
-    pub nyc: Dataset,
-    /// Scale configuration used to build the context.
+    la: OnceLock<Dataset>,
+    nyc: OnceLock<Dataset>,
+    /// Scale configuration the datasets are built at.
     pub scale: ScaleConfig,
 }
 
 impl ExperimentContext {
-    /// Builds the LA-like and NYC-like datasets.
-    pub fn build(scale: ScaleConfig) -> Self {
+    /// A context at `scale`; nothing is generated yet.
+    pub fn new(scale: ScaleConfig) -> Self {
         ExperimentContext {
-            la: Dataset::build(DatasetKind::LaLike, &scale),
-            nyc: Dataset::build(DatasetKind::NycLike, &scale),
+            la: OnceLock::new(),
+            nyc: OnceLock::new(),
             scale,
         }
+    }
+
+    /// The LA-like dataset.
+    pub fn la(&self) -> &Dataset {
+        self.la
+            .get_or_init(|| Dataset::build(DatasetKind::LaLike, &self.scale))
+    }
+
+    /// The NYC-like dataset.
+    pub fn nyc(&self) -> &Dataset {
+        self.nyc
+            .get_or_init(|| Dataset::build(DatasetKind::NycLike, &self.scale))
     }
 
     /// Saves both datasets under `dir` (`la.dataset` / `nyc.dataset`) for
     /// `experiments --save-dataset`.
     pub fn save(&self, dir: &Path) -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        self.la.save(&dir.join("la.dataset"))?;
-        self.nyc.save(&dir.join("nyc.dataset"))
+        self.la().save(&dir.join("la.dataset"))?;
+        self.nyc().save(&dir.join("nyc.dataset"))
     }
 
     /// Loads a context saved by [`ExperimentContext::save`], skipping
@@ -295,8 +309,8 @@ impl ExperimentContext {
     /// of the experiments; the dataset contents come from the files.
     pub fn load(dir: &Path, scale: ScaleConfig) -> Result<Self, String> {
         Ok(ExperimentContext {
-            la: Dataset::load(&dir.join("la.dataset"))?,
-            nyc: Dataset::load(&dir.join("nyc.dataset"))?,
+            la: Dataset::load(&dir.join("la.dataset"))?.into(),
+            nyc: Dataset::load(&dir.join("nyc.dataset"))?.into(),
             scale,
         })
     }
@@ -429,15 +443,15 @@ mod tests {
     #[test]
     fn context_save_load_roundtrips() {
         let scale = ScaleConfig::tiny();
-        let ctx = ExperimentContext::build(scale);
+        let ctx = ExperimentContext::new(scale);
         let dir = std::env::temp_dir().join(format!("rknnt-ctx-io-{}", std::process::id()));
         ctx.save(&dir).unwrap();
         let loaded = ExperimentContext::load(&dir, scale).unwrap();
-        assert_eq!(loaded.la.city.routes, ctx.la.city.routes);
-        assert_eq!(loaded.nyc.city.routes, ctx.nyc.city.routes);
+        assert_eq!(loaded.la().city.routes, ctx.la().city.routes);
+        assert_eq!(loaded.nyc().city.routes, ctx.nyc().city.routes);
         assert_eq!(
-            loaded.la.transitions.export_state(),
-            ctx.la.transitions.export_state()
+            loaded.la().transitions.export_state(),
+            ctx.la().transitions.export_state()
         );
         assert!(ExperimentContext::load(&dir.join("missing"), scale).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -445,13 +459,13 @@ mod tests {
 
     #[test]
     fn context_parameters_match_table4() {
-        let ctx = ExperimentContext::build(ScaleConfig::tiny());
+        let ctx = ExperimentContext::new(ScaleConfig::tiny());
         assert_eq!(ctx.default_k(), 10);
         assert_eq!(ctx.default_query_len(), 5);
         assert_eq!(ctx.k_values(), vec![1, 5, 10, 15, 20, 25]);
         assert_eq!(ctx.query_len_values().len(), 8);
         assert_eq!(ctx.interval_values().len(), 6);
         assert_eq!(ctx.tau_ratio_values().len(), 6);
-        assert_eq!(ctx.span_values(&ctx.la).len(), 5);
+        assert_eq!(ctx.span_values(ctx.la()).len(), 5);
     }
 }

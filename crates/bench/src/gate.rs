@@ -1,415 +1,78 @@
-//! The CI performance-regression gate.
+//! CI gate outcomes and their renderings.
 //!
-//! Absolute throughput numbers are machine-dependent and useless as CI
-//! assertions; the *ratios* the serving layer is built around are not. This
-//! module parses the plain-text reports the `experiments` binary writes
-//! (`key=value` rows) plus a checked-in `results/ci_gates.toml`, derives the
-//! machine-independent ratios and fails when any falls past its threshold:
-//!
-//! * `churn_throughput` — the region-scoped cache hit-rate must beat the
-//!   full-drop hit-rate by at least `min_hit_rate_advantage` at the 10 %
-//!   update ratio (the whole point of region-scoped invalidation);
-//! * `continuous_monitoring` — the monitored re-execution rate must stay
-//!   below `max_reexecution_rate` at the 10 % update ratio, while the naive
-//!   baseline stays at ≥ `min_naive_reexecution_rate` ≈ 1.0 (proving the
-//!   comparison is honest).
-//!
-//! Missing files, rows or thresholds are gate *failures*, never silent
-//! passes. The `bench_gate` binary is the CLI front-end.
+//! Absolute throughput is machine-dependent and useless as a CI assertion;
+//! a ratio of two wall-clock measurements taken in the same run is not.
+//! Four experiments measure six such ratios — `cold_start` (1),
+//! `verify_hot_path` (1), `instrumentation_overhead` (2) and
+//! `open_loop_latency` (2) — and each reports them as [`GateOutcome`]s
+//! held against a `const` [`Bound`] that sits, with its rationale, beside
+//! the code that measures it. `experiments --exp gates` runs the four and
+//! renders the outcomes with the functions here. Everything that is an
+//! exact, seed-determined *count* is a `cargo test` assertion instead (the
+//! README's "CI gates" section maps each one to its test).
 
-use std::collections::BTreeMap;
-use std::path::Path;
+use crate::record::{json_escape, json_number};
+use std::fmt;
 
-/// Parsed gate thresholds: `section -> key -> value`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GateConfig {
-    sections: BTreeMap<String, BTreeMap<String, f64>>,
+/// The side of a threshold a measurement has to stay on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The measurement must be at least this.
+    AtLeast(f64),
+    /// The measurement must be at most this.
+    AtMost(f64),
 }
 
-impl GateConfig {
-    /// Parses the minimal TOML subset the gate file uses: `[section]`
-    /// headers, `key = <float>` assignments, `#` comments and blank lines.
-    /// Anything else is an error — the file is checked in and small, so
-    /// strictness beats leniency.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut config = GateConfig::default();
-        let mut current: Option<String> = None;
-        for (number, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                let name = name.trim().to_string();
-                if config.sections.contains_key(&name) {
-                    return Err(format!("line {}: duplicate section [{name}]", number + 1));
-                }
-                config.sections.insert(name.clone(), BTreeMap::new());
-                current = Some(name);
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!(
-                    "line {}: expected `key = value`: {raw:?}",
-                    number + 1
-                ));
-            };
-            let Some(section) = &current else {
-                return Err(format!(
-                    "line {}: assignment before any [section]",
-                    number + 1
-                ));
-            };
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad number: {e}", number + 1))?;
-            let key = key.trim().to_string();
-            let keys = config
-                .sections
-                .get_mut(section)
-                .expect("section was inserted");
-            if keys.contains_key(&key) {
-                return Err(format!(
-                    "line {}: duplicate key {key:?} in [{section}]",
-                    number + 1
-                ));
-            }
-            keys.insert(key, value);
-        }
-        Ok(config)
-    }
-
-    /// The threshold `section.key`, or an error naming what is missing.
-    pub fn threshold(&self, section: &str, key: &str) -> Result<f64, String> {
-        self.sections
-            .get(section)
-            .ok_or_else(|| format!("gate file has no [{section}] section"))?
-            .get(key)
-            .copied()
-            .ok_or_else(|| format!("gate file has no {section}.{key} threshold"))
-    }
-}
-
-/// One `key=value` report row, as written by `Report::row`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReportRow {
-    fields: BTreeMap<String, String>,
-}
-
-impl ReportRow {
-    /// A field's raw value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.fields.get(key).map(String::as_str)
-    }
-
-    /// A field parsed as `f64`, or an error naming the field.
-    pub fn number(&self, key: &str) -> Result<f64, String> {
-        self.get(key)
-            .ok_or_else(|| format!("row has no field {key:?}"))?
-            .parse()
-            .map_err(|e| format!("field {key:?}: {e}"))
-    }
-}
-
-/// Parses every `key=value` row of a report file (non-row lines — titles,
-/// prose headers — are skipped).
-pub fn parse_report_rows(text: &str) -> Vec<ReportRow> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let mut fields = BTreeMap::new();
-        for token in line.split_whitespace() {
-            if let Some((key, value)) = token.split_once('=') {
-                if !key.is_empty() {
-                    fields.insert(key.to_string(), value.to_string());
-                }
-            }
-        }
-        // A row has at least two fields; prose with a stray '=' does not.
-        if fields.len() >= 2 {
-            rows.push(ReportRow { fields });
+impl Bound {
+    /// The threshold itself.
+    pub fn threshold(self) -> f64 {
+        match self {
+            Bound::AtLeast(t) | Bound::AtMost(t) => t,
         }
     }
-    rows
+
+    fn symbol(self) -> &'static str {
+        match self {
+            Bound::AtLeast(_) => "≥",
+            Bound::AtMost(_) => "≤",
+        }
+    }
 }
 
-/// Finds the row matching all `(key, value)` selectors.
-pub fn find_row<'a>(
-    rows: &'a [ReportRow],
-    selectors: &[(&str, &str)],
-) -> Result<&'a ReportRow, String> {
-    rows.iter()
-        .find(|row| selectors.iter().all(|(k, v)| row.get(k) == Some(v)))
-        .ok_or_else(|| format!("no report row matching {selectors:?}"))
-}
-
-/// Outcome of one gate check.
+/// One measured gate value and the bound it is held to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateOutcome {
-    /// Which gate.
+    /// `<experiment>.<metric>`.
     pub name: String,
     /// The measured ratio.
     pub measured: f64,
-    /// The threshold it was held against.
-    pub threshold: f64,
-    /// Whether the gate passed.
-    pub passed: bool,
+    /// The bound it is held against.
+    pub bound: Bound,
 }
 
-impl std::fmt::Display for GateOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} {}: measured {:.3} vs threshold {:.3}",
-            if self.passed { "PASS" } else { "FAIL" },
-            self.name,
-            self.measured,
-            self.threshold
-        )
+impl GateOutcome {
+    /// Whether the measurement is on the right side of its bound (a NaN
+    /// measurement never is).
+    pub fn passed(&self) -> bool {
+        match self.bound {
+            Bound::AtLeast(t) => self.measured >= t,
+            Bound::AtMost(t) => self.measured <= t,
+        }
     }
 }
 
-/// Checks the churn-throughput gate against the report text: region-scoped
-/// hit-rate minus full-drop hit-rate at the 10 % update ratio must be at
-/// least `churn_throughput.min_hit_rate_advantage`.
-pub fn check_churn_gate(report: &str, config: &GateConfig) -> Result<GateOutcome, String> {
-    let threshold = config.threshold("churn_throughput", "min_hit_rate_advantage")?;
-    let rows = parse_report_rows(report);
-    let region = find_row(
-        &rows,
-        &[("update_ratio", "0.10"), ("mode", "region-scoped")],
-    )?;
-    let full = find_row(&rows, &[("update_ratio", "0.10"), ("mode", "full-drop")])?;
-    let measured = region.number("hit_rate")? - full.number("hit_rate")?;
-    Ok(GateOutcome {
-        name: "churn_throughput.hit_rate_advantage@0.10".to_string(),
-        measured,
-        threshold,
-        passed: measured >= threshold,
-    })
-}
-
-/// Checks the continuous-monitoring gates against the report text: the
-/// monitored re-execution rate at the 10 % update ratio must stay below
-/// `max_reexecution_rate`, and the naive baseline at or above
-/// `min_naive_reexecution_rate`.
-pub fn check_monitor_gates(report: &str, config: &GateConfig) -> Result<Vec<GateOutcome>, String> {
-    let max_reexec = config.threshold("continuous_monitoring", "max_reexecution_rate")?;
-    let min_naive = config.threshold("continuous_monitoring", "min_naive_reexecution_rate")?;
-    let rows = parse_report_rows(report);
-    let monitored = find_row(&rows, &[("update_ratio", "0.10"), ("mode", "monitored")])?;
-    let naive = find_row(&rows, &[("update_ratio", "0.10"), ("mode", "naive")])?;
-    let monitored_rate = monitored.number("reexec_rate")?;
-    let naive_rate = naive.number("reexec_rate")?;
-    Ok(vec![
-        GateOutcome {
-            name: "continuous_monitoring.reexec_rate@0.10".to_string(),
-            measured: monitored_rate,
-            threshold: max_reexec,
-            passed: monitored_rate <= max_reexec,
-        },
-        GateOutcome {
-            name: "continuous_monitoring.naive_reexec_rate@0.10".to_string(),
-            measured: naive_rate,
-            threshold: min_naive,
-            passed: naive_rate >= min_naive,
-        },
-    ])
-}
-
-/// Checks the cold-start gate against the report text: opening from a
-/// snapshot must beat rebuilding from raw generation by at least
-/// `cold_start.min_open_speedup` (the experiment reports the ratio
-/// directly, and asserts byte-identical answers inline before it does).
-pub fn check_cold_start_gate(report: &str, config: &GateConfig) -> Result<GateOutcome, String> {
-    let threshold = config.threshold("cold_start", "min_open_speedup")?;
-    let rows = parse_report_rows(report);
-    let row = find_row(&rows, &[("metric", "open_speedup")])?;
-    let measured = row.number("ratio")?;
-    Ok(GateOutcome {
-        name: "cold_start.open_speedup".to_string(),
-        measured,
-        threshold,
-        passed: measured >= threshold,
-    })
-}
-
-/// Checks the verify-hot-path gate against the report text: the scratch
-/// (zero-allocation) verification path must beat the legacy allocating path
-/// by at least `verify_hot_path.min_scratch_speedup` in candidates/sec on
-/// the same store (the experiment asserts byte-identical counts inline
-/// before timing anything).
-pub fn check_verify_hot_path_gate(
-    report: &str,
-    config: &GateConfig,
-) -> Result<GateOutcome, String> {
-    let threshold = config.threshold("verify_hot_path", "min_scratch_speedup")?;
-    let rows = parse_report_rows(report);
-    let row = find_row(&rows, &[("metric", "scratch_speedup")])?;
-    let measured = row.number("ratio")?;
-    Ok(GateOutcome {
-        name: "verify_hot_path.scratch_speedup".to_string(),
-        measured,
-        threshold,
-        passed: measured >= threshold,
-    })
-}
-
-/// Checks the observability-overhead gate against the report text: the
-/// instrumented service's throughput cost — `1 − instrumented_qps /
-/// metrics_off_qps`, same run, same workload, best-of-3 each — must not
-/// exceed `obs_overhead.max_throughput_cost` (the experiment asserts
-/// identical answers between the two modes before anything is compared).
-pub fn check_obs_overhead_gate(report: &str, config: &GateConfig) -> Result<GateOutcome, String> {
-    let threshold = config.threshold("obs_overhead", "max_throughput_cost")?;
-    let rows = parse_report_rows(report);
-    let row = find_row(&rows, &[("metric", "throughput_cost")])?;
-    let measured = row.number("ratio")?;
-    Ok(GateOutcome {
-        name: "obs_overhead.throughput_cost".to_string(),
-        measured,
-        threshold,
-        passed: measured <= threshold,
-    })
-}
-
-/// Checks the trace-overhead gates against the report text: full (1.0)
-/// trace sampling must cost at most `trace_overhead.max_throughput_cost`
-/// of baseline throughput — `1 − sampled_qps / baseline_qps`, same run,
-/// same workload, best-of-3 each — and the slow-query log's promoted count
-/// must match its over-threshold count *exactly* (the experiment runs the
-/// log at threshold 0, so every completed trace is over threshold and
-/// `slow_log_mismatch` is a machine-independent exact count, gated at 0).
-/// Identical answers across all sampling rates are asserted inside the
-/// experiment before anything is compared.
-pub fn check_trace_overhead_gates(
-    report: &str,
-    config: &GateConfig,
-) -> Result<Vec<GateOutcome>, String> {
-    let max_cost = config.threshold("trace_overhead", "max_throughput_cost")?;
-    let max_mismatch = config.threshold("trace_overhead", "max_slow_log_mismatch")?;
-    let rows = parse_report_rows(report);
-    let cost = find_row(&rows, &[("metric", "throughput_cost")])?.number("ratio")?;
-    let mismatch = find_row(&rows, &[("metric", "slow_log_mismatch")])?.number("ratio")?;
-    Ok(vec![
-        GateOutcome {
-            name: "trace_overhead.throughput_cost".to_string(),
-            measured: cost,
-            threshold: max_cost,
-            passed: cost <= max_cost,
-        },
-        GateOutcome {
-            name: "trace_overhead.slow_log_mismatch".to_string(),
-            measured: mismatch,
-            threshold: max_mismatch,
-            passed: mismatch <= max_mismatch,
-        },
-    ])
-}
-
-/// Checks the shard-scaleout gate against the report text: the router's
-/// worst mean fan-out at 8 shards, expressed as a fraction of the fleet,
-/// must stay at or below `shard_scaleout.max_mean_fanout_fraction`. The
-/// footprint certificate has to keep most shards out of most fresh
-/// executions for sharding to scale, and that fraction is a property of
-/// the pruning logic, not the machine (the experiment asserts answers
-/// byte-identical to the unsharded service inline before reporting).
-pub fn check_shard_scaleout_gate(report: &str, config: &GateConfig) -> Result<GateOutcome, String> {
-    let threshold = config.threshold("shard_scaleout", "max_mean_fanout_fraction")?;
-    let rows = parse_report_rows(report);
-    let row = find_row(&rows, &[("metric", "fanout_fraction")])?;
-    let measured = row.number("ratio")?;
-    Ok(GateOutcome {
-        name: "shard_scaleout.fanout_fraction@8".to_string(),
-        measured,
-        threshold,
-        passed: measured <= threshold,
-    })
-}
-
-/// Checks the shard-failover gates against the report text: with one shard
-/// of four killed mid-stream and restarted later, every query must get a
-/// typed result (`unanswered = 0`), every degraded answer must be exactly
-/// the healthy-shard subset of the unsharded reference answer
-/// (`degraded_mismatch = 0`), answers must return to byte-identity after
-/// the watermark resync (`post_recovery_divergence = 0`), and the outage
-/// window must actually cover queries (`degraded_answers >= 1`) so the
-/// other three gates cannot pass vacuously. All pure counts — fully
-/// machine-independent.
-pub fn check_shard_failover_gates(
-    report: &str,
-    config: &GateConfig,
-) -> Result<Vec<GateOutcome>, String> {
-    let max_unanswered = config.threshold("shard_failover", "max_unanswered")?;
-    let max_mismatch = config.threshold("shard_failover", "max_degraded_mismatch")?;
-    let max_divergence = config.threshold("shard_failover", "max_post_recovery_divergence")?;
-    let min_degraded = config.threshold("shard_failover", "min_degraded_answers")?;
-    let rows = parse_report_rows(report);
-    let unanswered = find_row(&rows, &[("metric", "unanswered")])?.number("ratio")?;
-    let mismatch = find_row(&rows, &[("metric", "degraded_mismatch")])?.number("ratio")?;
-    let divergence = find_row(&rows, &[("metric", "post_recovery_divergence")])?.number("ratio")?;
-    let degraded = find_row(&rows, &[("metric", "degraded_answers")])?.number("ratio")?;
-    Ok(vec![
-        GateOutcome {
-            name: "shard_failover.unanswered".to_string(),
-            measured: unanswered,
-            threshold: max_unanswered,
-            passed: unanswered <= max_unanswered,
-        },
-        GateOutcome {
-            name: "shard_failover.degraded_mismatch".to_string(),
-            measured: mismatch,
-            threshold: max_mismatch,
-            passed: mismatch <= max_mismatch,
-        },
-        GateOutcome {
-            name: "shard_failover.post_recovery_divergence".to_string(),
-            measured: divergence,
-            threshold: max_divergence,
-            passed: divergence <= max_divergence,
-        },
-        GateOutcome {
-            name: "shard_failover.degraded_answers".to_string(),
-            measured: degraded,
-            threshold: min_degraded,
-            passed: degraded >= min_degraded,
-        },
-    ])
-}
-
-/// Checks the open-loop serving gates against the report text. Under the
-/// experiment's overload burst the server must *shed* with typed replies
-/// rather than violate: `shed_fraction_under_overload` must clear
-/// `open_loop_latency.min_shed_fraction_under_overload` (a slower machine
-/// sheds more, never less, so the floor is machine-independent) while
-/// `unanswered_under_overload` stays at or below
-/// `open_loop_latency.max_unanswered_fraction` — nothing silently dropped
-/// (the experiment asserts answered replies byte-identical to in-process
-/// execution inline).
-pub fn check_open_loop_gates(
-    report: &str,
-    config: &GateConfig,
-) -> Result<Vec<GateOutcome>, String> {
-    let min_shed = config.threshold("open_loop_latency", "min_shed_fraction_under_overload")?;
-    let max_unanswered = config.threshold("open_loop_latency", "max_unanswered_fraction")?;
-    let rows = parse_report_rows(report);
-    let shed = find_row(&rows, &[("metric", "shed_fraction_under_overload")])?.number("ratio")?;
-    let unanswered =
-        find_row(&rows, &[("metric", "unanswered_under_overload")])?.number("ratio")?;
-    Ok(vec![
-        GateOutcome {
-            name: "open_loop_latency.shed_fraction_under_overload".to_string(),
-            measured: shed,
-            threshold: min_shed,
-            passed: shed >= min_shed,
-        },
-        GateOutcome {
-            name: "open_loop_latency.unanswered_under_overload".to_string(),
-            measured: unanswered,
-            threshold: max_unanswered,
-            passed: unanswered <= max_unanswered,
-        },
-    ])
+impl fmt::Display for GateOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} {}: measured {:.3}, bound {} {:.3}",
+            if self.passed() { "PASS" } else { "FAIL" },
+            self.name,
+            self.measured,
+            self.bound.symbol(),
+            self.bound.threshold()
+        )
+    }
 }
 
 /// Renders outcomes as a GitHub-flavoured markdown table, for
@@ -420,53 +83,38 @@ pub fn render_markdown(outcomes: &[GateOutcome]) -> String {
     );
     for o in outcomes {
         out.push_str(&format!(
-            "| `{}` | {:.4} | {:.4} | {} |\n",
+            "| `{}` | {:.4} | {} {:.4} | {} |\n",
             o.name,
             o.measured,
-            o.threshold,
-            if o.passed { "✅ pass" } else { "❌ **fail**" }
+            o.bound.symbol(),
+            o.bound.threshold(),
+            if o.passed() {
+                "✅ pass"
+            } else {
+                "❌ **fail**"
+            }
         ));
     }
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders outcomes as machine-readable JSON (the `gates.json` artifact).
 pub fn render_json(outcomes: &[GateOutcome]) -> String {
-    let mut out = String::from("{\n  \"passed\": ");
-    out.push_str(if outcomes.iter().all(|o| o.passed) {
-        "true"
-    } else {
-        "false"
-    });
-    out.push_str(",\n  \"gates\": [\n");
+    let mut out = format!(
+        "{{\n  \"passed\": {},\n  \"gates\": [\n",
+        outcomes.iter().all(GateOutcome::passed)
+    );
     for (i, o) in outcomes.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"measured\": {}, \"threshold\": {}, \"passed\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"measured\": {}, \"bound\": \"{}\", \"threshold\": {}, \"passed\": {}}}{}\n",
             json_escape(&o.name),
             json_number(o.measured),
-            json_number(o.threshold),
-            o.passed,
+            match o.bound {
+                Bound::AtLeast(_) => "at_least",
+                Bound::AtMost(_) => "at_most",
+            },
+            json_number(o.bound.threshold()),
+            o.passed(),
             if i + 1 < outcomes.len() { "," } else { "" }
         ));
     }
@@ -474,412 +122,61 @@ pub fn render_json(outcomes: &[GateOutcome]) -> String {
     out
 }
 
-/// Renders a gate-runner *error* (unreadable file, missing row, bad config)
-/// as JSON, so the artifact carries the failure instead of going missing.
-pub fn render_json_error(error: &str) -> String {
-    format!(
-        "{{\n  \"passed\": false,\n  \"error\": \"{}\"\n}}\n",
-        json_escape(error)
-    )
-}
-
-/// Runs every gate against a results directory, returning the outcomes.
-/// Missing files or rows are errors, not passes.
-pub fn run_gates(results_dir: &Path, gates_file: &Path) -> Result<Vec<GateOutcome>, String> {
-    let config = GateConfig::parse(
-        &std::fs::read_to_string(gates_file)
-            .map_err(|e| format!("cannot read {}: {e}", gates_file.display()))?,
-    )?;
-    let read = |name: &str| -> Result<String, String> {
-        let path = results_dir.join(name);
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-    };
-    let mut outcomes = vec![check_churn_gate(&read("churn_throughput.txt")?, &config)?];
-    outcomes.extend(check_monitor_gates(
-        &read("continuous_monitoring.txt")?,
-        &config,
-    )?);
-    outcomes.push(check_cold_start_gate(&read("cold_start.txt")?, &config)?);
-    outcomes.push(check_verify_hot_path_gate(
-        &read("verify_hot_path.txt")?,
-        &config,
-    )?);
-    outcomes.push(check_obs_overhead_gate(
-        &read("obs_overhead.txt")?,
-        &config,
-    )?);
-    outcomes.extend(check_trace_overhead_gates(
-        &read("trace_overhead.txt")?,
-        &config,
-    )?);
-    outcomes.push(check_shard_scaleout_gate(
-        &read("shard_scaleout.txt")?,
-        &config,
-    )?);
-    outcomes.extend(check_shard_failover_gates(
-        &read("shard_failover.txt")?,
-        &config,
-    )?);
-    outcomes.extend(check_open_loop_gates(
-        &read("open_loop_latency.txt")?,
-        &config,
-    )?);
-    Ok(outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const GATES: &str = "\
-# comment\n\
-[churn_throughput]\n\
-min_hit_rate_advantage = 0.05  # inline comment\n\
-\n\
-[continuous_monitoring]\n\
-max_reexecution_rate = 0.95\n\
-min_naive_reexecution_rate = 0.99\n\
-\n\
-[cold_start]\n\
-min_open_speedup = 1.5\n\
-\n\
-[verify_hot_path]\n\
-min_scratch_speedup = 1.15\n\
-\n\
-[obs_overhead]\n\
-max_throughput_cost = 0.05\n\
-\n\
-[trace_overhead]\n\
-max_throughput_cost = 0.05\n\
-max_slow_log_mismatch = 0.0\n\
-\n\
-[shard_scaleout]\n\
-max_mean_fanout_fraction = 0.5\n\
-\n\
-[shard_failover]\n\
-max_unanswered = 0.0\n\
-max_degraded_mismatch = 0.0\n\
-max_post_recovery_divergence = 0.0\n\
-min_degraded_answers = 1.0\n\
-\n\
-[open_loop_latency]\n\
-min_shed_fraction_under_overload = 0.30\n\
-max_unanswered_fraction = 0.0\n";
-
-    #[test]
-    fn parses_the_gate_file_subset() {
-        let config = GateConfig::parse(GATES).unwrap();
-        assert_eq!(
-            config
-                .threshold("churn_throughput", "min_hit_rate_advantage")
-                .unwrap(),
-            0.05
-        );
-        assert_eq!(
-            config
-                .threshold("continuous_monitoring", "max_reexecution_rate")
-                .unwrap(),
-            0.95
-        );
-        assert!(config.threshold("churn_throughput", "missing").is_err());
-        assert!(config.threshold("missing", "x").is_err());
-        // Strictness: junk lines and headerless assignments are errors.
-        assert!(GateConfig::parse("key = 1.0").is_err());
-        assert!(GateConfig::parse("[s]\nnot an assignment").is_err());
-        assert!(GateConfig::parse("[s]\nkey = abc").is_err());
+    fn outcome(name: &str, measured: f64, bound: Bound) -> GateOutcome {
+        GateOutcome {
+            name: name.to_string(),
+            measured,
+            bound,
+        }
     }
 
     #[test]
-    fn hostile_gate_files_fail_with_typed_errors() {
-        // Duplicate key: the second assignment must not silently win.
-        let err = GateConfig::parse("[s]\nkey = 1.0\nkey = 2.0\n").unwrap_err();
-        assert!(err.contains("duplicate key"), "got: {err}");
-        assert!(err.contains("line 3"), "got: {err}");
-        // Duplicate section header: the two bodies must not silently merge.
-        let err = GateConfig::parse("[s]\na = 1.0\n[s]\nb = 2.0\n").unwrap_err();
-        assert!(err.contains("duplicate section"), "got: {err}");
-        // Assignment before any section header.
-        let err = GateConfig::parse("a = 1.0\n[s]\nb = 2.0\n").unwrap_err();
-        assert!(err.contains("before any [section]"), "got: {err}");
-        // Non-numeric threshold.
-        let err = GateConfig::parse("[s]\na = fast\n").unwrap_err();
-        assert!(err.contains("bad number"), "got: {err}");
-        // Trailing garbage after a numeric value is not a number either.
-        let err = GateConfig::parse("[s]\na = 1.0 oops\n").unwrap_err();
-        assert!(err.contains("bad number"), "got: {err}");
-        // Trailing garbage after a section header is not a header, and the
-        // line is not an assignment — typed error, not a lenient skip.
-        let err = GateConfig::parse("[s] trailing\na = 1.0\n").unwrap_err();
-        assert!(err.contains("expected `key = value`"), "got: {err}");
+    fn a_bound_is_inclusive_and_nan_never_passes() {
+        assert!(outcome("a", 1.0, Bound::AtLeast(1.0)).passed());
+        assert!(!outcome("a", 0.99, Bound::AtLeast(1.0)).passed());
+        assert!(outcome("a", 0.05, Bound::AtMost(0.05)).passed());
+        // Negative cost (the instrumented side faster, i.e. noise) passes.
+        assert!(outcome("a", -0.01, Bound::AtMost(0.05)).passed());
+        assert!(!outcome("a", 0.12, Bound::AtMost(0.05)).passed());
+        assert!(!outcome("a", f64::NAN, Bound::AtMost(0.05)).passed());
+        assert!(!outcome("a", f64::NAN, Bound::AtLeast(0.0)).passed());
     }
 
     #[test]
-    fn report_rows_round_trip_through_the_parser() {
-        let report = "=== Churn throughput ===\n\
-                      Small — k = 10\n\
-                      update_ratio=0.10  mode=region-scoped  hit_rate=0.630\n\
-                      update_ratio=0.10  mode=full-drop  hit_rate=0.240\n";
-        let rows = parse_report_rows(report);
-        assert_eq!(rows.len(), 2);
-        let region = find_row(&rows, &[("mode", "region-scoped")]).unwrap();
-        assert_eq!(region.number("hit_rate").unwrap(), 0.630);
-        assert!(find_row(&rows, &[("mode", "nonexistent")]).is_err());
-        assert!(region.number("missing").is_err());
-    }
-
-    #[test]
-    fn churn_gate_passes_and_fails_on_the_advantage() {
-        let config = GateConfig::parse(GATES).unwrap();
-        let good = "update_ratio=0.10  mode=region-scoped  hit_rate=0.630\n\
-                    update_ratio=0.10  mode=full-drop  hit_rate=0.240\n";
-        let outcome = check_churn_gate(good, &config).unwrap();
-        assert!(outcome.passed);
-        assert!((outcome.measured - 0.39).abs() < 1e-9);
-        let regressed = "update_ratio=0.10  mode=region-scoped  hit_rate=0.250\n\
-                         update_ratio=0.10  mode=full-drop  hit_rate=0.240\n";
-        assert!(!check_churn_gate(regressed, &config).unwrap().passed);
-        // A missing row is an error, never a silent pass.
-        assert!(
-            check_churn_gate("update_ratio=0.50  mode=full-drop  hit_rate=0.1", &config).is_err()
-        );
-    }
-
-    #[test]
-    fn cold_start_gate_holds_the_speedup_ratio() {
-        let config = GateConfig::parse(GATES).unwrap();
-        let good = "mode=rebuild  ms=42.000\n\
-                    mode=open  ms=3.000  snapshot_bytes=120000\n\
-                    metric=open_speedup  ratio=14.000\n\
-                    mode=recover  ms=9.000  replayed=200  records_per_sec=22000\n";
-        let outcome = check_cold_start_gate(good, &config).unwrap();
-        assert!(outcome.passed);
-        assert_eq!(outcome.measured, 14.0);
-        let regressed = "metric=open_speedup  ratio=0.900\nmode=open ms=1.0";
-        assert!(!check_cold_start_gate(regressed, &config).unwrap().passed);
-        // A missing ratio row is an error, never a silent pass.
-        assert!(check_cold_start_gate("mode=open ms=1.0", &config).is_err());
-    }
-
-    #[test]
-    fn verify_hot_path_gate_holds_the_speedup_ratio() {
-        let config = GateConfig::parse(GATES).unwrap();
-        let good = "mode=legacy  candidates=800  cands_per_sec=120000\n\
-                    mode=scratch  candidates=800  cands_per_sec=240000\n\
-                    metric=scratch_speedup  ratio=2.000\n";
-        let outcome = check_verify_hot_path_gate(good, &config).unwrap();
-        assert!(outcome.passed);
-        assert_eq!(outcome.measured, 2.0);
-        let regressed = "metric=scratch_speedup  ratio=1.010\nmode=legacy x=1";
-        assert!(
-            !check_verify_hot_path_gate(regressed, &config)
-                .unwrap()
-                .passed
-        );
-        // A missing ratio row is an error, never a silent pass.
-        assert!(check_verify_hot_path_gate("mode=legacy x=1", &config).is_err());
-    }
-
-    #[test]
-    fn obs_overhead_gate_holds_the_cost_ceiling() {
-        let config = GateConfig::parse(GATES).unwrap();
-        let good = "mode=instrumented  qps=52000  results=900\n\
-                    mode=metrics-off  qps=53000  results=900\n\
-                    metric=throughput_cost  ratio=0.0189\n";
-        let outcome = check_obs_overhead_gate(good, &config).unwrap();
-        assert!(outcome.passed);
-        assert!((outcome.measured - 0.0189).abs() < 1e-9);
-        // Negative cost (instrumented faster, i.e. noise) still passes.
-        let noisy = "metric=throughput_cost  ratio=-0.0100\nmode=instrumented qps=1";
-        assert!(check_obs_overhead_gate(noisy, &config).unwrap().passed);
-        let regressed = "metric=throughput_cost  ratio=0.1200\nmode=instrumented qps=1";
-        assert!(!check_obs_overhead_gate(regressed, &config).unwrap().passed);
-        // A missing ratio row is an error, never a silent pass.
-        assert!(check_obs_overhead_gate("mode=instrumented qps=1", &config).is_err());
-    }
-
-    #[test]
-    fn trace_overhead_gates_hold_cost_and_mismatch() {
-        let config = GateConfig::parse(GATES).unwrap();
-        let good = "mode=baseline  qps=52000  results=900\n\
-                    mode=sample-1.00  qps=51000  results=900  traces=64  promoted=64\n\
-                    metric=throughput_cost  ratio=0.0192\n\
-                    metric=slow_log_mismatch  ratio=0.0\n";
-        let outcomes = check_trace_overhead_gates(good, &config).unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes.iter().all(|o| o.passed));
-        // Negative cost (traced faster, i.e. noise) still passes.
-        let noisy = "metric=throughput_cost  ratio=-0.0100\n\
-                     metric=slow_log_mismatch  ratio=0.0\n";
-        assert!(check_trace_overhead_gates(noisy, &config)
-            .unwrap()
-            .iter()
-            .all(|o| o.passed));
-        // A hot-path regression trips the cost ceiling.
-        let slow = "metric=throughput_cost  ratio=0.1200\n\
-                    metric=slow_log_mismatch  ratio=0.0\n";
-        let outcomes = check_trace_overhead_gates(slow, &config).unwrap();
-        assert!(!outcomes[0].passed);
-        assert!(outcomes[1].passed);
-        // A single lost slow-query promotion is an exact-count failure.
-        let lossy = "metric=throughput_cost  ratio=0.0100\n\
-                     metric=slow_log_mismatch  ratio=1.0\n";
-        let outcomes = check_trace_overhead_gates(lossy, &config).unwrap();
-        assert!(outcomes[0].passed);
-        assert!(!outcomes[1].passed);
-        // Missing rows are errors, never silent passes.
-        assert!(check_trace_overhead_gates("mode=baseline qps=1", &config).is_err());
-    }
-
-    #[test]
-    fn shard_scaleout_gate_holds_the_fanout_ceiling() {
-        let config = GateConfig::parse(GATES).unwrap();
-        let good = "update_ratio=0.10  shards=8  mean_fanout=1.820  fanout_fraction=0.2275\n\
-                    metric=fanout_fraction  ratio=0.2275\n";
-        let outcome = check_shard_scaleout_gate(good, &config).unwrap();
-        assert!(outcome.passed);
-        assert!((outcome.measured - 0.2275).abs() < 1e-9);
-        let regressed = "metric=fanout_fraction  ratio=0.8100\nshards=8 mean_fanout=6.5";
-        assert!(
-            !check_shard_scaleout_gate(regressed, &config)
-                .unwrap()
-                .passed
-        );
-        // A missing ratio row is an error, never a silent pass.
-        assert!(check_shard_scaleout_gate("shards=8 mean_fanout=6.5", &config).is_err());
-    }
-
-    #[test]
-    fn shard_failover_gates_hold_every_partial_failure_invariant() {
-        let config = GateConfig::parse(GATES).unwrap();
-        let good = "queries=120  answered=120  degraded_answers=38  degraded_mismatches=0\n\
-                    metric=unanswered  ratio=0\n\
-                    metric=degraded_mismatch  ratio=0\n\
-                    metric=post_recovery_divergence  ratio=0\n\
-                    metric=degraded_answers  ratio=38\n";
-        let outcomes = check_shard_failover_gates(good, &config).unwrap();
-        assert_eq!(outcomes.len(), 4);
-        assert!(outcomes.iter().all(|o| o.passed));
-        // A single degraded answer that is not exactly the healthy subset
-        // is a silent-wrong-answer bug: typed failure.
-        let wrong = "metric=unanswered  ratio=0\n\
-                     metric=degraded_mismatch  ratio=1\n\
-                     metric=post_recovery_divergence  ratio=0\n\
-                     metric=degraded_answers  ratio=38\n";
-        let outcomes = check_shard_failover_gates(wrong, &config).unwrap();
-        assert!(!outcomes[1].passed);
-        // An outage window that covered no queries passes the other gates
-        // vacuously — the coverage floor catches it.
-        let vacuous = "metric=unanswered  ratio=0\n\
-                       metric=degraded_mismatch  ratio=0\n\
-                       metric=post_recovery_divergence  ratio=0\n\
-                       metric=degraded_answers  ratio=0\n";
-        let outcomes = check_shard_failover_gates(vacuous, &config).unwrap();
-        assert!(!outcomes[3].passed);
-        // Missing rows are errors, never silent passes.
-        assert!(check_shard_failover_gates("queries=120", &config).is_err());
-    }
-
-    #[test]
-    fn open_loop_gates_hold_the_shed_floor_and_unanswered_ceiling() {
-        let config = GateConfig::parse(GATES).unwrap();
-        let good = "phase=burst  offered=all-at-once  answered=120  shed=392  unanswered=0\n\
-                    metric=shed_fraction_under_overload  ratio=0.7656\n\
-                    metric=unanswered_under_overload  ratio=0.0000\n";
-        let outcomes = check_open_loop_gates(good, &config).unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes.iter().all(|o| o.passed));
-        // A server that answers everything under overload is violating its
-        // latency budget instead of shedding — the floor catches it.
-        let no_shed = "metric=shed_fraction_under_overload  ratio=0.0000\n\
-                       metric=unanswered_under_overload  ratio=0.0000\n";
-        let outcomes = check_open_loop_gates(no_shed, &config).unwrap();
-        assert!(!outcomes[0].passed);
-        assert!(outcomes[1].passed);
-        // A silently dropped request is the worst outcome: typed failure.
-        let dropped = "metric=shed_fraction_under_overload  ratio=0.9000\n\
-                       metric=unanswered_under_overload  ratio=0.0100\n";
-        let outcomes = check_open_loop_gates(dropped, &config).unwrap();
-        assert!(outcomes[0].passed);
-        assert!(!outcomes[1].passed);
-        // Missing rows are errors, never silent passes.
-        assert!(check_open_loop_gates("phase=burst shed=1", &config).is_err());
-    }
-
-    #[test]
-    fn markdown_and_json_renderers_carry_every_outcome() {
+    fn every_rendering_carries_every_outcome() {
         let outcomes = vec![
-            GateOutcome {
-                name: "a.x".to_string(),
-                measured: 0.5,
-                threshold: 0.3,
-                passed: true,
-            },
-            GateOutcome {
-                name: "b.y".to_string(),
-                measured: 1.0,
-                threshold: 2.0,
-                passed: false,
-            },
+            outcome("a.x", 0.5, Bound::AtLeast(0.3)),
+            outcome("b.y", 3.0, Bound::AtMost(2.0)),
         ];
+        assert_eq!(
+            outcomes[0].to_string(),
+            "PASS a.x: measured 0.500, bound ≥ 0.300"
+        );
+        assert_eq!(
+            outcomes[1].to_string(),
+            "FAIL b.y: measured 3.000, bound ≤ 2.000"
+        );
         let md = render_markdown(&outcomes);
         assert!(md.contains("| gate | measured | threshold | result |"));
-        assert!(md.contains("| `a.x` | 0.5000 | 0.3000 | ✅ pass |"));
-        assert!(md.contains("| `b.y` | 1.0000 | 2.0000 | ❌ **fail** |"));
+        assert!(md.contains("| `a.x` | 0.5000 | ≥ 0.3000 | ✅ pass |"));
+        assert!(md.contains("| `b.y` | 3.0000 | ≤ 2.0000 | ❌ **fail** |"));
 
         let json = render_json(&outcomes);
         assert!(json.contains("\"passed\": false,"));
         assert!(json.contains(
-            "{\"name\": \"a.x\", \"measured\": 0.5, \"threshold\": 0.3, \"passed\": true},"
+            "{\"name\": \"a.x\", \"measured\": 0.5, \"bound\": \"at_least\", \"threshold\": 0.3, \
+             \"passed\": true},"
         ));
-        assert!(json
-            .contains("{\"name\": \"b.y\", \"measured\": 1, \"threshold\": 2, \"passed\": false}"));
-        // All-green report sets the top-level flag.
+        assert!(json.contains(
+            "{\"name\": \"b.y\", \"measured\": 3, \"bound\": \"at_most\", \"threshold\": 2, \
+             \"passed\": false}"
+        ));
         assert!(render_json(&outcomes[..1]).contains("\"passed\": true,"));
-        // Non-finite measurements degrade to null, not invalid JSON.
-        let nan = vec![GateOutcome {
-            name: "c.z".to_string(),
-            measured: f64::NAN,
-            threshold: 1.0,
-            passed: false,
-        }];
+        let nan = [outcome("c.z", f64::NAN, Bound::AtMost(1.0))];
         assert!(render_json(&nan).contains("\"measured\": null"));
-        // Error rendering escapes quotes so the artifact stays parseable.
-        let err = render_json_error("cannot read \"x\"\n");
-        assert!(err.contains("\"error\": \"cannot read \\\"x\\\"\\u000a\""));
-        assert!(err.contains("\"passed\": false"));
-    }
-
-    #[test]
-    fn run_gates_fails_loudly_when_results_are_missing() {
-        // A results directory with no reports must be an error — a gate
-        // that cannot find its report never counts as a pass.
-        let dir = std::env::temp_dir().join("rknnt-gate-test-missing");
-        std::fs::create_dir_all(&dir).unwrap();
-        let gates = dir.join("ci_gates.toml");
-        std::fs::write(&gates, GATES).unwrap();
-        let err = run_gates(&dir, &gates).unwrap_err();
-        assert!(err.contains("cannot read"), "got: {err}");
-        assert!(err.contains("churn_throughput.txt"), "got: {err}");
-        // An unreadable gates file is equally loud.
-        let err = run_gates(&dir, &dir.join("nope.toml")).unwrap_err();
-        assert!(err.contains("cannot read"), "got: {err}");
-    }
-
-    #[test]
-    fn monitor_gates_check_both_modes() {
-        let config = GateConfig::parse(GATES).unwrap();
-        let good = "update_ratio=0.10  mode=monitored  reexec_rate=0.120\n\
-                    update_ratio=0.10  mode=naive  reexec_rate=1.000\n";
-        let outcomes = check_monitor_gates(good, &config).unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes.iter().all(|o| o.passed));
-        let regressed = "update_ratio=0.10  mode=monitored  reexec_rate=0.990\n\
-                         update_ratio=0.10  mode=naive  reexec_rate=1.000\n";
-        let outcomes = check_monitor_gates(regressed, &config).unwrap();
-        assert!(!outcomes[0].passed);
-        assert!(outcomes[1].passed);
-        let display = format!("{}", outcomes[0]);
-        assert!(display.starts_with("FAIL"));
-        assert!(display.contains("reexec_rate@0.10"));
     }
 }

@@ -1,22 +1,28 @@
-//! Benchmark harness reproducing every table and figure of the RkNNT
-//! evaluation (Section 7).
+//! Experiment harness reproducing every table and figure of the RkNNT
+//! evaluation (Section 7), plus the four wall-clock experiments behind the
+//! CI gates.
 //!
-//! The harness has two halves:
+//! * [`experiments`] — one function per experiment, named once in
+//!   [`experiments::EXPERIMENTS`]; each returns its rows as typed
+//!   [`Record`]s (string labels, `f64` values) in an [`Output`], and the
+//!   wall-clock ones also return [`gate::GateOutcome`]s checked against
+//!   constants that sit beside the measuring code;
+//! * [`dataset`] — dataset construction ([`Dataset`],
+//!   [`ExperimentContext`]);
+//! * [`record`] — the record type, its human line and the one JSONL writer;
+//! * [`gate`] — gate outcomes and their PASS/FAIL, JSON and markdown
+//!   renderings;
+//! * the `experiments` binary — a small CLI that dispatches through the
+//!   table (see `experiments --help`).
 //!
-//! * this library — dataset construction ([`Dataset`], [`ExperimentContext`])
-//!   and one function per experiment (`experiments::*`), each of which prints
-//!   the same rows/series the paper reports and returns them as structured
-//!   values;
-//! * the `experiments` binary — a small CLI that builds the datasets at a
-//!   chosen scale and dispatches to the experiment functions (see
-//!   `experiments --help`).
-//!
-//! Criterion micro-benchmarks for the same sweeps live under `benches/`.
+//! End-to-end throughput and latency are measured by `benchmark/`, not
+//! here; exact seed-determined counts are asserted by the crates' own test
+//! suites.
 
 pub mod dataset;
 pub mod experiments;
 pub mod gate;
-pub mod report;
+pub mod record;
 
 pub use dataset::{Dataset, DatasetKind, ExperimentContext, ScaleConfig};
-pub use report::Report;
+pub use record::{Output, Record};

@@ -252,6 +252,88 @@ fn deferred_updates_replay_on_in_memory_restart() {
     fleet.shutdown();
 }
 
+/// One shard of four killed a third of the way into an interleaved
+/// query/update stream and restarted at two thirds (formerly the four
+/// `shard_failover.*` CI gates). Every query comes back typed — a
+/// [`rknnt_net::FleetResult`] per call, no hang, nothing dropped; every
+/// degraded answer names exactly the dead shard and is exactly the
+/// healthy-shard subset of the unsharded twin's answer; every complete
+/// answer, before the kill and after the watermark replay, is the twin's
+/// byte for byte; and the outage really covered queries and updates, so
+/// none of that holds vacuously.
+///
+/// Mutation that fails it: in `FleetRouter::resync_shard`, skip shipping
+/// the log suffix past the recovered shard's watermark — the arrivals
+/// deferred during the outage never reach the restarted shard (`acked <
+/// total`) and the complete answers behind it miss them.
+#[test]
+fn mid_stream_kill_and_restart_degrades_typed_and_recovers_exactly() {
+    let (mut fleet, _, _) = test_fleet(4, None);
+    let mut twin = twin();
+    let victim = 1usize;
+    let queries = query_mix();
+    let (steps, kill_at, restart_at) = (90, 30, 60);
+    let (mut degraded, mut complete_after_restart, mut deferred_peak) = (0, 0, 0);
+    for step in 0..steps {
+        if step == kill_at {
+            fleet.kill_shard(victim, "chaos: mid-stream kill");
+        }
+        if step == restart_at {
+            fleet.restart_shard(victim).expect("restart");
+            let (acked, total) = fleet.shard_progress(victim);
+            assert_eq!(acked, total, "restart must drain the deferred log");
+        }
+        if step % 5 == 4 {
+            // An arrival beside a query route, marching across the x-split
+            // so every shard — the victim included — receives some.
+            let x = (step * 13 % 120) as f64 * 10.0;
+            let update = vec![StoreUpdate::InsertTransition {
+                origin: p(x, 45.0 + (step % 7) as f64 * 40.0),
+                destination: p(x + 30.0, 60.0),
+            }];
+            twin.apply_updates(update.clone());
+            assert_eq!(fleet.apply_updates(update).rejected, 0);
+            let (acked, total) = fleet.shard_progress(victim);
+            deferred_peak = deferred_peak.max(total - acked);
+            continue;
+        }
+        let query = &queries[step % queries.len()];
+        let answer = fleet.execute(query);
+        let (expected, _) = twin.execute_batch(std::slice::from_ref(query));
+        let expected = &expected[0].transitions;
+        if answer.is_complete() {
+            assert_eq!(
+                &answer.transitions, expected,
+                "complete answer at step {step}"
+            );
+            complete_after_restart += usize::from(step >= restart_at);
+        } else {
+            assert!(
+                (kill_at..restart_at).contains(&step),
+                "degraded at step {step}"
+            );
+            assert_eq!(answer.missing_shards, vec![victim], "typed, never silent");
+            let healthy_subset: Vec<TransitionId> = expected
+                .iter()
+                .copied()
+                .filter(|id| fleet.owner_of(*id) != Some(victim))
+                .collect();
+            assert_eq!(
+                answer.transitions, healthy_subset,
+                "degraded answer at step {step}"
+            );
+            degraded += 1;
+        }
+    }
+    assert!(degraded >= 1, "the outage covered no query");
+    assert!(deferred_peak >= 1, "the outage deferred no update");
+    assert!(
+        complete_after_restart >= 1,
+        "nothing was read after recovery"
+    );
+    fleet.shutdown();
+}
+
 #[test]
 fn durable_shard_recovers_from_disk_and_replays_only_the_suffix() {
     let root = temp_root("durable");

@@ -573,35 +573,53 @@ fn introspect_fetches_the_slow_trace_span_tree_over_tcp() {
     assert_eq!(log.over_threshold(), 2);
 }
 
+/// The slow-query log's counters at threshold 0, where every completed
+/// trace is over threshold, at both ends of the sampling range (formerly
+/// the `slow_log_mismatch` CI gate, which held `|promoted − over_threshold|`
+/// at 0 over a traced experiment run). Sampling 0.0 traces
+/// nothing, whatever trace id the caller sends. Sampling 1.0 through a
+/// two-entry ring promotes every one of the six traced requests — the ring
+/// evicts old entries, it never misses a promotion — so `completed ==
+/// over_threshold == promoted == 6` while only the last two are retained.
+///
+/// Mutation that fails it: in `SlowQueryLog::observe`, drop the
+/// `promoted` increment — `promoted` stays 0 against `over_threshold == 6`
+/// (or return once the ring is full instead of evicting — the ring keeps
+/// the first two traces, not the last two).
 #[test]
-fn trace_sampling_zero_keeps_the_slow_log_empty() {
-    let backend = single_backend(ServiceConfig::default());
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
-    let server = Server::start(
-        backend,
-        ServerConfig::default()
-            .with_trace_sample(0.0)
-            .with_slow_query_threshold_ns(0),
-    )
-    .unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    for (i, query) in query_mix().iter().enumerate() {
-        client
-            .query_traced(query, 0x1000 + i as u64)
-            .unwrap()
-            .answered()
-            .unwrap();
+fn slow_log_promotes_every_over_threshold_trace_and_nothing_unsampled() {
+    for (sample, traced) in [(0.0, 0u64), (1.0, query_mix().len() as u64)] {
+        let backend = single_backend(ServiceConfig::default());
+        let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
+        let server = Server::start(
+            backend,
+            ServerConfig::default()
+                .with_trace_sample(sample)
+                .with_slow_query_threshold_ns(0)
+                .with_slow_query_capacity(2),
+        )
+        .unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for (i, query) in query_mix().iter().enumerate() {
+            client
+                .query_traced(query, 0x1000 + i as u64)
+                .unwrap()
+                .answered()
+                .unwrap();
+        }
+        let IntrospectReport::SlowQueries { entries } =
+            client.introspect(IntrospectWhat::SlowQueries).unwrap()
+        else {
+            panic!("asked for SlowQueries, got something else");
+        };
+        let retained: Vec<u64> = entries.iter().map(|e| e.trace_id).collect();
+        let last_two: Vec<u64> = (0x1000 + traced.saturating_sub(2)..0x1000 + traced).collect();
+        assert_eq!(retained, last_two, "sampling {sample}: got {entries:#?}");
+        let log = server.slow_query_log();
+        assert_eq!(log.completed(), traced, "sampling {sample}");
+        assert_eq!(log.over_threshold(), traced, "sampling {sample}");
+        assert_eq!(log.promoted(), log.over_threshold(), "sampling {sample}");
     }
-    let IntrospectReport::SlowQueries { entries } =
-        client.introspect(IntrospectWhat::SlowQueries).unwrap()
-    else {
-        panic!("asked for SlowQueries, got something else");
-    };
-    assert!(
-        entries.is_empty(),
-        "sampling 0.0 must trace nothing, got {entries:#?}"
-    );
-    assert_eq!(server.slow_query_log().completed(), 0);
 }
 
 #[test]

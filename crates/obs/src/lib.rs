@@ -23,7 +23,7 @@
 //! ring slots, relaxed atomics); the [`Telemetry`] enable switch turns the
 //! costed parts (clock reads, histogram records, recorder events) off at
 //! runtime, while counters and gauges stay live so exact per-call stats
-//! keep working. The `obs_overhead` bench experiment gates the enabled
+//! keep working. The `instrumentation_overhead` experiment gates the enabled
 //! cost at ≤5% of service throughput.
 
 #![forbid(unsafe_code)]

@@ -21,7 +21,7 @@
 //!   into a fixed-capacity ring, retaining its full span tree plus the
 //!   flight-recorder window current at promotion time. The
 //!   `promoted == over_threshold` counter invariant is machine-independent
-//!   and gated by the `trace_overhead` experiment.
+//!   and held by `rknnt-net`'s `net_server` suite.
 
 use crate::metrics::Telemetry;
 use crate::recorder::FlightRecorder;
@@ -458,7 +458,7 @@ pub struct SlowQueryEntry {
 /// (evicting the oldest entry at capacity). Three counters make the
 /// promotion pipeline auditable without timing assumptions:
 /// `completed` ≥ `over_threshold` == `promoted`, always — the
-/// `trace_overhead` experiment gates on the equality exactly.
+/// `net_server` suite of `rknnt-net` asserts the equality exactly.
 pub struct SlowQueryLog {
     threshold_ns: u64,
     capacity: usize,
@@ -536,7 +536,7 @@ impl SlowQueryLog {
 
     /// Traces promoted into the ring (equals
     /// [`SlowQueryLog::over_threshold`] by construction; the
-    /// `trace_overhead` gate asserts the equality end to end).
+    /// `net_server` suite asserts the equality end to end).
     pub fn promoted(&self) -> u64 {
         self.promoted.load(Ordering::Relaxed)
     }

@@ -391,7 +391,7 @@ impl<B: Backing> Service<B> {
     /// shard a routed query considered.
     ///
     /// Tracing never changes what is computed: results are byte-identical
-    /// to the untraced call (asserted by the `trace_overhead` experiment),
+    /// to the untraced call (asserted by `instrumentation_overhead`),
     /// and the per-phase span durations are the *same* measurements the
     /// returned [`BatchStats::timings`] report.
     pub fn execute_batch_traced(

@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// Obtained via [`crate::QueryService::metrics`]. Counters and gauges are
 /// always live (the exact per-call stats depend on them); span timing,
 /// histogram recording and flight-recorder events can be switched off with
-/// [`ServiceMetrics::set_enabled`] — the `obs_overhead` bench experiment
+/// [`ServiceMetrics::set_enabled`] — the `instrumentation_overhead` experiment
 /// holds their enabled cost to ≤5% of throughput.
 #[derive(Debug)]
 pub struct ServiceMetrics {

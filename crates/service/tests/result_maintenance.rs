@@ -514,9 +514,22 @@ proptest! {
     }
 }
 
-/// The update path's cost does not depend on what is cached: a batch of
-/// transition updates touches no entry — none evicted, the population
-/// unchanged — and every read behind it is a hit with the right answer.
+/// The update path's cost does not depend on what is cached or watched: a
+/// batch of transition updates touches no entry — none evicted, the
+/// population unchanged — and re-executes no standing query, yet every read
+/// behind it is a hit with the right answer and every subscription is
+/// current. (Formerly two CI gates read off experiment reports: the churn
+/// `hit_rate_advantage`, which allowed the maintained cache's hit rate to
+/// fall to 0.34 above a dropped cache's, and the monitoring `reexec_rate`,
+/// which allowed half of all (update × subscription) pairs to re-execute.
+/// Here a dropped cache would miss all ten reads and the maintained one
+/// misses none, and nothing re-executes.)
+///
+/// Mutations that fail it: in `Service::apply_updates`, evict the cache
+/// entries a transition arrival's endpoints fall inside instead of
+/// journalling it (`evicted_entries`, `retained_entries` and the hit counts
+/// below); or mark a subscription dirty on a transition update instead of
+/// admitting it in place (`subs_dirty + subs_reexecuted`).
 #[test]
 fn transition_updates_never_touch_the_cache() {
     let mut service = QueryService::new(
@@ -530,6 +543,7 @@ fn transition_updates_never_touch_the_cache() {
         service.execute(query);
     }
     assert_eq!(service.cache_len(), pool.len());
+    let standing: Vec<SubscriptionId> = pool.iter().map(|q| service.subscribe(q.clone())).collect();
     // Members of cached results, to expire.
     let members: Vec<TransitionId> = pool
         .iter()
@@ -553,10 +567,16 @@ fn transition_updates_never_touch_the_cache() {
     assert_eq!(stats.retained_entries, pool.len());
     assert_eq!(service.cache_len(), pool.len());
     assert_eq!(service.cache_stats(), before, "no cache counter moved");
+    assert_eq!(stats.subs_dirty + stats.subs_reexecuted, 0);
+    assert!(
+        stats.deltas.len() >= 4,
+        "the batch must reach subscriptions"
+    );
     let mut changed = 0;
     for (n, query) in pool.iter().enumerate() {
         let got = service.execute(query).transitions;
         assert_eq!(got, mirror.answer(query), "{query:?}");
+        assert_eq!(service.subscription_result(standing[n]), Some(&got[..]));
         assert_eq!(service.cache_stats().hits, before.hits + n as u64 + 1);
         changed += usize::from(got != Mirror::new().answer(query));
     }

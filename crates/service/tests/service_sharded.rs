@@ -290,6 +290,40 @@ proptest! {
 // Churn + subscription delta parity
 // ---------------------------------------------------------------------------
 
+/// Turns an update event's random draw into a concrete [`StoreUpdate`]
+/// against the ids live so far; `None` when there is nothing left to expire
+/// or only the last four routes to remove.
+fn resolve_update(
+    event: workload::ChurnEvent,
+    live_transitions: &mut Vec<TransitionId>,
+    live_routes: &mut Vec<RouteId>,
+) -> Option<StoreUpdate> {
+    Some(match event {
+        workload::ChurnEvent::InsertTransition(origin, destination) => {
+            StoreUpdate::InsertTransition {
+                origin,
+                destination,
+            }
+        }
+        workload::ChurnEvent::ExpireTransition(draw) => {
+            if live_transitions.is_empty() {
+                return None;
+            }
+            let victim = draw as usize % live_transitions.len();
+            StoreUpdate::ExpireTransition(live_transitions.swap_remove(victim))
+        }
+        workload::ChurnEvent::InsertRoute(points) => StoreUpdate::InsertRoute(points),
+        workload::ChurnEvent::RemoveRoute(draw) => {
+            if live_routes.len() <= 4 {
+                return None;
+            }
+            let victim = draw as usize % live_routes.len();
+            StoreUpdate::RemoveRoute(live_routes.swap_remove(victim))
+        }
+        workload::ChurnEvent::Query(_) => unreachable!("queries are not updates"),
+    })
+}
+
 /// Drives the same interleaved update/query/subscription stream through an
 /// unsharded service and a sharded fleet: applied/rejected bookkeeping,
 /// inserted global ids, every query answer, every maintained subscription
@@ -347,29 +381,10 @@ fn run_churn_parity(kind: EngineKind, semantics: Semantics, shards: usize, seed:
                 assert_eq!(unsharded.unsubscribe(victim), sharded.unsubscribe(victim));
             }
             workload::SubscriptionEvent::Update(update_event) => {
-                let update = match update_event {
-                    workload::ChurnEvent::InsertTransition(origin, destination) => {
-                        StoreUpdate::InsertTransition {
-                            origin,
-                            destination,
-                        }
-                    }
-                    workload::ChurnEvent::ExpireTransition(draw) => {
-                        if live_transitions.is_empty() {
-                            continue;
-                        }
-                        let victim = draw as usize % live_transitions.len();
-                        StoreUpdate::ExpireTransition(live_transitions.swap_remove(victim))
-                    }
-                    workload::ChurnEvent::InsertRoute(points) => StoreUpdate::InsertRoute(points),
-                    workload::ChurnEvent::RemoveRoute(draw) => {
-                        if live_routes.len() <= 4 {
-                            continue;
-                        }
-                        let victim = draw as usize % live_routes.len();
-                        StoreUpdate::RemoveRoute(live_routes.swap_remove(victim))
-                    }
-                    workload::ChurnEvent::Query(_) => unreachable!(),
+                let Some(update) =
+                    resolve_update(update_event, &mut live_transitions, &mut live_routes)
+                else {
+                    continue;
                 };
                 let a = unsharded.apply_updates(vec![update.clone()]);
                 let b = sharded.apply_updates(vec![update]);
@@ -483,6 +498,99 @@ fn churn_and_delta_parity_divide_conquer() {
 fn churn_and_delta_parity_brute_force() {
     run_churn_parity(EngineKind::BruteForce, Semantics::Exists, 1, 217);
     run_churn_parity(EngineKind::BruteForce, Semantics::ForAll, 2, 218);
+}
+
+/// The footprint certificate keeps the router out of most of the fleet on
+/// local demand (formerly the `shard_scaleout.fanout_fraction@8` CI gate).
+/// A generated city whose trips are capped at 600 m — shards are keyed by
+/// origin cell, so one hub-to-hub trip would stretch its shard's root MBR
+/// across the city — serves short k = 1 queries under 1 % and 10 % churn
+/// at 8 shards: every answer equals the unsharded service's, fresh
+/// executions really were routed, and on average each consulted at most
+/// half the shards.
+///
+/// Mutation that fails it: in `ShardSet`, consult a shard without testing
+/// its root MBR against the filter footprint (plan every non-empty shard) —
+/// mean fan-out becomes 8 of 8.
+#[test]
+fn fanout_on_local_trips_stays_under_half_of_eight_shards() {
+    const TRIP_CAP_METRES: f64 = 600.0;
+    let cap = |origin: Point, destination: Point| {
+        let len = origin.distance(&destination);
+        if len <= TRIP_CAP_METRES {
+            return destination;
+        }
+        let scale = TRIP_CAP_METRES / len;
+        p(
+            origin.x + (destination.x - origin.x) * scale,
+            origin.y + (destination.y - origin.y) * scale,
+        )
+    };
+    let seed = 42;
+    let city = CityGenerator::new(CityConfig::small(seed)).generate();
+    let routes = city.routes.clone();
+    let pairs: Vec<(Point, Point)> =
+        TransitionGenerator::new(TransitionConfig::checkin_like(400, seed ^ 15))
+            .generate(&city)
+            .into_iter()
+            .map(|(o, d)| (o, cap(o, d)))
+            .collect();
+    let (route_store, transition_store) = unsharded_stores(&routes, &pairs);
+    let base = ServiceConfig::default()
+        .with_workers(1)
+        .with_policy(EnginePolicy::Fixed(EngineKind::Voronoi));
+    for ratio in [0.01, 0.10] {
+        let mut config = rknnt_data::ChurnConfig::new(120, ratio, seed ^ 0x51a9);
+        config.query_pool = 8;
+        config.query_len = 3;
+        config.query_interval = 400.0;
+        let mut unsharded = QueryService::new(route_store.clone(), transition_store.clone(), base);
+        let mut sharded = ShardedService::bulk_build(
+            ShardedConfig::default().with_shards(8).with_base(base),
+            routes.clone(),
+            pairs.clone(),
+        );
+        let mut live_transitions = transition_store.transition_ids();
+        let mut live_routes = route_store.route_ids();
+        for (step, event) in workload::churn_stream(&city, &config)
+            .into_iter()
+            .enumerate()
+        {
+            let event = match event {
+                workload::ChurnEvent::Query(route) => {
+                    let query = RknntQuery::exists(route, 1);
+                    assert_eq!(
+                        sharded.execute(&query).transitions,
+                        unsharded.execute(&query).transitions,
+                        "answer diverged at step {step} (update ratio {ratio})"
+                    );
+                    continue;
+                }
+                workload::ChurnEvent::InsertTransition(o, d) => {
+                    workload::ChurnEvent::InsertTransition(o, cap(o, d))
+                }
+                other => other,
+            };
+            let Some(update) = resolve_update(event, &mut live_transitions, &mut live_routes)
+            else {
+                continue;
+            };
+            let applied = unsharded.apply_updates(vec![update.clone()]);
+            assert_eq!(
+                sharded.apply_updates(vec![update]).inserted_transitions,
+                applied.inserted_transitions
+            );
+            live_transitions.extend(&applied.inserted_transitions);
+            live_routes.extend(&applied.inserted_routes);
+        }
+        let stats = sharded.router_stats();
+        assert!(stats.executions > 0, "nothing was routed at ratio {ratio}");
+        assert!(
+            stats.mean_fanout() / 8.0 <= 0.5,
+            "mean fan-out {:.3} of 8 shards at update ratio {ratio} ({stats:?})",
+            stats.mean_fanout()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
