@@ -6,7 +6,8 @@
 //! compared, parameter sweeps, phase breakdowns) as typed [`Record`]s into
 //! the [`Output`] it is handed. The RkNNT sweeps carry the engines' work
 //! counts (`candidate_endpoints`, `verified_endpoints`,
-//! `result_transitions`) next to the milliseconds: absolute times are
+//! `result_transitions`, and the filter / prune walks' `entries_tested` and
+//! `filter_tests`) next to the milliseconds: absolute times are
 //! machine- and scale-dependent, the counts are not, and the *shape* (which
 //! method wins, how curves grow with k, |Q|, I, ψ(se), τ/ψ(se)) is what
 //! reproduces the paper.
@@ -45,12 +46,14 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// The three work counts every RkNNT row carries.
-fn counts(stats: &QueryStats) -> [(&'static str, f64); 3] {
+/// The five work counts every RkNNT row carries.
+fn counts(stats: &QueryStats) -> [(&'static str, f64); 5] {
     [
         ("candidate_endpoints", stats.candidate_endpoints as f64),
         ("verified_endpoints", stats.verified_endpoints as f64),
         ("result_transitions", stats.result_transitions as f64),
+        ("entries_tested", stats.entries_tested as f64),
+        ("filter_tests", stats.filter_tests as f64),
     ]
 }
 
@@ -58,6 +61,8 @@ fn add_counts(total: &mut QueryStats, one: &QueryStats) {
     total.candidate_endpoints += one.candidate_endpoints;
     total.verified_endpoints += one.verified_endpoints;
     total.result_transitions += one.result_transitions;
+    total.entries_tested += one.entries_tested;
+    total.filter_tests += one.filter_tests;
 }
 
 /// Runs every engine over the same query batch: per engine, the mean total
@@ -1566,6 +1571,9 @@ mod tests {
                         previous[slot]
                     );
                     assert!(at(dataset, method, k, "verified_endpoints") <= candidates);
+                    // The filter / prune work counts ride on every row.
+                    assert!(at(dataset, method, k, "entries_tested") > 0.0);
+                    assert!(at(dataset, method, k, "filter_tests") > 0.0);
                     previous[slot] = candidates;
                 }
                 assert!(

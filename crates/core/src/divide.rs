@@ -83,6 +83,8 @@ impl RknnTEngine for DivideConquerEngine<'_> {
                 |id| id,
             );
             stats.record_filter(&filter_outcome, pruned_nodes);
+            stats.entries_tested += scratch.entries_tested;
+            stats.filter_tests += scratch.filter_tests;
             for cand in scratch.candidates.iter() {
                 scratch
                     .union

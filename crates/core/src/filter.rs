@@ -13,41 +13,140 @@
 //! first using the individual filter points (whose crossover sets may count
 //! several routes at once — Definition 7), then, when enabled, using the
 //! per-route Voronoi filtering spaces of Section 5.1.
+//!
+//! # Inherited verdicts
+//!
+//! Both tree walks — the RR-tree walk below and the TR-tree walk of
+//! [`crate::prune_into_scratch`] — call `IsFiltered` on a node and then on
+//! everything under it, and step 1 judges each filter point against a node
+//! MBR three ways ([`rknnt_geo::RectVerdict`]):
+//!
+//! * **inside** — every half-plane strictly contains the MBR. The same holds
+//!   for every point and sub-rectangle of it, so the point's crossover routes
+//!   are counted once, for the whole subtree;
+//! * **outside** — some half-plane strictly contains no point of the MBR.
+//!   The filter point can be inside for nothing below, and is dropped for the
+//!   whole subtree;
+//! * **straddling** — handed down: a child or leaf entry tests only its
+//!   parent's straddlers, on top of the inherited distinct-route count.
+//!
+//! Both inherited verdicts are bit-exact, not approximately right: the
+//! half-plane evaluation is monotone under IEEE rounding (see
+//! [`rknnt_geo::HalfPlane`]), and `IsFiltered` is the boolean "≥ k distinct
+//! routes", which neither scan order nor early exit can change. The Voronoi
+//! step is *not* inherited — its rectangle test is conservative and not
+//! monotone under nesting — and runs per entry after step 1, on the routes
+//! step 1 left uncounted; its marks never enter the inherited route list.
+//!
+//! The half-planes of all filter points live in one array with stride |Q|
+//! beside a CSR crossover array; the arithmetic is `rknnt-geo`'s slice-level
+//! [`classify_rect`] / [`strictly_contains_point`].
 
 use crate::scratch::RouteMarks;
+use rknnt_geo::filtering::{classify_rect, push_half_planes, strictly_contains_point};
+use rknnt_geo::voronoi::{strictly_covers_point, strictly_covers_rect};
 use rknnt_geo::{
-    min_dist_query_rect, point_route_distance, FilteringSpace, Point, Rect, VoronoiFilter,
+    min_dist_query_rect, min_dist_sq_query_rect, point_route_distance, point_route_distance_sq,
+    HalfPlane, Point, Rect, RectVerdict,
 };
 use rknnt_index::{RouteId, RouteStore, StopId};
 use rknnt_rtree::NodeId;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::OnceLock;
 
-/// One filtering point: a stop, its location, the routes crossing it and the
-/// pre-computed filtering space against the query.
-#[derive(Debug, Clone)]
+/// One filtering point: a stop and its location. Its crossover route set is
+/// [`FilterSet::crossover`] at the same index.
+#[derive(Debug, Clone, Copy)]
 pub struct FilterPoint {
     /// Stop identifier in the route store.
     pub stop: StopId,
     /// Location of the stop.
     pub point: Point,
-    /// Crossover route set `C(r)` of the stop.
-    pub crossover: Vec<RouteId>,
-    /// Filtering space `H_{r:Q}` of the stop against the query.
-    pub space: FilteringSpace,
 }
 
-/// The filter set `S_filter`: filtering points (`S_filter.P`) plus the
-/// per-route grouping (`S_filter.R`) and, after [`FilterSet::finalize`], the
-/// per-route Voronoi filtering spaces.
+/// The filter points of each route of the set (`S_filter.R`), CSR by
+/// ascending route id: the generators of the per-route Voronoi filtering
+/// spaces `H_{R:Q}`.
 #[derive(Debug, Clone, Default)]
+struct RouteGroups {
+    routes: Vec<RouteId>,
+    offsets: Vec<u32>,
+    points: Vec<Point>,
+}
+
+impl RouteGroups {
+    fn build(set: &FilterSet) -> Self {
+        let mut pairs: Vec<(RouteId, Point)> = (0..set.points.len())
+            .flat_map(|i| {
+                let point = set.points[i].point;
+                set.crossover(i).iter().map(move |r| (*r, point))
+            })
+            .collect();
+        pairs.sort_by_key(|(route, _)| *route);
+        let mut groups = RouteGroups::default();
+        for (route, point) in pairs {
+            if groups.routes.last() != Some(&route) {
+                groups.routes.push(route);
+                groups.offsets.push(groups.points.len() as u32);
+            }
+            groups.points.push(point);
+        }
+        groups.offsets.push(groups.points.len() as u32);
+        groups
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (RouteId, &[Point])> {
+        self.routes
+            .iter()
+            .zip(self.offsets.windows(2))
+            .map(|(route, w)| (*route, &self.points[w[0] as usize..w[1] as usize]))
+    }
+}
+
+/// The filter set `S_filter`: filtering points (`S_filter.P`) with their
+/// half-planes against the query and their crossover route sets, stored
+/// flat, plus — built on first use — the per-route grouping (`S_filter.R`)
+/// the Voronoi step runs on.
+#[derive(Debug, Clone)]
 pub struct FilterSet {
+    /// The query the half-planes were built against (also the query side of
+    /// the Voronoi tests).
+    query: Vec<Point>,
     points: Vec<FilterPoint>,
-    by_route: HashMap<RouteId, Vec<Point>>,
-    voronoi: Vec<(RouteId, VoronoiFilter)>,
+    /// Row `i` — `planes[i·|Q| .. (i+1)·|Q|]` — is `H_{r_i:Q}`.
+    planes: Vec<HalfPlane>,
+    /// CSR crossover sets: point `i` lies on
+    /// `crossover[crossover_offsets[i] .. crossover_offsets[i + 1]]`.
+    crossover_offsets: Vec<u32>,
+    crossover: Vec<RouteId>,
+    num_routes: usize,
+    /// Only `use_voronoi` callers read the grouping, so it is derived from
+    /// the arrays above by the first of them (a set is shared by reference
+    /// across batch workers, hence the lock).
+    route_groups: OnceLock<RouteGroups>,
+}
+
+impl Default for FilterSet {
+    fn default() -> Self {
+        FilterSet::for_query(&[])
+    }
 }
 
 impl FilterSet {
+    fn for_query(query: &[Point]) -> Self {
+        FilterSet {
+            query: query.to_vec(),
+            points: Vec::new(),
+            planes: Vec::new(),
+            crossover_offsets: vec![0],
+            crossover: Vec::new(),
+            num_routes: 0,
+            route_groups: OnceLock::new(),
+        }
+    }
+
     /// Number of filtering points (|S_filter.P|).
     pub fn num_points(&self) -> usize {
         self.points.len()
@@ -55,7 +154,7 @@ impl FilterSet {
 
     /// Number of distinct routes represented (|S_filter.R|).
     pub fn num_routes(&self) -> usize {
-        self.by_route.len()
+        self.num_routes
     }
 
     /// The filtering points, sorted by decreasing crossover-set size once
@@ -64,37 +163,49 @@ impl FilterSet {
         &self.points
     }
 
+    /// Crossover route set `C(r)` of the filtering point at `index` of
+    /// [`FilterSet::points`].
+    pub fn crossover(&self, index: usize) -> &[RouteId] {
+        let offsets = &self.crossover_offsets;
+        &self.crossover[offsets[index] as usize..offsets[index + 1] as usize]
+    }
+
     /// Whether the set holds no filtering points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 
-    /// Adds a filtering point discovered by the RR-tree traversal.
-    fn add(&mut self, stop: StopId, point: Point, crossover: Vec<RouteId>, query: &[Point]) {
-        for r in &crossover {
-            self.by_route.entry(*r).or_default().push(point);
-        }
-        self.points.push(FilterPoint {
-            stop,
-            point,
-            crossover,
-            space: FilteringSpace::new(point, query),
-        });
+    /// Filtering space `H_{r:Q}` of the filtering point at `index`, as its
+    /// row of the flat half-plane array.
+    fn planes_of(&self, index: usize) -> &[HalfPlane] {
+        let stride = self.query.len();
+        &self.planes[index * stride..(index + 1) * stride]
     }
 
-    /// Sorts the point list by decreasing crossover size (Algorithm 3
-    /// accesses points in that order so points shared by many routes are
-    /// tried first) and builds the per-route Voronoi filtering spaces.
-    fn finalize(&mut self, query: &[Point]) {
-        self.points
-            .sort_by_key(|fp| std::cmp::Reverse(fp.crossover.len()));
-        self.voronoi = self
-            .by_route
-            .iter()
-            .map(|(route, pts)| (*route, VoronoiFilter::new(pts.clone(), query.to_vec())))
-            .collect();
-        // Deterministic order helps reproducibility of the stats.
-        self.voronoi.sort_by_key(|(r, _)| *r);
+    /// Adds a filtering point discovered by the RR-tree traversal.
+    fn add(&mut self, stop: StopId, point: Point, crossover: &[RouteId]) {
+        self.points.push(FilterPoint { stop, point });
+        push_half_planes(point, &self.query, &mut self.planes);
+        self.crossover.extend_from_slice(crossover);
+        self.crossover_offsets.push(self.crossover.len() as u32);
+    }
+
+    /// Sorts the points by decreasing crossover size (Algorithm 3 accesses
+    /// points in that order so points shared by many routes are tried
+    /// first), carrying their rows along, and counts the distinct routes.
+    fn finalize(&mut self, marks: &mut RouteMarks) {
+        let mut order: Vec<usize> = (0..self.points.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(self.crossover(i).len()));
+        let mut sorted = FilterSet::for_query(&self.query);
+        for i in order {
+            sorted.points.push(self.points[i]);
+            sorted.planes.extend_from_slice(self.planes_of(i));
+            sorted.crossover.extend_from_slice(self.crossover(i));
+            sorted.crossover_offsets.push(sorted.crossover.len() as u32);
+        }
+        marks.begin_with(&sorted.crossover);
+        sorted.num_routes = marks.count();
+        *self = sorted;
     }
 
     /// `IsFiltered` for an R-tree node MBR: is the rectangle covered by the
@@ -116,9 +227,9 @@ impl FilterSet {
         self.filters_point_with(p, k, use_voronoi, &mut RouteMarks::default())
     }
 
-    /// [`FilterSet::filters_rect`] on a caller-provided mark table — the
-    /// form the pruning hot loop uses so the per-node distinct-route count
-    /// allocates nothing once the table is warmed.
+    /// [`FilterSet::filters_rect`] on a caller-provided mark table: the
+    /// step a tree walk takes at its root — every filter point live, nothing
+    /// inherited, nothing handed down.
     pub fn filters_rect_with(
         &self,
         rect: &Rect,
@@ -126,13 +237,10 @@ impl FilterSet {
         use_voronoi: bool,
         marks: &mut RouteMarks,
     ) -> bool {
-        self.filters_impl(
-            k,
-            use_voronoi,
-            marks,
-            |space| space.strictly_contains_rect(rect),
-            |vf| vf.strictly_contains_rect(rect),
-        )
+        marks.begin();
+        let all = 0..self.points.len() as u32;
+        let mut walk = Walk::new(k, use_voronoi, marks);
+        self.rect_is_filtered(rect, all, &mut walk, |_| {}, |_| {})
     }
 
     /// [`FilterSet::filters_point`] on a caller-provided mark table.
@@ -143,70 +251,152 @@ impl FilterSet {
         use_voronoi: bool,
         marks: &mut RouteMarks,
     ) -> bool {
-        self.filters_impl(
-            k,
-            use_voronoi,
-            marks,
-            |space| space.strictly_contains_point(p),
-            |vf| vf.strictly_contains_point(p),
-        )
+        marks.begin();
+        let all = 0..self.points.len() as u32;
+        self.point_is_filtered(p, all, &mut Walk::new(k, use_voronoi, marks))
     }
 
-    fn filters_impl<F, G>(
+    /// `IsFiltered` for a node MBR whose ancestors have already judged part
+    /// of the set: `walk.marks` holds the routes their inside verdicts
+    /// counted, `live` are the filter points still undecided. Each route an
+    /// inside verdict newly counts here goes to `counted` and each straddler
+    /// to `handed_down` — what the node's own subtree inherits when the
+    /// answer is `false`. The Voronoi step runs last and reports to neither.
+    pub(crate) fn rect_is_filtered(
         &self,
-        k: usize,
-        use_voronoi: bool,
-        marks: &mut RouteMarks,
-        inside_space: F,
-        inside_voronoi: G,
-    ) -> bool
-    where
-        F: Fn(&FilteringSpace) -> bool,
-        G: Fn(&VoronoiFilter) -> bool,
-    {
-        if k == 0 {
+        rect: &Rect,
+        live: impl Iterator<Item = u32>,
+        walk: &mut Walk<'_>,
+        counted: impl FnMut(RouteId),
+        handed_down: impl FnMut(u32),
+    ) -> bool {
+        let verdict = |planes: &[HalfPlane]| classify_rect(planes, rect);
+        if self.count_inside(live, walk, verdict, counted, handed_down) {
             return true;
         }
-        marks.begin();
-        // Step 1: individual filter points, in decreasing crossover order.
-        for fp in &self.points {
-            if inside_space(&fp.space) {
-                for r in &fp.crossover {
-                    marks.mark(*r);
+        walk.use_voronoi && {
+            let query_side = min_dist_sq_query_rect(&self.query, rect);
+            self.voronoi_step(walk, |route| strictly_covers_rect(route, rect, query_side))
+        }
+    }
+
+    /// `IsFiltered` for a point under a node that handed down `live` and
+    /// whose inherited routes are in `walk.marks`.
+    pub(crate) fn point_is_filtered(
+        &self,
+        p: &Point,
+        live: impl Iterator<Item = u32>,
+        walk: &mut Walk<'_>,
+    ) -> bool {
+        let verdict = |planes: &[HalfPlane]| {
+            if strictly_contains_point(planes, p) {
+                RectVerdict::Inside
+            } else {
+                RectVerdict::Outside
+            }
+        };
+        if self.count_inside(live, walk, verdict, |_| {}, |_| {}) {
+            return true;
+        }
+        walk.use_voronoi && {
+            let query_side = point_route_distance_sq(p, &self.query);
+            self.voronoi_step(walk, |route| strictly_covers_point(route, p, query_side))
+        }
+    }
+
+    /// Step 1 of `IsFiltered`, the one counting loop: judges every `live`
+    /// filter point with `verdict` and marks the crossover routes of the
+    /// inside ones, until `k` distinct routes are marked.
+    fn count_inside(
+        &self,
+        live: impl Iterator<Item = u32>,
+        walk: &mut Walk<'_>,
+        verdict: impl Fn(&[HalfPlane]) -> RectVerdict,
+        mut counted: impl FnMut(RouteId),
+        mut handed_down: impl FnMut(u32),
+    ) -> bool {
+        walk.entries_tested += 1;
+        if walk.marks.count() >= walk.k {
+            return true;
+        }
+        for index in live {
+            walk.filter_tests += 1;
+            match verdict(self.planes_of(index as usize)) {
+                RectVerdict::Inside => {
+                    for route in self.crossover(index as usize) {
+                        if walk.marks.mark(*route) {
+                            counted(*route);
+                        }
+                    }
+                    if walk.marks.count() >= walk.k {
+                        return true;
+                    }
                 }
-                if marks.count() >= k {
+                RectVerdict::Straddling => handed_down(index),
+                RectVerdict::Outside => {}
+            }
+        }
+        false
+    }
+
+    /// Step 2 of `IsFiltered` (Section 5.1): the per-route Voronoi
+    /// filtering spaces, for the routes step 1 left uncounted. `covers` is
+    /// the strict test of one route's generators against the entry, minus
+    /// the per-point spaces — step 1 has just found every one of them not
+    /// inside, or the route would be marked.
+    fn voronoi_step(&self, walk: &mut Walk<'_>, covers: impl Fn(&[Point]) -> bool) -> bool {
+        let groups = self.route_groups.get_or_init(|| RouteGroups::build(self));
+        for (route, generators) in groups.iter() {
+            if !walk.marks.contains(route) && covers(generators) {
+                walk.marks.mark(route);
+                if walk.marks.count() >= walk.k {
                     return true;
                 }
             }
         }
-        if !use_voronoi {
-            return marks.count() >= k;
-        }
-        // Step 2: per-route Voronoi filtering spaces for routes not yet
-        // counted (Section 5.1).
-        for (route, vf) in &self.voronoi {
-            if marks.contains(*route) {
-                continue;
-            }
-            if inside_voronoi(vf) {
-                marks.mark(*route);
-                if marks.count() >= k {
-                    return true;
-                }
-            }
-        }
-        marks.count() >= k
+        false
     }
 }
 
-/// Output of the filter-route phase: the filter set and the RR-tree nodes
-/// pruned during its construction (`S_refine`).
+/// What stays the same from one `IsFiltered` call of a tree walk to the
+/// next, and the two work counts the calls add up.
+pub(crate) struct Walk<'a> {
+    k: usize,
+    use_voronoi: bool,
+    /// Distinct-route count of the entry being judged. The caller seeds it
+    /// with the entry's inherited routes ([`RouteMarks::begin_with`]) before
+    /// each call.
+    pub marks: &'a mut RouteMarks,
+    /// Entries (node MBRs and points) put through `IsFiltered`.
+    pub entries_tested: usize,
+    /// Filter-point × entry evaluations of step 1.
+    pub filter_tests: usize,
+}
+
+impl<'a> Walk<'a> {
+    pub fn new(k: usize, use_voronoi: bool, marks: &'a mut RouteMarks) -> Self {
+        Walk {
+            k,
+            use_voronoi,
+            marks,
+            entries_tested: 0,
+            filter_tests: 0,
+        }
+    }
+}
+
+/// Output of the filter-route phase: the filter set, the RR-tree nodes
+/// pruned during its construction (`S_refine`) and the work that took.
 #[derive(Debug, Clone)]
 pub struct FilterOutcome {
     /// The filter set `S_filter`.
     pub filter_set: FilterSet,
     /// Ids of the RR-tree nodes pruned during filter construction.
     pub refine_nodes: Vec<NodeId>,
+    /// RR-tree entries (node MBRs and stops) put through `IsFiltered`.
+    pub entries_tested: usize,
+    /// Filter-point × entry evaluations those tests made.
+    pub filter_tests: usize,
 }
 
 /// Heap entry for the best-first traversal of Algorithm 2.
@@ -218,6 +408,8 @@ enum HeapEntry {
 struct HeapItem {
     dist: f64,
     entry: HeapEntry,
+    /// Index of the [`Inherited`] context the entry's parent node left.
+    parent: u32,
 }
 
 impl PartialEq for HeapItem {
@@ -238,52 +430,93 @@ impl Ord for HeapItem {
     }
 }
 
+/// What an opened RR-tree node leaves its children: its verdicts on the
+/// filter points that existed when it was popped. A best-first walk has no
+/// stack discipline, so the lists of every open node stay in two arenas.
+struct Inherited {
+    /// Routes counted by inside verdicts on the path down to the node.
+    routes: Range<usize>,
+    /// Filter points that straddle the node's MBR.
+    straddlers: Range<usize>,
+    /// Filter-set length at the node's pop: points from here on are new to
+    /// the subtree and judged from scratch.
+    seen: u32,
+}
+
 /// `FilterRoute` (Algorithm 2): chooses the filter set by a best-first
 /// traversal of the RR-tree, and records the pruned nodes for refinement.
 ///
 /// The per-point half-space test (step 1 of `IsFiltered`) is always used
 /// here; the Voronoi enlargement only participates in transition pruning,
-/// after the filter set is complete and its per-route Voronoi diagrams have
-/// been built.
+/// after the filter set is complete.
+///
+/// Each heap entry is tested against its parent's straddlers plus the
+/// filter points added since the parent was popped, on top of the routes
+/// the path above it already counted (module docs, "Inherited verdicts").
 pub fn build_filter_set(routes: &RouteStore, query: &[Point], k: usize) -> FilterOutcome {
-    let mut filter_set = FilterSet::default();
+    let mut filter_set = FilterSet::for_query(query);
     let mut refine_nodes = Vec::new();
-    let tree = routes.rtree();
-    let Some(root) = tree.root() else {
-        return FilterOutcome {
-            filter_set,
-            refine_nodes,
-        };
-    };
-    if query.is_empty() {
-        return FilterOutcome {
-            filter_set,
-            refine_nodes,
-        };
-    }
-
-    let mut heap = BinaryHeap::new();
     let mut marks = RouteMarks::default();
-    heap.push(HeapItem {
-        dist: min_dist_query_rect(query, &root.mbr()),
-        entry: HeapEntry::Node(root.id()),
-    });
+    let mut walk = Walk::new(k, false, &mut marks);
+    let tree = routes.rtree();
+    let mut heap = BinaryHeap::new();
+    if let Some(root) = tree.root().filter(|_| !query.is_empty()) {
+        heap.push(HeapItem {
+            dist: min_dist_query_rect(query, &root.mbr()),
+            entry: HeapEntry::Node(root.id()),
+            parent: 0,
+        });
+    }
+    let mut contexts = vec![Inherited {
+        routes: 0..0,
+        straddlers: 0..0,
+        seen: 0,
+    }];
+    let (mut route_arena, mut straddler_arena) = (Vec::<RouteId>::new(), Vec::<u32>::new());
+    let mut straddling = Vec::new();
 
     while let Some(item) = heap.pop() {
+        let above = &contexts[item.parent as usize];
+        let live = straddler_arena[above.straddlers.clone()]
+            .iter()
+            .copied()
+            .chain(above.seen..filter_set.num_points() as u32);
         match item.entry {
             HeapEntry::Node(id) => {
                 let Some(node) = tree.node_ref(id) else {
                     continue;
                 };
-                if filter_set.filters_rect_with(&node.mbr(), k, false, &mut marks) {
+                // The node's own route list starts as a copy of its
+                // parent's and grows by what its inside verdicts count.
+                let routes_start = route_arena.len();
+                route_arena.extend_from_within(above.routes.clone());
+                walk.marks.begin_with(&route_arena[routes_start..]);
+                straddling.clear();
+                if filter_set.rect_is_filtered(
+                    &node.mbr(),
+                    live,
+                    &mut walk,
+                    |route| route_arena.push(route),
+                    |index| straddling.push(index),
+                ) {
+                    route_arena.truncate(routes_start);
                     refine_nodes.push(id);
                     continue;
                 }
+                let straddlers_start = straddler_arena.len();
+                straddler_arena.extend_from_slice(&straddling);
+                let parent = contexts.len() as u32;
+                contexts.push(Inherited {
+                    routes: routes_start..route_arena.len(),
+                    straddlers: straddlers_start..straddler_arena.len(),
+                    seen: filter_set.num_points() as u32,
+                });
                 if node.is_leaf() {
                     for entry in node.entries() {
                         heap.push(HeapItem {
                             dist: point_route_distance(&entry.point, query),
                             entry: HeapEntry::Stop(entry.data, entry.point),
+                            parent,
                         });
                     }
                 } else {
@@ -291,23 +524,28 @@ pub fn build_filter_set(routes: &RouteStore, query: &[Point], k: usize) -> Filte
                         heap.push(HeapItem {
                             dist: min_dist_query_rect(query, &child.mbr()),
                             entry: HeapEntry::Node(child.id()),
+                            parent,
                         });
                     });
                 }
             }
             HeapEntry::Stop(stop, point) => {
-                if filter_set.filters_point_with(&point, k, false, &mut marks) {
+                walk.marks.begin_with(&route_arena[above.routes.clone()]);
+                if filter_set.point_is_filtered(&point, live, &mut walk) {
                     continue;
                 }
-                filter_set.add(stop, point, routes.crossover(stop).to_vec(), query);
+                filter_set.add(stop, point, routes.crossover(stop));
             }
         }
     }
 
-    filter_set.finalize(query);
+    let (entries_tested, filter_tests) = (walk.entries_tested, walk.filter_tests);
+    filter_set.finalize(&mut marks);
     FilterOutcome {
         filter_set,
         refine_nodes,
+        entries_tested,
+        filter_tests,
     }
 }
 
@@ -452,9 +690,9 @@ mod tests {
         store.insert_route(vec![p(0.0, 30.0), p(20.0, 30.0)]);
         let query = vec![p(0.0, 100.0), p(20.0, 100.0)];
         let outcome = build_filter_set(&store, &query, 3);
-        let pts = outcome.filter_set.points();
-        for w in pts.windows(2) {
-            assert!(w[0].crossover.len() >= w[1].crossover.len());
+        let fs = &outcome.filter_set;
+        for i in 1..fs.num_points() {
+            assert!(fs.crossover(i - 1).len() >= fs.crossover(i).len());
         }
     }
 }

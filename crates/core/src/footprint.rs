@@ -67,18 +67,19 @@ impl FilterFootprint {
     /// query route it was built against.
     pub fn from_outcome(query: &[Point], outcome: &FilterOutcome) -> Self {
         let mut radius = 0.0f64;
-        let witnesses: Vec<FilterWitness> = outcome
-            .filter_set
+        let filter_set = &outcome.filter_set;
+        let witnesses: Vec<FilterWitness> = filter_set
             .points()
             .iter()
-            .map(|fp| {
+            .enumerate()
+            .map(|(index, fp)| {
                 let d = point_route_distance_sq(&fp.point, query).sqrt();
                 if d.is_finite() {
                     radius = radius.max(d);
                 }
                 FilterWitness {
                     point: fp.point,
-                    routes: fp.crossover.clone(),
+                    routes: filter_set.crossover(index).to_vec(),
                 }
             })
             .collect();

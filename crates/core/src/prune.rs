@@ -3,9 +3,16 @@
 //! With the filter set fixed, the TR-tree is traversed and every node that is
 //! covered by the filtering spaces of at least `k` distinct routes is pruned
 //! wholesale; surviving endpoints become candidates for exact verification.
+//!
+//! The walk inherits verdicts (see [`crate::filter`], "Inherited verdicts"):
+//! an opened node hands its subtree the filter points that straddle its MBR
+//! and the routes its inside verdicts counted, so each child and endpoint
+//! tests the straddlers only. Every `IsFiltered` answer — and so every
+//! pruned node, every candidate and their order — is the one a scan of the
+//! whole filter set per entry gives.
 
-use crate::filter::FilterSet;
-use crate::scratch::QueryScratch;
+use crate::filter::{FilterSet, Walk};
+use crate::scratch::{PruneLevel, PruneWalk, QueryScratch};
 use rknnt_geo::Point;
 use rknnt_index::{EndpointKind, TransitionId, TransitionStore};
 use serde::{Deserialize, Serialize};
@@ -70,9 +77,11 @@ pub fn prune_transitions(
 /// per consulted shard — `to_global` translating shard-local ids — and then
 /// run [`crate::verify_candidates`] once over the union; a single-store
 /// engine passes the identity. The `IsFiltered` distinct-route counts run on
-/// the scratch's mark table and the walk on its node-id stack, so a warmed
-/// scratch makes the traversal allocation-free. Traversal order — and
+/// the scratch's mark table and the walk on its `PruneWalk` stacks, so a
+/// warmed scratch makes the traversal allocation-free. Traversal order — and
 /// therefore the candidate order — is exactly that of [`prune_transitions`].
+/// The entries tested and the filter-point evaluations made are added to the
+/// scratch's work counts, which [`crate::verify_candidates`] reports.
 pub fn prune_into_scratch(
     transitions: &TransitionStore,
     filter_set: &FilterSet,
@@ -83,28 +92,63 @@ pub fn prune_into_scratch(
 ) -> usize {
     let QueryScratch {
         marks,
-        node_stack: stack,
+        prune_walk: PruneWalk {
+            nodes,
+            levels,
+            routes,
+        },
         candidates,
+        entries_tested,
+        filter_tests,
         ..
     } = scratch;
     let tree = transitions.rtree();
     let Some(root) = tree.root() else {
         return 0;
     };
+    let mut walk = Walk::new(k, use_voronoi, marks);
     let mut pruned_nodes = 0usize;
-    stack.clear();
-    stack.push(root.id());
-    while let Some(id) = stack.pop() {
+    // Level 0: nothing judged yet — every filter point live, no route.
+    if levels.is_empty() {
+        levels.push(PruneLevel::default());
+    }
+    levels[0].straddlers.clear();
+    levels[0]
+        .straddlers
+        .extend(0..filter_set.num_points() as u32);
+    levels[0].routes_len = 0;
+    nodes.clear();
+    nodes.push((root.id(), 0));
+    while let Some((id, depth)) = nodes.pop() {
         let Some(node) = tree.node_ref(id) else {
             continue;
         };
-        if filter_set.filters_rect_with(&node.mbr(), k, use_voronoi, marks) {
+        let depth = depth as usize;
+        if levels.len() < depth + 2 {
+            levels.push(PruneLevel::default());
+        }
+        let (above, below) = levels.split_at_mut(depth + 1);
+        let (inherited, own) = (&above[depth], &mut below[0]);
+        // Back on the path to this node: drop what finished subtrees pushed.
+        routes.truncate(inherited.routes_len);
+        own.straddlers.clear();
+        walk.marks.begin_with(routes);
+        if filter_set.rect_is_filtered(
+            &node.mbr(),
+            inherited.straddlers.iter().copied(),
+            &mut walk,
+            |route| routes.push(route),
+            |index| own.straddlers.push(index),
+        ) {
             pruned_nodes += 1;
             continue;
         }
+        own.routes_len = routes.len();
         if node.is_leaf() {
             for entry in node.entries() {
-                if filter_set.filters_point_with(&entry.point, k, use_voronoi, marks) {
+                walk.marks.begin_with(routes);
+                let live = own.straddlers.iter().copied();
+                if filter_set.point_is_filtered(&entry.point, live, &mut walk) {
                     continue;
                 }
                 candidates.push(CandidateEndpoint {
@@ -114,9 +158,11 @@ pub fn prune_into_scratch(
                 });
             }
         } else {
-            node.for_each_child(|child| stack.push(child.id()));
+            node.for_each_child(|child| nodes.push((child.id(), depth as u32 + 1)));
         }
     }
+    *entries_tested += walk.entries_tested;
+    *filter_tests += walk.filter_tests;
     pruned_nodes
 }
 

@@ -119,16 +119,31 @@ pub struct QueryStats {
     pub verified_endpoints: usize,
     /// Transitions in the final result (|S_result|).
     pub result_transitions: usize,
+    /// Entries put through `IsFiltered` by the two tree walks: RR-tree node
+    /// MBRs and stops during filter construction, TR-tree node MBRs and
+    /// endpoints during pruning. A property of the trees, the query and `k`
+    /// alone — the same however the test is evaluated.
+    pub entries_tested: usize,
+    /// Filter-point × entry evaluations those tests made (step 1 of
+    /// `IsFiltered`: one filter point's half-planes against one node MBR or
+    /// point). The machine-independent cost of the filter and prune phases;
+    /// inheriting verdicts down the walks is what keeps it far below
+    /// `entries_tested × filter_points`.
+    pub filter_tests: usize,
 }
 
 impl QueryStats {
     /// Adds the counters of one filter + prune pass: the filter set's size,
-    /// the RR-tree nodes its construction set aside and the TR-tree nodes
-    /// the pruning walk(s) against it skipped wholesale.
+    /// the RR-tree nodes its construction set aside, the work that
+    /// construction did, and the TR-tree nodes the pruning walk(s) against it
+    /// skipped wholesale. (The pruning walks' own work counts come from the
+    /// scratch they ran on, through [`crate::verify_candidates`].)
     pub fn record_filter(&mut self, outcome: &FilterOutcome, pruned_tr_nodes: usize) {
         self.filter_points += outcome.filter_set.num_points();
         self.filter_routes += outcome.filter_set.num_routes();
         self.refine_nodes += outcome.refine_nodes.len();
+        self.entries_tested += outcome.entries_tested;
+        self.filter_tests += outcome.filter_tests;
         self.pruned_tr_nodes += pruned_tr_nodes;
     }
 }

@@ -5,11 +5,13 @@
 //! allocation-bound before it is distance-bound. [`QueryScratch`] replaces
 //! those per-call structures with buffers a worker owns and reuses across
 //! queries: an epoch-stamped mark table over the dense route-id space
-//! ([`RouteMarks`]), a traversal stack of [`NodeId`]s, the candidate buffer
-//! of the pruning phase, and the per-transition grouping maps of the
-//! verification phase. After the first few queries warm the buffers up, the
-//! per-candidate path performs zero heap allocations (asserted by the
-//! allocation-counter test in `tests/hot_path_alloc.rs`).
+//! ([`RouteMarks`]), a traversal stack of [`NodeId`]s, the straddler lists
+//! and inherited-route stack of the pruning walk (`PruneWalk`), the
+//! candidate buffer of the pruning phase, and the per-transition grouping
+//! maps of the verification phase. After the first few queries warm the
+//! buffers up, the pruning walk and the per-candidate path perform zero heap
+//! allocations (asserted by the allocation-counter tests in
+//! `tests/hot_path_alloc.rs`).
 //!
 //! # Ownership rules
 //!
@@ -80,6 +82,19 @@ impl RouteMarks {
         }
     }
 
+    /// [`RouteMarks::begin`], then marks every route of `routes` (a repeated
+    /// route counts once). This is how an `IsFiltered` call on a tree entry
+    /// starts from the distinct routes its ancestors' inside verdicts already
+    /// counted — fewer than `k` of them, or the ancestor would have been
+    /// pruned.
+    #[inline]
+    pub fn begin_with(&mut self, routes: &[RouteId]) {
+        self.begin();
+        for route in routes {
+            self.mark(*route);
+        }
+    }
+
     /// Marks `route`; returns `true` when it was not yet marked this epoch
     /// (i.e. the distinct count just grew).
     #[inline]
@@ -127,16 +142,48 @@ impl RouteMarks {
     }
 }
 
+/// Buffers of the inherited-verdict TR-tree walk
+/// ([`crate::prune_into_scratch`]). The walk is depth-first, so what each
+/// open node hands its subtree sits on stacks indexed by depth.
+#[derive(Debug, Default)]
+pub(crate) struct PruneWalk {
+    /// DFS stack: a node and the depth of the level its parent left for it.
+    pub nodes: Vec<(NodeId, u32)>,
+    /// `levels[d]` is what the open node at depth `d` hands down; level 0 is
+    /// the walk's start (every filter point, no route).
+    pub levels: Vec<PruneLevel>,
+    /// Distinct routes counted by inside verdicts along the current
+    /// root-to-node path, outermost first: the open node at depth `d`
+    /// inherits `routes[..levels[d].routes_len]`. Voronoi marks never enter.
+    pub routes: Vec<RouteId>,
+}
+
+/// What one open TR-tree node hands down to its children and leaf entries.
+#[derive(Debug, Default)]
+pub(crate) struct PruneLevel {
+    /// Filter points (indices into the set) that straddle the node's MBR.
+    pub straddlers: Vec<u32>,
+    /// Length of the [`PruneWalk::routes`] prefix the node's subtree inherits.
+    pub routes_len: usize,
+}
+
 /// Reusable buffers for one worker's query execution — see the module
 /// documentation for the ownership rules.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     /// Distinct-route counting for verification and `IsFiltered`.
     pub(crate) marks: RouteMarks,
-    /// R-tree traversal stack (RR-tree in verification, TR-tree in pruning).
+    /// RR-tree traversal stack of the verification phase.
     pub(crate) node_stack: Vec<NodeId>,
+    /// The pruning phase's TR-tree walk.
+    pub(crate) prune_walk: PruneWalk,
     /// Surviving candidate endpoints of the pruning phase.
     pub(crate) candidates: Vec<CandidateEndpoint>,
+    /// TR-tree entries put through `IsFiltered`, and the filter-point ×
+    /// entry evaluations that took, since the last
+    /// [`QueryScratch::clear_candidates`].
+    pub(crate) entries_tested: usize,
+    pub(crate) filter_tests: usize,
     /// Per-transition (origin qualified, destination qualified) grouping of
     /// the verification phase; cleared (capacity kept) per query.
     pub(crate) per_transition: HashMap<TransitionId, (bool, bool)>,
@@ -151,11 +198,13 @@ impl QueryScratch {
         Self::default()
     }
 
-    /// Empties the candidate buffer (capacity kept): the start of a query's
-    /// prune phase, before the first [`crate::prune_into_scratch`] call
-    /// appends to it.
+    /// Empties the candidate buffer (capacity kept) and zeroes the prune
+    /// work counts: the start of a query's prune phase, before the first
+    /// [`crate::prune_into_scratch`] call adds to them.
     pub fn clear_candidates(&mut self) {
         self.candidates.clear();
+        self.entries_tested = 0;
+        self.filter_tests = 0;
     }
 
     /// The candidate endpoints appended since the last
@@ -219,6 +268,11 @@ mod tests {
         assert_eq!(marks.count(), 0);
         assert!(!marks.contains(RouteId(3)));
         assert!(marks.mark(RouteId(3)));
+        // Seeding starts a new epoch from an inherited list.
+        marks.begin_with(&[RouteId(7), RouteId(0)]);
+        assert_eq!(marks.count(), 2);
+        assert!(marks.contains(RouteId(7)) && !marks.contains(RouteId(3)));
+        assert!(!marks.mark(RouteId(0)), "inherited routes count once");
     }
 
     #[test]

@@ -206,8 +206,9 @@ pub(crate) fn qualifies(
 /// [`QueryScratch::clear_candidates`]; `routes` must be the full route set
 /// the answer is defined over (for a sharded caller: the planner-wide store,
 /// not a shard's slice). The returned result carries the
-/// transitions, the verification time and the candidate / verified / result
-/// counts — the caller adds its own filter-phase time and counters. After
+/// transitions, the verification time, the candidate / verified / result
+/// counts and the work counts of the prune walks that filled the buffer —
+/// the caller adds its own filter-phase time and counters. After
 /// the scratch is warmed the per-candidate path performs zero heap
 /// allocations.
 pub fn verify_candidates(
@@ -221,6 +222,8 @@ pub fn verify_candidates(
         node_stack,
         candidates,
         per_transition,
+        entries_tested,
+        filter_tests,
         ..
     } = scratch;
     let started = Instant::now();
@@ -264,6 +267,8 @@ pub fn verify_candidates(
     result.stats.candidate_endpoints = candidates.len();
     result.stats.verified_endpoints = verified_endpoints;
     result.stats.result_transitions = result.transitions.len();
+    result.stats.entries_tested = *entries_tested;
+    result.stats.filter_tests = *filter_tests;
     result
 }
 

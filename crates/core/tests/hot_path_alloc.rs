@@ -1,7 +1,9 @@
 //! Debug-build allocation counter for the query hot path: after warm-up,
 //! the scratch-based verification kernel must perform **zero** heap
 //! allocations per candidate, so must the admission kernel per transition
-//! (including the lazily built resident NList it reads), and a full
+//! (including the lazily built resident NList it reads) and the pruning
+//! walk per TR-tree entry (including the filter set's lazily built Voronoi
+//! grouping), and a full
 //! `execute_with_filter_scratch` pipeline must allocate only a small
 //! per-*query* constant (the returned result vector), independent of how
 //! many candidates it verifies.
@@ -13,7 +15,9 @@
 //! skip the counting-based asserts. Tests share one global counter, so they
 //! serialise on a mutex.
 
-use rknnt_core::{admits_transition, FilterRefineEngine, QueryScratch, RknntQuery, Semantics};
+use rknnt_core::{
+    admits_transition, prune_into_scratch, FilterRefineEngine, QueryScratch, RknntQuery, Semantics,
+};
 use rknnt_geo::{point_route_distance_sq, Point};
 use rknnt_index::{NList, RouteStore, TransitionStore};
 use rknnt_rtree::RTreeConfig;
@@ -160,6 +164,49 @@ fn warmed_admission_kernel_never_allocates() {
         0,
         "the admission kernel allocated {delta} times across {} checks after warm-up",
         6 * transitions.len()
+    );
+    #[cfg(not(debug_assertions))]
+    let _ = delta;
+}
+
+#[test]
+fn warmed_prune_never_allocates() {
+    let _guard = EXCLUSIVE.lock().unwrap();
+    // The larger world of the execute test below: the walk's straddler
+    // lists, inherited-route stack, node stack and candidate buffer all live
+    // in the scratch, and the Voronoi grouping in the filter set.
+    let (routes, transitions) = world(12, 600);
+    let engine = FilterRefineEngine::new(&routes, &transitions);
+    let query = RknntQuery::exists(vec![p(5.0, 37.0), p(35.0, 37.0), p(65.0, 37.0)], 3);
+    let outcome = engine.build_filter(&query);
+    let mut scratch = QueryScratch::new();
+    let run = |scratch: &mut QueryScratch| -> (usize, usize) {
+        let mut pruned = 0;
+        scratch.clear_candidates();
+        for use_voronoi in [false, true] {
+            pruned += prune_into_scratch(
+                &transitions,
+                &outcome.filter_set,
+                query.k,
+                use_voronoi,
+                scratch,
+                |id| id,
+            );
+        }
+        (pruned, scratch.candidates().len())
+    };
+    // Warm-up: the scratch buffers grow and the grouping is built.
+    let reference = run(&mut scratch);
+    assert!(reference.0 > 0 && reference.1 > 0, "the walk must do both");
+
+    let before = allocations();
+    let warmed = run(&mut scratch);
+    let delta = allocations() - before;
+    assert_eq!(warmed, reference, "warmed pass changed the outcome");
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        delta, 0,
+        "the pruning walk allocated {delta} times after warm-up"
     );
     #[cfg(not(debug_assertions))]
     let _ = delta;

@@ -14,12 +14,25 @@ use serde::{Deserialize, Serialize};
 
 /// The half-plane `H_{r:q}` of points closer to `r` than to `q`.
 ///
-/// Internally stored as a linear inequality `a·x + b·y <= c` with
-/// `(a, b) = q - r` (so that the inequality holds exactly for points whose
-/// distance to `r` does not exceed their distance to `q`). Keeping the
-/// algebraic form makes point and rectangle tests two multiplications each,
-/// which matters because Algorithm 3 evaluates these predicates for every
-/// heap entry during filtering.
+/// Stored as the three coefficients of the linear inequality
+/// `a·x + b·y <= c` with `(a, b) = 2(q - r)` (so that the inequality holds
+/// exactly for points whose distance to `r` does not exceed their distance
+/// to `q`) and nothing else: 24 bytes, so a filter set keeps every
+/// half-plane of every filter point in one flat array and Algorithm 3's
+/// tests are two multiplications each over contiguous memory.
+///
+/// # Why a node-level verdict holds for the whole subtree
+///
+/// Every predicate below evaluates the one expression `a·x + b·y - c` at a
+/// point or at a rectangle corner. With `a` fixed, `a·x` is monotone in `x`
+/// under IEEE rounding, and so are the sum and the subtraction; hence no
+/// point or sub-rectangle of a rectangle can evaluate above the rectangle's
+/// maximising corner or below its minimising corner. A rectangle that is
+/// [strictly contained](HalfPlane::strictly_contains_rect) therefore
+/// strictly contains every point and sub-rectangle of it, and one that is
+/// not [strictly intersected](HalfPlane::strictly_intersects_rect) strictly
+/// contains none — bit for bit, not just in real arithmetic. The inherited
+/// `IsFiltered` walks of `rknnt-core` rest on exactly this.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HalfPlane {
     /// Coefficient of x in `a·x + b·y <= c`.
@@ -28,10 +41,15 @@ pub struct HalfPlane {
     b: f64,
     /// Right-hand side of `a·x + b·y <= c`.
     c: f64,
-    /// The filtering point `r` that generated this half-plane.
-    r: Point,
-    /// The query point `q` that generated this half-plane.
-    q: Point,
+}
+
+/// The single strictness site of the pruning predicates: a signed evaluation
+/// counts as "strictly closer to `r`" only below `-EPSILON`, so an exact tie
+/// (or anything within the tolerance band of one) is never a pruning
+/// witness and falls through to exact verification.
+#[inline]
+fn strictly_negative(value: f64) -> bool {
+    value < -EPSILON
 }
 
 impl HalfPlane {
@@ -51,19 +69,7 @@ impl HalfPlane {
         let a = 2.0 * (q.x - r.x);
         let b = 2.0 * (q.y - r.y);
         let c = (q.x * q.x + q.y * q.y) - (r.x * r.x + r.y * r.y);
-        HalfPlane { a, b, c, r, q }
-    }
-
-    /// The filtering point `r` used to build this half-plane.
-    #[inline]
-    pub fn filtering_point(&self) -> Point {
-        self.r
-    }
-
-    /// The query point `q` used to build this half-plane.
-    #[inline]
-    pub fn query_point(&self) -> Point {
-        self.q
+        HalfPlane { a, b, c }
     }
 
     /// True when `q == r`, i.e. the bisector is undefined. Degenerate
@@ -80,6 +86,24 @@ impl HalfPlane {
         self.a * p.x + self.b * p.y - self.c
     }
 
+    /// Signed evaluation at the corner of `rect` that maximises it (the
+    /// maximiser of `a·x` over `[min.x, max.x]` is `max.x` when `a > 0`,
+    /// else `min.x`).
+    #[inline]
+    fn max_over_rect(&self, rect: &Rect) -> f64 {
+        let x = if self.a > 0.0 { rect.max.x } else { rect.min.x };
+        let y = if self.b > 0.0 { rect.max.y } else { rect.min.y };
+        self.a * x + self.b * y - self.c
+    }
+
+    /// Signed evaluation at the corner of `rect` that minimises it.
+    #[inline]
+    fn min_over_rect(&self, rect: &Rect) -> f64 {
+        let x = if self.a > 0.0 { rect.min.x } else { rect.max.x };
+        let y = if self.b > 0.0 { rect.min.y } else { rect.max.y };
+        self.a * x + self.b * y - self.c
+    }
+
     /// Whether point `p` is closer to `r` than to `q` (ties count as inside,
     /// matching `dist(t, R) < dist(t, Q)` pruning being safe only for strict
     /// improvement; we keep ties inside because a tie already means `Q` is
@@ -87,19 +111,13 @@ impl HalfPlane {
     /// candidates exactly).
     #[inline]
     pub fn contains_point(&self, p: &Point) -> bool {
-        if self.is_degenerate() {
-            return true;
-        }
-        self.eval(p) <= EPSILON
+        self.is_degenerate() || self.eval(p) <= EPSILON
     }
 
     /// Whether point `p` is *strictly* closer to `r` than to `q`.
     #[inline]
     pub fn strictly_contains_point(&self, p: &Point) -> bool {
-        if self.is_degenerate() {
-            return false;
-        }
-        self.eval(p) < -EPSILON
+        !self.is_degenerate() && strictly_negative(self.eval(p))
     }
 
     /// Whether the whole rectangle lies inside `H_{r:q}`.
@@ -109,13 +127,7 @@ impl HalfPlane {
     /// `a·x + b·y` must satisfy the inequality.
     #[inline]
     pub fn contains_rect(&self, rect: &Rect) -> bool {
-        if self.is_degenerate() {
-            return true;
-        }
-        // The maximiser of a*x over [min.x, max.x] is max.x when a > 0 else min.x.
-        let x = if self.a > 0.0 { rect.max.x } else { rect.min.x };
-        let y = if self.b > 0.0 { rect.max.y } else { rect.min.y };
-        self.a * x + self.b * y - self.c <= EPSILON
+        self.is_degenerate() || self.max_over_rect(rect) <= EPSILON
     }
 
     /// Whether the whole rectangle lies *strictly* inside `H_{r:q}`, i.e.
@@ -127,25 +139,26 @@ impl HalfPlane {
     /// left to the verification phase instead of being pruned away.
     #[inline]
     pub fn strictly_contains_rect(&self, rect: &Rect) -> bool {
-        if self.is_degenerate() {
-            return false;
-        }
-        let x = if self.a > 0.0 { rect.max.x } else { rect.min.x };
-        let y = if self.b > 0.0 { rect.max.y } else { rect.min.y };
-        self.a * x + self.b * y - self.c < -EPSILON
+        !self.is_degenerate() && strictly_negative(self.max_over_rect(rect))
     }
 
     /// Whether the rectangle intersects `H_{r:q}` at all (i.e. at least one
     /// point of the rectangle is closer to `r` than to `q`).
     #[inline]
     pub fn intersects_rect(&self, rect: &Rect) -> bool {
-        if self.is_degenerate() {
-            return true;
-        }
-        // The minimiser of a*x + b*y over the rect must satisfy the inequality.
-        let x = if self.a > 0.0 { rect.min.x } else { rect.max.x };
-        let y = if self.b > 0.0 { rect.min.y } else { rect.max.y };
-        self.a * x + self.b * y - self.c <= EPSILON
+        self.is_degenerate() || self.min_over_rect(rect) <= EPSILON
+    }
+
+    /// Strict twin of [`HalfPlane::intersects_rect`]: whether *some* point
+    /// of the rectangle can be strictly closer to `r` than to `q`. When this
+    /// is false no point and no sub-rectangle of `rect` is strictly
+    /// contained (see the type-level note on rounding), which is the
+    /// "outside" verdict a tree walk hands down to a whole subtree. A
+    /// degenerate half-plane strictly contains nothing, so it never
+    /// strictly intersects.
+    #[inline]
+    pub fn strictly_intersects_rect(&self, rect: &Rect) -> bool {
+        !self.is_degenerate() && strictly_negative(self.min_over_rect(rect))
     }
 }
 
@@ -172,7 +185,10 @@ mod tests {
         assert!(hp.is_degenerate());
         assert!(hp.contains_point(&Point::new(100.0, -3.0)));
         assert!(!hp.strictly_contains_point(&Point::new(100.0, -3.0)));
-        assert!(hp.contains_rect(&Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))));
+        let rect = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+        assert!(hp.contains_rect(&rect));
+        assert!(!hp.strictly_contains_rect(&rect));
+        assert!(!hp.strictly_intersects_rect(&rect));
     }
 
     #[test]
@@ -191,6 +207,16 @@ mod tests {
         assert!(hp.intersects_rect(&straddle));
         assert!(!hp.contains_rect(&near_q));
         assert!(!hp.intersects_rect(&near_q));
+        // The strict twins: contained ⇒ intersected, and only the far rect
+        // is intersected by nothing.
+        assert!(hp.strictly_contains_rect(&near_r) && hp.strictly_intersects_rect(&near_r));
+        assert!(!hp.strictly_contains_rect(&straddle) && hp.strictly_intersects_rect(&straddle));
+        assert!(!hp.strictly_intersects_rect(&near_q));
+        // A rectangle touching the bisector x = 5 from q's side holds a tie
+        // but no strictly closer point; the non-strict test still accepts it.
+        let touching = Rect::new(Point::new(5.0, 0.0), Point::new(7.0, 1.0));
+        assert!(hp.intersects_rect(&touching));
+        assert!(!hp.strictly_intersects_rect(&touching));
     }
 
     #[test]
@@ -223,7 +249,6 @@ mod tests {
         let hp = HalfPlane::closer_to(r, q);
         assert!(hp.strictly_contains_point(&r));
         assert!(!hp.contains_point(&q));
-        assert_eq!(hp.filtering_point(), r);
-        assert_eq!(hp.query_point(), q);
+        assert_eq!(std::mem::size_of::<HalfPlane>(), 24);
     }
 }

@@ -25,11 +25,16 @@ pub fn point_route_distance_sq(t: &Point, route: &[Point]) -> f64 {
 /// minimum distance from the query point to the rectangle `c`. This is the
 /// priority used by the best-first traversals in Algorithms 2 and 4.
 pub fn min_dist_query_rect(query: &[Point], rect: &Rect) -> f64 {
+    min_dist_sq_query_rect(query, rect).sqrt()
+}
+
+/// Squared variant of [`min_dist_query_rect`] — also the query side of the
+/// Voronoi rectangle test, which compares squared distances.
+pub fn min_dist_sq_query_rect(query: &[Point], rect: &Rect) -> f64 {
     query
         .iter()
         .map(|q| rect.min_dist_sq(q))
         .fold(f64::INFINITY, f64::min)
-        .sqrt()
 }
 
 /// Minimum distance from a query route to a single point (used when heap

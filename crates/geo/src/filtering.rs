@@ -6,18 +6,79 @@
 //! filtering space is closer to `r` than to *every* point of `Q`, hence (by
 //! Lemma 2) closer to the route containing `r` than to the query route — so
 //! it cannot take the query as its nearest route through `r`'s route.
+//!
+//! The strict predicates the pruning rules use are defined once, as
+//! functions over a slice of half-planes ([`strictly_contains_point`] and the
+//! three-way [`classify_rect`], whose `Inside` verdict is the strict
+//! rectangle test): a filter set stores the half-planes of all its filter
+//! points in one flat array and hands these functions one row at a time, and
+//! [`FilteringSpace`] — the owning, one-point form — calls the same
+//! functions.
 
 use crate::bisector::HalfPlane;
 use crate::point::Point;
 use crate::rect::Rect;
 use serde::{Deserialize, Serialize};
 
+/// Fills `out` with the half-planes `H_{r:q}` for every `q` of `query`, in
+/// query order — one row of a flat half-plane array.
+pub fn push_half_planes(r: Point, query: &[Point], out: &mut Vec<HalfPlane>) {
+    out.extend(query.iter().map(|q| HalfPlane::closer_to(r, *q)));
+}
+
+/// Whether `p` is *strictly* closer to the filtering point than to every
+/// query point: `p` lies strictly inside every half-plane of the space.
+/// An empty space (empty query) strictly contains nothing.
+#[inline]
+pub fn strictly_contains_point(planes: &[HalfPlane], p: &Point) -> bool {
+    !planes.is_empty() && planes.iter().all(|hp| hp.strictly_contains_point(p))
+}
+
+/// How a filtering space relates to a rectangle, as far as the strict
+/// predicates can tell — and, by the rounding-monotonicity of the half-plane
+/// evaluation (see [`HalfPlane`]), to every point and sub-rectangle of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RectVerdict {
+    /// Every half-plane strictly contains the rectangle: the space strictly
+    /// contains every point and sub-rectangle of it.
+    Inside,
+    /// Some half-plane strictly contains *no* point of the rectangle (a
+    /// degenerate half-plane always): the space strictly contains no point
+    /// and no sub-rectangle of it.
+    Outside,
+    /// Neither: points and sub-rectangles must be judged on their own.
+    Straddling,
+}
+
+/// Classifies `rect` against the space whose half-planes are `planes`.
+///
+/// `Inside` *is* the strict rectangle test of the pruning rules (every
+/// half-plane's max-corner test passes); `Outside` is its min-corner twin.
+/// An empty space (empty query) strictly contains nothing and is `Outside`
+/// everything.
+#[inline]
+pub fn classify_rect(planes: &[HalfPlane], rect: &Rect) -> RectVerdict {
+    if planes.is_empty() {
+        return RectVerdict::Outside;
+    }
+    let mut inside = true;
+    for hp in planes {
+        if !hp.strictly_intersects_rect(rect) {
+            return RectVerdict::Outside;
+        }
+        inside = inside && hp.strictly_contains_rect(rect);
+    }
+    if inside {
+        RectVerdict::Inside
+    } else {
+        RectVerdict::Straddling
+    }
+}
+
 /// The filtering space `H_{r:Q} = ⋂_{q ∈ Q} H_{r:q}` generated by one
 /// filtering point `r` and a query route `Q`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FilteringSpace {
-    /// The filtering (route) point.
-    r: Point,
     /// One half-plane per query point, in query order.
     half_planes: Vec<HalfPlane>,
 }
@@ -30,14 +91,9 @@ impl FilteringSpace {
     /// never useful for pruning; callers validate non-empty queries at the
     /// API boundary.
     pub fn new(r: Point, query: &[Point]) -> Self {
-        let half_planes = query.iter().map(|q| HalfPlane::closer_to(r, *q)).collect();
-        FilteringSpace { r, half_planes }
-    }
-
-    /// The filtering point that generated this space.
-    #[inline]
-    pub fn filtering_point(&self) -> Point {
-        self.r
+        let mut half_planes = Vec::with_capacity(query.len());
+        push_half_planes(r, query, &mut half_planes);
+        FilteringSpace { half_planes }
     }
 
     /// Number of half-planes (= number of query points).
@@ -71,49 +127,23 @@ impl FilteringSpace {
     /// every query point. Used by the pruning rules, which must not prune on
     /// exact ties (see [`crate::HalfPlane::strictly_contains_rect`]).
     pub fn strictly_contains_point(&self, p: &Point) -> bool {
-        !self.half_planes.is_empty()
-            && self
-                .half_planes
-                .iter()
-                .all(|hp| hp.strictly_contains_point(p))
+        strictly_contains_point(&self.half_planes, p)
     }
 
     /// Whether the whole rectangle is strictly inside the filtering space.
     pub fn strictly_contains_rect(&self, rect: &Rect) -> bool {
-        !self.half_planes.is_empty()
-            && self
-                .half_planes
-                .iter()
-                .all(|hp| hp.strictly_contains_rect(rect))
+        self.classify_rect(rect) == RectVerdict::Inside
     }
 
-    /// Whether *any* half-plane fails to fully contain the rectangle — the
-    /// inverse of [`FilteringSpace::contains_rect`], exposed for readability
-    /// at call sites that walk many filtering points and stop at the first
-    /// non-pruning one.
-    #[inline]
-    pub fn fails_for_rect(&self, rect: &Rect) -> bool {
-        !self.contains_rect(rect)
+    /// The three-way verdict of [`classify_rect`] for this space.
+    pub fn classify_rect(&self, rect: &Rect) -> RectVerdict {
+        classify_rect(&self.half_planes, rect)
     }
 
-    /// Access to the underlying half-planes (used by the Voronoi filter to
-    /// reuse the bisectors it has already computed, mirroring the paper's
-    /// observation that the Voronoi information comes "at no additional
-    /// cost" once the bisectors exist).
+    /// Access to the underlying half-planes, in query order.
     pub fn half_planes(&self) -> &[HalfPlane] {
         &self.half_planes
     }
-}
-
-/// Convenience wrapper: does the single filtering point `r` prune the point
-/// `p` with respect to query `query`? Equivalent to building a
-/// [`FilteringSpace`] and testing `p`, but avoids the allocation when the
-/// caller only needs a one-shot test (used by the brute-force oracle and in
-/// tests).
-pub fn point_pruned_by(r: Point, query: &[Point], p: &Point) -> bool {
-    query
-        .iter()
-        .all(|q| HalfPlane::closer_to(r, *q).contains_point(p))
 }
 
 #[cfg(test)]
@@ -168,7 +198,6 @@ mod tests {
                 let p = Point::new(i as f64 * 0.9, j as f64 * 0.9);
                 let by_dist = query.iter().all(|q| p.distance(&r) <= p.distance(q) + 1e-9);
                 assert_eq!(fs.contains_point(&p), by_dist, "point {p}");
-                assert_eq!(point_pruned_by(r, &query, &p), by_dist);
             }
         }
     }
@@ -182,7 +211,35 @@ mod tests {
         let straddling = Rect::new(Point::new(3.0, 0.0), Point::new(7.0, 1.0));
         assert!(fs.contains_rect(&inside));
         assert!(!fs.contains_rect(&straddling));
-        assert!(fs.fails_for_rect(&straddling));
+    }
+
+    #[test]
+    fn classification_has_three_verdicts() {
+        let r = Point::new(0.0, 0.0);
+        let query = vec![Point::new(10.0, 0.0), Point::new(0.0, 10.0)];
+        let fs = FilteringSpace::new(r, &query);
+        let rect = |x: f64, y: f64| Rect::new(Point::new(x, y), Point::new(x + 2.0, y + 2.0));
+        // Bisectors are x = 5 and y = 5.
+        assert_eq!(fs.classify_rect(&rect(-1.0, -1.0)), RectVerdict::Inside);
+        assert_eq!(fs.classify_rect(&rect(4.0, 0.0)), RectVerdict::Straddling);
+        // Beyond one bisector is enough to be outside, wherever the other is.
+        assert_eq!(fs.classify_rect(&rect(6.0, 0.0)), RectVerdict::Outside);
+        assert_eq!(fs.classify_rect(&rect(6.0, 4.0)), RectVerdict::Outside);
+        // Touching a bisector from the far side holds ties, nothing strict.
+        assert_eq!(fs.classify_rect(&rect(5.0, 0.0)), RectVerdict::Outside);
+        assert!(fs.strictly_contains_rect(&rect(-1.0, -1.0)));
+        assert!(!fs.strictly_contains_rect(&rect(4.0, 0.0)));
+        // A filtering point that is itself a query point strictly contains
+        // nothing (degenerate half-plane), and neither does an empty space.
+        let on_query = FilteringSpace::new(query[0], &query);
+        assert_eq!(
+            on_query.classify_rect(&rect(9.0, -1.0)),
+            RectVerdict::Outside
+        );
+        assert!(!on_query.strictly_contains_point(&query[0]));
+        let empty = FilteringSpace::new(r, &[]);
+        assert_eq!(empty.classify_rect(&rect(-1.0, -1.0)), RectVerdict::Outside);
+        assert!(!empty.strictly_contains_point(&r));
     }
 
     #[test]

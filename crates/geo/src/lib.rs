@@ -9,14 +9,19 @@
 //!   `MinDist` / `MaxDist` metrics needed for best-first R-tree traversal.
 //! * [`HalfPlane`] — the half-plane `H_{r:q}` induced by the perpendicular
 //!   bisector `⊥(q, r)` between a query point `q` and a filtering point `r`
-//!   (Figure 2 of the paper).
+//!   (Figure 2 of the paper): three coefficients, and the one place the
+//!   pruning predicates' strictness is decided.
 //! * [`FilteringSpace`] — the intersection `H_{r:Q} = ⋂_{q∈Q} H_{r:q}`
 //!   (Definition 6), i.e. the region in which every point is closer to the
-//!   filtering point `r` than to *every* point of the query route `Q`.
+//!   filtering point `r` than to *every* point of the query route `Q`. Its
+//!   strict tests are the slice-level functions of [`filtering`] — the point
+//!   test and the three-way [`RectVerdict`] classification a tree walk can
+//!   hand down to a whole subtree — which a filter set calls directly on
+//!   rows of one flat half-plane array.
 //! * [`VoronoiFilter`] — the Voronoi filtering space `H_{R:Q}` of
 //!   Definition 8, expressed as a nearest-generator predicate rather than an
 //!   explicit cell decomposition (see the module documentation of
-//!   [`voronoi`]).
+//!   [`voronoi`], which also holds the slice-level strict tests).
 //! * Distance helpers for point-to-route distance (Definition 3) and
 //!   polyline travel distance `ψ(R)` (Equation 6).
 //!
@@ -36,8 +41,10 @@ pub mod voronoi;
 pub mod zorder;
 
 pub use bisector::HalfPlane;
-pub use distance::{min_dist_query_rect, point_route_distance, point_route_distance_sq};
-pub use filtering::FilteringSpace;
+pub use distance::{
+    min_dist_query_rect, min_dist_sq_query_rect, point_route_distance, point_route_distance_sq,
+};
+pub use filtering::{FilteringSpace, RectVerdict};
 pub use point::Point;
 pub use polyline::{detour_ratio, mean_interval, straight_line_distance, travel_distance};
 pub use rect::Rect;

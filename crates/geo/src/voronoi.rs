@@ -24,12 +24,53 @@
 //!   conservative "no" only costs extra refinement work, never correctness.
 //!
 //! The exactness/conservativeness trade-off is discussed in `DESIGN.md` §5.
+//!
+//! The strict tests the pruning walks run are slice-level functions
+//! ([`strictly_covers_point`], [`strictly_covers_rect`]) that take the query
+//! side as a number: it depends only on the tested entry, so a caller
+//! judging one entry against many routes computes it once. They leave out
+//! the per-point filtering spaces — a caller that has just run step 1 of
+//! `IsFiltered` already knows those reject the entry for every route it
+//! still asks about. [`VoronoiFilter`], the owning one-route form, adds the
+//! per-point spaces back.
 
+use crate::distance::{min_dist_sq_query_rect, point_route_distance, point_route_distance_sq};
 use crate::filtering::FilteringSpace;
 use crate::point::Point;
 use crate::rect::Rect;
 use crate::EPSILON;
 use serde::{Deserialize, Serialize};
+
+/// Strict point test of `H_{R:Q}`: some point of `route_points` is strictly
+/// closer to `p` than the query is, `query_dist_sq` being
+/// `min_{q∈Q} dist²(p, q)`.
+#[inline]
+pub fn strictly_covers_point(route_points: &[Point], p: &Point, query_dist_sq: f64) -> bool {
+    point_route_distance_sq(p, route_points) < query_dist_sq - EPSILON
+}
+
+/// Strict rectangle test of `H_{R:Q}` without the per-point filtering
+/// spaces: `query_min_dist_sq` is `min_{q∈Q} MinDist²(rect, q)`
+/// ([`min_dist_sq_query_rect`]). True when one route point dominates the
+/// whole rectangle (its `MaxDist` beats the query's `MinDist`), or when the
+/// rectangle is small relative to its distance from the query — for the
+/// route point `r*` nearest the centre `c`, `dist(c, r*) + diam(rect) <
+/// MinDist(rect, Q)` puts every point of the rectangle strictly closer to
+/// `r*` than to the query.
+pub fn strictly_covers_rect(route_points: &[Point], rect: &Rect, query_min_dist_sq: f64) -> bool {
+    let best_route_maxdist = route_points
+        .iter()
+        .map(|r| rect.max_dist_sq(r))
+        .fold(f64::INFINITY, f64::min);
+    if best_route_maxdist < query_min_dist_sq - EPSILON {
+        return true;
+    }
+    // The root of the least squared distance is the least distance, bit for
+    // bit: `sqrt` is correctly rounded, hence monotone.
+    let d_centre_route = point_route_distance(&rect.center(), route_points);
+    let diam = rect.min.distance(&rect.max);
+    d_centre_route + diam < query_min_dist_sq.sqrt() - EPSILON
+}
 
 /// The Voronoi filtering space `H_{R:Q}` generated by a filtering route `R`
 /// (all of its points available as filtering points) and the query `Q`.
@@ -97,17 +138,8 @@ impl VoronoiFilter {
         if self.route_points.is_empty() || self.query_points.is_empty() {
             return false;
         }
-        let d_route = self
-            .route_points
-            .iter()
-            .map(|r| p.distance_sq(r))
-            .fold(f64::INFINITY, f64::min);
-        let d_query = self
-            .query_points
-            .iter()
-            .map(|q| p.distance_sq(q))
-            .fold(f64::INFINITY, f64::min);
-        d_route < d_query - EPSILON
+        let d_query = point_route_distance_sq(p, &self.query_points);
+        strictly_covers_point(&self.route_points, p, d_query)
     }
 
     /// Strict variant of [`VoronoiFilter::contains_rect`]: true only when
@@ -117,35 +149,12 @@ impl VoronoiFilter {
         if self.route_points.is_empty() || self.query_points.is_empty() {
             return false;
         }
-        let best_route_maxdist = self
-            .route_points
-            .iter()
-            .map(|r| rect.max_dist_sq(r))
-            .fold(f64::INFINITY, f64::min);
-        let best_query_mindist = self
-            .query_points
-            .iter()
-            .map(|q| rect.min_dist_sq(q))
-            .fold(f64::INFINITY, f64::min);
-        if best_route_maxdist < best_query_mindist - EPSILON {
-            return true;
-        }
-        if self
-            .per_point
-            .iter()
-            .any(|fs| fs.strictly_contains_rect(rect))
-        {
-            return true;
-        }
-        let c = rect.center();
-        let d_centre_route = self
-            .route_points
-            .iter()
-            .map(|r| c.distance(r))
-            .fold(f64::INFINITY, f64::min);
-        let diam = rect.min.distance(&rect.max);
-        let min_q = best_query_mindist.sqrt();
-        d_centre_route + diam < min_q - EPSILON
+        let query_side = min_dist_sq_query_rect(&self.query_points, rect);
+        strictly_covers_rect(&self.route_points, rect, query_side)
+            || self
+                .per_point
+                .iter()
+                .any(|fs| fs.strictly_contains_rect(rect))
     }
 
     /// Sound (conservative) rectangle-in-`H_{R:Q}` test.

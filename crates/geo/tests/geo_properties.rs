@@ -2,7 +2,9 @@
 //! soundness depends on.
 
 use proptest::prelude::*;
-use rknnt_geo::{point_route_distance, FilteringSpace, HalfPlane, Point, Rect, VoronoiFilter};
+use rknnt_geo::{
+    point_route_distance, FilteringSpace, HalfPlane, Point, Rect, RectVerdict, VoronoiFilter,
+};
 
 fn pt() -> impl Strategy<Value = Point> {
     (-1000.0f64..1000.0, -1000.0f64..1000.0).prop_map(|(x, y)| Point::new(x, y))
@@ -151,5 +153,54 @@ proptest! {
         if (on_bisector.distance(&a) - on_bisector.distance(&b)).abs() < 1e-9 {
             prop_assert!(!hp.strictly_contains_point(&on_bisector));
         }
+    }
+
+    /// A rectangle's verdict holds, bit for bit, for every point and
+    /// sub-rectangle of it — what lets a tree walk hand "inside" and
+    /// "outside" down to a whole subtree. Also far from the origin, where the
+    /// half-plane evaluation is mostly rounding noise: the noise is monotone.
+    #[test]
+    fn rect_verdicts_are_inherited(r in pt(), q in route(5), centre in pt(),
+                                   half in (0.0f64..80.0, 0.0f64..80.0),
+                                   s in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+                                   far in any::<bool>()) {
+        let offset = if far { 3.0e9 } else { 0.0 };
+        let shift = |p: &Point| Point::new(p.x + offset, p.y + offset);
+        let q: Vec<Point> = q.iter().map(shift).collect();
+        let fs = FilteringSpace::new(shift(&r), &q);
+        // Small next to the ±1000 world, so all three verdicts are common.
+        let rc = Rect::new(
+            shift(&Point::new(centre.x - half.0, centre.y - half.1)),
+            shift(&Point::new(centre.x + half.0, centre.y + half.1)),
+        );
+        let at = |sx: f64, sy: f64| Point::new(rc.min.x + rc.width() * sx, rc.min.y + rc.height() * sy);
+        let (a, b) = (at(s.0, s.1), at(s.2, s.3));
+        prop_assume!(rc.contains_point(&a) && rc.contains_point(&b));
+        let sub = Rect::new(a, b);
+        let verdict = fs.classify_rect(&rc);
+        prop_assert_eq!(
+            verdict == RectVerdict::Inside,
+            fs.half_planes().iter().all(|hp| hp.strictly_contains_rect(&rc))
+        );
+        prop_assert_eq!(
+            verdict == RectVerdict::Outside,
+            fs.half_planes().iter().any(|hp| !hp.strictly_intersects_rect(&rc))
+        );
+        match verdict {
+            RectVerdict::Inside => {
+                prop_assert_eq!(fs.classify_rect(&sub), RectVerdict::Inside);
+                prop_assert!(fs.strictly_contains_point(&a));
+            }
+            RectVerdict::Outside => {
+                prop_assert_eq!(fs.classify_rect(&sub), RectVerdict::Outside);
+                prop_assert!(!fs.strictly_contains_point(&a));
+            }
+            RectVerdict::Straddling => {}
+        }
+        // A point is the rectangle that holds only it.
+        prop_assert_eq!(
+            fs.classify_rect(&Rect::from_point(a)) == RectVerdict::Inside,
+            fs.strictly_contains_point(&a)
+        );
     }
 }
