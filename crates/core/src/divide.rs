@@ -19,7 +19,6 @@ use crate::prune::{prune_into_scratch, CandidateEndpoint};
 use crate::query::{QueryStats, RknntQuery, RknntResult};
 use crate::scratch::QueryScratch;
 use crate::verify::verify_candidates;
-use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionStore};
 use std::time::Instant;
 
@@ -71,8 +70,7 @@ impl RknnTEngine for DivideConquerEngine<'_> {
         scratch.union.clear();
         let mut stats = QueryStats::default();
         for q in &query.route {
-            let sub_query: Vec<Point> = vec![*q];
-            let filter_outcome = build_filter_set(self.routes, &sub_query, query.k);
+            let filter_outcome = build_filter_set(self.routes, std::slice::from_ref(q), query.k);
             scratch.clear_candidates();
             let pruned_nodes = prune_into_scratch(
                 self.transitions,
@@ -126,6 +124,7 @@ mod tests {
     use crate::brute::BruteForceEngine;
     use crate::filter_refine::FilterRefineEngine;
     use crate::query::Semantics;
+    use rknnt_geo::Point;
     use rknnt_rtree::RTreeConfig;
 
     fn p(x: f64, y: f64) -> Point {

@@ -18,36 +18,45 @@
 //!
 //! Both tree walks — the RR-tree walk below and the TR-tree walk of
 //! [`crate::prune_into_scratch`] — call `IsFiltered` on a node and then on
-//! everything under it, and step 1 judges each filter point against a node
-//! MBR three ways ([`rknnt_geo::RectVerdict`]):
+//! everything under it, and step 1 judges each filter point `r` against a
+//! node MBR three ways ([`rknnt_geo::RectVerdict`]). `p ∈ H_{r:Q}` is
+//! `|p − r|² < d²(p, Q)`, so the entry computes its side once — for an MBR
+//! the thresholds of its four corners ([`rknnt_geo::RectEntry`], on the
+//! stack) — and a filter point costs a few distance evaluations, not |Q|
+//! half-planes:
 //!
-//! * **inside** — every half-plane strictly contains the MBR. The same holds
-//!   for every point and sub-rectangle of it, so the point's crossover routes
-//!   are counted once, for the whole subtree;
-//! * **outside** — some half-plane strictly contains no point of the MBR.
-//!   The filter point can be inside for nothing below, and is dropped for the
-//!   whole subtree;
+//! * **inside** — `r` is strictly closer than the query to all four corners,
+//!   hence (the space is convex) to every point and sub-rectangle of the
+//!   MBR: the point's crossover routes are counted once, for the whole
+//!   subtree;
+//! * **outside** — one query point is at least as close as `r` to all four
+//!   corners, or `r` is farther from the MBR than a query point is from its
+//!   farthest corner: the filter point can be inside for nothing below, and
+//!   is dropped for the whole subtree;
 //! * **straddling** — handed down: a child or leaf entry tests only its
 //!   parent's straddlers, on top of the inherited distinct-route count.
 //!
-//! Both inherited verdicts are bit-exact, not approximately right: the
-//! half-plane evaluation is monotone under IEEE rounding (see
-//! [`rknnt_geo::HalfPlane`]), and `IsFiltered` is the boolean "≥ k distinct
-//! routes", which neither scan order nor early exit can change. The Voronoi
-//! step is *not* inherited — its rectangle test is conservative and not
-//! monotone under nesting — and runs per entry after step 1, on the routes
-//! step 1 left uncounted; its marks never enter the inherited route list.
+//! Both inherited verdicts are the ones a scan of the whole set per entry
+//! reaches — exactly where squared coordinate differences are exact, and
+//! elsewhere unless a comparison lies within rounding error of its
+//! threshold ([`rknnt_geo::RectEntry::classify`]) — and `IsFiltered` is the
+//! boolean "≥ k distinct routes", which neither scan order nor early exit
+//! can change. At a point the test ([`rknnt_geo::PointEntry`]) compares the
+//! two numbers exact verification compares at the same stop, so a pruned
+//! endpoint is one verification would reject. The Voronoi step is *not*
+//! inherited — its rectangle test is conservative and not implied downwards
+//! — and runs per node MBR after step 1, on the routes step 1 left
+//! uncounted; its marks never enter the inherited route list. It has no
+//! point half: at a point the Voronoi test *is* step 1's.
 //!
-//! The half-planes of all filter points live in one array with stride |Q|
-//! beside a CSR crossover array; the arithmetic is `rknnt-geo`'s slice-level
-//! [`classify_rect`] / [`strictly_contains_point`].
+//! The set stores its filter points beside a CSR crossover array and
+//! nothing per (filter point, query point) pair.
 
 use crate::scratch::RouteMarks;
-use rknnt_geo::filtering::{classify_rect, push_half_planes, strictly_contains_point};
-use rknnt_geo::voronoi::{strictly_covers_point, strictly_covers_rect};
+use rknnt_geo::voronoi::strictly_covers_rect;
 use rknnt_geo::{
-    min_dist_query_rect, min_dist_sq_query_rect, point_route_distance, point_route_distance_sq,
-    HalfPlane, Point, Rect, RectVerdict,
+    min_dist_query_rect, min_dist_sq_query_rect, point_route_distance, Point, PointEntry, Rect,
+    RectEntry, RectVerdict,
 };
 use rknnt_index::{RouteId, RouteStore, StopId};
 use rknnt_rtree::NodeId;
@@ -106,17 +115,15 @@ impl RouteGroups {
 }
 
 /// The filter set `S_filter`: filtering points (`S_filter.P`) with their
-/// half-planes against the query and their crossover route sets, stored
-/// flat, plus — built on first use — the per-route grouping (`S_filter.R`)
-/// the Voronoi step runs on.
+/// crossover route sets, stored flat, the query their filtering spaces are
+/// taken against, plus — built on first use — the per-route grouping
+/// (`S_filter.R`) the Voronoi step runs on.
 #[derive(Debug, Clone)]
 pub struct FilterSet {
-    /// The query the half-planes were built against (also the query side of
-    /// the Voronoi tests).
+    /// The query `Q` of the filtering spaces `H_{r:Q}` (also the query side
+    /// of the Voronoi test).
     query: Vec<Point>,
     points: Vec<FilterPoint>,
-    /// Row `i` — `planes[i·|Q| .. (i+1)·|Q|]` — is `H_{r_i:Q}`.
-    planes: Vec<HalfPlane>,
     /// CSR crossover sets: point `i` lies on
     /// `crossover[crossover_offsets[i] .. crossover_offsets[i + 1]]`.
     crossover_offsets: Vec<u32>,
@@ -139,7 +146,6 @@ impl FilterSet {
         FilterSet {
             query: query.to_vec(),
             points: Vec::new(),
-            planes: Vec::new(),
             crossover_offsets: vec![0],
             crossover: Vec::new(),
             num_routes: 0,
@@ -175,31 +181,23 @@ impl FilterSet {
         self.points.is_empty()
     }
 
-    /// Filtering space `H_{r:Q}` of the filtering point at `index`, as its
-    /// row of the flat half-plane array.
-    fn planes_of(&self, index: usize) -> &[HalfPlane] {
-        let stride = self.query.len();
-        &self.planes[index * stride..(index + 1) * stride]
-    }
-
     /// Adds a filtering point discovered by the RR-tree traversal.
     fn add(&mut self, stop: StopId, point: Point, crossover: &[RouteId]) {
         self.points.push(FilterPoint { stop, point });
-        push_half_planes(point, &self.query, &mut self.planes);
         self.crossover.extend_from_slice(crossover);
         self.crossover_offsets.push(self.crossover.len() as u32);
     }
 
     /// Sorts the points by decreasing crossover size (Algorithm 3 accesses
     /// points in that order so points shared by many routes are tried
-    /// first), carrying their rows along, and counts the distinct routes.
+    /// first), carrying their crossover sets along, and counts the distinct
+    /// routes.
     fn finalize(&mut self, marks: &mut RouteMarks) {
         let mut order: Vec<usize> = (0..self.points.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(self.crossover(i).len()));
         let mut sorted = FilterSet::for_query(&self.query);
         for i in order {
             sorted.points.push(self.points[i]);
-            sorted.planes.extend_from_slice(self.planes_of(i));
             sorted.crossover.extend_from_slice(self.crossover(i));
             sorted.crossover_offsets.push(sorted.crossover.len() as u32);
         }
@@ -222,7 +220,9 @@ impl FilterSet {
     }
 
     /// `IsFiltered` for a single point (strict, like
-    /// [`FilterSet::filters_rect`]).
+    /// [`FilterSet::filters_rect`]). `use_voronoi` changes nothing here: a
+    /// route's Voronoi space holds a point iff the space of one of its
+    /// filter points does.
     pub fn filters_point(&self, p: &Point, k: usize, use_voronoi: bool) -> bool {
         self.filters_point_with(p, k, use_voronoi, &mut RouteMarks::default())
     }
@@ -270,38 +270,32 @@ impl FilterSet {
         counted: impl FnMut(RouteId),
         handed_down: impl FnMut(u32),
     ) -> bool {
-        let verdict = |planes: &[HalfPlane]| classify_rect(planes, rect);
-        if self.count_inside(live, walk, verdict, counted, handed_down) {
+        let entry = RectEntry::new(rect, &self.query);
+        if self.count_inside(live, walk, |r| entry.classify(r), counted, handed_down) {
             return true;
         }
-        walk.use_voronoi && {
-            let query_side = min_dist_sq_query_rect(&self.query, rect);
-            self.voronoi_step(walk, |route| strictly_covers_rect(route, rect, query_side))
-        }
+        walk.use_voronoi && self.voronoi_step(rect, walk)
     }
 
     /// `IsFiltered` for a point under a node that handed down `live` and
-    /// whose inherited routes are in `walk.marks`.
+    /// whose inherited routes are in `walk.marks`. Step 1 is all of it: a
+    /// route's Voronoi space holds a point iff one of its generators' spaces
+    /// does.
     pub(crate) fn point_is_filtered(
         &self,
         p: &Point,
         live: impl Iterator<Item = u32>,
         walk: &mut Walk<'_>,
     ) -> bool {
-        let verdict = |planes: &[HalfPlane]| {
-            if strictly_contains_point(planes, p) {
+        let entry = PointEntry::new(*p, &self.query);
+        let verdict = |r: &Point| {
+            if entry.is_inside(r) {
                 RectVerdict::Inside
             } else {
                 RectVerdict::Outside
             }
         };
-        if self.count_inside(live, walk, verdict, |_| {}, |_| {}) {
-            return true;
-        }
-        walk.use_voronoi && {
-            let query_side = point_route_distance_sq(p, &self.query);
-            self.voronoi_step(walk, |route| strictly_covers_point(route, p, query_side))
-        }
+        self.count_inside(live, walk, verdict, |_| {}, |_| {})
     }
 
     /// Step 1 of `IsFiltered`, the one counting loop: judges every `live`
@@ -311,7 +305,7 @@ impl FilterSet {
         &self,
         live: impl Iterator<Item = u32>,
         walk: &mut Walk<'_>,
-        verdict: impl Fn(&[HalfPlane]) -> RectVerdict,
+        verdict: impl Fn(&Point) -> RectVerdict,
         mut counted: impl FnMut(RouteId),
         mut handed_down: impl FnMut(u32),
     ) -> bool {
@@ -321,7 +315,7 @@ impl FilterSet {
         }
         for index in live {
             walk.filter_tests += 1;
-            match verdict(self.planes_of(index as usize)) {
+            match verdict(&self.points[index as usize].point) {
                 RectVerdict::Inside => {
                     for route in self.crossover(index as usize) {
                         if walk.marks.mark(*route) {
@@ -339,15 +333,14 @@ impl FilterSet {
         false
     }
 
-    /// Step 2 of `IsFiltered` (Section 5.1): the per-route Voronoi
-    /// filtering spaces, for the routes step 1 left uncounted. `covers` is
-    /// the strict test of one route's generators against the entry, minus
-    /// the per-point spaces — step 1 has just found every one of them not
-    /// inside, or the route would be marked.
-    fn voronoi_step(&self, walk: &mut Walk<'_>, covers: impl Fn(&[Point]) -> bool) -> bool {
+    /// Step 2 of `IsFiltered` for a node MBR (Section 5.1): the per-route
+    /// Voronoi filtering spaces, for the routes step 1 left uncounted — each
+    /// a route none of whose generators' own spaces holds the rectangle.
+    fn voronoi_step(&self, rect: &Rect, walk: &mut Walk<'_>) -> bool {
+        let query_side = min_dist_sq_query_rect(&self.query, rect);
         let groups = self.route_groups.get_or_init(|| RouteGroups::build(self));
         for (route, generators) in groups.iter() {
-            if !walk.marks.contains(route) && covers(generators) {
+            if !walk.marks.contains(route) && strictly_covers_rect(generators, rect, query_side) {
                 walk.marks.mark(route);
                 if walk.marks.count() >= walk.k {
                     return true;

@@ -7,9 +7,11 @@
 //! The walk inherits verdicts (see [`crate::filter`], "Inherited verdicts"):
 //! an opened node hands its subtree the filter points that straddle its MBR
 //! and the routes its inside verdicts counted, so each child and endpoint
-//! tests the straddlers only. Every `IsFiltered` answer — and so every
-//! pruned node, every candidate and their order — is the one a scan of the
-//! whole filter set per entry gives.
+//! tests the straddlers only, each test a comparison of squared distances
+//! against a threshold the entry computed once. Every `IsFiltered` answer —
+//! and so every pruned node, every candidate and their order — is the one a
+//! scan of the whole filter set per entry gives, and an endpoint is dropped
+//! only on the comparison verification itself would make at it.
 
 use crate::filter::{FilterSet, Walk};
 use crate::scratch::{PruneLevel, PruneWalk, QueryScratch};

@@ -8,7 +8,9 @@
 //! ([`RouteMarks`]), a traversal stack of [`NodeId`]s, the straddler lists
 //! and inherited-route stack of the pruning walk (`PruneWalk`), the
 //! candidate buffer of the pruning phase, and the per-transition grouping
-//! maps of the verification phase. After the first few queries warm the
+//! maps of the verification phase. (What `IsFiltered` computes per tested
+//! entry — the entry's distance thresholds, [`rknnt_geo::RectEntry`] — is a
+//! few fixed-size rows on the stack and needs no buffer here.) After the first few queries warm the
 //! buffers up, the pruning walk and the per-candidate path perform zero heap
 //! allocations (asserted by the allocation-counter tests in
 //! `tests/hot_path_alloc.rs`).

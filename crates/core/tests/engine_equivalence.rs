@@ -5,10 +5,10 @@
 
 use proptest::prelude::*;
 use rknnt_core::{
-    BruteForceEngine, DivideConquerEngine, FilterRefineEngine, RknnTEngine, RknntQuery, Semantics,
-    VoronoiEngine,
+    build_filter_set, BruteForceEngine, DivideConquerEngine, FilterRefineEngine, RknnTEngine,
+    RknntQuery, Semantics, VoronoiEngine,
 };
-use rknnt_geo::Point;
+use rknnt_geo::{point_route_distance_sq, Point, PointEntry};
 use rknnt_index::{RouteStore, TransitionStore};
 use rknnt_rtree::RTreeConfig;
 
@@ -129,5 +129,133 @@ proptest! {
         }
         let restored = FilterRefineEngine::new(&route_store, &transition_store).execute(&query);
         prop_assert_eq!(restored.len(), before.len());
+    }
+}
+
+/// A seeded city-block world: random-walk routes and uniform trips over a
+/// 2 km square, then every coordinate shifted by `offset`.
+struct TranslatedWorld {
+    routes: RouteStore,
+    transitions: TransitionStore,
+    queries: Vec<Vec<Point>>,
+}
+
+fn translated_world(label: &str, offset: f64) -> TranslatedWorld {
+    const EXTENT: f64 = 2_000.0;
+    let mut rng = TestRng::from_label(label);
+    let mut unit = move || rng.next_f64();
+    let mut walk = |len: usize, step: f64| -> Vec<Point> {
+        let (mut x, mut y) = (unit() * EXTENT, unit() * EXTENT);
+        (0..len)
+            .map(|_| {
+                x = (x + (unit() - 0.5) * step).clamp(0.0, EXTENT);
+                y = (y + (unit() - 0.5) * step).clamp(0.0, EXTENT);
+                Point::new(offset + x, offset + y)
+            })
+            .collect()
+    };
+    let routes: Vec<Vec<Point>> = (0..36).map(|_| walk(9, 300.0)).collect();
+    let transitions: Vec<(Point, Point)> = (0..2_000)
+        .map(|_| {
+            let trip = walk(2, 900.0);
+            (trip[0], trip[1])
+        })
+        .collect();
+    let queries = (0..20).map(|i| walk(1 + i % 6, 250.0)).collect();
+    let config = RTreeConfig::new(8, 3);
+    let (routes, _) = RouteStore::bulk_build(config, routes);
+    TranslatedWorld {
+        routes,
+        transitions: TransitionStore::bulk_build(config, transitions),
+        queries,
+    }
+}
+
+/// Where the world sits must not matter. The predicates compare squared
+/// distances between nearby points — differences first, squares second — so
+/// a 2 km world answers the same at the origin and 3·10⁹ away from it. (As
+/// bisector half-planes `2(q − r)·p ≤ |q|² − |r|²` they did not: the constant
+/// term cancels catastrophically, and this test counted 9 and 83 engine
+/// answers of 360 differing from brute force at 3·10⁸ and 3·10⁹.)
+#[test]
+fn translated_worlds_agree_with_the_oracle() {
+    for offset in [0.0, 1.0e7, 3.0e8, 3.0e9] {
+        let world = translated_world("engine_equivalence::translated_worlds", offset);
+        let (routes, transitions) = (&world.routes, &world.transitions);
+        assert!(routes.num_routes() >= 30 && transitions.len() >= 400);
+        let oracle = BruteForceEngine::new(routes, transitions);
+        let engines: [&dyn RknnTEngine; 3] = [
+            &FilterRefineEngine::new(routes, transitions),
+            &VoronoiEngine::new(routes, transitions),
+            &DivideConquerEngine::new(routes, transitions),
+        ];
+        let (mut mismatches, mut answered) = (Vec::new(), 0usize);
+        for (i, route) in world.queries.iter().enumerate() {
+            for k in [1usize, 3, 6] {
+                for semantics in [Semantics::Exists, Semantics::ForAll] {
+                    let query = RknntQuery {
+                        route: route.clone(),
+                        k,
+                        semantics,
+                    };
+                    let expected = oracle.execute(&query).transitions;
+                    answered += expected.len();
+                    for engine in engines {
+                        if engine.execute(&query).transitions != expected {
+                            mismatches.push((engine.name(), i, k, semantics));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            answered > 0,
+            "offset {offset:e}: the queries must have answers"
+        );
+        assert!(
+            mismatches.is_empty(),
+            "offset {offset:e}: {} of 360 engine answers differ from brute force: {:?}",
+            mismatches.len(),
+            &mismatches[..mismatches.len().min(8)]
+        );
+    }
+}
+
+/// A point verdict is made of verification's own bits: wherever the point
+/// test calls a filter point `r` inside for an endpoint `t`, the comparison
+/// `count_closer_routes_sq` makes at that stop — `r.distance_sq(t)` against
+/// the threshold `point_route_distance_sq(t, Q)` — holds too, with nothing
+/// to spare asked for. So the filter can not prune, through `r`, an endpoint
+/// for which verification (and the oracle) would not count `r`'s routes.
+#[test]
+fn point_verdicts_are_verifications_own_comparison() {
+    for offset in [0.0, 3.0e9] {
+        let world = translated_world("engine_equivalence::point_verdicts", offset);
+        let (mut inside, mut pairs) = (0usize, 0usize);
+        for query in &world.queries {
+            let outcome = build_filter_set(&world.routes, query, 3);
+            for t in world
+                .transitions
+                .transitions()
+                .flat_map(|t| [t.origin, t.destination])
+            {
+                let entry = PointEntry::new(t, query);
+                for r in outcome.filter_set.points() {
+                    pairs += 1;
+                    if entry.is_inside(&r.point) {
+                        inside += 1;
+                        assert!(
+                            r.point.distance_sq(&t) < point_route_distance_sq(&t, query),
+                            "offset {offset:e}: {} inside for {t}, not closer",
+                            r.point
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            inside > pairs / 20 && inside < pairs,
+            "offset {offset:e}: {inside} of {pairs} pairs inside"
+        );
     }
 }

@@ -4,38 +4,61 @@
 //! verdicts down to its subtree (inside → routes counted once, outside →
 //! filter point dropped, straddling → re-tested below). The [`reference`]
 //! module keeps what they did before: **every** entry — RR-tree node, stop,
-//! TR-tree node, endpoint — scans the whole filter set from the top, through
-//! `rknnt-geo`'s owning [`FilteringSpace`] / [`VoronoiFilter`] objects. The
-//! claim is that the two are indistinguishable except by the work they do:
-//! same filter points in the same order, same `refine_nodes`, same candidate
-//! *sequence*, same pruned-node count, same `entries_tested`, and never more
-//! `filter_tests`.
+//! TR-tree node, endpoint — scans the whole filter set from the top, and it
+//! spells the predicates out from `rknnt-geo`'s public point test alone: a
+//! rectangle is inside a filter point's space iff its four corners each pass
+//! `PointEntry::is_inside`, and the Voronoi step is the full Definition 8
+//! test — a generator dominating the rectangle, a generator's own space
+//! holding it, the small-rectangle condition; at a point, any generator
+//! strictly closer than the query — including the parts the product leaves
+//! out as implied by step 1. The claim is that the two are indistinguishable
+//! except by the work they do: same filter points in the same order, same
+//! `refine_nodes`, same candidate *sequence*, same pruned-node count, same
+//! `entries_tested`, and never more `filter_tests`.
 //!
 //! The property test draws worlds half from a coarse integer lattice (exact
 //! ties, duplicate stops, collinear routes, single-point MBRs are the common
 //! case there) and half from a continuous square, with tiny R-tree fan-out so
-//! the trees are deep, and a third of them translated by 3·10⁹ — there the
-//! half-plane evaluation is mostly rounding noise, and the walks still agree
-//! with the scan bit for bit, because the noise is monotone (the argument on
-//! `rknnt_geo::HalfPlane`). The fixed opening walks the named degenerate
+//! the trees are deep, and a third of them translated by 3·10⁹. What holds:
+//! on the lattice every squared distance is an exact integer, so an
+//! inherited verdict is the scan's verdict, always. Elsewhere a walk can
+//! differ from the scan only where a comparison of one of them lies within
+//! rounding error — a few ulps of a squared distance between *nearby*
+//! points, ≈ 10⁻¹² here — of its threshold, at any translation: the
+//! predicates subtract coordinates before they square them. (The seeded
+//! cases hold no such comparison; a failure here after a change to the
+//! predicates is a real difference until shown to be one of those.) And at
+//! a point the verdict is made of the very bits `verify_candidates` compares
+//! (`point_verdicts_are_verifications_own_comparison` in
+//! `engine_equivalence.rs`). The fixed opening walks the named degenerate
 //! geometries one by one.
 //!
 //! # Mutations that must fail this suite
 //!
-//! Each is a one-line change to the product source; all three were run once
-//! by hand and reverted (CHANGES, PR 17):
+//! Each is a one-line change to the product source, run once by hand and
+//! reverted. Of the predicate (`rknnt_geo::filtering`; CHANGES, PR 19 — the
+//! lattice cases of `geo_properties.rs` fail on 2 and 3 as well):
 //!
-//! 1. *Treat "outside" as `!inside`* — in `rknnt_geo::filtering::classify_rect`
-//!    return `Outside` instead of `Straddling`: a straddler is dropped for
-//!    the subtree, children under-count, nodes and endpoints survive that the
-//!    scan prunes.
-//! 2. *Let a Voronoi mark into the inherited-route stack* — in
+//! 1. *Drop the `− EPSILON` on the point threshold* — in `PointEntry::new`
+//!    use the squared distance itself: a stop 0.2 nm² short of strictly
+//!    closer counts, and `voronoi_verdicts_are_not_inherited` loses `p1`.
+//! 2. *Test only the tightest corner* — in `RectEntry::classify` call a
+//!    rectangle inside on `dist_sq[0] < threshold[0]` alone: nodes are
+//!    pruned whose far corner the reference finds outside.
+//! 3. *Accept a witness on three corners* — in `RectEntry::classify` let
+//!    `(1..4)` decide the witness half of outside: a straddler is dropped
+//!    for the subtree, children under-count, nodes and endpoints survive
+//!    that the scan prunes.
+//!
+//! Of the walks (CHANGES, PR 17; re-run with the predicates above):
+//!
+//! 4. *Let a Voronoi mark into the inherited-route stack* — in
 //!    `FilterSet::rect_is_filtered` hand `counted` on to `voronoi_step` and
 //!    call it beside `walk.marks.mark(route)`: an endpoint inherits a route
 //!    whose point test it does not pass itself. Only
 //!    `voronoi_verdicts_are_not_inherited` can see this one — see its
 //!    comment for why every ordinary world hides it.
-//! 3. *Forget the points added since the parent's pop* — in
+//! 5. *Forget the points added since the parent's pop* — in
 //!    `build_filter_set` drop the `.chain(above.seen..)` from `live`: an
 //!    entry misses the newest filter points, stops enter the set that the
 //!    scan filters.
@@ -51,11 +74,14 @@ use rknnt_index::{RouteStore, TransitionId, TransitionStore};
 use rknnt_rtree::RTreeConfig;
 
 /// The per-entry full scan: the filter and prune code as it stood before the
-/// walks inherited verdicts, plus the two work counters.
+/// walks inherited verdicts, plus the two work counters, over predicates
+/// written out from `PointEntry`.
 mod reference {
     use rknnt_core::CandidateEndpoint;
+    use rknnt_geo::voronoi::strictly_covers_rect;
     use rknnt_geo::{
-        min_dist_query_rect, point_route_distance, FilteringSpace, Point, Rect, VoronoiFilter,
+        min_dist_query_rect, min_dist_sq_query_rect, point_route_distance, Point, PointEntry, Rect,
+        EPSILON,
     };
     use rknnt_index::{RouteId, RouteStore, StopId, TransitionId, TransitionStore};
     use rknnt_rtree::NodeId;
@@ -67,14 +93,15 @@ mod reference {
         pub stop: StopId,
         pub point: Point,
         pub crossover: Vec<RouteId>,
-        space: FilteringSpace,
     }
 
     #[derive(Default)]
     pub struct FilterSet {
+        query: Vec<Point>,
         pub points: Vec<FilterPoint>,
         pub by_route: HashMap<RouteId, Vec<Point>>,
-        voronoi: Vec<(RouteId, VoronoiFilter)>,
+        /// The generators of each route's Voronoi space, by ascending route.
+        voronoi: Vec<(RouteId, Vec<Point>)>,
         /// Entries put through `filters_*`.
         pub entries_tested: Cell<usize>,
         /// `inside_space` evaluations.
@@ -82,7 +109,7 @@ mod reference {
     }
 
     impl FilterSet {
-        fn add(&mut self, stop: StopId, point: Point, crossover: Vec<RouteId>, query: &[Point]) {
+        fn add(&mut self, stop: StopId, point: Point, crossover: Vec<RouteId>) {
             for r in &crossover {
                 self.by_route.entry(*r).or_default().push(point);
             }
@@ -90,45 +117,50 @@ mod reference {
                 stop,
                 point,
                 crossover,
-                space: FilteringSpace::new(point, query),
             });
         }
 
-        fn finalize(&mut self, query: &[Point]) {
+        fn finalize(&mut self) {
             self.points
                 .sort_by_key(|fp| std::cmp::Reverse(fp.crossover.len()));
             self.voronoi = self
                 .by_route
                 .iter()
-                .map(|(route, pts)| (*route, VoronoiFilter::new(pts.clone(), query.to_vec())))
+                .map(|(route, pts)| (*route, pts.clone()))
                 .collect();
             self.voronoi.sort_by_key(|(r, _)| *r);
         }
 
+        /// `rect ⊂ H_{r:Q}` (strictly) iff its four corners are, and
+        /// `rect ⊂ H_{R:Q}` by any of Definition 8's three conditions.
         pub fn filters_rect(&self, rect: &Rect, k: usize, use_voronoi: bool) -> bool {
-            self.filters_impl(
-                k,
-                use_voronoi,
-                |space| space.strictly_contains_rect(rect),
-                |vf| vf.strictly_contains_rect(rect),
-            )
+            let corners = rect.corners().map(|c| PointEntry::new(c, &self.query));
+            let inside_space = |r: &Point| corners.iter().all(|c| c.is_inside(r));
+            let query_side = min_dist_sq_query_rect(&self.query, rect);
+            self.filters_impl(k, use_voronoi, inside_space, |generators| {
+                generators
+                    .iter()
+                    .any(|r| rect.max_dist_sq(r) < query_side - EPSILON || inside_space(r))
+                    || strictly_covers_rect(generators, rect, query_side)
+            })
         }
 
+        /// `p ∈ H_{r:Q}` (strictly), and `p ∈ H_{R:Q}` iff some generator of
+        /// `R` is strictly closer to `p` than the query is.
         pub fn filters_point(&self, p: &Point, k: usize, use_voronoi: bool) -> bool {
-            self.filters_impl(
-                k,
-                use_voronoi,
-                |space| space.strictly_contains_point(p),
-                |vf| vf.strictly_contains_point(p),
-            )
+            let entry = PointEntry::new(*p, &self.query);
+            let inside_space = |r: &Point| entry.is_inside(r);
+            self.filters_impl(k, use_voronoi, inside_space, |generators| {
+                generators.iter().any(inside_space)
+            })
         }
 
         fn filters_impl(
             &self,
             k: usize,
             use_voronoi: bool,
-            inside_space: impl Fn(&FilteringSpace) -> bool,
-            inside_voronoi: impl Fn(&VoronoiFilter) -> bool,
+            inside_space: impl Fn(&Point) -> bool,
+            inside_voronoi: impl Fn(&[Point]) -> bool,
         ) -> bool {
             self.entries_tested.set(self.entries_tested.get() + 1);
             if k == 0 {
@@ -137,7 +169,7 @@ mod reference {
             let mut marks: HashSet<RouteId> = HashSet::new();
             for fp in &self.points {
                 self.filter_tests.set(self.filter_tests.get() + 1);
-                if inside_space(&fp.space) {
+                if inside_space(&fp.point) {
                     marks.extend(fp.crossover.iter().copied());
                     if marks.len() >= k {
                         return true;
@@ -147,11 +179,11 @@ mod reference {
             if !use_voronoi {
                 return marks.len() >= k;
             }
-            for (route, vf) in &self.voronoi {
+            for (route, generators) in &self.voronoi {
                 if marks.contains(route) {
                     continue;
                 }
-                if inside_voronoi(vf) {
+                if inside_voronoi(generators) {
                     marks.insert(*route);
                     if marks.len() >= k {
                         return true;
@@ -192,7 +224,10 @@ mod reference {
     /// Algorithm 2 with a full scan per heap entry. The work counters of the
     /// returned set cover the construction.
     pub fn build(routes: &RouteStore, query: &[Point], k: usize) -> (FilterSet, Vec<NodeId>) {
-        let mut filter_set = FilterSet::default();
+        let mut filter_set = FilterSet {
+            query: query.to_vec(),
+            ..FilterSet::default()
+        };
         let mut refine_nodes = Vec::new();
         let tree = routes.rtree();
         let Some(root) = tree.root() else {
@@ -234,11 +269,11 @@ mod reference {
                     if filter_set.filters_point(&point, k, false) {
                         continue;
                     }
-                    filter_set.add(stop, point, routes.crossover(stop).to_vec(), query);
+                    filter_set.add(stop, point, routes.crossover(stop).to_vec());
                 }
             }
         }
-        filter_set.finalize(query);
+        filter_set.finalize();
         (filter_set, refine_nodes)
     }
 
@@ -681,21 +716,28 @@ fn pinned_world() -> (RouteStore, TransitionStore, Vec<Vec<Point>>) {
 ///
 /// The pinned value is the sum over the six queries of the pinned world at
 /// k = 10 of the Filter–Refine engine's `stats.filter_tests` (construction +
-/// pruning), measured when the walks first inherited verdicts (PR 17). It is
-/// an upper bound: a change that makes the walks test fewer filter points —
-/// ordering straddlers so the early exit fires sooner, a tighter "outside"
-/// test, a cheaper bound that drops filter points before any half-plane is
-/// evaluated — lowers the measured sum (run with `--nocapture` to read it),
-/// and the constant should then be lowered to the new sum in the same
-/// change. (Settling single half-planes for a subtree, not whole filter
-/// points, would cut the cost of a test, not their count.) A
-/// change that raises it has made the filter or prune phase do more work
-/// per query and needs a reason. `entries_tested` is pinned by equality with
-/// the reference scan instead: it is a property of the trees and the query,
-/// not of how `IsFiltered` is evaluated.
+/// pruning). It is an upper bound: a change that makes the walks test fewer
+/// filter points — ordering straddlers so the early exit fires sooner, a
+/// tighter "outside" test — lowers the measured sum (run with `--nocapture`
+/// to read it), and the constant should then be lowered to the new sum in
+/// the same change. A change that raises it has made the filter or prune
+/// phase hand more filter points down per query and needs a reason.
+///
+/// It has risen once, 482 701 → 504 040 (PR 19), for this reason: 482 701
+/// was measured when a test cost up to |Q| half-planes and any one of them
+/// missing the MBR made the verdict "outside". A test is now four distance
+/// evaluations whatever |Q| is, and "outside" tries one query point as the
+/// witness plus a distance bound, so a few filter points another query
+/// point would have dropped are handed down as straddlers and re-tested
+/// below (4.4 % more tests here; trying every query point as the witness
+/// gives exactly 482 701 again and a slower prune). The count no longer
+/// tracks the time — what it still pins is the inheritance: it stays below
+/// half of the scan's. `entries_tested` is pinned by equality with the
+/// reference scan instead: it is a property of the trees and the query, not
+/// of how `IsFiltered` is evaluated.
 #[test]
 fn filter_tests_never_increase_on_the_pinned_world() {
-    const PINNED_FILTER_TESTS_K10: usize = 482_701;
+    const PINNED_FILTER_TESTS_K10: usize = 504_040;
     let (routes, transitions, queries) = pinned_world();
     let (mut walks, mut scan) = (0usize, 0usize);
     for query in &queries {

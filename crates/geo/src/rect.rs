@@ -190,6 +190,17 @@ impl Rect {
         self.min_dist_sq(p).sqrt()
     }
 
+    /// Squared distances from `p` to the four corners, in [`Rect::corners`]
+    /// order — each bit for bit `p.distance_sq(corner)`, for half the
+    /// arithmetic: the corners share their coordinate differences.
+    #[inline]
+    pub fn corner_dist_sq(&self, p: &Point) -> [f64; 4] {
+        let sq = |d: f64| d * d;
+        let (x0, x1) = (sq(p.x - self.min.x), sq(p.x - self.max.x));
+        let (y0, y1) = (sq(p.y - self.min.y), sq(p.y - self.max.y));
+        [x0 + y0, x1 + y0, x1 + y1, x0 + y1]
+    }
+
     /// Squared maximum distance from `p` to any point of the rectangle.
     #[inline]
     pub fn max_dist_sq(&self, p: &Point) -> f64 {
