@@ -18,8 +18,7 @@ use crate::dataset::{Dataset, DatasetKind, ExperimentContext, ScaleConfig};
 use crate::gate::Bound;
 use crate::record::Output;
 use rknnt_core::{
-    DivideConquerEngine, EngineKind, FilterRefineEngine, QueryStats, RknnTEngine, RknntQuery,
-    VoronoiEngine,
+    DivideConquerEngine, FilterRefineEngine, QueryStats, RknnTEngine, RknntQuery, VoronoiEngine,
 };
 use rknnt_data::{stats, workload};
 use rknnt_geo::Point;
@@ -30,7 +29,7 @@ use rknnt_routeplan::{
     BruteForcePlanner, Objective, PlanQuery, PlannerConfig, PrePlanner, Precomputation,
     PruningPlanner, RoutePlanner,
 };
-use rknnt_service::{EnginePolicy, QueryService, ServiceConfig, StoreUpdate};
+use rknnt_service::{QueryService, ServiceConfig, StoreUpdate};
 use std::time::{Duration, Instant};
 
 /// Mean of a slice of durations (zero for an empty slice).
@@ -616,14 +615,12 @@ fn fig21(ctx: &ExperimentContext, out: &mut Output) {
 // Wall-clock experiments behind the CI gates (beyond the paper)
 // ---------------------------------------------------------------------------
 //
-// All four run on the small synthetic city under ∃ semantics with the
-// Voronoi engine on one worker. What they gate is a ratio of two timings
-// taken in the same run; throughput itself is measured by `benchmark/`.
+// All four run on the small synthetic city under ∃ semantics on one worker.
+// What they gate is a ratio of two timings taken in the same run; throughput
+// itself is measured by `benchmark/`.
 
 fn serving_config() -> ServiceConfig {
-    ServiceConfig::default()
-        .with_workers(1)
-        .with_policy(EnginePolicy::Fixed(EngineKind::Voronoi))
+    ServiceConfig::default().with_workers(1)
 }
 
 /// A service over copies of `dataset`'s stores.
@@ -1451,7 +1448,7 @@ const GATE_RUNS: [(&str, usize); 4] = [
     ("open_loop_latency", 400),
 ];
 
-/// Runs the four gated experiments at their [`GATE_RUNS`] scales, handing
+/// Runs the four gated experiments at their `GATE_RUNS` scales, handing
 /// each finished [`Output`] (rows and gate values) to `sink`.
 pub fn run_gates(mut sink: impl FnMut(&'static Experiment, Output)) {
     for (name, transitions) in GATE_RUNS {

@@ -26,7 +26,6 @@ use std::time::Instant;
 pub struct DivideConquerEngine<'a> {
     routes: &'a RouteStore,
     transitions: &'a TransitionStore,
-    use_voronoi: bool,
 }
 
 impl<'a> DivideConquerEngine<'a> {
@@ -37,16 +36,6 @@ impl<'a> DivideConquerEngine<'a> {
         DivideConquerEngine {
             routes,
             transitions,
-            use_voronoi: false,
-        }
-    }
-
-    /// Enables the Voronoi step inside each per-point pass (exposed for the
-    /// ablation benchmarks).
-    pub fn with_voronoi(routes: &'a RouteStore, transitions: &'a TransitionStore) -> Self {
-        DivideConquerEngine {
-            use_voronoi: true,
-            ..Self::new(routes, transitions)
         }
     }
 }
@@ -76,7 +65,7 @@ impl RknnTEngine for DivideConquerEngine<'_> {
                 self.transitions,
                 &filter_outcome.filter_set,
                 query.k,
-                self.use_voronoi,
+                false,
                 scratch,
                 |id| id,
             );
@@ -158,7 +147,6 @@ mod tests {
         let oracle = BruteForceEngine::new(&routes, &transitions);
         let fr = FilterRefineEngine::new(&routes, &transitions);
         let dc = DivideConquerEngine::new(&routes, &transitions);
-        let dc_v = DivideConquerEngine::with_voronoi(&routes, &transitions);
         for k in [1usize, 3, 7] {
             for semantics in [Semantics::Exists, Semantics::ForAll] {
                 let query = RknntQuery {
@@ -169,7 +157,6 @@ mod tests {
                 let expected = oracle.execute(&query).transitions;
                 assert_eq!(fr.execute(&query).transitions, expected, "fr k={k}");
                 assert_eq!(dc.execute(&query).transitions, expected, "dc k={k}");
-                assert_eq!(dc_v.execute(&query).transitions, expected, "dc+v k={k}");
             }
         }
     }

@@ -1,6 +1,5 @@
 //! The engine trait shared by all RkNNT query processors.
 
-use crate::footprint::FilterFootprint;
 use crate::query::{RknntQuery, RknntResult};
 use crate::scratch::QueryScratch;
 
@@ -10,13 +9,16 @@ use crate::scratch::QueryScratch;
 /// All engines must return exactly the same set of transitions for the same
 /// query (they differ only in how much work they do); this is asserted by the
 /// cross-engine equivalence tests in `tests/` and by the property tests
-/// against the brute-force oracle.
+/// against the brute-force oracle. They are the paper's Figure 9–15 curves
+/// and the oracles the serving layer is tested against; serving itself
+/// composes the two kernel halves ([`crate::build_filter_set`] +
+/// [`crate::prune_into_scratch`], then [`crate::verify_candidates`]) rather
+/// than calling an engine.
 ///
 /// Engines are `Send + Sync`: they hold only shared references into the
 /// stores (the NList they verify against is the route store's own), so
-/// constructing one is O(1) and the serving layer can execute queries
-/// against one engine from many worker threads, or build one engine per
-/// worker inside a [`std::thread::scope`].
+/// constructing one is O(1) and one can be used from many threads, or built
+/// per thread inside a [`std::thread::scope`].
 pub trait RknnTEngine: Send + Sync {
     /// Human-readable engine name used in benchmark output
     /// ("Filter-Refine", "Voronoi", "Divide-Conquer", "BruteForce").
@@ -30,33 +32,9 @@ pub trait RknnTEngine: Send + Sync {
     /// buffers instead of allocating per-call state. Byte-identical results
     /// to [`RknnTEngine::execute`]; the default implementation simply
     /// ignores the scratch for engines with no per-candidate state (e.g.
-    /// brute force). The serving layer owns one scratch per worker and
-    /// threads it through every query the worker runs.
+    /// brute force).
     fn execute_scratch(&self, query: &RknntQuery, scratch: &mut QueryScratch) -> RknntResult {
         let _ = scratch;
         self.execute(query)
-    }
-
-    /// Scratch-reusing form of [`RknnTEngine::execute_with_footprint`].
-    fn execute_with_footprint_scratch(
-        &self,
-        query: &RknntQuery,
-        scratch: &mut QueryScratch,
-    ) -> (RknntResult, Option<FilterFootprint>) {
-        (self.execute_scratch(query, scratch), None)
-    }
-
-    /// Executes the query and also reports the [`FilterFootprint`] of the
-    /// filter construction the execution used, when the engine builds one.
-    ///
-    /// Serving layers that keep *standing* queries current under store churn
-    /// (result caches, continuous-query monitors) need the footprint next to
-    /// every freshly computed result so later updates can be classified as
-    /// affecting it or not. Engines without a filter phase (brute force,
-    /// divide & conquer) return `None` and the caller falls back to
-    /// [`FilterFootprint::compute`]; the result is byte-identical to
-    /// [`RknnTEngine::execute`] either way.
-    fn execute_with_footprint(&self, query: &RknntQuery) -> (RknntResult, Option<FilterFootprint>) {
-        (self.execute(query), None)
     }
 }

@@ -40,11 +40,6 @@ impl<'a> FilterRefineEngine<'a> {
         }
     }
 
-    /// Whether the Voronoi-based filtering step is enabled.
-    pub fn uses_voronoi(&self) -> bool {
-        self.use_voronoi
-    }
-
     /// Shared access to the stores (used by the divide & conquer engine and
     /// by the benchmark harness).
     pub fn stores(&self) -> (&'a RouteStore, &'a TransitionStore) {
@@ -55,24 +50,11 @@ impl<'a> FilterRefineEngine<'a> {
     /// running the rest of the pipeline.
     ///
     /// The outcome depends only on `(query.route, query.k)` — not on the
-    /// semantics — so the serving layer builds it once per distinct
-    /// `(route, k)` in a batch and replays it through
+    /// semantics — so one construction can be replayed through
     /// [`FilterRefineEngine::execute_with_filter`] for every query sharing
     /// the pair.
     pub fn build_filter(&self, query: &RknntQuery) -> FilterOutcome {
         build_filter_set(self.routes, &query.route, query.k)
-    }
-
-    /// Reports the [`crate::FilterFootprint`] of a filter construction —
-    /// the region and pruning witnesses the filter step for this query
-    /// actually used. The serving layer records it next to cached results
-    /// so store updates can invalidate only the entries they can affect.
-    pub fn footprint_for(
-        &self,
-        query: &RknntQuery,
-        outcome: &crate::FilterOutcome,
-    ) -> crate::FilterFootprint {
-        crate::FilterFootprint::from_outcome(&query.route, outcome)
     }
 
     /// Executes the prune + verify phases against a pre-built filter
@@ -83,8 +65,8 @@ impl<'a> FilterRefineEngine<'a> {
     /// reusing a filter set across different routes or k values is unsound.
     /// Given that precondition, the returned transition set is byte-identical
     /// to [`RknnTEngine::execute`]'s — the pipeline is deterministic — which
-    /// is what lets the batch service share filter construction across
-    /// queries without changing any answer. Reported filtering time covers
+    /// is what lets a batch share filter construction across queries
+    /// without changing any answer. Reported filtering time covers
     /// only the pruning done here; callers amortising one construction over
     /// several queries account for the construction time themselves.
     pub fn execute_with_filter(
@@ -159,30 +141,6 @@ impl RknnTEngine for FilterRefineEngine<'_> {
         result.timings.filtering += construction;
         result
     }
-
-    fn execute_with_footprint(
-        &self,
-        query: &RknntQuery,
-    ) -> (RknntResult, Option<crate::FilterFootprint>) {
-        self.execute_with_footprint_scratch(query, &mut QueryScratch::new())
-    }
-
-    fn execute_with_footprint_scratch(
-        &self,
-        query: &RknntQuery,
-        scratch: &mut QueryScratch,
-    ) -> (RknntResult, Option<crate::FilterFootprint>) {
-        if query.is_degenerate() {
-            return (RknntResult::default(), None);
-        }
-        let filter_started = Instant::now();
-        let filter_outcome = self.build_filter(query);
-        let construction = filter_started.elapsed();
-        let footprint = self.footprint_for(query, &filter_outcome);
-        let mut result = self.execute_with_filter_scratch(query, &filter_outcome, scratch);
-        result.timings.filtering += construction;
-        (result, Some(footprint))
-    }
 }
 
 /// The Voronoi engine of Section 5.1: identical pipeline, but `IsFiltered`
@@ -194,39 +152,6 @@ impl<'a> VoronoiEngine<'a> {
     /// Creates the Voronoi-optimised engine.
     pub fn new(routes: &'a RouteStore, transitions: &'a TransitionStore) -> Self {
         VoronoiEngine(FilterRefineEngine::with_voronoi(routes, transitions))
-    }
-
-    /// Access to the underlying Filter–Refine pipeline.
-    pub fn inner(&self) -> &FilterRefineEngine<'a> {
-        &self.0
-    }
-
-    /// Builds the filter set for a query; see
-    /// [`FilterRefineEngine::build_filter`].
-    pub fn build_filter(&self, query: &RknntQuery) -> FilterOutcome {
-        self.0.build_filter(query)
-    }
-
-    /// Executes against a pre-built filter outcome; see
-    /// [`FilterRefineEngine::execute_with_filter`].
-    pub fn execute_with_filter(
-        &self,
-        query: &RknntQuery,
-        filter_outcome: &FilterOutcome,
-    ) -> RknntResult {
-        self.0.execute_with_filter(query, filter_outcome)
-    }
-
-    /// Scratch-reusing execution against a pre-built filter outcome; see
-    /// [`FilterRefineEngine::execute_with_filter_scratch`].
-    pub fn execute_with_filter_scratch(
-        &self,
-        query: &RknntQuery,
-        filter_outcome: &FilterOutcome,
-        scratch: &mut QueryScratch,
-    ) -> RknntResult {
-        self.0
-            .execute_with_filter_scratch(query, filter_outcome, scratch)
     }
 }
 
@@ -241,21 +166,6 @@ impl RknnTEngine for VoronoiEngine<'_> {
 
     fn execute_scratch(&self, query: &RknntQuery, scratch: &mut QueryScratch) -> RknntResult {
         self.0.execute_scratch(query, scratch)
-    }
-
-    fn execute_with_footprint(
-        &self,
-        query: &RknntQuery,
-    ) -> (RknntResult, Option<crate::FilterFootprint>) {
-        self.0.execute_with_footprint(query)
-    }
-
-    fn execute_with_footprint_scratch(
-        &self,
-        query: &RknntQuery,
-        scratch: &mut QueryScratch,
-    ) -> (RknntResult, Option<crate::FilterFootprint>) {
-        self.0.execute_with_footprint_scratch(query, scratch)
     }
 }
 
@@ -343,7 +253,6 @@ mod tests {
         let r2 = vo.execute(&query);
         assert!(r2.stats.candidate_endpoints <= r1.stats.candidate_endpoints);
         assert_eq!(r1.transitions, r2.transitions);
-        assert!(vo.inner().uses_voronoi());
         assert_eq!(vo.name(), "Voronoi");
     }
 
@@ -364,33 +273,6 @@ mod tests {
         transitions.remove(id);
         let removed = FilterRefineEngine::new(&routes, &transitions).execute(&query);
         assert!(!removed.contains(id));
-    }
-
-    #[test]
-    fn execute_with_footprint_matches_execute_and_reports_the_filter() {
-        let (routes, transitions) = ladder_world();
-        let fr = FilterRefineEngine::new(&routes, &transitions);
-        let vo = VoronoiEngine::new(&routes, &transitions);
-        let query = RknntQuery::exists(vec![p(5.0, 37.0), p(35.0, 37.0), p(65.0, 37.0)], 3);
-        for engine in [&fr as &dyn RknnTEngine, &vo] {
-            let (result, footprint) = engine.execute_with_footprint(&query);
-            assert_eq!(result.transitions, engine.execute(&query).transitions);
-            let footprint = footprint.expect("filter engines must report a footprint");
-            assert_eq!(
-                footprint,
-                fr.footprint_for(&query, &fr.build_filter(&query)),
-                "reported footprint must be the one the execution built"
-            );
-        }
-        // Degenerate queries build no filter and report no footprint.
-        let (result, footprint) = fr.execute_with_footprint(&RknntQuery::exists(vec![], 2));
-        assert!(result.is_empty());
-        assert!(footprint.is_none());
-        // Engines without a filter phase fall back to the default (`None`).
-        let brute = BruteForceEngine::new(&routes, &transitions);
-        let (result, footprint) = brute.execute_with_footprint(&query);
-        assert_eq!(result.transitions, fr.execute(&query).transitions);
-        assert!(footprint.is_none());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Engine selection by value: the [`EngineKind`] enum and its factory.
 //!
-//! The serving layer executes batches across worker threads, and every
-//! worker constructs its own engine over borrowed stores (engines own no
-//! index, so this is O(1)). [`EngineKind::build`] is the
-//! universally-quantified constructor path that makes this possible: it
-//! works for *any* borrow lifetime, so a worker inside a
-//! [`std::thread::scope`] can call it on references captured by the scope.
+//! The kinds name the paper's curves (Figures 9–15) and the oracles the
+//! serving layer is tested against; serving itself runs no engine — it
+//! composes the two kernel halves (see [`crate::RknnTEngine`]).
+//! [`EngineKind::build`] constructs an engine over borrowed stores (engines
+//! own no index, so this is O(1)) and works for *any* borrow lifetime, so a
+//! thread inside a [`std::thread::scope`] can call it on references captured
+//! by the scope.
 
 use crate::brute::BruteForceEngine;
 use crate::divide::DivideConquerEngine;
@@ -18,8 +19,7 @@ use std::str::FromStr;
 
 /// The four interchangeable RkNNT engines, as a value.
 ///
-/// `Ord` follows declaration order; the serving layer relies on it only for
-/// deterministic group ordering, never for semantics.
+/// `Ord` follows declaration order and carries no meaning.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]

@@ -6,14 +6,14 @@
 //! watermark; standing queries are re-established with resync deltas; and
 //! after recovery the fleet is byte-identical to a fleet that never failed.
 
-use rknnt_core::{EngineKind, RknntQuery, Semantics};
+use rknnt_core::{RknntQuery, Semantics};
 use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionId, TransitionStore};
 use rknnt_net::{
     BreakerState, FleetConfig, FleetRouter, RecordingSleeper, RemoteShardConfig, ServerConfig,
 };
 use rknnt_obs::MockClock;
-use rknnt_service::{EnginePolicy, QueryService, ServiceConfig, StoreUpdate};
+use rknnt_service::{QueryService, ServiceConfig, StoreUpdate};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,7 +81,7 @@ fn churn() -> Vec<StoreUpdate> {
 }
 
 fn service_config() -> ServiceConfig {
-    ServiceConfig::default().with_policy(EnginePolicy::Fixed(EngineKind::FilterRefine))
+    ServiceConfig::default()
 }
 
 /// A fleet wired for deterministic tests: recorded (not slept) backoffs, a

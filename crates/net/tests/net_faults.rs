@@ -7,7 +7,7 @@
 //! connection is always byte-identical to in-process execution.
 
 use proptest::prelude::*;
-use rknnt_core::{EngineKind, RknntQuery, Semantics};
+use rknnt_core::{RknntQuery, Semantics};
 use rknnt_fault::FaultPlan;
 use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionStore};
@@ -15,9 +15,7 @@ use rknnt_net::{
     Backend, Client, ClientConfig, ClientError, Reply, Server, ServerConfig, CLIENT_WRITE_SITE,
     SERVER_EXECUTOR_SITE, SERVER_READ_SITE, SERVER_WRITE_SITE,
 };
-use rknnt_service::{
-    EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService, StoreUpdate,
-};
+use rknnt_service::{QueryService, ServiceConfig, ShardedConfig, ShardedService, StoreUpdate};
 use rknnt_storage::{StorageConfig, WAL_WRITE_SITE};
 use std::path::Path;
 use std::time::Duration;
@@ -56,11 +54,7 @@ fn service() -> QueryService {
     for (origin, destination) in &pairs {
         transition_store.insert(*origin, *destination).unwrap();
     }
-    QueryService::new(
-        route_store,
-        transition_store,
-        ServiceConfig::default().with_policy(EnginePolicy::Fixed(EngineKind::FilterRefine)),
-    )
+    QueryService::new(route_store, transition_store, ServiceConfig::default())
 }
 
 fn query(k: usize, semantics: Semantics) -> RknntQuery {

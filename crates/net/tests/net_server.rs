@@ -4,7 +4,7 @@
 //! never silently drops a request, and hostile bytes on the wire get a
 //! typed error instead of undefined behaviour.
 
-use rknnt_core::{EngineKind, RknntQuery, Semantics};
+use rknnt_core::{RknntQuery, Semantics};
 use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionStore};
 use rknnt_net::{
@@ -12,8 +12,7 @@ use rknnt_net::{
     WireSlowQuery,
 };
 use rknnt_service::{
-    EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig,
-    StoreUpdate,
+    QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig, StoreUpdate,
 };
 use std::collections::BTreeMap;
 use std::net::TcpStream;
@@ -84,9 +83,7 @@ fn single_backend(config: ServiceConfig) -> Backend {
 
 #[test]
 fn answers_over_tcp_are_byte_identical_to_in_process() {
-    let config = ServiceConfig::default()
-        .with_workers(2)
-        .with_policy(EnginePolicy::Fixed(EngineKind::Voronoi));
+    let config = ServiceConfig::default().with_workers(2);
     let backend = single_backend(config);
     let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let (routes, pairs) = small_world();
@@ -120,7 +117,7 @@ fn answers_over_tcp_are_byte_identical_to_in_process() {
 #[test]
 fn sharded_backend_matches_unsharded_twin_over_tcp() {
     let (routes, pairs) = small_world();
-    let base = ServiceConfig::default().with_policy(EnginePolicy::Fixed(EngineKind::FilterRefine));
+    let base = ServiceConfig::default();
     let sharded = ShardedService::bulk_build(
         ShardedConfig::default().with_shards(4).with_base(base),
         routes.clone(),
@@ -142,7 +139,7 @@ fn sharded_backend_matches_unsharded_twin_over_tcp() {
 
 #[test]
 fn subscription_deltas_stream_to_the_owning_connection() {
-    let config = ServiceConfig::default().with_policy(EnginePolicy::Fixed(EngineKind::Voronoi));
+    let config = ServiceConfig::default();
     let backend = single_backend(config);
     let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     // Twin service receiving the same subscription and updates in the same
@@ -213,9 +210,7 @@ fn subscription_deltas_stream_to_the_owning_connection() {
 
 #[test]
 fn burst_replies_are_all_accounted_and_answered_ones_byte_identical() {
-    let config = ServiceConfig::default()
-        .with_policy(EnginePolicy::Fixed(EngineKind::Voronoi))
-        .with_cache_capacity(0);
+    let config = ServiceConfig::default().with_cache_capacity(0);
     let backend = single_backend(config);
     let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let (routes, pairs) = small_world();
@@ -415,7 +410,7 @@ fn introspect_fetches_the_slow_trace_span_tree_over_tcp() {
     // Sharded durable backend, so per-shard routing decisions and WAL
     // appends both appear in the trace.
     let (routes, pairs) = small_world();
-    let base = ServiceConfig::default().with_policy(EnginePolicy::Fixed(EngineKind::FilterRefine));
+    let base = ServiceConfig::default();
     let mut sharded = ShardedService::bulk_build(
         ShardedConfig::default().with_shards(4).with_base(base),
         routes.clone(),
@@ -624,7 +619,7 @@ fn slow_log_promotes_every_over_threshold_trace_and_nothing_unsampled() {
 
 #[test]
 fn disconnect_reclaims_subscriptions_before_later_updates() {
-    let config = ServiceConfig::default().with_policy(EnginePolicy::Fixed(EngineKind::Voronoi));
+    let config = ServiceConfig::default();
     let backend = single_backend(config);
     let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let server = Server::start(backend, ServerConfig::default()).unwrap();

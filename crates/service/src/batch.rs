@@ -1,15 +1,15 @@
-//! Batch formation and per-group execution: spatial grouping, shared-filter
-//! reuse, duplicate coalescing and the [`BatchStats`] counters.
+//! Batch formation and per-group execution: spatial grouping, the one
+//! shared filter → prune → verify pipeline every miss runs, duplicate
+//! coalescing and the [`BatchStats`] counters.
 
 use crate::frontend::Backing;
 use crate::metrics::ServiceMetrics;
-use crate::policy::EnginePolicy;
 use rknnt_core::{
-    build_filter_set, EngineKind, FilterFootprint, FilterOutcome, RknntQuery, RknntResult,
-    Semantics,
+    build_filter_set, verify_candidates, FilterFootprint, FilterOutcome, QueryScratch, RknntQuery,
+    RknntResult, Semantics,
 };
 use rknnt_geo::Point;
-use rknnt_obs::TraceCursor;
+use rknnt_obs::{Span, TraceCursor};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use std::time::Duration;
 pub struct BatchPhaseTimings {
     /// Result-cache lookups.
     pub lookup: Duration,
-    /// Policy evaluation and spatial grouping.
+    /// Spatial grouping of the cache misses.
     pub grouping: Duration,
     /// Query execution across the worker pool (wall-clock, not CPU-sum).
     pub execution: Duration,
@@ -48,7 +48,8 @@ pub struct BatchStats {
     pub cache_hits: usize,
     /// Spatial groups formed from the cache misses.
     pub groups: usize,
-    /// Filter sets actually constructed (Filter–Refine / Voronoi groups).
+    /// Filter sets actually constructed: one per distinct `(route, k)` of a
+    /// group, whatever the number of queries and semantics sharing it.
     pub filter_constructions: usize,
     /// Filter-set constructions avoided by sharing one construction across
     /// queries with the same `(route, k)` in a group.
@@ -69,13 +70,16 @@ pub(crate) struct Job<'q> {
     pub query: &'q RknntQuery,
 }
 
-/// A unit of worker scheduling: queries assigned to the same engine whose
-/// route centroids fall in the same spatial cell (and that share `k`, so
-/// filter sets are potentially shareable).
+/// A unit of worker scheduling: queries whose route centroids fall in the
+/// same spatial cell (and that share `k`, so filter sets are potentially
+/// shareable).
 pub(crate) struct Group<'q> {
-    pub kind: EngineKind,
     pub jobs: Vec<Job<'q>>,
 }
+
+/// Spatial grouping cell size in the coordinate unit of the stores (metres
+/// for the synthetic cities).
+const GROUP_CELL: f64 = 2_500.0;
 
 fn centroid(route: &[Point]) -> Point {
     if route.is_empty() {
@@ -92,41 +96,26 @@ fn centroid(route: &[Point]) -> Point {
 
 /// Partitions jobs into deterministic groups.
 ///
-/// The key is `(engine, cell_x, cell_y, k)` where the cell quantises the
-/// query route's centroid at `cell` metres. Nearby queries then land on the
+/// The key is `(cell_x, cell_y, k)` where the cell quantises the query
+/// route's centroid at [`GROUP_CELL`]. Nearby queries then land on the
 /// same worker — they traverse the same RR-/TR-tree regions, so the group is
 /// a locality unit — and within a group, queries sharing `(route, k)` reuse
 /// one filter construction. Ordering is fully deterministic: groups are
 /// emitted in key order and jobs keep batch order within their group, so
 /// scheduling never depends on thread timing.
-pub(crate) fn form_groups<'q>(
-    queries: &'q [RknntQuery],
-    miss_indexes: &[usize],
-    policy: EnginePolicy,
-    cell: f64,
-) -> Vec<Group<'q>> {
-    let cell = if cell.is_finite() && cell > 0.0 {
-        cell
-    } else {
-        1.0
-    };
-    let mut buckets: BTreeMap<(EngineKind, i64, i64, usize), Vec<Job<'q>>> = BTreeMap::new();
+pub(crate) fn form_groups<'q>(queries: &'q [RknntQuery], miss_indexes: &[usize]) -> Vec<Group<'q>> {
+    let mut buckets: BTreeMap<(i64, i64, usize), Vec<Job<'q>>> = BTreeMap::new();
     for &index in miss_indexes {
         let query = &queries[index];
-        let kind = policy.choose(query);
         let c = centroid(&query.route);
         let key = (
-            kind,
-            (c.x / cell).floor() as i64,
-            (c.y / cell).floor() as i64,
+            (c.x / GROUP_CELL).floor() as i64,
+            (c.y / GROUP_CELL).floor() as i64,
             query.k,
         );
         buckets.entry(key).or_default().push(Job { index, query });
     }
-    buckets
-        .into_iter()
-        .map(|((kind, _, _, _), jobs)| Group { kind, jobs })
-        .collect()
+    buckets.into_values().map(|jobs| Group { jobs }).collect()
 }
 
 /// Exact-identity key for coalescing and filter sharing inside a group,
@@ -136,27 +125,33 @@ pub(crate) fn form_groups<'q>(
 type RouteBits = Vec<(u64, u64)>;
 
 /// One executed query leaving a group: its batch index, its result, and the
-/// filter footprint the engine reported (shared per `(route, k)`; `None`
-/// for degenerate queries and for executions that ran without a filter).
+/// footprint of the filter it ran against (shared per `(route, k)`; `None`
+/// for degenerate queries, which build none).
 pub(crate) type GroupOutput = (usize, RknntResult, Option<Arc<FilterFootprint>>);
 
 /// Executes one group on one worker, appending [`GroupOutput`]s to `out`.
 ///
-/// Results are byte-identical to running the policy-chosen engine per
-/// query: the shared filter outcome is exactly what the engine would build
-/// for the same `(route, k)` (all engines agree on result transitions, so a
-/// backing may route every kind through the filter pipeline), coalesced
-/// duplicates clone a result computed by the identical pipeline, and the
-/// worker-owned scratch only recycles buffers — the engines' scratch paths
-/// are property-tested byte-identical to their allocating twins.
+/// A fresh, non-degenerate query has one way to run: its `(route, k)`
+/// filter is built here, or reused from an earlier query of the group (the
+/// filter set is semantics-independent), the backing prunes its transition
+/// store(s) against it into the worker's scratch, and the surviving
+/// endpoints are verified once against the complete route set. That is
+/// [`rknnt_core::FilterRefineEngine`]'s `execute` with the construction
+/// hoisted out, so results are byte-identical to it — and therefore to every
+/// engine (`crates/core/tests/engine_equivalence.rs`). Coalesced duplicates
+/// clone a result computed by the identical pipeline, and the worker-owned
+/// scratch only recycles buffers.
 ///
 /// Work counters go straight to the registry cells in `metrics` (the caller
-/// diffs them into [`BatchStats`]); each *fresh* execution also feeds the
-/// engine-reported filtering/verification split into the stage histograms
-/// (coalesced clones are skipped so no sample is counted twice).
-pub(crate) fn run_group<'s, B: Backing>(
-    backing: &'s B,
-    worker: &mut B::Worker<'s>,
+/// diffs them into [`BatchStats`]). A fresh execution's filtering time runs
+/// from looking its filter up to the end of the prune — the query that
+/// builds a filter carries the construction, the ones sharing it only their
+/// prune — and is both the result's `timings.filtering` and one sample of
+/// `service.stage.filter_ns`; the verification time feeds
+/// `service.stage.verify_ns` (coalesced clones add no sample).
+pub(crate) fn run_group<B: Backing>(
+    backing: &B,
+    scratch: &mut QueryScratch,
     group: &Group<'_>,
     out: &mut Vec<GroupOutput>,
     metrics: &ServiceMetrics,
@@ -192,9 +187,8 @@ pub(crate) fn run_group<'s, B: Backing>(
         let (result, footprint) = if job.query.is_degenerate() {
             (RknntResult::default(), None)
         } else {
-            let shared = B::shares_filter(group.kind).then(|| &*match filters
-                .entry((bits, job.query.k))
-            {
+            let filter_span = Span::enter(&metrics.stage_filter);
+            let (outcome, footprint) = &*match filters.entry((bits, job.query.k)) {
                 Entry::Occupied(entry) => {
                     metrics.filters_saved.inc();
                     entry.into_mut()
@@ -211,18 +205,22 @@ pub(crate) fn run_group<'s, B: Backing>(
                         Arc::new(FilterFootprint::from_outcome(&job.query.route, &outcome));
                     entry.insert((outcome, footprint))
                 }
-            });
-            let result = backing.execute(
-                worker,
-                group.kind,
-                job.query,
-                shared.map(|(outcome, _)| outcome),
+            };
+            scratch.clear_candidates();
+            let pruned_nodes = backing.prune(
+                scratch,
+                &outcome.filter_set,
+                job.query.k,
                 metrics,
                 group_trace.as_ref(),
             );
-            (result, shared.map(|(_, footprint)| footprint.clone()))
+            let filtering = filter_span.finish();
+            let mut result = verify_candidates(backing.routes(), job.query, scratch);
+            result.timings.filtering = filtering;
+            result.stats.record_filter(outcome, pruned_nodes);
+            metrics.record_verification(result.timings.verification);
+            (result, Some(footprint.clone()))
         };
-        metrics.record_engine_timings(&result.timings);
         seen.insert(full_key, out.len());
         out.push((job.index, result, footprint));
     }
@@ -246,7 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn grouping_is_by_cell_k_and_engine() {
+    fn grouping_is_by_cell_and_k() {
         let queries = vec![
             q(0.0, 0.0, 5),
             q(1.0, 1.0, 5),     // same cell, same k -> same group
@@ -254,12 +252,7 @@ mod tests {
             q(5_000.0, 0.0, 5), // far away -> different group
         ];
         let misses: Vec<usize> = (0..queries.len()).collect();
-        let groups = form_groups(
-            &queries,
-            &misses,
-            EnginePolicy::Fixed(EngineKind::FilterRefine),
-            1_000.0,
-        );
+        let groups = form_groups(&queries, &misses);
         assert_eq!(groups.len(), 3);
         let sizes: Vec<usize> = groups.iter().map(|g| g.jobs.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 4);
@@ -272,29 +265,14 @@ mod tests {
             .map(|i| q((i % 7) as f64 * 900.0, (i % 5) as f64 * 900.0, 1 + i % 3))
             .collect();
         let misses: Vec<usize> = (0..queries.len()).collect();
-        let a = form_groups(&queries, &misses, EnginePolicy::Auto, 2_000.0);
-        let b = form_groups(&queries, &misses, EnginePolicy::Auto, 2_000.0);
-        let layout = |groups: &[Group]| -> Vec<(EngineKind, Vec<usize>)> {
+        let a = form_groups(&queries, &misses);
+        let b = form_groups(&queries, &misses);
+        let layout = |groups: &[Group]| -> Vec<Vec<usize>> {
             groups
                 .iter()
-                .map(|g| (g.kind, g.jobs.iter().map(|j| j.index).collect()))
+                .map(|g| g.jobs.iter().map(|j| j.index).collect())
                 .collect()
         };
         assert_eq!(layout(&a), layout(&b));
-    }
-
-    #[test]
-    fn nonpositive_cell_size_is_clamped() {
-        let queries = vec![q(0.0, 0.0, 1), q(3.0, 0.0, 1)];
-        let misses = vec![0, 1];
-        for cell in [0.0, -5.0, f64::NAN] {
-            let groups = form_groups(
-                &queries,
-                &misses,
-                EnginePolicy::Fixed(EngineKind::BruteForce),
-                cell,
-            );
-            assert_eq!(groups.iter().map(|g| g.jobs.len()).sum::<usize>(), 2);
-        }
     }
 }

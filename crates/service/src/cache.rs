@@ -41,7 +41,7 @@ pub(crate) fn route_bits(route: &[rknnt_geo::Point]) -> Vec<(u64, u64)> {
 }
 
 /// Exact-match cache key: query route as coordinate bit patterns
-/// ([`route_bits`]), `k` and semantics.
+/// (`route_bits`), `k` and semantics.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     route_bits: Vec<(u64, u64)>,

@@ -14,20 +14,20 @@
 //! format, one WAL, whatever serves from it.
 
 use crate::batch::{form_groups, run_group, BatchStats, Group, GroupOutput};
-use crate::cache::{route_bits, CacheKey, CacheStats, ResultCache};
+use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::journal::TransitionOp;
 use crate::metrics::ServiceMetrics;
 use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
 use crate::region::EntryRegion;
 use crate::service::{ServiceConfig, StoreUpdate, UpdateStats};
-use rknnt_core::{EngineKind, FilterFootprint, FilterOutcome, RknntQuery, RknntResult};
+use rknnt_core::{FilterFootprint, FilterSet, QueryScratch, RknntQuery, RknntResult};
 use rknnt_geo::{Point, Rect};
 use rknnt_index::{
     RouteId, RouteStore, RouteStoreState, TransitionId, TransitionStore, TransitionStoreState,
 };
 use rknnt_obs::{EventKind, FlightRecorder, MetricsSnapshot, Span, TraceCursor};
 use rknnt_storage::{Failpoints, Storage, StorageConfig, StorageError, StorageStats};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,11 +37,14 @@ use std::sync::{Arc, Mutex};
 /// removal falls back to a full cache drop.
 const ROUTE_REMOVAL_BUDGET_PER_ENTRY: usize = 4_096;
 
+/// Seed of the result cache's hash function.
+const CACHE_SEED: u64 = 0x5eed;
+
 /// What a [`Service`] serves from — exactly the parts of serving that differ
 /// between one flat pair of stores and a set of shards. Everything else
-/// (cache, grouping, coalescing, filter sharing, worker pool, WAL append,
-/// checkpoint and recovery, eviction, subscription upkeep, stats) is the
-/// frontend's and exists once.
+/// (cache, grouping, coalescing, filter construction and sharing,
+/// verification, worker pool, WAL append, checkpoint and recovery, eviction,
+/// subscription upkeep, stats) is the frontend's and exists once.
 ///
 /// Sealed: the trait lives in a private module, so only this crate's two
 /// backings implement it.
@@ -49,12 +52,6 @@ pub trait Backing: Sync + Sized {
     /// What building the backing takes beyond the data: the frontend's
     /// [`ServiceConfig`] itself, or a configuration that embeds one.
     type Config;
-
-    /// State one worker thread owns for the duration of a batch (engines
-    /// and a `QueryScratch`); never shared between workers.
-    type Worker<'a>
-    where
-        Self: 'a;
 
     /// The complete route set answers are defined over. Filters are built
     /// and invalidation certificates evaluated against it; global route ids
@@ -65,29 +62,21 @@ pub trait Backing: Sync + Sized {
     /// removed ids.
     fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)>;
 
-    /// Fresh per-worker state.
-    fn worker(&self) -> Self::Worker<'_>;
-
-    /// Whether fresh queries of this engine kind execute against a filter
-    /// the frontend builds once per distinct `(route, k)` of a group and
-    /// hands to [`Backing::execute`]. Kinds that do not are executed
-    /// without one and get their footprint from the frontend's fallback.
-    fn shares_filter(kind: EngineKind) -> bool;
-
-    /// Executes one fresh, non-degenerate query. `filter` is the shared
-    /// outcome for the query's `(route, k)` iff
-    /// [`Backing::shares_filter`]`(kind)`. The returned transition set must
-    /// be byte-identical to sequential single-engine execution over the
-    /// whole data set.
-    fn execute<'a>(
-        &'a self,
-        worker: &mut Self::Worker<'a>,
-        kind: EngineKind,
-        query: &RknntQuery,
-        filter: Option<&FilterOutcome>,
+    /// The prune step of one fresh, non-degenerate query: walks the
+    /// transition store(s) against `filter` — the frontend's filter set for
+    /// the query's `(route, k)` — and appends every surviving endpoint, under
+    /// its global transition id, to `scratch`'s candidate buffer. Returns
+    /// the number of TR-tree nodes pruned without being opened. The
+    /// candidates must be exactly the endpoints `filter` does not filter
+    /// over the whole data set, so that verifying them answers the query.
+    fn prune(
+        &self,
+        scratch: &mut QueryScratch,
+        filter: &FilterSet,
+        k: usize,
         metrics: &ServiceMetrics,
         trace: Option<&TraceCursor>,
-    ) -> RknntResult;
+    ) -> usize;
 
     /// Inserts a transition; the (global) id it consumed, or `None` when the
     /// stores reject it (no id consumed).
@@ -144,7 +133,7 @@ pub trait Backing: Sync + Sized {
 /// change evicts the ones it could affect (see [`crate::region`]).
 pub struct Service<B: Backing> {
     pub(crate) backing: B,
-    /// Workers, policy, cache sizing and grouping cell of the pipeline.
+    /// Worker count and cache sizing of the pipeline.
     pub(crate) config: ServiceConfig,
     pub(crate) cache: Mutex<ResultCache>,
     pub(crate) generation: AtomicU64,
@@ -159,7 +148,7 @@ pub struct Service<B: Backing> {
 pub(crate) fn new_cache(config: &ServiceConfig, metrics: &ServiceMetrics) -> Mutex<ResultCache> {
     Mutex::new(ResultCache::with_counters(
         config.cache_capacity,
-        config.cache_seed,
+        CACHE_SEED,
         metrics.cache.clone(),
     ))
 }
@@ -366,17 +355,18 @@ impl<B: Backing> Service<B> {
     /// Executes a batch of queries and returns one result per query, in
     /// input order, plus the batch counters.
     ///
-    /// Pipeline: cache lookup → policy + spatial grouping of the misses →
-    /// group execution across up to `workers` scoped threads (groups are
-    /// dealt round-robin; workers own their engines and scratch, share
-    /// filter constructions within a group and coalesce exact duplicates) →
+    /// Pipeline: cache lookup → spatial grouping of the misses → group
+    /// execution across up to `workers` scoped threads (groups are dealt
+    /// round-robin; a worker owns its scratch, builds one filter per
+    /// distinct `(route, k)` of a group, has the backing prune against it,
+    /// verifies the candidates and coalesces exact duplicates) →
     /// deterministic merge + cache insertion.
     ///
     /// The returned transition sets are byte-identical to executing every
-    /// query sequentially with the policy-chosen engine's
-    /// [`rknnt_core::RknnTEngine::execute`] over the whole data set:
-    /// grouping, sharing and sharding only decide *where* and *how often*
-    /// work runs, never *what* it computes.
+    /// query sequentially with `FilterRefineEngine::execute`, and therefore
+    /// every engine (`crates/core/tests/engine_equivalence.rs`), over the
+    /// whole data set: grouping, sharing and sharding only decide *where*
+    /// and *how often* work runs, never *what* it computes.
     pub fn execute_batch(&self, queries: &[RknntQuery]) -> (Vec<RknntResult>, BatchStats) {
         self.execute_batch_traced(queries, None)
     }
@@ -455,14 +445,9 @@ impl<B: Backing> Service<B> {
             cache_hits: u32::try_from(stats.cache_hits).unwrap_or(u32::MAX),
         });
 
-        // Phase 2: policy + spatial grouping of the misses.
+        // Phase 2: spatial grouping of the misses.
         let span = Span::enter(&self.metrics.stage_grouping);
-        let groups = form_groups(
-            queries,
-            &miss_indexes,
-            self.config.policy,
-            self.config.group_cell,
-        );
+        let groups = form_groups(queries, &miss_indexes);
         stats.groups = groups.len();
         self.metrics.groups.add(groups.len() as u64);
         stats.timings.grouping = span.finish();
@@ -478,7 +463,7 @@ impl<B: Backing> Service<B> {
         let span = Span::enter(&self.metrics.stage_execution);
         let exec_span = bt.as_ref().map(|t| t.begin("execution"));
         let et = bt.as_ref().zip(exec_span).map(|(t, s)| t.at(s));
-        let (mut computed, workers_used) = self.run_groups(&groups, et.as_ref());
+        let (computed, workers_used) = self.run_groups(&groups, et.as_ref());
         stats.workers_used = workers_used;
         stats.timings.execution = span.finish();
         if let (Some(bt), Some(exec_span)) = (&bt, exec_span) {
@@ -488,7 +473,6 @@ impl<B: Backing> Service<B> {
         // Phase 4: merge into input order and feed the cache.
         let span = Span::enter(&self.metrics.stage_finalize);
         if caching {
-            self.fill_footprint_fallbacks(queries, &mut computed);
             let mut cache = self.cache.lock().expect("cache lock");
             // Only insert when no invalidation raced the batch: the stores
             // cannot have changed (that needs `&mut self`), but whoever
@@ -568,22 +552,21 @@ impl<B: Backing> Service<B> {
             return (Vec::new(), 0);
         }
         let workers = self.config.workers.max(1).min(groups.len());
-        // Each worker owns its state (engines, scratch — see
-        // `rknnt_core::scratch` for the ownership rules) and reuses it
-        // across every query it runs, under its own "worker" span. The
-        // trace slab is behind a mutex, so concurrent span pushes interleave
-        // safely (order within the slab is scheduling-dependent, parenthood
-        // is not).
+        // Each worker owns a scratch (see `rknnt_core::scratch` for the
+        // ownership rules) and reuses it across every query it runs, under
+        // its own "worker" span. The trace slab is behind a mutex, so
+        // concurrent span pushes interleave safely (order within the slab is
+        // scheduling-dependent, parenthood is not).
         let run_worker = |w: usize| -> Vec<GroupOutput> {
             let assigned: Vec<&Group> = groups.iter().skip(w).step_by(workers).collect();
             let span = trace.map(|t| t.begin("worker"));
             let child = trace.zip(span).map(|(t, s)| t.at(s));
-            let mut state = self.backing.worker();
+            let mut scratch = QueryScratch::new();
             let mut out = Vec::new();
             for group in &assigned {
                 run_group(
                     &self.backing,
-                    &mut state,
+                    &mut scratch,
                     group,
                     &mut out,
                     &self.metrics,
@@ -615,30 +598,6 @@ impl<B: Backing> Service<B> {
         (computed, workers)
     }
 
-    /// Footprint fallback for executions that ran without a shared filter
-    /// (BruteForce / DivideConquer on flat stores): run the filter
-    /// construction here, once per distinct `(route, k)`, so their results
-    /// are region-taggable too instead of evicting (or dirtying a
-    /// subscription) on every update. Pure reads against the stores.
-    fn fill_footprint_fallbacks(&self, queries: &[RknntQuery], computed: &mut [GroupOutput]) {
-        type FootprintByQuery = HashMap<(Vec<(u64, u64)>, usize), Arc<FilterFootprint>>;
-        let mut fallback: FootprintByQuery = HashMap::new();
-        for (index, _, footprint) in computed.iter_mut() {
-            let query = &queries[*index];
-            if footprint.is_none() && !query.is_degenerate() {
-                let key = (route_bits(&query.route), query.k);
-                let entry = fallback.entry(key).or_insert_with(|| {
-                    Arc::new(FilterFootprint::compute(
-                        self.backing.routes(),
-                        &query.route,
-                        query.k,
-                    ))
-                });
-                *footprint = Some(entry.clone());
-            }
-        }
-    }
-
     /// Executes queries through grouping + the worker pool, bypassing the
     /// result cache in both directions, and returns each result with its
     /// filter footprint. Used for subscription (re-)execution: dirty
@@ -649,14 +608,8 @@ impl<B: Backing> Service<B> {
         queries: &[RknntQuery],
     ) -> Vec<(RknntResult, Option<Arc<FilterFootprint>>)> {
         let miss_indexes: Vec<usize> = (0..queries.len()).collect();
-        let groups = form_groups(
-            queries,
-            &miss_indexes,
-            self.config.policy,
-            self.config.group_cell,
-        );
-        let (mut computed, _) = self.run_groups(&groups, None);
-        self.fill_footprint_fallbacks(queries, &mut computed);
+        let groups = form_groups(queries, &miss_indexes);
+        let (computed, _) = self.run_groups(&groups, None);
         let mut slots: Vec<Option<(RknntResult, Option<Arc<FilterFootprint>>)>> =
             (0..queries.len()).map(|_| None).collect();
         for (index, result, footprint) in computed {

@@ -1,9 +1,13 @@
 //! Concurrent batch RkNNT query serving — the layer that turns the paper's
 //! single-threaded engines into a server-shaped system.
 //!
-//! The engines in `rknnt-core` answer one query at a time on one thread. A
-//! deployment serving passenger-demand estimation for a live bus network
-//! sees *streams* of queries with heavy spatial and exact repetition, plus a
+//! The engines in `rknnt-core` answer one query at a time on one thread;
+//! they are the paper's curves and this crate's test oracles, and the
+//! service composes the two kernel halves they are made of —
+//! [`rknnt_core::build_filter_set`] + [`rknnt_core::prune_into_scratch`],
+//! then [`rknnt_core::verify_candidates`] — itself, one way. A deployment
+//! serving passenger-demand estimation for a live bus network sees
+//! *streams* of queries with heavy spatial and exact repetition, plus a
 //! store that mutates as transitions arrive and expire. This crate adds the
 //! mechanisms that workload needs, with a hard invariant — every answer is
 //! byte-identical to sequential single-query execution.
@@ -15,9 +19,8 @@
 //! deployments is the *backing* it serves from, and there are two:
 //!
 //! * **[`QueryService`]** — one [`rknnt_index::RouteStore`] /
-//!   [`rknnt_index::TransitionStore`] pair, queried by the engines an
-//!   [`EnginePolicy`] picks (fixed engine, or a per-query heuristic on `k`
-//!   and route length).
+//!   [`rknnt_index::TransitionStore`] pair; each fresh query prunes the one
+//!   TR-tree.
 //! * **[`ShardedService`]** — the complete routes in one planner store and
 //!   the transitions split across Z-order spatial shards (a shard is a
 //!   transition store plus an id space); each fresh query prunes
@@ -29,8 +32,8 @@
 //!
 //! * **Batch execution** — [`Service::execute_batch`] runs a batch across a
 //!   scoped worker pool.
-//! * **Shared-filter batching** — batch queries are grouped by engine,
-//!   spatial cell and `k`; within a group, queries with the same
+//! * **Shared-filter batching** — batch queries are grouped by spatial
+//!   cell and `k`; within a group, queries with the same
 //!   `(route, k)` share one filter-set construction and exact duplicates
 //!   are coalesced outright. [`BatchStats`] reports groups formed, filter
 //!   constructions saved and wall-clock per phase.
@@ -96,7 +99,6 @@ mod frontend;
 mod journal;
 pub mod metrics;
 pub mod monitor;
-mod policy;
 pub mod region;
 mod service;
 pub mod sharded;
@@ -107,7 +109,6 @@ pub use frontend::Service;
 pub use journal::JOURNAL_CAPACITY;
 pub use metrics::{RouterStats, ServiceMetrics};
 pub use monitor::{DeltaReason, SubscriptionDelta, SubscriptionId};
-pub use policy::EnginePolicy;
 pub use region::EntryRegion;
 pub use rknnt_storage::{StorageConfig, StorageError, StorageStats};
 pub use service::{QueryService, ServiceConfig, StoreUpdate, UpdateStats};

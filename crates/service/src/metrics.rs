@@ -8,7 +8,7 @@
 //! |---|---|
 //! | `service.batch.*` | batch admission: queries, batches, groups, filter sharing, coalescing |
 //! | `service.cache.*` | result-cache counters (hits, misses, evictions, …) |
-//! | `service.stage.*_ns` | per-stage latency histograms: `cache_lookup`, `grouping`, `execution`, `finalize`, plus engine-reported `filter` / `verify` |
+//! | `service.stage.*_ns` | per-stage latency histograms: `cache_lookup`, `grouping`, `execution`, `finalize`, plus per fresh query `filter` (filter lookup or construction + prune) and `verify` |
 //! | `service.update.*` | update admission and eviction strategy counts |
 //! | `service.subs.*` | subscription classification outcomes |
 //! | `storage.wal.*` | WAL appends, bytes, and `fsync_ns` latency |
@@ -25,12 +25,12 @@
 //! [`QueryService`]: crate::QueryService
 
 use crate::cache::CacheCounters;
-use rknnt_core::PhaseTimings;
 use rknnt_obs::{
     Counter, EventKind, FlightRecorder, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Stage,
 };
 use rknnt_storage::StorageInstruments;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// All metric cells of one [`crate::QueryService`], plus the registry that
 /// exposes them and the flight recorder of recent pipeline events.
@@ -61,7 +61,7 @@ pub struct ServiceMetrics {
     pub(crate) stage_grouping: Stage,
     pub(crate) stage_execution: Stage,
     pub(crate) stage_finalize: Stage,
-    pub(crate) filter_ns: Arc<Histogram>,
+    pub(crate) stage_filter: Stage,
     pub(crate) verify_ns: Arc<Histogram>,
 
     // Update path.
@@ -115,7 +115,7 @@ impl ServiceMetrics {
             stage_grouping: registry.stage("service.stage.grouping_ns"),
             stage_execution: registry.stage("service.stage.execution_ns"),
             stage_finalize: registry.stage("service.stage.finalize_ns"),
-            filter_ns: registry.histogram("service.stage.filter_ns"),
+            stage_filter: registry.stage("service.stage.filter_ns"),
             verify_ns: registry.histogram("service.stage.verify_ns"),
             update_applied: registry.counter("service.update.applied"),
             update_rejected: registry.counter("service.update.rejected"),
@@ -195,15 +195,14 @@ impl ServiceMetrics {
         self.recorder.record(kind);
     }
 
-    /// Feeds the engine-reported filtering/verification split of one fresh
-    /// execution into the stage histograms. The engines already measure
-    /// these phases for [`rknnt_core::RknntResult::timings`], so this costs
-    /// no extra clock reads.
+    /// Feeds the verification time of one fresh execution into its stage
+    /// histogram. [`rknnt_core::verify_candidates`] already measures it for
+    /// [`rknnt_core::RknntResult::timings`], so this costs no extra clock
+    /// read.
     #[inline]
-    pub(crate) fn record_engine_timings(&self, timings: &PhaseTimings) {
+    pub(crate) fn record_verification(&self, verification: Duration) {
         if self.registry.telemetry().enabled() {
-            self.filter_ns.record_duration(timings.filtering);
-            self.verify_ns.record_duration(timings.verification);
+            self.verify_ns.record_duration(verification);
         }
     }
 

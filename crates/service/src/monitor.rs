@@ -28,7 +28,7 @@
 //! Replaying a subscription's deltas, in order, over any earlier snapshot of
 //! its result always reproduces the current result — the determinism suite
 //! in `tests/service_monitor.rs` asserts this against freshly built
-//! post-churn services for all four engines and both semantics.
+//! post-churn state, by each of the four engines, under both semantics.
 //!
 //! [`QueryService::apply_updates`]: crate::QueryService::apply_updates
 //! [`StoreUpdate`]: crate::StoreUpdate

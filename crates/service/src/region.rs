@@ -69,8 +69,8 @@ pub struct EntryRegion {
     pub k: usize,
     /// The query's semantics.
     pub semantics: Semantics,
-    /// Filter footprint reported by the engine, when one was built
-    /// (Filter–Refine / Voronoi groups). `None` is handled conservatively:
+    /// Footprint of the filter the query ran against; degenerate queries
+    /// build none. `None` is handled conservatively:
     /// every arrival takes the exact admission check and route removals
     /// never certify.
     pub footprint: Option<Arc<FilterFootprint>>,

@@ -2,17 +2,13 @@
 //! plus the configuration, update and stats types both services share.
 //! Everything durable — `open`, `attach_storage`, `checkpoint` — is the
 //! frontend's ([`Service`]); what is left here is what only a flat pair of
-//! stores can offer: engines built directly on them and wholesale swaps.
+//! stores can offer: one prune walk over the one TR-tree and wholesale swaps.
 
 use crate::frontend::{Backing, Service};
 use crate::metrics::ServiceMetrics;
 use crate::monitor::SubscriptionDelta;
-use crate::policy::EnginePolicy;
 use crate::region::EntryRegion;
-use rknnt_core::{
-    EngineKind, FilterOutcome, FilterRefineEngine, QueryScratch, RknnTEngine, RknntQuery,
-    RknntResult,
-};
+use rknnt_core::{prune_into_scratch, FilterSet, QueryScratch};
 use rknnt_geo::Point;
 use rknnt_index::{
     RouteId, RouteStore, RouteStoreState, TransitionId, TransitionStore, TransitionStoreState,
@@ -25,15 +21,8 @@ pub struct ServiceConfig {
     /// Upper bound on worker threads per batch (at least 1 is always used;
     /// a batch never uses more workers than it has groups).
     pub workers: usize,
-    /// Engine-selection policy.
-    pub policy: EnginePolicy,
     /// Result-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Seed for the cache's hash function (see [`crate::cache`]).
-    pub cache_seed: u64,
-    /// Spatial grouping cell size in the coordinate unit of the stores
-    /// (metres for the synthetic cities).
-    pub group_cell: f64,
 }
 
 impl Default for ServiceConfig {
@@ -42,10 +31,7 @@ impl Default for ServiceConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
-            policy: EnginePolicy::Auto,
             cache_capacity: 4_096,
-            cache_seed: 0x5eed,
-            group_cell: 2_500.0,
         }
     }
 }
@@ -54,12 +40,6 @@ impl ServiceConfig {
     /// Fixes the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Fixes the engine policy.
-    pub fn with_policy(mut self, policy: EnginePolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -149,8 +129,7 @@ pub struct UpdateStats {
     pub wal_bytes: u64,
 }
 
-/// The flat backing: one [`RouteStore`] / [`TransitionStore`] pair, queried
-/// by the policy-chosen engines.
+/// The flat backing: one [`RouteStore`] / [`TransitionStore`] pair.
 pub struct FlatStores {
     routes: RouteStore,
     transitions: TransitionStore,
@@ -158,8 +137,7 @@ pub struct FlatStores {
 
 /// A concurrent batch RkNNT query service over one pair of stores — the
 /// shared [`Service`] frontend (batches, cache, updates, subscriptions)
-/// over engines built directly on the owned [`RouteStore`] and
-/// [`TransitionStore`].
+/// over the owned [`RouteStore`] and [`TransitionStore`].
 ///
 /// Wholesale store changes ([`QueryService::update_stores`] /
 /// [`QueryService::replace_stores`]) bump the generation counter and drop
@@ -167,27 +145,8 @@ pub struct FlatStores {
 /// [`Service::apply_updates`].
 pub type QueryService = Service<FlatStores>;
 
-/// Per-worker state on flat stores: lazily built engines plus the scratch
-/// every query of the worker reuses, so per-candidate work stops allocating
-/// once warmed.
-pub struct FlatWorker<'a> {
-    /// One engine per [`EngineKind`] the worker's groups actually use (at
-    /// most four entries, so a linear scan beats any map).
-    engines: Vec<(EngineKind, PreparedEngine<'a>)>,
-    scratch: QueryScratch,
-}
-
-/// Filter–Refine and Voronoi get the concrete engine type so execution can
-/// start from a shared filter; the other kinds go through the trait object
-/// built by [`EngineKind::build`].
-enum PreparedEngine<'a> {
-    Shared(FilterRefineEngine<'a>),
-    Plain(Box<dyn RknnTEngine + 'a>),
-}
-
 impl Backing for FlatStores {
     type Config = ServiceConfig;
-    type Worker<'a> = FlatWorker<'a>;
 
     fn routes(&self) -> &RouteStore {
         &self.routes
@@ -197,54 +156,15 @@ impl Backing for FlatStores {
         self.transitions.get(id).map(|t| (t.origin, t.destination))
     }
 
-    fn worker(&self) -> FlatWorker<'_> {
-        FlatWorker {
-            engines: Vec::new(),
-            scratch: QueryScratch::new(),
-        }
-    }
-
-    fn shares_filter(kind: EngineKind) -> bool {
-        matches!(kind, EngineKind::FilterRefine | EngineKind::Voronoi)
-    }
-
-    fn execute<'a>(
-        &'a self,
-        worker: &mut FlatWorker<'a>,
-        kind: EngineKind,
-        query: &RknntQuery,
-        filter: Option<&FilterOutcome>,
+    fn prune(
+        &self,
+        scratch: &mut QueryScratch,
+        filter: &FilterSet,
+        k: usize,
         _metrics: &ServiceMetrics,
         _trace: Option<&TraceCursor>,
-    ) -> RknntResult {
-        let pos = match worker.engines.iter().position(|(built, _)| *built == kind) {
-            Some(pos) => pos,
-            None => {
-                let (routes, transitions) = (&self.routes, &self.transitions);
-                let engine = match kind {
-                    EngineKind::FilterRefine => {
-                        PreparedEngine::Shared(FilterRefineEngine::new(routes, transitions))
-                    }
-                    EngineKind::Voronoi => PreparedEngine::Shared(
-                        FilterRefineEngine::with_voronoi(routes, transitions),
-                    ),
-                    other => PreparedEngine::Plain(other.build(routes, transitions)),
-                };
-                worker.engines.push((kind, engine));
-                worker.engines.len() - 1
-            }
-        };
-        match (&worker.engines[pos].1, filter) {
-            (PreparedEngine::Shared(engine), Some(outcome)) => {
-                engine.execute_with_filter_scratch(query, outcome, &mut worker.scratch)
-            }
-            (PreparedEngine::Shared(engine), None) => {
-                engine.execute_scratch(query, &mut worker.scratch)
-            }
-            (PreparedEngine::Plain(engine), _) => {
-                engine.execute_scratch(query, &mut worker.scratch)
-            }
-        }
+    ) -> usize {
+        prune_into_scratch(&self.transitions, filter, k, false, scratch, |id| id)
     }
 
     fn insert_transition(&mut self, origin: Point, destination: Point) -> Option<TransitionId> {

@@ -40,10 +40,7 @@ use crate::frontend::{Backing, Service};
 use crate::metrics::{RouterMetrics, ServiceMetrics};
 use crate::region::EntryRegion;
 use crate::service::ServiceConfig;
-use rknnt_core::{
-    build_filter_set, prune_into_scratch, verify_candidates, EngineKind, FilterOutcome,
-    QueryScratch, RknntQuery, RknntResult,
-};
+use rknnt_core::{build_filter_set, prune_into_scratch, FilterSet, QueryScratch, RknntQuery};
 use rknnt_geo::{CellGrid, Point, Rect};
 use rknnt_index::{
     partition_transitions, IdSpace, Placement, RouteId, RouteStore, RouteStoreState, Transition,
@@ -53,7 +50,6 @@ use rknnt_obs::{EventKind, TraceCursor};
 use rknnt_rtree::RTreeConfig;
 use rknnt_storage::StorageError;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 /// Configuration of a [`ShardedService`].
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +62,7 @@ pub struct ShardedConfig {
     pub grid_bits: u32,
     /// R-tree fan-out for the per-shard transition stores and the planner.
     pub rtree: RTreeConfig,
-    /// Configuration of the batch pipeline (workers, policy, cache).
+    /// Configuration of the batch pipeline (workers, cache).
     pub base: ServiceConfig,
 }
 
@@ -147,8 +143,6 @@ fn translate_result(space: &IdSpace, result: &[TransitionId]) -> Vec<TransitionI
 
 impl Backing for ShardSet {
     type Config = ShardedConfig;
-    /// The scratch every routed query of the worker reuses.
-    type Worker<'a> = QueryScratch;
 
     fn routes(&self) -> &RouteStore {
         &self.planner
@@ -163,48 +157,30 @@ impl Backing for ShardSet {
             .map(|t| (t.origin, t.destination))
     }
 
-    fn worker(&self) -> QueryScratch {
-        QueryScratch::new()
-    }
-
-    /// Every kind routes through the filter pipeline: all engines agree on
-    /// result transitions, so byte-identity is preserved, the filter doubles
-    /// as the shard-pruning certificate, and every cached entry gets a real
-    /// footprint.
-    fn shares_filter(_kind: EngineKind) -> bool {
-        true
-    }
-
-    /// Executes one routed query: per-shard prune behind the root-MBR
-    /// skip certificate, then global verification against the planner.
+    /// Prunes one routed query: each shard's TR-tree behind the root-MBR
+    /// skip certificate, candidates translated to global ids.
     ///
-    /// The result is byte-identical to the unsharded filter–refine
-    /// execution (and therefore to every engine): an endpoint survives
-    /// pruning iff `filters_point` accepts it — node-level `filters_rect`
-    /// tests, including the shard-root test used here, are certificates for
-    /// their whole subtree — so the union of per-shard candidates equals
-    /// the unsharded candidate set; each transition is owned by exactly one
-    /// shard, so the union has no duplicates; and verification per
-    /// candidate uses the same planner-wide closer-route count.
+    /// The candidates are exactly the unsharded prune's: an endpoint
+    /// survives pruning iff `filters_point` accepts it — node-level
+    /// `filters_rect` tests, including the shard-root test used here, are
+    /// certificates for their whole subtree — so the union of per-shard
+    /// candidates equals the unsharded candidate set, and each transition is
+    /// owned by exactly one shard, so the union has no duplicates. The
+    /// frontend then verifies them against the planner, as it does on flat
+    /// stores.
     ///
     /// Under tracing, every shard the query considered gets one `shard`
     /// span carrying the routing decision: `pruned=1 certificate=1` when
     /// the root-MBR certificate skipped it without dispatching, or
     /// `pruned=0` with the local candidate count when it was consulted.
-    fn execute(
+    fn prune(
         &self,
         scratch: &mut QueryScratch,
-        kind: EngineKind,
-        query: &RknntQuery,
-        filter: Option<&FilterOutcome>,
+        filter: &FilterSet,
+        k: usize,
         metrics: &ServiceMetrics,
         trace: Option<&TraceCursor>,
-    ) -> RknntResult {
-        let outcome = filter.expect("the router shares a filter for every engine kind");
-        let use_voronoi = matches!(kind, EngineKind::Voronoi);
-
-        let prune_started = Instant::now();
-        scratch.clear_candidates();
+    ) -> usize {
         let mut pruned_nodes = 0usize;
         let mut consulted = 0u64;
         for (index, shard) in self.shards.iter().enumerate() {
@@ -212,10 +188,7 @@ impl Backing for ShardSet {
             let Some(root) = shard.transitions.rtree().root() else {
                 continue;
             };
-            if outcome
-                .filter_set
-                .filters_rect(&root.mbr(), query.k, use_voronoi)
-            {
+            if filter.filters_rect(&root.mbr(), k, false) {
                 // The certificate covers the shard's whole TR-tree: no
                 // candidate can live there, skip without dispatching.
                 self.router.shards_pruned.inc();
@@ -236,20 +209,14 @@ impl Backing for ShardSet {
             self.router.shard_dispatches[index].inc();
             let shard_span = trace.map(|t| t.begin("shard"));
             let before = scratch.candidates().len();
-            pruned_nodes += prune_into_scratch(
-                &shard.transitions,
-                &outcome.filter_set,
-                query.k,
-                use_voronoi,
-                scratch,
-                |local| {
+            pruned_nodes +=
+                prune_into_scratch(&shard.transitions, filter, k, false, scratch, |local| {
                     let global = shard
                         .l2g
                         .to_global(local.raw())
                         .expect("pruned transition must be in the shard's id space");
                     TransitionId(global)
-                },
-            );
+                });
             let found = (scratch.candidates().len() - before) as u64;
             if let (Some(t), Some(span)) = (trace, shard_span) {
                 t.end_with(
@@ -268,12 +235,7 @@ impl Backing for ShardSet {
         }
         self.router.executions.inc();
         self.router.fanout.record(consulted);
-        let filtering = prune_started.elapsed();
-
-        let mut result = verify_candidates(&self.planner, query, scratch);
-        result.timings.filtering = filtering;
-        result.stats.record_filter(outcome, pruned_nodes);
-        result
+        pruned_nodes
     }
 
     // Updates: a transition insert is routed to the shard owning its
@@ -520,26 +482,21 @@ impl Service<ShardSet> {
         self.backing.router.stats()
     }
 
-    /// The shards the router would consult for this query under the given
-    /// engine kind — the shard-pruning certificate evaluated outside the
-    /// execution path, for soundness testing and capacity planning. Every
-    /// non-empty shard *not* listed is certified candidate-free for the
-    /// query.
-    pub fn planned_shards(&self, query: &RknntQuery, kind: EngineKind) -> Vec<usize> {
+    /// The shards the router would consult for this query — the
+    /// shard-pruning certificate evaluated outside the execution path, for
+    /// soundness testing and capacity planning. Every non-empty shard *not*
+    /// listed is certified candidate-free for the query.
+    pub fn planned_shards(&self, query: &RknntQuery) -> Vec<usize> {
         if query.is_degenerate() {
             return Vec::new();
         }
         let outcome = build_filter_set(&self.backing.planner, &query.route, query.k);
-        let use_voronoi = matches!(kind, EngineKind::Voronoi);
         let mut out = Vec::new();
         for (index, shard) in self.backing.shards.iter().enumerate() {
             let Some(root) = shard.transitions.rtree().root() else {
                 continue;
             };
-            if !outcome
-                .filter_set
-                .filters_rect(&root.mbr(), query.k, use_voronoi)
-            {
+            if !outcome.filter_set.filters_rect(&root.mbr(), query.k, false) {
                 out.push(index);
             }
         }

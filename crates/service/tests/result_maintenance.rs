@@ -18,12 +18,12 @@
 //! and one past it.
 
 use proptest::prelude::*;
-use rknnt_core::{BruteForceEngine, EngineKind, RknnTEngine, RknntQuery};
+use rknnt_core::{BruteForceEngine, RknnTEngine, RknntQuery};
 use rknnt_geo::Point;
 use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
 use rknnt_service::{
-    CacheStats, DeltaReason, EnginePolicy, QueryService, ServiceConfig, ShardedConfig,
-    ShardedService, StoreUpdate, SubscriptionDelta, SubscriptionId, UpdateStats, JOURNAL_CAPACITY,
+    CacheStats, DeltaReason, QueryService, ServiceConfig, ShardedConfig, ShardedService,
+    StoreUpdate, SubscriptionDelta, SubscriptionId, UpdateStats, JOURNAL_CAPACITY,
 };
 
 fn p(x: f64, y: f64) -> Point {
@@ -194,23 +194,20 @@ impl Sut for ShardedService {
 
 const CACHE_CAPACITY: usize = 6;
 
-fn config(kind: EngineKind) -> ServiceConfig {
+fn config() -> ServiceConfig {
     ServiceConfig::default()
         .with_workers(2)
         .with_cache_capacity(CACHE_CAPACITY)
-        .with_policy(EnginePolicy::Fixed(kind))
 }
 
-fn flat(kind: EngineKind) -> QueryService {
+fn flat() -> QueryService {
     let mirror = Mirror::new();
-    QueryService::new(mirror.routes, mirror.transitions, config(kind))
+    QueryService::new(mirror.routes, mirror.transitions, config())
 }
 
-fn sharded(kind: EngineKind) -> ShardedService {
+fn sharded() -> ShardedService {
     ShardedService::bulk_build(
-        ShardedConfig::default()
-            .with_shards(4)
-            .with_base(config(kind)),
+        ShardedConfig::default().with_shards(4).with_base(config()),
         ladder(),
         scatter(),
     )
@@ -504,13 +501,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn flat_results_follow_every_interleaving(steps in steps(), kind in 0usize..4) {
-        run(&mut flat(EngineKind::ALL[kind]), &steps);
+    fn flat_results_follow_every_interleaving(steps in steps()) {
+        run(&mut flat(), &steps);
     }
 
     #[test]
-    fn sharded_results_follow_every_interleaving(steps in steps(), kind in 0usize..4) {
-        run(&mut sharded(EngineKind::ALL[kind]), &steps);
+    fn sharded_results_follow_every_interleaving(steps in steps()) {
+        run(&mut sharded(), &steps);
     }
 }
 
@@ -535,7 +532,7 @@ fn transition_updates_never_touch_the_cache() {
     let mut service = QueryService::new(
         Mirror::new().routes,
         Mirror::new().transitions,
-        config(EngineKind::FilterRefine).with_cache_capacity(64),
+        config().with_cache_capacity(64),
     );
     let mut mirror = Mirror::new();
     let pool = pool();
@@ -594,7 +591,7 @@ fn transition_updates_never_touch_the_cache() {
 #[test]
 fn a_route_removal_sees_pending_arrivals_as_members() {
     let mut mirror = Mirror::new();
-    let mut service = flat(EngineKind::FilterRefine);
+    let mut service = flat();
     // The query's vertices box the spur in, so the spur is closer than the
     // query only inside that box — where nothing lives but the arrival.
     let query = RknntQuery::exists(

@@ -2,7 +2,8 @@
 //! ([`QueryService::apply_updates`]) interleaved with query batches, every
 //! answer must be byte-identical to a service freshly built from the
 //! post-churn store state — i.e. region-scoped invalidation never serves a
-//! stale cached result — for all four engines and both semantics.
+//! stale cached result — checked against all four engines, under both
+//! semantics.
 
 use rknnt_core::{EngineKind, RknntQuery, Semantics};
 use rknnt_data::{
@@ -11,7 +12,7 @@ use rknnt_data::{
 };
 use rknnt_geo::Point;
 use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
-use rknnt_service::{EnginePolicy, QueryService, ServiceConfig, StoreUpdate};
+use rknnt_service::{QueryService, ServiceConfig, StoreUpdate};
 
 fn p(x: f64, y: f64) -> Point {
     Point::new(x, y)
@@ -19,8 +20,8 @@ fn p(x: f64, y: f64) -> Point {
 
 /// Replays a churn stream through a service (batched, cached) and through a
 /// shadow store pair mutated by the same operations, asserting each query
-/// answer matches a fresh engine over the shadow state.
-fn run_churn(kind: EngineKind, semantics: Semantics, seed: u64) {
+/// answer matches a fresh `oracle` engine over the shadow state.
+fn run_churn(oracle: EngineKind, semantics: Semantics, seed: u64) {
     let city = CityGenerator::new(CityConfig::small(seed)).generate();
     let routes = city.route_store();
     let transitions = TransitionGenerator::new(TransitionConfig::checkin_like(900, seed ^ 0x77))
@@ -38,9 +39,7 @@ fn run_churn(kind: EngineKind, semantics: Semantics, seed: u64) {
     let mut service = QueryService::new(
         routes,
         transitions,
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_policy(EnginePolicy::Fixed(kind)),
+        ServiceConfig::default().with_workers(2),
     );
 
     // If any churn assertion fires, dump the flight recorder's recent
@@ -62,12 +61,12 @@ fn run_churn(kind: EngineKind, semantics: Semantics, seed: u64) {
             return;
         }
         let (results, _) = service.execute_batch(pending);
-        let fresh = kind.build(shadow_routes, shadow_transitions);
+        let fresh = oracle.build(shadow_routes, shadow_transitions);
         for (query, result) in pending.iter().zip(&results) {
             assert_eq!(
                 result.transitions,
                 fresh.execute(query).transitions,
-                "stale or wrong answer under churn ({kind} {semantics:?} k={})",
+                "stale or wrong answer under churn ({oracle} {semantics:?} k={})",
                 query.k
             );
             *checked += 1;
@@ -229,9 +228,7 @@ fn region_scoped_invalidation_retains_unaffected_entries() {
     let mut service = QueryService::new(
         routes,
         transitions,
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_policy(EnginePolicy::Fixed(EngineKind::FilterRefine)),
+        ServiceConfig::default().with_workers(1),
     );
     let query = RknntQuery::exists(vec![p(5.0, 35.0), p(35.0, 35.0), p(65.0, 35.0)], 2);
 

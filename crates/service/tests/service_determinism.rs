@@ -1,13 +1,15 @@
 //! The service's central contract: batched / parallel / cached execution
 //! returns byte-identical transition sets to sequential per-query
-//! [`RknnTEngine::execute`], for all four engines and both semantics — and
+//! [`RknnTEngine::execute`] of all four engines, under both semantics — and
 //! the cache never serves results across a store mutation.
+//!
+//! [`RknnTEngine::execute`]: rknnt_core::RknnTEngine::execute
 
 use rknnt_core::{EngineKind, RknntQuery, Semantics};
 use rknnt_data::{workload, CityConfig, CityGenerator, TransitionConfig, TransitionGenerator};
 use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionStore};
-use rknnt_service::{EnginePolicy, QueryService, ServiceConfig};
+use rknnt_service::{QueryService, ServiceConfig, StoreUpdate};
 
 fn build_world(seed: u64, transitions: usize) -> (Vec<Vec<Point>>, RouteStore, TransitionStore) {
     let city = CityGenerator::new(CityConfig::small(seed)).generate();
@@ -41,6 +43,31 @@ fn batched_parallel_results_match_sequential_for_all_engines() {
     let (query_routes, routes, transitions) = build_world(23, 2_500);
     let batch = mixed_batch(&query_routes);
 
+    // Batched over 4 workers, with the cache enabled; run the batch twice so
+    // the second pass exercises the all-hits path too.
+    let service = QueryService::new(
+        routes.clone(),
+        transitions.clone(),
+        ServiceConfig::default().with_workers(4),
+    );
+    let passes: Vec<Vec<Vec<u32>>> = (0..2)
+        .map(|pass| {
+            let (results, stats) = service.execute_batch(&batch);
+            assert_eq!(stats.queries, batch.len());
+            if pass == 1 {
+                assert_eq!(
+                    stats.cache_hits,
+                    batch.len(),
+                    "second pass must be answered entirely from the cache"
+                );
+            }
+            results
+                .iter()
+                .map(|r| r.transitions.iter().map(|t| t.raw()).collect())
+                .collect()
+        })
+        .collect();
+
     for kind in EngineKind::ALL {
         // Sequential ground truth with a fresh single-threaded engine.
         let engine = kind.build(&routes, &transitions);
@@ -55,31 +82,8 @@ fn batched_parallel_results_match_sequential_for_all_engines() {
                     .collect()
             })
             .collect();
-
-        // Batched over 4 workers, with the cache enabled; run the batch
-        // twice so the second pass exercises the all-hits path too.
-        let service = QueryService::new(
-            routes.clone(),
-            transitions.clone(),
-            ServiceConfig::default()
-                .with_workers(4)
-                .with_policy(EnginePolicy::Fixed(kind)),
-        );
-        for pass in 0..2 {
-            let (results, stats) = service.execute_batch(&batch);
-            let got: Vec<Vec<u32>> = results
-                .iter()
-                .map(|r| r.transitions.iter().map(|t| t.raw()).collect())
-                .collect();
-            assert_eq!(got, expected, "engine {kind} pass {pass}");
-            assert_eq!(stats.queries, batch.len());
-            if pass == 1 {
-                assert_eq!(
-                    stats.cache_hits,
-                    batch.len(),
-                    "second pass must be answered entirely from the cache"
-                );
-            }
+        for (pass, got) in passes.iter().enumerate() {
+            assert_eq!(got, &expected, "engine {kind} pass {pass}");
         }
     }
 }
@@ -93,8 +97,7 @@ fn shared_filters_and_coalescing_actually_trigger() {
         transitions,
         ServiceConfig::default()
             .with_workers(4)
-            .with_cache_capacity(0) // isolate the grouping counters
-            .with_policy(EnginePolicy::Fixed(EngineKind::Voronoi)),
+            .with_cache_capacity(0), // isolate the grouping counters,
     );
     let (_, stats) = service.execute_batch(&batch);
     assert!(stats.groups > 0);
@@ -111,15 +114,69 @@ fn shared_filters_and_coalescing_actually_trigger() {
     assert_eq!(stats.cache_hits, 0);
 }
 
+/// Every fresh miss builds its filter once, in the frontend, and that one
+/// construction is shared by the `∀` twin and kept as the cached entries'
+/// footprint — on the default configuration, whatever the shape of the
+/// queries.
 #[test]
-fn auto_policy_matches_an_oracle() {
+fn the_default_service_builds_one_shared_filter_per_route_and_k() {
+    let (query_routes, routes, transitions) = build_world(37, 1_500);
+    let n = query_routes.len();
+    let exists: Vec<RknntQuery> = query_routes
+        .iter()
+        .enumerate()
+        .map(|(i, route)| {
+            assert!(route.len() > 1, "multi-point routes");
+            RknntQuery::exists(route.clone(), 1 + (i % 3) * 4)
+        })
+        .collect();
+    let service = QueryService::new(
+        routes.clone(),
+        transitions.clone(),
+        ServiceConfig::default(),
+    );
+    let (_, stats) = service.execute_batch(&exists);
+    assert_eq!(stats.cache_hits, 0);
+    assert_eq!(stats.filter_constructions, n);
+    assert_eq!(stats.filters_saved, 0);
+
+    let mut service = QueryService::new(routes, transitions, ServiceConfig::default());
+    let mut twins = exists.clone();
+    twins.extend(
+        exists
+            .iter()
+            .map(|q| RknntQuery::for_all(q.route.clone(), q.k)),
+    );
+    let (_, stats) = service.execute_batch(&twins);
+    assert_eq!(stats.cache_hits, 0);
+    assert_eq!(stats.filter_constructions, n);
+    assert_eq!(stats.filters_saved, n);
+    assert_eq!(service.cache_len(), 2 * n);
+
+    // Every cached entry carries a footprint (from those `n` constructions:
+    // nothing else was built): an entry without one never certifies a route
+    // removal and would be evicted by this one, however far away it is.
+    let far = vec![Point::new(5.0e7, 5.0e7), Point::new(5.0e7 + 100.0, 5.0e7)];
+    let inserted = service.apply_updates(vec![StoreUpdate::InsertRoute(far)]);
+    let removed =
+        service.apply_updates(vec![StoreUpdate::RemoveRoute(inserted.inserted_routes[0])]);
+    assert_eq!(removed.targeted_route_removals, 1);
+    assert_eq!(
+        (removed.evicted_entries, removed.retained_entries),
+        (0, 2 * n),
+        "an entry cached without a footprint"
+    );
+}
+
+#[test]
+fn every_query_shape_matches_an_oracle() {
     let (query_routes, routes, transitions) = build_world(47, 1_200);
     let oracle = EngineKind::BruteForce.build(&routes, &transitions);
     let mut batch = Vec::new();
     for route in &query_routes {
         batch.push(RknntQuery::exists(route.clone(), 2));
-        batch.push(RknntQuery::exists(route.clone(), 15)); // large-k branch
-        batch.push(RknntQuery::exists(vec![route[0]], 2)); // single-point branch
+        batch.push(RknntQuery::exists(route.clone(), 15)); // large k
+        batch.push(RknntQuery::exists(vec![route[0]], 2)); // single point
     }
     let expected: Vec<Vec<u32>> = batch
         .iter()
@@ -153,9 +210,7 @@ fn cache_is_invalidated_by_store_updates() {
     let mut service = QueryService::new(
         routes,
         transitions,
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_policy(EnginePolicy::Fixed(EngineKind::FilterRefine)),
+        ServiceConfig::default().with_workers(2),
     );
 
     let before = service.execute(&query);

@@ -1,8 +1,8 @@
 //! Continuous-subscription determinism: applying a random churn stream to a
 //! service with live subscriptions must yield, after replaying the emitted
 //! deltas, result sets byte-identical to re-executing every subscription
-//! against a freshly built post-churn service — for all four engines and
-//! both semantics. Nothing the monitor skips, certifies or maintains in
+//! against a freshly built post-churn state — by each of the four engines,
+//! under both semantics. Nothing the monitor skips, certifies or maintains in
 //! place may ever diverge from brute re-execution.
 
 use rknnt_core::{EngineKind, RknntQuery, Semantics};
@@ -12,9 +12,7 @@ use rknnt_data::{
 };
 use rknnt_geo::Point;
 use rknnt_index::{TransitionId, TransitionStore};
-use rknnt_service::{
-    DeltaReason, EnginePolicy, QueryService, ServiceConfig, StoreUpdate, SubscriptionId,
-};
+use rknnt_service::{DeltaReason, QueryService, ServiceConfig, StoreUpdate, SubscriptionId};
 use std::collections::BTreeMap;
 
 fn p(x: f64, y: f64) -> Point {
@@ -23,9 +21,9 @@ fn p(x: f64, y: f64) -> Point {
 
 /// Replays a subscription stream through a monitored service while keeping
 /// a shadow store pair and per-subscription delta-replayed results; checks
-/// after every update batch that replayed results match fresh engines over
-/// the shadow state.
-fn run_monitored_churn(kind: EngineKind, semantics: Semantics, seed: u64) {
+/// after every update batch that replayed results match a fresh `oracle`
+/// engine over the shadow state.
+fn run_monitored_churn(oracle: EngineKind, semantics: Semantics, seed: u64) {
     let city = CityGenerator::new(CityConfig::small(seed)).generate();
     let routes = city.route_store();
     let transitions = TransitionGenerator::new(TransitionConfig::checkin_like(700, seed ^ 0x5e))
@@ -39,9 +37,7 @@ fn run_monitored_churn(kind: EngineKind, semantics: Semantics, seed: u64) {
     let mut service = QueryService::new(
         routes,
         transitions,
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_policy(EnginePolicy::Fixed(kind)),
+        ServiceConfig::default().with_workers(2),
     );
 
     // Replayed results: what a client that only consumes deltas believes.
@@ -60,7 +56,7 @@ fn run_monitored_churn(kind: EngineKind, semantics: Semantics, seed: u64) {
                      shadow_routes: &rknnt_index::RouteStore,
                      shadow_transitions: &TransitionStore,
                      checked: &mut usize| {
-        let fresh = kind.build(shadow_routes, shadow_transitions);
+        let fresh = oracle.build(shadow_routes, shadow_transitions);
         for (id, replayed_result) in replayed {
             let query = service
                 .subscription_query(*id)
@@ -70,12 +66,12 @@ fn run_monitored_churn(kind: EngineKind, semantics: Semantics, seed: u64) {
                 service.subscription_result(*id).unwrap(),
                 expected.as_slice(),
                 "maintained result diverged from fresh post-churn state \
-                 ({kind} {semantics:?})"
+                 ({oracle} {semantics:?})"
             );
             assert_eq!(
                 replayed_result, &expected,
                 "delta-replayed result diverged from fresh post-churn state \
-                 ({kind} {semantics:?})"
+                 ({oracle} {semantics:?})"
             );
             *checked += 1;
         }
@@ -240,9 +236,7 @@ fn classification_outcomes_and_delta_reasons() {
     let mut service = QueryService::new(
         routes,
         transitions,
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_policy(EnginePolicy::Fixed(EngineKind::FilterRefine)),
+        ServiceConfig::default().with_workers(1),
     );
 
     let query = RknntQuery::exists(vec![p(5.0, 35.0), p(35.0, 35.0), p(65.0, 35.0)], 2);

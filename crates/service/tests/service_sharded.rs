@@ -1,7 +1,7 @@
 //! Sharding invariants: a [`ShardedService`] — SFC-partitioned shards
 //! behind a footprint-pruned router — answers byte-identically to an
-//! unsharded [`QueryService`] over the same data, for every shard count,
-//! all four engines and both semantics. That covers one-shot batches, the
+//! unsharded [`QueryService`] over the same data (and to all four engines),
+//! for every shard count and both semantics. That covers one-shot batches, the
 //! router's shard-skip soundness (a skipped shard provably holds no
 //! candidate of the unsharded execution), subscription delta streams under
 //! churn, crash recovery from the one global-form WAL, a storage directory
@@ -15,8 +15,8 @@ use rknnt_geo::Point;
 use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
 use rknnt_rtree::RTreeConfig;
 use rknnt_service::{
-    EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig,
-    StoreUpdate, SubscriptionId,
+    QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig, StoreUpdate,
+    SubscriptionId,
 };
 use rknnt_storage::{Failpoints, WAL_FSYNC_SITE};
 use std::path::{Path, PathBuf};
@@ -101,51 +101,47 @@ fn raw_results(results: &[rknnt_core::RknntResult]) -> Vec<Vec<u32>> {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn sharded_batches_match_unsharded_for_all_engines_and_shard_counts() {
+fn sharded_batches_match_unsharded_for_all_shard_counts() {
     let (routes, pairs) = raw_world(23, 2_000);
     let city = CityGenerator::new(CityConfig::small(23)).generate();
     let query_routes = workload::rknnt_queries(&city, 6, 4, 1_200.0, 23 ^ 0x3);
     let batch = mixed_batch(&query_routes);
     let (route_store, transition_store) = unsharded_stores(&routes, &pairs);
 
-    for kind in EngineKind::ALL {
-        let base = ServiceConfig::default()
-            .with_workers(4)
-            .with_policy(EnginePolicy::Fixed(kind));
-        let unsharded = QueryService::new(route_store.clone(), transition_store.clone(), base);
-        let (expected, _) = unsharded.execute_batch(&batch);
-        let expected = raw_results(&expected);
+    let base = ServiceConfig::default().with_workers(4);
+    let unsharded = QueryService::new(route_store, transition_store, base);
+    let (expected, _) = unsharded.execute_batch(&batch);
+    let expected = raw_results(&expected);
 
-        for shards in SHARD_COUNTS {
-            let sharded = ShardedService::bulk_build(
-                ShardedConfig::default().with_shards(shards).with_base(base),
-                routes.clone(),
-                pairs.clone(),
+    for shards in SHARD_COUNTS {
+        let sharded = ShardedService::bulk_build(
+            ShardedConfig::default().with_shards(shards).with_base(base),
+            routes.clone(),
+            pairs.clone(),
+        );
+        assert_eq!(sharded.shard_count(), shards);
+        for pass in 0..2 {
+            let (results, stats) = sharded.execute_batch(&batch);
+            assert_eq!(
+                raw_results(&results),
+                expected,
+                "shards {shards} pass {pass}"
             );
-            assert_eq!(sharded.shard_count(), shards);
-            for pass in 0..2 {
-                let (results, stats) = sharded.execute_batch(&batch);
+            assert_eq!(stats.queries, batch.len());
+            if pass == 1 {
                 assert_eq!(
-                    raw_results(&results),
-                    expected,
-                    "engine {kind} shards {shards} pass {pass}"
+                    stats.cache_hits,
+                    batch.len(),
+                    "second pass must be answered entirely from the router cache"
                 );
-                assert_eq!(stats.queries, batch.len());
-                if pass == 1 {
-                    assert_eq!(
-                        stats.cache_hits,
-                        batch.len(),
-                        "second pass must be answered entirely from the router cache"
-                    );
-                }
             }
-            let rs = sharded.router_stats();
-            assert!(rs.executions > 0, "fresh routed executions must be counted");
-            assert!(
-                rs.dispatches <= rs.executions * shards as u64,
-                "fan-out can never exceed the shard count"
-            );
         }
+        let rs = sharded.router_stats();
+        assert!(rs.executions > 0, "fresh routed executions must be counted");
+        assert!(
+            rs.dispatches <= rs.executions * shards as u64,
+            "fan-out can never exceed the shard count"
+        );
     }
 }
 
@@ -164,38 +160,37 @@ fn assert_skips_sound(
     full_transitions: &TransitionStore,
     query: &RknntQuery,
 ) -> usize {
-    let mut skips = 0;
+    let routed = sharded.execute(query).transitions;
     for kind in EngineKind::ALL {
         let engine = kind.build(full_routes, full_transitions);
-        let expected = engine.execute(query).transitions;
         assert_eq!(
-            sharded.execute(query).transitions,
-            expected,
+            routed,
+            engine.execute(query).transitions,
             "routed answer diverged ({kind}, k={})",
             query.k
         );
-        if query.is_degenerate() {
-            assert!(sharded.planned_shards(query, kind).is_empty());
+    }
+    let planned = sharded.planned_shards(query);
+    if query.is_degenerate() {
+        assert!(planned.is_empty());
+        return 0;
+    }
+    let mut skips = 0;
+    let outcome = build_filter_set(full_routes, &query.route, query.k);
+    for index in 0..sharded.shard_count() {
+        let store = sharded.shard_transitions(index).unwrap();
+        if store.rtree().root().is_none() || planned.contains(&index) {
             continue;
         }
-        let planned = sharded.planned_shards(query, kind);
-        let outcome = build_filter_set(full_routes, &query.route, query.k);
-        let use_voronoi = matches!(kind, EngineKind::Voronoi);
-        for index in 0..sharded.shard_count() {
-            let store = sharded.shard_transitions(index).unwrap();
-            if store.rtree().root().is_none() || planned.contains(&index) {
-                continue;
-            }
-            skips += 1;
-            let pruned = prune_transitions(store, &outcome.filter_set, query.k, use_voronoi);
-            assert!(
-                pruned.candidates.is_empty(),
-                "router skipped shard {index} but it holds {} candidate endpoint(s) \
-                 of the unsharded execution ({kind}, k={})",
-                pruned.candidates.len(),
-                query.k
-            );
-        }
+        skips += 1;
+        let pruned = prune_transitions(store, &outcome.filter_set, query.k, false);
+        assert!(
+            pruned.candidates.is_empty(),
+            "router skipped shard {index} but it holds {} candidate endpoint(s) \
+             of the unsharded execution (k={})",
+            pruned.candidates.len(),
+            query.k
+        );
     }
     skips
 }
@@ -328,14 +323,12 @@ fn resolve_update(
 /// unsharded service and a sharded fleet: applied/rejected bookkeeping,
 /// inserted global ids, every query answer, every maintained subscription
 /// result and the full delta stream must be byte-identical.
-fn run_churn_parity(kind: EngineKind, semantics: Semantics, shards: usize, seed: u64) {
+fn run_churn_parity(semantics: Semantics, shards: usize, seed: u64) {
     let city = CityGenerator::new(CityConfig::small(seed)).generate();
     let pairs =
         TransitionGenerator::new(TransitionConfig::checkin_like(700, seed ^ 0x77)).generate(&city);
     let (route_store, transition_store) = unsharded_stores(&city.routes, &pairs);
-    let base = ServiceConfig::default()
-        .with_workers(2)
-        .with_policy(EnginePolicy::Fixed(kind));
+    let base = ServiceConfig::default().with_workers(2);
     let mut unsharded = QueryService::new(route_store.clone(), transition_store.clone(), base);
     let mut sharded = ShardedService::bulk_build(
         ShardedConfig::default().with_shards(shards).with_base(base),
@@ -369,7 +362,7 @@ fn run_churn_parity(kind: EngineKind, semantics: Semantics, shards: usize, seed:
                 assert_eq!(
                     unsharded.subscription_result(a),
                     sharded.subscription_result(b),
-                    "initial subscription result diverged ({kind} {semantics:?} N={shards})"
+                    "initial subscription result diverged ({semantics:?} N={shards} seed {seed})"
                 );
                 live_subs.push(a);
             }
@@ -400,7 +393,7 @@ fn run_churn_parity(kind: EngineKind, semantics: Semantics, shards: usize, seed:
                 );
                 assert_eq!(
                     a.deltas, b.deltas,
-                    "delta stream diverged at step {step} ({kind} {semantics:?} N={shards})"
+                    "delta stream diverged at step {step} ({semantics:?} N={shards} seed {seed})"
                 );
                 if !a.deltas.is_empty() {
                     delta_batches += 1;
@@ -420,7 +413,7 @@ fn run_churn_parity(kind: EngineKind, semantics: Semantics, shards: usize, seed:
             assert_eq!(
                 unsharded.execute(&query).transitions,
                 sharded.execute(&query).transitions,
-                "one-shot answer diverged at step {step} ({kind} {semantics:?} N={shards})"
+                "one-shot answer diverged at step {step} ({semantics:?} N={shards} seed {seed})"
             );
         }
     }
@@ -429,7 +422,7 @@ fn run_churn_parity(kind: EngineKind, semantics: Semantics, shards: usize, seed:
         assert_eq!(
             unsharded.subscription_result(*id),
             sharded.subscription_result(*id),
-            "final subscription result diverged ({kind} {semantics:?} N={shards})"
+            "final subscription result diverged ({semantics:?} N={shards} seed {seed})"
         );
     }
     // Force a guaranteed delta pair: a transition with both endpoints ON a
@@ -472,32 +465,20 @@ fn run_churn_parity(kind: EngineKind, semantics: Semantics, shards: usize, seed:
     );
     assert!(
         delta_batches > 0,
-        "the stream must actually emit deltas ({kind} {semantics:?} N={shards})"
+        "the stream must actually emit deltas ({semantics:?} N={shards} seed {seed})"
     );
 }
 
 #[test]
-fn churn_and_delta_parity_filter_refine() {
-    run_churn_parity(EngineKind::FilterRefine, Semantics::Exists, 4, 211);
-    run_churn_parity(EngineKind::FilterRefine, Semantics::ForAll, 8, 212);
-}
-
-#[test]
-fn churn_and_delta_parity_voronoi() {
-    run_churn_parity(EngineKind::Voronoi, Semantics::Exists, 2, 213);
-    run_churn_parity(EngineKind::Voronoi, Semantics::ForAll, 4, 214);
-}
-
-#[test]
-fn churn_and_delta_parity_divide_conquer() {
-    run_churn_parity(EngineKind::DivideConquer, Semantics::Exists, 8, 215);
-    run_churn_parity(EngineKind::DivideConquer, Semantics::ForAll, 1, 216);
-}
-
-#[test]
-fn churn_and_delta_parity_brute_force() {
-    run_churn_parity(EngineKind::BruteForce, Semantics::Exists, 1, 217);
-    run_churn_parity(EngineKind::BruteForce, Semantics::ForAll, 2, 218);
+fn churn_and_delta_parity_for_every_seed_semantics_and_shard_count() {
+    run_churn_parity(Semantics::Exists, 4, 211);
+    run_churn_parity(Semantics::ForAll, 8, 212);
+    run_churn_parity(Semantics::Exists, 2, 213);
+    run_churn_parity(Semantics::ForAll, 4, 214);
+    run_churn_parity(Semantics::Exists, 8, 215);
+    run_churn_parity(Semantics::ForAll, 1, 216);
+    run_churn_parity(Semantics::Exists, 1, 217);
+    run_churn_parity(Semantics::ForAll, 2, 218);
 }
 
 /// The footprint certificate keeps the router out of most of the fleet on
@@ -536,9 +517,7 @@ fn fanout_on_local_trips_stays_under_half_of_eight_shards() {
             .map(|(o, d)| (o, cap(o, d)))
             .collect();
     let (route_store, transition_store) = unsharded_stores(&routes, &pairs);
-    let base = ServiceConfig::default()
-        .with_workers(1)
-        .with_policy(EnginePolicy::Fixed(EngineKind::Voronoi));
+    let base = ServiceConfig::default().with_workers(1);
     for ratio in [0.01, 0.10] {
         let mut config = rknnt_data::ChurnConfig::new(120, ratio, seed ^ 0x51a9);
         config.query_pool = 8;
@@ -694,17 +673,15 @@ fn assert_fleets_identical(a: &ShardedService, b: &ShardedService, label: &str) 
     );
 }
 
-fn run_sharded_recovery(kind: EngineKind, semantics: Semantics, shards: usize, seed: u64) {
+fn run_sharded_recovery(semantics: Semantics, shards: usize, seed: u64) {
     let city = CityGenerator::new(CityConfig::small(seed)).generate();
     let pairs =
         TransitionGenerator::new(TransitionConfig::checkin_like(250, seed ^ 0x33)).generate(&city);
-    let base = ServiceConfig::default()
-        .with_workers(2)
-        .with_policy(EnginePolicy::Fixed(kind));
+    let base = ServiceConfig::default().with_workers(2);
     let config = ShardedConfig::default().with_shards(shards).with_base(base);
 
     let mut reference = ShardedService::bulk_build(config, city.routes.clone(), pairs.clone());
-    let dir = temp_dir(&format!("rec-{kind}-{semantics:?}-{shards}-{seed}"));
+    let dir = temp_dir(&format!("rec-{semantics:?}-{shards}-{seed}"));
     let mut durable = ShardedService::bulk_build(config, city.routes.clone(), pairs);
     durable.attach_storage(&dir, test_storage()).unwrap();
     assert!(durable.has_storage());
@@ -767,7 +744,7 @@ fn run_sharded_recovery(kind: EngineKind, semantics: Semantics, shards: usize, s
     assert_eq!(
         raw_results(&ref_answers),
         raw_results(&rec_answers),
-        "recovered fleet answers diverged ({kind} {semantics:?} N={shards})"
+        "recovered fleet answers diverged ({semantics:?} N={shards} seed {seed})"
     );
 
     // Re-register the standing queries; results and the continuing delta
@@ -800,7 +777,7 @@ fn run_sharded_recovery(kind: EngineKind, semantics: Semantics, shards: usize, s
         .collect();
     assert_eq!(
         ref3.deltas, rec_deltas,
-        "post-recovery delta stream diverged ({kind} {semantics:?} N={shards})"
+        "post-recovery delta stream diverged ({semantics:?} N={shards} seed {seed})"
     );
     assert_fleets_identical(&recovered, &reference, "after the stream continued");
 
@@ -808,15 +785,14 @@ fn run_sharded_recovery(kind: EngineKind, semantics: Semantics, shards: usize, s
 }
 
 #[test]
-fn sharded_recovery_is_deterministic_for_every_engine_and_semantics() {
-    for (i, kind) in EngineKind::ALL.into_iter().enumerate() {
-        for (j, semantics) in [Semantics::Exists, Semantics::ForAll]
-            .into_iter()
-            .enumerate()
-        {
-            let combo = i * 2 + j;
-            run_sharded_recovery(kind, semantics, SHARD_COUNTS[combo % 4], 61 + combo as u64);
-        }
+fn sharded_recovery_is_deterministic_for_every_seed_and_semantics() {
+    for combo in 0..8 {
+        let semantics = if combo % 2 == 0 {
+            Semantics::Exists
+        } else {
+            Semantics::ForAll
+        };
+        run_sharded_recovery(semantics, SHARD_COUNTS[combo % 4], 61 + combo as u64);
     }
 }
 

@@ -15,15 +15,14 @@
 //! Names, parent links and attribute keys are an interface: the benchmark's
 //! per-layer catalogue and the `net_server` trace cases read them. The
 //! phase spans must also carry the *same* measurements the returned
-//! [`BatchStats::timings`] report.
+//! [`BatchStats::timings`] report, and a `filter_build` span lies inside the
+//! filtering time of the one query that built the filter.
 
-use rknnt_core::{EngineKind, RknntQuery};
+use rknnt_core::RknntQuery;
 use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionStore};
 use rknnt_obs::{CompletedTrace, SpanId, Telemetry, TraceContext, TraceCursor, TraceId, TraceSpan};
-use rknnt_service::{
-    BatchStats, EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService,
-};
+use rknnt_service::{BatchStats, QueryService, ServiceConfig, ShardedConfig, ShardedService};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -67,18 +66,16 @@ fn batch() -> Vec<RknntQuery> {
 }
 
 fn config() -> ServiceConfig {
-    ServiceConfig::default()
-        .with_workers(2)
-        .with_policy(EnginePolicy::Fixed(EngineKind::FilterRefine))
+    ServiceConfig::default().with_workers(2)
 }
 
 /// Runs `execute` under a fresh trace rooted at one `request` span.
-fn traced(execute: impl FnOnce(&TraceCursor) -> BatchStats) -> (CompletedTrace, BatchStats) {
+fn traced<T>(execute: impl FnOnce(&TraceCursor) -> T) -> (CompletedTrace, T) {
     let ctx = TraceContext::begin(TraceId::from_raw(7), Telemetry::monotonic());
     let root = ctx.begin_span("request", SpanId::NONE);
-    let stats = execute(&TraceCursor::new(&ctx, root));
+    let out = execute(&TraceCursor::new(&ctx, root));
     ctx.end_span(root);
-    (ctx.finish(), stats)
+    (ctx.finish(), out)
 }
 
 fn keys(span: &TraceSpan) -> BTreeSet<&'static str> {
@@ -213,4 +210,49 @@ fn sharded_backing_span_tree() {
     let router = service.router_stats();
     assert_eq!(router.executions, 3);
     assert_eq!(considered as u64, router.dispatches + router.shards_pruned);
+}
+
+/// Filter construction is part of the filtering time, and of exactly one
+/// query's: the one that built the filter carries it, the `∀` twin sharing
+/// it reports only its prune, and the stage histogram holds those two
+/// samples. No wall-clock threshold: the builder's filtering interval
+/// encloses the `filter_build` span on the same monotonic clock.
+#[test]
+fn filter_construction_is_timed_into_the_query_that_built_it() {
+    let (routes, pairs) = world();
+    let (route_store, _) = RouteStore::bulk_build(Default::default(), routes);
+    let transition_store = TransitionStore::bulk_build(Default::default(), pairs);
+    let service = QueryService::new(route_store, transition_store, config());
+    let route = vec![p(10.0, 75.0), p(500.0, 95.0), p(1100.0, 75.0)];
+    let queries = [
+        RknntQuery::exists(route.clone(), 2),
+        RknntQuery::for_all(route, 2),
+    ];
+    let (trace, (results, stats)) = traced(|t| service.execute_batch_traced(&queries, Some(t)));
+    assert_eq!((stats.filter_constructions, stats.filters_saved), (1, 1));
+    let builds: Vec<&TraceSpan> = trace
+        .spans()
+        .iter()
+        .filter(|s| s.name() == "filter_build")
+        .collect();
+    assert_eq!(builds.len(), 1);
+    let build = Duration::from_nanos(builds[0].dur_ns());
+    assert!(build > Duration::ZERO);
+    let filtering: Vec<Duration> = results.iter().map(|r| r.timings.filtering).collect();
+    assert!(
+        filtering[0] >= build,
+        "the building query reports {:?} of filtering around a {build:?} construction",
+        filtering[0]
+    );
+    let snapshot = service.metrics_snapshot();
+    let stage = snapshot
+        .histogram("service.stage.filter_ns")
+        .expect("registered");
+    assert_eq!(stage.count(), 2, "one sample per fresh query");
+    assert_eq!(
+        u128::from(stage.sum()),
+        (filtering[0] + filtering[1]).as_nanos(),
+        "the samples are the results' own filtering times"
+    );
+    assert!(Duration::from_nanos(stage.sum()) >= build);
 }

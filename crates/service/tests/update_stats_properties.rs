@@ -8,9 +8,7 @@ use proptest::prelude::*;
 use rknnt_core::{EngineKind, RknntQuery, Semantics};
 use rknnt_geo::Point;
 use rknnt_index::{RouteId, TransitionId};
-use rknnt_service::{
-    EnginePolicy, QueryService, ServiceConfig, StoreUpdate, SubscriptionId, UpdateStats,
-};
+use rknnt_service::{QueryService, ServiceConfig, StoreUpdate, SubscriptionId, UpdateStats};
 use std::collections::BTreeMap;
 
 fn p(x: f64, y: f64) -> Point {
@@ -55,9 +53,7 @@ fn build_service() -> (QueryService, Vec<SubscriptionId>) {
     let mut service = QueryService::new(
         routes,
         transitions,
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_policy(EnginePolicy::Fixed(EngineKind::FilterRefine)),
+        ServiceConfig::default().with_workers(1),
     );
     let mut subs = Vec::new();
     for (route, k, semantics) in [

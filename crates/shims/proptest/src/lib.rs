@@ -293,7 +293,7 @@ pub mod prop {
             VecStrategy { element, len }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             len: Range<usize>,

@@ -3,10 +3,10 @@
 //!
 //! Run with `cargo run --release --example service_throughput -- \
 //!     [--queries N] [--batch N] [--workers N] [--k N] \
-//!     [--semantics exists|forall] [--engine auto|voronoi|...]`.
+//!     [--semantics exists|forall]`.
 //!
-//! The engine and semantics flags are parsed through the `FromStr` impls on
-//! [`EnginePolicy`] and [`Semantics`] — no hard-coded variants.
+//! The semantics flag is parsed through the `FromStr` impl on [`Semantics`]
+//! — no hard-coded variants.
 
 use rknnt::data::workload;
 use rknnt::prelude::*;
@@ -17,7 +17,6 @@ struct Args {
     workers: usize,
     k: usize,
     semantics: Semantics,
-    policy: EnginePolicy,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -27,7 +26,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 4,
         k: 10,
         semantics: Semantics::Exists,
-        policy: EnginePolicy::Auto,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -53,11 +51,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--k" => args.k = value("--k")?.parse().map_err(|e| format!("--k: {e}"))?,
             "--semantics" => args.semantics = value("--semantics")?.parse()?,
-            "--engine" => args.policy = value("--engine")?.parse()?,
             other => {
                 return Err(format!(
-                    "unknown flag {other}; expected --queries, --batch, --workers, --k, \
-                     --semantics or --engine"
+                    "unknown flag {other}; expected --queries, --batch, --workers, --k or \
+                     --semantics"
                 ))
             }
         }
@@ -103,13 +100,11 @@ fn main() {
     let service = QueryService::new(
         routes,
         transitions,
-        ServiceConfig::default()
-            .with_workers(args.workers)
-            .with_policy(args.policy),
+        ServiceConfig::default().with_workers(args.workers),
     );
     println!(
-        "service: policy {}, {} workers, batch {}, {} semantics\n",
-        args.policy, args.workers, args.batch, args.semantics
+        "service: {} workers, batch {}, {} semantics\n",
+        args.workers, args.batch, args.semantics
     );
 
     let started = std::time::Instant::now();

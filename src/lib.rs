@@ -15,8 +15,8 @@
 //! * [`data`] — synthetic city, route and transition generators plus
 //!   workload generators for the evaluation.
 //! * [`service`] — the serving layer: concurrent batch query execution with
-//!   engine-selection policy, shared-filter batching, a seeded LRU result
-//!   cache, and `ShardedService` — Z-order spatial shards behind a
+//!   shared-filter batching, a seeded LRU result cache, and
+//!   `ShardedService` — Z-order spatial shards behind a
 //!   footprint-pruned router, byte-identical to one service.
 //! * [`storage`] — the durable storage engine: checksummed snapshots plus a
 //!   segmented write-ahead log with crash recovery, behind
@@ -70,8 +70,8 @@ pub mod prelude {
     };
     pub use rknnt_routeplan::{Objective, PlannerConfig, Precomputation, RoutePlanner};
     pub use rknnt_service::{
-        BatchStats, DeltaReason, EnginePolicy, QueryService, ServiceConfig, ShardedConfig,
-        ShardedService, SubscriptionDelta, SubscriptionId,
+        BatchStats, DeltaReason, QueryService, ServiceConfig, ShardedConfig, ShardedService,
+        SubscriptionDelta, SubscriptionId,
     };
     pub use rknnt_storage::{StorageConfig, StorageError, StorageStats};
 }

@@ -8,8 +8,8 @@
 //! [`Server`] + [`Client`] pair over each of those, and a durable service
 //! over one storage directory that every crash reopens in the next shape of
 //! the rotation flat → 1 shard → 4 shards (the in-memory configurations
-//! have nothing to lose, so the two storage steps pass through them), once
-//! per engine kind with both semantics in the stream. After every step
+//! have nothing to lose, so the two storage steps pass through them), with
+//! both semantics in the stream. After every step
 //! each configuration's answers, update counts, maintained subscription
 //! results and the results rebuilt by replaying its deltas must equal what
 //! the definition says: [`BruteForceEngine`] over stores rebuilt from a
@@ -42,16 +42,14 @@
 //! `a_route_removal_sees_pending_arrivals_as_members` in
 //! `crates/service/tests/result_maintenance.rs`.
 
-use rknnt::core::{
-    BruteForceEngine, EngineKind, FilterFootprint, RknnTEngine, RknntQuery, Semantics,
-};
+use rknnt::core::{BruteForceEngine, FilterFootprint, RknnTEngine, RknntQuery, Semantics};
 use rknnt::fault::splitmix64;
 use rknnt::geo::{point_route_distance, Point};
 use rknnt::index::{RouteId, RouteStore, TransitionId, TransitionStore};
 use rknnt::net::{Backend, Client, ClientConfig, Server, ServerConfig};
 use rknnt::service::{
-    EnginePolicy, QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig,
-    StoreUpdate, SubscriptionId,
+    QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig, StoreUpdate,
+    SubscriptionId,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -641,9 +639,8 @@ impl Durable {
         StorageConfig::default().with_fsync(false)
     }
 
-    fn over(model: &Model, base: ServiceConfig, tag: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("rknnt-serving-layers-{tag}-{}", std::process::id()));
+    fn over(model: &Model, base: ServiceConfig) -> Self {
+        let dir = std::env::temp_dir().join(format!("rknnt-serving-layers-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut service = flat(model, base);
         service
@@ -903,39 +900,32 @@ fn one_stream_every_configuration_matches_the_brute_force_model() {
     let script = script(0x5eed_1a7e, 110);
     assert_stream_has_teeth(&script);
     let model = Model::initial();
-    for kind in EngineKind::ALL {
-        let base = ServiceConfig::default()
-            .with_workers(2)
-            .with_cache_capacity(16)
-            .with_policy(EnginePolicy::Fixed(kind));
+    let base = ServiceConfig::default()
+        .with_workers(2)
+        .with_cache_capacity(16);
+    drive("flat", &mut local(flat(&model, base)), &script);
+    for shards in [1, 4] {
         drive(
-            &format!("{kind} flat"),
-            &mut local(flat(&model, base)),
-            &script,
-        );
-        for shards in [1, 4] {
-            drive(
-                &format!("{kind} {shards}-shard"),
-                &mut local(sharded(&model, base, shards)),
-                &script,
-            );
-        }
-        drive(
-            &format!("{kind} flat over TCP"),
-            &mut Wire::over(Backend::Single(flat(&model, base))),
-            &script,
-        );
-        for shards in [1, 4] {
-            drive(
-                &format!("{kind} {shards}-shard over TCP"),
-                &mut Wire::over(Backend::Sharded(sharded(&model, base, shards))),
-                &script,
-            );
-        }
-        drive(
-            &format!("{kind} durable, reopened flat / 1-shard / 4-shard in turn"),
-            &mut Durable::over(&model, base, &kind.to_string()),
+            &format!("{shards}-shard"),
+            &mut local(sharded(&model, base, shards)),
             &script,
         );
     }
+    drive(
+        "flat over TCP",
+        &mut Wire::over(Backend::Single(flat(&model, base))),
+        &script,
+    );
+    for shards in [1, 4] {
+        drive(
+            &format!("{shards}-shard over TCP"),
+            &mut Wire::over(Backend::Sharded(sharded(&model, base, shards))),
+            &script,
+        );
+    }
+    drive(
+        "durable, reopened flat / 1-shard / 4-shard in turn",
+        &mut Durable::over(&model, base),
+        &script,
+    );
 }
