@@ -147,8 +147,6 @@ pub struct DeltaEvent {
 /// Backend health as reported by a [`Client::health`] probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthStatus {
-    /// The backend's store generation.
-    pub generation: u64,
     /// Applied-update watermark (see [`Message::HealthOk`]).
     pub watermark: u64,
 }
@@ -443,22 +441,17 @@ impl Client {
         }
     }
 
-    /// Health / resync probe: fetches the backend's store generation and
-    /// applied-update watermark. Travels the full executor path (unlike
+    /// Health / resync probe: fetches the backend's applied-update
+    /// watermark. Travels the full executor path (unlike
     /// [`Client::introspect`]), so an answer proves the request pipeline is
     /// live end to end.
     pub fn health(&mut self) -> Result<Reply<HealthStatus>, ClientError> {
         let id = self.fresh_id();
         self.send(&Message::Health { id })?;
         match self.recv()? {
-            Message::HealthOk {
-                id: rid,
-                generation,
-                watermark,
-            } if rid == id => Ok(Reply::Answered(HealthStatus {
-                generation,
-                watermark,
-            })),
+            Message::HealthOk { id: rid, watermark } if rid == id => {
+                Ok(Reply::Answered(HealthStatus { watermark }))
+            }
             Message::Overloaded { id: rid, info } if rid == id => Ok(Reply::Overloaded(info)),
             Message::Error { id, message } => Err(ClientError::Server { id, message }),
             _ => Err(ClientError::UnexpectedReply("wanted a health reply")),

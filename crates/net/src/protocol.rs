@@ -269,8 +269,8 @@ pub enum Message {
         /// What to fetch.
         what: IntrospectWhat,
     },
-    /// Health / resync probe: asks the backend for its store generation and
-    /// applied-update watermark. Routed through the executor queue (unlike
+    /// Health / resync probe: asks the backend for its applied-update
+    /// watermark. Routed through the executor queue (unlike
     /// [`Message::Introspect`]) — a probe that comes back proves the whole
     /// request path is live, which is exactly what a half-open circuit
     /// breaker needs to know.
@@ -327,8 +327,6 @@ pub enum Message {
     HealthOk {
         /// Echoed request id.
         id: u64,
-        /// The backend's store generation (bumps on every applied change).
-        generation: u64,
         /// Applied-update watermark: how many update records this backend
         /// has ever received, durable across restarts when storage is
         /// attached (`StorageStats::next_seq − 1` — one WAL frame per
@@ -599,14 +597,9 @@ impl Message {
                     }
                 }
             }
-            Message::HealthOk {
-                id,
-                generation,
-                watermark,
-            } => {
+            Message::HealthOk { id, watermark } => {
                 enc.u8(TAG_HEALTH_OK);
                 enc.u64(*id);
-                enc.u64(*generation);
                 enc.u64(*watermark);
             }
             Message::Overloaded { id, info } => {
@@ -771,7 +764,6 @@ impl Message {
             }
             TAG_HEALTH_OK => Message::HealthOk {
                 id: dec.u64()?,
-                generation: dec.u64()?,
                 watermark: dec.u64()?,
             },
             TAG_OVERLOADED => Message::Overloaded {
@@ -948,7 +940,6 @@ mod tests {
             },
             Message::HealthOk {
                 id: 18,
-                generation: 4,
                 watermark: 37,
             },
             Message::Overloaded {

@@ -148,13 +148,6 @@ impl Backend {
         }
     }
 
-    fn generation(&self) -> u64 {
-        match self {
-            Backend::Single(s) => s.generation(),
-            Backend::Sharded(s) => s.generation(),
-        }
-    }
-
     /// The durable applied-update watermark, when storage is attached:
     /// every update record is WAL-appended before it applies (one frame per
     /// record), so `next_seq − 1` counts exactly the records this backend
@@ -1266,11 +1259,7 @@ fn handle_control(
             // Durable watermark when storage is attached (survives
             // restarts); the executor-local count otherwise.
             let watermark = backend.durable_watermark().unwrap_or(*applied_records);
-            let _ = conn.send(&Message::HealthOk {
-                id,
-                generation: backend.generation(),
-                watermark,
-            });
+            let _ = conn.send(&Message::HealthOk { id, watermark });
         }
         // Readers only enqueue request kinds; queries are flushed upstream.
         _ => {}

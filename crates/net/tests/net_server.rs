@@ -549,7 +549,7 @@ fn introspect_fetches_the_slow_trace_span_tree_over_tcp() {
         "net.shed.queue_full",
         "net.shed.cost_budget",
         "net.shed.inflight",
-        "shard.0.",
+        "router.dispatches",
     ] {
         assert!(text.contains(needle), "metrics text missing {needle}");
     }

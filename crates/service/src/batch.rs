@@ -8,7 +8,7 @@ use rknnt_core::{
     build_filter_set, verify_candidates, FilterFootprint, FilterOutcome, QueryScratch, RknntQuery,
     RknntResult, Semantics,
 };
-use rknnt_geo::Point;
+use rknnt_geo::{Point, Rect};
 use rknnt_obs::{Span, TraceCursor};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -125,9 +125,9 @@ pub(crate) fn form_groups<'q>(queries: &'q [RknntQuery], miss_indexes: &[usize])
 type RouteBits = Vec<(u64, u64)>;
 
 /// One executed query leaving a group: its batch index, its result, and the
-/// footprint of the filter it ran against (shared per `(route, k)`; `None`
-/// for degenerate queries, which build none).
-pub(crate) type GroupOutput = (usize, RknntResult, Option<Arc<FilterFootprint>>);
+/// footprint of the filter it ran against (shared per `(route, k)`; the
+/// empty footprint for degenerate queries, which build no filter).
+pub(crate) type GroupOutput = (usize, RknntResult, Arc<FilterFootprint>);
 
 /// Executes one group on one worker, appending [`GroupOutput`]s to `out`.
 ///
@@ -185,7 +185,15 @@ pub(crate) fn run_group<B: Backing>(
             continue;
         }
         let (result, footprint) = if job.query.is_degenerate() {
-            (RknntResult::default(), None)
+            // What `FilterFootprint::from_outcome` yields for an empty
+            // filter set; never consulted, since every maintenance path
+            // tests the region's `is_degenerate()` first.
+            let empty = FilterFootprint {
+                region: Rect::from_points(&job.query.route).unwrap_or_else(Rect::empty),
+                radius: 0.0,
+                witnesses: Vec::new(),
+            };
+            (RknntResult::default(), Arc::new(empty))
         } else {
             let filter_span = Span::enter(&metrics.stage_filter);
             let (outcome, footprint) = &*match filters.entry((bits, job.query.k)) {
@@ -219,7 +227,7 @@ pub(crate) fn run_group<B: Backing>(
             result.timings.filtering = filtering;
             result.stats.record_filter(outcome, pruned_nodes);
             metrics.record_verification(result.timings.verification);
-            (result, Some(footprint.clone()))
+            (result, footprint.clone())
         };
         seen.insert(full_key, out.len());
         out.push((job.index, result, footprint));

@@ -100,7 +100,8 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Results evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Full invalidations (generation bumps).
+    /// Full invalidations: route removals whose targeted eviction ran out
+    /// of budget.
     pub invalidations: u64,
     /// Entries evicted by region-scoped invalidation
     /// ([`ResultCache::evict_where`]) or dropped because the journal no
@@ -375,11 +376,10 @@ impl ResultCache {
         self.counters.targeted_evictions.add(victims.len() as u64);
     }
 
-    /// Drops every entry and forgets the journal (the generation-bump hook:
-    /// a wholesale store change is not something the journal describes).
+    /// Drops every entry — the route-removal full drop. The journal stays:
+    /// with no entry left there is no reader behind its head to strand.
     pub fn invalidate_all(&mut self) {
         self.counters.invalidated_entries.add(self.map.len() as u64);
-        self.journal.clear();
         self.map.clear();
         self.slots.clear();
         self.free.clear();
@@ -431,8 +431,10 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rknnt_core::FilterFootprint;
     use rknnt_geo::Point;
     use rknnt_index::TransitionId;
+    use std::sync::Arc;
 
     fn query(x: f64, k: usize) -> RknntQuery {
         RknntQuery::exists(vec![Point::new(x, 0.0), Point::new(x, 10.0)], k)
@@ -443,7 +445,11 @@ mod tests {
     }
 
     fn region() -> EntryRegion {
-        EntryRegion::conservative(&query(0.0, 1))
+        let query = query(0.0, 1);
+        let footprint = FilterFootprint::compute(&routes(), &query.route, query.k);
+        EntryRegion::record_with(&query, &RknntResult::default(), Arc::new(footprint), |_| {
+            None
+        })
     }
 
     fn result(id: u32) -> RknntResult {

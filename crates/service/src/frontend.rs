@@ -1,8 +1,8 @@
 //! The serving frontend, written once: [`Service<B>`] owns the result cache,
-//! the generation counter, the subscription registry, the storage handle and
-//! the metric catalog, and runs the only copy of the batch pipeline, the
-//! worker pool, the update skeleton, the subscription surface and
-//! durability (`open` / `attach_storage` / `checkpoint`). What it serves
+//! the subscription registry, the storage handle and the metric catalog, and
+//! runs the only copy of the batch pipeline, the worker pool, the update
+//! skeleton, the subscription surface and durability (`open` /
+//! `attach_storage` / `checkpoint`). What it serves
 //! *from* is a [`Backing`]: one flat pair of stores
 //! ([`crate::QueryService`]) or the complete routes plus the transitions
 //! spread over spatial shards ([`crate::ShardedService`]).
@@ -29,7 +29,6 @@ use rknnt_obs::{EventKind, FlightRecorder, MetricsSnapshot, Span, TraceCursor};
 use rknnt_storage::{Failpoints, Storage, StorageConfig, StorageError, StorageStats};
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Work budget per cached entry for the route-removal survival scan; when
@@ -127,30 +126,22 @@ pub trait Backing: Sync + Sized {
 ///
 /// Queries execute against a consistent snapshot because store mutation
 /// requires `&mut self`, which the borrow checker serialises against every
-/// in-flight `&self` batch. Incremental updates go through
-/// [`Service::apply_updates`], which mutates the stores in place; cached
-/// results follow transition churn through the journal and only a route
-/// change evicts the ones it could affect (see [`crate::region`]).
+/// in-flight `&self` batch. The stores of a live service change one way:
+/// [`Service::apply_updates`] / [`Service::try_apply_updates`] (and the WAL
+/// replay inside [`Service::open`]) mutate them in place, update by update;
+/// cached results follow transition churn through the journal and only a
+/// route change evicts the ones it could affect (see [`crate::region`]). A
+/// rebuilt index is a new service.
 pub struct Service<B: Backing> {
     pub(crate) backing: B,
     /// Worker count and cache sizing of the pipeline.
     pub(crate) config: ServiceConfig,
-    pub(crate) cache: Mutex<ResultCache>,
-    pub(crate) generation: AtomicU64,
-    pub(crate) monitor: SubscriptionRegistry,
+    cache: Mutex<ResultCache>,
+    monitor: SubscriptionRegistry,
     /// The WAL + snapshot directory updates are logged to before they
     /// apply.
-    pub(crate) storage: Option<Storage>,
-    pub(crate) metrics: ServiceMetrics,
-}
-
-/// A fresh result cache sized by `config`, counting into `metrics`.
-pub(crate) fn new_cache(config: &ServiceConfig, metrics: &ServiceMetrics) -> Mutex<ResultCache> {
-    Mutex::new(ResultCache::with_counters(
-        config.cache_capacity,
-        CACHE_SEED,
-        metrics.cache.clone(),
-    ))
+    storage: Option<Storage>,
+    metrics: ServiceMetrics,
 }
 
 impl<B: Backing> Service<B> {
@@ -160,8 +151,11 @@ impl<B: Backing> Service<B> {
         Service {
             backing,
             config,
-            cache: new_cache(&config, &metrics),
-            generation: AtomicU64::new(0),
+            cache: Mutex::new(ResultCache::with_counters(
+                config.cache_capacity,
+                CACHE_SEED,
+                metrics.cache.clone(),
+            )),
             monitor: SubscriptionRegistry::default(),
             storage: None,
             metrics,
@@ -176,12 +170,6 @@ impl<B: Backing> Service<B> {
     /// planner, whose slot indexes are the global route ids).
     pub fn routes(&self) -> &RouteStore {
         self.backing.routes()
-    }
-
-    /// The store generation: starts at 0 and increments on every wholesale
-    /// store change and every [`Service::invalidate_all`].
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
     }
 
     /// Result-cache counter snapshot.
@@ -242,15 +230,6 @@ impl<B: Backing> Service<B> {
         if let Some(storage) = &mut self.storage {
             storage.set_failpoints(failpoints);
         }
-    }
-
-    /// Drops every cached result and bumps the generation. Safe to call
-    /// while other threads are executing batches: they may re-insert
-    /// results computed against the *current* stores (stores cannot have
-    /// changed — that requires `&mut self`), so nothing stale can appear.
-    pub fn invalidate_all(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        self.cache.lock().expect("cache lock").invalidate_all();
     }
 
     // ------------------------------------------------------------------
@@ -399,7 +378,6 @@ impl<B: Backing> Service<B> {
         }
         let batch_span = trace.map(|t| t.begin("batch"));
         let bt = trace.zip(batch_span).map(|(t, s)| t.at(s));
-        let generation_at_start = self.generation();
         self.metrics.batches.inc();
         self.metrics.queries.add(queries.len() as u64);
         // Counter baseline this batch's stats are diffed from. Concurrent
@@ -473,18 +451,13 @@ impl<B: Backing> Service<B> {
         // Phase 4: merge into input order and feed the cache.
         let span = Span::enter(&self.metrics.stage_finalize);
         if caching {
+            // The stores cannot have changed since the lookup (that needs
+            // `&mut self`), so every computed result is current.
             let mut cache = self.cache.lock().expect("cache lock");
-            // Only insert when no invalidation raced the batch: the stores
-            // cannot have changed (that needs `&mut self`), but whoever
-            // called invalidate_all expects a cold cache and re-populating
-            // it behind their back would be surprising.
-            let fresh = self.generation() == generation_at_start;
             for (index, result, footprint) in computed {
-                if fresh {
-                    if let Some(key) = keys[index].take() {
-                        let region = self.region_of(&queries[index], &result, footprint);
-                        cache.insert(key, result.clone(), region);
-                    }
+                if let Some(key) = keys[index].take() {
+                    let region = self.region_of(&queries[index], &result, footprint);
+                    cache.insert(key, result.clone(), region);
                 }
                 slots[index] = Some(result);
             }
@@ -531,7 +504,7 @@ impl<B: Backing> Service<B> {
         &self,
         query: &RknntQuery,
         result: &RknntResult,
-        footprint: Option<Arc<FilterFootprint>>,
+        footprint: Arc<FilterFootprint>,
     ) -> EntryRegion {
         EntryRegion::record_with(query, result, footprint, |id| self.backing.endpoints(id))
     }
@@ -603,14 +576,11 @@ impl<B: Backing> Service<B> {
     /// filter footprint. Used for subscription (re-)execution: dirty
     /// standing queries still share filter constructions within the batch,
     /// but never pollute the LRU.
-    fn execute_uncached(
-        &self,
-        queries: &[RknntQuery],
-    ) -> Vec<(RknntResult, Option<Arc<FilterFootprint>>)> {
+    fn execute_uncached(&self, queries: &[RknntQuery]) -> Vec<(RknntResult, Arc<FilterFootprint>)> {
         let miss_indexes: Vec<usize> = (0..queries.len()).collect();
         let groups = form_groups(queries, &miss_indexes);
         let (computed, _) = self.run_groups(&groups, None);
-        let mut slots: Vec<Option<(RknntResult, Option<Arc<FilterFootprint>>)>> =
+        let mut slots: Vec<Option<(RknntResult, Arc<FilterFootprint>)>> =
             (0..queries.len()).map(|_| None).collect();
         for (index, result, footprint) in computed {
             slots[index] = Some((result, footprint));
@@ -640,8 +610,7 @@ impl<B: Backing> Service<B> {
     }
 
     /// Drops a subscription. Returns `false` for an unknown or already
-    /// dropped id. Buffered deltas for the subscription are kept until
-    /// drained.
+    /// dropped id.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
         self.monitor.remove(id)
     }
@@ -668,18 +637,10 @@ impl<B: Backing> Service<B> {
         self.monitor.get(id).map(|sub| sub.result.as_slice())
     }
 
-    /// Drains subscription deltas buffered outside
-    /// [`Service::apply_updates`] (wholesale store swaps with live
-    /// subscriptions). `apply_updates` drains this buffer into its own
-    /// [`UpdateStats::deltas`] automatically.
-    pub fn take_subscription_deltas(&mut self) -> Vec<SubscriptionDelta> {
-        self.monitor.take_pending()
-    }
-
     /// Re-executes every dirty subscription through the grouped batch
     /// machinery (shared filter constructions, worker pool) against the
     /// current stores, installing results and emitting deltas.
-    pub(crate) fn reexecute_dirty_subscriptions(&mut self, deltas: &mut Vec<SubscriptionDelta>) {
+    fn reexecute_dirty_subscriptions(&mut self, deltas: &mut Vec<SubscriptionDelta>) {
         let dirty = self.monitor.dirty_ids();
         if dirty.is_empty() {
             return;
@@ -716,11 +677,10 @@ impl<B: Backing> Service<B> {
     /// under a work budget and fall back to a full cache drop when it runs
     /// out.
     ///
-    /// This path does **not** bump the generation: `&mut self` already
-    /// serialises it against in-flight batches, and retained entries remain
-    /// byte-identical to what a freshly built service over the post-update
-    /// stores would answer — asserted by the churn determinism suite in
-    /// `tests/service_churn.rs`.
+    /// `&mut self` serialises the call against in-flight batches, and
+    /// retained entries remain byte-identical to what a freshly built
+    /// service over the post-update stores would answer — asserted by the
+    /// churn determinism suite in `tests/service_churn.rs`.
     ///
     /// Live subscriptions follow every applied update eagerly: transition
     /// ops are applied to their results in place, route changes are
@@ -749,6 +709,10 @@ impl<B: Backing> Service<B> {
     /// source) gets a `wal_append` span carrying the frame count and
     /// payload bytes.
     ///
+    /// This is the one site that mutates a live service's stores, and with
+    /// storage attached the `Storage::append` below precedes it: every
+    /// reachable state is the snapshot plus the WAL of [`StoreUpdate`]s.
+    ///
     /// When it errors, the stores are untouched and the WAL rolls the
     /// failed batch's bytes back (a retry with the same or different
     /// updates is safe); if even the rollback fails, the log poisons itself
@@ -775,7 +739,7 @@ impl<B: Backing> Service<B> {
 
     /// The update path proper for updates that are already durable: WAL
     /// replay during `open` must not re-append what it replays.
-    pub(crate) fn replay(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
+    fn replay(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
         let base = self.metrics.update_view();
         self.apply_logged(updates, base)
     }
@@ -788,12 +752,7 @@ impl<B: Backing> Service<B> {
         updates: Vec<StoreUpdate>,
         base: crate::metrics::UpdateCounterView,
     ) -> UpdateStats {
-        let mut stats = UpdateStats {
-            // Deliver deltas buffered by wholesale swaps first so replaying
-            // `deltas` in order stays correct across both update paths.
-            deltas: self.monitor.take_pending(),
-            ..UpdateStats::default()
-        };
+        let mut stats = UpdateStats::default();
         for update in updates {
             // Mutate the stores, then hand the store-facing view of what
             // happened to the cache and the subscriptions — both always see

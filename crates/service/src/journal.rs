@@ -83,13 +83,6 @@ impl Journal {
         let start = self.ops.len().checked_sub(behind)?;
         Some(self.ops.range(start..))
     }
-
-    /// Forgets every op (sequence numbers keep counting), so any result
-    /// stamped before the call can no longer be caught up. For wholesale
-    /// store changes, which the ops do not describe.
-    pub(crate) fn clear(&mut self) {
-        self.ops.clear();
-    }
 }
 
 #[cfg(test)]
@@ -127,19 +120,5 @@ mod tests {
         assert_eq!(ids(&journal, 0), None);
         assert_eq!(ids(&journal, 1), Some(vec![1, 2, 3, 4]));
         assert_eq!(ids(&journal, 5), Some(vec![]));
-    }
-
-    #[test]
-    fn clear_strands_every_earlier_reader() {
-        let mut journal = Journal::with_capacity(4);
-        journal.push(op(0));
-        journal.push(op(1));
-        journal.clear();
-        assert_eq!(journal.head(), 2, "sequence numbers keep counting");
-        assert_eq!(ids(&journal, 1), None);
-        assert_eq!(ids(&journal, 2), Some(vec![]));
-        journal.push(op(2));
-        assert_eq!(ids(&journal, 2), Some(vec![2]));
-        assert_eq!(ids(&journal, 1), None);
     }
 }

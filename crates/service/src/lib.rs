@@ -38,15 +38,14 @@
 //!   are coalesced outright. [`BatchStats`] reports groups formed, filter
 //!   constructions saved and wall-clock per phase.
 //! * **Result caching** — a seeded-hash LRU cache keyed on
-//!   `(route, k, semantics)` with an explicit
-//!   [`Service::invalidate_all`] / generation-bump hook wired into
-//!   [`QueryService::update_stores`], so dynamic-update workloads keep
-//!   serving correct results.
+//!   `(route, k, semantics)` whose entries are kept current by the update
+//!   path below, so dynamic-update workloads keep serving correct results.
 //! * **Incremental updates** — the two update entry points,
 //!   [`Service::apply_updates`] (panics on a WAL failure) and
 //!   [`Service::try_apply_updates`] (returns it; optionally traced), mutate
 //!   the stores in place ([`StoreUpdate`]: transitions arrive and expire,
-//!   routes appear and are withdrawn). Results are maintained rather than
+//!   routes appear and are withdrawn) and are the only way a live service's
+//!   stores change. Results are maintained rather than
 //!   recomputed: a transition update is appended to a bounded journal and
 //!   each cached result replays what it missed when it is next read — an
 //!   exact two-endpoint admission check per arrival — so transition churn

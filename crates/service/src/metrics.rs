@@ -14,7 +14,10 @@
 //! | `storage.wal.*` | WAL appends, bytes, and `fsync_ns` latency |
 //! | `storage.checkpoint*` | checkpoint duration and the `checkpoint_stall_ns` high-water gauge |
 //! | `router.*` | sharded routing: `fanout` histogram (shards consulted per fresh execution), `shards_pruned`, `dispatches`, `executions` |
-//! | `shard.<i>.dispatches` | per-shard dispatch counters of one [`crate::ShardedService`] |
+//!
+//! The catalog does not depend on the shard count: per-shard load is the
+//! `ShardDispatch { shard, candidates }` flight-recorder event and the
+//! `shard` trace span, not a counter per shard.
 //!
 //! The public stats structs ([`BatchStats`](crate::BatchStats),
 //! [`UpdateStats`](crate::UpdateStats)) are populated by diffing cheap
@@ -136,23 +139,15 @@ impl ServiceMetrics {
     }
 
     /// Registers the single-service catalog *plus* the router-layer cells a
-    /// [`crate::ShardedService`] adds on top: the fan-out histogram, prune
-    /// and dispatch counters, and one `shard.<i>.dispatches` counter per
-    /// shard. Shard counter names are interned for the process lifetime
-    /// (the registry requires `&'static str` ids); a service holds at most
-    /// one registration per shard index, and resharding rebuilds the whole
-    /// catalog fresh, so the interned set stays bounded by the largest shard
-    /// count ever used.
-    pub(crate) fn new_with_router(shards: usize) -> (Self, RouterMetrics) {
+    /// [`crate::ShardedService`] adds on top: the fan-out histogram and the
+    /// prune, dispatch and execution counters.
+    pub(crate) fn new_with_router() -> (Self, RouterMetrics) {
         let mut metrics = Self::new();
         let router = RouterMetrics {
             fanout: metrics.registry.histogram("router.fanout"),
             shards_pruned: metrics.registry.counter("router.shards_pruned"),
             dispatches: metrics.registry.counter("router.dispatches"),
             executions: metrics.registry.counter("router.executions"),
-            shard_dispatches: (0..shards)
-                .map(|i| metrics.registry.counter(shard_counter_name(i)))
-                .collect(),
         };
         (metrics, router)
     }
@@ -251,21 +246,20 @@ impl ServiceMetrics {
 
 /// Router-layer metric cells of one [`crate::ShardedService`], registered
 /// against the same registry as the service catalog (a shard is a bare
-/// transition store and has no catalog of its own).
-#[derive(Debug)]
+/// transition store and has no catalog of its own). A clone shares the
+/// cells, which is how they outlive a reshard.
+#[derive(Debug, Clone)]
 pub(crate) struct RouterMetrics {
     /// Shards consulted per fresh (uncached, non-degenerate) execution.
     pub(crate) fanout: Arc<Histogram>,
-    /// Shards skipped because the query's filter certified them
-    /// candidate-free (or they were empty).
+    /// Non-empty shards skipped because the query's filter certified them
+    /// candidate-free (an empty shard is neither consulted nor counted).
     pub(crate) shards_pruned: Counter,
     /// Total cross-shard dispatches.
     pub(crate) dispatches: Counter,
     /// Fresh executions routed (the fan-out histogram's count, mirrored as
     /// a counter so stats reads never touch histogram locks).
     pub(crate) executions: Counter,
-    /// Per-shard dispatch counters, `shard.<i>.dispatches`.
-    pub(crate) shard_dispatches: Vec<Counter>,
 }
 
 impl RouterMetrics {
@@ -277,21 +271,6 @@ impl RouterMetrics {
             shards_pruned: self.shards_pruned.get(),
         }
     }
-}
-
-/// Interned `shard.<i>.dispatches` names: the registry requires `&'static`
-/// ids, and a process may build sharded services repeatedly (tests,
-/// resharding), so names are cached per index instead of leaked per call.
-fn shard_counter_name(index: usize) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let names = NAMES.get_or_init(|| Mutex::new(Vec::new()));
-    let mut names = names.lock().expect("shard name cache poisoned");
-    while names.len() <= index {
-        let i = names.len();
-        names.push(Box::leak(format!("shard.{i}.dispatches").into_boxed_str()));
-    }
-    names[index]
 }
 
 /// Point-in-time routing counters of a [`crate::ShardedService`], read via

@@ -77,9 +77,9 @@ pub enum DeltaReason {
     /// A transition arrived that qualifies; the result was updated in place
     /// without re-execution.
     TransitionArrived,
-    /// The subscription was dirtied by one or more route changes (or a
-    /// wholesale store swap) and re-executed through the batch path; the
-    /// delta is the diff against its previous result.
+    /// The subscription was dirtied by one or more route changes and
+    /// re-executed through the batch path; the delta is the diff against its
+    /// previous result.
     Reexecuted,
 }
 
@@ -119,8 +119,8 @@ pub(crate) struct Subscription {
     /// Maintenance evidence, recorded when the result was last (re)computed
     /// and kept current through in-place maintenance.
     pub(crate) region: EntryRegion,
-    /// Set when a route change (or a wholesale store swap) could have
-    /// changed the result; cleared by re-execution.
+    /// Set when a route change could have changed the result; cleared by
+    /// re-execution.
     dirty: bool,
 }
 
@@ -144,10 +144,6 @@ pub(crate) enum UpdateEffect<'a> {
 pub(crate) struct SubscriptionRegistry {
     subs: BTreeMap<u64, Subscription>,
     next_id: u64,
-    /// Deltas produced outside `apply_updates` (wholesale store swaps);
-    /// drained into the next `apply_updates` call's stats or by
-    /// [`crate::QueryService::take_subscription_deltas`].
-    pending: Vec<SubscriptionDelta>,
     /// Scratch of the admission checks arrivals run.
     scratch: QueryScratch,
 }
@@ -200,21 +196,6 @@ impl SubscriptionRegistry {
 
     pub(crate) fn query_of(&self, id: u64) -> &RknntQuery {
         &self.subs[&id].query
-    }
-
-    /// Marks every subscription dirty (wholesale store replacement).
-    pub(crate) fn mark_all_dirty(&mut self) {
-        for sub in self.subs.values_mut() {
-            sub.dirty = true;
-        }
-    }
-
-    pub(crate) fn take_pending(&mut self) -> Vec<SubscriptionDelta> {
-        std::mem::take(&mut self.pending)
-    }
-
-    pub(crate) fn push_pending(&mut self, deltas: Vec<SubscriptionDelta>) {
-        self.pending.extend(deltas);
     }
 
     /// Brings every live subscription up to date with one applied update:
@@ -364,6 +345,9 @@ impl SubscriptionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rknnt_core::{FilterFootprint, RknntResult};
+    use rknnt_index::RouteStore;
+    use std::sync::Arc;
 
     fn id(raw: u32) -> TransitionId {
         TransitionId(raw)
@@ -398,8 +382,13 @@ mod tests {
     fn registry_assigns_fresh_ids_and_iterates_in_order() {
         let mut registry = SubscriptionRegistry::default();
         let query = RknntQuery::exists(vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)], 1);
-        let a = registry.insert(query.clone(), Vec::new(), EntryRegion::conservative(&query));
-        let b = registry.insert(query.clone(), Vec::new(), EntryRegion::conservative(&query));
+        let footprint = FilterFootprint::compute(&RouteStore::default(), &query.route, query.k);
+        let region =
+            EntryRegion::record_with(&query, &RknntResult::default(), Arc::new(footprint), |_| {
+                None
+            });
+        let a = registry.insert(query.clone(), Vec::new(), region.clone());
+        let b = registry.insert(query.clone(), Vec::new(), region.clone());
         assert_ne!(a, b);
         assert_eq!(registry.len(), 2);
         assert_eq!(registry.ids(), vec![a, b]);
@@ -407,7 +396,7 @@ mod tests {
         assert!(!registry.remove(a), "double unsubscribe must fail");
         assert_eq!(registry.len(), 1);
         // Ids are never reused.
-        let c = registry.insert(query.clone(), Vec::new(), EntryRegion::conservative(&query));
+        let c = registry.insert(query, Vec::new(), region);
         assert!(c.raw() > b.raw());
         assert_eq!(format!("{c}"), format!("sub#{}", c.raw()));
     }

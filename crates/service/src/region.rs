@@ -69,11 +69,9 @@ pub struct EntryRegion {
     pub k: usize,
     /// The query's semantics.
     pub semantics: Semantics,
-    /// Footprint of the filter the query ran against; degenerate queries
-    /// build none. `None` is handled conservatively:
-    /// every arrival takes the exact admission check and route removals
-    /// never certify.
-    pub footprint: Option<Arc<FilterFootprint>>,
+    /// Footprint of the filter the query ran against (empty for a
+    /// degenerate query, which builds no filter and is never maintained).
+    pub footprint: Arc<FilterFootprint>,
     /// An MBR covering both endpoints of every transition in the result
     /// ([`Rect::empty`] for a result that never had a member); expiries do
     /// not shrink it.
@@ -85,19 +83,6 @@ pub struct EntryRegion {
 }
 
 impl EntryRegion {
-    /// A region with no footprint and no recorded result geometry: sound
-    /// for any query, maximally conservative for transition inserts.
-    pub fn conservative(query: &RknntQuery) -> Self {
-        EntryRegion {
-            query_points: query.route.clone(),
-            k: query.k,
-            semantics: query.semantics,
-            footprint: None,
-            result_rect: Rect::empty(),
-            result_reach: 0.0,
-        }
-    }
-
     /// Builds the region for a freshly computed result, recording the
     /// result-endpoint MBR and its reach bound. Endpoints are resolved
     /// through `lookup` rather than one [`TransitionStore`] so the same code
@@ -106,7 +91,7 @@ impl EntryRegion {
     pub fn record_with<F>(
         query: &RknntQuery,
         result: &RknntResult,
-        footprint: Option<Arc<FilterFootprint>>,
+        footprint: Arc<FilterFootprint>,
         lookup: F,
     ) -> Self
     where
@@ -217,14 +202,12 @@ impl EntryRegion {
         if self.is_degenerate() {
             return true;
         }
-        let Some(footprint) = &self.footprint else {
-            return false;
-        };
         let live = |r| routes.route(r).is_some();
         // One covering buffer for both endpoint certificates.
         let mut covering = Vec::new();
         let mut covered = |u: &Point| {
-            footprint.covers_point_with(&self.query_points, u, self.k, live, &mut covering)
+            self.footprint
+                .covers_point_with(&self.query_points, u, self.k, live, &mut covering)
         };
         match self.semantics {
             // ∃: the transition qualifies if either endpoint does, so both
@@ -282,9 +265,6 @@ impl EntryRegion {
         if self.is_degenerate() {
             return true;
         }
-        let Some(footprint) = &self.footprint else {
-            return false;
-        };
         if removed_points.is_empty() {
             // A route with no points is infinitely far from everything and
             // can never have been a closer-route witness.
@@ -343,9 +323,14 @@ impl EntryRegion {
                 if result.binary_search(&entry.data.transition).is_ok() {
                     continue; // already in the result; results only grow
                 }
-                *budget = budget.saturating_sub(footprint.witnesses.len());
-                if !footprint.covers_point_with(&self.query_points, u, self.k, live, &mut covering)
-                {
+                *budget = budget.saturating_sub(self.footprint.witnesses.len());
+                if !self.footprint.covers_point_with(
+                    &self.query_points,
+                    u,
+                    self.k,
+                    live,
+                    &mut covering,
+                ) {
                     return false;
                 }
             }
@@ -366,7 +351,7 @@ mod tests {
     fn record(
         query: &RknntQuery,
         result: &RknntResult,
-        footprint: Option<Arc<FilterFootprint>>,
+        footprint: Arc<FilterFootprint>,
         transitions: &TransitionStore,
     ) -> EntryRegion {
         EntryRegion::record_with(query, result, footprint, |id| {
@@ -385,7 +370,9 @@ mod tests {
             result.transitions.push(TransitionId(*id));
         }
         result.transitions.sort_unstable();
-        let region = record(&query, &result, None, &transitions);
+        // Computed against no routes: a footprint without witnesses.
+        let footprint = FilterFootprint::compute(&RouteStore::default(), &query.route, query.k);
+        let region = record(&query, &result, Arc::new(footprint), &transitions);
         (region, result)
     }
 
@@ -442,8 +429,9 @@ mod tests {
         assert_eq!(ids, vec![TransitionId(3), TransitionId(9)]);
         let (entered, ..) = arrive(&mut ids, 3, p(35.0, 35.5), p(35.5, 35.0));
         assert!(!entered);
-        // Without a footprint the kernel alone decides — same verdicts.
-        let mut bare = EntryRegion::conservative(&query);
+        // With a witness-free footprint the kernel alone decides — same
+        // verdicts.
+        let mut bare = recorded_region(&RouteStore::default(), &transitions, &query, &[]);
         let mut bare_ids = Vec::new();
         let op = TransitionOp::Arrived {
             id: TransitionId(9),
@@ -484,7 +472,7 @@ mod tests {
             transitions: result.to_vec(),
             ..RknntResult::default()
         };
-        record(query, &value, Some(footprint), transitions)
+        record(query, &value, footprint, transitions)
     }
 
     #[test]
@@ -551,10 +539,10 @@ mod tests {
             &removed_points,
             &mut empty_budget,
         ));
-        // A missing footprint is conservative.
-        let no_footprint = EntryRegion::conservative(&query);
+        // A footprint without witnesses certifies nothing.
+        let no_witnesses = recorded_region(&RouteStore::default(), &transitions, &query, &[]);
         let mut budget = 100_000usize;
-        assert!(!no_footprint.survives_route_remove(
+        assert!(!no_witnesses.survives_route_remove(
             &routes,
             &transitions,
             &[],
@@ -563,7 +551,8 @@ mod tests {
             &mut budget,
         ));
         // Degenerate queries survive everything.
-        let degenerate = EntryRegion::conservative(&RknntQuery::exists(vec![], 2));
+        let degenerate =
+            recorded_region(&routes, &transitions, &RknntQuery::exists(vec![], 2), &[]);
         assert!(degenerate.survives_route_remove(
             &routes,
             &transitions,
@@ -591,7 +580,7 @@ mod tests {
     }
 
     #[test]
-    fn missing_footprint_is_conservative_for_transition_inserts() {
+    fn witness_free_footprint_is_conservative_for_transition_inserts() {
         let (region, _) = entry_with_result(&[0]);
         let routes = RouteStore::default();
         assert!(!region.survives_transition_insert(&routes, &p(1e6, 1e6), &p(1e6, 1e6)));
@@ -599,10 +588,11 @@ mod tests {
 
     #[test]
     fn degenerate_entries_survive_everything() {
-        let degenerate = EntryRegion::conservative(&RknntQuery::exists(vec![], 3));
-        let routes = RouteStore::default();
+        let (routes, transitions) = (RouteStore::default(), TransitionStore::default());
+        let region = |query| recorded_region(&routes, &transitions, &query, &[]);
+        let degenerate = region(RknntQuery::exists(vec![], 3));
         assert!(degenerate.survives_transition_insert(&routes, &p(0.0, 0.0), &p(1.0, 1.0)));
-        let k0 = EntryRegion::conservative(&RknntQuery::exists(vec![p(0.0, 0.0)], 0));
+        let k0 = region(RknntQuery::exists(vec![p(0.0, 0.0)], 0));
         assert!(k0.survives_transition_insert(&routes, &p(0.0, 0.0), &p(1.0, 1.0)));
     }
 }

@@ -2,7 +2,7 @@
 //! plus the configuration, update and stats types both services share.
 //! Everything durable — `open`, `attach_storage`, `checkpoint` — is the
 //! frontend's ([`Service`]); what is left here is what only a flat pair of
-//! stores can offer: one prune walk over the one TR-tree and wholesale swaps.
+//! stores can offer: one prune walk over the one TR-tree.
 
 use crate::frontend::{Backing, Service};
 use crate::metrics::ServiceMetrics;
@@ -114,8 +114,7 @@ pub struct UpdateStats {
     /// call.
     pub subs_reexecuted: usize,
     /// Per-subscription result deltas, in emission order (replaying them
-    /// over the pre-call results reproduces the post-call results). Includes
-    /// any deltas buffered by wholesale store swaps since the last call.
+    /// over the pre-call results reproduces the post-call results).
     pub deltas: Vec<SubscriptionDelta>,
     /// WAL frames appended for this call's updates (0 when no storage is
     /// attached). With storage, every submitted update — including ones the
@@ -137,12 +136,9 @@ pub struct FlatStores {
 
 /// A concurrent batch RkNNT query service over one pair of stores — the
 /// shared [`Service`] frontend (batches, cache, updates, subscriptions)
-/// over the owned [`RouteStore`] and [`TransitionStore`].
-///
-/// Wholesale store changes ([`QueryService::update_stores`] /
-/// [`QueryService::replace_stores`]) bump the generation counter and drop
-/// the whole result cache; incremental updates go through
-/// [`Service::apply_updates`].
+/// over the owned [`RouteStore`] and [`TransitionStore`]. The stores change
+/// through [`Service::apply_updates`] only; a rebuilt index is a new
+/// [`QueryService::new`] or [`Service::open`].
 pub type QueryService = Service<FlatStores>;
 
 impl Backing for FlatStores {
@@ -236,54 +232,5 @@ impl Service<FlatStores> {
     /// Read access to the transition store.
     pub fn transitions(&self) -> &TransitionStore {
         &self.backing.transitions
-    }
-
-    /// Mutates the stores through `f`, then invalidates the cache and bumps
-    /// the generation so subsequent queries see the new data. Every live
-    /// subscription is re-executed against the new stores (a wholesale
-    /// mutation certifies nothing); their deltas are buffered and delivered
-    /// by the next [`Service::apply_updates`] call or
-    /// [`Service::take_subscription_deltas`].
-    ///
-    /// Taking `&mut self` is the concurrency-correctness lever: in-flight
-    /// batches hold `&self`, so an update waits for them and no batch ever
-    /// observes a half-applied mutation.
-    pub fn update_stores<F>(&mut self, f: F)
-    where
-        F: FnOnce(&mut RouteStore, &mut TransitionStore),
-    {
-        f(&mut self.backing.routes, &mut self.backing.transitions);
-        self.stores_changed();
-    }
-
-    /// Replaces both stores wholesale (e.g. a rebuilt index snapshot). Like
-    /// [`QueryService::update_stores`], re-executes every subscription and
-    /// buffers their deltas.
-    pub fn replace_stores(&mut self, routes: RouteStore, transitions: TransitionStore) {
-        self.backing = FlatStores {
-            routes,
-            transitions,
-        };
-        self.stores_changed();
-    }
-
-    /// After a wholesale store mutation: cold cache, new generation, every
-    /// subscription re-executed (deltas buffered), and — with storage
-    /// attached — a checkpoint. Wholesale swaps have no per-update WAL
-    /// representation, so the snapshot *is* their durability; failing to
-    /// write it would silently decouple disk from memory, hence the panic
-    /// (use [`Service::checkpoint`] directly for a fallible path).
-    fn stores_changed(&mut self) {
-        self.invalidate_all();
-        if self.monitor.len() > 0 {
-            self.monitor.mark_all_dirty();
-            let mut deltas = Vec::new();
-            self.reexecute_dirty_subscriptions(&mut deltas);
-            self.monitor.push_pending(deltas);
-        }
-        if self.storage.is_some() {
-            self.checkpoint()
-                .expect("checkpoint after wholesale store mutation failed");
-        }
     }
 }

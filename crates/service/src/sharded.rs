@@ -34,13 +34,13 @@
 //! service writes. [`ShardedService::open`] lays the
 //! recovered data out for whatever [`ShardedConfig`] it is given, and
 //! [`ShardedService::reshard`] re-places it in memory without touching the
-//! disk.
+//! disk, the result cache, the subscriptions or the metric catalog.
 
 use crate::frontend::{Backing, Service};
 use crate::metrics::{RouterMetrics, ServiceMetrics};
 use crate::region::EntryRegion;
 use crate::service::ServiceConfig;
-use rknnt_core::{build_filter_set, prune_into_scratch, FilterSet, QueryScratch, RknntQuery};
+use rknnt_core::{prune_into_scratch, FilterSet, QueryScratch};
 use rknnt_geo::{CellGrid, Point, Rect};
 use rknnt_index::{
     partition_transitions, IdSpace, Placement, RouteId, RouteStore, RouteStoreState, Transition,
@@ -48,8 +48,6 @@ use rknnt_index::{
 };
 use rknnt_obs::{EventKind, TraceCursor};
 use rknnt_rtree::RTreeConfig;
-use rknnt_storage::StorageError;
-use std::sync::atomic::Ordering;
 
 /// Configuration of a [`ShardedService`].
 #[derive(Debug, Clone, Copy)]
@@ -206,7 +204,6 @@ impl Backing for ShardSet {
             }
             consulted += 1;
             self.router.dispatches.inc();
-            self.router.shard_dispatches[index].inc();
             let shard_span = trace.map(|t| t.begin("shard"));
             let before = scratch.candidates().len();
             pruned_nodes +=
@@ -305,7 +302,7 @@ impl Backing for ShardSet {
     ) -> ShardedService {
         let slots = transitions.export_state().transitions.into_iter();
         let slots = slots.map(|slot| slot.map(|t| (t.origin, t.destination)));
-        place(config, routes, slots.collect())
+        ShardedService::placed(config, routes, slots.collect())
     }
 
     /// ANDs the per-shard certificates, each over the shard-local slice of
@@ -348,14 +345,15 @@ impl ShardSet {
 /// placed nowhere).
 /// A Z-order grid is laid over the MBR of the live data, every live
 /// transition goes to the shard owning its origin's cell, and each shard's
-/// store is bulk-built with dense local ids in global id order. The service
-/// comes back with a fresh metric catalog (its names depend on the shard
-/// count), an empty cache, no subscriptions and no storage.
+/// store is bulk-built with dense local ids in global id order. `router` is
+/// the set's routing cells: fresh ones for a new service, the running ones
+/// on a reshard.
 fn place(
     config: ShardedConfig,
     planner: RouteStore,
     slots: Vec<Option<(Point, Point)>>,
-) -> ShardedService {
+    router: RouterMetrics,
+) -> ShardSet {
     let shard_count = config.shards.max(1);
     let mut mbr = Rect::empty();
     for route in planner.routes() {
@@ -380,26 +378,32 @@ fn place(
         .zip(partition.spaces)
         .map(|(transitions, l2g)| Shard { transitions, l2g })
         .collect();
-    let (metrics, router) = ServiceMetrics::new_with_router(shard_count);
-    Service::from_parts(
-        ShardSet {
-            grid,
-            config: ShardedConfig {
-                shards: shard_count,
-                grid_bits: grid.bits(),
-                ..config
-            },
-            planner,
-            shards,
-            transition_dir: partition.directory,
-            router,
+    ShardSet {
+        grid,
+        config: ShardedConfig {
+            shards: shard_count,
+            grid_bits: grid.bits(),
+            ..config
         },
-        config.base,
-        metrics,
-    )
+        planner,
+        shards,
+        transition_dir: partition.directory,
+        router,
+    }
 }
 
 impl Service<ShardSet> {
+    /// A new service over the global state laid out for `config`: fresh
+    /// metric catalog, empty cache, no subscriptions, no storage.
+    fn placed(
+        config: ShardedConfig,
+        planner: RouteStore,
+        slots: Vec<Option<(Point, Point)>>,
+    ) -> Self {
+        let (metrics, router) = ServiceMetrics::new_with_router();
+        Service::from_parts(place(config, planner, slots, router), config.base, metrics)
+    }
+
     /// Builds a sharded service from raw data. Global ids are assigned
     /// exactly as the unsharded bulk build would (invalid items are skipped
     /// and consume no id); the routes go to the planner and the transitions
@@ -415,7 +419,7 @@ impl Service<ShardSet> {
             .filter(|(origin, destination)| origin.is_finite() && destination.is_finite())
             .map(Some)
             .collect();
-        place(config, planner, slots)
+        Self::placed(config, planner, slots)
     }
 
     /// Re-partitions the transitions to a new shard count and grid
@@ -423,16 +427,14 @@ impl Service<ShardSet> {
     /// shrinks) are the same operation. The global id spaces are preserved
     /// (expired ids stay consumed), so query results, subscription results
     /// and future update semantics are unchanged; only *placement* moves.
-    /// Metrics and the result cache are rebuilt fresh (counters restart from
-    /// zero); subscriptions are kept as-is — their results cannot change, so
-    /// no deltas are emitted.
+    /// Cached results and subscriptions are keyed and maintained by global
+    /// ids against the planner, so both are kept as they are — the cache
+    /// stays warm, no deltas are emitted — and every counter keeps counting.
     ///
     /// Nothing on disk is touched: the attached directory holds global
     /// state, which a reshard does not change, so the WAL keeps growing
     /// where it was and a crash at any point recovers exactly as before.
-    /// The call cannot fail; the `Result` is what callers written against
-    /// the earlier disk-rewriting reshard already handle.
-    pub fn reshard(&mut self, shards: usize, grid_bits: u32) -> Result<(), StorageError> {
+    pub fn reshard(&mut self, shards: usize, grid_bits: u32) {
         let config = ShardedConfig {
             shards,
             grid_bits,
@@ -440,15 +442,8 @@ impl Service<ShardSet> {
         };
         let slots = self.backing.endpoint_slots().collect();
         let planner = std::mem::take(&mut self.backing.planner);
-        let fresh = place(config, planner, slots);
-        self.backing = fresh.backing;
-        self.cache = fresh.cache;
-        self.metrics = fresh.metrics;
-        if let Some(storage) = &mut self.storage {
-            storage.set_instruments(self.metrics.storage_instruments());
-        }
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        Ok(())
+        let router = self.backing.router.clone();
+        self.backing = place(config, planner, slots, router);
     }
 
     // ------------------------------------------------------------------
@@ -480,27 +475,6 @@ impl Service<ShardSet> {
     /// mean fan-out is `dispatches / executions`.
     pub fn router_stats(&self) -> crate::RouterStats {
         self.backing.router.stats()
-    }
-
-    /// The shards the router would consult for this query — the
-    /// shard-pruning certificate evaluated outside the execution path, for
-    /// soundness testing and capacity planning. Every non-empty shard *not*
-    /// listed is certified candidate-free for the query.
-    pub fn planned_shards(&self, query: &RknntQuery) -> Vec<usize> {
-        if query.is_degenerate() {
-            return Vec::new();
-        }
-        let outcome = build_filter_set(&self.backing.planner, &query.route, query.k);
-        let mut out = Vec::new();
-        for (index, shard) in self.backing.shards.iter().enumerate() {
-            let Some(root) = shard.transitions.rtree().root() else {
-                continue;
-            };
-            if !outcome.filter_set.filters_rect(&root.mbr(), query.k, false) {
-                out.push(index);
-            }
-        }
-        out
     }
 
     /// The owning shard of a live global transition id.

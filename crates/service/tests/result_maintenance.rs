@@ -1,7 +1,7 @@
 //! Property test: results are *maintained*, not recomputed, and stay right.
 //!
 //! Random interleavings of reads, transition arrivals and expiries, route
-//! inserts and removals and wholesale store changes run against a
+//! inserts and removals and reshards run against a
 //! [`QueryService`] and a 4-shard [`ShardedService`] with a cache smaller
 //! than the query pool. After every step every read — cache hits included,
 //! and the stream makes sure there are hits right behind the churn that
@@ -132,7 +132,7 @@ impl Mirror {
 }
 
 /// What the driver needs of a service; both are the same frontend, so the
-/// impls are the same text except for the wholesale change each offers.
+/// impls are the same text except for the reshard only one of them has.
 trait Sut {
     fn read(&self, query: &RknntQuery) -> Vec<TransitionId>;
     fn update(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats;
@@ -140,9 +140,9 @@ trait Sut {
     fn standing(&self, id: SubscriptionId) -> Vec<TransitionId>;
     fn stats(&self) -> CacheStats;
     fn cached(&self) -> usize;
-    /// A store change the journal does not describe; returns the deltas it
-    /// buffered.
-    fn wholesale(&mut self, mirror: &mut Mirror, draw: u64) -> Vec<SubscriptionDelta>;
+    /// Re-places the data where the service has a placement: no answer, no
+    /// cached entry and no subscription may change.
+    fn reshard(&mut self, draw: u64);
 }
 
 macro_rules! sut_common {
@@ -171,24 +171,16 @@ macro_rules! sut_common {
 impl Sut for QueryService {
     sut_common!();
 
-    /// `update_stores` slipping a transition in behind the journal's back.
-    fn wholesale(&mut self, mirror: &mut Mirror, draw: u64) -> Vec<SubscriptionDelta> {
-        let at = p((draw % 70) as f64 + 0.5, (draw / 70 % 70) as f64 + 0.5);
-        self.update_stores(|_, transitions| {
-            transitions.insert(at, at);
-        });
-        mirror.transitions.insert(at, at);
-        self.take_subscription_deltas()
-    }
+    /// Flat stores have no placement to change.
+    fn reshard(&mut self, _draw: u64) {}
 }
 
 impl Sut for ShardedService {
     sut_common!();
 
-    /// A reshard: same data, new placement, fresh cache.
-    fn wholesale(&mut self, _mirror: &mut Mirror, draw: u64) -> Vec<SubscriptionDelta> {
-        self.reshard(2 + (draw % 3) as usize, 4).unwrap();
-        self.take_subscription_deltas()
+    /// Same data, new placement.
+    fn reshard(&mut self, draw: u64) {
+        ShardedService::reshard(self, 2 + (draw % 3) as usize, 4);
     }
 }
 
@@ -469,8 +461,10 @@ impl<'s, S: Sut> Driver<'s, S> {
                 self.update(updates, &at);
             }
             11 => {
-                let deltas = self.sut.wholesale(&mut self.mirror, draw);
-                self.replay(&deltas, false);
+                let (cached, stats) = (self.sut.cached(), self.sut.stats());
+                self.sut.reshard(draw);
+                assert_eq!(self.sut.cached(), cached, "a reshard evicts nothing {at}");
+                assert_eq!(self.sut.stats(), stats, "no cache counter moved {at}");
                 self.check_standing(&at);
             }
             _ => self.burst(JOURNAL_CAPACITY / 2 + (draw % 3) as usize, draw, &at),

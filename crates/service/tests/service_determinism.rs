@@ -203,68 +203,6 @@ fn every_query_shape_matches_an_oracle() {
 }
 
 #[test]
-fn cache_is_invalidated_by_store_updates() {
-    let (query_routes, routes, transitions) = build_world(59, 800);
-    let watched = query_routes[0].clone();
-    let query = RknntQuery::exists(watched.clone(), 2);
-    let mut service = QueryService::new(
-        routes,
-        transitions,
-        ServiceConfig::default().with_workers(2),
-    );
-
-    let before = service.execute(&query);
-    assert_eq!(service.generation(), 0);
-    // Warm hit.
-    let hit = service.execute(&query);
-    assert_eq!(hit.transitions, before.transitions);
-    assert!(service.cache_stats().hits >= 1);
-
-    // Mutate the stores: drop a transition right on top of the watched
-    // route so the correct answer must change.
-    let origin = Point::new(watched[0].x + 2.0, watched[0].y + 2.0);
-    let destination = Point::new(watched[1].x - 2.0, watched[1].y - 2.0);
-    let mut inserted = None;
-    service.update_stores(|_, transitions| {
-        inserted = transitions.insert(origin, destination);
-    });
-    let inserted = inserted.expect("update ran");
-    assert_eq!(service.generation(), 1);
-    assert_eq!(service.cache_len(), 0, "update must drop the cache");
-
-    let after = service.execute(&query);
-    assert!(
-        after.contains(inserted),
-        "post-update query must see the new transition, not the cached answer"
-    );
-
-    // Sequential ground truth against the mutated stores.
-    {
-        let engine = EngineKind::FilterRefine.build(service.routes(), service.transitions());
-        assert_eq!(after.transitions, engine.execute(&query).transitions);
-    }
-
-    // And a full store replacement behaves the same.
-    service.replace_stores(RouteStore::default(), TransitionStore::default());
-    assert_eq!(service.generation(), 2);
-    assert!(service.execute(&query).is_empty());
-}
-
-#[test]
-fn explicit_invalidate_all_keeps_answers_and_drops_entries() {
-    let (query_routes, routes, transitions) = build_world(71, 600);
-    let query = RknntQuery::exists(query_routes[1].clone(), 3);
-    let service = QueryService::new(routes, transitions, ServiceConfig::default());
-    let first = service.execute(&query);
-    assert!(service.cache_len() > 0);
-    service.invalidate_all();
-    assert_eq!(service.cache_len(), 0);
-    let second = service.execute(&query);
-    assert_eq!(first.transitions, second.transitions);
-    assert_eq!(service.cache_stats().invalidations, 1);
-}
-
-#[test]
 fn concurrent_batches_share_one_service() {
     let (query_routes, routes, transitions) = build_world(83, 1_000);
     let service = QueryService::new(

@@ -299,18 +299,20 @@ fn classification_outcomes_and_delta_reasons() {
     assert_eq!(stats.subs_stable, 1);
     assert_eq!(stats.subs_reexecuted, 0);
 
-    // 7. Wholesale store mutation: every subscription refreshed, deltas
-    //    buffered and drained by the next call (or explicitly).
-    let before = service.subscription_result(sub).unwrap().to_vec();
-    service.update_stores(|_, transitions| {
-        let mut t = TransitionStore::default();
-        std::mem::swap(transitions, &mut t);
-    });
-    assert_eq!(service.subscription_result(sub).unwrap(), &[] as &[_]);
-    let deltas = service.take_subscription_deltas();
-    assert_eq!(deltas.len(), 1);
-    assert_eq!(deltas[0].reason, DeltaReason::Reexecuted);
-    assert_eq!(deltas[0].left, before);
+    // 7. Two routes laid through both endpoints of the arrival of step 2:
+    //    the first dirties the subscription (the second skips it), one
+    //    re-execution at the end of the call, and the member leaves.
+    let through = vec![p(34.5, 35.5), p(35.5, 34.5)];
+    let stats = service.apply_updates(vec![
+        StoreUpdate::InsertRoute(through.clone()),
+        StoreUpdate::InsertRoute(through),
+    ]);
+    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (1, 1));
+    assert_eq!(stats.deltas.len(), 1);
+    assert_eq!(stats.deltas[0].reason, DeltaReason::Reexecuted);
+    assert_eq!(stats.deltas[0].left, vec![new_id]);
+    assert!(stats.deltas[0].entered.is_empty());
+    assert!(!service.subscription_result(sub).unwrap().contains(&new_id));
 
     // 8. Degenerate subscriptions are permanently unaffected.
     let degenerate = service.subscribe(RknntQuery::exists(vec![], 3));

@@ -9,10 +9,11 @@
 //! merge) keeping answers intact without touching the disk.
 
 use proptest::prelude::*;
-use rknnt_core::{build_filter_set, prune_transitions, EngineKind, RknntQuery, Semantics};
+use rknnt_core::{build_filter_set, EngineKind, RknntQuery, Semantics};
 use rknnt_data::{workload, CityConfig, CityGenerator, TransitionConfig, TransitionGenerator};
 use rknnt_geo::Point;
 use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
+use rknnt_obs::{SpanId, Telemetry, TraceContext, TraceCursor, TraceId};
 use rknnt_rtree::RTreeConfig;
 use rknnt_service::{
     QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig, StoreUpdate,
@@ -149,18 +150,30 @@ fn sharded_batches_match_unsharded_for_all_shard_counts() {
 // Router skip soundness
 // ---------------------------------------------------------------------------
 
-/// Asserts the router's shard-skip certificate is sound for one world and
-/// query: every non-empty shard the router would *not* consult yields zero
-/// candidates when pruned with the *unsharded* filter — so skipping it
-/// cannot lose a candidate of the unsharded execution — and the routed
-/// answer matches a fresh unsharded engine.
+/// Asserts the decisions the router *took* for one fresh execution are
+/// sound. They are read off the `shard` spans of a traced batch — the
+/// executed router's own record, one span per non-empty shard — and checked
+/// against brute force over each shard's transitions with the *unsharded*
+/// filter: a skipped shard holds no unfiltered endpoint (so skipping it
+/// cannot lose a candidate of the unsharded execution), a consulted shard
+/// reports exactly its unfiltered endpoints, and the routed answer matches
+/// all four unsharded engines. Returns the number of shards skipped.
 fn assert_skips_sound(
     sharded: &ShardedService,
     full_routes: &RouteStore,
     full_transitions: &TransitionStore,
     query: &RknntQuery,
 ) -> usize {
-    let routed = sharded.execute(query).transitions;
+    let ctx = TraceContext::begin(TraceId::from_raw(1), Telemetry::monotonic());
+    let root = ctx.begin_span("request", SpanId::NONE);
+    let cursor = TraceCursor::new(&ctx, root);
+    let (mut results, stats) =
+        sharded.execute_batch_traced(std::slice::from_ref(query), Some(&cursor));
+    ctx.end_span(root);
+    let trace = ctx.finish();
+    assert_eq!(trace.dropped(), 0);
+    assert_eq!(stats.cache_hits, 0, "only a fresh execution is routed");
+    let routed = results.pop().unwrap().transitions;
     for kind in EngineKind::ALL {
         let engine = kind.build(full_routes, full_transitions);
         assert_eq!(
@@ -170,27 +183,51 @@ fn assert_skips_sound(
             query.k
         );
     }
-    let planned = sharded.planned_shards(query);
+    let decisions: Vec<_> = trace
+        .spans()
+        .iter()
+        .filter(|span| span.name() == "shard")
+        .collect();
     if query.is_degenerate() {
-        assert!(planned.is_empty());
+        assert!(decisions.is_empty(), "a degenerate query is never routed");
         return 0;
     }
     let mut skips = 0;
     let outcome = build_filter_set(full_routes, &query.route, query.k);
     for index in 0..sharded.shard_count() {
         let store = sharded.shard_transitions(index).unwrap();
-        if store.rtree().root().is_none() || planned.contains(&index) {
+        let mut of_shard = decisions
+            .iter()
+            .filter(|span| span.attr("shard") == Some(index as u64));
+        let decision = of_shard.next();
+        assert!(of_shard.next().is_none(), "shard {index} decided twice");
+        if store.rtree().root().is_none() {
+            assert!(decision.is_none(), "empty shard {index} was considered");
             continue;
         }
-        skips += 1;
-        let pruned = prune_transitions(store, &outcome.filter_set, query.k, false);
-        assert!(
-            pruned.candidates.is_empty(),
-            "router skipped shard {index} but it holds {} candidate endpoint(s) \
-             of the unsharded execution (k={})",
-            pruned.candidates.len(),
-            query.k
-        );
+        let decision = decision.unwrap_or_else(|| panic!("shard {index} was never decided"));
+        let candidates = store
+            .transitions()
+            .flat_map(|t| [t.origin, t.destination])
+            .filter(|u| !outcome.filter_set.filters_point(u, query.k, false))
+            .count();
+        if decision.attr("pruned") == Some(1) {
+            assert_eq!(decision.attr("certificate"), Some(1));
+            skips += 1;
+            assert_eq!(
+                candidates, 0,
+                "router skipped shard {index} but it holds candidate endpoint(s) \
+                 of the unsharded execution (k={})",
+                query.k
+            );
+        } else {
+            assert_eq!(
+                decision.attr("candidates"),
+                Some(candidates as u64),
+                "candidates of consulted shard {index} (k={})",
+                query.k
+            );
+        }
     }
     skips
 }
@@ -972,15 +1009,27 @@ fn reshard_preserves_answers_subscriptions_and_durability() {
         .collect();
     let (expected, _) = unsharded.execute_batch(&probes);
     let expected = raw_results(&expected);
+    assert_eq!(raw_results(&fleet.execute_batch(&probes).0), expected);
+    let cached = fleet.cache_len();
+    assert_eq!(cached, probes.len(), "the probes are resident");
+    let metric_ids = |text: String| -> Vec<String> {
+        text.lines()
+            .map(|line| line.split_whitespace().next().unwrap().to_owned())
+            .collect()
+    };
+    let ids_before = metric_ids(fleet.metrics_text());
 
     // Split 2 -> 8, then merge 8 -> 3: ids, answers and the subscription
     // survive both, the re-partitioned fleet keeps every item findable, and
-    // the disk is not touched — the directory holds global state, which a
-    // reshard does not change.
+    // neither the disk (the directory holds global state, which a reshard
+    // does not change) nor the cache and the counters (results are keyed by
+    // global ids) are touched.
     for (shards, bits) in [(8usize, 7u32), (3, 5)] {
         let stats_before = fleet.storage_stats().unwrap();
         let files_before = root_files(&dir);
-        fleet.reshard(shards, bits).unwrap();
+        let (cache_before, router_before) = (fleet.cache_stats(), fleet.router_stats());
+        fleet.reshard(shards, bits);
+        assert_eq!(fleet.cache_len(), cached, "reshard to N={shards} evicted");
         assert_eq!(
             fleet.storage_stats().unwrap(),
             stats_before,
@@ -989,12 +1038,28 @@ fn reshard_preserves_answers_subscriptions_and_durability() {
         assert_eq!(root_files(&dir), files_before, "reshard changed a file");
         assert_eq!(fleet.shard_count(), shards);
         assert_eq!(fleet.config().grid_bits, bits);
-        let (got, _) = fleet.execute_batch(&probes);
+        let (got, batch) = fleet.execute_batch(&probes);
         assert_eq!(
             raw_results(&got),
             expected,
             "answers changed across reshard to N={shards}"
         );
+        assert_eq!(
+            (batch.cache_hits, batch.filter_constructions),
+            (probes.len(), 0),
+            "the cache went cold across reshard to N={shards}"
+        );
+        assert_eq!(
+            fleet.cache_stats().hits,
+            cache_before.hits + probes.len() as u64,
+            "cache counters restarted"
+        );
+        assert_eq!(
+            fleet.router_stats().executions,
+            router_before.executions,
+            "router counters restarted"
+        );
+        assert!(router_before.executions > 0);
         assert_eq!(
             fleet.subscription_result(sub_b),
             unsharded.subscription_result(sub_a),
@@ -1006,6 +1071,11 @@ fn reshard_preserves_answers_subscriptions_and_durability() {
             .sum();
         assert_eq!(total, fleet.num_transitions());
     }
+    assert_eq!(
+        metric_ids(fleet.metrics_text()),
+        ids_before,
+        "the metric catalogue depends on the shard count"
+    );
 
     // Keep churning after the reshards so a reopen replays a tail logged
     // under three different topologies, then crash.

@@ -2,15 +2,13 @@
 //! requests the paper's index is designed for (Uber-style demand).
 //!
 //! The example replays a sliding window over a day of synthetic passenger
-//! requests through [`QueryService::apply_updates`] — the incremental update
-//! path. Each hour arrives as ten bursts of requests with the popular-route
-//! capacity queries re-running between bursts, the interleaving a live
-//! deployment sees. The wholesale `update_stores` path would drop the whole
-//! result cache on every burst; the incremental path only journals the
+//! requests through [`QueryService::apply_updates`] — the one way a
+//! service's stores change. Each hour arrives as ten bursts of requests with
+//! the popular-route capacity queries re-running between bursts, the
+//! interleaving a live deployment sees. The update path only journals the
 //! arrivals and expiries, and each cached answer replays what it missed when
 //! it is next read — so transition churn evicts nothing (only a route change
-//! could) and the day-level cache hit-rate printed at the end is the
-//! difference.
+//! could), which the day-level cache hit-rate printed at the end shows.
 //!
 //! Run with `cargo run --release --example dynamic_updates`.
 
