@@ -19,16 +19,13 @@ struct Args {
     experiment: String,
     scale: ScaleConfig,
     out_dir: PathBuf,
-    save_dataset: Option<PathBuf>,
-    load_dataset: Option<PathBuf>,
 }
 
 fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     format!(
         "usage: experiments [--exp NAME] [--city-scale F] [--transitions N] \
-         [--synthetic-transitions N] [--queries N] [--seed N] [--out DIR] [--tiny] \
-         [--save-dataset DIR] [--load-dataset DIR]\n\
+         [--synthetic-transitions N] [--queries N] [--seed N] [--out DIR] [--tiny]\n\
          experiments: {}, all, gates",
         names.join(", ")
     )
@@ -47,8 +44,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         experiment: "all".to_string(),
         scale: ScaleConfig::default(),
         out_dir: PathBuf::from("results"),
-        save_dataset: None,
-        load_dataset: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -66,8 +61,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--queries" => args.scale.queries_per_point = number(&flag, value(&flag)?)?,
             "--seed" => args.scale.seed = number(&flag, value(&flag)?)?,
             "--out" => args.out_dir = PathBuf::from(value("--out")?),
-            "--save-dataset" => args.save_dataset = Some(PathBuf::from(value("--save-dataset")?)),
-            "--load-dataset" => args.load_dataset = Some(PathBuf::from(value("--load-dataset")?)),
             "--tiny" => args.scale = ScaleConfig::tiny(),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other}; try --help")),
@@ -170,19 +163,7 @@ fn main() -> ExitCode {
         return run_gates(&args.out_dir);
     };
 
-    let ctx = match &args.load_dataset {
-        Some(dir) => match ExperimentContext::load(dir, args.scale) {
-            Ok(ctx) => ctx,
-            Err(message) => return fail(&format!("cannot load datasets: {message}")),
-        },
-        None => ExperimentContext::new(args.scale),
-    };
-    if let Some(dir) = &args.save_dataset {
-        if let Err(message) = ctx.save(dir) {
-            return fail(&format!("cannot save datasets: {message}"));
-        }
-        println!("Saved datasets to {}", dir.display());
-    }
+    let ctx = ExperimentContext::new(args.scale);
     println!(
         "Scale: city {}, {} transitions, {} queries per point, seed {}",
         args.scale.city_scale,

@@ -1,18 +1,9 @@
 //! Dataset construction for the experiments.
 
-use rknnt_data::codec::{self, Decoder, Encoder};
 use rknnt_data::{CityConfig, CityGenerator, TransitionConfig, TransitionGenerator};
 use rknnt_graph::RouteGraph;
 use rknnt_index::{RouteStore, TransitionStore};
-use std::path::Path;
 use std::sync::OnceLock;
-
-/// Magic bytes opening a saved-dataset file.
-const DATASET_MAGIC: [u8; 8] = *b"RKNTDSET";
-/// Saved-dataset format version.
-const DATASET_VERSION: u32 = 1;
-/// Header: magic + version + payload_len + crc.
-const DATASET_HEADER_BYTES: usize = 8 + 4 + 8 + 4;
 
 /// Which of the paper's datasets to emulate (plus the small synthetic city
 /// used by the examples and the serving experiments).
@@ -156,99 +147,6 @@ impl Dataset {
         }
     }
 
-    /// Saves the dataset's raw material — kind, generated city, transition
-    /// pairs — to one checksummed binary file (the storage engine's codec),
-    /// so CI and bench runs can skip regeneration with
-    /// `experiments --load-dataset`.
-    ///
-    /// Only the *generated* data is stored; the index structures (stores,
-    /// graph) are rebuilt deterministically on load, which keeps the file
-    /// small and the formats decoupled.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        let mut enc = Encoder::new();
-        enc.str(&self.kind.to_string());
-        codec::encode_city(&mut enc, &self.city);
-        let pairs: Vec<(rknnt_geo::Point, rknnt_geo::Point)> = self
-            .transitions
-            .transitions()
-            .map(|t| (t.origin, t.destination))
-            .collect();
-        enc.len_prefix(pairs.len());
-        for (o, d) in &pairs {
-            enc.point(o);
-            enc.point(d);
-        }
-        let payload = enc.into_bytes();
-        let mut bytes = Vec::with_capacity(DATASET_HEADER_BYTES + payload.len());
-        bytes.extend_from_slice(&DATASET_MAGIC);
-        bytes.extend_from_slice(&DATASET_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        std::fs::write(path, bytes).map_err(|e| format!("write {}: {e}", path.display()))
-    }
-
-    /// Loads a dataset saved by [`Dataset::save`], rebuilding the stores and
-    /// graph from the decoded city and transition pairs. Bad magic, version,
-    /// checksum or payload are errors naming the file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let against = |detail: String| format!("{}: {detail}", path.display());
-        if bytes.len() < DATASET_HEADER_BYTES {
-            return Err(against(format!("only {} bytes", bytes.len())));
-        }
-        if bytes[..8] != DATASET_MAGIC {
-            return Err(against("bad magic".to_string()));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != DATASET_VERSION {
-            return Err(against(format!("unsupported version {version}")));
-        }
-        let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let stored_crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-        let payload = &bytes[DATASET_HEADER_BYTES..];
-        if payload.len() as u64 != payload_len {
-            return Err(against(format!(
-                "declares {payload_len} payload bytes, holds {}",
-                payload.len()
-            )));
-        }
-        if codec::crc32(payload) != stored_crc {
-            return Err(against("checksum mismatch".to_string()));
-        }
-        let mut dec = Decoder::new(payload);
-        type DatasetPayload = (
-            DatasetKind,
-            rknnt_data::City,
-            Vec<(rknnt_geo::Point, rknnt_geo::Point)>,
-        );
-        let mut decode = || -> Result<DatasetPayload, String> {
-            let kind: DatasetKind = dec.str().map_err(|e| e.to_string())?.parse()?;
-            let city = codec::decode_city(&mut dec).map_err(|e| e.to_string())?;
-            let count = dec.len_prefix(32).map_err(|e| e.to_string())?;
-            let mut pairs = Vec::with_capacity(count);
-            for _ in 0..count {
-                pairs.push((
-                    dec.point().map_err(|e| e.to_string())?,
-                    dec.point().map_err(|e| e.to_string())?,
-                ));
-            }
-            dec.expect_exhausted().map_err(|e| e.to_string())?;
-            Ok((kind, city, pairs))
-        };
-        let (kind, city, pairs) = decode().map_err(against)?;
-        let routes = city.route_store();
-        let graph = city.graph();
-        let transitions = TransitionStore::bulk_build(rknnt_rtree::RTreeConfig::default(), pairs);
-        Ok(Dataset {
-            kind,
-            city,
-            routes,
-            transitions,
-            graph,
-        })
-    }
-
     /// One-line summary used by the Tables 2/3 experiment.
     pub fn summary(&self) -> String {
         format!(
@@ -294,25 +192,6 @@ impl ExperimentContext {
     pub fn nyc(&self) -> &Dataset {
         self.nyc
             .get_or_init(|| Dataset::build(DatasetKind::NycLike, &self.scale))
-    }
-
-    /// Saves both datasets under `dir` (`la.dataset` / `nyc.dataset`) for
-    /// `experiments --save-dataset`.
-    pub fn save(&self, dir: &Path) -> Result<(), String> {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        self.la().save(&dir.join("la.dataset"))?;
-        self.nyc().save(&dir.join("nyc.dataset"))
-    }
-
-    /// Loads a context saved by [`ExperimentContext::save`], skipping
-    /// generation entirely. `scale` still drives the query counts and seeds
-    /// of the experiments; the dataset contents come from the files.
-    pub fn load(dir: &Path, scale: ScaleConfig) -> Result<Self, String> {
-        Ok(ExperimentContext {
-            la: Dataset::load(&dir.join("la.dataset"))?.into(),
-            nyc: Dataset::load(&dir.join("nyc.dataset"))?.into(),
-            scale,
-        })
     }
 
     /// Default k (Table 4 underlines k = 10).
@@ -404,57 +283,6 @@ mod tests {
         assert_eq!(small.city.config.name, "Smallville");
         assert_eq!(small.transitions.len(), scale.transitions);
         assert!(small.summary().contains("Small-synthetic"));
-    }
-
-    #[test]
-    fn datasets_roundtrip_through_save_and_load() {
-        let scale = ScaleConfig::tiny();
-        let original = Dataset::build(DatasetKind::Small, &scale);
-        let dir = std::env::temp_dir().join(format!("rknnt-dataset-io-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("small.dataset");
-        original.save(&path).unwrap();
-        let loaded = Dataset::load(&path).unwrap();
-        assert_eq!(loaded.kind, original.kind);
-        assert_eq!(loaded.city.config, original.city.config);
-        assert_eq!(loaded.city.routes, original.city.routes);
-        // The rebuilt index structures are byte-for-byte the same state the
-        // generation path produces.
-        assert_eq!(loaded.routes.export_state(), original.routes.export_state());
-        assert_eq!(
-            loaded.transitions.export_state(),
-            original.transitions.export_state()
-        );
-        assert_eq!(loaded.graph.num_vertices(), original.graph.num_vertices());
-        assert_eq!(loaded.graph.num_edges(), original.graph.num_edges());
-        // Corruption is detected by the checksum.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = match Dataset::load(&path) {
-            Err(err) => err,
-            Ok(_) => panic!("corrupted dataset file must not load"),
-        };
-        assert!(err.contains("checksum") || err.contains("decode"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn context_save_load_roundtrips() {
-        let scale = ScaleConfig::tiny();
-        let ctx = ExperimentContext::new(scale);
-        let dir = std::env::temp_dir().join(format!("rknnt-ctx-io-{}", std::process::id()));
-        ctx.save(&dir).unwrap();
-        let loaded = ExperimentContext::load(&dir, scale).unwrap();
-        assert_eq!(loaded.la().city.routes, ctx.la().city.routes);
-        assert_eq!(loaded.nyc().city.routes, ctx.nyc().city.routes);
-        assert_eq!(
-            loaded.la().transitions.export_state(),
-            ctx.la().transitions.export_state()
-        );
-        assert!(ExperimentContext::load(&dir.join("missing"), scale).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

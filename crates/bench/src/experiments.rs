@@ -947,8 +947,8 @@ const MAX_TRACING_COST: Bound = Bound::AtMost(0.05);
 /// 16, through a fresh service (cold cache) in three modes —
 ///
 /// * **metrics-off** — [`QueryService::set_metrics_enabled`]`(false)`:
-///   counters stay live (the per-call stats depend on them), clock reads,
-///   histogram recording and recorder events are gone;
+///   counters stay live (the per-call stats depend on them), clock reads
+///   and histogram recording are gone;
 /// * **metrics-on** — the default service;
 /// * **traced** — metrics on, and every batch carries a `request` root span
 ///   and a cursor through `execute_batch_traced`, its finished trace
@@ -986,9 +986,9 @@ fn instrumentation_overhead(ctx: &ExperimentContext, out: &mut Output) {
                     TraceContext::begin(TraceId::from_raw(seq as u64 + 1), telemetry.clone());
                 let root = trace.begin_span("request", SpanId::NONE);
                 let cursor = TraceCursor::new(&trace, root);
-                let outs = service.execute_batch_traced(chunk, Some(&cursor)).0;
+                let outs = service.execute_batch_traced(chunk, cursor).0;
                 trace.end_span(root);
-                slow_log.observe(trace.finish(), None);
+                slow_log.observe(trace.finish());
                 outs
             } else {
                 service.execute_batch(chunk).0

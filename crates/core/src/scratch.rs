@@ -238,12 +238,6 @@ impl QueryScratch {
         )
     }
 
-    /// Pre-grows the route-mark table for a store (optional; the table also
-    /// grows lazily on first use).
-    pub fn reserve_for(&mut self, routes: &RouteStore) {
-        self.marks.reserve(routes.route_id_bound());
-    }
-
     /// Test hook: forces the next distinct-route count to take the epoch
     /// rollover path. See [`RouteMarks::force_epoch_wrap`].
     pub fn force_epoch_wrap(&mut self) {

@@ -1,6 +1,5 @@
 //! Hand-rolled little-endian binary codec shared by the durable storage
-//! engine (`rknnt-storage`) and the dataset save/load path of the bench
-//! harness.
+//! engine (`rknnt-storage`) and the wire protocol (`rknnt-net`).
 //!
 //! The hermetic build environment has no serde backend (the in-tree `serde`
 //! shim only supplies the derive surface), so everything that must hit disk
@@ -355,57 +354,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-// ---------------------------------------------------------------------------
-// City codec (dataset save/load)
-// ---------------------------------------------------------------------------
-
-use crate::{City, CityConfig};
-
-/// Encodes a [`CityConfig`].
-pub fn encode_city_config(enc: &mut Encoder, config: &CityConfig) {
-    enc.str(&config.name);
-    enc.f64(config.width);
-    enc.f64(config.height);
-    enc.len_prefix(config.num_routes);
-    enc.len_prefix(config.stops_per_route.0);
-    enc.len_prefix(config.stops_per_route.1);
-    enc.f64(config.stop_spacing);
-    enc.u64(config.seed);
-}
-
-/// Decodes a [`CityConfig`].
-pub fn decode_city_config(dec: &mut Decoder<'_>) -> CodecResult<CityConfig> {
-    Ok(CityConfig {
-        name: dec.str()?,
-        width: dec.f64()?,
-        height: dec.f64()?,
-        num_routes: dec.usize()?,
-        stops_per_route: (dec.usize()?, dec.usize()?),
-        stop_spacing: dec.f64()?,
-        seed: dec.u64()?,
-    })
-}
-
-/// Encodes a [`City`] (configuration plus every route).
-pub fn encode_city(enc: &mut Encoder, city: &City) {
-    encode_city_config(enc, &city.config);
-    enc.len_prefix(city.routes.len());
-    for route in &city.routes {
-        enc.points(route);
-    }
-}
-
-/// Decodes a [`City`].
-pub fn decode_city(dec: &mut Decoder<'_>) -> CodecResult<City> {
-    let config = decode_city_config(dec)?;
-    let num_routes = dec.len_prefix(8)?;
-    let mut routes = Vec::with_capacity(num_routes);
-    for _ in 0..num_routes {
-        routes.push(dec.points()?);
-    }
-    Ok(City { config, routes })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,22 +449,5 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn city_roundtrips_byte_identically() {
-        let city = crate::CityGenerator::new(CityConfig::small(17)).generate();
-        let mut enc = Encoder::new();
-        encode_city(&mut enc, &city);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = decode_city(&mut dec).unwrap();
-        dec.expect_exhausted().unwrap();
-        assert_eq!(back.config, city.config);
-        assert_eq!(back.routes, city.routes);
-        // Re-encoding is byte-identical — the storage engine's invariant.
-        let mut again = Encoder::new();
-        encode_city(&mut again, &back);
-        assert_eq!(again.into_bytes(), bytes);
     }
 }

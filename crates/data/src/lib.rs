@@ -23,8 +23,8 @@
 //! * [`io`] — CSV import/export so real GTFS-derived data can be dropped in
 //!   when available.
 //! * [`codec`] — the hand-rolled little-endian binary codec (plus CRC-32)
-//!   behind the durable storage engine's snapshots/WAL and the bench
-//!   harness's `--save-dataset` / `--load-dataset` fast path.
+//!   behind the durable storage engine's snapshots/WAL and the wire
+//!   protocol's frames.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -64,12 +64,6 @@ impl Point {
         self.dot(self)
     }
 
-    /// Length of the vector from the origin to this point.
-    #[inline]
-    pub fn norm(&self) -> f64 {
-        self.norm_sq().sqrt()
-    }
-
     /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
     #[inline]
     pub fn lerp(&self, other: &Point, t: f64) -> Point {

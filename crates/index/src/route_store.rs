@@ -251,11 +251,6 @@ impl RouteStore {
         self.stops.len()
     }
 
-    /// Location of a stop.
-    pub fn stop_point(&self, stop: StopId) -> Point {
-        self.stops[stop.index()]
-    }
-
     /// Crossover route set `C(r)` of a stop (Definition 7).
     pub fn crossover(&self, stop: StopId) -> &[RouteId] {
         self.plist.crossover(stop)

@@ -415,8 +415,8 @@ impl Client {
         }
     }
 
-    /// Fetches server internals: metrics exposition, the slow-query log, or
-    /// a flight-recorder window. Answered from the server's reader thread,
+    /// Fetches server internals: metrics exposition or the slow-query log.
+    /// Answered from the server's reader thread,
     /// so it works even while the executor is saturated — there is no
     /// `Overloaded` arm because introspection is never queued or shed.
     pub fn introspect(&mut self, what: IntrospectWhat) -> Result<IntrospectReport, ClientError> {

@@ -137,15 +137,6 @@ pub struct FleetDelta {
     pub left: Vec<TransitionId>,
 }
 
-/// Router-side view of one shard's availability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardState {
-    /// Last dispatch answered.
-    Up,
-    /// Last dispatch exhausted the defence budget; updates are deferring.
-    Down,
-}
-
 /// A fleet-level failure (distinct from per-shard degradation, which is
 /// expressed in [`FleetResult::missing_shards`], not as an error).
 #[derive(Debug)]
@@ -376,20 +367,6 @@ impl FleetRouter {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The router's current availability view (updated by dispatches).
-    pub fn shard_states(&self) -> Vec<ShardState> {
-        self.shards
-            .iter()
-            .map(|s| {
-                if s.up {
-                    ShardState::Up
-                } else {
-                    ShardState::Down
-                }
-            })
-            .collect()
     }
 
     /// Dispatch counters for one shard.

@@ -25,9 +25,9 @@
 //!   per-request span tree through admission, queueing, execution and the
 //!   backend's batch pipeline (down to per-shard routing decisions and WAL
 //!   appends); slow traces are retained in a bounded ring, and
-//!   [`Message::Introspect`] / [`Client::introspect`] fetch metrics, slow
-//!   queries or flight-recorder windows remotely, answered from the reader
-//!   thread even when the executor is saturated.
+//!   [`Message::Introspect`] / [`Client::introspect`] fetch metrics or slow
+//!   queries remotely, answered from the reader thread even when the
+//!   executor is saturated.
 //! * **[`Client`]** — a blocking client speaking the same codec, used by
 //!   the test suite and the `open_loop_latency` experiment. Answers are
 //!   byte-identical to in-process execution; `Overloaded` is a typed
@@ -88,9 +88,7 @@ pub use client::{
     Client, ClientConfig, ClientError, DeltaEvent, HealthStatus, NetError, Reply, Subscription,
     UpdateCounts, CLIENT_WRITE_SITE,
 };
-pub use fleet::{
-    FleetApply, FleetConfig, FleetDelta, FleetError, FleetResult, FleetRouter, ShardState,
-};
+pub use fleet::{FleetApply, FleetConfig, FleetDelta, FleetError, FleetResult, FleetRouter};
 pub use protocol::{
     IntrospectReport, IntrospectWhat, Message, OverloadInfo, WireSlowQuery, WireSpan,
     MAX_FRAME_BYTES,

@@ -119,8 +119,6 @@ pub enum IntrospectWhat {
     Metrics,
     /// The slow-query log: promoted traces with their span trees.
     SlowQueries,
-    /// The backend's flight-recorder window, rendered.
-    FlightRecorder,
 }
 
 /// One span of a slow trace as it travels on the wire: the in-memory
@@ -161,8 +159,6 @@ pub struct WireSlowQuery {
     pub dropped: u32,
     /// The retained span tree, in recording order (root first).
     pub spans: Vec<WireSpan>,
-    /// The flight-recorder window captured when the trace was promoted.
-    pub events: String,
 }
 
 impl From<&SlowQueryEntry> for WireSlowQuery {
@@ -191,7 +187,6 @@ impl From<&SlowQueryEntry> for WireSlowQuery {
                         .collect(),
                 })
                 .collect(),
-            events: entry.events.clone(),
         }
     }
 }
@@ -208,11 +203,6 @@ pub enum IntrospectReport {
     SlowQueries {
         /// Promoted traces with their span trees.
         entries: Vec<WireSlowQuery>,
-    },
-    /// The backend's flight-recorder window.
-    FlightRecorder {
-        /// The rendered events.
-        text: String,
     },
 }
 
@@ -520,7 +510,6 @@ impl Message {
                 enc.u8(match what {
                     IntrospectWhat::Metrics => 0,
                     IntrospectWhat::SlowQueries => 1,
-                    IntrospectWhat::FlightRecorder => 2,
                 });
             }
             Message::Health { id } => {
@@ -588,12 +577,7 @@ impl Message {
                                     enc.u64(*value);
                                 }
                             }
-                            enc.str(&entry.events);
                         }
-                    }
-                    IntrospectReport::FlightRecorder { text } => {
-                        enc.u8(2);
-                        enc.str(text);
                     }
                 }
             }
@@ -681,7 +665,6 @@ impl Message {
                 what: match dec.u8()? {
                     0 => IntrospectWhat::Metrics,
                     1 => IntrospectWhat::SlowQueries,
-                    2 => IntrospectWhat::FlightRecorder,
                     other => {
                         return Err(CodecError {
                             offset: dec.position().saturating_sub(1),
@@ -747,12 +730,10 @@ impl Message {
                                 root_dur_ns,
                                 dropped,
                                 spans,
-                                events: dec.str()?,
                             });
                         }
                         IntrospectReport::SlowQueries { entries }
                     }
-                    2 => IntrospectReport::FlightRecorder { text: dec.str()? },
                     other => {
                         return Err(CodecError {
                             offset: dec.position().saturating_sub(1),
@@ -875,10 +856,6 @@ mod tests {
                 id: 16,
                 what: IntrospectWhat::SlowQueries,
             },
-            Message::Introspect {
-                id: 17,
-                what: IntrospectWhat::FlightRecorder,
-            },
             Message::Health { id: 18 },
             Message::QueryOk {
                 id: 7,
@@ -928,14 +905,7 @@ mod tests {
                                 attrs: vec![("shard".into(), 3), ("pruned".into(), 1)],
                             },
                         ],
-                        events: "#0 t=1ns event=checkpoint_begin\n".into(),
                     }],
-                },
-            },
-            Message::IntrospectOk {
-                id: 17,
-                report: IntrospectReport::FlightRecorder {
-                    text: "flight recorder: showing last 0 of 0 event(s)\n".into(),
                 },
             },
             Message::HealthOk {
@@ -1110,16 +1080,26 @@ mod tests {
         assert_eq!(&traced[9..], &untraced[1..]);
     }
 
+    /// Only codes 0 (metrics) and 1 (slow queries) exist, on the request and
+    /// on the report; anything else is a typed error at the code byte.
     #[test]
     fn bad_introspect_bytes_are_rejected() {
-        let mut enc = Encoder::new();
-        enc.u8(TAG_INTROSPECT);
-        enc.u64(1);
-        enc.u8(9);
-        assert!(Message::decode(&enc.into_bytes())
-            .unwrap_err()
-            .detail
-            .contains("introspect kind"));
+        for (tag, needle) in [
+            (TAG_INTROSPECT, "bad introspect kind byte"),
+            (TAG_INTROSPECT_OK, "bad introspect report byte"),
+        ] {
+            for code in [2u8, 9] {
+                let mut enc = Encoder::new();
+                enc.u8(tag);
+                enc.u64(1);
+                enc.u8(code);
+                enc.str("payload of a kind this build does not know");
+                let bytes = enc.into_bytes();
+                let err = Message::decode(&bytes).unwrap_err();
+                assert_eq!(err.detail, format!("{needle} {code}"));
+                assert_eq!(err.offset, 9);
+            }
+        }
     }
 
     #[test]

@@ -50,10 +50,9 @@
 //! `worker` / `group` / `shard` / `wal_append` spans below the `execute`
 //! span. Completed traces feed a [`SlowQueryLog`]; those over
 //! [`ServerConfig::slow_query_threshold_ns`] are retained with their full
-//! tree and a correlated flight-recorder window. [`Message::Introspect`]
-//! fetches metrics, slow queries or the flight recorder remotely — it is
-//! answered *from the reader thread*, so introspection works even while the
-//! executor is saturated, and is never queued or shed.
+//! tree. [`Message::Introspect`] fetches metrics or slow queries remotely —
+//! it is answered *from the reader thread*, so introspection works even
+//! while the executor is saturated, and is never queued or shed.
 
 use crate::protocol::{
     estimate_cost, frame_bytes, read_frame, IntrospectReport, IntrospectWhat, Message,
@@ -63,8 +62,8 @@ use rknnt_core::{RknntQuery, RknntResult};
 use rknnt_fault::{Failpoints, FaultAction};
 use rknnt_index::TransitionId;
 use rknnt_obs::{
-    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, SlowQueryLog, SpanId, Telemetry,
-    TraceContext, TraceCursor, TraceId,
+    Counter, Gauge, Histogram, MetricsRegistry, SlowQueryLog, SpanId, Telemetry, TraceContext,
+    TraceCursor, TraceId,
 };
 use rknnt_service::{
     BatchStats, QueryService, ShardedService, StorageError, StoreUpdate, SubscriptionDelta,
@@ -100,7 +99,7 @@ impl Backend {
     fn execute_batch_traced(
         &self,
         queries: &[RknntQuery],
-        trace: Option<&TraceCursor>,
+        trace: TraceCursor<'_>,
     ) -> (Vec<RknntResult>, BatchStats) {
         match self {
             Backend::Single(s) => s.execute_batch_traced(queries, trace),
@@ -132,7 +131,7 @@ impl Backend {
     fn try_apply_updates(
         &mut self,
         updates: Vec<StoreUpdate>,
-        trace: Option<&TraceCursor>,
+        trace: TraceCursor<'_>,
     ) -> Result<UpdateStats, StorageError> {
         match self {
             Backend::Single(s) => s.try_apply_updates(updates, trace),
@@ -158,14 +157,6 @@ impl Backend {
             Backend::Sharded(s) => s.storage_stats(),
         };
         stats.map(|st| st.next_seq.saturating_sub(1))
-    }
-
-    /// The backend's flight recorder (for `DumpOnPanic` in tests).
-    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        match self {
-            Backend::Single(s) => s.flight_recorder(),
-            Backend::Sharded(s) => s.flight_recorder(),
-        }
     }
 
     /// A live handle to the backend's metric registry, for answering
@@ -198,8 +189,7 @@ pub struct ServerConfig {
     /// coordination). `1.0` traces every tagged request, `0.0` none.
     pub trace_sample: f64,
     /// Completed traces whose root span exceeds this duration are promoted
-    /// into the slow-query log with their full span tree and a correlated
-    /// flight-recorder window.
+    /// into the slow-query log with their full span tree.
     pub slow_query_threshold_ns: u64,
     /// Slow-query ring capacity (oldest entries are evicted first).
     pub slow_query_capacity: usize,
@@ -226,12 +216,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Sets the executor drain cap.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch;
-        self
-    }
-
     /// Sets the global queue slot cap.
     pub fn with_queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.queue_capacity = queue_capacity;
@@ -393,20 +377,23 @@ struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// Ends the `queue` span, opens `execute`, and returns a cursor under
-    /// it for the backend to hang its spans from.
-    fn start_execute(&mut self) -> TraceCursor {
+    /// Ends the `queue` span and opens `execute`.
+    fn start_execute(&mut self) {
         let root = TraceCursor::new(&self.ctx, self.root);
         if let Some(queue) = self.queue.take() {
             root.end(queue);
         }
-        let execute = root.begin("execute");
-        self.execute = Some(execute);
-        root.at(execute)
+        self.execute = Some(root.begin("execute"));
+    }
+
+    /// A cursor under the `execute` span for the backend to hang its spans
+    /// from.
+    fn execute_cursor(&self) -> TraceCursor<'_> {
+        TraceCursor::new(&self.ctx, self.execute.unwrap_or(SpanId::NONE))
     }
 
     /// Closes any open spans plus the root and hands the completed trace to
-    /// the slow-query log (with the flight recorder for window capture).
+    /// the slow-query log.
     fn finish(mut self, shared: &Shared) {
         let root = TraceCursor::new(&self.ctx, self.root);
         if let Some(queue) = self.queue.take() {
@@ -416,9 +403,7 @@ impl RequestTrace {
             root.end(execute);
         }
         self.ctx.end_span(self.root);
-        shared
-            .slow_log
-            .observe(self.ctx.finish(), Some(&shared.recorder));
+        shared.slow_log.observe(self.ctx.finish());
     }
 }
 
@@ -454,9 +439,6 @@ struct Shared {
     telemetry: Telemetry,
     /// Completed-trace ring; promotes over-threshold traces.
     slow_log: Arc<SlowQueryLog>,
-    /// The backend's flight recorder, captured before the backend moved
-    /// into the executor — read by introspection and slow-log capture.
-    recorder: Arc<FlightRecorder>,
     /// Live backend registry handle for reader-thread metrics
     /// introspection — see [`Backend::introspection_registry`].
     registry: MetricsRegistry,
@@ -480,10 +462,9 @@ impl Server {
         }
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        // Introspection handles must be captured *before* the backend moves
-        // into the executor thread: reader threads answer `Introspect`
-        // directly from these.
-        let recorder = backend.flight_recorder();
+        // The introspection handle must be captured *before* the backend
+        // moves into the executor thread: reader threads answer `Introspect`
+        // directly from it.
         let registry = backend.introspection_registry();
         let slow_log = Arc::new(SlowQueryLog::new(
             config.slow_query_threshold_ns,
@@ -503,7 +484,6 @@ impl Server {
             dead: Mutex::new(None),
             telemetry: Telemetry::monotonic(),
             slow_log,
-            recorder,
             registry,
         });
         let acceptor = std::thread::Builder::new()
@@ -803,9 +783,6 @@ fn introspect(shared: &Shared, what: IntrospectWhat) -> IntrospectReport {
                 .iter()
                 .map(WireSlowQuery::from)
                 .collect(),
-        },
-        IntrospectWhat::FlightRecorder => IntrospectReport::FlightRecorder {
-            text: shared.recorder.render(rknnt_obs::SLOW_LOG_EVENT_WINDOW),
         },
     }
 }
@@ -1151,16 +1128,16 @@ fn flush_queries(
     // an `execute` span bracketing the backend call; the backend's own
     // span tree hangs off the *first* traced request (one `execute_batch`
     // serves the whole funnel, so its internals belong to one tree).
-    let mut batch_cursor: Option<TraceCursor> = None;
     for (_, _, _, trace) in meta.iter_mut() {
-        if let Some(rt) = trace.as_mut() {
-            let cursor = rt.start_execute();
-            if batch_cursor.is_none() {
-                batch_cursor = Some(cursor);
-            }
+        if let Some(rt) = trace {
+            rt.start_execute();
         }
     }
-    let (results, _stats) = backend.execute_batch_traced(queries, batch_cursor.as_ref());
+    let batch_cursor = meta
+        .iter()
+        .find_map(|(_, _, _, trace)| trace.as_ref())
+        .map_or(TraceCursor::NONE, RequestTrace::execute_cursor);
+    let (results, _stats) = backend.execute_batch_traced(queries, batch_cursor);
     for ((conn, id, accepted_at, trace), result) in meta.drain(..).zip(results) {
         // Finish the trace *before* the reply leaves: a client that has its
         // answer can immediately introspect and find the promoted trace.
@@ -1220,8 +1197,11 @@ fn handle_control(
         }
         Message::ApplyUpdates { id, updates, .. } => {
             let records = updates.len() as u64;
-            let cursor = trace.as_mut().map(RequestTrace::start_execute);
-            let outcome = backend.try_apply_updates(updates, cursor.as_ref());
+            let cursor = trace.as_mut().map_or(TraceCursor::NONE, |rt| {
+                rt.start_execute();
+                rt.execute_cursor()
+            });
+            let outcome = backend.try_apply_updates(updates, cursor);
             // Finish the trace *before* the reply leaves: a client that has
             // its answer can immediately introspect and find the promoted
             // trace.

@@ -85,7 +85,6 @@ fn single_backend(config: ServiceConfig) -> Backend {
 fn answers_over_tcp_are_byte_identical_to_in_process() {
     let config = ServiceConfig::default().with_workers(2);
     let backend = single_backend(config);
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let (routes, pairs) = small_world();
     let (route_store, transition_store) = stores(&routes, &pairs);
     let twin = QueryService::new(route_store, transition_store, config);
@@ -124,7 +123,6 @@ fn sharded_backend_matches_unsharded_twin_over_tcp() {
         pairs.clone(),
     );
     let backend = Backend::Sharded(sharded);
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let (route_store, transition_store) = stores(&routes, &pairs);
     let twin = QueryService::new(route_store, transition_store, base);
 
@@ -141,7 +139,6 @@ fn sharded_backend_matches_unsharded_twin_over_tcp() {
 fn subscription_deltas_stream_to_the_owning_connection() {
     let config = ServiceConfig::default();
     let backend = single_backend(config);
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     // Twin service receiving the same subscription and updates in the same
     // order, so ids and deltas line up exactly.
     let (routes, pairs) = small_world();
@@ -212,7 +209,6 @@ fn subscription_deltas_stream_to_the_owning_connection() {
 fn burst_replies_are_all_accounted_and_answered_ones_byte_identical() {
     let config = ServiceConfig::default().with_cache_capacity(0);
     let backend = single_backend(config);
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let (routes, pairs) = small_world();
     let (route_store, transition_store) = stores(&routes, &pairs);
     let twin = QueryService::new(route_store, transition_store, config);
@@ -267,7 +263,6 @@ fn burst_replies_are_all_accounted_and_answered_ones_byte_identical() {
 #[test]
 fn zero_cost_budget_sheds_every_query_with_a_typed_reply() {
     let backend = single_backend(ServiceConfig::default());
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let server = Server::start(backend, ServerConfig::default().with_cost_budget(0)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     for query in query_mix() {
@@ -286,7 +281,6 @@ fn zero_cost_budget_sheds_every_query_with_a_typed_reply() {
 #[test]
 fn per_connection_inflight_cap_sheds_independently_of_the_global_queue() {
     let backend = single_backend(ServiceConfig::default());
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let server = Server::start(backend, ServerConfig::default().with_per_conn_inflight(0)).unwrap();
     let mut greedy = Client::connect(server.local_addr()).unwrap();
     let query = &query_mix()[0];
@@ -297,7 +291,6 @@ fn per_connection_inflight_cap_sheds_independently_of_the_global_queue() {
 #[test]
 fn hostile_bytes_get_a_typed_error_then_the_connection_closes() {
     let backend = single_backend(ServiceConfig::default());
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let server = Server::start(backend, ServerConfig::default()).unwrap();
 
     // Garbage that cannot even frame (bogus checksum and hostile length):
@@ -422,7 +415,6 @@ fn introspect_fetches_the_slow_trace_span_tree_over_tcp() {
         .attach_storage(&dir, StorageConfig::default().with_fsync(false))
         .unwrap();
     let backend = Backend::Sharded(sharded);
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
 
     // Threshold 0: every completed trace counts as slow, so promotion is
     // deterministic on any machine.
@@ -536,8 +528,6 @@ fn introspect_fetches_the_slow_trace_span_tree_over_tcp() {
         vec![0, 1, 2, 3],
         "the trace must record a prune decision for every shard"
     );
-    // The correlated flight-recorder window rode along with the trace.
-    assert!(entry.events.contains("flight recorder"));
 
     // Metrics introspection reaches the per-reason shed counters and the
     // shard-prefixed backend registries from the reader thread.
@@ -553,14 +543,6 @@ fn introspect_fetches_the_slow_trace_span_tree_over_tcp() {
     ] {
         assert!(text.contains(needle), "metrics text missing {needle}");
     }
-
-    // Flight-recorder introspection renders the backend's window.
-    let IntrospectReport::FlightRecorder { text } =
-        client.introspect(IntrospectWhat::FlightRecorder).unwrap()
-    else {
-        panic!("asked for FlightRecorder, got something else");
-    };
-    assert!(text.contains("flight recorder"), "got: {text}");
 
     // The server-side log agrees with what travelled over the wire.
     let log = server.slow_query_log();
@@ -585,7 +567,6 @@ fn introspect_fetches_the_slow_trace_span_tree_over_tcp() {
 fn slow_log_promotes_every_over_threshold_trace_and_nothing_unsampled() {
     for (sample, traced) in [(0.0, 0u64), (1.0, query_mix().len() as u64)] {
         let backend = single_backend(ServiceConfig::default());
-        let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
         let server = Server::start(
             backend,
             ServerConfig::default()
@@ -621,7 +602,6 @@ fn slow_log_promotes_every_over_threshold_trace_and_nothing_unsampled() {
 fn disconnect_reclaims_subscriptions_before_later_updates() {
     let config = ServiceConfig::default();
     let backend = single_backend(config);
-    let _dump = rknnt_obs::DumpOnPanic::new(backend.flight_recorder(), 32);
     let server = Server::start(backend, ServerConfig::default()).unwrap();
 
     let mut subscriber = Client::connect(server.local_addr()).unwrap();

@@ -2,8 +2,8 @@
 //!
 //! Production code reads a monotonic clock; tests plug in a [`MockClock`]
 //! they can advance by hand, so no test ever sleeps or depends on wall-clock
-//! behaviour. Everything downstream ([`Span`](crate::Span), histograms, the
-//! flight recorder) only sees `u64` nanoseconds from this trait.
+//! behaviour. Everything downstream ([`Span`](crate::Span), histograms, trace
+//! spans) only sees `u64` nanoseconds from this trait.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -13,15 +13,19 @@
 //! * [`MetricsRegistry`] — register-once metric cells with static string
 //!   ids, a `key=value` text exposition format ([`MetricsSnapshot::to_text`])
 //!   and point-in-time [`MetricsSnapshot`]s that diff to isolate intervals.
-//! * [`Stage`] / [`Span`] — lightweight stage timing
-//!   (`Span::enter(&stage)`) over a pluggable [`Clock`]: monotonic in
-//!   production, [`MockClock`] in tests.
-//! * [`FlightRecorder`] — a fixed-capacity ring of recent structured
-//!   [`Event`]s, dumpable on demand or on panic ([`DumpOnPanic`]).
+//! * [`Stage`] / [`Span`] — stage timing over a pluggable [`Clock`]
+//!   (monotonic in production, [`MockClock`] in tests): one
+//!   `stage.enter(cursor)` … `finish_with(attrs)` pass is one measurement,
+//!   reported to the stage's histogram, to the request's span tree and back
+//!   to the caller.
+//! * [`TraceContext`] / [`TraceCursor`] — a bounded per-request span tree
+//!   with deterministic head sampling; "untraced" is the value
+//!   [`TraceCursor::NONE`], not an `Option`. [`SlowQueryLog`] retains the
+//!   trees of the slowest requests.
 //!
 //! Everything on the hot path is allocation-free (preallocated cells and
-//! ring slots, relaxed atomics); the [`Telemetry`] enable switch turns the
-//! costed parts (clock reads, histogram records, recorder events) off at
+//! span slots, relaxed atomics); the [`Telemetry`] enable switch turns the
+//! costed parts (clock reads of untraced spans, histogram records) off at
 //! runtime, while counters and gauges stay live so exact per-call stats
 //! keep working. The `instrumentation_overhead` experiment gates the enabled
 //! cost at ≤5% of service throughput.
@@ -32,7 +36,6 @@
 mod clock;
 mod histogram;
 mod metrics;
-mod recorder;
 mod trace;
 
 pub use clock::{Clock, MockClock, MonotonicClock};
@@ -41,8 +44,7 @@ pub use metrics::{
     Counter, Gauge, Metric, MetricId, MetricValue, MetricsRegistry, MetricsSnapshot, Span, Stage,
     Telemetry,
 };
-pub use recorder::{DumpOnPanic, Event, EventKind, FlightRecorder};
 pub use trace::{
     CompletedTrace, SlowQueryEntry, SlowQueryLog, SpanId, TraceContext, TraceCursor, TraceId,
-    TraceSpan, MAX_SPAN_ATTRS, MAX_TRACE_SPANS, SLOW_LOG_EVENT_WINDOW,
+    TraceSpan, MAX_SPAN_ATTRS, MAX_TRACE_SPANS,
 };

@@ -10,11 +10,12 @@
 //! Counters and gauges are *always* live — exact per-call statistics
 //! (`BatchStats`-style) are computed by diffing them around a call, so they
 //! cannot be turned off. The [`Telemetry`] enabled flag gates only the parts
-//! with measurable cost: clock reads in [`Span`]s, histogram recording and
-//! flight-recorder events.
+//! with measurable cost: clock reads in untraced [`Span`]s and histogram
+//! recording.
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::trace::{SpanId, TraceCursor};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,9 +85,8 @@ impl Gauge {
 
 /// The shared time source and master enable switch for instrumentation.
 ///
-/// Cloning is cheap (two `Arc`s); every [`Stage`] and
-/// [`FlightRecorder`](crate::FlightRecorder) carries a clone so a single
-/// [`Telemetry::set_enabled`] call flips the whole pipeline.
+/// Cloning is cheap (two `Arc`s); every [`Stage`] carries a clone so a
+/// single [`Telemetry::set_enabled`] call flips the whole pipeline.
 #[derive(Clone)]
 pub struct Telemetry {
     clock: Arc<dyn Clock>,
@@ -116,15 +116,9 @@ impl Telemetry {
         }
     }
 
-    /// Whether spans, histograms and the flight recorder are live.
-    ///
-    /// With the `off` cargo feature this is a constant `false` and the
-    /// compiler folds the instrumentation away entirely.
+    /// Whether untraced spans and histograms are live.
     #[inline]
     pub fn enabled(&self) -> bool {
-        if cfg!(feature = "off") {
-            return false;
-        }
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -149,7 +143,7 @@ impl Default for Telemetry {
 
 /// A named pipeline stage whose latencies feed one histogram.
 ///
-/// Created by [`MetricsRegistry::stage`]; enter it with [`Span::enter`].
+/// Created by [`MetricsRegistry::stage`]; enter it with [`Stage::enter`].
 #[derive(Debug, Clone)]
 pub struct Stage {
     name: &'static str,
@@ -158,62 +152,98 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// The registered metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// The histogram this stage records into.
     pub fn histogram(&self) -> &Arc<Histogram> {
         &self.histogram
     }
+
+    /// Starts one pass through the stage — the one measurement its
+    /// histogram, its trace span and the caller's own stats all report.
+    /// When `cursor` records, a span named after the stage
+    /// (`service.stage.cache_lookup_ns` → `cache_lookup`) opens under it and
+    /// the pass is timed on the trace's clock, telemetry enabled or not;
+    /// under [`TraceCursor::NONE`] it is timed iff telemetry is enabled.
+    #[inline]
+    pub fn enter<'a>(&'a self, cursor: TraceCursor<'a>) -> Span<'a> {
+        let (started, span) = match cursor.ctx {
+            Some(ctx) => {
+                let at = ctx.now_nanos();
+                let last = self.name.rsplit('.').next().unwrap_or(self.name);
+                let name = last.strip_suffix("_ns").unwrap_or(last);
+                (Some(at), ctx.begin_span_at(name, cursor.parent, at))
+            }
+            None => {
+                let telemetry = &self.telemetry;
+                let started = telemetry.enabled().then(|| telemetry.now_nanos());
+                (started, SpanId::NONE)
+            }
+        };
+        Span {
+            stage: self,
+            under: cursor.at(span),
+            started,
+        }
+    }
 }
 
-/// An open timing span over a [`Stage`].
+/// An open pass through a [`Stage`], from [`Stage::enter`].
 ///
-/// Records the elapsed nanoseconds into the stage's histogram when finished
-/// or dropped. When telemetry is disabled the span never reads the clock and
-/// [`Span::finish`] returns [`Duration::ZERO`] — callers that feed
-/// wall-clock fields from spans therefore report zeros with metrics off.
+/// Finishing (or dropping) it reads the clock once, feeds the elapsed
+/// nanoseconds to the stage's histogram iff telemetry is enabled and closes
+/// the trace span iff one was opened. Untraced with telemetry disabled the
+/// span never reads the clock and [`Span::finish`] returns
+/// [`Duration::ZERO`] — callers that feed wall-clock fields from spans
+/// therefore report zeros with metrics off.
 #[derive(Debug)]
 #[must_use = "a span measures nothing unless it lives across the timed code"]
 pub struct Span<'a> {
     stage: &'a Stage,
+    /// Rooted at this pass's trace span; `NONE` when untraced.
+    under: TraceCursor<'a>,
     started: Option<u64>,
 }
 
 impl<'a> Span<'a> {
-    /// Starts timing `stage` (a no-op span if telemetry is disabled).
-    #[inline]
-    pub fn enter(stage: &'a Stage) -> Self {
-        let started = stage
-            .telemetry
-            .enabled()
-            .then(|| stage.telemetry.now_nanos());
-        Span { stage, started }
+    /// A cursor parenting under this pass's trace span, for what runs
+    /// inside the stage.
+    pub fn cursor(&self) -> TraceCursor<'a> {
+        self.under
     }
 
     /// Stops the span, records it, and returns the elapsed time.
     #[inline]
-    pub fn finish(mut self) -> Duration {
-        self.close()
+    pub fn finish(self) -> Duration {
+        self.finish_with(&[])
     }
 
-    fn close(&mut self) -> Duration {
-        match self.started.take() {
-            Some(started) => {
-                let nanos = self.stage.telemetry.now_nanos().saturating_sub(started);
-                self.stage.histogram.record(nanos);
-                Duration::from_nanos(nanos)
-            }
-            None => Duration::ZERO,
+    /// [`Span::finish`], attaching `attrs` to the trace span.
+    #[inline]
+    pub fn finish_with(mut self, attrs: &[(&'static str, u64)]) -> Duration {
+        self.close(attrs)
+    }
+
+    fn close(&mut self, attrs: &[(&'static str, u64)]) -> Duration {
+        let Some(started) = self.started.take() else {
+            return Duration::ZERO;
+        };
+        let now = match self.under.ctx {
+            Some(ctx) => ctx.now_nanos(),
+            None => self.stage.telemetry.now_nanos(),
+        };
+        let nanos = now.saturating_sub(started);
+        if self.stage.telemetry.enabled() {
+            self.stage.histogram.record(nanos);
         }
+        if let Some(ctx) = self.under.ctx {
+            ctx.end_span_at(self.under.parent, now, attrs);
+        }
+        Duration::from_nanos(nanos)
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        self.close();
+        self.close(&[]);
     }
 }
 
@@ -487,6 +517,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::clock::MockClock;
+    use crate::trace::{TraceContext, TraceId};
 
     fn mock_registry() -> (MetricsRegistry, Arc<MockClock>) {
         let clock = Arc::new(MockClock::new());
@@ -533,12 +564,12 @@ mod tests {
     fn spans_record_mock_elapsed_time() {
         let (mut registry, clock) = mock_registry();
         let stage = registry.stage("stage.filter_ns");
-        let span = Span::enter(&stage);
+        let span = stage.enter(TraceCursor::NONE);
         clock.advance(1_500);
         assert_eq!(span.finish(), Duration::from_nanos(1_500));
         clock.advance(10);
         {
-            let _implicit = Span::enter(&stage);
+            let _implicit = stage.enter(TraceCursor::NONE);
             clock.advance(2_500);
             // Dropped without finish(): still records.
         }
@@ -552,17 +583,73 @@ mod tests {
         let stage = registry.stage("stage.verify_ns");
         let ops = registry.counter("ops");
         registry.telemetry().set_enabled(false);
-        let span = Span::enter(&stage);
+        let span = stage.enter(TraceCursor::NONE);
         clock.advance(9_999);
         ops.inc();
         assert_eq!(span.finish(), Duration::ZERO);
         assert!(stage.histogram().is_empty());
         assert_eq!(ops.get(), 1);
         registry.telemetry().set_enabled(true);
-        let span = Span::enter(&stage);
+        let span = stage.enter(TraceCursor::NONE);
         clock.advance(5);
         span.finish();
         assert_eq!(stage.histogram().count(), 1);
+    }
+
+    /// One pass, one measurement: the histogram sample, the span and the
+    /// returned duration are the same number.
+    #[test]
+    fn a_traced_pass_reports_once_to_histogram_and_span() {
+        let (mut registry, clock) = mock_registry();
+        let stage = registry.stage("service.stage.cache_lookup_ns");
+        let ctx = TraceContext::begin(TraceId::from_raw(1), registry.telemetry().clone());
+        let root = ctx.begin_span("request", SpanId::NONE);
+        clock.advance(40);
+        let span = stage.enter(TraceCursor::new(&ctx, root));
+        let inner = span.cursor().begin("child");
+        clock.advance(700);
+        let elapsed = span.finish_with(&[("queries", 16), ("cache_hits", 3)]);
+        assert_eq!(elapsed, Duration::from_nanos(700));
+        assert_eq!(stage.histogram().count(), 1);
+        assert_eq!(stage.histogram().max(), Some(700));
+        let done = ctx.finish();
+        let spans = done.spans();
+        assert_eq!(spans.len(), 3);
+        assert_eq!(spans[1].name(), "cache_lookup");
+        assert_eq!(spans[1].parent(), Some(root));
+        assert_eq!((spans[1].start_ns(), spans[1].dur_ns()), (40, 700));
+        assert_eq!(spans[1].attrs(), [("queries", 16), ("cache_hits", 3)]);
+        assert_eq!(inner.index(), Some(2));
+        assert_eq!(spans[2].parent().and_then(|p| p.index()), Some(1));
+    }
+
+    #[test]
+    fn an_untraced_pass_feeds_the_histogram_only() {
+        let (mut registry, clock) = mock_registry();
+        let stage = registry.stage("storage.wal.fsync_ns");
+        let span = stage.enter(TraceCursor::NONE);
+        assert!(!span.cursor().begin("child").is_some());
+        clock.advance(90);
+        assert_eq!(span.finish_with(&[("frames", 1)]), Duration::from_nanos(90));
+        assert_eq!(stage.histogram().count(), 1);
+    }
+
+    /// Metrics off must not blank a trace: the span keeps the real duration
+    /// (and the caller gets it), only the histogram stays empty.
+    #[test]
+    fn a_traced_pass_with_telemetry_disabled_keeps_the_real_duration() {
+        let (mut registry, clock) = mock_registry();
+        let stage = registry.stage("service.stage.finalize_ns");
+        registry.telemetry().set_enabled(false);
+        let ctx = TraceContext::begin(TraceId::from_raw(2), registry.telemetry().clone());
+        let span = stage.enter(TraceCursor::new(&ctx, SpanId::NONE));
+        clock.advance(1_234);
+        assert_eq!(span.finish(), Duration::from_nanos(1_234));
+        assert!(stage.histogram().is_empty());
+        let done = ctx.finish();
+        assert_eq!(done.spans().len(), 1);
+        assert_eq!(done.spans()[0].name(), "finalize");
+        assert_eq!(done.spans()[0].dur_ns(), 1_234);
     }
 
     #[test]
@@ -573,7 +660,7 @@ mod tests {
         let depth = registry.gauge("c.depth");
         hits.add(3);
         depth.set(11);
-        let span = Span::enter(&stage);
+        let span = stage.enter(TraceCursor::NONE);
         clock.advance(100);
         span.finish();
         let text = registry.render_text();

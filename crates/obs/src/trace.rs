@@ -18,13 +18,11 @@
 //!   never reallocated.
 //! * **Slow-query promotion.** A [`SlowQueryLog`] observes every completed
 //!   trace; any trace whose root span exceeded the threshold is *promoted*
-//!   into a fixed-capacity ring, retaining its full span tree plus the
-//!   flight-recorder window current at promotion time. The
+//!   into a fixed-capacity ring, retaining its full span tree. The
 //!   `promoted == over_threshold` counter invariant is machine-independent
 //!   and held by `rknnt-net`'s `net_server` suite.
 
 use crate::metrics::Telemetry;
-use crate::recorder::FlightRecorder;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,9 +33,6 @@ pub const MAX_TRACE_SPANS: usize = 64;
 
 /// Upper bound on attributes per span (extra attributes are truncated).
 pub const MAX_SPAN_ATTRS: usize = 4;
-
-/// Flight-recorder events captured alongside a promoted slow trace.
-pub const SLOW_LOG_EVENT_WINDOW: usize = 16;
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -226,7 +221,17 @@ impl TraceContext {
     /// Opens a span under `parent` (pass [`SpanId::NONE`] for a root span).
     /// Returns [`SpanId::NONE`] — and counts a drop — if the slab is full.
     pub fn begin_span(&self, name: &'static str, parent: SpanId) -> SpanId {
-        let start_ns = self.telemetry.now_nanos();
+        self.begin_span_at(name, parent, self.telemetry.now_nanos())
+    }
+
+    /// [`TraceContext::begin_span`] from a reading of this trace's clock the
+    /// caller already took.
+    pub(crate) fn begin_span_at(
+        &self,
+        name: &'static str,
+        parent: SpanId,
+        start_ns: u64,
+    ) -> SpanId {
         self.push(TraceSpan {
             name,
             start_ns,
@@ -246,20 +251,25 @@ impl TraceContext {
     /// Closes a span and attaches attributes (truncated at
     /// [`MAX_SPAN_ATTRS`]).
     pub fn end_span_with(&self, span: SpanId, attrs: &[(&'static str, u64)]) {
-        if !span.is_some() {
-            return;
+        if span.is_some() {
+            self.end_span_at(span, self.telemetry.now_nanos(), attrs);
         }
-        let now = self.telemetry.now_nanos();
+    }
+
+    /// [`TraceContext::end_span_with`] from a reading of this trace's clock
+    /// the caller already took.
+    pub(crate) fn end_span_at(&self, span: SpanId, end_ns: u64, attrs: &[(&'static str, u64)]) {
         let mut buf = self.buf.lock().expect("trace buf poisoned");
         if let Some(slot) = buf.spans.get_mut(span.0 as usize) {
-            slot.dur_ns = now.saturating_sub(slot.start_ns);
+            slot.dur_ns = end_ns.saturating_sub(slot.start_ns);
             *slot = slot.with_attrs(attrs);
         }
     }
 
-    /// Records an already-measured interval as a closed span: the start is
-    /// back-dated `dur_ns` from "now", so phases timed by existing
-    /// [`Span`](crate::Span) machinery cost no extra clock reads.
+    /// Records an already-measured interval as a closed span, its start
+    /// back-dated `dur_ns` from "now" — a decision marker (`dur_ns` 0) or an
+    /// interval measured elsewhere. A pipeline stage opens its span through
+    /// [`Stage::enter`](crate::Stage::enter) instead.
     pub fn record_closed(
         &self,
         name: &'static str,
@@ -310,61 +320,67 @@ impl TraceContext {
 }
 
 /// A position inside a live trace: the context plus the span a callee
-/// should parent its own spans under. This is what crosses layer
-/// boundaries — the server opens its `execute` span and hands the service
-/// a cursor rooted there, so the service never needs to know the net
-/// layer's span layout.
-#[derive(Debug, Clone)]
-pub struct TraceCursor {
-    ctx: TraceContext,
-    parent: SpanId,
+/// should parent its own spans under — or nowhere at all. This is what
+/// crosses layer boundaries: the server opens its `execute` span and hands
+/// the service a cursor rooted there, so the service never needs to know
+/// the net layer's span layout, and an untraced caller hands
+/// [`TraceCursor::NONE`], on which every method is inert (no clock read, no
+/// lock, [`SpanId::NONE`] handles), so no layer branches on "traced or not".
+///
+/// `Copy`: a cursor borrows its [`TraceContext`] and is passed by value.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceCursor<'a> {
+    pub(crate) ctx: Option<&'a TraceContext>,
+    pub(crate) parent: SpanId,
 }
 
-impl TraceCursor {
+impl<'a> TraceCursor<'a> {
+    /// The untraced cursor: records nothing, and so does every cursor
+    /// derived from it.
+    pub const NONE: TraceCursor<'static> = TraceCursor {
+        ctx: None,
+        parent: SpanId::NONE,
+    };
+
     /// A cursor parenting new spans under `parent`.
-    pub fn new(ctx: &TraceContext, parent: SpanId) -> Self {
+    pub fn new(ctx: &'a TraceContext, parent: SpanId) -> Self {
         TraceCursor {
-            ctx: ctx.clone(),
+            ctx: Some(ctx),
             parent,
         }
-    }
-
-    /// The underlying context.
-    pub fn context(&self) -> &TraceContext {
-        &self.ctx
-    }
-
-    /// The span new children are parented under.
-    pub fn parent(&self) -> SpanId {
-        self.parent
     }
 
     /// Opens a child span; close it with [`TraceCursor::end`] /
     /// [`TraceCursor::end_with`].
     pub fn begin(&self, name: &'static str) -> SpanId {
-        self.ctx.begin_span(name, self.parent)
+        self.ctx
+            .map_or(SpanId::NONE, |ctx| ctx.begin_span(name, self.parent))
     }
 
     /// Closes a span opened by [`TraceCursor::begin`].
     pub fn end(&self, span: SpanId) {
-        self.ctx.end_span(span);
+        self.end_with(span, &[]);
     }
 
     /// Closes a span with attributes.
     pub fn end_with(&self, span: SpanId, attrs: &[(&'static str, u64)]) {
-        self.ctx.end_span_with(span, attrs);
+        if let Some(ctx) = self.ctx {
+            ctx.end_span_with(span, attrs);
+        }
     }
 
     /// Records an already-measured child span (see
     /// [`TraceContext::record_closed`]).
     pub fn record(&self, name: &'static str, dur_ns: u64, attrs: &[(&'static str, u64)]) -> SpanId {
-        self.ctx.record_closed(name, self.parent, dur_ns, attrs)
+        self.ctx.map_or(SpanId::NONE, |ctx| {
+            ctx.record_closed(name, self.parent, dur_ns, attrs)
+        })
     }
 
     /// A cursor over the same trace parenting under `span` instead.
-    pub fn at(&self, span: SpanId) -> TraceCursor {
+    pub fn at(&self, span: SpanId) -> TraceCursor<'a> {
         TraceCursor {
-            ctx: self.ctx.clone(),
+            ctx: self.ctx,
             parent: span,
         }
     }
@@ -440,15 +456,11 @@ impl CompletedTrace {
     }
 }
 
-/// One promoted slow trace: the full span tree plus the flight-recorder
-/// window captured at promotion time.
+/// One promoted slow trace with its full span tree.
 #[derive(Debug, Clone)]
 pub struct SlowQueryEntry {
     /// The promoted trace.
     pub trace: CompletedTrace,
-    /// Rendered flight-recorder events current when the trace was
-    /// promoted (empty when no recorder was supplied).
-    pub events: String,
 }
 
 /// A fixed-capacity ring of the slowest requests.
@@ -504,23 +516,18 @@ impl SlowQueryLog {
     }
 
     /// Observes a completed trace, promoting it if its root duration
-    /// exceeds the threshold. When a `recorder` is supplied the promoted
-    /// entry captures its last [`SLOW_LOG_EVENT_WINDOW`] events — the
-    /// pipeline activity correlated with the slow request.
-    pub fn observe(&self, trace: CompletedTrace, recorder: Option<&FlightRecorder>) {
+    /// exceeds the threshold.
+    pub fn observe(&self, trace: CompletedTrace) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         if trace.root_duration_ns() <= self.threshold_ns {
             return;
         }
         self.over_threshold.fetch_add(1, Ordering::Relaxed);
-        let events = recorder
-            .map(|r| r.render(SLOW_LOG_EVENT_WINDOW))
-            .unwrap_or_default();
         let mut ring = self.ring.lock().expect("slow-query ring poisoned");
         if ring.len() >= self.capacity {
             ring.pop_front();
         }
-        ring.push_back(SlowQueryEntry { trace, events });
+        ring.push_back(SlowQueryEntry { trace });
         self.promoted.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -573,11 +580,6 @@ impl SlowQueryLog {
         );
         for entry in &entries {
             out.push_str(&entry.trace.render());
-            if !entry.events.is_empty() {
-                for line in entry.events.lines() {
-                    let _ = writeln!(out, "  | {line}");
-                }
-            }
         }
         out
     }
@@ -588,7 +590,6 @@ mod tests {
     use super::*;
     use crate::clock::MockClock;
     use crate::metrics::Telemetry;
-    use crate::recorder::EventKind;
 
     fn mock() -> (Arc<MockClock>, Telemetry) {
         let clock = Arc::new(MockClock::new());
@@ -719,6 +720,16 @@ mod tests {
     }
 
     #[test]
+    fn the_none_cursor_is_inert_and_stays_inert() {
+        let cursor = TraceCursor::NONE;
+        assert_eq!(cursor.begin("batch"), SpanId::NONE);
+        let nested = cursor.at(SpanId(3));
+        assert_eq!(nested.begin("group"), SpanId::NONE);
+        assert_eq!(nested.record("shard", 0, &[("pruned", 1)]), SpanId::NONE);
+        nested.end_with(SpanId(3), &[("jobs", 1)]);
+    }
+
+    #[test]
     fn slow_log_promotes_exactly_the_over_threshold_traces() {
         let (clock, telemetry) = mock();
         let log = SlowQueryLog::new(100, 2);
@@ -733,7 +744,7 @@ mod tests {
             if i % 2 == 1 {
                 slow_ids.push(TraceId::from_raw(i));
             }
-            log.observe(ctx.finish(), None);
+            log.observe(ctx.finish());
         }
         assert_eq!(log.completed(), 6);
         assert_eq!(log.over_threshold(), 3);
@@ -753,28 +764,11 @@ mod tests {
         let root = ctx.begin_span("request", SpanId::NONE);
         clock.advance(100);
         ctx.end_span(root);
-        log.observe(ctx.finish(), None);
+        log.observe(ctx.finish());
         assert_eq!(log.completed(), 1);
         assert_eq!(log.over_threshold(), 0);
         assert_eq!(log.promoted(), 0);
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn slow_log_captures_the_recorder_window() {
-        let (clock, telemetry) = mock();
-        let recorder = FlightRecorder::new(8, telemetry.clone());
-        recorder.record(EventKind::CheckpointBegin);
-        let log = SlowQueryLog::new(0, 1);
-        let ctx = TraceContext::begin(TraceId::from_raw(5), telemetry);
-        let root = ctx.begin_span("request", SpanId::NONE);
-        clock.advance(10);
-        ctx.end_span(root);
-        log.observe(ctx.finish(), Some(&recorder));
-        let entries = log.entries();
-        assert_eq!(entries.len(), 1);
-        assert!(entries[0].events.contains("flight recorder"));
-        assert!(entries[0].events.contains("event=checkpoint_begin"));
     }
 
     #[test]

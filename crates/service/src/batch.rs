@@ -9,7 +9,7 @@ use rknnt_core::{
     RknntResult, Semantics,
 };
 use rknnt_geo::{Point, Rect};
-use rknnt_obs::{Span, TraceCursor};
+use rknnt_obs::TraceCursor;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -155,15 +155,15 @@ pub(crate) fn run_group<B: Backing>(
     group: &Group<'_>,
     out: &mut Vec<GroupOutput>,
     metrics: &ServiceMetrics,
-    trace: Option<&TraceCursor>,
+    trace: TraceCursor<'_>,
 ) {
     // Trace plumbing: one "group" span per group; fresh filter
     // constructions get a "filter_build" child each (and a sharded backing
     // adds its per-shard spans next to them). All spans land in the
     // request's bounded slab — a huge batch overflows into the dropped
     // counter, never an allocation.
-    let group_span = trace.map(|t| t.begin("group"));
-    let group_trace = trace.zip(group_span).map(|(t, span)| t.at(span));
+    let group_span = trace.begin("group");
+    let group_trace = trace.at(group_span);
     let mut filter_builds = 0u64;
     // (route, k, semantics) -> position in `out` of the first identical
     // query's result, for exact-duplicate coalescing.
@@ -195,7 +195,7 @@ pub(crate) fn run_group<B: Backing>(
             };
             (RknntResult::default(), Arc::new(empty))
         } else {
-            let filter_span = Span::enter(&metrics.stage_filter);
+            let filter_span = metrics.stage_filter.enter(TraceCursor::NONE);
             let (outcome, footprint) = &*match filters.entry((bits, job.query.k)) {
                 Entry::Occupied(entry) => {
                     metrics.filters_saved.inc();
@@ -204,24 +204,17 @@ pub(crate) fn run_group<B: Backing>(
                 Entry::Vacant(entry) => {
                     metrics.filter_constructions.inc();
                     filter_builds += 1;
-                    let span = group_trace.as_ref().map(|t| t.begin("filter_build"));
+                    let span = group_trace.begin("filter_build");
                     let outcome = build_filter_set(backing.routes(), &job.query.route, job.query.k);
-                    if let (Some(t), Some(span)) = (group_trace.as_ref(), span) {
-                        t.end_with(span, &[("k", job.query.k as u64)]);
-                    }
+                    group_trace.end_with(span, &[("k", job.query.k as u64)]);
                     let footprint =
                         Arc::new(FilterFootprint::from_outcome(&job.query.route, &outcome));
                     entry.insert((outcome, footprint))
                 }
             };
             scratch.clear_candidates();
-            let pruned_nodes = backing.prune(
-                scratch,
-                &outcome.filter_set,
-                job.query.k,
-                metrics,
-                group_trace.as_ref(),
-            );
+            let pruned_nodes =
+                backing.prune(scratch, &outcome.filter_set, job.query.k, group_trace);
             let filtering = filter_span.finish();
             let mut result = verify_candidates(backing.routes(), job.query, scratch);
             result.timings.filtering = filtering;
@@ -232,15 +225,13 @@ pub(crate) fn run_group<B: Backing>(
         seen.insert(full_key, out.len());
         out.push((job.index, result, footprint));
     }
-    if let (Some(t), Some(span)) = (trace, group_span) {
-        t.end_with(
-            span,
-            &[
-                ("jobs", group.jobs.len() as u64),
-                ("filter_builds", filter_builds),
-            ],
-        );
-    }
+    trace.end_with(
+        group_span,
+        &[
+            ("jobs", group.jobs.len() as u64),
+            ("filter_builds", filter_builds),
+        ],
+    );
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use rknnt_geo::{Point, Rect};
 use rknnt_index::{
     RouteId, RouteStore, RouteStoreState, TransitionId, TransitionStore, TransitionStoreState,
 };
-use rknnt_obs::{EventKind, FlightRecorder, MetricsSnapshot, Span, TraceCursor};
+use rknnt_obs::{MetricsSnapshot, TraceCursor};
 use rknnt_storage::{Failpoints, Storage, StorageConfig, StorageError, StorageStats};
 use std::collections::HashSet;
 use std::path::Path;
@@ -73,8 +73,7 @@ pub trait Backing: Sync + Sized {
         scratch: &mut QueryScratch,
         filter: &FilterSet,
         k: usize,
-        metrics: &ServiceMetrics,
-        trace: Option<&TraceCursor>,
+        trace: TraceCursor<'_>,
     ) -> usize;
 
     /// Inserts a transition; the (global) id it consumed, or `None` when the
@@ -183,7 +182,7 @@ impl<B: Backing> Service<B> {
     }
 
     /// The service's metric catalog: registry access, per-stage latency
-    /// histograms, the flight recorder and the enable switch.
+    /// histograms and the enable switch.
     pub fn metrics(&self) -> &ServiceMetrics {
         &self.metrics
     }
@@ -199,18 +198,12 @@ impl<B: Backing> Service<B> {
         self.metrics.render_text()
     }
 
-    /// Turns span timing, histogram recording and flight-recorder events on
-    /// or off. Counters stay live, so the exact per-call
+    /// Turns untraced span timing and histogram recording on or off.
+    /// Counters stay live, so the exact per-call
     /// [`BatchStats`]/[`UpdateStats`] counts keep working; the wall-clock
-    /// `timings` fields read zero while disabled.
+    /// `timings` fields of an untraced call read zero while disabled.
     pub fn set_metrics_enabled(&self, on: bool) {
         self.metrics.set_enabled(on);
-    }
-
-    /// Shared handle to the flight recorder of recent pipeline events (for
-    /// [`rknnt_obs::DumpOnPanic`] and on-demand dumps).
-    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        self.metrics.recorder().clone()
     }
 
     /// Whether a storage directory is attached.
@@ -347,12 +340,12 @@ impl<B: Backing> Service<B> {
     /// whole data set: grouping, sharing and sharding only decide *where*
     /// and *how often* work runs, never *what* it computes.
     pub fn execute_batch(&self, queries: &[RknntQuery]) -> (Vec<RknntResult>, BatchStats) {
-        self.execute_batch_traced(queries, None)
+        self.execute_batch_traced(queries, TraceCursor::NONE)
     }
 
-    /// [`Service::execute_batch`] with request tracing: when `trace` is
-    /// present, a `batch` span is opened under the cursor's parent and each
-    /// pipeline phase lands as a closed child span (`cache_lookup`,
+    /// [`Service::execute_batch`] with request tracing: when `trace`
+    /// records, a `batch` span is opened under the cursor's parent and each
+    /// pipeline phase lands as a child span (`cache_lookup`,
     /// `grouping`, `execution`, `finalize`) carrying the batch counters as
     /// attributes; below `execution` come one `worker` span per worker, one
     /// `group` span per group with a `filter_build` child per fresh filter
@@ -362,11 +355,12 @@ impl<B: Backing> Service<B> {
     /// Tracing never changes what is computed: results are byte-identical
     /// to the untraced call (asserted by `instrumentation_overhead`),
     /// and the per-phase span durations are the *same* measurements the
-    /// returned [`BatchStats::timings`] report.
+    /// returned [`BatchStats::timings`] report — each phase is one
+    /// [`rknnt_obs::Stage::enter`] pass.
     pub fn execute_batch_traced(
         &self,
         queries: &[RknntQuery],
-        trace: Option<&TraceCursor>,
+        trace: TraceCursor<'_>,
     ) -> (Vec<RknntResult>, BatchStats) {
         let mut stats = BatchStats {
             queries: queries.len(),
@@ -376,18 +370,18 @@ impl<B: Backing> Service<B> {
         if queries.is_empty() {
             return (Vec::new(), stats);
         }
-        let batch_span = trace.map(|t| t.begin("batch"));
-        let bt = trace.zip(batch_span).map(|(t, s)| t.at(s));
+        let batch_span = trace.begin("batch");
+        let bt = trace.at(batch_span);
         self.metrics.batches.inc();
         self.metrics.queries.add(queries.len() as u64);
-        // Counter baseline this batch's stats are diffed from. Concurrent
+        // Counter baseline the work counts are diffed from. Concurrent
         // batches each see the union of what happened during their own
         // window (the registry totals stay exact); single-batch callers see
         // exactly their own counts.
         let base = self.metrics.batch_view();
 
         // Phase 1: cache lookup.
-        let span = Span::enter(&self.metrics.stage_lookup);
+        let span = self.metrics.stage_lookup.enter(bt);
         let caching = self.config.cache_capacity > 0;
         let mut keys: Vec<Option<CacheKey>> = Vec::with_capacity(queries.len());
         let mut miss_indexes: Vec<usize> = Vec::new();
@@ -406,50 +400,29 @@ impl<B: Backing> Service<B> {
             keys.resize_with(queries.len(), || None);
             miss_indexes.extend(0..queries.len());
         }
-        stats.timings.lookup = span.finish();
-        stats.cache_hits = (self.metrics.cache.hits.get() - base.cache_hits) as usize;
-        if let Some(bt) = &bt {
-            bt.record(
-                "cache_lookup",
-                stats.timings.lookup.as_nanos() as u64,
-                &[
-                    ("queries", queries.len() as u64),
-                    ("cache_hits", stats.cache_hits as u64),
-                ],
-            );
-        }
-        self.metrics.record_event(EventKind::BatchAdmitted {
-            queries: u32::try_from(queries.len()).unwrap_or(u32::MAX),
-            cache_hits: u32::try_from(stats.cache_hits).unwrap_or(u32::MAX),
-        });
+        // Counted, not diffed from `service.cache.hits`: a concurrent
+        // batch's hits are not this batch's.
+        stats.cache_hits = queries.len() - miss_indexes.len();
+        stats.timings.lookup = span.finish_with(&[
+            ("queries", queries.len() as u64),
+            ("cache_hits", stats.cache_hits as u64),
+        ]);
 
         // Phase 2: spatial grouping of the misses.
-        let span = Span::enter(&self.metrics.stage_grouping);
+        let span = self.metrics.stage_grouping.enter(bt);
         let groups = form_groups(queries, &miss_indexes);
         stats.groups = groups.len();
         self.metrics.groups.add(groups.len() as u64);
-        stats.timings.grouping = span.finish();
-        if let Some(bt) = &bt {
-            bt.record(
-                "grouping",
-                stats.timings.grouping.as_nanos() as u64,
-                &[("groups", groups.len() as u64)],
-            );
-        }
+        stats.timings.grouping = span.finish_with(&[("groups", groups.len() as u64)]);
 
         // Phase 3: execution over the worker pool.
-        let span = Span::enter(&self.metrics.stage_execution);
-        let exec_span = bt.as_ref().map(|t| t.begin("execution"));
-        let et = bt.as_ref().zip(exec_span).map(|(t, s)| t.at(s));
-        let (computed, workers_used) = self.run_groups(&groups, et.as_ref());
+        let span = self.metrics.stage_execution.enter(bt);
+        let (computed, workers_used) = self.run_groups(&groups, span.cursor());
         stats.workers_used = workers_used;
-        stats.timings.execution = span.finish();
-        if let (Some(bt), Some(exec_span)) = (&bt, exec_span) {
-            bt.end_with(exec_span, &[("workers", workers_used as u64)]);
-        }
+        stats.timings.execution = span.finish_with(&[("workers", workers_used as u64)]);
 
         // Phase 4: merge into input order and feed the cache.
-        let span = Span::enter(&self.metrics.stage_finalize);
+        let span = self.metrics.stage_finalize.enter(bt);
         if caching {
             // The stores cannot have changed since the lookup (that needs
             // `&mut self`), so every computed result is current.
@@ -470,30 +443,22 @@ impl<B: Backing> Service<B> {
             .into_iter()
             .map(|slot| slot.expect("every query produced a result"))
             .collect();
-        stats.timings.finalize = span.finish();
         let view = self.metrics.batch_view();
         stats.filter_constructions =
             (view.filter_constructions - base.filter_constructions) as usize;
         stats.filters_saved = (view.filters_saved - base.filters_saved) as usize;
         stats.duplicates_coalesced =
             (view.duplicates_coalesced - base.duplicates_coalesced) as usize;
-        if let Some(bt) = &bt {
-            bt.record(
-                "finalize",
-                stats.timings.finalize.as_nanos() as u64,
-                &[("filter_constructions", stats.filter_constructions as u64)],
-            );
-        }
-        if let (Some(t), Some(batch_span)) = (trace, batch_span) {
-            t.end_with(
-                batch_span,
-                &[
-                    ("queries", queries.len() as u64),
-                    ("cache_hits", stats.cache_hits as u64),
-                    ("groups", stats.groups as u64),
-                ],
-            );
-        }
+        stats.timings.finalize =
+            span.finish_with(&[("filter_constructions", stats.filter_constructions as u64)]);
+        trace.end_with(
+            batch_span,
+            &[
+                ("queries", queries.len() as u64),
+                ("cache_hits", stats.cache_hits as u64),
+                ("groups", stats.groups as u64),
+            ],
+        );
         (results, stats)
     }
 
@@ -519,7 +484,7 @@ impl<B: Backing> Service<B> {
     fn run_groups(
         &self,
         groups: &[Group<'_>],
-        trace: Option<&TraceCursor>,
+        trace: TraceCursor<'_>,
     ) -> (Vec<GroupOutput>, usize) {
         if groups.is_empty() {
             return (Vec::new(), 0);
@@ -532,8 +497,8 @@ impl<B: Backing> Service<B> {
         // scheduling-dependent, parenthood is not).
         let run_worker = |w: usize| -> Vec<GroupOutput> {
             let assigned: Vec<&Group> = groups.iter().skip(w).step_by(workers).collect();
-            let span = trace.map(|t| t.begin("worker"));
-            let child = trace.zip(span).map(|(t, s)| t.at(s));
+            let span = trace.begin("worker");
+            let child = trace.at(span);
             let mut scratch = QueryScratch::new();
             let mut out = Vec::new();
             for group in &assigned {
@@ -543,15 +508,13 @@ impl<B: Backing> Service<B> {
                     group,
                     &mut out,
                     &self.metrics,
-                    child.as_ref(),
+                    child,
                 );
             }
-            if let (Some(t), Some(span)) = (trace, span) {
-                t.end_with(
-                    span,
-                    &[("worker", w as u64), ("groups", assigned.len() as u64)],
-                );
-            }
+            trace.end_with(
+                span,
+                &[("worker", w as u64), ("groups", assigned.len() as u64)],
+            );
             out
         };
         let computed = if workers == 1 {
@@ -579,7 +542,7 @@ impl<B: Backing> Service<B> {
     fn execute_uncached(&self, queries: &[RknntQuery]) -> Vec<(RknntResult, Arc<FilterFootprint>)> {
         let miss_indexes: Vec<usize> = (0..queries.len()).collect();
         let groups = form_groups(queries, &miss_indexes);
-        let (computed, _) = self.run_groups(&groups, None);
+        let (computed, _) = self.run_groups(&groups, TraceCursor::NONE);
         let mut slots: Vec<Option<(RknntResult, Arc<FilterFootprint>)>> =
             (0..queries.len()).map(|_| None).collect();
         for (index, result, footprint) in computed {
@@ -618,11 +581,6 @@ impl<B: Backing> Service<B> {
     /// Number of live subscriptions.
     pub fn subscriptions(&self) -> usize {
         self.monitor.len()
-    }
-
-    /// Ids of all live subscriptions, ascending.
-    pub fn subscription_ids(&self) -> Vec<SubscriptionId> {
-        self.monitor.ids()
     }
 
     /// The standing query behind a subscription.
@@ -699,13 +657,13 @@ impl<B: Backing> Service<B> {
     /// # Panics
     /// Panics when storage is attached and the WAL append fails.
     pub fn apply_updates(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
-        self.try_apply_updates(updates, None)
+        self.try_apply_updates(updates, TraceCursor::NONE)
             .expect("WAL append failed (use try_apply_updates to handle storage errors)")
     }
 
     /// Fallible form of [`Service::apply_updates`], with optional request
     /// tracing: returns the WAL append error instead of panicking, and when
-    /// `trace` is present the append (the update path's dominant latency
+    /// `trace` records the append (the update path's dominant latency
     /// source) gets a `wal_append` span carrying the frame count and
     /// payload bytes.
     ///
@@ -721,18 +679,16 @@ impl<B: Backing> Service<B> {
     pub fn try_apply_updates(
         &mut self,
         updates: Vec<StoreUpdate>,
-        trace: Option<&TraceCursor>,
+        trace: TraceCursor<'_>,
     ) -> Result<UpdateStats, StorageError> {
         // Read the counter baseline *before* the WAL append so the frames
         // and bytes the storage instruments record land in this call's diff.
         let base = self.metrics.update_view();
         if let Some(storage) = &mut self.storage {
             let (records, bytes) = crate::durable::wal_records(&updates);
-            let span = trace.map(|t| t.begin("wal_append"));
+            let span = trace.begin("wal_append");
             storage.append(&records)?;
-            if let (Some(t), Some(span)) = (trace, span) {
-                t.end_with(span, &[("frames", records.len() as u64), ("bytes", bytes)]);
-            }
+            trace.end_with(span, &[("frames", records.len() as u64), ("bytes", bytes)]);
         }
         Ok(self.apply_logged(updates, base))
     }
@@ -886,17 +842,9 @@ fn evict_for_route_removal<B: Backing>(
     }
     if exhausted {
         metrics.full_drops.inc();
-        metrics.record_event(EventKind::CacheEvicted {
-            entries: u32::try_from(cache.len()).unwrap_or(u32::MAX),
-            full_drop: true,
-        });
         cache.invalidate_all();
     } else {
         metrics.targeted_route_removals.inc();
-        metrics.record_event(EventKind::CacheEvicted {
-            entries: u32::try_from(victims.len()).unwrap_or(u32::MAX),
-            full_drop: false,
-        });
         let victims: HashSet<&CacheKey> = victims.iter().collect();
         cache.evict_where(|key, _, _| victims.contains(key));
     }

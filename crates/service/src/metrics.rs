@@ -1,6 +1,6 @@
-//! The service's metric catalog: every counter, gauge, stage histogram and
-//! the flight recorder, registered once per [`QueryService`] and threaded
-//! through the pipeline as preallocated cells.
+//! The service's metric catalog: every counter, gauge and stage histogram,
+//! registered once per [`QueryService`] and threaded through the pipeline as
+//! preallocated cells.
 //!
 //! Metric names are stable ids, grouped by layer:
 //!
@@ -16,8 +16,8 @@
 //! | `router.*` | sharded routing: `fanout` histogram (shards consulted per fresh execution), `shards_pruned`, `dispatches`, `executions` |
 //!
 //! The catalog does not depend on the shard count: per-shard load is the
-//! `ShardDispatch { shard, candidates }` flight-recorder event and the
-//! `shard` trace span, not a counter per shard.
+//! `shard` trace span (`shard`, `pruned`, `candidates` attributes), not a
+//! counter per shard.
 //!
 //! The public stats structs ([`BatchStats`](crate::BatchStats),
 //! [`UpdateStats`](crate::UpdateStats)) are populated by diffing cheap
@@ -28,25 +28,22 @@
 //! [`QueryService`]: crate::QueryService
 
 use crate::cache::CacheCounters;
-use rknnt_obs::{
-    Counter, EventKind, FlightRecorder, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Stage,
-};
+use rknnt_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Stage};
 use rknnt_storage::StorageInstruments;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// All metric cells of one [`crate::QueryService`], plus the registry that
-/// exposes them and the flight recorder of recent pipeline events.
+/// exposes them.
 ///
 /// Obtained via [`crate::QueryService::metrics`]. Counters and gauges are
-/// always live (the exact per-call stats depend on them); span timing,
-/// histogram recording and flight-recorder events can be switched off with
+/// always live (the exact per-call stats depend on them); untraced span
+/// timing and histogram recording can be switched off with
 /// [`ServiceMetrics::set_enabled`] — the `instrumentation_overhead` experiment
 /// holds their enabled cost to ≤5% of throughput.
 #[derive(Debug)]
 pub struct ServiceMetrics {
     registry: MetricsRegistry,
-    recorder: Arc<FlightRecorder>,
 
     // Batch admission.
     pub(crate) queries: Counter,
@@ -93,10 +90,6 @@ impl ServiceMetrics {
     /// (monotonic) telemetry.
     pub(crate) fn new() -> Self {
         let mut registry = MetricsRegistry::new();
-        let recorder = Arc::new(FlightRecorder::new(
-            FlightRecorder::DEFAULT_CAPACITY,
-            registry.telemetry().clone(),
-        ));
         let cache = CacheCounters {
             hits: registry.counter("service.cache.hits"),
             misses: registry.counter("service.cache.misses"),
@@ -133,7 +126,6 @@ impl ServiceMetrics {
             wal_fsync: registry.stage("storage.wal.fsync_ns"),
             checkpoint: registry.stage("storage.checkpoint_ns"),
             checkpoint_stall: registry.gauge("storage.checkpoint_stall_ns"),
-            recorder,
             registry,
         }
     }
@@ -157,19 +149,14 @@ impl ServiceMetrics {
         &self.registry
     }
 
-    /// The flight recorder of recent pipeline events.
-    pub fn recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
-    }
-
     /// Whether timing instrumentation is live.
     pub fn enabled(&self) -> bool {
         self.registry.telemetry().enabled()
     }
 
-    /// Turns span timing, histogram recording and flight-recorder events on
-    /// or off. Counters and gauges stay live either way, so the exact
-    /// per-call stats keep working.
+    /// Turns untraced span timing and histogram recording on or off.
+    /// Counters and gauges stay live either way, so the exact per-call stats
+    /// keep working.
     pub fn set_enabled(&self, on: bool) {
         self.registry.telemetry().set_enabled(on);
     }
@@ -182,12 +169,6 @@ impl ServiceMetrics {
     /// The current metrics in the text exposition format.
     pub fn render_text(&self) -> String {
         self.registry.render_text()
-    }
-
-    /// Records a flight-recorder event (dropped while disabled).
-    #[inline]
-    pub(crate) fn record_event(&self, kind: EventKind) {
-        self.recorder.record(kind);
     }
 
     /// Feeds the verification time of one fresh execution into its stage
@@ -209,7 +190,6 @@ impl ServiceMetrics {
             wal_fsync: self.wal_fsync.clone(),
             checkpoint: self.checkpoint.clone(),
             checkpoint_stall: self.checkpoint_stall.clone(),
-            recorder: self.recorder.clone(),
         }
     }
 
@@ -217,7 +197,6 @@ impl ServiceMetrics {
     #[inline]
     pub(crate) fn batch_view(&self) -> BatchCounterView {
         BatchCounterView {
-            cache_hits: self.cache.hits.get(),
             filter_constructions: self.filter_constructions.get(),
             filters_saved: self.filters_saved.get(),
             duplicates_coalesced: self.duplicates_coalesced.get(),
@@ -299,12 +278,12 @@ impl RouterStats {
 }
 
 /// Counter readings taken before a batch executes; the readings afterwards
-/// minus these are the batch's [`crate::BatchStats`] counts. (Two batches
+/// minus these are the batch's [`crate::BatchStats`] work counts (its cache
+/// hits it counts itself). (Two batches
 /// running concurrently each see the union of what happened during their
 /// own window — the global registry stays exact.)
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BatchCounterView {
-    pub(crate) cache_hits: u64,
     pub(crate) filter_constructions: u64,
     pub(crate) filters_saved: u64,
     pub(crate) duplicates_coalesced: u64,

@@ -40,7 +40,6 @@ use crate::region::EntryRegion;
 use rknnt_core::{QueryScratch, RknntQuery};
 use rknnt_geo::{Point, Rect};
 use rknnt_index::{RouteId, TransitionId};
-use rknnt_obs::EventKind;
 use std::collections::BTreeMap;
 
 /// Work budget for one subscription's route-removal certificate
@@ -177,10 +176,6 @@ impl SubscriptionRegistry {
         self.subs.len()
     }
 
-    pub(crate) fn ids(&self) -> Vec<SubscriptionId> {
-        self.subs.keys().map(|id| SubscriptionId(*id)).collect()
-    }
-
     pub(crate) fn get(&self, id: SubscriptionId) -> Option<&Subscription> {
         self.subs.get(&id.0)
     }
@@ -289,13 +284,6 @@ impl SubscriptionRegistry {
         metrics.subs_unaffected.add(unaffected);
         metrics.subs_stable.add(stable);
         metrics.subs_dirty.add(dirty);
-        if unaffected + stable + dirty > 0 {
-            metrics.record_event(EventKind::SubscriptionsClassified {
-                unaffected: u32::try_from(unaffected).unwrap_or(u32::MAX),
-                stable: u32::try_from(stable).unwrap_or(u32::MAX),
-                dirty: u32::try_from(dirty).unwrap_or(u32::MAX),
-            });
-        }
     }
 
     /// Installs a re-executed result, clearing the dirty flag and emitting
@@ -326,11 +314,6 @@ impl SubscriptionRegistry {
         sub.region = region;
         sub.dirty = false;
         metrics.subs_reexecuted.inc();
-        metrics.record_event(EventKind::SubscriptionReexecuted {
-            id,
-            entered: u32::try_from(entered.len()).unwrap_or(u32::MAX),
-            left: u32::try_from(left.len()).unwrap_or(u32::MAX),
-        });
         if !entered.is_empty() || !left.is_empty() {
             deltas.push(SubscriptionDelta {
                 subscription: SubscriptionId(id),
@@ -379,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_assigns_fresh_ids_and_iterates_in_order() {
+    fn registry_assigns_fresh_increasing_ids() {
         let mut registry = SubscriptionRegistry::default();
         let query = RknntQuery::exists(vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)], 1);
         let footprint = FilterFootprint::compute(&RouteStore::default(), &query.route, query.k);
@@ -389,9 +372,8 @@ mod tests {
             });
         let a = registry.insert(query.clone(), Vec::new(), region.clone());
         let b = registry.insert(query.clone(), Vec::new(), region.clone());
-        assert_ne!(a, b);
+        assert!(a.raw() < b.raw());
         assert_eq!(registry.len(), 2);
-        assert_eq!(registry.ids(), vec![a, b]);
         assert!(registry.remove(a));
         assert!(!registry.remove(a), "double unsubscribe must fail");
         assert_eq!(registry.len(), 1);

@@ -157,8 +157,7 @@ impl Backing for FlatStores {
         scratch: &mut QueryScratch,
         filter: &FilterSet,
         k: usize,
-        _metrics: &ServiceMetrics,
-        _trace: Option<&TraceCursor>,
+        _trace: TraceCursor<'_>,
     ) -> usize {
         prune_into_scratch(&self.transitions, filter, k, false, scratch, |id| id)
     }

@@ -46,7 +46,7 @@ use rknnt_index::{
     partition_transitions, IdSpace, Placement, RouteId, RouteStore, RouteStoreState, Transition,
     TransitionId, TransitionStore, TransitionStoreState,
 };
-use rknnt_obs::{EventKind, TraceCursor};
+use rknnt_obs::TraceCursor;
 use rknnt_rtree::RTreeConfig;
 
 /// Configuration of a [`ShardedService`].
@@ -79,12 +79,6 @@ impl ShardedConfig {
     /// Fixes the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Fixes the Z-order grid resolution.
-    pub fn with_grid_bits(mut self, bits: u32) -> Self {
-        self.grid_bits = bits;
         self
     }
 
@@ -176,8 +170,7 @@ impl Backing for ShardSet {
         scratch: &mut QueryScratch,
         filter: &FilterSet,
         k: usize,
-        metrics: &ServiceMetrics,
-        trace: Option<&TraceCursor>,
+        trace: TraceCursor<'_>,
     ) -> usize {
         let mut pruned_nodes = 0usize;
         let mut consulted = 0u64;
@@ -191,20 +184,18 @@ impl Backing for ShardSet {
                 // candidate can live there, skip without dispatching.
                 self.router.shards_pruned.inc();
                 pruned_nodes += 1;
-                if let Some(t) = trace {
-                    // Zero-duration marker: the decision itself is the
-                    // interesting part, not the (sub-microsecond) test.
-                    t.record(
-                        "shard",
-                        0,
-                        &[("shard", index as u64), ("pruned", 1), ("certificate", 1)],
-                    );
-                }
+                // Zero-duration marker: the decision itself is the
+                // interesting part, not the (sub-microsecond) test.
+                trace.record(
+                    "shard",
+                    0,
+                    &[("shard", index as u64), ("pruned", 1), ("certificate", 1)],
+                );
                 continue;
             }
             consulted += 1;
             self.router.dispatches.inc();
-            let shard_span = trace.map(|t| t.begin("shard"));
+            let shard_span = trace.begin("shard");
             let before = scratch.candidates().len();
             pruned_nodes +=
                 prune_into_scratch(&shard.transitions, filter, k, false, scratch, |local| {
@@ -215,20 +206,14 @@ impl Backing for ShardSet {
                     TransitionId(global)
                 });
             let found = (scratch.candidates().len() - before) as u64;
-            if let (Some(t), Some(span)) = (trace, shard_span) {
-                t.end_with(
-                    span,
-                    &[
-                        ("shard", index as u64),
-                        ("pruned", 0),
-                        ("candidates", found),
-                    ],
-                );
-            }
-            metrics.record_event(EventKind::ShardDispatch {
-                shard: index as u32,
-                candidates: u32::try_from(found).unwrap_or(u32::MAX),
-            });
+            trace.end_with(
+                shard_span,
+                &[
+                    ("shard", index as u64),
+                    ("pruned", 0),
+                    ("candidates", found),
+                ],
+            );
         }
         self.router.executions.inc();
         self.router.fanout.record(consulted);

@@ -42,11 +42,6 @@ fn run_churn(oracle: EngineKind, semantics: Semantics, seed: u64) {
         ServiceConfig::default().with_workers(2),
     );
 
-    // If any churn assertion fires, dump the flight recorder's recent
-    // pipeline events (batches, evictions, reclassifications) so the
-    // failure comes with the service's side of the story.
-    let _dump = rknnt_obs::DumpOnPanic::new(service.flight_recorder(), 32);
-
     let stream = workload::churn_stream(&city, &ChurnConfig::new(140, 0.3, seed ^ 0xc4a2));
     let mut pending: Vec<RknntQuery> = Vec::new();
     let mut query_counter = 0usize;

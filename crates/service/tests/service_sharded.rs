@@ -167,8 +167,7 @@ fn assert_skips_sound(
     let ctx = TraceContext::begin(TraceId::from_raw(1), Telemetry::monotonic());
     let root = ctx.begin_span("request", SpanId::NONE);
     let cursor = TraceCursor::new(&ctx, root);
-    let (mut results, stats) =
-        sharded.execute_batch_traced(std::slice::from_ref(query), Some(&cursor));
+    let (mut results, stats) = sharded.execute_batch_traced(std::slice::from_ref(query), cursor);
     ctx.end_span(root);
     let trace = ctx.finish();
     assert_eq!(trace.dropped(), 0);

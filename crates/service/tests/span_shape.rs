@@ -70,10 +70,10 @@ fn config() -> ServiceConfig {
 }
 
 /// Runs `execute` under a fresh trace rooted at one `request` span.
-fn traced<T>(execute: impl FnOnce(&TraceCursor) -> T) -> (CompletedTrace, T) {
+fn traced<T>(execute: impl FnOnce(TraceCursor<'_>) -> T) -> (CompletedTrace, T) {
     let ctx = TraceContext::begin(TraceId::from_raw(7), Telemetry::monotonic());
     let root = ctx.begin_span("request", SpanId::NONE);
-    let out = execute(&TraceCursor::new(&ctx, root));
+    let out = execute(TraceCursor::new(&ctx, root));
     ctx.end_span(root);
     (ctx.finish(), out)
 }
@@ -177,13 +177,13 @@ fn flat_backing_span_tree() {
     let transition_store = TransitionStore::bulk_build(Default::default(), pairs);
     let service = QueryService::new(route_store, transition_store, config());
     let queries = batch();
-    let (trace, stats) = traced(|t| service.execute_batch_traced(&queries, Some(t)).1);
+    let (trace, stats) = traced(|t| service.execute_batch_traced(&queries, t).1);
     assert_eq!((stats.groups, stats.workers_used), (2, 2));
     assert_eq!((stats.filter_constructions, stats.filters_saved), (2, 1));
     assert_eq!(stats.duplicates_coalesced, 1);
     assert_shape(&trace, &stats, false);
     // All hits: the phases are still there, the execution subtree is empty.
-    let (trace, stats) = traced(|t| service.execute_batch_traced(&queries, Some(t)).1);
+    let (trace, stats) = traced(|t| service.execute_batch_traced(&queries, t).1);
     assert_eq!(
         (stats.cache_hits, stats.groups, stats.workers_used),
         (4, 0, 0)
@@ -200,7 +200,7 @@ fn sharded_backing_span_tree() {
         pairs,
     );
     let queries = batch();
-    let (trace, stats) = traced(|t| service.execute_batch_traced(&queries, Some(t)).1);
+    let (trace, stats) = traced(|t| service.execute_batch_traced(&queries, t).1);
     assert_eq!((stats.groups, stats.workers_used), (2, 2));
     assert_eq!((stats.filter_constructions, stats.filters_saved), (2, 1));
     assert_eq!(stats.duplicates_coalesced, 1);
@@ -228,7 +228,7 @@ fn filter_construction_is_timed_into_the_query_that_built_it() {
         RknntQuery::exists(route.clone(), 2),
         RknntQuery::for_all(route, 2),
     ];
-    let (trace, (results, stats)) = traced(|t| service.execute_batch_traced(&queries, Some(t)));
+    let (trace, (results, stats)) = traced(|t| service.execute_batch_traced(&queries, t));
     assert_eq!((stats.filter_constructions, stats.filters_saved), (1, 1));
     let builds: Vec<&TraceSpan> = trace
         .spans()

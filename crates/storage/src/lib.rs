@@ -52,7 +52,7 @@ pub use rknnt_fault::Failpoints;
 pub use wal::{WalConfig, WAL_FSYNC_SITE, WAL_ROLLBACK_SITE, WAL_WRITE_SITE};
 
 use rknnt_index::{RouteStore, RouteStoreState, TransitionStore, TransitionStoreState};
-use rknnt_obs::{Counter, EventKind, FlightRecorder, Gauge, Span, Stage};
+use rknnt_obs::{Counter, Gauge, Stage, TraceCursor};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -149,8 +149,6 @@ pub struct StorageInstruments {
     /// the service's `&mut self`, so this is the maximum update-path pause a
     /// checkpoint has caused — the ROADMAP's `checkpoint_stall`.
     pub checkpoint_stall: Gauge,
-    /// Ring of recent WAL/checkpoint events.
-    pub recorder: Arc<FlightRecorder>,
 }
 
 /// Handle to one storage directory: the WAL for appends, plus checkpoint
@@ -324,16 +322,12 @@ impl Storage {
         match &self.instruments {
             None => self.wal.append_batch(records),
             Some(instruments) => {
-                let span = Span::enter(&instruments.wal_fsync);
+                let span = instruments.wal_fsync.enter(TraceCursor::NONE);
                 let result = self.wal.append_batch(records);
                 span.finish();
                 if let Ok((frames, bytes)) = &result {
                     instruments.wal_appends.add(*frames);
                     instruments.wal_bytes.add(*bytes);
-                    instruments.recorder.record(EventKind::WalAppend {
-                        frames: u32::try_from(*frames).unwrap_or(u32::MAX),
-                        bytes: *bytes,
-                    });
                 }
                 result
             }
@@ -354,10 +348,10 @@ impl Storage {
         routes: RouteStoreState,
         transitions: TransitionStoreState,
     ) -> Result<StorageStats, StorageError> {
-        let span = self.instruments.as_ref().map(|instruments| {
-            instruments.recorder.record(EventKind::CheckpointBegin);
-            Span::enter(&instruments.checkpoint)
-        });
+        let span = self
+            .instruments
+            .as_ref()
+            .map(|instruments| instruments.checkpoint.enter(TraceCursor::NONE));
         let last_seq = self.wal.next_seq() - 1;
         let path = self.dir.join(snapshot_name(last_seq));
         let payload = snapshot::encode_state(&routes, &transitions);
@@ -381,9 +375,6 @@ impl Storage {
             // The whole checkpoint ran under the service's `&mut self`, so
             // its duration is exactly the update-path stall it caused.
             instruments.checkpoint_stall.record_max(nanos);
-            instruments
-                .recorder
-                .record(EventKind::CheckpointEnd { nanos });
         }
         Ok(self.stats())
     }

@@ -23,7 +23,7 @@
 //!   `QueryService::open` / `attach_storage` / `checkpoint`.
 //! * [`obs`] — hermetic telemetry: log-linear latency histograms, stage
 //!   spans over a pluggable clock, a metrics registry with text exposition
-//!   and snapshot diffing, and a flight recorder of recent pipeline events.
+//!   and snapshot diffing, and bounded per-request span trees.
 //! * [`net`] — the TCP serving edge: a length-prefixed checksummed binary
 //!   protocol, a threaded server multiplexing connections onto the batch
 //!   path with cost-based admission control (overload is shed with a typed
