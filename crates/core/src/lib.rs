@@ -26,7 +26,6 @@ mod divide;
 mod engine;
 mod filter;
 mod filter_refine;
-mod footprint;
 mod kind;
 mod prune;
 mod query;
@@ -38,7 +37,6 @@ pub use divide::DivideConquerEngine;
 pub use engine::RknnTEngine;
 pub use filter::{build_filter_set, FilterOutcome, FilterSet};
 pub use filter_refine::{FilterRefineEngine, VoronoiEngine};
-pub use footprint::{FilterFootprint, FilterWitness};
 pub use kind::EngineKind;
 pub use prune::{prune_into_scratch, prune_transitions, CandidateEndpoint, PruneOutcome};
 pub use query::{PhaseTimings, QueryStats, RknntQuery, RknntResult, Semantics};

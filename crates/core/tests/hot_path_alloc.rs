@@ -12,8 +12,9 @@
 //! in this test binary — fully hermetic, no external crates — and the
 //! assertions are compiled under `cfg(debug_assertions)`, so release test
 //! runs (CI runs the suite with `--release` too) execute the same code but
-//! skip the counting-based asserts. Tests share one global counter, so they
-//! serialise on a mutex.
+//! skip the counting-based asserts. The count is per thread and every
+//! window is read on the thread that ran it, so the tests run in parallel
+//! and no allocation of the harness or of another test lands in a window.
 
 use rknnt_core::{
     admits_transition, prune_into_scratch, FilterRefineEngine, QueryScratch, RknntQuery, Semantics,
@@ -22,19 +23,29 @@ use rknnt_geo::{point_route_distance_sq, Point};
 use rknnt_index::{NList, RouteStore, TransitionStore};
 use rknnt_rtree::RTreeConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 /// Counts every allocation (and growth reallocation) routed through the
-/// global allocator. Deallocations are not counted: the hot-path contract
-/// is about *acquiring* memory per candidate.
+/// global allocator, on the allocating thread's own counter. Deallocations
+/// are not counted: the hot-path contract is about *acquiring* memory per
+/// candidate.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it never
+    // allocates, so the allocator can use it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` rather than `with`: a thread being torn down may still
+    // allocate after its locals are gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -43,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,12 +62,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Serialises the tests: the counter is process-global, so concurrent tests
-/// would attribute each other's allocations.
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
+/// Allocations the calling thread has made so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn p(x: f64, y: f64) -> Point {
@@ -86,7 +94,6 @@ fn world(n_routes: usize, n_transitions: u32) -> (RouteStore, TransitionStore) {
 
 #[test]
 fn warmed_scratch_verification_never_allocates() {
-    let _guard = EXCLUSIVE.lock().unwrap();
     let (routes, transitions) = world(12, 150);
     let nlist = NList::build(&routes);
     let query = vec![p(5.0, 37.0), p(35.0, 37.0), p(65.0, 37.0)];
@@ -127,7 +134,6 @@ fn warmed_scratch_verification_never_allocates() {
 
 #[test]
 fn warmed_admission_kernel_never_allocates() {
-    let _guard = EXCLUSIVE.lock().unwrap();
     let (routes, transitions) = world(12, 150);
     let query = vec![p(5.0, 37.0), p(35.0, 37.0), p(65.0, 37.0)];
     let mut scratch = QueryScratch::new();
@@ -171,7 +177,6 @@ fn warmed_admission_kernel_never_allocates() {
 
 #[test]
 fn warmed_prune_never_allocates() {
-    let _guard = EXCLUSIVE.lock().unwrap();
     // The larger world of the execute test below: the walk's straddler
     // lists, inherited-route stack, node stack and candidate buffer all live
     // in the scratch, and the Voronoi grouping in the filter set.
@@ -214,7 +219,6 @@ fn warmed_prune_never_allocates() {
 
 #[test]
 fn warmed_execute_allocates_a_per_query_constant_not_per_candidate() {
-    let _guard = EXCLUSIVE.lock().unwrap();
     // Two worlds an order of magnitude apart in candidate count: the
     // steady-state allocation count of the scratch pipeline must not grow
     // with the candidate volume (that is what "zero allocations per

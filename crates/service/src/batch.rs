@@ -5,14 +5,13 @@
 use crate::frontend::Backing;
 use crate::metrics::ServiceMetrics;
 use rknnt_core::{
-    build_filter_set, verify_candidates, FilterFootprint, FilterOutcome, QueryScratch, RknntQuery,
-    RknntResult, Semantics,
+    build_filter_set, verify_candidates, FilterOutcome, QueryScratch, RknntQuery, RknntResult,
+    Semantics,
 };
-use rknnt_geo::{Point, Rect};
+use rknnt_geo::Point;
 use rknnt_obs::TraceCursor;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Wall-clock spent in each phase of [`execute_batch`].
@@ -124,10 +123,8 @@ pub(crate) fn form_groups<'q>(queries: &'q [RknntQuery], miss_indexes: &[usize])
 /// query identity.
 type RouteBits = Vec<(u64, u64)>;
 
-/// One executed query leaving a group: its batch index, its result, and the
-/// footprint of the filter it ran against (shared per `(route, k)`; the
-/// empty footprint for degenerate queries, which build no filter).
-pub(crate) type GroupOutput = (usize, RknntResult, Arc<FilterFootprint>);
+/// One executed query leaving a group: its batch index and its result.
+pub(crate) type GroupOutput = (usize, RknntResult);
 
 /// Executes one group on one worker, appending [`GroupOutput`]s to `out`.
 ///
@@ -168,35 +165,24 @@ pub(crate) fn run_group<B: Backing>(
     // (route, k, semantics) -> position in `out` of the first identical
     // query's result, for exact-duplicate coalescing.
     let mut seen: HashMap<(RouteBits, usize, Semantics), usize> = HashMap::new();
-    // (route, k) -> shared filter outcome and its footprint (the filter set
-    // is semantics-independent). One construction also serves as the
-    // invalidation footprint for every query sharing the pair.
-    let mut filters: HashMap<(RouteBits, usize), (FilterOutcome, Arc<FilterFootprint>)> =
-        HashMap::new();
+    // (route, k) -> shared filter outcome (the filter set is
+    // semantics-independent).
+    let mut filters: HashMap<(RouteBits, usize), FilterOutcome> = HashMap::new();
 
     for job in &group.jobs {
         let bits = crate::cache::route_bits(&job.query.route);
         let full_key = (bits.clone(), job.query.k, job.query.semantics);
         if let Some(&first) = seen.get(&full_key) {
-            let (_, result, footprint) = &out[first];
-            let cloned = (job.index, result.clone(), footprint.clone());
+            let cloned = (job.index, out[first].1.clone());
             out.push(cloned);
             metrics.duplicates_coalesced.inc();
             continue;
         }
-        let (result, footprint) = if job.query.is_degenerate() {
-            // What `FilterFootprint::from_outcome` yields for an empty
-            // filter set; never consulted, since every maintenance path
-            // tests the region's `is_degenerate()` first.
-            let empty = FilterFootprint {
-                region: Rect::from_points(&job.query.route).unwrap_or_else(Rect::empty),
-                radius: 0.0,
-                witnesses: Vec::new(),
-            };
-            (RknntResult::default(), Arc::new(empty))
+        let result = if job.query.is_degenerate() {
+            RknntResult::default()
         } else {
             let filter_span = metrics.stage_filter.enter(TraceCursor::NONE);
-            let (outcome, footprint) = &*match filters.entry((bits, job.query.k)) {
+            let outcome = &*match filters.entry((bits, job.query.k)) {
                 Entry::Occupied(entry) => {
                     metrics.filters_saved.inc();
                     entry.into_mut()
@@ -207,9 +193,7 @@ pub(crate) fn run_group<B: Backing>(
                     let span = group_trace.begin("filter_build");
                     let outcome = build_filter_set(backing.routes(), &job.query.route, job.query.k);
                     group_trace.end_with(span, &[("k", job.query.k as u64)]);
-                    let footprint =
-                        Arc::new(FilterFootprint::from_outcome(&job.query.route, &outcome));
-                    entry.insert((outcome, footprint))
+                    entry.insert(outcome)
                 }
             };
             scratch.clear_candidates();
@@ -220,10 +204,10 @@ pub(crate) fn run_group<B: Backing>(
             result.timings.filtering = filtering;
             result.stats.record_filter(outcome, pruned_nodes);
             metrics.record_verification(result.timings.verification);
-            (result, footprint.clone())
+            result
         };
         seen.insert(full_key, out.len());
-        out.push((job.index, result, footprint));
+        out.push((job.index, result));
     }
     trace.end_with(
         group_span,

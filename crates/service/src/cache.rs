@@ -13,12 +13,12 @@
 //!
 //! Entries follow transition churn instead of being evicted by it: the cache
 //! owns the [`crate::journal`] ring the update path appends arrivals and
-//! expiries to, every entry remembers the journal sequence it is current to,
-//! and a lookup replays the suffix into the entry before returning it. Only
-//! route changes (and falling off the ring) drop entries.
+//! expiries to, every entry remembers its query and the journal sequence it
+//! is current to, and a lookup replays the suffix into the entry before
+//! returning it. Only route changes (which drop every entry) and falling off
+//! the ring drop entries.
 
-use crate::journal::{Journal, TransitionOp, JOURNAL_CAPACITY};
-use crate::region::EntryRegion;
+use crate::journal::{replay, Journal, TransitionOp, JOURNAL_CAPACITY};
 use rknnt_core::{QueryScratch, RknntQuery, RknntResult, Semantics};
 use rknnt_index::RouteStore;
 use rknnt_obs::Counter;
@@ -100,12 +100,11 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Results evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Full invalidations: route removals whose targeted eviction ran out
-    /// of budget.
+    /// Full invalidations ([`ResultCache::invalidate_all`]): one per applied
+    /// route change.
     pub invalidations: u64,
-    /// Entries evicted by region-scoped invalidation
-    /// ([`ResultCache::evict_where`]) or dropped because the journal no
-    /// longer reached back to them.
+    /// Entries dropped at a lookup because the journal no longer reached
+    /// back to them.
     pub targeted_evictions: u64,
     /// Entries dropped by full invalidations (each invalidation adds the
     /// number of entries it cleared).
@@ -128,7 +127,7 @@ pub struct CacheCounters {
     pub evictions: Counter,
     /// Full invalidations.
     pub invalidations: Counter,
-    /// Entries dropped by `evict_where` or for falling off the journal.
+    /// Entries dropped for falling off the journal.
     pub targeted_evictions: Counter,
     /// Entries dropped by full invalidations.
     pub invalidated_entries: Counter,
@@ -136,9 +135,10 @@ pub struct CacheCounters {
 
 struct Slot {
     key: CacheKey,
+    /// The query `value` answers, which replay judges arrivals against.
+    query: RknntQuery,
     value: RknntResult,
-    region: EntryRegion,
-    /// Journal sequence `value` and `region` are current to.
+    /// Journal sequence `value` is current to.
     seq: u64,
     prev: usize,
     next: usize,
@@ -225,9 +225,13 @@ impl ResultCache {
             return false;
         };
         for op in ops {
-            entry
-                .region
-                .replay(&mut entry.value.transitions, op, routes, &mut self.scratch);
+            replay(
+                &entry.query,
+                &mut entry.value.transitions,
+                op,
+                routes,
+                &mut self.scratch,
+            );
         }
         entry.value.stats.result_transitions = entry.value.transitions.len();
         entry.seq = head;
@@ -242,7 +246,8 @@ impl ResultCache {
         let current = match self.map.get(key).copied() {
             Some(slot) if self.catch_up(slot, routes) => Some(slot),
             Some(stale) => {
-                self.drop_slots(&[stale]);
+                self.remove(stale);
+                self.counters.targeted_evictions.inc();
                 None
             }
             None => None,
@@ -261,44 +266,17 @@ impl ResultCache {
         }
     }
 
-    /// Brings every entry current with the transition journal, dropping the
-    /// ones the ring no longer reaches — the first step of a route change,
-    /// so the route-change tests that follow see current results and no
-    /// entry's pending ops ever span two route versions.
-    ///
-    /// Called *after* the stores changed, so `routes` is the post-change
-    /// set. That is sound: replay then judges each pending arrival against
-    /// the post-change routes (exactly its post-change membership, the
-    /// certificate counting only still-live witnesses), leaving an entry
-    /// whose older members are pre-change and whose replayed ones are
-    /// post-change. The route-change test that runs next either proves the
-    /// older members' membership unchanged — after an insert no recorded
-    /// endpoint, the replayed ones included, is within reach of the new
-    /// route; after a removal every endpoint outside the result, rejected
-    /// arrivals included, is re-certified without the removed route — in
-    /// which case the entry is exactly the post-change answer, or it drops
-    /// the entry.
-    pub(crate) fn catch_up_all(&mut self, routes: &RouteStore) {
-        let slots: Vec<usize> = self.map.values().copied().collect();
-        let stale: Vec<usize> = slots
-            .into_iter()
-            .filter(|slot| !self.catch_up(*slot, routes))
-            .collect();
-        self.drop_slots(&stale);
-    }
-
-    /// Stores a result computed against the current stores with its
-    /// maintenance region, evicting the least recently used entry when full.
-    pub fn insert(&mut self, key: CacheKey, value: RknntResult, region: EntryRegion) {
+    /// Stores `query`'s result, computed against the current stores,
+    /// evicting the least recently used entry when full.
+    pub fn insert(&mut self, key: CacheKey, query: &RknntQuery, value: RknntResult) {
         if self.capacity == 0 {
             return;
         }
         let seq = self.journal.head();
         if let Some(slot) = self.map.get(&key).copied() {
             // Same query computed twice (e.g. two concurrent batches):
-            // refresh the value, region and recency.
+            // refresh the value and recency.
             self.slots[slot].value = value;
-            self.slots[slot].region = region;
             self.slots[slot].seq = seq;
             self.unlink(slot);
             self.push_front(slot);
@@ -307,27 +285,21 @@ impl ResultCache {
         if self.map.len() >= self.capacity {
             self.evict_lru();
         }
+        let entry = Slot {
+            key: key.clone(),
+            query: query.clone(),
+            value,
+            seq,
+            prev: NIL,
+            next: NIL,
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot] = Slot {
-                    key: key.clone(),
-                    value,
-                    region,
-                    seq,
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.slots[slot] = entry;
                 slot
             }
             None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    region,
-                    seq,
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.slots.push(entry);
                 self.slots.len() - 1
             }
         };
@@ -336,47 +308,7 @@ impl ResultCache {
         self.counters.insertions.inc();
     }
 
-    /// Read-only iteration over the live entries, in no particular order —
-    /// used by the update path to *plan* a targeted eviction (and detect
-    /// that its work budget ran out) before mutating anything.
-    pub fn entries(&self) -> impl Iterator<Item = (&CacheKey, &RknntResult, &EntryRegion)> {
-        self.map.values().map(|slot| {
-            let s = &self.slots[*slot];
-            (&s.key, &s.value, &s.region)
-        })
-    }
-
-    /// Region-scoped invalidation: drops every entry for which `evict`
-    /// returns `true`, leaving the rest (and their recency order) untouched.
-    /// Returns the number of entries dropped.
-    pub fn evict_where<F>(&mut self, mut evict: F) -> usize
-    where
-        F: FnMut(&CacheKey, &RknntResult, &EntryRegion) -> bool,
-    {
-        let victims: Vec<usize> = self
-            .map
-            .values()
-            .copied()
-            .filter(|slot| {
-                let s = &self.slots[*slot];
-                evict(&s.key, &s.value, &s.region)
-            })
-            .collect();
-        self.drop_slots(&victims);
-        victims.len()
-    }
-
-    /// Removes the given live slots, counting them as targeted evictions.
-    fn drop_slots(&mut self, victims: &[usize]) {
-        for slot in victims {
-            self.unlink(*slot);
-            self.map.remove(&self.slots[*slot].key);
-            self.free.push(*slot);
-        }
-        self.counters.targeted_evictions.add(victims.len() as u64);
-    }
-
-    /// Drops every entry — the route-removal full drop. The journal stays:
+    /// Drops every entry — what every route change does. The journal stays:
     /// with no entry left there is no reader behind its head to strand.
     pub fn invalidate_all(&mut self) {
         self.counters.invalidated_entries.add(self.map.len() as u64);
@@ -393,10 +325,15 @@ impl ResultCache {
         if victim == NIL {
             return;
         }
-        self.unlink(victim);
-        self.map.remove(&self.slots[victim].key);
-        self.free.push(victim);
+        self.remove(victim);
         self.counters.evictions.inc();
+    }
+
+    /// Unlinks a live slot and frees it.
+    fn remove(&mut self, slot: usize) {
+        self.unlink(slot);
+        self.map.remove(&self.slots[slot].key);
+        self.free.push(slot);
     }
 
     fn unlink(&mut self, slot: usize) {
@@ -431,10 +368,8 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rknnt_core::FilterFootprint;
     use rknnt_geo::Point;
     use rknnt_index::TransitionId;
-    use std::sync::Arc;
 
     fn query(x: f64, k: usize) -> RknntQuery {
         RknntQuery::exists(vec![Point::new(x, 0.0), Point::new(x, 10.0)], k)
@@ -444,14 +379,6 @@ mod tests {
         RouteStore::default()
     }
 
-    fn region() -> EntryRegion {
-        let query = query(0.0, 1);
-        let footprint = FilterFootprint::compute(&routes(), &query.route, query.k);
-        EntryRegion::record_with(&query, &RknntResult::default(), Arc::new(footprint), |_| {
-            None
-        })
-    }
-
     fn result(id: u32) -> RknntResult {
         RknntResult {
             transitions: vec![TransitionId(id)],
@@ -459,12 +386,17 @@ mod tests {
         }
     }
 
+    /// Caches `result(id)` as the answer to `query`.
+    fn put(cache: &mut ResultCache, query: &RknntQuery, id: u32) {
+        cache.insert(CacheKey::of(query), query, result(id));
+    }
+
     #[test]
     fn get_after_insert_roundtrips() {
         let mut cache = ResultCache::new(4, 7);
         let key = CacheKey::of(&query(1.0, 5));
         assert!(cache.get(&key, &routes()).is_none());
-        cache.insert(key.clone(), result(3), region());
+        put(&mut cache, &query(1.0, 5), 3);
         assert_eq!(
             cache.get(&key, &routes()).unwrap().transitions,
             vec![TransitionId(3)]
@@ -480,7 +412,7 @@ mod tests {
         let mut forall = exists.clone();
         forall.semantics = Semantics::ForAll;
         let k9 = query(1.0, 9);
-        cache.insert(CacheKey::of(&exists), result(1), region());
+        put(&mut cache, &exists, 1);
         assert!(cache.get(&CacheKey::of(&forall), &routes()).is_none());
         assert!(cache.get(&CacheKey::of(&k9), &routes()).is_none());
     }
@@ -488,23 +420,19 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_first() {
         let mut cache = ResultCache::new(2, 7);
-        let (a, b, c) = (
-            CacheKey::of(&query(1.0, 1)),
-            CacheKey::of(&query(2.0, 1)),
-            CacheKey::of(&query(3.0, 1)),
-        );
-        cache.insert(a.clone(), result(1), region());
-        cache.insert(b.clone(), result(2), region());
+        let (a, b, c) = (query(1.0, 1), query(2.0, 1), query(3.0, 1));
+        put(&mut cache, &a, 1);
+        put(&mut cache, &b, 2);
         // Touch `a` so `b` becomes the LRU entry.
-        assert!(cache.get(&a, &routes()).is_some());
-        cache.insert(c.clone(), result(3), region());
+        assert!(cache.get(&CacheKey::of(&a), &routes()).is_some());
+        put(&mut cache, &c, 3);
         assert_eq!(cache.len(), 2);
         assert!(
-            cache.get(&b, &routes()).is_none(),
+            cache.get(&CacheKey::of(&b), &routes()).is_none(),
             "b was LRU and must be evicted"
         );
-        assert!(cache.get(&a, &routes()).is_some());
-        assert!(cache.get(&c, &routes()).is_some());
+        assert!(cache.get(&CacheKey::of(&a), &routes()).is_some());
+        assert!(cache.get(&CacheKey::of(&c), &routes()).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -512,7 +440,7 @@ mod tests {
     fn invalidate_all_empties_the_cache() {
         let mut cache = ResultCache::new(4, 7);
         for i in 0..4 {
-            cache.insert(CacheKey::of(&query(i as f64, 1)), result(i), region());
+            put(&mut cache, &query(i as f64, 1), i);
         }
         assert_eq!(cache.len(), 4);
         cache.invalidate_all();
@@ -521,8 +449,9 @@ mod tests {
             .get(&CacheKey::of(&query(0.0, 1)), &routes())
             .is_none());
         assert_eq!(cache.stats().invalidations, 1);
+        assert_eq!(cache.stats().invalidated_entries, 4);
         // Reusable after invalidation.
-        cache.insert(CacheKey::of(&query(9.0, 1)), result(9), region());
+        put(&mut cache, &query(9.0, 1), 9);
         assert!(cache
             .get(&CacheKey::of(&query(9.0, 1)), &routes())
             .is_some());
@@ -531,37 +460,38 @@ mod tests {
     #[test]
     fn zero_capacity_disables_storage() {
         let mut cache = ResultCache::new(0, 7);
-        let key = CacheKey::of(&query(1.0, 1));
-        cache.insert(key.clone(), result(1), region());
-        assert!(cache.get(&key, &routes()).is_none());
+        put(&mut cache, &query(1.0, 1), 1);
+        assert!(cache
+            .get(&CacheKey::of(&query(1.0, 1)), &routes())
+            .is_none());
         assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn reinserting_a_key_refreshes_value_and_recency() {
         let mut cache = ResultCache::new(2, 7);
-        let (a, b) = (CacheKey::of(&query(1.0, 1)), CacheKey::of(&query(2.0, 1)));
-        cache.insert(a.clone(), result(1), region());
-        cache.insert(b.clone(), result(2), region());
-        cache.insert(a.clone(), result(10), region());
+        let (a, b) = (query(1.0, 1), query(2.0, 1));
+        put(&mut cache, &a, 1);
+        put(&mut cache, &b, 2);
+        put(&mut cache, &a, 10);
         // `a` is now most recent; inserting a third key evicts `b`.
-        cache.insert(CacheKey::of(&query(3.0, 1)), result(3), region());
+        put(&mut cache, &query(3.0, 1), 3);
         assert_eq!(
-            cache.get(&a, &routes()).unwrap().transitions,
+            cache.get(&CacheKey::of(&a), &routes()).unwrap().transitions,
             vec![TransitionId(10)]
         );
-        assert!(cache.get(&b, &routes()).is_none());
+        assert!(cache.get(&CacheKey::of(&b), &routes()).is_none());
     }
 
     #[test]
     fn heavy_churn_keeps_list_and_map_consistent() {
         let mut cache = ResultCache::new(8, 42);
         for round in 0..200u32 {
-            let key = CacheKey::of(&query((round % 23) as f64, 1));
+            let q = query((round % 23) as f64, 1);
             if round % 3 == 0 {
-                let _ = cache.get(&key, &routes());
+                let _ = cache.get(&CacheKey::of(&q), &routes());
             }
-            cache.insert(key, result(round), region());
+            put(&mut cache, &q, round);
             assert!(cache.len() <= 8);
         }
         let stats = cache.stats();
@@ -574,9 +504,10 @@ mod tests {
         // The intrusive list degenerates to head == tail at capacity 1;
         // every insert-then-evict cycle must leave it usable.
         let mut cache = ResultCache::new(1, 7);
-        let keys: Vec<CacheKey> = (0..5).map(|i| CacheKey::of(&query(i as f64, 1))).collect();
+        let queries: Vec<RknntQuery> = (0..5).map(|i| query(i as f64, 1)).collect();
+        let keys: Vec<CacheKey> = queries.iter().map(CacheKey::of).collect();
         for (i, key) in keys.iter().enumerate() {
-            cache.insert(key.clone(), result(i as u32), region());
+            put(&mut cache, &queries[i], i as u32);
             assert_eq!(cache.len(), 1, "capacity bound after insert {i}");
             // Only the newest key is present, and a hit refreshes it.
             assert_eq!(
@@ -595,7 +526,7 @@ mod tests {
         assert_eq!(stats.evictions, 4);
         assert_eq!(stats.insertions - stats.evictions, cache.len() as u64);
         // Re-inserting the live key refreshes rather than evicts.
-        cache.insert(keys[4].clone(), result(99), region());
+        put(&mut cache, &queries[4], 99);
         assert_eq!(cache.stats().evictions, 4);
         assert_eq!(
             cache.get(&keys[4], &routes()).unwrap().transitions,
@@ -604,7 +535,7 @@ mod tests {
         // Invalidate and refill: the arena and free list stay coherent.
         cache.invalidate_all();
         assert!(cache.is_empty());
-        cache.insert(keys[0].clone(), result(1), region());
+        put(&mut cache, &queries[0], 1);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&keys[0], &routes()).is_some());
     }
@@ -613,11 +544,11 @@ mod tests {
     fn capacity_zero_never_stores_and_counters_stay_consistent() {
         let mut cache = ResultCache::new(0, 7);
         for i in 0..4u32 {
-            let key = CacheKey::of(&query(i as f64, 1));
-            assert!(cache.get(&key, &routes()).is_none());
-            cache.insert(key.clone(), result(i), region());
+            let q = query(i as f64, 1);
+            assert!(cache.get(&CacheKey::of(&q), &routes()).is_none());
+            put(&mut cache, &q, i);
             assert!(
-                cache.get(&key, &routes()).is_none(),
+                cache.get(&CacheKey::of(&q), &routes()).is_none(),
                 "capacity 0 must not store"
             );
             assert_eq!(cache.len(), 0);
@@ -627,32 +558,28 @@ mod tests {
         assert_eq!(stats.evictions, 0);
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 8);
-        // evict_where and invalidate_all are harmless no-ops.
-        assert_eq!(cache.evict_where(|_, _, _| true), 0);
+        // invalidate_all is a harmless no-op.
         cache.invalidate_all();
         assert_eq!(cache.stats().invalidations, 1);
+        assert_eq!(cache.stats().invalidated_entries, 0);
     }
 
     #[test]
-    fn evict_where_drops_only_matching_entries() {
-        let mut cache = ResultCache::new(8, 7);
-        let keys: Vec<CacheKey> = (0..6).map(|i| CacheKey::of(&query(i as f64, 1))).collect();
-        for (i, key) in keys.iter().enumerate() {
-            cache.insert(key.clone(), result(i as u32), region());
+    fn lookups_replay_the_journal_and_drop_what_it_no_longer_reaches() {
+        let mut cache = ResultCache::new(4, 7);
+        let (a, b) = (query(1.0, 1), query(2.0, 1));
+        put(&mut cache, &a, 1);
+        // A member expiry is replayed into the entry at its next read.
+        cache.record(TransitionOp::Expired(TransitionId(1)));
+        let hit = cache.get(&CacheKey::of(&a), &routes()).unwrap();
+        assert!(hit.transitions.is_empty());
+        // An entry a full ring behind is dropped at its next read.
+        put(&mut cache, &b, 2);
+        for _ in 0..=JOURNAL_CAPACITY {
+            cache.record(TransitionOp::Expired(TransitionId(9)));
         }
-        // Drop entries holding an even transition id.
-        let dropped = cache.evict_where(|_, value, _| value.transitions[0].raw() % 2 == 0);
-        assert_eq!(dropped, 3);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.stats().targeted_evictions, 3);
-        for (i, key) in keys.iter().enumerate() {
-            assert_eq!(cache.get(key, &routes()).is_some(), i % 2 == 1, "key {i}");
-        }
-        // Freed slots are reusable and the recency list still works.
-        for i in 10..16u32 {
-            cache.insert(CacheKey::of(&query(i as f64, 1)), result(i), region());
-        }
-        assert_eq!(cache.len(), 8);
-        assert!(cache.stats().evictions > 0, "LRU eviction still functions");
+        assert!(cache.get(&CacheKey::of(&b), &routes()).is_none());
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().targeted_evictions, 1);
     }
 }

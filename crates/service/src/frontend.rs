@@ -18,23 +18,16 @@ use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::journal::TransitionOp;
 use crate::metrics::ServiceMetrics;
 use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
-use crate::region::EntryRegion;
 use crate::service::{ServiceConfig, StoreUpdate, UpdateStats};
-use rknnt_core::{FilterFootprint, FilterSet, QueryScratch, RknntQuery, RknntResult};
-use rknnt_geo::{Point, Rect};
+use rknnt_core::{FilterSet, QueryScratch, RknntQuery, RknntResult};
+use rknnt_geo::Point;
 use rknnt_index::{
     RouteId, RouteStore, RouteStoreState, TransitionId, TransitionStore, TransitionStoreState,
 };
 use rknnt_obs::{MetricsSnapshot, TraceCursor};
 use rknnt_storage::{Failpoints, Storage, StorageConfig, StorageError, StorageStats};
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-
-/// Work budget per cached entry for the route-removal survival scan; when
-/// the shared budget (`per-entry × entries`) is exhausted mid-call the
-/// removal falls back to a full cache drop.
-const ROUTE_REMOVAL_BUDGET_PER_ENTRY: usize = 4_096;
 
 /// Seed of the result cache's hash function.
 const CACHE_SEED: u64 = 0x5eed;
@@ -52,14 +45,10 @@ pub trait Backing: Sync + Sized {
     /// [`ServiceConfig`] itself, or a configuration that embeds one.
     type Config;
 
-    /// The complete route set answers are defined over. Filters are built
-    /// and invalidation certificates evaluated against it; global route ids
-    /// are its slot indexes.
+    /// The complete route set answers are defined over. Filters are built,
+    /// candidates verified and journalled arrivals admitted against it;
+    /// global route ids are its slot indexes.
     fn routes(&self) -> &RouteStore;
-
-    /// Endpoints of a live transition by (global) id; `None` for unknown or
-    /// removed ids.
-    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)>;
 
     /// The prune step of one fresh, non-degenerate query: walks the
     /// transition store(s) against `filter` — the frontend's filter set for
@@ -86,9 +75,8 @@ pub trait Backing: Sync + Sized {
     /// Inserts a route; the (global) id it consumed, or `None` when rejected.
     fn insert_route(&mut self, points: Vec<Point>) -> Option<RouteId>;
 
-    /// Removes a live route and returns the points it had; `None` for an
-    /// unknown or dead id.
-    fn remove_route(&mut self, id: RouteId) -> Option<Vec<Point>>;
+    /// Removes a live route; `false` for an unknown or dead id.
+    fn remove_route(&mut self, id: RouteId) -> bool;
 
     /// The complete logical state in *global* form — the planner-wide route
     /// slots and every transition slot in global id order, dead ones
@@ -104,19 +92,6 @@ pub trait Backing: Sync + Sized {
         transitions: TransitionStore,
         config: Self::Config,
     ) -> Service<Self>;
-
-    /// Whether a result recorded with `region` provably survives removing
-    /// the route `removed` (see [`EntryRegion::survives_route_remove`]),
-    /// drawing on the caller's shared work `budget`. Evaluated against the
-    /// post-removal stores; `false` is always sound.
-    fn survives_route_remove(
-        &self,
-        region: &EntryRegion,
-        result: &[TransitionId],
-        removed: RouteId,
-        removed_points: &[Point],
-        budget: &mut usize,
-    ) -> bool;
 }
 
 /// A concurrent batch RkNNT query service over a (sealed) backing — use it
@@ -128,9 +103,8 @@ pub trait Backing: Sync + Sized {
 /// in-flight `&self` batch. The stores of a live service change one way:
 /// [`Service::apply_updates`] / [`Service::try_apply_updates`] (and the WAL
 /// replay inside [`Service::open`]) mutate them in place, update by update;
-/// cached results follow transition churn through the journal and only a
-/// route change evicts the ones it could affect (see [`crate::region`]). A
-/// rebuilt index is a new service.
+/// cached results follow transition churn through the journal and a route
+/// change drops them all. A rebuilt index is a new service.
 pub struct Service<B: Backing> {
     pub(crate) backing: B,
     /// Worker count and cache sizing of the pipeline.
@@ -427,15 +401,14 @@ impl<B: Backing> Service<B> {
             // The stores cannot have changed since the lookup (that needs
             // `&mut self`), so every computed result is current.
             let mut cache = self.cache.lock().expect("cache lock");
-            for (index, result, footprint) in computed {
+            for (index, result) in computed {
                 if let Some(key) = keys[index].take() {
-                    let region = self.region_of(&queries[index], &result, footprint);
-                    cache.insert(key, result.clone(), region);
+                    cache.insert(key, &queries[index], result.clone());
                 }
                 slots[index] = Some(result);
             }
         } else {
-            for (index, result, _) in computed {
+            for (index, result) in computed {
                 slots[index] = Some(result);
             }
         }
@@ -460,18 +433,6 @@ impl<B: Backing> Service<B> {
             ],
         );
         (results, stats)
-    }
-
-    /// The maintenance region of a freshly computed result: the filter
-    /// footprint plus the MBR of the result's endpoints, both against the
-    /// current stores (which cannot change under `&self`).
-    fn region_of(
-        &self,
-        query: &RknntQuery,
-        result: &RknntResult,
-        footprint: Arc<FilterFootprint>,
-    ) -> EntryRegion {
-        EntryRegion::record_with(query, result, footprint, |id| self.backing.endpoints(id))
     }
 
     /// Executes pre-formed groups over the worker pool, returning the
@@ -535,18 +496,16 @@ impl<B: Backing> Service<B> {
     }
 
     /// Executes queries through grouping + the worker pool, bypassing the
-    /// result cache in both directions, and returns each result with its
-    /// filter footprint. Used for subscription (re-)execution: dirty
-    /// standing queries still share filter constructions within the batch,
-    /// but never pollute the LRU.
-    fn execute_uncached(&self, queries: &[RknntQuery]) -> Vec<(RknntResult, Arc<FilterFootprint>)> {
+    /// result cache in both directions. Used for subscription
+    /// (re-)execution: dirty standing queries still share filter
+    /// constructions within the batch, but never pollute the LRU.
+    fn execute_uncached(&self, queries: &[RknntQuery]) -> Vec<RknntResult> {
         let miss_indexes: Vec<usize> = (0..queries.len()).collect();
         let groups = form_groups(queries, &miss_indexes);
         let (computed, _) = self.run_groups(&groups, TraceCursor::NONE);
-        let mut slots: Vec<Option<(RknntResult, Arc<FilterFootprint>)>> =
-            (0..queries.len()).map(|_| None).collect();
-        for (index, result, footprint) in computed {
-            slots[index] = Some((result, footprint));
+        let mut slots: Vec<Option<RknntResult>> = vec![None; queries.len()];
+        for (index, result) in computed {
+            slots[index] = Some(result);
         }
         slots
             .into_iter()
@@ -564,12 +523,11 @@ impl<B: Backing> Service<B> {
     /// as [`SubscriptionDelta`]s. Ids, results and delta streams are
     /// byte-identical across backings over the same data.
     pub fn subscribe(&mut self, query: RknntQuery) -> SubscriptionId {
-        let (result, footprint) = self
+        let result = self
             .execute_uncached(std::slice::from_ref(&query))
             .pop()
             .expect("one query in, one result out");
-        let region = self.region_of(&query, &result, footprint);
-        self.monitor.insert(query, result.transitions, region)
+        self.monitor.insert(query, result.transitions)
     }
 
     /// Drops a subscription. Returns `false` for an unknown or already
@@ -608,11 +566,9 @@ impl<B: Backing> Service<B> {
             .map(|id| self.monitor.query_of(*id).clone())
             .collect();
         let outputs = self.execute_uncached(&queries);
-        for (id, (query, (result, footprint))) in dirty.into_iter().zip(queries.iter().zip(outputs))
-        {
-            let region = self.region_of(query, &result, footprint);
+        for (id, result) in dirty.into_iter().zip(outputs) {
             self.monitor
-                .finish_reexecution(id, result.transitions, region, &self.metrics, deltas);
+                .finish_reexecution(id, result.transitions, &self.metrics, deltas);
         }
     }
 
@@ -623,17 +579,11 @@ impl<B: Backing> Service<B> {
     /// Applies incremental store updates in order, keeping every cached and
     /// standing result equal to what the post-update stores answer.
     ///
-    /// Every result carries the [`EntryRegion`] recorded when it was
-    /// computed: the query, the filter footprint its filter step touched
-    /// and the MBR of its result endpoints. A **transition arrival or
-    /// expiry** is only appended to the cache's journal — O(1) however many
-    /// entries are cached, nothing is evicted — and each entry replays what
-    /// it missed when it is next read. A **route insert or removal** first
-    /// brings every entry current, then evicts only the entries the change
-    /// could affect (see [`crate::region`] for the per-update rules and
-    /// their soundness arguments); route removals plan a targeted eviction
-    /// under a work budget and fall back to a full cache drop when it runs
-    /// out.
+    /// A **transition arrival or expiry** is only appended to the cache's
+    /// journal — O(1) however many entries are cached, nothing is evicted —
+    /// and each entry replays what it missed when it is next read: an
+    /// arrival through the exact admission kernel, an expiry as a membership
+    /// test. A **route insert or removal** drops the whole cache.
     ///
     /// `&mut self` serialises the call against in-flight batches, and
     /// retained entries remain byte-identical to what a freshly built
@@ -641,11 +591,11 @@ impl<B: Backing> Service<B> {
     /// churn determinism suite in `tests/service_churn.rs`.
     ///
     /// Live subscriptions follow every applied update eagerly: transition
-    /// ops are applied to their results in place, route changes are
-    /// certified stable or mark them *dirty*, and the dirty ones are
-    /// re-executed together through the grouped batch path at the end of the
-    /// call; the returned [`UpdateStats::deltas`] describe every
-    /// subscription result change (see [`crate::monitor`]).
+    /// ops are applied to their results in place, a route change marks them
+    /// *dirty*, and the dirty ones are re-executed together through the
+    /// grouped batch path at the end of the call; the returned
+    /// [`UpdateStats::deltas`] describe every subscription result change
+    /// (see [`crate::monitor`]).
     ///
     /// With storage attached the batch is appended to the write-ahead log —
     /// one frame per update, one fsync per call — *before* anything
@@ -722,7 +672,7 @@ impl<B: Backing> Service<B> {
                     Some(id) => {
                         stats.inserted_transitions.push(id);
                         self.applied(
-                            &UpdateEffect::Transition(TransitionOp::Arrived {
+                            UpdateEffect::Transition(TransitionOp::Arrived {
                                 id,
                                 origin,
                                 destination,
@@ -735,36 +685,27 @@ impl<B: Backing> Service<B> {
                 StoreUpdate::ExpireTransition(id) => {
                     if self.backing.expire_transition(id) {
                         self.applied(
-                            &UpdateEffect::Transition(TransitionOp::Expired(id)),
+                            UpdateEffect::Transition(TransitionOp::Expired(id)),
                             &mut stats.deltas,
                         );
                     } else {
                         self.metrics.update_rejected.inc();
                     }
                 }
-                StoreUpdate::InsertRoute(points) => {
-                    let mbr = Rect::from_points(&points).unwrap_or_else(Rect::empty);
-                    match self.backing.insert_route(points) {
-                        Some(id) => {
-                            stats.inserted_routes.push(id);
-                            self.applied(
-                                &UpdateEffect::RouteInsert { mbr: &mbr },
-                                &mut stats.deltas,
-                            );
-                        }
-                        None => self.metrics.update_rejected.inc(),
+                StoreUpdate::InsertRoute(points) => match self.backing.insert_route(points) {
+                    Some(id) => {
+                        stats.inserted_routes.push(id);
+                        self.applied(UpdateEffect::RouteChange, &mut stats.deltas);
                     }
-                }
-                StoreUpdate::RemoveRoute(id) => match self.backing.remove_route(id) {
-                    Some(points) => self.applied(
-                        &UpdateEffect::RouteRemove {
-                            id,
-                            points: &points,
-                        },
-                        &mut stats.deltas,
-                    ),
                     None => self.metrics.update_rejected.inc(),
                 },
+                StoreUpdate::RemoveRoute(id) => {
+                    if self.backing.remove_route(id) {
+                        self.applied(UpdateEffect::RouteChange, &mut stats.deltas);
+                    } else {
+                        self.metrics.update_rejected.inc();
+                    }
+                }
             }
         }
         self.reexecute_dirty_subscriptions(&mut stats.deltas);
@@ -774,8 +715,6 @@ impl<B: Backing> Service<B> {
         stats.rejected = (view.rejected - base.rejected) as usize;
         stats.evicted_entries = (view.evicted_entries - base.evicted_entries) as usize;
         stats.full_drops = (view.full_drops - base.full_drops) as usize;
-        stats.targeted_route_removals =
-            (view.targeted_route_removals - base.targeted_route_removals) as usize;
         stats.subs_unaffected = (view.subs_unaffected - base.subs_unaffected) as usize;
         stats.subs_stable = (view.subs_stable - base.subs_stable) as usize;
         stats.subs_dirty = (view.subs_dirty - base.subs_dirty) as usize;
@@ -785,67 +724,20 @@ impl<B: Backing> Service<B> {
         stats
     }
 
-    /// Bookkeeping for one update the stores accepted: count it, journal
-    /// it (transition ops) or evict the cached results it could change
-    /// (route changes), bring every live subscription up to date.
-    fn applied(&mut self, effect: &UpdateEffect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
+    /// Bookkeeping for one update the stores accepted: count it, journal it
+    /// (transition ops) or drop the whole cache (route changes), bring every
+    /// live subscription up to date.
+    fn applied(&mut self, effect: UpdateEffect, deltas: &mut Vec<SubscriptionDelta>) {
         self.metrics.update_applied.inc();
         let cache = self.cache.get_mut().expect("cache lock");
-        match *effect {
+        match effect {
             UpdateEffect::Transition(op) => cache.record(op),
-            UpdateEffect::RouteInsert { mbr } => {
-                cache.catch_up_all(self.backing.routes());
-                cache.evict_where(|_, _, region| !region.survives_route_insert(mbr));
-            }
-            UpdateEffect::RouteRemove { id, points } => {
-                cache.catch_up_all(self.backing.routes());
-                evict_for_route_removal(cache, &self.backing, &self.metrics, id, points)
+            UpdateEffect::RouteChange => {
+                self.metrics.full_drops.inc();
+                cache.invalidate_all();
             }
         }
         self.monitor
-            .classify_update(effect, &self.backing, &self.metrics, deltas);
-    }
-}
-
-/// Cache maintenance for a removed route: plan a targeted eviction (every
-/// entry re-certified with the removed route excluded, under a shared work
-/// budget) and fall back to the full drop only when the budget runs out
-/// before every entry is classified.
-fn evict_for_route_removal<B: Backing>(
-    cache: &mut ResultCache,
-    backing: &B,
-    metrics: &ServiceMetrics,
-    id: RouteId,
-    removed_points: &[Point],
-) {
-    if cache.is_empty() {
-        metrics.targeted_route_removals.inc();
-        return;
-    }
-    let mut budget = ROUTE_REMOVAL_BUDGET_PER_ENTRY.saturating_mul(cache.len());
-    let mut victims: Vec<CacheKey> = Vec::new();
-    let mut exhausted = false;
-    for (key, value, region) in cache.entries() {
-        if budget == 0 {
-            exhausted = true;
-            break;
-        }
-        if !backing.survives_route_remove(
-            region,
-            &value.transitions,
-            id,
-            removed_points,
-            &mut budget,
-        ) {
-            victims.push(key.clone());
-        }
-    }
-    if exhausted {
-        metrics.full_drops.inc();
-        cache.invalidate_all();
-    } else {
-        metrics.targeted_route_removals.inc();
-        let victims: HashSet<&CacheKey> = victims.iter().collect();
-        cache.evict_where(|key, _, _| victims.contains(key));
+            .classify_update(effect, self.backing.routes(), &self.metrics, deltas);
     }
 }

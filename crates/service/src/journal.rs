@@ -1,28 +1,28 @@
 //! The transition journal: a bounded, append-only ring of the transition
-//! arrivals and expiries the stores accepted, numbered by sequence.
+//! arrivals and expiries the stores accepted, numbered by sequence, and the
+//! one step ([`replay`]) that applies such an op to a result.
 //!
 //! By Definition 5 a transition's membership in `RkNNT(Q)` depends only on
 //! its own two endpoints and the route set. Between two route changes a
 //! computed result therefore stays exact under transition churn by applying
-//! each arrival / expiry to it individually ([`EntryRegion::replay`]) — there
-//! is nothing to recompute. The update path only *appends* here (O(1),
-//! whatever the cache holds); a cached result remembers the sequence it is
-//! current to and replays the suffix when it is next read
-//! ([`crate::ResultCache::get`]). Subscriptions apply the same op eagerly, in
-//! place.
-//!
-//! [`EntryRegion::replay`]: crate::EntryRegion::replay
+//! each arrival / expiry to it individually — there is nothing to recompute.
+//! The update path only *appends* here (O(1), whatever the cache holds); a
+//! cached result remembers the sequence it is current to and replays the
+//! suffix when it is next read ([`crate::ResultCache::get`]). Subscriptions
+//! apply the same op eagerly, in place. Route changes drop cached results and
+//! re-execute subscriptions, so no replay spans two route versions.
 
+use rknnt_core::{admits_transition, QueryScratch, RknntQuery};
 use rknnt_geo::Point;
-use rknnt_index::TransitionId;
+use rknnt_index::{RouteStore, TransitionId};
 use std::collections::VecDeque;
 
 /// How many ops the ring keeps. An entry that falls further behind is
 /// dropped at its next read and recomputed, so the bound caps what a hit can
-/// cost: replaying an arrival is a certificate scan or one admission check
-/// (0.2–0.45 µs measured on the benchmark's 260-route city), an expiry a
-/// binary search (≈ 0.02 µs), so a hit that replays a full ring of arrivals
-/// costs 0.23–0.37 ms where an uncached execution costs 0.75–1.1 ms.
+/// cost: replaying an arrival is one admission check (0.2–0.45 µs measured
+/// on the benchmark's 260-route city), an expiry a binary search (≈ 0.02
+/// µs), so a hit that replays a full ring of arrivals costs 0.23–0.37 ms
+/// where an uncached execution costs 0.75–1.1 ms.
 pub const JOURNAL_CAPACITY: usize = 1_024;
 
 /// One journalled store mutation, carrying everything replay needs (the
@@ -41,6 +41,50 @@ pub(crate) enum TransitionOp {
     },
     /// The transition `id` expired.
     Expired(TransitionId),
+}
+
+/// Applies one journalled op to `result`, the sorted ids answering `query`,
+/// exactly against `routes` (the current route set): an arrival enters iff
+/// [`admits_transition`] admits it, an expiry leaves iff it is a member.
+/// Reports whether the result changed.
+pub(crate) fn replay(
+    query: &RknntQuery,
+    result: &mut Vec<TransitionId>,
+    op: &TransitionOp,
+    routes: &RouteStore,
+    scratch: &mut QueryScratch,
+) -> bool {
+    match op {
+        TransitionOp::Arrived {
+            id,
+            origin,
+            destination,
+        } => {
+            if !admits_transition(
+                routes,
+                &query.route,
+                query.k,
+                query.semantics,
+                origin,
+                destination,
+                scratch,
+            ) {
+                return false;
+            }
+            let Err(pos) = result.binary_search(id) else {
+                return false;
+            };
+            result.insert(pos, *id);
+            true
+        }
+        TransitionOp::Expired(id) => match result.binary_search(id) {
+            Ok(pos) => {
+                result.remove(pos);
+                true
+            }
+            Err(_) => false,
+        },
+    }
 }
 
 /// The ring itself; see the module documentation.
@@ -89,6 +133,10 @@ impl Journal {
 mod tests {
     use super::*;
 
+    fn p(x: f64, y: f64) -> Point {
+        Point::new(x, y)
+    }
+
     fn op(id: u32) -> TransitionOp {
         TransitionOp::Expired(TransitionId(id))
     }
@@ -120,5 +168,60 @@ mod tests {
         assert_eq!(ids(&journal, 0), None);
         assert_eq!(ids(&journal, 1), Some(vec![1, 2, 3, 4]));
         assert_eq!(ids(&journal, 5), Some(vec![]));
+    }
+
+    #[test]
+    fn replayed_expiry_removes_exactly_a_member() {
+        let query = RknntQuery::exists(vec![p(0.0, 0.0), p(10.0, 0.0)], 2);
+        let (routes, mut scratch) = (RouteStore::default(), QueryScratch::new());
+        let mut ids = vec![TransitionId(0), TransitionId(1)];
+        let mut expire = |ids: &mut Vec<TransitionId>, id| {
+            let op = TransitionOp::Expired(TransitionId(id));
+            replay(&query, ids, &op, &routes, &mut scratch)
+        };
+        assert!(!expire(&mut ids, 999));
+        assert!(expire(&mut ids, 0));
+        assert!(!expire(&mut ids, 0), "already gone");
+        assert_eq!(ids, vec![TransitionId(1)]);
+    }
+
+    #[test]
+    fn replayed_arrival_enters_iff_it_qualifies() {
+        // Horizontal routes at y = 0, 10, …, 70 and a query along y = 35.
+        let mut routes = RouteStore::default();
+        for i in 0..8 {
+            let y = i as f64 * 10.0;
+            routes
+                .insert_route((0..8).map(|j| p(j as f64 * 10.0, y)).collect())
+                .unwrap();
+        }
+        let query = RknntQuery::exists(vec![p(5.0, 35.0), p(35.0, 35.0), p(65.0, 35.0)], 2);
+        let mut scratch = QueryScratch::new();
+        let mut ids = Vec::new();
+        let mut arrive = |ids: &mut Vec<TransitionId>, id, origin, destination| {
+            let op = TransitionOp::Arrived {
+                id: TransitionId(id),
+                origin,
+                destination,
+            };
+            replay(&query, ids, &op, &routes, &mut scratch)
+        };
+        // On a rung far from the query: two routes strictly closer, k = 2.
+        assert!(!arrive(&mut ids, 7, p(30.0, 0.0), p(40.0, 70.0)));
+        // Hugging the query: enters.
+        assert!(arrive(&mut ids, 9, p(34.0, 36.0), p(36.0, 34.0)));
+        // Ids stay sorted whatever order ops arrive in; a replayed
+        // duplicate is a no-op.
+        assert!(arrive(&mut ids, 3, p(35.0, 35.5), p(35.5, 35.0)));
+        assert_eq!(ids, vec![TransitionId(3), TransitionId(9)]);
+        assert!(!arrive(&mut ids, 3, p(35.0, 35.5), p(35.5, 35.0)));
+        // A degenerate query admits nothing.
+        let degenerate = RknntQuery::exists(Vec::new(), 2);
+        let op = TransitionOp::Arrived {
+            id: TransitionId(11),
+            origin: p(35.0, 35.0),
+            destination: p(35.0, 35.0),
+        };
+        assert!(!replay(&degenerate, &mut ids, &op, &routes, &mut scratch));
     }
 }

@@ -45,19 +45,18 @@
 //!   [`Service::try_apply_updates`] (returns it; optionally traced), mutate
 //!   the stores in place ([`StoreUpdate`]: transitions arrive and expire,
 //!   routes appear and are withdrawn) and are the only way a live service's
-//!   stores change. Results are maintained rather than
-//!   recomputed: a transition update is appended to a bounded journal and
-//!   each cached result replays what it missed when it is next read — an
-//!   exact two-endpoint admission check per arrival — so transition churn
-//!   evicts nothing; a route change evicts only the entries it could
-//!   affect, judged from the region each entry records ([`region`]).
+//!   stores change. Under transition churn results are maintained rather
+//!   than recomputed: a transition update is appended to a bounded journal
+//!   and each cached result replays what it missed when it is next read —
+//!   an exact two-endpoint admission check per arrival — so transition
+//!   churn evicts nothing. A route change, the rare event, drops the whole
+//!   cache.
 //! * **Continuous queries** — [`Service::subscribe`] registers a
 //!   standing query whose result the service keeps current across
 //!   `apply_updates`: arrivals and expiries are applied to it in place,
-//!   route changes are certified harmless or re-execute it through the
-//!   shared batch path, and result changes come back as per-batch
-//!   [`SubscriptionDelta`]s instead of forcing clients to re-poll
-//!   ([`monitor`]).
+//!   route changes re-execute it through the shared batch path, and result
+//!   changes come back as per-batch [`SubscriptionDelta`]s instead of
+//!   forcing clients to re-poll ([`monitor`]).
 //! * **Durability** — [`Service::open`] / [`Service::attach_storage`] back
 //!   either service with an `rknnt-storage` directory: `apply_updates`
 //!   appends every update, in global form, to a CRC-guarded write-ahead log
@@ -98,7 +97,6 @@ mod frontend;
 mod journal;
 pub mod metrics;
 pub mod monitor;
-pub mod region;
 mod service;
 pub mod sharded;
 
@@ -108,7 +106,6 @@ pub use frontend::Service;
 pub use journal::JOURNAL_CAPACITY;
 pub use metrics::{RouterStats, ServiceMetrics};
 pub use monitor::{DeltaReason, SubscriptionDelta, SubscriptionId};
-pub use region::EntryRegion;
 pub use rknnt_storage::{StorageConfig, StorageError, StorageStats};
 pub use service::{QueryService, ServiceConfig, StoreUpdate, UpdateStats};
 pub use sharded::{ShardedConfig, ShardedService};

@@ -9,7 +9,7 @@
 //! | `service.batch.*` | batch admission: queries, batches, groups, filter sharing, coalescing |
 //! | `service.cache.*` | result-cache counters (hits, misses, evictions, …) |
 //! | `service.stage.*_ns` | per-stage latency histograms: `cache_lookup`, `grouping`, `execution`, `finalize`, plus per fresh query `filter` (filter lookup or construction + prune) and `verify` |
-//! | `service.update.*` | update admission and eviction strategy counts |
+//! | `service.update.*` | update admission: applied, rejected, and the full cache drops route changes make |
 //! | `service.subs.*` | subscription classification outcomes |
 //! | `storage.wal.*` | WAL appends, bytes, and `fsync_ns` latency |
 //! | `storage.checkpoint*` | checkpoint duration and the `checkpoint_stall_ns` high-water gauge |
@@ -68,7 +68,6 @@ pub struct ServiceMetrics {
     pub(crate) update_applied: Counter,
     pub(crate) update_rejected: Counter,
     pub(crate) full_drops: Counter,
-    pub(crate) targeted_route_removals: Counter,
 
     // Subscription classification.
     pub(crate) subs_unaffected: Counter,
@@ -116,7 +115,6 @@ impl ServiceMetrics {
             update_applied: registry.counter("service.update.applied"),
             update_rejected: registry.counter("service.update.rejected"),
             full_drops: registry.counter("service.update.full_drops"),
-            targeted_route_removals: registry.counter("service.update.targeted_route_removals"),
             subs_unaffected: registry.counter("service.subs.unaffected"),
             subs_stable: registry.counter("service.subs.stable"),
             subs_dirty: registry.counter("service.subs.dirty"),
@@ -212,7 +210,6 @@ impl ServiceMetrics {
             evicted_entries: self.cache.targeted_evictions.get()
                 + self.cache.invalidated_entries.get(),
             full_drops: self.full_drops.get(),
-            targeted_route_removals: self.targeted_route_removals.get(),
             subs_unaffected: self.subs_unaffected.get(),
             subs_stable: self.subs_stable.get(),
             subs_dirty: self.subs_dirty.get(),
@@ -298,7 +295,6 @@ pub(crate) struct UpdateCounterView {
     /// Targeted evictions + entries dropped by full invalidations.
     pub(crate) evicted_entries: u64,
     pub(crate) full_drops: u64,
-    pub(crate) targeted_route_removals: u64,
     pub(crate) subs_unaffected: u64,
     pub(crate) subs_stable: u64,
     pub(crate) subs_dirty: u64,

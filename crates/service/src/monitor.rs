@@ -2,28 +2,24 @@
 //! [`QueryService::apply_updates`], with per-batch result deltas.
 //!
 //! A subscription is a registered [`RknntQuery`] whose result the service
-//! maintains as the stores churn, instead of the client re-polling. Each
-//! subscription carries the same [`EntryRegion`] evidence a cached result
-//! does, and every applied [`StoreUpdate`] is handled per live subscription:
+//! maintains as the stores churn, instead of the client re-polling. Every
+//! applied [`StoreUpdate`] is handled per live subscription:
 //!
-//! * **Transition arrivals and expiries are applied in place**, exactly
-//!   (`EntryRegion::replay`, the same step a cached result takes when it
-//!   is next read): membership of a transition depends only on its own
-//!   endpoints and the routes, so an arrival enters iff it qualifies — a
+//! * **Transition arrivals and expiries are applied in place**, exactly (the
+//!   journal's `replay`, the same step a cached result takes when it is next
+//!   read): membership of a transition depends only on its own endpoints and
+//!   the routes, so an arrival enters iff the admission kernel admits it — a
 //!   delta with [`DeltaReason::TransitionArrived`] — and an expiry leaves iff
 //!   it was a member — [`DeltaReason::TransitionExpired`]. Neither ever
 //!   re-executes the query. Counted *unaffected* when no geometry ran (a
-//!   degenerate query, an expired non-member) and *certified stable*
-//!   otherwise.
-//! * **Route changes are certified or re-executed**: the region's
-//!   `survives_*` certificate proves the result unchanged (*certified
-//!   stable*: route insert out of reach of every result endpoint, route
-//!   removal outside every endpoint's dominance region), or the subscription
-//!   is marked **dirty**. Dirty subscriptions are collected for the whole
-//!   update batch and re-executed together through the same grouped batch
-//!   machinery as one-shot queries, so subscriptions sharing a `(route, k)`
-//!   pair share one filter construction; the diff against the previous
-//!   result becomes a delta with [`DeltaReason::Reexecuted`].
+//!   degenerate query, an expired non-member) and *stable* otherwise.
+//! * **Route changes re-execute**: every non-degenerate subscription is
+//!   marked **dirty**. Dirty subscriptions are collected for the whole update
+//!   batch and re-executed together through the same grouped batch machinery
+//!   as one-shot queries, so subscriptions sharing a `(route, k)` pair share
+//!   one filter construction; the diff against the previous result becomes a
+//!   delta with [`DeltaReason::Reexecuted`] (none when the result is
+//!   unchanged).
 //!
 //! Replaying a subscription's deltas, in order, over any earlier snapshot of
 //! its result always reproduces the current result — the determinism suite
@@ -33,19 +29,11 @@
 //! [`QueryService::apply_updates`]: crate::QueryService::apply_updates
 //! [`StoreUpdate`]: crate::StoreUpdate
 
-use crate::frontend::Backing;
-use crate::journal::TransitionOp;
+use crate::journal::{replay, TransitionOp};
 use crate::metrics::ServiceMetrics;
-use crate::region::EntryRegion;
 use rknnt_core::{QueryScratch, RknntQuery};
-use rknnt_geo::{Point, Rect};
-use rknnt_index::{RouteId, TransitionId};
+use rknnt_index::{RouteStore, TransitionId};
 use std::collections::BTreeMap;
-
-/// Work budget for one subscription's route-removal certificate
-/// ([`EntryRegion::survives_route_remove`]); exhausting it marks the
-/// subscription dirty, which is always sound.
-const SUB_REMOVAL_BUDGET: usize = 8_192;
 
 /// Opaque handle to a standing query registered with
 /// [`QueryService::subscribe`].
@@ -115,11 +103,7 @@ pub(crate) struct Subscription {
     pub(crate) query: RknntQuery,
     /// Current result, sorted ascending.
     pub(crate) result: Vec<TransitionId>,
-    /// Maintenance evidence, recorded when the result was last (re)computed
-    /// and kept current through in-place maintenance.
-    pub(crate) region: EntryRegion,
-    /// Set when a route change could have changed the result; cleared by
-    /// re-execution.
+    /// Set by a route change; cleared by re-execution.
     dirty: bool,
 }
 
@@ -127,13 +111,12 @@ pub(crate) struct Subscription {
 /// classify subscriptions. Built by `apply_updates` *after* the store
 /// mutation succeeded, so classification always runs against post-update
 /// stores.
-pub(crate) enum UpdateEffect<'a> {
+#[derive(Clone, Copy)]
+pub(crate) enum UpdateEffect {
     /// A transition arrived or expired.
     Transition(TransitionOp),
-    /// A route with this MBR was inserted.
-    RouteInsert { mbr: &'a Rect },
-    /// The route `id`, whose points were `points`, was removed.
-    RouteRemove { id: RouteId, points: &'a [Point] },
+    /// A route was inserted or removed.
+    RouteChange,
 }
 
 /// The registry of live subscriptions. Iteration is in id order
@@ -152,7 +135,6 @@ impl SubscriptionRegistry {
         &mut self,
         query: RknntQuery,
         result: Vec<TransitionId>,
-        region: EntryRegion,
     ) -> SubscriptionId {
         let id = self.next_id;
         self.next_id += 1;
@@ -161,7 +143,6 @@ impl SubscriptionRegistry {
             Subscription {
                 query,
                 result,
-                region,
                 dirty: false,
             },
         );
@@ -194,26 +175,18 @@ impl SubscriptionRegistry {
     }
 
     /// Brings every live subscription up to date with one applied update:
-    /// transition ops are applied in place (emitting a delta when the result
-    /// changes), route changes are certified stable or mark the subscription
-    /// dirty (queued for batch re-execution). Subscriptions already dirty
-    /// are skipped outright — they will be re-executed against the final
-    /// stores anyway.
-    ///
-    /// The one store-dependent step goes through the [`Backing`]: the
-    /// route-removal survival certificate (a sharded backing ANDs its
-    /// per-shard certificates). It is *sound* on every backing (a `false`
-    /// survival is always safe), which keeps sharded and unsharded results
-    /// identical: a spuriously dirty subscription re-executes to an
-    /// unchanged result and emits nothing.
-    pub(crate) fn classify_update<B: Backing>(
+    /// transition ops are applied in place against the current `routes`
+    /// (emitting a delta when the result changes), a route change marks the
+    /// subscription dirty (queued for batch re-execution). Subscriptions
+    /// already dirty are skipped outright — they will be re-executed against
+    /// the final stores anyway.
+    pub(crate) fn classify_update(
         &mut self,
-        effect: &UpdateEffect<'_>,
-        backing: &B,
+        effect: UpdateEffect,
+        routes: &RouteStore,
         metrics: &ServiceMetrics,
         deltas: &mut Vec<SubscriptionDelta>,
     ) {
-        let routes = backing.routes();
         let (mut unaffected, mut stable, mut dirty) = (0u64, 0u64, 0u64);
         let scratch = &mut self.scratch;
         for (id, sub) in self.subs.iter_mut() {
@@ -230,14 +203,14 @@ impl SubscriptionRegistry {
                     // Exact in-place maintenance: qualification of every
                     // other transition depends only on routes, so the result
                     // gains or loses exactly this one id, or nothing.
-                    let changed = sub.region.replay(&mut sub.result, op, routes, scratch);
+                    let changed = replay(&sub.query, &mut sub.result, &op, routes, scratch);
                     match (op, changed) {
                         // A membership test was the whole work.
                         (TransitionOp::Expired(_), false) => unaffected += 1,
                         _ => stable += 1,
                     }
                     if changed {
-                        let (entered, left, reason) = match *op {
+                        let (entered, left, reason) = match op {
                             TransitionOp::Arrived { id, .. } => {
                                 (vec![id], Vec::new(), DeltaReason::TransitionArrived)
                             }
@@ -253,31 +226,9 @@ impl SubscriptionRegistry {
                         });
                     }
                 }
-                UpdateEffect::RouteInsert { mbr } => {
-                    if sub.region.survives_route_insert(mbr) {
-                        stable += 1;
-                    } else {
-                        sub.dirty = true;
-                        dirty += 1;
-                    }
-                }
-                UpdateEffect::RouteRemove {
-                    id: removed,
-                    points,
-                } => {
-                    let mut budget = SUB_REMOVAL_BUDGET;
-                    if backing.survives_route_remove(
-                        &sub.region,
-                        &sub.result,
-                        *removed,
-                        points,
-                        &mut budget,
-                    ) {
-                        stable += 1;
-                    } else {
-                        sub.dirty = true;
-                        dirty += 1;
-                    }
+                UpdateEffect::RouteChange => {
+                    sub.dirty = true;
+                    dirty += 1;
                 }
             }
         }
@@ -293,7 +244,6 @@ impl SubscriptionRegistry {
         &mut self,
         id: u64,
         new_result: Vec<TransitionId>,
-        region: EntryRegion,
         metrics: &ServiceMetrics,
         deltas: &mut Vec<SubscriptionDelta>,
     ) {
@@ -311,7 +261,6 @@ impl SubscriptionRegistry {
             .copied()
             .collect();
         sub.result = new_result;
-        sub.region = region;
         sub.dirty = false;
         metrics.subs_reexecuted.inc();
         if !entered.is_empty() || !left.is_empty() {
@@ -328,9 +277,7 @@ impl SubscriptionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rknnt_core::{FilterFootprint, RknntResult};
-    use rknnt_index::RouteStore;
-    use std::sync::Arc;
+    use rknnt_geo::Point;
 
     fn id(raw: u32) -> TransitionId {
         TransitionId(raw)
@@ -365,20 +312,15 @@ mod tests {
     fn registry_assigns_fresh_increasing_ids() {
         let mut registry = SubscriptionRegistry::default();
         let query = RknntQuery::exists(vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)], 1);
-        let footprint = FilterFootprint::compute(&RouteStore::default(), &query.route, query.k);
-        let region =
-            EntryRegion::record_with(&query, &RknntResult::default(), Arc::new(footprint), |_| {
-                None
-            });
-        let a = registry.insert(query.clone(), Vec::new(), region.clone());
-        let b = registry.insert(query.clone(), Vec::new(), region.clone());
+        let a = registry.insert(query.clone(), Vec::new());
+        let b = registry.insert(query.clone(), Vec::new());
         assert!(a.raw() < b.raw());
         assert_eq!(registry.len(), 2);
         assert!(registry.remove(a));
         assert!(!registry.remove(a), "double unsubscribe must fail");
         assert_eq!(registry.len(), 1);
         // Ids are never reused.
-        let c = registry.insert(query, Vec::new(), region);
+        let c = registry.insert(query, Vec::new());
         assert!(c.raw() > b.raw());
         assert_eq!(format!("{c}"), format!("sub#{}", c.raw()));
     }

@@ -7,7 +7,6 @@
 use crate::frontend::{Backing, Service};
 use crate::metrics::ServiceMetrics;
 use crate::monitor::SubscriptionDelta;
-use crate::region::EntryRegion;
 use rknnt_core::{prune_into_scratch, FilterSet, QueryScratch};
 use rknnt_geo::Point;
 use rknnt_index::{
@@ -82,28 +81,20 @@ pub struct UpdateStats {
     pub inserted_transitions: Vec<TransitionId>,
     /// Ids assigned to the inserted routes, in update order.
     pub inserted_routes: Vec<RouteId>,
-    /// Cached results dropped by this call: entries a route change could
-    /// have changed (region-scoped evictions plus entries lost to full
-    /// drops) or that had fallen off the transition journal when a route
-    /// change came to bring them current. Transition updates alone never
-    /// evict.
+    /// Cached results dropped by this call: every entry cached when a route
+    /// change applied. Transition updates alone never evict.
     pub evicted_entries: usize,
     /// Cached results still live when the call returned.
     pub retained_entries: usize,
-    /// Route removals that forced a full cache drop (the targeted scan's
-    /// work budget ran out before every entry was classified).
+    /// Full cache drops: one per applied route change, insert or removal.
     pub full_drops: usize,
-    /// Route removals handled by targeted eviction: every cached entry was
-    /// classified within budget and only the uncertifiable ones dropped.
-    pub targeted_route_removals: usize,
     /// (update, subscription) classifications that skipped a subscription
     /// with an exact constant-time test (degenerate query, or an expired
     /// transition outside the result).
     pub subs_unaffected: usize,
     /// (update, subscription) classifications that kept the subscription
-    /// without re-execution: a route change's `survives_*` certificate
-    /// passed, or an arrival / member expiry was applied in place (emitting
-    /// its delta when the result changed).
+    /// without re-execution: an arrival or a member expiry applied in place
+    /// (emitting its delta when the result changed).
     pub subs_stable: usize,
     /// (route change, subscription) classifications that marked the
     /// subscription dirty. Each subscription is marked at most once per
@@ -148,10 +139,6 @@ impl Backing for FlatStores {
         &self.routes
     }
 
-    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
-        self.transitions.get(id).map(|t| (t.origin, t.destination))
-    }
-
     fn prune(
         &self,
         scratch: &mut QueryScratch,
@@ -174,9 +161,8 @@ impl Backing for FlatStores {
         self.routes.insert_route(points)
     }
 
-    fn remove_route(&mut self, id: RouteId) -> Option<Vec<Point>> {
-        let points = self.routes.route_points(id).to_vec();
-        self.routes.remove_route(id).then_some(points)
+    fn remove_route(&mut self, id: RouteId) -> bool {
+        self.routes.remove_route(id)
     }
 
     fn export_state(&self) -> (RouteStoreState, TransitionStoreState) {
@@ -189,24 +175,6 @@ impl Backing for FlatStores {
         config: ServiceConfig,
     ) -> QueryService {
         QueryService::new(routes, transitions, config)
-    }
-
-    fn survives_route_remove(
-        &self,
-        region: &EntryRegion,
-        result: &[TransitionId],
-        removed: RouteId,
-        removed_points: &[Point],
-        budget: &mut usize,
-    ) -> bool {
-        region.survives_route_remove(
-            &self.routes,
-            &self.transitions,
-            result,
-            removed,
-            removed_points,
-            budget,
-        )
     }
 }
 

@@ -22,10 +22,10 @@
 //! tree *shape* never changes survival — the union of per-shard candidate
 //! sets equals the unsharded candidate set, and after identical per-endpoint
 //! verification against the planner the merged, sorted result is
-//! **byte-identical** to the unsharded service's. The same argument makes
-//! subscription delta streams identical: classification certificates are
-//! sound on both sides, and a spuriously dirty subscription re-executes to
-//! an unchanged result and emits nothing.
+//! **byte-identical** to the unsharded service's. Subscription delta streams
+//! are identical too: transition ops are applied in place against the same
+//! planner on both sides, and every route change re-executes through that
+//! same byte-identical pipeline.
 //!
 //! Placement therefore never changes an answer, which is what lets
 //! durability ignore it: the frontend logs updates in *global* form to one
@@ -38,7 +38,6 @@
 
 use crate::frontend::{Backing, Service};
 use crate::metrics::{RouterMetrics, ServiceMetrics};
-use crate::region::EntryRegion;
 use crate::service::ServiceConfig;
 use rknnt_core::{prune_into_scratch, FilterSet, QueryScratch};
 use rknnt_geo::{CellGrid, Point, Rect};
@@ -123,30 +122,11 @@ pub struct ShardSet {
 /// the enforcement).
 pub type ShardedService = Service<ShardSet>;
 
-/// Translates a global sorted result into a shard's local id space, keeping
-/// only the transitions the shard owns. `to_local` is monotone, so the
-/// output stays sorted.
-fn translate_result(space: &IdSpace, result: &[TransitionId]) -> Vec<TransitionId> {
-    result
-        .iter()
-        .filter_map(|t| space.to_local(t.raw()).map(TransitionId))
-        .collect()
-}
-
 impl Backing for ShardSet {
     type Config = ShardedConfig;
 
     fn routes(&self) -> &RouteStore {
         &self.planner
-    }
-
-    /// Resolves a global transition id through the directory.
-    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
-        let at = (*self.transition_dir.get(id.index())?)?;
-        self.shards[at.shard as usize]
-            .transitions
-            .get(TransitionId(at.local))
-            .map(|t| (t.origin, t.destination))
     }
 
     /// Prunes one routed query: each shard's TR-tree behind the root-MBR
@@ -258,9 +238,8 @@ impl Backing for ShardSet {
         self.planner.insert_route(points)
     }
 
-    fn remove_route(&mut self, id: RouteId) -> Option<Vec<Point>> {
-        let points = self.planner.route_points(id).to_vec();
-        self.planner.remove_route(id).then_some(points)
+    fn remove_route(&mut self, id: RouteId) -> bool {
+        self.planner.remove_route(id)
     }
 
     fn export_state(&self) -> (RouteStoreState, TransitionStoreState) {
@@ -289,33 +268,19 @@ impl Backing for ShardSet {
         let slots = slots.map(|slot| slot.map(|t| (t.origin, t.destination)));
         ShardedService::placed(config, routes, slots.collect())
     }
-
-    /// ANDs the per-shard certificates, each over the shard-local slice of
-    /// the result against the shard's own TR-tree, all drawing on the one
-    /// shared budget.
-    fn survives_route_remove(
-        &self,
-        region: &EntryRegion,
-        result: &[TransitionId],
-        removed: RouteId,
-        removed_points: &[Point],
-        budget: &mut usize,
-    ) -> bool {
-        self.shards.iter().all(|shard| {
-            let local_result = translate_result(&shard.l2g, result);
-            region.survives_route_remove(
-                &self.planner,
-                &shard.transitions,
-                &local_result,
-                removed,
-                removed_points,
-                budget,
-            )
-        })
-    }
 }
 
 impl ShardSet {
+    /// Endpoints of a live global transition id, resolved through the
+    /// directory; `None` for an unknown or expired id.
+    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
+        let at = (*self.transition_dir.get(id.index())?)?;
+        self.shards[at.shard as usize]
+            .transitions
+            .get(TransitionId(at.local))
+            .map(|t| (t.origin, t.destination))
+    }
+
     /// The endpoints behind every global transition id, in id order,
     /// resolved through the directory (`None` for an expired id).
     fn endpoint_slots(&self) -> impl Iterator<Item = Option<(Point, Point)>> + '_ {

@@ -575,42 +575,51 @@ fn transition_updates_never_touch_the_cache() {
     assert_eq!(service.cache_stats().misses, before.misses);
 }
 
-/// A route change first brings every entry current, so the removal test
-/// sees a journalled arrival as the member it is. Here the arrival
-/// qualifies only because k = 2 tolerates the one route that is closer to
-/// it than the query — the very route then withdrawn. Caught up, the entry
-/// holds the arrival and survives; not caught up, the removal test would
-/// find a live endpoint it cannot certify and evict the entry (still
-/// correct, but a recomputation the journal exists to avoid).
+/// Every route change drops the whole cache and re-executes every
+/// non-degenerate subscription — even a far insert and its removal, which
+/// change no answer: nothing is certified and kept. The unchanged results
+/// emit no delta, and every read behind the change is a recomputed miss
+/// equal to the mirror.
+///
+/// Mutation that fails it: a route change keeps the cache
+/// (`Service::applied` skips `cache.invalidate_all()`).
 #[test]
-fn a_route_removal_sees_pending_arrivals_as_members() {
+fn every_route_change_drops_the_cache_and_reexecutes_the_subscriptions() {
     let mut mirror = Mirror::new();
     let mut service = flat();
-    // The query's vertices box the spur in, so the spur is closer than the
-    // query only inside that box — where nothing lives but the arrival.
-    let query = RknntQuery::exists(
-        vec![p(34.0, 35.5), p(37.0, 35.5), p(37.0, 37.5), p(34.0, 37.5)],
-        2,
-    );
-    let spur = StoreUpdate::InsertRoute(vec![p(35.0, 36.5), p(36.0, 36.5)]);
-    mirror.apply(&spur);
-    let spur_id = service.apply_updates(vec![spur]).inserted_routes[0];
-    service.execute(&query);
-    assert_eq!(service.cache_len(), 1);
-
-    let arrive = arrival(p(35.4, 36.4), p(35.4, 36.4));
-    mirror.apply(&arrive);
-    let arrived = service.apply_updates(vec![arrive]).inserted_transitions[0];
-    assert!(mirror.answer(&query).contains(&arrived));
-
-    let withdraw = StoreUpdate::RemoveRoute(spur_id);
-    mirror.apply(&withdraw);
-    let stats = service.apply_updates(vec![withdraw]);
-    assert_eq!(stats.targeted_route_removals, 1);
-    assert_eq!(stats.evicted_entries, 0, "the caught-up entry survives");
-    let hits = service.cache_stats().hits;
-    let got = service.execute(&query).transitions;
-    assert_eq!(service.cache_stats().hits, hits + 1);
-    assert!(got.contains(&arrived));
-    assert_eq!(got, mirror.answer(&query));
+    let pool = pool();
+    let standing: Vec<SubscriptionId> = pool.iter().map(|q| service.subscribe(q.clone())).collect();
+    service.subscribe(RknntQuery::exists(Vec::new(), 2)); // degenerate
+    let mut change = |service: &mut QueryService, update: StoreUpdate, at: &str| {
+        for query in &pool[..CACHE_CAPACITY] {
+            service.execute(query);
+        }
+        let cached = service.cache_len();
+        assert_eq!(cached, CACHE_CAPACITY, "{at}");
+        mirror.apply(&update);
+        let stats = service.apply_updates(vec![update]);
+        assert_eq!(stats.full_drops, 1, "{at}");
+        assert_eq!(
+            (stats.evicted_entries, stats.retained_entries),
+            (cached, 0),
+            "{at}"
+        );
+        assert_eq!(service.cache_len(), 0, "{at}");
+        assert_eq!(stats.subs_dirty, pool.len(), "{at}");
+        assert_eq!(stats.subs_reexecuted, pool.len(), "{at}");
+        assert_eq!(stats.subs_unaffected, 1, "{at}: the degenerate one");
+        assert!(stats.deltas.is_empty(), "{at}: no answer changed");
+        let hits = service.cache_stats().hits;
+        for (query, id) in pool.iter().zip(&standing) {
+            let expected = mirror.answer(query);
+            assert_eq!(service.execute(query).transitions, expected, "{at}");
+            assert_eq!(service.standing(*id), expected, "{at}");
+        }
+        assert_eq!(service.cache_stats().hits, hits, "{at}: every read misses");
+        stats
+    };
+    let far = vec![p(5_000.0, 5_000.0), p(5_100.0, 5_000.0)];
+    let inserted = change(&mut service, StoreUpdate::InsertRoute(far), "far insert");
+    let id = inserted.inserted_routes[0];
+    change(&mut service, StoreUpdate::RemoveRoute(id), "far removal");
 }

@@ -9,7 +9,7 @@ use rknnt_core::{EngineKind, RknntQuery, Semantics};
 use rknnt_data::{workload, CityConfig, CityGenerator, TransitionConfig, TransitionGenerator};
 use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionStore};
-use rknnt_service::{QueryService, ServiceConfig, StoreUpdate};
+use rknnt_service::{QueryService, ServiceConfig};
 
 fn build_world(seed: u64, transitions: usize) -> (Vec<Vec<Point>>, RouteStore, TransitionStore) {
     let city = CityGenerator::new(CityConfig::small(seed)).generate();
@@ -115,9 +115,8 @@ fn shared_filters_and_coalescing_actually_trigger() {
 }
 
 /// Every fresh miss builds its filter once, in the frontend, and that one
-/// construction is shared by the `∀` twin and kept as the cached entries'
-/// footprint — on the default configuration, whatever the shape of the
-/// queries.
+/// construction is shared by the `∀` twin — on the default configuration,
+/// whatever the shape of the queries.
 #[test]
 fn the_default_service_builds_one_shared_filter_per_route_and_k() {
     let (query_routes, routes, transitions) = build_world(37, 1_500);
@@ -140,7 +139,7 @@ fn the_default_service_builds_one_shared_filter_per_route_and_k() {
     assert_eq!(stats.filter_constructions, n);
     assert_eq!(stats.filters_saved, 0);
 
-    let mut service = QueryService::new(routes, transitions, ServiceConfig::default());
+    let service = QueryService::new(routes, transitions, ServiceConfig::default());
     let mut twins = exists.clone();
     twins.extend(
         exists
@@ -152,20 +151,6 @@ fn the_default_service_builds_one_shared_filter_per_route_and_k() {
     assert_eq!(stats.filter_constructions, n);
     assert_eq!(stats.filters_saved, n);
     assert_eq!(service.cache_len(), 2 * n);
-
-    // Every cached entry carries a footprint (from those `n` constructions:
-    // nothing else was built): an entry without one never certifies a route
-    // removal and would be evicted by this one, however far away it is.
-    let far = vec![Point::new(5.0e7, 5.0e7), Point::new(5.0e7 + 100.0, 5.0e7)];
-    let inserted = service.apply_updates(vec![StoreUpdate::InsertRoute(far)]);
-    let removed =
-        service.apply_updates(vec![StoreUpdate::RemoveRoute(inserted.inserted_routes[0])]);
-    assert_eq!(removed.targeted_route_removals, 1);
-    assert_eq!(
-        (removed.evicted_entries, removed.retained_entries),
-        (0, 2 * n),
-        "an entry cached without a footprint"
-    );
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! service with live subscriptions must yield, after replaying the emitted
 //! deltas, result sets byte-identical to re-executing every subscription
 //! against a freshly built post-churn state — by each of the four engines,
-//! under both semantics. Nothing the monitor skips, certifies or maintains in
-//! place may ever diverge from brute re-execution.
+//! under both semantics. Nothing the monitor skips or maintains in place may
+//! ever diverge from brute re-execution.
 
 use rknnt_core::{EngineKind, RknntQuery, Semantics};
 use rknnt_data::{
@@ -219,8 +219,8 @@ fn monitored_churn_matches_fresh_state_brute_force() {
 }
 
 /// A hand-built world where every classification outcome is observable:
-/// unaffected skips, certified-stable keeps, in-place expiry deltas, and
-/// dirty re-execution.
+/// unaffected skips, stable in-place maintenance, in-place expiry deltas,
+/// and the dirty re-execution every route change causes.
 #[test]
 fn classification_outcomes_and_delta_reasons() {
     let mut routes = rknnt_index::RouteStore::default();
@@ -247,7 +247,8 @@ fn classification_outcomes_and_delta_reasons() {
     assert!(initial.contains(&near));
     assert!(!initial.contains(&far));
 
-    // 1. Far transition insert: certified stable, no delta.
+    // 1. Far transition insert: the admission kernel rejects it — stable,
+    //    no delta.
     let stats = service.apply_updates(vec![StoreUpdate::InsertTransition {
         origin: p(33.0, 299.0),
         destination: p(37.0, 301.0),
@@ -286,18 +287,19 @@ fn classification_outcomes_and_delta_reasons() {
     assert_eq!(stats.deltas[0].left, vec![near]);
     assert!(!service.subscription_result(sub).unwrap().contains(&near));
 
-    // 5. A far route insert: certified stable.
+    // 5. A far route insert: dirty and re-executed, and the unchanged result
+    //    emits no delta.
     let stats = service.apply_updates(vec![StoreUpdate::InsertRoute(
         (0..4).map(|i| p(300.0 + i as f64 * 10.0, 300.0)).collect(),
     )]);
-    assert_eq!(stats.subs_stable, 1);
+    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (1, 1));
     assert!(stats.deltas.is_empty());
 
-    // 6. Removing the far ladder rung: certified stable (no endpoint has it
-    //    strictly closer than the query).
+    // 6. Removing the far ladder rung (no endpoint has it strictly closer
+    //    than the query): the same.
     let stats = service.apply_updates(vec![StoreUpdate::RemoveRoute(rknnt_index::RouteId(7))]);
-    assert_eq!(stats.subs_stable, 1);
-    assert_eq!(stats.subs_reexecuted, 0);
+    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (1, 1));
+    assert!(stats.deltas.is_empty());
 
     // 7. Two routes laid through both endpoints of the arrival of step 2:
     //    the first dirties the subscription (the second skips it), one

@@ -116,11 +116,11 @@ fn resolve(
     }
 }
 
-/// Counts how many applied updates were route removals in this batch.
-fn count_removals(batch: &[StoreUpdate]) -> usize {
+/// Counts how many applied updates were route changes in this batch.
+fn count_route_changes(batch: &[StoreUpdate]) -> usize {
     batch
         .iter()
-        .filter(|u| matches!(u, StoreUpdate::RemoveRoute(_)))
+        .filter(|u| matches!(u, StoreUpdate::InsertRoute(_) | StoreUpdate::RemoveRoute(_)))
         .count()
 }
 
@@ -130,7 +130,7 @@ fn check_batch_invariants(
     batch_len: usize,
     pre_cache_len: usize,
     pre_results: &BTreeMap<SubscriptionId, Vec<TransitionId>>,
-    applied_removals: usize,
+    route_changes: usize,
 ) {
     let subs = service.subscriptions();
     // Every update either applied or was rejected.
@@ -143,11 +143,11 @@ fn check_batch_invariants(
         pre_cache_len,
         stats.evicted_entries + stats.retained_entries
     );
-    // Every applied route removal took exactly one of the two paths.
-    assert_eq!(
-        stats.full_drops + stats.targeted_route_removals,
-        applied_removals
-    );
+    // Every applied route change dropped the whole cache.
+    assert_eq!(stats.full_drops, route_changes);
+    if route_changes > 0 {
+        assert_eq!(stats.retained_entries, 0);
+    }
     // Subscription classification: each sub is dirtied at most once and
     // every dirtied sub is re-executed exactly once.
     assert_eq!(stats.subs_dirty, stats.subs_reexecuted);
@@ -224,10 +224,10 @@ proptest! {
             if !batched || pending.len() == 3 {
                 let batch = std::mem::take(&mut pending);
                 let batch_len = batch.len();
-                // Removal draws always come from the live-id list, so every
-                // generated removal applies — an independent ground truth
-                // for the full_drops/targeted split.
-                let removals = count_removals(&batch);
+                // Removal draws always come from the live-id list and route
+                // inserts are always valid, so every generated route change
+                // applies — an independent ground truth for full_drops.
+                let route_changes = count_route_changes(&batch);
                 let pre_cache_len = service.cache_len();
                 let pre_results = snapshot(&service);
                 let stats = service.apply_updates(batch);
@@ -237,7 +237,7 @@ proptest! {
                     batch_len,
                     pre_cache_len,
                     &pre_results,
-                    removals,
+                    route_changes,
                 );
                 live_transitions.extend(stats.inserted_transitions.iter().copied());
                 live_routes.extend(stats.inserted_routes.iter().copied());
@@ -246,7 +246,7 @@ proptest! {
         if !pending.is_empty() {
             let batch = std::mem::take(&mut pending);
             let batch_len = batch.len();
-            let removals = count_removals(&batch);
+            let route_changes = count_route_changes(&batch);
             let pre_cache_len = service.cache_len();
             let pre_results = snapshot(&service);
             let stats = service.apply_updates(batch);
@@ -256,7 +256,7 @@ proptest! {
                 batch_len,
                 pre_cache_len,
                 &pre_results,
-                removals,
+                route_changes,
             );
         }
 

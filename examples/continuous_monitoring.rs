@@ -8,9 +8,8 @@
 //! answers that did not change; [`QueryService::subscribe`] instead keeps
 //! each standing result current across [`QueryService::apply_updates`] —
 //! arriving and expiring transitions are admitted to or dropped from each
-//! result in place, and only a route change that cannot be certified
-//! harmless re-executes a query — and reports what changed as
-//! [`SubscriptionDelta`]s, each saying why.
+//! result in place, and only a route change re-executes the queries — and
+//! reports what changed as [`SubscriptionDelta`]s, each saying why.
 //!
 //! Run with `cargo run --release --example continuous_monitoring`.
 
@@ -106,7 +105,7 @@ fn main() {
     let classified = (unaffected + stable + reexecutions) as f64;
     println!(
         "\n{updates_applied} updates against {} subscriptions: \
-         {unaffected} unaffected, {stable} certified stable, \
+         {unaffected} unaffected, {stable} maintained in place, \
          {reexecutions} re-executed ({:.1}% of the re-run-all cost)",
         subs.len(),
         100.0 * reexecutions as f64 / classified.max(1.0),

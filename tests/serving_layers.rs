@@ -26,23 +26,19 @@
 //! Mutation checks — each of these edits must make this test fail (run when
 //! the maintenance code changes):
 //!
-//! * skip arrival replay (`EntryRegion::replay`, `Arrived` arm returns
-//!   `false` at once);
+//! * skip arrival replay (`replay` in `crates/service/src/journal.rs`,
+//!   `Arrived` arm returns `false` at once);
 //! * skip expiry replay (same function, `Expired` arm returns `false`);
 //! * skip the replay loop in `ResultCache::catch_up` alone (subscriptions
 //!   still right, cached answers stale);
 //! * `<=` instead of `<` in the admission kernel
 //!   (`rknnt_core::admits_transition` judging an endpoint by `count <= k`);
+//! * a route change keeps the cache (`Service::applied` skips
+//!   `cache.invalidate_all()`);
 //! * skip WAL replay of the tail on reopen (`Service::open` never calls
 //!   `service.replay(updates)`, so only the snapshot comes back).
-//!
-//! Skipping `ResultCache::catch_up_all` before a route change is *not* in
-//! the list: replaying after the change is sound (DESIGN.md, key invariant
-//! 7), so answers stay right and only evictions grow — pinned count-wise by
-//! `a_route_removal_sees_pending_arrivals_as_members` in
-//! `crates/service/tests/result_maintenance.rs`.
 
-use rknnt::core::{BruteForceEngine, FilterFootprint, RknnTEngine, RknntQuery, Semantics};
+use rknnt::core::{BruteForceEngine, RknnTEngine, RknntQuery, Semantics};
 use rknnt::fault::splitmix64;
 use rknnt::geo::{point_route_distance, Point};
 use rknnt::index::{RouteId, RouteStore, TransitionId, TransitionStore};
@@ -299,10 +295,8 @@ fn probe(rng: &mut Rng, model: &Model) -> [Op; 3] {
         .into_iter()
         .find(|id| !members.contains(id));
     // A point with exactly k live routes strictly closer than the query — a
-    // transition there is rejected, and would be admitted with one fewer —
-    // that the filter footprint does not certify, so the verdict is the
-    // admission kernel's own.
-    let footprint = FilterFootprint::compute(&route_store, &route, k);
+    // transition there is rejected by the admission kernel, and would be
+    // admitted with one fewer.
     let boundary = (0..400)
         .map(|_| p(rng.coord(1200.0), rng.coord(650.0)))
         .find(|u| {
@@ -310,7 +304,7 @@ fn probe(rng: &mut Rng, model: &Model) -> [Op; 3] {
             let closer = route_store
                 .routes()
                 .filter(|r| point_route_distance(u, &r.points) < to_query);
-            closer.count() == k && !footprint.covers_point(&route, u, k, |_| true)
+            closer.count() == k
         });
     let vertex = route[rng.below(route.len() as u64) as usize];
     let inside = p(
