@@ -331,7 +331,10 @@ impl Client {
     }
 
     /// Pipelining: receives the next query reply (answered or shed) with
-    /// its request id. Replies come back in admission order per connection.
+    /// its request id. Answers come back in request order per connection,
+    /// but a shed is written the moment it is decided, so an `Overloaded`
+    /// reply may overtake answers to earlier requests still queued — match
+    /// replies by id.
     pub fn recv_query_reply(&mut self) -> Result<(u64, Reply<Vec<TransitionId>>), ClientError> {
         match self.recv()? {
             Message::QueryOk { id, transitions } => Ok((id, Reply::Answered(transitions))),
@@ -443,8 +446,9 @@ impl Client {
 
     /// Health / resync probe: fetches the backend's applied-update
     /// watermark. Travels the full executor path (unlike
-    /// [`Client::introspect`]), so an answer proves the request pipeline is
-    /// live end to end.
+    /// [`Client::introspect`], and unlike a resident query, which the
+    /// connection's reader answers), so an answer proves the request
+    /// pipeline is live end to end.
     pub fn health(&mut self) -> Result<Reply<HealthStatus>, ClientError> {
         let id = self.fresh_id();
         self.send(&Message::Health { id })?;

@@ -14,13 +14,18 @@
 //!   global queue; a single executor thread drains it onto a [`Backend`]
 //!   ([`rknnt_service::QueryService`] or
 //!   [`rknnt_service::ShardedService`]), funnelling consecutive queries
-//!   through the batch path and pushing subscription deltas to their
-//!   owning connections. **Admission control** is the load-bearing part:
-//!   requests past the queue-capacity / queued-cost-budget /
+//!   through the batch path under a read lock, applying updates under the
+//!   write lock and pushing subscription deltas to their owning
+//!   connections. A query whose connection has nothing else in flight and
+//!   whose answer is resident in the cache is answered by the reader
+//!   itself, under the read lock, without crossing the executor.
+//!   **Admission control** is the load-bearing part, and every request
+//!   passes it: requests past the queue-capacity / queued-cost-budget /
 //!   per-connection-inflight limits are fast-failed with a typed
 //!   `Overloaded` reply — shed, never silently dropped — and every
-//!   decision lands in the `net.*` metrics (`net.admitted`, per-reason
-//!   `net.shed.*` counters, `net.queue_depth`, `net.request_ns`).
+//!   decision lands in the `net.*` metrics (`net.admitted`,
+//!   `net.reader_hits`, per-reason `net.shed.*` counters,
+//!   `net.queue_depth`, `net.request_ns`).
 //! * **Tracing + introspection** — requests tagged with a trace id get a
 //!   per-request span tree through admission, queueing, execution and the
 //!   backend's batch pipeline (down to per-shard routing decisions and WAL

@@ -4,21 +4,33 @@
 //! # Architecture
 //!
 //! One acceptor thread, one reader thread per connection, and a single
-//! executor thread that owns the [`Backend`]:
+//! executor thread; the [`Backend`] sits between them behind a read-write
+//! lock:
 //!
 //! * **Readers** decode frames, estimate each request's cost
 //!   ([`crate::protocol::estimate_cost`]) and run the admission decision.
-//!   Admitted requests enter a bounded global queue; shed requests are
-//!   answered with a typed [`Message::Overloaded`] reply *immediately, from
-//!   the reader thread* — a shed costs one frame write, never a queue slot,
-//!   and is never silently dropped.
+//!   Shed requests are answered with a typed [`Message::Overloaded`] reply
+//!   *immediately, from the reader thread* — a shed costs one frame write,
+//!   never a queue slot, and is never silently dropped. An admitted query
+//!   whose connection has nothing else in flight is looked up by the
+//!   reader under the read lock, holding its reserved queue slot meanwhile:
+//!   a resident answer (a cache hit brought current by journal replay) is
+//!   written by the reader, a miss takes the slot in the queue. Every other
+//!   admitted request enters the bounded global queue.
 //! * The **executor** drains the queue in FIFO order up to
 //!   [`ServerConfig::max_batch`] jobs at a time, funnels consecutive query
-//!   runs through one `execute_batch` call (the service parallelizes
-//!   internally across its worker pool), applies control operations
-//!   (subscribe / unsubscribe / updates) serially at their queue position,
-//!   and pushes [`Message::Delta`] frames to subscribed connections after
-//!   every update batch.
+//!   runs through one `execute_batch` call under the read lock (the service
+//!   parallelizes internally across its worker pool), applies control
+//!   operations (subscribe / unsubscribe / updates) serially at their queue
+//!   position under the write lock, and pushes [`Message::Delta`] frames to
+//!   subscribed connections after every update batch, before releasing it.
+//!
+//! A request stays in flight until every frame it causes — its reply, and
+//! for an update its deltas — is written. An idle connection therefore has
+//! every earlier reply on the wire, so a reader-written answer keeps the
+//! per-connection reply order and read-your-writes; and the read lock keeps
+//! every mutation out while the answer is looked up, so it is the very
+//! answer the executor's batch would return.
 //!
 //! # Admission policy
 //!
@@ -34,11 +46,15 @@
 //!   admitted-but-unanswered requests (one greedy pipeliner cannot starve
 //!   the fleet).
 //!
-//! Every decision lands in the metrics registry: a `net.admitted` counter,
-//! per-reason shed counters (`net.shed.queue_full` / `net.shed.cost_budget`
-//! / `net.shed.inflight`), a `net.queue_depth` gauge, and a
-//! `net.request_ns` latency histogram over admitted requests (admission to
-//! reply write).
+//! The queue depth and queued cost include the slots reserved by lookups in
+//! progress, so both limits stay exact bounds. Resident answers pass the
+//! same decision: a hit is admitted like any other request.
+//!
+//! Every decision lands in the metrics registry: a `net.admitted` counter
+//! (of which `net.reader_hits` were answered by the reader), per-reason
+//! shed counters (`net.shed.queue_full` / `net.shed.cost_budget` /
+//! `net.shed.inflight`), a `net.queue_depth` gauge, and a `net.request_ns`
+//! latency histogram over admitted requests (admission to reply write).
 //!
 //! # Request tracing and introspection
 //!
@@ -48,7 +64,9 @@
 //! per-request span tree: a `request` root with `admission`, `queue` and
 //! `execute` children recorded here, and the backend's `batch` / phase /
 //! `worker` / `group` / `shard` / `wal_append` spans below the `execute`
-//! span. Completed traces feed a [`SlowQueryLog`]; those over
+//! span. A resident answer never queued, so its tree is `request` →
+//! `admission`, `execute` → `cache_lookup`. Completed traces feed a
+//! [`SlowQueryLog`]; those over
 //! [`ServerConfig::slow_query_threshold_ns`] are retained with their full
 //! tree. [`Message::Introspect`] fetches metrics or slow queries remotely —
 //! it is answered *from the reader thread*, so introspection works even
@@ -74,7 +92,7 @@ use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -96,6 +114,13 @@ pub enum Backend {
 }
 
 impl Backend {
+    fn lookup(&self, query: &RknntQuery, trace: TraceCursor<'_>) -> Option<RknntResult> {
+        match self {
+            Backend::Single(s) => s.lookup(query, trace),
+            Backend::Sharded(s) => s.lookup(query, trace),
+        }
+    }
+
     fn execute_batch_traced(
         &self,
         queries: &[RknntQuery],
@@ -160,9 +185,9 @@ impl Backend {
     }
 
     /// A live handle to the backend's metric registry, for answering
-    /// `Introspect { Metrics }` from the reader threads after the backend
-    /// itself has moved into the executor. Registry clones share the
-    /// underlying cells, so the handle stays current.
+    /// `Introspect { Metrics }` from the reader threads without touching
+    /// the backend lock. Registry clones share the underlying cells, so the
+    /// handle stays current.
     fn introspection_registry(&self) -> MetricsRegistry {
         match self {
             Backend::Single(s) => s.metrics().registry().clone(),
@@ -273,6 +298,7 @@ struct NetMetrics {
     connections_closed: Counter,
     deltas_pushed: Counter,
     subscriptions_reclaimed: Counter,
+    reader_hits: Counter,
 }
 
 impl NetMetrics {
@@ -288,6 +314,7 @@ impl NetMetrics {
         let connections_closed = registry.counter("net.connections_closed");
         let deltas_pushed = registry.counter("net.deltas_pushed");
         let subscriptions_reclaimed = registry.counter("net.subscriptions_reclaimed");
+        let reader_hits = registry.counter("net.reader_hits");
         NetMetrics {
             registry: Mutex::new(registry),
             admitted,
@@ -300,6 +327,7 @@ impl NetMetrics {
             connections_closed,
             deltas_pushed,
             subscriptions_reclaimed,
+            reader_hits,
         }
     }
 
@@ -310,12 +338,15 @@ impl NetMetrics {
 }
 
 /// Per-connection shared state. The writer half is a `try_clone` of the
-/// socket behind a mutex, so reply writes from the reader thread (sheds)
-/// and the executor (answers, delta pushes) interleave at frame
-/// granularity.
+/// socket behind a mutex, so reply writes from the reader thread (sheds,
+/// resident answers) and the executor (queued answers, delta pushes)
+/// interleave at frame granularity.
 struct Conn {
     id: u64,
     writer: Mutex<TcpStream>,
+    /// Admitted requests not yet [`finish`]ed — a request finishes only
+    /// after every frame it causes is written, so 0 means every earlier
+    /// request of this connection is fully answered.
     inflight: AtomicU64,
     /// Armed failpoints for the outgoing-frame path ([`SERVER_WRITE_SITE`]).
     failpoints: Option<Arc<Failpoints>>,
@@ -367,8 +398,9 @@ enum Work {
 
 /// The span bookkeeping for one sampled request, threaded from admission
 /// (where the root opens) through the executor (where `queue` ends and
-/// `execute` brackets the backend call) to the reply write (where the root
-/// closes and the completed trace feeds the slow-query log).
+/// `execute` brackets the backend call) — or through the reader's resident
+/// lookup, which has no `queue` — to the reply write (where the root closes
+/// and the completed trace feeds the slow-query log).
 struct RequestTrace {
     ctx: TraceContext,
     root: SpanId,
@@ -377,7 +409,20 @@ struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// Ends the `queue` span and opens `execute`.
+    /// Opens the `queue` span the executor closes when it picks the job up.
+    fn start_queue(&mut self) {
+        self.queue = Some(TraceCursor::new(&self.ctx, self.root).begin("queue"));
+    }
+
+    /// Takes back the `execute` span of a resident lookup that missed: the
+    /// request queues instead.
+    fn abandon_execute(&mut self) {
+        if let Some(execute) = self.execute.take() {
+            self.ctx.discard_span(execute);
+        }
+    }
+
+    /// Ends the `queue` span (if any) and opens `execute`.
     fn start_execute(&mut self) {
         let root = TraceCursor::new(&self.ctx, self.root);
         if let Some(queue) = self.queue.take() {
@@ -418,13 +463,38 @@ struct Job {
 #[derive(Default)]
 struct QueueState {
     jobs: VecDeque<Job>,
+    /// Slots held by admitted queries whose reader is looking their answer
+    /// up; a hit returns its slot, a miss turns it into a queued job.
+    reserved: usize,
+    /// Summed cost of the queued jobs and the reserved slots.
     cost: u64,
     open: bool,
+}
+
+impl QueueState {
+    /// Slots taken against [`ServerConfig::queue_capacity`].
+    fn depth(&self) -> usize {
+        self.jobs.len() + self.reserved
+    }
+
+    /// Empties the queue of a dead server, leaving the reserved slots and
+    /// their cost to the readers that hold them.
+    fn drain(&mut self) -> VecDeque<Job> {
+        let jobs = std::mem::take(&mut self.jobs);
+        self.cost -= jobs.iter().map(|job| job.cost).sum::<u64>();
+        jobs
+    }
 }
 
 struct Shared {
     config: ServerConfig,
     metrics: NetMetrics,
+    /// The service. The executor holds the read lock while it runs a query
+    /// batch and the write lock while it applies a control operation
+    /// (mutations, and the frames they cause); readers hold the read lock
+    /// for a resident lookup only, never across a socket write. `None` once
+    /// [`Server::stop`] has taken it out.
+    backend: RwLock<Option<Backend>>,
     queue: Mutex<QueueState>,
     ready: Condvar,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
@@ -444,13 +514,29 @@ struct Shared {
     registry: MetricsRegistry,
 }
 
+impl Shared {
+    /// Runs `f` on the backend under the read lock — the executor's side of
+    /// a query batch, which resident lookups may share.
+    fn with_backend<R>(&self, f: impl FnOnce(&Backend) -> R) -> R {
+        let backend = self.backend.read().expect("backend lock poisoned");
+        f(backend.as_ref().expect("the backend outlives the executor"))
+    }
+
+    /// Runs `f` on the backend under the write lock — a control operation,
+    /// and every frame it causes, excludes every resident lookup.
+    fn with_backend_mut<R>(&self, f: impl FnOnce(&mut Backend) -> R) -> R {
+        let mut backend = self.backend.write().expect("backend lock poisoned");
+        f(backend.as_mut().expect("the backend outlives the executor"))
+    }
+}
+
 /// A running server. Dropping it (or calling [`Server::stop`]) shuts the
 /// listener, wakes and joins the executor, and severs every connection.
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    executor: Option<JoinHandle<Backend>>,
+    executor: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -462,9 +548,6 @@ impl Server {
         }
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        // The introspection handle must be captured *before* the backend
-        // moves into the executor thread: reader threads answer `Introspect`
-        // directly from it.
         let registry = backend.introspection_registry();
         let slow_log = Arc::new(SlowQueryLog::new(
             config.slow_query_threshold_ns,
@@ -473,6 +556,7 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             metrics: NetMetrics::new(),
+            backend: RwLock::new(Some(backend)),
             queue: Mutex::new(QueueState {
                 open: true,
                 ..QueueState::default()
@@ -496,7 +580,7 @@ impl Server {
             .name("rknnt-net-exec".into())
             .spawn({
                 let shared = Arc::clone(&shared);
-                move || executor_loop(backend, shared)
+                move || executor_loop(&shared)
             })?;
         Ok(Server {
             shared,
@@ -511,7 +595,8 @@ impl Server {
         self.addr
     }
 
-    /// Requests admitted to the queue so far.
+    /// Requests admitted so far: queued ones and resident queries answered
+    /// by their connection's reader alike.
     pub fn admitted(&self) -> u64 {
         self.shared.metrics.admitted.get()
     }
@@ -592,7 +677,20 @@ impl Server {
             .take()
             .expect("executor already joined")
             .join()
-            .expect("executor thread panicked")
+            .expect("executor thread panicked");
+        self.take_backend().expect("the backend is taken once")
+    }
+
+    /// Takes the backend out of the shared state; a reader that looks a
+    /// query up afterwards finds nothing resident, and the closed queue
+    /// refuses the query. A lock poisoned by a contained executor panic
+    /// still yields the backend, half-applied batch and all.
+    fn take_backend(&self) -> Option<Backend> {
+        self.shared
+            .backend
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 
     fn halt(&mut self) {
@@ -624,6 +722,9 @@ impl Drop for Server {
         if let Some(handle) = self.executor.take() {
             let _ = handle.join();
         }
+        // Readers are detached and keep `Shared` alive until they notice
+        // the severed sockets; the backend (and its storage) goes now.
+        drop(self.take_backend());
     }
 }
 
@@ -763,7 +864,7 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>, shared: Arc<Shared>) {
 }
 
 /// Builds the reply to an [`Message::Introspect`] request from the shared
-/// handles (never from the backend itself, which the executor owns).
+/// handles (never from the backend itself, so no lock is taken).
 fn introspect(shared: &Shared, what: IntrospectWhat) -> IntrospectReport {
     match what {
         IntrospectWhat::Metrics => {
@@ -796,9 +897,9 @@ fn wire_trace(msg: &Message) -> Option<u64> {
 }
 
 /// Opens the span tree for a tagged request that passes the head sampler:
-/// a `request` root, a closed `admission` marker carrying the admission
-/// inputs, and an open `queue` span the executor will close when it picks
-/// the job up.
+/// a `request` root and a closed `admission` marker carrying the admission
+/// inputs. A queued request adds `queue` ([`RequestTrace::start_queue`]), a
+/// resident lookup `execute` ([`RequestTrace::start_execute`]).
 fn begin_request_trace(
     shared: &Shared,
     msg: &Message,
@@ -811,50 +912,67 @@ fn begin_request_trace(
     }
     let ctx = TraceContext::begin(id, shared.telemetry.clone());
     let root = ctx.begin_span("request", SpanId::NONE);
-    let cursor = TraceCursor::new(&ctx, root);
-    cursor.record(
+    TraceCursor::new(&ctx, root).record(
         "admission",
         0,
         &[("cost", cost), ("queue_depth", queue_depth)],
     );
-    let queue = cursor.begin("queue");
     Some(RequestTrace {
         ctx,
         root,
-        queue: Some(queue),
+        queue: None,
         execute: None,
     })
 }
 
+/// Answer-or-close: a request that arrives after the queue closed gets a
+/// typed refusal, never silence.
+fn refuse(shared: &Shared, conn: &Conn, id: u64) {
+    let reason = shared
+        .dead
+        .lock()
+        .expect("dead poisoned")
+        .clone()
+        .unwrap_or_else(|| "server is shutting down".into());
+    let _ = conn.send(&Message::Error {
+        id,
+        message: format!("request refused: {reason}"),
+    });
+}
+
+/// Queues an admitted job, whose cost is already counted, and wakes the
+/// executor.
+fn enqueue(shared: &Shared, mut state: MutexGuard<'_, QueueState>, mut job: Job) {
+    if let Some(rt) = &mut job.trace {
+        rt.start_queue();
+    }
+    state.jobs.push_back(job);
+    shared.metrics.queue_depth.set(state.jobs.len() as u64);
+    drop(state);
+    shared.ready.notify_one();
+}
+
 /// The admission decision. Runs on the reader thread so a shed never
 /// touches the executor: the reply is written straight back and the request
-/// never occupies a queue slot.
+/// never occupies a queue slot. An admitted query whose connection has
+/// nothing else in flight is looked up right here ([`answer_resident`]);
+/// every other admitted request is queued.
 fn admit(shared: &Shared, conn: &Arc<Conn>, msg: Message) {
     let cost = estimate_cost(&msg);
     let id = msg.request_id();
     let mut state = shared.queue.lock().expect("queue poisoned");
     if !state.open {
         drop(state);
-        // Answer-or-close: a request that arrives after the queue closed
-        // gets a typed refusal, never silence.
-        let reason = shared
-            .dead
-            .lock()
-            .expect("dead poisoned")
-            .clone()
-            .unwrap_or_else(|| "server is shutting down".into());
-        let _ = conn.send(&Message::Error {
-            id,
-            message: format!("request refused: {reason}"),
-        });
+        refuse(shared, conn, id);
         return;
     }
-    let over_capacity = state.jobs.len() >= shared.config.queue_capacity;
+    let inflight = conn.inflight.load(Ordering::Acquire);
+    let over_capacity = state.depth() >= shared.config.queue_capacity;
     let over_budget = state.cost.saturating_add(cost) > shared.config.cost_budget;
-    let over_inflight = conn.inflight.load(Ordering::Acquire) >= shared.config.per_conn_inflight;
+    let over_inflight = inflight >= shared.config.per_conn_inflight;
     if over_capacity || over_budget || over_inflight {
         let info = OverloadInfo {
-            queue_depth: state.jobs.len() as u64,
+            queue_depth: state.depth() as u64,
             queue_cost: state.cost,
             estimated_cost: cost,
             cost_budget: shared.config.cost_budget,
@@ -872,20 +990,78 @@ fn admit(shared: &Shared, conn: &Arc<Conn>, msg: Message) {
         let _ = conn.send(&Message::Overloaded { id, info });
         return;
     }
-    let trace = begin_request_trace(shared, &msg, cost, state.jobs.len() as u64);
-    state.cost += cost;
-    state.jobs.push_back(Job {
+    let resident = inflight == 0 && matches!(msg, Message::Query { .. });
+    let job = Job {
         conn: Arc::clone(conn),
+        trace: begin_request_trace(shared, &msg, cost, state.depth() as u64),
         work: Work::Request(msg),
         cost,
         accepted_at: Instant::now(),
-        trace,
-    });
-    shared.metrics.queue_depth.set(state.jobs.len() as u64);
+    };
+    state.cost += cost;
     conn.inflight.fetch_add(1, Ordering::AcqRel);
-    drop(state);
     shared.metrics.admitted.inc();
-    shared.ready.notify_one();
+    if resident {
+        state.reserved += 1;
+        drop(state);
+        answer_resident(shared, job);
+    } else {
+        enqueue(shared, state, job);
+    }
+}
+
+/// The reader path of an admitted query on an idle connection, which holds
+/// a reserved queue slot: a resident answer is written right here and the
+/// slot returned; on a miss the slot becomes the queued job. Nothing else of
+/// this connection is in flight, so the reply cannot overtake an earlier
+/// one, and the read lock keeps every mutation out while the answer is
+/// looked up.
+fn answer_resident(shared: &Shared, mut job: Job) {
+    let Work::Request(Message::Query { id, query, .. }) = &job.work else {
+        unreachable!("only queries are looked up");
+    };
+    let id = *id;
+    if let Some(rt) = &mut job.trace {
+        rt.start_execute();
+    }
+    let cursor = job
+        .trace
+        .as_ref()
+        .map_or(TraceCursor::NONE, RequestTrace::execute_cursor);
+    // A poisoned lock or a taken backend is "not resident": the request
+    // falls through to the queue, which refuses once it is closed.
+    let answer = match shared.backend.read() {
+        Ok(backend) => backend.as_ref().and_then(|b| b.lookup(query, cursor)),
+        Err(_) => None,
+    };
+    let mut state = shared.queue.lock().expect("queue poisoned");
+    state.reserved -= 1;
+    let Some(result) = answer else {
+        if let Some(rt) = &mut job.trace {
+            rt.abandon_execute();
+        }
+        if state.open {
+            enqueue(shared, state, job);
+        } else {
+            state.cost -= job.cost;
+            drop(state);
+            refuse(shared, &job.conn, id);
+            finish(shared, &job.conn, job.accepted_at);
+        }
+        return;
+    };
+    state.cost -= job.cost;
+    drop(state);
+    shared.metrics.reader_hits.inc();
+    // Finish the trace *before* the reply leaves, as the executor does.
+    if let Some(rt) = job.trace.take() {
+        rt.finish(shared);
+    }
+    let _ = job.conn.send(&Message::QueryOk {
+        id,
+        transitions: result.transitions,
+    });
+    finish(shared, &job.conn, job.accepted_at);
 }
 
 /// Executor state for live subscriptions: wire handle → owning connection
@@ -896,7 +1072,7 @@ struct SubscriptionTable {
     by_conn: HashMap<u64, Vec<u64>>,
 }
 
-fn executor_loop(mut backend: Backend, shared: Arc<Shared>) -> Backend {
+fn executor_loop(shared: &Shared) {
     let mut subs = SubscriptionTable::default();
     let mut batch: Vec<Job> = Vec::new();
     // Update records applied this process lifetime — the health watermark
@@ -908,7 +1084,7 @@ fn executor_loop(mut backend: Backend, shared: Arc<Shared>) -> Backend {
             let mut state = shared.queue.lock().expect("queue poisoned");
             while state.jobs.is_empty() {
                 if !state.open {
-                    return backend;
+                    return;
                 }
                 state = shared.ready.wait(state).expect("queue poisoned");
             }
@@ -926,9 +1102,9 @@ fn executor_loop(mut backend: Backend, shared: Arc<Shared>) -> Backend {
             .as_ref()
             .and_then(|fp| fp.hit(SERVER_EXECUTOR_SITE));
         if matches!(injected, Some(FaultAction::Kill)) {
-            kill_server(&shared, "injected kill at net.server.executor");
+            kill_server(shared, "injected kill at net.server.executor");
             batch.clear();
-            return backend;
+            return;
         }
         if let Some(FaultAction::Delay { nanos }) = &injected {
             // An injected stall: the batch is delayed wholesale, exactly
@@ -948,21 +1124,15 @@ fn executor_loop(mut backend: Backend, shared: Arc<Shared>) -> Backend {
             if let Some(FaultAction::Panic { message }) = &injected {
                 panic!("{}", message.clone());
             }
-            process_batch(
-                &mut backend,
-                &shared,
-                &mut subs,
-                &mut batch,
-                &mut applied_records,
-            );
+            process_batch(shared, &mut subs, &mut batch, &mut applied_records);
         }));
         if let Err(payload) = outcome {
-            executor_panicked(&shared, &pending, payload);
+            executor_panicked(shared, &pending, payload);
             batch.clear();
             // The backend may hold a half-applied batch; it goes back to the
             // caller (via `Server::stop`) for inspection, but serves no
             // further traffic.
-            return backend;
+            return;
         }
     }
 }
@@ -1006,11 +1176,10 @@ fn executor_panicked(
         });
     }
     // Close the queue and answer everything still in it, FIFO order.
-    let drained: Vec<Job> = {
+    let drained = {
         let mut state = shared.queue.lock().expect("queue poisoned");
         state.open = false;
-        state.cost = 0;
-        state.jobs.drain(..).collect()
+        state.drain()
     };
     for job in &drained {
         if let Work::Request(msg) = &job.work {
@@ -1047,8 +1216,7 @@ fn kill_server(shared: &Shared, reason: &str) {
     {
         let mut state = shared.queue.lock().expect("queue poisoned");
         state.open = false;
-        state.cost = 0;
-        state.jobs.clear();
+        state.drain();
     }
     shared.ready.notify_all();
     let _ = TcpStream::connect(shared.addr);
@@ -1064,7 +1232,6 @@ fn kill_server(shared: &Shared, reason: &str) {
 /// queries through a single `execute_batch` call so the service's grouping
 /// and worker pool see them together.
 fn process_batch(
-    backend: &mut Backend,
     shared: &Shared,
     subs: &mut SubscriptionTable,
     batch: &mut Vec<Job>,
@@ -1086,27 +1253,29 @@ fn process_batch(
                     })
                 );
                 if !next_is_query {
-                    flush_queries(backend, shared, &mut queries, &mut query_meta);
+                    flush_queries(shared, &mut queries, &mut query_meta);
                 }
             }
-            Work::Request(msg) => handle_control(
-                backend,
-                shared,
-                subs,
-                &job.conn,
-                msg,
-                job.accepted_at,
-                job.trace,
-                applied_records,
-            ),
-            Work::Disconnect => {
+            Work::Request(msg) => shared.with_backend_mut(|backend| {
+                handle_control(
+                    backend,
+                    shared,
+                    subs,
+                    &job.conn,
+                    msg,
+                    job.accepted_at,
+                    job.trace,
+                    applied_records,
+                )
+            }),
+            Work::Disconnect => shared.with_backend_mut(|backend| {
                 for raw in subs.by_conn.remove(&job.conn.id).unwrap_or_default() {
                     if let Some((_, sid)) = subs.by_raw.remove(&raw) {
                         backend.unsubscribe(sid);
                         shared.metrics.subscriptions_reclaimed.inc();
                     }
                 }
-            }
+            }),
         }
     }
 }
@@ -1115,12 +1284,7 @@ fn process_batch(
 /// request id, admission time, and the request's trace (if sampled).
 type QueryMeta = (Arc<Conn>, u64, Instant, Option<RequestTrace>);
 
-fn flush_queries(
-    backend: &Backend,
-    shared: &Shared,
-    queries: &mut Vec<RknntQuery>,
-    meta: &mut Vec<QueryMeta>,
-) {
+fn flush_queries(shared: &Shared, queries: &mut Vec<RknntQuery>, meta: &mut Vec<QueryMeta>) {
     if queries.is_empty() {
         return;
     }
@@ -1137,7 +1301,8 @@ fn flush_queries(
         .iter()
         .find_map(|(_, _, _, trace)| trace.as_ref())
         .map_or(TraceCursor::NONE, RequestTrace::execute_cursor);
-    let (results, _stats) = backend.execute_batch_traced(queries, batch_cursor);
+    let (results, _stats) =
+        shared.with_backend(|backend| backend.execute_batch_traced(queries, batch_cursor));
     for ((conn, id, accepted_at, trace), result) in meta.drain(..).zip(results) {
         // Finish the trace *before* the reply leaves: a client that has its
         // answer can immediately introspect and find the promoted trace.

@@ -1,15 +1,18 @@
 //! Serving-edge invariants: answers over TCP are byte-identical to
 //! in-process execution (for both backends), subscription deltas stream to
 //! the owning connection, admission control sheds with a typed reply and
-//! never silently drops a request, and hostile bytes on the wire get a
-//! typed error instead of undefined behaviour.
+//! never silently drops a request, hostile bytes on the wire get a typed
+//! error instead of undefined behaviour, and a resident answer written by
+//! the connection's reader skips the executor without reordering replies
+//! or miscounting.
 
 use rknnt_core::{RknntQuery, Semantics};
+use rknnt_fault::FaultPlan;
 use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionStore};
 use rknnt_net::{
-    Backend, Client, IntrospectReport, IntrospectWhat, Message, Reply, Server, ServerConfig,
-    WireSlowQuery,
+    Backend, Client, ClientConfig, ClientError, IntrospectReport, IntrospectWhat, Message, Reply,
+    Server, ServerConfig, WireSlowQuery, SERVER_EXECUTOR_SITE,
 };
 use rknnt_service::{
     QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig, StoreUpdate,
@@ -632,4 +635,281 @@ fn disconnect_reclaims_subscriptions_before_later_updates() {
         0,
         "a dead connection's subscription must not generate pushes"
     );
+}
+
+/// Every counter of the server and its backend, read over the wire.
+fn counters(client: &mut Client) -> BTreeMap<String, u64> {
+    let IntrospectReport::Metrics { text } = client.introspect(IntrospectWhat::Metrics).unwrap()
+    else {
+        panic!("asked for Metrics, got something else");
+    };
+    text.lines()
+        .filter_map(|line| {
+            let mut words = line.split_whitespace();
+            let name = words.next()?.strip_prefix("counter=")?;
+            let value = words.next()?.strip_prefix("value=")?.parse().ok()?;
+            Some((name.to_string(), value))
+        })
+        .collect()
+}
+
+/// How much each named counter grew between two readings.
+fn grew(before: &BTreeMap<String, u64>, after: &BTreeMap<String, u64>, name: &str) -> u64 {
+    after[name] - before[name]
+}
+
+/// Blocks until `n` admitted requests have finished — each one's
+/// connection-inflight count is back down — without sleeping: the
+/// latency sample is recorded right after the decrement.
+fn await_finished(server: &Server, n: u64) {
+    while server.request_latency().count() < n {
+        std::thread::yield_now();
+    }
+}
+
+/// A resident answer skips the executor: with the executor's second drain
+/// stalled for 400 ms, a health probe (which crosses the executor) times
+/// out at 40 ms, while the query warmed by the first drain is answered on
+/// a fresh connection inside the same 40 ms. Through the queue, the query
+/// would wait out the stall and time out too.
+///
+/// Mutation that fails it: in `admit`, never take the reader path
+/// (`let resident = false`) — the re-sent query times out.
+#[test]
+fn a_resident_answer_skips_a_stalled_executor() {
+    let stall = Duration::from_millis(400).as_nanos() as u64;
+    let fp = FaultPlan::new(0x57A1)
+        .delay(SERVER_EXECUTOR_SITE, 2, stall)
+        .arm();
+    let server = Server::start(
+        single_backend(ServiceConfig::default()),
+        ServerConfig::default().with_failpoints(fp),
+    )
+    .unwrap();
+    let bounded = || {
+        Client::connect_with(
+            server.local_addr(),
+            ClientConfig::default().with_read_timeout(Duration::from_millis(40)),
+        )
+        .unwrap()
+    };
+    let query = &query_mix()[0];
+    let mut warmer = Client::connect(server.local_addr()).unwrap();
+    let warm = warmer.query(query).unwrap().answered().unwrap();
+
+    let mut prober = bounded();
+    let err = prober.health().unwrap_err();
+    assert!(
+        matches!(err, ClientError::Timeout),
+        "the health probe must wait out the stalled drain, got {err:?}"
+    );
+    let mut reader = bounded();
+    match reader.query(query) {
+        Ok(Reply::Answered(transitions)) => assert_eq!(transitions, warm),
+        other => panic!("a resident answer must not wait for the executor, got {other:?}"),
+    }
+    assert_eq!(counters(&mut reader)["net.reader_hits"], 1);
+}
+
+/// Pipelined on one raw connection, an update whose arrival enters Q's
+/// answer (Q subscribed) and then Q itself: the replies come back in
+/// request order with the delta between them, Q's answer is the twin's
+/// post-update answer, and Q re-sent on the now-idle connection — answered
+/// by the reader — is the twin's answer again.
+#[test]
+fn a_pipelined_update_then_query_keeps_frame_order_and_reads_its_write() {
+    let config = ServiceConfig::default();
+    let server = Server::start(single_backend(config), ServerConfig::default()).unwrap();
+    let (routes, pairs) = small_world();
+    let (route_store, transition_store) = stores(&routes, &pairs);
+    let mut twin = QueryService::new(route_store, transition_store, config);
+
+    let standing = RknntQuery::exists(vec![p(0.0, 40.0), p(600.0, 40.0), p(1200.0, 40.0)], 2);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut buf = Vec::new();
+    let mut next = |stream: &mut TcpStream| {
+        rknnt_net::protocol::read_frame(stream, &mut buf)
+            .unwrap()
+            .expect("the server closed the connection");
+        Message::decode(&buf).unwrap()
+    };
+    let send = |stream: &mut TcpStream, msg: Message| {
+        rknnt_net::protocol::write_frame(stream, &msg.encode()).unwrap();
+    };
+    let query = |id: u64| Message::Query {
+        id,
+        query: standing.clone(),
+        trace: None,
+    };
+
+    send(
+        &mut stream,
+        Message::Subscribe {
+            id: 1,
+            query: standing.clone(),
+        },
+    );
+    let Message::SubscribeOk { subscription, .. } = next(&mut stream) else {
+        panic!("wanted SubscribeOk");
+    };
+    let twin_sub = twin.subscribe(standing.clone());
+    send(&mut stream, query(2));
+    assert!(matches!(next(&mut stream), Message::QueryOk { id: 2, .. }));
+
+    let updates = vec![StoreUpdate::InsertTransition {
+        origin: p(100.0, 45.0),
+        destination: p(200.0, 50.0),
+    }];
+    let twin_stats = twin.apply_updates(updates.clone());
+    let arrived = twin_stats.inserted_transitions[0];
+    let expected = twin.execute(&standing).transitions;
+    assert!(
+        expected.contains(&arrived),
+        "the arrival must enter the standing answer"
+    );
+    send(
+        &mut stream,
+        Message::ApplyUpdates {
+            id: 3,
+            updates,
+            trace: None,
+        },
+    );
+    send(&mut stream, query(4));
+    let frames = [next(&mut stream), next(&mut stream), next(&mut stream)];
+    assert!(
+        matches!(
+            frames[0],
+            Message::UpdatesOk {
+                id: 3,
+                applied: 1,
+                rejected: 0
+            }
+        ),
+        "got {frames:?}"
+    );
+    let Message::Delta {
+        subscription: pushed,
+        entered,
+        ..
+    } = &frames[1]
+    else {
+        panic!("the delta must precede the query reply, got {frames:?}");
+    };
+    assert_eq!(*pushed, subscription);
+    assert_eq!(
+        Some(entered.as_slice()),
+        twin_stats
+            .deltas
+            .iter()
+            .find(|d| d.subscription == twin_sub)
+            .map(|d| d.entered.as_slice())
+    );
+    let Message::QueryOk { id: 4, transitions } = &frames[2] else {
+        panic!("wanted the query reply last, got {frames:?}");
+    };
+    assert_eq!(transitions, &expected);
+
+    // Subscribe, two queries and the update: once all four have finished,
+    // the connection is idle and the reader answers the re-sent query.
+    await_finished(&server, 4);
+    let mut probe = Client::connect(server.local_addr()).unwrap();
+    let hits = counters(&mut probe)["net.reader_hits"];
+    send(&mut stream, query(5));
+    let Message::QueryOk { id: 5, transitions } = next(&mut stream) else {
+        panic!("wanted the re-sent query's reply");
+    };
+    assert_eq!(transitions, expected);
+    assert_eq!(counters(&mut probe)["net.reader_hits"], hits + 1);
+}
+
+/// A reader hit is counted exactly like a one-query batch that hits, plus
+/// `net.reader_hits`; a reader miss is counted once, by the batch that
+/// answers it; a traced hit's tree is `request → {admission, execute →
+/// cache_lookup}`; and a resident answer still passes admission — on a
+/// zero-budget server it is shed like any other query.
+#[test]
+fn reader_hits_are_admitted_and_counted_once() {
+    let server = Server::start(
+        single_backend(ServiceConfig::default()),
+        ServerConfig::default()
+            .with_trace_sample(1.0)
+            .with_slow_query_threshold_ns(0),
+    )
+    .unwrap();
+    let (hot, cold) = (&query_mix()[0], &query_mix()[1]);
+    // Warmed on another connection, so every request below arrives on an
+    // idle one.
+    let warm = Client::connect(server.local_addr())
+        .unwrap()
+        .query(hot)
+        .unwrap()
+        .answered()
+        .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let before = counters(&mut client);
+    const HITS: u64 = 5;
+    for _ in 0..HITS {
+        assert_eq!(client.query(hot).unwrap(), Reply::Answered(warm.clone()));
+    }
+    const TRACE: u64 = 0x4EAD;
+    assert_eq!(
+        client.query_traced(hot, TRACE).unwrap(),
+        Reply::Answered(warm.clone())
+    );
+    let after = counters(&mut client);
+    for name in [
+        "net.admitted",
+        "net.reader_hits",
+        "service.batch.count",
+        "service.batch.queries",
+        "service.cache.hits",
+    ] {
+        assert_eq!(grew(&before, &after, name), HITS + 1, "{name}");
+    }
+    assert_eq!(grew(&before, &after, "service.cache.misses"), 0);
+
+    client.query(cold).unwrap().answered().unwrap();
+    let missed = counters(&mut client);
+    assert_eq!(grew(&after, &missed, "service.cache.misses"), 1);
+    assert_eq!(grew(&after, &missed, "service.cache.hits"), 0);
+    assert_eq!(grew(&after, &missed, "service.batch.queries"), 1);
+    assert_eq!(grew(&after, &missed, "net.admitted"), 1);
+    assert_eq!(grew(&after, &missed, "net.reader_hits"), 0);
+    assert_eq!(server.admitted() + server.shed(), HITS + 3);
+
+    let IntrospectReport::SlowQueries { entries } =
+        client.introspect(IntrospectWhat::SlowQueries).unwrap()
+    else {
+        panic!("asked for SlowQueries, got something else");
+    };
+    let entry = entries
+        .iter()
+        .find(|e| e.trace_id == TRACE)
+        .expect("the traced hit must be in the slow log");
+    let tree: Vec<(&str, Option<&str>)> = entry
+        .spans
+        .iter()
+        .map(|s| {
+            let parent = s.parent_index().map(|i| entry.spans[i].name.as_str());
+            (s.name.as_str(), parent)
+        })
+        .collect();
+    assert_eq!(
+        tree,
+        [
+            ("request", None),
+            ("admission", Some("request")),
+            ("execute", Some("request")),
+            ("cache_lookup", Some("execute")),
+        ]
+    );
+
+    // The same warm backend behind a zero budget: resident or not, every
+    // query is shed.
+    drop(client);
+    let server = Server::start(server.stop(), ServerConfig::default().with_cost_budget(0)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert!(client.query(hot).unwrap().is_overloaded());
+    assert_eq!((server.admitted(), server.shed()), (0, 1));
 }

@@ -222,6 +222,17 @@ impl<'a> Span<'a> {
         self.close(attrs)
     }
 
+    /// Abandons the pass as if it never ran: no histogram sample, and the
+    /// trace span it opened is taken back
+    /// ([`TraceContext::discard_span`](crate::TraceContext::discard_span)),
+    /// so nothing may have been recorded under it.
+    pub fn cancel(mut self) {
+        self.started = None;
+        if let Some(ctx) = self.under.ctx {
+            ctx.discard_span(self.under.parent);
+        }
+    }
+
     fn close(&mut self, attrs: &[(&'static str, u64)]) -> Duration {
         let Some(started) = self.started.take() else {
             return Duration::ZERO;
@@ -621,6 +632,27 @@ mod tests {
         assert_eq!(spans[1].attrs(), [("queries", 16), ("cache_hits", 3)]);
         assert_eq!(inner.index(), Some(2));
         assert_eq!(spans[2].parent().and_then(|p| p.index()), Some(1));
+    }
+
+    /// A cancelled pass leaves nothing behind: no sample, and its span is
+    /// taken back from the trace, so the next span reuses its slot.
+    #[test]
+    fn a_cancelled_pass_records_nothing() {
+        let (mut registry, clock) = mock_registry();
+        let stage = registry.stage("service.stage.cache_lookup_ns");
+        let ctx = TraceContext::begin(TraceId::from_raw(3), registry.telemetry().clone());
+        let root = ctx.begin_span("request", SpanId::NONE);
+        let span = stage.enter(TraceCursor::new(&ctx, root));
+        clock.advance(300);
+        span.cancel();
+        stage.enter(TraceCursor::NONE).cancel();
+        assert!(stage.histogram().is_empty());
+        assert_eq!(ctx.span_count(), 1);
+        // Only the latest span can be taken back.
+        let kept = ctx.begin_span("queue", root);
+        ctx.begin_span("later", root);
+        ctx.discard_span(kept);
+        assert_eq!(ctx.span_count(), 3);
     }
 
     #[test]

@@ -266,6 +266,18 @@ impl TraceContext {
         }
     }
 
+    /// Takes back `span` — a tentative span whose work turned out not to
+    /// happen, such as a cache probe that missed. Only the latest span
+    /// recorded can be taken back, so nothing may have been recorded under
+    /// or after it; for any other span (or [`SpanId::NONE`]) this is a
+    /// no-op.
+    pub fn discard_span(&self, span: SpanId) {
+        let mut buf = self.buf.lock().expect("trace buf poisoned");
+        if span.is_some() && usize::from(span.0) + 1 == buf.spans.len() {
+            buf.spans.pop();
+        }
+    }
+
     /// Records an already-measured interval as a closed span, its start
     /// back-dated `dur_ns` from "now" — a decision marker (`dur_ns` 0) or an
     /// interval measured elsewhere. A pipeline stage opens its span through

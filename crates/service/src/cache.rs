@@ -243,27 +243,28 @@ impl ResultCache {
     /// (the current route set); one the ring no longer reaches is dropped
     /// and the lookup is a miss.
     pub fn get(&mut self, key: &CacheKey, routes: &RouteStore) -> Option<RknntResult> {
-        let current = match self.map.get(key).copied() {
-            Some(slot) if self.catch_up(slot, routes) => Some(slot),
-            Some(stale) => {
-                self.remove(stale);
-                self.counters.targeted_evictions.inc();
-                None
-            }
-            None => None,
-        };
-        match current {
-            Some(slot) => {
-                self.counters.hits.inc();
-                self.unlink(slot);
-                self.push_front(slot);
-                Some(self.slots[slot].value.clone())
-            }
-            None => {
-                self.counters.misses.inc();
-                None
-            }
+        let found = self.get_resident(key, routes);
+        if found.is_none() {
+            self.counters.misses.inc();
         }
+        found
+    }
+
+    /// [`ResultCache::get`] without the miss count, for a caller that
+    /// counts misses itself: a [`crate::Service`] may look one query up
+    /// twice — alone ([`crate::Service::lookup`]), then in the batch that
+    /// answers the miss — and counts that miss once.
+    pub fn get_resident(&mut self, key: &CacheKey, routes: &RouteStore) -> Option<RknntResult> {
+        let slot = self.map.get(key).copied()?;
+        if !self.catch_up(slot, routes) {
+            self.remove(slot);
+            self.counters.targeted_evictions.inc();
+            return None;
+        }
+        self.counters.hits.inc();
+        self.unlink(slot);
+        self.push_front(slot);
+        Some(self.slots[slot].value.clone())
     }
 
     /// Stores `query`'s result, computed against the current stores,

@@ -357,22 +357,10 @@ impl<B: Backing> Service<B> {
         // Phase 1: cache lookup.
         let span = self.metrics.stage_lookup.enter(bt);
         let caching = self.config.cache_capacity > 0;
-        let mut keys: Vec<Option<CacheKey>> = Vec::with_capacity(queries.len());
-        let mut miss_indexes: Vec<usize> = Vec::new();
+        let mut keys = self.lookup_phase(queries, &mut slots);
+        let miss_indexes: Vec<usize> = (0..queries.len()).filter(|&i| slots[i].is_none()).collect();
         if caching {
-            let mut cache = self.cache.lock().expect("cache lock");
-            let routes = self.backing.routes();
-            for (i, query) in queries.iter().enumerate() {
-                let key = CacheKey::of(query);
-                match cache.get(&key, routes) {
-                    Some(result) => slots[i] = Some(result),
-                    None => miss_indexes.push(i),
-                }
-                keys.push(Some(key));
-            }
-        } else {
-            keys.resize_with(queries.len(), || None);
-            miss_indexes.extend(0..queries.len());
+            self.metrics.cache.misses.add(miss_indexes.len() as u64);
         }
         // Counted, not diffed from `service.cache.hits`: a concurrent
         // batch's hits are not this batch's.
@@ -433,6 +421,53 @@ impl<B: Backing> Service<B> {
             ],
         );
         (results, stats)
+    }
+
+    /// Answers `query` from the cache alone when its answer is resident: the
+    /// cached entry brought current by journal replay, which is exactly the
+    /// answer [`Service::execute_batch`] would return. A hit moves exactly
+    /// what a one-query batch that hits moves (`service.batch.count`,
+    /// `service.batch.queries`, `service.cache.hits`, one `cache_lookup`
+    /// pass, recorded as a span under `trace`). A miss moves nothing and
+    /// leaves no span: the batch that then answers the query counts it
+    /// once.
+    pub fn lookup(&self, query: &RknntQuery, trace: TraceCursor<'_>) -> Option<RknntResult> {
+        let span = self.metrics.stage_lookup.enter(trace);
+        let mut slot = [None];
+        self.lookup_phase(std::slice::from_ref(query), &mut slot);
+        let [Some(result)] = slot else {
+            span.cancel();
+            return None;
+        };
+        self.metrics.batches.inc();
+        self.metrics.queries.inc();
+        span.finish_with(&[("queries", 1), ("cache_hits", 1)]);
+        Some(result)
+    }
+
+    /// The cache-lookup phase, one copy for [`Service::lookup`] and the
+    /// batch path: fills the slot of every query whose answer is resident
+    /// and returns each query's cache key (`None` with caching off). Counts
+    /// the hits; a miss is the caller's to count.
+    fn lookup_phase(
+        &self,
+        queries: &[RknntQuery],
+        slots: &mut [Option<RknntResult>],
+    ) -> Vec<Option<CacheKey>> {
+        if self.config.cache_capacity == 0 {
+            return vec![None; queries.len()];
+        }
+        let mut cache = self.cache.lock().expect("cache lock");
+        let routes = self.backing.routes();
+        queries
+            .iter()
+            .zip(slots)
+            .map(|(query, slot)| {
+                let key = CacheKey::of(query);
+                *slot = cache.get_resident(&key, routes);
+                Some(key)
+            })
+            .collect()
     }
 
     /// Executes pre-formed groups over the worker pool, returning the
