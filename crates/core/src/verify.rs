@@ -277,8 +277,9 @@ pub fn verify_candidates(
 /// `routes`?
 ///
 /// By Definition 5 membership depends only on the transition's own endpoints
-/// and the route set, so between two route changes a maintained result
-/// follows transition churn exactly through this check — no re-execution.
+/// and the route set, so a maintained result follows transition churn
+/// exactly through this check — no re-execution — and a route insert by
+/// re-running it on the members the new route comes strictly closer to.
 /// Each endpoint is judged by the same `qualifies` call
 /// [`verify_candidates`] makes (fewer than `k` distinct routes *strictly*
 /// closer than the query; a route tied with the query does not count) and

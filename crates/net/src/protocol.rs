@@ -613,6 +613,7 @@ impl Message {
                     DeltaReason::TransitionExpired => 0,
                     DeltaReason::Reexecuted => 1,
                     DeltaReason::TransitionArrived => 2,
+                    DeltaReason::RouteInserted => 3,
                 });
             }
         }
@@ -768,6 +769,7 @@ impl Message {
                     0 => DeltaReason::TransitionExpired,
                     1 => DeltaReason::Reexecuted,
                     2 => DeltaReason::TransitionArrived,
+                    3 => DeltaReason::RouteInserted,
                     other => {
                         return Err(CodecError {
                             offset: dec.position().saturating_sub(1),
@@ -946,15 +948,16 @@ mod tests {
             (DeltaReason::TransitionExpired, 0u8),
             (DeltaReason::Reexecuted, 1),
             (DeltaReason::TransitionArrived, 2),
+            (DeltaReason::RouteInserted, 3),
         ] {
             let bytes = delta(reason).encode();
             assert_eq!(bytes.last(), Some(&tag), "{reason:?} is the final byte");
             assert_eq!(Message::decode(&bytes).unwrap(), delta(reason));
         }
         let mut bytes = delta(DeltaReason::TransitionArrived).encode();
-        *bytes.last_mut().unwrap() = 3;
+        *bytes.last_mut().unwrap() = 4;
         let err = Message::decode(&bytes).unwrap_err();
-        assert!(err.detail.contains("bad delta reason byte 3"), "{err:?}");
+        assert!(err.detail.contains("bad delta reason byte 4"), "{err:?}");
         assert_eq!(err.offset, bytes.len() - 1);
     }
 

@@ -15,7 +15,8 @@ use rknnt_net::{
     Server, ServerConfig, WireSlowQuery, SERVER_EXECUTOR_SITE,
 };
 use rknnt_service::{
-    QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig, StoreUpdate,
+    DeltaReason, QueryService, ServiceConfig, ShardedConfig, ShardedService, StorageConfig,
+    StoreUpdate, SubscriptionDelta,
 };
 use std::collections::BTreeMap;
 use std::net::TcpStream;
@@ -179,22 +180,55 @@ fn subscription_deltas_stream_to_the_owning_connection() {
     assert_eq!(counts.applied, 2);
     assert_eq!(counts.rejected, 0);
     let twin_stats = twin.apply_updates(updates);
+    let arrived = twin_stats.inserted_transitions[0];
     let mut expected_deltas = twin_stats.deltas;
     expected_deltas.retain(|d| d.subscription == twin_sub);
 
     // The server pushes the same deltas (frames arrive after the
     // UpdatesOk reply on this connection, in emission order).
-    for expected in &expected_deltas {
-        let event = client.recv_delta().unwrap();
-        assert_eq!(event.subscription, sub.subscription);
-        assert_eq!(event.entered, expected.entered);
-        assert_eq!(event.left, expected.left);
-        assert_eq!(event.reason, expected.reason);
-    }
+    let expect_deltas = |client: &mut Client, expected_deltas: &[SubscriptionDelta]| {
+        for expected in expected_deltas {
+            let event = client.recv_delta().unwrap();
+            assert_eq!(event.subscription, sub.subscription);
+            assert_eq!(event.entered, expected.entered);
+            assert_eq!(event.left, expected.left);
+            assert_eq!(event.reason, expected.reason);
+        }
+    };
+    expect_deltas(&mut client, &expected_deltas);
     assert_eq!(server.deltas_pushed(), expected_deltas.len() as u64);
     assert!(
         !expected_deltas.is_empty(),
         "this world is built so inserts near the standing route change its result"
+    );
+
+    // A route laid twice through both endpoints of the first arrival: the
+    // second copy puts k = 2 routes strictly closer than the standing query
+    // at each endpoint, so the arrival leaves in place — a `RouteInserted`
+    // delta, wire tag 3.
+    let through = vec![p(100.0, 45.0), p(200.0, 50.0)];
+    let updates = vec![
+        StoreUpdate::InsertRoute(through.clone()),
+        StoreUpdate::InsertRoute(through),
+    ];
+    let counts = client
+        .apply_updates(updates.clone())
+        .unwrap()
+        .answered()
+        .unwrap();
+    assert_eq!(counts.applied, 2);
+    let mut route_deltas = twin.apply_updates(updates).deltas;
+    route_deltas.retain(|d| d.subscription == twin_sub);
+    assert!(
+        route_deltas
+            .iter()
+            .any(|d| d.reason == DeltaReason::RouteInserted && d.left.contains(&arrived)),
+        "the arrival must leave behind the route insert: {route_deltas:?}"
+    );
+    expect_deltas(&mut client, &route_deltas);
+    assert_eq!(
+        server.deltas_pushed(),
+        (expected_deltas.len() + route_deltas.len()) as u64
     );
 
     // Unsubscribe: first drop succeeds, second reports a dead handle.

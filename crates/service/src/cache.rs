@@ -15,12 +15,15 @@
 //! owns the [`crate::journal`] ring the update path appends arrivals and
 //! expiries to, every entry remembers its query and the journal sequence it
 //! is current to, and a lookup replays the suffix into the entry before
-//! returning it. Only route changes (which drop every entry) and falling off
-//! the ring drop entries.
+//! returning it. A route insert keeps the entries too: each catches up on
+//! the journal and re-judges the members the new route comes strictly
+//! closer to ([`crate::journal::recheck_members`]). Only route removals
+//! (which drop every entry) and falling off the ring drop entries.
 
-use crate::journal::{replay, Journal, TransitionOp, JOURNAL_CAPACITY};
+use crate::journal::{recheck_members, replay, Journal, TransitionOp, JOURNAL_CAPACITY};
 use rknnt_core::{QueryScratch, RknntQuery, RknntResult, Semantics};
-use rknnt_index::RouteStore;
+use rknnt_geo::Point;
+use rknnt_index::{RouteStore, TransitionId};
 use rknnt_obs::Counter;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -101,10 +104,10 @@ pub struct CacheStats {
     /// Results evicted to respect the capacity bound.
     pub evictions: u64,
     /// Full invalidations ([`ResultCache::invalidate_all`]): one per applied
-    /// route change.
+    /// route removal.
     pub invalidations: u64,
-    /// Entries dropped at a lookup because the journal no longer reached
-    /// back to them.
+    /// Entries dropped at a lookup or a route insert because the journal no
+    /// longer reached back to them.
     pub targeted_evictions: u64,
     /// Entries dropped by full invalidations (each invalidation adds the
     /// number of entries it cleared).
@@ -309,8 +312,44 @@ impl ResultCache {
         self.counters.insertions.inc();
     }
 
-    /// Drops every entry — what every route change does. The journal stays:
-    /// with no entry left there is no reader behind its head to strand.
+    /// Keeps every entry exact across the insert of the route `inserted`
+    /// (its points) into `routes` (the post-insert route set): each entry
+    /// first catches up on the journal — one the ring no longer reaches is
+    /// dropped, as at a lookup — then [`recheck_members`] re-judges the
+    /// members the new route comes strictly closer to. `endpoints` resolves
+    /// a live transition's endpoints. No lookup is counted.
+    pub(crate) fn route_inserted(
+        &mut self,
+        inserted: &[Point],
+        routes: &RouteStore,
+        endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
+    ) {
+        let mut slot = self.head;
+        while slot != NIL {
+            let next = self.slots[slot].next;
+            if self.catch_up(slot, routes) {
+                let entry = &mut self.slots[slot];
+                let value = &mut entry.value;
+                recheck_members(
+                    &entry.query,
+                    &mut value.transitions,
+                    inserted,
+                    routes,
+                    &endpoints,
+                    &mut self.scratch,
+                );
+                value.stats.result_transitions = value.transitions.len();
+            } else {
+                self.remove(slot);
+                self.counters.targeted_evictions.inc();
+            }
+            slot = next;
+        }
+    }
+
+    /// Drops every entry — what every route removal does. The journal
+    /// stays: with no entry left there is no reader behind its head to
+    /// strand.
     pub fn invalidate_all(&mut self) {
         self.counters.invalidated_entries.add(self.map.len() as u64);
         self.map.clear();

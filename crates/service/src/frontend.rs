@@ -78,6 +78,11 @@ pub trait Backing: Sync + Sized {
     /// Removes a live route; `false` for an unknown or dead id.
     fn remove_route(&mut self, id: RouteId) -> bool;
 
+    /// The endpoints of a live (global) transition id; `None` for an
+    /// unknown or expired one. A route insert resolves the members it
+    /// rechecks through it.
+    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)>;
+
     /// The complete logical state in *global* form — the planner-wide route
     /// slots and every transition slot in global id order, dead ones
     /// included — which is what a snapshot stores whatever the backing.
@@ -103,8 +108,9 @@ pub trait Backing: Sync + Sized {
 /// in-flight `&self` batch. The stores of a live service change one way:
 /// [`Service::apply_updates`] / [`Service::try_apply_updates`] (and the WAL
 /// replay inside [`Service::open`]) mutate them in place, update by update;
-/// cached results follow transition churn through the journal and a route
-/// change drops them all. A rebuilt index is a new service.
+/// cached results follow transition churn through the journal and route
+/// inserts through a member recheck, and a route removal drops them all. A
+/// rebuilt index is a new service.
 pub struct Service<B: Backing> {
     pub(crate) backing: B,
     /// Worker count and cache sizing of the pipeline.
@@ -618,7 +624,10 @@ impl<B: Backing> Service<B> {
     /// journal — O(1) however many entries are cached, nothing is evicted —
     /// and each entry replays what it missed when it is next read: an
     /// arrival through the exact admission kernel, an expiry as a membership
-    /// test. A **route insert or removal** drops the whole cache.
+    /// test. A **route insert** brings every entry current and re-judges,
+    /// by the same admission kernel, exactly the members the new route comes
+    /// strictly closer to than the query (an insert can remove only those,
+    /// and adds none). A **route removal** drops the whole cache.
     ///
     /// `&mut self` serialises the call against in-flight batches, and
     /// retained entries remain byte-identical to what a freshly built
@@ -626,11 +635,11 @@ impl<B: Backing> Service<B> {
     /// churn determinism suite in `tests/service_churn.rs`.
     ///
     /// Live subscriptions follow every applied update eagerly: transition
-    /// ops are applied to their results in place, a route change marks them
-    /// *dirty*, and the dirty ones are re-executed together through the
-    /// grouped batch path at the end of the call; the returned
-    /// [`UpdateStats::deltas`] describe every subscription result change
-    /// (see [`crate::monitor`]).
+    /// ops and route inserts are applied to their results in place, a route
+    /// removal marks them *dirty*, and the dirty ones are re-executed
+    /// together through the grouped batch path at the end of the call; the
+    /// returned [`UpdateStats::deltas`] describe every subscription result
+    /// change (see [`crate::monitor`]).
     ///
     /// With storage attached the batch is appended to the write-ahead log —
     /// one frame per update, one fsync per call — *before* anything
@@ -730,13 +739,13 @@ impl<B: Backing> Service<B> {
                 StoreUpdate::InsertRoute(points) => match self.backing.insert_route(points) {
                     Some(id) => {
                         stats.inserted_routes.push(id);
-                        self.applied(UpdateEffect::RouteChange, &mut stats.deltas);
+                        self.applied(UpdateEffect::RouteInserted(id), &mut stats.deltas);
                     }
                     None => self.metrics.update_rejected.inc(),
                 },
                 StoreUpdate::RemoveRoute(id) => {
                     if self.backing.remove_route(id) {
-                        self.applied(UpdateEffect::RouteChange, &mut stats.deltas);
+                        self.applied(UpdateEffect::RouteRemoved, &mut stats.deltas);
                     } else {
                         self.metrics.update_rejected.inc();
                     }
@@ -760,19 +769,26 @@ impl<B: Backing> Service<B> {
     }
 
     /// Bookkeeping for one update the stores accepted: count it, journal it
-    /// (transition ops) or drop the whole cache (route changes), bring every
-    /// live subscription up to date.
+    /// (transition ops), recheck the members a new route comes strictly
+    /// closer to (route inserts) or drop the whole cache (route removals),
+    /// bring every live subscription up to date.
     fn applied(&mut self, effect: UpdateEffect, deltas: &mut Vec<SubscriptionDelta>) {
         self.metrics.update_applied.inc();
         let cache = self.cache.get_mut().expect("cache lock");
+        let backing = &self.backing;
+        let routes = backing.routes();
+        let endpoints = |id| backing.endpoints(id);
         match effect {
             UpdateEffect::Transition(op) => cache.record(op),
-            UpdateEffect::RouteChange => {
+            UpdateEffect::RouteInserted(id) => {
+                cache.route_inserted(routes.route_points(id), routes, endpoints);
+            }
+            UpdateEffect::RouteRemoved => {
                 self.metrics.full_drops.inc();
                 cache.invalidate_all();
             }
         }
         self.monitor
-            .classify_update(effect, self.backing.routes(), &self.metrics, deltas);
+            .classify_update(effect, routes, endpoints, &self.metrics, deltas);
     }
 }

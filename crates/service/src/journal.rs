@@ -1,19 +1,29 @@
 //! The transition journal: a bounded, append-only ring of the transition
 //! arrivals and expiries the stores accepted, numbered by sequence, and the
-//! one step ([`replay`]) that applies such an op to a result.
+//! two steps that keep a result exact in place: [`replay`] applies one such
+//! op, [`recheck_members`] follows a route insert.
 //!
 //! By Definition 5 a transition's membership in `RkNNT(Q)` depends only on
-//! its own two endpoints and the route set. Between two route changes a
-//! computed result therefore stays exact under transition churn by applying
-//! each arrival / expiry to it individually — there is nothing to recompute.
-//! The update path only *appends* here (O(1), whatever the cache holds); a
-//! cached result remembers the sequence it is current to and replays the
-//! suffix when it is next read ([`crate::ResultCache::get`]). Subscriptions
-//! apply the same op eagerly, in place. Route changes drop cached results and
-//! re-execute subscriptions, so no replay spans two route versions.
+//! its own two endpoints and the route set. A computed result therefore
+//! stays exact under transition churn by applying each arrival / expiry to
+//! it individually — there is nothing to recompute. The update path only
+//! *appends* here (O(1), whatever the cache holds); a cached result
+//! remembers the sequence it is current to and replays the suffix when it is
+//! next read ([`crate::ResultCache::get`]), judging each arrival against the
+//! routes *current at the read*, which is exactly its membership then.
+//! Subscriptions apply the same op eagerly, in place.
+//!
+//! A route insert can only raise an endpoint's count of strictly-closer
+//! routes, and only where the new route itself is strictly closer than `Q`,
+//! so it can only remove members, and only those: [`recheck_members`]
+//! re-judges exactly them. Every cached entry catches up on the journal
+//! before it is rechecked, so an entry never carries members judged against
+//! a route set older than its last recheck. A route removal can only *add*
+//! members, which no member scan finds: it drops cached results and
+//! re-executes subscriptions.
 
 use rknnt_core::{admits_transition, QueryScratch, RknntQuery};
-use rknnt_geo::Point;
+use rknnt_geo::{point_route_distance_sq, Point};
 use rknnt_index::{RouteStore, TransitionId};
 use std::collections::VecDeque;
 
@@ -85,6 +95,50 @@ pub(crate) fn replay(
             Err(_) => false,
         },
     }
+}
+
+/// Follows the insert of the route `inserted` (its points) into `routes`
+/// in `result`, the sorted ids that answered `query` just before the
+/// insert: every member with an endpoint `u` that some point `s` of the
+/// new route is strictly closer to than the query — `s.distance_sq(u) <
+/// dist²(u, Q)`, the comparison verification makes — is re-judged by
+/// [`admits_transition`] against `routes`; every other member keeps both
+/// endpoint counts and stays. `endpoints` resolves a member's endpoints
+/// (members of a current result are live). Returns the ids that left, in
+/// ascending order.
+pub(crate) fn recheck_members(
+    query: &RknntQuery,
+    result: &mut Vec<TransitionId>,
+    inserted: &[Point],
+    routes: &RouteStore,
+    endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
+    scratch: &mut QueryScratch,
+) -> Vec<TransitionId> {
+    let closer = |u: &Point| {
+        let threshold_sq = point_route_distance_sq(u, &query.route);
+        inserted.iter().any(|s| s.distance_sq(u) < threshold_sq)
+    };
+    let mut left = Vec::new();
+    result.retain(|&id| {
+        let (origin, destination) = endpoints(id).expect("members of a current result are live");
+        if !closer(&origin) && !closer(&destination) {
+            return true;
+        }
+        let stays = admits_transition(
+            routes,
+            &query.route,
+            query.k,
+            query.semantics,
+            &origin,
+            &destination,
+            scratch,
+        );
+        if !stays {
+            left.push(id);
+        }
+        stays
+    });
+    left
 }
 
 /// The ring itself; see the module documentation.

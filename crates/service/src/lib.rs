@@ -49,14 +49,17 @@
 //!   than recomputed: a transition update is appended to a bounded journal
 //!   and each cached result replays what it missed when it is next read —
 //!   an exact two-endpoint admission check per arrival — so transition
-//!   churn evicts nothing. A route change, the rare event, drops the whole
+//!   churn evicts nothing. A route insert evicts nothing either: it can
+//!   only remove members the new route comes strictly closer to than the
+//!   query, and exactly those are re-judged by the same kernel. A route
+//!   removal, the one event that can add members anywhere, drops the whole
 //!   cache.
 //! * **Continuous queries** — [`Service::subscribe`] registers a
 //!   standing query whose result the service keeps current across
-//!   `apply_updates`: arrivals and expiries are applied to it in place,
-//!   route changes re-execute it through the shared batch path, and result
-//!   changes come back as per-batch [`SubscriptionDelta`]s instead of
-//!   forcing clients to re-poll ([`monitor`]).
+//!   `apply_updates`: arrivals, expiries and route inserts are applied to it
+//!   in place, route removals re-execute it through the shared batch path,
+//!   and result changes come back as per-batch [`SubscriptionDelta`]s
+//!   instead of forcing clients to re-poll ([`monitor`]).
 //! * **Durability** — [`Service::open`] / [`Service::attach_storage`] back
 //!   either service with an `rknnt-storage` directory: `apply_updates`
 //!   appends every update, in global form, to a CRC-guarded write-ahead log

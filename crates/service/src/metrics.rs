@@ -9,7 +9,7 @@
 //! | `service.batch.*` | batch admission: queries, batches, groups, filter sharing, coalescing |
 //! | `service.cache.*` | result-cache counters (hits, misses, evictions, …) |
 //! | `service.stage.*_ns` | per-stage latency histograms: `cache_lookup`, `grouping`, `execution`, `finalize`, plus per fresh query `filter` (filter lookup or construction + prune) and `verify` |
-//! | `service.update.*` | update admission: applied, rejected, and the full cache drops route changes make |
+//! | `service.update.*` | update admission: applied, rejected, and `full_drops` (one per applied route removal) |
 //! | `service.subs.*` | subscription classification outcomes |
 //! | `storage.wal.*` | WAL appends, bytes, and `fsync_ns` latency |
 //! | `storage.checkpoint*` | checkpoint duration and the `checkpoint_stall_ns` high-water gauge |
@@ -292,7 +292,8 @@ pub(crate) struct BatchCounterView {
 pub(crate) struct UpdateCounterView {
     pub(crate) applied: u64,
     pub(crate) rejected: u64,
-    /// Targeted evictions + entries dropped by full invalidations.
+    /// Targeted evictions + entries dropped by full invalidations (route
+    /// removals).
     pub(crate) evicted_entries: u64,
     pub(crate) full_drops: u64,
     pub(crate) subs_unaffected: u64,

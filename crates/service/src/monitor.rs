@@ -13,8 +13,16 @@
 //!   it was a member — [`DeltaReason::TransitionExpired`]. Neither ever
 //!   re-executes the query. Counted *unaffected* when no geometry ran (a
 //!   degenerate query, an expired non-member) and *stable* otherwise.
-//! * **Route changes re-execute**: every non-degenerate subscription is
-//!   marked **dirty**. Dirty subscriptions are collected for the whole update
+//! * **Route inserts are applied in place** too (the journal's
+//!   `recheck_members`, the same step every cached result takes at the
+//!   insert): an insert can only remove members, and only those the new
+//!   route comes strictly closer to than the query, so exactly those are
+//!   re-judged by the admission kernel; the ones that leave become one
+//!   `left`-only delta with [`DeltaReason::RouteInserted`]. Counted
+//!   *stable*.
+//! * **Route removals re-execute**: a removal can only add members, which
+//!   no member scan finds, so every non-degenerate subscription is marked
+//!   **dirty**. Dirty subscriptions are collected for the whole update
 //!   batch and re-executed together through the same grouped batch machinery
 //!   as one-shot queries, so subscriptions sharing a `(route, k)` pair share
 //!   one filter construction; the diff against the previous result becomes a
@@ -29,10 +37,11 @@
 //! [`QueryService::apply_updates`]: crate::QueryService::apply_updates
 //! [`StoreUpdate`]: crate::StoreUpdate
 
-use crate::journal::{replay, TransitionOp};
+use crate::journal::{recheck_members, replay, TransitionOp};
 use crate::metrics::ServiceMetrics;
 use rknnt_core::{QueryScratch, RknntQuery};
-use rknnt_index::{RouteStore, TransitionId};
+use rknnt_geo::Point;
+use rknnt_index::{RouteId, RouteStore, TransitionId};
 use std::collections::BTreeMap;
 
 /// Opaque handle to a standing query registered with
@@ -64,10 +73,14 @@ pub enum DeltaReason {
     /// A transition arrived that qualifies; the result was updated in place
     /// without re-execution.
     TransitionArrived,
-    /// The subscription was dirtied by one or more route changes and
+    /// The subscription was dirtied by one or more route removals and
     /// re-executed through the batch path; the delta is the diff against its
     /// previous result.
     Reexecuted,
+    /// A route was inserted that came strictly closer than the query to
+    /// members that then stopped qualifying; they left in place, without
+    /// re-execution (the delta only ever has `left` ids).
+    RouteInserted,
 }
 
 /// One incremental change to a subscription's result set.
@@ -103,7 +116,7 @@ pub(crate) struct Subscription {
     pub(crate) query: RknntQuery,
     /// Current result, sorted ascending.
     pub(crate) result: Vec<TransitionId>,
-    /// Set by a route change; cleared by re-execution.
+    /// Set by a route removal; cleared by re-execution.
     dirty: bool,
 }
 
@@ -115,8 +128,10 @@ pub(crate) struct Subscription {
 pub(crate) enum UpdateEffect {
     /// A transition arrived or expired.
     Transition(TransitionOp),
-    /// A route was inserted or removed.
-    RouteChange,
+    /// The route with this id was inserted.
+    RouteInserted(RouteId),
+    /// A route was removed.
+    RouteRemoved,
 }
 
 /// The registry of live subscriptions. Iteration is in id order
@@ -175,8 +190,10 @@ impl SubscriptionRegistry {
     }
 
     /// Brings every live subscription up to date with one applied update:
-    /// transition ops are applied in place against the current `routes`
-    /// (emitting a delta when the result changes), a route change marks the
+    /// transition ops and route inserts are applied in place against the
+    /// current `routes` (emitting a delta when the result changes;
+    /// `endpoints` resolves a live transition's endpoints for the members a
+    /// new route is rechecked against), a route removal marks the
     /// subscription dirty (queued for batch re-execution). Subscriptions
     /// already dirty are skipped outright — they will be re-executed against
     /// the final stores anyway.
@@ -184,6 +201,7 @@ impl SubscriptionRegistry {
         &mut self,
         effect: UpdateEffect,
         routes: &RouteStore,
+        endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
         metrics: &ServiceMetrics,
         deltas: &mut Vec<SubscriptionDelta>,
     ) {
@@ -226,7 +244,26 @@ impl SubscriptionRegistry {
                         });
                     }
                 }
-                UpdateEffect::RouteChange => {
+                UpdateEffect::RouteInserted(route) => {
+                    stable += 1;
+                    let left = recheck_members(
+                        &sub.query,
+                        &mut sub.result,
+                        routes.route_points(route),
+                        routes,
+                        &endpoints,
+                        scratch,
+                    );
+                    if !left.is_empty() {
+                        deltas.push(SubscriptionDelta {
+                            subscription: SubscriptionId(*id),
+                            entered: Vec::new(),
+                            left,
+                            reason: DeltaReason::RouteInserted,
+                        });
+                    }
+                }
+                UpdateEffect::RouteRemoved => {
                     sub.dirty = true;
                     dirty += 1;
                 }

@@ -82,21 +82,23 @@ pub struct UpdateStats {
     /// Ids assigned to the inserted routes, in update order.
     pub inserted_routes: Vec<RouteId>,
     /// Cached results dropped by this call: every entry cached when a route
-    /// change applied. Transition updates alone never evict.
+    /// removal applied, plus any entry a route insert found the journal no
+    /// longer reaching back to. Transition updates never evict.
     pub evicted_entries: usize,
     /// Cached results still live when the call returned.
     pub retained_entries: usize,
-    /// Full cache drops: one per applied route change, insert or removal.
+    /// Full cache drops: one per applied route removal (a route insert
+    /// keeps the cache).
     pub full_drops: usize,
     /// (update, subscription) classifications that skipped a subscription
     /// with an exact constant-time test (degenerate query, or an expired
     /// transition outside the result).
     pub subs_unaffected: usize,
     /// (update, subscription) classifications that kept the subscription
-    /// without re-execution: an arrival or a member expiry applied in place
-    /// (emitting its delta when the result changed).
+    /// without re-execution: an arrival, a member expiry or a route insert
+    /// applied in place (emitting its delta when the result changed).
     pub subs_stable: usize,
-    /// (route change, subscription) classifications that marked the
+    /// (route removal, subscription) classifications that marked the
     /// subscription dirty. Each subscription is marked at most once per
     /// call — further updates skip it — so this equals
     /// [`UpdateStats::subs_reexecuted`].
@@ -163,6 +165,10 @@ impl Backing for FlatStores {
 
     fn remove_route(&mut self, id: RouteId) -> bool {
         self.routes.remove_route(id)
+    }
+
+    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
+        self.transitions.get(id).map(|t| (t.origin, t.destination))
     }
 
     fn export_state(&self) -> (RouteStoreState, TransitionStoreState) {

@@ -23,8 +23,9 @@
 //! sets equals the unsharded candidate set, and after identical per-endpoint
 //! verification against the planner the merged, sorted result is
 //! **byte-identical** to the unsharded service's. Subscription delta streams
-//! are identical too: transition ops are applied in place against the same
-//! planner on both sides, and every route change re-executes through that
+//! are identical too: transition ops and route inserts are applied in place
+//! against the same planner on both sides (a member's endpoints resolved
+//! through the directory), and every route removal re-executes through that
 //! same byte-identical pipeline.
 //!
 //! Placement therefore never changes an answer, which is what lets
@@ -242,6 +243,15 @@ impl Backing for ShardSet {
         self.planner.remove_route(id)
     }
 
+    /// Resolved through the directory.
+    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
+        let at = (*self.transition_dir.get(id.index())?)?;
+        self.shards[at.shard as usize]
+            .transitions
+            .get(TransitionId(at.local))
+            .map(|t| (t.origin, t.destination))
+    }
+
     fn export_state(&self) -> (RouteStoreState, TransitionStoreState) {
         let transitions = self
             .endpoint_slots()
@@ -271,16 +281,6 @@ impl Backing for ShardSet {
 }
 
 impl ShardSet {
-    /// Endpoints of a live global transition id, resolved through the
-    /// directory; `None` for an unknown or expired id.
-    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
-        let at = (*self.transition_dir.get(id.index())?)?;
-        self.shards[at.shard as usize]
-            .transitions
-            .get(TransitionId(at.local))
-            .map(|t| (t.origin, t.destination))
-    }
-
     /// The endpoints behind every global transition id, in id order,
     /// resolved through the directory (`None` for an expired id).
     fn endpoint_slots(&self) -> impl Iterator<Item = Option<(Point, Point)>> + '_ {

@@ -575,51 +575,190 @@ fn transition_updates_never_touch_the_cache() {
     assert_eq!(service.cache_stats().misses, before.misses);
 }
 
-/// Every route change drops the whole cache and re-executes every
-/// non-degenerate subscription — even a far insert and its removal, which
-/// change no answer: nothing is certified and kept. The unchanged results
-/// emit no delta, and every read behind the change is a recomputed miss
-/// equal to the mirror.
+/// A route insert keeps the cache and re-executes nothing. A far insert
+/// changes no answer and emits no delta; a route laid through both
+/// endpoints of a member of a `k = 1` result comes strictly closer than the
+/// query at each of them, so that member leaves — in place, as one
+/// `RouteInserted` delta on its subscription — and every read behind either
+/// insert is a hit equal to a fresh engine over the mirror.
 ///
-/// Mutation that fails it: a route change keeps the cache
-/// (`Service::applied` skips `cache.invalidate_all()`).
+/// Mutation that fails it: `journal::recheck_members` returns at once (the
+/// member stays in the cached and the standing result, no delta).
 #[test]
-fn every_route_change_drops_the_cache_and_reexecutes_the_subscriptions() {
+fn a_route_insert_keeps_the_cache_and_rechecks_only_the_members_it_beats() {
     let mut mirror = Mirror::new();
     let mut service = flat();
     let pool = pool();
     let standing: Vec<SubscriptionId> = pool.iter().map(|q| service.subscribe(q.clone())).collect();
     service.subscribe(RknntQuery::exists(Vec::new(), 2)); // degenerate
-    let mut change = |service: &mut QueryService, update: StoreUpdate, at: &str| {
+    let member = mirror.answer(&pool[0])[0];
+    let (origin, destination) = {
+        let t = mirror.transitions.get(member).unwrap();
+        (t.origin, t.destination)
+    };
+    let far = vec![p(5_000.0, 5_000.0), p(5_100.0, 5_000.0)];
+    for (update, at, member_leaves) in [
+        (StoreUpdate::InsertRoute(far), "far insert", false),
+        (
+            StoreUpdate::InsertRoute(vec![origin, destination]),
+            "insert through a member",
+            true,
+        ),
+    ] {
         for query in &pool[..CACHE_CAPACITY] {
             service.execute(query);
         }
-        let cached = service.cache_len();
-        assert_eq!(cached, CACHE_CAPACITY, "{at}");
+        assert_eq!(service.cache_len(), CACHE_CAPACITY, "{at}");
         mirror.apply(&update);
         let stats = service.apply_updates(vec![update]);
-        assert_eq!(stats.full_drops, 1, "{at}");
+        assert_eq!(stats.full_drops, 0, "{at}");
         assert_eq!(
             (stats.evicted_entries, stats.retained_entries),
-            (cached, 0),
+            (0, CACHE_CAPACITY),
             "{at}"
         );
-        assert_eq!(service.cache_len(), 0, "{at}");
-        assert_eq!(stats.subs_dirty, pool.len(), "{at}");
-        assert_eq!(stats.subs_reexecuted, pool.len(), "{at}");
+        assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (0, 0), "{at}");
+        assert_eq!(stats.subs_stable, pool.len(), "{at}");
         assert_eq!(stats.subs_unaffected, 1, "{at}: the degenerate one");
-        assert!(stats.deltas.is_empty(), "{at}: no answer changed");
-        let hits = service.cache_stats().hits;
-        for (query, id) in pool.iter().zip(&standing) {
-            let expected = mirror.answer(query);
-            assert_eq!(service.execute(query).transitions, expected, "{at}");
-            assert_eq!(service.standing(*id), expected, "{at}");
+        for delta in &stats.deltas {
+            assert_eq!(delta.reason, DeltaReason::RouteInserted, "{at}");
+            assert!(delta.entered.is_empty() && !delta.left.is_empty(), "{at}");
         }
-        assert_eq!(service.cache_stats().hits, hits, "{at}: every read misses");
-        stats
+        if member_leaves {
+            assert!(!mirror.answer(&pool[0]).contains(&member), "{at}");
+            let on_sub: Vec<&SubscriptionDelta> = stats
+                .deltas
+                .iter()
+                .filter(|d| d.subscription == standing[0])
+                .collect();
+            assert_eq!(on_sub.len(), 1, "{at}: one delta per subscription");
+            assert!(on_sub[0].left.contains(&member), "{at}");
+        } else {
+            assert!(stats.deltas.is_empty(), "{at}: no answer changed");
+        }
+        let hits = service.cache_stats().hits;
+        for (n, query) in pool[..CACHE_CAPACITY].iter().enumerate() {
+            assert_eq!(
+                service.execute(query).transitions,
+                mirror.answer(query),
+                "{at}"
+            );
+            assert_eq!(
+                service.cache_stats().hits,
+                hits + n as u64 + 1,
+                "{at}: a hit"
+            );
+        }
+        for (query, id) in pool.iter().zip(&standing) {
+            assert_eq!(service.standing(*id), mirror.answer(query), "{at}");
+        }
+    }
+}
+
+/// A route removal drops the whole cache and re-executes every
+/// non-degenerate subscription — even the removal of a far route, which
+/// changes no answer: a removal can only add members, which no member scan
+/// finds, so nothing is kept. The unchanged results emit no delta, and every
+/// read behind the removal is a recomputed miss equal to the mirror.
+///
+/// Mutation that fails it: a route removal keeps the cache
+/// (`Service::applied` skips `cache.invalidate_all()`).
+#[test]
+fn a_route_removal_drops_the_cache_and_reexecutes_the_subscriptions() {
+    let mut mirror = Mirror::new();
+    let mut service = flat();
+    let pool = pool();
+    let standing: Vec<SubscriptionId> = pool.iter().map(|q| service.subscribe(q.clone())).collect();
+    service.subscribe(RknntQuery::exists(Vec::new(), 2)); // degenerate
+    let far = StoreUpdate::InsertRoute(vec![p(5_000.0, 5_000.0), p(5_100.0, 5_000.0)]);
+    mirror.apply(&far);
+    let id = service.apply_updates(vec![far]).inserted_routes[0];
+    for query in &pool[..CACHE_CAPACITY] {
+        service.execute(query);
+    }
+    let cached = service.cache_len();
+    assert_eq!(cached, CACHE_CAPACITY);
+    let removal = StoreUpdate::RemoveRoute(id);
+    mirror.apply(&removal);
+    let stats = service.apply_updates(vec![removal]);
+    assert_eq!(stats.full_drops, 1);
+    assert_eq!((stats.evicted_entries, stats.retained_entries), (cached, 0));
+    assert_eq!(service.cache_len(), 0);
+    assert_eq!(stats.subs_dirty, pool.len());
+    assert_eq!(stats.subs_reexecuted, pool.len());
+    assert_eq!(stats.subs_unaffected, 1, "the degenerate one");
+    assert!(stats.deltas.is_empty(), "no answer changed");
+    let hits = service.cache_stats().hits;
+    for (query, id) in pool.iter().zip(&standing) {
+        let expected = mirror.answer(query);
+        assert_eq!(service.execute(query).transitions, expected);
+        assert_eq!(service.standing(*id), expected);
+    }
+    assert_eq!(service.cache_stats().hits, hits, "every read misses");
+}
+
+/// The recheck is strict at ties and backing-blind. With k = 1 a member
+/// whose only qualifying endpoint is `TIE_K1` (the query's vertex (30, 36)
+/// and the y = 30 route both at distance² 34) stays when a route is inserted
+/// at exactly that distance too — a tie is not "strictly closer" — and
+/// leaves when the same route is nudged 0.001 closer. A flat and a 4-shard
+/// service fed the same stream emit identical deltas, and every read behind
+/// it is a hit equal to the mirror.
+#[test]
+fn a_tied_route_insert_keeps_the_member_and_a_nudged_one_removes_it() {
+    let mut mirror = Mirror::new();
+    let (mut flat, mut sharded) = (flat(), sharded());
+    let pool = pool();
+    let query = &pool[0];
+    assert_eq!(
+        (query.k, query.semantics),
+        (1, rknnt_core::Semantics::Exists)
+    );
+    let (sub, sharded_sub) = (
+        flat.subscribe(query.clone()),
+        sharded.subscribe(query.clone()),
+    );
+    assert_eq!(sub, sharded_sub);
+    flat.execute(query);
+    sharded.execute(query);
+    // Applies one update to both services and returns its stats with the
+    // mirror's answer behind it.
+    let mut apply = |update: StoreUpdate, at: &str| -> (UpdateStats, Vec<TransitionId>) {
+        mirror.apply(&update);
+        let stats = flat.apply_updates(vec![update.clone()]);
+        assert_eq!(
+            stats.deltas,
+            sharded.apply_updates(vec![update]).deltas,
+            "{at}: flat and sharded deltas"
+        );
+        for sut in [&flat as &dyn Sut, &sharded as &dyn Sut] {
+            let hits = sut.stats().hits;
+            assert_eq!(sut.read(query), mirror.answer(query), "{at}");
+            assert_eq!(sut.stats().hits, hits + 1, "{at}: a hit");
+            assert_eq!(sut.standing(sub), mirror.answer(query), "{at}");
+        }
+        (stats, mirror.answer(query))
     };
-    let far = vec![p(5_000.0, 5_000.0), p(5_100.0, 5_000.0)];
-    let inserted = change(&mut service, StoreUpdate::InsertRoute(far), "far insert");
-    let id = inserted.inserted_routes[0];
-    change(&mut service, StoreUpdate::RemoveRoute(id), "far removal");
+    // On a stop, the far endpoint has a route strictly closer: only the tie
+    // qualifies.
+    let arrival = arrival(p(TIE_K1.0, TIE_K1.1), p(0.0, 0.0));
+    let (stats, answer) = apply(arrival, "the member arrives");
+    let member = stats.inserted_transitions[0];
+    assert!(answer.contains(&member));
+    // (40, 36) is at distance² 5² + 3² = 34 from the tie endpoint.
+    let (tied, answer) = apply(
+        StoreUpdate::InsertRoute(vec![p(40.0, 36.0), p(45.0, 60.0)]),
+        "a tied route",
+    );
+    assert!(tied.deltas.is_empty(), "a tie is not strictly closer");
+    assert!(answer.contains(&member));
+    let (nudged, answer) = apply(
+        StoreUpdate::InsertRoute(vec![p(40.0, 35.999), p(45.0, 60.0)]),
+        "the route nudged 0.001 closer",
+    );
+    assert!(!answer.contains(&member));
+    assert_eq!(nudged.deltas.len(), 1);
+    assert_eq!(nudged.deltas[0].reason, DeltaReason::RouteInserted);
+    assert_eq!(nudged.deltas[0].left, vec![member]);
+    assert_eq!((nudged.full_drops, nudged.subs_reexecuted), (0, 0));
 }

@@ -219,8 +219,8 @@ fn monitored_churn_matches_fresh_state_brute_force() {
 }
 
 /// A hand-built world where every classification outcome is observable:
-/// unaffected skips, stable in-place maintenance, in-place expiry deltas,
-/// and the dirty re-execution every route change causes.
+/// unaffected skips, stable in-place maintenance, in-place expiry and route
+/// insert deltas, and the dirty re-execution every route removal causes.
 #[test]
 fn classification_outcomes_and_delta_reasons() {
     let mut routes = rknnt_index::RouteStore::default();
@@ -287,31 +287,33 @@ fn classification_outcomes_and_delta_reasons() {
     assert_eq!(stats.deltas[0].left, vec![near]);
     assert!(!service.subscription_result(sub).unwrap().contains(&near));
 
-    // 5. A far route insert: dirty and re-executed, and the unchanged result
-    //    emits no delta.
+    // 5. A far route insert: rechecked in place (stable), no member has it
+    //    strictly closer, no delta, nothing re-executed.
     let stats = service.apply_updates(vec![StoreUpdate::InsertRoute(
         (0..4).map(|i| p(300.0 + i as f64 * 10.0, 300.0)).collect(),
     )]);
-    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (1, 1));
+    assert_eq!(stats.subs_stable, 1);
+    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (0, 0));
     assert!(stats.deltas.is_empty());
 
     // 6. Removing the far ladder rung (no endpoint has it strictly closer
-    //    than the query): the same.
+    //    than the query): dirty and re-executed, and the unchanged result
+    //    emits no delta.
     let stats = service.apply_updates(vec![StoreUpdate::RemoveRoute(rknnt_index::RouteId(7))]);
     assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (1, 1));
     assert!(stats.deltas.is_empty());
 
     // 7. Two routes laid through both endpoints of the arrival of step 2:
-    //    the first dirties the subscription (the second skips it), one
-    //    re-execution at the end of the call, and the member leaves.
+    //    the first one makes the member leave in place, the second finds
+    //    it gone; nothing is re-executed.
     let through = vec![p(34.5, 35.5), p(35.5, 34.5)];
     let stats = service.apply_updates(vec![
         StoreUpdate::InsertRoute(through.clone()),
         StoreUpdate::InsertRoute(through),
     ]);
-    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (1, 1));
+    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (0, 0));
     assert_eq!(stats.deltas.len(), 1);
-    assert_eq!(stats.deltas[0].reason, DeltaReason::Reexecuted);
+    assert_eq!(stats.deltas[0].reason, DeltaReason::RouteInserted);
     assert_eq!(stats.deltas[0].left, vec![new_id]);
     assert!(stats.deltas[0].entered.is_empty());
     assert!(!service.subscription_result(sub).unwrap().contains(&new_id));

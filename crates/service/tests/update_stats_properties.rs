@@ -116,11 +116,11 @@ fn resolve(
     }
 }
 
-/// Counts how many applied updates were route changes in this batch.
-fn count_route_changes(batch: &[StoreUpdate]) -> usize {
+/// Counts how many applied updates were route removals in this batch.
+fn count_route_removals(batch: &[StoreUpdate]) -> usize {
     batch
         .iter()
-        .filter(|u| matches!(u, StoreUpdate::InsertRoute(_) | StoreUpdate::RemoveRoute(_)))
+        .filter(|u| matches!(u, StoreUpdate::RemoveRoute(_)))
         .count()
 }
 
@@ -130,7 +130,7 @@ fn check_batch_invariants(
     batch_len: usize,
     pre_cache_len: usize,
     pre_results: &BTreeMap<SubscriptionId, Vec<TransitionId>>,
-    route_changes: usize,
+    route_removals: usize,
 ) {
     let subs = service.subscriptions();
     // Every update either applied or was rejected.
@@ -143,9 +143,10 @@ fn check_batch_invariants(
         pre_cache_len,
         stats.evicted_entries + stats.retained_entries
     );
-    // Every applied route change dropped the whole cache.
-    assert_eq!(stats.full_drops, route_changes);
-    if route_changes > 0 {
+    // Every applied route removal dropped the whole cache; a route insert
+    // keeps it.
+    assert_eq!(stats.full_drops, route_removals);
+    if route_removals > 0 {
         assert_eq!(stats.retained_entries, 0);
     }
     // Subscription classification: each sub is dirtied at most once and
@@ -224,10 +225,10 @@ proptest! {
             if !batched || pending.len() == 3 {
                 let batch = std::mem::take(&mut pending);
                 let batch_len = batch.len();
-                // Removal draws always come from the live-id list and route
-                // inserts are always valid, so every generated route change
-                // applies — an independent ground truth for full_drops.
-                let route_changes = count_route_changes(&batch);
+                // Removal draws always come from the live-id list, so every
+                // generated route removal applies — an independent ground
+                // truth for full_drops.
+                let route_removals = count_route_removals(&batch);
                 let pre_cache_len = service.cache_len();
                 let pre_results = snapshot(&service);
                 let stats = service.apply_updates(batch);
@@ -237,7 +238,7 @@ proptest! {
                     batch_len,
                     pre_cache_len,
                     &pre_results,
-                    route_changes,
+                    route_removals,
                 );
                 live_transitions.extend(stats.inserted_transitions.iter().copied());
                 live_routes.extend(stats.inserted_routes.iter().copied());
@@ -246,7 +247,7 @@ proptest! {
         if !pending.is_empty() {
             let batch = std::mem::take(&mut pending);
             let batch_len = batch.len();
-            let route_changes = count_route_changes(&batch);
+            let route_removals = count_route_removals(&batch);
             let pre_cache_len = service.cache_len();
             let pre_results = snapshot(&service);
             let stats = service.apply_updates(batch);
@@ -256,7 +257,7 @@ proptest! {
                 batch_len,
                 pre_cache_len,
                 &pre_results,
-                route_changes,
+                route_removals,
             );
         }
 

@@ -8,8 +8,10 @@
 //! answers that did not change; [`QueryService::subscribe`] instead keeps
 //! each standing result current across [`QueryService::apply_updates`] —
 //! arriving and expiring transitions are admitted to or dropped from each
-//! result in place, and only a route change re-executes the queries — and
-//! reports what changed as [`SubscriptionDelta`]s, each saying why.
+//! result in place, a new line drops in place exactly the members it now
+//! beats the corridor for, and only a line withdrawal re-executes the
+//! queries — and reports what changed as [`SubscriptionDelta`]s, each
+//! saying why.
 //!
 //! Run with `cargo run --release --example continuous_monitoring`.
 
@@ -45,7 +47,7 @@ fn main() {
     let mut live_routes = service.routes().route_ids();
     let (mut updates_applied, mut reexecutions, mut stable, mut unaffected) = (0, 0, 0, 0);
     let mut delta_log = 0usize;
-    let (mut arrived, mut expired, mut recomputed) = (0, 0, 0);
+    let (mut arrived, mut expired, mut displaced, mut recomputed) = (0, 0, 0, 0);
 
     for chunk in stream.chunks(20) {
         let updates: Vec<StoreUpdate> = chunk
@@ -88,6 +90,7 @@ fn main() {
             match delta.reason {
                 DeltaReason::TransitionArrived => arrived += 1,
                 DeltaReason::TransitionExpired => expired += 1,
+                DeltaReason::RouteInserted => displaced += 1,
                 DeltaReason::Reexecuted => recomputed += 1,
             }
             if delta_log <= 5 {
@@ -112,7 +115,8 @@ fn main() {
     );
     println!(
         "{delta_log} deltas emitted: {arrived} arrivals admitted in place, \
-         {expired} member expiries, {recomputed} from re-execution after a route change"
+         {expired} member expiries, {displaced} in-place drops behind a new line, \
+         {recomputed} from re-execution after a line withdrawal"
     );
 
     // The maintained results are byte-identical to fresh execution.

@@ -7,8 +7,9 @@
 //! the popular-route capacity queries re-running between bursts, the
 //! interleaving a live deployment sees. The update path only journals the
 //! arrivals and expiries, and each cached answer replays what it missed when
-//! it is next read — so transition churn evicts nothing (only a route change
-//! could), which the day-level cache hit-rate printed at the end shows.
+//! it is next read — so transition churn evicts nothing (a route insert
+//! would not either; only a route removal drops the cache), which the
+//! day-level cache hit-rate printed at the end shows.
 //!
 //! Run with `cargo run --release --example dynamic_updates`.
 

@@ -33,7 +33,9 @@
 //!   still right, cached answers stale);
 //! * `<=` instead of `<` in the admission kernel
 //!   (`rknnt_core::admits_transition` judging an endpoint by `count <= k`);
-//! * a route change keeps the cache (`Service::applied` skips
+//! * a route insert rechecks nothing (`recheck_members` in
+//!   `crates/service/src/journal.rs` returns at once);
+//! * a route removal keeps the cache (`Service::applied` skips
 //!   `cache.invalidate_all()`);
 //! * skip WAL replay of the tail on reopen (`Service::open` never calls
 //!   `service.replay(updates)`, so only the snapshot comes back).
