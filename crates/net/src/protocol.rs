@@ -611,7 +611,7 @@ impl Message {
                 encode_transitions(&mut enc, left);
                 enc.u8(match reason {
                     DeltaReason::TransitionExpired => 0,
-                    DeltaReason::Reexecuted => 1,
+                    DeltaReason::RouteRemoved => 1,
                     DeltaReason::TransitionArrived => 2,
                     DeltaReason::RouteInserted => 3,
                 });
@@ -767,7 +767,7 @@ impl Message {
                 left: decode_transitions(&mut dec)?,
                 reason: match dec.u8()? {
                     0 => DeltaReason::TransitionExpired,
-                    1 => DeltaReason::Reexecuted,
+                    1 => DeltaReason::RouteRemoved,
                     2 => DeltaReason::TransitionArrived,
                     3 => DeltaReason::RouteInserted,
                     other => {
@@ -931,7 +931,7 @@ mod tests {
                 subscription: 42,
                 entered: vec![TransitionId::from(4)],
                 left: vec![],
-                reason: DeltaReason::Reexecuted,
+                reason: DeltaReason::RouteRemoved,
             },
         ]
     }
@@ -946,7 +946,7 @@ mod tests {
         };
         for (reason, tag) in [
             (DeltaReason::TransitionExpired, 0u8),
-            (DeltaReason::Reexecuted, 1),
+            (DeltaReason::RouteRemoved, 1),
             (DeltaReason::TransitionArrived, 2),
             (DeltaReason::RouteInserted, 3),
         ] {

@@ -217,7 +217,8 @@ fn subscription_deltas_stream_to_the_owning_connection() {
         .answered()
         .unwrap();
     assert_eq!(counts.applied, 2);
-    let mut route_deltas = twin.apply_updates(updates).deltas;
+    let twin_stats = twin.apply_updates(updates);
+    let mut route_deltas = twin_stats.deltas;
     route_deltas.retain(|d| d.subscription == twin_sub);
     assert!(
         route_deltas
@@ -226,9 +227,29 @@ fn subscription_deltas_stream_to_the_owning_connection() {
         "the arrival must leave behind the route insert: {route_deltas:?}"
     );
     expect_deltas(&mut client, &route_deltas);
+
+    // Withdrawing one copy leaves one route strictly closer at each
+    // endpoint, under k = 2: the arrival enters again in place — a
+    // `RouteRemoved` delta, wire tag 1.
+    let updates = vec![StoreUpdate::RemoveRoute(twin_stats.inserted_routes[1])];
+    let counts = client
+        .apply_updates(updates.clone())
+        .unwrap()
+        .answered()
+        .unwrap();
+    assert_eq!(counts.applied, 1);
+    let mut removal_deltas = twin.apply_updates(updates).deltas;
+    removal_deltas.retain(|d| d.subscription == twin_sub);
+    assert!(
+        removal_deltas
+            .iter()
+            .any(|d| d.reason == DeltaReason::RouteRemoved && d.entered.contains(&arrived)),
+        "the arrival must re-enter behind the route removal: {removal_deltas:?}"
+    );
+    expect_deltas(&mut client, &removal_deltas);
     assert_eq!(
         server.deltas_pushed(),
-        (expected_deltas.len() + route_deltas.len()) as u64
+        (expected_deltas.len() + route_deltas.len() + removal_deltas.len()) as u64
     );
 
     // Unsubscribe: first drop succeeds, second reports a dead handle.

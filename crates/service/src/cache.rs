@@ -15,14 +15,16 @@
 //! owns the [`crate::journal`] ring the update path appends arrivals and
 //! expiries to, every entry remembers its query and the journal sequence it
 //! is current to, and a lookup replays the suffix into the entry before
-//! returning it. A route insert keeps the entries too: each catches up on
-//! the journal and re-judges the members the new route comes strictly
-//! closer to ([`crate::journal::recheck_members`]). Only route removals
-//! (which drop every entry) and falling off the ring drop entries.
+//! returning it. A route change keeps the entries too
+//! ([`ResultCache::route_changed`]): each catches up on the journal, then
+//! takes the route change's own step — an insert re-judges the members the
+//! new route comes strictly closer to
+//! ([`crate::journal::recheck_members`]), a removal admits from the
+//! removed route's RkNNT answer ([`crate::journal::admit_candidates`]).
+//! Only LRU pressure and falling off the ring drop entries.
 
-use crate::journal::{recheck_members, replay, Journal, TransitionOp, JOURNAL_CAPACITY};
+use crate::journal::{replay, Journal, TransitionOp, JOURNAL_CAPACITY};
 use rknnt_core::{QueryScratch, RknntQuery, RknntResult, Semantics};
-use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionId};
 use rknnt_obs::Counter;
 use std::collections::HashMap;
@@ -103,15 +105,9 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Results evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Full invalidations ([`ResultCache::invalidate_all`]): one per applied
-    /// route removal.
-    pub invalidations: u64,
-    /// Entries dropped at a lookup or a route insert because the journal no
-    /// longer reached back to them.
+    /// Entries dropped at a lookup or a route change because the journal
+    /// no longer reached back to them.
     pub targeted_evictions: u64,
-    /// Entries dropped by full invalidations (each invalidation adds the
-    /// number of entries it cleared).
-    pub invalidated_entries: u64,
 }
 
 /// The atomic counter cells the cache increments in place of ad-hoc struct
@@ -128,12 +124,8 @@ pub struct CacheCounters {
     pub insertions: Counter,
     /// LRU evictions.
     pub evictions: Counter,
-    /// Full invalidations.
-    pub invalidations: Counter,
     /// Entries dropped for falling off the journal.
     pub targeted_evictions: Counter,
-    /// Entries dropped by full invalidations.
-    pub invalidated_entries: Counter,
 }
 
 struct Slot {
@@ -203,9 +195,7 @@ impl ResultCache {
             misses: self.counters.misses.get(),
             insertions: self.counters.insertions.get(),
             evictions: self.counters.evictions.get(),
-            invalidations: self.counters.invalidations.get(),
             targeted_evictions: self.counters.targeted_evictions.get(),
-            invalidated_entries: self.counters.invalidated_entries.get(),
         }
     }
 
@@ -312,17 +302,17 @@ impl ResultCache {
         self.counters.insertions.inc();
     }
 
-    /// Keeps every entry exact across the insert of the route `inserted`
-    /// (its points) into `routes` (the post-insert route set): each entry
-    /// first catches up on the journal — one the ring no longer reaches is
-    /// dropped, as at a lookup — then [`recheck_members`] re-judges the
-    /// members the new route comes strictly closer to. `endpoints` resolves
-    /// a live transition's endpoints. No lookup is counted.
-    pub(crate) fn route_inserted(
+    /// Keeps every entry exact across one route insert or removal, `routes`
+    /// being the post-change route set: each entry first catches up on the
+    /// journal — one the ring no longer reaches is dropped, as at a lookup —
+    /// then `follow` takes the change's own step on its query and sorted
+    /// ids ([`crate::journal::recheck_members`] or
+    /// [`crate::journal::admit_candidates`]) with the cache's scratch. No
+    /// lookup is counted.
+    pub(crate) fn route_changed(
         &mut self,
-        inserted: &[Point],
         routes: &RouteStore,
-        endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
+        mut follow: impl FnMut(&RknntQuery, &mut Vec<TransitionId>, &mut QueryScratch),
     ) {
         let mut slot = self.head;
         while slot != NIL {
@@ -330,14 +320,7 @@ impl ResultCache {
             if self.catch_up(slot, routes) {
                 let entry = &mut self.slots[slot];
                 let value = &mut entry.value;
-                recheck_members(
-                    &entry.query,
-                    &mut value.transitions,
-                    inserted,
-                    routes,
-                    &endpoints,
-                    &mut self.scratch,
-                );
+                follow(&entry.query, &mut value.transitions, &mut self.scratch);
                 value.stats.result_transitions = value.transitions.len();
             } else {
                 self.remove(slot);
@@ -347,17 +330,16 @@ impl ResultCache {
         }
     }
 
-    /// Drops every entry — what every route removal does. The journal
-    /// stays: with no entry left there is no reader behind its head to
-    /// strand.
-    pub fn invalidate_all(&mut self) {
-        self.counters.invalidated_entries.add(self.map.len() as u64);
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.counters.invalidations.inc();
+    /// The largest `k` of a cached non-degenerate query; 0 when there is
+    /// none.
+    pub(crate) fn max_k(&self) -> usize {
+        self.map
+            .values()
+            .map(|&slot| &self.slots[slot].query)
+            .filter(|query| !query.is_degenerate())
+            .map(|query| query.k)
+            .max()
+            .unwrap_or(0)
     }
 
     fn evict_lru(&mut self) {
@@ -455,6 +437,12 @@ mod tests {
         put(&mut cache, &exists, 1);
         assert!(cache.get(&CacheKey::of(&forall), &routes()).is_none());
         assert!(cache.get(&CacheKey::of(&k9), &routes()).is_none());
+        // What a route removal's candidate query runs at: degenerate
+        // queries do not count.
+        assert_eq!(cache.max_k(), 5);
+        put(&mut cache, &RknntQuery::exists(Vec::new(), 20), 2);
+        put(&mut cache, &k9, 3);
+        assert_eq!(cache.max_k(), 9);
     }
 
     #[test]
@@ -474,27 +462,6 @@ mod tests {
         assert!(cache.get(&CacheKey::of(&a), &routes()).is_some());
         assert!(cache.get(&CacheKey::of(&c), &routes()).is_some());
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn invalidate_all_empties_the_cache() {
-        let mut cache = ResultCache::new(4, 7);
-        for i in 0..4 {
-            put(&mut cache, &query(i as f64, 1), i);
-        }
-        assert_eq!(cache.len(), 4);
-        cache.invalidate_all();
-        assert!(cache.is_empty());
-        assert!(cache
-            .get(&CacheKey::of(&query(0.0, 1)), &routes())
-            .is_none());
-        assert_eq!(cache.stats().invalidations, 1);
-        assert_eq!(cache.stats().invalidated_entries, 4);
-        // Reusable after invalidation.
-        put(&mut cache, &query(9.0, 1), 9);
-        assert!(cache
-            .get(&CacheKey::of(&query(9.0, 1)), &routes())
-            .is_some());
     }
 
     #[test]
@@ -572,12 +539,6 @@ mod tests {
             cache.get(&keys[4], &routes()).unwrap().transitions,
             vec![TransitionId(99)]
         );
-        // Invalidate and refill: the arena and free list stay coherent.
-        cache.invalidate_all();
-        assert!(cache.is_empty());
-        put(&mut cache, &queries[0], 1);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(&keys[0], &routes()).is_some());
     }
 
     #[test]
@@ -598,10 +559,6 @@ mod tests {
         assert_eq!(stats.evictions, 0);
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 8);
-        // invalidate_all is a harmless no-op.
-        cache.invalidate_all();
-        assert_eq!(cache.stats().invalidations, 1);
-        assert_eq!(cache.stats().invalidated_entries, 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::batch::{form_groups, run_group, BatchStats, Group, GroupOutput};
 use crate::cache::{CacheKey, CacheStats, ResultCache};
-use crate::journal::TransitionOp;
+use crate::journal::{admit_candidates, recheck_members, TransitionOp};
 use crate::metrics::ServiceMetrics;
 use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
 use crate::service::{ServiceConfig, StoreUpdate, UpdateStats};
@@ -80,7 +80,7 @@ pub trait Backing: Sync + Sized {
 
     /// The endpoints of a live (global) transition id; `None` for an
     /// unknown or expired one. A route insert resolves the members it
-    /// rechecks through it.
+    /// rechecks through it, a route removal the candidates it admits.
     fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)>;
 
     /// The complete logical state in *global* form — the planner-wide route
@@ -108,9 +108,9 @@ pub trait Backing: Sync + Sized {
 /// in-flight `&self` batch. The stores of a live service change one way:
 /// [`Service::apply_updates`] / [`Service::try_apply_updates`] (and the WAL
 /// replay inside [`Service::open`]) mutate them in place, update by update;
-/// cached results follow transition churn through the journal and route
-/// inserts through a member recheck, and a route removal drops them all. A
-/// rebuilt index is a new service.
+/// cached results follow transition churn through the journal, route
+/// inserts through a member recheck and route removals through the removed
+/// route's own RkNNT answer. A rebuilt index is a new service.
 pub struct Service<B: Backing> {
     pub(crate) backing: B,
     /// Worker count and cache sizing of the pipeline.
@@ -537,9 +537,9 @@ impl<B: Backing> Service<B> {
     }
 
     /// Executes queries through grouping + the worker pool, bypassing the
-    /// result cache in both directions. Used for subscription
-    /// (re-)execution: dirty standing queries still share filter
-    /// constructions within the batch, but never pollute the LRU.
+    /// result cache in both directions. Used for a new subscription and for
+    /// a route removal's candidate query, neither of which belongs in the
+    /// LRU.
     fn execute_uncached(&self, queries: &[RknntQuery]) -> Vec<RknntResult> {
         let miss_indexes: Vec<usize> = (0..queries.len()).collect();
         let groups = form_groups(queries, &miss_indexes);
@@ -594,25 +594,6 @@ impl<B: Backing> Service<B> {
         self.monitor.get(id).map(|sub| sub.result.as_slice())
     }
 
-    /// Re-executes every dirty subscription through the grouped batch
-    /// machinery (shared filter constructions, worker pool) against the
-    /// current stores, installing results and emitting deltas.
-    fn reexecute_dirty_subscriptions(&mut self, deltas: &mut Vec<SubscriptionDelta>) {
-        let dirty = self.monitor.dirty_ids();
-        if dirty.is_empty() {
-            return;
-        }
-        let queries: Vec<RknntQuery> = dirty
-            .iter()
-            .map(|id| self.monitor.query_of(*id).clone())
-            .collect();
-        let outputs = self.execute_uncached(&queries);
-        for (id, result) in dirty.into_iter().zip(outputs) {
-            self.monitor
-                .finish_reexecution(id, result.transitions, &self.metrics, deltas);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Update path.
     // ------------------------------------------------------------------
@@ -627,19 +608,21 @@ impl<B: Backing> Service<B> {
     /// test. A **route insert** brings every entry current and re-judges,
     /// by the same admission kernel, exactly the members the new route comes
     /// strictly closer to than the query (an insert can remove only those,
-    /// and adds none). A **route removal** drops the whole cache.
+    /// and adds none). A **route removal** runs one uncached query — the
+    /// removed route's own `RkNNT_∃` at the largest `k` cached or watched,
+    /// which holds every transition the removal can add to any result —
+    /// brings every entry current and judges, by the same kernel, exactly
+    /// its non-members with an endpoint the removed route was strictly
+    /// closer to than the query. No update drops the cache.
     ///
     /// `&mut self` serialises the call against in-flight batches, and
     /// retained entries remain byte-identical to what a freshly built
     /// service over the post-update stores would answer — asserted by the
     /// churn determinism suite in `tests/service_churn.rs`.
     ///
-    /// Live subscriptions follow every applied update eagerly: transition
-    /// ops and route inserts are applied to their results in place, a route
-    /// removal marks them *dirty*, and the dirty ones are re-executed
-    /// together through the grouped batch path at the end of the call; the
-    /// returned [`UpdateStats::deltas`] describe every subscription result
-    /// change (see [`crate::monitor`]).
+    /// Live subscriptions take the same steps eagerly, in place, and are
+    /// never re-executed; the returned [`UpdateStats::deltas`] describe
+    /// every subscription result change (see [`crate::monitor`]).
     ///
     /// With storage attached the batch is appended to the write-ahead log —
     /// one frame per update, one fsync per call — *before* anything
@@ -744,35 +727,60 @@ impl<B: Backing> Service<B> {
                     None => self.metrics.update_rejected.inc(),
                 },
                 StoreUpdate::RemoveRoute(id) => {
+                    // The stores forget the points; the closer test needs them.
+                    let removed = self.backing.routes().route_points(id).to_vec();
                     if self.backing.remove_route(id) {
-                        self.applied(UpdateEffect::RouteRemoved, &mut stats.deltas);
+                        let candidates = self.removal_candidates(&removed);
+                        self.applied(
+                            UpdateEffect::RouteRemoved {
+                                removed: &removed,
+                                candidates: &candidates,
+                            },
+                            &mut stats.deltas,
+                        );
                     } else {
                         self.metrics.update_rejected.inc();
                     }
                 }
             }
         }
-        self.reexecute_dirty_subscriptions(&mut stats.deltas);
         stats.retained_entries = self.cache.get_mut().expect("cache lock").len();
         let view = self.metrics.update_view();
         stats.applied = (view.applied - base.applied) as usize;
         stats.rejected = (view.rejected - base.rejected) as usize;
         stats.evicted_entries = (view.evicted_entries - base.evicted_entries) as usize;
-        stats.full_drops = (view.full_drops - base.full_drops) as usize;
         stats.subs_unaffected = (view.subs_unaffected - base.subs_unaffected) as usize;
         stats.subs_stable = (view.subs_stable - base.subs_stable) as usize;
-        stats.subs_dirty = (view.subs_dirty - base.subs_dirty) as usize;
-        stats.subs_reexecuted = (view.subs_reexecuted - base.subs_reexecuted) as usize;
         stats.wal_appends = (view.wal_appends - base.wal_appends) as usize;
         stats.wal_bytes = view.wal_bytes - base.wal_bytes;
         stats
     }
 
+    /// The candidates of the removal of the route `removed` (its points)
+    /// from the current stores: `RkNNT_∃(removed, k_max)`, `k_max` the
+    /// largest `k` of a cached or watched non-degenerate query — every
+    /// transition the removal can bring into any of their results (see
+    /// [`crate::journal`]). Empty, and nothing executed, when there is no
+    /// such query.
+    fn removal_candidates(&mut self, removed: &[Point]) -> Vec<TransitionId> {
+        let cached = self.cache.get_mut().expect("cache lock").max_k();
+        let k_max = cached.max(self.monitor.max_k());
+        if k_max == 0 {
+            return Vec::new();
+        }
+        let query = RknntQuery::exists(removed.to_vec(), k_max);
+        self.execute_uncached(std::slice::from_ref(&query))
+            .pop()
+            .expect("one query in, one result out")
+            .transitions
+    }
+
     /// Bookkeeping for one update the stores accepted: count it, journal it
-    /// (transition ops), recheck the members a new route comes strictly
-    /// closer to (route inserts) or drop the whole cache (route removals),
-    /// bring every live subscription up to date.
-    fn applied(&mut self, effect: UpdateEffect, deltas: &mut Vec<SubscriptionDelta>) {
+    /// (transition ops) or take the route change's step on every cached
+    /// entry — recheck the members a new route comes strictly closer to,
+    /// admit the candidates of a removal — and bring every live subscription
+    /// up to date.
+    fn applied(&mut self, effect: UpdateEffect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
         self.metrics.update_applied.inc();
         let cache = self.cache.get_mut().expect("cache lock");
         let backing = &self.backing;
@@ -781,12 +789,19 @@ impl<B: Backing> Service<B> {
         match effect {
             UpdateEffect::Transition(op) => cache.record(op),
             UpdateEffect::RouteInserted(id) => {
-                cache.route_inserted(routes.route_points(id), routes, endpoints);
+                let inserted = routes.route_points(id);
+                cache.route_changed(routes, |query, result, scratch| {
+                    recheck_members(query, result, inserted, routes, endpoints, scratch);
+                });
             }
-            UpdateEffect::RouteRemoved => {
-                self.metrics.full_drops.inc();
-                cache.invalidate_all();
-            }
+            UpdateEffect::RouteRemoved {
+                removed,
+                candidates,
+            } => cache.route_changed(routes, |query, result, scratch| {
+                admit_candidates(
+                    query, result, removed, candidates, routes, endpoints, scratch,
+                );
+            }),
         }
         self.monitor
             .classify_update(effect, routes, endpoints, &self.metrics, deltas);

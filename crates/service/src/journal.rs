@@ -1,7 +1,8 @@
 //! The transition journal: a bounded, append-only ring of the transition
 //! arrivals and expiries the stores accepted, numbered by sequence, and the
-//! two steps that keep a result exact in place: [`replay`] applies one such
-//! op, [`recheck_members`] follows a route insert.
+//! three steps that keep a result exact in place: [`replay`] applies one
+//! such op, [`recheck_members`] follows a route insert and
+//! [`admit_candidates`] a route removal.
 //!
 //! By Definition 5 a transition's membership in `RkNNT(Q)` depends only on
 //! its own two endpoints and the route set. A computed result therefore
@@ -16,11 +17,16 @@
 //! A route insert can only raise an endpoint's count of strictly-closer
 //! routes, and only where the new route itself is strictly closer than `Q`,
 //! so it can only remove members, and only those: [`recheck_members`]
-//! re-judges exactly them. Every cached entry catches up on the journal
-//! before it is rechecked, so an entry never carries members judged against
-//! a route set older than its last recheck. A route removal can only *add*
-//! members, which no member scan finds: it drops cached results and
-//! re-executes subscriptions.
+//! re-judges exactly them. A route removal `R` is the mirror image: it can
+//! only *add* members, and only through an endpoint `u` that `R` was
+//! strictly closer to than `Q`. Every route strictly closer to such a `u`
+//! than `R` is strictly closer than `Q` too, so if `u` qualifies for `Q` at
+//! `k` after the removal it qualifies for `R` at `k`: every transition that
+//! can enter any result lies in `RkNNT_∃(R, k_max)` over the post-removal
+//! routes, one engine answer the update path computes once per removal.
+//! [`admit_candidates`] judges exactly its non-members. Every cached entry
+//! catches up on the journal before either step, so an entry never carries
+//! members judged against a route set older than its last route change.
 
 use rknnt_core::{admits_transition, QueryScratch, RknntQuery};
 use rknnt_geo::{point_route_distance_sq, Point};
@@ -97,11 +103,19 @@ pub(crate) fn replay(
     }
 }
 
+/// Whether the route `changed` (its points) is strictly closer to the
+/// endpoint `u` than the query route: some point `s` of it has
+/// `s.distance_sq(u) < dist²(u, Q)`, the comparison verification makes. A
+/// route change moves `u`'s count of strictly-closer routes only then.
+fn strictly_closer(changed: &[Point], query_route: &[Point], u: &Point) -> bool {
+    let threshold_sq = point_route_distance_sq(u, query_route);
+    changed.iter().any(|s| s.distance_sq(u) < threshold_sq)
+}
+
 /// Follows the insert of the route `inserted` (its points) into `routes`
 /// in `result`, the sorted ids that answered `query` just before the
-/// insert: every member with an endpoint `u` that some point `s` of the
-/// new route is strictly closer to than the query — `s.distance_sq(u) <
-/// dist²(u, Q)`, the comparison verification makes — is re-judged by
+/// insert: every member with an endpoint the new route is
+/// [`strictly_closer`] to than the query is re-judged by
 /// [`admits_transition`] against `routes`; every other member keeps both
 /// endpoint counts and stays. `endpoints` resolves a member's endpoints
 /// (members of a current result are live). Returns the ids that left, in
@@ -114,10 +128,7 @@ pub(crate) fn recheck_members(
     endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
     scratch: &mut QueryScratch,
 ) -> Vec<TransitionId> {
-    let closer = |u: &Point| {
-        let threshold_sq = point_route_distance_sq(u, &query.route);
-        inserted.iter().any(|s| s.distance_sq(u) < threshold_sq)
-    };
+    let closer = |u: &Point| strictly_closer(inserted, &query.route, u);
     let mut left = Vec::new();
     result.retain(|&id| {
         let (origin, destination) = endpoints(id).expect("members of a current result are live");
@@ -139,6 +150,56 @@ pub(crate) fn recheck_members(
         stays
     });
     left
+}
+
+/// Follows the removal of the route `removed` (its points) from `routes`
+/// in `result`, the sorted ids that answered `query` just before the
+/// removal: every member stays (a removal only lowers counts), and every
+/// non-member of `candidates` with an endpoint `removed` was
+/// [`strictly_closer`] to than the query is judged by [`admits_transition`]
+/// against `routes`. `candidates` must be `RkNNT_∃(removed, k′)` over
+/// `routes` for some `k′ ≥ query.k`, sorted — by the lemma in the module
+/// documentation a superset of what can enter. `endpoints` resolves a
+/// candidate's endpoints (candidates are live). Returns the ids that
+/// entered, in ascending order.
+pub(crate) fn admit_candidates(
+    query: &RknntQuery,
+    result: &mut Vec<TransitionId>,
+    removed: &[Point],
+    candidates: &[TransitionId],
+    routes: &RouteStore,
+    endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
+    scratch: &mut QueryScratch,
+) -> Vec<TransitionId> {
+    if query.is_degenerate() {
+        return Vec::new();
+    }
+    let closer = |u: &Point| strictly_closer(removed, &query.route, u);
+    let mut entered = Vec::new();
+    for &id in candidates {
+        if result.binary_search(&id).is_ok() {
+            continue;
+        }
+        let (origin, destination) = endpoints(id).expect("candidates are live");
+        if (closer(&origin) || closer(&destination))
+            && admits_transition(
+                routes,
+                &query.route,
+                query.k,
+                query.semantics,
+                &origin,
+                &destination,
+                scratch,
+            )
+        {
+            entered.push(id);
+        }
+    }
+    for &id in &entered {
+        let pos = result.partition_point(|&member| member < id);
+        result.insert(pos, id);
+    }
+    entered
 }
 
 /// The ring itself; see the module documentation.
@@ -239,9 +300,8 @@ mod tests {
         assert_eq!(ids, vec![TransitionId(1)]);
     }
 
-    #[test]
-    fn replayed_arrival_enters_iff_it_qualifies() {
-        // Horizontal routes at y = 0, 10, …, 70 and a query along y = 35.
+    /// Horizontal routes at y = 0, 10, …, 70 with stops every 10 in x.
+    fn ladder() -> RouteStore {
         let mut routes = RouteStore::default();
         for i in 0..8 {
             let y = i as f64 * 10.0;
@@ -249,6 +309,13 @@ mod tests {
                 .insert_route((0..8).map(|j| p(j as f64 * 10.0, y)).collect())
                 .unwrap();
         }
+        routes
+    }
+
+    #[test]
+    fn replayed_arrival_enters_iff_it_qualifies() {
+        // A query along y = 35.
+        let routes = ladder();
         let query = RknntQuery::exists(vec![p(5.0, 35.0), p(35.0, 35.0), p(65.0, 35.0)], 2);
         let mut scratch = QueryScratch::new();
         let mut ids = Vec::new();
@@ -277,5 +344,57 @@ mod tests {
             destination: p(35.0, 35.0),
         };
         assert!(!replay(&degenerate, &mut ids, &op, &routes, &mut scratch));
+    }
+
+    /// k = 1, and the endpoint (35, 35) is at distance² 50 from the ladder
+    /// (its nearest stops) and 49 from the one-vertex query (35, 42). A
+    /// route through (36, 37), distance² 5, is the only route strictly
+    /// closer there, so its removal admits the transition — which lies in
+    /// the removed route's own RkNNT answer, as the lemma says. A route
+    /// through (42, 35) is exactly tied with the query: it hid nothing, so
+    /// its removal admits nothing and the member stays, once.
+    #[test]
+    fn a_removal_admits_exactly_the_endpoints_it_was_strictly_closer_to() {
+        use rknnt_core::{BruteForceEngine, RknnTEngine};
+        use rknnt_index::TransitionStore;
+        let query = RknntQuery::exists(vec![p(35.0, 42.0)], 1);
+        let mut transitions = TransitionStore::default();
+        // The destination sits on a stop, where every route is closer.
+        let t = transitions.insert(p(35.0, 35.0), p(0.0, 0.0)).unwrap();
+        transitions.insert(p(5.0, 5.0), p(65.0, 65.0)).unwrap();
+        let endpoints = |id| transitions.get(id).map(|t| (t.origin, t.destination));
+        for (removed, hidden) in [
+            (vec![p(36.0, 37.0), p(90.0, 95.0)], true),
+            (vec![p(42.0, 35.0), p(90.0, 95.0)], false),
+        ] {
+            let mut routes = ladder();
+            let id = routes.insert_route(removed.clone()).unwrap();
+            let answer = |routes: &RouteStore, query: &RknntQuery| {
+                BruteForceEngine::new(routes, &transitions)
+                    .execute(query)
+                    .transitions
+            };
+            let mut result = answer(&routes, &query);
+            assert_eq!(result.contains(&t), !hidden);
+            assert!(routes.remove_route(id));
+            let candidates = answer(&routes, &RknntQuery::exists(removed.clone(), query.k));
+            let entered = admit_candidates(
+                &query,
+                &mut result,
+                &removed,
+                &candidates,
+                &routes,
+                endpoints,
+                &mut QueryScratch::new(),
+            );
+            assert_eq!(result, answer(&routes, &query));
+            assert_eq!(result, vec![t]);
+            if hidden {
+                assert!(candidates.contains(&t));
+                assert_eq!(entered, vec![t]);
+            } else {
+                assert!(entered.is_empty(), "a tie is not strictly closer");
+            }
+        }
     }
 }

@@ -51,15 +51,17 @@
 //!   an exact two-endpoint admission check per arrival — so transition
 //!   churn evicts nothing. A route insert evicts nothing either: it can
 //!   only remove members the new route comes strictly closer to than the
-//!   query, and exactly those are re-judged by the same kernel. A route
-//!   removal, the one event that can add members anywhere, drops the whole
-//!   cache.
+//!   query, and exactly those are re-judged by the same kernel. Nor does a
+//!   route removal: it can only add members, and every transition that can
+//!   enter any result lies in the removed route's own RkNNT answer at the
+//!   largest cached or watched `k` — one uncached query per removal, whose
+//!   non-members the same kernel judges for each entry.
 //! * **Continuous queries** — [`Service::subscribe`] registers a
 //!   standing query whose result the service keeps current across
-//!   `apply_updates`: arrivals, expiries and route inserts are applied to it
-//!   in place, route removals re-execute it through the shared batch path,
-//!   and result changes come back as per-batch [`SubscriptionDelta`]s
-//!   instead of forcing clients to re-poll ([`monitor`]).
+//!   `apply_updates`: every update — arrivals, expiries, route inserts and
+//!   removals — is applied to it in place, nothing re-executes it, and
+//!   result changes come back as per-batch [`SubscriptionDelta`]s instead
+//!   of forcing clients to re-poll ([`monitor`]).
 //! * **Durability** — [`Service::open`] / [`Service::attach_storage`] back
 //!   either service with an `rknnt-storage` directory: `apply_updates`
 //!   appends every update, in global form, to a CRC-guarded write-ahead log

@@ -7,10 +7,10 @@
 //! | prefix | what |
 //! |---|---|
 //! | `service.batch.*` | batch admission: queries, batches, groups, filter sharing, coalescing |
-//! | `service.cache.*` | result-cache counters (hits, misses, evictions, …) |
+//! | `service.cache.*` | result-cache counters: hits, misses, insertions, LRU evictions, targeted evictions (entries the journal no longer reaches) |
 //! | `service.stage.*_ns` | per-stage latency histograms: `cache_lookup`, `grouping`, `execution`, `finalize`, plus per fresh query `filter` (filter lookup or construction + prune) and `verify` |
-//! | `service.update.*` | update admission: applied, rejected, and `full_drops` (one per applied route removal) |
-//! | `service.subs.*` | subscription classification outcomes |
+//! | `service.update.*` | update admission: applied, rejected |
+//! | `service.subs.*` | subscription classification outcomes: unaffected, stable |
 //! | `storage.wal.*` | WAL appends, bytes, and `fsync_ns` latency |
 //! | `storage.checkpoint*` | checkpoint duration and the `checkpoint_stall_ns` high-water gauge |
 //! | `router.*` | sharded routing: `fanout` histogram (shards consulted per fresh execution), `shards_pruned`, `dispatches`, `executions` |
@@ -67,13 +67,10 @@ pub struct ServiceMetrics {
     // Update path.
     pub(crate) update_applied: Counter,
     pub(crate) update_rejected: Counter,
-    pub(crate) full_drops: Counter,
 
     // Subscription classification.
     pub(crate) subs_unaffected: Counter,
     pub(crate) subs_stable: Counter,
-    pub(crate) subs_dirty: Counter,
-    pub(crate) subs_reexecuted: Counter,
 
     // Storage (incremented by the storage engine through
     // [`StorageInstruments`]).
@@ -94,9 +91,7 @@ impl ServiceMetrics {
             misses: registry.counter("service.cache.misses"),
             insertions: registry.counter("service.cache.insertions"),
             evictions: registry.counter("service.cache.evictions"),
-            invalidations: registry.counter("service.cache.invalidations"),
             targeted_evictions: registry.counter("service.cache.targeted_evictions"),
-            invalidated_entries: registry.counter("service.cache.invalidated_entries"),
         };
         ServiceMetrics {
             queries: registry.counter("service.batch.queries"),
@@ -114,11 +109,8 @@ impl ServiceMetrics {
             verify_ns: registry.histogram("service.stage.verify_ns"),
             update_applied: registry.counter("service.update.applied"),
             update_rejected: registry.counter("service.update.rejected"),
-            full_drops: registry.counter("service.update.full_drops"),
             subs_unaffected: registry.counter("service.subs.unaffected"),
             subs_stable: registry.counter("service.subs.stable"),
-            subs_dirty: registry.counter("service.subs.dirty"),
-            subs_reexecuted: registry.counter("service.subs.reexecuted"),
             wal_appends: registry.counter("storage.wal.appends"),
             wal_bytes: registry.counter("storage.wal.bytes"),
             wal_fsync: registry.stage("storage.wal.fsync_ns"),
@@ -207,13 +199,9 @@ impl ServiceMetrics {
         UpdateCounterView {
             applied: self.update_applied.get(),
             rejected: self.update_rejected.get(),
-            evicted_entries: self.cache.targeted_evictions.get()
-                + self.cache.invalidated_entries.get(),
-            full_drops: self.full_drops.get(),
+            evicted_entries: self.cache.targeted_evictions.get(),
             subs_unaffected: self.subs_unaffected.get(),
             subs_stable: self.subs_stable.get(),
-            subs_dirty: self.subs_dirty.get(),
-            subs_reexecuted: self.subs_reexecuted.get(),
             wal_appends: self.wal_appends.get(),
             wal_bytes: self.wal_bytes.get(),
         }
@@ -292,14 +280,11 @@ pub(crate) struct BatchCounterView {
 pub(crate) struct UpdateCounterView {
     pub(crate) applied: u64,
     pub(crate) rejected: u64,
-    /// Targeted evictions + entries dropped by full invalidations (route
-    /// removals).
+    /// Targeted evictions: entries a route change found the journal no
+    /// longer reaching (a lookup's own drops happen outside updates).
     pub(crate) evicted_entries: u64,
-    pub(crate) full_drops: u64,
     pub(crate) subs_unaffected: u64,
     pub(crate) subs_stable: u64,
-    pub(crate) subs_dirty: u64,
-    pub(crate) subs_reexecuted: u64,
     pub(crate) wal_appends: u64,
     pub(crate) wal_bytes: u64,
 }

@@ -20,14 +20,16 @@
 //!   re-judged by the admission kernel; the ones that leave become one
 //!   `left`-only delta with [`DeltaReason::RouteInserted`]. Counted
 //!   *stable*.
-//! * **Route removals re-execute**: a removal can only add members, which
-//!   no member scan finds, so every non-degenerate subscription is marked
-//!   **dirty**. Dirty subscriptions are collected for the whole update
-//!   batch and re-executed together through the same grouped batch machinery
-//!   as one-shot queries, so subscriptions sharing a `(route, k)` pair share
-//!   one filter construction; the diff against the previous result becomes a
-//!   delta with [`DeltaReason::Reexecuted`] (none when the result is
-//!   unchanged).
+//! * **Route removals are applied in place** as well (the journal's
+//!   `admit_candidates`, again the cached results' own step): a removal can
+//!   only add members, and every transition that can enter lies in the
+//!   removed route's own RkNNT answer at the largest watched or cached `k`,
+//!   which the update path computes once per removal; its non-members with
+//!   an endpoint the removed route was strictly closer to are judged by the
+//!   admission kernel, and the ones that enter become one `entered`-only
+//!   delta with [`DeltaReason::RouteRemoved`]. Counted *stable*.
+//!
+//! No update re-executes a subscription.
 //!
 //! Replaying a subscription's deltas, in order, over any earlier snapshot of
 //! its result always reproduces the current result — the determinism suite
@@ -37,7 +39,7 @@
 //! [`QueryService::apply_updates`]: crate::QueryService::apply_updates
 //! [`StoreUpdate`]: crate::StoreUpdate
 
-use crate::journal::{recheck_members, replay, TransitionOp};
+use crate::journal::{admit_candidates, recheck_members, replay, TransitionOp};
 use crate::metrics::ServiceMetrics;
 use rknnt_core::{QueryScratch, RknntQuery};
 use rknnt_geo::Point;
@@ -73,10 +75,10 @@ pub enum DeltaReason {
     /// A transition arrived that qualifies; the result was updated in place
     /// without re-execution.
     TransitionArrived,
-    /// The subscription was dirtied by one or more route removals and
-    /// re-executed through the batch path; the delta is the diff against its
-    /// previous result.
-    Reexecuted,
+    /// A route was withdrawn that had been strictly closer than the query
+    /// to endpoints that then qualified; their transitions entered in
+    /// place, without re-execution (the delta only ever has `entered` ids).
+    RouteRemoved,
     /// A route was inserted that came strictly closer than the query to
     /// members that then stopped qualifying; they left in place, without
     /// re-execution (the delta only ever has `left` ids).
@@ -116,8 +118,6 @@ pub(crate) struct Subscription {
     pub(crate) query: RknntQuery,
     /// Current result, sorted ascending.
     pub(crate) result: Vec<TransitionId>,
-    /// Set by a route removal; cleared by re-execution.
-    dirty: bool,
 }
 
 /// The store-facing view of one applied [`crate::StoreUpdate`], used to
@@ -125,18 +125,24 @@ pub(crate) struct Subscription {
 /// mutation succeeded, so classification always runs against post-update
 /// stores.
 #[derive(Clone, Copy)]
-pub(crate) enum UpdateEffect {
+pub(crate) enum UpdateEffect<'a> {
     /// A transition arrived or expired.
     Transition(TransitionOp),
     /// The route with this id was inserted.
     RouteInserted(RouteId),
     /// A route was removed.
-    RouteRemoved,
+    RouteRemoved {
+        /// Its points, captured before the stores forgot them.
+        removed: &'a [Point],
+        /// `RkNNT_∃(removed, k_max)` over the post-removal stores, sorted:
+        /// every transition the removal can bring into a result.
+        candidates: &'a [TransitionId],
+    },
 }
 
 /// The registry of live subscriptions. Iteration is in id order
-/// (`BTreeMap`), so classification, re-execution and delta emission are
-/// fully deterministic.
+/// (`BTreeMap`), so classification and delta emission are fully
+/// deterministic.
 #[derive(Default)]
 pub(crate) struct SubscriptionRegistry {
     subs: BTreeMap<u64, Subscription>,
@@ -153,14 +159,7 @@ impl SubscriptionRegistry {
     ) -> SubscriptionId {
         let id = self.next_id;
         self.next_id += 1;
-        self.subs.insert(
-            id,
-            Subscription {
-                query,
-                result,
-                dirty: false,
-            },
-        );
+        self.subs.insert(id, Subscription { query, result });
         SubscriptionId(id)
     }
 
@@ -176,41 +175,33 @@ impl SubscriptionRegistry {
         self.subs.get(&id.0)
     }
 
-    /// Ids of subscriptions currently marked dirty, in id order.
-    pub(crate) fn dirty_ids(&self) -> Vec<u64> {
+    /// The largest `k` of a live non-degenerate subscription; 0 when there
+    /// is none.
+    pub(crate) fn max_k(&self) -> usize {
         self.subs
-            .iter()
-            .filter(|(_, sub)| sub.dirty)
-            .map(|(id, _)| *id)
-            .collect()
+            .values()
+            .filter(|sub| !sub.query.is_degenerate())
+            .map(|sub| sub.query.k)
+            .max()
+            .unwrap_or(0)
     }
 
-    pub(crate) fn query_of(&self, id: u64) -> &RknntQuery {
-        &self.subs[&id].query
-    }
-
-    /// Brings every live subscription up to date with one applied update:
-    /// transition ops and route inserts are applied in place against the
-    /// current `routes` (emitting a delta when the result changes;
-    /// `endpoints` resolves a live transition's endpoints for the members a
-    /// new route is rechecked against), a route removal marks the
-    /// subscription dirty (queued for batch re-execution). Subscriptions
-    /// already dirty are skipped outright — they will be re-executed against
-    /// the final stores anyway.
+    /// Brings every live subscription up to date with one applied update,
+    /// in place, against the current `routes`, emitting a delta when the
+    /// result changes; `endpoints` resolves a live transition's endpoints
+    /// for the members a new route is rechecked against and the candidates
+    /// a removal admits from.
     pub(crate) fn classify_update(
         &mut self,
-        effect: UpdateEffect,
+        effect: UpdateEffect<'_>,
         routes: &RouteStore,
         endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
         metrics: &ServiceMetrics,
         deltas: &mut Vec<SubscriptionDelta>,
     ) {
-        let (mut unaffected, mut stable, mut dirty) = (0u64, 0u64, 0u64);
+        let (mut unaffected, mut stable) = (0u64, 0u64);
         let scratch = &mut self.scratch;
         for (id, sub) in self.subs.iter_mut() {
-            if sub.dirty {
-                continue;
-            }
             if sub.query.is_degenerate() {
                 // Constant empty result, immune to churn.
                 unaffected += 1;
@@ -263,51 +254,33 @@ impl SubscriptionRegistry {
                         });
                     }
                 }
-                UpdateEffect::RouteRemoved => {
-                    sub.dirty = true;
-                    dirty += 1;
+                UpdateEffect::RouteRemoved {
+                    removed,
+                    candidates,
+                } => {
+                    stable += 1;
+                    let entered = admit_candidates(
+                        &sub.query,
+                        &mut sub.result,
+                        removed,
+                        candidates,
+                        routes,
+                        &endpoints,
+                        scratch,
+                    );
+                    if !entered.is_empty() {
+                        deltas.push(SubscriptionDelta {
+                            subscription: SubscriptionId(*id),
+                            entered,
+                            left: Vec::new(),
+                            reason: DeltaReason::RouteRemoved,
+                        });
+                    }
                 }
             }
         }
         metrics.subs_unaffected.add(unaffected);
         metrics.subs_stable.add(stable);
-        metrics.subs_dirty.add(dirty);
-    }
-
-    /// Installs a re-executed result, clearing the dirty flag and emitting
-    /// the diff against the previous result as a delta (none when the
-    /// re-execution confirmed the old result).
-    pub(crate) fn finish_reexecution(
-        &mut self,
-        id: u64,
-        new_result: Vec<TransitionId>,
-        metrics: &ServiceMetrics,
-        deltas: &mut Vec<SubscriptionDelta>,
-    ) {
-        let sub = self.subs.get_mut(&id).expect("re-executed sub must exist");
-        debug_assert!(sub.dirty, "only dirty subscriptions are re-executed");
-        let entered: Vec<TransitionId> = new_result
-            .iter()
-            .filter(|t| sub.result.binary_search(t).is_err())
-            .copied()
-            .collect();
-        let left: Vec<TransitionId> = sub
-            .result
-            .iter()
-            .filter(|t| new_result.binary_search(t).is_err())
-            .copied()
-            .collect();
-        sub.result = new_result;
-        sub.dirty = false;
-        metrics.subs_reexecuted.inc();
-        if !entered.is_empty() || !left.is_empty() {
-            deltas.push(SubscriptionDelta {
-                subscription: SubscriptionId(id),
-                entered,
-                left,
-                reason: DeltaReason::Reexecuted,
-            });
-        }
     }
 }
 
@@ -327,7 +300,7 @@ mod tests {
             subscription: SubscriptionId(0),
             entered: vec![id(2), id(7)],
             left: vec![id(4)],
-            reason: DeltaReason::Reexecuted,
+            reason: DeltaReason::TransitionArrived,
         };
         delta.apply(&mut result);
         assert_eq!(result, vec![id(1), id(2), id(7), id(9)]);

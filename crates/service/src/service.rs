@@ -81,30 +81,25 @@ pub struct UpdateStats {
     pub inserted_transitions: Vec<TransitionId>,
     /// Ids assigned to the inserted routes, in update order.
     pub inserted_routes: Vec<RouteId>,
-    /// Cached results dropped by this call: every entry cached when a route
-    /// removal applied, plus any entry a route insert found the journal no
-    /// longer reaching back to. Transition updates never evict.
+    /// Cached results dropped by this call: the entries a route insert or
+    /// removal found the journal no longer reaching back to. Transition
+    /// updates never evict.
     pub evicted_entries: usize,
     /// Cached results still live when the call returned.
     pub retained_entries: usize,
-    /// Full cache drops: one per applied route removal (a route insert
-    /// keeps the cache).
+    /// Always 0: no update drops the cache. Kept because the benchmark
+    /// harness under `benchmark/` reads it.
     pub full_drops: usize,
     /// (update, subscription) classifications that skipped a subscription
     /// with an exact constant-time test (degenerate query, or an expired
     /// transition outside the result).
     pub subs_unaffected: usize,
     /// (update, subscription) classifications that kept the subscription
-    /// without re-execution: an arrival, a member expiry or a route insert
-    /// applied in place (emitting its delta when the result changed).
+    /// current in place: an arrival, a member expiry, a route insert or a
+    /// route removal (emitting its delta when the result changed).
     pub subs_stable: usize,
-    /// (route removal, subscription) classifications that marked the
-    /// subscription dirty. Each subscription is marked at most once per
-    /// call — further updates skip it — so this equals
-    /// [`UpdateStats::subs_reexecuted`].
-    pub subs_dirty: usize,
-    /// Subscriptions re-executed through the batch path at the end of the
-    /// call.
+    /// Always 0: no update re-executes a subscription. Kept because the
+    /// benchmark harness under `benchmark/` reads it.
     pub subs_reexecuted: usize,
     /// Per-subscription result deltas, in emission order (replaying them
     /// over the pre-call results reproduces the post-call results).

@@ -23,10 +23,10 @@
 //! sets equals the unsharded candidate set, and after identical per-endpoint
 //! verification against the planner the merged, sorted result is
 //! **byte-identical** to the unsharded service's. Subscription delta streams
-//! are identical too: transition ops and route inserts are applied in place
-//! against the same planner on both sides (a member's endpoints resolved
-//! through the directory), and every route removal re-executes through that
-//! same byte-identical pipeline.
+//! are identical too: every update is applied in place against the same
+//! planner on both sides (a member's or candidate's endpoints resolved
+//! through the directory), and a route removal's candidate query runs
+//! through that same byte-identical pipeline.
 //!
 //! Placement therefore never changes an answer, which is what lets
 //! durability ignore it: the frontend logs updates in *global* form to one

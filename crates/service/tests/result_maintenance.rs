@@ -277,23 +277,28 @@ impl<'s, S: Sut> Driver<'s, S> {
         let stats = self.sut.update(updates);
         self.known
             .extend(stats.inserted_transitions.iter().copied());
+        // The whole point: no update drops the cache — only a route change
+        // drops the entries the journal no longer reaches — and transition
+        // churn does not even scan it.
+        assert_eq!(self.sut.cached(), cached - stats.evicted_entries, "{at}");
         if !route_change {
-            // The whole point: transition churn neither scans nor shrinks
-            // the cache, and never re-executes a standing query.
             assert_eq!(stats.evicted_entries, 0, "{at}");
-            assert_eq!(self.sut.cached(), cached, "{at}");
-            assert_eq!(stats.subs_dirty + stats.subs_reexecuted, 0, "{at}");
         }
-        self.replay(&stats.deltas, !route_change);
+        self.replay(&stats.deltas, at);
         self.check_standing(at);
         stats
     }
 
-    fn replay(&mut self, deltas: &[SubscriptionDelta], transitions_only: bool) {
+    fn replay(&mut self, deltas: &[SubscriptionDelta], at: &str) {
         for delta in deltas {
-            if transitions_only {
-                assert_ne!(delta.reason, DeltaReason::Reexecuted);
-                assert_eq!(delta.entered.len() + delta.left.len(), 1);
+            // Every reason has its shape: a transition op moves one id, a
+            // route insert only removes, a route removal only adds.
+            let shape = (delta.entered.len(), delta.left.len());
+            match delta.reason {
+                DeltaReason::TransitionArrived => assert_eq!(shape, (1, 0), "{at}"),
+                DeltaReason::TransitionExpired => assert_eq!(shape, (0, 1), "{at}"),
+                DeltaReason::RouteInserted => assert!(shape.0 == 0 && shape.1 > 0, "{at}"),
+                DeltaReason::RouteRemoved => assert!(shape.0 > 0 && shape.1 == 0, "{at}"),
             }
             if let Some((_, _, result)) = self
                 .subs
@@ -516,11 +521,10 @@ proptest! {
 /// Here a dropped cache would miss all ten reads and the maintained one
 /// misses none, and nothing re-executes.)
 ///
-/// Mutations that fail it: in `Service::apply_updates`, evict the cache
+/// Mutation that fails it: in `Service::apply_updates`, evict the cache
 /// entries a transition arrival's endpoints fall inside instead of
 /// journalling it (`evicted_entries`, `retained_entries` and the hit counts
-/// below); or mark a subscription dirty on a transition update instead of
-/// admitting it in place (`subs_dirty + subs_reexecuted`).
+/// below).
 #[test]
 fn transition_updates_never_touch_the_cache() {
     let mut service = QueryService::new(
@@ -558,7 +562,6 @@ fn transition_updates_never_touch_the_cache() {
     assert_eq!(stats.retained_entries, pool.len());
     assert_eq!(service.cache_len(), pool.len());
     assert_eq!(service.cache_stats(), before, "no cache counter moved");
-    assert_eq!(stats.subs_dirty + stats.subs_reexecuted, 0);
     assert!(
         stats.deltas.len() >= 4,
         "the batch must reach subscriptions"
@@ -617,7 +620,6 @@ fn a_route_insert_keeps_the_cache_and_rechecks_only_the_members_it_beats() {
             (0, CACHE_CAPACITY),
             "{at}"
         );
-        assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (0, 0), "{at}");
         assert_eq!(stats.subs_stable, pool.len(), "{at}");
         assert_eq!(stats.subs_unaffected, 1, "{at}: the degenerate one");
         for delta in &stats.deltas {
@@ -655,16 +657,22 @@ fn a_route_insert_keeps_the_cache_and_rechecks_only_the_members_it_beats() {
     }
 }
 
-/// A route removal drops the whole cache and re-executes every
-/// non-degenerate subscription — even the removal of a far route, which
-/// changes no answer: a removal can only add members, which no member scan
-/// finds, so nothing is kept. The unchanged results emit no delta, and every
-/// read behind the removal is a recomputed miss equal to the mirror.
+/// A route removal keeps the cache and re-executes nothing. A far removal
+/// changes no answer and emits no delta. Removing the ladder rung y = 40 —
+/// next to the `k = 1` query through (30, 36) and the `k = 2` queries along
+/// y = 35 — uncovers endpoints it was strictly closer to than the query,
+/// some of them behind the rung y = 30 as well, so they qualify for the
+/// removed rung at `k = 2` but not at `k = 1`. Each subscription that gains
+/// gets exactly one `RouteRemoved` delta entering exactly the gain, and
+/// every read behind either removal is a hit equal to a fresh engine over
+/// the mirror.
 ///
-/// Mutation that fails it: a route removal keeps the cache
-/// (`Service::applied` skips `cache.invalidate_all()`).
+/// Mutations that fail it: `journal::admit_candidates` returns at once (the
+/// hidden members never enter); `Service::removal_candidates` runs the
+/// candidate query at the smallest `k` cached or watched instead of the
+/// largest (the `k = 2` gain is missing from the candidates).
 #[test]
-fn a_route_removal_drops_the_cache_and_reexecutes_the_subscriptions() {
+fn a_route_removal_keeps_the_cache_and_admits_the_members_it_hid() {
     let mut mirror = Mirror::new();
     let mut service = flat();
     let pool = pool();
@@ -672,40 +680,89 @@ fn a_route_removal_drops_the_cache_and_reexecutes_the_subscriptions() {
     service.subscribe(RknntQuery::exists(Vec::new(), 2)); // degenerate
     let far = StoreUpdate::InsertRoute(vec![p(5_000.0, 5_000.0), p(5_100.0, 5_000.0)]);
     mirror.apply(&far);
-    let id = service.apply_updates(vec![far]).inserted_routes[0];
-    for query in &pool[..CACHE_CAPACITY] {
-        service.execute(query);
+    let far = service.apply_updates(vec![far]).inserted_routes[0];
+    let rung = RouteId(4);
+    let rung_points = mirror.routes.route_points(rung).to_vec();
+    // (query, transition) pairs the rung hid.
+    let mut uncovered: Vec<(RknntQuery, TransitionId)> = Vec::new();
+    for (removed, at) in [(far, "far removal"), (rung, "rung removal")] {
+        for query in &pool[..CACHE_CAPACITY] {
+            service.execute(query);
+        }
+        assert_eq!(service.cache_len(), CACHE_CAPACITY, "{at}");
+        let before: Vec<Vec<TransitionId>> = pool.iter().map(|q| mirror.answer(q)).collect();
+        let update = StoreUpdate::RemoveRoute(removed);
+        mirror.apply(&update);
+        let stats = service.apply_updates(vec![update]);
+        assert_eq!(stats.full_drops, 0, "{at}");
+        assert_eq!(
+            (stats.evicted_entries, stats.retained_entries),
+            (0, CACHE_CAPACITY),
+            "{at}"
+        );
+        assert_eq!(stats.subs_stable, pool.len(), "{at}");
+        assert_eq!(stats.subs_unaffected, 1, "{at}: the degenerate one");
+        for ((query, id), before) in pool.iter().zip(&standing).zip(&before) {
+            let after = mirror.answer(query);
+            assert!(before.iter().all(|t| after.contains(t)), "{at}: only gains");
+            let gain: Vec<TransitionId> = after
+                .iter()
+                .filter(|t| !before.contains(t))
+                .copied()
+                .collect();
+            let on_sub: Vec<&SubscriptionDelta> = stats
+                .deltas
+                .iter()
+                .filter(|d| d.subscription == *id)
+                .collect();
+            if gain.is_empty() {
+                assert!(on_sub.is_empty(), "{at}: {query:?} gained nothing");
+            } else {
+                assert_eq!(on_sub.len(), 1, "{at}: one delta per subscription");
+                assert_eq!(on_sub[0].reason, DeltaReason::RouteRemoved, "{at}");
+                assert_eq!(on_sub[0].entered, gain, "{at}: {query:?}");
+                assert!(on_sub[0].left.is_empty(), "{at}");
+            }
+            assert_eq!(service.standing(*id), after, "{at}");
+            uncovered.extend(gain.into_iter().map(|t| (query.clone(), t)));
+        }
+        if removed == far {
+            assert!(stats.deltas.is_empty(), "{at}: no answer changed");
+        }
+        let hits = service.cache_stats().hits;
+        for (n, query) in pool[..CACHE_CAPACITY].iter().enumerate() {
+            assert_eq!(
+                service.execute(query).transitions,
+                mirror.answer(query),
+                "{at}"
+            );
+            assert_eq!(
+                service.cache_stats().hits,
+                hits + n as u64 + 1,
+                "{at}: a hit"
+            );
+        }
     }
-    let cached = service.cache_len();
-    assert_eq!(cached, CACHE_CAPACITY);
-    let removal = StoreUpdate::RemoveRoute(id);
-    mirror.apply(&removal);
-    let stats = service.apply_updates(vec![removal]);
-    assert_eq!(stats.full_drops, 1);
-    assert_eq!((stats.evicted_entries, stats.retained_entries), (cached, 0));
-    assert_eq!(service.cache_len(), 0);
-    assert_eq!(stats.subs_dirty, pool.len());
-    assert_eq!(stats.subs_reexecuted, pool.len());
-    assert_eq!(stats.subs_unaffected, 1, "the degenerate one");
-    assert!(stats.deltas.is_empty(), "no answer changed");
-    let hits = service.cache_stats().hits;
-    for (query, id) in pool.iter().zip(&standing) {
-        let expected = mirror.answer(query);
-        assert_eq!(service.execute(query).transitions, expected);
-        assert_eq!(service.standing(*id), expected);
-    }
-    assert_eq!(service.cache_stats().hits, hits, "every read misses");
+    // The stream has teeth: the rung hid members of the `k = 1` query, and
+    // members of a `k = 2` query that qualify for the rung only at `k = 2`.
+    let rung_at_k1 = mirror.answer(&RknntQuery::exists(rung_points, 1));
+    assert!(uncovered.iter().any(|(q, _)| q == &pool[0]));
+    assert!(uncovered
+        .iter()
+        .any(|(q, t)| q.k == 2 && !rung_at_k1.contains(t)));
 }
 
-/// The recheck is strict at ties and backing-blind. With k = 1 a member
+/// Route changes are strict at ties and backing-blind. With k = 1 a member
 /// whose only qualifying endpoint is `TIE_K1` (the query's vertex (30, 36)
 /// and the y = 30 route both at distance² 34) stays when a route is inserted
 /// at exactly that distance too — a tie is not "strictly closer" — and
-/// leaves when the same route is nudged 0.001 closer. A flat and a 4-shard
-/// service fed the same stream emit identical deltas, and every read behind
-/// it is a hit equal to the mirror.
+/// leaves when the same route is nudged 0.001 closer. Removing the tied
+/// route moves nothing; removing the nudged one brings the member back as
+/// one `RouteRemoved` delta. A flat and a 4-shard service fed the same
+/// stream emit identical deltas, and every read behind it is a hit equal to
+/// the mirror.
 #[test]
-fn a_tied_route_insert_keeps_the_member_and_a_nudged_one_removes_it() {
+fn a_tied_route_moves_nothing_and_a_nudged_one_moves_the_member() {
     let mut mirror = Mirror::new();
     let (mut flat, mut sharded) = (flat(), sharded());
     let pool = pool();
@@ -760,5 +817,82 @@ fn a_tied_route_insert_keeps_the_member_and_a_nudged_one_removes_it() {
     assert_eq!(nudged.deltas.len(), 1);
     assert_eq!(nudged.deltas[0].reason, DeltaReason::RouteInserted);
     assert_eq!(nudged.deltas[0].left, vec![member]);
-    assert_eq!((nudged.full_drops, nudged.subs_reexecuted), (0, 0));
+    assert_eq!((nudged.evicted_entries, nudged.retained_entries), (0, 1));
+    let (untied, answer) = apply(
+        StoreUpdate::RemoveRoute(tied.inserted_routes[0]),
+        "the tied route removed",
+    );
+    assert!(untied.deltas.is_empty(), "it hid nothing");
+    assert!(!answer.contains(&member), "the nudged route still hides it");
+    let (unnudged, answer) = apply(
+        StoreUpdate::RemoveRoute(nudged.inserted_routes[0]),
+        "the nudged route removed",
+    );
+    assert!(answer.contains(&member));
+    assert_eq!(unnudged.deltas.len(), 1);
+    assert_eq!(unnudged.deltas[0].reason, DeltaReason::RouteRemoved);
+    assert_eq!(unnudged.deltas[0].entered, vec![member]);
+    assert_eq!(
+        (unnudged.evicted_entries, unnudged.retained_entries),
+        (0, 1)
+    );
+}
+
+/// The lemma route-removal maintenance rests on, against the definition
+/// alone: on seeded random worlds, for `∃` and `∀` and k ∈ {1, 2, 4},
+/// removing a route `R` only adds members, and every transition that enters
+/// a brute-force answer lies in `RkNNT_∃(R, k)` over the remaining routes —
+/// hence in `RkNNT_∃(R, 4)`, the candidate set at the largest `k`.
+#[test]
+fn every_member_a_removal_adds_is_in_the_removed_routes_own_answer() {
+    let mut entered = 0;
+    for seed in 0..40u64 {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut coord = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64 * 100.0
+        };
+        let mut route = |len: usize| (0..len).map(|_| p(coord(), coord())).collect::<Vec<_>>();
+        let shapes: Vec<Vec<Point>> = (0..10).map(|i| route(2 + i % 3)).collect();
+        let queries: Vec<Vec<Point>> = (0..4).map(|i| route(1 + i % 3)).collect();
+        let mut routes = RouteStore::default();
+        for shape in &shapes {
+            routes.insert_route(shape.clone()).unwrap();
+        }
+        let mut transitions = TransitionStore::default();
+        for _ in 0..120 {
+            let (origin, destination) = (p(coord(), coord()), p(coord(), coord()));
+            transitions.insert(origin, destination).unwrap();
+        }
+        let removed = (seed % 10) as usize;
+        let mut remaining = routes.clone();
+        assert!(remaining.remove_route(RouteId(removed as u32)));
+        let answer = |routes: &RouteStore, query: &RknntQuery| {
+            BruteForceEngine::new(routes, &transitions)
+                .execute(query)
+                .transitions
+        };
+        let candidates = |k| answer(&remaining, &RknntQuery::exists(shapes[removed].clone(), k));
+        let widest = candidates(4);
+        for route in &queries {
+            for k in [1, 2, 4] {
+                let own = candidates(k);
+                for query in [
+                    RknntQuery::exists(route.clone(), k),
+                    RknntQuery::for_all(route.clone(), k),
+                ] {
+                    let (before, after) = (answer(&routes, &query), answer(&remaining, &query));
+                    assert!(before.iter().all(|t| after.contains(t)), "seed {seed}");
+                    for t in after.iter().filter(|t| !before.contains(t)) {
+                        assert!(own.contains(t), "seed {seed}: {t:?} {query:?}");
+                        assert!(widest.contains(t), "seed {seed}");
+                        entered += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(entered >= 50, "only {entered} members entered");
 }

@@ -152,13 +152,11 @@ fn run_monitored_churn(oracle: EngineKind, semantics: Semantics, seed: u64) {
                 assert_eq!(stats.applied, 1);
                 live_transitions.extend(stats.inserted_transitions.iter().copied());
                 live_routes.extend(stats.inserted_routes.iter().copied());
-                // A subscription is marked dirty at most once per call.
-                assert_eq!(stats.subs_dirty, stats.subs_reexecuted);
                 // One update, every live sub classified exactly once.
                 assert_eq!(
-                    stats.subs_unaffected + stats.subs_stable + stats.subs_dirty,
+                    stats.subs_unaffected + stats.subs_stable,
                     service.subscriptions(),
-                    "three-way classification must cover every subscription"
+                    "classification must cover every subscription"
                 );
                 // The client replays the deltas.
                 for delta in &stats.deltas {
@@ -169,9 +167,14 @@ fn run_monitored_churn(oracle: EngineKind, semantics: Semantics, seed: u64) {
                     if let Some(result) = replayed.get_mut(&delta.subscription) {
                         delta.apply(result);
                     }
-                    if delta.reason == DeltaReason::TransitionExpired {
-                        assert!(delta.entered.is_empty());
-                        assert_eq!(delta.left.len(), 1);
+                    match delta.reason {
+                        DeltaReason::TransitionExpired => {
+                            assert!(delta.entered.is_empty());
+                            assert_eq!(delta.left.len(), 1);
+                        }
+                        DeltaReason::RouteRemoved => assert!(delta.left.is_empty()),
+                        DeltaReason::RouteInserted => assert!(delta.entered.is_empty()),
+                        DeltaReason::TransitionArrived => {}
                     }
                 }
                 check_all(
@@ -219,8 +222,8 @@ fn monitored_churn_matches_fresh_state_brute_force() {
 }
 
 /// A hand-built world where every classification outcome is observable:
-/// unaffected skips, stable in-place maintenance, in-place expiry and route
-/// insert deltas, and the dirty re-execution every route removal causes.
+/// unaffected skips and stable in-place maintenance — of arrivals, expiries,
+/// route inserts and route removals alike — with their deltas.
 #[test]
 fn classification_outcomes_and_delta_reasons() {
     let mut routes = rknnt_index::RouteStore::default();
@@ -254,7 +257,6 @@ fn classification_outcomes_and_delta_reasons() {
         destination: p(37.0, 301.0),
     }]);
     assert_eq!(stats.subs_stable, 1);
-    assert_eq!(stats.subs_reexecuted, 0);
     assert!(stats.deltas.is_empty());
     assert_eq!(service.subscription_result(sub).unwrap(), &initial[..]);
 
@@ -264,8 +266,7 @@ fn classification_outcomes_and_delta_reasons() {
         destination: p(35.5, 34.5),
     }]);
     let new_id = stats.inserted_transitions[0];
-    assert_eq!(stats.subs_dirty, 0);
-    assert_eq!(stats.subs_reexecuted, 0, "an arrival never re-executes");
+    assert_eq!(stats.subs_stable, 1);
     assert_eq!(stats.deltas.len(), 1);
     assert_eq!(stats.deltas[0].subscription, sub);
     assert_eq!(stats.deltas[0].reason, DeltaReason::TransitionArrived);
@@ -281,37 +282,35 @@ fn classification_outcomes_and_delta_reasons() {
     // 4. Expiring a member: in-place maintenance, TransitionExpired delta.
     let stats = service.apply_updates(vec![StoreUpdate::ExpireTransition(near)]);
     assert_eq!(stats.subs_stable, 1);
-    assert_eq!(stats.subs_reexecuted, 0, "member expiry never re-executes");
     assert_eq!(stats.deltas.len(), 1);
     assert_eq!(stats.deltas[0].reason, DeltaReason::TransitionExpired);
     assert_eq!(stats.deltas[0].left, vec![near]);
     assert!(!service.subscription_result(sub).unwrap().contains(&near));
 
     // 5. A far route insert: rechecked in place (stable), no member has it
-    //    strictly closer, no delta, nothing re-executed.
+    //    strictly closer, no delta.
     let stats = service.apply_updates(vec![StoreUpdate::InsertRoute(
         (0..4).map(|i| p(300.0 + i as f64 * 10.0, 300.0)).collect(),
     )]);
     assert_eq!(stats.subs_stable, 1);
-    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (0, 0));
     assert!(stats.deltas.is_empty());
 
     // 6. Removing the far ladder rung (no endpoint has it strictly closer
-    //    than the query): dirty and re-executed, and the unchanged result
-    //    emits no delta.
+    //    than the query): followed in place (stable), and the unchanged
+    //    result emits no delta.
     let stats = service.apply_updates(vec![StoreUpdate::RemoveRoute(rknnt_index::RouteId(7))]);
-    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (1, 1));
+    assert_eq!(stats.subs_stable, 1);
     assert!(stats.deltas.is_empty());
 
     // 7. Two routes laid through both endpoints of the arrival of step 2:
     //    the first one makes the member leave in place, the second finds
-    //    it gone; nothing is re-executed.
+    //    it gone.
     let through = vec![p(34.5, 35.5), p(35.5, 34.5)];
     let stats = service.apply_updates(vec![
         StoreUpdate::InsertRoute(through.clone()),
         StoreUpdate::InsertRoute(through),
     ]);
-    assert_eq!((stats.subs_dirty, stats.subs_reexecuted), (0, 0));
+    assert_eq!(stats.subs_stable, 2);
     assert_eq!(stats.deltas.len(), 1);
     assert_eq!(stats.deltas[0].reason, DeltaReason::RouteInserted);
     assert_eq!(stats.deltas[0].left, vec![new_id]);

@@ -9,9 +9,10 @@
 //! each standing result current across [`QueryService::apply_updates`] —
 //! arriving and expiring transitions are admitted to or dropped from each
 //! result in place, a new line drops in place exactly the members it now
-//! beats the corridor for, and only a line withdrawal re-executes the
-//! queries — and reports what changed as [`SubscriptionDelta`]s, each
-//! saying why.
+//! beats the corridor for, and a withdrawn line admits in place exactly the
+//! transitions it was hiding, found in its own RkNNT answer; nothing
+//! re-executes a query — and reports what changed as
+//! [`SubscriptionDelta`]s, each saying why.
 //!
 //! Run with `cargo run --release --example continuous_monitoring`.
 
@@ -47,7 +48,7 @@ fn main() {
     let mut live_routes = service.routes().route_ids();
     let (mut updates_applied, mut reexecutions, mut stable, mut unaffected) = (0, 0, 0, 0);
     let mut delta_log = 0usize;
-    let (mut arrived, mut expired, mut displaced, mut recomputed) = (0, 0, 0, 0);
+    let (mut arrived, mut expired, mut displaced, mut uncovered) = (0, 0, 0, 0);
 
     for chunk in stream.chunks(20) {
         let updates: Vec<StoreUpdate> = chunk
@@ -91,7 +92,7 @@ fn main() {
                 DeltaReason::TransitionArrived => arrived += 1,
                 DeltaReason::TransitionExpired => expired += 1,
                 DeltaReason::RouteInserted => displaced += 1,
-                DeltaReason::Reexecuted => recomputed += 1,
+                DeltaReason::RouteRemoved => uncovered += 1,
             }
             if delta_log <= 5 {
                 println!(
@@ -116,7 +117,7 @@ fn main() {
     println!(
         "{delta_log} deltas emitted: {arrived} arrivals admitted in place, \
          {expired} member expiries, {displaced} in-place drops behind a new line, \
-         {recomputed} from re-execution after a line withdrawal"
+         {uncovered} in-place admissions behind a withdrawn line"
     );
 
     // The maintained results are byte-identical to fresh execution.

@@ -35,8 +35,12 @@
 //!   (`rknnt_core::admits_transition` judging an endpoint by `count <= k`);
 //! * a route insert rechecks nothing (`recheck_members` in
 //!   `crates/service/src/journal.rs` returns at once);
-//! * a route removal keeps the cache (`Service::applied` skips
-//!   `cache.invalidate_all()`);
+//! * a route removal admits nothing (`admit_candidates` in
+//!   `crates/service/src/journal.rs` returns at once);
+//! * a route removal's candidate query runs at the smallest `k` cached or
+//!   watched instead of the largest (`Service::removal_candidates`; the
+//!   stream mixes k = 1 and 2, so a k = 2 subscription misses a member the
+//!   removed route hid only at k = 2);
 //! * skip WAL replay of the tail on reopen (`Service::open` never calls
 //!   `service.replay(updates)`, so only the snapshot comes back).
 
