@@ -43,4 +43,5 @@ pub use query::{PhaseTimings, QueryStats, RknntQuery, RknntResult, Semantics};
 pub use scratch::{QueryScratch, RouteMarks};
 pub use verify::{
     admits_transition, count_closer_routes, count_closer_routes_sq, verify_candidates,
+    CertificateScratch, EndpointCertificate, TransitionCertificate,
 };

@@ -12,13 +12,23 @@
 //! maximum distance to the candidate is below the threshold), all routes
 //! listed for that node in the NList are accounted for at once without
 //! descending further.
+//!
+//! A result kept current under churn judges the *same* endpoint against
+//! many queries — every cached entry and subscription an arrival reaches.
+//! For that the endpoint carries a nearest-route certificate
+//! ([`EndpointCertificate`]): the ascending squared distances to its `k`
+//! nearest distinct routes, computed once per route set by a best-first
+//! RR-tree walk. Every later judgement is `|Q|` distance evaluations and one
+//! compare: fewer than `k` routes are strictly closer than `Q` iff the
+//! `k`-th nearest is not.
 
 use crate::query::{RknntQuery, RknntResult, Semantics};
 use crate::scratch::{QueryScratch, RouteMarks};
 use rknnt_geo::{point_route_distance_sq, Point};
-use rknnt_index::{EndpointKind, NList, RouteId, RouteStore};
+use rknnt_index::{EndpointKind, NList, RouteId, RouteStore, StopId};
 use rknnt_rtree::NodeId;
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 use std::time::Instant;
 
 /// Counts distinct routes whose distance to `t` is strictly below
@@ -277,9 +287,11 @@ pub fn verify_candidates(
 /// `routes`?
 ///
 /// By Definition 5 membership depends only on the transition's own endpoints
-/// and the route set, so a maintained result follows transition churn
-/// exactly through this check — no re-execution — and a route insert by
-/// re-running it on the members the new route comes strictly closer to.
+/// and the route set, so a maintained result follows a route insert exactly
+/// by re-running this check on the members the new route comes strictly
+/// closer to — no re-execution. Transition churn is judged by the same
+/// contract through a [`TransitionCertificate`], which walks the RR-tree
+/// once per route set instead of once per judgement.
 /// Each endpoint is judged by the same `qualifies` call
 /// [`verify_candidates`] makes (fewer than `k` distinct routes *strictly*
 /// closer than the query; a route tied with the query does not count) and
@@ -309,6 +321,213 @@ pub fn admits_transition(
     match semantics {
         Semantics::Exists => ok(origin) || ok(destination),
         Semantics::ForAll => ok(origin) && ok(destination),
+    }
+}
+
+/// One entry of the certificate walk's queue: an RR-tree node keyed by its
+/// MBR's `min_dist_sq` to the endpoint, or a stop keyed by its exact
+/// `distance_sq`. Ordered so that [`BinaryHeap`] (a max-heap) pops the
+/// smallest key first.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    dist_sq: f64,
+    item: Item,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Item {
+    Node(NodeId),
+    Stop(StopId),
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.dist_sq.total_cmp(&self.dist_sq)
+    }
+}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Pending {}
+
+/// Reusable buffers of the certificate walk: its best-first queue and its
+/// distinct-route marks. Kept apart from [`QueryScratch`], which the
+/// engines' query path carries and never walks this way. Threaded by `&mut`
+/// like `QueryScratch`; after warm-up a walk allocates nothing of its own.
+#[derive(Debug, Default)]
+pub struct CertificateScratch {
+    heap: BinaryHeap<Pending>,
+    marks: RouteMarks,
+}
+
+impl CertificateScratch {
+    /// Empty buffers; they grow to steady state over the first walks.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// The nearest-route certificate of one transition endpoint `u`: the
+/// ascending squared distances from `u` to its `k` nearest distinct routes
+/// (all of them when the store holds fewer). It depends on `u` and the
+/// route set alone, so one certificate judges `u` against every query until
+/// the routes change; keeping it valid across a route change is the
+/// caller's business.
+#[derive(Debug, Clone)]
+pub struct EndpointCertificate {
+    point: Point,
+    /// The `k` the distances were computed at; 0 until first computed.
+    k: usize,
+    dist_sq: Vec<f64>,
+}
+
+impl EndpointCertificate {
+    /// The certificate of `point`, not yet computed: the first judgement
+    /// computes it.
+    pub fn new(point: Point) -> Self {
+        EndpointCertificate {
+            point,
+            k: 0,
+            dist_sq: Vec::new(),
+        }
+    }
+
+    /// Whether the endpoint takes `query_route` as one of its `k` nearest
+    /// routes over `routes`: fewer than `k` distinct routes strictly closer
+    /// than the query. That holds iff there are fewer than `k` routes or
+    /// the `k`-th nearest is not strictly closer, `dist_sq[k-1] >=
+    /// dist²(u, Q)` — the contrapositive of [`admits_transition`]'s count
+    /// over the same squared values, so a route tied with `Q` does not
+    /// count. A `k` larger than the certificate was computed at recomputes
+    /// it once, at `k`. `routes` must be the route set every earlier
+    /// judgement of this certificate ran against.
+    pub fn qualifies(
+        &mut self,
+        routes: &RouteStore,
+        query_route: &[Point],
+        k: usize,
+        scratch: &mut CertificateScratch,
+    ) -> bool {
+        if k == 0 {
+            return false;
+        }
+        if self.k < k {
+            self.compute(routes, k, scratch);
+        }
+        let threshold_sq = point_route_distance_sq(&self.point, query_route);
+        self.dist_sq.len() < k || self.dist_sq[k - 1] >= threshold_sq
+    }
+
+    /// Fills the certificate at `k` by a best-first walk of the RR-tree: a
+    /// node's key never exceeds the distance of a stop beneath it, so stops
+    /// pop in ascending `distance_sq`, the first stop of a route to pop is
+    /// its nearest, and that stop's `distance_sq` is exactly the route's
+    /// distance². The walk stops at the `k`-th distinct route. Allocates
+    /// only the certificate's own storage, once, when it lacks room for `k`.
+    fn compute(&mut self, routes: &RouteStore, k: usize, scratch: &mut CertificateScratch) {
+        let CertificateScratch { heap, marks } = scratch;
+        let u = self.point;
+        self.k = k;
+        self.dist_sq.clear();
+        self.dist_sq.reserve_exact(k.min(routes.num_routes()));
+        let tree = routes.rtree();
+        let Some(root) = tree.root() else { return };
+        marks.begin();
+        heap.clear();
+        heap.push(Pending {
+            dist_sq: root.mbr().min_dist_sq(&u),
+            item: Item::Node(root.id()),
+        });
+        while let Some(Pending { dist_sq, item }) = heap.pop() {
+            match item {
+                Item::Stop(stop) => {
+                    for route in routes.crossover(stop) {
+                        if marks.mark(*route) {
+                            self.dist_sq.push(dist_sq);
+                            if self.dist_sq.len() == k {
+                                return;
+                            }
+                        }
+                    }
+                }
+                Item::Node(id) => {
+                    let Some(node) = tree.node_ref(id) else {
+                        continue;
+                    };
+                    for entry in node.entries() {
+                        heap.push(Pending {
+                            dist_sq: entry.point.distance_sq(&u),
+                            item: Item::Stop(entry.data),
+                        });
+                    }
+                    node.for_each_child(|child| {
+                        heap.push(Pending {
+                            dist_sq: child.mbr().min_dist_sq(&u),
+                            item: Item::Node(child.id()),
+                        })
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The certificates of a transition's two endpoints: [`admits_transition`]
+/// with the RR-tree walks done once per route set instead of once per
+/// judgement.
+#[derive(Debug, Clone)]
+pub struct TransitionCertificate {
+    origin: EndpointCertificate,
+    destination: EndpointCertificate,
+}
+
+impl TransitionCertificate {
+    /// The (not yet computed) certificate of the transition `origin →
+    /// destination`.
+    pub fn new(origin: Point, destination: Point) -> Self {
+        TransitionCertificate {
+            origin: EndpointCertificate::new(origin),
+            destination: EndpointCertificate::new(destination),
+        }
+    }
+
+    /// The transition's origin and destination.
+    pub fn endpoints(&self) -> (Point, Point) {
+        (self.origin.point, self.destination.point)
+    }
+
+    /// [`admits_transition`]'s exact contract — each endpoint judged by
+    /// [`EndpointCertificate::qualifies`], the verdicts combined under ∃/∀
+    /// with the same short-circuit, degenerate queries admitting nothing —
+    /// against `routes`, which must be the route set of every earlier
+    /// judgement of this certificate. Judging from computed certificates
+    /// performs zero heap allocations.
+    pub fn admits(
+        &mut self,
+        routes: &RouteStore,
+        query_route: &[Point],
+        k: usize,
+        semantics: Semantics,
+        scratch: &mut CertificateScratch,
+    ) -> bool {
+        if query_route.is_empty() {
+            return false;
+        }
+        let mut ok = |c: &mut EndpointCertificate| c.qualifies(routes, query_route, k, scratch);
+        match semantics {
+            Semantics::Exists => ok(&mut self.origin) || ok(&mut self.destination),
+            Semantics::ForAll => ok(&mut self.origin) && ok(&mut self.destination),
+        }
     }
 }
 

@@ -1,7 +1,9 @@
 //! Debug-build allocation counter for the query hot path: after warm-up,
 //! the scratch-based verification kernel must perform **zero** heap
 //! allocations per candidate, so must the admission kernel per transition
-//! (including the lazily built resident NList it reads) and the pruning
+//! (including the lazily built resident NList it reads), a judgement from a
+//! computed nearest-route certificate (computing one allocates at most its
+//! own distances) and the pruning
 //! walk per TR-tree entry (including the filter set's lazily built Voronoi
 //! grouping), and a full
 //! `execute_with_filter_scratch` pipeline must allocate only a small
@@ -17,7 +19,8 @@
 //! and no allocation of the harness or of another test lands in a window.
 
 use rknnt_core::{
-    admits_transition, prune_into_scratch, FilterRefineEngine, QueryScratch, RknntQuery, Semantics,
+    admits_transition, prune_into_scratch, CertificateScratch, EndpointCertificate,
+    FilterRefineEngine, QueryScratch, RknntQuery, Semantics, TransitionCertificate,
 };
 use rknnt_geo::{point_route_distance_sq, Point};
 use rknnt_index::{NList, RouteStore, TransitionStore};
@@ -173,6 +176,80 @@ fn warmed_admission_kernel_never_allocates() {
     );
     #[cfg(not(debug_assertions))]
     let _ = delta;
+}
+
+#[test]
+fn certificates_allocate_only_their_own_distances() {
+    let (routes, transitions) = world(12, 150);
+    let queries = [
+        vec![p(5.0, 37.0), p(35.0, 37.0), p(65.0, 37.0)],
+        vec![p(40.0, 80.0)],
+    ];
+    let k = 5;
+    let endpoints: Vec<Point> = transitions
+        .transitions()
+        .flat_map(|t| [t.origin, t.destination])
+        .collect();
+    let mut scratch = CertificateScratch::new();
+    // Warm-up: the walk's queue and route marks grow to steady state.
+    for u in &endpoints {
+        EndpointCertificate::new(*u).qualifies(&routes, &queries[0], k, &mut scratch);
+    }
+    let mut certificates: Vec<EndpointCertificate> = endpoints
+        .iter()
+        .map(|u| EndpointCertificate::new(*u))
+        .collect();
+    let before = allocations();
+    for c in &mut certificates {
+        c.qualifies(&routes, &queries[0], k, &mut scratch);
+    }
+    let computing = allocations() - before;
+
+    // Judging computed certificates, endpoint by endpoint and — after one
+    // pass that computes what the ∃/∀ short-circuits reach — transition by
+    // transition.
+    let mut pairs: Vec<TransitionCertificate> = transitions
+        .transitions()
+        .map(|t| TransitionCertificate::new(t.origin, t.destination))
+        .collect();
+    let judge_all = |certificates: &mut [EndpointCertificate],
+                     pairs: &mut [TransitionCertificate],
+                     scratch: &mut CertificateScratch| {
+        let mut admitted = 0;
+        for query in &queries {
+            for k in 1..=k {
+                for c in certificates.iter_mut() {
+                    admitted += usize::from(c.qualifies(&routes, query, k, scratch));
+                }
+                for semantics in [Semantics::Exists, Semantics::ForAll] {
+                    for c in pairs.iter_mut() {
+                        admitted += usize::from(c.admits(&routes, query, k, semantics, scratch));
+                    }
+                }
+            }
+        }
+        admitted
+    };
+    let reference = judge_all(&mut certificates, &mut pairs, &mut scratch);
+    assert!(reference > 0, "the world must admit something");
+    let before = allocations();
+    let admitted = judge_all(&mut certificates, &mut pairs, &mut scratch);
+    let judging = allocations() - before;
+    assert_eq!(
+        admitted, reference,
+        "computed certificates changed verdicts"
+    );
+    #[cfg(debug_assertions)]
+    {
+        assert!(
+            computing <= certificates.len() as u64,
+            "computing {} certificates allocated {computing} times",
+            certificates.len()
+        );
+        assert_eq!(judging, 0, "judging computed certificates allocated");
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = (computing, judging);
 }
 
 #[test]

@@ -15,16 +15,19 @@
 //! owns the [`crate::journal`] ring the update path appends arrivals and
 //! expiries to, every entry remembers its query and the journal sequence it
 //! is current to, and a lookup replays the suffix into the entry before
-//! returning it. A route change keeps the entries too
-//! ([`ResultCache::route_changed`]): each catches up on the journal, then
-//! takes the route change's own step — an insert re-judges the members the
-//! new route comes strictly closer to
+//! returning it — judging each arrival from the certificate the op carries,
+//! which the first reader filled and every later one reuses. A route change
+//! keeps the entries too: each catches up on the journal *before* the
+//! stores change ([`ResultCache::catch_up_all`]), so every certificate is
+//! read against the routes it was computed over, then takes the route
+//! change's own step ([`ResultCache::route_changed`]) — an insert re-judges
+//! the members the new route comes strictly closer to
 //! ([`crate::journal::recheck_members`]), a removal admits from the
 //! removed route's RkNNT answer ([`crate::journal::admit_candidates`]).
 //! Only LRU pressure and falling off the ring drop entries.
 
-use crate::journal::{replay, Journal, TransitionOp, JOURNAL_CAPACITY};
-use rknnt_core::{QueryScratch, RknntQuery, RknntResult, Semantics};
+use crate::journal::{replay, Journal, Scratch, TransitionOp, JOURNAL_CAPACITY};
+use rknnt_core::{RknntQuery, RknntResult, Semantics};
 use rknnt_index::{RouteStore, TransitionId};
 use rknnt_obs::Counter;
 use std::collections::HashMap;
@@ -151,9 +154,9 @@ pub struct ResultCache {
     tail: usize,
     counters: CacheCounters,
     journal: Journal,
-    /// Scratch of the admission checks replay runs; guarded, like
-    /// everything here, by whatever guards the cache.
-    scratch: QueryScratch,
+    /// Scratch of the judgements replay and route changes run; guarded,
+    /// like everything here, by whatever guards the cache.
+    scratch: Scratch,
 }
 
 impl ResultCache {
@@ -174,7 +177,7 @@ impl ResultCache {
             tail: NIL,
             counters,
             journal: Journal::with_capacity(JOURNAL_CAPACITY),
-            scratch: QueryScratch::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -199,22 +202,24 @@ impl ResultCache {
         }
     }
 
-    /// Journals one transition arrival or expiry the stores accepted. O(1):
-    /// no entry is touched until it is next read.
+    /// Journals one transition arrival or expiry the stores accepted, with
+    /// whatever certificate its readers so far computed. O(1): no entry is
+    /// touched until it is next read.
     pub(crate) fn record(&mut self, op: TransitionOp) {
         self.journal.push(op);
     }
 
-    /// Replays the journal suffix the entry in `slot` has not seen into it.
-    /// `false` when the ring no longer holds that suffix — the entry cannot
-    /// be made current and must be dropped.
+    /// Replays the journal suffix the entry in `slot` has not seen into it,
+    /// against `routes` — the routes every op of the suffix was journalled
+    /// under. `false` when the ring no longer holds that suffix — the entry
+    /// cannot be made current and must be dropped.
     fn catch_up(&mut self, slot: usize, routes: &RouteStore) -> bool {
         let entry = &mut self.slots[slot];
         let head = self.journal.head();
         if entry.seq == head {
             return true;
         }
-        let Some(ops) = self.journal.since(entry.seq) else {
+        let Some(ops) = self.journal.since_mut(entry.seq) else {
             return false;
         };
         for op in ops {
@@ -223,7 +228,7 @@ impl ResultCache {
                 &mut entry.value.transitions,
                 op,
                 routes,
-                &mut self.scratch,
+                &mut self.scratch.walk,
             );
         }
         entry.value.stats.result_transitions = entry.value.transitions.len();
@@ -302,31 +307,45 @@ impl ResultCache {
         self.counters.insertions.inc();
     }
 
-    /// Keeps every entry exact across one route insert or removal, `routes`
-    /// being the post-change route set: each entry first catches up on the
-    /// journal — one the ring no longer reaches is dropped, as at a lookup —
-    /// then `follow` takes the change's own step on its query and sorted
-    /// ids ([`crate::journal::recheck_members`] or
-    /// [`crate::journal::admit_candidates`]) with the cache's scratch. No
-    /// lookup is counted.
-    pub(crate) fn route_changed(
-        &mut self,
-        routes: &RouteStore,
-        mut follow: impl FnMut(&RknntQuery, &mut Vec<TransitionId>, &mut QueryScratch),
-    ) {
+    /// Brings every entry current with the journal against `routes`,
+    /// dropping (as at a lookup) each one the ring no longer reaches. A
+    /// route change calls it *before* the stores change: afterwards no
+    /// entry has a journalled op left to judge, so none ever judges one
+    /// against routes other than those it was journalled — and its
+    /// certificate computed — under. No lookup is counted.
+    pub(crate) fn catch_up_all(&mut self, routes: &RouteStore) {
         let mut slot = self.head;
         while slot != NIL {
             let next = self.slots[slot].next;
-            if self.catch_up(slot, routes) {
-                let entry = &mut self.slots[slot];
-                let value = &mut entry.value;
-                follow(&entry.query, &mut value.transitions, &mut self.scratch);
-                value.stats.result_transitions = value.transitions.len();
-            } else {
+            if !self.catch_up(slot, routes) {
                 self.remove(slot);
                 self.counters.targeted_evictions.inc();
             }
             slot = next;
+        }
+    }
+
+    /// Keeps every entry exact across one route insert or removal: `follow`
+    /// takes the change's own step ([`crate::journal::recheck_members`] or
+    /// [`crate::journal::admit_candidates`]) on each entry's query and
+    /// sorted ids — the pre-change answer, every entry being current since
+    /// [`ResultCache::catch_up_all`] — with the cache's scratch.
+    pub(crate) fn route_changed(
+        &mut self,
+        mut follow: impl FnMut(&RknntQuery, &mut Vec<TransitionId>, &mut Scratch),
+    ) {
+        let mut slot = self.head;
+        while slot != NIL {
+            let entry = &mut self.slots[slot];
+            debug_assert_eq!(
+                entry.seq,
+                self.journal.head(),
+                "caught up before the change"
+            );
+            let value = &mut entry.value;
+            follow(&entry.query, &mut value.transitions, &mut self.scratch);
+            value.stats.result_transitions = value.transitions.len();
+            slot = entry.next;
         }
     }
 

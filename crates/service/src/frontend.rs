@@ -19,7 +19,7 @@ use crate::journal::{admit_candidates, recheck_members, TransitionOp};
 use crate::metrics::ServiceMetrics;
 use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
 use crate::service::{ServiceConfig, StoreUpdate, UpdateStats};
-use rknnt_core::{FilterSet, QueryScratch, RknntQuery, RknntResult};
+use rknnt_core::{FilterSet, QueryScratch, RknntQuery, RknntResult, TransitionCertificate};
 use rknnt_geo::Point;
 use rknnt_index::{
     RouteId, RouteStore, RouteStoreState, TransitionId, TransitionStore, TransitionStoreState,
@@ -604,16 +604,18 @@ impl<B: Backing> Service<B> {
     /// A **transition arrival or expiry** is only appended to the cache's
     /// journal — O(1) however many entries are cached, nothing is evicted —
     /// and each entry replays what it missed when it is next read: an
-    /// arrival through the exact admission kernel, an expiry as a membership
-    /// test. A **route insert** brings every entry current and re-judges,
-    /// by the same admission kernel, exactly the members the new route comes
-    /// strictly closer to than the query (an insert can remove only those,
-    /// and adds none). A **route removal** runs one uncached query — the
+    /// arrival by its nearest-route certificate (computed once, by its first
+    /// reader, and carried by the op), an expiry as a membership test. A
+    /// **route insert** brings every entry current before the stores change,
+    /// then re-judges, by the exact admission kernel, exactly the members
+    /// the new route comes strictly closer to than the query (an insert can
+    /// remove only those, and adds none). A **route removal** brings every
+    /// entry current before the stores change, runs one uncached query — the
     /// removed route's own `RkNNT_∃` at the largest `k` cached or watched,
-    /// which holds every transition the removal can add to any result —
-    /// brings every entry current and judges, by the same kernel, exactly
-    /// its non-members with an endpoint the removed route was strictly
-    /// closer to than the query. No update drops the cache.
+    /// which holds every transition the removal can add to any result — and
+    /// judges, by one certificate per candidate shared by every result,
+    /// exactly its non-members with an endpoint the removed route was
+    /// strictly closer to than the query. No update drops the cache.
     ///
     /// `&mut self` serialises the call against in-flight batches, and
     /// retained entries remain byte-identical to what a freshly built
@@ -689,8 +691,9 @@ impl<B: Backing> Service<B> {
         for update in updates {
             // Mutate the stores, then hand the store-facing view of what
             // happened to the cache and the subscriptions — both always see
-            // post-update stores. A store-boundary rejection consumes no id
-            // and touches nothing.
+            // post-update stores. A route change first brings every cached
+            // entry current against the routes its journal was written under.
+            // A store-boundary rejection consumes no id and changes nothing.
             match update {
                 StoreUpdate::InsertTransition {
                     origin,
@@ -701,8 +704,7 @@ impl<B: Backing> Service<B> {
                         self.applied(
                             UpdateEffect::Transition(TransitionOp::Arrived {
                                 id,
-                                origin,
-                                destination,
+                                certificate: TransitionCertificate::new(origin, destination),
                             }),
                             &mut stats.deltas,
                         );
@@ -719,22 +721,26 @@ impl<B: Backing> Service<B> {
                         self.metrics.update_rejected.inc();
                     }
                 }
-                StoreUpdate::InsertRoute(points) => match self.backing.insert_route(points) {
-                    Some(id) => {
-                        stats.inserted_routes.push(id);
-                        self.applied(UpdateEffect::RouteInserted(id), &mut stats.deltas);
+                StoreUpdate::InsertRoute(points) => {
+                    self.catch_up_cache();
+                    match self.backing.insert_route(points) {
+                        Some(id) => {
+                            stats.inserted_routes.push(id);
+                            self.applied(UpdateEffect::RouteInserted(id), &mut stats.deltas);
+                        }
+                        None => self.metrics.update_rejected.inc(),
                     }
-                    None => self.metrics.update_rejected.inc(),
-                },
+                }
                 StoreUpdate::RemoveRoute(id) => {
                     // The stores forget the points; the closer test needs them.
                     let removed = self.backing.routes().route_points(id).to_vec();
+                    self.catch_up_cache();
                     if self.backing.remove_route(id) {
-                        let candidates = self.removal_candidates(&removed);
+                        let mut candidates = self.removal_candidates(&removed);
                         self.applied(
                             UpdateEffect::RouteRemoved {
                                 removed: &removed,
-                                candidates: &candidates,
+                                candidates: &mut candidates,
                             },
                             &mut stats.deltas,
                         );
@@ -756,54 +762,89 @@ impl<B: Backing> Service<B> {
         stats
     }
 
+    /// Brings every cached entry current with the journal against the
+    /// current routes — what a route change does before it mutates them.
+    fn catch_up_cache(&mut self) {
+        let cache = self.cache.get_mut().expect("cache lock");
+        cache.catch_up_all(self.backing.routes());
+    }
+
     /// The candidates of the removal of the route `removed` (its points)
     /// from the current stores: `RkNNT_∃(removed, k_max)`, `k_max` the
     /// largest `k` of a cached or watched non-degenerate query — every
     /// transition the removal can bring into any of their results (see
-    /// [`crate::journal`]). Empty, and nothing executed, when there is no
-    /// such query.
-    fn removal_candidates(&mut self, removed: &[Point]) -> Vec<TransitionId> {
+    /// [`crate::journal`]) — each with the (not yet computed) certificate
+    /// of its endpoints. Empty, and nothing executed, when there is no such
+    /// query.
+    fn removal_candidates(
+        &mut self,
+        removed: &[Point],
+    ) -> Vec<(TransitionId, TransitionCertificate)> {
         let cached = self.cache.get_mut().expect("cache lock").max_k();
         let k_max = cached.max(self.monitor.max_k());
         if k_max == 0 {
             return Vec::new();
         }
         let query = RknntQuery::exists(removed.to_vec(), k_max);
-        self.execute_uncached(std::slice::from_ref(&query))
+        let candidates = self
+            .execute_uncached(std::slice::from_ref(&query))
             .pop()
             .expect("one query in, one result out")
-            .transitions
+            .transitions;
+        candidates
+            .into_iter()
+            .map(|id| {
+                let (origin, destination) =
+                    self.backing.endpoints(id).expect("candidates are live");
+                (id, TransitionCertificate::new(origin, destination))
+            })
+            .collect()
     }
 
-    /// Bookkeeping for one update the stores accepted: count it, journal it
-    /// (transition ops) or take the route change's step on every cached
-    /// entry — recheck the members a new route comes strictly closer to,
-    /// admit the candidates of a removal — and bring every live subscription
-    /// up to date.
-    fn applied(&mut self, effect: UpdateEffect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
+    /// Bookkeeping for one update the stores accepted: count it, take a
+    /// route change's step on every cached entry — recheck the members a
+    /// new route comes strictly closer to, admit the candidates of a
+    /// removal — bring every live subscription up to date, and journal a
+    /// transition op with the certificate the subscriptions filled.
+    fn applied(&mut self, mut effect: UpdateEffect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
         self.metrics.update_applied.inc();
         let cache = self.cache.get_mut().expect("cache lock");
         let backing = &self.backing;
         let routes = backing.routes();
         let endpoints = |id| backing.endpoints(id);
-        match effect {
-            UpdateEffect::Transition(op) => cache.record(op),
+        match &mut effect {
+            UpdateEffect::Transition(_) => {}
             UpdateEffect::RouteInserted(id) => {
-                let inserted = routes.route_points(id);
-                cache.route_changed(routes, |query, result, scratch| {
-                    recheck_members(query, result, inserted, routes, endpoints, scratch);
+                let inserted = routes.route_points(*id);
+                cache.route_changed(|query, result, scratch| {
+                    recheck_members(
+                        query,
+                        result,
+                        inserted,
+                        routes,
+                        endpoints,
+                        &mut scratch.kernel,
+                    );
                 });
             }
             UpdateEffect::RouteRemoved {
                 removed,
                 candidates,
-            } => cache.route_changed(routes, |query, result, scratch| {
+            } => cache.route_changed(|query, result, scratch| {
                 admit_candidates(
-                    query, result, removed, candidates, routes, endpoints, scratch,
+                    query,
+                    result,
+                    removed,
+                    candidates,
+                    routes,
+                    &mut scratch.walk,
                 );
             }),
         }
         self.monitor
-            .classify_update(effect, routes, endpoints, &self.metrics, deltas);
+            .classify_update(&mut effect, routes, endpoints, &self.metrics, deltas);
+        if let UpdateEffect::Transition(op) = effect {
+            cache.record(op);
+        }
     }
 }

@@ -10,9 +10,20 @@
 //! it individually — there is nothing to recompute. The update path only
 //! *appends* here (O(1), whatever the cache holds); a cached result
 //! remembers the sequence it is current to and replays the suffix when it is
-//! next read ([`crate::ResultCache::get`]), judging each arrival against the
-//! routes *current at the read*, which is exactly its membership then.
-//! Subscriptions apply the same op eagerly, in place.
+//! next read ([`crate::ResultCache::get`]). Subscriptions apply the same op
+//! eagerly, in place, before it is appended.
+//!
+//! Every reader of an arrival judges the same two endpoints against the
+//! same routes, so the op carries their nearest-route certificate
+//! ([`TransitionCertificate`]): the first reader to judge an endpoint — a
+//! subscription at update time, else the first cached entry to replay the
+//! op — walks the RR-tree once, and every later reader judges from the
+//! certificate with `|Q|` distance evaluations and one compare. A
+//! certificate holds for the route set it was computed over, and no other
+//! is ever read: every cached entry catches up on the journal *before* a
+//! route change mutates the stores ([`crate::ResultCache::catch_up_all`]),
+//! so every op an entry replays was journalled under the routes current at
+//! the replay.
 //!
 //! A route insert can only raise an endpoint's count of strictly-closer
 //! routes, and only where the new route itself is strictly closer than `Q`,
@@ -23,68 +34,65 @@
 //! than `R` is strictly closer than `Q` too, so if `u` qualifies for `Q` at
 //! `k` after the removal it qualifies for `R` at `k`: every transition that
 //! can enter any result lies in `RkNNT_∃(R, k_max)` over the post-removal
-//! routes, one engine answer the update path computes once per removal.
-//! [`admit_candidates`] judges exactly its non-members. Every cached entry
-//! catches up on the journal before either step, so an entry never carries
-//! members judged against a route set older than its last route change.
+//! routes, one engine answer the update path computes once per removal,
+//! each candidate with one certificate every result shares.
+//! [`admit_candidates`] judges exactly its non-members.
 
-use rknnt_core::{admits_transition, QueryScratch, RknntQuery};
+use rknnt_core::{
+    admits_transition, CertificateScratch, QueryScratch, RknntQuery, TransitionCertificate,
+};
 use rknnt_geo::{point_route_distance_sq, Point};
 use rknnt_index::{RouteStore, TransitionId};
 use std::collections::VecDeque;
 
 /// How many ops the ring keeps. An entry that falls further behind is
 /// dropped at its next read and recomputed, so the bound caps what a hit can
-/// cost: replaying an arrival is one admission check (0.2–0.45 µs measured
-/// on the benchmark's 260-route city), an expiry a binary search (≈ 0.02
-/// µs), so a hit that replays a full ring of arrivals costs 0.23–0.37 ms
-/// where an uncached execution costs 0.75–1.1 ms.
+/// cost: replaying an arrival is `|Q|` distance evaluations and one compare
+/// per endpoint judged (plus, for the op's first reader, one certificate
+/// walk), an expiry a binary search.
 pub const JOURNAL_CAPACITY: usize = 1_024;
 
 /// One journalled store mutation, carrying everything replay needs (the
 /// transition may have expired again by the time the op is replayed, so the
-/// endpoints travel with the arrival).
-#[derive(Debug, Clone, Copy)]
+/// endpoints travel with the arrival, inside its certificate).
+#[derive(Debug, Clone)]
 pub(crate) enum TransitionOp {
-    /// The transition `id` arrived with these endpoints.
+    /// The transition `id` arrived.
     Arrived {
         /// The (global) id the stores assigned.
         id: TransitionId,
-        /// Origin endpoint.
-        origin: Point,
-        /// Destination endpoint.
-        destination: Point,
+        /// Its endpoints and their nearest-route certificates, shared by
+        /// every reader of the op.
+        certificate: TransitionCertificate,
     },
     /// The transition `id` expired.
     Expired(TransitionId),
 }
 
+/// What the maintenance steps judge with: the certificate walk's buffers
+/// (arrivals, a removal's candidates) and the admission kernel's scratch (a
+/// route insert's recheck). One per cache and one per subscription
+/// registry, guarded like its owner.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    pub(crate) walk: CertificateScratch,
+    pub(crate) kernel: QueryScratch,
+}
+
 /// Applies one journalled op to `result`, the sorted ids answering `query`,
-/// exactly against `routes` (the current route set): an arrival enters iff
-/// [`admits_transition`] admits it, an expiry leaves iff it is a member.
-/// Reports whether the result changed.
+/// exactly against `routes` (the route set the op was journalled under): an
+/// arrival enters iff its certificate admits it, an expiry leaves iff it is
+/// a member. Reports whether the result changed.
 pub(crate) fn replay(
     query: &RknntQuery,
     result: &mut Vec<TransitionId>,
-    op: &TransitionOp,
+    op: &mut TransitionOp,
     routes: &RouteStore,
-    scratch: &mut QueryScratch,
+    walk: &mut CertificateScratch,
 ) -> bool {
     match op {
-        TransitionOp::Arrived {
-            id,
-            origin,
-            destination,
-        } => {
-            if !admits_transition(
-                routes,
-                &query.route,
-                query.k,
-                query.semantics,
-                origin,
-                destination,
-                scratch,
-            ) {
+        TransitionOp::Arrived { id, certificate } => {
+            if !certificate.admits(routes, &query.route, query.k, query.semantics, walk) {
                 return false;
             }
             let Err(pos) = result.binary_search(id) else {
@@ -156,43 +164,34 @@ pub(crate) fn recheck_members(
 /// in `result`, the sorted ids that answered `query` just before the
 /// removal: every member stays (a removal only lowers counts), and every
 /// non-member of `candidates` with an endpoint `removed` was
-/// [`strictly_closer`] to than the query is judged by [`admits_transition`]
+/// [`strictly_closer`] to than the query is judged by its certificate
 /// against `routes`. `candidates` must be `RkNNT_∃(removed, k′)` over
-/// `routes` for some `k′ ≥ query.k`, sorted — by the lemma in the module
-/// documentation a superset of what can enter. `endpoints` resolves a
-/// candidate's endpoints (candidates are live). Returns the ids that
-/// entered, in ascending order.
+/// `routes` for some `k′ ≥ query.k`, sorted by id, each with the
+/// certificate of its endpoints — by the lemma in the module documentation
+/// a superset of what can enter. Returns the ids that entered, in ascending
+/// order.
 pub(crate) fn admit_candidates(
     query: &RknntQuery,
     result: &mut Vec<TransitionId>,
     removed: &[Point],
-    candidates: &[TransitionId],
+    candidates: &mut [(TransitionId, TransitionCertificate)],
     routes: &RouteStore,
-    endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
-    scratch: &mut QueryScratch,
+    walk: &mut CertificateScratch,
 ) -> Vec<TransitionId> {
     if query.is_degenerate() {
         return Vec::new();
     }
     let closer = |u: &Point| strictly_closer(removed, &query.route, u);
     let mut entered = Vec::new();
-    for &id in candidates {
-        if result.binary_search(&id).is_ok() {
+    for (id, certificate) in candidates.iter_mut() {
+        if result.binary_search(id).is_ok() {
             continue;
         }
-        let (origin, destination) = endpoints(id).expect("candidates are live");
+        let (origin, destination) = certificate.endpoints();
         if (closer(&origin) || closer(&destination))
-            && admits_transition(
-                routes,
-                &query.route,
-                query.k,
-                query.semantics,
-                &origin,
-                &destination,
-                scratch,
-            )
+            && certificate.admits(routes, &query.route, query.k, query.semantics, walk)
         {
-            entered.push(id);
+            entered.push(*id);
         }
     }
     for &id in &entered {
@@ -236,11 +235,15 @@ impl Journal {
     }
 
     /// The ops with sequence `seq..head`, oldest first, or `None` when the
-    /// ring no longer holds all of them.
-    pub(crate) fn since(&self, seq: u64) -> Option<impl Iterator<Item = &TransitionOp>> {
+    /// ring no longer holds all of them. Mutable, so a replay can fill the
+    /// certificates the later readers of an op share.
+    pub(crate) fn since_mut(
+        &mut self,
+        seq: u64,
+    ) -> Option<impl Iterator<Item = &mut TransitionOp>> {
         let behind = usize::try_from(self.head - seq).ok()?;
         let start = self.ops.len().checked_sub(behind)?;
-        Some(self.ops.range(start..))
+        Some(self.ops.range_mut(start..))
     }
 }
 
@@ -256,8 +259,8 @@ mod tests {
         TransitionOp::Expired(TransitionId(id))
     }
 
-    fn ids(journal: &Journal, seq: u64) -> Option<Vec<u32>> {
-        journal.since(seq).map(|ops| {
+    fn ids(journal: &mut Journal, seq: u64) -> Option<Vec<u32>> {
+        journal.since_mut(seq).map(|ops| {
             ops.map(|op| match op {
                 TransitionOp::Expired(id) => id.raw(),
                 TransitionOp::Arrived { id, .. } => id.raw(),
@@ -269,30 +272,30 @@ mod tests {
     #[test]
     fn suffixes_are_exact_until_the_ring_overwrites_them() {
         let mut journal = Journal::with_capacity(4);
-        assert_eq!(ids(&journal, 0), Some(vec![]));
+        assert_eq!(ids(&mut journal, 0), Some(vec![]));
         for i in 0..4 {
             journal.push(op(i));
         }
         assert_eq!(journal.head(), 4);
-        assert_eq!(ids(&journal, 0), Some(vec![0, 1, 2, 3]));
-        assert_eq!(ids(&journal, 3), Some(vec![3]));
-        assert_eq!(ids(&journal, 4), Some(vec![]));
+        assert_eq!(ids(&mut journal, 0), Some(vec![0, 1, 2, 3]));
+        assert_eq!(ids(&mut journal, 3), Some(vec![3]));
+        assert_eq!(ids(&mut journal, 4), Some(vec![]));
         // The fifth op overwrites sequence 0: a reader current to 0 is lost,
         // one current to 1 sits exactly on the tail and is still served.
         journal.push(op(4));
-        assert_eq!(ids(&journal, 0), None);
-        assert_eq!(ids(&journal, 1), Some(vec![1, 2, 3, 4]));
-        assert_eq!(ids(&journal, 5), Some(vec![]));
+        assert_eq!(ids(&mut journal, 0), None);
+        assert_eq!(ids(&mut journal, 1), Some(vec![1, 2, 3, 4]));
+        assert_eq!(ids(&mut journal, 5), Some(vec![]));
     }
 
     #[test]
     fn replayed_expiry_removes_exactly_a_member() {
         let query = RknntQuery::exists(vec![p(0.0, 0.0), p(10.0, 0.0)], 2);
-        let (routes, mut scratch) = (RouteStore::default(), QueryScratch::new());
+        let (routes, mut walk) = (RouteStore::default(), CertificateScratch::new());
         let mut ids = vec![TransitionId(0), TransitionId(1)];
         let mut expire = |ids: &mut Vec<TransitionId>, id| {
-            let op = TransitionOp::Expired(TransitionId(id));
-            replay(&query, ids, &op, &routes, &mut scratch)
+            let mut op = TransitionOp::Expired(TransitionId(id));
+            replay(&query, ids, &mut op, &routes, &mut walk)
         };
         assert!(!expire(&mut ids, 999));
         assert!(expire(&mut ids, 0));
@@ -317,15 +320,14 @@ mod tests {
         // A query along y = 35.
         let routes = ladder();
         let query = RknntQuery::exists(vec![p(5.0, 35.0), p(35.0, 35.0), p(65.0, 35.0)], 2);
-        let mut scratch = QueryScratch::new();
+        let mut walk = CertificateScratch::new();
         let mut ids = Vec::new();
         let mut arrive = |ids: &mut Vec<TransitionId>, id, origin, destination| {
-            let op = TransitionOp::Arrived {
+            let mut op = TransitionOp::Arrived {
                 id: TransitionId(id),
-                origin,
-                destination,
+                certificate: TransitionCertificate::new(origin, destination),
             };
-            replay(&query, ids, &op, &routes, &mut scratch)
+            replay(&query, ids, &mut op, &routes, &mut walk)
         };
         // On a rung far from the query: two routes strictly closer, k = 2.
         assert!(!arrive(&mut ids, 7, p(30.0, 0.0), p(40.0, 70.0)));
@@ -338,12 +340,11 @@ mod tests {
         assert!(!arrive(&mut ids, 3, p(35.0, 35.5), p(35.5, 35.0)));
         // A degenerate query admits nothing.
         let degenerate = RknntQuery::exists(Vec::new(), 2);
-        let op = TransitionOp::Arrived {
+        let mut op = TransitionOp::Arrived {
             id: TransitionId(11),
-            origin: p(35.0, 35.0),
-            destination: p(35.0, 35.0),
+            certificate: TransitionCertificate::new(p(35.0, 35.0), p(35.0, 35.0)),
         };
-        assert!(!replay(&degenerate, &mut ids, &op, &routes, &mut scratch));
+        assert!(!replay(&degenerate, &mut ids, &mut op, &routes, &mut walk));
     }
 
     /// k = 1, and the endpoint (35, 35) is at distance² 50 from the ladder
@@ -362,7 +363,6 @@ mod tests {
         // The destination sits on a stop, where every route is closer.
         let t = transitions.insert(p(35.0, 35.0), p(0.0, 0.0)).unwrap();
         transitions.insert(p(5.0, 5.0), p(65.0, 65.0)).unwrap();
-        let endpoints = |id| transitions.get(id).map(|t| (t.origin, t.destination));
         for (removed, hidden) in [
             (vec![p(36.0, 37.0), p(90.0, 95.0)], true),
             (vec![p(42.0, 35.0), p(90.0, 95.0)], false),
@@ -378,14 +378,20 @@ mod tests {
             assert_eq!(result.contains(&t), !hidden);
             assert!(routes.remove_route(id));
             let candidates = answer(&routes, &RknntQuery::exists(removed.clone(), query.k));
+            let mut certified: Vec<_> = candidates
+                .iter()
+                .map(|&id| {
+                    let t = transitions.get(id).unwrap();
+                    (id, TransitionCertificate::new(t.origin, t.destination))
+                })
+                .collect();
             let entered = admit_candidates(
                 &query,
                 &mut result,
                 &removed,
-                &candidates,
+                &mut certified,
                 &routes,
-                endpoints,
-                &mut QueryScratch::new(),
+                &mut CertificateScratch::new(),
             );
             assert_eq!(result, answer(&routes, &query));
             assert_eq!(result, vec![t]);

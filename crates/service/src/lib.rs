@@ -48,14 +48,16 @@
 //!   stores change. Under transition churn results are maintained rather
 //!   than recomputed: a transition update is appended to a bounded journal
 //!   and each cached result replays what it missed when it is next read —
-//!   an exact two-endpoint admission check per arrival — so transition
-//!   churn evicts nothing. A route insert evicts nothing either: it can
-//!   only remove members the new route comes strictly closer to than the
-//!   query, and exactly those are re-judged by the same kernel. Nor does a
-//!   route removal: it can only add members, and every transition that can
-//!   enter any result lies in the removed route's own RkNNT answer at the
-//!   largest cached or watched `k` — one uncached query per removal, whose
-//!   non-members the same kernel judges for each entry.
+//!   an exact two-endpoint admission check per arrival, from a
+//!   nearest-route certificate the arrival's first reader computes and
+//!   every later one shares — so transition churn evicts nothing. A route
+//!   insert evicts nothing either: it can only remove members the new route
+//!   comes strictly closer to than the query, and exactly those are
+//!   re-judged by the exact kernel. Nor does a route removal: it can only
+//!   add members, and every transition that can enter any result lies in
+//!   the removed route's own RkNNT answer at the largest cached or watched
+//!   `k` — one uncached query per removal, whose non-members are judged for
+//!   each entry from one shared certificate per candidate.
 //! * **Continuous queries** — [`Service::subscribe`] registers a
 //!   standing query whose result the service keeps current across
 //!   `apply_updates`: every update — arrivals, expiries, route inserts and

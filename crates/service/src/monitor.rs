@@ -8,11 +8,14 @@
 //! * **Transition arrivals and expiries are applied in place**, exactly (the
 //!   journal's `replay`, the same step a cached result takes when it is next
 //!   read): membership of a transition depends only on its own endpoints and
-//!   the routes, so an arrival enters iff the admission kernel admits it — a
-//!   delta with [`DeltaReason::TransitionArrived`] — and an expiry leaves iff
-//!   it was a member — [`DeltaReason::TransitionExpired`]. Neither ever
-//!   re-executes the query. Counted *unaffected* when no geometry ran (a
-//!   degenerate query, an expired non-member) and *stable* otherwise.
+//!   the routes, so an arrival enters iff its nearest-route certificate
+//!   admits it — a delta with [`DeltaReason::TransitionArrived`] — and an
+//!   expiry leaves iff it was a member — [`DeltaReason::TransitionExpired`].
+//!   Subscriptions judge an arrival before it is journalled, so the first
+//!   one to need an endpoint's certificate computes it and every later
+//!   subscription and cached entry reuses it. Neither ever re-executes the
+//!   query. Counted *unaffected* when no geometry ran (a degenerate query,
+//!   an expired non-member) and *stable* otherwise.
 //! * **Route inserts are applied in place** too (the journal's
 //!   `recheck_members`, the same step every cached result takes at the
 //!   insert): an insert can only remove members, and only those the new
@@ -26,8 +29,9 @@
 //!   removed route's own RkNNT answer at the largest watched or cached `k`,
 //!   which the update path computes once per removal; its non-members with
 //!   an endpoint the removed route was strictly closer to are judged by the
-//!   admission kernel, and the ones that enter become one `entered`-only
-//!   delta with [`DeltaReason::RouteRemoved`]. Counted *stable*.
+//!   candidate's certificate, shared with every cached result, and the ones
+//!   that enter become one `entered`-only delta with
+//!   [`DeltaReason::RouteRemoved`]. Counted *stable*.
 //!
 //! No update re-executes a subscription.
 //!
@@ -39,9 +43,9 @@
 //! [`QueryService::apply_updates`]: crate::QueryService::apply_updates
 //! [`StoreUpdate`]: crate::StoreUpdate
 
-use crate::journal::{admit_candidates, recheck_members, replay, TransitionOp};
+use crate::journal::{admit_candidates, recheck_members, replay, Scratch, TransitionOp};
 use crate::metrics::ServiceMetrics;
-use rknnt_core::{QueryScratch, RknntQuery};
+use rknnt_core::{RknntQuery, TransitionCertificate};
 use rknnt_geo::Point;
 use rknnt_index::{RouteId, RouteStore, TransitionId};
 use std::collections::BTreeMap;
@@ -124,9 +128,9 @@ pub(crate) struct Subscription {
 /// classify subscriptions. Built by `apply_updates` *after* the store
 /// mutation succeeded, so classification always runs against post-update
 /// stores.
-#[derive(Clone, Copy)]
 pub(crate) enum UpdateEffect<'a> {
-    /// A transition arrived or expired.
+    /// A transition arrived or expired; an arrival's certificate is filled
+    /// by the subscriptions that judge it, for the journal to carry on.
     Transition(TransitionOp),
     /// The route with this id was inserted.
     RouteInserted(RouteId),
@@ -134,9 +138,10 @@ pub(crate) enum UpdateEffect<'a> {
     RouteRemoved {
         /// Its points, captured before the stores forgot them.
         removed: &'a [Point],
-        /// `RkNNT_∃(removed, k_max)` over the post-removal stores, sorted:
-        /// every transition the removal can bring into a result.
-        candidates: &'a [TransitionId],
+        /// `RkNNT_∃(removed, k_max)` over the post-removal stores, sorted by
+        /// id, each with its certificate: every transition the removal can
+        /// bring into a result.
+        candidates: &'a mut [(TransitionId, TransitionCertificate)],
     },
 }
 
@@ -147,8 +152,8 @@ pub(crate) enum UpdateEffect<'a> {
 pub(crate) struct SubscriptionRegistry {
     subs: BTreeMap<u64, Subscription>,
     next_id: u64,
-    /// Scratch of the admission checks arrivals run.
-    scratch: QueryScratch,
+    /// Scratch of the judgements every update runs.
+    scratch: Scratch,
 }
 
 impl SubscriptionRegistry {
@@ -189,11 +194,11 @@ impl SubscriptionRegistry {
     /// Brings every live subscription up to date with one applied update,
     /// in place, against the current `routes`, emitting a delta when the
     /// result changes; `endpoints` resolves a live transition's endpoints
-    /// for the members a new route is rechecked against and the candidates
-    /// a removal admits from.
+    /// for the members a new route is rechecked against. The certificates
+    /// `effect` carries are filled as far as the judgements need them.
     pub(crate) fn classify_update(
         &mut self,
-        effect: UpdateEffect<'_>,
+        effect: &mut UpdateEffect<'_>,
         routes: &RouteStore,
         endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
         metrics: &ServiceMetrics,
@@ -212,8 +217,9 @@ impl SubscriptionRegistry {
                     // Exact in-place maintenance: qualification of every
                     // other transition depends only on routes, so the result
                     // gains or loses exactly this one id, or nothing.
-                    let changed = replay(&sub.query, &mut sub.result, &op, routes, scratch);
-                    match (op, changed) {
+                    let changed =
+                        replay(&sub.query, &mut sub.result, op, routes, &mut scratch.walk);
+                    match (&*op, changed) {
                         // A membership test was the whole work.
                         (TransitionOp::Expired(_), false) => unaffected += 1,
                         _ => stable += 1,
@@ -221,10 +227,10 @@ impl SubscriptionRegistry {
                     if changed {
                         let (entered, left, reason) = match op {
                             TransitionOp::Arrived { id, .. } => {
-                                (vec![id], Vec::new(), DeltaReason::TransitionArrived)
+                                (vec![*id], Vec::new(), DeltaReason::TransitionArrived)
                             }
                             TransitionOp::Expired(id) => {
-                                (Vec::new(), vec![id], DeltaReason::TransitionExpired)
+                                (Vec::new(), vec![*id], DeltaReason::TransitionExpired)
                             }
                         };
                         deltas.push(SubscriptionDelta {
@@ -240,10 +246,10 @@ impl SubscriptionRegistry {
                     let left = recheck_members(
                         &sub.query,
                         &mut sub.result,
-                        routes.route_points(route),
+                        routes.route_points(*route),
                         routes,
                         &endpoints,
-                        scratch,
+                        &mut scratch.kernel,
                     );
                     if !left.is_empty() {
                         deltas.push(SubscriptionDelta {
@@ -265,8 +271,7 @@ impl SubscriptionRegistry {
                         removed,
                         candidates,
                         routes,
-                        &endpoints,
-                        scratch,
+                        &mut scratch.walk,
                     );
                     if !entered.is_empty() {
                         deltas.push(SubscriptionDelta {

@@ -21,7 +21,10 @@
 //! with exactly `k` routes strictly closer than the query (rejected — one
 //! fewer would qualify), and expires a member and a non-member, and the same
 //! queries are asked again right behind it — a read the cache serves by
-//! replaying the journal, not by recomputing.
+//! replaying the journal, not by recomputing. Its fixed prefix lands an
+//! arrival exactly tied with a `k = 1` query, under a `k = 1` subscription
+//! that certifies every arrival before the `k = 2` subscription and the
+//! cached `k = 2` queries read the same certificate.
 //!
 //! Mutation checks — each of these edits must make this test fail (run when
 //! the maintenance code changes):
@@ -31,8 +34,16 @@
 //! * skip expiry replay (same function, `Expired` arm returns `false`);
 //! * skip the replay loop in `ResultCache::catch_up` alone (subscriptions
 //!   still right, cached answers stale);
-//! * `<=` instead of `<` in the admission kernel
-//!   (`rknnt_core::admits_transition` judging an endpoint by `count <= k`);
+//! * a nearest-route certificate is never widened
+//!   (`EndpointCertificate::qualifies` in `crates/core/src/verify.rs`,
+//!   `self.k < k` → `self.k == 0`): the k = 1 subscription certifies every
+//!   arrival first, so the k = 2 one admits what it must reject (step 5);
+//! * a tie counted as strictly closer (same function, `>=` → `>`): the
+//!   k = 1 subscription misses the arrival at (705, 335), exactly as far
+//!   from its nearest stop as from the query (step 6);
+//! * `<=` instead of `<` in the admission kernel a route insert's recheck
+//!   runs (`rknnt_core::admits_transition` judging an endpoint by
+//!   `count <= k`);
 //! * a route insert rechecks nothing (`recheck_members` in
 //!   `crates/service/src/journal.rs` returns at once);
 //! * a route removal admits nothing (`admit_candidates` in
@@ -345,18 +356,23 @@ fn script(seed: u64, steps: usize) -> Vec<Step> {
     let mut rng = Rng(seed);
     let mut model = Model::initial();
     let routes = query_routes();
+    let first_batch = vec![
+        RknntQuery::exists(routes[0].clone(), 2),
+        RknntQuery::for_all(routes[0].clone(), 2), // shares (route, k)
+        RknntQuery::exists(routes[0].clone(), 2),  // exact duplicate
+        RknntQuery::exists(routes[2].clone(), 1),  // another group
+        RknntQuery::exists(Vec::new(), 3),         // degenerate: no route
+        RknntQuery::for_all(routes[1].clone(), 0), // degenerate: k = 0
+    ];
     let mut ops: Vec<Op> = vec![
+        // The lowest id judges every arrival first, at k = 1, so it computes
+        // each arrival's certificate there; the k = 2 subscription and the
+        // cached k = 2 queries read it widened.
+        Op::Subscribe(RknntQuery::exists(routes[1].clone(), 1)),
         Op::Subscribe(RknntQuery::exists(routes[0].clone(), 2)),
         Op::Subscribe(RknntQuery::for_all(routes[3].clone(), 1)),
         Op::Subscribe(RknntQuery::exists(Vec::new(), 2)),
-        Op::Queries(vec![
-            RknntQuery::exists(routes[0].clone(), 2),
-            RknntQuery::for_all(routes[0].clone(), 2), // shares (route, k)
-            RknntQuery::exists(routes[0].clone(), 2),  // exact duplicate
-            RknntQuery::exists(routes[2].clone(), 1),  // another group
-            RknntQuery::exists(Vec::new(), 3),         // degenerate: no route
-            RknntQuery::for_all(routes[1].clone(), 0), // degenerate: k = 0
-        ]),
+        Op::Queries(first_batch.clone()),
         Op::Updates(vec![
             StoreUpdate::InsertTransition {
                 origin: p(30.0, 70.0),
@@ -373,6 +389,15 @@ fn script(seed: u64, steps: usize) -> Vec<Step> {
                 destination: p(f64::INFINITY, 1.0),
             },
         ]),
+        // (705, 335) is at distance² 95² + 25² from both the query point
+        // (610, 310) and its nearest stop, (800, 360): a tie, so it
+        // qualifies at k = 1 (no route strictly closer). Two routes are
+        // strictly closer than `routes[0]`, so the k = 2 readers reject it.
+        Op::Updates(vec![StoreUpdate::InsertTransition {
+            origin: p(705.0, 335.0),
+            destination: p(705.0, 335.0),
+        }]),
+        Op::Queries(first_batch),
     ];
     // Generated ops need the model state they will run against, so they are
     // drawn one at a time below; the fixed prefix above is replayed first.
