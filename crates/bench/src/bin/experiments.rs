@@ -2,7 +2,7 @@
 //! evaluation on the synthetic datasets, and runs the CI gates.
 //!
 //! `--exp all` (the default) runs the whole table in paper order; `--exp
-//! NAME` runs one row; `--exp gates` runs the four wall-clock experiments
+//! NAME` runs one row; `--exp gates` runs the three wall-clock experiments
 //! at their fixed CI scales (the scale flags do not apply), prints
 //! PASS/FAIL per gate, writes `<out>/gates.json`, appends a markdown table
 //! to `$GITHUB_STEP_SUMMARY` when that is set, and exits nonzero if a gate
@@ -103,7 +103,7 @@ fn append_step_summary(markdown: &str) {
     }
 }
 
-/// `--exp gates`: the four gated experiments, then the verdict in all
+/// `--exp gates`: the three gated experiments, then the verdict in all
 /// three renderings. A failure to write an artifact is loud on stderr but
 /// never masks the verdict itself.
 fn run_gates(out_dir: &Path) -> ExitCode {

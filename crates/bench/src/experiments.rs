@@ -1,5 +1,5 @@
 //! One function per table / figure of the paper's evaluation (Section 7),
-//! the four wall-clock experiments behind the CI gates, and the one table —
+//! the three wall-clock experiments behind the CI gates, and the one table —
 //! [`EXPERIMENTS`] — that names them all.
 //!
 //! Every function reports the rows/series of its figure or table (methods
@@ -823,112 +823,6 @@ fn cold_start(ctx: &ExperimentContext, out: &mut Output) {
     out.gate("open_speedup", open_speedup, MIN_OPEN_SPEEDUP);
 }
 
-/// Candidates/sec through the scratch-based `count_closer_routes_sq` (epoch
-/// marks + reused stack + CSR NList) vs the legacy allocating path (fresh
-/// `HashSet` + per-node children `Vec`), same store, same candidates,
-/// best-of-3 each, at the gate run's 4k transitions so the per-candidate
-/// kernel dominates. A same-run wall-clock ratio and therefore
-/// machine-independent in expectation; locally ~1.6–3.8×, and the bar the
-/// zero-allocation pass was accepted at is 1.15×.
-const MIN_SCRATCH_SPEEDUP: Bound = Bound::AtLeast(1.15);
-
-/// Verify hot path: candidates/sec through `count_closer_routes_sq` — the
-/// per-candidate kernel of the verification phase — on the scratch path
-/// (epoch-stamped route marks + reused traversal stack + CSR NList slices)
-/// vs the legacy allocating path (fresh `HashSet<RouteId>` + per-node
-/// `Vec<NodeRef>` children) over the same store, same candidates, same
-/// thresholds. Every candidate's count is asserted byte-identical between
-/// the two paths before anything is timed.
-fn verify_hot_path(ctx: &ExperimentContext, out: &mut Output) {
-    use rknnt_geo::point_route_distance_sq;
-
-    let dataset = Dataset::build(DatasetKind::Small, &ctx.scale);
-    let nlist = rknnt_index::NList::build(&dataset.routes);
-    let k = ctx.default_k();
-    let query = workload::rknnt_queries(
-        &dataset.city,
-        1,
-        ctx.default_query_len(),
-        1_000.0,
-        ctx.scale.seed ^ 0x40f,
-    )
-    .pop()
-    .expect("one query requested");
-    // The candidate set the real pipeline would verify in the worst case:
-    // every transition endpoint, each with its exact squared threshold
-    // (vertex distance to the query route).
-    let candidates: Vec<Point> = dataset
-        .transitions
-        .transitions()
-        .flat_map(|t| [t.origin, t.destination])
-        .collect();
-    let thresholds: Vec<f64> = candidates
-        .iter()
-        .map(|c| point_route_distance_sq(c, &query))
-        .collect();
-
-    let legacy_pass = || -> Vec<usize> {
-        candidates
-            .iter()
-            .zip(&thresholds)
-            .map(|(c, sq)| rknnt_core::count_closer_routes_sq(&dataset.routes, &nlist, c, *sq, k))
-            .collect()
-    };
-    let mut scratch = rknnt_core::QueryScratch::new();
-    let mut scratch_pass = || -> Vec<usize> {
-        candidates
-            .iter()
-            .zip(&thresholds)
-            .map(|(c, sq)| scratch.count_closer_routes_sq(&dataset.routes, &nlist, c, *sq, k))
-            .collect()
-    };
-
-    // Correctness first: byte-identical counts on every candidate (also
-    // warms the scratch buffers before anything is timed).
-    let legacy_counts = legacy_pass();
-    let scratch_counts = scratch_pass();
-    assert_eq!(
-        scratch_counts, legacy_counts,
-        "scratch and legacy verification counts diverged"
-    );
-
-    // Throughput, best of 3 timed passes each.
-    let time_best = |pass: &mut dyn FnMut() -> Vec<usize>| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let started = Instant::now();
-            let counts = pass();
-            let secs = started.elapsed().as_secs_f64();
-            assert_eq!(counts.len(), candidates.len());
-            best = best.min(secs);
-        }
-        candidates.len() as f64 / best.max(1e-9)
-    };
-    let mut legacy_fn = legacy_pass;
-    let legacy_cps = time_best(&mut legacy_fn);
-    let scratch_cps = time_best(&mut scratch_pass);
-    let speedup = scratch_cps / legacy_cps.max(1e-9);
-
-    let sizes = [
-        ("candidates", candidates.len() as f64),
-        ("routes", dataset.routes.num_routes() as f64),
-    ];
-    out.row(
-        &[("mode", "legacy")],
-        &[sizes[0], sizes[1], ("cands_per_sec", legacy_cps)],
-    );
-    out.row(
-        &[("mode", "scratch")],
-        &[
-            sizes[0],
-            sizes[1],
-            ("cands_per_sec", scratch_cps),
-            ("speedup_vs_legacy", speedup),
-        ],
-    );
-    out.gate("scratch_speedup", speedup, MIN_SCRATCH_SPEEDUP);
-}
-
 /// Throughput cost of the metrics layer: `1 − metrics_on_qps /
 /// metrics_off_qps` over the same service workload. Same-run wall-clock
 /// ratio, so machine-independent in expectation; locally the cost is ~0–2 %
@@ -1358,7 +1252,7 @@ macro_rules! experiment {
     };
 }
 
-/// Every experiment, in paper order, then the four wall-clock experiments.
+/// Every experiment, in paper order, then the three wall-clock experiments.
 /// `--exp all` runs the table top to bottom; `--help` lists it.
 pub const EXPERIMENTS: &[Experiment] = &[
     experiment!(
@@ -1412,11 +1306,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "Cold start — open-from-snapshot vs rebuild-from-raw"
     ),
     experiment!(
-        verify_hot_path,
-        ["hotpath"],
-        "Verify hot path — scratch vs allocating count_closer_routes_sq"
-    ),
-    experiment!(
         instrumentation_overhead,
         ["instrumentation"],
         "Instrumentation overhead — metrics off vs metrics on vs every request traced"
@@ -1438,17 +1327,15 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 /// What `--exp gates` runs: each gated experiment at the transition count
 /// its ratio needs (two queries per point, default seed). Cold start needs
 /// regeneration to cost something, and 20k transitions keeps it to a few
-/// seconds; the verify kernel needs enough candidates to dominate its pass;
-/// the two serving experiments measure per-request overheads a small store
-/// shows best.
-const GATE_RUNS: [(&str, usize); 4] = [
+/// seconds; the two serving experiments measure per-request overheads a
+/// small store shows best.
+const GATE_RUNS: [(&str, usize); 3] = [
     ("cold_start", 20_000),
-    ("verify_hot_path", 4_000),
     ("instrumentation_overhead", 400),
     ("open_loop_latency", 400),
 ];
 
-/// Runs the four gated experiments at their `GATE_RUNS` scales, handing
+/// Runs the three gated experiments at their `GATE_RUNS` scales, handing
 /// each finished [`Output`] (rows and gate values) to `sink`.
 pub fn run_gates(mut sink: impl FnMut(&'static Experiment, Output)) {
     for (name, transitions) in GATE_RUNS {
@@ -1610,11 +1497,7 @@ mod tests {
     #[test]
     fn wall_clock_experiments_report_their_modes_and_gates() {
         let ctx = tiny_ctx();
-        for (name, modes, gates) in [
-            ("cold_start", 3, 1),
-            ("verify_hot_path", 2, 1),
-            ("instrumentation_overhead", 3, 2),
-        ] {
+        for (name, modes, gates) in [("cold_start", 3, 1), ("instrumentation_overhead", 3, 2)] {
             let out = run(name, &ctx);
             assert_eq!(out.records.len(), modes, "{name}");
             assert_eq!(out.gates.len(), gates, "{name}");

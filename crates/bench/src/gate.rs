@@ -2,14 +2,14 @@
 //!
 //! Absolute throughput is machine-dependent and useless as a CI assertion;
 //! a ratio of two wall-clock measurements taken in the same run is not.
-//! Four experiments measure six such ratios — `cold_start` (1),
-//! `verify_hot_path` (1), `instrumentation_overhead` (2) and
-//! `open_loop_latency` (2) — and each reports them as [`GateOutcome`]s
-//! held against a `const` [`Bound`] that sits, with its rationale, beside
-//! the code that measures it. `experiments --exp gates` runs the four and
-//! renders the outcomes with the functions here. Everything that is an
-//! exact, seed-determined *count* is a `cargo test` assertion instead (the
-//! README's "CI gates" section maps each one to its test).
+//! Three experiments measure five such ratios — `cold_start` (1),
+//! `instrumentation_overhead` (2) and `open_loop_latency` (2) — and each
+//! reports them as [`GateOutcome`]s held against a `const` [`Bound`] that
+//! sits, with its rationale, beside the code that measures it.
+//! `experiments --exp gates` runs the three and renders the outcomes with
+//! the functions here. Everything that is an exact, seed-determined *count*
+//! is a `cargo test` assertion instead (the README's "CI gates" section
+//! maps each one to its test).
 
 use crate::record::{json_escape, json_number};
 use std::fmt;

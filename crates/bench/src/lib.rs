@@ -1,5 +1,5 @@
 //! Experiment harness reproducing every table and figure of the RkNNT
-//! evaluation (Section 7), plus the four wall-clock experiments behind the
+//! evaluation (Section 7), plus the three wall-clock experiments behind the
 //! CI gates.
 //!
 //! * [`experiments`] — one function per experiment, named once in

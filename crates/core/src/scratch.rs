@@ -215,9 +215,10 @@ impl QueryScratch {
         &self.candidates
     }
 
-    /// Scratch-based twin of [`crate::count_closer_routes_sq`]: identical
-    /// result (count capped at `limit`, same early-exit behaviour), but the
-    /// distinct-route set and traversal stack live in `self` so repeated
+    /// The verification kernel: the number of distinct routes with a stop
+    /// whose squared distance to `t` is strictly below `threshold_sq`,
+    /// capped at `limit` (the walk stops once `limit` are found). The
+    /// distinct-route set and traversal stack live in `self`, so repeated
     /// calls stop allocating once warmed.
     pub fn count_closer_routes_sq(
         &mut self,

@@ -25,107 +25,26 @@
 use crate::query::{RknntQuery, RknntResult, Semantics};
 use crate::scratch::{QueryScratch, RouteMarks};
 use rknnt_geo::{point_route_distance_sq, Point};
-use rknnt_index::{EndpointKind, NList, RouteId, RouteStore, StopId};
+use rknnt_index::{EndpointKind, NList, RouteStore, StopId};
 use rknnt_rtree::NodeId;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
-/// Counts distinct routes whose distance to `t` is strictly below
-/// `threshold`, stopping early once `limit` distinct routes have been found
-/// (the returned value is then exactly `limit`).
+/// The verification kernel: counts the distinct routes with a stop whose
+/// squared distance to `t` is strictly below `threshold_sq`, stopping early
+/// once `limit` distinct routes have been found; the result is
+/// `min(distinct count, limit)`. `nlist` must have been built from the
+/// current state of `routes`.
 ///
-/// `nlist` must have been built from the current state of `routes`.
-pub fn count_closer_routes(
-    routes: &RouteStore,
-    nlist: &NList,
-    t: &Point,
-    threshold: f64,
-    limit: usize,
-) -> usize {
-    count_closer_routes_sq(routes, nlist, t, threshold * threshold, limit)
-}
-
-/// Variant of [`count_closer_routes`] taking the *squared* threshold.
-///
-/// The query engines use this form with the squared point-route distance to
-/// the query, so that exact ties (a stop at the same distance as the query,
-/// e.g. when a query point coincides with a stop) are compared without a
-/// `sqrt`/re-square round-trip that could turn a tie into "strictly closer".
-///
-/// This is the *allocating reference path*: it builds a fresh
-/// `HashSet<RouteId>` and traversal stack per call. Hot loops use the
-/// scratch-based twin [`crate::QueryScratch::count_closer_routes_sq`], which
-/// returns the identical count (property-tested in
-/// `tests/verify_scratch_properties.rs`) with zero allocations after
-/// warm-up; the `verify_hot_path` benchmark measures the two against each
-/// other on the same store.
-pub fn count_closer_routes_sq(
-    routes: &RouteStore,
-    nlist: &NList,
-    t: &Point,
-    threshold_sq: f64,
-    limit: usize,
-) -> usize {
-    if limit == 0 {
-        return 0;
-    }
-    let tree = routes.rtree();
-    let Some(root) = tree.root() else { return 0 };
-
-    let mut closer: HashSet<RouteId> = HashSet::new();
-    let mut stack = vec![root];
-
-    while let Some(node) = stack.pop() {
-        if closer.len() >= limit {
-            break;
-        }
-        let mbr = node.mbr();
-        // Nothing under this node can be closer than the threshold.
-        if mbr.min_dist_sq(t) >= threshold_sq {
-            continue;
-        }
-        // Everything under this node is closer: account for all its routes
-        // via the NList without descending (the paper's node-level shortcut).
-        if mbr.max_dist_sq(t) < threshold_sq {
-            for r in nlist.routes_under(node.id()) {
-                closer.insert(*r);
-                if closer.len() >= limit {
-                    return limit;
-                }
-            }
-            continue;
-        }
-        if node.is_leaf() {
-            for entry in node.entries() {
-                if entry.point.distance_sq(t) < threshold_sq {
-                    for r in routes.crossover(entry.data) {
-                        closer.insert(*r);
-                        if closer.len() >= limit {
-                            return limit;
-                        }
-                    }
-                }
-            }
-        } else if closer.len() < limit {
-            // Invariant guard, not an optimisation: the loop-top check
-            // already guarantees `closer.len() < limit` here (every branch
-            // that reaches the limit returns immediately). Kept so an edit
-            // that adds counting between the top check and this descend
-            // cannot silently reintroduce dead traversal.
-            stack.extend(node.children());
-        }
-    }
-    closer.len().min(limit)
-}
-
-/// Scratch-based implementation of [`count_closer_routes_sq`]: the distinct
-/// route set is an epoch-stamped mark table and the traversal reuses the
-/// caller's [`NodeId`] stack via [`rknnt_rtree::NodeRef::for_each_child`],
-/// so after warm-up the call performs zero heap allocations.
-///
-/// The traversal order, counting and early-exit behaviour are exactly those
-/// of the allocating path; both return `min(distinct count, limit)`.
+/// The threshold is squared, and the engines pass the squared point-route
+/// distance to the query, so an exact tie (a stop as far from `t` as the
+/// query, e.g. a query point on a stop) is compared without a
+/// `sqrt`/re-square round trip that could turn it into "strictly closer".
+/// The distinct route set is an epoch-stamped mark table and the traversal
+/// reuses the caller's [`NodeId`] stack via
+/// [`rknnt_rtree::NodeRef::for_each_child`], so after warm-up the call
+/// performs zero heap allocations.
 pub(crate) fn count_closer_routes_sq_scratch(
     routes: &RouteStore,
     nlist: &NList,
@@ -553,18 +472,21 @@ mod tests {
         store
     }
 
-    /// Brute-force reference: scan every route.
-    fn brute_count(store: &RouteStore, t: &Point, threshold: f64) -> usize {
+    /// The definition: routes whose squared distance to `t` is strictly
+    /// below `threshold_sq`, capped at `limit`.
+    fn brute_count(store: &RouteStore, t: &Point, threshold_sq: f64, limit: usize) -> usize {
         store
             .routes()
-            .filter(|r| point_route_distance(t, &r.points) < threshold)
+            .filter(|r| point_route_distance_sq(t, &r.points) < threshold_sq)
             .count()
+            .min(limit)
     }
 
     #[test]
     fn counts_match_brute_force() {
         let store = parallel_routes();
         let nlist = NList::build(&store);
+        let mut scratch = QueryScratch::new();
         let probes = [
             p(25.0, 5.0),
             p(25.0, 12.0),
@@ -573,10 +495,17 @@ mod tests {
             p(25.0, 45.0),
         ];
         for t in probes {
-            for threshold in [1.0, 6.0, 11.0, 26.0, 200.0] {
-                let expected = brute_count(&store, &t, threshold);
-                let got = count_closer_routes(&store, &nlist, &t, threshold, usize::MAX);
-                assert_eq!(got, expected, "t = {t}, threshold = {threshold}");
+            // 10 is exactly the distance from (-10, 50) to the stop (0, 50).
+            for threshold in [1.0f64, 6.0, 10.0, 11.0, 26.0, 200.0] {
+                for limit in [0usize, 1, 3, usize::MAX] {
+                    let sq = threshold * threshold;
+                    let got = scratch.count_closer_routes_sq(&store, &nlist, &t, sq, limit);
+                    assert_eq!(
+                        got,
+                        brute_count(&store, &t, sq, limit),
+                        "t = {t}, threshold = {threshold}, limit = {limit}"
+                    );
+                }
             }
         }
     }
@@ -585,14 +514,13 @@ mod tests {
     fn limit_caps_the_count() {
         let store = parallel_routes();
         let nlist = NList::build(&store);
-        let t = p(25.0, 45.0);
+        let mut scratch = QueryScratch::new();
+        let mut count =
+            |limit| scratch.count_closer_routes_sq(&store, &nlist, &p(25.0, 45.0), 1e12, limit);
         // With a huge threshold every route is closer; limit caps the answer.
-        assert_eq!(count_closer_routes(&store, &nlist, &t, 1e6, 3), 3);
-        assert_eq!(count_closer_routes(&store, &nlist, &t, 1e6, 0), 0);
-        assert_eq!(
-            count_closer_routes(&store, &nlist, &t, 1e6, usize::MAX),
-            store.num_routes()
-        );
+        assert_eq!(count(3), 3);
+        assert_eq!(count(0), 0);
+        assert_eq!(count(usize::MAX), store.num_routes());
     }
 
     #[test]
@@ -632,7 +560,13 @@ mod tests {
         let tied = p(25.0, 43.0);
         let far = p(25.0, 10.0); // on a route, many routes closer
         assert_eq!(
-            count_closer_routes_sq(&store, &NList::build(&store), &tied, 34.0, usize::MAX),
+            QueryScratch::new().count_closer_routes_sq(
+                &store,
+                &NList::build(&store),
+                &tied,
+                34.0,
+                usize::MAX
+            ),
             0,
             "the tied route is not strictly closer"
         );
@@ -678,45 +612,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_path_matches_allocating_path() {
-        let store = parallel_routes();
-        let nlist = NList::build(&store);
-        let mut scratch = crate::QueryScratch::new();
-        let probes = [
-            p(25.0, 5.0),
-            p(25.0, 12.0),
-            p(-10.0, 50.0),
-            p(100.0, 100.0),
-            p(25.0, 45.0),
-        ];
-        for t in probes {
-            for threshold in [1.0f64, 6.0, 11.0, 26.0, 200.0] {
-                for limit in [0usize, 1, 3, usize::MAX] {
-                    let sq = threshold * threshold;
-                    let legacy = count_closer_routes_sq(&store, &nlist, &t, sq, limit);
-                    let scr = scratch.count_closer_routes_sq(&store, &nlist, &t, sq, limit);
-                    assert_eq!(
-                        scr, legacy,
-                        "t = {t}, threshold = {threshold}, limit = {limit}"
-                    );
-                }
-            }
-        }
-        // Empty store.
-        let empty = RouteStore::default();
-        let empty_nlist = NList::build(&empty);
-        assert_eq!(
-            scratch.count_closer_routes_sq(&empty, &empty_nlist, &p(0.0, 0.0), 100.0, 5),
-            0
-        );
-    }
-
-    #[test]
     fn empty_store_counts_zero() {
         let store = RouteStore::default();
         let nlist = NList::build(&store);
         assert_eq!(
-            count_closer_routes(&store, &nlist, &p(0.0, 0.0), 10.0, 5),
+            QueryScratch::new().count_closer_routes_sq(&store, &nlist, &p(0.0, 0.0), 100.0, 5),
             0
         );
     }

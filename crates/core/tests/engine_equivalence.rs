@@ -223,9 +223,9 @@ fn translated_worlds_agree_with_the_oracle() {
 
 /// A point verdict is made of verification's own bits: wherever the point
 /// test calls a filter point `r` inside for an endpoint `t`, the comparison
-/// `count_closer_routes_sq` makes at that stop — `r.distance_sq(t)` against
-/// the threshold `point_route_distance_sq(t, Q)` — holds too, with nothing
-/// to spare asked for. So the filter can not prune, through `r`, an endpoint
+/// `QueryScratch::count_closer_routes_sq` makes at that stop —
+/// `r.distance_sq(t)` against the threshold `point_route_distance_sq(t, Q)`
+/// — holds too, with nothing to spare asked for. So the filter can not prune, through `r`, an endpoint
 /// for which verification (and the oracle) would not count `r`'s routes.
 #[test]
 fn point_verdicts_are_verifications_own_comparison() {

@@ -35,8 +35,8 @@ impl NList {
     /// Builds the NList for the current state of `store`'s RR-tree.
     ///
     /// Readers use the store's resident copy, [`RouteStore::nlist`], which
-    /// calls this once per route-set version; a direct call is the reference
-    /// the tests and the `verify_hot_path` experiment compare against.
+    /// calls this once per route-set version; a direct call builds a fresh
+    /// copy, as the tests do.
     pub fn build(store: &RouteStore) -> Self {
         let tree = store.rtree();
         let bound = tree.node_id_bound();
@@ -166,15 +166,13 @@ mod tests {
                         expected.extend_from_slice(store.crossover(e.data));
                     }
                 } else {
-                    inner.extend(n.children());
+                    n.for_each_child(|c| inner.push(c));
                 }
             }
             expected.sort_unstable();
             expected.dedup();
             assert_eq!(nlist.routes_under(node.id()), expected.as_slice());
-            if !node.is_leaf() {
-                stack.extend(node.children());
-            }
+            node.for_each_child(|c| stack.push(c));
         }
     }
 

@@ -24,7 +24,7 @@
 
 use crate::client::{Client, ClientConfig, ClientError};
 use rknnt_fault::splitmix64;
-use rknnt_obs::{Clock, MonotonicClock};
+use rknnt_obs::Clock;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -299,18 +299,9 @@ pub struct RemoteShard {
 }
 
 impl RemoteShard {
-    /// A handle dialling `addr`, on the production clock and sleeper.
-    pub fn new(addr: SocketAddr, config: RemoteShardConfig) -> Self {
-        Self::with_parts(
-            addr,
-            config,
-            Arc::new(MonotonicClock::new()),
-            Arc::new(ThreadSleeper),
-        )
-    }
-
-    /// A handle with explicit clock (breaker cooldowns) and sleeper
-    /// (backoff pauses) — the deterministic-test constructor.
+    /// A handle dialling `addr`, with the clock its breaker cools down on
+    /// and the sleeper its backoff pauses on (the fleet passes its own;
+    /// deterministic tests a mock clock and a recording sleeper).
     pub fn with_parts(
         addr: SocketAddr,
         config: RemoteShardConfig,
@@ -328,11 +319,6 @@ impl RemoteShard {
             rng,
             stats: RemoteShardStats::default(),
         }
-    }
-
-    /// The address this handle dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Points the handle at a restarted shard (ephemeral ports move) and

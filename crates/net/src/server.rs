@@ -109,7 +109,7 @@ pub const SERVER_EXECUTOR_SITE: &str = "net.server.executor";
 pub enum Backend {
     /// One `QueryService`.
     Single(QueryService),
-    /// A Z-order-sharded fleet behind the footprint-pruned router.
+    /// A Z-order-sharded fleet behind the router's root-MBR certificate.
     Sharded(ShardedService),
 }
 

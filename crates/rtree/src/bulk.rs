@@ -146,8 +146,9 @@ mod tests {
             // All points findable via range query over their exact location.
             if n > 0 {
                 let (p, d) = items[n / 2];
-                let hits = tree.range(&Rect::from_point(p));
-                assert!(hits.iter().any(|e| e.data == d));
+                let mut found = false;
+                tree.for_each_in(&Rect::from_point(p), |e| found |= e.data == d);
+                assert!(found);
             }
         }
     }

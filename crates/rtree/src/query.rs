@@ -82,7 +82,7 @@ impl<D: Clone + PartialEq> RTree<D> {
 
     /// Visits every entry whose point lies inside `rect` (boundary
     /// inclusive), reusing the caller's traversal stack — the allocation-free
-    /// core of [`RTree::range`].
+    /// core of [`RTree::for_each_in`].
     pub fn for_each_in_with<'t, F>(&'t self, stack: &mut Vec<NodeId>, rect: &Rect, mut f: F)
     where
         F: FnMut(&'t LeafEntry<D>),
@@ -119,15 +119,6 @@ impl<D: Clone + PartialEq> RTree<D> {
         self.for_each_in_with(&mut stack, rect, f);
     }
 
-    /// Returns references to all entries whose point lies inside `rect`
-    /// (boundary inclusive). Thin allocating wrapper over
-    /// [`RTree::for_each_in`], kept for tests and non-hot callers.
-    pub fn range(&self, rect: &Rect) -> Vec<&LeafEntry<D>> {
-        let mut out = Vec::new();
-        self.for_each_in(rect, |e| out.push(e));
-        out
-    }
-
     /// Visits every entry in the tree in unspecified order, reusing the
     /// caller's traversal stack.
     pub fn for_each_entry_with<'t, F>(&'t self, stack: &mut Vec<NodeId>, mut f: F)
@@ -149,13 +140,6 @@ impl<D: Clone + PartialEq> RTree<D> {
     pub fn for_each_entry<F: FnMut(&LeafEntry<D>)>(&self, f: F) {
         let mut stack = Vec::new();
         self.for_each_entry_with(&mut stack, f);
-    }
-
-    /// Collects all entries into a vector (mainly for tests and rebuilds).
-    pub fn entries(&self) -> Vec<LeafEntry<D>> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each_entry(|e| out.push(e.clone()));
-        out
     }
 
     /// Best-first k-nearest-neighbour search from `query`.
@@ -256,7 +240,8 @@ mod tests {
             .filter(|(p, _)| rect.contains_point(p))
             .map(|(_, d)| *d)
             .collect();
-        let mut got: Vec<u32> = tree.range(&rect).iter().map(|e| e.data).collect();
+        let mut got = Vec::new();
+        tree.for_each_in(&rect, |e| got.push(e.data));
         expected.sort();
         got.sort();
         assert_eq!(expected, got);
@@ -325,12 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn visitor_traversals_match_allocating_wrappers() {
+    fn visitor_traversals_reuse_the_callers_stack() {
         let (tree, items) = build(500);
         let rect = Rect::new(Point::new(100.0, 100.0), Point::new(1500.0, 1200.0));
-        let expected: Vec<u32> = tree.range(&rect).iter().map(|e| e.data).collect();
+        let mut expected = Vec::new();
+        tree.for_each_in(&rect, |e| expected.push(e.data));
         // for_each_in with a reused stack sees exactly the same entries in
-        // the same order as the Vec-returning wrapper.
+        // the same order as the one-shot visitor.
         let mut stack = Vec::new();
         let mut got = Vec::new();
         tree.for_each_in_with(&mut stack, &rect, |e| got.push(e.data));
@@ -356,13 +342,6 @@ mod tests {
             false
         });
         assert_eq!(visited, 1, "declining the root visits nothing else");
-        // for_each_child matches children() exactly.
-        let root = tree.root().unwrap();
-        let mut child_ids = Vec::new();
-        root.for_each_child(|c| child_ids.push(c.id()));
-        let wrapper_ids: Vec<_> = root.children().iter().map(|c| c.id()).collect();
-        assert_eq!(child_ids, wrapper_ids);
-        assert!(!child_ids.is_empty());
     }
 
     #[test]
@@ -379,15 +358,13 @@ mod tests {
     }
 
     #[test]
-    fn entries_and_for_each_cover_everything() {
+    fn for_each_entry_covers_everything() {
         let (tree, items) = build(150);
-        let mut ids: Vec<u32> = tree.entries().iter().map(|e| e.data).collect();
+        let mut ids = Vec::new();
+        tree.for_each_entry(|e| ids.push(e.data));
         ids.sort();
         let mut expected: Vec<u32> = items.iter().map(|(_, d)| *d).collect();
         expected.sort();
         assert_eq!(ids, expected);
-        let mut count = 0;
-        tree.for_each_entry(|_| count += 1);
-        assert_eq!(count, 150);
     }
 }

@@ -597,16 +597,6 @@ impl<'a, D: Clone + PartialEq> NodeRef<'a, D> {
         }
     }
 
-    /// Children of an internal node (empty for leaves).
-    ///
-    /// Thin allocating wrapper over [`NodeRef::for_each_child`], kept for
-    /// tests and non-hot callers; traversal loops should use the visitor.
-    pub fn children(&self) -> Vec<NodeRef<'a, D>> {
-        let mut out = Vec::new();
-        self.for_each_child(|c| out.push(c));
-        out
-    }
-
     /// Leaf entries of a leaf node (empty slice for internal nodes).
     pub fn entries(&self) -> &'a [LeafEntry<D>] {
         match &self.tree.node(self.id).kind {
@@ -705,10 +695,10 @@ mod tests {
                 }
             } else {
                 assert!(node.entries().is_empty());
-                for c in node.children() {
+                node.for_each_child(|c| {
                     assert!(node.mbr().contains_rect(&c.mbr()));
                     stack.push(c);
-                }
+                });
             }
         }
         assert_eq!(seen, 300);

@@ -35,7 +35,8 @@ proptest! {
         }
         prop_assert_eq!(tree.len(), ps.len());
         prop_assert!(tree.check_invariants().is_ok());
-        let mut ids: Vec<u32> = tree.entries().iter().map(|e| e.data).collect();
+        let mut ids = Vec::new();
+        tree.for_each_entry(|e| ids.push(e.data));
         ids.sort_unstable();
         let expected: Vec<u32> = (0..ps.len() as u32).collect();
         prop_assert_eq!(ids, expected);
@@ -49,7 +50,8 @@ proptest! {
             tree.insert(*p, i as u32);
         }
         let rect = Rect::new(a, b);
-        let mut got: Vec<u32> = tree.range(&rect).iter().map(|e| e.data).collect();
+        let mut got = Vec::new();
+        tree.for_each_in(&rect, |e| got.push(e.data));
         got.sort_unstable();
         let mut expected: Vec<u32> = ps
             .iter()
@@ -96,7 +98,8 @@ proptest! {
             }
         }
         prop_assert!(tree.check_invariants().is_ok());
-        let mut ids: Vec<u32> = tree.entries().iter().map(|e| e.data).collect();
+        let mut ids = Vec::new();
+        tree.for_each_entry(|e| ids.push(e.data));
         ids.sort_unstable();
         let mut expected: Vec<u32> = (0..ps.len())
             .filter(|i| keep_mask[*i])
@@ -140,7 +143,8 @@ proptest! {
             tree.check_invariants().unwrap();
 
             // range agrees with the oracle scan.
-            let mut got: Vec<u32> = tree.range(&rect).iter().map(|e| e.data).collect();
+            let mut got = Vec::new();
+            tree.for_each_in(&rect, |e| got.push(e.data));
             got.sort_unstable();
             let mut expected: Vec<u32> = oracle
                 .iter()
@@ -183,8 +187,9 @@ proptest! {
         }
         prop_assert!(bulk.check_invariants_bulk().is_ok());
         prop_assert_eq!(bulk.len(), incr.len());
-        let mut a: Vec<u32> = bulk.entries().iter().map(|e| e.data).collect();
-        let mut b: Vec<u32> = incr.entries().iter().map(|e| e.data).collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        bulk.for_each_entry(|e| a.push(e.data));
+        incr.for_each_entry(|e| b.push(e.data));
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);

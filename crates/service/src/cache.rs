@@ -2,11 +2,11 @@
 //!
 //! Keyed on the *exact* query — route coordinates (bit-compared), `k` and
 //! semantics — so a hit returns precisely the result the engines would
-//! recompute. The hash function is FNV-1a seeded from the service
-//! configuration rather than `std`'s per-process `RandomState`: repeated runs
-//! of the same workload then touch the same buckets in the same order, which
-//! keeps the throughput experiments reproducible; the seed remains
-//! configurable so a deployment can still pick its own.
+//! recompute. The hash function is FNV-1a seeded from a fixed constant (the
+//! service passes `frontend::CACHE_SEED`) rather than `std`'s per-process
+//! `RandomState`: repeated runs of the same workload then touch the same
+//! buckets in the same order, which keeps the throughput experiments
+//! reproducible.
 //!
 //! Recency is tracked with an intrusive doubly-linked list over a slot
 //! arena, giving O(1) lookup, touch, insert and eviction.
@@ -68,7 +68,7 @@ impl CacheKey {
     }
 }
 
-/// FNV-1a, with the service's seed folded into the initial state.
+/// FNV-1a, with the cache's seed folded into the initial state.
 pub struct SeededHasher(u64);
 
 impl Hasher for SeededHasher {

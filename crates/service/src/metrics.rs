@@ -247,7 +247,7 @@ pub struct RouterStats {
     pub executions: u64,
     /// Cross-shard dispatches issued for those executions.
     pub dispatches: u64,
-    /// Shard consultations avoided by the footprint certificate.
+    /// Shard consultations avoided by the root-MBR certificate.
     pub shards_pruned: u64,
 }
 

@@ -1,5 +1,5 @@
-//! Spatial sharding: SFC-partitioned transition shards behind a
-//! footprint-pruned router.
+//! Spatial sharding: SFC-partitioned transition shards behind a router
+//! that skips every shard its root-MBR certificate writes off.
 //!
 //! [`ShardedService`] is the shared [`Service`] frontend — the same batch
 //! pipeline, cache, update skeleton, subscription registry and storage
@@ -113,7 +113,8 @@ pub struct ShardSet {
     router: RouterMetrics,
 }
 
-/// Spatially sharded transitions behind a footprint-pruned router.
+/// Spatially sharded transitions behind a router that skips every shard its
+/// root-MBR certificate writes off.
 /// Construction is [`ShardedService::bulk_build`] (in memory) or
 /// [`ShardedService::open`] (from a storage directory); the query, update,
 /// subscription and durability API is the shared [`Service`] frontend's, and

@@ -1,5 +1,5 @@
-//! Spatial sharding: a city partitioned into Z-order shards behind a
-//! footprint-pruned router.
+//! Spatial sharding: a city partitioned into Z-order shards behind a router
+//! that skips every shard its root-MBR certificate writes off.
 //!
 //! The example builds the same city twice — once as a single
 //! [`QueryService`], once as a [`ShardedService`] with 8 shards — and runs
@@ -89,6 +89,6 @@ fn main() {
     );
     assert!(
         stats.shards_pruned > 0,
-        "the footprint certificate should write off at least some shards"
+        "the root-MBR certificate should write off at least some shards"
     );
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Line counts per crate, as a markdown table: `src/` lines above the first
-# `#[cfg(test)]` of each file (non-test), `src/` lines from that marker down
-# (in-file tests) and `tests/` lines. `--files` adds one row per `src/` file.
+# Line counts per crate (every `Cargo.toml` under `crates/`, nested ones like
+# `crates/shims/*` included, then the root crate), as a markdown table:
+# `src/` lines above the first `#[cfg(test)]` of each file (non-test), `src/`
+# lines from that marker down (in-file tests) and `tests/` lines. `--files`
+# adds one row per `src/` file.
 #
 #   scripts/loc.sh [--files] [ROOT]      ROOT defaults to this checkout
 #
@@ -25,9 +27,9 @@ split() {
 echo "| crate | src non-test | src tests | tests/ |"
 echo "|---|---:|---:|---:|"
 sum_non=0 sum_unit=0 sum_integ=0
-for dir in crates/* .; do
+for dir in $(find crates -name Cargo.toml -not -path '*/target/*' -printf '%h\n' | sort) .; do
   [[ -d "$dir/src" ]] || continue
-  name=$(basename "$(cd "$dir" && pwd)")
+  name=${dir#crates/}
   [[ "$dir" == "." ]] && name="(root)"
   non=0 unit=0 rows=""
   while IFS= read -r file; do

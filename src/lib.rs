@@ -16,8 +16,9 @@
 //!   workload generators for the evaluation.
 //! * [`service`] — the serving layer: concurrent batch query execution with
 //!   shared-filter batching, a seeded LRU result cache, and
-//!   `ShardedService` — Z-order spatial shards behind a
-//!   footprint-pruned router, byte-identical to one service.
+//!   `ShardedService` — Z-order spatial shards behind a router that skips
+//!   every shard its root-MBR certificate writes off, byte-identical to one
+//!   service.
 //! * [`storage`] — the durable storage engine: checksummed snapshots plus a
 //!   segmented write-ahead log with crash recovery, behind
 //!   `QueryService::open` / `attach_storage` / `checkpoint`.
