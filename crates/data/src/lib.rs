@@ -38,4 +38,4 @@ pub mod workload;
 
 pub use city::{City, CityConfig, CityGenerator};
 pub use transition::{TransitionConfig, TransitionGenerator};
-pub use workload::{ChurnConfig, ChurnEvent, SubscriptionEvent, SubscriptionStreamConfig};
+pub use workload::{ChurnConfig, ChurnEvent};

@@ -154,7 +154,7 @@ impl ChurnConfig {
 
 /// Samples a transition endpoint: jittered around a random stop of a random
 /// route with a uniform background, mirroring the check-in-shaped transition
-/// generator. Shared by [`churn_stream`] and [`subscription_stream`].
+/// generator.
 fn sample_endpoint(city: &City, rng: &mut StdRng) -> Point {
     let area = city.config.area();
     if rng.gen_range(0.0..1.0) < 0.15 {
@@ -228,111 +228,6 @@ pub fn churn_stream(city: &City, config: &ChurnConfig) -> Vec<ChurnEvent> {
         } else {
             events.push(ChurnEvent::Query(pool[query_cursor % pool.len()].clone()));
             query_cursor += 1;
-        }
-    }
-    events
-}
-
-/// One event of a [`subscription_stream`]: manage a standing query or apply
-/// a store update. As in [`ChurnEvent`], events referencing existing objects
-/// carry a raw random draw the consumer resolves against its live-id list.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SubscriptionEvent {
-    /// Register a standing RkNNT query over the given route.
-    Subscribe(Vec<Point>),
-    /// Drop a standing query; resolve the draw against the live
-    /// subscription ids.
-    Unsubscribe(u64),
-    /// Apply a store update (never [`ChurnEvent::Query`]); queries stay
-    /// one-shot and are not part of this stream — a consumer interleaving
-    /// both can zip a [`churn_stream`] alongside.
-    Update(ChurnEvent),
-}
-
-/// Shape of a [`subscription_stream`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubscriptionStreamConfig {
-    /// Total number of events.
-    pub events: usize,
-    /// Fraction of events that manage subscriptions rather than mutate the
-    /// stores (split ~70 % subscribe / 30 % unsubscribe).
-    pub subscribe_ratio: f64,
-    /// Subscriptions registered up front, before any update flows.
-    pub initial_subscriptions: usize,
-    /// Fraction of *updates* that touch routes rather than transitions.
-    pub route_update_fraction: f64,
-    /// Points per standing-query route.
-    pub query_len: usize,
-    /// Mean interval between consecutive query points, in metres.
-    pub query_interval: f64,
-    /// Number of distinct routes the subscribe events cycle through (repeat
-    /// subscriptions model popular corridors watched by many dashboards —
-    /// the shape that makes shared-filter re-execution matter).
-    pub query_pool: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl SubscriptionStreamConfig {
-    /// A stream of `events` events at the given subscribe ratio, with
-    /// paper-shaped defaults matching [`ChurnConfig::new`]: 8 initial
-    /// subscriptions, transition-dominated updates, a pool of 12 query
-    /// routes of 4 points.
-    pub fn new(events: usize, subscribe_ratio: f64, seed: u64) -> Self {
-        SubscriptionStreamConfig {
-            events,
-            subscribe_ratio,
-            initial_subscriptions: 8,
-            route_update_fraction: 0.05,
-            query_len: 4,
-            query_interval: 1_000.0,
-            query_pool: 12,
-            seed,
-        }
-    }
-}
-
-/// Generates a subscription-management/update stream over a city: the
-/// continuous-monitoring workload where standing queries come and go while
-/// the stores churn underneath them. Deterministic in the configuration.
-pub fn subscription_stream(
-    city: &City,
-    config: &SubscriptionStreamConfig,
-) -> Vec<SubscriptionEvent> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut events = Vec::with_capacity(config.events);
-    if city.routes.is_empty() || config.events == 0 {
-        return events;
-    }
-    let pool = rknnt_queries(
-        city,
-        config.query_pool.max(1),
-        config.query_len.max(1),
-        config.query_interval,
-        config.seed ^ 0x5ab5c41b,
-    );
-    let mut pool_cursor = 0usize;
-    let subscribe = |cursor: &mut usize| {
-        let route = pool[*cursor % pool.len()].clone();
-        *cursor += 1;
-        SubscriptionEvent::Subscribe(route)
-    };
-    for _ in 0..config.initial_subscriptions.min(config.events) {
-        events.push(subscribe(&mut pool_cursor));
-    }
-    while events.len() < config.events {
-        if rng.gen_range(0.0..1.0) < config.subscribe_ratio {
-            if rng.gen_range(0.0..1.0) < 0.7 {
-                events.push(subscribe(&mut pool_cursor));
-            } else {
-                events.push(SubscriptionEvent::Unsubscribe(rng.gen_range(0..u64::MAX)));
-            }
-        } else {
-            events.push(SubscriptionEvent::Update(sample_update(
-                city,
-                &mut rng,
-                config.route_update_fraction,
-            )));
         }
     }
     events
@@ -445,66 +340,6 @@ mod tests {
                 ChurnEvent::ExpireTransition(_) | ChurnEvent::RemoveRoute(_) => {}
             }
         }
-    }
-
-    #[test]
-    fn subscription_stream_is_deterministic_and_respects_the_mix() {
-        let city = city();
-        let config = SubscriptionStreamConfig::new(300, 0.2, 9);
-        let a = subscription_stream(&city, &config);
-        assert_eq!(a.len(), 300);
-        assert_eq!(a, subscription_stream(&city, &config), "determinism");
-        assert_ne!(
-            a,
-            subscription_stream(&city, &SubscriptionStreamConfig::new(300, 0.2, 10))
-        );
-
-        // The stream opens with the initial subscriptions.
-        for event in a.iter().take(config.initial_subscriptions) {
-            assert!(matches!(event, SubscriptionEvent::Subscribe(_)));
-        }
-        let subs = a
-            .iter()
-            .filter(|e| matches!(e, SubscriptionEvent::Subscribe(_)))
-            .count();
-        let unsubs = a
-            .iter()
-            .filter(|e| matches!(e, SubscriptionEvent::Unsubscribe(_)))
-            .count();
-        let updates = a
-            .iter()
-            .filter(|e| matches!(e, SubscriptionEvent::Update(_)))
-            .count();
-        assert_eq!(subs + unsubs + updates, 300);
-        assert!(subs > unsubs, "subscribe outnumbers unsubscribe");
-        assert!(updates > subs, "updates dominate at a 0.2 subscribe ratio");
-        // Updates never contain one-shot queries, and subscribe routes have
-        // the configured shape.
-        for event in &a {
-            match event {
-                SubscriptionEvent::Update(u) => {
-                    assert!(!matches!(u, ChurnEvent::Query(_)))
-                }
-                SubscriptionEvent::Subscribe(route) => {
-                    assert_eq!(route.len(), config.query_len);
-                    assert!(route.iter().all(Point::is_finite));
-                }
-                SubscriptionEvent::Unsubscribe(_) => {}
-            }
-        }
-        // The pool cycles: repeat subscriptions for popular corridors.
-        let routes: Vec<&Vec<Point>> = a
-            .iter()
-            .filter_map(|e| match e {
-                SubscriptionEvent::Subscribe(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        if routes.len() > config.query_pool {
-            assert_eq!(routes[0], routes[config.query_pool]);
-        }
-        // Degenerate inputs come back empty.
-        assert!(subscription_stream(&city, &SubscriptionStreamConfig::new(0, 0.2, 1)).is_empty());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub(crate) fn route_bits(route: &[rknnt_geo::Point]) -> Vec<(u64, u64)> {
 /// Exact-match cache key: query route as coordinate bit patterns
 /// (`route_bits`), `k` and semantics.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     route_bits: Vec<(u64, u64)>,
     k: usize,
     semantics: Semantics,
@@ -97,7 +97,7 @@ impl BuildHasher for SeededState {
 }
 
 /// Monotonic counters exposed for observability and asserted by the
-/// cache tests. A plain-value copy of the cache's [`CacheCounters`] cells.
+/// cache tests: a plain-value copy of the cache's counter cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a cached result.
@@ -115,10 +115,10 @@ pub struct CacheStats {
 
 /// The atomic counter cells the cache increments in place of ad-hoc struct
 /// fields. The service registers these cells with its metrics registry, so
-/// cache activity shows up in every snapshot without extra plumbing; a
-/// standalone cache gets unregistered cells.
+/// cache activity shows up in every snapshot without extra plumbing. The
+/// cache counts hits; misses are the service's to count.
 #[derive(Debug, Clone, Default)]
-pub struct CacheCounters {
+pub(crate) struct CacheCounters {
     /// Lookup hits.
     pub hits: Counter,
     /// Lookup misses.
@@ -145,7 +145,7 @@ struct Slot {
 /// The LRU cache itself. Not internally synchronised — the service wraps it
 /// in a `Mutex` (lookups are microseconds against engine executions of
 /// milliseconds, so a single lock is not the bottleneck at this scale).
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     capacity: usize,
     map: HashMap<CacheKey, usize, SeededState>,
     slots: Vec<Slot>,
@@ -160,13 +160,9 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// A cache holding at most `capacity` results. Capacity 0 disables
-    /// storage (every lookup misses). Counts into fresh, unregistered cells.
-    pub fn new(capacity: usize, seed: u64) -> Self {
-        Self::with_counters(capacity, seed, CacheCounters::default())
-    }
-
-    /// A cache counting into the given (typically registry-owned) cells.
+    /// A cache holding at most `capacity` results (0 disables storage:
+    /// every lookup finds nothing), counting into the given
+    /// (registry-owned) cells.
     pub fn with_counters(capacity: usize, seed: u64, counters: CacheCounters) -> Self {
         ResultCache {
             capacity,
@@ -184,11 +180,6 @@ impl ResultCache {
     /// Number of cached results.
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Counter snapshot.
@@ -239,19 +230,10 @@ impl ResultCache {
     /// Looks up a query, refreshing its recency on a hit. The entry is
     /// first brought current with the transition journal against `routes`
     /// (the current route set); one the ring no longer reaches is dropped
-    /// and the lookup is a miss.
-    pub fn get(&mut self, key: &CacheKey, routes: &RouteStore) -> Option<RknntResult> {
-        let found = self.get_resident(key, routes);
-        if found.is_none() {
-            self.counters.misses.inc();
-        }
-        found
-    }
-
-    /// [`ResultCache::get`] without the miss count, for a caller that
-    /// counts misses itself: a [`crate::Service`] may look one query up
-    /// twice — alone ([`crate::Service::lookup`]), then in the batch that
-    /// answers the miss — and counts that miss once.
+    /// and the lookup finds nothing. Misses are not counted here: a
+    /// [`crate::Service`] may look one query up twice — alone
+    /// ([`crate::Service::lookup`]), then in the batch that answers the miss
+    /// — and counts that miss once itself.
     pub fn get_resident(&mut self, key: &CacheKey, routes: &RouteStore) -> Option<RknntResult> {
         let slot = self.map.get(key).copied()?;
         if !self.catch_up(slot, routes) {
@@ -420,6 +402,10 @@ mod tests {
         RouteStore::default()
     }
 
+    fn new_cache(capacity: usize, seed: u64) -> ResultCache {
+        ResultCache::with_counters(capacity, seed, CacheCounters::default())
+    }
+
     fn result(id: u32) -> RknntResult {
         RknntResult {
             transitions: vec![TransitionId(id)],
@@ -434,28 +420,30 @@ mod tests {
 
     #[test]
     fn get_after_insert_roundtrips() {
-        let mut cache = ResultCache::new(4, 7);
+        let mut cache = new_cache(4, 7);
         let key = CacheKey::of(&query(1.0, 5));
-        assert!(cache.get(&key, &routes()).is_none());
+        assert!(cache.get_resident(&key, &routes()).is_none());
         put(&mut cache, &query(1.0, 5), 3);
         assert_eq!(
-            cache.get(&key, &routes()).unwrap().transitions,
+            cache.get_resident(&key, &routes()).unwrap().transitions,
             vec![TransitionId(3)]
         );
         assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().misses, 0, "the service counts misses");
     }
 
     #[test]
     fn distinct_k_and_semantics_are_distinct_keys() {
-        let mut cache = ResultCache::new(8, 7);
+        let mut cache = new_cache(8, 7);
         let exists = query(1.0, 5);
         let mut forall = exists.clone();
         forall.semantics = Semantics::ForAll;
         let k9 = query(1.0, 9);
         put(&mut cache, &exists, 1);
-        assert!(cache.get(&CacheKey::of(&forall), &routes()).is_none());
-        assert!(cache.get(&CacheKey::of(&k9), &routes()).is_none());
+        assert!(cache
+            .get_resident(&CacheKey::of(&forall), &routes())
+            .is_none());
+        assert!(cache.get_resident(&CacheKey::of(&k9), &routes()).is_none());
         // What a route removal's candidate query runs at: degenerate
         // queries do not count.
         assert_eq!(cache.max_k(), 5);
@@ -466,36 +454,36 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used_first() {
-        let mut cache = ResultCache::new(2, 7);
+        let mut cache = new_cache(2, 7);
         let (a, b, c) = (query(1.0, 1), query(2.0, 1), query(3.0, 1));
         put(&mut cache, &a, 1);
         put(&mut cache, &b, 2);
         // Touch `a` so `b` becomes the LRU entry.
-        assert!(cache.get(&CacheKey::of(&a), &routes()).is_some());
+        assert!(cache.get_resident(&CacheKey::of(&a), &routes()).is_some());
         put(&mut cache, &c, 3);
         assert_eq!(cache.len(), 2);
         assert!(
-            cache.get(&CacheKey::of(&b), &routes()).is_none(),
+            cache.get_resident(&CacheKey::of(&b), &routes()).is_none(),
             "b was LRU and must be evicted"
         );
-        assert!(cache.get(&CacheKey::of(&a), &routes()).is_some());
-        assert!(cache.get(&CacheKey::of(&c), &routes()).is_some());
+        assert!(cache.get_resident(&CacheKey::of(&a), &routes()).is_some());
+        assert!(cache.get_resident(&CacheKey::of(&c), &routes()).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
-        let mut cache = ResultCache::new(0, 7);
+        let mut cache = new_cache(0, 7);
         put(&mut cache, &query(1.0, 1), 1);
         assert!(cache
-            .get(&CacheKey::of(&query(1.0, 1)), &routes())
+            .get_resident(&CacheKey::of(&query(1.0, 1)), &routes())
             .is_none());
         assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn reinserting_a_key_refreshes_value_and_recency() {
-        let mut cache = ResultCache::new(2, 7);
+        let mut cache = new_cache(2, 7);
         let (a, b) = (query(1.0, 1), query(2.0, 1));
         put(&mut cache, &a, 1);
         put(&mut cache, &b, 2);
@@ -503,19 +491,22 @@ mod tests {
         // `a` is now most recent; inserting a third key evicts `b`.
         put(&mut cache, &query(3.0, 1), 3);
         assert_eq!(
-            cache.get(&CacheKey::of(&a), &routes()).unwrap().transitions,
+            cache
+                .get_resident(&CacheKey::of(&a), &routes())
+                .unwrap()
+                .transitions,
             vec![TransitionId(10)]
         );
-        assert!(cache.get(&CacheKey::of(&b), &routes()).is_none());
+        assert!(cache.get_resident(&CacheKey::of(&b), &routes()).is_none());
     }
 
     #[test]
     fn heavy_churn_keeps_list_and_map_consistent() {
-        let mut cache = ResultCache::new(8, 42);
+        let mut cache = new_cache(8, 42);
         for round in 0..200u32 {
             let q = query((round % 23) as f64, 1);
             if round % 3 == 0 {
-                let _ = cache.get(&CacheKey::of(&q), &routes());
+                let _ = cache.get_resident(&CacheKey::of(&q), &routes());
             }
             put(&mut cache, &q, round);
             assert!(cache.len() <= 8);
@@ -529,7 +520,7 @@ mod tests {
     fn capacity_one_insert_then_evict_keeps_list_consistent() {
         // The intrusive list degenerates to head == tail at capacity 1;
         // every insert-then-evict cycle must leave it usable.
-        let mut cache = ResultCache::new(1, 7);
+        let mut cache = new_cache(1, 7);
         let queries: Vec<RknntQuery> = (0..5).map(|i| query(i as f64, 1)).collect();
         let keys: Vec<CacheKey> = queries.iter().map(CacheKey::of).collect();
         for (i, key) in keys.iter().enumerate() {
@@ -537,12 +528,12 @@ mod tests {
             assert_eq!(cache.len(), 1, "capacity bound after insert {i}");
             // Only the newest key is present, and a hit refreshes it.
             assert_eq!(
-                cache.get(key, &routes()).unwrap().transitions,
+                cache.get_resident(key, &routes()).unwrap().transitions,
                 vec![TransitionId(i as u32)]
             );
             for older in &keys[..i] {
                 assert!(
-                    cache.get(older, &routes()).is_none(),
+                    cache.get_resident(older, &routes()).is_none(),
                     "older key survived at cap 1"
                 );
             }
@@ -555,20 +546,20 @@ mod tests {
         put(&mut cache, &queries[4], 99);
         assert_eq!(cache.stats().evictions, 4);
         assert_eq!(
-            cache.get(&keys[4], &routes()).unwrap().transitions,
+            cache.get_resident(&keys[4], &routes()).unwrap().transitions,
             vec![TransitionId(99)]
         );
     }
 
     #[test]
     fn capacity_zero_never_stores_and_counters_stay_consistent() {
-        let mut cache = ResultCache::new(0, 7);
+        let mut cache = new_cache(0, 7);
         for i in 0..4u32 {
             let q = query(i as f64, 1);
-            assert!(cache.get(&CacheKey::of(&q), &routes()).is_none());
+            assert!(cache.get_resident(&CacheKey::of(&q), &routes()).is_none());
             put(&mut cache, &q, i);
             assert!(
-                cache.get(&CacheKey::of(&q), &routes()).is_none(),
+                cache.get_resident(&CacheKey::of(&q), &routes()).is_none(),
                 "capacity 0 must not store"
             );
             assert_eq!(cache.len(), 0);
@@ -577,24 +568,23 @@ mod tests {
         assert_eq!(stats.insertions, 0);
         assert_eq!(stats.evictions, 0);
         assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 8);
     }
 
     #[test]
     fn lookups_replay_the_journal_and_drop_what_it_no_longer_reaches() {
-        let mut cache = ResultCache::new(4, 7);
+        let mut cache = new_cache(4, 7);
         let (a, b) = (query(1.0, 1), query(2.0, 1));
         put(&mut cache, &a, 1);
         // A member expiry is replayed into the entry at its next read.
         cache.record(TransitionOp::Expired(TransitionId(1)));
-        let hit = cache.get(&CacheKey::of(&a), &routes()).unwrap();
+        let hit = cache.get_resident(&CacheKey::of(&a), &routes()).unwrap();
         assert!(hit.transitions.is_empty());
         // An entry a full ring behind is dropped at its next read.
         put(&mut cache, &b, 2);
         for _ in 0..=JOURNAL_CAPACITY {
             cache.record(TransitionOp::Expired(TransitionId(9)));
         }
-        assert!(cache.get(&CacheKey::of(&b), &routes()).is_none());
+        assert!(cache.get_resident(&CacheKey::of(&b), &routes()).is_none());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().targeted_evictions, 1);
     }

@@ -619,8 +619,8 @@ impl<B: Backing> Service<B> {
     ///
     /// `&mut self` serialises the call against in-flight batches, and
     /// retained entries remain byte-identical to what a freshly built
-    /// service over the post-update stores would answer — asserted by the
-    /// churn determinism suite in `tests/service_churn.rs`.
+    /// service over the post-update stores would answer — asserted, against
+    /// brute force, by the repository's tier-1 `tests/serving_layers.rs`.
     ///
     /// Live subscriptions take the same steps eagerly, in place, and are
     /// never re-executed; the returned [`UpdateStats::deltas`] describe

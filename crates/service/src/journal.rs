@@ -10,8 +10,8 @@
 //! it individually — there is nothing to recompute. The update path only
 //! *appends* here (O(1), whatever the cache holds); a cached result
 //! remembers the sequence it is current to and replays the suffix when it is
-//! next read ([`crate::ResultCache::get`]). Subscriptions apply the same op
-//! eagerly, in place, before it is appended.
+//! next read ([`crate::cache::ResultCache::get_resident`]). Subscriptions
+//! apply the same op eagerly, in place, before it is appended.
 //!
 //! Every reader of an arrival judges the same two endpoints against the
 //! same routes, so the op carries their nearest-route certificate
@@ -21,9 +21,9 @@
 //! certificate with `|Q|` distance evaluations and one compare. A
 //! certificate holds for the route set it was computed over, and no other
 //! is ever read: every cached entry catches up on the journal *before* a
-//! route change mutates the stores ([`crate::ResultCache::catch_up_all`]),
-//! so every op an entry replays was journalled under the routes current at
-//! the replay.
+//! route change mutates the stores
+//! ([`crate::cache::ResultCache::catch_up_all`]), so every op an entry
+//! replays was journalled under the routes current at the replay.
 //!
 //! A route insert can only raise an endpoint's count of strictly-closer
 //! routes, and only where the new route itself is strictly closer than `Q`,

@@ -71,10 +71,10 @@
 //!   [`Service::checkpoint`] folds the log into a checksummed snapshot of
 //!   the global state, and reopening after a crash replays the WAL tail
 //!   through the normal update path — recovered answers are byte-identical
-//!   to the uninterrupted service (`tests/service_recovery.rs`). The
-//!   directory does not record which service wrote it: one written by
-//!   either opens as the other, at any shard count
-//!   (`tests/service_sharded.rs`).
+//!   to the uninterrupted service. The directory does not record which
+//!   service wrote it: one written by either opens as the other, at any
+//!   shard count (both asserted by the repository's tier-1
+//!   `tests/serving_layers.rs`).
 //!
 //! ```
 //! use rknnt_core::RknntQuery;
@@ -108,7 +108,7 @@ mod service;
 pub mod sharded;
 
 pub use batch::{BatchPhaseTimings, BatchStats};
-pub use cache::{CacheCounters, CacheKey, CacheStats, ResultCache};
+pub use cache::CacheStats;
 pub use frontend::Service;
 pub use journal::JOURNAL_CAPACITY;
 pub use metrics::{RouterStats, ServiceMetrics};

@@ -36,9 +36,9 @@
 //! No update re-executes a subscription.
 //!
 //! Replaying a subscription's deltas, in order, over any earlier snapshot of
-//! its result always reproduces the current result — the determinism suite
-//! in `tests/service_monitor.rs` asserts this against freshly built
-//! post-churn state, by each of the four engines, under both semantics.
+//! its result always reproduces the current result — the repository's
+//! tier-1 `tests/serving_layers.rs` asserts this against brute force after
+//! every step, under both semantics, on every serving configuration.
 //!
 //! [`QueryService::apply_updates`]: crate::QueryService::apply_updates
 //! [`StoreUpdate`]: crate::StoreUpdate

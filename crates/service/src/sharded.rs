@@ -120,8 +120,8 @@ pub struct ShardSet {
 /// subscription and durability API is the shared [`Service`] frontend's, and
 /// every answer — batch results, subscription results and their delta
 /// streams — is byte-identical to an unsharded service over the same data
-/// (see the module docs for the argument, `tests/service_sharded.rs` for
-/// the enforcement).
+/// (see the module docs for the argument, the repository's tier-1
+/// `tests/serving_layers.rs` for the enforcement).
 pub type ShardedService = Service<ShardSet>;
 
 impl Backing for ShardSet {

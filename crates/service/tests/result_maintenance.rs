@@ -1,29 +1,18 @@
-//! Property test: results are *maintained*, not recomputed, and stay right.
-//!
-//! Random interleavings of reads, transition arrivals and expiries, route
-//! inserts and removals and reshards run against a
-//! [`QueryService`] and a 4-shard [`ShardedService`] with a cache smaller
-//! than the query pool. After every step every read — cache hits included,
-//! and the stream makes sure there are hits right behind the churn that
-//! should have changed them — equals a fresh [`BruteForceEngine`] answer
-//! over mirror stores, and every subscription equals both its fresh answer
-//! and the replay of its deltas.
-//!
-//! The stream carries the geometry the maintenance rules are strict about:
-//! an arrival whose endpoint is exactly equidistant from the query and from
-//! the k-th route (a tie is not "strictly closer", so it must be admitted),
-//! duplicate endpoints, an arrival that expires before anything reads it,
-//! `∀` twins of `∃` queries, and bursts sized around
-//! [`JOURNAL_CAPACITY`] so entries fall off the ring — exactly at its tail
-//! and one past it.
+//! Results are *maintained*, not recomputed, and stay right: one targeted
+//! test per maintenance rule, each observable as counts on a hand-built
+//! ladder world — what every update kind does to a cached entry and to a
+//! subscription, a route insert's recheck and a route removal's admission,
+//! ties on either side of "strictly closer", the journal ring's tail, and
+//! the removal lemma against brute force alone. Every seeded interleaving of
+//! the same rules, through every serving configuration, is the tier-1
+//! stream in `tests/serving_layers.rs`.
 
-use proptest::prelude::*;
-use rknnt_core::{BruteForceEngine, RknnTEngine, RknntQuery};
+use rknnt_core::{BruteForceEngine, EngineKind, RknnTEngine, RknntQuery};
 use rknnt_geo::Point;
 use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
 use rknnt_service::{
-    CacheStats, DeltaReason, QueryService, ServiceConfig, ShardedConfig, ShardedService,
-    StoreUpdate, SubscriptionDelta, SubscriptionId, UpdateStats, JOURNAL_CAPACITY,
+    DeltaReason, QueryService, ServiceConfig, ShardedConfig, ShardedService, StoreUpdate,
+    SubscriptionDelta, SubscriptionId, UpdateStats, JOURNAL_CAPACITY,
 };
 
 fn p(x: f64, y: f64) -> Point {
@@ -55,11 +44,8 @@ fn scatter() -> Vec<(Point, Point)> {
 
 /// The endpoint (35, 33) is at distance² 34 from the y = 30 route's nearest
 /// stops and from the vertex (30, 36) of `pool()[0]`, with nothing closer:
-/// k = 1 must admit it. (35, 32) has the y = 30 route strictly closer (29)
-/// and ties the y = 40 route and the vertex (27, 37) of `pool()[2]` at 89:
-/// k = 2 must admit it.
+/// k = 1 must admit it.
 const TIE_K1: (f64, f64) = (35.0, 33.0);
-const TIE_K2: (f64, f64) = (35.0, 32.0);
 
 /// Five query routes, each as an `∃` query and its `∀` twin.
 fn pool() -> Vec<RknntQuery> {
@@ -131,59 +117,6 @@ impl Mirror {
     }
 }
 
-/// What the driver needs of a service; both are the same frontend, so the
-/// impls are the same text except for the reshard only one of them has.
-trait Sut {
-    fn read(&self, query: &RknntQuery) -> Vec<TransitionId>;
-    fn update(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats;
-    fn watch(&mut self, query: RknntQuery) -> SubscriptionId;
-    fn standing(&self, id: SubscriptionId) -> Vec<TransitionId>;
-    fn stats(&self) -> CacheStats;
-    fn cached(&self) -> usize;
-    /// Re-places the data where the service has a placement: no answer, no
-    /// cached entry and no subscription may change.
-    fn reshard(&mut self, draw: u64);
-}
-
-macro_rules! sut_common {
-    () => {
-        fn read(&self, query: &RknntQuery) -> Vec<TransitionId> {
-            self.execute(query).transitions
-        }
-        fn update(&mut self, updates: Vec<StoreUpdate>) -> UpdateStats {
-            self.apply_updates(updates)
-        }
-        fn watch(&mut self, query: RknntQuery) -> SubscriptionId {
-            self.subscribe(query)
-        }
-        fn standing(&self, id: SubscriptionId) -> Vec<TransitionId> {
-            self.subscription_result(id).unwrap().to_vec()
-        }
-        fn stats(&self) -> CacheStats {
-            self.cache_stats()
-        }
-        fn cached(&self) -> usize {
-            self.cache_len()
-        }
-    };
-}
-
-impl Sut for QueryService {
-    sut_common!();
-
-    /// Flat stores have no placement to change.
-    fn reshard(&mut self, _draw: u64) {}
-}
-
-impl Sut for ShardedService {
-    sut_common!();
-
-    /// Same data, new placement.
-    fn reshard(&mut self, draw: u64) {
-        ShardedService::reshard(self, 2 + (draw % 3) as usize, 4);
-    }
-}
-
 const CACHE_CAPACITY: usize = 6;
 
 fn config() -> ServiceConfig {
@@ -209,304 +142,6 @@ fn arrival(origin: Point, destination: Point) -> StoreUpdate {
     StoreUpdate::InsertTransition {
         origin,
         destination,
-    }
-}
-
-/// One step of the stream: an op selector and a draw it spends freely.
-type RawStep = (u8, u64);
-
-struct Driver<'s, S: Sut> {
-    sut: &'s mut S,
-    mirror: Mirror,
-    pool: Vec<RknntQuery>,
-    /// (subscription, its query, result rebuilt from initial + deltas).
-    subs: Vec<(SubscriptionId, RknntQuery, Vec<TransitionId>)>,
-    /// Ids the stream may expire (some already dead, on purpose).
-    known: Vec<TransitionId>,
-    hits: u64,
-}
-
-impl<'s, S: Sut> Driver<'s, S> {
-    fn new(sut: &'s mut S) -> Self {
-        let mirror = Mirror::new();
-        let pool = pool();
-        let known = mirror.transitions.transition_ids();
-        let mut driver = Driver {
-            sut,
-            mirror,
-            pool,
-            subs: Vec::new(),
-            known,
-            hits: 0,
-        };
-        // Standing twins of the tie queries and one plain pair.
-        for index in [0, 1, 4, 5, 2] {
-            let query = driver.pool[index].clone();
-            let id = driver.sut.watch(query.clone());
-            let initial = driver.sut.standing(id);
-            driver.subs.push((id, query, initial));
-        }
-        driver.check_standing("after subscribing");
-        driver
-    }
-
-    fn read(&mut self, index: usize, at: &str) {
-        let query = &self.pool[index % self.pool.len()];
-        let before = self.sut.stats();
-        let got = self.sut.read(query);
-        let after = self.sut.stats();
-        let hit = after.hits > before.hits;
-        self.hits += u64::from(hit);
-        assert_eq!(
-            got,
-            self.mirror.answer(query),
-            "{} of {query:?} {at}",
-            if hit { "hit" } else { "miss" }
-        );
-        assert!(self.sut.cached() <= CACHE_CAPACITY);
-    }
-
-    fn update(&mut self, updates: Vec<StoreUpdate>, at: &str) -> UpdateStats {
-        for update in &updates {
-            self.mirror.apply(update);
-        }
-        let route_change = updates
-            .iter()
-            .any(|u| matches!(u, StoreUpdate::InsertRoute(_) | StoreUpdate::RemoveRoute(_)));
-        let cached = self.sut.cached();
-        let stats = self.sut.update(updates);
-        self.known
-            .extend(stats.inserted_transitions.iter().copied());
-        // The whole point: no update drops the cache — only a route change
-        // drops the entries the journal no longer reaches — and transition
-        // churn does not even scan it.
-        assert_eq!(self.sut.cached(), cached - stats.evicted_entries, "{at}");
-        if !route_change {
-            assert_eq!(stats.evicted_entries, 0, "{at}");
-        }
-        self.replay(&stats.deltas, at);
-        self.check_standing(at);
-        stats
-    }
-
-    fn replay(&mut self, deltas: &[SubscriptionDelta], at: &str) {
-        for delta in deltas {
-            // Every reason has its shape: a transition op moves one id, a
-            // route insert only removes, a route removal only adds.
-            let shape = (delta.entered.len(), delta.left.len());
-            match delta.reason {
-                DeltaReason::TransitionArrived => assert_eq!(shape, (1, 0), "{at}"),
-                DeltaReason::TransitionExpired => assert_eq!(shape, (0, 1), "{at}"),
-                DeltaReason::RouteInserted => assert!(shape.0 == 0 && shape.1 > 0, "{at}"),
-                DeltaReason::RouteRemoved => assert!(shape.0 > 0 && shape.1 == 0, "{at}"),
-            }
-            if let Some((_, _, result)) = self
-                .subs
-                .iter_mut()
-                .find(|(id, ..)| *id == delta.subscription)
-            {
-                delta.apply(result);
-            }
-        }
-    }
-
-    fn check_standing(&self, at: &str) {
-        for (id, query, replayed) in &self.subs {
-            let expected = self.mirror.answer(query);
-            assert_eq!(self.sut.standing(*id), expected, "maintained {id} {at}");
-            assert_eq!(replayed, &expected, "replayed deltas of {id} {at}");
-        }
-    }
-
-    /// `n` arrivals in one batch, drawn around the pool's query vertices so
-    /// some of them enter cached and standing results.
-    fn burst(&mut self, n: usize, mut draw: u64, at: &str) {
-        let mut next = |m: u64| {
-            draw = draw
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (draw >> 33) % m
-        };
-        let updates = (0..n)
-            .map(|_| {
-                let around = |v: u64| p((v % 75) as f64 + 0.25, (v / 75 % 75) as f64 + 0.75);
-                arrival(around(next(5625)), around(next(5625)))
-            })
-            .collect();
-        self.update(updates, at);
-    }
-
-    /// The fixed opening every case runs: each maintenance rule once, with a
-    /// read right behind it that must be a hit.
-    fn opening(&mut self) {
-        let tie1 = p(TIE_K1.0, TIE_K1.1);
-        let tie2 = p(TIE_K2.0, TIE_K2.1);
-        let far = p(0.0, 0.0); // on a stop: a route is strictly closer
-        for index in [0, 1, 4, 5] {
-            self.read(index, "warming");
-        }
-        let hits = self.hits;
-        // Ties, under both semantics: (tie, tie) qualifies for ∃ and ∀,
-        // (tie, far) only for ∃. Duplicate endpoints ride along.
-        let stats = self.update(
-            vec![
-                arrival(tie1, tie1),
-                arrival(tie1, far),
-                arrival(tie2, tie2),
-                arrival(far, tie2),
-            ],
-            "tie arrivals",
-        );
-        let ids = stats.inserted_transitions;
-        let exists_k1 = self.mirror.answer(&self.pool[0]);
-        let forall_k1 = self.mirror.answer(&self.pool[1]);
-        assert!(exists_k1.contains(&ids[0]) && exists_k1.contains(&ids[1]));
-        assert!(forall_k1.contains(&ids[0]) && !forall_k1.contains(&ids[1]));
-        let exists_k2 = self.mirror.answer(&self.pool[4]);
-        let forall_k2 = self.mirror.answer(&self.pool[5]);
-        assert!(exists_k2.contains(&ids[2]) && exists_k2.contains(&ids[3]));
-        assert!(forall_k2.contains(&ids[2]) && !forall_k2.contains(&ids[3]));
-        for index in [0, 1, 4, 5] {
-            self.read(index, "right behind the tie arrivals");
-        }
-        assert_eq!(self.hits, hits + 4, "all four entries followed the churn");
-        // A member expires; an arrival expires before anything reads it.
-        let stats = self.update(
-            vec![StoreUpdate::ExpireTransition(ids[0]), arrival(tie1, tie1)],
-            "member expiry",
-        );
-        let ghost = stats.inserted_transitions[0];
-        self.update(
-            vec![StoreUpdate::ExpireTransition(ghost)],
-            "arrival expired unread",
-        );
-        for index in [0, 1] {
-            self.read(index, "behind the expiries");
-        }
-        assert_eq!(self.hits, hits + 6);
-        // Falling off the ring: an entry exactly at the tail is still
-        // served, one op further it is dropped and recomputed.
-        self.read(0, "pinning entry 0 to the journal head");
-        self.burst(JOURNAL_CAPACITY, 17, "a full ring");
-        let before = self.sut.stats();
-        self.read(0, "at the ring's tail");
-        assert_eq!(self.sut.stats().hits, before.hits + 1);
-        self.burst(JOURNAL_CAPACITY + 1, 19, "one past the ring");
-        let before = self.sut.stats();
-        self.read(0, "past the ring's tail");
-        let after = self.sut.stats();
-        assert_eq!(after.hits, before.hits, "a stale entry is not a hit");
-        assert_eq!(after.misses, before.misses + 1);
-        assert_eq!(after.targeted_evictions, before.targeted_evictions + 1);
-    }
-
-    fn step(&mut self, (op, draw): RawStep, n: usize) {
-        let at = format!("at step {n} (op {op}, draw {draw})");
-        let coord = |v: u64| (v % 800) as f64 / 10.0 - 2.0;
-        match op {
-            0..=3 => {
-                for i in 0..1 + draw % 3 {
-                    self.read((draw / 7 + i * 3) as usize, &at);
-                }
-            }
-            4..=6 => {
-                // Arrivals: near a query vertex, a tie, duplicate endpoints
-                // on a stop, or anywhere.
-                let vertex = {
-                    let route = &self.pool[(draw % 10) as usize].route;
-                    route[(draw / 10) as usize % route.len()]
-                };
-                let near = p(
-                    vertex.x + (draw / 100 % 9) as f64 - 4.0,
-                    vertex.y + (draw / 900 % 9) as f64 - 4.0,
-                );
-                let anywhere = p(coord(draw / 13), coord(draw / 10_400));
-                let stop = p(
-                    (draw / 17 % 8) as f64 * 10.0,
-                    (draw / 136 % 8) as f64 * 10.0,
-                );
-                let (origin, destination) = match draw % 5 {
-                    0 => (near, anywhere),
-                    1 => (p(TIE_K1.0, TIE_K1.1), near),
-                    2 => (stop, stop),
-                    3 => (near, near),
-                    _ => (anywhere, p(TIE_K2.0, TIE_K2.1)),
-                };
-                self.update(vec![arrival(origin, destination)], &at);
-            }
-            7..=8 => {
-                // Expiries, two at a time; some of dead or unknown ids.
-                let pick = |d: u64| {
-                    let i = (d % (self.known.len() as u64 + 2)) as usize;
-                    self.known
-                        .get(i)
-                        .copied()
-                        .unwrap_or(TransitionId(1_000_000))
-                };
-                let updates = vec![
-                    StoreUpdate::ExpireTransition(pick(draw)),
-                    StoreUpdate::ExpireTransition(pick(draw / 31)),
-                ];
-                self.update(updates, &at);
-            }
-            9 => {
-                let y = coord(draw);
-                let route = vec![p(-5.0, y), p(35.0, y + 3.0), p(75.0, y)];
-                self.update(vec![StoreUpdate::InsertRoute(route)], &at);
-            }
-            10 => {
-                let bound = self.mirror.routes.route_id_bound() as u64;
-                let id = RouteId((draw % (bound + 1)) as u32);
-                // Transition churn in the same batch, on both sides of it.
-                let updates = vec![
-                    arrival(p(coord(draw / 3), coord(draw / 5)), p(34.0, 36.0)),
-                    StoreUpdate::RemoveRoute(id),
-                    arrival(p(36.0, 34.0), p(coord(draw / 7), coord(draw / 11))),
-                ];
-                self.update(updates, &at);
-            }
-            11 => {
-                let (cached, stats) = (self.sut.cached(), self.sut.stats());
-                self.sut.reshard(draw);
-                assert_eq!(self.sut.cached(), cached, "a reshard evicts nothing {at}");
-                assert_eq!(self.sut.stats(), stats, "no cache counter moved {at}");
-                self.check_standing(&at);
-            }
-            _ => self.burst(JOURNAL_CAPACITY / 2 + (draw % 3) as usize, draw, &at),
-        }
-    }
-}
-
-fn run<S: Sut>(sut: &mut S, steps: &[RawStep]) {
-    let mut driver = Driver::new(sut);
-    driver.opening();
-    for (n, step) in steps.iter().enumerate() {
-        driver.step(*step, n);
-    }
-    // Every pool query once more, twice: the second round is all hits on
-    // whatever the cache kept.
-    for round in 0..2 {
-        for index in 0..driver.pool.len() {
-            driver.read(index, &format!("closing round {round}"));
-        }
-    }
-}
-
-fn steps() -> impl Strategy<Value = Vec<RawStep>> {
-    prop::collection::vec((0u8..13, 0u64..u64::MAX), 1..40)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn flat_results_follow_every_interleaving(steps in steps()) {
-        run(&mut flat(), &steps);
-    }
-
-    #[test]
-    fn sharded_results_follow_every_interleaving(steps in steps()) {
-        run(&mut sharded(), &steps);
     }
 }
 
@@ -652,7 +287,8 @@ fn a_route_insert_keeps_the_cache_and_rechecks_only_the_members_it_beats() {
             );
         }
         for (query, id) in pool.iter().zip(&standing) {
-            assert_eq!(service.standing(*id), mirror.answer(query), "{at}");
+            let answer = mirror.answer(query);
+            assert_eq!(service.subscription_result(*id), Some(&answer[..]), "{at}");
         }
     }
 }
@@ -723,7 +359,7 @@ fn a_route_removal_keeps_the_cache_and_admits_the_members_it_hid() {
                 assert_eq!(on_sub[0].entered, gain, "{at}: {query:?}");
                 assert!(on_sub[0].left.is_empty(), "{at}");
             }
-            assert_eq!(service.standing(*id), after, "{at}");
+            assert_eq!(service.subscription_result(*id), Some(&after[..]), "{at}");
             uncovered.extend(gain.into_iter().map(|t| (query.clone(), t)));
         }
         if removed == far {
@@ -788,13 +424,15 @@ fn a_tied_route_moves_nothing_and_a_nudged_one_moves_the_member() {
             sharded.apply_updates(vec![update]).deltas,
             "{at}: flat and sharded deltas"
         );
-        for sut in [&flat as &dyn Sut, &sharded as &dyn Sut] {
-            let hits = sut.stats().hits;
-            assert_eq!(sut.read(query), mirror.answer(query), "{at}");
-            assert_eq!(sut.stats().hits, hits + 1, "{at}: a hit");
-            assert_eq!(sut.standing(sub), mirror.answer(query), "{at}");
-        }
-        (stats, mirror.answer(query))
+        let answer = mirror.answer(query);
+        let hits = (flat.cache_stats().hits, sharded.cache_stats().hits);
+        assert_eq!(flat.execute(query).transitions, answer, "{at}: flat");
+        assert_eq!(sharded.execute(query).transitions, answer, "{at}: sharded");
+        let after = (flat.cache_stats().hits, sharded.cache_stats().hits);
+        assert_eq!(after, (hits.0 + 1, hits.1 + 1), "{at}: a hit on each");
+        assert_eq!(flat.subscription_result(sub), Some(&answer[..]), "{at}");
+        assert_eq!(sharded.subscription_result(sub), Some(&answer[..]), "{at}");
+        (stats, answer)
     };
     // On a stop, the far endpoint has a route strictly closer: only the tie
     // qualifies.
@@ -895,4 +533,256 @@ fn every_member_a_removal_adds_is_in_the_removed_routes_own_answer() {
         }
     }
     assert!(entered >= 50, "only {entered} members entered");
+}
+
+/// The journal ring's tail, as counters: an entry exactly
+/// `JOURNAL_CAPACITY` ops behind is still replayed and served (a hit), and
+/// one op further behind it is dropped at its read and recomputed (a miss
+/// and a targeted eviction); both answers equal the mirror's.
+///
+/// Mutation that fails it: `ResultCache::catch_up` returns `true` when
+/// `since_mut` is `None` (the stranded entry is served stale, as a hit).
+#[test]
+fn an_entry_at_the_ring_tail_is_a_hit_and_one_op_past_it_is_dropped() {
+    let mut mirror = Mirror::new();
+    let mut service = flat();
+    let pool = pool();
+    let (at_tail, past_tail) = (&pool[0], &pool[2]);
+    service.execute(at_tail);
+    service.execute(past_tail);
+    // Both entries are current to the same sequence. A full ring of
+    // arrivals follows, some on both queries' first vertices.
+    let ring: Vec<StoreUpdate> = (0..JOURNAL_CAPACITY)
+        .map(|i| match i % 64 {
+            0 => arrival(at_tail.route[0], past_tail.route[0]),
+            _ => arrival(p(900.0 + i as f64, 900.0), p(950.0, 920.0)),
+        })
+        .collect();
+    for update in &ring {
+        mirror.apply(update);
+    }
+    service.apply_updates(ring);
+    let before = service.cache_stats();
+    assert_eq!(service.execute(at_tail).transitions, mirror.answer(at_tail));
+    assert_eq!(service.cache_stats().hits, before.hits + 1, "at the tail");
+    let one_more = arrival(past_tail.route[0], past_tail.route[0]);
+    mirror.apply(&one_more);
+    service.apply_updates(vec![one_more]);
+    let before = service.cache_stats();
+    let answer = service.execute(past_tail).transitions;
+    assert_eq!(answer, mirror.answer(past_tail));
+    let after = service.cache_stats();
+    assert_eq!(after.hits, before.hits, "a stranded entry is not a hit");
+    assert_eq!(after.misses, before.misses + 1);
+    assert_eq!(after.targeted_evictions, before.targeted_evictions + 1);
+}
+
+/// A service over the ladder with one transition hugging the query along
+/// y = 35 (`near`) and one far above the ladder (`far`).
+fn near_and_far() -> (QueryService, RknntQuery, TransitionId, TransitionId) {
+    let mut routes = RouteStore::default();
+    for route in ladder() {
+        routes.insert_route(route).unwrap();
+    }
+    let mut transitions = TransitionStore::default();
+    let near = transitions.insert(p(34.0, 36.0), p(36.0, 34.0)).unwrap();
+    let far = transitions.insert(p(35.0, 300.0), p(40.0, 300.0)).unwrap();
+    let service = QueryService::new(
+        routes,
+        transitions,
+        ServiceConfig::default().with_workers(1),
+    );
+    let query = RknntQuery::exists(vec![p(5.0, 35.0), p(35.0, 35.0), p(65.0, 35.0)], 2);
+    (service, query, near, far)
+}
+
+/// Each update kind's retention rule, observable: no update evicts — the
+/// cached entry follows transition churn, route inserts and route removals,
+/// far or near, and the read behind each is a hit equal to a fresh engine.
+#[test]
+fn every_update_kind_retains_the_cached_entry() {
+    let (mut service, query, near, far) = near_and_far();
+    let check_fresh = |service: &QueryService, label: &str| {
+        let fresh = EngineKind::FilterRefine.build(service.routes(), service.transitions());
+        assert_eq!(
+            service.execute(&query).transitions,
+            fresh.execute(&query).transitions,
+            "{label}"
+        );
+    };
+
+    let baseline = service.execute(&query);
+    assert!(baseline.contains(near), "near transition must qualify");
+    assert!(!baseline.contains(far), "far transition must not qualify");
+    let hits = |s: &QueryService| s.cache_stats().hits;
+    let h0 = hits(&service);
+    assert_eq!(service.execute(&query).transitions, baseline.transitions);
+    assert_eq!(hits(&service), h0 + 1, "warm cache must hit");
+
+    // 1. Far transition insert: rejected by the admission kernel at the
+    //    next read -> entry retained.
+    let stats = service.apply_updates(vec![arrival(p(33.0, 299.0), p(37.0, 301.0))]);
+    assert_eq!(stats.evicted_entries, 0, "far insert must not evict");
+    let h1 = hits(&service);
+    assert_eq!(service.execute(&query).transitions, baseline.transitions);
+    assert_eq!(hits(&service), h1 + 1, "entry must survive far insert");
+
+    // 2. Near transition insert: nothing is evicted, and the next read is
+    //    a hit whose answer already contains the arrival.
+    let stats = service.apply_updates(vec![arrival(p(34.5, 35.5), p(35.5, 34.5))]);
+    assert_eq!(stats.evicted_entries, 0, "near insert must not evict");
+    let new_id = stats.inserted_transitions[0];
+    let h = hits(&service);
+    let after_near = service.execute(&query);
+    assert_eq!(hits(&service), h + 1, "entry must follow the near insert");
+    assert!(after_near.contains(new_id));
+    check_fresh(&service, "after near insert");
+
+    // 3. Expiring a transition outside the result retains the entry.
+    let h2 = hits(&service);
+    let stats = service.apply_updates(vec![StoreUpdate::ExpireTransition(far)]);
+    assert_eq!(stats.evicted_entries, 0, "expiry outside the result");
+    assert_eq!(service.execute(&query).transitions, after_near.transitions);
+    assert!(hits(&service) > h2, "entry must survive unrelated expiry");
+
+    // 4. Expiring a member of the result: nothing is evicted, and the next
+    //    read is a hit whose answer no longer contains it.
+    let stats = service.apply_updates(vec![StoreUpdate::ExpireTransition(near)]);
+    assert_eq!(stats.evicted_entries, 0, "expiry inside the result");
+    let h = hits(&service);
+    assert!(!service.execute(&query).contains(near));
+    assert_eq!(hits(&service), h + 1, "entry must follow the member expiry");
+    check_fresh(&service, "after member expiry");
+
+    // 5.–8. A far route insert, a route straight through the result region
+    // (the members it comes strictly closer to are re-judged in place), the
+    // far ladder rung y = 70 removed (it changes no answer) and the rung
+    // y = 40 next to the query removed (what it hid is admitted in place):
+    // each retains the entry, and the read behind it is a hit.
+    for (update, label) in [
+        (
+            StoreUpdate::InsertRoute((0..4).map(|i| p(300.0 + i as f64 * 10.0, 300.0)).collect()),
+            "far route insert",
+        ),
+        (
+            StoreUpdate::InsertRoute((0..8).map(|j| p(j as f64 * 10.0 + 2.0, 35.5)).collect()),
+            "route through the result region",
+        ),
+        (StoreUpdate::RemoveRoute(RouteId(7)), "far rung removal"),
+        (StoreUpdate::RemoveRoute(RouteId(4)), "near rung removal"),
+    ] {
+        let stats = service.apply_updates(vec![update]);
+        assert_eq!(stats.applied, 1, "{label}");
+        assert_eq!(stats.full_drops, 0, "{label}");
+        assert_eq!(
+            (stats.evicted_entries, stats.retained_entries),
+            (0, 1),
+            "{label}"
+        );
+        let h = hits(&service);
+        check_fresh(&service, label);
+        assert_eq!(hits(&service), h + 1, "the read behind a {label} hits");
+    }
+
+    // Rejected updates mutate nothing and are counted.
+    let before_len = service.transitions().len();
+    let stats = service.apply_updates(vec![
+        arrival(p(f64::NAN, 0.0), p(1.0, 1.0)),
+        StoreUpdate::InsertRoute(vec![p(0.0, 0.0)]),
+        StoreUpdate::ExpireTransition(TransitionId(9_999)),
+        StoreUpdate::RemoveRoute(RouteId(9_999)),
+    ]);
+    assert_eq!(stats.applied, 0);
+    assert_eq!(stats.rejected, 4);
+    assert_eq!(service.transitions().len(), before_len);
+}
+
+/// Every classification outcome, observable: unaffected skips and stable
+/// in-place maintenance — of arrivals, expiries, route inserts and route
+/// removals alike — with their deltas.
+#[test]
+fn classification_outcomes_and_delta_reasons() {
+    let (mut service, query, near, far) = near_and_far();
+    let sub = service.subscribe(query.clone());
+    assert_eq!(service.subscriptions(), 1);
+    assert_eq!(service.subscription_query(sub), Some(&query));
+    let initial = service.subscription_result(sub).unwrap().to_vec();
+    assert!(initial.contains(&near));
+    assert!(!initial.contains(&far));
+
+    // 1. Far transition insert: the admission kernel rejects it — stable,
+    //    no delta.
+    let stats = service.apply_updates(vec![arrival(p(33.0, 299.0), p(37.0, 301.0))]);
+    assert_eq!(stats.subs_stable, 1);
+    assert!(stats.deltas.is_empty());
+    assert_eq!(service.subscription_result(sub).unwrap(), &initial[..]);
+
+    // 2. Near transition insert: admitted in place, delta enters the id.
+    let stats = service.apply_updates(vec![arrival(p(34.5, 35.5), p(35.5, 34.5))]);
+    let new_id = stats.inserted_transitions[0];
+    assert_eq!(stats.subs_stable, 1);
+    assert_eq!(stats.deltas.len(), 1);
+    assert_eq!(stats.deltas[0].subscription, sub);
+    assert_eq!(stats.deltas[0].reason, DeltaReason::TransitionArrived);
+    assert_eq!(stats.deltas[0].entered, vec![new_id]);
+    assert!(stats.deltas[0].left.is_empty());
+    assert!(service.subscription_result(sub).unwrap().contains(&new_id));
+
+    // 3. Expiring a non-member: unaffected, no delta.
+    let stats = service.apply_updates(vec![StoreUpdate::ExpireTransition(far)]);
+    assert_eq!(stats.subs_unaffected, 1);
+    assert!(stats.deltas.is_empty());
+
+    // 4. Expiring a member: in-place maintenance, TransitionExpired delta.
+    let stats = service.apply_updates(vec![StoreUpdate::ExpireTransition(near)]);
+    assert_eq!(stats.subs_stable, 1);
+    assert_eq!(stats.deltas.len(), 1);
+    assert_eq!(stats.deltas[0].reason, DeltaReason::TransitionExpired);
+    assert_eq!(stats.deltas[0].left, vec![near]);
+    assert!(!service.subscription_result(sub).unwrap().contains(&near));
+
+    // 5. A far route insert: rechecked in place (stable), no member has it
+    //    strictly closer, no delta.
+    let stats = service.apply_updates(vec![StoreUpdate::InsertRoute(
+        (0..4).map(|i| p(300.0 + i as f64 * 10.0, 300.0)).collect(),
+    )]);
+    assert_eq!(stats.subs_stable, 1);
+    assert!(stats.deltas.is_empty());
+
+    // 6. Removing the far ladder rung (no endpoint has it strictly closer
+    //    than the query): followed in place (stable), and the unchanged
+    //    result emits no delta.
+    let stats = service.apply_updates(vec![StoreUpdate::RemoveRoute(RouteId(7))]);
+    assert_eq!(stats.subs_stable, 1);
+    assert!(stats.deltas.is_empty());
+
+    // 7. Two routes laid through both endpoints of the arrival of step 2:
+    //    the first one makes the member leave in place, the second finds
+    //    it gone.
+    let through = vec![p(34.5, 35.5), p(35.5, 34.5)];
+    let stats = service.apply_updates(vec![
+        StoreUpdate::InsertRoute(through.clone()),
+        StoreUpdate::InsertRoute(through),
+    ]);
+    assert_eq!(stats.subs_stable, 2);
+    assert_eq!(stats.deltas.len(), 1);
+    assert_eq!(stats.deltas[0].reason, DeltaReason::RouteInserted);
+    assert_eq!(stats.deltas[0].left, vec![new_id]);
+    assert!(stats.deltas[0].entered.is_empty());
+    assert!(!service.subscription_result(sub).unwrap().contains(&new_id));
+
+    // 8. Degenerate subscriptions are permanently unaffected.
+    let degenerate = service.subscribe(RknntQuery::exists(vec![], 3));
+    assert_eq!(
+        service.subscription_result(degenerate).unwrap(),
+        &[] as &[_]
+    );
+    let stats = service.apply_updates(vec![arrival(p(1.0, 1.0), p(2.0, 2.0))]);
+    assert!(stats.subs_unaffected >= 1);
+
+    // Unsubscribing stops maintenance.
+    assert!(service.unsubscribe(sub));
+    assert_eq!(service.subscriptions(), 1);
+    assert!(service.subscription_result(sub).is_none());
+    assert!(service.subscription_query(sub).is_none());
 }
