@@ -42,6 +42,5 @@ pub use prune::{prune_into_scratch, prune_transitions, CandidateEndpoint, PruneO
 pub use query::{PhaseTimings, QueryStats, RknntQuery, RknntResult, Semantics};
 pub use scratch::{QueryScratch, RouteMarks};
 pub use verify::{
-    admits_transition, verify_candidates, CertificateScratch, EndpointCertificate,
-    TransitionCertificate,
+    verify_candidates, CertificateScratch, EndpointCertificate, TransitionCertificate,
 };

@@ -186,9 +186,10 @@ pub struct QueryScratch {
     /// [`QueryScratch::clear_candidates`].
     pub(crate) entries_tested: usize,
     pub(crate) filter_tests: usize,
-    /// Per-transition (origin qualified, destination qualified) grouping of
-    /// the verification phase; cleared (capacity kept) per query.
-    pub(crate) per_transition: HashMap<TransitionId, (bool, bool)>,
+    /// Per-transition (origin, destination) strictly-closer counts of the
+    /// verification phase, each capped at `k`; cleared (capacity kept) per
+    /// query.
+    pub(crate) per_transition: HashMap<TransitionId, [u32; 2]>,
     /// Endpoint union of the divide & conquer engine's per-point passes.
     pub(crate) union: HashMap<(TransitionId, EndpointKind), Point>,
 }
@@ -213,6 +214,16 @@ impl QueryScratch {
     /// [`QueryScratch::clear_candidates`].
     pub fn candidates(&self) -> &[CandidateEndpoint] {
         &self.candidates
+    }
+
+    /// The counts the last [`crate::verify_candidates`] on this scratch
+    /// found for the (origin, destination) of `id`: each the number of
+    /// distinct routes strictly closer to the endpoint than the query,
+    /// capped at the query's `k` (saturating at `u32::MAX`) — and exactly
+    /// `k` for an endpoint the prune phase filtered out, which is never
+    /// counted. `None` when neither endpoint was a candidate.
+    pub fn verified_counts(&self, id: TransitionId) -> Option<[u32; 2]> {
+        self.per_transition.get(&id).copied()
     }
 
     /// The verification kernel: the number of distinct routes with a stop

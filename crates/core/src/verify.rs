@@ -18,9 +18,12 @@
 //! For that the endpoint carries a nearest-route certificate
 //! ([`EndpointCertificate`]): the ascending squared distances to its `k`
 //! nearest distinct routes, computed once per route set by a best-first
-//! RR-tree walk. Every later judgement is `|Q|` distance evaluations and one
-//! compare: fewer than `k` routes are strictly closer than `Q` iff the
-//! `k`-th nearest is not.
+//! RR-tree walk. Every later judgement is `|Q|` distance evaluations and a
+//! count over at most `k` sorted distances: the routes strictly closer than
+//! `Q` are a prefix of them. Verification and certificates both *report*
+//! that count, capped at `k`, not just the verdict it implies, so a result
+//! kept current can store it beside each member and follow a route change by
+//! arithmetic.
 
 use crate::query::{RknntQuery, RknntResult, Semantics};
 use crate::scratch::{QueryScratch, RouteMarks};
@@ -109,29 +112,15 @@ pub(crate) fn count_closer_routes_sq_scratch(
     marks.count().min(limit)
 }
 
-/// Convenience predicate: does the point `t` take the query as one of its k
-/// nearest routes, given the *squared* threshold `dist²(t, Q)`? Runs on the
-/// caller's scratch so the per-candidate verification loop never allocates.
-pub(crate) fn qualifies(
-    routes: &RouteStore,
-    nlist: &NList,
-    t: &Point,
-    dist_sq_to_query: f64,
-    k: usize,
-    marks: &mut RouteMarks,
-    stack: &mut Vec<NodeId>,
-) -> bool {
-    count_closer_routes_sq_scratch(routes, nlist, t, dist_sq_to_query, k, marks, stack) < k
-}
-
 /// The verify half of the Filter–Refine pipeline (`RefineCandidates`): checks
 /// every endpoint in the scratch's candidate buffer against the full query,
 /// groups the verdicts per transition and combines them under the query's
 /// ∃/∀ semantics into a sorted result.
 ///
 /// An endpoint qualifies iff fewer than `k` distinct routes are strictly
-/// closer to it than the query is. The candidate buffer is whatever
-/// [`crate::prune_into_scratch`] calls have appended since the last
+/// closer to it than the query is; that count, capped at `k`, stays in the
+/// scratch for [`QueryScratch::verified_counts`]. The candidate buffer is
+/// whatever [`crate::prune_into_scratch`] calls have appended since the last
 /// [`QueryScratch::clear_candidates`]; `routes` must be the full route set
 /// the answer is defined over (for a sharded caller: the planner-wide store,
 /// not a shard's slice). The returned result carries the
@@ -158,10 +147,11 @@ pub fn verify_candidates(
     let started = Instant::now();
     let mut result = RknntResult::default();
     per_transition.clear();
+    let cap = capped(query.k);
     let mut verified_endpoints = 0usize;
     for cand in candidates.iter() {
         let threshold_sq = point_route_distance_sq(&cand.point, &query.route);
-        let ok = qualifies(
+        let count = capped(count_closer_routes_sq_scratch(
             routes,
             nlist,
             &cand.point,
@@ -169,23 +159,22 @@ pub fn verify_candidates(
             query.k,
             marks,
             node_stack,
-        );
-        if ok {
+        ));
+        if count < cap {
             verified_endpoints += 1;
         }
-        let entry = per_transition
-            .entry(cand.transition)
-            .or_insert((false, false));
-        match cand.kind {
-            EndpointKind::Origin => entry.0 |= ok,
-            EndpointKind::Destination => entry.1 |= ok,
-        }
+        let counts = per_transition.entry(cand.transition).or_insert([cap; 2]);
+        let slot = match cand.kind {
+            EndpointKind::Origin => &mut counts[0],
+            EndpointKind::Destination => &mut counts[1],
+        };
+        *slot = (*slot).min(count);
     }
     result.transitions.reserve_exact(per_transition.len());
-    for (id, (origin_ok, dest_ok)) in per_transition.iter() {
+    for (id, [origin, destination]) in per_transition.iter() {
         let include = match query.semantics {
-            Semantics::Exists => *origin_ok || *dest_ok,
-            Semantics::ForAll => *origin_ok && *dest_ok,
+            Semantics::Exists => *origin < cap || *destination < cap,
+            Semantics::ForAll => *origin < cap && *destination < cap,
         };
         if include {
             result.transitions.push(*id);
@@ -201,46 +190,12 @@ pub fn verify_candidates(
     result
 }
 
-/// The exact admission kernel: does a transition with these two endpoints
-/// belong to `RkNNT(query_route, k)` under `semantics`, against the current
-/// `routes`?
-///
-/// By Definition 5 membership depends only on the transition's own endpoints
-/// and the route set, so a maintained result follows a route insert exactly
-/// by re-running this check on the members the new route comes strictly
-/// closer to — no re-execution. Transition churn is judged by the same
-/// contract through a [`TransitionCertificate`], which walks the RR-tree
-/// once per route set instead of once per judgement.
-/// Each endpoint is judged by the same `qualifies` call
-/// [`verify_candidates`] makes (fewer than `k` distinct routes *strictly*
-/// closer than the query; a route tied with the query does not count) and
-/// the two verdicts combine under ∃/∀ as there. Degenerate queries admit
-/// nothing. After the scratch is warmed the call performs zero heap
-/// allocations.
-pub fn admits_transition(
-    routes: &RouteStore,
-    query_route: &[Point],
-    k: usize,
-    semantics: Semantics,
-    origin: &Point,
-    destination: &Point,
-    scratch: &mut QueryScratch,
-) -> bool {
-    if k == 0 || query_route.is_empty() {
-        return false;
-    }
-    let nlist = routes.nlist();
-    let QueryScratch {
-        marks, node_stack, ..
-    } = scratch;
-    let mut ok = |u: &Point| {
-        let threshold_sq = point_route_distance_sq(u, query_route);
-        qualifies(routes, nlist, u, threshold_sq, k, marks, node_stack)
-    };
-    match semantics {
-        Semantics::Exists => ok(origin) || ok(destination),
-        Semantics::ForAll => ok(origin) && ok(destination),
-    }
+/// A count capped at `k` as the per-endpoint `u32` the verification phase
+/// keeps (and a `k` as the cap it is compared against): saturating, so a
+/// `k` beyond `u32::MAX` keeps every real count — there are fewer routes
+/// than that — below the cap.
+pub(crate) fn capped(count: usize) -> u32 {
+    u32::try_from(count).unwrap_or(u32::MAX)
 }
 
 /// One entry of the certificate walk's queue: an RR-tree node keyed by its
@@ -294,6 +249,79 @@ impl CertificateScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The verification kernel's count by the certificate walk: the number
+    /// of distinct routes with a stop whose squared distance to `u` is
+    /// strictly below `threshold_sq`, capped at `limit` — equal to
+    /// [`QueryScratch::count_closer_routes_sq`] on the same arguments, but
+    /// reading no NList, and stopping at the first stop not strictly closer.
+    /// What a maintained result runs for an endpoint it holds no count for.
+    /// After warm-up it performs zero heap allocations.
+    pub fn count_closer_routes_sq(
+        &mut self,
+        routes: &RouteStore,
+        u: &Point,
+        threshold_sq: f64,
+        limit: usize,
+    ) -> usize {
+        let mut count = 0;
+        if limit > 0 {
+            self.walk_nearest(routes, u, threshold_sq, |_| {
+                count += 1;
+                count < limit
+            });
+        }
+        count
+    }
+
+    /// Best-first walk of the RR-tree from `u`: calls `visit` with the
+    /// squared distance of each distinct route nearer than `below`, in
+    /// ascending order, until `visit` returns `false` or they run out. A
+    /// node's key never exceeds the distance of a stop beneath it, so stops
+    /// pop in ascending `distance_sq`, the first stop of a route to pop is
+    /// its nearest, and that stop's `distance_sq` is exactly the route's
+    /// distance²; nothing keyed at `below` or more is queued.
+    fn walk_nearest(
+        &mut self,
+        routes: &RouteStore,
+        u: &Point,
+        below: f64,
+        mut visit: impl FnMut(f64) -> bool,
+    ) {
+        let CertificateScratch { heap, marks } = self;
+        let tree = routes.rtree();
+        let Some(root) = tree.root() else { return };
+        marks.begin();
+        heap.clear();
+        let push = |heap: &mut BinaryHeap<Pending>, dist_sq: f64, item: Item| {
+            if dist_sq < below {
+                heap.push(Pending { dist_sq, item });
+            }
+        };
+        push(heap, root.mbr().min_dist_sq(u), Item::Node(root.id()));
+        while let Some(Pending { dist_sq, item }) = heap.pop() {
+            match item {
+                Item::Stop(stop) => {
+                    for route in routes.crossover(stop) {
+                        if marks.mark(*route) && !visit(dist_sq) {
+                            return;
+                        }
+                    }
+                }
+                Item::Node(id) => {
+                    let Some(node) = tree.node_ref(id) else {
+                        continue;
+                    };
+                    for entry in node.entries() {
+                        push(heap, entry.point.distance_sq(u), Item::Stop(entry.data));
+                    }
+                    node.for_each_child(|child| {
+                        push(heap, child.mbr().min_dist_sq(u), Item::Node(child.id()))
+                    });
+                }
+            }
+        }
+    }
 }
 
 /// The nearest-route certificate of one transition endpoint `u`: the
@@ -321,89 +349,53 @@ impl EndpointCertificate {
         }
     }
 
-    /// Whether the endpoint takes `query_route` as one of its `k` nearest
-    /// routes over `routes`: fewer than `k` distinct routes strictly closer
-    /// than the query. That holds iff there are fewer than `k` routes or
-    /// the `k`-th nearest is not strictly closer, `dist_sq[k-1] >=
-    /// dist²(u, Q)` — the contrapositive of [`admits_transition`]'s count
-    /// over the same squared values, so a route tied with `Q` does not
-    /// count. A `k` larger than the certificate was computed at recomputes
-    /// it once, at `k`. `routes` must be the route set every earlier
-    /// judgement of this certificate ran against.
-    pub fn qualifies(
+    /// The number of distinct routes strictly closer to the endpoint than
+    /// `threshold_sq` (in practice `dist²(u, Q)`), capped at `k`: the
+    /// verification kernel's count, read off the certificate as the prefix
+    /// of its sorted distances below the threshold — a route tied with the
+    /// query does not count. The cap needs one compare, of the `k`-th
+    /// nearest distance; only a count below `k` is searched for. A `k`
+    /// larger than the certificate was computed at recomputes it once, at
+    /// `k`. `routes` must be the route set every earlier judgement of this
+    /// certificate ran against.
+    pub fn closer_routes(
         &mut self,
         routes: &RouteStore,
-        query_route: &[Point],
+        threshold_sq: f64,
         k: usize,
         scratch: &mut CertificateScratch,
-    ) -> bool {
+    ) -> usize {
         if k == 0 {
-            return false;
+            return 0;
         }
         if self.k < k {
             self.compute(routes, k, scratch);
         }
-        let threshold_sq = point_route_distance_sq(&self.point, query_route);
-        self.dist_sq.len() < k || self.dist_sq[k - 1] >= threshold_sq
+        let nearest = &self.dist_sq[..self.dist_sq.len().min(k)];
+        if nearest.len() == k && nearest[k - 1] < threshold_sq {
+            return k;
+        }
+        nearest.partition_point(|&d| d < threshold_sq)
     }
 
-    /// Fills the certificate at `k` by a best-first walk of the RR-tree: a
-    /// node's key never exceeds the distance of a stop beneath it, so stops
-    /// pop in ascending `distance_sq`, the first stop of a route to pop is
-    /// its nearest, and that stop's `distance_sq` is exactly the route's
-    /// distance². The walk stops at the `k`-th distinct route. Allocates
-    /// only the certificate's own storage, once, when it lacks room for `k`.
+    /// Fills the certificate at `k` by the best-first walk, stopping at the
+    /// `k`-th distinct route. Allocates only the certificate's own storage,
+    /// once, when it lacks room for `k`.
     fn compute(&mut self, routes: &RouteStore, k: usize, scratch: &mut CertificateScratch) {
-        let CertificateScratch { heap, marks } = scratch;
-        let u = self.point;
         self.k = k;
-        self.dist_sq.clear();
-        self.dist_sq.reserve_exact(k.min(routes.num_routes()));
-        let tree = routes.rtree();
-        let Some(root) = tree.root() else { return };
-        marks.begin();
-        heap.clear();
-        heap.push(Pending {
-            dist_sq: root.mbr().min_dist_sq(&u),
-            item: Item::Node(root.id()),
+        let dist_sq = &mut self.dist_sq;
+        dist_sq.clear();
+        dist_sq.reserve_exact(k.min(routes.num_routes()));
+        scratch.walk_nearest(routes, &self.point, f64::INFINITY, |d| {
+            dist_sq.push(d);
+            dist_sq.len() < k
         });
-        while let Some(Pending { dist_sq, item }) = heap.pop() {
-            match item {
-                Item::Stop(stop) => {
-                    for route in routes.crossover(stop) {
-                        if marks.mark(*route) {
-                            self.dist_sq.push(dist_sq);
-                            if self.dist_sq.len() == k {
-                                return;
-                            }
-                        }
-                    }
-                }
-                Item::Node(id) => {
-                    let Some(node) = tree.node_ref(id) else {
-                        continue;
-                    };
-                    for entry in node.entries() {
-                        heap.push(Pending {
-                            dist_sq: entry.point.distance_sq(&u),
-                            item: Item::Stop(entry.data),
-                        });
-                    }
-                    node.for_each_child(|child| {
-                        heap.push(Pending {
-                            dist_sq: child.mbr().min_dist_sq(&u),
-                            item: Item::Node(child.id()),
-                        })
-                    });
-                }
-            }
-        }
     }
 }
 
-/// The certificates of a transition's two endpoints: [`admits_transition`]
-/// with the RR-tree walks done once per route set instead of once per
-/// judgement.
+/// The certificates of a transition's two endpoints: the verification
+/// kernel's judgement of the transition, with the RR-tree walks done once
+/// per route set instead of once per judgement.
 #[derive(Debug, Clone)]
 pub struct TransitionCertificate {
     origin: EndpointCertificate,
@@ -425,28 +417,55 @@ impl TransitionCertificate {
         (self.origin.point, self.destination.point)
     }
 
-    /// [`admits_transition`]'s exact contract — each endpoint judged by
-    /// [`EndpointCertificate::qualifies`], the verdicts combined under ∃/∀
-    /// with the same short-circuit, degenerate queries admitting nothing —
-    /// against `routes`, which must be the route set of every earlier
-    /// judgement of this certificate. Judging from computed certificates
-    /// performs zero heap allocations.
-    pub fn admits(
+    /// Whether the transition belongs to `RkNNT(query_route, k)` under
+    /// `semantics` over `routes`, and if so the capped strictly-closer
+    /// counts ([`EndpointCertificate::closer_routes`]) of its (origin,
+    /// destination): [`verify_candidates`]' judgement, with the ∃ / ∀
+    /// short-circuit — an endpoint it never judged reads `k`. `None` when
+    /// the transition is not a member; degenerate queries admit nothing.
+    /// `routes` must be the route set of every earlier judgement of this
+    /// certificate. Judging from computed certificates performs zero heap
+    /// allocations.
+    pub fn admit(
         &mut self,
         routes: &RouteStore,
         query_route: &[Point],
         k: usize,
         semantics: Semantics,
         scratch: &mut CertificateScratch,
-    ) -> bool {
+    ) -> Option<[usize; 2]> {
         if query_route.is_empty() {
-            return false;
+            return None;
         }
-        let mut ok = |c: &mut EndpointCertificate| c.qualifies(routes, query_route, k, scratch);
+        let points = [self.origin.point, self.destination.point];
+        self.admit_at(routes, k, semantics, scratch, |endpoint| {
+            point_route_distance_sq(&points[endpoint], query_route)
+        })
+    }
+
+    /// [`TransitionCertificate::admit`] against a non-degenerate query,
+    /// given as `threshold_sq`: the squared distance from an endpoint (0
+    /// the origin, 1 the destination) to the query — for a caller that has
+    /// some of them already. Asked once per endpoint judged.
+    pub fn admit_at(
+        &mut self,
+        routes: &RouteStore,
+        k: usize,
+        semantics: Semantics,
+        scratch: &mut CertificateScratch,
+        mut threshold_sq: impl FnMut(usize) -> f64,
+    ) -> Option<[usize; 2]> {
+        let mut count = |endpoint: usize, c: &mut EndpointCertificate| {
+            c.closer_routes(routes, threshold_sq(endpoint), k, scratch)
+        };
+        let origin = count(0, &mut self.origin);
         match semantics {
-            Semantics::Exists => ok(&mut self.origin) || ok(&mut self.destination),
-            Semantics::ForAll => ok(&mut self.origin) && ok(&mut self.destination),
+            Semantics::Exists if origin < k => return Some([origin, k]),
+            Semantics::ForAll if origin >= k => return None,
+            _ => {}
         }
+        let destination = count(1, &mut self.destination);
+        (destination < k).then_some([origin, destination])
     }
 }
 
@@ -524,34 +543,32 @@ mod tests {
     }
 
     #[test]
-    fn qualifies_matches_definition() {
+    fn counts_decide_qualification() {
         let store = parallel_routes();
         let nlist = NList::build(&store);
-        let (mut marks, mut stack) = (RouteMarks::default(), Vec::new());
-        let mut q = |t: &Point, d_sq: f64, k: usize| {
-            qualifies(&store, &nlist, t, d_sq, k, &mut marks, &mut stack)
+        let mut scratch = QueryScratch::new();
+        let mut qualifies = |t: &Point, query: &[Point], k: usize| {
+            let d = point_route_distance(t, query);
+            scratch.count_closer_routes_sq(&store, &nlist, t, d * d, k) < k
         };
         // A query route along y = 45 (between routes at 40 and 50).
         let query = vec![p(0.0, 45.0), p(20.0, 45.0), p(50.0, 45.0)];
         // A point at y = 44: the query is 1 away, routes at y=40 are 4 away.
-        let close = p(25.0, 44.0);
-        let d = point_route_distance(&close, &query);
-        assert!(q(&close, d * d, 1));
+        assert!(qualifies(&p(25.0, 44.0), &query, 1));
         // A point at y = 10 sits on a route; many routes are closer than the
         // query (which is 35 away), so it does not qualify even for k = 3.
         let far = p(25.0, 10.0);
-        let d_far = point_route_distance(&far, &query);
-        assert!(!q(&far, d_far * d_far, 3));
+        assert!(!qualifies(&far, &query, 3));
         // ...but with a large enough k it does.
-        assert!(q(&far, d_far * d_far, store.num_routes() + 1));
+        assert!(qualifies(&far, &query, store.num_routes() + 1));
     }
 
     #[test]
-    fn admission_is_strict_at_ties_and_combines_like_verification() {
+    fn certificates_count_strictly_and_combine_like_verification() {
         let store = parallel_routes();
-        let mut scratch = crate::QueryScratch::new();
-        let mut admits = |query: &[Point], k, semantics, o: Point, d: Point| {
-            admits_transition(&store, query, k, semantics, &o, &d, &mut scratch)
+        let mut walk = CertificateScratch::new();
+        let mut admit = |query: &[Point], k, semantics, o: Point, d: Point| {
+            TransitionCertificate::new(o, d).admit(&store, query, k, semantics, &mut walk)
         };
         // The endpoint (25, 43) is at distance² 34 from the nearest stops of
         // the y = 40 route, (20, 40) and (30, 40), and at distance² 25 + 9 =
@@ -570,19 +587,32 @@ mod tests {
             0,
             "the tied route is not strictly closer"
         );
-        assert!(admits(&query, 1, Semantics::Exists, tied, far));
-        assert!(admits(&query, 1, Semantics::Exists, far, tied));
-        assert!(!admits(&query, 1, Semantics::ForAll, tied, far));
-        assert!(admits(&query, 1, Semantics::ForAll, tied, tied));
-        assert!(!admits(&query, 1, Semantics::Exists, far, far));
+        assert_eq!(
+            CertificateScratch::new().count_closer_routes_sq(&store, &tied, 34.0, usize::MAX),
+            0
+        );
+        // ∃ never judges the second endpoint of an admitted transition: it
+        // reads `k`. A rejected endpoint reads its count, capped at `k`.
+        assert_eq!(admit(&query, 1, Semantics::Exists, tied, far), Some([0, 1]));
+        assert_eq!(admit(&query, 1, Semantics::Exists, far, tied), Some([1, 0]));
+        assert_eq!(admit(&query, 1, Semantics::ForAll, tied, far), None);
+        assert_eq!(
+            admit(&query, 1, Semantics::ForAll, tied, tied),
+            Some([0, 0])
+        );
+        assert_eq!(admit(&query, 1, Semantics::Exists, far, far), None);
         // Nudged a hair towards the route, the route is strictly closer.
         let nudged = p(25.0, 42.999);
-        assert!(!admits(&query, 1, Semantics::Exists, nudged, far));
-        assert!(admits(&query, 2, Semantics::Exists, nudged, far));
+        assert_eq!(admit(&query, 1, Semantics::Exists, nudged, far), None);
+        assert_eq!(
+            admit(&query, 2, Semantics::Exists, nudged, far),
+            Some([1, 2])
+        );
         // Degenerate queries admit nothing.
-        assert!(!admits(&[], 3, Semantics::Exists, tied, tied));
-        assert!(!admits(&query, 0, Semantics::Exists, tied, tied));
-        // The kernel agrees with the engines on every transition of a store.
+        assert_eq!(admit(&[], 3, Semantics::Exists, tied, tied), None);
+        assert_eq!(admit(&query, 0, Semantics::Exists, tied, tied), None);
+        // Certificates, the certificate walk's count and the verification
+        // kernel's count agree with the engines on every transition.
         let mut transitions = rknnt_index::TransitionStore::default();
         for i in 0..60u32 {
             let o = p((i as f64 * 7.3) % 50.0, (i as f64 * 13.7) % 90.0);
@@ -593,6 +623,8 @@ mod tests {
             transitions.insert(o, d).unwrap();
         }
         let oracle = crate::BruteForceEngine::new(&store, &transitions);
+        let nlist = NList::build(&store);
+        let (mut kernel, mut walk) = (QueryScratch::new(), CertificateScratch::new());
         for semantics in [Semantics::Exists, Semantics::ForAll] {
             for k in [1usize, 2, 4] {
                 let q = RknntQuery {
@@ -603,10 +635,18 @@ mod tests {
                 let expected = crate::RknnTEngine::execute(&oracle, &q).transitions;
                 let got: Vec<_> = transitions
                     .transitions()
-                    .filter(|t| admits(&q.route, k, semantics, t.origin, t.destination))
+                    .filter(|t| admit(&q.route, k, semantics, t.origin, t.destination).is_some())
                     .map(|t| t.id)
                     .collect();
                 assert_eq!(got, expected, "k={k} {semantics:?}");
+                for t in transitions.transitions() {
+                    for u in [t.origin, t.destination] {
+                        let sq = point_route_distance_sq(&u, &q.route);
+                        let counted = kernel.count_closer_routes_sq(&store, &nlist, &u, sq, k);
+                        assert_eq!(walk.count_closer_routes_sq(&store, &u, sq, k), counted);
+                        assert_eq!(brute_count(&store, &u, sq, k), counted);
+                    }
+                }
             }
         }
     }

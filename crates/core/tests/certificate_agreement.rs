@@ -1,24 +1,29 @@
-//! The nearest-route certificate judges exactly as the admission kernel
-//! does: `TransitionCertificate::admits` equals `admits_transition` and
-//! brute-force membership on every judgement, over seeded lattice worlds
-//! where stops, endpoints and query points share a grid (so exact ties
-//! between a route and the query are common, and stops are shared by
-//! several routes), translated by 0, 10⁷ and 3·10⁹, with `k` asked in
-//! increasing and in decreasing order (the first widens one certificate
-//! step by step, the second computes it once and narrows), under ∃ and ∀;
-//! plus an empty store and worlds with fewer routes than `k`.
+//! The nearest-route certificate counts exactly as the verification kernel
+//! does: on every judgement, `TransitionCertificate::admit` admits exactly
+//! the brute-force members, and every count it reports — and every
+//! `EndpointCertificate::closer_routes` and
+//! `CertificateScratch::count_closer_routes_sq` count — equals
+//! `QueryScratch::count_closer_routes_sq` at limit `k` and the definition,
+//! over seeded lattice worlds where stops, endpoints and query points share a
+//! grid (so exact ties between a route and the query are common, and stops
+//! are shared by several routes), translated by 0, 10⁷ and 3·10⁹, with `k`
+//! asked in increasing and in decreasing order (the first widens one
+//! certificate step by step, the second computes it once and narrows), under
+//! ∃ and ∀; plus an empty store and worlds with fewer routes than `k`. The
+//! one count `admit` may leave unjudged — the second endpoint of an ∃ member
+//! whose origin qualifies — must read exactly `k`.
 //!
 //! Mutations that fail it: no widening (`self.k < k` → `self.k == 0` in
-//! `EndpointCertificate::qualifies`); `>=` → `>` in its compare (a tie
-//! counted as strictly closer).
+//! `EndpointCertificate::closer_routes`); `<` → `<=` in its prefix count (a
+//! tie counted as strictly closer).
 
 use proptest::prelude::*;
 use rknnt_core::{
-    admits_transition, BruteForceEngine, CertificateScratch, QueryScratch, RknnTEngine, RknntQuery,
-    Semantics, TransitionCertificate,
+    BruteForceEngine, CertificateScratch, EndpointCertificate, QueryScratch, RknnTEngine,
+    RknntQuery, Semantics, TransitionCertificate,
 };
 use rknnt_geo::{point_route_distance_sq, Point};
-use rknnt_index::{RouteStore, StopId, TransitionStore};
+use rknnt_index::{NList, RouteStore, StopId, TransitionStore};
 use rknnt_rtree::RTreeConfig;
 
 const KS: [usize; 6] = [1, 2, 3, 5, 8, 50];
@@ -67,10 +72,12 @@ struct Tally {
 }
 
 /// Every transition of `world`, every query, both semantics, both orders
-/// of `KS` on fresh certificates: certificate == kernel == brute force.
+/// of `KS` on fresh certificates: certificate == kernel == brute force, for
+/// the verdict and for every count.
 fn check_world(world: &World, tally: &mut Tally, label: &str) {
     let (routes, transitions) = (&world.routes, &world.transitions);
     let oracle = BruteForceEngine::new(routes, transitions);
+    let nlist = NList::build(routes);
     let (mut walk, mut kernel) = (CertificateScratch::new(), QueryScratch::new());
     tally.shared_stops += (0..routes.num_stops())
         .filter(|&s| routes.crossover(StopId(s as u32)).len() > 1)
@@ -91,24 +98,42 @@ fn check_world(world: &World, tally: &mut Tally, label: &str) {
             for order in [KS.to_vec(), KS.iter().rev().copied().collect()] {
                 for t in transitions.transitions() {
                     let mut certificate = TransitionCertificate::new(t.origin, t.destination);
+                    let points = [t.origin, t.destination];
+                    let mut endpoints = points.map(EndpointCertificate::new);
                     for &k in &order {
-                        let (o, d) = (&t.origin, &t.destination);
-                        let got = certificate.admits(routes, query_route, k, semantics, &mut walk);
-                        let kernel_says =
-                            admits_transition(routes, query_route, k, semantics, o, d, &mut kernel);
+                        let at = format!(
+                            "{label}: {} k={k} {semantics:?} Q={query_route:?} order={order:?}",
+                            t.id
+                        );
+                        // The kernel's count of each endpoint, at limit k,
+                        // against the definition and both certificate counts.
+                        let mut judged = endpoints.iter_mut().zip(points);
+                        let counts = [(); 2].map(|()| {
+                            let (endpoint, u) = judged.next().unwrap();
+                            let sq = point_route_distance_sq(&u, query_route);
+                            let counted = kernel.count_closer_routes_sq(routes, &nlist, &u, sq, k);
+                            assert_eq!(counted, brute_count(routes, &u, sq, k), "{at}: kernel");
+                            let walked = walk.count_closer_routes_sq(routes, &u, sq, k);
+                            assert_eq!(walked, counted, "{at}: walk count vs kernel");
+                            let read = endpoint.closer_routes(routes, sq, k, &mut walk);
+                            assert_eq!(read, counted, "{at}: certificate count vs kernel");
+                            counted
+                        });
+                        let got = certificate.admit(routes, query_route, k, semantics, &mut walk);
                         let member = members[KS.iter().position(|&x| x == k).unwrap()]
                             .binary_search(&t.id)
                             .is_ok();
-                        assert_eq!(
-                            got, kernel_says,
-                            "{label}: certificate vs kernel, {} k={k} {semantics:?} Q={query_route:?} order={order:?}",
-                            t.id
-                        );
-                        assert_eq!(got, member, "{label}: certificate vs brute force");
+                        assert_eq!(got.is_some(), member, "{at}: certificate vs brute force");
+                        if let Some([origin, destination]) = got {
+                            assert_eq!(origin, counts[0], "{at}: origin count");
+                            let unjudged = semantics == Semantics::Exists && counts[0] < k;
+                            let expected = if unjudged { k } else { counts[1] };
+                            assert_eq!(destination, expected, "{at}: destination count");
+                        }
                         tally.judgements += 1;
-                        tally.admitted += usize::from(got);
-                        tally.ties += [o, d]
-                            .into_iter()
+                        tally.admitted += usize::from(got.is_some());
+                        tally.ties += [t.origin, t.destination]
+                            .iter()
                             .filter(|u| tied_at(routes, u, query_route, k))
                             .count();
                     }
@@ -116,6 +141,16 @@ fn check_world(world: &World, tally: &mut Tally, label: &str) {
             }
         }
     }
+}
+
+/// The definition: routes whose squared distance to `u` is strictly below
+/// `threshold_sq`, capped at `limit`.
+fn brute_count(routes: &RouteStore, u: &Point, threshold_sq: f64, limit: usize) -> usize {
+    routes
+        .routes()
+        .filter(|r| point_route_distance_sq(u, &r.points) < threshold_sq)
+        .count()
+        .min(limit)
 }
 
 /// Whether the `k`-th nearest distinct route of `u` is exactly as far from

@@ -1,7 +1,7 @@
 //! Debug-build allocation counter for the query hot path: after warm-up,
 //! the scratch-based verification kernel must perform **zero** heap
-//! allocations per candidate, so must the admission kernel per transition
-//! (including the lazily built resident NList it reads), a judgement from a
+//! allocations per candidate, so must the certificate walk's count of
+//! strictly closer routes per endpoint, a judgement from a
 //! computed nearest-route certificate (computing one allocates at most its
 //! own distances) and the pruning
 //! walk per TR-tree entry (including the filter set's lazily built Voronoi
@@ -19,8 +19,8 @@
 //! and no allocation of the harness or of another test lands in a window.
 
 use rknnt_core::{
-    admits_transition, prune_into_scratch, CertificateScratch, EndpointCertificate,
-    FilterRefineEngine, QueryScratch, RknntQuery, Semantics, TransitionCertificate,
+    prune_into_scratch, CertificateScratch, EndpointCertificate, FilterRefineEngine, QueryScratch,
+    RknntQuery, Semantics, TransitionCertificate,
 };
 use rknnt_geo::{point_route_distance_sq, Point};
 use rknnt_index::{NList, RouteStore, TransitionStore};
@@ -136,43 +136,38 @@ fn warmed_scratch_verification_never_allocates() {
 }
 
 #[test]
-fn warmed_admission_kernel_never_allocates() {
+fn warmed_certificate_counts_never_allocate() {
     let (routes, transitions) = world(12, 150);
     let query = vec![p(5.0, 37.0), p(35.0, 37.0), p(65.0, 37.0)];
-    let mut scratch = QueryScratch::new();
-    let run = |scratch: &mut QueryScratch| -> usize {
-        let mut admitted = 0;
-        for semantics in [Semantics::Exists, Semantics::ForAll] {
-            for k in [1usize, 3, 5] {
-                for t in transitions.transitions() {
-                    admitted += usize::from(admits_transition(
-                        &routes,
-                        &query,
-                        k,
-                        semantics,
-                        &t.origin,
-                        &t.destination,
-                        scratch,
-                    ));
-                }
+    let endpoints: Vec<(Point, f64)> = transitions
+        .transitions()
+        .flat_map(|t| [t.origin, t.destination])
+        .map(|e| (e, point_route_distance_sq(&e, &query)))
+        .collect();
+    let mut scratch = CertificateScratch::new();
+    let run = |scratch: &mut CertificateScratch| -> usize {
+        let mut qualified = 0;
+        for k in [1usize, 3, 5] {
+            for (u, sq) in &endpoints {
+                qualified += usize::from(scratch.count_closer_routes_sq(&routes, u, *sq, k) < k);
             }
         }
-        admitted
+        qualified
     };
-    // Warm-up: builds the store's resident NList and grows the scratch.
+    // Warm-up: the walk's queue and route marks grow to steady state.
     let reference = run(&mut scratch);
-    assert!(reference > 0, "the world must admit something");
+    assert!(reference > 0, "the world must qualify something");
 
     let before = allocations();
-    let admitted = run(&mut scratch);
+    let qualified = run(&mut scratch);
     let delta = allocations() - before;
-    assert_eq!(admitted, reference, "warmed pass changed the verdicts");
+    assert_eq!(qualified, reference, "warmed pass changed the counts");
     #[cfg(debug_assertions)]
     assert_eq!(
         delta,
         0,
-        "the admission kernel allocated {delta} times across {} checks after warm-up",
-        6 * transitions.len()
+        "the certificate walk's count allocated {delta} times across {} counts after warm-up",
+        3 * endpoints.len()
     );
     #[cfg(not(debug_assertions))]
     let _ = delta;
@@ -190,18 +185,31 @@ fn certificates_allocate_only_their_own_distances() {
         .transitions()
         .flat_map(|t| [t.origin, t.destination])
         .collect();
+    let qualifies = |c: &mut EndpointCertificate,
+                     u: &Point,
+                     query: &[Point],
+                     k: usize,
+                     scratch: &mut CertificateScratch| {
+        c.closer_routes(&routes, point_route_distance_sq(u, query), k, scratch) < k
+    };
     let mut scratch = CertificateScratch::new();
     // Warm-up: the walk's queue and route marks grow to steady state.
     for u in &endpoints {
-        EndpointCertificate::new(*u).qualifies(&routes, &queries[0], k, &mut scratch);
+        qualifies(
+            &mut EndpointCertificate::new(*u),
+            u,
+            &queries[0],
+            k,
+            &mut scratch,
+        );
     }
     let mut certificates: Vec<EndpointCertificate> = endpoints
         .iter()
         .map(|u| EndpointCertificate::new(*u))
         .collect();
     let before = allocations();
-    for c in &mut certificates {
-        c.qualifies(&routes, &queries[0], k, &mut scratch);
+    for (c, u) in certificates.iter_mut().zip(&endpoints) {
+        qualifies(c, u, &queries[0], k, &mut scratch);
     }
     let computing = allocations() - before;
 
@@ -218,12 +226,13 @@ fn certificates_allocate_only_their_own_distances() {
         let mut admitted = 0;
         for query in &queries {
             for k in 1..=k {
-                for c in certificates.iter_mut() {
-                    admitted += usize::from(c.qualifies(&routes, query, k, scratch));
+                for (c, u) in certificates.iter_mut().zip(&endpoints) {
+                    admitted += usize::from(qualifies(c, u, query, k, scratch));
                 }
                 for semantics in [Semantics::Exists, Semantics::ForAll] {
                     for c in pairs.iter_mut() {
-                        admitted += usize::from(c.admits(&routes, query, k, semantics, scratch));
+                        let admit = c.admit(&routes, query, k, semantics, scratch);
+                        admitted += usize::from(admit.is_some());
                     }
                 }
             }

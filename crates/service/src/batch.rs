@@ -3,6 +3,7 @@
 //! coalescing and the [`BatchStats`] counters.
 
 use crate::frontend::Backing;
+use crate::journal::{bound, Bounds};
 use crate::metrics::ServiceMetrics;
 use rknnt_core::{
     build_filter_set, verify_candidates, FilterOutcome, QueryScratch, RknntQuery, RknntResult,
@@ -123,8 +124,11 @@ pub(crate) fn form_groups<'q>(queries: &'q [RknntQuery], miss_indexes: &[usize])
 /// query identity.
 type RouteBits = Vec<(u64, u64)>;
 
-/// One executed query leaving a group: its batch index and its result.
-pub(crate) type GroupOutput = (usize, RknntResult);
+/// One executed query leaving a group: its batch index, its result and the
+/// bounds of the result's members — the strictly-closer counts verification
+/// computed, which a cached entry or a subscription keeps and a reply
+/// drops.
+pub(crate) type GroupOutput = (usize, RknntResult, Vec<Bounds>);
 
 /// Executes one group on one worker, appending [`GroupOutput`]s to `out`.
 ///
@@ -173,13 +177,14 @@ pub(crate) fn run_group<B: Backing>(
         let bits = crate::cache::route_bits(&job.query.route);
         let full_key = (bits.clone(), job.query.k, job.query.semantics);
         if let Some(&first) = seen.get(&full_key) {
-            let cloned = (job.index, out[first].1.clone());
+            let (_, result, bounds) = &out[first];
+            let cloned = (job.index, result.clone(), bounds.clone());
             out.push(cloned);
             metrics.duplicates_coalesced.inc();
             continue;
         }
-        let result = if job.query.is_degenerate() {
-            RknntResult::default()
+        let (result, bounds) = if job.query.is_degenerate() {
+            (RknntResult::default(), Vec::new())
         } else {
             let filter_span = metrics.stage_filter.enter(TraceCursor::NONE);
             let outcome = &*match filters.entry((bits, job.query.k)) {
@@ -204,10 +209,18 @@ pub(crate) fn run_group<B: Backing>(
             result.timings.filtering = filtering;
             result.stats.record_filter(outcome, pruned_nodes);
             metrics.record_verification(result.timings.verification);
-            result
+            // As much room as the ids: the two vectors then grow in step, into
+            // blocks of one size (4 bytes an element each) the allocator
+            // recycles between them.
+            let mut bounds = Vec::with_capacity(result.transitions.capacity());
+            bounds.extend(result.transitions.iter().map(|&id| {
+                let counts = scratch.verified_counts(id).expect("members were verified");
+                counts.map(|count| bound(count as usize))
+            }));
+            (result, bounds)
         };
         seen.insert(full_key, out.len());
-        out.push((job.index, result));
+        out.push((job.index, result, bounds));
     }
     trace.end_with(
         group_span,

@@ -20,14 +20,17 @@
 //! keeps the entries too: each catches up on the journal *before* the
 //! stores change ([`ResultCache::catch_up_all`]), so every certificate is
 //! read against the routes it was computed over, then takes the route
-//! change's own step ([`ResultCache::route_changed`]) — an insert re-judges
-//! the members the new route comes strictly closer to
-//! ([`crate::journal::recheck_members`]), a removal admits from the
-//! removed route's RkNNT answer ([`crate::journal::admit_candidates`]).
-//! Only LRU pressure and falling off the ring drop entries.
+//! change's own step ([`ResultCache::route_changed`]) — an insert counts
+//! the new route into the members' strictly-closer counts
+//! ([`crate::journal::recheck_members`]), a removal counts it out and
+//! admits from the removed route's RkNNT answer
+//! ([`crate::journal::admit_candidates`]). Those counts ride beside each
+//! entry's ids ([`Bounds`]), never in the result a hit clones. Only LRU
+//! pressure and falling off the ring drop entries.
 
-use crate::journal::{replay, Journal, Scratch, TransitionOp, JOURNAL_CAPACITY};
-use rknnt_core::{RknntQuery, RknntResult, Semantics};
+use crate::journal::{check_bounds, replay, Bounds, Journal, TransitionOp, JOURNAL_CAPACITY};
+use rknnt_core::{CertificateScratch, RknntQuery, RknntResult, Semantics};
+use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionId};
 use rknnt_obs::Counter;
 use std::collections::HashMap;
@@ -136,6 +139,8 @@ struct Slot {
     /// The query `value` answers, which replay judges arrivals against.
     query: RknntQuery,
     value: RknntResult,
+    /// The bounds of `value`'s members, in step with its ids.
+    bounds: Vec<Bounds>,
     /// Journal sequence `value` is current to.
     seq: u64,
     prev: usize,
@@ -154,9 +159,9 @@ pub(crate) struct ResultCache {
     tail: usize,
     counters: CacheCounters,
     journal: Journal,
-    /// Scratch of the judgements replay and route changes run; guarded,
-    /// like everything here, by whatever guards the cache.
-    scratch: Scratch,
+    /// Buffers of the certificate walks replay and route changes run;
+    /// guarded, like everything here, by whatever guards the cache.
+    walk: CertificateScratch,
 }
 
 impl ResultCache {
@@ -173,7 +178,7 @@ impl ResultCache {
             tail: NIL,
             counters,
             journal: Journal::with_capacity(JOURNAL_CAPACITY),
-            scratch: Scratch::default(),
+            walk: CertificateScratch::new(),
         }
     }
 
@@ -217,9 +222,10 @@ impl ResultCache {
             replay(
                 &entry.query,
                 &mut entry.value.transitions,
+                &mut entry.bounds,
                 op,
                 routes,
-                &mut self.scratch.walk,
+                &mut self.walk,
             );
         }
         entry.value.stats.result_transitions = entry.value.transitions.len();
@@ -247,9 +253,16 @@ impl ResultCache {
         Some(self.slots[slot].value.clone())
     }
 
-    /// Stores `query`'s result, computed against the current stores,
-    /// evicting the least recently used entry when full.
-    pub fn insert(&mut self, key: CacheKey, query: &RknntQuery, value: RknntResult) {
+    /// Stores `query`'s result, computed against the current stores, with
+    /// its members' `bounds`, evicting the least recently used entry when
+    /// full.
+    pub fn insert(
+        &mut self,
+        key: CacheKey,
+        query: &RknntQuery,
+        value: RknntResult,
+        bounds: Vec<Bounds>,
+    ) {
         if self.capacity == 0 {
             return;
         }
@@ -258,6 +271,7 @@ impl ResultCache {
             // Same query computed twice (e.g. two concurrent batches):
             // refresh the value and recency.
             self.slots[slot].value = value;
+            self.slots[slot].bounds = bounds;
             self.slots[slot].seq = seq;
             self.unlink(slot);
             self.push_front(slot);
@@ -270,6 +284,7 @@ impl ResultCache {
             key: key.clone(),
             query: query.clone(),
             value,
+            bounds,
             seq,
             prev: NIL,
             next: NIL,
@@ -309,12 +324,22 @@ impl ResultCache {
 
     /// Keeps every entry exact across one route insert or removal: `follow`
     /// takes the change's own step ([`crate::journal::recheck_members`] or
-    /// [`crate::journal::admit_candidates`]) on each entry's query and
-    /// sorted ids — the pre-change answer, every entry being current since
-    /// [`ResultCache::catch_up_all`] — with the cache's scratch.
+    /// [`crate::journal::admit_candidates`]) on each entry's query, sorted
+    /// ids and bounds — the pre-change answer, every entry being current
+    /// since [`ResultCache::catch_up_all`] — with the cache's walk buffers.
+    /// Debug builds then check every bound against the post-change
+    /// `routes`, `endpoints` resolving the members
+    /// ([`crate::journal::check_bounds`]).
     pub(crate) fn route_changed(
         &mut self,
-        mut follow: impl FnMut(&RknntQuery, &mut Vec<TransitionId>, &mut Scratch),
+        routes: &RouteStore,
+        endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
+        mut follow: impl FnMut(
+            &RknntQuery,
+            &mut Vec<TransitionId>,
+            &mut Vec<Bounds>,
+            &mut CertificateScratch,
+        ),
     ) {
         let mut slot = self.head;
         while slot != NIL {
@@ -325,8 +350,20 @@ impl ResultCache {
                 "caught up before the change"
             );
             let value = &mut entry.value;
-            follow(&entry.query, &mut value.transitions, &mut self.scratch);
+            follow(
+                &entry.query,
+                &mut value.transitions,
+                &mut entry.bounds,
+                &mut self.walk,
+            );
             value.stats.result_transitions = value.transitions.len();
+            check_bounds(
+                &entry.query,
+                &value.transitions,
+                &entry.bounds,
+                routes,
+                &endpoints,
+            );
             slot = entry.next;
         }
     }
@@ -415,7 +452,7 @@ mod tests {
 
     /// Caches `result(id)` as the answer to `query`.
     fn put(cache: &mut ResultCache, query: &RknntQuery, id: u32) {
-        cache.insert(CacheKey::of(query), query, result(id));
+        cache.insert(CacheKey::of(query), query, result(id), vec![[0, 0]]);
     }
 
     #[test]

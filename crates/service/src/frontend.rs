@@ -15,7 +15,7 @@
 
 use crate::batch::{form_groups, run_group, BatchStats, Group, GroupOutput};
 use crate::cache::{CacheKey, CacheStats, ResultCache};
-use crate::journal::{admit_candidates, recheck_members, TransitionOp};
+use crate::journal::{admit_candidates, recheck_members, Bounds, Candidate, TransitionOp};
 use crate::metrics::ServiceMetrics;
 use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
 use crate::service::{ServiceConfig, StoreUpdate, UpdateStats};
@@ -108,9 +108,10 @@ pub trait Backing: Sync + Sized {
 /// in-flight `&self` batch. The stores of a live service change one way:
 /// [`Service::apply_updates`] / [`Service::try_apply_updates`] (and the WAL
 /// replay inside [`Service::open`]) mutate them in place, update by update;
-/// cached results follow transition churn through the journal, route
-/// inserts through a member recheck and route removals through the removed
-/// route's own RkNNT answer. A rebuilt index is a new service.
+/// cached results follow transition churn through the journal, and route
+/// changes through the strictly-closer counts every member keeps (a removal
+/// admitting from the removed route's own RkNNT answer). A rebuilt index is
+/// a new service.
 pub struct Service<B: Backing> {
     pub(crate) backing: B,
     /// Worker count and cache sizing of the pipeline.
@@ -395,14 +396,14 @@ impl<B: Backing> Service<B> {
             // The stores cannot have changed since the lookup (that needs
             // `&mut self`), so every computed result is current.
             let mut cache = self.cache.lock().expect("cache lock");
-            for (index, result) in computed {
+            for (index, result, bounds) in computed {
                 if let Some(key) = keys[index].take() {
-                    cache.insert(key, &queries[index], result.clone());
+                    cache.insert(key, &queries[index], result.clone(), bounds);
                 }
                 slots[index] = Some(result);
             }
         } else {
-            for (index, result) in computed {
+            for (index, result, _) in computed {
                 slots[index] = Some(result);
             }
         }
@@ -536,22 +537,19 @@ impl<B: Backing> Service<B> {
         (computed, workers)
     }
 
-    /// Executes queries through grouping + the worker pool, bypassing the
-    /// result cache in both directions. Used for a new subscription and for
-    /// a route removal's candidate query, neither of which belongs in the
-    /// LRU.
-    fn execute_uncached(&self, queries: &[RknntQuery]) -> Vec<RknntResult> {
-        let miss_indexes: Vec<usize> = (0..queries.len()).collect();
-        let groups = form_groups(queries, &miss_indexes);
+    /// Executes one query through grouping + the worker pool, bypassing the
+    /// result cache in both directions, and returns its result with the
+    /// members' bounds. Used for a new subscription and for a route
+    /// removal's candidate query, neither of which belongs in the LRU.
+    fn execute_uncached(&self, query: &RknntQuery) -> (RknntResult, Vec<Bounds>) {
+        let queries = std::slice::from_ref(query);
+        let groups = form_groups(queries, &[0]);
         let (computed, _) = self.run_groups(&groups, TraceCursor::NONE);
-        let mut slots: Vec<Option<RknntResult>> = vec![None; queries.len()];
-        for (index, result) in computed {
-            slots[index] = Some(result);
-        }
-        slots
+        let (_, result, bounds) = computed
             .into_iter()
-            .map(|slot| slot.expect("every query produced a result"))
-            .collect()
+            .next()
+            .expect("one query in, one result out");
+        (result, bounds)
     }
 
     // ------------------------------------------------------------------
@@ -564,11 +562,8 @@ impl<B: Backing> Service<B> {
     /// as [`SubscriptionDelta`]s. Ids, results and delta streams are
     /// byte-identical across backings over the same data.
     pub fn subscribe(&mut self, query: RknntQuery) -> SubscriptionId {
-        let result = self
-            .execute_uncached(std::slice::from_ref(&query))
-            .pop()
-            .expect("one query in, one result out");
-        self.monitor.insert(query, result.transitions)
+        let (result, bounds) = self.execute_uncached(&query);
+        self.monitor.insert(query, result.transitions, bounds)
     }
 
     /// Drops a subscription. Returns `false` for an unknown or already
@@ -607,15 +602,19 @@ impl<B: Backing> Service<B> {
     /// arrival by its nearest-route certificate (computed once, by its first
     /// reader, and carried by the op), an expiry as a membership test. A
     /// **route insert** brings every entry current before the stores change,
-    /// then re-judges, by the exact admission kernel, exactly the members
-    /// the new route comes strictly closer to than the query (an insert can
-    /// remove only those, and adds none). A **route removal** brings every
-    /// entry current before the stores change, runs one uncached query — the
-    /// removed route's own `RkNNT_∃` at the largest `k` cached or watched,
-    /// which holds every transition the removal can add to any result — and
-    /// judges, by one certificate per candidate shared by every result,
-    /// exactly its non-members with an endpoint the removed route was
-    /// strictly closer to than the query. No update drops the cache.
+    /// then adds one to each strictly-closer count a member keeps at an
+    /// endpoint the new route is strictly closer to than the query, and
+    /// drops the members whose counts stop qualifying them — an insert can
+    /// remove only those, and adds none; only an ∃ member whose other
+    /// endpoint holds no count walks the RR-tree, once. A **route removal**
+    /// brings every entry current before the stores change, runs one
+    /// uncached query — the removed route's own `RkNNT_∃` at the largest `k`
+    /// cached or watched, which holds every transition the removal can add
+    /// to any result — subtracts one from the counts of its members the
+    /// removed route was strictly closer to, and judges, by one certificate
+    /// per candidate shared by every result, exactly its non-members with an
+    /// endpoint the removed route was strictly closer to than the query. No
+    /// update drops the cache.
     ///
     /// `&mut self` serialises the call against in-flight batches, and
     /// retained entries remain byte-identical to what a freshly built
@@ -738,10 +737,7 @@ impl<B: Backing> Service<B> {
                     if self.backing.remove_route(id) {
                         let mut candidates = self.removal_candidates(&removed);
                         self.applied(
-                            UpdateEffect::RouteRemoved {
-                                removed: &removed,
-                                candidates: &mut candidates,
-                            },
+                            UpdateEffect::RouteRemoved(&mut candidates),
                             &mut stats.deltas,
                         );
                     } else {
@@ -774,38 +770,35 @@ impl<B: Backing> Service<B> {
     /// largest `k` of a cached or watched non-degenerate query — every
     /// transition the removal can bring into any of their results (see
     /// [`crate::journal`]) — each with the (not yet computed) certificate
-    /// of its endpoints. Empty, and nothing executed, when there is no such
-    /// query.
-    fn removal_candidates(
-        &mut self,
-        removed: &[Point],
-    ) -> Vec<(TransitionId, TransitionCertificate)> {
+    /// of its endpoints, their distances to `removed` and the counts the
+    /// query verified there. Empty, and nothing executed, when there is no
+    /// such query.
+    fn removal_candidates(&mut self, removed: &[Point]) -> Vec<Candidate> {
         let cached = self.cache.get_mut().expect("cache lock").max_k();
         let k_max = cached.max(self.monitor.max_k());
         if k_max == 0 {
             return Vec::new();
         }
         let query = RknntQuery::exists(removed.to_vec(), k_max);
-        let candidates = self
-            .execute_uncached(std::slice::from_ref(&query))
-            .pop()
-            .expect("one query in, one result out")
-            .transitions;
+        let (candidates, counts) = self.execute_uncached(&query);
         candidates
+            .transitions
             .into_iter()
-            .map(|id| {
+            .zip(counts)
+            .map(|(id, counts)| {
                 let (origin, destination) =
                     self.backing.endpoints(id).expect("candidates are live");
-                (id, TransitionCertificate::new(origin, destination))
+                Candidate::new(id, origin, destination, removed, counts)
             })
             .collect()
     }
 
     /// Bookkeeping for one update the stores accepted: count it, take a
-    /// route change's step on every cached entry — recheck the members a
-    /// new route comes strictly closer to, admit the candidates of a
-    /// removal — bring every live subscription up to date, and journal a
-    /// transition op with the certificate the subscriptions filled.
+    /// route change's step on every cached entry — count a new route into
+    /// the members' strictly-closer counts, count a removed one out and
+    /// admit its candidates — bring every live subscription up to date, and
+    /// journal a transition op with the certificate the subscriptions
+    /// filled.
     fn applied(&mut self, mut effect: UpdateEffect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
         self.metrics.update_applied.inc();
         let cache = self.cache.get_mut().expect("cache lock");
@@ -816,30 +809,15 @@ impl<B: Backing> Service<B> {
             UpdateEffect::Transition(_) => {}
             UpdateEffect::RouteInserted(id) => {
                 let inserted = routes.route_points(*id);
-                cache.route_changed(|query, result, scratch| {
-                    recheck_members(
-                        query,
-                        result,
-                        inserted,
-                        routes,
-                        endpoints,
-                        &mut scratch.kernel,
-                    );
+                cache.route_changed(routes, endpoints, |query, ids, bounds, walk| {
+                    recheck_members(query, ids, bounds, inserted, routes, endpoints, walk);
                 });
             }
-            UpdateEffect::RouteRemoved {
-                removed,
-                candidates,
-            } => cache.route_changed(|query, result, scratch| {
-                admit_candidates(
-                    query,
-                    result,
-                    removed,
-                    candidates,
-                    routes,
-                    &mut scratch.walk,
-                );
-            }),
+            UpdateEffect::RouteRemoved(candidates) => {
+                cache.route_changed(routes, endpoints, |query, ids, bounds, walk| {
+                    admit_candidates(query, ids, bounds, candidates, routes, walk);
+                });
+            }
         }
         self.monitor
             .classify_update(&mut effect, routes, endpoints, &self.metrics, deltas);

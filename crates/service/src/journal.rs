@@ -27,21 +27,42 @@
 //!
 //! A route insert can only raise an endpoint's count of strictly-closer
 //! routes, and only where the new route itself is strictly closer than `Q`,
-//! so it can only remove members, and only those: [`recheck_members`]
-//! re-judges exactly them. A route removal `R` is the mirror image: it can
-//! only *add* members, and only through an endpoint `u` that `R` was
-//! strictly closer to than `Q`. Every route strictly closer to such a `u`
-//! than `R` is strictly closer than `Q` too, so if `u` qualifies for `Q` at
-//! `k` after the removal it qualifies for `R` at `k`: every transition that
-//! can enter any result lies in `RkNNT_∃(R, k_max)` over the post-removal
-//! routes, one engine answer the update path computes once per removal,
-//! each candidate with one certificate every result shares.
-//! [`admit_candidates`] judges exactly its non-members.
+//! so it can only remove members, and only those. A route removal `R` is the
+//! mirror image: it can only *add* members, and only through an endpoint `u`
+//! that `R` was strictly closer to than `Q`. Every route strictly closer to
+//! such a `u` than `R` is strictly closer than `Q` too, so if `u` qualifies
+//! for `Q` at `k` after the removal it qualifies for `R` at `k`: every
+//! transition that can enter any result lies in `RkNNT_∃(R, k_max)` over the
+//! post-removal routes, one engine answer the update path computes once per
+//! removal, each candidate with one certificate every result shares.
+//!
+//! Both steps are arithmetic, because every maintained result keeps
+//! [`Bounds`] beside its ids: per member endpoint, a bound `b ≤ k` on its
+//! count of distinct routes strictly closer than `Q`, where `b < k` is that
+//! count exactly and `b = k` claims nothing (the cap is `u16::MAX` for a
+//! larger `k`, where [`recheck_members`] also counts an unclaimed endpoint
+//! the new route comes closer to). A miss takes them from the counts
+//! verification computed anyway, an arrival or an admitted candidate from
+//! its certificate (an endpoint the ∃ short-circuit never judged gets `k`).
+//! Every member keeps a qualifying bound — one endpoint below `k` under ∃,
+//! both under ∀ — so:
+//!
+//! * an insert adds exactly 1 to each count below `k` at an endpoint the new
+//!   route is [`strictly_closer`] to ([`recheck_members`]). A ∀ member leaves
+//!   when a count reaches `k`; an ∃ member when none is left below `k`,
+//!   except that an endpoint whose bound claimed nothing may still qualify —
+//!   only then is it counted, once, by the certificate walk over the
+//!   post-insert routes;
+//! * a removal subtracts exactly 1 from each count below `k` at an endpoint
+//!   `R` was strictly closer to. By the lemma above every such endpoint lies
+//!   in the candidate set, so [`admit_candidates`] does it in the loop that
+//!   judges the candidates' non-members, with no scan of the members.
+//!
+//! Ties are unchanged, because every count comes from the same strict
+//! compare of squared distances.
 
-use rknnt_core::{
-    admits_transition, CertificateScratch, QueryScratch, RknntQuery, TransitionCertificate,
-};
-use rknnt_geo::{point_route_distance_sq, Point};
+use rknnt_core::{CertificateScratch, RknntQuery, Semantics, TransitionCertificate};
+use rknnt_geo::{point_route_distance_sq, Point, Rect};
 use rknnt_index::{RouteStore, TransitionId};
 use std::collections::VecDeque;
 
@@ -69,41 +90,53 @@ pub(crate) enum TransitionOp {
     Expired(TransitionId),
 }
 
-/// What the maintenance steps judge with: the certificate walk's buffers
-/// (arrivals, a removal's candidates) and the admission kernel's scratch (a
-/// route insert's recheck). One per cache and one per subscription
-/// registry, guarded like its owner.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    pub(crate) walk: CertificateScratch,
-    pub(crate) kernel: QueryScratch,
+/// Per member of a maintained result, per endpoint (origin, destination):
+/// a bound `b` on the endpoint's count of distinct routes strictly closer
+/// than the query, at most the cap `bound(k)` — `k`, unless `k` exceeds
+/// `u16::MAX`. Below the cap, `b` is that count exactly; at the cap it
+/// claims nothing. Kept in a vector in step with the sorted ids, so a read
+/// of the ids never copies them; two bytes per endpoint give it the ids'
+/// element size, so the two vectors grow into blocks the allocator
+/// recycles between them.
+pub(crate) type Bounds = [u16; 2];
+
+/// A count capped at `k` — or `k` itself, the cap — as a stored bound,
+/// saturating at `u16::MAX`.
+pub(crate) fn bound(count: usize) -> u16 {
+    u16::try_from(count).unwrap_or(u16::MAX)
 }
 
-/// Applies one journalled op to `result`, the sorted ids answering `query`,
-/// exactly against `routes` (the route set the op was journalled under): an
-/// arrival enters iff its certificate admits it, an expiry leaves iff it is
-/// a member. Reports whether the result changed.
+/// Applies one journalled op to `ids`, the sorted ids answering `query`, and
+/// their `bounds`, exactly against `routes` (the route set the op was
+/// journalled under): an arrival enters iff its certificate admits it, with
+/// the counts the certificate reports, an expiry leaves iff it is a member.
+/// Reports whether the result changed.
 pub(crate) fn replay(
     query: &RknntQuery,
-    result: &mut Vec<TransitionId>,
+    ids: &mut Vec<TransitionId>,
+    bounds: &mut Vec<Bounds>,
     op: &mut TransitionOp,
     routes: &RouteStore,
     walk: &mut CertificateScratch,
 ) -> bool {
     match op {
         TransitionOp::Arrived { id, certificate } => {
-            if !certificate.admits(routes, &query.route, query.k, query.semantics, walk) {
-                return false;
-            }
-            let Err(pos) = result.binary_search(id) else {
+            let Some(counts) =
+                certificate.admit(routes, &query.route, query.k, query.semantics, walk)
+            else {
                 return false;
             };
-            result.insert(pos, *id);
+            let Err(pos) = ids.binary_search(id) else {
+                return false;
+            };
+            ids.insert(pos, *id);
+            bounds.insert(pos, counts.map(bound));
             true
         }
-        TransitionOp::Expired(id) => match result.binary_search(id) {
+        TransitionOp::Expired(id) => match ids.binary_search(id) {
             Ok(pos) => {
-                result.remove(pos);
+                ids.remove(pos);
+                bounds.remove(pos);
                 true
             }
             Err(_) => false,
@@ -111,94 +144,275 @@ pub(crate) fn replay(
     }
 }
 
-/// Whether the route `changed` (its points) is strictly closer to the
-/// endpoint `u` than the query route: some point `s` of it has
-/// `s.distance_sq(u) < dist²(u, Q)`, the comparison verification makes. A
-/// route change moves `u`'s count of strictly-closer routes only then.
-fn strictly_closer(changed: &[Point], query_route: &[Point], u: &Point) -> bool {
-    let threshold_sq = point_route_distance_sq(u, query_route);
-    changed.iter().any(|s| s.distance_sq(u) < threshold_sq)
+/// `dist²(u, Q)` for the endpoint `u` and the query route `Q` when a route
+/// at squared distance at least `floor_sq` from `u` may be strictly closer
+/// to it than the query — every query point is farther than `floor_sq` —
+/// and `None` as soon as one is not. A route change moves `u`'s count of
+/// strictly-closer routes only when the changed route is strictly closer,
+/// by exactly one; most endpoints of a result are settled "no" here by a
+/// query point or two, a changed route being local.
+fn threshold_beyond(u: &Point, query_route: &[Point], floor_sq: f64) -> Option<f64> {
+    let mut threshold_sq = f64::INFINITY;
+    for q in query_route {
+        let d = u.distance_sq(q);
+        if d <= floor_sq {
+            return None;
+        }
+        threshold_sq = threshold_sq.min(d);
+    }
+    Some(threshold_sq)
+}
+
+/// Whether the route `changed` (its points, inside `mbr`) is strictly
+/// closer to the endpoint `u` than the query route: some point `s` of it
+/// has `s.distance_sq(u) < dist²(u, Q)`, the comparison verification makes.
+fn strictly_closer(changed: &[Point], mbr: &Rect, u: &Point, query_route: &[Point]) -> bool {
+    threshold_beyond(u, query_route, mbr.min_dist_sq(u))
+        .is_some_and(|threshold_sq| changed.iter().any(|s| s.distance_sq(u) < threshold_sq))
+}
+
+/// One candidate of a route removal: a transition of `RkNNT_∃(R, k_max)`
+/// over the post-removal routes, the certificate of its endpoints, shared
+/// by every result that judges it, and for its (origin, destination) the
+/// squared distance to the removed route `R` and the count of routes
+/// strictly closer than `R` there, capped at `k_max` — what verifying the
+/// candidate query found.
+#[derive(Debug)]
+pub(crate) struct Candidate {
+    pub(crate) id: TransitionId,
+    pub(crate) certificate: TransitionCertificate,
+    pub(crate) removed_sq: [f64; 2],
+    pub(crate) closer_than_removed: Bounds,
+}
+
+impl Candidate {
+    /// The candidate `id` with endpoints `origin → destination`, against
+    /// the removed route `removed` (its points), with the counts the
+    /// candidate query verified.
+    pub(crate) fn new(
+        id: TransitionId,
+        origin: Point,
+        destination: Point,
+        removed: &[Point],
+        closer_than_removed: Bounds,
+    ) -> Self {
+        Candidate {
+            id,
+            certificate: TransitionCertificate::new(origin, destination),
+            removed_sq: [origin, destination].map(|u| point_route_distance_sq(&u, removed)),
+            closer_than_removed,
+        }
+    }
 }
 
 /// Follows the insert of the route `inserted` (its points) into `routes`
-/// in `result`, the sorted ids that answered `query` just before the
-/// insert: every member with an endpoint the new route is
-/// [`strictly_closer`] to than the query is re-judged by
-/// [`admits_transition`] against `routes`; every other member keeps both
-/// endpoint counts and stays. `endpoints` resolves a member's endpoints
-/// (members of a current result are live). Returns the ids that left, in
-/// ascending order.
+/// in `ids`, the sorted ids that answered `query` just before the insert,
+/// and their `bounds`: each count below the cap at an endpoint the new
+/// route is [`strictly_closer`] to grows by one, and a member leaves when
+/// its counts no longer qualify it. Where the counts cannot decide — an
+/// endpoint whose bound claims nothing — the endpoint is counted once by
+/// the certificate walk over `routes`: for an ∃ member whose counted
+/// endpoints stopped qualifying it, or, with `k` beyond the bounds' range, a
+/// member whose unclaimed endpoint the new route comes closer to.
+/// `endpoints` resolves a member's endpoints (members of a current result
+/// are live). Returns the ids that left, in ascending order.
 pub(crate) fn recheck_members(
     query: &RknntQuery,
-    result: &mut Vec<TransitionId>,
+    ids: &mut Vec<TransitionId>,
+    bounds: &mut Vec<Bounds>,
     inserted: &[Point],
     routes: &RouteStore,
     endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
-    scratch: &mut QueryScratch,
+    walk: &mut CertificateScratch,
 ) -> Vec<TransitionId> {
-    let closer = |u: &Point| strictly_closer(inserted, &query.route, u);
+    let Some(mbr) = Rect::from_points(inserted) else {
+        return Vec::new();
+    };
+    let cap = bound(query.k);
+    // An exact count that reaches the cap still qualifies iff the cap lies
+    // below `k`.
+    let cap_qualifies = usize::from(cap) < query.k;
     let mut left = Vec::new();
-    result.retain(|&id| {
+    let mut kept = 0;
+    for i in 0..ids.len() {
+        let (id, before) = (ids[i], bounds[i]);
         let (origin, destination) = endpoints(id).expect("members of a current result are live");
-        if !closer(&origin) && !closer(&destination) {
-            return true;
+        let points = [origin, destination];
+        let closer = |e: usize| strictly_closer(inserted, &mbr, &points[e], &query.route);
+        let mut after = before;
+        let mut moved = false;
+        for e in 0..2 {
+            if after[e] < cap && closer(e) {
+                after[e] += 1;
+                moved = true;
+            }
         }
-        let stays = admits_transition(
-            routes,
-            &query.route,
-            query.k,
-            query.semantics,
-            &origin,
-            &destination,
-            scratch,
-        );
-        if !stays {
+        let unclaimed = |e: usize| before[e] == cap;
+        let certain = |e: usize, after: &Bounds| after[e] < cap || (!unclaimed(e) && cap_qualifies);
+        let mut counted = |e: usize, after: &mut Bounds| {
+            let u = &points[e];
+            let threshold_sq = point_route_distance_sq(u, &query.route);
+            let count = walk.count_closer_routes_sq(routes, u, threshold_sq, query.k);
+            after[e] = bound(count);
+            count < query.k
+        };
+        let stays = match query.semantics {
+            // An unclaimed endpoint of a member qualified, and still does
+            // unless the new route came closer to it.
+            Semantics::ForAll => (0..2).all(|e| {
+                certain(e, &after) || (unclaimed(e) && (!closer(e) || counted(e, &mut after)))
+            }),
+            // Nothing moved, nothing changed; else only a count of the
+            // unclaimed endpoints can keep the member.
+            Semantics::Exists => {
+                (0..2).any(|e| certain(e, &after))
+                    || !(moved || (0..2).any(|e| unclaimed(e) && closer(e)))
+                    || (0..2)
+                        .filter(|&e| unclaimed(e))
+                        .any(|e| counted(e, &mut after))
+            }
+        };
+        if stays {
+            ids[kept] = id;
+            bounds[kept] = after;
+            kept += 1;
+        } else {
             left.push(id);
         }
-        stays
-    });
+    }
+    ids.truncate(kept);
+    bounds.truncate(kept);
     left
 }
 
-/// Follows the removal of the route `removed` (its points) from `routes`
-/// in `result`, the sorted ids that answered `query` just before the
-/// removal: every member stays (a removal only lowers counts), and every
-/// non-member of `candidates` with an endpoint `removed` was
-/// [`strictly_closer`] to than the query is judged by its certificate
-/// against `routes`. `candidates` must be `RkNNT_∃(removed, k′)` over
-/// `routes` for some `k′ ≥ query.k`, sorted by id, each with the
-/// certificate of its endpoints — by the lemma in the module documentation
-/// a superset of what can enter. Returns the ids that entered, in ascending
-/// order.
+/// Follows the removal of a route `R` from `routes` in `ids`, the sorted
+/// ids that answered `query` just before the removal, and their `bounds`.
+/// `candidates` must be `RkNNT_∃(R, k′)` over `routes` for some `k′ ≥
+/// query.k`, sorted by id — by the lemma in the module documentation a
+/// superset of what can enter, and of the members with a count `R` was in.
+/// Every member stays (a removal only lowers counts), and each of its
+/// counts below the cap at an endpoint `R` was strictly closer to than the
+/// query drops by one; every non-member candidate with such an endpoint is
+/// judged by its certificate against `routes` and enters with the counts it
+/// reports, each `dist²(u, Q)` computed once for the closer test and the
+/// judgement. Returns the ids that entered, in ascending order.
 pub(crate) fn admit_candidates(
     query: &RknntQuery,
-    result: &mut Vec<TransitionId>,
-    removed: &[Point],
-    candidates: &mut [(TransitionId, TransitionCertificate)],
+    ids: &mut Vec<TransitionId>,
+    bounds: &mut Vec<Bounds>,
+    candidates: &mut [Candidate],
     routes: &RouteStore,
     walk: &mut CertificateScratch,
 ) -> Vec<TransitionId> {
-    if query.is_degenerate() {
+    let Some(query_mbr) = Rect::from_points(&query.route) else {
         return Vec::new();
-    }
-    let closer = |u: &Point| strictly_closer(removed, &query.route, u);
+    };
+    let cap = bound(query.k);
     let mut entered = Vec::new();
-    for (id, certificate) in candidates.iter_mut() {
-        if result.binary_search(id).is_ok() {
+    for candidate in candidates.iter_mut() {
+        // Only an endpoint `R` was strictly closer to than the query can
+        // move: one with `k` routes strictly closer than `R` has at least
+        // `k` strictly closer than the query, so it neither qualifies nor
+        // holds a count below `k`. No candidate with two such endpoints can
+        // change this result.
+        let hidden_by_others = |&c: &u16| usize::from(c) >= query.k;
+        if candidate.closer_than_removed.iter().all(hidden_by_others) {
             continue;
         }
-        let (origin, destination) = certificate.endpoints();
-        if (closer(&origin) || closer(&destination))
-            && certificate.admits(routes, &query.route, query.k, query.semantics, walk)
+        let (origin, destination) = candidate.certificate.endpoints();
+        let points = [origin, destination];
+        // A count only grows with its threshold, so what the certificate
+        // rejects at each endpoint's distance² to the query's bounding box,
+        // a floor under `dist²(u, Q)`, it rejects at `dist²(u, Q)`: neither
+        // a member (members stay members) nor one that can enter. Most
+        // candidates end here, the query being far.
+        let floors_sq = points.map(|u| query_mbr.min_dist_sq(&u));
+        if candidate
+            .certificate
+            .admit_at(routes, query.k, query.semantics, walk, |e| floors_sq[e])
+            .is_none()
         {
-            entered.push(*id);
+            continue;
+        }
+        let beyond = |e: usize| threshold_beyond(&points[e], &query.route, candidate.removed_sq[e]);
+        match ids.binary_search(&candidate.id) {
+            Ok(pos) => {
+                // A count of 0 never held `R`.
+                for (e, b) in bounds[pos].iter_mut().enumerate() {
+                    if (1..cap).contains(b) && beyond(e).is_some() {
+                        *b -= 1;
+                    }
+                }
+            }
+            Err(_) => {
+                let known = [beyond(0), beyond(1)];
+                if known == [None, None] {
+                    continue;
+                }
+                let admitted =
+                    candidate
+                        .certificate
+                        .admit_at(routes, query.k, query.semantics, walk, |e| {
+                            known[e].unwrap_or_else(|| {
+                                point_route_distance_sq(&points[e], &query.route)
+                            })
+                        });
+                if let Some(counts) = admitted {
+                    entered.push((candidate.id, counts.map(bound)));
+                }
+            }
         }
     }
-    for &id in &entered {
-        let pos = result.partition_point(|&member| member < id);
-        result.insert(pos, id);
+    for &(id, counts) in &entered {
+        let pos = ids.partition_point(|&member| member < id);
+        ids.insert(pos, id);
+        bounds.insert(pos, counts);
     }
-    entered
+    entered.into_iter().map(|(id, _)| id).collect()
+}
+
+/// In debug builds, after a route change: asserts that every bound of the
+/// result `ids` / `bounds` of `query` keeps the invariant — the cap, or the
+/// verification kernel's exact count over `routes` — and that, unless `k`
+/// lies beyond the bounds' range, every member keeps a qualifying bound
+/// (∃: an endpoint below the cap, ∀: both). A no-op in release builds.
+pub(crate) fn check_bounds(
+    query: &RknntQuery,
+    ids: &[TransitionId],
+    bounds: &[Bounds],
+    routes: &RouteStore,
+    endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
+) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    assert_eq!(ids.len(), bounds.len(), "one bound pair per member");
+    let cap = bound(query.k);
+    let mut kernel = rknnt_core::QueryScratch::new();
+    for (id, counts) in ids.iter().zip(bounds) {
+        let (origin, destination) = endpoints(*id).expect("members of a current result are live");
+        for (&b, u) in counts.iter().zip(&[origin, destination]) {
+            if b < cap {
+                let threshold_sq = point_route_distance_sq(u, &query.route);
+                let exact =
+                    kernel.count_closer_routes_sq(routes, routes.nlist(), u, threshold_sq, query.k);
+                assert_eq!(
+                    usize::from(b),
+                    exact,
+                    "{id} of {query:?}: a stale count at {u}"
+                );
+            }
+        }
+        let qualifying = counts.iter().filter(|&&b| b < cap).count();
+        let needed = match query.semantics {
+            Semantics::Exists => 1,
+            Semantics::ForAll => 2,
+        };
+        assert!(
+            qualifying >= needed || usize::from(cap) < query.k,
+            "{id} of {query:?}: bounds {counts:?} below the cap {cap} do not qualify it"
+        );
+    }
 }
 
 /// The ring itself; see the module documentation.
@@ -292,15 +506,16 @@ mod tests {
     fn replayed_expiry_removes_exactly_a_member() {
         let query = RknntQuery::exists(vec![p(0.0, 0.0), p(10.0, 0.0)], 2);
         let (routes, mut walk) = (RouteStore::default(), CertificateScratch::new());
-        let mut ids = vec![TransitionId(0), TransitionId(1)];
-        let mut expire = |ids: &mut Vec<TransitionId>, id| {
+        let (mut ids, mut bounds) = (vec![TransitionId(0), TransitionId(1)], vec![[0, 2], [1, 0]]);
+        let mut expire = |ids: &mut Vec<TransitionId>, bounds: &mut Vec<Bounds>, id| {
             let mut op = TransitionOp::Expired(TransitionId(id));
-            replay(&query, ids, &mut op, &routes, &mut walk)
+            replay(&query, ids, bounds, &mut op, &routes, &mut walk)
         };
-        assert!(!expire(&mut ids, 999));
-        assert!(expire(&mut ids, 0));
-        assert!(!expire(&mut ids, 0), "already gone");
+        assert!(!expire(&mut ids, &mut bounds, 999));
+        assert!(expire(&mut ids, &mut bounds, 0));
+        assert!(!expire(&mut ids, &mut bounds, 0), "already gone");
         assert_eq!(ids, vec![TransitionId(1)]);
+        assert_eq!(bounds, vec![[1, 0]], "the bounds leave with their member");
     }
 
     /// Horizontal routes at y = 0, 10, …, 70 with stops every 10 in x.
@@ -321,30 +536,66 @@ mod tests {
         let routes = ladder();
         let query = RknntQuery::exists(vec![p(5.0, 35.0), p(35.0, 35.0), p(65.0, 35.0)], 2);
         let mut walk = CertificateScratch::new();
-        let mut ids = Vec::new();
-        let mut arrive = |ids: &mut Vec<TransitionId>, id, origin, destination| {
+        let (mut ids, mut bounds) = (Vec::new(), Vec::new());
+        let mut arrive = |ids: &mut Vec<TransitionId>, bounds: &mut Vec<Bounds>, id, o, d| {
             let mut op = TransitionOp::Arrived {
                 id: TransitionId(id),
-                certificate: TransitionCertificate::new(origin, destination),
+                certificate: TransitionCertificate::new(o, d),
             };
-            replay(&query, ids, &mut op, &routes, &mut walk)
+            replay(&query, ids, bounds, &mut op, &routes, &mut walk)
         };
         // On a rung far from the query: two routes strictly closer, k = 2.
-        assert!(!arrive(&mut ids, 7, p(30.0, 0.0), p(40.0, 70.0)));
-        // Hugging the query: enters.
-        assert!(arrive(&mut ids, 9, p(34.0, 36.0), p(36.0, 34.0)));
-        // Ids stay sorted whatever order ops arrive in; a replayed
-        // duplicate is a no-op.
-        assert!(arrive(&mut ids, 3, p(35.0, 35.5), p(35.5, 35.0)));
+        assert!(!arrive(
+            &mut ids,
+            &mut bounds,
+            7,
+            p(30.0, 0.0),
+            p(40.0, 70.0)
+        ));
+        // Hugging the query: enters, its origin with no route strictly
+        // closer, its destination never judged (∃): no claim.
+        assert!(arrive(
+            &mut ids,
+            &mut bounds,
+            9,
+            p(34.0, 36.0),
+            p(36.0, 34.0)
+        ));
+        // Ids stay sorted whatever order ops arrive in, the bounds in step
+        // (the origin (30, 3) has four rungs strictly closer, capped at
+        // k = 2, so the destination is judged); a replayed duplicate is a
+        // no-op.
+        assert!(arrive(
+            &mut ids,
+            &mut bounds,
+            3,
+            p(30.0, 3.0),
+            p(35.0, 35.5)
+        ));
         assert_eq!(ids, vec![TransitionId(3), TransitionId(9)]);
-        assert!(!arrive(&mut ids, 3, p(35.0, 35.5), p(35.5, 35.0)));
+        assert_eq!(bounds, vec![[2, 0], [0, 2]]);
+        assert!(!arrive(
+            &mut ids,
+            &mut bounds,
+            3,
+            p(30.0, 3.0),
+            p(35.0, 35.5)
+        ));
         // A degenerate query admits nothing.
         let degenerate = RknntQuery::exists(Vec::new(), 2);
         let mut op = TransitionOp::Arrived {
             id: TransitionId(11),
             certificate: TransitionCertificate::new(p(35.0, 35.0), p(35.0, 35.0)),
         };
-        assert!(!replay(&degenerate, &mut ids, &mut op, &routes, &mut walk));
+        assert!(!replay(
+            &degenerate,
+            &mut ids,
+            &mut bounds,
+            &mut op,
+            &routes,
+            &mut walk
+        ));
+        assert_eq!(bounds.len(), 2);
     }
 
     /// k = 1, and the endpoint (35, 35) is at distance² 50 from the ladder
@@ -376,25 +627,47 @@ mod tests {
             };
             let mut result = answer(&routes, &query);
             assert_eq!(result.contains(&t), !hidden);
+            // Exact counts of both endpoints of every member.
+            let exact = |routes: &RouteStore, result: &[TransitionId]| -> Vec<Bounds> {
+                let mut walk = CertificateScratch::new();
+                result
+                    .iter()
+                    .map(|&id| {
+                        let t = transitions.get(id).unwrap();
+                        [t.origin, t.destination].map(|u| {
+                            let sq = point_route_distance_sq(&u, &query.route);
+                            bound(walk.count_closer_routes_sq(routes, &u, sq, query.k))
+                        })
+                    })
+                    .collect()
+            };
+            let mut bounds = exact(&routes, &result);
             assert!(routes.remove_route(id));
             let candidates = answer(&routes, &RknntQuery::exists(removed.clone(), query.k));
             let mut certified: Vec<_> = candidates
                 .iter()
                 .map(|&id| {
                     let t = transitions.get(id).unwrap();
-                    (id, TransitionCertificate::new(t.origin, t.destination))
+                    let closer = [t.origin, t.destination].map(|u| {
+                        let sq = point_route_distance_sq(&u, &removed);
+                        bound(CertificateScratch::new().count_closer_routes_sq(&routes, &u, sq, 1))
+                    });
+                    Candidate::new(id, t.origin, t.destination, &removed, closer)
                 })
                 .collect();
             let entered = admit_candidates(
                 &query,
                 &mut result,
-                &removed,
+                &mut bounds,
                 &mut certified,
                 &routes,
                 &mut CertificateScratch::new(),
             );
             assert_eq!(result, answer(&routes, &query));
             assert_eq!(result, vec![t]);
+            // (0, 0) is on a stop: its count is capped at k, exact or not.
+            assert_eq!(bounds, exact(&routes, &result));
+            assert_eq!(bounds, vec![[0, 1]]);
             if hidden {
                 assert!(candidates.contains(&t));
                 assert_eq!(entered, vec![t]);
@@ -402,5 +675,74 @@ mod tests {
                 assert!(entered.is_empty(), "a tie is not strictly closer");
             }
         }
+    }
+
+    /// A `k` beyond what a stored count can hold (`u16::MAX`) stays exact.
+    /// Route `i` has a stop `i` away from the endpoint `(0, 0)`, so a
+    /// one-vertex query `t` above it has `min(t, routes)` routes strictly
+    /// closer there. With `k` one more than the routes, the endpoint
+    /// qualifies for `t` = 10⁶ with a count past the cap, which claims
+    /// nothing, and for `t` = 65 534 with an exact count one below the cap.
+    /// A far route moves nothing; a route at the endpoint takes the first
+    /// count to `k` (its members leave) and the second to the cap, still
+    /// below `k` (its members stay).
+    #[test]
+    fn a_k_beyond_the_range_of_a_stored_count_stays_exact() {
+        use rknnt_core::{BruteForceEngine, RknnTEngine};
+        use rknnt_index::TransitionStore;
+        let n = usize::from(u16::MAX) + 11;
+        let k = n + 1;
+        let routes: Vec<Vec<Point>> = (0..n)
+            .map(|i| vec![p(i as f64, 0.0), p(i as f64, 1.0e6)])
+            .collect();
+        let mut routes = RouteStore::bulk_build(rknnt_rtree::RTreeConfig::default(), routes).0;
+        let mut transitions = TransitionStore::default();
+        let t = transitions.insert(p(0.0, 0.0), p(0.0, 0.0)).unwrap();
+        let queries: Vec<RknntQuery> = [1.0e6, 65_534.0]
+            .into_iter()
+            .flat_map(|y| {
+                [
+                    RknntQuery::exists(vec![p(0.0, y)], k),
+                    RknntQuery::for_all(vec![p(0.0, y)], k),
+                ]
+            })
+            .collect();
+        let answer = |routes: &RouteStore, query: &RknntQuery| {
+            BruteForceEngine::new(routes, &transitions)
+                .execute(query)
+                .transitions
+        };
+        let mut walk = CertificateScratch::new();
+        // What a miss keeps: each endpoint's count, capped at k.
+        let mut results: Vec<(Vec<TransitionId>, Vec<Bounds>)> = queries
+            .iter()
+            .map(|query| {
+                let ids = answer(&routes, query);
+                assert_eq!(ids, vec![t]);
+                let sq = point_route_distance_sq(&p(0.0, 0.0), &query.route);
+                let count = bound(walk.count_closer_routes_sq(&routes, &p(0.0, 0.0), sq, k));
+                (ids, vec![[count; 2]])
+            })
+            .collect();
+        assert_eq!(results[0].1, vec![[u16::MAX; 2]], "past the cap: no claim");
+        assert_eq!(results[2].1, vec![[65_534; 2]], "exact, one below the cap");
+        for (inserted, at) in [
+            (vec![p(-9.0e6, 0.0), p(-9.0e6, 1.0)], "far"),
+            (vec![p(0.0, -0.5), p(0.0, -1.0e6)], "at the endpoint"),
+        ] {
+            routes.insert_route(inserted.clone()).unwrap();
+            for (query, (ids, bounds)) in queries.iter().zip(&mut results) {
+                let endpoints = |id| transitions.get(id).map(|t| (t.origin, t.destination));
+                recheck_members(query, ids, bounds, &inserted, &routes, endpoints, &mut walk);
+                assert_eq!(*ids, answer(&routes, query), "{at}: {query:?}");
+                check_bounds(query, ids, bounds, &routes, endpoints);
+            }
+        }
+        assert!(
+            results[0].0.is_empty() && results[1].0.is_empty(),
+            "count k"
+        );
+        assert_eq!(results[2].0, vec![t], "count at the cap, below k");
+        assert_eq!(results[3].0, vec![t]);
     }
 }

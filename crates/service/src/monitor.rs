@@ -18,20 +18,23 @@
 //!   an expired non-member) and *stable* otherwise.
 //! * **Route inserts are applied in place** too (the journal's
 //!   `recheck_members`, the same step every cached result takes at the
-//!   insert): an insert can only remove members, and only those the new
-//!   route comes strictly closer to than the query, so exactly those are
-//!   re-judged by the admission kernel; the ones that leave become one
+//!   insert): an insert can only remove members, and only by coming
+//!   strictly closer than the query to an endpoint, which adds one to the
+//!   strictly-closer count every member keeps per endpoint; a member whose
+//!   counts stop qualifying it leaves (an ∃ member's endpoint that held no
+//!   count is counted once first), and the ones that leave become one
 //!   `left`-only delta with [`DeltaReason::RouteInserted`]. Counted
 //!   *stable*.
 //! * **Route removals are applied in place** as well (the journal's
 //!   `admit_candidates`, again the cached results' own step): a removal can
 //!   only add members, and every transition that can enter lies in the
 //!   removed route's own RkNNT answer at the largest watched or cached `k`,
-//!   which the update path computes once per removal; its non-members with
-//!   an endpoint the removed route was strictly closer to are judged by the
-//!   candidate's certificate, shared with every cached result, and the ones
-//!   that enter become one `entered`-only delta with
-//!   [`DeltaReason::RouteRemoved`]. Counted *stable*.
+//!   which the update path computes once per removal; its members there
+//!   count the removed route out, its non-members with an endpoint the
+//!   removed route was strictly closer to are judged by the candidate's
+//!   certificate, shared with every cached result, and the ones that enter
+//!   become one `entered`-only delta with [`DeltaReason::RouteRemoved`].
+//!   Counted *stable*.
 //!
 //! No update re-executes a subscription.
 //!
@@ -43,9 +46,11 @@
 //! [`QueryService::apply_updates`]: crate::QueryService::apply_updates
 //! [`StoreUpdate`]: crate::StoreUpdate
 
-use crate::journal::{admit_candidates, recheck_members, replay, Scratch, TransitionOp};
+use crate::journal::{
+    admit_candidates, check_bounds, recheck_members, replay, Bounds, Candidate, TransitionOp,
+};
 use crate::metrics::ServiceMetrics;
-use rknnt_core::{RknntQuery, TransitionCertificate};
+use rknnt_core::{CertificateScratch, RknntQuery};
 use rknnt_geo::Point;
 use rknnt_index::{RouteId, RouteStore, TransitionId};
 use std::collections::BTreeMap;
@@ -122,6 +127,8 @@ pub(crate) struct Subscription {
     pub(crate) query: RknntQuery,
     /// Current result, sorted ascending.
     pub(crate) result: Vec<TransitionId>,
+    /// The bounds of its members, in step with `result`.
+    bounds: Vec<Bounds>,
 }
 
 /// The store-facing view of one applied [`crate::StoreUpdate`], used to
@@ -134,15 +141,10 @@ pub(crate) enum UpdateEffect<'a> {
     Transition(TransitionOp),
     /// The route with this id was inserted.
     RouteInserted(RouteId),
-    /// A route was removed.
-    RouteRemoved {
-        /// Its points, captured before the stores forgot them.
-        removed: &'a [Point],
-        /// `RkNNT_∃(removed, k_max)` over the post-removal stores, sorted by
-        /// id, each with its certificate: every transition the removal can
-        /// bring into a result.
-        candidates: &'a mut [(TransitionId, TransitionCertificate)],
-    },
+    /// A route was removed: its candidates, `RkNNT_∃(removed, k_max)` over
+    /// the post-removal stores, sorted by id — every transition the removal
+    /// can bring into a result or count out of a member's counts.
+    RouteRemoved(&'a mut [Candidate]),
 }
 
 /// The registry of live subscriptions. Iteration is in id order
@@ -152,19 +154,29 @@ pub(crate) enum UpdateEffect<'a> {
 pub(crate) struct SubscriptionRegistry {
     subs: BTreeMap<u64, Subscription>,
     next_id: u64,
-    /// Scratch of the judgements every update runs.
-    scratch: Scratch,
+    /// Buffers of the certificate walks every update runs.
+    walk: CertificateScratch,
 }
 
 impl SubscriptionRegistry {
+    /// Registers `query` with its current `result` and the members'
+    /// `bounds`.
     pub(crate) fn insert(
         &mut self,
         query: RknntQuery,
         result: Vec<TransitionId>,
+        bounds: Vec<Bounds>,
     ) -> SubscriptionId {
         let id = self.next_id;
         self.next_id += 1;
-        self.subs.insert(id, Subscription { query, result });
+        self.subs.insert(
+            id,
+            Subscription {
+                query,
+                result,
+                bounds,
+            },
+        );
         SubscriptionId(id)
     }
 
@@ -194,8 +206,10 @@ impl SubscriptionRegistry {
     /// Brings every live subscription up to date with one applied update,
     /// in place, against the current `routes`, emitting a delta when the
     /// result changes; `endpoints` resolves a live transition's endpoints
-    /// for the members a new route is rechecked against. The certificates
-    /// `effect` carries are filled as far as the judgements need them.
+    /// for the members a new route is rechecked against (and, in debug
+    /// builds, for the bound check every route change ends with). The
+    /// certificates `effect` carries are filled as far as the judgements
+    /// need them.
     pub(crate) fn classify_update(
         &mut self,
         effect: &mut UpdateEffect<'_>,
@@ -205,7 +219,7 @@ impl SubscriptionRegistry {
         deltas: &mut Vec<SubscriptionDelta>,
     ) {
         let (mut unaffected, mut stable) = (0u64, 0u64);
-        let scratch = &mut self.scratch;
+        let walk = &mut self.walk;
         for (id, sub) in self.subs.iter_mut() {
             if sub.query.is_degenerate() {
                 // Constant empty result, immune to churn.
@@ -217,8 +231,14 @@ impl SubscriptionRegistry {
                     // Exact in-place maintenance: qualification of every
                     // other transition depends only on routes, so the result
                     // gains or loses exactly this one id, or nothing.
-                    let changed =
-                        replay(&sub.query, &mut sub.result, op, routes, &mut scratch.walk);
+                    let changed = replay(
+                        &sub.query,
+                        &mut sub.result,
+                        &mut sub.bounds,
+                        op,
+                        routes,
+                        walk,
+                    );
                     match (&*op, changed) {
                         // A membership test was the whole work.
                         (TransitionOp::Expired(_), false) => unaffected += 1,
@@ -246,11 +266,13 @@ impl SubscriptionRegistry {
                     let left = recheck_members(
                         &sub.query,
                         &mut sub.result,
+                        &mut sub.bounds,
                         routes.route_points(*route),
                         routes,
                         &endpoints,
-                        &mut scratch.kernel,
+                        walk,
                     );
+                    check_bounds(&sub.query, &sub.result, &sub.bounds, routes, &endpoints);
                     if !left.is_empty() {
                         deltas.push(SubscriptionDelta {
                             subscription: SubscriptionId(*id),
@@ -260,19 +282,17 @@ impl SubscriptionRegistry {
                         });
                     }
                 }
-                UpdateEffect::RouteRemoved {
-                    removed,
-                    candidates,
-                } => {
+                UpdateEffect::RouteRemoved(candidates) => {
                     stable += 1;
                     let entered = admit_candidates(
                         &sub.query,
                         &mut sub.result,
-                        removed,
+                        &mut sub.bounds,
                         candidates,
                         routes,
-                        &mut scratch.walk,
+                        walk,
                     );
+                    check_bounds(&sub.query, &sub.result, &sub.bounds, routes, &endpoints);
                     if !entered.is_empty() {
                         deltas.push(SubscriptionDelta {
                             subscription: SubscriptionId(*id),
@@ -327,15 +347,15 @@ mod tests {
     fn registry_assigns_fresh_increasing_ids() {
         let mut registry = SubscriptionRegistry::default();
         let query = RknntQuery::exists(vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)], 1);
-        let a = registry.insert(query.clone(), Vec::new());
-        let b = registry.insert(query.clone(), Vec::new());
+        let a = registry.insert(query.clone(), Vec::new(), Vec::new());
+        let b = registry.insert(query.clone(), Vec::new(), Vec::new());
         assert!(a.raw() < b.raw());
         assert_eq!(registry.len(), 2);
         assert!(registry.remove(a));
         assert!(!registry.remove(a), "double unsubscribe must fail");
         assert_eq!(registry.len(), 1);
         // Ids are never reused.
-        let c = registry.insert(query, Vec::new());
+        let c = registry.insert(query, Vec::new(), Vec::new());
         assert!(c.raw() > b.raw());
         assert_eq!(format!("{c}"), format!("sub#{}", c.raw()));
     }

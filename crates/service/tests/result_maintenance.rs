@@ -619,7 +619,7 @@ fn every_update_kind_retains_the_cached_entry() {
     assert_eq!(service.execute(&query).transitions, baseline.transitions);
     assert_eq!(hits(&service), h0 + 1, "warm cache must hit");
 
-    // 1. Far transition insert: rejected by the admission kernel at the
+    // 1. Far transition insert: rejected by its certificate at the
     //    next read -> entry retained.
     let stats = service.apply_updates(vec![arrival(p(33.0, 299.0), p(37.0, 301.0))]);
     assert_eq!(stats.evicted_entries, 0, "far insert must not evict");
@@ -710,7 +710,7 @@ fn classification_outcomes_and_delta_reasons() {
     assert!(initial.contains(&near));
     assert!(!initial.contains(&far));
 
-    // 1. Far transition insert: the admission kernel rejects it — stable,
+    // 1. Far transition insert: its certificate rejects it — stable,
     //    no delta.
     let stats = service.apply_updates(vec![arrival(p(33.0, 299.0), p(37.0, 301.0))]);
     assert_eq!(stats.subs_stable, 1);
@@ -785,4 +785,206 @@ fn classification_outcomes_and_delta_reasons() {
     assert_eq!(service.subscriptions(), 1);
     assert!(service.subscription_result(sub).is_none());
     assert!(service.subscription_query(sub).is_none());
+}
+
+/// The flat service over the ladder with `queries` cached and subscribed,
+/// its mirror, and the checks every strictly-closer-count test makes after
+/// each update.
+struct Counted {
+    service: QueryService,
+    mirror: Mirror,
+    queries: Vec<RknntQuery>,
+    subs: Vec<SubscriptionId>,
+}
+
+impl Counted {
+    /// `arrivals` land first (so the counts of their members come from
+    /// verification) when `before_reads`, after the queries are cached and
+    /// subscribed (from their certificates) otherwise. Returns their ids.
+    fn new(
+        queries: Vec<RknntQuery>,
+        arrivals: &[(Point, Point)],
+        before_reads: bool,
+    ) -> (Self, Vec<TransitionId>) {
+        let mut counted = Counted {
+            service: flat(),
+            mirror: Mirror::new(),
+            queries,
+            subs: Vec::new(),
+        };
+        let updates = || arrivals.iter().map(|&(o, d)| arrival(o, d)).collect();
+        let mut ids = Vec::new();
+        if before_reads {
+            ids = counted.apply(updates(), "arrivals").inserted_transitions;
+        }
+        for query in &counted.queries {
+            counted.service.execute(query);
+            counted.subs.push(counted.service.subscribe(query.clone()));
+        }
+        if !before_reads {
+            ids = counted.apply(updates(), "arrivals").inserted_transitions;
+        }
+        (counted, ids)
+    }
+
+    /// Applies `updates` to the service and the mirror. Every cached query
+    /// is then a hit equal to brute force, every subscription equals it, and
+    /// each subscription whose answer moved has exactly one delta per
+    /// update that moved it, together entering and leaving exactly the
+    /// brute-force difference.
+    fn apply(&mut self, updates: Vec<StoreUpdate>, at: &str) -> UpdateStats {
+        let before: Vec<Vec<TransitionId>> =
+            self.queries.iter().map(|q| self.mirror.answer(q)).collect();
+        for update in &updates {
+            self.mirror.apply(update);
+        }
+        let stats = self.service.apply_updates(updates);
+        assert_eq!(stats.evicted_entries, 0, "{at}");
+        for ((query, sub), before) in self.queries.iter().zip(&self.subs).zip(&before) {
+            let answer = self.mirror.answer(query);
+            let hits = self.service.cache_stats().hits;
+            assert_eq!(
+                self.service.execute(query).transitions,
+                answer,
+                "{at}: {query:?}"
+            );
+            assert_eq!(self.service.cache_stats().hits, hits + 1, "{at}: a hit");
+            assert_eq!(
+                self.service.subscription_result(*sub),
+                Some(&answer[..]),
+                "{at}: {query:?}"
+            );
+            let mut replayed = before.clone();
+            for delta in stats.deltas.iter().filter(|d| d.subscription == *sub) {
+                delta.apply(&mut replayed);
+            }
+            assert_eq!(replayed, answer, "{at}: deltas of {query:?}");
+        }
+        stats
+    }
+
+    fn answer(&self, n: usize) -> Vec<TransitionId> {
+        self.mirror.answer(&self.queries[n])
+    }
+}
+
+/// The endpoint `U` is at distance² 50 from the ladder (its nearest stops)
+/// and 49 from the vertex (35, 42) of `two_bays()`; `V` is the same for the
+/// vertex (65, 42). No ladder route is strictly closer to either.
+const U: (f64, f64) = (35.0, 35.0);
+const V: (f64, f64) = (65.0, 35.0);
+
+/// A query with one vertex above each of `U` and `V`.
+fn two_bays() -> Vec<Point> {
+    vec![p(35.0, 42.0), p(65.0, 42.0)]
+}
+
+/// A route strictly closer to `U` than the query, at distance² `d2` below
+/// it, and nowhere near `V`.
+fn below_u(d2: f64) -> StoreUpdate {
+    StoreUpdate::InsertRoute(vec![p(U.0, U.1 - d2.sqrt()), p(90.0, 95.0)])
+}
+
+/// Inserting routes strictly closer to `U` walks its count 0 → 1 → 2; at
+/// k = 2 the member leaves exactly at the second, under ∃ (its other
+/// endpoint sits on a stop, with routes strictly closer) and under ∀ (its
+/// other endpoint is `V`, untouched). A route exactly as far from `U` as
+/// the query, inserted between them, does not count: were it counted, both
+/// would leave one insert early.
+///
+/// Mutations that fail it: the recheck's increment skipped; `<` → `<=` in
+/// its leave test (`after[e] < cap` in `certain`).
+#[test]
+fn the_kth_strictly_closer_route_evicts_and_a_tied_one_does_not_count() {
+    let queries = vec![
+        RknntQuery::exists(two_bays(), 2),
+        RknntQuery::for_all(two_bays(), 2),
+    ];
+    let (mut counted, ids) = Counted::new(
+        queries,
+        &[(p(U.0, U.1), p(0.0, 0.0)), (p(U.0, U.1), p(V.0, V.1))],
+        true,
+    );
+    let (exists, for_all) = (ids[0], ids[1]);
+    assert!(counted.answer(0).contains(&exists));
+    assert!(counted.answer(1).contains(&for_all));
+    counted.apply(vec![below_u(16.0)], "one route closer: k − 1");
+    assert!(counted.answer(0).contains(&exists));
+    assert!(counted.answer(1).contains(&for_all));
+    // (42, 35) is at distance² 49 from `U`, exactly as far as the query.
+    let tied = StoreUpdate::InsertRoute(vec![p(42.0, 35.0), p(90.0, 95.0)]);
+    let stats = counted.apply(vec![tied], "a tied route");
+    assert!(stats.deltas.is_empty(), "a tie is not strictly closer");
+    let stats = counted.apply(vec![below_u(9.0)], "the k-th route closer");
+    assert!(!counted.answer(0).contains(&exists));
+    assert!(!counted.answer(1).contains(&for_all));
+    assert_eq!(stats.deltas.len(), 2, "one delta per subscription");
+    for delta in &stats.deltas {
+        assert_eq!(delta.reason, DeltaReason::RouteInserted);
+    }
+}
+
+/// A removal counts the removed route out of every member's counts: with
+/// `U`'s count at 1 (k = 2), removing that route and inserting one just as
+/// close brings it back to 1, so the member stays, and only a second insert
+/// makes it leave. Without the decrement the count would read 2 after the
+/// re-insert and the member would leave one insert early. Between the two,
+/// removing a route that hid the member brings it back in, with its counts.
+///
+/// Mutation that fails it: the decrement in `admit_candidates` skipped.
+#[test]
+fn a_removal_counts_out_and_an_insert_at_the_same_endpoint_counts_in() {
+    let queries = vec![
+        RknntQuery::exists(two_bays(), 2),
+        RknntQuery::for_all(two_bays(), 2),
+    ];
+    let (mut counted, ids) = Counted::new(
+        queries,
+        &[(p(U.0, U.1), p(0.0, 0.0)), (p(U.0, U.1), p(V.0, V.1))],
+        true,
+    );
+    let first = counted
+        .apply(vec![below_u(16.0)], "first route")
+        .inserted_routes[0];
+    let second = counted
+        .apply(vec![below_u(9.0)], "second route")
+        .inserted_routes[0];
+    assert!(!counted.answer(0).contains(&ids[0]));
+    let stats = counted.apply(vec![StoreUpdate::RemoveRoute(second)], "second removed");
+    assert_eq!(stats.deltas.len(), 2, "both members re-enter");
+    for delta in &stats.deltas {
+        assert_eq!(delta.reason, DeltaReason::RouteRemoved);
+    }
+    counted.apply(vec![StoreUpdate::RemoveRoute(first)], "first removed");
+    let stats = counted.apply(vec![below_u(4.0)], "re-inserted: count 1");
+    assert!(stats.deltas.is_empty(), "k − 1 routes closer: both stay");
+    assert!(counted.answer(0).contains(&ids[0]));
+    assert!(counted.answer(1).contains(&ids[1]));
+    counted.apply(vec![below_u(1.0)], "count 2");
+    assert!(!counted.answer(0).contains(&ids[0]));
+    assert!(!counted.answer(1).contains(&ids[1]));
+}
+
+/// An ∃ arrival whose origin qualifies is admitted without its destination
+/// ever being judged, so its destination holds no count. When a route
+/// then comes strictly closer to the origin at k = 1, only a count of the
+/// destination decides: `V` qualifies, so the first arrival stays; a stop
+/// does not, so the second leaves.
+///
+/// Mutation that fails it: `recheck_members` treats an ∃ member with no
+/// count below `k` as gone without counting the unjudged endpoint.
+#[test]
+fn an_unjudged_endpoint_is_counted_once_when_it_decides() {
+    let queries = vec![RknntQuery::exists(two_bays(), 1)];
+    let (mut counted, ids) = Counted::new(
+        queries,
+        &[(p(U.0, U.1), p(V.0, V.1)), (p(U.0, U.1 + 0.5), p(0.0, 0.0))],
+        false,
+    );
+    assert!(counted.answer(0).contains(&ids[0]) && counted.answer(0).contains(&ids[1]));
+    let stats = counted.apply(vec![below_u(4.0)], "a route closer to both origins");
+    assert!(counted.answer(0).contains(&ids[0]), "V qualifies");
+    assert!(!counted.answer(0).contains(&ids[1]), "a stop does not");
+    assert_eq!(stats.deltas.len(), 1);
+    assert_eq!(stats.deltas[0].left, vec![ids[1]]);
 }

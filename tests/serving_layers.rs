@@ -55,7 +55,14 @@
 //! replaying the journal, not by recomputing. The ladder's fixed opening
 //! lands an arrival exactly tied with a `k = 1` query, under a `k = 1`
 //! subscription that certifies every arrival before the `k = 2` subscription
-//! and the cached `k = 2` queries read the same certificate.
+//! and the cached `k = 2` queries read the same certificate; it ends with an
+//! `∃` member whose destination was never judged losing its origin to a new
+//! route, so that only a count of the destination keeps it.
+//!
+//! In debug builds every route change ends with a check of every cached and
+//! standing result's strictly-closer counts against the verification kernel
+//! (`journal::check_bounds`), so a count that went stale fails the step it
+//! went stale in, read or not.
 //!
 //! Mutation checks — each of these edits must make this test fail (run when
 //! the maintenance code changes):
@@ -68,18 +75,24 @@
 //! * serve an entry that fell off the ring (`ResultCache::catch_up` returns
 //!   `true` when `since_mut` is `None`);
 //! * a nearest-route certificate is never widened
-//!   (`EndpointCertificate::qualifies` in `crates/core/src/verify.rs`,
+//!   (`EndpointCertificate::closer_routes` in `crates/core/src/verify.rs`,
 //!   `self.k < k` → `self.k == 0`): the ladder's k = 1 subscription
 //!   certifies every arrival first, so the k = 2 one admits what it must
 //!   reject;
-//! * a tie counted as strictly closer (same function, `>=` → `>`): the
-//!   k = 1 subscription misses the arrival at (705, 335), exactly as far
-//!   from its nearest stop as from the query;
-//! * `<=` instead of `<` in the admission kernel a route insert's recheck
-//!   runs (`rknnt_core::admits_transition` judging an endpoint by
-//!   `count <= k`);
-//! * a route insert rechecks nothing (`recheck_members` in
-//!   `crates/service/src/journal.rs` returns at once);
+//! * a tie counted as strictly closer (same function, `<` → `<=` in the
+//!   compare of the `k`-th nearest distance): the k = 1 subscription misses
+//!   the arrival at (705, 335), exactly as far from its nearest stop as from
+//!   the query;
+//! * a route insert counts nothing in (`recheck_members` in
+//!   `crates/service/src/journal.rs`, `after[e] += 1` dropped);
+//! * a route removal counts nothing out (`admit_candidates`, same file,
+//!   `*b -= 1` dropped);
+//! * `<=` instead of `<` in a route insert's leave test (`recheck_members`,
+//!   `after[e] < cap` in `certain`);
+//! * an `∃` member is let go without counting its unjudged endpoint
+//!   (`recheck_members`, `.any(|e| counted(e, &mut after))` → `.any(|_|
+//!   false)`);
+//! * a route insert rechecks nothing (`recheck_members` returns at once);
 //! * a route insert is not counted as a stable classification
 //!   (`SubscriptionRegistry::classify_update` drops `stable += 1` in the
 //!   `RouteInserted` arm);
@@ -362,6 +375,20 @@ fn ladder() -> World {
             destination: p(705.0, 335.0),
         }]),
         Op::Queries(first_batch),
+        // No route is strictly closer to (600, 300) or to (620, 320) than
+        // the query point (610, 310), at distance² 200 from each: the k = 1
+        // subscription admits this arrival at its origin and never judges
+        // its destination. The route through (598, 298) then comes strictly
+        // closer to the origin alone, and only a count of the destination
+        // keeps the member.
+        Op::Updates(vec![StoreUpdate::InsertTransition {
+            origin: p(600.0, 300.0),
+            destination: p(620.0, 320.0),
+        }]),
+        Op::Updates(vec![StoreUpdate::InsertRoute(vec![
+            p(598.0, 298.0),
+            p(598.0, 2000.0),
+        ])]),
     ];
     World {
         name: "ladder",
@@ -599,7 +626,7 @@ fn probe(rng: &mut Rng, stores: &Stores, world: &World) -> Vec<(Op, Option<bool>
         .into_iter()
         .find(|id| !members.contains(id));
     // A point with exactly k live routes strictly closer than the query — a
-    // transition there is rejected by the admission kernel, and would be
+    // transition there is rejected by its certificate, and would be
     // admitted with one fewer.
     let reach = world.reach;
     let boundary = (0..400)
