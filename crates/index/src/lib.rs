@@ -33,7 +33,9 @@ mod types;
 
 pub use ids::{RouteId, StopId, TransitionId};
 pub use nlist::NList;
-pub use partition::{partition_transitions, IdSpace, Placement, TransitionPartition};
+pub use partition::{
+    partition_by_origin_cell, partition_transitions, IdSpace, Placement, TransitionPartition,
+};
 pub use route_store::{PList, RouteStore, RouteStoreState};
 pub use transition_store::{TransitionEndpoint, TransitionStore, TransitionStoreState};
 pub use types::{EndpointKind, Route, Transition};

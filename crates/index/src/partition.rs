@@ -9,11 +9,14 @@
 //! that knows nothing about sharding — an [`IdSpace`] records the
 //! local→global mapping so per-shard results can be merged back into global
 //! terms, and the directory of [`Placement`]s answers the reverse question.
+//! [`partition_by_origin_cell`] is the one spatial layout the sharded
+//! services use: each transition goes to the shard owning its origin's
+//! Z-order cell.
 //! Routes are never partitioned: every filter and every verification is
 //! defined over the complete route set.
 
 use crate::transition_store::TransitionStore;
-use rknnt_geo::Point;
+use rknnt_geo::{CellGrid, Point, Rect};
 use rknnt_rtree::RTreeConfig;
 
 /// A shard's local→global id mapping: local slot `i` (dense, in insertion
@@ -134,6 +137,36 @@ where
         spaces,
         directory,
     }
+}
+
+/// [`partition_transitions`] by Z-order cell of the origin: a [`CellGrid`]
+/// with `grid_bits` bits per axis is laid over the MBR of the finite
+/// `extent` points — every point of the data, routes included — or over the
+/// unit square when there is none, and each live slot goes to the shard
+/// owning its origin's cell. Returns the grid with the partition.
+pub fn partition_by_origin_cell<'a>(
+    config: RTreeConfig,
+    extent: impl IntoIterator<Item = &'a Point>,
+    grid_bits: u32,
+    slots: impl IntoIterator<Item = Option<(Point, Point)>>,
+    shards: usize,
+) -> (CellGrid, TransitionPartition) {
+    let mut mbr = Rect::empty();
+    // `for_each`, not a `for` loop: internal iteration runs each part of a
+    // chained, flattened extent as a plain loop of its own.
+    extent
+        .into_iter()
+        .filter(|p| p.is_finite())
+        .for_each(|p| mbr.expand_to_point(p));
+    if mbr.is_empty() {
+        mbr = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+    }
+    let grid = CellGrid::new(mbr, grid_bits);
+    let shards = shards.max(1);
+    let partition = partition_transitions(config, slots, shards, |origin, _| {
+        grid.shard_of_point(origin, shards)
+    });
+    (grid, partition)
 }
 
 #[cfg(test)]

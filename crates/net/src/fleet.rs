@@ -39,8 +39,8 @@ use crate::remote::{RemoteError, RemoteShard, RemoteShardConfig, RemoteShardStat
 use crate::server::{Backend, Server, ServerConfig};
 use rknnt_core::RknntQuery;
 use rknnt_fault::Failpoints;
-use rknnt_geo::{CellGrid, Point, Rect};
-use rknnt_index::{partition_transitions, IdSpace, RouteStore, TransitionId, TransitionStore};
+use rknnt_geo::{CellGrid, Point};
+use rknnt_index::{partition_by_origin_cell, IdSpace, RouteStore, TransitionId, TransitionStore};
 use rknnt_obs::{Clock, Counter, MetricsRegistry, MonotonicClock};
 use rknnt_rtree::RTreeConfig;
 use rknnt_service::{QueryService, ServiceConfig, StorageConfig, StoreUpdate};
@@ -272,35 +272,16 @@ impl FleetRouter {
         sleeper: Option<Arc<dyn Sleeper>>,
     ) -> Result<FleetRouter, FleetError> {
         let shard_count = config.shards.max(1);
-        let mut mbr = Rect::empty();
-        for route in &routes {
-            for p in route {
-                if p.is_finite() {
-                    mbr.expand_to_point(p);
-                }
-            }
-        }
-        for (origin, destination) in &transitions {
-            if origin.is_finite() {
-                mbr.expand_to_point(origin);
-            }
-            if destination.is_finite() {
-                mbr.expand_to_point(destination);
-            }
-        }
-        if mbr.is_empty() {
-            mbr = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        }
-        let grid = CellGrid::new(mbr, config.grid_bits);
+        let extent = routes.iter().flatten();
+        let extent = extent.chain(transitions.iter().flat_map(|(o, d)| [o, d]));
         // Invalid pairs consume no global id, exactly like the unsharded
         // bulk build; every slot handed to the partition is live.
         let slots = transitions
-            .into_iter()
+            .iter()
             .filter(|(origin, destination)| origin.is_finite() && destination.is_finite())
-            .map(Some);
-        let tp = partition_transitions(config.rtree, slots, shard_count, |origin, _| {
-            grid.shard_of_point(origin, shard_count)
-        });
+            .map(|&pair| Some(pair));
+        let (grid, tp) =
+            partition_by_origin_cell(config.rtree, extent, config.grid_bits, slots, shard_count);
         let mut shards = Vec::with_capacity(shard_count);
         for (index, (store, space)) in tp.stores.into_iter().zip(tp.spaces).enumerate() {
             // The shard's pair slice in global order — in-memory restarts

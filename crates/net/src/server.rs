@@ -499,8 +499,8 @@ struct Shared {
     ready: Condvar,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     shutting_down: AtomicBool,
-    /// The listener address — needed by fault paths to unblock the
-    /// acceptor's blocking `accept()` with a throwaway connect.
+    /// The listener address — needed to unblock the acceptor's blocking
+    /// `accept()` with a throwaway connect ([`Shared::close_edge`]).
     addr: SocketAddr,
     /// Why the server died, when it died by fault (injected kill or a
     /// contained executor panic) rather than an orderly [`Server::stop`].
@@ -527,6 +527,25 @@ impl Shared {
     fn with_backend_mut<R>(&self, f: impl FnOnce(&mut Backend) -> R) -> R {
         let mut backend = self.backend.write().expect("backend lock poisoned");
         f(backend.as_mut().expect("the backend outlives the executor"))
+    }
+
+    /// Closes the serving edge once `shutting_down` is set: a throwaway
+    /// connect unblocks the acceptor's blocking `accept()`, so it returns
+    /// and the listener closes (reconnects then fail instantly instead of
+    /// hanging); `acceptor`, when given, is joined; and every connection is
+    /// severed, which unblocks its reader thread (readers are detached and
+    /// exit on their own).
+    fn close_edge(&self, acceptor: Option<JoinHandle<()>>) {
+        let _ = TcpStream::connect(self.addr);
+        if let Some(handle) = acceptor {
+            let _ = handle.join();
+        }
+        let conns = self.conns.lock().expect("conns poisoned");
+        for conn in conns.values() {
+            if let Ok(writer) = conn.writer.lock() {
+                let _ = writer.shutdown(Shutdown::Both);
+            }
+        }
     }
 }
 
@@ -700,19 +719,7 @@ impl Server {
             state.open = false;
         }
         self.shared.ready.notify_all();
-        // Unblock the acceptor's blocking accept() with a throwaway connect.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        // Severing the sockets unblocks every reader thread; readers are
-        // detached and exit on their own.
-        let conns = self.shared.conns.lock().expect("conns poisoned");
-        for conn in conns.values() {
-            if let Ok(writer) = conn.writer.lock() {
-                let _ = writer.shutdown(Shutdown::Both);
-            }
-        }
+        self.shared.close_edge(self.acceptor.take());
     }
 }
 
@@ -1190,15 +1197,7 @@ fn executor_panicked(
         }
     }
     shared.ready.notify_all();
-    // Unblock the acceptor so the listener closes: reconnect attempts fail
-    // instantly instead of hanging.
-    let _ = TcpStream::connect(shared.addr);
-    let conns = shared.conns.lock().expect("conns poisoned");
-    for conn in conns.values() {
-        if let Ok(writer) = conn.writer.lock() {
-            let _ = writer.shutdown(Shutdown::Both);
-        }
-    }
+    shared.close_edge(None);
 }
 
 /// Injected hard kill: the process "dies" — the queue closes and empties
@@ -1219,13 +1218,7 @@ fn kill_server(shared: &Shared, reason: &str) {
         state.drain();
     }
     shared.ready.notify_all();
-    let _ = TcpStream::connect(shared.addr);
-    let conns = shared.conns.lock().expect("conns poisoned");
-    for conn in conns.values() {
-        if let Ok(writer) = conn.writer.lock() {
-            let _ = writer.shutdown(Shutdown::Both);
-        }
-    }
+    shared.close_edge(None);
 }
 
 /// Processes one drained batch in FIFO order, funnelling consecutive

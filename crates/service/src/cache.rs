@@ -11,25 +11,26 @@
 //! Recency is tracked with an intrusive doubly-linked list over a slot
 //! arena, giving O(1) lookup, touch, insert and eviction.
 //!
-//! Entries follow transition churn instead of being evicted by it: the cache
-//! owns the [`crate::journal`] ring the update path appends arrivals and
-//! expiries to, every entry remembers its query and the journal sequence it
-//! is current to, and a lookup replays the suffix into the entry before
-//! returning it — judging each arrival from the certificate the op carries,
-//! which the first reader filled and every later one reuses. A route change
-//! keeps the entries too: each catches up on the journal *before* the
-//! stores change ([`ResultCache::catch_up_all`]), so every certificate is
-//! read against the routes it was computed over, then takes the route
-//! change's own step ([`ResultCache::route_changed`]) — an insert counts
-//! the new route into the members' strictly-closer counts
-//! ([`crate::journal::recheck_members`]), a removal counts it out and
-//! admits from the removed route's RkNNT answer
-//! ([`crate::journal::admit_candidates`]). Those counts ride beside each
-//! entry's ids ([`Bounds`]), never in the result a hit clones. Only LRU
-//! pressure and falling off the ring drop entries.
+//! Entries follow every update instead of being evicted by it: each holds
+//! its answer as a [`Maintained`] result, which
+//! [`Maintained::follow`] keeps exact — the step a subscription takes too.
+//! The cache owns the [`crate::journal`] ring the update path appends
+//! transition arrivals and expiries to, every entry remembers the journal
+//! sequence it is current to, and a lookup has the entry follow the suffix
+//! before returning it — judging each arrival from the certificate the op
+//! carries, which the first reader filled and every later one reuses. A
+//! route change keeps the entries too: each catches up on the journal
+//! *before* the stores change ([`ResultCache::catch_up_all`]), so every
+//! certificate is read against the routes it was computed over, then
+//! follows the change itself ([`ResultCache::route_changed`]). The
+//! members' strictly-closer counts ([`Bounds`]) ride beside the ids, never
+//! in the result a hit clones. Only LRU pressure and falling off the ring
+//! drop entries.
 
-use crate::journal::{check_bounds, replay, Bounds, Journal, TransitionOp, JOURNAL_CAPACITY};
-use rknnt_core::{CertificateScratch, RknntQuery, RknntResult, Semantics};
+use crate::journal::{Bounds, Effect, Journal, Maintained, TransitionOp, JOURNAL_CAPACITY};
+use rknnt_core::{
+    CertificateScratch, PhaseTimings, QueryStats, RknntQuery, RknntResult, Semantics,
+};
 use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionId};
 use rknnt_obs::Counter;
@@ -136,12 +137,12 @@ pub(crate) struct CacheCounters {
 
 struct Slot {
     key: CacheKey,
-    /// The query `value` answers, which replay judges arrivals against.
-    query: RknntQuery,
-    value: RknntResult,
-    /// The bounds of `value`'s members, in step with its ids.
-    bounds: Vec<Bounds>,
-    /// Journal sequence `value` is current to.
+    /// The answer's members, kept exact across every update.
+    result: Maintained,
+    /// What the execution that computed the answer reported beside its ids.
+    timings: PhaseTimings,
+    stats: QueryStats,
+    /// Journal sequence `result` is current to.
     seq: u64,
     prev: usize,
     next: usize,
@@ -205,7 +206,7 @@ impl ResultCache {
         self.journal.push(op);
     }
 
-    /// Replays the journal suffix the entry in `slot` has not seen into it,
+    /// Has the entry in `slot` follow the journal suffix it has not seen,
     /// against `routes` — the routes every op of the suffix was journalled
     /// under. `false` when the ring no longer holds that suffix — the entry
     /// cannot be made current and must be dropped.
@@ -219,16 +220,12 @@ impl ResultCache {
             return false;
         };
         for op in ops {
-            replay(
-                &entry.query,
-                &mut entry.value.transitions,
-                &mut entry.bounds,
-                op,
-                routes,
-                &mut self.walk,
-            );
+            // A journalled op resolves no member.
+            let effect = &mut Effect::Transition(op);
+            entry
+                .result
+                .follow(effect, routes, |_| None, &mut self.walk);
         }
-        entry.value.stats.result_transitions = entry.value.transitions.len();
         entry.seq = head;
         true
     }
@@ -250,7 +247,15 @@ impl ResultCache {
         self.counters.hits.inc();
         self.unlink(slot);
         self.push_front(slot);
-        Some(self.slots[slot].value.clone())
+        let entry = &self.slots[slot];
+        Some(RknntResult {
+            transitions: entry.result.ids.clone(),
+            timings: entry.timings,
+            stats: QueryStats {
+                result_transitions: entry.result.ids.len(),
+                ..entry.stats
+            },
+        })
     }
 
     /// Stores `query`'s result, computed against the current stores, with
@@ -270,9 +275,10 @@ impl ResultCache {
         if let Some(slot) = self.map.get(&key).copied() {
             // Same query computed twice (e.g. two concurrent batches):
             // refresh the value and recency.
-            self.slots[slot].value = value;
-            self.slots[slot].bounds = bounds;
-            self.slots[slot].seq = seq;
+            let entry = &mut self.slots[slot];
+            entry.result.ids = value.transitions;
+            entry.result.bounds = bounds;
+            (entry.timings, entry.stats, entry.seq) = (value.timings, value.stats, seq);
             self.unlink(slot);
             self.push_front(slot);
             return;
@@ -282,9 +288,13 @@ impl ResultCache {
         }
         let entry = Slot {
             key: key.clone(),
-            query: query.clone(),
-            value,
-            bounds,
+            result: Maintained {
+                query: query.clone(),
+                ids: value.transitions,
+                bounds,
+            },
+            timings: value.timings,
+            stats: value.stats,
             seq,
             prev: NIL,
             next: NIL,
@@ -322,24 +332,15 @@ impl ResultCache {
         }
     }
 
-    /// Keeps every entry exact across one route insert or removal: `follow`
-    /// takes the change's own step ([`crate::journal::recheck_members`] or
-    /// [`crate::journal::admit_candidates`]) on each entry's query, sorted
-    /// ids and bounds — the pre-change answer, every entry being current
-    /// since [`ResultCache::catch_up_all`] — with the cache's walk buffers.
-    /// Debug builds then check every bound against the post-change
-    /// `routes`, `endpoints` resolving the members
-    /// ([`crate::journal::check_bounds`]).
+    /// Has every entry follow one route insert or removal against the
+    /// post-change `routes`, with the cache's walk buffers — each entry
+    /// holding the pre-change answer, being current since
+    /// [`ResultCache::catch_up_all`]. `endpoints` resolves the members.
     pub(crate) fn route_changed(
         &mut self,
+        effect: &mut Effect<'_>,
         routes: &RouteStore,
         endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
-        mut follow: impl FnMut(
-            &RknntQuery,
-            &mut Vec<TransitionId>,
-            &mut Vec<Bounds>,
-            &mut CertificateScratch,
-        ),
     ) {
         let mut slot = self.head;
         while slot != NIL {
@@ -349,35 +350,22 @@ impl ResultCache {
                 self.journal.head(),
                 "caught up before the change"
             );
-            let value = &mut entry.value;
-            follow(
-                &entry.query,
-                &mut value.transitions,
-                &mut entry.bounds,
-                &mut self.walk,
-            );
-            value.stats.result_transitions = value.transitions.len();
-            check_bounds(
-                &entry.query,
-                &value.transitions,
-                &entry.bounds,
-                routes,
-                &endpoints,
-            );
+            entry
+                .result
+                .follow(effect, routes, &endpoints, &mut self.walk);
             slot = entry.next;
         }
     }
 
-    /// The largest `k` of a cached non-degenerate query; 0 when there is
-    /// none.
-    pub(crate) fn max_k(&self) -> usize {
-        self.map
-            .values()
-            .map(|&slot| &self.slots[slot].query)
-            .filter(|query| !query.is_degenerate())
-            .map(|query| query.k)
-            .max()
-            .unwrap_or(0)
+    /// The live entries' results.
+    pub(crate) fn results(&self) -> impl Iterator<Item = &Maintained> {
+        self.map.values().map(|&slot| &self.slots[slot].result)
+    }
+
+    /// The buffers of the certificate walks the cache runs, which the
+    /// update path lends to the subscriptions too.
+    pub(crate) fn walk(&mut self) -> &mut CertificateScratch {
+        &mut self.walk
     }
 
     fn evict_lru(&mut self) {
@@ -428,8 +416,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rknnt_geo::Point;
-    use rknnt_index::TransitionId;
+    use crate::journal::max_k;
 
     fn query(x: f64, k: usize) -> RknntQuery {
         RknntQuery::exists(vec![Point::new(x, 0.0), Point::new(x, 10.0)], k)
@@ -483,10 +470,10 @@ mod tests {
         assert!(cache.get_resident(&CacheKey::of(&k9), &routes()).is_none());
         // What a route removal's candidate query runs at: degenerate
         // queries do not count.
-        assert_eq!(cache.max_k(), 5);
+        assert_eq!(max_k(cache.results()), 5);
         put(&mut cache, &RknntQuery::exists(Vec::new(), 20), 2);
         put(&mut cache, &k9, 3);
-        assert_eq!(cache.max_k(), 9);
+        assert_eq!(max_k(cache.results()), 9);
     }
 
     #[test]

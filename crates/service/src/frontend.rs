@@ -12,12 +12,20 @@
 //! the global state a backing exports, and recovery hands a backing the
 //! recovered stores to lay out as its configuration says. One directory
 //! format, one WAL, whatever serves from it.
+//!
+//! Result maintenance is the frontend's too, and written once: a cached
+//! entry and a subscription each hold one [`Maintained`] result, and the
+//! update path ([`Service::applied`]) has every cached entry follow a route
+//! change, then every subscription follow the update, by the same
+//! [`Maintained::follow`] and with one certificate scratch, the cache's. A
+//! transition op then goes into the cache's journal, for each entry to
+//! follow at its next read.
 
 use crate::batch::{form_groups, run_group, BatchStats, Group, GroupOutput};
 use crate::cache::{CacheKey, CacheStats, ResultCache};
-use crate::journal::{admit_candidates, recheck_members, Bounds, Candidate, TransitionOp};
+use crate::journal::{max_k, Bounds, Candidate, Effect, Maintained, TransitionOp};
 use crate::metrics::ServiceMetrics;
-use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry, UpdateEffect};
+use crate::monitor::{SubscriptionDelta, SubscriptionId, SubscriptionRegistry};
 use crate::service::{ServiceConfig, StoreUpdate, UpdateStats};
 use rknnt_core::{FilterSet, QueryScratch, RknntQuery, RknntResult, TransitionCertificate};
 use rknnt_geo::Point;
@@ -563,7 +571,11 @@ impl<B: Backing> Service<B> {
     /// byte-identical across backings over the same data.
     pub fn subscribe(&mut self, query: RknntQuery) -> SubscriptionId {
         let (result, bounds) = self.execute_uncached(&query);
-        self.monitor.insert(query, result.transitions, bounds)
+        self.monitor.insert(Maintained {
+            query,
+            ids: result.transitions,
+            bounds,
+        })
     }
 
     /// Drops a subscription. Returns `false` for an unknown or already
@@ -586,7 +598,7 @@ impl<B: Backing> Service<B> {
     /// transition ids, sorted ascending — always byte-identical to
     /// executing the standing query against the current stores.
     pub fn subscription_result(&self, id: SubscriptionId) -> Option<&[TransitionId]> {
-        self.monitor.get(id).map(|sub| sub.result.as_slice())
+        self.monitor.get(id).map(|sub| sub.ids.as_slice())
     }
 
     // ------------------------------------------------------------------
@@ -700,22 +712,14 @@ impl<B: Backing> Service<B> {
                 } => match self.backing.insert_transition(origin, destination) {
                     Some(id) => {
                         stats.inserted_transitions.push(id);
-                        self.applied(
-                            UpdateEffect::Transition(TransitionOp::Arrived {
-                                id,
-                                certificate: TransitionCertificate::new(origin, destination),
-                            }),
-                            &mut stats.deltas,
-                        );
+                        let certificate = TransitionCertificate::new(origin, destination);
+                        self.journal(TransitionOp::Arrived { id, certificate }, &mut stats.deltas);
                     }
                     None => self.metrics.update_rejected.inc(),
                 },
                 StoreUpdate::ExpireTransition(id) => {
                     if self.backing.expire_transition(id) {
-                        self.applied(
-                            UpdateEffect::Transition(TransitionOp::Expired(id)),
-                            &mut stats.deltas,
-                        );
+                        self.journal(TransitionOp::Expired(id), &mut stats.deltas);
                     } else {
                         self.metrics.update_rejected.inc();
                     }
@@ -725,7 +729,7 @@ impl<B: Backing> Service<B> {
                     match self.backing.insert_route(points) {
                         Some(id) => {
                             stats.inserted_routes.push(id);
-                            self.applied(UpdateEffect::RouteInserted(id), &mut stats.deltas);
+                            self.applied(&mut Effect::RouteInserted(id), &mut stats.deltas);
                         }
                         None => self.metrics.update_rejected.inc(),
                     }
@@ -737,7 +741,7 @@ impl<B: Backing> Service<B> {
                     if self.backing.remove_route(id) {
                         let mut candidates = self.removal_candidates(&removed);
                         self.applied(
-                            UpdateEffect::RouteRemoved(&mut candidates),
+                            &mut Effect::RouteRemoved(&mut candidates),
                             &mut stats.deltas,
                         );
                     } else {
@@ -774,8 +778,8 @@ impl<B: Backing> Service<B> {
     /// query verified there. Empty, and nothing executed, when there is no
     /// such query.
     fn removal_candidates(&mut self, removed: &[Point]) -> Vec<Candidate> {
-        let cached = self.cache.get_mut().expect("cache lock").max_k();
-        let k_max = cached.max(self.monitor.max_k());
+        let cache = self.cache.get_mut().expect("cache lock");
+        let k_max = max_k(cache.results().chain(self.monitor.results()));
         if k_max == 0 {
             return Vec::new();
         }
@@ -793,36 +797,28 @@ impl<B: Backing> Service<B> {
             .collect()
     }
 
-    /// Bookkeeping for one update the stores accepted: count it, take a
-    /// route change's step on every cached entry — count a new route into
-    /// the members' strictly-closer counts, count a removed one out and
-    /// admit its candidates — bring every live subscription up to date, and
-    /// journal a transition op with the certificate the subscriptions
-    /// filled.
-    fn applied(&mut self, mut effect: UpdateEffect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
+    /// Bookkeeping for one update the stores accepted: count it, have every
+    /// cached entry follow a route change, then every live subscription
+    /// follow the update — one walk scratch, the cache's, for both.
+    fn applied(&mut self, effect: &mut Effect<'_>, deltas: &mut Vec<SubscriptionDelta>) {
         self.metrics.update_applied.inc();
         let cache = self.cache.get_mut().expect("cache lock");
         let backing = &self.backing;
         let routes = backing.routes();
         let endpoints = |id| backing.endpoints(id);
-        match &mut effect {
-            UpdateEffect::Transition(_) => {}
-            UpdateEffect::RouteInserted(id) => {
-                let inserted = routes.route_points(*id);
-                cache.route_changed(routes, endpoints, |query, ids, bounds, walk| {
-                    recheck_members(query, ids, bounds, inserted, routes, endpoints, walk);
-                });
-            }
-            UpdateEffect::RouteRemoved(candidates) => {
-                cache.route_changed(routes, endpoints, |query, ids, bounds, walk| {
-                    admit_candidates(query, ids, bounds, candidates, routes, walk);
-                });
-            }
+        if !matches!(effect, Effect::Transition(_)) {
+            cache.route_changed(effect, routes, endpoints);
         }
+        let walk = cache.walk();
         self.monitor
-            .classify_update(&mut effect, routes, endpoints, &self.metrics, deltas);
-        if let UpdateEffect::Transition(op) = effect {
-            cache.record(op);
-        }
+            .follow(effect, routes, endpoints, walk, &self.metrics, deltas);
+    }
+
+    /// [`Service::applied`] for a transition op, which is then journalled
+    /// with the certificate the subscriptions filled judging it, for the
+    /// cached entries to follow at their next read.
+    fn journal(&mut self, mut op: TransitionOp, deltas: &mut Vec<SubscriptionDelta>) {
+        self.applied(&mut Effect::Transition(&mut op), deltas);
+        self.cache.get_mut().expect("cache lock").record(op);
     }
 }

@@ -52,12 +52,12 @@
 //!   nearest-route certificate the arrival's first reader computes and
 //!   every later one shares — so transition churn evicts nothing. A route
 //!   insert evicts nothing either: it can only remove members the new route
-//!   comes strictly closer to than the query, and exactly those are
-//!   re-judged by the exact kernel. Nor does a route removal: it can only
-//!   add members, and every transition that can enter any result lies in
-//!   the removed route's own RkNNT answer at the largest cached or watched
-//!   `k` — one uncached query per removal, whose non-members are judged for
-//!   each entry from one shared certificate per candidate.
+//!   comes strictly closer to than the query, and the strictly-closer
+//!   counts every member keeps decide which. Nor does a route removal: it
+//!   can only add members, and every transition that can enter any result
+//!   lies in the removed route's own RkNNT answer at the largest cached or
+//!   watched `k` — one uncached query per removal, whose non-members are
+//!   judged for each entry from one shared certificate per candidate.
 //! * **Continuous queries** — [`Service::subscribe`] registers a
 //!   standing query whose result the service keeps current across
 //!   `apply_updates`: every update — arrivals, expiries, route inserts and

@@ -2,39 +2,37 @@
 //! [`QueryService::apply_updates`], with per-batch result deltas.
 //!
 //! A subscription is a registered [`RknntQuery`] whose result the service
-//! maintains as the stores churn, instead of the client re-polling. Every
-//! applied [`StoreUpdate`] is handled per live subscription:
+//! maintains as the stores churn, instead of the client re-polling. It is
+//! the same maintained result a cached entry is — a query, its sorted ids
+//! and their strictly-closer counts (`journal::Maintained`) — and every
+//! applied [`StoreUpdate`] takes it through the same step
+//! (`Maintained::follow`), eagerly, in id order. The ids the step reports
+//! become one delta, its reason read off the update:
 //!
-//! * **Transition arrivals and expiries are applied in place**, exactly (the
-//!   journal's `replay`, the same step a cached result takes when it is next
-//!   read): membership of a transition depends only on its own endpoints and
-//!   the routes, so an arrival enters iff its nearest-route certificate
-//!   admits it — a delta with [`DeltaReason::TransitionArrived`] — and an
-//!   expiry leaves iff it was a member — [`DeltaReason::TransitionExpired`].
-//!   Subscriptions judge an arrival before it is journalled, so the first
-//!   one to need an endpoint's certificate computes it and every later
-//!   subscription and cached entry reuses it. Neither ever re-executes the
-//!   query. Counted *unaffected* when no geometry ran (a degenerate query,
-//!   an expired non-member) and *stable* otherwise.
-//! * **Route inserts are applied in place** too (the journal's
-//!   `recheck_members`, the same step every cached result takes at the
-//!   insert): an insert can only remove members, and only by coming
+//! * **a transition arrival or expiry**: membership of a transition depends
+//!   only on its own endpoints and the routes, so an arrival enters iff its
+//!   nearest-route certificate admits it — [`DeltaReason::TransitionArrived`]
+//!   — and an expiry leaves iff it was a member —
+//!   [`DeltaReason::TransitionExpired`]. Subscriptions judge an arrival
+//!   before it is journalled, so the first one to need an endpoint's
+//!   certificate computes it and every later subscription and cached entry
+//!   reuses it. Counted *unaffected* when no geometry ran (a degenerate
+//!   query, an expired non-member) and *stable* otherwise.
+//! * **a route insert** can only remove members, and only by coming
 //!   strictly closer than the query to an endpoint, which adds one to the
 //!   strictly-closer count every member keeps per endpoint; a member whose
 //!   counts stop qualifying it leaves (an ∃ member's endpoint that held no
 //!   count is counted once first), and the ones that leave become one
 //!   `left`-only delta with [`DeltaReason::RouteInserted`]. Counted
 //!   *stable*.
-//! * **Route removals are applied in place** as well (the journal's
-//!   `admit_candidates`, again the cached results' own step): a removal can
-//!   only add members, and every transition that can enter lies in the
-//!   removed route's own RkNNT answer at the largest watched or cached `k`,
-//!   which the update path computes once per removal; its members there
-//!   count the removed route out, its non-members with an endpoint the
-//!   removed route was strictly closer to are judged by the candidate's
-//!   certificate, shared with every cached result, and the ones that enter
-//!   become one `entered`-only delta with [`DeltaReason::RouteRemoved`].
-//!   Counted *stable*.
+//! * **a route removal** can only add members, and every transition that
+//!   can enter lies in the removed route's own RkNNT answer at the largest
+//!   watched or cached `k`, which the update path computes once per
+//!   removal; its members there count the removed route out, its
+//!   non-members with an endpoint the removed route was strictly closer to
+//!   are judged by the candidate's certificate, shared with every cached
+//!   result, and the ones that enter become one `entered`-only delta with
+//!   [`DeltaReason::RouteRemoved`]. Counted *stable*.
 //!
 //! No update re-executes a subscription.
 //!
@@ -44,15 +42,14 @@
 //! every step, under both semantics, on every serving configuration.
 //!
 //! [`QueryService::apply_updates`]: crate::QueryService::apply_updates
+//! [`RknntQuery`]: rknnt_core::RknntQuery
 //! [`StoreUpdate`]: crate::StoreUpdate
 
-use crate::journal::{
-    admit_candidates, check_bounds, recheck_members, replay, Bounds, Candidate, TransitionOp,
-};
+use crate::journal::{Effect, Maintained, TransitionOp};
 use crate::metrics::ServiceMetrics;
-use rknnt_core::{CertificateScratch, RknntQuery};
+use rknnt_core::CertificateScratch;
 use rknnt_geo::Point;
-use rknnt_index::{RouteId, RouteStore, TransitionId};
+use rknnt_index::{RouteStore, TransitionId};
 use std::collections::BTreeMap;
 
 /// Opaque handle to a standing query registered with
@@ -122,61 +119,21 @@ impl SubscriptionDelta {
     }
 }
 
-/// One standing query and its maintained state.
-pub(crate) struct Subscription {
-    pub(crate) query: RknntQuery,
-    /// Current result, sorted ascending.
-    pub(crate) result: Vec<TransitionId>,
-    /// The bounds of its members, in step with `result`.
-    bounds: Vec<Bounds>,
-}
-
-/// The store-facing view of one applied [`crate::StoreUpdate`], used to
-/// classify subscriptions. Built by `apply_updates` *after* the store
-/// mutation succeeded, so classification always runs against post-update
-/// stores.
-pub(crate) enum UpdateEffect<'a> {
-    /// A transition arrived or expired; an arrival's certificate is filled
-    /// by the subscriptions that judge it, for the journal to carry on.
-    Transition(TransitionOp),
-    /// The route with this id was inserted.
-    RouteInserted(RouteId),
-    /// A route was removed: its candidates, `RkNNT_∃(removed, k_max)` over
-    /// the post-removal stores, sorted by id — every transition the removal
-    /// can bring into a result or count out of a member's counts.
-    RouteRemoved(&'a mut [Candidate]),
-}
-
-/// The registry of live subscriptions. Iteration is in id order
-/// (`BTreeMap`), so classification and delta emission are fully
-/// deterministic.
+/// The registry of live subscriptions, each a [`Maintained`] result.
+/// Iteration is in id order (`BTreeMap`), so classification and delta
+/// emission are fully deterministic.
 #[derive(Default)]
 pub(crate) struct SubscriptionRegistry {
-    subs: BTreeMap<u64, Subscription>,
+    subs: BTreeMap<u64, Maintained>,
     next_id: u64,
-    /// Buffers of the certificate walks every update runs.
-    walk: CertificateScratch,
 }
 
 impl SubscriptionRegistry {
-    /// Registers `query` with its current `result` and the members'
-    /// `bounds`.
-    pub(crate) fn insert(
-        &mut self,
-        query: RknntQuery,
-        result: Vec<TransitionId>,
-        bounds: Vec<Bounds>,
-    ) -> SubscriptionId {
+    /// Registers a standing query with its current result.
+    pub(crate) fn insert(&mut self, result: Maintained) -> SubscriptionId {
         let id = self.next_id;
         self.next_id += 1;
-        self.subs.insert(
-            id,
-            Subscription {
-                query,
-                result,
-                bounds,
-            },
-        );
+        self.subs.insert(id, result);
         SubscriptionId(id)
     }
 
@@ -188,121 +145,64 @@ impl SubscriptionRegistry {
         self.subs.len()
     }
 
-    pub(crate) fn get(&self, id: SubscriptionId) -> Option<&Subscription> {
+    pub(crate) fn get(&self, id: SubscriptionId) -> Option<&Maintained> {
         self.subs.get(&id.0)
     }
 
-    /// The largest `k` of a live non-degenerate subscription; 0 when there
-    /// is none.
-    pub(crate) fn max_k(&self) -> usize {
-        self.subs
-            .values()
-            .filter(|sub| !sub.query.is_degenerate())
-            .map(|sub| sub.query.k)
-            .max()
-            .unwrap_or(0)
+    /// The live subscriptions' results.
+    pub(crate) fn results(&self) -> impl Iterator<Item = &Maintained> {
+        self.subs.values()
     }
 
-    /// Brings every live subscription up to date with one applied update,
-    /// in place, against the current `routes`, emitting a delta when the
-    /// result changes; `endpoints` resolves a live transition's endpoints
-    /// for the members a new route is rechecked against (and, in debug
-    /// builds, for the bound check every route change ends with). The
-    /// certificates `effect` carries are filled as far as the judgements
-    /// need them.
-    pub(crate) fn classify_update(
+    /// Has every live subscription follow one applied update, in place,
+    /// against the current `routes` ([`Maintained::follow`], `endpoints`
+    /// resolving the members and `walk` holding the certificate walks'
+    /// buffers), emitting a delta when the result changes and counting the
+    /// classification. The certificates `effect` carries are filled as far
+    /// as the judgements need them.
+    pub(crate) fn follow(
         &mut self,
-        effect: &mut UpdateEffect<'_>,
+        effect: &mut Effect<'_>,
         routes: &RouteStore,
         endpoints: impl Fn(TransitionId) -> Option<(Point, Point)>,
+        walk: &mut CertificateScratch,
         metrics: &ServiceMetrics,
         deltas: &mut Vec<SubscriptionDelta>,
     ) {
         let (mut unaffected, mut stable) = (0u64, 0u64);
-        let walk = &mut self.walk;
         for (id, sub) in self.subs.iter_mut() {
             if sub.query.is_degenerate() {
                 // Constant empty result, immune to churn.
                 unaffected += 1;
                 continue;
             }
+            let changed = sub.follow(effect, routes, &endpoints, walk);
             match effect {
-                UpdateEffect::Transition(op) => {
-                    // Exact in-place maintenance: qualification of every
-                    // other transition depends only on routes, so the result
-                    // gains or loses exactly this one id, or nothing.
-                    let changed = replay(
-                        &sub.query,
-                        &mut sub.result,
-                        &mut sub.bounds,
-                        op,
-                        routes,
-                        walk,
-                    );
-                    match (&*op, changed) {
-                        // A membership test was the whole work.
-                        (TransitionOp::Expired(_), false) => unaffected += 1,
-                        _ => stable += 1,
-                    }
-                    if changed {
-                        let (entered, left, reason) = match op {
-                            TransitionOp::Arrived { id, .. } => {
-                                (vec![*id], Vec::new(), DeltaReason::TransitionArrived)
-                            }
-                            TransitionOp::Expired(id) => {
-                                (Vec::new(), vec![*id], DeltaReason::TransitionExpired)
-                            }
-                        };
-                        deltas.push(SubscriptionDelta {
-                            subscription: SubscriptionId(*id),
-                            entered,
-                            left,
-                            reason,
-                        });
-                    }
+                // A membership test was the whole work.
+                Effect::Transition(TransitionOp::Expired(_)) if changed.is_empty() => {
+                    unaffected += 1
                 }
-                UpdateEffect::RouteInserted(route) => {
-                    stable += 1;
-                    let left = recheck_members(
-                        &sub.query,
-                        &mut sub.result,
-                        &mut sub.bounds,
-                        routes.route_points(*route),
-                        routes,
-                        &endpoints,
-                        walk,
-                    );
-                    check_bounds(&sub.query, &sub.result, &sub.bounds, routes, &endpoints);
-                    if !left.is_empty() {
-                        deltas.push(SubscriptionDelta {
-                            subscription: SubscriptionId(*id),
-                            entered: Vec::new(),
-                            left,
-                            reason: DeltaReason::RouteInserted,
-                        });
-                    }
-                }
-                UpdateEffect::RouteRemoved(candidates) => {
-                    stable += 1;
-                    let entered = admit_candidates(
-                        &sub.query,
-                        &mut sub.result,
-                        &mut sub.bounds,
-                        candidates,
-                        routes,
-                        walk,
-                    );
-                    check_bounds(&sub.query, &sub.result, &sub.bounds, routes, &endpoints);
-                    if !entered.is_empty() {
-                        deltas.push(SubscriptionDelta {
-                            subscription: SubscriptionId(*id),
-                            entered,
-                            left: Vec::new(),
-                            reason: DeltaReason::RouteRemoved,
-                        });
-                    }
-                }
+                _ => stable += 1,
             }
+            if changed.is_empty() {
+                continue;
+            }
+            let (entered, left, reason) = match effect {
+                Effect::Transition(TransitionOp::Arrived { .. }) => {
+                    (changed, Vec::new(), DeltaReason::TransitionArrived)
+                }
+                Effect::Transition(TransitionOp::Expired(_)) => {
+                    (Vec::new(), changed, DeltaReason::TransitionExpired)
+                }
+                Effect::RouteInserted(_) => (Vec::new(), changed, DeltaReason::RouteInserted),
+                Effect::RouteRemoved(_) => (changed, Vec::new(), DeltaReason::RouteRemoved),
+            };
+            deltas.push(SubscriptionDelta {
+                subscription: SubscriptionId(*id),
+                entered,
+                left,
+                reason,
+            });
         }
         metrics.subs_unaffected.add(unaffected);
         metrics.subs_stable.add(stable);
@@ -312,7 +212,7 @@ impl SubscriptionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rknnt_geo::Point;
+    use rknnt_core::RknntQuery;
 
     fn id(raw: u32) -> TransitionId {
         TransitionId(raw)
@@ -347,15 +247,20 @@ mod tests {
     fn registry_assigns_fresh_increasing_ids() {
         let mut registry = SubscriptionRegistry::default();
         let query = RknntQuery::exists(vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)], 1);
-        let a = registry.insert(query.clone(), Vec::new(), Vec::new());
-        let b = registry.insert(query.clone(), Vec::new(), Vec::new());
+        let result = || Maintained {
+            query: query.clone(),
+            ids: Vec::new(),
+            bounds: Vec::new(),
+        };
+        let a = registry.insert(result());
+        let b = registry.insert(result());
         assert!(a.raw() < b.raw());
         assert_eq!(registry.len(), 2);
         assert!(registry.remove(a));
         assert!(!registry.remove(a), "double unsubscribe must fail");
         assert_eq!(registry.len(), 1);
         // Ids are never reused.
-        let c = registry.insert(query, Vec::new(), Vec::new());
+        let c = registry.insert(result());
         assert!(c.raw() > b.raw());
         assert_eq!(format!("{c}"), format!("sub#{}", c.raw()));
     }

@@ -41,9 +41,9 @@ use crate::frontend::{Backing, Service};
 use crate::metrics::{RouterMetrics, ServiceMetrics};
 use crate::service::ServiceConfig;
 use rknnt_core::{prune_into_scratch, FilterSet, QueryScratch};
-use rknnt_geo::{CellGrid, Point, Rect};
+use rknnt_geo::{CellGrid, Point};
 use rknnt_index::{
-    partition_transitions, IdSpace, Placement, RouteId, RouteStore, RouteStoreState, Transition,
+    partition_by_origin_cell, IdSpace, Placement, RouteId, RouteStore, RouteStoreState, Transition,
     TransitionId, TransitionStore, TransitionStoreState,
 };
 use rknnt_obs::TraceCursor;
@@ -306,23 +306,15 @@ fn place(
     router: RouterMetrics,
 ) -> ShardSet {
     let shard_count = config.shards.max(1);
-    let mut mbr = Rect::empty();
-    for route in planner.routes() {
-        for p in &route.points {
-            mbr.expand_to_point(p);
-        }
-    }
-    for (origin, destination) in slots.iter().flatten() {
-        mbr.expand_to_point(origin);
-        mbr.expand_to_point(destination);
-    }
-    if mbr.is_empty() {
-        mbr = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-    }
-    let grid = CellGrid::new(mbr, config.grid_bits);
-    let partition = partition_transitions(config.rtree, slots, shard_count, |origin, _| {
-        grid.shard_of_point(origin, shard_count)
-    });
+    let extent = planner.routes().flat_map(|route| &route.points);
+    let extent = extent.chain(slots.iter().flatten().flat_map(|(o, d)| [o, d]));
+    let (grid, partition) = partition_by_origin_cell(
+        config.rtree,
+        extent,
+        config.grid_bits,
+        slots.iter().copied(),
+        shard_count,
+    );
     let shards = partition
         .stores
         .into_iter()

@@ -220,7 +220,7 @@ fn transition_updates_never_touch_the_cache() {
 /// `RouteInserted` delta on its subscription — and every read behind either
 /// insert is a hit equal to a fresh engine over the mirror.
 ///
-/// Mutation that fails it: `journal::recheck_members` returns at once (the
+/// Mutation that fails it: `Maintained::recheck_members` returns at once (the
 /// member stays in the cached and the standing result, no delta).
 #[test]
 fn a_route_insert_keeps_the_cache_and_rechecks_only_the_members_it_beats() {
@@ -303,7 +303,7 @@ fn a_route_insert_keeps_the_cache_and_rechecks_only_the_members_it_beats() {
 /// every read behind either removal is a hit equal to a fresh engine over
 /// the mirror.
 ///
-/// Mutations that fail it: `journal::admit_candidates` returns at once (the
+/// Mutations that fail it: `Maintained::admit_candidates` returns at once (the
 /// hidden members never enter); `Service::removal_candidates` runs the
 /// candidate query at the smallest `k` cached or watched instead of the
 /// largest (the `k = 2` gain is missing from the candidates).

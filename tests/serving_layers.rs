@@ -61,16 +61,17 @@
 //!
 //! In debug builds every route change ends with a check of every cached and
 //! standing result's strictly-closer counts against the verification kernel
-//! (`journal::check_bounds`), so a count that went stale fails the step it
+//! (`Maintained::check_bounds`), so a count that went stale fails the step it
 //! went stale in, read or not.
 //!
 //! Mutation checks — each of these edits must make this test fail (run when
 //! the maintenance code changes):
 //!
-//! * skip arrival replay (`replay` in `crates/service/src/journal.rs`,
-//!   `Arrived` arm returns `false` at once);
-//! * skip expiry replay (same function, `Expired` arm returns `false`);
-//! * skip the replay loop in `ResultCache::catch_up` alone (subscriptions
+//! * skip arrival replay (`Maintained::replay` in
+//!   `crates/service/src/journal.rs`, `Arrived` arm returns `Vec::new()` at
+//!   once);
+//! * skip expiry replay (same function, `Expired` arm returns `Vec::new()`);
+//! * skip the `follow` loop in `ResultCache::catch_up` alone (subscriptions
 //!   still right, cached answers stale);
 //! * serve an entry that fell off the ring (`ResultCache::catch_up` returns
 //!   `true` when `since_mut` is `None`);
@@ -83,10 +84,10 @@
 //!   compare of the `k`-th nearest distance): the k = 1 subscription misses
 //!   the arrival at (705, 335), exactly as far from its nearest stop as from
 //!   the query;
-//! * a route insert counts nothing in (`recheck_members` in
+//! * a route insert counts nothing in (`Maintained::recheck_members` in
 //!   `crates/service/src/journal.rs`, `after[e] += 1` dropped);
-//! * a route removal counts nothing out (`admit_candidates`, same file,
-//!   `*b -= 1` dropped);
+//! * a route removal counts nothing out (`Maintained::admit_candidates`,
+//!   same file, `*b -= 1` dropped);
 //! * `<=` instead of `<` in a route insert's leave test (`recheck_members`,
 //!   `after[e] < cap` in `certain`);
 //! * an `∃` member is let go without counting its unjudged endpoint
@@ -94,14 +95,15 @@
 //!   false)`);
 //! * a route insert rechecks nothing (`recheck_members` returns at once);
 //! * a route insert is not counted as a stable classification
-//!   (`SubscriptionRegistry::classify_update` drops `stable += 1` in the
-//!   `RouteInserted` arm);
-//! * a route removal admits nothing (`admit_candidates` in
-//!   `crates/service/src/journal.rs` returns at once);
+//!   (`SubscriptionRegistry::follow` in `crates/service/src/monitor.rs`,
+//!   `_ => stable += 1` → `_ => stable +=
+//!   u64::from(!matches!(effect, Effect::RouteInserted(_)))`);
+//! * a route removal admits nothing (`Maintained::admit_candidates` returns
+//!   at once);
 //! * a route removal's candidate query runs at the smallest `k` cached or
-//!   watched instead of the largest (`Service::removal_candidates`; the
-//!   stream mixes k = 1 to 4, so a subscription misses a member the removed
-//!   route hid only at the larger k);
+//!   watched instead of the largest (`journal::max_k`, `.max()` →
+//!   `.min()`; the stream mixes k = 1 to 4, so a subscription misses a
+//!   member the removed route hid only at the larger k);
 //! * a reshard restarts the router's counters (`ShardedService::reshard`
 //!   places the set with fresh router cells instead of
 //!   `self.backing.router.clone()`);
