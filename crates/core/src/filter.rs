@@ -67,7 +67,7 @@ use std::sync::OnceLock;
 
 /// One filtering point: a stop and its location. Its crossover route set is
 /// [`FilterSet::crossover`] at the same index.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilterPoint {
     /// Stop identifier in the route store.
     pub stop: StopId,
@@ -141,6 +141,17 @@ impl Default for FilterSet {
     }
 }
 
+/// Two sets are equal when their query, points and crossover sets are; the
+/// lazily derived per-route grouping does not take part.
+impl PartialEq for FilterSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.query == other.query
+            && self.points == other.points
+            && self.crossover_offsets == other.crossover_offsets
+            && self.crossover == other.crossover
+    }
+}
+
 impl FilterSet {
     fn for_query(query: &[Point]) -> Self {
         FilterSet {
@@ -151,6 +162,25 @@ impl FilterSet {
             num_routes: 0,
             route_groups: OnceLock::new(),
         }
+    }
+
+    /// A set from its parts as [`FilterSet::query`], [`FilterSet::points`]
+    /// and [`FilterSet::crossover`] give them, in order: how a set built
+    /// over the routes travels to a shard that holds only transitions.
+    pub fn from_parts(query: &[Point], points: &[(FilterPoint, Vec<RouteId>)]) -> Self {
+        let mut set = FilterSet::for_query(query);
+        for (point, crossover) in points {
+            set.add(point.stop, point.point, crossover);
+        }
+        let mut marks = RouteMarks::default();
+        marks.begin_with(&set.crossover);
+        set.num_routes = marks.count();
+        set
+    }
+
+    /// The query `Q` the filtering spaces are taken against.
+    pub fn query(&self) -> &[Point] {
+        &self.query
     }
 
     /// Number of filtering points (|S_filter.P|).

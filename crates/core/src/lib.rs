@@ -35,7 +35,7 @@ mod verify;
 pub use brute::BruteForceEngine;
 pub use divide::DivideConquerEngine;
 pub use engine::RknnTEngine;
-pub use filter::{build_filter_set, FilterOutcome, FilterSet};
+pub use filter::{build_filter_set, FilterOutcome, FilterPoint, FilterSet};
 pub use filter_refine::{FilterRefineEngine, VoronoiEngine};
 pub use kind::EngineKind;
 pub use prune::{prune_into_scratch, prune_transitions, CandidateEndpoint, PruneOutcome};

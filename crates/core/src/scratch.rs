@@ -216,6 +216,11 @@ impl QueryScratch {
         &self.candidates
     }
 
+    /// Appends candidate endpoints a prune walk elsewhere found.
+    pub fn extend_candidates(&mut self, candidates: impl IntoIterator<Item = CandidateEndpoint>) {
+        self.candidates.extend(candidates);
+    }
+
     /// The counts the last [`crate::verify_candidates`] on this scratch
     /// found for the (origin, destination) of `id`: each the number of
     /// distinct routes strictly closer to the endpoint than the query,

@@ -11,7 +11,7 @@
 use crate::protocol::{
     frame_bytes, read_frame, IntrospectReport, IntrospectWhat, Message, OverloadInfo,
 };
-use rknnt_core::RknntQuery;
+use rknnt_core::{FilterSet, RknntQuery};
 use rknnt_data::codec::CodecError;
 use rknnt_fault::{Failpoints, FaultAction};
 use rknnt_index::TransitionId;
@@ -47,10 +47,6 @@ pub enum ClientError {
     /// The server closed the connection.
     Disconnected,
 }
-
-/// The net crate's error type. `ClientError` predates the remote-shard
-/// layer; this alias is the name new code should use.
-pub type NetError = ClientError;
 
 impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -143,6 +139,9 @@ pub struct DeltaEvent {
     /// Why the result changed.
     pub reason: DeltaReason,
 }
+
+/// A [`Client::prune`] answer: surviving origins, destinations, nodes pruned.
+pub type Pruned = (Vec<TransitionId>, Vec<TransitionId>, u64);
 
 /// Backend health as reported by a [`Client::health`] probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,31 +257,38 @@ impl Client {
         Ok(())
     }
 
-    /// Reads the next non-push message, buffering any deltas that arrive
-    /// in between.
-    fn recv(&mut self) -> Result<Message, ClientError> {
-        loop {
-            match read_frame(&mut self.stream, &mut self.buf)? {
-                Some(()) => {}
-                None => return Err(ClientError::Disconnected),
-            }
-            let msg = Message::decode(&self.buf)?;
-            if let Message::Delta {
+    /// Reads one frame: a delta push is buffered (`None`), any other
+    /// message returned.
+    fn recv_one(&mut self) -> Result<Option<Message>, ClientError> {
+        if read_frame(&mut self.stream, &mut self.buf)?.is_none() {
+            return Err(ClientError::Disconnected);
+        }
+        match Message::decode(&self.buf)? {
+            Message::Delta {
                 subscription,
                 entered,
                 left,
                 reason,
-            } = msg
-            {
+            } => {
                 self.deltas.push(DeltaEvent {
                     subscription,
                     entered,
                     left,
                     reason,
                 });
-                continue;
+                Ok(None)
             }
-            return Ok(msg);
+            msg => Ok(Some(msg)),
+        }
+    }
+
+    /// Reads the next non-push message, buffering any deltas that arrive
+    /// in between.
+    fn recv(&mut self) -> Result<Message, ClientError> {
+        loop {
+            if let Some(msg) = self.recv_one()? {
+                return Ok(msg);
+            }
         }
     }
 
@@ -344,41 +350,58 @@ impl Client {
         }
     }
 
-    /// Registers a standing query.
-    pub fn subscribe(&mut self, query: &RknntQuery) -> Result<Reply<Subscription>, ClientError> {
+    /// One request/reply round trip: sends the request `request` builds
+    /// under a fresh id and reads its reply, which `answer` unwraps from the
+    /// reply kind it expects (`what` names that kind in the error for any
+    /// other). A shed comes back as [`Reply::Overloaded`], the server's typed
+    /// error as [`ClientError::Server`].
+    fn round_trip<T>(
+        &mut self,
+        request: impl FnOnce(u64) -> Message,
+        what: &'static str,
+        answer: impl FnOnce(Message) -> Option<T>,
+    ) -> Result<Reply<T>, ClientError> {
         let id = self.fresh_id();
-        self.send(&Message::Subscribe {
-            id,
-            query: query.clone(),
-        })?;
+        self.send(&request(id))?;
         match self.recv()? {
-            Message::SubscribeOk {
-                id: rid,
-                subscription,
-                transitions,
-            } if rid == id => Ok(Reply::Answered(Subscription {
-                subscription,
-                transitions,
-            })),
             Message::Overloaded { id: rid, info } if rid == id => Ok(Reply::Overloaded(info)),
             Message::Error { id, message } => Err(ClientError::Server { id, message }),
-            _ => Err(ClientError::UnexpectedReply("wanted a subscribe reply")),
+            reply if reply.request_id() == id => answer(reply)
+                .map(Reply::Answered)
+                .ok_or(ClientError::UnexpectedReply(what)),
+            _ => Err(ClientError::UnexpectedReply(what)),
         }
+    }
+
+    /// Registers a standing query.
+    pub fn subscribe(&mut self, query: &RknntQuery) -> Result<Reply<Subscription>, ClientError> {
+        let query = query.clone();
+        let request = |id| Message::Subscribe { id, query };
+        self.round_trip(request, "wanted a subscribe reply", |reply| match reply {
+            Message::SubscribeOk {
+                subscription,
+                transitions,
+                ..
+            } => Some(Subscription {
+                subscription,
+                transitions,
+            }),
+            _ => None,
+        })
     }
 
     /// Drops a standing query. `Answered(true)` iff the handle named a live
     /// subscription owned by this connection.
     pub fn unsubscribe(&mut self, subscription: u64) -> Result<Reply<bool>, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Message::Unsubscribe { id, subscription })?;
-        match self.recv()? {
-            Message::UnsubscribeOk { id: rid, existed } if rid == id => {
-                Ok(Reply::Answered(existed))
-            }
-            Message::Overloaded { id: rid, info } if rid == id => Ok(Reply::Overloaded(info)),
-            Message::Error { id, message } => Err(ClientError::Server { id, message }),
-            _ => Err(ClientError::UnexpectedReply("wanted an unsubscribe reply")),
-        }
+        let request = |id| Message::Unsubscribe { id, subscription };
+        self.round_trip(
+            request,
+            "wanted an unsubscribe reply",
+            |reply| match reply {
+                Message::UnsubscribeOk { existed, .. } => Some(existed),
+                _ => None,
+            },
+        )
     }
 
     /// Applies store updates through the server.
@@ -404,18 +427,13 @@ impl Client {
         updates: Vec<StoreUpdate>,
         trace: Option<u64>,
     ) -> Result<Reply<UpdateCounts>, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Message::ApplyUpdates { id, updates, trace })?;
-        match self.recv()? {
+        let request = |id| Message::ApplyUpdates { id, updates, trace };
+        self.round_trip(request, "wanted an updates reply", |reply| match reply {
             Message::UpdatesOk {
-                id: rid,
-                applied,
-                rejected,
-            } if rid == id => Ok(Reply::Answered(UpdateCounts { applied, rejected })),
-            Message::Overloaded { id: rid, info } if rid == id => Ok(Reply::Overloaded(info)),
-            Message::Error { id, message } => Err(ClientError::Server { id, message }),
-            _ => Err(ClientError::UnexpectedReply("wanted an updates reply")),
-        }
+                applied, rejected, ..
+            } => Some(UpdateCounts { applied, rejected }),
+            _ => None,
+        })
     }
 
     /// Fetches server internals: metrics exposition or the slow-query log.
@@ -434,14 +452,8 @@ impl Client {
 
     /// Liveness round-trip.
     pub fn ping(&mut self) -> Result<Reply<()>, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Message::Ping { id })?;
-        match self.recv()? {
-            Message::Pong { id: rid } if rid == id => Ok(Reply::Answered(())),
-            Message::Overloaded { id: rid, info } if rid == id => Ok(Reply::Overloaded(info)),
-            Message::Error { id, message } => Err(ClientError::Server { id, message }),
-            _ => Err(ClientError::UnexpectedReply("wanted a pong")),
-        }
+        let pong = |reply| matches!(reply, Message::Pong { .. }).then_some(());
+        self.round_trip(|id| Message::Ping { id }, "wanted a pong", pong)
     }
 
     /// Health / resync probe: fetches the backend's applied-update
@@ -450,16 +462,29 @@ impl Client {
     /// connection's reader answers), so an answer proves the request
     /// pipeline is live end to end.
     pub fn health(&mut self) -> Result<Reply<HealthStatus>, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Message::Health { id })?;
-        match self.recv()? {
-            Message::HealthOk { id: rid, watermark } if rid == id => {
-                Ok(Reply::Answered(HealthStatus { watermark }))
-            }
-            Message::Overloaded { id: rid, info } if rid == id => Ok(Reply::Overloaded(info)),
-            Message::Error { id, message } => Err(ClientError::Server { id, message }),
-            _ => Err(ClientError::UnexpectedReply("wanted a health reply")),
-        }
+        let request = |id| Message::Health { id };
+        self.round_trip(request, "wanted a health reply", |reply| match reply {
+            Message::HealthOk { watermark, .. } => Some(HealthStatus { watermark }),
+            _ => None,
+        })
+    }
+
+    /// The prune step of one query on the server's transitions
+    /// ([`Message::Prune`]): the server's ids of the transitions whose
+    /// origin and whose destination `filter` (built at `k`) does not
+    /// filter, and the TR-tree nodes pruned unopened.
+    pub fn prune(&mut self, filter: &FilterSet, k: usize) -> Result<Reply<Pruned>, ClientError> {
+        let filter = Box::new(filter.clone());
+        let request = |id| Message::Prune { id, filter, k };
+        self.round_trip(request, "wanted a prune reply", |reply| match reply {
+            Message::PruneOk {
+                pruned_nodes,
+                origins,
+                destinations,
+                ..
+            } => Some((origins, destinations, pruned_nodes)),
+            _ => None,
+        })
     }
 
     /// Drains deltas buffered while waiting for replies.
@@ -470,24 +495,12 @@ impl Client {
     /// Blocks until at least one delta is available, then pops the oldest.
     pub fn recv_delta(&mut self) -> Result<DeltaEvent, ClientError> {
         while self.deltas.is_empty() {
-            match read_frame(&mut self.stream, &mut self.buf)? {
-                Some(()) => {}
-                None => return Err(ClientError::Disconnected),
-            }
-            match Message::decode(&self.buf)? {
-                Message::Delta {
-                    subscription,
-                    entered,
-                    left,
-                    reason,
-                } => self.deltas.push(DeltaEvent {
-                    subscription,
-                    entered,
-                    left,
-                    reason,
-                }),
-                Message::Error { id, message } => return Err(ClientError::Server { id, message }),
-                _ => return Err(ClientError::UnexpectedReply("wanted a delta push")),
+            match self.recv_one()? {
+                None => {}
+                Some(Message::Error { id, message }) => {
+                    return Err(ClientError::Server { id, message })
+                }
+                Some(_) => return Err(ClientError::UnexpectedReply("wanted a delta push")),
             }
         }
         Ok(self.deltas.remove(0))

@@ -1,53 +1,53 @@
-//! A distributed shard fleet with partial-failure semantics: every shard is
-//! its own [`Server`], and the router dispatches over the wire through
-//! health-tracked [`RemoteShard`] handles.
+//! A distributed shard fleet with partial-failure semantics: the router is
+//! the one serving frontend, a [`Service`] over remote transition shards,
+//! each its own [`Server`] behind a health-tracked [`RemoteShard`].
 //!
-//! # Data placement
+//! The router holds the only [`RouteStore`], the transition directory and
+//! one update log per shard. Transitions are placed by origin cell on a
+//! Z-order [`CellGrid`] with the [`rknnt_service::ShardedService`] global
+//! ids; a shard server is a [`Backend::Single`] over an empty route store
+//! and its slice. A query builds its filter over the router's routes, every
+//! shard prunes its TR-tree against it ([`crate::Message::Prune`]), and the
+//! router verifies the candidates once. A transition update goes into its
+//! owner's log, a route update changes the router's routes only.
 //!
-//! Transitions are partitioned to shards by origin cell on a Z-order
-//! [`CellGrid`] (exactly the [`rknnt_service::ShardedService`] discipline,
-//! same global-id assignment). Routes are *replicated* to every shard:
-//! RkNNT verification counts routes globally, so a shard holding the full
-//! route set plus its transition slice answers exactly the global result
-//! restricted to its own transitions. The fleet answer is the union of
-//! shard answers, translated from shard-local to global ids through each
-//! shard's [`IdSpace`].
+//! A shard the router cannot reach within its retry/breaker budget is named
+//! in [`FleetResult::missing_shards`], and the answer is exactly the other
+//! shards' part. Three rules keep that exact:
 //!
-//! # Partial failure
+//! * **ship before prune** — a shard's unacknowledged log suffix is sent
+//!   before it is pruned, and a shard that does not take it is missing;
+//! * **no router cache** — every answer reaches every live shard, so no
+//!   degraded answer is served after the outage ends;
+//! * **resync when a shard returns** — through
+//!   [`FleetRouter::restart_shard`] or a successful call after a failure,
+//!   the router re-executes every subscription and emits the difference as
+//!   resync deltas.
 //!
-//! A query dispatch that exhausts a shard's retry/breaker budget does not
-//! fail the request and does not guess: the answer degrades to a typed
-//! [`FleetResult`] naming the unreachable shards in
-//! [`FleetResult::missing_shards`]. Updates routed to a down shard are
-//! *deferred*: they stay in that shard's router-side update log (the
-//! router WAL) and ship automatically once the shard answers again.
-//!
-//! # Recovery and resync
-//!
-//! [`FleetRouter::restart_shard`] brings a dead shard back — reopened from
-//! its storage directory when the fleet is durable, rebuilt from the build
-//! inputs plus a full log replay otherwise — then resyncs: a
-//! [`crate::Client::health`] probe reports the shard's applied-update watermark,
-//! the router replays its per-shard log from exactly that index, standing
-//! queries are re-established, and the difference between the recovered
-//! shard's view and the router's last recorded view is emitted as resync
-//! deltas. After resync the shard is byte-identical to one that never
-//! failed.
+//! A restarted shard is reopened from its storage directory (durable
+//! fleets) or rebuilt from its build-time slice, and a
+//! [`crate::Client::health`] probe reports the watermark from which the
+//! router ships the rest of its log.
 
-use crate::client::{ClientError, DeltaEvent, HealthStatus, Reply};
+use crate::client::{ClientError, Reply};
 use crate::remote::{RemoteError, RemoteShard, RemoteShardConfig, RemoteShardStats, Sleeper};
 use crate::server::{Backend, Server, ServerConfig};
-use rknnt_core::RknntQuery;
+use rknnt_core::{CandidateEndpoint, FilterSet, QueryScratch, RknntQuery};
 use rknnt_fault::Failpoints;
 use rknnt_geo::{CellGrid, Point};
-use rknnt_index::{partition_by_origin_cell, IdSpace, RouteStore, TransitionId, TransitionStore};
-use rknnt_obs::{Clock, Counter, MetricsRegistry, MonotonicClock};
+use rknnt_index::EndpointKind::{Destination, Origin};
+use rknnt_index::{
+    partition_by_origin_cell, IdSpace, RouteId, RouteStore, TransitionId, TransitionStore,
+};
+use rknnt_obs::{Clock, Counter, MetricsRegistry, MonotonicClock, TraceCursor};
 use rknnt_rtree::RTreeConfig;
-use rknnt_service::{QueryService, ServiceConfig, StorageConfig, StoreUpdate};
-use std::collections::{BTreeSet, HashMap};
+use rknnt_service::{
+    Backing, QueryService, Service, ServiceConfig, ServiceMetrics, StorageConfig, StoreUpdate,
+    SubscriptionId,
+};
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Fleet-wide build and dispatch knobs.
 #[derive(Clone)]
@@ -58,7 +58,7 @@ pub struct FleetConfig {
     pub grid_bits: u32,
     /// R-tree fan-out for every store in the fleet.
     pub rtree: RTreeConfig,
-    /// Per-shard service configuration.
+    /// Per-shard service configuration (the router's, with caching off).
     pub service: ServiceConfig,
     /// Per-shard serving-edge configuration (admission budgets must be
     /// provisioned so router traffic is never shed — a shed dispatch is
@@ -93,7 +93,7 @@ impl Default for FleetConfig {
     }
 }
 
-/// A fleet answer: the union of reachable shard answers, with the
+/// A fleet answer: the answer over every reachable shard, with the
 /// unreachable shards named. Never a silent wrong answer — a degraded
 /// result says exactly which slice of the data it is missing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,12 +117,15 @@ impl FleetResult {
 /// Outcome of routing one update batch through the fleet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetApply {
-    /// Update records appended to shard logs (broadcast records count once).
+    /// Updates applied: transition records appended to their owner shard's
+    /// log, route changes applied to the router's route set.
     pub routed: u64,
-    /// Updates rejected at the router (non-finite points, unknown ids).
+    /// Updates rejected at the router: non-finite points, unknown or
+    /// expired ids, and invalid route records (a route too short to keep,
+    /// the removal of an unknown one).
     pub rejected: u64,
     /// Shards that could not be reached; their records are deferred in the
-    /// router log and ship on recovery.
+    /// router log and ship before the shard is next pruned.
     pub deferred_shards: Vec<usize>,
 }
 
@@ -165,33 +168,153 @@ impl std::fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-struct FleetSub {
-    query: RknntQuery,
-    /// Per-shard wire handles (None while a shard is down / not yet
-    /// re-established).
-    handles: Vec<Option<u64>>,
-    /// Per-shard recorded result views, in global raw ids. A down shard's
-    /// view is the last one seen; recovery diffs against it.
-    views: Vec<BTreeSet<u32>>,
-}
-
+/// One shard as the router sees it.
 struct FleetShard {
     server: Option<Server>,
     remote: RemoteShard,
-    /// Transition local→global mapping, grown as inserts route here.
+    /// Local → global transition ids, grown as inserts route here.
     space: IdSpace,
-    /// The router WAL for this shard: every update record routed here, in
-    /// shard-local form, in wire order.
+    /// Every transition record routed here, in shard-local form, in order.
     log: Vec<StoreUpdate>,
-    /// Records acknowledged by the shard (its watermark while in sync).
+    /// Records the shard acknowledged (its watermark while in sync).
     acked: u64,
+    /// Whether the last call reached the shard.
     up: bool,
-    /// The shard's build-time transition slice, for in-memory rebuilds.
+    /// Whether a call missed the shard, and whether one reached it after a
+    /// failure, since the router last settled.
+    missed: bool,
+    returned: bool,
+    /// The shard's build-time transition slice, for in-memory restarts.
     initial_pairs: Vec<(Point, Point)>,
     storage_dir: Option<PathBuf>,
-    /// `RemoteShardStats::dials` at the time the shard's subscriptions
-    /// were (re-)established; a moved count means the handles are stale.
-    subscribed_dials: u64,
+}
+
+impl FleetShard {
+    /// Sends the unacknowledged log suffix, if any, in one call.
+    fn ship(&mut self) -> Result<(), RemoteError> {
+        if self.acked < self.log.len() as u64 {
+            let batch = self.log[self.acked as usize..].to_vec();
+            self.remote
+                .call(|c| answered(c.apply_updates(batch.clone())))?;
+            self.acked = self.log.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Runs `op` after [`FleetShard::ship`], recording if the shard was reached.
+    fn reach<T>(&mut self, op: impl FnOnce(&mut Self) -> Result<T, RemoteError>) -> Option<T> {
+        let outcome = self.ship().and_then(|()| op(self));
+        let reached = outcome.is_ok();
+        self.returned |= reached && !self.up;
+        self.missed |= !reached;
+        self.up = reached;
+        outcome.ok()
+    }
+}
+
+/// The fleet backing: the route set, the transition directory and the shards.
+struct FleetShards {
+    grid: CellGrid,
+    routes: RouteStore,
+    /// The endpoints of every global transition id, `None` once expired.
+    directory: Vec<Option<(Point, Point)>>,
+    shards: Vec<Mutex<FleetShard>>,
+}
+
+impl FleetShards {
+    fn shard(&self, index: usize) -> MutexGuard<'_, FleetShard> {
+        self.shards[index].lock().expect("fleet shard poisoned")
+    }
+}
+
+impl Backing for FleetShards {
+    fn routes(&self) -> &RouteStore {
+        &self.routes
+    }
+
+    /// Every shard prunes its own TR-tree against `filter`, after its
+    /// deferred records have shipped; the surviving endpoints come back as
+    /// local ids and enter the scratch under global ids, their points read
+    /// off the directory. A shard that cannot be reached, or names an id its
+    /// log does not hold, adds nothing and is recorded missing.
+    fn prune(
+        &self,
+        scratch: &mut QueryScratch,
+        filter: &FilterSet,
+        k: usize,
+        _trace: TraceCursor<'_>,
+    ) -> usize {
+        let mut pruned_nodes = 0;
+        for index in 0..self.shards.len() {
+            let reply = self.shard(index).reach(|shard| {
+                let (origins, destinations, pruned) =
+                    shard.remote.call(|c| answered(c.prune(filter, k)))?;
+                let space = &shard.space;
+                let sides = [(origins, Origin), (destinations, Destination)].into_iter();
+                let candidates = sides.enumerate().flat_map(|(side, (locals, kind))| {
+                    locals.into_iter().map(move |local| {
+                        let transition = TransitionId(space.to_global(local.raw())?);
+                        let (origin, destination) = self.endpoints(transition)?;
+                        let point = [origin, destination][side];
+                        Some(CandidateEndpoint {
+                            transition,
+                            kind,
+                            point,
+                        })
+                    })
+                });
+                // A live id outside the shard's log: the shard is out of step.
+                let candidates: Option<Vec<_>> = candidates.collect();
+                scratch.extend_candidates(candidates.ok_or_else(|| RemoteError::Server {
+                    message: "the shard named a transition its log does not hold".into(),
+                })?);
+                Ok(pruned as usize)
+            });
+            pruned_nodes += reply.unwrap_or(0);
+        }
+        pruned_nodes
+    }
+
+    fn insert_transition(&mut self, origin: Point, destination: Point) -> Option<TransitionId> {
+        if !origin.is_finite() || !destination.is_finite() {
+            return None;
+        }
+        let owner = self.grid.shard_of_point(&origin, self.shards.len());
+        let shard = self.shards[owner].get_mut().expect("fleet shard poisoned");
+        let global = self.directory.len() as u32;
+        shard.space.push(global);
+        shard.log.push(StoreUpdate::InsertTransition {
+            origin,
+            destination,
+        });
+        self.directory.push(Some((origin, destination)));
+        Some(TransitionId(global))
+    }
+
+    fn expire_transition(&mut self, id: TransitionId) -> bool {
+        let Some((origin, _)) = self.directory.get_mut(id.index()).and_then(Option::take) else {
+            return false;
+        };
+        let owner = self.grid.shard_of_point(&origin, self.shards.len());
+        let shard = self.shards[owner].get_mut().expect("fleet shard poisoned");
+        let local = shard.space.to_local(id.raw()).expect("a live id is mapped");
+        shard
+            .log
+            .push(StoreUpdate::ExpireTransition(TransitionId(local)));
+        true
+    }
+
+    fn insert_route(&mut self, points: Vec<Point>) -> Option<RouteId> {
+        self.routes.insert_route(points)
+    }
+
+    fn remove_route(&mut self, id: RouteId) -> bool {
+        self.routes.remove_route(id)
+    }
+
+    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
+        *self.directory.get(id.index())?
+    }
 }
 
 struct FleetMetrics {
@@ -207,47 +330,33 @@ struct FleetMetrics {
 impl FleetMetrics {
     fn new() -> Self {
         let mut registry = MetricsRegistry::new();
-        let dispatches = registry.counter("fleet.dispatches");
-        let partial_results = registry.counter("fleet.partial_results");
-        let deferred_records = registry.counter("fleet.deferred_records");
-        let replayed_records = registry.counter("fleet.replayed_records");
-        let restarts = registry.counter("fleet.restarts");
-        let resync_deltas = registry.counter("fleet.resync_deltas");
+        let mut counter = |name| registry.counter(name);
         FleetMetrics {
+            dispatches: counter("fleet.dispatches"),
+            partial_results: counter("fleet.partial_results"),
+            deferred_records: counter("fleet.deferred_records"),
+            replayed_records: counter("fleet.replayed_records"),
+            restarts: counter("fleet.restarts"),
+            resync_deltas: counter("fleet.resync_deltas"),
             registry: Mutex::new(registry),
-            dispatches,
-            partial_results,
-            deferred_records,
-            replayed_records,
-            restarts,
-            resync_deltas,
         }
     }
 }
 
-/// The fleet router: owns every shard server, dispatches queries and
-/// updates over the wire, degrades on partial failure, and resyncs
-/// recovered shards from its per-shard update logs.
+/// The fleet router: owns every shard server, degrades on partial failure,
+/// and resyncs recovered shards from its per-shard update logs.
 pub struct FleetRouter {
     config: FleetConfig,
-    grid: CellGrid,
-    shards: Vec<FleetShard>,
-    /// The build-time route set (replicated on every shard), kept for
-    /// in-memory rebuilds. Routes inserted later live in the shard logs.
-    routes: Vec<Vec<Point>>,
-    /// Owner shard of every global transition id.
-    transition_owner: Vec<u32>,
-    subs: HashMap<u64, FleetSub>,
-    next_sub: u64,
+    service: Service<FleetShards>,
     pending_deltas: Vec<FleetDelta>,
     metrics: FleetMetrics,
 }
 
 impl FleetRouter {
-    /// Builds the fleet: partitions transitions by origin cell, replicates
-    /// the full route set to every shard, starts one [`Server`] per shard
-    /// (with storage attached when [`FleetConfig::storage_root`] is set)
-    /// and dials each through a [`RemoteShard`].
+    /// Builds the fleet: keeps the route set, partitions transitions by
+    /// origin cell, starts one [`Server`] per shard over its slice (with
+    /// storage attached when [`FleetConfig::storage_root`] is set) and
+    /// dials each through a [`RemoteShard`].
     pub fn bulk_build(
         config: FleetConfig,
         routes: Vec<Vec<Point>>,
@@ -272,26 +381,32 @@ impl FleetRouter {
         sleeper: Option<Arc<dyn Sleeper>>,
     ) -> Result<FleetRouter, FleetError> {
         let shard_count = config.shards.max(1);
-        let extent = routes.iter().flatten();
-        let extent = extent.chain(transitions.iter().flat_map(|(o, d)| [o, d]));
+        let (routes, _) = RouteStore::bulk_build(config.rtree, routes);
         // Invalid pairs consume no global id, exactly like the unsharded
         // bulk build; every slot handed to the partition is live.
-        let slots = transitions
-            .iter()
+        let directory: Vec<Option<(Point, Point)>> = transitions
+            .into_iter()
             .filter(|(origin, destination)| origin.is_finite() && destination.is_finite())
-            .map(|&pair| Some(pair));
-        let (grid, tp) =
-            partition_by_origin_cell(config.rtree, extent, config.grid_bits, slots, shard_count);
+            .map(Some)
+            .collect();
+        let extent = routes.routes().flat_map(|route| &route.points);
+        let extent = extent.chain(directory.iter().flatten().flat_map(|(o, d)| [o, d]));
+        let (grid, partition) = partition_by_origin_cell(
+            config.rtree,
+            extent,
+            config.grid_bits,
+            directory.iter().copied(),
+            shard_count,
+        );
+        let sleeper = sleeper.unwrap_or_else(|| Arc::new(crate::remote::ThreadSleeper));
         let mut shards = Vec::with_capacity(shard_count);
-        for (index, (store, space)) in tp.stores.into_iter().zip(tp.spaces).enumerate() {
-            // The shard's pair slice in global order — in-memory restarts
-            // rebuild from it.
+        let slices = partition.stores.into_iter().zip(partition.spaces);
+        for (index, (store, space)) in slices.enumerate() {
             let initial_pairs = store
                 .transitions()
                 .map(|t| (t.origin, t.destination))
                 .collect();
-            let (route_store, _) = RouteStore::bulk_build(config.rtree, routes.clone());
-            let mut service = QueryService::new(route_store, store, config.service);
+            let mut service = QueryService::new(RouteStore::default(), store, config.service);
             let mut storage_dir = None;
             if let Some(root) = &config.storage_root {
                 let dir = root.join(format!("shard-{index}"));
@@ -302,77 +417,74 @@ impl FleetRouter {
                     .map_err(|e| FleetError::Build(format!("shard {index} storage: {e}")))?;
                 storage_dir = Some(dir);
             }
-            let mut server_config = config.server.clone();
-            if let Some((_, fp)) = config.shard_faults.iter().find(|(s, _)| *s == index) {
-                server_config.failpoints = Some(Arc::clone(fp));
-            }
-            let server = Server::start(Backend::Single(service), server_config)
-                .map_err(|e| FleetError::Build(format!("shard {index} server: {e}")))?;
+            let faults = config.shard_faults.iter().find(|(s, _)| *s == index);
+            let server = start_shard(&config, index, service, faults.map(|(_, f)| f.clone()))?;
             let remote = RemoteShard::with_parts(
                 server.local_addr(),
                 config.remote.clone(),
                 Arc::clone(&clock),
-                sleeper
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(crate::remote::ThreadSleeper)),
+                Arc::clone(&sleeper),
             );
-            shards.push(FleetShard {
+            shards.push(Mutex::new(FleetShard {
                 server: Some(server),
                 remote,
                 space,
                 log: Vec::new(),
                 acked: 0,
                 up: true,
+                missed: false,
+                returned: false,
                 initial_pairs,
                 storage_dir,
-                subscribed_dials: 0,
-            });
+            }));
         }
-        Ok(FleetRouter {
-            config,
+        let fleet = FleetShards {
             grid,
-            shards,
             routes,
-            transition_owner: tp
-                .directory
-                .iter()
-                .map(|at| at.expect("every partitioned slot was live").shard)
-                .collect(),
-            subs: HashMap::new(),
-            next_sub: 1,
+            directory,
+            shards,
+        };
+        let router_config = config.service.with_cache_capacity(0);
+        Ok(FleetRouter {
+            service: Service::from_parts(fleet, router_config, ServiceMetrics::default()),
+            config,
             pending_deltas: Vec::new(),
             metrics: FleetMetrics::new(),
         })
     }
 
+    fn fleet(&self) -> &FleetShards {
+        self.service.backing()
+    }
+
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.fleet().shards.len()
     }
 
     /// Dispatch counters for one shard.
     pub fn shard_stats(&self, index: usize) -> RemoteShardStats {
-        self.shards[index].remote.stats()
+        self.fleet().shard(index).remote.stats()
     }
 
     /// The circuit-breaker state of one shard's dispatch path.
     pub fn shard_breaker_state(&mut self, index: usize) -> crate::remote::BreakerState {
-        self.shards[index].remote.breaker_state()
+        self.fleet().shard(index).remote.breaker_state()
     }
 
     /// `(acknowledged, total)` record counts in shard `index`'s router log
     /// — unequal while updates are deferring.
     pub fn shard_progress(&self, index: usize) -> (u64, u64) {
-        let shard = &self.shards[index];
+        let shard = self.fleet().shard(index);
         (shard.acked, shard.log.len() as u64)
     }
 
-    /// Which shard owns a global transition id (tests and experiments use
-    /// this to compute the exact answer a degraded fleet must report).
+    /// Which shard owns a live global transition id (tests and experiments
+    /// use this to compute the exact answer a degraded fleet must report).
     pub fn owner_of(&self, id: TransitionId) -> Option<usize> {
-        self.transition_owner
-            .get(id.raw() as usize)
-            .map(|&o| o as usize)
+        let fleet = self.fleet();
+        let (origin, _) = fleet.endpoints(id)?;
+        Some(fleet.grid.shard_of_point(&origin, fleet.shards.len()))
     }
 
     /// Text exposition of the `fleet.*` metrics.
@@ -389,183 +501,73 @@ impl FleetRouter {
     /// not learn of the death here — the next dispatch discovers it, as it
     /// would in production.
     pub fn kill_shard(&mut self, index: usize, reason: &str) {
-        if let Some(server) = &self.shards[index].server {
+        let mut shard = self.fleet().shard(index);
+        if let Some(server) = &shard.server {
             server.kill(reason);
         }
-        self.shards[index].remote.disconnect();
+        shard.remote.disconnect();
     }
 
     /// Executes one query across the fleet. Reachable shards contribute
     /// their slice; unreachable shards are named in the degraded result.
     pub fn execute(&mut self, query: &RknntQuery) -> FleetResult {
         self.metrics.dispatches.inc();
-        let mut missing = Vec::new();
-        let mut acc: BTreeSet<u32> = BTreeSet::new();
-        for index in 0..self.shards.len() {
-            let shard = &mut self.shards[index];
-            let outcome = shard.remote.call(|c| match c.query(query)? {
-                Reply::Answered(transitions) => Ok(transitions),
-                Reply::Overloaded(_) => Err(shed_error()),
-            });
-            match outcome {
-                Ok(locals) => {
-                    shard.up = true;
-                    for local in locals {
-                        if let Some(global) = shard.space.to_global(local.raw()) {
-                            acc.insert(global);
-                        }
-                    }
-                }
-                Err(_) => {
-                    shard.up = false;
-                    missing.push(index);
-                }
-            }
-        }
+        let result = self.service.execute(query);
+        let missing = self.settle();
         if !missing.is_empty() {
             self.metrics.partial_results.inc();
         }
         FleetResult {
-            transitions: acc.into_iter().map(TransitionId::from).collect(),
+            transitions: result.transitions,
             missing_shards: missing,
         }
     }
 
-    /// Routes an update batch: transitions to their owner shard (global id
-    /// assigned here, exactly as the unsharded service would), route
-    /// changes broadcast to every replica. Each shard receives its pending
-    /// log suffix — including records deferred while it was down — in one
-    /// wire call; shards that stay unreachable keep deferring.
+    /// Applies an update batch at the router — a transition to its owner
+    /// shard's log (global id assigned here, exactly as the unsharded
+    /// service would), a route change to the route set — and sends every
+    /// shard its pending log suffix, records deferred while it was down
+    /// included, in one wire call; shards that stay unreachable keep
+    /// deferring.
     pub fn apply_updates(&mut self, updates: Vec<StoreUpdate>) -> FleetApply {
-        let shard_count = self.shards.len();
-        let mut routed = 0u64;
-        let mut rejected = 0u64;
-        for update in updates {
-            match update {
-                StoreUpdate::InsertTransition {
-                    origin,
-                    destination,
-                } => {
-                    if !origin.is_finite() || !destination.is_finite() {
-                        rejected += 1;
-                        continue;
-                    }
-                    let owner = self
-                        .grid
-                        .shard_of_point(&origin, shard_count)
-                        .min(shard_count - 1);
-                    let global = self.transition_owner.len() as u32;
-                    self.transition_owner.push(owner as u32);
-                    let shard = &mut self.shards[owner];
-                    shard.space.push(global);
-                    shard.log.push(StoreUpdate::InsertTransition {
-                        origin,
-                        destination,
-                    });
-                    routed += 1;
-                }
-                StoreUpdate::ExpireTransition(global) => {
-                    let Some(&owner) = self.transition_owner.get(global.raw() as usize) else {
-                        rejected += 1;
-                        continue;
-                    };
-                    let shard = &mut self.shards[owner as usize];
-                    let Some(local) = shard.space.to_local(global.raw()) else {
-                        rejected += 1;
-                        continue;
-                    };
-                    shard
-                        .log
-                        .push(StoreUpdate::ExpireTransition(TransitionId::from(local)));
-                    routed += 1;
-                }
-                update @ (StoreUpdate::InsertRoute(_) | StoreUpdate::RemoveRoute(_)) => {
-                    // Routes are replicated: every shard holds the full
-                    // set under identical ids, so the record broadcasts
-                    // verbatim.
-                    for shard in &mut self.shards {
-                        shard.log.push(update.clone());
-                    }
-                    routed += 1;
-                }
-            }
-        }
+        let stats = self.service.apply_updates(updates);
+        let deltas = stats.deltas.into_iter();
+        self.queue_deltas(deltas.map(|d| (d.subscription, d.entered, d.left)));
         let mut deferred = Vec::new();
-        for index in 0..shard_count {
-            let shard = &mut self.shards[index];
+        for index in 0..self.shard_count() {
+            let mut shard = self.fleet().shard(index);
             let pending = shard.log.len() as u64 - shard.acked;
-            if pending == 0 {
-                continue;
-            }
-            if Self::ship_log_suffix(shard).is_ok() {
-                shard.up = true;
-            } else {
-                shard.up = false;
+            if pending > 0 && shard.reach(|_| Ok(())).is_none() {
                 deferred.push(index);
                 self.metrics.deferred_records.add(pending);
             }
         }
-        self.collect_deltas();
+        self.settle();
         FleetApply {
-            routed,
-            rejected,
+            routed: stats.applied as u64,
+            rejected: stats.rejected as u64,
             deferred_shards: deferred,
         }
     }
 
-    /// Sends `shard`'s unacknowledged log suffix in one wire call.
-    fn ship_log_suffix(shard: &mut FleetShard) -> Result<(), RemoteError> {
-        let batch: Vec<StoreUpdate> = shard.log[shard.acked as usize..].to_vec();
-        shard
-            .remote
-            .call(|c| match c.apply_updates(batch.clone())? {
-                Reply::Answered(counts) => Ok(counts),
-                Reply::Overloaded(_) => Err(shed_error()),
-            })?;
-        shard.acked = shard.log.len() as u64;
-        Ok(())
-    }
-
-    /// Registers a standing query on every reachable shard. The result is
-    /// degraded like a query: down shards are named and contribute nothing
-    /// until they recover (resync then emits the catch-up delta).
+    /// Registers a standing query. The result is degraded like a query:
+    /// down shards are named and contribute nothing until they return
+    /// (resync then emits the catch-up delta).
     pub fn subscribe(&mut self, query: &RknntQuery) -> (u64, FleetResult) {
-        let id = self.next_sub;
-        self.next_sub += 1;
-        let shard_count = self.shards.len();
-        let mut sub = FleetSub {
-            query: query.clone(),
-            handles: vec![None; shard_count],
-            views: vec![BTreeSet::new(); shard_count],
+        let id = self.service.subscribe(query.clone());
+        let transitions = self.service.subscription_result(id).map(<[_]>::to_vec);
+        let missing_shards = self.settle();
+        let result = FleetResult {
+            transitions: transitions.expect("subscribed just now"),
+            missing_shards,
         };
-        let mut missing = Vec::new();
-        for index in 0..shard_count {
-            match Self::subscribe_on_shard(&mut self.shards[index], query) {
-                Ok((handle, view)) => {
-                    sub.handles[index] = Some(handle);
-                    sub.views[index] = view;
-                }
-                Err(_) => {
-                    self.shards[index].up = false;
-                    missing.push(index);
-                }
-            }
-        }
-        let transitions = union_views(&sub.views);
-        self.subs.insert(id, sub);
-        (
-            id,
-            FleetResult {
-                transitions,
-                missing_shards: missing,
-            },
-        )
+        (id.raw(), result)
     }
 
-    /// The current fleet-level result of a subscription (union of recorded
-    /// per-shard views; a down shard contributes its last synced view).
+    /// The current fleet-level result of a subscription.
     pub fn subscription_result(&self, subscription: u64) -> Option<Vec<TransitionId>> {
-        self.subs.get(&subscription).map(|s| union_views(&s.views))
+        let id = SubscriptionId(subscription);
+        self.service.subscription_result(id).map(<[_]>::to_vec)
     }
 
     /// Drains fleet-level deltas accumulated by update routing and resync.
@@ -574,223 +576,128 @@ impl FleetRouter {
     }
 
     /// Restarts a dead shard and resyncs it: reopen from storage (durable
-    /// fleets) or rebuild from the build inputs (in-memory fleets), then
-    /// health-probe for the applied-update watermark, replay the router log
-    /// from that index, re-establish standing queries, and emit resync
-    /// deltas for whatever changed while the shard was away.
+    /// fleets) or rebuild from the build-time slice (in-memory fleets),
+    /// health-probe for the applied-update watermark, ship the router log
+    /// from that index, then re-execute every subscription and emit resync
+    /// deltas for whatever the outage hid.
     pub fn restart_shard(&mut self, index: usize) -> Result<(), FleetError> {
         self.metrics.restarts.inc();
-        let build_err = |e: String| FleetError::Build(format!("shard {index} restart: {e}"));
-        let service = {
-            let shard = &mut self.shards[index];
-            if let Some(server) = shard.server.take() {
-                // The old incarnation's backend dies with it.
-                drop(server.stop());
-            }
-            if let Some(dir) = &shard.storage_dir {
-                let (service, _) =
-                    QueryService::open(dir, self.config.service, self.config.storage)
-                        .map_err(|e| build_err(e.to_string()))?;
-                service
-            } else {
-                let (route_store, _) =
-                    RouteStore::bulk_build(self.config.rtree, self.routes.clone());
-                let transition_store =
-                    TransitionStore::bulk_build(self.config.rtree, shard.initial_pairs.clone());
-                QueryService::new(route_store, transition_store, self.config.service)
-            }
-        };
-        // Recovered shards run clean: injected faults died with the old
-        // process.
-        let mut server_config = self.config.server.clone();
-        server_config.failpoints = None;
-        let server = Server::start(Backend::Single(service), server_config)
-            .map_err(|e| build_err(e.to_string()))?;
-        let shard = &mut self.shards[index];
-        shard.remote.set_addr(server.local_addr());
-        shard.server = Some(server);
-        shard.up = true;
-        self.resync_shard(index)
-    }
-
-    /// Brings shard `index` back in sync after it answered again: replay
-    /// the log suffix past its watermark, re-establish subscriptions, emit
-    /// resync deltas.
-    fn resync_shard(&mut self, index: usize) -> Result<(), FleetError> {
         let resync_err = |message: String| FleetError::Resync {
             shard: index,
             message,
         };
-        let shard = &mut self.shards[index];
-        let status: HealthStatus = shard
+        let config = &self.config;
+        let mut shard = self.service.backing().shard(index);
+        if let Some(server) = shard.server.take() {
+            // The old incarnation's backend dies with it.
+            drop(server.stop());
+        }
+        let service = match &shard.storage_dir {
+            Some(dir) => {
+                let opened = QueryService::open(dir, config.service, config.storage);
+                let build_err = |e| FleetError::Build(format!("shard {index} restart: {e}"));
+                opened.map_err(build_err)?.0
+            }
+            None => {
+                let slice = TransitionStore::bulk_build(config.rtree, shard.initial_pairs.clone());
+                QueryService::new(RouteStore::default(), slice, config.service)
+            }
+        };
+        // Recovered shards run clean: injected faults died with the old
+        // process.
+        let server = start_shard(config, index, service, None)?;
+        shard.remote.set_addr(server.local_addr());
+        shard.server = Some(server);
+        // The shard holds exactly `watermark` of this log's records: the
+        // router sends them in log order, and nowhere else.
+        let status = shard
             .remote
-            .call(|c| match c.health()? {
-                Reply::Answered(status) => Ok(status),
-                Reply::Overloaded(_) => Err(shed_error()),
-            })
+            .call(|c| answered(c.health()))
             .map_err(|e| resync_err(format!("health probe: {e}")))?;
-        // The shard has durably applied exactly `watermark` of this log's
-        // records (the router sends records in log order, nowhere else).
-        let watermark = status.watermark.min(shard.log.len() as u64);
-        shard.acked = watermark;
-        let replay = shard.log.len() as u64 - watermark;
-        if replay > 0 {
-            Self::ship_log_suffix(shard).map_err(|e| resync_err(format!("log replay: {e}")))?;
-            self.metrics.replayed_records.add(replay);
-        }
-        self.sync_subscriptions(index)
-            .map_err(|e| resync_err(format!("re-subscribe: {e}")))?;
+        let total = shard.log.len() as u64;
+        shard.acked = status.watermark.min(total);
+        let replay = total - shard.acked;
+        shard
+            .ship()
+            .map_err(|e| resync_err(format!("log replay: {e}")))?;
+        shard.up = true;
+        drop(shard);
+        self.metrics.replayed_records.add(replay);
+        self.resync();
         Ok(())
     }
 
-    /// Re-establishes every standing query on shard `index` when its
-    /// connection epoch moved (server-side subscriptions are
-    /// per-connection), emitting the view difference as resync deltas.
-    fn sync_subscriptions(&mut self, index: usize) -> Result<(), RemoteError> {
-        let current_dials = self.shards[index].remote.stats().dials;
-        if self.shards[index].subscribed_dials == current_dials {
-            return Ok(());
-        }
-        let sub_ids: Vec<u64> = self.subs.keys().copied().collect();
-        for id in sub_ids {
-            let query = self.subs[&id].query.clone();
-            let (handle, view) = Self::subscribe_on_shard(&mut self.shards[index], &query)?;
-            let sub = self.subs.get_mut(&id).expect("sub id just listed");
-            let old = std::mem::replace(&mut sub.views[index], view.clone());
-            sub.handles[index] = Some(handle);
-            let entered: Vec<TransitionId> = view
-                .difference(&old)
-                .map(|&g| TransitionId::from(g))
-                .collect();
-            let left: Vec<TransitionId> = old
-                .difference(&view)
-                .map(|&g| TransitionId::from(g))
-                .collect();
-            if !entered.is_empty() || !left.is_empty() {
-                self.metrics.resync_deltas.inc();
-                self.pending_deltas.push(FleetDelta {
-                    subscription: id,
-                    entered,
-                    left,
-                });
+    /// The shards the calls since the last look could not reach. When one
+    /// answered again after a failure, every subscription is re-executed.
+    fn settle(&mut self) -> Vec<usize> {
+        let (mut missing, mut returned) = (Vec::new(), false);
+        for index in 0..self.shard_count() {
+            let mut shard = self.fleet().shard(index);
+            if std::mem::take(&mut shard.missed) {
+                missing.push(index);
             }
+            returned |= std::mem::take(&mut shard.returned);
         }
-        self.shards[index].subscribed_dials = self.shards[index].remote.stats().dials;
-        Ok(())
+        if returned {
+            self.resync();
+        }
+        missing
     }
 
-    fn subscribe_on_shard(
-        shard: &mut FleetShard,
-        query: &RknntQuery,
-    ) -> Result<(u64, BTreeSet<u32>), RemoteError> {
-        let registered = shard.remote.call(|c| match c.subscribe(query)? {
-            Reply::Answered(s) => Ok(s),
-            Reply::Overloaded(_) => Err(shed_error()),
-        })?;
-        shard.subscribed_dials = shard.remote.stats().dials;
-        let mut view = BTreeSet::new();
-        for local in registered.transitions {
-            if let Some(global) = shard.space.to_global(local.raw()) {
-                view.insert(global);
-            }
-        }
-        Ok((registered.subscription, view))
+    /// Re-executes every subscription against the shards as they are now
+    /// and queues what moved as resync deltas — then settles, which runs it
+    /// again if a shard returned meanwhile: a subscription re-executed
+    /// before that missed it.
+    fn resync(&mut self) {
+        let moved = self.service.reexecute_subscriptions();
+        self.metrics.resync_deltas.add(moved.len() as u64);
+        self.queue_deltas(moved.into_iter());
+        self.settle();
     }
 
-    /// Harvests server-pushed deltas from every reachable, subscribed
-    /// shard. A ping fences the harvest: per-connection FIFO means every
-    /// delta from already-acknowledged updates is buffered once the pong
-    /// arrives.
-    fn collect_deltas(&mut self) {
-        for index in 0..self.shards.len() {
-            if !self.shards[index].up {
-                continue;
-            }
-            let has_handles = self.subs.values().any(|s| s.handles[index].is_some());
-            if !has_handles {
-                continue;
-            }
-            // A re-dial mid-harvest would lose the old connection's deltas
-            // along with its subscriptions; resync covers both, so the
-            // harvest only trusts a same-connection ping.
-            let dials_before = self.shards[index].remote.stats().dials;
-            let outcome = self.shards[index].remote.call(|c| match c.ping()? {
-                Reply::Answered(()) => Ok(c.take_deltas()),
-                Reply::Overloaded(_) => Err(shed_error()),
-            });
-            let events = match outcome {
-                Ok(events) if self.shards[index].remote.stats().dials == dials_before => events,
-                Ok(_) => continue,
-                Err(_) => {
-                    self.shards[index].up = false;
-                    continue;
-                }
-            };
-            self.route_shard_deltas(index, events);
-        }
-    }
-
-    /// Translates one shard's wire deltas into fleet deltas (global ids)
-    /// and folds them into the recorded views.
-    fn route_shard_deltas(&mut self, index: usize, events: Vec<DeltaEvent>) {
-        for event in events {
-            let space = &self.shards[index].space;
-            let owner = self
-                .subs
-                .iter_mut()
-                .find(|(_, s)| s.handles[index] == Some(event.subscription));
-            let Some((&id, sub)) = owner else {
-                // A delta for a superseded handle (pre-re-subscribe): the
-                // resync diff already accounts for it.
-                continue;
-            };
-            let mut entered = Vec::new();
-            for local in event.entered {
-                if let Some(global) = space.to_global(local.raw()) {
-                    sub.views[index].insert(global);
-                    entered.push(TransitionId::from(global));
-                }
-            }
-            let mut left = Vec::new();
-            for local in event.left {
-                if let Some(global) = space.to_global(local.raw()) {
-                    sub.views[index].remove(&global);
-                    left.push(TransitionId::from(global));
-                }
-            }
-            entered.sort_unstable();
-            left.sort_unstable();
-            if !entered.is_empty() || !left.is_empty() {
-                self.pending_deltas.push(FleetDelta {
-                    subscription: id,
-                    entered,
-                    left,
-                });
-            }
-        }
+    fn queue_deltas(
+        &mut self,
+        moved: impl Iterator<Item = (SubscriptionId, Vec<TransitionId>, Vec<TransitionId>)>,
+    ) {
+        let deltas = moved.map(|(id, entered, left)| FleetDelta {
+            subscription: id.raw(),
+            entered,
+            left,
+        });
+        self.pending_deltas.extend(deltas);
     }
 
     /// Stops every shard server in an orderly way.
-    pub fn shutdown(mut self) {
-        for shard in &mut self.shards {
-            if let Some(server) = shard.server.take() {
+    pub fn shutdown(self) {
+        for index in 0..self.shard_count() {
+            if let Some(server) = self.fleet().shard(index).server.take() {
                 drop(server.stop());
             }
         }
     }
 }
 
-/// A shed dispatch counts as a failed attempt: fleets provision admission
-/// budgets so router traffic is never shed, and anything else is treated
-/// as the shard being unable to serve.
-fn shed_error() -> ClientError {
-    ClientError::Io(io::Error::other("shard shed the request"))
+/// Starts shard `index`'s server over `service`, with `failpoints` armed.
+fn start_shard(
+    config: &FleetConfig,
+    index: usize,
+    service: QueryService,
+    failpoints: Option<Arc<Failpoints>>,
+) -> Result<Server, FleetError> {
+    let server_config = ServerConfig {
+        failpoints,
+        ..config.server.clone()
+    };
+    Server::start(Backend::Single(service), server_config)
+        .map_err(|e| FleetError::Build(format!("shard {index} server: {e}")))
 }
 
-fn union_views(views: &[BTreeSet<u32>]) -> Vec<TransitionId> {
-    let mut all: BTreeSet<u32> = BTreeSet::new();
-    for view in views {
-        all.extend(view.iter().copied());
+/// A reply's answer; a shed dispatch counts as a failed attempt: fleets
+/// provision admission budgets so router traffic is never shed, and
+/// anything else is treated as the shard being unable to serve.
+fn answered<T>(reply: Result<Reply<T>, ClientError>) -> Result<T, ClientError> {
+    match reply? {
+        Reply::Answered(value) => Ok(value),
+        Reply::Overloaded(_) => Err(ClientError::Io(io::Error::other("shard shed the request"))),
     }
-    all.into_iter().map(TransitionId::from).collect()
 }

@@ -1,38 +1,22 @@
-//! The serving edge: RkNNT queries over TCP with admission control.
-//!
-//! Seven PRs of engine, batching, durability and sharding work all end at a
-//! function call; production traffic arrives over sockets and is judged by
-//! its p99s. This crate is that last hop, hermetically — no tokio, no serde
-//! backend, just `std::net::TcpStream`, threads, and the same little-endian
-//! codec + CRC framing the storage engine already trusts:
+//! The serving edge: RkNNT queries over TCP with admission control —
+//! hermetically, with no async runtime or serde backend: `std::net`
+//! sockets, threads, and the little-endian codec + CRC framing the storage
+//! engine already trusts.
 //!
 //! * **[`protocol`]** — `crc | len | payload` frames (checksum covers
 //!   length *and* payload, so corrupted lengths cannot re-frame the
 //!   stream) carrying bounds-checked [`protocol::Message`] payloads, with
 //!   a per-request cost estimate ([`protocol::estimate_cost`]).
-//! * **[`Server`]** — one reader thread per connection feeding a bounded
-//!   global queue; a single executor thread drains it onto a [`Backend`]
+//! * **[`Server`]** — a reader thread per connection feeds one bounded
+//!   queue that a single executor drains onto a [`Backend`]
 //!   ([`rknnt_service::QueryService`] or
-//!   [`rknnt_service::ShardedService`]), funnelling consecutive queries
-//!   through the batch path under a read lock, applying updates under the
-//!   write lock and pushing subscription deltas to their owning
-//!   connections. A query whose connection has nothing else in flight and
-//!   whose answer is resident in the cache is answered by the reader
-//!   itself, under the read lock, without crossing the executor.
-//!   **Admission control** is the load-bearing part, and every request
-//!   passes it: requests past the queue-capacity / queued-cost-budget /
-//!   per-connection-inflight limits are fast-failed with a typed
-//!   `Overloaded` reply — shed, never silently dropped — and every
-//!   decision lands in the `net.*` metrics (`net.admitted`,
-//!   `net.reader_hits`, per-reason `net.shed.*` counters,
-//!   `net.queue_depth`, `net.request_ns`).
-//! * **Tracing + introspection** — requests tagged with a trace id get a
-//!   per-request span tree through admission, queueing, execution and the
-//!   backend's batch pipeline (down to per-shard routing decisions and WAL
-//!   appends); slow traces are retained in a bounded ring, and
-//!   [`Message::Introspect`] / [`Client::introspect`] fetch metrics or slow
-//!   queries remotely, answered from the reader thread even when the
-//!   executor is saturated.
+//!   [`rknnt_service::ShardedService`]); a query whose answer is resident is
+//!   answered by its reader. Every request passes admission control: one
+//!   past the queue, cost-budget or per-connection limits gets a typed
+//!   `Overloaded` reply, never silence, and each decision lands in the
+//!   `net.*` metrics. Tagged requests get a span tree down to the backend's
+//!   pipeline, and [`Message::Introspect`] fetches metrics or slow queries
+//!   even while the executor is saturated.
 //! * **[`Client`]** — a blocking client speaking the same codec, used by
 //!   the test suite and the `open_loop_latency` experiment. Answers are
 //!   byte-identical to in-process execution; `Overloaded` is a typed
@@ -43,14 +27,14 @@
 //!   server: per-request deadlines, seeded exponential-backoff retry, and
 //!   a closed/open/half-open **circuit breaker** driven by a pluggable
 //!   clock so every state transition is deterministic under test.
-//! * **[`FleetRouter`]** — the distributed fleet: each shard its own
-//!   server reached through a [`RemoteShard`], transitions partitioned by
-//!   origin cell, routes replicated. A dead shard degrades queries to a
-//!   typed partial [`FleetResult`] naming the missing shards — never a
-//!   silent wrong answer, never a hang — while its updates defer in a
-//!   per-shard router log; on restart the router health-probes the
-//!   shard's applied-update watermark, replays exactly the missing
-//!   suffix, and re-establishes subscriptions.
+//! * **[`FleetRouter`]** — the distributed fleet: the one serving
+//!   frontend over remote transition shards, each its own server behind a
+//!   [`RemoteShard`]. The router holds the only route set, builds every
+//!   filter, has each shard prune its TR-tree ([`Message::Prune`]) and
+//!   verifies the candidates once. A dead shard degrades answers to a
+//!   typed partial [`FleetResult`] naming it, its updates defer in a
+//!   per-shard router log that ships before the shard is pruned again, and
+//!   when it returns the router re-executes every subscription.
 //! * **Fault injection** — the reader, writer and executor paths carry
 //!   [`rknnt_fault`] failpoints ([`SERVER_READ_SITE`],
 //!   [`SERVER_WRITE_SITE`], [`SERVER_EXECUTOR_SITE`],
@@ -90,7 +74,7 @@ mod remote;
 mod server;
 
 pub use client::{
-    Client, ClientConfig, ClientError, DeltaEvent, HealthStatus, NetError, Reply, Subscription,
+    Client, ClientConfig, ClientError, DeltaEvent, HealthStatus, Pruned, Reply, Subscription,
     UpdateCounts, CLIENT_WRITE_SITE,
 };
 pub use fleet::{FleetApply, FleetConfig, FleetDelta, FleetError, FleetResult, FleetRouter};

@@ -15,11 +15,12 @@
 //! bounds-checked reads plus an exhaustion check, so trailing garbage inside
 //! a structurally valid frame is rejected too.
 
-use rknnt_core::{RknntQuery, Semantics};
+use rknnt_core::{FilterPoint, FilterSet, RknntQuery, Semantics};
 use rknnt_data::codec::{crc32, CodecError, CodecResult, Decoder, Encoder};
-use rknnt_index::TransitionId;
+use rknnt_index::{RouteId, StopId, TransitionId};
 use rknnt_obs::SlowQueryEntry;
 use rknnt_service::{DeltaReason, StoreUpdate};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
 /// Hard cap on a frame payload. A hostile or corrupted length field fails
@@ -268,6 +269,18 @@ pub enum Message {
         /// Client-chosen request id, echoed by the reply.
         id: u64,
     },
+    /// The prune step of one query on a shard that holds transitions only,
+    /// against a filter set built over the complete routes elsewhere.
+    Prune {
+        /// Client-chosen request id, echoed by the reply.
+        id: u64,
+        /// The filter set, built at `k`, boxed so other messages stay small.
+        /// Its crossover route ids travel dense in first-seen order: a shard
+        /// only counts distinct routes, and dense ids are bounded by size.
+        filter: Box<FilterSet>,
+        /// The query's `k`.
+        k: usize,
+    },
     /// Successful [`Message::Query`] reply.
     QueryOk {
         /// Echoed request id.
@@ -324,6 +337,18 @@ pub enum Message {
         /// this index to resync a recovered shard.
         watermark: u64,
     },
+    /// Successful [`Message::Prune`] reply: the surviving endpoints, named by
+    /// transition and side (the router knows every endpoint).
+    PruneOk {
+        /// Echoed request id.
+        id: u64,
+        /// TR-tree nodes pruned without being opened.
+        pruned_nodes: u64,
+        /// Transitions whose origin survived, in the shard's ids.
+        origins: Vec<TransitionId>,
+        /// Transitions whose destination survived, in the shard's ids.
+        destinations: Vec<TransitionId>,
+    },
     /// Admission control refused the request — fast-failed, never queued.
     Overloaded {
         /// Echoed request id.
@@ -365,6 +390,7 @@ const TAG_INTROSPECT: u8 = 0x06;
 const TAG_QUERY_TRACED: u8 = 0x07;
 const TAG_APPLY_UPDATES_TRACED: u8 = 0x08;
 const TAG_HEALTH: u8 = 0x09;
+const TAG_PRUNE: u8 = 0x0A;
 const TAG_QUERY_OK: u8 = 0x81;
 const TAG_SUBSCRIBE_OK: u8 = 0x82;
 const TAG_UNSUBSCRIBE_OK: u8 = 0x83;
@@ -372,6 +398,7 @@ const TAG_UPDATES_OK: u8 = 0x84;
 const TAG_PONG: u8 = 0x85;
 const TAG_INTROSPECT_OK: u8 = 0x86;
 const TAG_HEALTH_OK: u8 = 0x87;
+const TAG_PRUNE_OK: u8 = 0x88;
 const TAG_OVERLOADED: u8 = 0x90;
 const TAG_ERROR: u8 = 0x91;
 const TAG_DELTA: u8 = 0xA0;
@@ -421,6 +448,49 @@ fn decode_transitions(dec: &mut Decoder<'_>) -> CodecResult<Vec<TransitionId>> {
     Ok(out)
 }
 
+fn encode_filter(enc: &mut Encoder, filter: &FilterSet) {
+    enc.points(filter.query());
+    enc.len_prefix(filter.num_points());
+    let mut dense: HashMap<RouteId, u32> = HashMap::new();
+    for (index, point) in filter.points().iter().enumerate() {
+        enc.u32(point.stop.raw());
+        enc.point(&point.point);
+        let crossover = filter.crossover(index);
+        enc.len_prefix(crossover.len());
+        for route in crossover {
+            let next = dense.len() as u32;
+            enc.u32(*dense.entry(*route).or_insert(next));
+        }
+    }
+}
+
+fn decode_filter(dec: &mut Decoder<'_>) -> CodecResult<FilterSet> {
+    let query = dec.points()?;
+    let len = dec.len_prefix(24)?;
+    let mut points = Vec::with_capacity(len);
+    let mut routes = 0;
+    for _ in 0..len {
+        let stop = StopId(dec.u32()?);
+        let point = dec.point()?;
+        let mut crossover = Vec::new();
+        for _ in 0..dec.len_prefix(4)? {
+            // Dense in first-seen order: each id is one of those seen so
+            // far or the next one.
+            let route = dec.u32()?;
+            if route > routes {
+                return Err(CodecError {
+                    offset: dec.position() - 4,
+                    detail: format!("crossover route id {route} after {routes} routes"),
+                });
+            }
+            routes += u32::from(route == routes);
+            crossover.push(RouteId(route));
+        }
+        points.push((FilterPoint { stop, point }, crossover));
+    }
+    Ok(FilterSet::from_parts(&query, &points))
+}
+
 impl Message {
     /// The request id this message carries (0 for [`Message::Delta`]).
     pub fn request_id(&self) -> u64 {
@@ -432,6 +502,7 @@ impl Message {
             | Message::Ping { id }
             | Message::Introspect { id, .. }
             | Message::Health { id }
+            | Message::Prune { id, .. }
             | Message::QueryOk { id, .. }
             | Message::SubscribeOk { id, .. }
             | Message::UnsubscribeOk { id, .. }
@@ -439,6 +510,7 @@ impl Message {
             | Message::Pong { id }
             | Message::IntrospectOk { id, .. }
             | Message::HealthOk { id, .. }
+            | Message::PruneOk { id, .. }
             | Message::Overloaded { id, .. }
             | Message::Error { id, .. } => id,
             Message::Delta { .. } => 0,
@@ -456,6 +528,7 @@ impl Message {
                 | Message::Ping { .. }
                 | Message::Introspect { .. }
                 | Message::Health { .. }
+                | Message::Prune { .. }
         )
     }
 
@@ -515,6 +588,12 @@ impl Message {
             Message::Health { id } => {
                 enc.u8(TAG_HEALTH);
                 enc.u64(*id);
+            }
+            Message::Prune { id, filter, k } => {
+                enc.u8(TAG_PRUNE);
+                enc.u64(*id);
+                enc.len_prefix(*k);
+                encode_filter(&mut enc, filter);
             }
             Message::QueryOk { id, transitions } => {
                 enc.u8(TAG_QUERY_OK);
@@ -585,6 +664,18 @@ impl Message {
                 enc.u8(TAG_HEALTH_OK);
                 enc.u64(*id);
                 enc.u64(*watermark);
+            }
+            Message::PruneOk {
+                id,
+                pruned_nodes,
+                origins,
+                destinations,
+            } => {
+                enc.u8(TAG_PRUNE_OK);
+                enc.u64(*id);
+                enc.u64(*pruned_nodes);
+                encode_transitions(&mut enc, origins);
+                encode_transitions(&mut enc, destinations);
             }
             Message::Overloaded { id, info } => {
                 enc.u8(TAG_OVERLOADED);
@@ -675,6 +766,11 @@ impl Message {
                 },
             },
             TAG_HEALTH => Message::Health { id: dec.u64()? },
+            TAG_PRUNE => Message::Prune {
+                id: dec.u64()?,
+                k: dec.usize()?,
+                filter: Box::new(decode_filter(&mut dec)?),
+            },
             TAG_QUERY_OK => Message::QueryOk {
                 id: dec.u64()?,
                 transitions: decode_transitions(&mut dec)?,
@@ -748,6 +844,12 @@ impl Message {
                 id: dec.u64()?,
                 watermark: dec.u64()?,
             },
+            TAG_PRUNE_OK => Message::PruneOk {
+                id: dec.u64()?,
+                pruned_nodes: dec.u64()?,
+                origins: decode_transitions(&mut dec)?,
+                destinations: decode_transitions(&mut dec)?,
+            },
             TAG_OVERLOADED => Message::Overloaded {
                 id: dec.u64()?,
                 info: OverloadInfo {
@@ -811,6 +913,13 @@ mod tests {
     use super::*;
     use rknnt_geo::Point;
 
+    fn filter_point(stop: u32, x: f64, y: f64) -> FilterPoint {
+        FilterPoint {
+            stop: StopId(stop),
+            point: Point::new(x, y),
+        }
+    }
+
     fn sample_messages() -> Vec<Message> {
         let query = RknntQuery {
             route: vec![Point::new(1.5, -2.5), Point::new(3.0, 4.0)],
@@ -859,6 +968,17 @@ mod tests {
                 what: IntrospectWhat::SlowQueries,
             },
             Message::Health { id: 18 },
+            Message::Prune {
+                id: 19,
+                filter: Box::new(FilterSet::from_parts(
+                    &[Point::new(0.0, 0.0), Point::new(9.0, 1.0)],
+                    &[
+                        (filter_point(4, 1.0, 2.0), vec![RouteId(0), RouteId(1)]),
+                        (filter_point(7, -3.0, 0.5), vec![RouteId(1)]),
+                    ],
+                )),
+                k: 2,
+            },
             Message::QueryOk {
                 id: 7,
                 transitions: vec![TransitionId::from(1), TransitionId::from(9)],
@@ -914,6 +1034,12 @@ mod tests {
                 id: 18,
                 watermark: 37,
             },
+            Message::PruneOk {
+                id: 19,
+                pruned_nodes: 5,
+                origins: vec![TransitionId::from(3), TransitionId::from(8)],
+                destinations: vec![TransitionId::from(3)],
+            },
             Message::Overloaded {
                 id: 12,
                 info: OverloadInfo {
@@ -968,6 +1094,33 @@ mod tests {
             let back = Message::decode(&bytes).unwrap();
             assert_eq!(back, msg);
         }
+    }
+
+    #[test]
+    fn prune_route_ids_travel_dense_and_an_out_of_range_one_is_rejected() {
+        let prune = |crossovers: [Vec<RouteId>; 2]| {
+            let [a, b] = crossovers;
+            let points = [
+                (filter_point(1, 0.0, 1.0), a),
+                (filter_point(2, 5.0, 1.0), b),
+            ];
+            Message::Prune {
+                id: 3,
+                filter: Box::new(FilterSet::from_parts(&[Point::new(0.0, 0.0)], &points)),
+                k: 2,
+            }
+        };
+        let sparse = prune([vec![RouteId(900), RouteId(5)], vec![RouteId(5)]]);
+        let dense = prune([vec![RouteId(0), RouteId(1)], vec![RouteId(1)]]);
+        assert_eq!(Message::decode(&sparse.encode()).unwrap(), dense);
+        // The last crossover id is the frame's last four bytes: 3 skips
+        // route 2 after two routes seen.
+        let mut bytes = dense.encode();
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&3u32.to_le_bytes());
+        let err = Message::decode(&bytes).unwrap_err();
+        assert!(err.detail.contains("route id 3 after 2 routes"), "{err:?}");
+        assert_eq!(err.offset, at);
     }
 
     #[test]

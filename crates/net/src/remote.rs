@@ -275,8 +275,7 @@ pub struct RemoteShardStats {
     /// Calls failed fast by an open breaker.
     pub breaker_denials: u64,
     /// Successful dials. When this moves, the previous connection — and
-    /// every per-connection resource on it, like server-side subscriptions
-    /// — is gone; the router uses it to detect stale subscription handles.
+    /// every per-connection resource on it — is gone.
     pub dials: u64,
 }
 

@@ -72,20 +72,20 @@
 //! it is answered *from the reader thread*, so introspection works even
 //! while the executor is saturated, and is never queued or shed.
 
+use crate::client::Pruned;
 use crate::protocol::{
     estimate_cost, frame_bytes, read_frame, IntrospectReport, IntrospectWhat, Message,
     OverloadInfo, WireSlowQuery,
 };
-use rknnt_core::{RknntQuery, RknntResult};
+use rknnt_core::{CandidateEndpoint, FilterSet, QueryScratch, RknntQuery};
 use rknnt_fault::{Failpoints, FaultAction};
-use rknnt_index::TransitionId;
+use rknnt_index::EndpointKind;
 use rknnt_obs::{
     Counter, Gauge, Histogram, MetricsRegistry, SlowQueryLog, SpanId, Telemetry, TraceContext,
     TraceCursor, TraceId,
 };
 use rknnt_service::{
-    BatchStats, QueryService, ShardedService, StorageError, StoreUpdate, SubscriptionDelta,
-    SubscriptionId, UpdateStats,
+    Backing, QueryService, Service, ShardedService, SubscriptionDelta, SubscriptionId,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
@@ -113,87 +113,29 @@ pub enum Backend {
     Sharded(ShardedService),
 }
 
-impl Backend {
-    fn lookup(&self, query: &RknntQuery, trace: TraceCursor<'_>) -> Option<RknntResult> {
-        match self {
-            Backend::Single(s) => s.lookup(query, trace),
-            Backend::Sharded(s) => s.lookup(query, trace),
+/// `$body` with `$s` bound to the service `$backend` holds: both are one
+/// generic [`rknnt_service::Service`], so every call reads the same.
+macro_rules! on_service {
+    ($backend:expr, $s:ident => $body:expr) => {
+        match $backend {
+            Backend::Single($s) => $body,
+            Backend::Sharded($s) => $body,
         }
-    }
+    };
+}
 
-    fn execute_batch_traced(
-        &self,
-        queries: &[RknntQuery],
-        trace: TraceCursor<'_>,
-    ) -> (Vec<RknntResult>, BatchStats) {
-        match self {
-            Backend::Single(s) => s.execute_batch_traced(queries, trace),
-            Backend::Sharded(s) => s.execute_batch_traced(queries, trace),
-        }
-    }
-
-    fn subscribe(&mut self, query: RknntQuery) -> SubscriptionId {
-        match self {
-            Backend::Single(s) => s.subscribe(query),
-            Backend::Sharded(s) => s.subscribe(query),
-        }
-    }
-
-    fn subscription_result(&self, id: SubscriptionId) -> Option<&[TransitionId]> {
-        match self {
-            Backend::Single(s) => s.subscription_result(id),
-            Backend::Sharded(s) => s.subscription_result(id),
-        }
-    }
-
-    fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        match self {
-            Backend::Single(s) => s.unsubscribe(id),
-            Backend::Sharded(s) => s.unsubscribe(id),
-        }
-    }
-
-    fn try_apply_updates(
-        &mut self,
-        updates: Vec<StoreUpdate>,
-        trace: TraceCursor<'_>,
-    ) -> Result<UpdateStats, StorageError> {
-        match self {
-            Backend::Single(s) => s.try_apply_updates(updates, trace),
-            Backend::Sharded(s) => s.try_apply_updates(updates, trace),
-        }
-    }
-
-    /// Arms the storage-level (`storage.wal.*`) failpoint sites.
-    fn set_storage_failpoints(&mut self, failpoints: Arc<Failpoints>) {
-        match self {
-            Backend::Single(s) => s.set_storage_failpoints(failpoints),
-            Backend::Sharded(s) => s.set_storage_failpoints(failpoints),
-        }
-    }
-
-    /// The durable applied-update watermark, when storage is attached:
-    /// every update record is WAL-appended before it applies (one frame per
-    /// record), so `next_seq − 1` counts exactly the records this backend
-    /// has ever received — across restarts.
-    fn durable_watermark(&self) -> Option<u64> {
-        let stats = match self {
-            Backend::Single(s) => s.storage_stats(),
-            Backend::Sharded(s) => s.storage_stats(),
-        };
-        stats.map(|st| st.next_seq.saturating_sub(1))
-    }
-
-    /// A live handle to the backend's metric registry, for answering
-    /// `Introspect { Metrics }` from the reader threads without touching
-    /// the backend lock. Registry clones share the underlying cells, so the
-    /// handle stays current.
-    fn introspection_registry(&self) -> MetricsRegistry {
-        match self {
-            Backend::Single(s) => s.metrics().registry().clone(),
-            Backend::Sharded(s) => s.metrics().registry().clone(),
-        }
-    }
+/// The prune step alone ([`Message::Prune`]) on a shard's service: the ids
+/// of the transitions whose origin and whose destination `filter` does not
+/// filter at `k`, and the TR-tree nodes pruned unopened.
+fn prune<B: Backing>(service: &Service<B>, filter: &FilterSet, k: usize) -> Pruned {
+    let mut scratch = QueryScratch::new();
+    let backing = service.backing();
+    let nodes = backing.prune(&mut scratch, filter, k, TraceCursor::NONE);
+    let candidates = scratch.candidates().iter();
+    let (origins, destinations): (Vec<_>, Vec<_>) =
+        candidates.partition(|c| c.kind == EndpointKind::Origin);
+    let ids = |side: Vec<&CandidateEndpoint>| side.iter().map(|c| c.transition).collect();
+    (ids(origins), ids(destinations), nodes as u64)
 }
 
 /// Admission-control and batching knobs.
@@ -510,7 +452,7 @@ struct Shared {
     /// Completed-trace ring; promotes over-threshold traces.
     slow_log: Arc<SlowQueryLog>,
     /// Live backend registry handle for reader-thread metrics
-    /// introspection — see [`Backend::introspection_registry`].
+    /// introspection (registry clones share the cells).
     registry: MetricsRegistry,
 }
 
@@ -563,11 +505,13 @@ impl Server {
     /// `backend`.
     pub fn start(mut backend: Backend, config: ServerConfig) -> io::Result<Server> {
         if let Some(failpoints) = &config.failpoints {
-            backend.set_storage_failpoints(Arc::clone(failpoints));
+            on_service!(&mut backend, s => s.set_storage_failpoints(Arc::clone(failpoints)));
         }
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let registry = backend.introspection_registry();
+        // Registry clones share the cells: the readers' introspection stays
+        // current without the backend lock.
+        let registry = on_service!(&backend, s => s.metrics().registry().clone());
         let slow_log = Arc::new(SlowQueryLog::new(
             config.slow_query_threshold_ns,
             config.slow_query_capacity,
@@ -1038,7 +982,9 @@ fn answer_resident(shared: &Shared, mut job: Job) {
     // A poisoned lock or a taken backend is "not resident": the request
     // falls through to the queue, which refuses once it is closed.
     let answer = match shared.backend.read() {
-        Ok(backend) => backend.as_ref().and_then(|b| b.lookup(query, cursor)),
+        Ok(backend) => backend
+            .as_ref()
+            .and_then(|b| on_service!(b, s => s.lookup(query, cursor))),
         Err(_) => None,
     };
     let mut state = shared.queue.lock().expect("queue poisoned");
@@ -1071,11 +1017,11 @@ fn answer_resident(shared: &Shared, mut job: Job) {
     finish(shared, &job.conn, job.accepted_at);
 }
 
-/// Executor state for live subscriptions: wire handle → owning connection
-/// and the backend's (crate-private) id.
+/// Executor state for live subscriptions: wire handle (the backend's raw
+/// id) → owning connection, and each connection's handles.
 #[derive(Default)]
 struct SubscriptionTable {
-    by_raw: HashMap<u64, (u64, SubscriptionId)>,
+    by_raw: HashMap<u64, u64>,
     by_conn: HashMap<u64, Vec<u64>>,
 }
 
@@ -1263,8 +1209,8 @@ fn process_batch(
             }),
             Work::Disconnect => shared.with_backend_mut(|backend| {
                 for raw in subs.by_conn.remove(&job.conn.id).unwrap_or_default() {
-                    if let Some((_, sid)) = subs.by_raw.remove(&raw) {
-                        backend.unsubscribe(sid);
+                    if subs.by_raw.remove(&raw).is_some() {
+                        on_service!(backend, s => s.unsubscribe(SubscriptionId(raw)));
                         shared.metrics.subscriptions_reclaimed.inc();
                     }
                 }
@@ -1295,7 +1241,7 @@ fn flush_queries(shared: &Shared, queries: &mut Vec<RknntQuery>, meta: &mut Vec<
         .find_map(|(_, _, _, trace)| trace.as_ref())
         .map_or(TraceCursor::NONE, RequestTrace::execute_cursor);
     let (results, _stats) =
-        shared.with_backend(|backend| backend.execute_batch_traced(queries, batch_cursor));
+        shared.with_backend(|b| on_service!(b, s => s.execute_batch_traced(queries, batch_cursor)));
     for ((conn, id, accepted_at, trace), result) in meta.drain(..).zip(results) {
         // Finish the trace *before* the reply leaves: a client that has its
         // answer can immediately introspect and find the promoted trace.
@@ -1324,30 +1270,27 @@ fn handle_control(
 ) {
     match msg {
         Message::Subscribe { id, query } => {
-            let sid = backend.subscribe(query);
+            let (sid, transitions) = on_service!(backend, s => {
+                let sid = s.subscribe(query);
+                (sid, s.subscription_result(sid).map(<[_]>::to_vec))
+            });
             let raw = sid.raw();
-            let transitions = backend
-                .subscription_result(sid)
-                .map(<[TransitionId]>::to_vec)
-                .unwrap_or_default();
-            subs.by_raw.insert(raw, (conn.id, sid));
+            subs.by_raw.insert(raw, conn.id);
             subs.by_conn.entry(conn.id).or_default().push(raw);
             let _ = conn.send(&Message::SubscribeOk {
                 id,
                 subscription: raw,
-                transitions,
+                transitions: transitions.unwrap_or_default(),
             });
         }
         Message::Unsubscribe { id, subscription } => {
             // Only the owning connection may drop a subscription.
-            let owned =
-                matches!(subs.by_raw.get(&subscription), Some((owner, _)) if *owner == conn.id);
-            let existed = if owned {
-                let (_, sid) = subs.by_raw.remove(&subscription).expect("checked present");
+            let existed = if subs.by_raw.get(&subscription) == Some(&conn.id) {
+                subs.by_raw.remove(&subscription);
                 if let Some(raws) = subs.by_conn.get_mut(&conn.id) {
                     raws.retain(|&r| r != subscription);
                 }
-                backend.unsubscribe(sid)
+                on_service!(backend, s => s.unsubscribe(SubscriptionId(subscription)))
             } else {
                 false
             };
@@ -1359,7 +1302,7 @@ fn handle_control(
                 rt.start_execute();
                 rt.execute_cursor()
             });
-            let outcome = backend.try_apply_updates(updates, cursor);
+            let outcome = on_service!(backend, s => s.try_apply_updates(updates, cursor));
             // Finish the trace *before* the reply leaves: a client that has
             // its answer can immediately introspect and find the promoted
             // trace.
@@ -1393,10 +1336,22 @@ fn handle_control(
         Message::Ping { id } => {
             let _ = conn.send(&Message::Pong { id });
         }
+        Message::Prune { id, filter, k } => {
+            let (origins, destinations, pruned_nodes) =
+                on_service!(backend, s => prune(s, &filter, k));
+            let _ = conn.send(&Message::PruneOk {
+                id,
+                pruned_nodes,
+                origins,
+                destinations,
+            });
+        }
         Message::Health { id } => {
-            // Durable watermark when storage is attached (survives
+            // With storage attached, `next_seq − 1` (every record is
+            // WAL-appended before it applies, one frame each: durable across
             // restarts); the executor-local count otherwise.
-            let watermark = backend.durable_watermark().unwrap_or(*applied_records);
+            let stats = on_service!(backend, s => s.storage_stats());
+            let watermark = stats.map_or(*applied_records, |st| st.next_seq.saturating_sub(1));
             let _ = conn.send(&Message::HealthOk { id, watermark });
         }
         // Readers only enqueue request kinds; queries are flushed upstream.
@@ -1415,7 +1370,7 @@ fn handle_control(
 fn push_deltas(shared: &Shared, subs: &SubscriptionTable, deltas: Vec<SubscriptionDelta>) {
     for delta in deltas {
         let raw = delta.subscription.raw();
-        let Some(&(conn_id, _)) = subs.by_raw.get(&raw) else {
+        let Some(&conn_id) = subs.by_raw.get(&raw) else {
             continue;
         };
         let conn = shared

@@ -7,13 +7,15 @@
 //! after recovery the fleet is byte-identical to a fleet that never failed.
 
 use rknnt_core::{RknntQuery, Semantics};
+use rknnt_fault::{Failpoints, FaultPlan};
 use rknnt_geo::Point;
-use rknnt_index::{RouteStore, TransitionId, TransitionStore};
+use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
 use rknnt_net::{
     BreakerState, FleetConfig, FleetRouter, RecordingSleeper, RemoteShardConfig, ServerConfig,
 };
 use rknnt_obs::MockClock;
 use rknnt_service::{QueryService, ServiceConfig, StoreUpdate};
+use rknnt_storage::WAL_WRITE_SITE;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,6 +93,15 @@ fn test_fleet(
     shards: usize,
     storage_root: Option<PathBuf>,
 ) -> (FleetRouter, Arc<RecordingSleeper>, Arc<MockClock>) {
+    fleet_with_faults(shards, storage_root, Vec::new())
+}
+
+/// [`test_fleet`] with failpoints armed on some shards' servers.
+fn fleet_with_faults(
+    shards: usize,
+    storage_root: Option<PathBuf>,
+    shard_faults: Vec<(usize, Arc<Failpoints>)>,
+) -> (FleetRouter, Arc<RecordingSleeper>, Arc<MockClock>) {
     let sleeper = Arc::new(RecordingSleeper::new());
     let clock = Arc::new(MockClock::new());
     let config = FleetConfig {
@@ -104,6 +115,7 @@ fn test_fleet(
             ..RemoteShardConfig::default()
         },
         storage_root,
+        shard_faults,
         ..FleetConfig::default()
     };
     let (routes, pairs) = small_world();
@@ -422,5 +434,116 @@ fn subscriptions_resync_after_failover() {
         Some(folded.as_slice()),
         "resynced subscription must match the twin"
     );
+    fleet.shutdown();
+}
+
+/// Every shard of a durable fleet refuses its first WAL write, so `churn()`
+/// defers on the shards it reaches: their servers answer, but roll the
+/// batch back. The next query must not count such a shard as complete
+/// until it holds the records: the router ships a shard's deferred log
+/// suffix before it prunes there, so an answer marked complete is the
+/// twin's answer, deferral or not.
+///
+/// Mutation that fails it: `FleetShards::reach` runs its call without
+/// shipping the log suffix first — the shard answers from the stores it
+/// has, the answer is marked complete and misses the deferred arrivals.
+#[test]
+fn a_refused_write_is_shipped_before_the_shard_answers_again() {
+    let root = temp_root("refused");
+    let faults = (0..3)
+        .map(|shard| {
+            let plan = FaultPlan::new(0x5EED + shard as u64)
+                .fail(WAL_WRITE_SITE, 1, "injected WAL write failure")
+                .arm();
+            (shard, plan)
+        })
+        .collect();
+    let (mut fleet, _, _) = fleet_with_faults(3, Some(root.clone()), faults);
+    let mut twin = twin();
+    let applied = fleet.apply_updates(churn());
+    twin.apply_updates(churn());
+    assert!(
+        !applied.deferred_shards.is_empty(),
+        "the refused writes must defer"
+    );
+    let mut complete = 0;
+    for query in query_mix() {
+        let answer = fleet.execute(&query);
+        if answer.is_complete() {
+            let (expected, _) = twin.execute_batch(std::slice::from_ref(&query));
+            assert_eq!(
+                answer.transitions, expected[0].transitions,
+                "a complete answer after a refused write"
+            );
+            complete += 1;
+        }
+    }
+    assert!(complete >= 1, "no answer was complete");
+    for shard in 0..3 {
+        let (acked, total) = fleet.shard_progress(shard);
+        assert_eq!(acked, total, "shard {shard} answered without its log");
+    }
+    fleet.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A route is inserted and another removed while a shard is down and a
+/// subscription is live. The router follows both on its own route set, but
+/// the removal's candidates come from a prune the down shard misses, so
+/// its transitions that the removal lets in reach the subscription only
+/// when the shard returns: `restart_shard` re-executes the subscription
+/// and emits the difference as a resync delta. After it, the folded deltas
+/// and every complete answer equal the twin's.
+///
+/// Mutation that fails it: skip the resync in `FleetRouter::restart_shard`
+/// — the subscription keeps missing what entered on the down shard.
+#[test]
+fn route_changes_during_an_outage_resync_the_subscriptions_exactly() {
+    let (mut fleet, _, _) = test_fleet(3, None);
+    let mut twin = twin();
+    let standing = RknntQuery::exists(vec![p(0.0, 40.0), p(600.0, 40.0), p(1200.0, 40.0)], 2);
+    let (sub, initial) = fleet.subscribe(&standing);
+    assert!(initial.is_complete());
+    let twin_sub = twin.subscribe(standing.clone());
+    let victim = 1usize;
+    fleet.kill_shard(victim, "chaos: route outage test");
+    let changes = vec![
+        StoreUpdate::InsertRoute(vec![p(0.0, 70.0), p(600.0, 75.0), p(1200.0, 70.0)]),
+        StoreUpdate::RemoveRoute(RouteId(1)),
+    ];
+    let applied = fleet.apply_updates(changes.clone());
+    let expected = twin.apply_updates(changes);
+    assert_eq!((applied.routed, applied.rejected), (2, 0));
+    assert_eq!(expected.applied, 2);
+    let mut view: std::collections::BTreeSet<TransitionId> =
+        initial.transitions.iter().copied().collect();
+    let mut fold = |deltas: &[rknnt_net::FleetDelta]| {
+        for delta in deltas {
+            assert_eq!(delta.subscription, sub);
+            view.extend(delta.entered.iter().copied());
+            for id in &delta.left {
+                view.remove(id);
+            }
+        }
+    };
+    fold(&fleet.take_deltas());
+    fleet.restart_shard(victim).expect("restart");
+    let resync = fleet.take_deltas();
+    assert!(
+        resync
+            .iter()
+            .flat_map(|d| d.entered.iter().chain(&d.left))
+            .any(|id| fleet.owner_of(*id) == Some(victim)),
+        "a resync delta must carry a transition of the down shard"
+    );
+    fold(&resync);
+    let folded: Vec<TransitionId> = view.into_iter().collect();
+    assert_eq!(twin.subscription_result(twin_sub), Some(folded.as_slice()));
+    assert_eq!(fleet.subscription_result(sub), Some(folded));
+    for query in query_mix() {
+        let answer = fleet.execute(&query);
+        assert!(answer.is_complete());
+        assert_eq!(answer.transitions, twin.execute(&query).transitions);
+    }
     fleet.shutdown();
 }

@@ -2,10 +2,10 @@
 //! the subscription registry, the storage handle and the metric catalog, and
 //! runs the only copy of the batch pipeline, the worker pool, the update
 //! skeleton, the subscription surface and durability (`open` /
-//! `attach_storage` / `checkpoint`). What it serves
-//! *from* is a [`Backing`]: one flat pair of stores
-//! ([`crate::QueryService`]) or the complete routes plus the transitions
-//! spread over spatial shards ([`crate::ShardedService`]).
+//! `attach_storage` / `checkpoint`). What it serves *from* is a [`Backing`]:
+//! one flat pair of stores ([`crate::QueryService`]), the routes plus
+//! spatial transition shards ([`crate::ShardedService`]), or — in
+//! `rknnt-net`'s fleet — the routes plus remote transition shards.
 //!
 //! Durability is the frontend's because it is layout-blind: every update is
 //! logged in global form before any backing sees it, a checkpoint stores
@@ -41,18 +41,15 @@ use std::sync::{Arc, Mutex};
 const CACHE_SEED: u64 = 0x5eed;
 
 /// What a [`Service`] serves from — exactly the parts of serving that differ
-/// between one flat pair of stores and a set of shards. Everything else
-/// (cache, grouping, coalescing, filter construction and sharing,
-/// verification, worker pool, WAL append, checkpoint and recovery, eviction,
-/// subscription upkeep, stats) is the frontend's and exists once.
+/// between one flat pair of stores, in-process shards and remote ones.
+/// Everything else (cache, grouping, coalescing, filter construction and
+/// sharing, verification, worker pool, WAL append, checkpoint and recovery,
+/// eviction, subscription upkeep, stats) is the frontend's and exists once.
 ///
-/// Sealed: the trait lives in a private module, so only this crate's two
-/// backings implement it.
+/// Public, not sealed: `rknnt-net`'s fleet router implements it over remote
+/// transition shards. A backing a storage directory can hold is also
+/// [`Durable`].
 pub trait Backing: Sync + Sized {
-    /// What building the backing takes beyond the data: the frontend's
-    /// [`ServiceConfig`] itself, or a configuration that embeds one.
-    type Config;
-
     /// The complete route set answers are defined over. Filters are built,
     /// candidates verified and journalled arrivals admitted against it;
     /// global route ids are its slot indexes.
@@ -90,6 +87,16 @@ pub trait Backing: Sync + Sized {
     /// unknown or expired one. A route insert resolves the members it
     /// rechecks through it, a route removal the candidates it admits.
     fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)>;
+}
+
+/// A backing a storage directory can hold: it exports the one global state
+/// a snapshot stores and is rebuilt from recovered stores, as
+/// [`Service::open`], [`Service::attach_storage`] and [`Service::checkpoint`]
+/// need.
+pub trait Durable: Backing {
+    /// What building the backing takes beyond the data: the frontend's
+    /// [`ServiceConfig`] itself, or a configuration that embeds one.
+    type Config;
 
     /// The complete logical state in *global* form — the planner-wide route
     /// slots and every transition slot in global id order, dead ones
@@ -97,7 +104,7 @@ pub trait Backing: Sync + Sized {
     fn export_state(&self) -> (RouteStoreState, TransitionStoreState);
 
     /// A service over the given stores (empty, or recovered from a
-    /// snapshot in the global form [`Backing::export_state`] writes): no
+    /// snapshot in the global form [`Durable::export_state`] writes): no
     /// cached results, no subscriptions, no storage. How the backing lays
     /// the data out is `config`'s call alone and never changes an answer.
     fn from_stores(
@@ -107,7 +114,7 @@ pub trait Backing: Sync + Sized {
     ) -> Service<Self>;
 }
 
-/// A concurrent batch RkNNT query service over a (sealed) backing — use it
+/// A concurrent batch RkNNT query service over a backing — in this crate
 /// through its two instantiations, [`crate::QueryService`] and
 /// [`crate::ShardedService`].
 ///
@@ -135,7 +142,7 @@ pub struct Service<B: Backing> {
 impl<B: Backing> Service<B> {
     /// Assembles a service over `backing` with an empty cache, no
     /// subscriptions and no storage.
-    pub(crate) fn from_parts(backing: B, config: ServiceConfig, metrics: ServiceMetrics) -> Self {
+    pub fn from_parts(backing: B, config: ServiceConfig, metrics: ServiceMetrics) -> Self {
         Service {
             backing,
             config,
@@ -153,6 +160,11 @@ impl<B: Backing> Service<B> {
     // ------------------------------------------------------------------
     // Accessors.
     // ------------------------------------------------------------------
+
+    /// The backing the service serves from.
+    pub fn backing(&self) -> &B {
+        &self.backing
+    }
 
     /// Read access to the complete route store (for a sharded service: the
     /// planner, whose slot indexes are the global route ids).
@@ -212,94 +224,6 @@ impl<B: Backing> Service<B> {
         if let Some(storage) = &mut self.storage {
             storage.set_failpoints(failpoints);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Durability.
-    // ------------------------------------------------------------------
-
-    /// Opens a durable service from a storage directory: loads the latest
-    /// valid snapshot, replays the WAL tail through the normal update path
-    /// (so cache state and future subscriptions come up consistent for
-    /// free) and attaches the directory for further logging. An empty or
-    /// brand-new directory yields an empty service.
-    ///
-    /// The directory holds one format whatever wrote it — a snapshot of the
-    /// global state plus a WAL of global-form [`StoreUpdate`]s — so a
-    /// directory written by either service opens as the other, and `config`
-    /// is authoritative: a sharded service lays the recovered data out for
-    /// the shard count and grid it is opened with, not the ones it was
-    /// written under.
-    ///
-    /// Recovery tolerates a torn final WAL frame (a crash mid-append drops
-    /// exactly the un-committed record, reported via
-    /// [`StorageStats::torn_tail`]); every other form of damage — bad
-    /// magic, checksum mismatches, undecodable records, truncation before
-    /// the final frame — is a typed [`StorageError`].
-    pub fn open(
-        dir: &Path,
-        config: B::Config,
-        storage_config: StorageConfig,
-    ) -> Result<(Self, StorageStats), StorageError> {
-        let (mut storage, recovery) = Storage::open(dir, storage_config)?;
-        let (routes, transitions) = recovery.stores.unwrap_or_default();
-        let mut service = B::from_stores(routes, transitions, config);
-        storage.set_instruments(service.metrics.storage_instruments());
-        let mut updates = Vec::with_capacity(recovery.tail.len());
-        for record in &recovery.tail {
-            updates.push(StoreUpdate::from_wal_record(record).map_err(|e| {
-                StorageError::Corrupt {
-                    path: dir.to_path_buf(),
-                    offset: None,
-                    detail: format!("undecodable WAL record: {e}"),
-                }
-            })?);
-        }
-        if !updates.is_empty() {
-            // Replay mutates the stores exactly like the original calls did
-            // (ids are dense slot indexes, and the snapshot preserved dead
-            // slots) — but must not re-append to the WAL.
-            service.replay(updates);
-        }
-        let stats = storage.stats();
-        service.storage = Some(storage);
-        Ok((service, stats))
-    }
-
-    /// Attaches a storage directory to an in-memory service and writes the
-    /// initial checkpoint, making the current state durable. The directory
-    /// must not already hold snapshot or WAL data
-    /// ([`StorageError::DirectoryNotEmpty`]) — recover existing state with
-    /// [`Service::open`] instead.
-    pub fn attach_storage(
-        &mut self,
-        dir: &Path,
-        storage_config: StorageConfig,
-    ) -> Result<StorageStats, StorageError> {
-        let (mut storage, recovery) = Storage::open(dir, storage_config)?;
-        if recovery.found_existing {
-            return Err(StorageError::DirectoryNotEmpty {
-                dir: dir.to_path_buf(),
-            });
-        }
-        storage.set_instruments(self.metrics.storage_instruments());
-        // Checkpoint *before* attaching: if the initial snapshot cannot be
-        // written there is no durable baseline, and leaving the directory
-        // attached would let the WAL grow against state recovery could
-        // never reconstruct (replay onto empty stores).
-        let (routes, transitions) = self.backing.export_state();
-        let stats = storage.checkpoint(routes, transitions)?;
-        self.storage = Some(storage);
-        Ok(stats)
-    }
-
-    /// Writes a new snapshot covering every logged update and truncates the
-    /// now-obsolete WAL segments. Requires attached storage
-    /// ([`StorageError::NotAttached`] otherwise).
-    pub fn checkpoint(&mut self) -> Result<StorageStats, StorageError> {
-        let storage = self.storage.as_mut().ok_or(StorageError::NotAttached)?;
-        let (routes, transitions) = self.backing.export_state();
-        storage.checkpoint(routes, transitions)
     }
 
     // ------------------------------------------------------------------
@@ -601,6 +525,32 @@ impl<B: Backing> Service<B> {
         self.monitor.get(id).map(|sub| sub.ids.as_slice())
     }
 
+    /// Re-executes every standing query and makes the fresh result the
+    /// maintained one, returning the ids that entered and left (sorted) of
+    /// each subscription whose result moved — nothing, unless a prune came
+    /// back short before: a fleet calls it when a lost shard answers again.
+    pub fn reexecute_subscriptions(
+        &mut self,
+    ) -> Vec<(SubscriptionId, Vec<TransitionId>, Vec<TransitionId>)> {
+        let not_in = |ids: &[TransitionId], from: &[TransitionId]| -> Vec<TransitionId> {
+            let absent = from.iter().filter(|id| ids.binary_search(id).is_err());
+            absent.copied().collect()
+        };
+        let mut monitor = std::mem::take(&mut self.monitor);
+        let mut moved = Vec::new();
+        for (id, sub) in monitor.iter_mut() {
+            let (result, bounds) = self.execute_uncached(&sub.query);
+            let entered = not_in(&sub.ids, &result.transitions);
+            let left = not_in(&result.transitions, &sub.ids);
+            (sub.ids, sub.bounds) = (result.transitions, bounds);
+            if !entered.is_empty() || !left.is_empty() {
+                moved.push((id, entered, left));
+            }
+        }
+        self.monitor = monitor;
+        moved
+    }
+
     // ------------------------------------------------------------------
     // Update path.
     // ------------------------------------------------------------------
@@ -820,5 +770,92 @@ impl<B: Backing> Service<B> {
     fn journal(&mut self, mut op: TransitionOp, deltas: &mut Vec<SubscriptionDelta>) {
         self.applied(&mut Effect::Transition(&mut op), deltas);
         self.cache.get_mut().expect("cache lock").record(op);
+    }
+}
+
+/// Durability, for a backing a storage directory can hold.
+impl<B: Durable> Service<B> {
+    /// Opens a durable service from a storage directory: loads the latest
+    /// valid snapshot, replays the WAL tail through the normal update path
+    /// (so cache state and future subscriptions come up consistent for
+    /// free) and attaches the directory for further logging. An empty or
+    /// brand-new directory yields an empty service.
+    ///
+    /// The directory holds one format whatever wrote it — a snapshot of the
+    /// global state plus a WAL of global-form [`StoreUpdate`]s — so a
+    /// directory written by either service opens as the other, and `config`
+    /// is authoritative: a sharded service lays the recovered data out for
+    /// the shard count and grid it is opened with, not the ones it was
+    /// written under.
+    ///
+    /// Recovery tolerates a torn final WAL frame (a crash mid-append drops
+    /// exactly the un-committed record, reported via
+    /// [`StorageStats::torn_tail`]); every other form of damage — bad
+    /// magic, checksum mismatches, undecodable records, truncation before
+    /// the final frame — is a typed [`StorageError`].
+    pub fn open(
+        dir: &Path,
+        config: B::Config,
+        storage_config: StorageConfig,
+    ) -> Result<(Self, StorageStats), StorageError> {
+        let (mut storage, recovery) = Storage::open(dir, storage_config)?;
+        let (routes, transitions) = recovery.stores.unwrap_or_default();
+        let mut service = B::from_stores(routes, transitions, config);
+        storage.set_instruments(service.metrics.storage_instruments());
+        let mut updates = Vec::with_capacity(recovery.tail.len());
+        for record in &recovery.tail {
+            updates.push(StoreUpdate::from_wal_record(record).map_err(|e| {
+                StorageError::Corrupt {
+                    path: dir.to_path_buf(),
+                    offset: None,
+                    detail: format!("undecodable WAL record: {e}"),
+                }
+            })?);
+        }
+        if !updates.is_empty() {
+            // Replay mutates the stores exactly like the original calls did
+            // (ids are dense slot indexes, and the snapshot preserved dead
+            // slots) — but must not re-append to the WAL.
+            service.replay(updates);
+        }
+        let stats = storage.stats();
+        service.storage = Some(storage);
+        Ok((service, stats))
+    }
+
+    /// Attaches a storage directory to an in-memory service and writes the
+    /// initial checkpoint, making the current state durable. The directory
+    /// must not already hold snapshot or WAL data
+    /// ([`StorageError::DirectoryNotEmpty`]) — recover existing state with
+    /// [`Service::open`] instead.
+    pub fn attach_storage(
+        &mut self,
+        dir: &Path,
+        storage_config: StorageConfig,
+    ) -> Result<StorageStats, StorageError> {
+        let (mut storage, recovery) = Storage::open(dir, storage_config)?;
+        if recovery.found_existing {
+            return Err(StorageError::DirectoryNotEmpty {
+                dir: dir.to_path_buf(),
+            });
+        }
+        storage.set_instruments(self.metrics.storage_instruments());
+        // Checkpoint *before* attaching: if the initial snapshot cannot be
+        // written there is no durable baseline, and leaving the directory
+        // attached would let the WAL grow against state recovery could
+        // never reconstruct (replay onto empty stores).
+        let (routes, transitions) = self.backing.export_state();
+        let stats = storage.checkpoint(routes, transitions)?;
+        self.storage = Some(storage);
+        Ok(stats)
+    }
+
+    /// Writes a new snapshot covering every logged update and truncates the
+    /// now-obsolete WAL segments. Requires attached storage
+    /// ([`StorageError::NotAttached`] otherwise).
+    pub fn checkpoint(&mut self) -> Result<StorageStats, StorageError> {
+        let storage = self.storage.as_mut().ok_or(StorageError::NotAttached)?;
+        let (routes, transitions) = self.backing.export_state();
+        storage.checkpoint(routes, transitions)
     }
 }

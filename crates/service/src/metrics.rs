@@ -81,10 +81,10 @@ pub struct ServiceMetrics {
     checkpoint_stall: Gauge,
 }
 
-impl ServiceMetrics {
+impl Default for ServiceMetrics {
     /// Registers the full catalog against a fresh registry with production
     /// (monotonic) telemetry.
-    pub(crate) fn new() -> Self {
+    fn default() -> Self {
         let mut registry = MetricsRegistry::new();
         let cache = CacheCounters {
             hits: registry.counter("service.cache.hits"),
@@ -119,12 +119,14 @@ impl ServiceMetrics {
             registry,
         }
     }
+}
 
+impl ServiceMetrics {
     /// Registers the single-service catalog *plus* the router-layer cells a
     /// [`crate::ShardedService`] adds on top: the fan-out histogram and the
     /// prune, dispatch and execution counters.
     pub(crate) fn new_with_router() -> (Self, RouterMetrics) {
-        let mut metrics = Self::new();
+        let mut metrics = Self::default();
         let router = RouterMetrics {
             fanout: metrics.registry.histogram("router.fanout"),
             shards_pruned: metrics.registry.counter("router.shards_pruned"),

@@ -52,12 +52,13 @@ use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionId};
 use std::collections::BTreeMap;
 
-/// Opaque handle to a standing query registered with
-/// [`QueryService::subscribe`].
+/// Handle to a standing query registered with [`QueryService::subscribe`]:
+/// the raw id the service issued, which a client over the wire holds as a
+/// number (an id never issued names no subscription).
 ///
 /// [`QueryService::subscribe`]: crate::QueryService::subscribe
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SubscriptionId(pub(crate) u64);
+pub struct SubscriptionId(pub u64);
 
 impl SubscriptionId {
     /// The raw numeric id (stable for the lifetime of the service).
@@ -147,6 +148,12 @@ impl SubscriptionRegistry {
 
     pub(crate) fn get(&self, id: SubscriptionId) -> Option<&Maintained> {
         self.subs.get(&id.0)
+    }
+
+    /// Every live subscription with its result, in id order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (SubscriptionId, &mut Maintained)> {
+        let subs = self.subs.iter_mut();
+        subs.map(|(id, sub)| (SubscriptionId(*id), sub))
     }
 
     /// The live subscriptions' results.

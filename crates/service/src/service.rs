@@ -4,7 +4,7 @@
 //! frontend's ([`Service`]); what is left here is what only a flat pair of
 //! stores can offer: one prune walk over the one TR-tree.
 
-use crate::frontend::{Backing, Service};
+use crate::frontend::{Backing, Durable, Service};
 use crate::metrics::ServiceMetrics;
 use crate::monitor::SubscriptionDelta;
 use rknnt_core::{prune_into_scratch, FilterSet, QueryScratch};
@@ -130,8 +130,6 @@ pub struct FlatStores {
 pub type QueryService = Service<FlatStores>;
 
 impl Backing for FlatStores {
-    type Config = ServiceConfig;
-
     fn routes(&self) -> &RouteStore {
         &self.routes
     }
@@ -165,6 +163,10 @@ impl Backing for FlatStores {
     fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
         self.transitions.get(id).map(|t| (t.origin, t.destination))
     }
+}
+
+impl Durable for FlatStores {
+    type Config = ServiceConfig;
 
     fn export_state(&self) -> (RouteStoreState, TransitionStoreState) {
         (self.routes.export_state(), self.transitions.export_state())
@@ -188,7 +190,7 @@ impl Service<FlatStores> {
                 transitions,
             },
             config,
-            ServiceMetrics::new(),
+            ServiceMetrics::default(),
         )
     }
 

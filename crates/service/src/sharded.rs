@@ -37,7 +37,7 @@
 //! [`ShardedService::reshard`] re-places it in memory without touching the
 //! disk, the result cache, the subscriptions or the metric catalog.
 
-use crate::frontend::{Backing, Service};
+use crate::frontend::{Backing, Durable, Service};
 use crate::metrics::{RouterMetrics, ServiceMetrics};
 use crate::service::ServiceConfig;
 use rknnt_core::{prune_into_scratch, FilterSet, QueryScratch};
@@ -125,8 +125,6 @@ pub struct ShardSet {
 pub type ShardedService = Service<ShardSet>;
 
 impl Backing for ShardSet {
-    type Config = ShardedConfig;
-
     fn routes(&self) -> &RouteStore {
         &self.planner
     }
@@ -252,6 +250,10 @@ impl Backing for ShardSet {
             .get(TransitionId(at.local))
             .map(|t| (t.origin, t.destination))
     }
+}
+
+impl Durable for ShardSet {
+    type Config = ShardedConfig;
 
     fn export_state(&self) -> (RouteStoreState, TransitionStoreState) {
         let transitions = self

@@ -49,7 +49,7 @@ pub use error::StorageError;
 /// The armed-failpoint handle [`Storage::set_failpoints`] takes, re-exported
 /// so callers that only forward it need no dependency on `rknnt-fault`.
 pub use rknnt_fault::Failpoints;
-pub use wal::{WalConfig, WAL_FSYNC_SITE, WAL_ROLLBACK_SITE, WAL_WRITE_SITE};
+pub use wal::{WAL_FSYNC_SITE, WAL_ROLLBACK_SITE, WAL_WRITE_SITE};
 
 use rknnt_index::{RouteStore, RouteStoreState, TransitionStore, TransitionStoreState};
 use rknnt_obs::{Counter, Gauge, Stage, TraceCursor};
@@ -70,10 +70,9 @@ pub struct StorageConfig {
 
 impl Default for StorageConfig {
     fn default() -> Self {
-        let wal = WalConfig::default();
         StorageConfig {
-            segment_bytes: wal.segment_bytes,
-            fsync: wal.fsync,
+            segment_bytes: 4 * 1024 * 1024,
+            fsync: true,
         }
     }
 }
@@ -270,15 +269,7 @@ impl Storage {
             }
         }
         let next_seq = scan.max_seq.max(snapshot_last_seq) + 1;
-        let wal = Wal::resume(
-            dir,
-            WalConfig {
-                segment_bytes: config.segment_bytes,
-                fsync: config.fsync,
-            },
-            next_seq,
-            segments,
-        );
+        let wal = Wal::resume(dir, config, next_seq, segments);
         let recovery = Recovery {
             stores,
             torn_tail: scan.torn_tail,

@@ -35,6 +35,7 @@
 //! frame in a non-final segment, which no single crash can produce.
 
 use crate::error::StorageError;
+use crate::StorageConfig;
 use rknnt_data::codec::crc32;
 use rknnt_fault::{Failpoints, FaultAction};
 use std::fs;
@@ -44,25 +45,6 @@ use std::sync::Arc;
 
 /// Frame header bytes: crc (u32) + len (u32).
 const FRAME_HEADER_BYTES: usize = 8;
-
-/// Tuning for the write-ahead log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalConfig {
-    /// Rotate to a new segment once the active one reaches this size.
-    pub segment_bytes: u64,
-    /// Whether to `fdatasync` after every append batch. Disable only for
-    /// tests and benchmarks that measure codec cost, not durability.
-    pub fsync: bool,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            segment_bytes: 4 * 1024 * 1024,
-            fsync: true,
-        }
-    }
-}
 
 /// Segment file name for a segment whose first frame is `first_seq`.
 fn segment_name(first_seq: u64) -> String {
@@ -186,7 +168,7 @@ pub fn scan_dir(dir: &Path) -> Result<WalScan, StorageError> {
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
-    config: WalConfig,
+    config: StorageConfig,
     active: Option<fs::File>,
     active_path: Option<PathBuf>,
     active_bytes: u64,
@@ -219,7 +201,7 @@ impl Wal {
     /// segment).
     pub fn resume(
         dir: &Path,
-        config: WalConfig,
+        config: StorageConfig,
         next_seq: u64,
         existing: Vec<(PathBuf, u64)>,
     ) -> Self {
@@ -450,8 +432,8 @@ mod tests {
         dir
     }
 
-    fn no_fsync(segment_bytes: u64) -> WalConfig {
-        WalConfig {
+    fn no_fsync(segment_bytes: u64) -> StorageConfig {
+        StorageConfig {
             segment_bytes,
             fsync: false,
         }

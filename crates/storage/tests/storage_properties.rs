@@ -8,7 +8,8 @@ use proptest::prelude::*;
 use rknnt_geo::Point;
 use rknnt_index::{RouteStore, TransitionStore};
 use rknnt_storage::snapshot::{encode_stores, read_snapshot, write_snapshot};
-use rknnt_storage::wal::{scan_dir, Wal, WalConfig};
+use rknnt_storage::wal::{scan_dir, Wal};
+use rknnt_storage::StorageConfig;
 use std::path::PathBuf;
 
 fn p(x: f64, y: f64) -> Point {
@@ -148,7 +149,7 @@ proptest! {
         segment_bytes in 32u64..256,
     ) {
         let dir = temp_dir("walround", segment_bytes ^ records.len() as u64);
-        let mut wal = Wal::resume(&dir, WalConfig { segment_bytes, fsync: false }, 1, Vec::new());
+        let mut wal = Wal::resume(&dir, StorageConfig { segment_bytes, fsync: false }, 1, Vec::new());
         for chunk in records.chunks(3) {
             wal.append_batch(chunk).unwrap();
         }
@@ -172,7 +173,7 @@ proptest! {
     ) {
         // Single segment: every frame in one file, damage lands anywhere.
         let dir = temp_dir("waldamage", victim ^ (flip as u64) << 1);
-        let mut wal = Wal::resume(&dir, WalConfig { segment_bytes: 1 << 20, fsync: false }, 1, Vec::new());
+        let mut wal = Wal::resume(&dir, StorageConfig { segment_bytes: 1 << 20, fsync: false }, 1, Vec::new());
         wal.append_batch(&records).unwrap();
         let seg = scan_dir(&dir).unwrap().segments[0].0.clone();
         let pristine = std::fs::read(&seg).unwrap();
