@@ -22,7 +22,7 @@
 //! * **resync when a shard returns** — through
 //!   [`FleetRouter::restart_shard`] or a successful call after a failure,
 //!   the router re-executes every subscription and emits the difference as
-//!   resync deltas.
+//!   resync deltas, keeping the members of any shard still missing.
 //!
 //! A restarted shard is reopened from its storage directory (durable
 //! fleets) or rebuilt from its build-time slice, and a
@@ -58,7 +58,8 @@ pub struct FleetConfig {
     pub grid_bits: u32,
     /// R-tree fan-out for every store in the fleet.
     pub rtree: RTreeConfig,
-    /// Per-shard service configuration (the router's, with caching off).
+    /// Service configuration of the router and every shard, with caching
+    /// off: the router serves no cached answer, a shard no query.
     pub service: ServiceConfig,
     /// Per-shard serving-edge configuration (admission budgets must be
     /// provisioned so router traffic is never shed — a shed dispatch is
@@ -178,7 +179,8 @@ struct FleetShard {
     log: Vec<StoreUpdate>,
     /// Records the shard acknowledged (its watermark while in sync).
     acked: u64,
-    /// Whether the last call reached the shard.
+    /// Whether the last call reached the shard; a resync keeps the members
+    /// of a shard it did not reach.
     up: bool,
     /// Whether a call missed the shard, and whether one reached it after a
     /// failure, since the router last settled.
@@ -224,6 +226,12 @@ struct FleetShards {
 impl FleetShards {
     fn shard(&self, index: usize) -> MutexGuard<'_, FleetShard> {
         self.shards[index].lock().expect("fleet shard poisoned")
+    }
+
+    /// The shard that owns a live transition.
+    fn owner(&self, id: TransitionId) -> Option<usize> {
+        let (origin, _) = self.endpoints(id)?;
+        Some(self.grid.shard_of_point(&origin, self.shards.len()))
     }
 }
 
@@ -318,7 +326,7 @@ impl Backing for FleetShards {
 }
 
 struct FleetMetrics {
-    registry: Mutex<MetricsRegistry>,
+    registry: MetricsRegistry,
     dispatches: Counter,
     partial_results: Counter,
     deferred_records: Counter,
@@ -338,7 +346,7 @@ impl FleetMetrics {
             replayed_records: counter("fleet.replayed_records"),
             restarts: counter("fleet.restarts"),
             resync_deltas: counter("fleet.resync_deltas"),
-            registry: Mutex::new(registry),
+            registry,
         }
     }
 }
@@ -374,13 +382,14 @@ impl FleetRouter {
     /// [`FleetRouter::bulk_build`] with an explicit breaker clock and
     /// backoff sleeper — the deterministic-test constructor.
     pub fn bulk_build_with_parts(
-        config: FleetConfig,
+        mut config: FleetConfig,
         routes: Vec<Vec<Point>>,
         transitions: Vec<(Point, Point)>,
         clock: Arc<dyn Clock>,
         sleeper: Option<Arc<dyn Sleeper>>,
     ) -> Result<FleetRouter, FleetError> {
         let shard_count = config.shards.max(1);
+        config.service = config.service.with_cache_capacity(0);
         let (routes, _) = RouteStore::bulk_build(config.rtree, routes);
         // Invalid pairs consume no global id, exactly like the unsharded
         // bulk build; every slot handed to the partition is live.
@@ -444,9 +453,8 @@ impl FleetRouter {
             directory,
             shards,
         };
-        let router_config = config.service.with_cache_capacity(0);
         Ok(FleetRouter {
-            service: Service::from_parts(fleet, router_config, ServiceMetrics::default()),
+            service: Service::from_parts(fleet, config.service, ServiceMetrics::default()),
             config,
             pending_deltas: Vec::new(),
             metrics: FleetMetrics::new(),
@@ -482,18 +490,12 @@ impl FleetRouter {
     /// Which shard owns a live global transition id (tests and experiments
     /// use this to compute the exact answer a degraded fleet must report).
     pub fn owner_of(&self, id: TransitionId) -> Option<usize> {
-        let fleet = self.fleet();
-        let (origin, _) = fleet.endpoints(id)?;
-        Some(fleet.grid.shard_of_point(&origin, fleet.shards.len()))
+        self.fleet().owner(id)
     }
 
     /// Text exposition of the `fleet.*` metrics.
     pub fn metrics_text(&self) -> String {
-        self.metrics
-            .registry
-            .lock()
-            .expect("fleet metrics poisoned")
-            .render_text()
+        self.metrics.registry.render_text()
     }
 
     /// Chaos hook: kills shard `index`'s server exactly as the
@@ -620,39 +622,42 @@ impl FleetRouter {
         shard
             .ship()
             .map_err(|e| resync_err(format!("log replay: {e}")))?;
-        shard.up = true;
+        (shard.up, shard.returned) = (true, true);
         drop(shard);
         self.metrics.replayed_records.add(replay);
-        self.resync();
+        self.settle();
         Ok(())
     }
 
-    /// The shards the calls since the last look could not reach. When one
-    /// answered again after a failure, every subscription is re-executed.
+    /// The shards the calls since the last look could not reach. While one
+    /// answered again after a failure, every subscription is re-executed and
+    /// what moved is queued as resync deltas. A member whose shard the
+    /// re-execution missed is kept, not reported as left; that shard returns
+    /// later, and only the caller's own misses are the caller's. The passes
+    /// are bounded, so a flapping shard cannot hold the caller: a return
+    /// seen in the last pass stays flagged for the next settle.
     fn settle(&mut self) -> Vec<usize> {
-        let (mut missing, mut returned) = (Vec::new(), false);
-        for index in 0..self.shard_count() {
-            let mut shard = self.fleet().shard(index);
-            if std::mem::take(&mut shard.missed) {
-                missing.push(index);
+        let missing = self.take_flags(|shard| &mut shard.missed);
+        for _ in 0..self.shard_count() {
+            if self.take_flags(|shard| &mut shard.returned).is_empty() {
+                break;
             }
-            returned |= std::mem::take(&mut shard.returned);
-        }
-        if returned {
-            self.resync();
+            let unseen =
+                |fleet: &FleetShards, id| fleet.owner(id).is_some_and(|i| !fleet.shard(i).up);
+            let moved = self.service.reexecute_subscriptions(unseen);
+            self.metrics.resync_deltas.add(moved.len() as u64);
+            self.queue_deltas(moved.into_iter());
+            self.take_flags(|shard| &mut shard.missed);
         }
         missing
     }
 
-    /// Re-executes every subscription against the shards as they are now
-    /// and queues what moved as resync deltas — then settles, which runs it
-    /// again if a shard returned meanwhile: a subscription re-executed
-    /// before that missed it.
-    fn resync(&mut self) {
-        let moved = self.service.reexecute_subscriptions();
-        self.metrics.resync_deltas.add(moved.len() as u64);
-        self.queue_deltas(moved.into_iter());
-        self.settle();
+    /// The shards whose `flag` is set, clearing it.
+    fn take_flags(&self, flag: impl Fn(&mut FleetShard) -> &mut bool) -> Vec<usize> {
+        let shards = 0..self.shard_count();
+        shards
+            .filter(|&index| std::mem::take(flag(&mut self.fleet().shard(index))))
+            .collect()
     }
 
     fn queue_deltas(

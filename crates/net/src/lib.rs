@@ -1,22 +1,38 @@
-//! The serving edge: RkNNT queries over TCP with admission control —
-//! hermetically, with no async runtime or serde backend: `std::net`
-//! sockets, threads, and the little-endian codec + CRC framing the storage
-//! engine already trusts.
+//! The serving edge: RkNNT queries over TCP with admission control.
+//!
+//! Seven PRs of engine, batching, durability and sharding work all end at a
+//! function call; production traffic arrives over sockets and is judged by
+//! its p99s. This crate is that last hop, hermetically — no tokio, no serde
+//! backend, just `std::net::TcpStream`, threads, and the same little-endian
+//! codec + CRC framing the storage engine already trusts:
 //!
 //! * **[`protocol`]** — `crc | len | payload` frames (checksum covers
 //!   length *and* payload, so corrupted lengths cannot re-frame the
 //!   stream) carrying bounds-checked [`protocol::Message`] payloads, with
 //!   a per-request cost estimate ([`protocol::estimate_cost`]).
-//! * **[`Server`]** — a reader thread per connection feeds one bounded
-//!   queue that a single executor drains onto a [`Backend`]
+//! * **[`Server`]** — one reader thread per connection feeding a bounded
+//!   global queue; a single executor thread drains it onto a [`Backend`]
 //!   ([`rknnt_service::QueryService`] or
-//!   [`rknnt_service::ShardedService`]); a query whose answer is resident is
-//!   answered by its reader. Every request passes admission control: one
-//!   past the queue, cost-budget or per-connection limits gets a typed
-//!   `Overloaded` reply, never silence, and each decision lands in the
-//!   `net.*` metrics. Tagged requests get a span tree down to the backend's
-//!   pipeline, and [`Message::Introspect`] fetches metrics or slow queries
-//!   even while the executor is saturated.
+//!   [`rknnt_service::ShardedService`]), funnelling consecutive queries
+//!   through the batch path under a read lock, applying updates under the
+//!   write lock and pushing subscription deltas to their owning
+//!   connections. A query whose connection has nothing else in flight and
+//!   whose answer is resident in the cache is answered by the reader
+//!   itself, under the read lock, without crossing the executor.
+//!   **Admission control** is the load-bearing part, and every request
+//!   passes it: requests past the queue-capacity / queued-cost-budget /
+//!   per-connection-inflight limits are fast-failed with a typed
+//!   `Overloaded` reply — shed, never silently dropped — and every
+//!   decision lands in the `net.*` metrics (`net.admitted`,
+//!   `net.reader_hits`, per-reason `net.shed.*` counters,
+//!   `net.queue_depth`, `net.request_ns`).
+//! * **Tracing + introspection** — requests tagged with a trace id get a
+//!   per-request span tree through admission, queueing, execution and the
+//!   backend's batch pipeline (down to per-shard routing decisions and WAL
+//!   appends); slow traces are retained in a bounded ring, and
+//!   [`Message::Introspect`] / [`Client::introspect`] fetch metrics or slow
+//!   queries remotely, answered from the reader thread even when the
+//!   executor is saturated.
 //! * **[`Client`]** — a blocking client speaking the same codec, used by
 //!   the test suite and the `open_loop_latency` experiment. Answers are
 //!   byte-identical to in-process execution; `Overloaded` is a typed

@@ -274,10 +274,10 @@ fn deferred_updates_replay_on_in_memory_restart() {
 /// byte for byte; and the outage really covered queries and updates, so
 /// none of that holds vacuously.
 ///
-/// Mutation that fails it: in `FleetRouter::resync_shard`, skip shipping
-/// the log suffix past the recovered shard's watermark — the arrivals
-/// deferred during the outage never reach the restarted shard (`acked <
-/// total`) and the complete answers behind it miss them.
+/// Mutation that fails it: in `FleetRouter::restart_shard`, skip
+/// `shard.ship()`, which sends the log suffix past the recovered shard's
+/// watermark — the arrivals deferred during the outage never reach the
+/// restarted shard (`acked < total`).
 #[test]
 fn mid_stream_kill_and_restart_degrades_typed_and_recovers_exactly() {
     let (mut fleet, _, _) = test_fleet(4, None);
@@ -540,6 +540,68 @@ fn route_changes_during_an_outage_resync_the_subscriptions_exactly() {
     let folded: Vec<TransitionId> = view.into_iter().collect();
     assert_eq!(twin.subscription_result(twin_sub), Some(folded.as_slice()));
     assert_eq!(fleet.subscription_result(sub), Some(folded));
+    for query in query_mix() {
+        let answer = fleet.execute(&query);
+        assert!(answer.is_complete());
+        assert_eq!(answer.transitions, twin.execute(&query).transitions);
+    }
+    fleet.shutdown();
+}
+
+/// Two shards die under a live subscription and only one returns. The
+/// router follows arrivals and expiries on its own, so the subscription
+/// still holds every member of the shard that stays down; the resync that
+/// the other's return runs re-executes the subscription without that
+/// shard, and must keep those members rather than report them as left.
+/// After the second return the fleet is the twin again.
+///
+/// Mutation that fails it: `Service::reexecute_subscriptions` ignores its
+/// `unseen` predicate — the still-dead shard's members leave in a resync
+/// delta and the recorded result falls short of the twin's.
+#[test]
+fn a_resync_keeps_the_members_of_a_shard_still_down() {
+    let (mut fleet, _, _) = test_fleet(3, None);
+    let mut twin = twin();
+    let standing = RknntQuery::exists(vec![p(0.0, 40.0), p(600.0, 40.0), p(1200.0, 40.0)], 2);
+    let (sub, initial) = fleet.subscribe(&standing);
+    let twin_sub = twin.subscribe(standing.clone());
+    let (still_down, returning) = (0usize, 2usize);
+    let owned = |fleet: &FleetRouter, ids: &[TransitionId]| {
+        ids.iter().any(|id| fleet.owner_of(*id) == Some(still_down))
+    };
+    assert!(owned(&fleet, &initial.transitions), "no member to keep");
+    fleet.kill_shard(still_down, "chaos: stays down");
+    fleet.kill_shard(returning, "chaos: returns");
+    assert_eq!(fleet.apply_updates(churn()).rejected, 0);
+    twin.apply_updates(churn());
+    let mut view: std::collections::BTreeSet<TransitionId> =
+        initial.transitions.iter().copied().collect();
+    let mut fold = |deltas: Vec<rknnt_net::FleetDelta>| {
+        for delta in deltas {
+            assert_eq!(delta.subscription, sub);
+            view.extend(delta.entered.iter().copied());
+            for id in &delta.left {
+                view.remove(id);
+            }
+        }
+    };
+    fold(fleet.take_deltas());
+    fleet.restart_shard(returning).expect("restart");
+    let resync = fleet.take_deltas();
+    for delta in &resync {
+        assert!(
+            !owned(&fleet, &delta.entered) && !owned(&fleet, &delta.left),
+            "a resync delta moved a member of the shard still down: {delta:?}"
+        );
+    }
+    fold(resync);
+    let expected = twin.subscription_result(twin_sub).map(<[_]>::to_vec);
+    assert_eq!(fleet.subscription_result(sub), expected);
+    fleet.restart_shard(still_down).expect("restart");
+    fold(fleet.take_deltas());
+    let folded: Vec<TransitionId> = view.into_iter().collect();
+    assert_eq!(fleet.subscription_result(sub), Some(folded.clone()));
+    assert_eq!(twin.subscription_result(twin_sub), Some(folded.as_slice()));
     for query in query_mix() {
         let answer = fleet.execute(&query);
         assert!(answer.is_complete());

@@ -529,8 +529,12 @@ impl<B: Backing> Service<B> {
     /// maintained one, returning the ids that entered and left (sorted) of
     /// each subscription whose result moved — nothing, unless a prune came
     /// back short before: a fleet calls it when a lost shard answers again.
+    /// A member the re-execution could not see — `unseen`, asked of the
+    /// backing right after it, says so (a fleet: its shard was missed) — is
+    /// kept with its bounds rather than reported as left.
     pub fn reexecute_subscriptions(
         &mut self,
+        unseen: impl Fn(&B, TransitionId) -> bool,
     ) -> Vec<(SubscriptionId, Vec<TransitionId>, Vec<TransitionId>)> {
         let not_in = |ids: &[TransitionId], from: &[TransitionId]| -> Vec<TransitionId> {
             let absent = from.iter().filter(|id| ids.binary_search(id).is_err());
@@ -540,9 +544,19 @@ impl<B: Backing> Service<B> {
         let mut moved = Vec::new();
         for (id, sub) in monitor.iter_mut() {
             let (result, bounds) = self.execute_uncached(&sub.query);
-            let entered = not_in(&sub.ids, &result.transitions);
-            let left = not_in(&result.transitions, &sub.ids);
-            (sub.ids, sub.bounds) = (result.transitions, bounds);
+            let mut members: Vec<_> = result.transitions.into_iter().zip(bounds).collect();
+            let fresh = members.len();
+            for (&old, &old_bounds) in sub.ids.iter().zip(&sub.bounds) {
+                let in_fresh = members[..fresh].binary_search_by_key(&old, |m| m.0).is_ok();
+                if !in_fresh && unseen(&self.backing, old) {
+                    members.push((old, old_bounds));
+                }
+            }
+            members.sort_unstable_by_key(|m| m.0);
+            let ids: Vec<_> = members.iter().map(|m| m.0).collect();
+            let entered = not_in(&sub.ids, &ids);
+            let left = not_in(&ids, &sub.ids);
+            (sub.ids, sub.bounds) = members.into_iter().unzip();
             if !entered.is_empty() || !left.is_empty() {
                 moved.push((id, entered, left));
             }

@@ -29,35 +29,54 @@
 //!   candidates once ([`sharded`]). Answers, subscription results and delta
 //!   streams are byte-identical to the flat service's.
 //!
-//! Everything below is the shared frontend, available on each:
+//! Everything below is the shared frontend, available on both:
 //!
 //! * **Batch execution** — [`Service::execute_batch`] runs a batch across a
-//!   scoped worker pool, grouped by spatial cell and `k`: within a group,
-//!   queries with the same `(route, k)` share one filter-set construction
-//!   and exact duplicates are coalesced outright ([`BatchStats`] counts
-//!   both, with wall-clock per phase).
+//!   scoped worker pool.
+//! * **Shared-filter batching** — batch queries are grouped by spatial
+//!   cell and `k`; within a group, queries with the same
+//!   `(route, k)` share one filter-set construction and exact duplicates
+//!   are coalesced outright. [`BatchStats`] reports groups formed, filter
+//!   constructions saved and wall-clock per phase.
 //! * **Result caching** — a seeded-hash LRU cache keyed on
-//!   `(route, k, semantics)`, its entries kept current by the update path.
-//! * **Incremental updates** — [`Service::apply_updates`] (panics on a WAL
-//!   failure) and [`Service::try_apply_updates`] (returns it; optionally
-//!   traced) are the only way a live service's stores change
-//!   ([`StoreUpdate`]: transitions arrive and expire, routes appear and are
-//!   withdrawn). Cached and standing results are maintained, not
-//!   recomputed, and no update evicts: how each kind is followed is
-//!   [`Service::apply_updates`]'s to say.
-//! * **Continuous queries** — [`Service::subscribe`] registers a standing
-//!   query that every update follows in place, never re-executing it; its
-//!   result changes come back as per-batch [`SubscriptionDelta`]s
-//!   ([`monitor`]).
+//!   `(route, k, semantics)` whose entries are kept current by the update
+//!   path below, so dynamic-update workloads keep serving correct results.
+//! * **Incremental updates** — the two update entry points,
+//!   [`Service::apply_updates`] (panics on a WAL failure) and
+//!   [`Service::try_apply_updates`] (returns it; optionally traced), mutate
+//!   the stores in place ([`StoreUpdate`]: transitions arrive and expire,
+//!   routes appear and are withdrawn) and are the only way a live service's
+//!   stores change. Under transition churn results are maintained rather
+//!   than recomputed: a transition update is appended to a bounded journal
+//!   and each cached result replays what it missed when it is next read —
+//!   an exact two-endpoint admission check per arrival, from a
+//!   nearest-route certificate the arrival's first reader computes and
+//!   every later one shares — so transition churn evicts nothing. A route
+//!   insert evicts nothing either: it can only remove members the new route
+//!   comes strictly closer to than the query, and the strictly-closer
+//!   counts every member keeps decide which. Nor does a route removal: it
+//!   can only add members, and every transition that can enter any result
+//!   lies in the removed route's own RkNNT answer at the largest cached or
+//!   watched `k` — one uncached query per removal, whose non-members are
+//!   judged for each entry from one shared certificate per candidate.
+//! * **Continuous queries** — [`Service::subscribe`] registers a
+//!   standing query whose result the service keeps current across
+//!   `apply_updates`: every update — arrivals, expiries, route inserts and
+//!   removals — is applied to it in place, nothing re-executes it, and
+//!   result changes come back as per-batch [`SubscriptionDelta`]s instead
+//!   of forcing clients to re-poll ([`monitor`]).
 //! * **Durability** (a [`Durable`] backing) — [`Service::open`] /
 //!   [`Service::attach_storage`] back either service with an
-//!   `rknnt-storage` directory: every update is appended, in global form,
-//!   to a CRC-guarded write-ahead log before it applies ([`durable`] owns
-//!   the record codec), [`Service::checkpoint`] folds the log into a
-//!   snapshot of the global state, and a reopen replays the WAL tail
-//!   through the normal update path. A directory written by either service
-//!   opens as the other, at any shard count (the repository's tier-1
-//!   `tests/serving_layers.rs` asserts both).
+//!   `rknnt-storage` directory: `apply_updates` appends every update, in
+//!   global form, to a CRC-guarded write-ahead log before applying it
+//!   ([`durable`] owns the record codec),
+//!   [`Service::checkpoint`] folds the log into a checksummed snapshot of
+//!   the global state, and reopening after a crash replays the WAL tail
+//!   through the normal update path — recovered answers are byte-identical
+//!   to the uninterrupted service. The directory does not record which
+//!   service wrote it: one written by either opens as the other, at any
+//!   shard count (both asserted by the repository's tier-1
+//!   `tests/serving_layers.rs`).
 //!
 //! ```
 //! use rknnt_core::RknntQuery;

@@ -25,12 +25,15 @@
 //! * [`obs`] — hermetic telemetry: log-linear latency histograms, stage
 //!   spans over a pluggable clock, a metrics registry with text exposition
 //!   and snapshot diffing, and bounded per-request span trees.
-//! * [`net`] — the TCP serving edge: a checksummed binary protocol, a
-//!   threaded server with cost-based admission control (overload is shed
-//!   with a typed reply, never silently dropped), a blocking client, and
-//!   the shard fleet — `FleetRouter`, the serving frontend over remote
-//!   transition shards behind `RemoteShard` (deadlines, retry backoff,
-//!   circuit breaker), with typed partial results while a shard is down.
+//! * [`net`] — the TCP serving edge: a length-prefixed checksummed binary
+//!   protocol, a threaded server multiplexing connections onto the batch
+//!   path with cost-based admission control (overload is shed with a typed
+//!   reply, never silently dropped), a blocking client with typed read
+//!   timeouts, and the distributed shard fleet — `RemoteShard` dispatch
+//!   (deadlines, seeded retry backoff, circuit breaker) under a
+//!   `FleetRouter` — the serving frontend over remote transition shards —
+//!   that degrades to typed partial results when shards die and resyncs
+//!   them from its update log on recovery.
 //! * [`fault`] — deterministic fault injection: seeded, hermetic
 //!   failpoints (`FaultPlan` → `Failpoints`) threaded through the net and
 //!   storage crates so crashes, cuts, corruption and stalls are
