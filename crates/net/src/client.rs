@@ -9,7 +9,7 @@
 //! awaited with [`Client::recv_delta`]).
 
 use crate::protocol::{
-    frame_bytes, read_frame, IntrospectReport, IntrospectWhat, Message, OverloadInfo,
+    frame_bytes, prune_payload, read_frame, IntrospectReport, IntrospectWhat, Message, OverloadInfo,
 };
 use rknnt_core::{FilterSet, RknntQuery};
 use rknnt_data::codec::CodecError;
@@ -221,8 +221,8 @@ impl Client {
         id
     }
 
-    fn send(&mut self, msg: &Message) -> Result<(), ClientError> {
-        let mut frame = frame_bytes(&msg.encode())?;
+    fn send(&mut self, payload: &[u8]) -> Result<(), ClientError> {
+        let mut frame = frame_bytes(payload)?;
         if let Some(fp) = &self.failpoints {
             match fp.hit(CLIENT_WRITE_SITE) {
                 Some(FaultAction::Cut { after }) => {
@@ -305,11 +305,12 @@ impl Client {
     /// Pipelining: sends a query without waiting, returning its request id.
     pub fn send_query(&mut self, query: &RknntQuery) -> Result<u64, ClientError> {
         let id = self.fresh_id();
-        self.send(&Message::Query {
+        let query = Message::Query {
             id,
             query: query.clone(),
             trace: None,
-        })?;
+        };
+        self.send(&query.encode())?;
         Ok(id)
     }
 
@@ -324,11 +325,12 @@ impl Client {
         trace_id: u64,
     ) -> Result<Reply<Vec<TransitionId>>, ClientError> {
         let id = self.fresh_id();
-        self.send(&Message::Query {
+        let query = Message::Query {
             id,
             query: query.clone(),
             trace: Some(trace_id),
-        })?;
+        };
+        self.send(&query.encode())?;
         let (rid, reply) = self.recv_query_reply()?;
         if rid != id {
             return Err(ClientError::UnexpectedReply("reply id mismatch"));
@@ -350,14 +352,14 @@ impl Client {
         }
     }
 
-    /// One request/reply round trip: sends the request `request` builds
-    /// under a fresh id and reads its reply, which `answer` unwraps from the
+    /// One request/reply round trip: sends the request payload `request`
+    /// encodes under a fresh id and reads its reply, which `answer` unwraps from the
     /// reply kind it expects (`what` names that kind in the error for any
     /// other). A shed comes back as [`Reply::Overloaded`], the server's typed
     /// error as [`ClientError::Server`].
     fn round_trip<T>(
         &mut self,
-        request: impl FnOnce(u64) -> Message,
+        request: impl FnOnce(u64) -> Vec<u8>,
         what: &'static str,
         answer: impl FnOnce(Message) -> Option<T>,
     ) -> Result<Reply<T>, ClientError> {
@@ -376,7 +378,7 @@ impl Client {
     /// Registers a standing query.
     pub fn subscribe(&mut self, query: &RknntQuery) -> Result<Reply<Subscription>, ClientError> {
         let query = query.clone();
-        let request = |id| Message::Subscribe { id, query };
+        let request = |id| Message::Subscribe { id, query }.encode();
         self.round_trip(request, "wanted a subscribe reply", |reply| match reply {
             Message::SubscribeOk {
                 subscription,
@@ -393,7 +395,7 @@ impl Client {
     /// Drops a standing query. `Answered(true)` iff the handle named a live
     /// subscription owned by this connection.
     pub fn unsubscribe(&mut self, subscription: u64) -> Result<Reply<bool>, ClientError> {
-        let request = |id| Message::Unsubscribe { id, subscription };
+        let request = |id| Message::Unsubscribe { id, subscription }.encode();
         self.round_trip(
             request,
             "wanted an unsubscribe reply",
@@ -427,7 +429,7 @@ impl Client {
         updates: Vec<StoreUpdate>,
         trace: Option<u64>,
     ) -> Result<Reply<UpdateCounts>, ClientError> {
-        let request = |id| Message::ApplyUpdates { id, updates, trace };
+        let request = |id| Message::ApplyUpdates { id, updates, trace }.encode();
         self.round_trip(request, "wanted an updates reply", |reply| match reply {
             Message::UpdatesOk {
                 applied, rejected, ..
@@ -442,7 +444,7 @@ impl Client {
     /// `Overloaded` arm because introspection is never queued or shed.
     pub fn introspect(&mut self, what: IntrospectWhat) -> Result<IntrospectReport, ClientError> {
         let id = self.fresh_id();
-        self.send(&Message::Introspect { id, what })?;
+        self.send(&Message::Introspect { id, what }.encode())?;
         match self.recv()? {
             Message::IntrospectOk { id: rid, report } if rid == id => Ok(report),
             Message::Error { id, message } => Err(ClientError::Server { id, message }),
@@ -453,7 +455,7 @@ impl Client {
     /// Liveness round-trip.
     pub fn ping(&mut self) -> Result<Reply<()>, ClientError> {
         let pong = |reply| matches!(reply, Message::Pong { .. }).then_some(());
-        self.round_trip(|id| Message::Ping { id }, "wanted a pong", pong)
+        self.round_trip(|id| Message::Ping { id }.encode(), "wanted a pong", pong)
     }
 
     /// Health / resync probe: fetches the backend's applied-update
@@ -462,7 +464,7 @@ impl Client {
     /// connection's reader answers), so an answer proves the request
     /// pipeline is live end to end.
     pub fn health(&mut self) -> Result<Reply<HealthStatus>, ClientError> {
-        let request = |id| Message::Health { id };
+        let request = |id| Message::Health { id }.encode();
         self.round_trip(request, "wanted a health reply", |reply| match reply {
             Message::HealthOk { watermark, .. } => Some(HealthStatus { watermark }),
             _ => None,
@@ -474,9 +476,8 @@ impl Client {
     /// origin and whose destination `filter` (built at `k`) does not
     /// filter, and the TR-tree nodes pruned unopened.
     pub fn prune(&mut self, filter: &FilterSet, k: usize) -> Result<Reply<Pruned>, ClientError> {
-        let filter = Box::new(filter.clone());
-        let request = |id| Message::Prune { id, filter, k };
-        self.round_trip(request, "wanted a prune reply", |reply| match reply {
+        let payload = |id| prune_payload(id, filter, k);
+        self.round_trip(payload, "wanted a prune reply", |reply| match reply {
             Message::PruneOk {
                 pruned_nodes,
                 origins,

@@ -1,15 +1,14 @@
 //! A distributed shard fleet with partial-failure semantics: the router is
-//! the one serving frontend, a [`Service`] over remote transition shards,
-//! each its own [`Server`] behind a health-tracked [`RemoteShard`].
-//!
-//! The router holds the only [`RouteStore`], the transition directory and
-//! one update log per shard. Transitions are placed by origin cell on a
-//! Z-order [`CellGrid`] with the [`rknnt_service::ShardedService`] global
-//! ids; a shard server is a [`Backend::Single`] over an empty route store
-//! and its slice. A query builds its filter over the router's routes, every
-//! shard prunes its TR-tree against it ([`crate::Message::Prune`]), and the
-//! router verifies the candidates once. A transition update goes into its
-//! owner's log, a route update changes the router's routes only.
+//! the one serving frontend over the one sharded backing, a
+//! [`Service`]`<`[`Shards`]`<RemoteLink>>` — placement, directory, extent
+//! skip, `shard` span and router counters exactly as in a
+//! [`rknnt_service::ShardedService`] — whose links are remote. A
+//! `RemoteLink` keeps an endpoint mirror, an extent and an update log at
+//! the router, and reaches its shard — a [`Server`] over a
+//! [`Backend::Single`] with an empty route store and the slice, behind a
+//! health-tracked [`RemoteShard`] — only to ship the log and to prune
+//! ([`crate::Message::Prune`]). The router builds every filter and verifies
+//! the candidates once.
 //!
 //! A shard the router cannot reach within its retry/breaker budget is named
 //! in [`FleetResult::missing_shards`], and the answer is exactly the other
@@ -17,11 +16,12 @@
 //!
 //! * **ship before prune** — a shard's unacknowledged log suffix is sent
 //!   before it is pruned, and a shard that does not take it is missing;
-//! * **no router cache** — every answer reaches every live shard, so no
-//!   degraded answer is served after the outage ends;
+//! * **no router cache** — every answer reaches every live shard it cannot
+//!   skip, so no degraded answer is served after the outage ends;
 //! * **resync when a shard returns** — through
-//!   [`FleetRouter::restart_shard`] or a successful call after a failure,
-//!   the router re-executes every subscription and emits the difference as
+//!   [`FleetRouter::restart_shard`] or a successful call after a failure
+//!   (each router call probes a shard still down that it did not try), the
+//!   router re-executes every subscription and emits the difference as
 //!   resync deltas, keeping the members of any shard still missing.
 //!
 //! A restarted shard is reopened from its storage directory (durable
@@ -34,16 +34,14 @@ use crate::remote::{RemoteError, RemoteShard, RemoteShardConfig, RemoteShardStat
 use crate::server::{Backend, Server, ServerConfig};
 use rknnt_core::{CandidateEndpoint, FilterSet, QueryScratch, RknntQuery};
 use rknnt_fault::Failpoints;
-use rknnt_geo::{CellGrid, Point};
+use rknnt_geo::{Point, Rect};
 use rknnt_index::EndpointKind::{Destination, Origin};
-use rknnt_index::{
-    partition_by_origin_cell, IdSpace, RouteId, RouteStore, TransitionId, TransitionStore,
-};
-use rknnt_obs::{Clock, Counter, MetricsRegistry, MonotonicClock, TraceCursor};
+use rknnt_index::{RouteStore, TransitionId, TransitionStore};
+use rknnt_obs::{Clock, Counter, MetricsRegistry, MonotonicClock};
 use rknnt_rtree::RTreeConfig;
 use rknnt_service::{
-    Backing, QueryService, Service, ServiceConfig, ServiceMetrics, StorageConfig, StoreUpdate,
-    SubscriptionId,
+    Missed, QueryService, RouterStats, Service, ServiceConfig, ShardLink, ShardedConfig, Shards,
+    StorageConfig, StoreUpdate, SubscriptionId,
 };
 use std::io;
 use std::path::PathBuf;
@@ -169,12 +167,19 @@ impl std::fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
+/// One remote shard as a [`ShardLink`], locked per call.
+struct RemoteLink(Mutex<FleetShard>);
+
 /// One shard as the router sees it.
 struct FleetShard {
+    /// The endpoints of every transition routed here, by local id; `None`
+    /// once expired.
+    mirror: Vec<Option<(Point, Point)>>,
+    /// Grows over every endpoint routed here, deferred ones included, and
+    /// never shrinks: the skip certificate stays sound.
+    extent: Rect,
     server: Option<Server>,
     remote: RemoteShard,
-    /// Local → global transition ids, grown as inserts route here.
-    space: IdSpace,
     /// Every transition record routed here, in shard-local form, in order.
     log: Vec<StoreUpdate>,
     /// Records the shard acknowledged (its watermark while in sync).
@@ -214,114 +219,79 @@ impl FleetShard {
     }
 }
 
-/// The fleet backing: the route set, the transition directory and the shards.
-struct FleetShards {
-    grid: CellGrid,
-    routes: RouteStore,
-    /// The endpoints of every global transition id, `None` once expired.
-    directory: Vec<Option<(Point, Point)>>,
-    shards: Vec<Mutex<FleetShard>>,
-}
-
-impl FleetShards {
-    fn shard(&self, index: usize) -> MutexGuard<'_, FleetShard> {
-        self.shards[index].lock().expect("fleet shard poisoned")
-    }
-
-    /// The shard that owns a live transition.
-    fn owner(&self, id: TransitionId) -> Option<usize> {
-        let (origin, _) = self.endpoints(id)?;
-        Some(self.grid.shard_of_point(&origin, self.shards.len()))
+impl RemoteLink {
+    fn shard(&self) -> MutexGuard<'_, FleetShard> {
+        self.0.lock().expect("fleet shard poisoned")
     }
 }
 
-impl Backing for FleetShards {
-    fn routes(&self) -> &RouteStore {
-        &self.routes
+impl ShardLink for RemoteLink {
+    fn insert(&mut self, origin: Point, destination: Point) -> Option<TransitionId> {
+        if !origin.is_finite() || !destination.is_finite() {
+            return None;
+        }
+        let shard = self.0.get_mut().expect("fleet shard poisoned");
+        let local = TransitionId(shard.mirror.len() as u32);
+        shard.mirror.push(Some((origin, destination)));
+        shard.extent.expand_to_point(&origin);
+        shard.extent.expand_to_point(&destination);
+        shard.log.push(StoreUpdate::InsertTransition {
+            origin,
+            destination,
+        });
+        Some(local)
     }
 
-    /// Every shard prunes its own TR-tree against `filter`, after its
-    /// deferred records have shipped; the surviving endpoints come back as
-    /// local ids and enter the scratch under global ids, their points read
-    /// off the directory. A shard that cannot be reached, or names an id its
-    /// log does not hold, adds nothing and is recorded missing.
+    fn expire(&mut self, local: TransitionId) -> bool {
+        let shard = self.0.get_mut().expect("fleet shard poisoned");
+        let live = shard.mirror.get_mut(local.index()).and_then(Option::take);
+        if live.is_some() {
+            shard.log.push(StoreUpdate::ExpireTransition(local));
+        }
+        live.is_some()
+    }
+
+    fn endpoints(&self, local: TransitionId) -> Option<(Point, Point)> {
+        *self.shard().mirror.get(local.index())?
+    }
+
+    /// The shard prunes its own TR-tree after its deferred records shipped;
+    /// survivors come back as local ids, their points read off the mirror.
     fn prune(
         &self,
         scratch: &mut QueryScratch,
         filter: &FilterSet,
         k: usize,
-        _trace: TraceCursor<'_>,
-    ) -> usize {
-        let mut pruned_nodes = 0;
-        for index in 0..self.shards.len() {
-            let reply = self.shard(index).reach(|shard| {
-                let (origins, destinations, pruned) =
-                    shard.remote.call(|c| answered(c.prune(filter, k)))?;
-                let space = &shard.space;
-                let sides = [(origins, Origin), (destinations, Destination)].into_iter();
-                let candidates = sides.enumerate().flat_map(|(side, (locals, kind))| {
-                    locals.into_iter().map(move |local| {
-                        let transition = TransitionId(space.to_global(local.raw())?);
-                        let (origin, destination) = self.endpoints(transition)?;
-                        let point = [origin, destination][side];
-                        Some(CandidateEndpoint {
-                            transition,
-                            kind,
-                            point,
-                        })
+        to_global: impl Fn(TransitionId) -> TransitionId,
+    ) -> Result<usize, Missed> {
+        let reply = self.shard().reach(|shard| {
+            let (origins, destinations, pruned) =
+                shard.remote.call(|c| answered(c.prune(filter, k)))?;
+            let sides = [(origins, Origin), (destinations, Destination)].into_iter();
+            let (mirror, to_global) = (&shard.mirror, &to_global);
+            let candidates = sides.enumerate().flat_map(|(side, (locals, kind))| {
+                locals.into_iter().map(move |local| {
+                    let (origin, destination) = (*mirror.get(local.index())?)?;
+                    Some(CandidateEndpoint {
+                        transition: to_global(local),
+                        kind,
+                        point: [origin, destination][side],
                     })
-                });
-                // A live id outside the shard's log: the shard is out of step.
-                let candidates: Option<Vec<_>> = candidates.collect();
-                scratch.extend_candidates(candidates.ok_or_else(|| RemoteError::Server {
-                    message: "the shard named a transition its log does not hold".into(),
-                })?);
-                Ok(pruned as usize)
+                })
             });
-            pruned_nodes += reply.unwrap_or(0);
-        }
-        pruned_nodes
-    }
-
-    fn insert_transition(&mut self, origin: Point, destination: Point) -> Option<TransitionId> {
-        if !origin.is_finite() || !destination.is_finite() {
-            return None;
-        }
-        let owner = self.grid.shard_of_point(&origin, self.shards.len());
-        let shard = self.shards[owner].get_mut().expect("fleet shard poisoned");
-        let global = self.directory.len() as u32;
-        shard.space.push(global);
-        shard.log.push(StoreUpdate::InsertTransition {
-            origin,
-            destination,
+            // An id outside the shard's log: the shard is out of step.
+            let candidates: Option<Vec<_>> = candidates.collect();
+            scratch.extend_candidates(candidates.ok_or_else(|| RemoteError::Server {
+                message: "the shard named a transition its log does not hold".into(),
+            })?);
+            Ok(pruned as usize)
         });
-        self.directory.push(Some((origin, destination)));
-        Some(TransitionId(global))
+        reply.ok_or(Missed)
     }
 
-    fn expire_transition(&mut self, id: TransitionId) -> bool {
-        let Some((origin, _)) = self.directory.get_mut(id.index()).and_then(Option::take) else {
-            return false;
-        };
-        let owner = self.grid.shard_of_point(&origin, self.shards.len());
-        let shard = self.shards[owner].get_mut().expect("fleet shard poisoned");
-        let local = shard.space.to_local(id.raw()).expect("a live id is mapped");
-        shard
-            .log
-            .push(StoreUpdate::ExpireTransition(TransitionId(local)));
-        true
-    }
-
-    fn insert_route(&mut self, points: Vec<Point>) -> Option<RouteId> {
-        self.routes.insert_route(points)
-    }
-
-    fn remove_route(&mut self, id: RouteId) -> bool {
-        self.routes.remove_route(id)
-    }
-
-    fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
-        *self.directory.get(id.index())?
+    fn extent(&self) -> Option<Rect> {
+        let extent = self.shard().extent;
+        (!extent.is_empty()).then_some(extent)
     }
 }
 
@@ -355,7 +325,7 @@ impl FleetMetrics {
 /// and resyncs recovered shards from its per-shard update logs.
 pub struct FleetRouter {
     config: FleetConfig,
-    service: Service<FleetShards>,
+    service: Service<Shards<RemoteLink>>,
     pending_deltas: Vec<FleetDelta>,
     metrics: FleetMetrics,
 }
@@ -388,43 +358,28 @@ impl FleetRouter {
         clock: Arc<dyn Clock>,
         sleeper: Option<Arc<dyn Sleeper>>,
     ) -> Result<FleetRouter, FleetError> {
-        let shard_count = config.shards.max(1);
         config.service = config.service.with_cache_capacity(0);
-        let (routes, _) = RouteStore::bulk_build(config.rtree, routes);
-        // Invalid pairs consume no global id, exactly like the unsharded
-        // bulk build; every slot handed to the partition is live.
-        let directory: Vec<Option<(Point, Point)>> = transitions
-            .into_iter()
-            .filter(|(origin, destination)| origin.is_finite() && destination.is_finite())
-            .map(Some)
-            .collect();
-        let extent = routes.routes().flat_map(|route| &route.points);
-        let extent = extent.chain(directory.iter().flatten().flat_map(|(o, d)| [o, d]));
-        let (grid, partition) = partition_by_origin_cell(
-            config.rtree,
-            extent,
-            config.grid_bits,
-            directory.iter().copied(),
-            shard_count,
-        );
+        let placement = ShardedConfig {
+            shards: config.shards,
+            grid_bits: config.grid_bits,
+            rtree: config.rtree,
+            base: config.service,
+        };
         let sleeper = sleeper.unwrap_or_else(|| Arc::new(crate::remote::ThreadSleeper));
-        let mut shards = Vec::with_capacity(shard_count);
-        let slices = partition.stores.into_iter().zip(partition.spaces);
-        for (index, (store, space)) in slices.enumerate() {
-            let initial_pairs = store
+        let link = |index: usize, store: TransitionStore| -> Result<RemoteLink, FleetError> {
+            let initial_pairs: Vec<_> = store
                 .transitions()
                 .map(|t| (t.origin, t.destination))
                 .collect();
+            let extent = store.extent().unwrap_or_else(Rect::empty);
             let mut service = QueryService::new(RouteStore::default(), store, config.service);
-            let mut storage_dir = None;
-            if let Some(root) = &config.storage_root {
-                let dir = root.join(format!("shard-{index}"));
-                std::fs::create_dir_all(&dir)
-                    .map_err(|e| FleetError::Build(format!("shard {index} dir: {e}")))?;
-                service
-                    .attach_storage(&dir, config.storage)
-                    .map_err(|e| FleetError::Build(format!("shard {index} storage: {e}")))?;
-                storage_dir = Some(dir);
+            let dir = |root: &PathBuf| root.join(format!("shard-{index}"));
+            let storage_dir = config.storage_root.as_ref().map(dir);
+            if let Some(dir) = &storage_dir {
+                let failed = |e: String| FleetError::Build(format!("shard {index} storage: {e}"));
+                std::fs::create_dir_all(dir).map_err(|e| failed(e.to_string()))?;
+                let attached = service.attach_storage(dir, config.storage);
+                attached.map_err(|e| failed(e.to_string()))?;
             }
             let faults = config.shard_faults.iter().find(|(s, _)| *s == index);
             let server = start_shard(&config, index, service, faults.map(|(_, f)| f.clone()))?;
@@ -434,10 +389,11 @@ impl FleetRouter {
                 Arc::clone(&clock),
                 Arc::clone(&sleeper),
             );
-            shards.push(Mutex::new(FleetShard {
+            Ok(RemoteLink(Mutex::new(FleetShard {
+                mirror: initial_pairs.iter().copied().map(Some).collect(),
+                extent,
                 server: Some(server),
                 remote,
-                space,
                 log: Vec::new(),
                 acked: 0,
                 up: true,
@@ -445,52 +401,54 @@ impl FleetRouter {
                 returned: false,
                 initial_pairs,
                 storage_dir,
-            }));
-        }
-        let fleet = FleetShards {
-            grid,
-            routes,
-            directory,
-            shards,
+            })))
         };
+        let service = Service::bulk_build_with(placement, routes, transitions, link)?;
         Ok(FleetRouter {
-            service: Service::from_parts(fleet, config.service, ServiceMetrics::default()),
+            service,
             config,
             pending_deltas: Vec::new(),
             metrics: FleetMetrics::new(),
         })
     }
 
-    fn fleet(&self) -> &FleetShards {
-        self.service.backing()
+    fn shard(&self, index: usize) -> MutexGuard<'_, FleetShard> {
+        self.service.backing().link(index).shard()
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.fleet().shards.len()
+        self.service.shard_count()
+    }
+
+    /// Point-in-time routing counters — executions, dispatches, shards the
+    /// extent certificate skipped — counted exactly as a
+    /// [`rknnt_service::ShardedService`] counts them.
+    pub fn router_stats(&self) -> RouterStats {
+        self.service.router_stats()
     }
 
     /// Dispatch counters for one shard.
     pub fn shard_stats(&self, index: usize) -> RemoteShardStats {
-        self.fleet().shard(index).remote.stats()
+        self.shard(index).remote.stats()
     }
 
     /// The circuit-breaker state of one shard's dispatch path.
     pub fn shard_breaker_state(&mut self, index: usize) -> crate::remote::BreakerState {
-        self.fleet().shard(index).remote.breaker_state()
+        self.shard(index).remote.breaker_state()
     }
 
     /// `(acknowledged, total)` record counts in shard `index`'s router log
     /// — unequal while updates are deferring.
     pub fn shard_progress(&self, index: usize) -> (u64, u64) {
-        let shard = self.fleet().shard(index);
+        let shard = self.shard(index);
         (shard.acked, shard.log.len() as u64)
     }
 
     /// Which shard owns a live global transition id (tests and experiments
     /// use this to compute the exact answer a degraded fleet must report).
     pub fn owner_of(&self, id: TransitionId) -> Option<usize> {
-        self.fleet().owner(id)
+        self.service.transition_owner(id)
     }
 
     /// Text exposition of the `fleet.*` metrics.
@@ -503,7 +461,7 @@ impl FleetRouter {
     /// not learn of the death here — the next dispatch discovers it, as it
     /// would in production.
     pub fn kill_shard(&mut self, index: usize, reason: &str) {
-        let mut shard = self.fleet().shard(index);
+        let mut shard = self.shard(index);
         if let Some(server) = &shard.server {
             server.kill(reason);
         }
@@ -537,7 +495,7 @@ impl FleetRouter {
         self.queue_deltas(deltas.map(|d| (d.subscription, d.entered, d.left)));
         let mut deferred = Vec::new();
         for index in 0..self.shard_count() {
-            let mut shard = self.fleet().shard(index);
+            let mut shard = self.shard(index);
             let pending = shard.log.len() as u64 - shard.acked;
             if pending > 0 && shard.reach(|_| Ok(())).is_none() {
                 deferred.push(index);
@@ -589,7 +547,7 @@ impl FleetRouter {
             message,
         };
         let config = &self.config;
-        let mut shard = self.service.backing().shard(index);
+        let mut shard = self.service.backing().link(index).shard();
         if let Some(server) = shard.server.take() {
             // The old incarnation's backend dies with it.
             drop(server.stop());
@@ -629,21 +587,32 @@ impl FleetRouter {
         Ok(())
     }
 
-    /// The shards the calls since the last look could not reach. While one
-    /// answered again after a failure, every subscription is re-executed and
-    /// what moved is queued as resync deltas. A member whose shard the
-    /// re-execution missed is kept, not reported as left; that shard returns
-    /// later, and only the caller's own misses are the caller's. The passes
-    /// are bounded, so a flapping shard cannot hold the caller: a return
-    /// seen in the last pass stays flagged for the next settle.
+    /// The shards the calls since the last look could not reach. A shard
+    /// still down from an earlier call is probed with a health call: the
+    /// filter may skip it on every later query, and its return would go
+    /// unseen. While one answered again after a failure, every subscription
+    /// is re-executed and what moved is queued as resync deltas. A member
+    /// whose shard the re-execution missed is kept, not reported as left;
+    /// that shard returns later, and only the caller's own misses are the
+    /// caller's. The passes are bounded, so a flapping shard cannot hold
+    /// the caller: a return seen in the last pass stays flagged for the
+    /// next settle.
     fn settle(&mut self) -> Vec<usize> {
         let missing = self.take_flags(|shard| &mut shard.missed);
+        for index in (0..self.shard_count()).filter(|i| !missing.contains(i)) {
+            let mut shard = self.shard(index);
+            if !shard.up {
+                shard.reach(|s| s.remote.call(|c| answered(c.health())).map(drop));
+                shard.missed = false;
+            }
+        }
         for _ in 0..self.shard_count() {
             if self.take_flags(|shard| &mut shard.returned).is_empty() {
                 break;
             }
-            let unseen =
-                |fleet: &FleetShards, id| fleet.owner(id).is_some_and(|i| !fleet.shard(i).up);
+            let unseen = |fleet: &Shards<RemoteLink>, id| {
+                fleet.owner(id).is_some_and(|i| !fleet.link(i).shard().up)
+            };
             let moved = self.service.reexecute_subscriptions(unseen);
             self.metrics.resync_deltas.add(moved.len() as u64);
             self.queue_deltas(moved.into_iter());
@@ -656,7 +625,7 @@ impl FleetRouter {
     fn take_flags(&self, flag: impl Fn(&mut FleetShard) -> &mut bool) -> Vec<usize> {
         let shards = 0..self.shard_count();
         shards
-            .filter(|&index| std::mem::take(flag(&mut self.fleet().shard(index))))
+            .filter(|&index| std::mem::take(flag(&mut self.shard(index))))
             .collect()
     }
 
@@ -675,7 +644,7 @@ impl FleetRouter {
     /// Stops every shard server in an orderly way.
     pub fn shutdown(self) {
         for index in 0..self.shard_count() {
-            if let Some(server) = self.fleet().shard(index).server.take() {
+            if let Some(server) = self.shard(index).server.take() {
                 drop(server.stop());
             }
         }

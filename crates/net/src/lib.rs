@@ -44,13 +44,15 @@
 //!   a closed/open/half-open **circuit breaker** driven by a pluggable
 //!   clock so every state transition is deterministic under test.
 //! * **[`FleetRouter`]** — the distributed fleet: the one serving
-//!   frontend over remote transition shards, each its own server behind a
+//!   frontend over the one sharded backing ([`rknnt_service::Shards`]),
+//!   whose links are remote shards, each its own server behind a
 //!   [`RemoteShard`]. The router holds the only route set, builds every
-//!   filter, has each shard prune its TR-tree ([`Message::Prune`]) and
-//!   verifies the candidates once. A dead shard degrades answers to a
-//!   typed partial [`FleetResult`] naming it, its updates defer in a
-//!   per-shard router log that ships before the shard is pruned again, and
-//!   when it returns the router re-executes every subscription.
+//!   filter, has each shard it cannot skip prune its TR-tree
+//!   ([`Message::Prune`]) and verifies the candidates once. A dead shard
+//!   degrades answers to a typed partial [`FleetResult`] naming it, its
+//!   updates defer in a per-shard router log that ships before the shard is
+//!   pruned again, and when it returns the router re-executes every
+//!   subscription.
 //! * **Fault injection** — the reader, writer and executor paths carry
 //!   [`rknnt_fault`] failpoints ([`SERVER_READ_SITE`],
 //!   [`SERVER_WRITE_SITE`], [`SERVER_EXECUTOR_SITE`],

@@ -464,6 +464,16 @@ fn encode_filter(enc: &mut Encoder, filter: &FilterSet) {
     }
 }
 
+/// The [`Message::Prune`] payload, encoded from a borrowed filter set.
+pub(crate) fn prune_payload(id: u64, filter: &FilterSet, k: usize) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.u8(TAG_PRUNE);
+    enc.u64(id);
+    enc.len_prefix(k);
+    encode_filter(&mut enc, filter);
+    enc.into_bytes()
+}
+
 fn decode_filter(dec: &mut Decoder<'_>) -> CodecResult<FilterSet> {
     let query = dec.points()?;
     let len = dec.len_prefix(24)?;
@@ -589,12 +599,7 @@ impl Message {
                 enc.u8(TAG_HEALTH);
                 enc.u64(*id);
             }
-            Message::Prune { id, filter, k } => {
-                enc.u8(TAG_PRUNE);
-                enc.u64(*id);
-                enc.len_prefix(*k);
-                encode_filter(&mut enc, filter);
-            }
+            Message::Prune { id, filter, k } => return prune_payload(*id, filter, *k),
             Message::QueryOk { id, transitions } => {
                 enc.u8(TAG_QUERY_OK);
                 enc.u64(*id);
@@ -1121,6 +1126,15 @@ mod tests {
         let err = Message::decode(&bytes).unwrap_err();
         assert!(err.detail.contains("route id 3 after 2 routes"), "{err:?}");
         assert_eq!(err.offset, at);
+    }
+
+    #[test]
+    fn a_prune_payload_is_the_prune_message_encoded() {
+        for message in sample_messages() {
+            if let Message::Prune { id, filter, k } = &message {
+                assert_eq!(prune_payload(*id, filter, *k), message.encode());
+            }
+        }
     }
 
     #[test]

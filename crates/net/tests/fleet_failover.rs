@@ -12,9 +12,10 @@ use rknnt_geo::Point;
 use rknnt_index::{RouteId, RouteStore, TransitionId, TransitionStore};
 use rknnt_net::{
     BreakerState, FleetConfig, FleetRouter, RecordingSleeper, RemoteShardConfig, ServerConfig,
+    SERVER_READ_SITE,
 };
 use rknnt_obs::MockClock;
-use rknnt_service::{QueryService, ServiceConfig, StoreUpdate};
+use rknnt_service::{QueryService, ServiceConfig, ShardedConfig, ShardedService, StoreUpdate};
 use rknnt_storage::WAL_WRITE_SITE;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -444,7 +445,7 @@ fn subscriptions_resync_after_failover() {
 /// suffix before it prunes there, so an answer marked complete is the
 /// twin's answer, deferral or not.
 ///
-/// Mutation that fails it: `FleetShards::reach` runs its call without
+/// Mutation that fails it: `FleetShard::reach` runs its call without
 /// shipping the log suffix first — the shard answers from the stores it
 /// has, the answer is marked complete and misses the deferred arrivals.
 #[test]
@@ -607,5 +608,126 @@ fn a_resync_keeps_the_members_of_a_shard_still_down() {
         assert!(answer.is_complete());
         assert_eq!(answer.transitions, twin.execute(&query).transitions);
     }
+    fleet.shutdown();
+}
+
+/// The router skips a shard whose extent the query's filter covers, as the
+/// in-process router skips one by its TR-tree root: it never reaches that
+/// shard, so an outage there cannot degrade the answer. With no outage the
+/// fleet routes `query_mix()` — before and after `churn()` — exactly as a
+/// four-shard `ShardedService` does, counter for counter; then each shard
+/// is killed in turn, and every answer either names exactly that shard
+/// with exactly the healthy subset, or is complete and the reference's —
+/// and some answer during an outage is complete.
+///
+/// Mutation that fails it: `Shards::prune` consults a shard without
+/// testing its extent against the filter — every outage answer degrades
+/// and the router counts no skipped shard.
+#[test]
+fn a_shard_the_filter_rules_out_is_never_missed() {
+    let (mut fleet, _, _) = test_fleet(4, None);
+    let (routes, pairs) = small_world();
+    let config = ShardedConfig::default().with_base(service_config().with_cache_capacity(0));
+    let mut sharded = ShardedService::bulk_build(config.with_shards(4), routes, pairs);
+    for round in 0..2 {
+        for query in query_mix() {
+            let answer = fleet.execute(&query);
+            assert!(answer.is_complete());
+            assert_eq!(answer.transitions, sharded.execute(&query).transitions);
+        }
+        if round == 0 {
+            assert_eq!(fleet.apply_updates(churn()).rejected, 0);
+            sharded.apply_updates(churn());
+        }
+    }
+    let routed = fleet.router_stats();
+    assert!(routed.shards_pruned > 0, "no shard was skipped: {routed:?}");
+    assert_eq!(routed, sharded.router_stats());
+    let mut complete = 0;
+    for victim in 0..fleet.shard_count() {
+        fleet.kill_shard(victim, "chaos: certificate test");
+        for query in query_mix() {
+            let answer = fleet.execute(&query);
+            let expected = sharded.execute(&query).transitions;
+            if answer.is_complete() {
+                assert_eq!(answer.transitions, expected, "shard {victim} down");
+                complete += 1;
+                continue;
+            }
+            assert_eq!(answer.missing_shards, vec![victim], "typed, never silent");
+            let healthy_subset: Vec<TransitionId> = expected
+                .into_iter()
+                .filter(|id| fleet.owner_of(*id) != Some(victim))
+                .collect();
+            assert_eq!(answer.transitions, healthy_subset, "shard {victim} down");
+        }
+        fleet.restart_shard(victim).expect("restart");
+    }
+    assert!(complete >= 1, "every answer during an outage degraded");
+    fleet.shutdown();
+}
+
+/// A shard fails one call — the candidate query of a route removal under a
+/// live subscription — and is healthy again at once. Every later query's
+/// filter rules out every shard, so no query reaches it; the router's
+/// settle probes a shard still down and resyncs the subscription on its
+/// return. The folded deltas and the recorded result then equal the
+/// twin's. A member on that shard had the removed route in its count: in
+/// debug builds `Maintained::check_bounds` checks that the removal lowered
+/// it all the same.
+///
+/// Mutations that fail it: `FleetRouter::settle` probes no shard — the
+/// subscription keeps missing what the removal let in on that shard; in
+/// debug, `Shards::take_missed` always answers `false` — the removal
+/// leaves that member's count stale.
+#[test]
+fn a_transient_miss_is_resynced_when_later_queries_skip_the_shard() {
+    let victim = 1usize;
+    // The subscription's prune is the first frame the shard reads; the
+    // removal's candidate query, the second, is cut on both attempts the
+    // breaker allows.
+    let faults = FaultPlan::new(0x5EED)
+        .cut(SERVER_READ_SITE, 2)
+        .cut(SERVER_READ_SITE, 3)
+        .arm();
+    let (mut fleet, _, clock) = fleet_with_faults(3, None, vec![(victim, Arc::clone(&faults))]);
+    let mut twin = twin();
+    let standing = RknntQuery::exists(vec![p(0.0, 40.0), p(600.0, 40.0), p(1200.0, 40.0)], 2);
+    let (sub, initial) = fleet.subscribe(&standing);
+    assert!(initial.is_complete());
+    let twin_sub = twin.subscribe(standing.clone());
+    assert_eq!(faults.hits(SERVER_READ_SITE), 1);
+    let removal = vec![StoreUpdate::RemoveRoute(RouteId(1))];
+    assert_eq!(fleet.apply_updates(removal.clone()).rejected, 0);
+    twin.apply_updates(removal);
+    assert_eq!(faults.injected(), 2, "the removal's prune did not fail");
+    assert_ne!(
+        fleet.subscription_result(sub).as_deref(),
+        twin.subscription_result(twin_sub),
+        "the miss cost the subscription nothing"
+    );
+    // The failed call opened the shard's breaker; the probe waits it out.
+    assert_eq!(fleet.shard_breaker_state(victim), BreakerState::Open);
+    clock.advance(Duration::from_millis(51).as_nanos() as u64);
+    let far = RknntQuery::exists(vec![p(0.0, 3000.0), p(1200.0, 3000.0)], 1);
+    for _ in 0..3 {
+        let skipped = fleet.router_stats().shards_pruned;
+        let answer = fleet.execute(&far);
+        assert!(answer.is_complete());
+        assert_eq!(answer.transitions, twin.execute(&far).transitions);
+        assert_eq!(fleet.router_stats().shards_pruned, skipped + 3);
+    }
+    let mut view: std::collections::BTreeSet<TransitionId> =
+        initial.transitions.iter().copied().collect();
+    for delta in fleet.take_deltas() {
+        assert_eq!(delta.subscription, sub);
+        view.extend(delta.entered);
+        for id in &delta.left {
+            view.remove(id);
+        }
+    }
+    let folded: Vec<TransitionId> = view.into_iter().collect();
+    assert_eq!(twin.subscription_result(twin_sub), Some(folded.as_slice()));
+    assert_eq!(fleet.subscription_result(sub), Some(folded));
     fleet.shutdown();
 }

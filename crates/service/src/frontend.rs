@@ -30,7 +30,7 @@ use crate::service::{ServiceConfig, StoreUpdate, UpdateStats};
 use rknnt_core::{FilterSet, QueryScratch, RknntQuery, RknntResult, TransitionCertificate};
 use rknnt_geo::Point;
 use rknnt_index::{
-    RouteId, RouteStore, RouteStoreState, TransitionId, TransitionStore, TransitionStoreState,
+    RouteStore, RouteStoreState, TransitionId, TransitionStore, TransitionStoreState,
 };
 use rknnt_obs::{MetricsSnapshot, TraceCursor};
 use rknnt_storage::{Failpoints, Storage, StorageConfig, StorageError, StorageStats};
@@ -46,9 +46,9 @@ const CACHE_SEED: u64 = 0x5eed;
 /// sharing, verification, worker pool, WAL append, checkpoint and recovery,
 /// eviction, subscription upkeep, stats) is the frontend's and exists once.
 ///
-/// Public, not sealed: `rknnt-net`'s fleet router implements it over remote
-/// transition shards. A backing a storage directory can hold is also
-/// [`Durable`].
+/// Public, not sealed: `rknnt-net`'s fleet router serves a
+/// [`crate::Shards`] over remote shard links. A backing a storage directory
+/// can hold is also [`Durable`].
 pub trait Backing: Sync + Sized {
     /// The complete route set answers are defined over. Filters are built,
     /// candidates verified and journalled arrivals admitted against it;
@@ -77,16 +77,20 @@ pub trait Backing: Sync + Sized {
     /// Removes a live transition; `false` for an unknown or dead id.
     fn expire_transition(&mut self, id: TransitionId) -> bool;
 
-    /// Inserts a route; the (global) id it consumed, or `None` when rejected.
-    fn insert_route(&mut self, points: Vec<Point>) -> Option<RouteId>;
-
-    /// Removes a live route; `false` for an unknown or dead id.
-    fn remove_route(&mut self, id: RouteId) -> bool;
+    /// The route set, for the update path's route inserts and removals.
+    fn routes_mut(&mut self) -> &mut RouteStore;
 
     /// The endpoints of a live (global) transition id; `None` for an
     /// unknown or expired one. A route insert resolves the members it
     /// rechecks through it, a route removal the candidates it admits.
     fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)>;
+
+    /// Whether a prune since the last call could not consult part of the
+    /// transitions, its candidates then short of [`Backing::prune`]'s
+    /// contract; clears the mark. Never, for a backing that holds them all.
+    fn take_missed(&self) -> bool {
+        false
+    }
 }
 
 /// A backing a storage directory can hold: it exports the one global state
@@ -690,7 +694,7 @@ impl<B: Backing> Service<B> {
                 }
                 StoreUpdate::InsertRoute(points) => {
                     self.catch_up_cache();
-                    match self.backing.insert_route(points) {
+                    match self.backing.routes_mut().insert_route(points) {
                         Some(id) => {
                             stats.inserted_routes.push(id);
                             self.applied(&mut Effect::RouteInserted(id), &mut stats.deltas);
@@ -702,7 +706,7 @@ impl<B: Backing> Service<B> {
                     // The stores forget the points; the closer test needs them.
                     let removed = self.backing.routes().route_points(id).to_vec();
                     self.catch_up_cache();
-                    if self.backing.remove_route(id) {
+                    if self.backing.routes_mut().remove_route(id) {
                         let mut candidates = self.removal_candidates(&removed);
                         self.applied(
                             &mut Effect::RouteRemoved(&mut candidates),
@@ -740,7 +744,9 @@ impl<B: Backing> Service<B> {
     /// [`crate::journal`]) — each with the (not yet computed) certificate
     /// of its endpoints, their distances to `removed` and the counts the
     /// query verified there. Empty, and nothing executed, when there is no
-    /// such query.
+    /// such query. When the query missed part of the transitions, a member
+    /// whose count `removed` was in may be missing from it, so every member
+    /// of a cached or watched result is a candidate too, claiming no count.
     fn removal_candidates(&mut self, removed: &[Point]) -> Vec<Candidate> {
         let cache = self.cache.get_mut().expect("cache lock");
         let k_max = max_k(cache.results().chain(self.monitor.results()));
@@ -749,10 +755,17 @@ impl<B: Backing> Service<B> {
         }
         let query = RknntQuery::exists(removed.to_vec(), k_max);
         let (candidates, counts) = self.execute_uncached(&query);
+        let mut candidates: Vec<_> = candidates.transitions.into_iter().zip(counts).collect();
+        if self.backing.take_missed() {
+            let cache = self.cache.get_mut().expect("cache lock");
+            let results = cache.results().chain(self.monitor.results());
+            candidates.extend(results.flat_map(|r| &r.ids).map(|&id| (id, [0, 0])));
+            // Stable: a candidate the query found keeps its counts.
+            candidates.sort_by_key(|&(id, _)| id);
+            candidates.dedup_by_key(|&mut (id, _)| id);
+        }
         candidates
-            .transitions
             .into_iter()
-            .zip(counts)
             .map(|(id, counts)| {
                 let (origin, destination) =
                     self.backing.endpoints(id).expect("candidates are live");

@@ -17,17 +17,18 @@
 //! metric catalog, and runs the only copy of the batch pipeline, the worker
 //! pool, the update path and the subscription surface. What differs between
 //! deployments is the [`Backing`] it serves from; this crate has two, and
-//! `rknnt-net`'s fleet router a third, over remote transition shards:
+//! `rknnt-net`'s fleet router runs the second over remote shard links:
 //!
 //! * **[`QueryService`]** — one [`rknnt_index::RouteStore`] /
 //!   [`rknnt_index::TransitionStore`] pair; each fresh query prunes the one
 //!   TR-tree.
 //! * **[`ShardedService`]** — the complete routes in one planner store and
-//!   the transitions split across Z-order spatial shards (a shard is a
-//!   transition store plus an id space); each fresh query prunes
-//!   only the shards its filter cannot rule out and verifies the merged
-//!   candidates once ([`sharded`]). Answers, subscription results and delta
-//!   streams are byte-identical to the flat service's.
+//!   the transitions split across Z-order spatial shards ([`Shards`] over
+//!   in-process [`rknnt_index::TransitionStore`] links; the fleet's links
+//!   are remote); each fresh query prunes only the shards its filter cannot
+//!   rule out and verifies the merged candidates once ([`sharded`]).
+//!   Answers, subscription results and delta streams are byte-identical to
+//!   the flat service's.
 //!
 //! Everything below is the shared frontend, available on both:
 //!
@@ -117,4 +118,4 @@ pub use metrics::{RouterStats, ServiceMetrics};
 pub use monitor::{DeltaReason, SubscriptionDelta, SubscriptionId};
 pub use rknnt_storage::{StorageConfig, StorageError, StorageStats};
 pub use service::{QueryService, ServiceConfig, StoreUpdate, UpdateStats};
-pub use sharded::{ShardedConfig, ShardedService};
+pub use sharded::{Missed, ShardLink, ShardedConfig, ShardedService, Shards};

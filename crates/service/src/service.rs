@@ -152,12 +152,8 @@ impl Backing for FlatStores {
         self.transitions.remove(id)
     }
 
-    fn insert_route(&mut self, points: Vec<Point>) -> Option<RouteId> {
-        self.routes.insert_route(points)
-    }
-
-    fn remove_route(&mut self, id: RouteId) -> bool {
-        self.routes.remove_route(id)
+    fn routes_mut(&mut self) -> &mut RouteStore {
+        &mut self.routes
     }
 
     fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {

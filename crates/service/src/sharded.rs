@@ -1,53 +1,50 @@
-//! Spatial sharding: SFC-partitioned transition shards behind a router
-//! that skips every shard its root-MBR certificate writes off.
+//! Spatial sharding, written once: SFC-partitioned transition shards behind
+//! a router that skips every shard its extent certificate writes off.
 //!
-//! [`ShardedService`] is the shared [`Service`] frontend — the same batch
-//! pipeline, cache, update skeleton, subscription registry and storage
-//! handle a [`crate::QueryService`] runs — over a [`ShardSet`] backing. The
-//! set keeps the one complete [`RouteStore`] (the **planner**: routes are
-//! small, and every filter and every verification is defined over all of
-//! them) and splits the *transitions* — the bulk — across `N` shards by
-//! Z-order cell of each transition's origin (see [`rknnt_geo::CellGrid`]).
-//! A shard is exactly a [`TransitionStore`] with dense local ids plus the
-//! [`IdSpace`] mapping them back to global ids; the directory maps every
-//! live global id to its `(shard, local id)`.
+//! [`Shards<L>`](Shards) is the sharded [`Backing`] of the shared
+//! [`Service`] frontend. It keeps the one complete [`RouteStore`] (the
+//! **planner**: routes are few, and every filter and every verification is
+//! defined over all of them) and splits the *transitions* across `N` shards
+//! by Z-order cell of each transition's origin (see
+//! [`rknnt_geo::CellGrid`]). What a shard *is* is its [`ShardLink`]: a
+//! [`TransitionStore`] in process ([`ShardedService`]), a remote server in
+//! `rknnt-net`'s fleet. Placement is the set's, once: the grid, the
+//! directory of every live global id's `(shard, local id)`, one [`IdSpace`]
+//! per shard mapping local ids back, owner-routed inserts and expiries, the
+//! skip certificate, the `shard` span and the router counters.
 //!
-//! The routing insight is that the filter step already produces a
-//! *shard-pruning certificate*: the same `filters_rect` test the TR-tree
-//! descent uses on interior nodes applies verbatim to a shard's root MBR. A
-//! query builds its filter once against the planner; any shard whose
-//! TR-tree root the filter covers provably contains no candidate and is
-//! never consulted. Because an endpoint survives pruning iff `filters_point`
-//! accepts it — node-level tests are certificates for their subtrees, so
-//! tree *shape* never changes survival — the union of per-shard candidate
-//! sets equals the unsharded candidate set, and after identical per-endpoint
-//! verification against the planner the merged, sorted result is
-//! **byte-identical** to the unsharded service's. Subscription delta streams
-//! are identical too: every update is applied in place against the same
-//! planner on both sides (a member's or candidate's endpoints resolved
-//! through the directory), and a route removal's candidate query runs
-//! through that same byte-identical pipeline.
+//! The filter step already produces a *shard-pruning certificate*: the
+//! `filters_rect` test the TR-tree descent applies to interior nodes
+//! applies verbatim to a rectangle holding every endpoint of a shard
+//! ([`ShardLink::extent`]; in process the TR-tree root MBR). A shard whose
+//! extent the query's filter covers provably holds no candidate and is
+//! never consulted. An endpoint survives pruning iff `filters_point`
+//! accepts it, whatever the tree shape, so the union of per-shard candidate
+//! sets is the unsharded one, and after the same verification against the
+//! planner every answer and every subscription delta stream is
+//! **byte-identical** to the unsharded service's.
 //!
 //! Placement therefore never changes an answer, which is what lets
 //! durability ignore it: the frontend logs updates in *global* form to one
-//! WAL and checkpoints the *global* state (the set exports its transition
-//! slots assembled from the directory) — the same storage format the flat
-//! service writes. [`ShardedService::open`] lays the
-//! recovered data out for whatever [`ShardedConfig`] it is given, and
-//! [`ShardedService::reshard`] re-places it in memory without touching the
-//! disk, the result cache, the subscriptions or the metric catalog.
+//! WAL and checkpoints the *global* state — the storage format the flat
+//! service writes. [`ShardedService::open`] lays the recovered data out for
+//! whatever [`ShardedConfig`] it is given, and [`ShardedService::reshard`]
+//! re-places it in memory without touching the disk, the result cache, the
+//! subscriptions or the metric catalog.
 
 use crate::frontend::{Backing, Durable, Service};
 use crate::metrics::{RouterMetrics, ServiceMetrics};
 use crate::service::ServiceConfig;
 use rknnt_core::{prune_into_scratch, FilterSet, QueryScratch};
-use rknnt_geo::{CellGrid, Point};
+use rknnt_geo::{CellGrid, Point, Rect};
 use rknnt_index::{
-    partition_by_origin_cell, IdSpace, Placement, RouteId, RouteStore, RouteStoreState, Transition,
+    partition_by_origin_cell, IdSpace, Placement, RouteStore, RouteStoreState, Transition,
     TransitionId, TransitionStore, TransitionStoreState,
 };
 use rknnt_obs::TraceCursor;
 use rknnt_rtree::RTreeConfig;
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Configuration of a [`ShardedService`].
 #[derive(Debug, Clone, Copy)]
@@ -89,16 +86,71 @@ impl ShardedConfig {
     }
 }
 
-/// One shard: a slice of the transitions under dense local ids, plus the
-/// local→global id space.
-struct Shard {
-    transitions: TransitionStore,
-    l2g: IdSpace,
+/// What a shard *is*: the transitions placed on it, under dense local ids.
+pub trait ShardLink: Sync {
+    /// Stores a transition under the next local id; `None` (no id consumed)
+    /// for a non-finite endpoint.
+    fn insert(&mut self, origin: Point, destination: Point) -> Option<TransitionId>;
+
+    /// Removes a live transition; `false` for an unknown or dead local id.
+    fn expire(&mut self, local: TransitionId) -> bool;
+
+    /// The endpoints of a live local id.
+    fn endpoints(&self, local: TransitionId) -> Option<(Point, Point)>;
+
+    /// Appends the endpoints `filter` (built at `k`) does not filter to
+    /// `scratch`, under `to_global` of their local ids, and returns the
+    /// TR-tree nodes pruned unopened; [`Missed`], appending nothing, when
+    /// the shard could not be consulted.
+    fn prune(
+        &self,
+        scratch: &mut QueryScratch,
+        filter: &FilterSet,
+        k: usize,
+        to_global: impl Fn(TransitionId) -> TransitionId,
+    ) -> Result<usize, Missed>;
+
+    /// A rectangle holding every endpoint of the shard, `None` for none.
+    fn extent(&self) -> Option<Rect>;
 }
 
-/// The shard-set backing: the planner, the shards, the directory and the
-/// router's own metric cells.
-pub struct ShardSet {
+/// A shard that could not be consulted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Missed;
+
+/// An in-process shard: the store itself, bounded by its TR-tree's root.
+impl ShardLink for TransitionStore {
+    fn insert(&mut self, origin: Point, destination: Point) -> Option<TransitionId> {
+        TransitionStore::insert(self, origin, destination)
+    }
+
+    fn expire(&mut self, local: TransitionId) -> bool {
+        self.remove(local)
+    }
+
+    fn endpoints(&self, local: TransitionId) -> Option<(Point, Point)> {
+        self.get(local).map(|t| (t.origin, t.destination))
+    }
+
+    fn prune(
+        &self,
+        scratch: &mut QueryScratch,
+        filter: &FilterSet,
+        k: usize,
+        to_global: impl Fn(TransitionId) -> TransitionId,
+    ) -> Result<usize, Missed> {
+        let pruned_nodes = prune_into_scratch(self, filter, k, false, scratch, to_global);
+        Ok(pruned_nodes)
+    }
+
+    fn extent(&self) -> Option<Rect> {
+        self.rtree().root().map(|root| root.mbr())
+    }
+}
+
+/// The sharded backing: the planner, one link and one local→global id
+/// space per shard, the directory and the router's metric cells.
+pub struct Shards<L> {
     grid: CellGrid,
     config: ShardedConfig,
     /// The complete route store: filter construction and endpoint
@@ -106,45 +158,34 @@ pub struct ShardSet {
     /// while transitions (the bulk) are sharded. Global route ids are
     /// exactly this store's slot indexes.
     planner: RouteStore,
-    shards: Vec<Shard>,
+    links: Vec<L>,
+    spaces: Vec<IdSpace>,
     /// Where each global transition id lives, indexed by raw id; `None`
     /// once it expired (the id stays consumed).
-    transition_dir: Vec<Option<Placement>>,
+    directory: Vec<Option<Placement>>,
     router: RouterMetrics,
+    /// Set when a link misses a prune, taken by [`Backing::take_missed`].
+    missed: AtomicBool,
 }
 
-/// Spatially sharded transitions behind a router that skips every shard its
-/// root-MBR certificate writes off.
-/// Construction is [`ShardedService::bulk_build`] (in memory) or
-/// [`ShardedService::open`] (from a storage directory); the query, update,
-/// subscription and durability API is the shared [`Service`] frontend's, and
-/// every answer — batch results, subscription results and their delta
-/// streams — is byte-identical to an unsharded service over the same data
-/// (see the module docs for the argument, the repository's tier-1
-/// `tests/serving_layers.rs` for the enforcement).
-pub type ShardedService = Service<ShardSet>;
+/// In-process spatial shards: built by [`ShardedService::bulk_build`] or
+/// [`ShardedService::open`], served by the shared [`Service`] frontend,
+/// byte-identical to an unsharded service over the same data (enforced by
+/// the repository's tier-1 `tests/serving_layers.rs`).
+pub type ShardedService = Service<Shards<TransitionStore>>;
 
-impl Backing for ShardSet {
+impl<L: ShardLink> Backing for Shards<L> {
     fn routes(&self) -> &RouteStore {
         &self.planner
     }
 
-    /// Prunes one routed query: each shard's TR-tree behind the root-MBR
-    /// skip certificate, candidates translated to global ids.
-    ///
-    /// The candidates are exactly the unsharded prune's: an endpoint
-    /// survives pruning iff `filters_point` accepts it — node-level
-    /// `filters_rect` tests, including the shard-root test used here, are
-    /// certificates for their whole subtree — so the union of per-shard
-    /// candidates equals the unsharded candidate set, and each transition is
-    /// owned by exactly one shard, so the union has no duplicates. The
-    /// frontend then verifies them against the planner, as it does on flat
-    /// stores.
+    /// Prunes one routed query on every shard the extent certificate does
+    /// not skip, candidates translated to global ids: exactly the unsharded
+    /// prune's, since each transition has one owner (module docs).
     ///
     /// Under tracing, every shard the query considered gets one `shard`
-    /// span carrying the routing decision: `pruned=1 certificate=1` when
-    /// the root-MBR certificate skipped it without dispatching, or
-    /// `pruned=0` with the local candidate count when it was consulted.
+    /// span: `pruned=1 certificate=1` when skipped, else `pruned=0` with
+    /// its candidate count, or `missed=1` when its link missed.
     fn prune(
         &self,
         scratch: &mut QueryScratch,
@@ -154,14 +195,14 @@ impl Backing for ShardSet {
     ) -> usize {
         let mut pruned_nodes = 0usize;
         let mut consulted = 0u64;
-        for (index, shard) in self.shards.iter().enumerate() {
+        for (index, (link, space)) in self.links.iter().zip(&self.spaces).enumerate() {
             // An empty shard has nothing to consult or prune.
-            let Some(root) = shard.transitions.rtree().root() else {
+            let Some(extent) = link.extent() else {
                 continue;
             };
-            if filter.filters_rect(&root.mbr(), k, false) {
-                // The certificate covers the shard's whole TR-tree: no
-                // candidate can live there, skip without dispatching.
+            if filter.filters_rect(&extent, k, false) {
+                // The certificate covers the whole shard: no candidate can
+                // live there, skip without dispatching.
                 self.router.shards_pruned.inc();
                 pruned_nodes += 1;
                 // Zero-duration marker: the decision itself is the
@@ -177,23 +218,22 @@ impl Backing for ShardSet {
             self.router.dispatches.inc();
             let shard_span = trace.begin("shard");
             let before = scratch.candidates().len();
-            pruned_nodes +=
-                prune_into_scratch(&shard.transitions, filter, k, false, scratch, |local| {
-                    let global = shard
-                        .l2g
-                        .to_global(local.raw())
-                        .expect("pruned transition must be in the shard's id space");
-                    TransitionId(global)
-                });
-            let found = (scratch.candidates().len() - before) as u64;
-            trace.end_with(
-                shard_span,
-                &[
-                    ("shard", index as u64),
-                    ("pruned", 0),
-                    ("candidates", found),
-                ],
-            );
+            let to_global = |local: TransitionId| {
+                let global = space.to_global(local.raw());
+                TransitionId(global.expect("pruned transition must be in the shard's id space"))
+            };
+            let found = match link.prune(scratch, filter, k, to_global) {
+                Ok(pruned) => {
+                    pruned_nodes += pruned;
+                    ("candidates", (scratch.candidates().len() - before) as u64)
+                }
+                // A missed shard adds nothing; the fleet names it in its answer.
+                Err(Missed) => {
+                    self.missed.store(true, Ordering::Relaxed);
+                    ("missed", 1)
+                }
+            };
+            trace.end_with(shard_span, &[("shard", index as u64), ("pruned", 0), found]);
         }
         self.router.executions.inc();
         self.router.fanout.record(consulted);
@@ -205,14 +245,13 @@ impl Backing for ShardSet {
     // touch the planner.
 
     fn insert_transition(&mut self, origin: Point, destination: Point) -> Option<TransitionId> {
-        let owner = self.grid.shard_of_point(&origin, self.shards.len());
-        let shard = &mut self.shards[owner];
+        let owner = self.grid.shard_of_point(&origin, self.links.len());
         // A store-boundary rejection (non-finite endpoint) consumes no id,
         // mirroring the unsharded service.
-        let local = shard.transitions.insert(origin, destination)?;
-        let global = self.transition_dir.len() as u32;
-        shard.l2g.push(global);
-        self.transition_dir.push(Some(Placement {
+        let local = self.links[owner].insert(origin, destination)?;
+        let global = self.directory.len() as u32;
+        self.spaces[owner].push(global);
+        self.directory.push(Some(Placement {
             shard: owner as u32,
             local: local.raw(),
         }));
@@ -220,39 +259,30 @@ impl Backing for ShardSet {
     }
 
     fn expire_transition(&mut self, id: TransitionId) -> bool {
-        let Some(at) = self
-            .transition_dir
-            .get_mut(id.index())
-            .and_then(Option::take)
-        else {
+        let Some(at) = self.directory.get_mut(id.index()).and_then(Option::take) else {
             return false;
         };
-        let removed = self.shards[at.shard as usize]
-            .transitions
-            .remove(TransitionId(at.local));
+        let removed = self.links[at.shard as usize].expire(TransitionId(at.local));
         debug_assert!(removed, "the directory said the id was live");
         true
     }
 
-    fn insert_route(&mut self, points: Vec<Point>) -> Option<RouteId> {
-        self.planner.insert_route(points)
-    }
-
-    fn remove_route(&mut self, id: RouteId) -> bool {
-        self.planner.remove_route(id)
+    fn routes_mut(&mut self) -> &mut RouteStore {
+        &mut self.planner
     }
 
     /// Resolved through the directory.
     fn endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
-        let at = (*self.transition_dir.get(id.index())?)?;
-        self.shards[at.shard as usize]
-            .transitions
-            .get(TransitionId(at.local))
-            .map(|t| (t.origin, t.destination))
+        let at = (*self.directory.get(id.index())?)?;
+        self.links[at.shard as usize].endpoints(TransitionId(at.local))
+    }
+
+    fn take_missed(&self) -> bool {
+        self.missed.swap(false, Ordering::Relaxed)
     }
 }
 
-impl Durable for ShardSet {
+impl Durable for Shards<TransitionStore> {
     type Config = ShardedConfig;
 
     fn export_state(&self) -> (RouteStoreState, TransitionStoreState) {
@@ -279,34 +309,47 @@ impl Durable for ShardSet {
     ) -> ShardedService {
         let slots = transitions.export_state().transitions.into_iter();
         let slots = slots.map(|slot| slot.map(|t| (t.origin, t.destination)));
-        ShardedService::placed(config, routes, slots.collect())
+        let (metrics, router) = ServiceMetrics::new_with_router();
+        let Ok(shards) = place(config, routes, slots.collect(), router, in_process_link);
+        Service::from_parts(shards, config.base, metrics)
     }
 }
 
-impl ShardSet {
+impl<L: ShardLink> Shards<L> {
+    /// Shard `index`'s link.
+    pub fn link(&self, index: usize) -> &L {
+        &self.links[index]
+    }
+
+    /// The shard that owns a live global transition id.
+    pub fn owner(&self, id: TransitionId) -> Option<usize> {
+        let at = (*self.directory.get(id.index())?)?;
+        Some(at.shard as usize)
+    }
+
     /// The endpoints behind every global transition id, in id order,
     /// resolved through the directory (`None` for an expired id).
     fn endpoint_slots(&self) -> impl Iterator<Item = Option<(Point, Point)>> + '_ {
-        (0..self.transition_dir.len() as u32).map(|raw| self.endpoints(TransitionId(raw)))
+        (0..self.directory.len() as u32).map(|raw| self.endpoints(TransitionId(raw)))
     }
 }
 
 /// Lays the global state out for `config` — the one placement function
-/// behind [`ShardedService::bulk_build`], [`ShardedService::open`] and
-/// [`ShardedService::reshard`]. `slots[i]` holds the endpoints of global
-/// transition id `i` (`None` for an expired one, which stays consumed and is
-/// placed nowhere).
+/// behind every sharded construction and [`ShardedService::reshard`].
+/// `slots[i]` holds the endpoints of global transition id `i` (`None` for an
+/// expired one, which stays consumed and is placed nowhere).
 /// A Z-order grid is laid over the MBR of the live data, every live
-/// transition goes to the shard owning its origin's cell, and each shard's
-/// store is bulk-built with dense local ids in global id order. `router` is
-/// the set's routing cells: fresh ones for a new service, the running ones
-/// on a reshard.
-fn place(
+/// transition goes to the shard owning its origin's cell, each shard's
+/// slice is bulk-built with dense local ids in global id order and made a
+/// link by `link(index, store)`. `router` is the set's routing cells: fresh
+/// ones for a new service, the running ones on a reshard.
+fn place<L, E>(
     config: ShardedConfig,
     planner: RouteStore,
     slots: Vec<Option<(Point, Point)>>,
     router: RouterMetrics,
-) -> ShardSet {
+    mut link: impl FnMut(usize, TransitionStore) -> Result<L, E>,
+) -> Result<Shards<L>, E> {
     let shard_count = config.shards.max(1);
     let extent = planner.routes().flat_map(|route| &route.points);
     let extent = extent.chain(slots.iter().flatten().flat_map(|(o, d)| [o, d]));
@@ -317,13 +360,8 @@ fn place(
         slots.iter().copied(),
         shard_count,
     );
-    let shards = partition
-        .stores
-        .into_iter()
-        .zip(partition.spaces)
-        .map(|(transitions, l2g)| Shard { transitions, l2g })
-        .collect();
-    ShardSet {
+    let stores = partition.stores.into_iter().enumerate();
+    Ok(Shards {
         grid,
         config: ShardedConfig {
             shards: shard_count,
@@ -331,40 +369,94 @@ fn place(
             ..config
         },
         planner,
-        shards,
-        transition_dir: partition.directory,
+        links: stores
+            .map(|(index, store)| link(index, store))
+            .collect::<Result<_, _>>()?,
+        spaces: partition.spaces,
+        directory: partition.directory,
         router,
-    }
+        missed: AtomicBool::new(false),
+    })
 }
 
-impl Service<ShardSet> {
-    /// A new service over the global state laid out for `config`: fresh
-    /// metric catalog, empty cache, no subscriptions, no storage.
-    fn placed(
-        config: ShardedConfig,
-        planner: RouteStore,
-        slots: Vec<Option<(Point, Point)>>,
-    ) -> Self {
-        let (metrics, router) = ServiceMetrics::new_with_router();
-        Service::from_parts(place(config, planner, slots, router), config.base, metrics)
-    }
+/// The in-process link of a placed shard: its store.
+fn in_process_link(_: usize, store: TransitionStore) -> Result<TransitionStore, Infallible> {
+    Ok(store)
+}
 
-    /// Builds a sharded service from raw data. Global ids are assigned
-    /// exactly as the unsharded bulk build would (invalid items are skipped
-    /// and consume no id); the routes go to the planner and the transitions
-    /// are placed on the shards.
-    pub fn bulk_build(
+impl<L: ShardLink> Service<Shards<L>> {
+    /// Builds a sharded service from raw data over the links `link` makes
+    /// of the placed slices. Global ids are assigned exactly as the
+    /// unsharded bulk build would (invalid items are skipped and consume no
+    /// id); the routes go to the planner and the transitions are placed on
+    /// the shards.
+    pub fn bulk_build_with<E>(
         config: ShardedConfig,
         routes: Vec<Vec<Point>>,
         transitions: Vec<(Point, Point)>,
-    ) -> Self {
+        link: impl FnMut(usize, TransitionStore) -> Result<L, E>,
+    ) -> Result<Self, E> {
         let (planner, _) = RouteStore::bulk_build(config.rtree, routes);
         let slots = transitions
             .into_iter()
             .filter(|(origin, destination)| origin.is_finite() && destination.is_finite())
             .map(Some)
             .collect();
-        Self::placed(config, planner, slots)
+        let (metrics, router) = ServiceMetrics::new_with_router();
+        let shards = place(config, planner, slots, router, link)?;
+        Ok(Service::from_parts(shards, config.base, metrics))
+    }
+
+    /// The configuration the service currently runs with (`shards` and
+    /// `grid_bits` reflect clamping and reshards).
+    pub fn config(&self) -> &ShardedConfig {
+        &self.backing.config
+    }
+
+    /// The Z-order grid transitions are routed by.
+    pub fn grid(&self) -> &CellGrid {
+        &self.backing.grid
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.backing.links.len()
+    }
+
+    /// Point-in-time routing counters (executions, dispatches, prunes); the
+    /// mean fan-out is `dispatches / executions`.
+    pub fn router_stats(&self) -> crate::RouterStats {
+        self.backing.router.stats()
+    }
+
+    /// The owning shard of a live global transition id.
+    pub fn transition_owner(&self, id: TransitionId) -> Option<usize> {
+        self.backing.owner(id)
+    }
+
+    /// Endpoints of a live global transition id, resolved through the
+    /// directory.
+    pub fn transition_endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
+        self.backing.endpoints(id)
+    }
+
+    /// One past the largest global transition id ever handed out (expired
+    /// transitions keep theirs).
+    pub fn transition_id_bound(&self) -> usize {
+        self.backing.directory.len()
+    }
+}
+
+impl Service<Shards<TransitionStore>> {
+    /// Builds a sharded service from raw data ([`Service::bulk_build_with`]
+    /// over in-process shards).
+    pub fn bulk_build(
+        config: ShardedConfig,
+        routes: Vec<Vec<Point>>,
+        transitions: Vec<(Point, Point)>,
+    ) -> Self {
+        let Ok(service) = Self::bulk_build_with(config, routes, transitions, in_process_link);
+        service
     }
 
     /// Re-partitions the transitions to a new shard count and grid
@@ -388,71 +480,26 @@ impl Service<ShardSet> {
         let slots = self.backing.endpoint_slots().collect();
         let planner = std::mem::take(&mut self.backing.planner);
         let router = self.backing.router.clone();
-        self.backing = place(config, planner, slots, router);
-    }
-
-    // ------------------------------------------------------------------
-    // Introspection.
-    // ------------------------------------------------------------------
-
-    /// The configuration the service currently runs with (`shards` and
-    /// `grid_bits` reflect clamping and reshards).
-    pub fn config(&self) -> &ShardedConfig {
-        &self.backing.config
-    }
-
-    /// The Z-order grid transitions are routed by.
-    pub fn grid(&self) -> &CellGrid {
-        &self.backing.grid
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.backing.shards.len()
+        let Ok(backing) = place(config, planner, slots, router, in_process_link);
+        self.backing = backing;
     }
 
     /// Read access to one shard's transition store (local ids).
     pub fn shard_transitions(&self, index: usize) -> Option<&TransitionStore> {
-        self.backing.shards.get(index).map(|s| &s.transitions)
-    }
-
-    /// Point-in-time routing counters (executions, dispatches, prunes); the
-    /// mean fan-out is `dispatches / executions`.
-    pub fn router_stats(&self) -> crate::RouterStats {
-        self.backing.router.stats()
-    }
-
-    /// The owning shard of a live global transition id.
-    pub fn transition_owner(&self, id: TransitionId) -> Option<usize> {
-        let at = (*self.backing.transition_dir.get(id.index())?)?;
-        Some(at.shard as usize)
-    }
-
-    /// Endpoints of a live global transition id, resolved through the
-    /// directory.
-    pub fn transition_endpoints(&self, id: TransitionId) -> Option<(Point, Point)> {
-        self.backing.endpoints(id)
-    }
-
-    /// One past the largest global transition id ever handed out (expired
-    /// transitions keep theirs).
-    pub fn transition_id_bound(&self) -> usize {
-        self.backing.transition_dir.len()
+        self.backing.links.get(index)
     }
 
     /// Number of live transitions across the shards.
     pub fn num_transitions(&self) -> usize {
-        self.backing
-            .shards
-            .iter()
-            .map(|shard| shard.transitions.len())
-            .sum()
+        self.backing.links.iter().map(TransitionStore::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rknnt_core::RknntQuery;
+    use rknnt_obs::{SpanId, Telemetry, TraceContext, TraceId};
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -481,15 +528,74 @@ mod tests {
             routes,
             transitions,
         );
-        for (gid, slot) in service.backing.transition_dir.iter().enumerate() {
+        for (gid, slot) in service.backing.directory.iter().enumerate() {
             let at = slot.expect("bulk build of valid data leaves no dead slots");
-            let space = &service.backing.shards[at.shard as usize].l2g;
+            let space = &service.backing.spaces[at.shard as usize];
             assert_eq!(space.to_global(at.local), Some(gid as u32));
             assert_eq!(space.to_local(gid as u32), Some(at.local));
         }
-        assert_eq!(
-            service.num_transitions(),
-            service.backing.transition_dir.len()
+        assert_eq!(service.num_transitions(), service.backing.directory.len());
+    }
+
+    /// A link that holds its slice but never answers a prune.
+    struct Down(TransitionStore);
+
+    impl ShardLink for Down {
+        fn insert(&mut self, origin: Point, destination: Point) -> Option<TransitionId> {
+            ShardLink::insert(&mut self.0, origin, destination)
+        }
+
+        fn expire(&mut self, local: TransitionId) -> bool {
+            self.0.remove(local)
+        }
+
+        fn endpoints(&self, local: TransitionId) -> Option<(Point, Point)> {
+            ShardLink::endpoints(&self.0, local)
+        }
+
+        fn prune(
+            &self,
+            _: &mut QueryScratch,
+            _: &FilterSet,
+            _: usize,
+            _: impl Fn(TransitionId) -> TransitionId,
+        ) -> Result<usize, Missed> {
+            Err(Missed)
+        }
+
+        fn extent(&self) -> Option<Rect> {
+            ShardLink::extent(&self.0)
+        }
+    }
+
+    #[test]
+    fn a_missed_shard_is_marked_in_its_span_and_taken_once() {
+        let (routes, transitions) = grid_world();
+        let config = ShardedConfig::default().with_shards(4);
+        let down = |_, store| Ok::<_, Infallible>(Down(store));
+        let Ok(service) = Service::bulk_build_with(config, routes, transitions, down);
+        let query = RknntQuery::exists(vec![p(0.0, 150.0), p(500.0, 150.0)], 2);
+        let ctx = TraceContext::begin(TraceId::from_raw(1), Telemetry::monotonic());
+        let root = ctx.begin_span("request", SpanId::NONE);
+        let cursor = TraceCursor::new(&ctx, root);
+        let (results, _) = service.execute_batch_traced(std::slice::from_ref(&query), cursor);
+        ctx.end_span(root);
+        let trace = ctx.finish();
+        let consulted: Vec<_> = trace
+            .spans()
+            .iter()
+            .filter(|span| span.name() == "shard" && span.attr("pruned") == Some(0))
+            .collect();
+        assert!(!consulted.is_empty(), "no shard was consulted");
+        for span in consulted {
+            assert_eq!(span.attr("missed"), Some(1));
+            assert_eq!(span.attr("candidates"), None);
+        }
+        assert!(results[0].transitions.is_empty());
+        assert!(service.backing().take_missed());
+        assert!(
+            !service.backing().take_missed(),
+            "taking the mark clears it"
         );
     }
 }

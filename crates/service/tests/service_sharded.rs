@@ -228,9 +228,9 @@ proptest! {
 /// executions really were routed, and on average each consulted at most
 /// half the shards.
 ///
-/// Mutation that fails it: in `ShardSet`, consult a shard without testing
-/// its root MBR against the filter footprint (plan every non-empty shard) —
-/// mean fan-out becomes 8 of 8.
+/// Mutation that fails it: in `Shards::prune`, consult a shard without
+/// testing its extent against the filter footprint (plan every non-empty
+/// shard) — mean fan-out becomes 8 of 8.
 #[test]
 fn fanout_on_local_trips_stays_under_half_of_eight_shards() {
     const TRIP_CAP_METRES: f64 = 600.0;

@@ -108,7 +108,7 @@
 //!   places the set with fresh router cells instead of
 //!   `self.backing.router.clone()`);
 //! * a sharded insert records shard 0 in the directory whatever the owner
-//!   (`ShardSet::insert_transition`);
+//!   (`Shards::insert_transition`);
 //! * skip WAL replay of the tail on reopen (`Service::open` never calls
 //!   `service.replay(updates)`, so only the snapshot comes back).
 
